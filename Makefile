@@ -1,10 +1,13 @@
 # Convenience targets for the reproduction.
 PY ?= python
+# OpenBLAS here is built for 64 threads and oversubscribes a 2-vCPU box
+# (one GEMM varies 40x); anything timed or gated runs single-threaded.
+ONE_THREAD = OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1
 
-.PHONY: test bench bench-gate chaos trace serve fleet monitor memprofile compile longctx report examples all clean
+.PHONY: test bench bench-gate bench-wall-smoke chaos trace serve fleet monitor memprofile compile longctx report examples all clean
 
 test:
-	$(PY) -m pytest tests/
+	$(ONE_THREAD) $(PY) -m pytest tests/
 
 bench:
 	$(PY) -m pytest benchmarks/ --benchmark-only
@@ -13,7 +16,12 @@ bench:
 # diff against benchmarks/baselines/ with per-metric tolerances
 # (docs/observability.md).  Exits non-zero naming any drifted metric.
 bench-gate:
-	$(PY) -m repro bench --output-dir . --check
+	$(ONE_THREAD) $(PY) -m repro bench --output-dir . --check
+
+# Wall-clock benchmark smoke run (bench/README.md): every workload once,
+# three units each, output checks on, ~20 s.  Exit code is the result.
+bench-wall-smoke:
+	python3 bench/run.py --smoke
 
 # Fault-injection suite plus seeded chaos campaigns with end-to-end
 # bitwise verification of recovery (see docs/resilience.md).

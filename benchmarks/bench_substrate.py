@@ -43,7 +43,7 @@ def bench_tensor_parallel_train_step(benchmark):
 
 def bench_serial_train_step_fused(benchmark):
     """Same step as :func:`bench_serial_train_step` through the fused
-    engine — the pair is the substrate preset's speedup numerator."""
+    engine."""
     seed(0)
     model = GPTModel(CFG, seed=0, fused=True)
     trainer = Trainer(model, Adam(model.parameters(), lr=1e-3))

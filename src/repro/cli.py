@@ -1093,9 +1093,6 @@ def cmd_bench(args) -> str:
             summary += f", mfu {doc['utilization']['mfu']:.3e}"
         if "resilience" in doc:
             summary += f", goodput {doc['resilience']['goodput']:.1%}"
-        if "serial_speedup" in doc.get("timing", {}):
-            summary += (f", fusion x{doc['timing']['serial_speedup']:.2f} "
-                        f"serial / x{doc['timing']['tensor_parallel_speedup']:.2f} tp")
         if "compiled_chain_speedup" in doc.get("timing", {}):
             summary += (f", replay x"
                         f"{doc['timing']['compiled_chain_speedup']:.2f} "

@@ -9,15 +9,15 @@ unfused chain would — so the paper's Eq. 1-4 per-term accounting and the
 
 Numerics contract (verified in ``tests/test_fusion.py``):
 
-* ``scale_mask_softmax_dropout``, ``dropout_add``, ``fused_layernorm``
-  and ``softmax_cross_entropy`` are **bitwise identical** to their
-  unfused chains at equal seeds: they perform the same elementary
-  operations in the same order (``out=`` kwargs change where results are
-  written, never what is computed), and they draw dropout masks through
-  the exact RNG call sequence of the unfused ops.
-* ``bias_gelu`` replaces ``x**3`` with a multiply chain (NumPy's scalar
-  ``pow`` path is ~75x slower); forward/backward agree with the unfused
-  chain to float64 ``allclose``, not bitwise.
+* every fused op is **bitwise identical** to its unfused chain at equal
+  seeds: it performs the same elementary operations in the same order
+  (``out=`` kwargs change where results are written, never what is
+  computed), and draws dropout masks through the exact RNG call sequence
+  of the unfused ops.
+* ``bias_gelu`` and the unfused ``gelu`` run the same kernel
+  (``tensor.functions._gelu_fwd`` / ``_gelu_bwd``, which also says why
+  the cube is a multiply chain); only the scratch buffers differ (arena
+  here, fresh arrays there).
 
 Internal temporaries come from the :mod:`~repro.fusion.arena`; outputs
 and saved buffers are always fresh arrays.
@@ -25,7 +25,7 @@ and saved buffers are always fresh arrays.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -33,38 +33,11 @@ from ..errors import ShapeError
 from ..tensor import backend as bk
 from ..tensor.context import ctx
 from ..tensor.dtypes import FP16, FP32, MASK
-from ..tensor.functions import _GELU_C, _unbroadcast, _widths, MaskSource
+from ..tensor.functions import (CausalMask, MaskSource, _causal_keep,
+                                _gelu_bwd, _gelu_fwd, _offset_keep,
+                                _unbroadcast, _widths)
 from ..tensor.tensor import FnCtx, Function, ShardList, Tensor, apply
 from .arena import default_arena
-
-#: Cached (keep, masked) boolean causal masks per (s, s) — the unfused
-#: CausalMask rebuilds ``np.tril`` on every call.
-_TRIL_CACHE: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
-
-_MASKED_VALUE = -1e9  # keep in sync with functions.CausalMask.MASKED_VALUE
-
-
-def _causal_keep(shape) -> Tuple[np.ndarray, np.ndarray]:
-    key = (shape[-2], shape[-1])
-    pair = _TRIL_CACHE.get(key)
-    if pair is None:
-        keep = np.tril(np.ones(key, dtype=bool))
-        pair = (keep, ~keep)
-        _TRIL_CACHE[key] = pair
-    return pair
-
-
-def _offset_keep(rows: int, cols: int,
-                 offset: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Row-blocked causal keep mask (ring attention panels); see
-    :class:`repro.tensor.functions.OffsetCausalMask`."""
-    key = (rows, cols, offset)
-    pair = _TRIL_CACHE.get(key)
-    if pair is None:
-        keep = np.tril(np.ones((rows, cols), dtype=bool), k=offset)
-        pair = (keep, ~keep)
-        _TRIL_CACHE[key] = pair
-    return pair
 
 
 def _draw_masks(fctx: FnCtx, p: float, mode: str, shard_axis: int, tag: str,
@@ -123,17 +96,7 @@ class BiasGelu(Function):
                 continue
             z = xi + bi
             t = arena.take(z.shape)
-            # 0.5*z*(1 + tanh(C*(z + 0.044715*z^3))), z^3 via multiplies.
-            np.multiply(z, z, out=t)
-            np.multiply(t, z, out=t)
-            np.multiply(t, 0.044715, out=t)
-            np.add(t, z, out=t)
-            np.multiply(t, _GELU_C, out=t)
-            np.tanh(t, out=t)
-            np.add(t, 1.0, out=t)
-            y = np.empty(z.shape)
-            np.multiply(t, z, out=y)
-            np.multiply(y, 0.5, out=y)
+            y = _gelu_fwd(z, t)
             arena.give(t)
             z_list.append(z)
             out.append(y)
@@ -158,30 +121,9 @@ class BiasGelu(Function):
                 dx.append(bk.AbstractArray(bk.shape_of(z)))
                 db.append(bk.AbstractArray(bias_shape))
                 continue
-            t = arena.take(z.shape)       # tanh(inner)
-            np.multiply(z, z, out=t)
-            np.multiply(t, z, out=t)
-            np.multiply(t, 0.044715, out=t)
-            np.add(t, z, out=t)
-            np.multiply(t, _GELU_C, out=t)
-            np.tanh(t, out=t)
-            u = arena.take(z.shape)       # sech^2 * d_inner * 0.5 * z
-            np.multiply(t, t, out=u)
-            np.subtract(1.0, u, out=u)    # sech^2
-            v = arena.take(z.shape)       # d_inner = C*(1 + 3*0.044715*z^2)
-            np.multiply(z, z, out=v)
-            np.multiply(v, 3 * 0.044715, out=v)
-            np.add(v, 1.0, out=v)
-            np.multiply(v, _GELU_C, out=v)
-            np.multiply(u, v, out=u)
-            np.multiply(u, z, out=u)
-            np.multiply(u, 0.5, out=u)
-            np.add(t, 1.0, out=t)
-            np.multiply(t, 0.5, out=t)    # 0.5*(1 + tanh)
-            np.add(t, u, out=t)           # dgelu/dz
-            d = np.empty(z.shape)
-            np.multiply(g, t, out=d)
-            arena.give(t, u, v)
+            scratch = [arena.take(z.shape) for _ in range(3)]
+            d = _gelu_bwd(z, g, scratch)
+            arena.give(*scratch)
             dx.append(d)
             db.append(_unbroadcast(d, bias_shape))
         return dx, db
@@ -251,7 +193,7 @@ class ScaleMaskSoftmaxDropout(Function):
                 _, masked_tril = self._keep(shape, r)
                 t = arena.take(shape)
                 np.multiply(xi, self.scale, out=t)
-                np.copyto(t, _MASKED_VALUE, where=masked_tril)
+                np.copyto(t, CausalMask.MASKED_VALUE, where=masked_tril)
                 np.subtract(t, np.max(t, axis=-1, keepdims=True), out=t)
                 np.exp(t, out=t)
                 y = np.empty(shape)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -158,9 +158,19 @@ class Matmul(Function):
         if self.save_x:
             fctx.misc["x_slot"] = fctx.save_input(0, category=self.category)
         fctx.misc["w_slot"] = fctx.save_input(1, category=self.category)
-        out = [xi @ wi for xi, wi in zip(x, w)]
         x_shape, w_shape = bk.shape_of(x[0]), bk.shape_of(w[0])
         fctx.misc["shapes"] = (x_shape, w_shape)
+        # A linear layer on concrete (..., k) activations runs as one 2-D
+        # GEMM, not NumPy's loop of small ones over the leading dims.
+        flat = fctx.misc["flat"] = (
+            len(w_shape) == 2 and len(x_shape) > 2
+            and not (bk.is_abstract(x[0]) or bk.is_abstract(w[0])))
+        if flat:
+            out_shape = x_shape[:-1] + w_shape[-1:]
+            out = [(xi.reshape(-1, w_shape[0]) @ wi).reshape(out_shape)
+                   for xi, wi in zip(x, w)]
+        else:
+            out = [xi @ wi for xi, wi in zip(x, w)]
         k = x_shape[-1]
         flops = 2.0 * bk.size_of(out[0]) * k
         fctx.misc["flops"] = flops
@@ -178,8 +188,11 @@ class Matmul(Function):
         fctx.log_gemm(f"matmul[{self.category}].wgrad", flops_per_rank=flops)
         if len(w_shape) == 2:
             # Linear: x (..., k) @ w (k, n)
-            dx = [g @ bk.swap_last_two(wi) if len(bk.shape_of(wi)) > 1 else g
-                  for g, wi in zip(grad, w)]
+            if fctx.misc["flat"]:
+                dx = [(g.reshape(-1, w_shape[1]) @ wi.T).reshape(x_shape)
+                      for g, wi in zip(grad, w)]
+            else:
+                dx = [g @ bk.swap_last_two(wi) for g, wi in zip(grad, w)]
             dw = []
             for g, xi in zip(grad, x):
                 if bk.is_abstract(g) or bk.is_abstract(xi):
@@ -304,6 +317,57 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
+def _gelu_tanh(z: np.ndarray, t: np.ndarray) -> None:
+    """``tanh(C*(z + 0.044715*z^3))`` into ``t``.  ``z^3`` is a multiply
+    chain: NumPy's ``z**3`` takes the scalar ``pow`` path, ~75x slower."""
+    np.multiply(z, z, out=t)
+    np.multiply(t, z, out=t)
+    np.multiply(t, 0.044715, out=t)
+    np.add(t, z, out=t)
+    np.multiply(t, _GELU_C, out=t)
+    np.tanh(t, out=t)
+
+
+def _gelu_fwd(z: np.ndarray, t: Optional[np.ndarray] = None) -> np.ndarray:
+    """``0.5*z*(1 + tanh(...))`` into a fresh array: the one GeLU forward
+    kernel, behind ``Gelu`` and ``fusion.ops.BiasGelu`` alike.  ``t`` is a
+    scratch buffer of ``z``'s shape, allocated here when none is lent."""
+    if t is None:
+        t = np.empty(z.shape)
+    _gelu_tanh(z, t)
+    np.add(t, 1.0, out=t)
+    y = np.empty(z.shape)
+    np.multiply(t, z, out=y)
+    np.multiply(y, 0.5, out=y)
+    return y
+
+
+def _gelu_bwd(z: np.ndarray, g: np.ndarray, scratch=None) -> np.ndarray:
+    """``g * dgelu/dz`` into a fresh array, from the saved input alone.
+
+    ``tanh`` is recomputed rather than kept from forward: the op saves
+    only its input (the ``8sbh`` term).  ``scratch`` is three buffers of
+    ``z``'s shape, allocated here when none are lent.
+    """
+    t, u, v = scratch or [np.empty(z.shape) for _ in range(3)]
+    _gelu_tanh(z, t)
+    np.multiply(t, t, out=u)
+    np.subtract(1.0, u, out=u)        # sech^2
+    np.multiply(z, z, out=v)          # d_inner = C*(1 + 3*0.044715*z^2)
+    np.multiply(v, 3 * 0.044715, out=v)
+    np.add(v, 1.0, out=v)
+    np.multiply(v, _GELU_C, out=v)
+    np.multiply(u, v, out=u)
+    np.multiply(u, z, out=u)
+    np.multiply(u, 0.5, out=u)        # 0.5 * z * sech^2 * d_inner
+    np.add(t, 1.0, out=t)
+    np.multiply(t, 0.5, out=t)        # 0.5 * (1 + tanh)
+    np.add(t, u, out=t)               # dgelu/dz
+    d = np.empty(z.shape)
+    np.multiply(g, t, out=d)
+    return d
+
+
 class Gelu(Function):
     """Tanh-approximated GeLU (the Megatron-LM variant). Saves its input."""
 
@@ -311,12 +375,8 @@ class Gelu(Function):
 
     def forward(self, fctx: FnCtx, x: ShardList) -> ShardList:
         fctx.misc["x_slot"] = fctx.save_input(0, category="gelu_input")
-        out = []
-        for xi in x:
-            if bk.is_abstract(xi):
-                out.append(bk.AbstractArray(xi.shape))
-            else:
-                out.append(0.5 * xi * (1.0 + np.tanh(_GELU_C * (xi + 0.044715 * xi**3))))
+        out = [bk.AbstractArray(xi.shape) if bk.is_abstract(xi)
+               else _gelu_fwd(xi) for xi in x]
         w = _widths(fctx.inputs[0])[0]
         fctx.log_elementwise("gelu", bytes_moved=2 * w * bk.size_of(x[0]),
                              flops_per_rank=8 * bk.size_of(x[0]))
@@ -326,16 +386,9 @@ class Gelu(Function):
         x = fctx.saved(fctx.misc["x_slot"])
         fctx.log_elementwise("gelu.bwd", bytes_moved=6 * bk.size_of(grad[0]),
                              flops_per_rank=16 * bk.size_of(grad[0]))
-        out = []
-        for g, xi in zip(grad, x):
-            if bk.is_abstract(g) or bk.is_abstract(xi):
-                out.append(bk.AbstractArray(bk.shape_of(xi)))
-                continue
-            inner = _GELU_C * (xi + 0.044715 * xi**3)
-            tanh_inner = np.tanh(inner)
-            sech2 = 1.0 - tanh_inner**2
-            d_inner = _GELU_C * (1.0 + 3 * 0.044715 * xi**2)
-            out.append(g * (0.5 * (1.0 + tanh_inner) + 0.5 * xi * sech2 * d_inner))
+        out = [bk.AbstractArray(bk.shape_of(xi))
+               if bk.is_abstract(g) or bk.is_abstract(xi)
+               else _gelu_bwd(xi, g) for g, xi in zip(grad, x)]
         return (out,)
 
 
@@ -720,11 +773,34 @@ def cross_entropy(logits: Tensor, targets: Tensor,
 # Causal attention mask
 # ---------------------------------------------------------------------------
 
+#: (keep, ~keep) boolean masks per (rows, cols, diagonal offset), shared
+#: with the fused softmax kernel in :mod:`repro.fusion.ops`.  Read-only.
+_TRIL_CACHE: Dict[Tuple[int, int, int], Tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _offset_keep(rows: int, cols: int,
+                 offset: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Causal keep mask shifted ``offset`` columns right, and its inverse."""
+    key = (rows, cols, offset)
+    pair = _TRIL_CACHE.get(key)
+    if pair is None:
+        keep = np.tril(np.ones((rows, cols), dtype=bool), k=offset)
+        pair = (keep, ~keep)
+        for mask in pair:
+            mask.flags.writeable = False
+        _TRIL_CACHE[key] = pair
+    return pair
+
+
+def _causal_keep(shape) -> Tuple[np.ndarray, np.ndarray]:
+    return _offset_keep(shape[-2], shape[-1], 0)
+
+
 class CausalMask(Function):
     """Masks future positions of an attention-score tensor ``(..., s, s)``.
 
     The mask is a deterministic function of the shape, so nothing is saved
-    and it is rebuilt in backward — matching Megatron's fused
+    and it is looked up again in backward — matching Megatron's fused
     scale-mask-softmax kernel, whose mask never occupies activation memory
     (and matching the paper's accounting, which has no mask term for it).
     """
@@ -744,8 +820,8 @@ class CausalMask(Function):
             if bk.is_abstract(xi):
                 out.append(bk.AbstractArray(xi.shape))
             else:
-                keep = np.tril(np.ones(shape[-2:], dtype=bool))
-                out.append(np.where(keep, xi, self.MASKED_VALUE))
+                out.append(np.where(_causal_keep(shape)[0], xi,
+                                    self.MASKED_VALUE))
         return out
 
     def backward(self, fctx: FnCtx, grad: ShardList):
@@ -754,8 +830,7 @@ class CausalMask(Function):
             if bk.is_abstract(g):
                 out.append(bk.AbstractArray(bk.shape_of(g)))
             else:
-                keep = np.tril(np.ones(bk.shape_of(g)[-2:], dtype=bool))
-                out.append(g * keep)
+                out.append(g * _causal_keep(bk.shape_of(g))[0])
         return (out,)
 
 
@@ -779,9 +854,9 @@ class OffsetCausalMask(Function):
     MASKED_VALUE = CausalMask.MASKED_VALUE
 
     @staticmethod
-    def _keep(shape, rank: int):
+    def _keep(shape, rank: int) -> np.ndarray:
         rows, cols = shape[-2:]
-        return np.tril(np.ones((rows, cols), dtype=bool), k=rank * rows)
+        return _offset_keep(rows, cols, rank * rows)[0]
 
     def forward(self, fctx: FnCtx, x: ShardList) -> ShardList:
         shape = bk.shape_of(x[0])

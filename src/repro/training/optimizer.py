@@ -82,17 +82,30 @@ class Adam:
                 self._m[key] = [np.zeros_like(np.asarray(s)) for s in p.shards]
                 self._v[key] = [np.zeros_like(np.asarray(s)) for s in p.shards]
             for r in range(p.world):
-                g = np.asarray(p.grad[r]) * clip_coeff
-                if self.weight_decay:
-                    g = g + self.weight_decay * np.asarray(p.shards[r])
-                m = self._m[key][r]
-                v = self._v[key][r]
+                # Same operations in the same order as the textbook
+                # expressions (weights stay bitwise equal), written into
+                # two scratch arrays; ``p.grad`` is only ever read.
+                g = np.asarray(p.grad[r])
+                m, v = self._m[key][r], self._v[key][r]
+                a, b = np.empty(m.shape), np.empty(m.shape)
+                if clip_coeff != 1.0 or self.weight_decay:
+                    g = np.multiply(g, clip_coeff, out=a)
+                    if self.weight_decay:
+                        np.multiply(p.shards[r], self.weight_decay, out=b)
+                        g += b
                 m *= b1
-                m += (1 - b1) * g
+                m += np.multiply(g, 1 - b1, out=b)
                 v *= b2
-                v += (1 - b2) * np.square(g)
-                update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-                p.shards[r] -= self.lr * update
+                np.square(g, out=b)
+                b *= 1 - b2
+                v += b
+                np.divide(v, bias2, out=a)      # g is dead from here
+                np.sqrt(a, out=a)
+                a += self.eps
+                np.divide(m, bias1, out=b)
+                b /= a
+                b *= self.lr
+                p.shards[r] -= b
 
 
 def flush_grads_through_fp16(params: List[Tensor]) -> bool:

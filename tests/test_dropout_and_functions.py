@@ -147,3 +147,144 @@ class TestNumericsAgainstReference:
         y = F.cast(x, FP32)
         assert y.dtype.nbytes == 4
         assert x.dtype.nbytes == 2
+
+
+class TestGeluKernel:
+    """``_gelu_fwd`` / ``_gelu_bwd`` — the one kernel behind ``gelu`` and
+    ``bias_gelu`` — against the textbook ``x**3`` expressions."""
+
+    C = np.sqrt(2.0 / np.pi)
+
+    def _textbook(self, x, g):
+        inner = self.C * (x + 0.044715 * x**3)
+        tanh = np.tanh(inner)
+        fwd = 0.5 * x * (1.0 + tanh)
+        d_inner = self.C * (1.0 + 3 * 0.044715 * x**2)
+        bwd = g * (0.5 * (1.0 + tanh) + 0.5 * x * (1.0 - tanh**2) * d_inner)
+        return fwd, bwd
+
+    @pytest.mark.parametrize("x", [
+        rng.normal(size=(7, 3, 5)) * 3,
+        np.array([0.0, -0.0, 1.0, -1.0, 5.0, -5.0, 30.0, -30.0, 1e3, -1e3]),
+        np.array([5e-324, -5e-324, 1e-310, -1e-310, 1e-160, -1e-160]),
+    ], ids=["random", "zero_and_large", "denormal"])
+    def test_matches_textbook_formulas(self, x):
+        g = np.linspace(-2.0, 3.0, x.size).reshape(x.shape)
+        want_fwd, want_bwd = self._textbook(x, g)
+        got_fwd, got_bwd = F._gelu_fwd(x), F._gelu_bwd(x, g)
+        assert got_fwd.shape == got_bwd.shape == x.shape
+        np.testing.assert_allclose(got_fwd, want_fwd, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got_bwd, want_bwd, rtol=1e-12, atol=0)
+
+    def test_lent_scratch_changes_nothing_and_inputs_are_untouched(self):
+        x = rng.normal(size=(4, 6))
+        g = rng.normal(size=(4, 6))
+        x0, g0 = x.copy(), g.copy()
+        scratch = [np.full(x.shape, np.nan) for _ in range(3)]
+        np.testing.assert_array_equal(F._gelu_fwd(x, scratch[0]), F._gelu_fwd(x))
+        np.testing.assert_array_equal(F._gelu_bwd(x, g, scratch),
+                                      F._gelu_bwd(x, g))
+        np.testing.assert_array_equal(x, x0)
+        np.testing.assert_array_equal(g, g0)
+
+    def test_central_difference_gradcheck(self):
+        x = rng.normal(size=(5, 4)) * 2
+        eps = 1e-6
+        numeric = (F._gelu_fwd(x + eps) - F._gelu_fwd(x - eps)) / (2 * eps)
+        np.testing.assert_allclose(F._gelu_bwd(x, np.ones_like(x)), numeric,
+                                   rtol=1e-6, atol=1e-8)
+
+    def test_gelu_saves_only_its_input(self):
+        # no tanh cached from forward: the 8sbh "gelu_input" term is all
+        mt = MemoryTracker()
+        with instrument(memory=mt):
+            x = from_numpy(rng.normal(size=(8, 4)), requires_grad=True)
+            F.gelu(x)
+        assert mt.live_bytes(0) == 8 * 4 * 2
+
+
+class TestLinearMatmulFlattening:
+    """A 2-D weight against >2-D activations runs as one 2-D GEMM; results
+    and shapes match the plain ``x @ w`` reference."""
+
+    K, N = 6, 5
+
+    @pytest.mark.parametrize("world", [1, 2])
+    @pytest.mark.parametrize("lead", [(4,), (3, 4), (2, 3, 4)],
+                             ids=["2d", "3d", "4d"])
+    def test_forward_dx_dw_match_reference(self, lead, world):
+        from repro.tensor import parameter
+        xs = [rng.normal(size=lead + (self.K,)) for _ in range(world)]
+        ws = [rng.normal(size=(self.K, self.N)) for _ in range(world)]
+        gs = [rng.normal(size=lead + (self.N,)) for _ in range(world)]
+        x = Tensor([a.copy() for a in xs], requires_grad=True)
+        w = parameter([a.copy() for a in ws], layout="shard")
+        out = F.matmul(x, w)
+        out.backward([g.copy() for g in gs])
+        axes = list(range(len(lead)))
+        for r in range(world):
+            assert out.shards[r].shape == lead + (self.N,)
+            assert x.grad[r].shape == xs[r].shape
+            assert w.grad[r].shape == ws[r].shape
+            np.testing.assert_allclose(out.shards[r], xs[r] @ ws[r], rtol=1e-13)
+            np.testing.assert_allclose(x.grad[r], gs[r] @ ws[r].T, rtol=1e-13)
+            np.testing.assert_allclose(
+                w.grad[r], np.tensordot(xs[r], gs[r], axes=(axes, axes)),
+                rtol=1e-12)
+
+    def test_non_contiguous_activations(self):
+        base = rng.normal(size=(4, 3, self.K))
+        x = Tensor([base.transpose(1, 0, 2)], requires_grad=True)
+        w = from_numpy(rng.normal(size=(self.K, self.N)), requires_grad=True)
+        out = F.matmul(x, w)
+        np.testing.assert_allclose(out.shards[0],
+                                   base.transpose(1, 0, 2) @ w.shards[0],
+                                   rtol=1e-13)
+        F.sum_all(out).backward()
+        assert x.grad[0].shape == (3, 4, self.K)
+
+    def test_abstract_operands_keep_shape_arithmetic(self):
+        from repro.tensor import abstract, parameter
+        x = abstract((4, 2, self.K), world=2, requires_grad=True)
+        w = parameter([np.zeros((self.K, self.N))] * 2)
+        out = F.matmul(x, w)
+        assert out.is_abstract and out.shape == (4, 2, self.N)
+        out.backward()
+        assert x.grad[0].shape == (4, 2, self.K)
+        assert w.grad[0].shape == (self.K, self.N)
+
+    def test_batched_operands_unchanged(self):
+        a = rng.normal(size=(2, 3, 4, self.K))
+        b = rng.normal(size=(2, 3, self.K, self.N))
+        g = rng.normal(size=(2, 3, 4, self.N))
+        x = from_numpy(a, requires_grad=True)
+        w = from_numpy(b, requires_grad=True)
+        out = F.matmul(x, w)
+        np.testing.assert_array_equal(out.shards[0], a @ b)
+        out.backward([g])
+        np.testing.assert_array_equal(x.grad[0], g @ b.swapaxes(-1, -2))
+        np.testing.assert_array_equal(w.grad[0], a.swapaxes(-1, -2) @ g)
+
+
+class TestCausalMaskCache:
+    def test_masks_come_from_one_read_only_cache(self):
+        from repro.fusion import ops as fused_ops
+        assert fused_ops._causal_keep is F._causal_keep
+        assert fused_ops._offset_keep is F._offset_keep
+        keep, masked = F._causal_keep((2, 5, 5))
+        assert F._causal_keep((7, 5, 5))[0] is keep
+        assert F._offset_keep(5, 5, 0)[0] is keep
+        np.testing.assert_array_equal(keep, np.tril(np.ones((5, 5), bool)))
+        np.testing.assert_array_equal(masked, ~keep)
+        assert not keep.flags.writeable and not masked.flags.writeable
+
+    def test_offset_mask_forward_backward(self):
+        x = Tensor([rng.normal(size=(2, 6)) for _ in range(3)],
+                   requires_grad=True)
+        y = F.offset_causal_mask(x)
+        y.backward()
+        for r in range(3):
+            keep = np.tril(np.ones((2, 6), bool), k=2 * r)
+            np.testing.assert_array_equal(
+                y.shards[r], np.where(keep, x.shards[r], -1e9))
+            np.testing.assert_array_equal(x.grad[r], keep.astype(float))

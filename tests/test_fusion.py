@@ -34,7 +34,8 @@ from repro.fusion import (
 )
 from repro.layers import GPTModel, Recompute, token_tensor
 from repro.parallel import ParallelGPTModel
-from repro.tensor import MemoryTracker, OpLog, from_numpy, instrument, seed
+from repro.tensor import (MemoryTracker, OpLog, from_numpy, instrument, seed,
+                          shard_along)
 from repro.tensor import functions as F
 from repro.tensor.functions import MaskSource
 
@@ -76,12 +77,26 @@ class TestFusedOps:
             np.testing.assert_allclose(np.asarray(tf.grad[0]),
                                        np.asarray(tu.grad[0]), atol=atol)
 
-    def test_bias_gelu(self):
-        x = rng.standard_normal((6, 8))
-        b = rng.standard_normal(8)
-        self._compare(bias_gelu,
-                      lambda xt, bt: F.gelu(F.add(xt, bt)),
-                      x, b)
+    @pytest.mark.parametrize("world", [1, 2])
+    def test_bias_gelu_is_bitwise(self, world):
+        """Fused and unfused GeLU share one kernel: outputs, dx and dbias
+        are bitwise equal on every shard (serial and tp=2 column shards)."""
+        x = rng.standard_normal((3, 6, 8 * world))
+        b = rng.standard_normal(8 * world)
+
+        def run(fn):
+            xt = shard_along(x, world, axis=-1, requires_grad=True)
+            bt = shard_along(b, world, axis=-1, requires_grad=True)
+            out = fn(xt, bt)
+            F.sum_all(F.mul(out, out)).backward()  # non-constant upstream grad
+            return out.shards + xt.grad + bt.grad
+
+        fused = run(bias_gelu)
+        unfused = run(lambda xt, bt: F.gelu(F.add(xt, bt)))
+        assert len(fused) == 3 * world
+        for got, want in zip(fused, unfused):
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
 
     def test_layernorm(self):
         x = rng.standard_normal((5, 8))

@@ -50,6 +50,57 @@ class TestAdam:
         opt.step()  # clipped: first Adam step magnitude stays ~lr
         assert np.all(np.abs(np.asarray(w.shards[0])) < 0.2)
 
+    @pytest.mark.parametrize("weight_decay, grad_clip",
+                             [(0.0, None), (0.01, 0.5), (0.0, 0.5), (0.01, None)])
+    def test_in_place_step_is_bitwise_the_textbook_formula(self, weight_decay,
+                                                           grad_clip):
+        """Five steps of the in-place kernel against the expression-form
+        Adam it replaced: weights bitwise equal, sharded and replicated
+        params, clip hit on the large-gradient steps, ``p.grad`` untouched."""
+        rng = np.random.default_rng(11)
+        lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
+        shared = rng.normal(size=(3, 4))
+        params = [
+            parameter([rng.normal(size=(4, 6)), rng.normal(size=(4, 6))],
+                      layout="shard(dim=1)"),
+            parameter([shared.copy(), shared.copy()], layout="replicated"),
+            parameter([rng.normal(size=5)]),
+        ]
+        ref_w = [[s.copy() for s in p.shards] for p in params]
+        ref_m = [[np.zeros_like(s) for s in p.shards] for p in params]
+        ref_v = [[np.zeros_like(s) for s in p.shards] for p in params]
+        opt = Adam(params, lr=lr, betas=(b1, b2), eps=eps,
+                   weight_decay=weight_decay, grad_clip=grad_clip)
+        clipped = 0
+        for step in range(1, 6):
+            magnitude = 10.0 if step % 2 else 1e-3   # above / below the clip
+            for p in params:
+                grads = [rng.normal(size=s.shape) * magnitude for s in p.shards]
+                p.grad = grads[:1] * p.world if p.layout == "replicated" else grads
+            before = [[g.copy() for g in p.grad] for p in params]
+            coeff = 1.0
+            if grad_clip is not None and opt.global_grad_norm() > grad_clip:
+                coeff = grad_clip / (opt.global_grad_norm() + 1e-12)
+                clipped += 1
+            opt.step()
+            for i, p in enumerate(params):
+                for r in range(p.world):
+                    g = before[i][r] * coeff
+                    if weight_decay:
+                        g = g + weight_decay * ref_w[i][r]
+                    m, v = ref_m[i][r], ref_v[i][r]
+                    m *= b1
+                    m += (1 - b1) * g
+                    v *= b2
+                    v += (1 - b2) * np.square(g)
+                    update = (m / (1.0 - b1 ** step)) / (
+                        np.sqrt(v / (1.0 - b2 ** step)) + eps)
+                    ref_w[i][r] -= lr * update
+                    np.testing.assert_array_equal(p.shards[r], ref_w[i][r])
+                    np.testing.assert_array_equal(p.grad[r], before[i][r])
+        assert clipped == (3 if grad_clip is not None else 0)
+        np.testing.assert_array_equal(params[1].shards[0], params[1].shards[1])
+
     def test_skips_params_without_grads(self):
         w = parameter([np.ones(3)])
         Adam([w]).step()
