@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, List
 
 import numpy as np
@@ -17,6 +18,16 @@ TINY = ModelConfig(num_layers=2, hidden_size=32, num_heads=4,
 #: exercising the selective-recompute regime 5as/h > 34.
 ATTN_HEAVY = ModelConfig(num_layers=1, hidden_size=16, num_heads=4,
                          seq_length=64, vocab_size=32, name="attn-heavy")
+
+
+@functools.lru_cache(maxsize=None)
+def preset_doc(name: str) -> dict:
+    """The ``repro bench`` document of one preset at the default seed and
+    steps, computed once per test session.  Read-only: a test that edits
+    the document deep-copies it first, and a determinism test that needs
+    a second *fresh* run calls ``run_preset`` itself."""
+    from repro.observability.regress import run_preset
+    return run_preset(name)
 
 
 def numerical_grad(f: Callable[[np.ndarray], float], x: np.ndarray,
