@@ -4,7 +4,7 @@ PY ?= python
 # (one GEMM varies 40x); anything timed or gated runs single-threaded.
 ONE_THREAD = OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1
 
-.PHONY: test bench bench-gate bench-wall-smoke chaos trace serve fleet monitor memprofile compile longctx report examples all clean
+.PHONY: test bench bench-gate bench-wall-smoke smoke chaos trace serve fleet monitor memprofile compile longctx report examples all clean
 
 test:
 	$(ONE_THREAD) $(PY) -m pytest tests/
@@ -22,6 +22,21 @@ bench-gate:
 # three units each, output checks on, ~20 s.  Exit code is the result.
 bench-wall-smoke:
 	python3 bench/run.py --smoke
+
+# CI smoke run: the artifact-writing CLI invocation of each per-feature
+# target below, without the `pytest tests/test_<feature>.py` those
+# targets start with (CI has already run `pytest tests/`).
+smoke:
+	$(PY) -m repro chaos --steps 6 --seed 11 --verify > /dev/null
+	$(PY) -m repro trace --config tiny --output-dir trace-out
+	$(PY) -m repro serve --trace-out serve-trace.json
+	$(PY) -m repro fleet --verify --trace-out fleet-trace.json > /dev/null
+	$(PY) -m repro monitor --postmortem postmortem.json \
+		--request-trace request-trace.json --trace-out monitor-trace.json
+	$(PY) -m repro memprofile --config 22B --output-dir memprof-out
+	$(PY) -m repro compile --trace-out compile-trace.json
+	$(PY) -m repro longctx --layout ulysses --trace-out longctx-trace.json
+	@echo "smoke artifacts written"
 
 # Fault-injection suite plus seeded chaos campaigns with end-to-end
 # bitwise verification of recovery (see docs/resilience.md).

@@ -108,8 +108,8 @@ class _stripped_seams:
 
 def bench_enabled_cost(benchmark):
     """What the full stack (tracker + recorder + monitor) costs,
-    reported for the record; the BENCH_fleet_obs.json document records
-    the same ratio under the ignored ``timing.`` tolerance."""
+    reported for the record.  This is the only place the ratio is
+    measured: BENCH_fleet_obs.json carries no wall-clock keys."""
     _loop()
     _loop(telemetry=True)
     disabled, enabled = _best_of_interleaved(

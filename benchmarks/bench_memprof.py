@@ -151,8 +151,8 @@ def bench_disabled_overhead(benchmark, monkeypatch):
 
 def bench_enabled_cost(benchmark):
     """What the full ledger (per-tensor timeline + producer graph)
-    costs, reported for the record; BENCH_memprof.json records the same
-    ratio under the ignored ``timing.`` tolerance."""
+    costs, reported for the record.  This is the only place the ratio
+    is measured: BENCH_memprof.json carries no wall-clock keys."""
     _forward()
     _profiled()
     disabled, enabled = _best_of_interleaved([_forward, _profiled])

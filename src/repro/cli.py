@@ -8,11 +8,13 @@ pipeline schedule.  Run ``python -m repro --help`` for the full list.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
-from . import experiments
+from . import experiments, scenarios
 from .config import PAPER_CONFIG_NAMES, PAPER_CONFIGS
+from .errors import ReproError
 from .flops_model import (
     hardware_flops_per_iteration,
     hardware_to_model_ratio,
@@ -24,10 +26,37 @@ from .memory_model import (
     total_activation_bytes,
     weight_and_optimizer_bytes,
 )
-from .observability.regress import DEFAULT_BASELINE_DIR, PRESET_NAMES
-from .observability.serialize import dumps_json
+from .observability import (
+    FlightRecorder,
+    MetricsRegistry,
+    RequestTracker,
+    Tracer,
+    arena_recycling_report,
+    attribute,
+    check_against_baselines,
+    check_peak_attribution,
+    counter_events,
+    dump_json,
+    dumps_json,
+    export_trace,
+    flamegraph,
+    from_tracer,
+    frontier_by_category,
+    ledger_document,
+    load_trace,
+    paged_kv_fragmentation,
+    profile_layer,
+    rehome_events,
+    run_preset,
+    selective_recompute_dominates,
+    trace_scope,
+    validate_trace_file,
+    verify_partition,
+    write_bench,
+)
+from .observability.regress import DEFAULT_BASELINE_DIR, PRESET_NAMES, PRESETS
 from .perf_model import iteration_time
-from .planner import plan
+from .planner import choose_context_layout, plan
 from .serving import POLICIES
 from .reporting import format_table, pct
 from .units import GIB, fmt_bytes, fmt_count, fmt_flops
@@ -242,58 +271,44 @@ def cmd_sweep(args) -> str:
     return header + "\n" + sweeps.to_csv(rows)
 
 
+def _write_trace(tracer, path: str, extra_events=None) -> str:
+    """Export ``tracer`` as a validated Perfetto trace; returns the
+    artifact line every command prints for it."""
+    num_events = export_trace(tracer, path, extra_events=extra_events)
+    validate_trace_file(path)
+    return (f"\n  {path}: {num_events} events (validated; open in "
+            "https://ui.perfetto.dev)")
+
+
+def _write_request_trace(tracker, path: str) -> str:
+    partition = verify_partition(tracker)
+    with open(path, "w") as fh:
+        fh.write(tracker.to_json())
+    return (f"\n  {path}: {len(tracker.traces())} request span graph(s), "
+            f"partition exact={partition['exact']}")
+
+
 def cmd_chaos(args) -> str:
     """Run a tiny training job under a seeded random fault plan and show
     the resilience report; with ``--verify``, also run fault-free at the
     same seed and check the final weights are bitwise identical."""
-    import os
-    import tempfile
-
     import numpy as np
 
-    from .config import ModelConfig
-    from .parallel.transformer import ParallelGPTModel
-    from .resilience import (
-        FaultPlan,
-        RecoveryPolicy,
-        ResilientTrainer,
-        make_step_batches,
-    )
-    from .training import DataParallelTrainer
+    from .resilience import FaultPlan
 
-    model_cfg = ModelConfig(num_layers=2, hidden_size=16, num_heads=2,
-                            seq_length=16, vocab_size=32, name="chaos-tiny")
+    def run(plan=None):
+        return scenarios.dp_chaos_segment(
+            args.steps, args.seed, dp=args.dp, fault_rate=args.fault_rate,
+            checkpoint_interval=args.checkpoint_interval, plan=plan)
 
-    def factory():
-        return ParallelGPTModel(model_cfg, tensor_parallel=2,
-                                attention_dropout=0.0, hidden_dropout=0.0)
-
-    batch_fn = make_step_batches(model_cfg.vocab_size, model_cfg.seq_length,
-                                 batch_size=2 * args.dp, seed=args.seed)
-    plan_ = FaultPlan.random(seed=args.seed, num_steps=args.steps,
-                             fault_rate=args.fault_rate, world_size=args.dp)
-    policy = RecoveryPolicy(checkpoint_interval=args.checkpoint_interval)
-
-    def run(fault_plan):
-        trainer = DataParallelTrainer(factory, data_parallel=args.dp, lr=1e-2)
-        fd, path = tempfile.mkstemp(suffix=".npz")
-        os.close(fd)
-        try:
-            result = ResilientTrainer(trainer, batch_fn, path,
-                                      plan=fault_plan,
-                                      policy=policy).run(args.steps)
-        finally:
-            os.remove(path)
-        return trainer, result
-
-    trainer, result = run(plan_)
+    trainer, result, plan_ = run()
     if args.json:
         return emit_json(result.report.to_json())
     text = (f"chaos run: seed {args.seed}, {args.steps} steps, dp={args.dp}, "
             f"fault rate {args.fault_rate}, {len(plan_)} fault(s) planned\n")
     text += result.report.summary()
     if args.verify:
-        clean_trainer, clean = run(FaultPlan())
+        clean_trainer, clean, _ = run(FaultPlan())
         identical = clean.losses == result.losses and all(
             np.array_equal(np.asarray(p.shards[r]), np.asarray(q.shards[r]))
             for p, q in zip(clean_trainer.model.parameters(),
@@ -318,98 +333,32 @@ def cmd_trace(args) -> str:
     simulated clock, so two runs at the same seed write byte-identical
     artifacts.
     """
-    import os
-    import tempfile
-
-    from .config import ModelConfig
-    from .observability import (
-        MetricsRegistry,
-        Tracer,
-        export_trace,
-        rehome_events,
-        trace_scope,
-        validate_trace_file,
-    )
-    from .parallel.transformer import ParallelGPTModel
     from .pipeline_sim import TimelineCosts, chrome_trace_events, schedule_1f1b
-    from .resilience import (
-        FaultPlan,
-        RecoveryPolicy,
-        ResilientTrainer,
-        make_step_batches,
-    )
-    from .tensor import MemoryTracker, seed
-    from .training import DataParallelTrainer
-    from .training.data import UniformTokens
-    from .training.optimizer import Adam
     from .training.serialization import save_training_state
-    from .training.trainer import PipelinedGPT
-
-    from .observability.regress import TRACE_PRESETS
-
-    preset = dict(TRACE_PRESETS[args.config])
-    microbatches = preset.pop("microbatches")
-    batch = preset.pop("batch")
-    model_cfg = ModelConfig(name=f"trace-{args.config}", **preset)
-    tp = pp = 2
 
     os.makedirs(args.output_dir, exist_ok=True)
     registry = MetricsRegistry()
     tracer = Tracer(metrics=registry)
-
-    model = ParallelGPTModel(model_cfg, tensor_parallel=tp,
-                             attention_dropout=0.0, hidden_dropout=0.0,
-                             recompute=Recompute.FULL)
-    pipe = PipelinedGPT(model, pipeline_parallel=pp)
-    optimizer = Adam(model.parameters(), lr=1e-3)
-    trackers = [MemoryTracker() for _ in range(pp)]
-    for stage, tracker in enumerate(trackers):
-        tracer.watch_tracker(tracker, f"stage{stage}")
-
-    seed(args.seed)
-    data = UniformTokens(model_cfg.vocab_size, model_cfg.seq_length,
-                         seed=args.seed + 1)
     ckpt_path = os.path.join(args.output_dir, "trace-checkpoint.npz")
     with trace_scope(tracer):
-        for _ in range(args.steps):
-            ids, targets = data.batch(batch)
-            optimizer.zero_grad()
-            pipe.train_step(ids, targets, num_microbatches=microbatches,
-                            trackers=trackers)
-            optimizer.step()
-        save_training_state(model, optimizer, ckpt_path)
-
+        run = scenarios.pipelined_training(args.config, args.steps,
+                                           args.seed, tracer=tracer)
+        save_training_state(run.model, run.optimizer, ckpt_path)
         # A short fault-injected data-parallel segment: resilience
         # instants land on the same timeline and the report's goodput
         # flows into the metrics snapshot via observe_resilience.
-        def factory():
-            return ParallelGPTModel(model_cfg, tensor_parallel=tp,
-                                    attention_dropout=0.0, hidden_dropout=0.0)
-
-        batch_fn = make_step_batches(model_cfg.vocab_size,
-                                     model_cfg.seq_length,
-                                     batch_size=4, seed=args.seed)
-        fault_plan = FaultPlan.random(seed=args.seed, num_steps=2,
-                                      fault_rate=0.5, world_size=2)
-        dp_trainer = DataParallelTrainer(factory, data_parallel=2, lr=1e-2)
-        fd, chaos_ckpt = tempfile.mkstemp(suffix=".npz")
-        os.close(fd)
-        try:
-            result = ResilientTrainer(
-                dp_trainer, batch_fn, chaos_ckpt, plan=fault_plan,
-                policy=RecoveryPolicy(checkpoint_interval=2)).run(2)
-        finally:
-            os.remove(chaos_ckpt)
+        _, result, _ = scenarios.dp_chaos_segment(
+            2, args.seed, model_cfg=run.experiment.model)
         registry.observe_resilience(result.report)
     os.remove(ckpt_path)  # keep only the observability artifacts
 
-    schedule = schedule_1f1b(pp, microbatches)
-    pipeline_events = rehome_events(
-        chrome_trace_events(schedule, TimelineCosts(num_groups=pp)))
+    pp = run.experiment.parallel.pipeline_parallel
+    pipeline_events = rehome_events(chrome_trace_events(
+        schedule_1f1b(pp, run.experiment.num_microbatches),
+        TimelineCosts(num_groups=pp)))
     trace_path = os.path.join(args.output_dir, "trace.json")
-    num_events = export_trace(tracer, trace_path,
+    trace_note = _write_trace(tracer, trace_path,
                               extra_events=pipeline_events)
-    validate_trace_file(trace_path)
     prom_path = os.path.join(args.output_dir, "metrics.prom")
     with open(prom_path, "w") as fh:
         fh.write(registry.to_prometheus())
@@ -420,9 +369,7 @@ def cmd_trace(args) -> str:
         f"traced {args.config} ({args.steps} step(s), seed {args.seed}): "
         f"{len(tracer.spans)} span(s), {len(tracer.instants)} instant(s), "
         f"simulated clock {tracer.clock_s:.6f} s, "
-        f"goodput {result.report.goodput():.1%}\n"
-        f"  {trace_path}: {num_events} events (validated; open in "
-        f"https://ui.perfetto.dev)\n"
+        f"goodput {result.report.goodput():.1%}" + trace_note + "\n"
         f"  {prom_path}: Prometheus text exposition\n"
         f"  {json_path}: canonical JSON snapshot"
     )
@@ -437,56 +384,19 @@ def cmd_serve(args) -> str:
     ``--request-trace`` additionally writes the per-request span graphs
     (queue-wait / prefill / decode / preempt) as canonical JSON.
     """
-    from .config import ModelConfig
-    from .layers import GPTModel
-    from .observability import RequestTracker, Tracer, verify_partition
-    from .parallel.transformer import ParallelGPTModel
-    from .serving import (
-        ContinuousBatchingScheduler,
-        DecodeEngine,
-        PagedKVCache,
-        ServingPerfModel,
-        generate_requests,
-    )
-
-    model_cfg = ModelConfig(name="serve", num_layers=2, hidden_size=128,
-                            num_heads=4, seq_length=64, vocab_size=32)
-    serial = GPTModel(model_cfg, seed=3)
-    if args.tp > 1:
-        model = ParallelGPTModel(model_cfg, tensor_parallel=args.tp,
-                                 sequence_parallel=args.sequence_parallel,
-                                 attention_dropout=0.0, hidden_dropout=0.0,
-                                 serial=serial)
-    else:
-        model = serial
-    cache = PagedKVCache(model_cfg, tensor_parallel=args.tp,
-                         block_size=args.block_size,
-                         num_blocks=args.num_blocks)
-    perf = ServingPerfModel(model_cfg, tensor_parallel=args.tp)
     tracer = Tracer()
     tracker = RequestTracker(tracer=tracer) if args.request_trace else None
-    scheduler = ContinuousBatchingScheduler(
-        DecodeEngine(model, cache), perf, policy=args.policy,
-        max_batch=args.max_batch, seed=args.seed, tracer=tracer,
-        request_tracker=tracker)
-    specs = generate_requests(model_cfg, args.requests, seed=args.seed,
-                              arrival_rate=5000.0, prompt_lengths=(1, 3),
-                              new_tokens=(2, 40))
+    scheduler, specs, _ = scenarios.serving_scheduler(
+        requests=args.requests, seed_value=args.seed, tp=args.tp,
+        sequence_parallel=args.sequence_parallel, policy=args.policy,
+        block_size=args.block_size, num_blocks=args.num_blocks,
+        max_batch=args.max_batch, tracer=tracer, request_tracker=tracker)
     report = scheduler.run(specs)
     trace_note = ""
     if args.trace_out:
-        from .observability import export_trace, validate_trace_file
-        num_events = export_trace(tracer, args.trace_out)
-        validate_trace_file(args.trace_out)
-        trace_note = (f"\n  {args.trace_out}: {num_events} events "
-                      "(validated; open in https://ui.perfetto.dev)")
+        trace_note = _write_trace(tracer, args.trace_out)
     if tracker is not None:
-        partition = verify_partition(tracker)
-        with open(args.request_trace, "w") as fh:
-            fh.write(tracker.to_json())
-        trace_note += (
-            f"\n  {args.request_trace}: {len(tracker.traces())} request "
-            f"span graph(s), partition exact={partition['exact']}")
+        trace_note += _write_request_trace(tracker, args.request_trace)
     if args.json:
         return emit_json(report.to_dict())
     return (
@@ -514,34 +424,7 @@ def cmd_memprofile(args) -> str:
     ``peak_bytes`` per rank and reconcile term-by-term with the Section
     4 closed forms.
     """
-    import os
-
-    from .config import PAPER_CONFIGS, ModelConfig
-    from .layers.transformer import Recompute
-    from .observability import (
-        Tracer,
-        arena_recycling_report,
-        check_peak_attribution,
-        counter_events,
-        dump_json,
-        export_trace,
-        flamegraph,
-        frontier_by_category,
-        ledger_document,
-        paged_kv_fragmentation,
-        profile_layer,
-        selective_recompute_dominates,
-        validate_trace_file,
-    )
-
-    if args.config in PAPER_CONFIGS:
-        model_cfg = PAPER_CONFIGS[args.config].model
-    else:
-        from .observability.regress import TRACE_PRESETS
-        shape = dict(TRACE_PRESETS[args.config])
-        shape.pop("microbatches")
-        shape.pop("batch")
-        model_cfg = ModelConfig(name=f"memprof-{args.config}", **shape)
+    model_cfg = scenarios.memprof_model(args.config)
     recompute = Recompute(args.recompute)
 
     os.makedirs(args.output_dir, exist_ok=True)
@@ -571,10 +454,9 @@ def cmd_memprofile(args) -> str:
     flame_path = os.path.join(args.output_dir, "memprof-flamegraph.json")
     dump_json({str(r): flamegraph(ledger, r) for r in ledger.ranks()},
               flame_path)
-    trace_path = os.path.join(args.output_dir, "memprof-trace.json")
-    num_events = export_trace(tracer, trace_path,
-                              extra_events=counter_events(ledger))
-    validate_trace_file(trace_path)
+    trace_note = _write_trace(
+        tracer, os.path.join(args.output_dir, "memprof-trace.json"),
+        extra_events=counter_events(ledger))
 
     if args.json:
         return emit_json(doc)
@@ -607,31 +489,32 @@ def cmd_memprofile(args) -> str:
         f"max {frag['max_fragmentation']:.1%}, "
         f"final {frag['final_fragmentation']:.1%}",
         f"  {ledger_path}: canonical ledger + frontier",
-        f"  {flame_path}: flamegraph byte tree",
-        f"  {trace_path}: {num_events} events (validated; open in "
-        "https://ui.perfetto.dev)",
+        f"  {flame_path}: flamegraph byte tree" + trace_note,
     ]
     return "\n".join(lines)
 
 
-def _chaos_plan(seed: int, fault_rate: float, world_size: int):
-    """The fleet fault plan shared by ``fleet`` and ``monitor``:
-    ``fault_rate >= 1`` is the fixed chaos plan (crash + straggler +
-    dispatch loss), in between is a seeded random plan, 0 is clean."""
-    from .resilience import FLEET_KINDS, FaultKind, FaultPlan, FaultSpec
+def _write_fleet_artifacts(args, tracer, recorder, tracker) -> str:
+    """Write whichever of ``--trace-out`` / ``--postmortem`` /
+    ``--request-trace`` a fleet command was given; returns their lines."""
+    note = _write_trace(tracer, args.trace_out) if args.trace_out else ""
+    if args.postmortem:
+        with open(args.postmortem, "w") as fh:
+            fh.write(recorder.dumps())
+        note += (f"\n  {args.postmortem}: {len(recorder.postmortems)} "
+                 f"postmortem(s) from {recorder.recorded} flight event(s)")
+    if args.request_trace:
+        note += _write_request_trace(tracker, args.request_trace)
+    return note
 
-    if fault_rate <= 0.0:
-        return FaultPlan()
-    if fault_rate >= 1.0:
-        return FaultPlan([
-            FaultSpec(step=10, kind=FaultKind.REPLICA_CRASH, rank=1,
-                      permanent=True),
-            FaultSpec(step=18, kind=FaultKind.SLOW_REPLICA, rank=2,
-                      slowdown=6.0),
-            FaultSpec(step=2, kind=FaultKind.DISPATCH_LOSS),
-        ])
-    return FaultPlan.random(seed=seed, num_steps=32, fault_rate=fault_rate,
-                            world_size=world_size, kinds=FLEET_KINDS)
+
+def _fleet_kwargs(args) -> dict:
+    """The ``chaos_fleet`` keywords ``fleet`` and ``monitor`` share."""
+    return dict(
+        replicas=args.replicas, requests=args.requests, seed_value=args.seed,
+        tp=args.tp, sequence_parallel=args.sequence_parallel,
+        block_size=args.block_size, num_blocks=args.num_blocks,
+        max_batch=args.max_batch, fault_rate=args.fault_rate)
 
 
 def cmd_fleet(args) -> str:
@@ -646,65 +529,23 @@ def cmd_fleet(args) -> str:
     and request tracker (pure observers — the report is unchanged) and
     write their canonical-JSON artifacts.
     """
-    from .config import ModelConfig
-    from .fleet import build_fleet
-    from .observability import FlightRecorder, RequestTracker, Tracer
-    from .resilience import FaultPlan
-    from .serving import generate_requests
-
-    model_cfg = ModelConfig(name="fleet", num_layers=2, hidden_size=64,
-                            num_heads=4, seq_length=48, vocab_size=32)
-    specs = generate_requests(model_cfg, args.requests, seed=args.seed,
-                              arrival_rate=5000.0, prompt_lengths=(1, 3),
-                              new_tokens=(8, 48))
-    plan = _chaos_plan(args.seed, args.fault_rate, args.replicas)
-
-    def _run(fault_plan, tracer=None, recorder=None, tracker=None):
-        fleet = build_fleet(
-            model_cfg, args.replicas, tensor_parallel=args.tp,
-            sequence_parallel=args.sequence_parallel,
-            block_size=args.block_size, num_blocks=args.num_blocks,
-            max_batch=args.max_batch, policy=args.policy, seed=args.seed,
-            plan=fault_plan, tracer=tracer, num_tiers=args.tiers,
-            slo_ttft_s=args.slo_ttft_s, recorder=recorder,
-            request_tracker=tracker)
-        return fleet, fleet.run(specs)
-
+    kwargs = dict(_fleet_kwargs(args), policy=args.policy, tiers=args.tiers,
+                  slo_ttft_s=args.slo_ttft_s)
     tracer = Tracer()
     recorder = FlightRecorder() if args.postmortem else None
     tracker = RequestTracker(tracer=tracer) if args.request_trace else None
-    fleet, report = _run(plan, tracer=tracer, recorder=recorder,
-                         tracker=tracker)
+    fleet, report = scenarios.chaos_fleet(
+        **kwargs, tracer=tracer, recorder=recorder, request_tracker=tracker)
     verify_note = ""
     if args.verify:
-        clean_fleet, _ = _run(FaultPlan())
+        clean_fleet, _ = scenarios.chaos_fleet(**dict(kwargs, fault_rate=0.0))
         if fleet.tokens_by_request() != clean_fleet.tokens_by_request():
             raise SystemExit(
                 "FLEET VERIFY FAILED: token streams diverged from the "
                 "fault-free run at the same seed")
         verify_note = ("\n  verify OK: token streams identical to the "
                        "fault-free fleet at the same seed")
-    trace_note = ""
-    if args.trace_out:
-        from .observability import export_trace, validate_trace_file
-        num_events = export_trace(tracer, args.trace_out)
-        validate_trace_file(args.trace_out)
-        trace_note = (f"\n  {args.trace_out}: {num_events} events "
-                      "(validated; open in https://ui.perfetto.dev)")
-    if recorder is not None:
-        with open(args.postmortem, "w") as fh:
-            fh.write(recorder.dumps())
-        trace_note += (f"\n  {args.postmortem}: {len(recorder.postmortems)} "
-                       f"postmortem(s) from {recorder.recorded} flight "
-                       f"event(s)")
-    if tracker is not None:
-        from .observability import verify_partition
-        partition = verify_partition(tracker)
-        with open(args.request_trace, "w") as fh:
-            fh.write(tracker.to_json())
-        trace_note += (
-            f"\n  {args.request_trace}: {len(tracker.traces())} request "
-            f"span graph(s), partition exact={partition['exact']}")
+    trace_note = _write_fleet_artifacts(args, tracer, recorder, tracker)
     if args.json:
         return emit_json(report.to_json())
     return report.summary() + verify_note + trace_note
@@ -720,62 +561,13 @@ def cmd_monitor(args) -> str:
     span graphs alone reconciled bit-for-bit against the
     :class:`~repro.fleet.FleetReport` ledger.
     """
-    from .config import ModelConfig
-    from .fleet import build_fleet
-    from .observability import (
-        FlightRecorder,
-        RequestTracker,
-        SLOMonitor,
-        Tracer,
-        reconcile_quantiles,
-        verify_partition,
-    )
-    from .serving import generate_requests
-
-    model_cfg = ModelConfig(name="fleet", num_layers=2, hidden_size=64,
-                            num_heads=4, seq_length=48, vocab_size=32)
-    specs = generate_requests(model_cfg, args.requests, seed=args.seed,
-                              arrival_rate=5000.0, prompt_lengths=(1, 3),
-                              new_tokens=(8, 48))
-    plan = _chaos_plan(args.seed, args.fault_rate, args.replicas)
-
-    tracer = Tracer()
-    recorder = FlightRecorder(capacity=args.flight_capacity)
-    tracker = RequestTracker(tracer=tracer)
-    monitor = SLOMonitor(slo_ttft_s=args.slo_ttft_s,
-                         slo_tpot_s=args.slo_tpot_s,
-                         recorder=recorder, tracer=tracer)
-    fleet = build_fleet(model_cfg, args.replicas, tensor_parallel=args.tp,
-                        sequence_parallel=args.sequence_parallel,
-                        block_size=args.block_size,
-                        num_blocks=args.num_blocks,
-                        max_batch=args.max_batch, seed=args.seed,
-                        plan=plan, tracer=tracer, monitor=monitor,
-                        recorder=recorder, request_tracker=tracker)
-    report = fleet.run(specs)
-
-    score = monitor.score_against(report)
-    partition = verify_partition(tracker)
-    reconciled = reconcile_quantiles(tracker, report)
+    (report, tracer, monitor, recorder, tracker, score, partition,
+     reconciled) = scenarios.monitored_fleet(
+        **_fleet_kwargs(args), slo_ttft_s=args.slo_ttft_s,
+        slo_tpot_s=args.slo_tpot_s, flight_capacity=args.flight_capacity)
     snapshot = monitor.snapshot()
 
-    notes = ""
-    if args.postmortem:
-        with open(args.postmortem, "w") as fh:
-            fh.write(recorder.dumps())
-        notes += (f"\n  {args.postmortem}: {len(recorder.postmortems)} "
-                  f"postmortem(s)")
-    if args.request_trace:
-        with open(args.request_trace, "w") as fh:
-            fh.write(tracker.to_json())
-        notes += (f"\n  {args.request_trace}: {len(tracker.traces())} "
-                  f"request span graph(s)")
-    if args.trace_out:
-        from .observability import export_trace, validate_trace_file
-        num_events = export_trace(tracer, args.trace_out)
-        validate_trace_file(args.trace_out)
-        notes += (f"\n  {args.trace_out}: {num_events} events "
-                  "(validated; open in https://ui.perfetto.dev)")
+    notes = _write_fleet_artifacts(args, tracer, recorder, tracker)
 
     if args.json:
         return emit_json({
@@ -829,71 +621,26 @@ def cmd_compile(args) -> str:
     ``--trace-out`` writes a validated Perfetto trace of one replayed
     step (compiled-mode spans and kernel events).
     """
-    from .config import ModelConfig
-    from .layers import GPTModel
-    from .parallel.transformer import ParallelGPTModel
-    from .tensor import seed
-    from .training import Trainer
-    from .training.data import UniformTokens
-    from .training.optimizer import Adam
-
-    model_cfg = ModelConfig(name="compile", num_layers=args.layers,
-                            hidden_size=128, num_heads=4, seq_length=64,
-                            vocab_size=64)
     recompute = Recompute(args.recompute)
-
-    def build():
-        seed(args.seed)
-        if args.tp > 1:
-            model = ParallelGPTModel(
-                model_cfg, tensor_parallel=args.tp,
-                sequence_parallel=args.sequence_parallel,
-                attention_dropout=0.0, hidden_dropout=0.0,
-                recompute=recompute, seed=0)
-        else:
-            model = GPTModel(model_cfg, attention_dropout=0.0,
-                             hidden_dropout=0.0, recompute=recompute, seed=0)
-        return model
-
-    compiled = Trainer(build(), lr=1e-3, compiled=True)
-    eager = Trainer(build(), lr=1e-3)
-
-    data = UniformTokens(model_cfg.vocab_size, model_cfg.seq_length,
-                         seed=args.seed + 1)
-    batches = [data.batch(args.batch) for _ in range(args.steps)]
-    drift = 0.0
-    losses = []
-    for step, (ids, targets) in enumerate(batches):
-        seed(args.seed + 100 + step)
-        loss_c = compiled.train_step(ids, targets,
-                                     num_microbatches=args.microbatches)
-        seed(args.seed + 100 + step)
-        loss_e = eager.train_step(ids, targets,
-                                  num_microbatches=args.microbatches)
-        drift = max(drift, abs(loss_c - loss_e))
-        losses.append(loss_c)
-
+    run = scenarios.compiled_eager_twins(
+        layers=args.layers, tp=args.tp,
+        sequence_parallel=args.sequence_parallel, recompute=recompute,
+        microbatches=args.microbatches, batch=args.batch, steps=args.steps,
+        seed_value=args.seed)
+    model_cfg, compiled = run.model_cfg, run.compiled
     plan = compiled.plans.plans()[0]
     cache = compiled.plans.stats()
 
     trace_note = ""
     if args.trace_out:
-        from .observability import (
-            Tracer,
-            export_trace,
-            trace_scope,
-            validate_trace_file,
-        )
+        from .tensor import seed
         tracer = Tracer()
-        ids, targets = batches[-1]
+        ids, targets = run.batches[-1]
         with trace_scope(tracer):
-            seed(args.seed + 100 + len(batches))
+            seed(args.seed + 100 + len(run.batches))
             compiled.train_step(ids, targets,
                                 num_microbatches=args.microbatches)
-        num_events = export_trace(tracer, args.trace_out)
-        validate_trace_file(args.trace_out)
-        trace_note = (f"\n  {args.trace_out}: {num_events} events "
-                      "(validated; open in https://ui.perfetto.dev)")
+        trace_note = _write_trace(tracer, args.trace_out)
 
     stats = plan.stats()
     if args.json:
@@ -912,8 +659,8 @@ def cmd_compile(args) -> str:
                 for index, kind, name in plan.collective_schedule()],
             "cache": cache,
             "steps": args.steps,
-            "losses": losses,
-            "replay_vs_eager_loss_drift": drift,
+            "losses": run.losses,
+            "replay_vs_eager_loss_drift": run.drift,
         })
     counts = ", ".join(
         f"{stats[k]} {k.replace('_ops', '')}"
@@ -930,8 +677,8 @@ def cmd_compile(args) -> str:
         f"{stats['planned_buffers']} planned buffer(s)\n"
         f"  cache: {cache['plans']} plan(s), {cache['hits']} hit(s), "
         f"{cache['misses']} miss(es); {stats['replays']} replay(s)\n"
-        f"  {args.steps} step(s), final loss {losses[-1]:.6f}, "
-        f"replay-vs-eager loss drift {drift:g} (exact)" + trace_note
+        f"  {args.steps} step(s), final loss {run.losses[-1]:.6f}, "
+        f"replay-vs-eager loss drift {run.drift:g} (exact)" + trace_note
     )
 
 
@@ -942,95 +689,32 @@ def cmd_longctx(args) -> str:
     recompute-phase collectives attributed to the overlapped bucket, and
     the analytic overlap/chooser summaries alongside.
     """
-    import numpy as np
-
-    from .config import ModelConfig
-    from .layers import GPTModel, token_tensor
-    from .longctx import (
-        LongContextGPTModel,
-        recompute_overlap_scope,
-        ring_layer_bytes,
-        ring_selective_extra_bytes,
-        ulysses_layer_bytes,
-        ulysses_selective_extra_bytes,
-    )
-    from .observability import (
-        Tracer,
-        attribute,
-        export_trace,
-        from_tracer,
-        trace_scope,
-        validate_trace_file,
-    )
     from .pipeline_sim import longctx_overlap_report
-    from .planner import choose_context_layout
-    from .tensor.functions import MaskSource
 
     p = args.context_parallel
     rc = Recompute(args.recompute)
-    b = 2
-    model_cfg = ModelConfig(num_layers=2, hidden_size=32, num_heads=4,
-                            seq_length=args.seq_length, vocab_size=64,
-                            name="longctx")
-    ms = MaskSource(seed=args.seed + 1, keep_prob=0.9)
-    serial = GPTModel(model_cfg, seed=args.seed, mask_source=ms)
-    rng = np.random.default_rng(args.seed + 2)
-    ids = rng.integers(0, model_cfg.vocab_size,
-                       size=(model_cfg.seq_length, b)).astype(np.int64)
-    tgt = rng.integers(0, model_cfg.vocab_size,
-                       size=(model_cfg.seq_length, b)).astype(np.int64)
-    serial_loss = serial(token_tensor(ids), token_tensor(tgt)).item()
-
-    model = LongContextGPTModel(model_cfg, context_parallel=p,
-                                layout=args.layout, recompute=rc,
-                                mask_source=ms, serial=serial)
-    tracer = Tracer()
-    with trace_scope(tracer):
-        with recompute_overlap_scope():
-            loss = model(token_tensor(ids, world=p),
-                         token_tensor(tgt, world=p))
-            loss.backward()
-    model.finish_grad_sync()
-
-    data = from_tracer(tracer)
-    comm = [s for s in data.spans if s.subsystem == "comm"]
-    if args.layout == "ulysses":
-        traced_bytes = sum(s.args["bytes"] for s in comm
-                           if s.name == "all_to_all")
-        expected_bytes = model_cfg.num_layers * ulysses_layer_bytes(
-            model_cfg, b, p)
-        if rc != Recompute.NONE:
-            expected_bytes += model_cfg.num_layers * \
-                ulysses_selective_extra_bytes(model_cfg, b, p)
-    else:
-        traced_bytes = sum(s.args["bytes"] for s in comm
-                           if "hop" in s.name)
-        expected_bytes = model_cfg.num_layers * ring_layer_bytes(
-            model_cfg, b, p)
-        if rc != Recompute.NONE:
-            expected_bytes += model_cfg.num_layers * \
-                ring_selective_extra_bytes(model_cfg, b, p)
-    att = attribute(data)
+    run = scenarios.context_parallel_step(
+        layout=args.layout, context_parallel=p, recompute=rc,
+        seq_length=args.seq_length, seed_value=args.seed)
+    model_cfg, b = run.model_cfg, run.batch
+    att = attribute(from_tracer(run.tracer))
     overlap = longctx_overlap_report(model_cfg, b, p, args.layout, rc)
     choice = choose_context_layout(model_cfg, b, p)
 
     trace_note = ""
     if args.trace_out:
-        num_events = export_trace(tracer, args.trace_out)
-        validate_trace_file(args.trace_out)
-        trace_note = (f"\n  {args.trace_out}: {num_events} events "
-                      f"(validated; open in https://ui.perfetto.dev)")
+        trace_note = _write_trace(run.tracer, args.trace_out)
 
     doc = {
         "layout": args.layout,
         "context_parallel": p,
         "recompute": rc.value,
-        "loss": loss.item(),
-        "serial_loss": serial_loss,
-        "loss_drift": abs(loss.item() - serial_loss),
-        "traced_comm_bytes": traced_bytes,
-        "expected_comm_bytes": expected_bytes,
-        "volume_exact": traced_bytes == expected_bytes,
+        "loss": run.loss,
+        "serial_loss": run.serial_loss,
+        "loss_drift": abs(run.loss - run.serial_loss),
+        "traced_comm_bytes": run.traced_bytes,
+        "expected_comm_bytes": run.expected_bytes,
+        "volume_exact": run.traced_bytes == run.expected_bytes,
         "attribution": {
             "exposed_comm": att.totals["exposed_comm"],
             "overlapped_comm": att.totals["overlapped_comm"],
@@ -1050,10 +734,10 @@ def cmd_longctx(args) -> str:
     return (
         f"longctx {args.layout} p={p} recompute={rc.value} "
         f"(s={model_cfg.seq_length}, b={b}):\n"
-        f"  loss {loss.item():.6f}, serial drift {doc['loss_drift']:g} "
+        f"  loss {run.loss:.6f}, serial drift {doc['loss_drift']:g} "
         f"(bitwise)\n"
-        f"  traced comm {fmt_bytes(traced_bytes)} vs closed form "
-        f"{fmt_bytes(expected_bytes)} "
+        f"  traced comm {fmt_bytes(run.traced_bytes)} vs closed form "
+        f"{fmt_bytes(run.expected_bytes)} "
         f"({'exact' if doc['volume_exact'] else 'MISMATCH'})\n"
         f"  exposed comm {att.totals['exposed_comm']:.6f} s, overlapped "
         f"{att.totals['overlapped_comm']:.6f} s "
@@ -1075,49 +759,17 @@ def cmd_bench(args) -> str:
     non-deterministic trace.  Regressions are listed per metric with
     their deltas and the command exits non-zero.
     """
-    from .observability.regress import (
-        check_against_baselines,
-        run_preset,
-        write_bench,
-    )
-
-    presets = args.presets or list(PRESET_NAMES)
     docs = {}
     lines = []
-    for preset in presets:
+    # dict.fromkeys: a repeated --preset runs (and is written) once
+    for preset in dict.fromkeys(args.presets or PRESET_NAMES):
         doc = run_preset(preset, seed_value=args.seed)
         docs[preset] = doc
         path = write_bench(doc, args.output_dir)
-        summary = f"wrote {path} (trace {doc['trace_hash'][:12]}"
-        if "utilization" in doc:
-            summary += f", mfu {doc['utilization']['mfu']:.3e}"
-        if "resilience" in doc:
-            summary += f", goodput {doc['resilience']['goodput']:.1%}"
-        if "compiled_chain_speedup" in doc.get("timing", {}):
-            summary += (f", replay x"
-                        f"{doc['timing']['compiled_chain_speedup']:.2f} "
-                        f"chain (drift "
-                        f"{doc['compiler']['replay_loss_drift']:g})")
-        if "serving" in doc:
-            summary += (f", serve x"
-                        f"{doc['serving']['continuous_vs_static_speedup']:.2f}"
-                        f" vs static")
-        if "fleet" in doc:
-            summary += (f", fleet goodput {doc['fleet']['goodput']:.1%} "
-                        f"under chaos")
-        if "telemetry" in doc:
-            summary += (f", detection P/R "
-                        f"{doc['telemetry']['detection_precision']:.2f}/"
-                        f"{doc['telemetry']['detection_recall']:.2f}, "
-                        f"partition exact="
-                        f"{doc['telemetry']['partition_exact']}")
-        if "exactness" in doc:
-            dominates = all(f["selective_recompute_dominates"]
-                            for f in doc["frontier"].values())
-            summary += (f", attribution exact="
-                        f"{doc['exactness']['all_exact']}, "
-                        f"frontier dominates={dominates}")
-        lines.append(summary + ")")
+        _, summary = PRESETS[preset]
+        headline = summary(doc)
+        lines.append(f"wrote {path} (trace {doc['trace_hash'][:12]}"
+                     + (f", {headline}" if headline else "") + ")")
 
     if args.check:
         failures = check_against_baselines(docs, args.baseline_dir)
@@ -1135,8 +787,6 @@ def cmd_bench(args) -> str:
 
 def cmd_analyze(args) -> str:
     """Offline critical-path attribution of an exported ``trace.json``."""
-    from .observability.analysis import attribute, load_trace
-
     data = load_trace(args.trace)
     att = attribute(data)
     if args.json:
@@ -1248,129 +898,123 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--memory-gb", type=float, default=80.0)
     p.set_defaults(fn=cmd_sweep)
 
+    d = scenarios.defaults(scenarios.dp_chaos_segment)
     p = sub.add_parser("chaos", help="fault-injection run with recovery report")
-    p.add_argument("--steps", type=int, default=6)
-    p.add_argument("--dp", type=int, default=2, help="data-parallel replicas")
-    p.add_argument("--fault-rate", type=float, default=0.5,
+    p.add_argument("--steps", type=int, default=d["steps"])
+    p.add_argument("--dp", type=int, default=d["dp"],
+                   help="data-parallel replicas")
+    p.add_argument("--fault-rate", type=float, default=d["fault_rate"],
                    help="per-step fault probability")
-    p.add_argument("--seed", type=int, default=0, help="fault-plan + data seed")
-    p.add_argument("--checkpoint-interval", type=int, default=2)
+    p.add_argument("--seed", type=int, default=d["seed_value"],
+                   help="fault-plan + data seed")
+    p.add_argument("--checkpoint-interval", type=int,
+                   default=d["checkpoint_interval"])
     p.add_argument("--json", action="store_true",
                    help="emit the resilience report as JSON")
     p.add_argument("--verify", action="store_true",
                    help="also run fault-free and require bitwise-equal weights")
     p.set_defaults(fn=cmd_chaos)
 
+    d = scenarios.defaults(scenarios.pipelined_training)
     p = sub.add_parser(
         "trace", help="instrumented run: merged Perfetto trace + metrics")
-    p.add_argument("--config", default="tiny", choices=["tiny", "small"])
-    p.add_argument("--steps", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--config", default=d["config"],
+                   choices=list(scenarios.TRACE_PRESETS))
+    p.add_argument("--steps", type=int, default=d["steps"])
+    p.add_argument("--seed", type=int, default=d["seed_value"])
     p.add_argument("--output-dir", default="trace-out")
     p.set_defaults(fn=cmd_trace)
+
+    def add_engine_flags(p, scenario):
+        """Workload + decode-engine flags of serve/fleet/monitor; the
+        defaults are the scenario's own, i.e. the bench preset's."""
+        d = scenarios.defaults(scenario)
+        fleet = "replicas" in d
+        each = ", per replica" if fleet else ""
+        if fleet:
+            p.add_argument("--replicas", type=int, default=d["replicas"],
+                           help="serving replicas in the fleet")
+        p.add_argument("--requests", type=int, default=d["requests"],
+                       help="open-loop workload size")
+        p.add_argument("--seed", type=int, default=d["seed_value"],
+                       help="workload + sampling"
+                            + (" + fault-plan" if fleet else "") + " seed")
+        p.add_argument("--tp", type=int, default=d["tp"],
+                       help="tensor-parallel size"
+                            + (" inside each replica" if fleet else ""))
+        p.add_argument("--sequence-parallel", action="store_true",
+                       help="serve a sequence-parallel trained layout "
+                            "(tp > 1)")
+        p.add_argument("--block-size", type=int, default=d["block_size"],
+                       help="token slots per KV block")
+        p.add_argument("--num-blocks", type=int, default=d["num_blocks"],
+                       help="KV pool size in blocks" + each)
+        p.add_argument("--max-batch", type=int, default=d["max_batch"],
+                       help="decode batch width cap" + each)
+        if fleet:
+            p.add_argument("--fault-rate", type=float,
+                           default=d["fault_rate"],
+                           help="0 = clean run; 1 = the default chaos plan "
+                                "(crash + straggler + dispatch loss, needs 3 "
+                                "replicas); in between = seeded random "
+                                "per-round fault probability")
+
+    def add_policy_flag(p, scenario):
+        p.add_argument("--policy", choices=list(POLICIES),
+                       default=scenarios.defaults(scenario)["policy"],
+                       help="what preemption does with the victim's KV state")
+
+    def add_artifact_flags(p, postmortem):
+        p.add_argument("--trace-out", default=None,
+                       help="also write a validated Perfetto trace here")
+        if postmortem:
+            p.add_argument("--postmortem", default=None, metavar="PATH",
+                           help="write the flight recorder's postmortem "
+                                "dumps (canonical JSON) here")
+        p.add_argument("--request-trace", default=None, metavar="PATH",
+                       help="write per-request span graphs (canonical JSON) "
+                            "here")
 
     p = sub.add_parser(
         "serve", help="continuous-batching serving run on the paged KV "
                       "cache (swap/recompute preemption)")
-    p.add_argument("--requests", type=int, default=12,
-                   help="open-loop workload size")
-    p.add_argument("--seed", type=int, default=1234,
-                   help="workload + sampling seed")
-    p.add_argument("--tp", type=int, default=2, help="tensor-parallel size")
-    p.add_argument("--sequence-parallel", action="store_true",
-                   help="serve a sequence-parallel trained layout (tp > 1)")
-    p.add_argument("--policy", default="swap", choices=list(POLICIES),
-                   help="what preemption does with the victim's KV state")
-    p.add_argument("--block-size", type=int, default=4,
-                   help="token slots per KV block")
-    p.add_argument("--num-blocks", type=int, default=24,
-                   help="KV pool size in blocks")
-    p.add_argument("--max-batch", type=int, default=8,
-                   help="decode batch width cap")
-    p.add_argument("--trace-out", default=None,
-                   help="also write a validated Perfetto trace here")
-    p.add_argument("--request-trace", default=None, metavar="PATH",
-                   help="write per-request span graphs (canonical JSON) here")
+    add_engine_flags(p, scenarios.serving_scheduler)
+    add_policy_flag(p, scenarios.serving_scheduler)
+    add_artifact_flags(p, postmortem=False)
     add_json_flag(p)
     p.set_defaults(fn=cmd_serve)
 
     p = sub.add_parser(
         "fleet", help="chaos-serving fleet: fault-tolerant multi-replica "
                       "routing with mid-stream recovery")
-    p.add_argument("--replicas", type=int, default=3,
-                   help="serving replicas in the fleet")
-    p.add_argument("--requests", type=int, default=24,
-                   help="open-loop workload size")
-    p.add_argument("--seed", type=int, default=1234,
-                   help="workload + sampling + fault-plan seed")
-    p.add_argument("--tp", type=int, default=1,
-                   help="tensor-parallel size inside each replica")
-    p.add_argument("--sequence-parallel", action="store_true",
-                   help="serve a sequence-parallel trained layout (tp > 1)")
-    p.add_argument("--policy", default="swap", choices=list(POLICIES),
-                   help="what preemption does with the victim's KV state")
-    p.add_argument("--block-size", type=int, default=4,
-                   help="token slots per KV block")
-    p.add_argument("--num-blocks", type=int, default=16,
-                   help="KV pool size in blocks, per replica")
-    p.add_argument("--max-batch", type=int, default=4,
-                   help="decode batch width cap, per replica")
-    p.add_argument("--fault-rate", type=float, default=1.0,
-                   help="0 = clean run; 1 = the default chaos plan (crash "
-                        "+ straggler + dispatch loss); in between = "
-                        "seeded random per-round fault probability")
-    p.add_argument("--tiers", type=int, default=1,
+    add_engine_flags(p, scenarios.chaos_fleet)
+    add_policy_flag(p, scenarios.chaos_fleet)
+    d = scenarios.defaults(scenarios.chaos_fleet)
+    p.add_argument("--tiers", type=int, default=d["tiers"],
                    help="priority tiers for SLO-aware shedding")
-    p.add_argument("--slo-ttft-s", type=float, default=None,
+    p.add_argument("--slo-ttft-s", type=float, default=d["slo_ttft_s"],
                    help="TTFT SLO in seconds; enables load shedding of "
                         "the lowest tier when saturated")
     p.add_argument("--verify", action="store_true",
                    help="also run fault-free and require identical "
                         "per-request token streams")
-    p.add_argument("--trace-out", default=None,
-                   help="also write a validated Perfetto trace here")
-    p.add_argument("--postmortem", default=None, metavar="PATH",
-                   help="attach the flight recorder and write its "
-                        "postmortem dumps (canonical JSON) here")
-    p.add_argument("--request-trace", default=None, metavar="PATH",
-                   help="write per-request span graphs (canonical JSON) here")
+    add_artifact_flags(p, postmortem=True)
     add_json_flag(p)
     p.set_defaults(fn=cmd_fleet)
 
+    d = scenarios.defaults(scenarios.monitored_fleet)
     p = sub.add_parser(
         "monitor", help="fleet run with request tracing, flight recorder "
                         "and SLO burn-rate monitor; exact detection gates")
-    p.add_argument("--replicas", type=int, default=3,
-                   help="serving replicas in the fleet")
-    p.add_argument("--requests", type=int, default=24,
-                   help="open-loop workload size")
-    p.add_argument("--seed", type=int, default=1234,
-                   help="workload + sampling + fault-plan seed")
-    p.add_argument("--tp", type=int, default=1,
-                   help="tensor-parallel size inside each replica")
-    p.add_argument("--sequence-parallel", action="store_true",
-                   help="serve a sequence-parallel trained layout (tp > 1)")
-    p.add_argument("--block-size", type=int, default=4,
-                   help="token slots per KV block")
-    p.add_argument("--num-blocks", type=int, default=16,
-                   help="KV pool size in blocks, per replica")
-    p.add_argument("--max-batch", type=int, default=4,
-                   help="decode batch width cap, per replica")
-    p.add_argument("--fault-rate", type=float, default=1.0,
-                   help="0 = clean run; 1 = the default chaos plan; in "
-                        "between = seeded random per-round probability")
-    p.add_argument("--slo-ttft-s", type=float, default=0.05,
+    add_engine_flags(p, scenarios.chaos_fleet)
+    p.add_argument("--slo-ttft-s", type=float, default=d["slo_ttft_s"],
                    help="TTFT SLO budget for the burn-rate windows")
-    p.add_argument("--slo-tpot-s", type=float, default=0.005,
+    p.add_argument("--slo-tpot-s", type=float, default=d["slo_tpot_s"],
                    help="TPOT SLO budget for the burn-rate windows")
-    p.add_argument("--flight-capacity", type=int, default=64,
+    p.add_argument("--flight-capacity", type=int,
+                   default=d["flight_capacity"],
                    help="flight-recorder ring size in events")
-    p.add_argument("--postmortem", default=None, metavar="PATH",
-                   help="write flight-recorder postmortems here")
-    p.add_argument("--request-trace", default=None, metavar="PATH",
-                   help="write per-request span graphs here")
-    p.add_argument("--trace-out", default=None,
-                   help="also write a validated Perfetto trace here")
+    add_artifact_flags(p, postmortem=True)
     add_json_flag(p)
     p.set_defaults(fn=cmd_monitor)
 
@@ -1395,47 +1039,51 @@ def build_parser() -> argparse.ArgumentParser:
     add_json_flag(p)
     p.set_defaults(fn=cmd_memprofile)
 
+    recompute_choices = [r.value for r in (Recompute.NONE, Recompute.SELECTIVE,
+                                           Recompute.FULL)]
+
+    d = scenarios.defaults(scenarios.compiled_eager_twins)
     p = sub.add_parser(
         "compile", help="capture one training step as a static plan, "
                         "replay it, report plan stats and zero loss drift")
-    p.add_argument("--layers", type=int, default=2,
+    p.add_argument("--layers", type=int, default=d["layers"],
                    help="transformer layers in the toy model")
-    p.add_argument("--tp", type=int, default=1, help="tensor-parallel size")
+    p.add_argument("--tp", type=int, default=d["tp"],
+                   help="tensor-parallel size")
     p.add_argument("--sequence-parallel", action="store_true",
                    help="sequence-parallel layout (tp > 1)")
-    p.add_argument("--recompute", default="none",
-                   choices=[r.value for r in
-                            (Recompute.NONE, Recompute.SELECTIVE,
-                             Recompute.FULL)],
+    p.add_argument("--recompute", default=d["recompute"].value,
+                   choices=recompute_choices,
                    help="activation recompute strategy captured in the plan")
-    p.add_argument("--microbatches", type=int, default=1,
+    p.add_argument("--microbatches", type=int, default=d["microbatches"],
                    help="gradient-accumulation microbatches per step")
-    p.add_argument("--batch", type=int, default=4, help="global batch size")
-    p.add_argument("--steps", type=int, default=4,
+    p.add_argument("--batch", type=int, default=d["batch"],
+                   help="global batch size")
+    p.add_argument("--steps", type=int, default=d["steps"],
                    help="training steps (1 capture + replays)")
-    p.add_argument("--seed", type=int, default=1234)
+    p.add_argument("--seed", type=int, default=d["seed_value"])
     p.add_argument("--trace-out", default=None,
                    help="write a validated Perfetto trace of one replayed "
                         "step here")
     add_json_flag(p)
     p.set_defaults(fn=cmd_compile)
 
+    d = scenarios.defaults(scenarios.context_parallel_step)
     p = sub.add_parser(
         "longctx", help="traced context-parallel run (Ulysses/ring) with "
                         "exact volume + overlap reconciliation")
-    p.add_argument("--layout", default="ulysses",
+    p.add_argument("--layout", default=d["layout"],
                    choices=["ulysses", "ring"],
                    help="context-parallel attention layout")
-    p.add_argument("--context-parallel", type=int, default=2,
+    p.add_argument("--context-parallel", type=int,
+                   default=d["context_parallel"],
                    help="context-parallel group size")
-    p.add_argument("--recompute", default="full",
-                   choices=[r.value for r in
-                            (Recompute.NONE, Recompute.SELECTIVE,
-                             Recompute.FULL)],
+    p.add_argument("--recompute", default=d["recompute"].value,
+                   choices=recompute_choices,
                    help="activation recompute strategy")
-    p.add_argument("--seq-length", type=int, default=16,
+    p.add_argument("--seq-length", type=int, default=d["seq_length"],
                    help="sequence length (divisible by the group size)")
-    p.add_argument("--seed", type=int, default=4)
+    p.add_argument("--seed", type=int, default=d["seed_value"])
     p.add_argument("--trace-out", default=None,
                    help="write a validated Perfetto trace here")
     add_json_flag(p)
@@ -1471,7 +1119,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    print(args.fn(args))
+    try:
+        print(args.fn(args))
+    except ReproError as exc:
+        # an invalid configuration is a usage error, not a crash
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -743,36 +743,20 @@ def paged_kv_fragmentation(num_requests: int = 12, seed: int = 0,
                            max_batch: int = 8, policy: str = "swap",
                            ) -> dict:
     """Fragmentation-over-time of the paged-KV FirstFitAllocator under
-    continuous-batching churn: a tiny seeded workload is driven round by
-    round through the scheduler's fleet hooks, sampling the allocator's
-    live/reserved bytes after every decode round."""
-    from ..config import ModelConfig
-    from ..layers import GPTModel
-    from ..parallel.transformer import ParallelGPTModel
-    from ..serving import (ContinuousBatchingScheduler, DecodeEngine,
-                           KVAdmissionFull, PagedKVCache, ServingPerfModel,
-                           generate_requests)
+    continuous-batching churn: the ``repro serve`` scenario's seeded
+    workload is driven round by round through the scheduler's fleet
+    hooks, sampling the allocator's live/reserved bytes after every
+    decode round."""
+    from ..scenarios import serving_scheduler
+    from ..serving import KVAdmissionFull
 
-    model_cfg = ModelConfig(name="memprof-kv", num_layers=2, hidden_size=128,
-                            num_heads=4, seq_length=64, vocab_size=32)
-    tp = 2
-    serial = GPTModel(model_cfg, seed=3)
-    model = ParallelGPTModel(model_cfg, tensor_parallel=tp,
-                             attention_dropout=0.0, hidden_dropout=0.0,
-                             serial=serial)
-    cache = PagedKVCache(model_cfg, tensor_parallel=tp,
-                         block_size=block_size, num_blocks=num_blocks)
-    perf = ServingPerfModel(model_cfg, tensor_parallel=tp)
-    scheduler = ContinuousBatchingScheduler(
-        DecodeEngine(model, cache), perf, policy=policy,
-        max_batch=max_batch, seed=seed)
-    specs = generate_requests(model_cfg, num_requests=num_requests,
-                              seed=seed, arrival_rate=5000.0,
-                              prompt_lengths=(1, 3), new_tokens=(2, 40))
+    scheduler, specs, _ = serving_scheduler(
+        requests=num_requests, seed_value=seed, policy=policy,
+        block_size=block_size, num_blocks=num_blocks, max_batch=max_batch)
     pending = list(specs)
     finished = 0
     samples = []
-    arena = cache.arena
+    arena = scheduler.engine.cache.arena
     while finished < len(specs):
         still_waiting = []
         for spec in pending:

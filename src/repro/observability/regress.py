@@ -1,17 +1,24 @@
 """Benchmark regression gate over the traced presets.
 
-``repro bench`` runs the deterministic trace presets (``tiny`` and
-``small`` pipelined runs, ``chaos``, a fault-injected data-parallel
-segment, ``substrate``, the fused-operator engine, ``serve``, the
-continuous-batching scheduler, ``chaos_serve``, the fault-injected
-serving fleet, and ``fleet_obs``, the same fleet with the full request
-telemetry stack attached), pushes each trace through
-:mod:`repro.observability.analysis`,
-and writes one canonical ``BENCH_<preset>.json`` per preset: the
-attribution breakdown, MFU/HFU with their model deltas, peak memory,
-per-term memory drift, goodput and a SHA-256 hash of the merged trace.
-Because the simulated clock is deterministic, the documents are
-byte-identical across runs at the same seed.
+``repro bench`` runs the nine deterministic presets in :data:`PRESETS`
+— ``tiny`` and ``small`` (pipelined traced training), ``chaos`` (a
+fault-injected data-parallel segment), ``substrate`` (the
+fused-operator engine and the step compiler), ``serve`` (the
+continuous-batching scheduler), ``chaos_serve`` (the fault-injected
+serving fleet), ``fleet_obs`` (the same fleet with the full request
+telemetry stack attached), ``memprof`` (the activation ledger) and
+``longctx`` (the context-parallel layouts) — and writes one canonical
+``BENCH_<preset>.json`` per preset: the attribution breakdown, MFU/HFU
+with their model deltas, peak memory, per-term memory drift, goodput
+and a SHA-256 hash of the merged trace.  Because the simulated clock is
+deterministic, the documents are byte-identical across runs at the same
+seed (``substrate`` alone carries one wall-clock ratio).
+
+The runs themselves are defined once, in :mod:`repro.scenarios`, and
+shared with the ``repro <command>`` CLI; a preset here is only the
+*reduction* of a finished run to the gated document — the keys it
+spells out are the spec — plus its tolerance rows in
+:data:`TOLERANCES`.
 
 ``repro bench --check`` re-runs the presets and diffs the fresh
 documents against the committed baselines under
@@ -24,40 +31,48 @@ trace determinism fails the build.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
+from .. import scenarios
 from ..layers.transformer import Recompute
+from ..scenarios import TRACE_PRESETS  # noqa: F401 - public name of this module
+from .analysis import (
+    attribute,
+    from_tracer,
+    longctx_memory_term_drift,
+    memory_drift_report,
+    schedule_critical_path,
+    utilization_crosscheck,
+)
+from .memprof import (
+    check_peak_attribution,
+    counter_events,
+    frontier,
+    frontier_by_category,
+    paged_kv_fragmentation,
+    profile_layer,
+    selective_recompute_dominates,
+)
+from .perfetto import merged_trace, validate_trace_events
 from .serialize import dumps_json, to_jsonable
+from .tracer import Tracer, trace_scope
 
 #: Bump when the BENCH document layout changes incompatibly; --check
 #: refuses to compare documents with mismatched schema versions.
 SCHEMA_VERSION = 1
 
-PRESET_NAMES = ("tiny", "small", "chaos", "substrate", "serve",
-                "chaos_serve", "fleet_obs", "memprof", "longctx")
-
 DEFAULT_BASELINE_DIR = os.path.join("benchmarks", "baselines")
-
-#: Model/run shapes shared with ``repro trace``.  tp = pp = 2 so both
-#: tensor- and pipeline-parallel effects show up in the attribution.
-TRACE_PRESETS: Dict[str, dict] = {
-    "tiny": dict(num_layers=2, hidden_size=16, num_heads=2,
-                 seq_length=16, vocab_size=32, microbatches=2, batch=4),
-    "small": dict(num_layers=4, hidden_size=32, num_heads=4,
-                  seq_length=32, vocab_size=64, microbatches=4, batch=8),
-}
 
 #: Per-metric tolerances for --check, matched by longest dotted-key
 #: prefix (first hit wins).  ``("exact", 0)`` fails on any difference;
 #: ``("abs", x)`` on |delta| > x; ``("rel", x)`` on relative change > x;
 #: ``("floor", x)`` fails when the *current* value drops below x (used
-#: for speedup ratios, where the baseline value is machine-specific);
-#: ``("ignore", 0)`` records the metric without gating it (raw
-#: wall-clock seconds, which vary across machines).
+#: for speedup ratios, where the baseline value is machine-specific).
 TOLERANCES: Tuple[Tuple[str, Tuple[str, float]], ...] = (
     ("schema_version", ("exact", 0)),
     ("preset", ("exact", 0)),
@@ -67,11 +82,10 @@ TOLERANCES: Tuple[Tuple[str, Tuple[str, float]], ...] = (
     ("trace_hash", ("exact", 0)),
     ("counts.", ("exact", 0)),
     # Replaying a captured plan must beat re-running the eager tape by
-    # 2x on a tape-overhead-bound op chain (raw seconds are
-    # machine-specific and ignored; the ratio is stable because the two
-    # sides are timed interleaved).
+    # 2x on a tape-overhead-bound op chain (the one wall-clock key of
+    # the gate; the ratio is stable because the two sides are timed
+    # interleaved — raw seconds are machine-specific and not recorded).
     ("timing.compiled_chain_speedup", ("floor", 2.0)),
-    ("timing.", ("ignore", 0.0)),
     ("fusion.", ("exact", 0)),
     ("arena.", ("exact", 0)),
     # The step compiler's captured plan is a static artifact: op counts,
@@ -108,9 +122,8 @@ TOLERANCES: Tuple[Tuple[str, Tuple[str, float]], ...] = (
     # frontier must keep ranking the attention softmax/dropout tensors
     # as the paper's best save-vs-recompute candidates, and the
     # fragmentation/counter accounting rides the deterministic allocator
-    # and sequence clock.  The <5% disabled-overhead bound is asserted
-    # by ``benchmarks/bench_memprof.py`` (wall clock lives under
-    # ``timing.``, ignored here).
+    # and sequence clock.  Wall clock (the <5% disabled-overhead bound,
+    # the enabled-profiler cost) is ``benchmarks/bench_memprof.py``'s.
     ("exactness.", ("exact", 0)),
     ("frontier.", ("exact", 0)),
     ("fragmentation.", ("exact", 0)),
@@ -159,85 +172,58 @@ class Regression:
 def trace_hash(tracer, extra_events: Optional[List[dict]] = None) -> str:
     """SHA-256 of the canonical merged Chrome trace — the determinism
     fingerprint: any change to event content, order or timing shows."""
-    from .perfetto import merged_trace
-
     doc = merged_trace(tracer, extra_events=extra_events)
     payload = json.dumps(to_jsonable(doc), sort_keys=True,
                          separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _preset_config(preset: str):
-    from ..config import (ExperimentConfig, ModelConfig, ParallelConfig,
-                          TrainingConfig)
+def _counts(tracer, **extra: int) -> dict:
+    return {"spans": len(tracer.spans), "instants": len(tracer.instants),
+            **extra}
 
-    shape = dict(TRACE_PRESETS[preset])
-    microbatches = shape.pop("microbatches")
-    batch = shape.pop("batch")
-    model_cfg = ModelConfig(name=f"trace-{preset}", **shape)
-    config = ExperimentConfig(
-        model=model_cfg,
-        parallel=ParallelConfig(tensor_parallel=2, pipeline_parallel=2),
-        training=TrainingConfig(micro_batch_size=batch // microbatches,
-                                global_batch_size=batch),
-    )
-    return model_cfg, config, microbatches, batch
+
+def _collectives(tracer) -> int:
+    return sum(1 for s in tracer.spans if s.subsystem == "comm")
+
+
+def _named_spans(tracer, name: str) -> int:
+    return sum(1 for s in tracer.spans if s.name == name)
+
+
+def _traced_training_blocks(doc: dict, tracer):
+    """The blocks every traced training document carries: wall time,
+    the attribution breakdown (total and per rank), event counts and the
+    trace hash.  Returns the normalized trace for further analysis."""
+    data = from_tracer(tracer)
+    att = attribute(data)
+    doc["wall_time_s"] = data.wall
+    doc["attribution"] = {"totals": att.totals,
+                          "coverage_error": att.coverage_error}
+    doc["per_rank"] = {str(r.rank): r.buckets for r in att.ranks}
+    doc["counts"] = _counts(tracer, collectives=_collectives(tracer))
+    doc["trace_hash"] = trace_hash(tracer)
+    return data
 
 
 def _run_pipelined_preset(preset: str, seed_value: int, steps: int) -> dict:
     """Trace a pipelined preset run and reduce it to a BENCH document."""
-    from ..parallel.transformer import ParallelGPTModel
-    from ..tensor import MemoryTracker, seed
-    from ..training.data import UniformTokens
-    from ..training.optimizer import Adam
-    from ..training.trainer import PipelinedGPT
-    from .analysis import (attribute, from_tracer, memory_drift_report,
-                           schedule_critical_path, utilization_crosscheck)
-    from .tracer import Tracer, trace_scope
-
-    model_cfg, config, microbatches, batch = _preset_config(preset)
-    tp, pp = 2, 2
-    recompute = Recompute.FULL
-
     tracer = Tracer()
-    model = ParallelGPTModel(model_cfg, tensor_parallel=tp,
-                             attention_dropout=0.0, hidden_dropout=0.0,
-                             recompute=recompute)
-    pipe = PipelinedGPT(model, pipeline_parallel=pp)
-    optimizer = Adam(model.parameters(), lr=1e-3)
-    trackers = [MemoryTracker() for _ in range(pp)]
-    for stage, tracker in enumerate(trackers):
-        tracer.watch_tracker(tracker, f"stage{stage}")
-
-    seed(seed_value)
-    data = UniformTokens(model_cfg.vocab_size, model_cfg.seq_length,
-                         seed=seed_value + 1)
     with trace_scope(tracer):
-        for _ in range(steps):
-            ids, targets = data.batch(batch)
-            optimizer.zero_grad()
-            pipe.train_step(ids, targets, num_microbatches=microbatches,
-                            trackers=trackers)
-            optimizer.step()
+        run = scenarios.pipelined_training(preset, steps, seed_value,
+                                           tracer=tracer)
+    config, trackers = run.experiment, run.trackers
+    tp = config.parallel.tensor_parallel
+    pp = config.parallel.pipeline_parallel
 
-    data_ = from_tracer(tracer)
-    att = attribute(data_)
-    xc = utilization_crosscheck(data_, config, num_iterations=steps,
-                                recompute=recompute)
-    cp = schedule_critical_path(data_, num_groups=pp)
-    drifts = memory_drift_report(model_cfg, config.training.micro_batch_size,
-                                 tp)
-
-    doc = _base_doc(preset, seed_value, steps, model_cfg, tp, pp)
-    doc["wall_time_s"] = data_.wall
+    doc = _base_doc(preset, seed_value, steps, config.model, tp, pp)
+    data = _traced_training_blocks(doc, tracer)
+    xc = utilization_crosscheck(data, config, num_iterations=steps,
+                                recompute=run.model.recompute)
+    cp = schedule_critical_path(data, num_groups=pp)
+    drifts = memory_drift_report(config.model,
+                                 config.training.micro_batch_size, tp)
     doc["iteration_time_s"] = xc.iteration_time
-    doc["attribution"] = {
-        "totals": att.totals,
-        "coverage_error": att.coverage_error,
-    }
-    doc["per_rank"] = {
-        str(r.rank): r.buckets for r in att.ranks
-    }
     doc["utilization"] = {
         "mfu": xc.mfu,
         "hfu": xc.hfu,
@@ -262,12 +248,6 @@ def _run_pipelined_preset(preset: str, seed_value: int, steps: int) -> dict:
         "busy_s": cp.busy,
         "time_by_kind": cp.time_by_kind,
     } if cp is not None else {}
-    doc["counts"] = {
-        "spans": len(tracer.spans),
-        "instants": len(tracer.instants),
-        "collectives": sum(1 for s in tracer.spans if s.subsystem == "comm"),
-    }
-    doc["trace_hash"] = trace_hash(tracer)
     return doc
 
 
@@ -275,68 +255,22 @@ def _run_chaos_preset(seed_value: int, steps: int) -> dict:
     """Trace a fault-injected data-parallel segment (the resilience
     path): recovery stalls must land in the attribution and goodput in
     the document, so a PR degrading recovery fails the gate."""
-    from ..config import ModelConfig
-    from ..parallel.transformer import ParallelGPTModel
-    from ..resilience import (FaultPlan, RecoveryPolicy, ResilientTrainer,
-                              make_step_batches)
-    from ..tensor import seed
-    from ..training import DataParallelTrainer
-    from .analysis import attribute, from_tracer
-    from .tracer import Tracer, trace_scope
-    import tempfile
-
-    shape = dict(TRACE_PRESETS["tiny"])
-    shape.pop("microbatches")
-    shape.pop("batch")
-    model_cfg = ModelConfig(name="trace-chaos", **shape)
-    tp, dp = 2, 2
 
     tracer = Tracer()
-    seed(seed_value)
-
-    def factory():
-        return ParallelGPTModel(model_cfg, tensor_parallel=tp,
-                                attention_dropout=0.0, hidden_dropout=0.0)
-
-    batch_fn = make_step_batches(model_cfg.vocab_size, model_cfg.seq_length,
-                                 batch_size=4, seed=seed_value)
-    fault_plan = FaultPlan.random(seed=seed_value, num_steps=steps,
-                                  fault_rate=0.5, world_size=dp)
-    dp_trainer = DataParallelTrainer(factory, data_parallel=dp, lr=1e-2)
-    fd, ckpt = tempfile.mkstemp(suffix=".npz")
-    os.close(fd)
-    try:
-        with trace_scope(tracer):
-            result = ResilientTrainer(
-                dp_trainer, batch_fn, ckpt, plan=fault_plan,
-                policy=RecoveryPolicy(checkpoint_interval=2)).run(steps)
-    finally:
-        os.remove(ckpt)
-
+    with trace_scope(tracer):
+        trainer, result, _ = scenarios.dp_chaos_segment(steps, seed_value)
     report = result.report
-    data_ = from_tracer(tracer)
-    att = attribute(data_)
 
-    doc = _base_doc("chaos", seed_value, steps, model_cfg, tp, 1)
-    doc["config"]["data_parallel"] = dp
-    doc["wall_time_s"] = data_.wall
-    doc["attribution"] = {
-        "totals": att.totals,
-        "coverage_error": att.coverage_error,
-    }
-    doc["per_rank"] = {str(r.rank): r.buckets for r in att.ranks}
+    doc = _base_doc("chaos", seed_value, steps, trainer.model.config,
+                    trainer.model.group.size, 1)
+    doc["config"]["data_parallel"] = trainer.dp
+    _traced_training_blocks(doc, tracer)
     doc["resilience"] = {
         "goodput": report.goodput(),
         "faults": len(report.faults),
         "recoveries": len(report.recoveries),
         "steps_completed": report.steps_completed,
     }
-    doc["counts"] = {
-        "spans": len(tracer.spans),
-        "instants": len(tracer.instants),
-        "collectives": sum(1 for s in tracer.spans if s.subsystem == "comm"),
-    }
-    doc["trace_hash"] = trace_hash(tracer)
     return doc
 
 
@@ -362,17 +296,13 @@ def _run_substrate_preset(seed_value: int, steps: int) -> dict:
     """
     import time
 
-    from ..config import ModelConfig
     from ..fusion import fusion_report, reset_arena
     from ..layers import GPTModel
     from ..parallel.transformer import ParallelGPTModel
     from ..tensor import MemoryTracker, OpLog, instrument, seed
-    from ..training import Adam, Trainer, UniformTokens
-    from .analysis import memory_drift_report
-    from .tracer import Tracer, trace_scope
+    from ..training import Trainer, UniformTokens
 
-    model_cfg = ModelConfig(name="substrate", num_layers=2, hidden_size=128,
-                            num_heads=4, seq_length=64, vocab_size=64)
+    model_cfg = scenarios.COMPILE_MODEL
     tp = 4
     batch = 4
 
@@ -380,22 +310,10 @@ def _run_substrate_preset(seed_value: int, steps: int) -> dict:
         return UniformTokens(model_cfg.vocab_size, model_cfg.seq_length,
                              seed=seed_value + 1).batch(batch)
 
-    def _serial(fused: bool):
-        seed(seed_value)
-        model = GPTModel(model_cfg, seed=0, fused=fused)
-        return model, Trainer(model, Adam(model.parameters(), lr=1e-3))
-
-    def _tensor_parallel(fused: bool):
-        seed(seed_value)
-        model = ParallelGPTModel(model_cfg, tensor_parallel=tp,
-                                 sequence_parallel=True,
-                                 recompute=Recompute.SELECTIVE,
-                                 seed=0, fused=fused)
-        return model, Trainer(model, Adam(model.parameters(), lr=1e-3))
-
     # Tape shrinkage + accounting parity on one instrumented serial step.
     def _instrumented(fused: bool):
-        model, trainer = _serial(fused)
+        seed(seed_value)
+        trainer = Trainer(GPTModel(model_cfg, seed=0, fused=fused), lr=1e-3)
         ids, targets = _data()
         log, tracker = OpLog(), MemoryTracker()
         with instrument(memory=tracker, oplog=log):
@@ -417,7 +335,10 @@ def _run_substrate_preset(seed_value: int, steps: int) -> dict:
 
     # Determinism fingerprint of a fused traced run (fused spans included).
     tracer = Tracer()
-    model, trainer = _tensor_parallel(True)
+    seed(seed_value)
+    trainer = Trainer(ParallelGPTModel(
+        model_cfg, tensor_parallel=tp, sequence_parallel=True,
+        recompute=Recompute.SELECTIVE, seed=0, fused=True), lr=1e-3)
     ids, targets = _data()
     with trace_scope(tracer):
         for _ in range(steps):
@@ -432,26 +353,13 @@ def _run_substrate_preset(seed_value: int, steps: int) -> dict:
     from ..tensor import Tensor
     from ..tensor import functions as F
 
-    # (a) Bitwise replay parity on the real model: compiled and eager
-    # twins see identical per-step RNG, so the max |loss delta| is an
-    # exact 0.0 — any drift means the capture diverged from the tape.
-    def _twin(compiled: bool) -> Trainer:
-        seed(seed_value)
-        model = GPTModel(model_cfg, seed=0)
-        return Trainer(model, Adam(model.parameters(), lr=1e-3),
-                       compiled=compiled)
-
-    twin_compiled, twin_eager = _twin(True), _twin(False)
-    ids, targets = _data()
-    replay_drift = 0.0
-    for step in range(3):
-        seed(seed_value + 100 + step)
-        loss_compiled = twin_compiled.train_step(ids, targets)
-        seed(seed_value + 100 + step)
-        loss_eager = twin_eager.train_step(ids, targets)
-        replay_drift = max(replay_drift, abs(loss_compiled - loss_eager))
-    train_plan = twin_compiled.plans.plans()[0]
-    cache_stats = dict(twin_compiled.plans.stats())
+    # (a) Bitwise replay parity on the real model, dropout on: compiled
+    # and eager twins see identical per-step RNG, so the max |loss delta|
+    # is an exact 0.0 — any drift means the capture diverged from the tape.
+    twins = scenarios.compiled_eager_twins(
+        batch=batch, steps=3, seed_value=seed_value, dropout=0.1)
+    train_plan = twins.compiled.plans.plans()[0]
+    cache_stats = dict(twins.compiled.plans.stats())
 
     # (b) The gated replay speedup.  A deep elementwise chain is
     # tape-overhead-bound (the regime the compiler exists for: tiny
@@ -496,8 +404,6 @@ def _run_substrate_preset(seed_value: int, steps: int) -> dict:
 
     doc = _base_doc("substrate", seed_value, steps, model_cfg, tp, 1)
     doc["timing"] = {
-        "compiled_chain_eager_s": chain_eager_s,
-        "compiled_chain_replay_s": chain_replay_s,
         "compiled_chain_speedup": chain_eager_s / chain_replay_s,
     }
     doc["compiler"] = {
@@ -508,7 +414,7 @@ def _run_substrate_preset(seed_value: int, steps: int) -> dict:
         "train_plan_buffers": train_plan.memory.num_buffers,
         "chain_plan_ops": chain_plan.num_ops,
         "cache": cache_stats,
-        "replay_loss_drift": replay_drift,
+        "replay_loss_drift": twins.drift,
     }
     doc["fusion"] = {
         "records_unfused": len(log_unfused.records),
@@ -523,12 +429,9 @@ def _run_substrate_preset(seed_value: int, steps: int) -> dict:
         "fused_drift": {_drift_key(d): d.drift for d in drifts},
         "fused_drift_total_bytes": sum(d.total_drift for d in drifts),
     }
-    doc["counts"] = {
-        "spans": len(tracer.spans),
-        "instants": len(tracer.instants),
-        "fused_spans": sum(1 for s in tracer.spans
-                           if s.args.get("fused")),
-    }
+    doc["counts"] = _counts(
+        tracer,
+        fused_spans=sum(1 for s in tracer.spans if s.args.get("fused")))
     doc["trace_hash"] = trace_hash(tracer)
     return doc
 
@@ -547,56 +450,29 @@ def _run_serve_preset(seed_value: int, steps: int) -> dict:
     serving trace hash (exact — byte-identical timelines at equal
     seeds).
     """
-    from ..config import ModelConfig
-    from ..layers import GPTModel
-    from ..parallel.transformer import ParallelGPTModel
-    from ..serving import (ContinuousBatchingScheduler, DecodeEngine,
-                           PagedKVCache, ServingPerfModel, generate_requests,
-                           simulate_static_batching)
-    from .tracer import Tracer
-
-    # hidden 128 puts the decode GEMMs on the flat (launch-dominated)
-    # part of the kernel cost curve, where one ragged batched step costs
-    # barely more than a single-request step — the regime continuous
-    # batching exploits.  The tight 24-block pool forces real preemption
-    # traffic through the swap/recompute paths.
-    model_cfg = ModelConfig(name="serve", num_layers=2, hidden_size=128,
-                            num_heads=4, seq_length=64, vocab_size=32)
-    tp, block_size, num_blocks, max_batch = 2, 4, 24, 8
-
-    serial = GPTModel(model_cfg, seed=3)
-    perf = ServingPerfModel(model_cfg, tensor_parallel=tp)
-    specs = generate_requests(model_cfg, num_requests=12, seed=seed_value,
-                              arrival_rate=5000.0, prompt_lengths=(1, 3),
-                              new_tokens=(2, 40))
+    from ..serving import simulate_static_batching
 
     def _serve(policy: str, tracer=None):
-        model = ParallelGPTModel(model_cfg, tensor_parallel=tp,
-                                 attention_dropout=0.0, hidden_dropout=0.0,
-                                 serial=serial)
-        cache = PagedKVCache(model_cfg, tensor_parallel=tp,
-                             block_size=block_size, num_blocks=num_blocks)
-        scheduler = ContinuousBatchingScheduler(
-            DecodeEngine(model, cache), perf, policy=policy,
-            max_batch=max_batch, seed=seed_value, tracer=tracer)
-        return scheduler.run(specs)
+        scheduler, specs, perf = scenarios.serving_scheduler(
+            seed_value=seed_value, policy=policy, tracer=tracer)
+        return scheduler.run(specs), specs, perf
 
     tracer = Tracer()
-    report = _serve("swap", tracer=tracer)
-    recompute_report = _serve("recompute")
+    report, specs, perf = _serve("swap", tracer=tracer)
+    recompute_report, _, _ = _serve("recompute")
     policies_agree = (
         report.completed == recompute_report.completed and
         all(a["generated_tokens"] == b["generated_tokens"]
             for a, b in zip(report.per_request,
                             recompute_report.per_request)))
-    static = simulate_static_batching(specs, perf, block_size=block_size,
-                                      num_blocks=num_blocks,
-                                      max_batch=max_batch)
+    shape = scenarios.defaults(scenarios.serving_scheduler)
+    pool = {key: shape[key]
+            for key in ("block_size", "num_blocks", "max_batch")}
+    static = simulate_static_batching(specs, perf, **pool)
 
-    doc = _base_doc("serve", seed_value, steps, model_cfg, tp, 1)
-    doc["config"]["block_size"] = block_size
-    doc["config"]["num_blocks"] = num_blocks
-    doc["config"]["max_batch"] = max_batch
+    doc = _base_doc("serve", seed_value, steps, scenarios.SERVE_MODEL,
+                    shape["tp"], 1)
+    doc["config"].update(pool)
     doc["serving"] = {
         "tokens_per_s": report.tokens_per_s,
         "static_tokens_per_s": static["tokens_per_s"],
@@ -612,12 +488,8 @@ def _run_serve_preset(seed_value: int, steps: int) -> dict:
         "peak_kv_occupancy": report.peak_kv_occupancy,
         "policies_agree": policies_agree,
     }
-    doc["counts"] = {
-        "spans": len(tracer.spans),
-        "instants": len(tracer.instants),
-        "decode_steps": sum(1 for s in tracer.spans
-                            if s.name == "serve.decode"),
-    }
+    doc["counts"] = _counts(
+        tracer, decode_steps=_named_spans(tracer, "serve.decode"))
     doc["trace_hash"] = trace_hash(tracer)
     return doc
 
@@ -638,49 +510,15 @@ def _run_chaos_serve_preset(seed_value: int, steps: int) -> dict:
     fleet trace hash (exact — byte-identical timelines at equal seeds,
     dispatch/migrate/recover spans included).
     """
-    from ..config import ModelConfig
-    from ..fleet import build_fleet
-    from ..resilience import FaultKind, FaultPlan, FaultSpec
-    from ..serving import generate_requests
-    from .tracer import Tracer
-
-    # hidden 64 / seq 48 keeps decode rounds cheap while the tight
-    # 16-block pool per replica forces recovered requests through the
-    # real migrate-vs-recompute pricing decision.  24 requests of up to
-    # 48 new tokens give the fleet enough useful decode work that the
-    # default plan's waste (timeout stalls, backoff, replays, wire
-    # traffic) stays under 15% of total simulated time.
-    model_cfg = ModelConfig(name="chaos-serve", num_layers=2, hidden_size=64,
-                            num_heads=4, seq_length=48, vocab_size=32)
-    num_replicas, block_size, num_blocks, max_batch = 3, 4, 16, 4
-    specs = generate_requests(model_cfg, num_requests=24, seed=seed_value,
-                              arrival_rate=5000.0, prompt_lengths=(1, 3),
-                              new_tokens=(8, 48))
-    plan = FaultPlan([
-        FaultSpec(step=10, kind=FaultKind.REPLICA_CRASH, rank=1,
-                  permanent=True),
-        FaultSpec(step=18, kind=FaultKind.SLOW_REPLICA, rank=2,
-                  slowdown=6.0),
-        FaultSpec(step=2, kind=FaultKind.DISPATCH_LOSS),
-    ])
-
-    def _run(fault_plan, tracer=None):
-        fleet = build_fleet(model_cfg, num_replicas, block_size=block_size,
-                            num_blocks=num_blocks, max_batch=max_batch,
-                            seed=seed_value, plan=fault_plan, tracer=tracer)
-        return fleet, fleet.run(specs)
-
     tracer = Tracer()
-    fleet, report = _run(plan, tracer=tracer)
-    clean_fleet, clean_report = _run(FaultPlan())
+    fleet, report = scenarios.chaos_fleet(seed_value=seed_value,
+                                          tracer=tracer)
+    clean_fleet, clean_report = scenarios.chaos_fleet(seed_value=seed_value,
+                                                      fault_rate=0.0)
     tokens_identical = (fleet.tokens_by_request()
                         == clean_fleet.tokens_by_request())
 
-    doc = _base_doc("chaos_serve", seed_value, steps, model_cfg, 1, 1)
-    doc["config"]["num_replicas"] = num_replicas
-    doc["config"]["block_size"] = block_size
-    doc["config"]["num_blocks"] = num_blocks
-    doc["config"]["max_batch"] = max_batch
+    doc = _fleet_doc("chaos_serve", seed_value, steps)
     doc["fleet"] = {
         "goodput": report.goodput(),
         "clean_goodput": clean_report.goodput(),
@@ -707,16 +545,11 @@ def _run_chaos_serve_preset(seed_value: int, steps: int) -> dict:
         "tpot_p95_s": report.tpot_p95_s,
         "tpot_p99_s": report.tpot_p99_s,
     }
-    doc["counts"] = {
-        "spans": len(tracer.spans),
-        "instants": len(tracer.instants),
-        "dispatches": sum(1 for s in tracer.spans
-                          if s.name == "fleet.dispatch"),
-        "migrations": sum(1 for s in tracer.spans
-                          if s.name == "fleet.migrate"),
-        "recomputes": sum(1 for s in tracer.spans
-                          if s.name == "fleet.recover"),
-    }
+    doc["counts"] = _counts(
+        tracer,
+        dispatches=_named_spans(tracer, "fleet.dispatch"),
+        migrations=_named_spans(tracer, "fleet.migrate"),
+        recomputes=_named_spans(tracer, "fleet.recover"))
     doc["trace_hash"] = trace_hash(tracer)
     return doc
 
@@ -735,78 +568,19 @@ def _run_fleet_obs_preset(seed_value: int, steps: int) -> dict:
     bit; SHA-256 fingerprints of the postmortem dump and the request
     trace export (byte-identity at equal seeds); and the merged trace
     hash with the request/monitor view tracks and cross-process flow
-    events included.  Wall-clock telemetry cost is recorded under
-    ``timing.`` (ignored — machine-specific); the <5% disabled-overhead
-    bound is asserted by ``benchmarks/bench_fleet_telemetry.py``.
+    events included.  Wall-clock telemetry cost (and its <5%
+    disabled-overhead bound) is measured by
+    ``benchmarks/bench_fleet_telemetry.py``, not here.
     """
-    import time
-
-    from ..config import ModelConfig
-    from ..fleet import build_fleet
-    from ..resilience import FaultKind, FaultPlan, FaultSpec
-    from ..serving import generate_requests
-    from .monitor import FlightRecorder, SLOMonitor
-    from .request_trace import (RequestTracker, reconcile_quantiles,
-                                verify_partition)
-    from .tracer import Tracer
-
-    # Same fleet shape and fault plan as ``chaos_serve`` so the two
-    # documents describe the same physics, with and without telemetry.
-    model_cfg = ModelConfig(name="fleet-obs", num_layers=2, hidden_size=64,
-                            num_heads=4, seq_length=48, vocab_size=32)
-    num_replicas, block_size, num_blocks, max_batch = 3, 4, 16, 4
-    specs = generate_requests(model_cfg, num_requests=24, seed=seed_value,
-                              arrival_rate=5000.0, prompt_lengths=(1, 3),
-                              new_tokens=(8, 48))
-    plan = FaultPlan([
-        FaultSpec(step=10, kind=FaultKind.REPLICA_CRASH, rank=1,
-                  permanent=True),
-        FaultSpec(step=18, kind=FaultKind.SLOW_REPLICA, rank=2,
-                  slowdown=6.0),
-        FaultSpec(step=2, kind=FaultKind.DISPATCH_LOSS),
-    ])
-
-    def _build(telemetry: bool, tracer=None):
-        recorder = FlightRecorder(capacity=64) if telemetry else None
-        tracker = RequestTracker(tracer=tracer) if telemetry else None
-        monitor = SLOMonitor(slo_ttft_s=0.05, slo_tpot_s=0.005,
-                             recorder=recorder,
-                             tracer=tracer) if telemetry else None
-        fleet = build_fleet(model_cfg, num_replicas, block_size=block_size,
-                            num_blocks=num_blocks, max_batch=max_batch,
-                            seed=seed_value, plan=plan, tracer=tracer,
-                            monitor=monitor, recorder=recorder,
-                            request_tracker=tracker)
-        return fleet, monitor, recorder, tracker
-
-    tracer = Tracer()
-    fleet, monitor, recorder, tracker = _build(True, tracer=tracer)
-    report = fleet.run(specs)
-
-    score = monitor.score_against(report)
-    partition = verify_partition(tracker)
-    reconciled = reconcile_quantiles(tracker, report)
+    # Same fleet and fault plan as ``chaos_serve`` so the two documents
+    # describe the same physics, with and without telemetry.
+    (report, tracer, monitor, recorder, tracker, score, partition,
+     reconciled) = scenarios.monitored_fleet(seed_value=seed_value)
     postmortem_sha = hashlib.sha256(recorder.dumps().encode()).hexdigest()
     request_trace_sha = hashlib.sha256(
         tracker.to_json().encode()).hexdigest()
 
-    # Wall-clock cost of the telemetry stack, best-of-N interleaved so a
-    # host load spike hits both arms alike.  Recorded, not gated here.
-    reps = max(3, steps)
-    best = {False: float("inf"), True: float("inf")}
-    for _ in range(reps):
-        for telemetry in (False, True):
-            timed_fleet, _, _, _ = _build(telemetry)
-            start = time.perf_counter()
-            timed_fleet.run(specs)
-            best[telemetry] = min(best[telemetry],
-                                  time.perf_counter() - start)
-
-    doc = _base_doc("fleet_obs", seed_value, steps, model_cfg, 1, 1)
-    doc["config"]["num_replicas"] = num_replicas
-    doc["config"]["block_size"] = block_size
-    doc["config"]["num_blocks"] = num_blocks
-    doc["config"]["max_batch"] = max_batch
+    doc = _fleet_doc("fleet_obs", seed_value, steps)
     doc["fleet"] = {
         "goodput": report.goodput(),
         "completed": report.completed,
@@ -836,21 +610,13 @@ def _run_fleet_obs_preset(seed_value: int, steps: int) -> dict:
         "tpot_burn_long": monitor.tpot_burn(),
         "health_scores": monitor.snapshot()["health_scores"],
     }
-    doc["timing"] = {
-        "telemetry_disabled_s": best[False],
-        "telemetry_enabled_s": best[True],
-        "telemetry_cost": best[True] / best[False] - 1.0,
-    }
-    doc["counts"] = {
-        "spans": len(tracer.spans),
-        "instants": len(tracer.instants),
-        "request_spans": sum(1 for s in tracer.spans
-                             if s.subsystem == "request"),
-        "monitor_instants": sum(1 for i in tracer.instants
-                                if i.subsystem == "monitor"),
-        "flow_links": sum(1 for s in tracer.spans
-                          if "flow_out" in s.args),
-    }
+    doc["counts"] = _counts(
+        tracer,
+        request_spans=sum(1 for s in tracer.spans
+                          if s.subsystem == "request"),
+        monitor_instants=sum(1 for i in tracer.instants
+                             if i.subsystem == "monitor"),
+        flow_links=sum(1 for s in tracer.spans if "flow_out" in s.args))
     doc["trace_hash"] = trace_hash(tracer)
     return doc
 
@@ -868,25 +634,12 @@ def _run_memprof_preset(seed_value: int, steps: int) -> dict:
     per-category byte totals pinned exactly); the ledger-vs-tracker
     live-bytes identity; the paged-KV fragmentation timeline (seeded
     first-fit churn is deterministic); and the validated counter-track
-    event count.  Enabled-profiler wall cost is recorded under
-    ``timing.`` (ignored — machine-specific); the <5% *disabled*
-    overhead bound is asserted by ``benchmarks/bench_memprof.py``.
+    event count.  Profiler wall cost (enabled, and the <5% *disabled*
+    overhead bound) is measured by ``benchmarks/bench_memprof.py``.
     """
-    import time
 
-    from ..config import PAPER_CONFIGS, ModelConfig
-    from .memprof import (MemProfiler, check_peak_attribution,
-                          counter_events, frontier, frontier_by_category,
-                          paged_kv_fragmentation, profile_layer,
-                          selective_recompute_dominates)
-    from .perfetto import validate_trace_events
-
-    shapes = {
-        name: ModelConfig(name=f"memprof-{name}",
-                          **{k: v for k, v in TRACE_PRESETS[name].items()
-                             if k not in ("microbatches", "batch")})
-        for name in ("tiny", "small")
-    }
+    shapes = {name: scenarios.memprof_model(name)
+              for name in ("tiny", "small")}
     layouts = ((1, False), (2, False), (2, True))
 
     exactness: Dict[str, dict] = {}
@@ -912,7 +665,7 @@ def _run_memprof_preset(seed_value: int, steps: int) -> dict:
 
     # Frontier pricing on the paper's 22B column (Section 5's argument):
     # softmax/dropout must dominate on bytes-per-recompute-second.
-    model22 = PAPER_CONFIGS["22B"].model
+    model22 = scenarios.memprof_model("22B")
     frontier_doc: Dict[str, dict] = {}
     for t, sp in ((1, False), (2, True)):
         prof, ledger = profile_layer(model22, 1, t, sp, Recompute.NONE)
@@ -930,7 +683,6 @@ def _run_memprof_preset(seed_value: int, steps: int) -> dict:
     # Ledger-vs-tracker identity + counter-track schema on one traced
     # profile; the merged trace + counter tracks are the determinism
     # fingerprint.
-    from .tracer import Tracer
     tracer = Tracer()
     prof, ledger = profile_layer(shapes["small"], 1, 2, True,
                                  Recompute.NONE, tracer=tracer)
@@ -948,38 +700,12 @@ def _run_memprof_preset(seed_value: int, steps: int) -> dict:
     frag = paged_kv_fragmentation(seed=seed_value)
     fragmentation = {k: v for k, v in frag.items() if k != "samples"}
 
-    # Enabled-profiler cost, interleaved best-of (ratio is stable; the
-    # absolute numbers are machine-specific and ignored by the gate).
-    import gc
-
-    from .analysis import memory_term_drift
-    reps = max(9, steps)
-    best = {"off": float("inf"), "on": float("inf")}
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            memory_term_drift(shapes["small"], 1, 2, True, Recompute.NONE)
-            best["off"] = min(best["off"], time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            profile_layer(shapes["small"], 1, 2, True, Recompute.NONE)
-            best["on"] = min(best["on"], time.perf_counter() - t0)
-    finally:
-        if was_enabled:
-            gc.enable()
-
     doc = _base_doc("memprof", seed_value, steps, shapes["small"], 2, 1)
     doc["trace_hash"] = trace_hash(tracer, extra_events=events)
     doc["exactness"] = exactness
     doc["frontier"] = frontier_doc
     doc["ledger"] = ledger_doc
     doc["fragmentation"] = fragmentation
-    doc["timing"] = {
-        "profile_off_s": best["off"],
-        "profile_on_s": best["on"],
-        "enabled_overhead": best["on"] / best["off"],
-    }
     return doc
 
 
@@ -991,55 +717,10 @@ def _run_longctx_preset(seed_value: int, steps: int) -> dict:
     bytes must equal the closed-form per-layout volumes exactly, the
     per-term memory reconciliation must be drift-free, and the analytic
     exposed-comm reduction must clear the 1.2x floor."""
-    import numpy as np
-
-    from ..config import ModelConfig
-    from ..layers import GPTModel, token_tensor
-    from ..longctx import (
-        LongContextGPTModel,
-        recompute_overlap_scope,
-        ring_layer_bytes,
-        ring_selective_extra_bytes,
-        ulysses_layer_bytes,
-        ulysses_selective_extra_bytes,
-    )
     from ..pipeline_sim import longctx_overlap_report
     from ..planner import choose_context_layout
-    from ..tensor.functions import MaskSource
-    from .analysis import attribute, from_tracer, longctx_memory_term_drift
-    from .tracer import Tracer, trace_scope
 
-    p, b = 2, 2
     recompute = Recompute.FULL
-    model_cfg = ModelConfig(num_layers=2, hidden_size=32, num_heads=4,
-                            seq_length=16, vocab_size=64,
-                            name="trace-longctx")
-
-    def traced_run(layout: str, overlap: bool):
-        ms = MaskSource(seed=seed_value + 1, keep_prob=0.9)
-        serial = GPTModel(model_cfg, seed=seed_value, mask_source=ms)
-        rng = np.random.default_rng(seed_value + 2)
-        ids = rng.integers(0, model_cfg.vocab_size,
-                           size=(model_cfg.seq_length, b)).astype(np.int64)
-        tgt = rng.integers(0, model_cfg.vocab_size,
-                           size=(model_cfg.seq_length, b)).astype(np.int64)
-        serial_loss = serial(token_tensor(ids), token_tensor(tgt)).item()
-        model = LongContextGPTModel(model_cfg, context_parallel=p,
-                                    layout=layout, recompute=recompute,
-                                    mask_source=ms, serial=serial)
-        tracer = Tracer()
-        with trace_scope(tracer):
-            if overlap:
-                with recompute_overlap_scope():
-                    loss = model(token_tensor(ids, world=p),
-                                 token_tensor(tgt, world=p))
-                    loss.backward()
-            else:
-                loss = model(token_tensor(ids, world=p),
-                             token_tensor(tgt, world=p))
-                loss.backward()
-        model.finish_grad_sync()
-        return tracer, loss.item(), serial_loss
 
     layouts_doc: Dict[str, dict] = {}
     reductions: Dict[str, float] = {}
@@ -1047,46 +728,31 @@ def _run_longctx_preset(seed_value: int, steps: int) -> dict:
     wall = 0.0
     counts: Dict[str, dict] = {}
     for layout in ("ulysses", "ring"):
-        tracer_off, loss_off, serial_loss = traced_run(layout, overlap=False)
-        tracer_on, loss_on, _ = traced_run(layout, overlap=True)
-        data_off = from_tracer(tracer_off)
-        data_on = from_tracer(tracer_on)
-        att_off = attribute(data_off)
+        off, on = (scenarios.context_parallel_step(
+            layout=layout, recompute=recompute, seed_value=seed_value,
+            overlap=overlap) for overlap in (False, True))
+        model_cfg, b, p = on.model_cfg, on.batch, on.context_parallel
+        data_on = from_tracer(on.tracer)
+        att_off = attribute(from_tracer(off.tracer))
         att_on = attribute(data_on)
-
-        comm = [s for s in data_on.spans if s.subsystem == "comm"]
-        if layout == "ulysses":
-            traced_bytes = sum(s.args["bytes"] for s in comm
-                               if s.name == "all_to_all")
-            expected = int(model_cfg.num_layers * (
-                ulysses_layer_bytes(model_cfg, b, p)
-                + ulysses_selective_extra_bytes(model_cfg, b, p)))
-        else:
-            traced_bytes = sum(s.args["bytes"] for s in comm
-                               if "hop" in s.name)
-            expected = int(model_cfg.num_layers * (
-                ring_layer_bytes(model_cfg, b, p)
-                + ring_selective_extra_bytes(model_cfg, b, p)))
+        expected = int(on.expected_bytes)
 
         drift = longctx_memory_term_drift(model_cfg, b, p, layout, recompute)
         overlap_report = longctx_overlap_report(model_cfg, b, p, layout,
                                                 recompute)
         reductions[layout] = overlap_report.exposed_reduction
-        hashes.append(trace_hash(tracer_off))
-        hashes.append(trace_hash(tracer_on))
+        hashes.append(trace_hash(off.tracer))
+        hashes.append(trace_hash(on.tracer))
         wall += data_on.wall
-        counts[layout] = {
-            "spans": len(tracer_on.spans),
-            "instants": len(tracer_on.instants),
-            "collectives": len(comm),
-        }
+        counts[layout] = _counts(on.tracer,
+                                 collectives=_collectives(on.tracer))
         layouts_doc[layout] = {
-            "loss": loss_on,
-            "serial_loss_drift": abs(loss_off - serial_loss),
-            "overlap_loss_drift": abs(loss_on - loss_off),
-            "traced_comm_bytes": traced_bytes,
+            "loss": on.loss,
+            "serial_loss_drift": abs(off.loss - off.serial_loss),
+            "overlap_loss_drift": abs(on.loss - off.loss),
+            "traced_comm_bytes": on.traced_bytes,
             "expected_comm_bytes": expected,
-            "volume_exact": traced_bytes == expected,
+            "volume_exact": on.traced_bytes == expected,
             "memory_drift_bytes": drift.total_drift,
             "attribution": {
                 "serial_exposed_s": att_off.totals["exposed_comm"],
@@ -1133,31 +799,79 @@ def _base_doc(preset: str, seed_value: int, steps: int, model_cfg,
     }
 
 
+def _fleet_doc(preset: str, seed_value: int, steps: int) -> dict:
+    shape = scenarios.defaults(scenarios.chaos_fleet)
+    doc = _base_doc(preset, seed_value, steps, scenarios.FLEET_MODEL,
+                    shape["tp"], 1)
+    doc["config"]["num_replicas"] = shape["replicas"]
+    for key in ("block_size", "num_blocks", "max_batch"):
+        doc["config"][key] = shape[key]
+    return doc
+
+
 def _drift_key(d) -> str:
     sp = "sp" if d.sequence_parallel else "nosp"
     return f"{sp}+{d.recompute.value}"
 
 
+def _utilization_summary(doc: dict) -> str:
+    return f"mfu {doc['utilization']['mfu']:.3e}"
+
+
+def _fleet_summary(doc: dict) -> str:
+    return f"fleet goodput {doc['fleet']['goodput']:.1%} under chaos"
+
+
+def _fleet_obs_summary(doc: dict) -> str:
+    telemetry = doc["telemetry"]
+    return (f"{_fleet_summary(doc)}, detection P/R "
+            f"{telemetry['detection_precision']:.2f}/"
+            f"{telemetry['detection_recall']:.2f}, "
+            f"partition exact={telemetry['partition_exact']}")
+
+
+def _memprof_summary(doc: dict) -> str:
+    dominates = all(f["selective_recompute_dominates"]
+                    for f in doc["frontier"].values())
+    return (f"attribution exact={doc['exactness']['all_exact']}, "
+            f"frontier dominates={dominates}")
+
+
+#: The registry: preset name -> (runner, summary).  ``runner(seed_value,
+#: steps)`` returns the canonical document; ``summary(doc)`` is the
+#: headline ``repro bench`` prints next to the trace hash ("" for none).
+#: Adding a preset is one entry here, its reduction function above, and
+#: its rows in :data:`TOLERANCES` (docs/extending.md).
+PRESETS: Dict[str, Tuple[Callable[[int, int], dict],
+                         Callable[[dict], str]]] = {
+    "tiny": (functools.partial(_run_pipelined_preset, "tiny"),
+             _utilization_summary),
+    "small": (functools.partial(_run_pipelined_preset, "small"),
+              _utilization_summary),
+    "chaos": (_run_chaos_preset, lambda doc:
+              f"goodput {doc['resilience']['goodput']:.1%}"),
+    "substrate": (_run_substrate_preset, lambda doc:
+                  f"replay x{doc['timing']['compiled_chain_speedup']:.2f} "
+                  f"chain (drift {doc['compiler']['replay_loss_drift']:g})"),
+    "serve": (_run_serve_preset, lambda doc:
+              f"serve x{doc['serving']['continuous_vs_static_speedup']:.2f}"
+              f" vs static"),
+    "chaos_serve": (_run_chaos_serve_preset, _fleet_summary),
+    "fleet_obs": (_run_fleet_obs_preset, _fleet_obs_summary),
+    "memprof": (_run_memprof_preset, _memprof_summary),
+    "longctx": (_run_longctx_preset, lambda doc: ""),
+}
+
+PRESET_NAMES = tuple(PRESETS)
+
+
 def run_preset(preset: str, seed_value: int = 1234, steps: int = 2) -> dict:
     """Run one preset and return its canonical BENCH document."""
-    if preset == "chaos":
-        return _run_chaos_preset(seed_value, steps)
-    if preset == "substrate":
-        return _run_substrate_preset(seed_value, steps)
-    if preset == "serve":
-        return _run_serve_preset(seed_value, steps)
-    if preset == "chaos_serve":
-        return _run_chaos_serve_preset(seed_value, steps)
-    if preset == "fleet_obs":
-        return _run_fleet_obs_preset(seed_value, steps)
-    if preset == "memprof":
-        return _run_memprof_preset(seed_value, steps)
-    if preset == "longctx":
-        return _run_longctx_preset(seed_value, steps)
-    if preset not in TRACE_PRESETS:
+    if preset not in PRESETS:
         raise ValueError(f"unknown preset {preset!r}; "
                          f"expected one of {PRESET_NAMES}")
-    return _run_pipelined_preset(preset, seed_value, steps)
+    runner, _ = PRESETS[preset]
+    return runner(seed_value, steps)
 
 
 def bench_filename(preset: str) -> str:
@@ -1201,8 +915,6 @@ def tolerance_for(key: str) -> Tuple[str, float]:
 
 def _within(baseline, current, tol: Tuple[str, float]) -> bool:
     kind, bound = tol
-    if kind == "ignore":
-        return True
     if kind == "floor":
         return isinstance(current, (int, float)) and current >= bound
     if kind == "exact":

@@ -24,6 +24,7 @@ import os
 
 import pytest
 
+from helpers import preset_doc
 from repro.config import (
     ExperimentConfig,
     ModelConfig,
@@ -131,7 +132,7 @@ class TestAttribution:
                     pytest.approx(lr.buckets[bucket], rel=1e-6, abs=1e-12)
 
     def test_chaos_preset_attributes_recovery_stalls(self):
-        doc = run_preset("chaos")
+        doc = preset_doc("chaos")
         assert doc["attribution"]["totals"]["recovery_stall"] > 0
         assert 0.0 < doc["resilience"]["goodput"] <= 1.0
 
@@ -193,8 +194,8 @@ class TestCriticalPath:
 
 class TestBenchDeterminism:
     def test_bench_documents_byte_identical(self, tmp_path):
-        a = run_preset("tiny")
-        b = run_preset("tiny")
+        a = preset_doc("tiny")
+        b = run_preset("tiny")  # a second, fresh run
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
         pa = write_bench(a, str(tmp_path / "a"))
         pb = write_bench(b, str(tmp_path / "b"))
@@ -203,7 +204,7 @@ class TestBenchDeterminism:
     def test_bench_trace_hash_tracks_work_done(self):
         # the clock and spans are shape-driven, so the data seed does not
         # move the hash — but any change in the work performed must
-        a = run_preset("tiny", seed_value=1234)
+        a = preset_doc("tiny")
         assert run_preset("tiny", seed_value=99)["trace_hash"] == \
             a["trace_hash"]
         assert run_preset("tiny", steps=3)["trace_hash"] != a["trace_hash"]
@@ -214,7 +215,7 @@ class TestBenchDeterminism:
                                      _bench_file(preset))
         assert os.path.exists(baseline_path), (
             "run `python -m repro bench` and commit the baselines")
-        assert compare(load_bench(baseline_path), run_preset(preset)) == []
+        assert compare(load_bench(baseline_path), preset_doc(preset)) == []
 
     def test_repo_root_bench_matches_baselines(self):
         for preset in PRESET_NAMES:
@@ -226,11 +227,11 @@ class TestBenchDeterminism:
 
 class TestRegressionGate:
     def test_identical_documents_pass(self):
-        doc = run_preset("tiny")
+        doc = preset_doc("tiny")
         assert compare(doc, copy.deepcopy(doc)) == []
 
     def test_perturbed_metric_fails_with_name_and_delta(self):
-        doc = run_preset("tiny")
+        doc = preset_doc("tiny")
         bad = copy.deepcopy(doc)
         bad["utilization"]["mfu"] *= 1.10
         regressions = compare(doc, bad)
@@ -240,19 +241,19 @@ class TestRegressionGate:
         assert "delta" in str(reg)
 
     def test_trace_hash_is_exact(self):
-        doc = run_preset("tiny")
+        doc = preset_doc("tiny")
         bad = copy.deepcopy(doc)
         bad["trace_hash"] = "0" * 64
         assert [r.key for r in compare(doc, bad)] == ["trace_hash"]
 
     def test_missing_metric_is_a_regression(self):
-        doc = run_preset("tiny")
+        doc = preset_doc("tiny")
         bad = copy.deepcopy(doc)
         del bad["counts"]["spans"]
         assert [r.key for r in compare(doc, bad)] == ["counts.spans"]
 
     def test_within_tolerance_change_passes(self):
-        doc = run_preset("tiny")
+        doc = preset_doc("tiny")
         near = copy.deepcopy(doc)
         near["wall_time_s"] *= 1.01  # rel tolerance is 0.05
         assert compare(doc, near) == []
@@ -380,7 +381,7 @@ class TestFleetAttribution:
                 pytest.approx(live.totals[bucket], rel=1e-6, abs=1e-12)
 
     def test_fleet_obs_preset_gates_are_exact(self):
-        doc = run_preset("fleet_obs")
+        doc = preset_doc("fleet_obs")
         telemetry = doc["telemetry"]
         assert telemetry["detection_precision"] == 1.0
         assert telemetry["detection_recall"] == 1.0

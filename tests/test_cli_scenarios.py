@@ -18,12 +18,16 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
 
 from helpers import preset_doc
+from repro import scenarios
 from repro.cli import main
+from repro.errors import ConfigError
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "golden", "cli_sha256.json")
@@ -117,6 +121,105 @@ class TestOneScenarioTwoDoors:
             assert doc["loss"] == gated[layout]["loss"]
             assert doc["traced_comm_bytes"] == \
                 gated[layout]["traced_comm_bytes"]
+
+
+class TestInvalidConfigurations:
+    """A ``ReproError`` is a usage error: one ``repro: error:`` line on
+    stderr and exit code 2, never a traceback."""
+
+    @pytest.mark.parametrize("argv,needle", [
+        (["longctx", "--seq-length", "15"], "divisible"),
+        (["serve", "--tp", "3"], "divisible"),
+        (["memprofile", "--config", "tiny", "--tp", "3",
+          "--output-dir", "out"], "divisible"),
+        (["compile", "--steps", "0"], "steps must be >= 1"),
+        (["compile", "--batch", "0"], "batch must be >= 1"),
+        (["compile", "--microbatches", "0"], "microbatches must be >= 1"),
+        (["fleet", "--replicas", "2"], "at least 3 replicas"),
+        (["monitor", "--replicas", "2"], "at least 3 replicas"),
+    ], ids=lambda value: " ".join(value) if isinstance(value, list) else "")
+    def test_error_is_reported_not_raised(self, argv, needle, capsys,
+                                          tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro: error: ")
+        assert needle in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_fixed_chaos_plan_names_its_replica_minimum(self):
+        with pytest.raises(ConfigError, match="at least 3 replicas"):
+            scenarios.fleet_fault_plan(0, 1.0, replicas=2)
+        # random and clean plans run on any fleet size
+        assert len(scenarios.fleet_fault_plan(0, 0.0, replicas=1)) == 0
+        scenarios.fleet_fault_plan(0, 0.5, replicas=2)
+
+    def test_two_replicas_run_under_a_random_plan(self, capsys):
+        assert main(["fleet", "--replicas", "2", "--fault-rate", "0.3",
+                     "--requests", "6", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["completed"] == 6
+
+
+class TestBenchCommand:
+    def test_repeated_preset_runs_once_in_order(self, tmp_path, capsys):
+        assert main(["bench", "--preset", "tiny", "--preset", "chaos",
+                     "--preset", "tiny", "--output-dir", str(tmp_path)]) == 0
+        written = [line.split()[1] for line in
+                   capsys.readouterr().out.splitlines()
+                   if line.startswith("wrote ")]
+        assert [os.path.basename(path) for path in written] == \
+            ["BENCH_tiny.json", "BENCH_chaos.json"]
+
+    def test_every_preset_is_one_registry_entry(self):
+        from repro.observability import regress
+        assert regress.PRESET_NAMES == tuple(regress.PRESETS)
+        for runner, summary in regress.PRESETS.values():
+            assert callable(runner) and callable(summary)
+        with pytest.raises(ValueError, match="unknown preset"):
+            regress.run_preset("nope")
+
+
+@pytest.mark.parametrize("command,scenario,skip", [
+    ("chaos", scenarios.dp_chaos_segment, ()),
+    ("trace", scenarios.pipelined_training, ()),
+    ("serve", scenarios.serving_scheduler, ()),
+    ("fleet", scenarios.chaos_fleet, ()),
+    # monitor's --slo-ttft-s is the burn-rate budget, not the shed SLO
+    ("monitor", scenarios.chaos_fleet, ("slo_ttft_s",)),
+    ("monitor", scenarios.monitored_fleet, ()),
+    ("compile", scenarios.compiled_eager_twins, ()),
+    ("longctx", scenarios.context_parallel_step, ()),
+])
+def test_argparse_defaults_are_the_scenario_defaults(command, scenario, skip):
+    """Two doors, one constant: a sub-command's defaults are read off
+    its scenario's signature, so the command at its defaults is the
+    bench preset's run."""
+    from repro.cli import build_parser
+    args = vars(build_parser().parse_args([command]))
+    checked = 0
+    for name, default in scenarios.defaults(scenario).items():
+        flag = "seed" if name == "seed_value" else name
+        if flag in args and name not in skip:
+            assert args[flag] == getattr(default, "value", default), name
+            checked += 1
+    assert checked >= 3
+
+
+def test_observability_import_stays_light():
+    """``bench/`` workers import ``repro.observability.analysis``; the
+    scenario module it now reaches must keep its subsystem imports
+    lazy."""
+    code = ("import sys, repro.observability, repro.scenarios; "
+            "heavy = [m for m in ('repro.fleet', 'repro.serving', "
+            "'repro.longctx', 'repro.compiler', 'repro.resilience') "
+            "if m in sys.modules]; print(heavy)")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                         capture_output=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"
 
 
 if __name__ == "__main__":  # pragma: no cover - golden capture

@@ -9,6 +9,7 @@ import os
 import numpy as np
 import pytest
 
+from helpers import preset_doc
 from repro.config import ModelConfig
 from repro.errors import ConfigError, PlanningError
 from repro.inference import evaluation, generate, generate_cached
@@ -310,12 +311,9 @@ class TestStaticBaselineAndBench:
                                      max_batch=1)
 
     def test_serve_preset_beats_static_and_matches_baseline(self):
-        from repro.observability.regress import (
-            check_against_baselines,
-            run_preset,
-        )
+        from repro.observability.regress import check_against_baselines
 
-        doc = run_preset("serve", seed_value=1234)
+        doc = preset_doc("serve")
         serving = doc["serving"]
         assert serving["continuous_vs_static_speedup"] >= 1.5
         assert serving["policies_agree"] is True
