@@ -119,6 +119,11 @@ class MemProfiler:
         self._op_stack: List[_OpFrame] = []
         #: id(output shard) -> :class:`_Producer`.
         self.producers: Dict[int, _Producer] = {}
+        #: Every shard whose ``id`` is a provenance key.  Ids are unique
+        #: only among live objects — a freed intermediate's id is reissued
+        #: to a later shard, aliasing two nodes of the producer graph — so
+        #: keyed shards stay pinned until :meth:`reset`.
+        self._pinned: Dict[int, object] = {}
         self.ledgers: List["MemoryLedger"] = []
         self._price_memo: Dict[Tuple[int, int], Optional[float]] = {}
 
@@ -148,10 +153,16 @@ class MemProfiler:
     def current_path(self) -> str:
         return self._module_stack[-1][1] if self._module_stack else ""
 
+    def key(self, shard) -> int:
+        """``id(shard)``, made unrecyclable by pinning the shard."""
+        self._pinned[id(shard)] = shard
+        return id(shard)
+
     # -- op frames (called from tensor.apply) ------------------------------
     def begin_op(self, name: str, tensor_inputs: Sequence) -> _OpFrame:
         input_ids = frozenset(
-            id(s) for t in tensor_inputs if t is not None for s in t.shards)
+            self.key(s) for t in tensor_inputs if t is not None
+            for s in t.shards)
         frame = _OpFrame(name=name, input_ids=input_ids)
         self._op_stack.append(frame)
         return frame
@@ -179,7 +190,7 @@ class MemProfiler:
                     # the original creator so recompute chains don't lose
                     # the producing kernel.
                     continue
-                self.producers[id(shard)] = _Producer(
+                self.producers[self.key(shard)] = _Producer(
                     op=frame.name, records=frame.records,
                     input_ids=tuple(
                         id(t.shards[r if r < t.world else 0]) for t in inputs),
@@ -240,6 +251,7 @@ class MemProfiler:
         self._module_stack.clear()
         self._op_stack.clear()
         self.producers.clear()
+        self._pinned.clear()
         self._price_memo.clear()
 
 
@@ -346,7 +358,9 @@ class MemoryLedger(MemoryTracker):
         tracker_entry = self._entries[key]
         frame = prof.current_frame() if prof is not None else None
         entry = LedgerEntry(
-            rank=rank, buffer_id=id(buffer), nbytes=tracker_entry.nbytes,
+            rank=rank,
+            buffer_id=prof.key(buffer) if prof is not None else id(buffer),
+            nbytes=tracker_entry.nbytes,
             category=category, dtype=dtype.name,
             shape=tuple(shape_of(buffer)),
             op=frame.name if frame is not None else "",

@@ -216,6 +216,37 @@ class TestProducerGraph:
         assert prof.recompute_seconds(ledger, entry) is None
 
 
+    def test_frontier_independent_of_process_memory_layout(self):
+        """Provenance keys must not be recyclable: ``id()`` of a freed
+        intermediate is reissued to a later shard, which spliced unrelated
+        producer chains together and priced the frontier by whatever the
+        heap happened to look like.  The size of the environment block
+        shifts the allocator's free lists, so the same invocation under
+        differently sized blocks is the cross-process probe."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        argv = [sys.executable, "-m", "repro", "memprofile", "--config",
+                "small", "--tp", "2", "--sequence-parallel", "--recompute",
+                "selective", "--fused", "--json"]
+        base = {"PYTHONPATH": os.path.dirname(os.path.dirname(repro.__file__)),
+                "PATH": os.environ.get("PATH", ""), "PYTHONHASHSEED": "0",
+                "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        # (extra variables, characters each): three shapes that priced the
+        # second dropout_add mask three different ways before the fix.
+        outputs = [
+            subprocess.run(
+                argv, check=True, capture_output=True,
+                env=dict(base, **{f"PAD{i}": "x" * pad for i in range(n)}),
+            ).stdout
+            for n, pad in ((0, 0), (60, 7), (100, 0))]
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+
+
 class TestCounterTracks:
     @pytest.fixture(scope="class")
     def ledger(self):
