@@ -31,14 +31,16 @@ def _forward():
     """One abstract TP+SP layer forward with *nothing* attached: the
     memprof seams run their disabled path on every op."""
     from repro.comm.process_group import ProcessGroup
-    from repro.parallel.transformer import ParallelTransformerLayer
+    from repro.layers import TransformerLayer
+    from repro.parallel import TensorParallel
     from repro.tensor import Tensor, seed
     from repro.tensor.backend import AbstractArray
 
     seed(0)
-    layer = ParallelTransformerLayer(
-        CFG.hidden_size, CFG.num_heads, ProcessGroup(2),
-        sequence_parallel=True, recompute=Recompute.NONE, abstract=True)
+    layer = TransformerLayer(
+        CFG.hidden_size, CFG.num_heads, recompute=Recompute.NONE,
+        abstract=True,
+        layout=TensorParallel(ProcessGroup(2), sequence_parallel=True))
     shape = (CFG.seq_length // 2, 1, CFG.hidden_size)
     for _ in range(INNER):
         x = Tensor([AbstractArray(shape) for _ in range(2)],

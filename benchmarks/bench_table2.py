@@ -10,9 +10,9 @@ import pytest
 from repro import experiments
 from repro.comm.process_group import ProcessGroup
 from repro.config import PAPER_CONFIGS
-from repro.layers import Recompute
+from repro.layers import Recompute, TransformerLayer
 from repro.memory_model import per_layer_activation_bytes, table2
-from repro.parallel.transformer import ParallelTransformerLayer
+from repro.parallel import TensorParallel
 from repro.tensor import MemoryTracker, Tensor, instrument
 from repro.tensor.backend import AbstractArray
 
@@ -29,9 +29,9 @@ def bench_formula_table(benchmark):
 
 def _measure(sp: bool, rc: Recompute) -> int:
     t = CFG.parallel.tensor_parallel
-    layer = ParallelTransformerLayer(
-        CFG.model.hidden_size, CFG.model.num_heads, ProcessGroup(t),
-        sequence_parallel=sp, recompute=rc, abstract=True)
+    layer = TransformerLayer(
+        CFG.model.hidden_size, CFG.model.num_heads, recompute=rc,
+        abstract=True, layout=TensorParallel(ProcessGroup(t), sp))
     s = CFG.model.seq_length // t if sp else CFG.model.seq_length
     x = Tensor([AbstractArray((s, CFG.training.micro_batch_size,
                                CFG.model.hidden_size)) for _ in range(t)],
@@ -66,10 +66,11 @@ def bench_fused_gather_ablation(benchmark):
 
     def _measure_unfused():
         t = CFG.parallel.tensor_parallel
-        layer = ParallelTransformerLayer(
-            CFG.model.hidden_size, CFG.model.num_heads, ProcessGroup(t),
-            sequence_parallel=True, recompute=Recompute.NONE,
-            fuse_sp_gather=False, abstract=True)
+        layer = TransformerLayer(
+            CFG.model.hidden_size, CFG.model.num_heads,
+            recompute=Recompute.NONE, abstract=True,
+            layout=TensorParallel(ProcessGroup(t), sequence_parallel=True,
+                                  fuse_sp_gather=False))
         x = Tensor([AbstractArray((CFG.model.seq_length // t,
                                    CFG.training.micro_batch_size,
                                    CFG.model.hidden_size)) for _ in range(t)],

@@ -293,17 +293,18 @@ def layer_trace(model_config, microbatch_size: int, tensor_parallel: int,
     """The rank-0 alloc/free stream of ``num_layers`` stacked abstract
     layers run fwd+bwd for ``num_microbatches`` accumulation steps."""
     from .comm.process_group import ProcessGroup
-    from .parallel.transformer import ParallelTransformerLayer
+    from .layers.transformer import TransformerLayer
+    from .parallel.layout import TensorParallel
     from .tensor import Tensor, instrument
     from .tensor.backend import AbstractArray
 
     t = tensor_parallel
-    group = ProcessGroup(t)
+    layout = TensorParallel(ProcessGroup(t), sequence_parallel)
     layers = [
-        ParallelTransformerLayer(
-            model_config.hidden_size, model_config.num_heads, group,
-            sequence_parallel=sequence_parallel, recompute=recompute,
-            abstract=True, tag=f"frag_layer{i}")
+        TransformerLayer(
+            model_config.hidden_size, model_config.num_heads,
+            recompute=recompute, abstract=True, tag=f"frag_layer{i}",
+            layout=layout)
         for i in range(num_layers)
     ]
     s = model_config.seq_length // t if sequence_parallel else model_config.seq_length

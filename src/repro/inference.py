@@ -1,17 +1,17 @@
-"""Autoregressive generation on the trained (serial or parallel) GPT.
+"""Autoregressive generation on the trained GPT, under any layout.
 
 A small adoption surface on top of the training substrate: greedy and
 top-k sampling with an ``evaluation`` context that disables dropout.
 Two decode paths are provided and verified identical: :func:`generate`
-recomputes the full forward per step (works for serial and all parallel
-layouts), while :func:`generate_cached` keeps per-layer KV caches and
-does O(context) work per step (serial models).
+recomputes the full forward per step (works under every layout), while
+:func:`generate_cached` keeps per-layer KV caches and does O(context)
+work per step (serial and tensor-parallel models).
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -20,10 +20,7 @@ from .layers.dropout import Dropout
 from .layers.embedding import token_tensor
 from .layers.module import Module
 from .layers.transformer import GPTModel
-from .parallel.transformer import ParallelGPTModel
 from .tensor import no_grad
-
-AnyGPT = Union[GPTModel, ParallelGPTModel]
 
 
 @contextmanager
@@ -46,20 +43,16 @@ def evaluation(model: Module):
             d.p, d._train_p = p, train_p
 
 
-def _world(model: AnyGPT) -> int:
-    return getattr(getattr(model, "group", None), "size", 1)
-
-
-def _next_token_logits(model: AnyGPT, ids: np.ndarray,
-                       sp_chunk: int = 1, max_len: int = 10**9) -> np.ndarray:
+def _next_token_logits(model: GPTModel, ids: np.ndarray,
+                       max_len: int = 10**9) -> np.ndarray:
     """Logits for the position after ``ids`` — full vocabulary, ``(b, v)``.
 
-    Sequence parallelism shards the context along ``s``, so the length
-    must be a multiple of ``t``; we right-pad with dummy tokens (causal
-    masking makes them invisible to earlier positions) and read the true
-    last position.
+    Sequence-sharding layouts cut the context along ``s``, so the length
+    must be a multiple of their shard count; we right-pad with dummy
+    tokens (causal masking makes them invisible to earlier positions) and
+    read the true last position.
     """
-    world = _world(model)
+    sp_chunk = model.layout.sequence_shards
     length = ids.shape[0]
     if sp_chunk > 1 and length % sp_chunk != 0:
         pad = min(sp_chunk - length % sp_chunk, max_len - length)
@@ -70,13 +63,8 @@ def _next_token_logits(model: AnyGPT, ids: np.ndarray,
             )
         ids = np.concatenate(
             [ids, np.zeros((pad, ids.shape[1]), dtype=np.int64)], axis=0)
-    logits = model.logits(token_tensor(ids, world=world))
-    if world == 1:
-        full = np.asarray(logits.shards[0])
-    else:
-        # vocab-parallel head: shards partition the vocabulary
-        full = np.concatenate([np.asarray(s) for s in logits.shards], axis=-1)
-    return full[length - 1]
+    logits = model.logits(token_tensor(ids, world=model.group.size))
+    return model.layout.full_logits(logits)[length - 1]
 
 
 def sample_next(logits: np.ndarray, strategy: str, top_k: int,
@@ -102,7 +90,7 @@ def sample_next(logits: np.ndarray, strategy: str, top_k: int,
 
 
 def generate(
-    model: AnyGPT,
+    model: GPTModel,
     prompt: np.ndarray,
     max_new_tokens: int,
     strategy: str = "greedy",
@@ -128,24 +116,20 @@ def generate(
     if ids.ndim != 2:
         raise ConfigError("prompt must be (length, batch)")
     max_len = model.config.seq_length
-    sp_chunk = (model.group.size
-                if isinstance(model, ParallelGPTModel) and model.sequence_parallel
-                else 1)
 
     with no_grad(), evaluation(model):
         for _ in range(max_new_tokens):
             if ids.shape[0] >= max_len:
                 break
-            logits = _next_token_logits(model, ids, sp_chunk=sp_chunk,
-                                        max_len=max_len)
+            logits = _next_token_logits(model, ids, max_len=max_len)
             nxt = sample_next(logits, strategy, top_k, temperature, rng)
             ids = np.concatenate([ids, nxt[None, :]], axis=0)
     return ids
 
 
-def perplexity(model: AnyGPT, ids: np.ndarray, targets: np.ndarray) -> float:
+def perplexity(model: GPTModel, ids: np.ndarray, targets: np.ndarray) -> float:
     """``exp`` of the token-mean cross entropy on one batch (dropout off)."""
-    world = _world(model)
+    world = model.group.size
     with no_grad(), evaluation(model):
         loss = model(token_tensor(ids, world=world),
                      token_tensor(targets, world=world))
@@ -203,10 +187,6 @@ def one_query_attention(num_heads, q, keys, values):
     return F.reshape(ctxt, (one, b, h))
 
 
-def _decode_attention(attn, q, keys, values):
-    return one_query_attention(attn.num_heads, q, keys, values)
-
-
 def decode_step(model: GPTModel, cache: KVCache, tokens: np.ndarray) -> np.ndarray:
     """Advance the cache by one token per sequence; return ``(b, v)`` logits.
 
@@ -218,7 +198,7 @@ def decode_step(model: GPTModel, cache: KVCache, tokens: np.ndarray) -> np.ndarr
     """
     from .tensor import functions as F
 
-    if not isinstance(model, GPTModel):
+    if model.group.size != 1:
         raise ConfigError("decode_step supports serial GPTModel only")
     if tokens.shape[0] != 1:
         raise ConfigError("decode_step consumes exactly one position per call")
@@ -231,17 +211,17 @@ def decode_step(model: GPTModel, cache: KVCache, tokens: np.ndarray) -> np.ndarr
     x = F.add(x, F.slice_axis(model.embedding.position, 0, pos, pos + 1))
     for index, layer in enumerate(model.layers):
         h = layer.ln1(x)
-        q, k, v = layer.attn.wq(h), layer.attn.wk(h), layer.attn.wv(h)
+        q, k, v = layer.attn.project_qkv(h)
         cache.append(index, k, v)
-        ctxt = _decode_attention(layer.attn, q, cache.keys[index],
-                                 cache.values[index])
+        ctxt = one_query_attention(layer.attn.num_heads, q, cache.keys[index],
+                                   cache.values[index])
         x = F.add(layer.attn.wo(ctxt), x)
         x = F.add(layer.mlp(layer.ln2(x)), x)
     logits = model.head.logits(x)
     return np.asarray(logits.shards[0])[0]
 
 
-def generate_cached(model: AnyGPT, prompt: np.ndarray, max_new_tokens: int,
+def generate_cached(model: GPTModel, prompt: np.ndarray, max_new_tokens: int,
                     strategy: str = "greedy", top_k: int = 10,
                     temperature: float = 1.0,
                     rng: Optional[np.random.Generator] = None,
@@ -269,7 +249,7 @@ def generate_cached(model: AnyGPT, prompt: np.ndarray, max_new_tokens: int,
     max_len = model.config.seq_length
     batch = ids.shape[1]
     blocks_per_request = -(-max_len // block_size)
-    cache = PagedKVCache(model.config, tensor_parallel=_world(model),
+    cache = PagedKVCache(model.config, tensor_parallel=model.group.size,
                          block_size=block_size,
                          num_blocks=batch * blocks_per_request)
     engine = DecodeEngine(model, cache)

@@ -1,16 +1,17 @@
-"""Serial reference transformer (the gold standard for the parallel model)."""
+"""The transformer block stack, defined once for every parallel layout."""
 
 from .attention import CoreAttention, SelfAttention
 from .dropout import Dropout
 from .embedding import GPTEmbedding, token_tensor
 from .layernorm import LayerNorm
-from .linear import Linear, init_weight
+from .layout import SERIAL, Layout
+from .linear import Linear
 from .mlp import MLP
 from .module import Module
 from .transformer import GPTModel, LMHead, Recompute, TransformerLayer
 
 __all__ = [
     "CoreAttention", "Dropout", "GPTEmbedding", "GPTModel", "LMHead",
-    "LayerNorm", "Linear", "MLP", "Module", "Recompute", "SelfAttention",
-    "TransformerLayer", "init_weight", "token_tensor",
+    "LayerNorm", "Layout", "Linear", "MLP", "Module", "Recompute", "SERIAL",
+    "SelfAttention", "TransformerLayer", "token_tensor",
 ]

@@ -1,4 +1,4 @@
-"""Serial input embeddings: word + learned positional, then dropout."""
+"""Input embeddings: word + learned positional, then dropout."""
 
 from __future__ import annotations
 
@@ -6,11 +6,11 @@ from typing import Optional
 
 import numpy as np
 
-from ..tensor import FP16, INT64, Tensor, parameter
+from ..tensor import INT64, Tensor
 from ..tensor import functions as F
 from ..tensor.functions import MaskSource
 from .dropout import Dropout
-from .linear import init_weight
+from .layout import SERIAL, Layout
 from .module import Module
 
 
@@ -26,33 +26,37 @@ class GPTEmbedding(Module):
     """Word-embedding lookup + positional embeddings + embedding dropout.
 
     Per the paper (Section 4.3) the lookups store nothing of consequence
-    (only the integer ids); the dropout mask is the ``sbh`` term.
+    (only the integer ids); the dropout mask is the ``sbh`` term.  The
+    word table is split over the vocabulary by weight-sharding layouts;
+    sequence-sharding layouts enter their region before the dropout, so
+    its mask costs ``sbh/t`` per rank (the paper's ``sbhp/t`` first-stage
+    term once ``p`` in-flight microbatches are accounted).
     """
 
     def __init__(self, vocab_size: int, hidden_size: int, max_seq_length: int,
                  hidden_dropout: float = 0.1,
                  rng: Optional[np.random.Generator] = None,
                  abstract: bool = False,
-                 mask_source: Optional[MaskSource] = None):
+                 mask_source: Optional[MaskSource] = None,
+                 layout: Layout = SERIAL):
         self.vocab_size = vocab_size
         self.hidden_size = hidden_size
         self.max_seq_length = max_seq_length
-        self.word = parameter(
-            init_weight(rng, (vocab_size, hidden_size), abstract),
-            dtype=FP16, name="embedding.word",
-        )
+        self.layout = layout
+        self.word = layout.parameter(rng, (vocab_size, hidden_size),
+                                     "embedding.word", 0, abstract)
         # Stored (s, 1, h) so it broadcasts over the batch dimension.
-        self.position = parameter(
-            init_weight(rng, (max_seq_length, 1, hidden_size), abstract),
-            dtype=FP16, name="embedding.position",
-        )
-        self.dropout = Dropout(hidden_dropout, mode="replicated",
+        self.position = layout.parameter(
+            rng, (max_seq_length, 1, hidden_size), "embedding.position",
+            None, abstract)
+        mode, shard_axis = layout.stream_dropout
+        self.dropout = Dropout(hidden_dropout, mode=mode, shard_axis=shard_axis,
                                tag="embedding.dropout", mask_source=mask_source)
 
     def forward(self, ids: Tensor) -> Tensor:
-        emb = F.embedding(self.word, ids)
+        emb = self.layout.lookup(self.word, ids)
         position = self.position
         if ids.shape[0] < self.max_seq_length:
             position = F.slice_axis(position, 0, 0, ids.shape[0])
         emb = F.add(emb, position)
-        return self.dropout(emb)
+        return self.dropout(self.layout.enter_stream(emb))

@@ -7,12 +7,7 @@ all-to-alls (Ulysses) or ring P2P hops, both verified bitwise against
 the serial model.  See ``docs/long_context.md``.
 """
 
-from .attention import (
-    ReplicatedLinear,
-    RingCoreAttention,
-    RingSelfAttention,
-    UlyssesSelfAttention,
-)
+from .layout import LAYOUTS, ContextParallel, Ring, Ulysses, context_layout
 from .mappings import (
     AllToAll,
     RingGather,
@@ -22,14 +17,7 @@ from .mappings import (
     recompute_overlap_scope,
     ring_gather,
 )
-from .model import (
-    LAYOUTS,
-    LongContextEmbedding,
-    LongContextGPTModel,
-    LongContextLMHead,
-    LongContextMLP,
-    LongContextTransformerLayer,
-)
+from .model import LongContextGPTModel
 from .volume import (
     LayoutVolume,
     layout_volumes,
@@ -41,10 +29,8 @@ from .volume import (
 )
 
 __all__ = [
-    "AllToAll", "LAYOUTS", "LayoutVolume", "LongContextEmbedding",
-    "LongContextGPTModel", "LongContextLMHead", "LongContextMLP",
-    "LongContextTransformerLayer", "ReplicatedLinear", "RingCoreAttention",
-    "RingGather", "RingSelfAttention", "UlyssesSelfAttention",
+    "AllToAll", "ContextParallel", "LAYOUTS", "LayoutVolume",
+    "LongContextGPTModel", "Ring", "RingGather", "Ulysses", "context_layout",
     "all_to_all_head_to_seq", "all_to_all_seq_to_head", "layout_volumes",
     "overlap_active", "recompute_overlap_scope", "ring_gather",
     "ring_layer_bytes", "ring_selective_extra_bytes", "sp_layer_bytes",

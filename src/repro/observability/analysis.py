@@ -460,17 +460,18 @@ def memory_term_drift(model, microbatch_size: int, tensor_parallel: int,
     """
     from ..comm.process_group import ProcessGroup
     from ..memory_model import per_layer_term_groups
-    from ..parallel.transformer import ParallelTransformerLayer
+    from ..layers.transformer import TransformerLayer
+    from ..parallel.layout import TensorParallel
     from ..tensor import MemoryTracker, Tensor, instrument, seed
     from ..tensor.backend import AbstractArray
 
     recompute = Recompute(recompute)
     t = tensor_parallel
     seed(0)
-    layer = ParallelTransformerLayer(
-        model.hidden_size, model.num_heads, ProcessGroup(t),
-        sequence_parallel=sequence_parallel, recompute=recompute,
-        abstract=True, fused=fused)
+    layer = TransformerLayer(
+        model.hidden_size, model.num_heads, recompute=recompute,
+        abstract=True, fused=fused,
+        layout=TensorParallel(ProcessGroup(t), sequence_parallel))
     s, b, h = model.seq_length, microbatch_size, model.hidden_size
     sp = sequence_parallel and t > 1
     shape = (s // t if sp else s, b, h)
@@ -497,8 +498,8 @@ def longctx_memory_term_drift(model, microbatch_size: int,
     the ``longctx_*`` closed forms.  Zero drift on every
     (layout, recompute, fused) cell — asserted in ``tests/test_longctx.py``
     and gated by the ``longctx`` bench preset."""
-    from ..comm.process_group import ProcessGroup
-    from ..longctx.model import LongContextTransformerLayer
+    from ..layers.transformer import TransformerLayer
+    from ..longctx.layout import context_layout
     from ..memory_model import longctx_per_layer_term_groups
     from ..tensor import MemoryTracker, Tensor, instrument, seed
     from ..tensor.backend import AbstractArray
@@ -506,9 +507,10 @@ def longctx_memory_term_drift(model, microbatch_size: int,
     recompute = Recompute(recompute)
     p = context_parallel
     seed(0)
-    layer = LongContextTransformerLayer(
-        model.hidden_size, model.num_heads, ProcessGroup(p, scope="cp"),
-        layout=layout, recompute=recompute, abstract=True, fused=fused)
+    layer = TransformerLayer(
+        model.hidden_size, model.num_heads, recompute=recompute,
+        abstract=True, fused=fused,
+        layout=context_layout(layout, p))
     s, b, h = model.seq_length, microbatch_size, model.hidden_size
     x = Tensor([AbstractArray((s // p, b, h)) for _ in range(p)],
                requires_grad=True, layout="shard(dim=0)")

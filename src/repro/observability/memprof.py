@@ -536,7 +536,8 @@ def profile_layer(model, microbatch_size: int, tensor_parallel: int = 1,
     per-tensor granularity.  Pass a ``tracer`` to timestamp the ledger
     on its simulated clock (and feed its counter tracks)."""
     from ..comm.process_group import ProcessGroup
-    from ..parallel.transformer import ParallelTransformerLayer
+    from ..layers.transformer import TransformerLayer
+    from ..parallel.layout import TensorParallel
     from ..tensor import Tensor, instrument, seed
     from ..tensor.backend import AbstractArray
 
@@ -547,10 +548,10 @@ def profile_layer(model, microbatch_size: int, tensor_parallel: int = 1,
     if tracer is not None:
         tracer.watch_tracker(ledger, "memprof")
     seed(0)
-    layer = ParallelTransformerLayer(
-        model.hidden_size, model.num_heads, ProcessGroup(t),
-        sequence_parallel=sequence_parallel, recompute=recompute,
-        abstract=True, fused=fused)
+    layer = TransformerLayer(
+        model.hidden_size, model.num_heads, recompute=recompute,
+        abstract=True, fused=fused,
+        layout=TensorParallel(ProcessGroup(t), sequence_parallel))
     s, b, h = model.seq_length, microbatch_size, model.hidden_size
     sp = sequence_parallel and t > 1
     shape = (s // t if sp else s, b, h)

@@ -2,8 +2,8 @@
 activation recomputation."""
 
 from ..layers.transformer import Recompute
-from .attention import ParallelSelfAttention, fuse_qkv, fuse_qkv_bias
-from .embedding import VocabParallelEmbedding
+from .embedding import VocabParallelLookup
+from .layout import TensorParallel, fuse_qkv, fuse_qkv_bias
 from .loss import vocab_parallel_cross_entropy
 from .mappings import (
     all_gather_matmul,
@@ -13,14 +13,11 @@ from .mappings import (
     scatter_split_sequence,
     scatter_to_sequence_parallel_region,
 )
-from .mlp import ParallelMLP
-from .tp_layers import ColumnParallelLinear, RowParallelLinear
-from .transformer import ParallelGPTModel, ParallelLMHead, ParallelTransformerLayer
+from .transformer import ParallelGPTModel
 
 __all__ = [
-    "ColumnParallelLinear", "ParallelGPTModel", "ParallelLMHead", "ParallelMLP",
-    "ParallelSelfAttention", "ParallelTransformerLayer", "Recompute",
-    "RowParallelLinear", "VocabParallelEmbedding", "all_gather_matmul",
+    "ParallelGPTModel", "Recompute", "TensorParallel", "VocabParallelLookup",
+    "all_gather_matmul",
     "copy_to_tensor_parallel_region", "fuse_qkv", "fuse_qkv_bias",
     "gather_from_sequence_parallel_region", "reduce_from_tensor_parallel_region",
     "scatter_split_sequence", "scatter_to_sequence_parallel_region",

@@ -1,22 +1,12 @@
-"""Vocab-parallel embedding with optional sequence-parallel dropout
-(Section 4.3)."""
+"""The vocab-parallel embedding lookup (Section 4.3)."""
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from ..comm.process_group import ProcessGroup
-from ..layers.dropout import Dropout
-from ..layers.module import Module
-from ..tensor import FP16, Tensor, parameter
 from ..tensor import backend as bk
-from ..tensor import functions as F
 from ..tensor.backend import AbstractArray
-from ..tensor.functions import MaskSource
-from ..tensor.tensor import FnCtx, Function, ShardList, apply
-from .mappings import reduce_from_tensor_parallel_region, scatter_split_sequence
+from ..tensor.tensor import FnCtx, Function, ShardList
 
 
 class VocabParallelLookup(Function):
@@ -60,52 +50,3 @@ class VocabParallelLookup(Function):
             mask = (i >= lo) & (i < lo + rows_per_rank)
             dw.append(bk.index_add_rows(w_shape, local, g * mask[..., None]))
         return dw, None
-
-
-class VocabParallelEmbedding(Module):
-    """Word embedding sharded over the vocabulary + replicated positions.
-
-    With sequence parallelism the combined embedding is scattered along
-    the sequence dimension before dropout, so the embedding dropout mask
-    costs ``sbh/t`` per rank (the paper's ``sbhp/t`` first-stage term once
-    ``p`` in-flight microbatches are accounted).
-    """
-
-    def __init__(self, vocab_size: int, hidden_size: int, max_seq_length: int,
-                 group: ProcessGroup, sequence_parallel: bool = False,
-                 hidden_dropout: float = 0.1,
-                 serial_word: Optional[np.ndarray] = None,
-                 serial_position: Optional[np.ndarray] = None,
-                 abstract: bool = False,
-                 mask_source: Optional[MaskSource] = None):
-        t = group.size
-        self.group = group
-        self.sequence_parallel = sequence_parallel
-        self.max_seq_length = max_seq_length
-        if abstract:
-            word_shards = [AbstractArray((vocab_size // t, hidden_size)) for _ in range(t)]
-            pos_shards = [AbstractArray((max_seq_length, 1, hidden_size)) for _ in range(t)]
-        else:
-            # copies, not views: shards must own their storage
-            word_shards = [p.copy() for p in np.split(serial_word, t, axis=0)]
-            pos_shards = [serial_position.copy() for _ in range(t)]
-        self.word = parameter(word_shards, dtype=FP16, layout="shard(dim=0)",
-                              name="embedding.word")
-        self.position = parameter(pos_shards, dtype=FP16, layout="replicated",
-                                  name="embedding.position")
-        self.dropout = Dropout(
-            hidden_dropout,
-            mode="sharded" if sequence_parallel else "replicated",
-            shard_axis=0, tag="embedding.dropout", mask_source=mask_source,
-        )
-
-    def forward(self, ids: Tensor) -> Tensor:
-        partial = apply(VocabParallelLookup(), self.word, ids)
-        emb = reduce_from_tensor_parallel_region(partial, self.group)
-        position = self.position
-        if ids.shape[0] < self.max_seq_length:
-            position = F.slice_axis(position, 0, 0, ids.shape[0])
-        emb = F.add(emb, position)
-        if self.sequence_parallel:
-            emb = scatter_split_sequence(emb, self.group, axis=0)
-        return self.dropout(emb)

@@ -1,183 +1,28 @@
 """The paper's parallel transformer: tensor parallelism, sequence
 parallelism and selective/full activation recomputation, composable per
 Table 2's rows.
-
-``ParallelGPTModel`` is constructed either from a serial
-:class:`~repro.layers.transformer.GPTModel`'s weights (concrete mode, used
-to verify bit-comparable numerics) or shape-only (abstract mode, used to
-measure paper-scale configurations).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
-import numpy as np
-
-from ..comm import all_reduce
 from ..comm.process_group import ProcessGroup
 from ..config import ModelConfig
-from ..errors import ConfigError
-from ..layers.dropout import Dropout
-from ..layers.layernorm import LayerNorm
-from ..layers.module import Module
 from ..layers.transformer import GPTModel, Recompute
-from ..fusion.ops import dropout_add
-from ..tensor import FP32, Tensor, checkpoint
-from ..tensor import functions as F
 from ..tensor.functions import MaskSource
-from .attention import ParallelSelfAttention
-from .embedding import VocabParallelEmbedding
-from .loss import vocab_parallel_cross_entropy
-from .mappings import gather_with_slice_backward, scatter_split_sequence
-from .mlp import ParallelMLP
-from .tp_layers import ColumnParallelLinear
+from .layout import TensorParallel
 
 
-class ParallelTransformerLayer(Module):
-    """One transformer layer under tensor (+ optional sequence) parallelism.
+class ParallelGPTModel(GPTModel):
+    """GPT under t-way tensor parallelism with every knob of Table 2:
+    :class:`~repro.layers.transformer.GPTModel` on a
+    :class:`~repro.parallel.layout.TensorParallel` layout.
 
-    Without SP the layer-norms, residual adds and post-block dropouts run
-    replicated on every rank (the ``10sbh`` of Equation 2); with SP they
-    run on sequence shards (Equation 4 divides everything by ``t``).
-    """
-
-    def __init__(self, hidden_size: int, num_heads: int, group: ProcessGroup,
-                 sequence_parallel: bool = False, fuse_sp_gather: bool = True,
-                 attention_dropout: float = 0.1, hidden_dropout: float = 0.1,
-                 recompute: Recompute = Recompute.NONE,
-                 serial_weights: Optional[dict] = None,
-                 abstract: bool = False, tag: str = "layer",
-                 mask_source: Optional[MaskSource] = None,
-                 fused: bool = False):
-        t = group.size
-        self.group = group
-        self.sequence_parallel = sequence_parallel
-        self.recompute = Recompute(recompute)
-        self.tag = tag
-        self.fused = fused
-        dropout_mode = "sharded" if sequence_parallel else "replicated"
-
-        self.ln1 = LayerNorm(hidden_size, abstract=abstract, world=t, name=f"{tag}.ln1",
-                             fused=fused)
-        self.attn = ParallelSelfAttention(
-            hidden_size, num_heads, group,
-            sequence_parallel=sequence_parallel, fuse_sp_gather=fuse_sp_gather,
-            attention_dropout=attention_dropout,
-            recompute_core=(self.recompute == Recompute.SELECTIVE),
-            serial_weights=None if abstract else serial_weights["attn"],
-            abstract=abstract, tag=f"{tag}.attn", mask_source=mask_source,
-            fused=fused,
-        )
-        self.attn_dropout = Dropout(hidden_dropout, mode=dropout_mode, shard_axis=0,
-                                    tag=f"{tag}.attn_dropout", mask_source=mask_source)
-        self.ln2 = LayerNorm(hidden_size, abstract=abstract, world=t, name=f"{tag}.ln2",
-                             fused=fused)
-        self.mlp = ParallelMLP(
-            hidden_size, group,
-            sequence_parallel=sequence_parallel, fuse_sp_gather=fuse_sp_gather,
-            serial_weights=None if abstract else serial_weights["mlp"],
-            abstract=abstract, tag=f"{tag}.mlp", fused=fused,
-        )
-        self.mlp_dropout = Dropout(hidden_dropout, mode=dropout_mode, shard_axis=0,
-                                   tag=f"{tag}.mlp_dropout", mask_source=mask_source)
-
-    def _residual(self, out: Tensor, x: Tensor, dropout: Dropout) -> Tensor:
-        if self.fused:
-            if dropout.p == 0.0 and dropout.mask_source is None:
-                return F.add(out, x)  # dropout is identity: nothing to fuse
-            return dropout_add(out, x, dropout.p, mode=dropout.mode,
-                               shard_axis=dropout.shard_axis, tag=dropout.tag,
-                               mask_source=dropout.mask_source)
-        return F.add(dropout(out), x)
-
-    def _body(self, x: Tensor) -> Tensor:
-        attn_out = self.attn(self.ln1(x))
-        x = self._residual(attn_out, x, self.attn_dropout)
-        mlp_out = self.mlp(self.ln2(x))
-        return self._residual(mlp_out, x, self.mlp_dropout)
-
-    def forward(self, x: Tensor) -> Tensor:
-        if self.recompute == Recompute.FULL:
-            return checkpoint(self._body, x, label=self.tag)
-        if self.recompute == Recompute.FULL_SHARDED:
-            if self.sequence_parallel:
-                # With SP the input is already a 1/t sequence shard; the
-                # sharded variant degenerates to plain full recomputation.
-                return checkpoint(self._body, x, label=self.tag)
-            # Section 5's rejected alternative: keep only a 1/t slice of
-            # the (replicated) layer input per rank (2sbh/t) and pay an
-            # extra all-gather per layer during recomputation.  The
-            # gradient flowing out of the layer body is replicated (the
-            # body contains f), so the gather's backward is a local slice.
-            x_shard = scatter_split_sequence(x, self.group, axis=0)
-            return checkpoint(
-                lambda xs: self._body(
-                    gather_with_slice_backward(xs, self.group, axis=0)),
-                x_shard, label=self.tag,
-            )
-        return self._body(x)
-
-
-class ParallelLMHead(Module):
-    """Final layer-norm + vocab-parallel projection + parallel fp32 CE."""
-
-    def __init__(self, hidden_size: int, vocab_size: int, group: ProcessGroup,
-                 sequence_parallel: bool = False, fuse_sp_gather: bool = True,
-                 serial_weight: Optional[np.ndarray] = None,
-                 abstract: bool = False, fused: bool = False):
-        self.group = group
-        # Only the layer-norm fuses here: the loss is the *vocab-parallel*
-        # cross-entropy, whose all-reduces between the local max/sum-exp
-        # stages make it a different (already multi-kernel-aware) op.
-        self.ln_f = LayerNorm(hidden_size, abstract=abstract, world=group.size,
-                              name="head.ln_f", fused=fused)
-        self.proj = ColumnParallelLinear(
-            hidden_size, vocab_size, group,
-            sequence_parallel=sequence_parallel, fuse_sp_gather=fuse_sp_gather,
-            bias=False, full_weight=serial_weight, abstract=abstract,
-            category="lm_head_input", name="head.proj",
-        )
-
-    def logits(self, x: Tensor) -> Tensor:
-        """Vocab-sharded fp32 logits ``(s, b, v/t)`` per rank."""
-        return F.cast(self.proj(self.ln_f(x)), FP32)
-
-    def forward(self, x: Tensor, targets: Tensor,
-                loss_mask: Optional[Tensor] = None) -> Tensor:
-        return vocab_parallel_cross_entropy(self.logits(x), targets,
-                                            self.group, loss_mask=loss_mask)
-
-
-def _harvest_serial_weights(serial: GPTModel) -> dict:
-    """Extract plain NumPy weights from a serial reference model."""
-    def arr(t: Tensor) -> np.ndarray:
-        return t.shards[0]
-
-    layers = []
-    for layer in serial.layers:
-        layers.append({
-            "attn": {
-                "wq": arr(layer.attn.wq.weight), "bq": arr(layer.attn.wq.bias),
-                "wk": arr(layer.attn.wk.weight), "bk": arr(layer.attn.wk.bias),
-                "wv": arr(layer.attn.wv.weight), "bv": arr(layer.attn.wv.bias),
-                "wo": arr(layer.attn.wo.weight), "bo": arr(layer.attn.wo.bias),
-            },
-            "mlp": {
-                "w1": arr(layer.mlp.fc1.weight), "b1": arr(layer.mlp.fc1.bias),
-                "w2": arr(layer.mlp.fc2.weight), "b2": arr(layer.mlp.fc2.bias),
-            },
-        })
-    return {
-        "word": arr(serial.embedding.word),
-        "position": arr(serial.embedding.position),
-        "head": arr(serial.head.proj.weight),
-        "layers": layers,
-    }
-
-
-class ParallelGPTModel(Module):
-    """GPT under t-way tensor parallelism with every knob of Table 2.
+    Constructed either concretely — weights drawn from ``seed`` exactly as
+    the serial model draws them, or taken from ``serial`` — to verify
+    bit-comparable numerics, or shape-only (``abstract``) to measure
+    paper-scale configurations.
 
     Strategy knobs:
 
@@ -199,93 +44,13 @@ class ParallelGPTModel(Module):
                  serial: Optional[GPTModel] = None,
                  num_layers_override: Optional[int] = None,
                  fused: bool = False):
-        if sequence_parallel and config.seq_length % tensor_parallel != 0:
-            raise ConfigError("seq_length must be divisible by tensor_parallel")
-        if config.vocab_size % tensor_parallel != 0:
-            raise ConfigError("vocab_size must be divisible by tensor_parallel")
-        self.config = config
-        self.group = ProcessGroup(tensor_parallel, scope="tp")
         self.sequence_parallel = sequence_parallel
-        self.fused = fused
-        self.recompute = Recompute(recompute)
-        n_layers = config.num_layers if num_layers_override is None else num_layers_override
-
-        weights = None
-        if not abstract:
-            if serial is None:
-                serial = GPTModel(
-                    config, attention_dropout=attention_dropout,
-                    hidden_dropout=hidden_dropout, seed=seed,
-                    mask_source=mask_source,
-                )
-            weights = _harvest_serial_weights(serial)
-
-        self.embedding = VocabParallelEmbedding(
-            config.vocab_size, config.hidden_size, config.seq_length,
-            self.group, sequence_parallel=sequence_parallel,
-            hidden_dropout=hidden_dropout,
-            serial_word=None if abstract else weights["word"],
-            serial_position=None if abstract else weights["position"],
-            abstract=abstract, mask_source=mask_source,
-        )
-        recompute_n = n_layers if recompute_num_layers is None else recompute_num_layers
-        self.layers: List[ParallelTransformerLayer] = []
-        remainder = Recompute(recompute_remainder)
-        for i in range(n_layers):
-            strategy = self.recompute
-            if (self.recompute in (Recompute.FULL, Recompute.FULL_SHARDED)
-                    and i >= recompute_n):
-                strategy = remainder
-            self.layers.append(ParallelTransformerLayer(
-                config.hidden_size, config.num_heads, self.group,
-                sequence_parallel=sequence_parallel, fuse_sp_gather=fuse_sp_gather,
-                attention_dropout=attention_dropout, hidden_dropout=hidden_dropout,
-                recompute=strategy,
-                serial_weights=None if abstract else weights["layers"][i],
-                abstract=abstract, tag=f"layer{i}", mask_source=mask_source,
-                fused=fused,
-            ))
-        self.head = ParallelLMHead(
-            config.hidden_size, config.vocab_size, self.group,
-            sequence_parallel=sequence_parallel, fuse_sp_gather=fuse_sp_gather,
-            serial_weight=None if abstract else weights["head"],
-            abstract=abstract, fused=fused,
-        )
-
-    def hidden_states(self, x_or_ids: Tensor, from_embedding: bool = True) -> Tensor:
-        x = self.embedding(x_or_ids) if from_embedding else x_or_ids
-        for layer in self.layers:
-            x = layer(x)
-        return x
-
-    def forward(self, ids: Tensor, targets: Tensor,
-                loss_mask: Optional[Tensor] = None) -> Tensor:
-        return self.head(self.hidden_states(ids), targets, loss_mask=loss_mask)
-
-    def logits(self, ids: Tensor) -> Tensor:
-        """Vocab-sharded fp32 logits ``(s, b, v/t)`` per rank."""
-        return self.head.logits(self.hidden_states(ids))
-
-    def finish_grad_sync(self) -> None:
-        """All-reduce gradients that are partial sums under sequence
-        parallelism (layer-norm gains/biases and row-parallel biases) —
-        Megatron's ``allreduce_sequence_parallel_grads``.  A no-op without
-        SP, where these computations are replicated and gradients already
-        agree across ranks."""
-        if not self.sequence_parallel:
-            return
-        for p in self._sp_partial_grad_params():
-            if p.grad is not None:
-                p.grad = all_reduce(p.grad)
-
-    def _sp_partial_grad_params(self) -> List[Tensor]:
-        params: List[Tensor] = []
-        for layer in self.layers:
-            params.extend([layer.ln1.gamma, layer.ln1.beta,
-                           layer.ln2.gamma, layer.ln2.beta])
-            if layer.attn.wo.bias is not None:
-                params.append(layer.attn.wo.bias)
-            if layer.mlp.fc2.bias is not None:
-                params.append(layer.mlp.fc2.bias)
-        params.extend([self.head.ln_f.gamma, self.head.ln_f.beta])
-        return params
+        super().__init__(
+            config, attention_dropout=attention_dropout,
+            hidden_dropout=hidden_dropout, recompute=recompute,
+            recompute_num_layers=recompute_num_layers,
+            recompute_remainder=recompute_remainder, seed=seed,
+            abstract=abstract, mask_source=mask_source, fused=fused,
+            layout=TensorParallel(ProcessGroup(tensor_parallel, scope="tp"),
+                                  sequence_parallel, fuse_sp_gather),
+            serial=serial, num_layers_override=num_layers_override)

@@ -18,10 +18,10 @@ from ..comm.process_group import ProcessGroup
 from ..config import ExperimentConfig
 from ..flops_model import Utilization, utilization
 from ..hardware import selene_like
-from ..layers.transformer import Recompute
+from ..layers.embedding import GPTEmbedding
+from ..layers.transformer import LMHead, Recompute
 from ..memory_model.weights import parameters_per_rank
-from ..parallel.embedding import VocabParallelEmbedding
-from ..parallel.transformer import ParallelLMHead
+from ..parallel.layout import TensorParallel
 from ..tensor import INT64, OpLog, Tensor, instrument
 from ..tensor.backend import AbstractArray
 from .gpu import KernelCostModel, PhaseTimes
@@ -55,9 +55,9 @@ def embedding_times(config: ExperimentConfig, sequence_parallel: bool,
     group = ProcessGroup(t, scope="tp")
 
     def run():
-        emb = VocabParallelEmbedding(
-            model.vocab_size, model.hidden_size, model.seq_length, group,
-            sequence_parallel=sequence_parallel, abstract=True,
+        emb = GPTEmbedding(
+            model.vocab_size, model.hidden_size, model.seq_length,
+            abstract=True, layout=TensorParallel(group, sequence_parallel),
         )
         ids = Tensor([AbstractArray((model.seq_length, train.micro_batch_size))
                       for _ in range(t)], dtype=INT64)
@@ -76,9 +76,9 @@ def head_times(config: ExperimentConfig, sequence_parallel: bool,
     s = model.seq_length // t if sequence_parallel else model.seq_length
 
     def run():
-        head = ParallelLMHead(
-            model.hidden_size, model.vocab_size, group,
-            sequence_parallel=sequence_parallel, abstract=True,
+        head = LMHead(
+            model.hidden_size, model.vocab_size, abstract=True,
+            layout=TensorParallel(group, sequence_parallel),
         )
         x = Tensor([AbstractArray((s, train.micro_batch_size, model.hidden_size))
                     for _ in range(t)], requires_grad=True,

@@ -15,8 +15,8 @@ from typing import Dict, List, Optional
 
 from ..comm.process_group import ProcessGroup
 from ..config import ModelConfig
-from ..layers.transformer import Recompute
-from ..parallel.transformer import ParallelTransformerLayer
+from ..layers.transformer import Recompute, TransformerLayer
+from ..parallel.layout import TensorParallel
 from ..tensor import OpLog, Tensor, instrument
 from ..tensor.backend import AbstractArray
 from .gpu import KernelCostModel, PhaseTimes
@@ -42,11 +42,11 @@ def layer_oplog(
     """
     t = tensor_parallel
     group = ProcessGroup(t, scope="tp")
-    layer = ParallelTransformerLayer(
-        model.hidden_size, model.num_heads, group,
-        sequence_parallel=sequence_parallel, fuse_sp_gather=fuse_sp_gather,
+    layer = TransformerLayer(
+        model.hidden_size, model.num_heads,
         attention_dropout=attention_dropout, hidden_dropout=hidden_dropout,
         recompute=recompute, abstract=True, tag="timed_layer", fused=fused,
+        layout=TensorParallel(group, sequence_parallel, fuse_sp_gather),
     )
     s, b, h = model.seq_length, microbatch_size, model.hidden_size
     if sequence_parallel:

@@ -1,8 +1,8 @@
 """Batched incremental decoding over the paged KV cache.
 
 One engine drives prefill and decode for a *ragged* batch of requests —
-each at its own context length — against a serial :class:`GPTModel` or a
-concrete :class:`ParallelGPTModel` (any TP / TP+SP layout).  The step is
+each at its own context length — against a concrete :class:`GPTModel`
+under the serial or any tensor-parallel (TP / TP+SP) layout.  The step is
 verified token-identical to the uncached :func:`repro.inference.generate`
 full-forward path on every layout (``tests/test_serving.py``).
 
@@ -12,11 +12,13 @@ Numerics notes:
   tensor-parallel conjugate operators degenerate: ``f`` is the identity
   (its all-reduce lives in backward) and the sequence-parallel
   scatter/gather pairs become pure layout shuffles of replicated data.
-  The engine therefore executes the *tensor-parallel* dataflow — column
-  matmul, shard-local attention on ``a/t`` heads, row matmul + ``f̄``
-  all-reduce — for SP models too, which is numerically identical with
-  dropout disabled (matmuls are row-independent and the all-reduce adds
-  shards in the same order);
+  The engine therefore walks the layers' single-token projection
+  surface (``Linear.decode``): the plain *tensor-parallel* dataflow —
+  column matmul, shard-local attention on ``a/t`` heads, row matmul +
+  ``f̄`` all-reduce — for SP models too, which is numerically identical
+  with dropout disabled (matmuls are row-independent and the all-reduce
+  adds shards in the same order).  At world size 1 every one of those
+  collectives is the identity, so the serial model is not a special case;
 * a decode step consumes exactly one token per request; positions come
   from the cache's block tables, so requests join and leave freely
   between steps (continuous batching);
@@ -27,7 +29,7 @@ Numerics notes:
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -35,17 +37,12 @@ from ..compiler import CaptureRecorder, PlanCache, PlanRuntime, capture_scope
 from ..errors import ConfigError
 from ..inference import evaluation, one_query_attention
 from ..layers.embedding import token_tensor
+from ..layers.linear import Linear
 from ..layers.transformer import GPTModel
-from ..parallel.embedding import VocabParallelLookup
-from ..parallel.mappings import reduce_from_tensor_parallel_region
-from ..parallel.transformer import ParallelGPTModel
-from ..tensor import FP16, FP32, Tensor, no_grad
+from ..tensor import FP16, Tensor, no_grad
 from ..tensor import functions as F
 from ..tensor.context import ctx as execution_context
-from ..tensor.tensor import apply
 from .kv_cache import KVAdmissionFull, KVCacheFull, KVStepFull, PagedKVCache
-
-AnyGPT = Union[GPTModel, ParallelGPTModel]
 
 
 # -- compiled-mode external closures -----------------------------------------
@@ -88,13 +85,9 @@ def _gather_kv(rt: PlanRuntime, cache: PagedKVCache, k_t: Tensor,
     return gather
 
 
-def _store_logits(rt: PlanRuntime, logits_t: Tensor, parallel: bool):
+def _store_logits(rt: PlanRuntime, logits_t: Tensor, layout):
     def store():
-        if parallel:
-            rt.out = np.concatenate(
-                [np.asarray(s)[0] for s in logits_t.shards], axis=-1)
-        else:
-            rt.out = np.asarray(logits_t.shards[0])[0]
+        rt.out = layout.full_logits(logits_t)[0]
     return store
 
 
@@ -109,9 +102,9 @@ class DecodeEngine:
     inherits the flag from the engine it drives.
     """
 
-    def __init__(self, model: AnyGPT, cache: PagedKVCache,
+    def __init__(self, model: GPTModel, cache: PagedKVCache,
                  compiled: bool = False):
-        world = getattr(getattr(model, "group", None), "size", 1)
+        world = model.group.size
         if cache.world != world:
             raise ConfigError(
                 f"cache built for {cache.world} rank(s), model has {world}")
@@ -122,7 +115,6 @@ class DecodeEngine:
         self.model = model
         self.cache = cache
         self.world = world
-        self.parallel = isinstance(model, ParallelGPTModel)
         self.max_context = model.config.seq_length
         self.compiled = compiled
         self.plans = PlanCache()
@@ -244,11 +236,7 @@ class DecodeEngine:
         ids = token_tensor(tokens[None, :], world=self.world)
         if cap is not None:
             cap.bind_input("ids", ids)
-        if self.parallel:
-            partial = apply(VocabParallelLookup(), model.embedding.word, ids)
-            x = reduce_from_tensor_parallel_region(partial, model.group)
-        else:
-            x = F.embedding(model.embedding.word, ids)
+        x = model.layout.lookup(model.embedding.word, ids)
         pos = self._position_rows(positions)
         if cap is not None:
             cap.external(_rebind_pos(rt, self, pos))
@@ -256,15 +244,8 @@ class DecodeEngine:
 
         for index, layer in enumerate(model.layers):
             h = layer.ln1(x)
-            if self.parallel:
-                qkv = F.add(F.matmul(h, layer.attn.qkv.weight),
-                            layer.attn.qkv.bias)
-                q, k, v = F.split(qkv, 3, axis=-1)
-                heads = layer.attn.core.num_heads
-            else:
-                q, k, v = (layer.attn.wq(h), layer.attn.wk(h),
-                           layer.attn.wv(h))
-                heads = layer.attn.num_heads
+            q, k, v = layer.attn.project_qkv(h, Linear.decode)
+            heads = layer.attn.core.num_heads
             if cap is not None:
                 # Executes now (the capture is the step) and at replay.
                 cap.external(_cache_writes(rt, self.cache, k, v, index,
@@ -285,33 +266,11 @@ class DecodeEngine:
                 q_j = F.slice_axis(q, 1, j, j + 1)
                 parts.append(one_query_attention(heads, q_j, keys, values))
             ctxt = parts[0] if len(parts) == 1 else F.concat(parts, axis=1)
-            if self.parallel:
-                out = reduce_from_tensor_parallel_region(
-                    F.matmul(ctxt, layer.attn.wo.weight), model.group)
-                out = F.add(out, layer.attn.wo.bias)
-            else:
-                out = layer.attn.wo(ctxt)
-            x = F.add(out, x)
-            h2 = layer.ln2(x)
-            if self.parallel:
-                y = F.gelu(F.add(F.matmul(h2, layer.mlp.fc1.weight),
-                                 layer.mlp.fc1.bias))
-                y = reduce_from_tensor_parallel_region(
-                    F.matmul(y, layer.mlp.fc2.weight), model.group)
-                y = F.add(y, layer.mlp.fc2.bias)
-            else:
-                y = layer.mlp(h2)
-            x = F.add(y, x)
+            x = F.add(layer.attn.wo.decode(ctxt), x)
+            x = F.add(layer.mlp.decode(layer.ln2(x)), x)
 
-        if self.parallel:
-            z = model.head.ln_f(x)
-            logits = F.cast(F.matmul(z, model.head.proj.weight), FP32)
-        else:
-            logits = model.head.logits(x)
+        logits = model.head.decode_logits(x)
         if cap is not None:
-            cap.external(_store_logits(rt, logits, self.parallel))
+            cap.external(_store_logits(rt, logits, model.layout))
             return rt.out
-        if self.parallel:
-            return np.concatenate(
-                [np.asarray(s)[0] for s in logits.shards], axis=-1)
-        return np.asarray(logits.shards[0])[0]
+        return model.layout.full_logits(logits)[0]

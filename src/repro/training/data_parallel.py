@@ -23,7 +23,7 @@ from ..comm import all_reduce
 from ..comm.collectives import active_fault_injector
 from ..errors import ConfigError
 from ..layers.embedding import token_tensor
-from ..parallel.transformer import ParallelGPTModel
+from ..layers.transformer import GPTModel
 from ..tensor import ctx
 from ..tensor.oplog import CommInfo, OpKind, OpRecord, Phase
 from .optimizer import Adam
@@ -38,14 +38,14 @@ class DataParallelTrainer:
     serial=serial_reference)``.
     """
 
-    def __init__(self, model_factory: Callable[[], ParallelGPTModel],
+    def __init__(self, model_factory: Callable[[], GPTModel],
                  data_parallel: int, lr: float = 1e-3,
                  optimizer_factory: Optional[Callable[[list], Adam]] = None,
                  pipeline_parallel: int = 1, interleave_stages: int = 1):
         if data_parallel < 1:
             raise ConfigError("data_parallel must be >= 1")
         self.dp = data_parallel
-        self.replicas: List[ParallelGPTModel] = [
+        self.replicas: List[GPTModel] = [
             model_factory() for _ in range(data_parallel)
         ]
         make_opt = optimizer_factory or (lambda params: Adam(params, lr=lr))
@@ -182,6 +182,6 @@ class DataParallelTrainer:
         return True
 
     @property
-    def model(self) -> ParallelGPTModel:
+    def model(self) -> GPTModel:
         """Replica 0 (all replicas are identical after every step)."""
         return self.replicas[0]

@@ -1,7 +1,7 @@
 """Training loops: single-stage with gradient accumulation, and a real
 1F1B pipelined executor.
 
-The pipelined executor partitions a :class:`ParallelGPTModel` into
+The pipelined executor partitions a :class:`GPTModel` (any layout) into
 ``p x m`` layer groups (``m`` interleaved virtual chunks per rank, as in
 Megatron's interleaved schedule) and drives them microbatch-by-microbatch
 in exact (interleaved) 1F1B order — the same op stream
@@ -30,9 +30,7 @@ from ..compiler import CaptureRecorder, PlanCache, PlanRuntime, capture_scope
 from ..errors import CollectiveTimeout, ConfigError, CorruptionDetected, ScheduleError
 from ..observability.tracer import active_tracer, span_or_null
 from ..layers.embedding import token_tensor
-from ..layers.module import Module
-from ..layers.transformer import Recompute
-from ..parallel.transformer import ParallelGPTModel
+from ..layers.transformer import GPTModel, Recompute
 from ..pipeline_sim.schedule import Op, OpKind, schedule_interleaved
 from ..tensor import MemoryTracker, Tensor, instrument
 from ..tensor.context import ctx as execution_context
@@ -167,11 +165,11 @@ class Trainer:
     memprof is installed fall back to eager execution.
     """
 
-    def __init__(self, model: Module, optimizer: Optional[Adam] = None,
+    def __init__(self, model: GPTModel, optimizer: Optional[Adam] = None,
                  lr: float = 1e-3, compiled: bool = False):
         self.model = model
         self.optimizer = optimizer or Adam(model.parameters(), lr=lr)
-        self.world = getattr(getattr(model, "group", None), "size", 1)
+        self.world = model.group.size
         self.steps_completed = 0
         self.compiled = compiled
         self.plans = PlanCache()
@@ -196,9 +194,8 @@ class Trainer:
                 with span_or_null(tracer, "backward", microbatch=mb):
                     loss.backward(seed)
                 total += loss.item()
-            if isinstance(self.model, ParallelGPTModel):
-                with span_or_null(tracer, "grad_sync"):
-                    self.model.finish_grad_sync()
+            with span_or_null(tracer, "grad_sync"):
+                self.model.finish_grad_sync()
             with span_or_null(tracer, "optimizer.step"):
                 self.optimizer.step()
         self.steps_completed += 1
@@ -234,9 +231,8 @@ class Trainer:
                               token_tensor(mb_targets, world=self.world).shards)
                 plan.replay()
             total = sum(plan.runtime.losses, 0.0)
-            if isinstance(self.model, ParallelGPTModel):
-                with span_or_null(tracer, "grad_sync"):
-                    self.model.finish_grad_sync()
+            with span_or_null(tracer, "grad_sync"):
+                self.model.finish_grad_sync()
             with span_or_null(tracer, "optimizer.step"):
                 self.optimizer.step()
         self.steps_completed += 1
@@ -311,7 +307,7 @@ class PipelineStepResult:
 
 
 class PipelinedGPT:
-    """(Interleaved) 1F1B pipelined execution of a ``ParallelGPTModel``.
+    """(Interleaved) 1F1B pipelined execution of a ``GPTModel``.
 
     The model's ``L`` layers are cut into ``p * m`` groups; group ``g``
     lives on pipeline rank ``g % p`` as its chunk ``g // p``.  Group 0
@@ -328,7 +324,7 @@ class PipelinedGPT:
     completes — the moving window of Figure 10.b.
     """
 
-    def __init__(self, model: ParallelGPTModel, pipeline_parallel: int,
+    def __init__(self, model: GPTModel, pipeline_parallel: int,
                  interleave_stages: int = 1, compiled: bool = False):
         L = len(model.layers)
         self.num_groups = pipeline_parallel * interleave_stages

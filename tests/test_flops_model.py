@@ -20,7 +20,8 @@ from repro.flops_model import (
     utilization,
 )
 from repro.layers.transformer import Recompute
-from repro.parallel.transformer import ParallelTransformerLayer
+from repro.layers import TransformerLayer
+from repro.parallel import TensorParallel
 from repro.tensor import OpLog, Tensor, instrument
 from repro.tensor.backend import AbstractArray
 from repro.tensor.oplog import OpKind, Phase
@@ -109,9 +110,9 @@ class TestCounterCrosscheck:
 
     def _layer_log(self, model: ModelConfig, b: int, t: int, rc: Recompute,
                    with_backward: bool = True) -> OpLog:
-        layer = ParallelTransformerLayer(
-            model.hidden_size, model.num_heads, ProcessGroup(t),
-            sequence_parallel=True, recompute=rc, abstract=True)
+        layer = TransformerLayer(
+            model.hidden_size, model.num_heads, recompute=rc, abstract=True,
+            layout=TensorParallel(ProcessGroup(t), sequence_parallel=True))
         x = Tensor([AbstractArray((model.seq_length // t, b, model.hidden_size))
                     for _ in range(t)], requires_grad=True, layout="shard(dim=0)")
         log = OpLog()

@@ -14,7 +14,7 @@ from repro.config import PAPER_CONFIGS, ModelConfig
 from repro.layers import GPTModel, Recompute
 from repro.layers.transformer import TransformerLayer
 from repro.memory_model import per_layer_activation_bytes
-from repro.parallel.transformer import ParallelTransformerLayer, _harvest_serial_weights
+from repro.parallel import TensorParallel
 from repro.tensor import MemoryTracker, Tensor, from_numpy, instrument, seed
 from repro.tensor.backend import AbstractArray
 
@@ -23,14 +23,13 @@ rng = np.random.default_rng(5)
 
 def measure_parallel_layer(model: ModelConfig, b: int, t: int, sp: bool,
                            rc: Recompute, fuse: bool = True,
-                           abstract: bool = True,
-                           serial_weights=None) -> int:
+                           abstract: bool = True) -> int:
     """Saved-activation bytes per rank after one layer's forward pass."""
     seed(0)
-    layer = ParallelTransformerLayer(
-        model.hidden_size, model.num_heads, ProcessGroup(t),
-        sequence_parallel=sp, recompute=rc, fuse_sp_gather=fuse,
-        abstract=abstract, serial_weights=serial_weights,
+    layer = TransformerLayer(
+        model.hidden_size, model.num_heads, recompute=rc,
+        rng=None if abstract else np.random.default_rng(1), abstract=abstract,
+        layout=TensorParallel(ProcessGroup(t), sp, fuse_sp_gather=fuse),
     )
     s, h = model.seq_length, model.hidden_size
     shape = (s // t if sp else s, b, h)
@@ -104,10 +103,7 @@ class TestConcreteMatchesAbstract:
     def test_toy_scale(self, sp, rc):
         model = ModelConfig(num_layers=1, hidden_size=32, num_heads=4,
                             seq_length=16, vocab_size=64)
-        serial = GPTModel(model, seed=1)
-        weights = _harvest_serial_weights(serial)["layers"][0]
-        concrete = measure_parallel_layer(model, 2, 4, sp, rc, abstract=False,
-                                          serial_weights=weights)
+        concrete = measure_parallel_layer(model, 2, 4, sp, rc, abstract=False)
         abstract = measure_parallel_layer(model, 2, 4, sp, rc, abstract=True)
         assert concrete == abstract
         assert concrete == pytest.approx(
@@ -146,9 +142,9 @@ class TestFullModelMemory:
         seed(0)
         group = ProcessGroup(t)
         layers = [
-            ParallelTransformerLayer(model.hidden_size, model.num_heads, group,
-                                     sequence_parallel=True,
-                                     recompute=Recompute.SELECTIVE, abstract=True)
+            TransformerLayer(model.hidden_size, model.num_heads,
+                             recompute=Recompute.SELECTIVE, abstract=True,
+                             layout=TensorParallel(group, sequence_parallel=True))
             for _ in range(3)
         ]
         x = Tensor([AbstractArray((model.seq_length // t, b, model.hidden_size))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import ModelConfig
+from repro.errors import ConfigError
 from repro.layers import (
     GPTModel, LayerNorm, Linear, MLP, Recompute, SelfAttention,
     TransformerLayer, token_tensor,
@@ -202,5 +203,5 @@ class TestSubmodules:
         assert mlp.fc2.in_features == 32
 
     def test_attention_heads_divide_hidden(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SelfAttention(10, 3, rng=np.random.default_rng(0))

@@ -5,7 +5,8 @@ import pytest
 
 from repro.comm.process_group import ProcessGroup
 from repro.layers.embedding import token_tensor
-from repro.parallel.embedding import VocabParallelEmbedding, VocabParallelLookup
+from repro.layers import GPTEmbedding
+from repro.parallel import TensorParallel, VocabParallelLookup
 from repro.parallel.loss import vocab_parallel_cross_entropy
 from repro.tensor import FP32, MemoryTracker, Tensor, apply, from_numpy, instrument
 from repro.tensor import functions as F
@@ -117,18 +118,15 @@ class TestVocabParallelCrossEntropy:
 
 class TestVocabParallelEmbeddingModule:
     def test_sp_output_is_sequence_sharded(self):
-        emb = VocabParallelEmbedding(8, 4, 6, ProcessGroup(2),
-                                     sequence_parallel=True, hidden_dropout=0.0,
-                                     serial_word=rng.normal(size=(8, 4)),
-                                     serial_position=rng.normal(size=(6, 1, 4)))
+        emb = GPTEmbedding(8, 4, 6, hidden_dropout=0.0, rng=rng,
+                           layout=TensorParallel(ProcessGroup(2),
+                                                 sequence_parallel=True))
         out = emb(token_tensor(np.zeros((6, 2), dtype=np.int64), world=2))
         assert out.shape == (3, 2, 4)
 
     def test_no_sp_output_replicated(self):
-        emb = VocabParallelEmbedding(8, 4, 6, ProcessGroup(2),
-                                     sequence_parallel=False, hidden_dropout=0.0,
-                                     serial_word=rng.normal(size=(8, 4)),
-                                     serial_position=rng.normal(size=(6, 1, 4)))
+        emb = GPTEmbedding(8, 4, 6, hidden_dropout=0.0, rng=rng,
+                           layout=TensorParallel(ProcessGroup(2)))
         out = emb(token_tensor(np.zeros((6, 2), dtype=np.int64), world=2))
         assert out.shape == (6, 2, 4)
         np.testing.assert_allclose(np.asarray(out.shards[0]),
@@ -137,10 +135,9 @@ class TestVocabParallelEmbeddingModule:
     def test_embedding_dropout_mask_sharded_under_sp(self):
         """Section 4.3: the embedding dropout mask costs sbh/t per rank."""
         s, b, h, t = 8, 2, 4, 2
-        emb = VocabParallelEmbedding(8, h, s, ProcessGroup(t),
-                                     sequence_parallel=True, hidden_dropout=0.1,
-                                     serial_word=rng.normal(size=(8, h)),
-                                     serial_position=rng.normal(size=(s, 1, h)))
+        emb = GPTEmbedding(8, h, s, hidden_dropout=0.1, rng=rng,
+                           layout=TensorParallel(ProcessGroup(t),
+                                                 sequence_parallel=True))
         mt = MemoryTracker()
         ids = token_tensor(rng.integers(0, 8, size=(s, b)), world=t)
         with instrument(memory=mt):
