@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from types import MappingProxyType
+from typing import Callable, List, Mapping, NamedTuple, Optional
 
 from . import experiments, scenarios
 from .config import PAPER_CONFIG_NAMES, PAPER_CONFIGS
-from .errors import ReproError
+from .errors import ConfigError, ReproError
 from .flops_model import (
     hardware_flops_per_iteration,
     hardware_to_model_ratio,
@@ -56,6 +57,7 @@ from .observability import (
 )
 from .observability.regress import DEFAULT_BASELINE_DIR, PRESET_NAMES, PRESETS
 from .perf_model import iteration_time
+from .pipeline_sim import figure10
 from .planner import choose_context_layout, plan
 from .serving import POLICIES
 from .reporting import format_table, pct
@@ -64,7 +66,7 @@ from .units import GIB, fmt_bytes, fmt_count, fmt_flops
 
 def _config(name: str):
     if name not in PAPER_CONFIGS:
-        raise SystemExit(f"unknown model {name!r}; choose from {', '.join(PAPER_CONFIG_NAMES)}")
+        raise ConfigError(f"unknown model {name!r}; choose from {', '.join(PAPER_CONFIG_NAMES)}")
     return PAPER_CONFIGS[name]
 
 
@@ -75,60 +77,59 @@ def emit_json(payload) -> str:
     return dumps_json(payload).rstrip("\n")
 
 
+class _PaperItem(NamedTuple):
+    """One ``repro table N`` / ``repro figure N`` entry."""
+
+    data: Callable
+    report: Callable
+    #: ``--json`` key the data goes under
+    json_key: str
+    #: argparse fields echoed in the ``--json`` document -> the keyword
+    #: both functions take them as
+    args: Mapping[str, str] = MappingProxyType({})
+    #: constants echoed in the ``--json`` document
+    json_extra: Mapping[str, object] = MappingProxyType({})
+
+
+_TABLES = {
+    2: _PaperItem(experiments.table2_data, experiments.table2_report, "rows",
+                  {"model": "model_name"}),
+    4: _PaperItem(experiments.table4_data, experiments.table4_report, "rows",
+                  json_extra={"model": "22B"}),
+    5: _PaperItem(experiments.table5_data, experiments.table5_report, "rows"),
+    6: _PaperItem(experiments.table6_data, experiments.table6_report, "rows",
+                  {"model": "model_name",
+                   "context_parallel": "context_parallel",
+                   "seq_length": "seq_length"}),
+}
+_FIGURES = {
+    1: _PaperItem(experiments.figure1_data, experiments.figure1_report, "series"),
+    7: _PaperItem(experiments.figure7_data, experiments.figure7_report, "series"),
+    8: _PaperItem(experiments.figure8_data, experiments.figure8_report, "series"),
+    9: _PaperItem(experiments.figure9_data, experiments.figure9_report, "profile"),
+    10: _PaperItem(figure10, figure10, "timeline"),
+}
+
+
+def _paper_item(kind: str, menu: Mapping[int, _PaperItem], args) -> str:
+    item = menu.get(args.number)
+    if item is None:
+        raise ConfigError(
+            f"reproducible {kind}s: {', '.join(str(n) for n in menu)}")
+    echoed = {field: getattr(args, field) for field in item.args}
+    kwargs = {item.args[field]: value for field, value in echoed.items()}
+    if not args.json:
+        return item.report(**kwargs)
+    return emit_json({kind: args.number, **echoed, **item.json_extra,
+                      item.json_key: item.data(**kwargs)})
+
+
 def cmd_table(args) -> str:
-    if args.number == 2:
-        if args.json:
-            return emit_json({"table": 2, "model": args.model,
-                              "rows": experiments.table2_data(args.model)})
-        return experiments.table2_report(args.model)
-    if args.number == 4:
-        if args.json:
-            return emit_json({"table": 4, "model": "22B",
-                              "rows": experiments.table4_data()})
-        return experiments.table4_report()
-    if args.number == 5:
-        if args.json:
-            return emit_json({"table": 5, "rows": experiments.table5_data()})
-        return experiments.table5_report()
-    if args.number == 6:
-        if args.json:
-            return emit_json({
-                "table": 6, "model": args.model,
-                "context_parallel": args.context_parallel,
-                "seq_length": args.seq_length,
-                "rows": experiments.table6_data(
-                    args.model, context_parallel=args.context_parallel,
-                    seq_length=args.seq_length)})
-        return experiments.table6_report(
-            args.model, context_parallel=args.context_parallel,
-            seq_length=args.seq_length)
-    raise SystemExit("reproducible tables: 2, 4, 5, 6")
+    return _paper_item("table", _TABLES, args)
 
 
 def cmd_figure(args) -> str:
-    if args.number == 1:
-        if args.json:
-            return emit_json({"figure": 1, "series": experiments.figure1_data()})
-        return experiments.figure1_report()
-    if args.number == 7:
-        if args.json:
-            return emit_json({"figure": 7, "series": experiments.figure7_data()})
-        return experiments.figure7_report()
-    if args.number == 8:
-        if args.json:
-            return emit_json({"figure": 8, "series": experiments.figure8_data()})
-        return experiments.figure8_report()
-    if args.number == 9:
-        if args.json:
-            return emit_json({"figure": 9,
-                              "profile": experiments.figure9_data()})
-        return experiments.figure9_report()
-    if args.number == 10:
-        from .pipeline_sim import figure10
-        if args.json:
-            return emit_json({"figure": 10, "timeline": figure10()})
-        return figure10()
-    raise SystemExit("reproducible figures: 1, 7, 8, 9, 10")
+    return _paper_item("figure", _FIGURES, args)
 
 
 def cmd_memory(args) -> str:
@@ -315,7 +316,7 @@ def cmd_chaos(args) -> str:
                             trainer.model.parameters())
             for r in range(p.world))
         if not identical:
-            raise SystemExit(
+            raise ReproError(
                 "VERIFY FAILED: faulty run does not match the fault-free run")
         text += "\nverify: recovered weights bitwise-identical to fault-free run"
     return text
@@ -540,7 +541,7 @@ def cmd_fleet(args) -> str:
     if args.verify:
         clean_fleet, _ = scenarios.chaos_fleet(**dict(kwargs, fault_rate=0.0))
         if fleet.tokens_by_request() != clean_fleet.tokens_by_request():
-            raise SystemExit(
+            raise ReproError(
                 "FLEET VERIFY FAILED: token streams diverged from the "
                 "fault-free run at the same seed")
         verify_note = ("\n  verify OK: token streams identical to the "
@@ -778,7 +779,7 @@ def cmd_bench(args) -> str:
             for preset in sorted(failures):
                 detail.append(f"{preset}:")
                 detail.extend(f"  {r}" for r in failures[preset])
-            raise SystemExit(
+            raise ReproError(
                 "bench regression gate FAILED\n" + "\n".join(detail))
         lines.append(f"bench gate OK: {len(docs)} preset(s) within "
                      f"tolerance of {args.baseline_dir}")

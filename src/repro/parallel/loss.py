@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..comm.process_group import ProcessGroup
+from ..errors import ShapeError
 from ..tensor import FP32, Tensor
 from ..tensor import backend as bk
 from ..tensor.backend import AbstractArray
@@ -59,7 +60,7 @@ class VocabParallelCrossEntropy(Function):
             m = np.asarray(mask[0], dtype=np.float64)
             denom = m.sum()
             if denom == 0:
-                raise ValueError("loss_mask masks out every token")
+                raise ShapeError("loss_mask masks out every token")
             loss = float((per_token * m).sum() / denom)
         else:
             loss = float(np.mean(per_token))

@@ -44,7 +44,6 @@ class ParallelGPTModel(GPTModel):
                  serial: Optional[GPTModel] = None,
                  num_layers_override: Optional[int] = None,
                  fused: bool = False):
-        self.sequence_parallel = sequence_parallel
         super().__init__(
             config, attention_dropout=attention_dropout,
             hidden_dropout=hidden_dropout, recompute=recompute,

@@ -293,13 +293,12 @@ class TestBenchCLI:
         doc = json.load(open(base_dir / "BENCH_tiny.json"))
         doc["memory"]["peak_bytes"]["stage0"] += 1
         json.dump(doc, open(base_dir / "BENCH_tiny.json", "w"))
-        with pytest.raises(SystemExit) as exc:
-            main(["bench", "--preset", "tiny",
-                  "--output-dir", str(tmp_path / "out"),
-                  "--baseline-dir", str(base_dir), "--check"])
-        message = str(exc.value)
+        assert main(["bench", "--preset", "tiny",
+                     "--output-dir", str(tmp_path / "out"),
+                     "--baseline-dir", str(base_dir), "--check"]) == 2
+        message = capsys.readouterr().err
+        assert message.startswith("repro: error: bench regression gate FAILED")
         assert "memory.peak_bytes.stage0" in message
-        assert "FAILED" in message
 
     def test_analyze_cli_offline(self, tmp_path, capsys):
         from repro.cli import main

@@ -80,9 +80,13 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["memory-report", "--model", "9T"])
 
-    def test_unknown_table_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["table", "3"])
+    @pytest.mark.parametrize("argv,needle", [
+        (["table", "3"], "reproducible tables: 2, 4, 5, 6"),
+        (["figure", "2", "--json"], "reproducible figures: 1, 7, 8, 9, 10"),
+    ])
+    def test_unknown_number_is_a_usage_error(self, argv, needle, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"repro: error: {needle}\n"
 
     def test_simulate_reports_bubble_and_mfu(self, capsys):
         main(["simulate-pipeline", "--model", "175B"])

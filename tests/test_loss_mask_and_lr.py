@@ -8,6 +8,7 @@ import pytest
 from repro.comm.process_group import ProcessGroup
 from repro.config import ModelConfig
 from repro.errors import ConfigError
+from repro.fusion.ops import softmax_cross_entropy
 from repro.layers import GPTModel, token_tensor
 from repro.parallel import ParallelGPTModel, vocab_parallel_cross_entropy
 from repro.parallel.loss import VocabParallelCrossEntropy
@@ -64,12 +65,21 @@ class TestSerialLossMask:
                                  loss_mask=mask_tensor(np.ones((4, 2)))).item()
         assert masked == pytest.approx(unmasked, abs=1e-12)
 
-    def test_all_zero_mask_rejected(self):
+    @pytest.mark.parametrize("world,loss", [
+        (1, F.cross_entropy),
+        (1, lambda lt, tgt, loss_mask: softmax_cross_entropy(
+            lt, tgt, loss_mask=loss_mask)),
+        (2, lambda lt, tgt, loss_mask: vocab_parallel_cross_entropy(
+            lt, tgt, ProcessGroup(2), loss_mask=loss_mask)),
+    ], ids=["serial", "fused", "vocab_parallel"])
+    def test_all_zero_mask_rejected(self, world, loss):
+        """One condition, one typed error, under every loss."""
         from repro.errors import ShapeError
-        lt = F.cast(from_numpy(rng.normal(size=(2, 1, 4))), FP32)
-        with pytest.raises(ShapeError):
-            F.cross_entropy(lt, token_tensor(np.zeros((2, 1), dtype=int)),
-                            loss_mask=mask_tensor(np.zeros((2, 1))))
+        shards = [rng.normal(size=(2, 1, 4)) for _ in range(world)]
+        lt = Tensor(shards, dtype=FP32, requires_grad=True)
+        with pytest.raises(ShapeError, match="masks out every token"):
+            loss(lt, token_tensor(np.zeros((2, 1), dtype=int), world=world),
+                 loss_mask=mask_tensor(np.zeros((2, 1)), world=world))
 
 
 class TestParallelLossMask:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from repro.config import ModelConfig
-from repro.layers import GPTModel, Recompute, token_tensor
+from repro.layers import (GPTModel, Linear, Recompute, SelfAttention,
+                          token_tensor)
 from repro.parallel import ParallelGPTModel, fuse_qkv, fuse_qkv_bias
 from repro.tensor.functions import MaskSource
 
@@ -15,6 +16,8 @@ from helpers import TINY, gather_grad, random_tokens
 
 rng = np.random.default_rng(31)
 MS = MaskSource(seed=77, keep_prob=0.9)
+ODD_SEQ = ModelConfig(num_layers=1, hidden_size=32, num_heads=4,
+                      seq_length=15, vocab_size=64)
 
 
 @pytest.fixture(scope="module")
@@ -141,15 +144,35 @@ class TestVariants:
         m.finish_grad_sync()
         np.testing.assert_array_equal(before, np.asarray(m.layers[0].ln1.gamma.grad[0]))
 
-    def test_config_validation(self):
+    @pytest.mark.parametrize("build,needle", [
+        # 64-row vocabulary / 32 hidden columns over three ranks
+        (lambda: ParallelGPTModel(TINY, tensor_parallel=3, abstract=True),
+         "not divisible by the tensor-parallel size 3"),
+        (lambda: ParallelGPTModel(ODD_SEQ, tensor_parallel=2,
+                                  sequence_parallel=True, abstract=True),
+         "seq_length (15) must be divisible"),
+        (lambda: ParallelGPTModel(TINY, tensor_parallel=8, abstract=True),
+         "num_heads 4 not divisible by t=8"),
+        (lambda: SelfAttention(10, 3, abstract=True),
+         "hidden_size (10) must be divisible by num_heads (3)"),
+        # concrete weights need a source: an rng ...
+        (lambda: Linear(4, 4), "needs an rng"),
+        # ... or a serial reference of the same shape
+        (lambda: ParallelGPTModel(TINY, tensor_parallel=2,
+                                  serial=GPTModel(ODD_SEQ, seed=0)),
+         "reference weight 'embedding.position' has shape (15, 1, 32)"),
+        (lambda: GPTModel(TINY, recompute=Recompute.FULL,
+                          recompute_num_layers=3, abstract=True),
+         "recompute_num_layers out of range"),
+    ])
+    def test_config_validation(self, build, needle):
+        """Every invalid construction is a ``ConfigError`` naming the
+        constraint — never an assert, a ``ValueError`` or a NumPy shape
+        error from deep inside the first forward."""
         from repro.errors import ConfigError
-        with pytest.raises(ConfigError):
-            ParallelGPTModel(TINY, tensor_parallel=3, abstract=True)  # 64 % 3 != 0
-        odd_seq = ModelConfig(num_layers=1, hidden_size=32, num_heads=4,
-                              seq_length=15, vocab_size=64)
-        with pytest.raises(ConfigError):
-            ParallelGPTModel(odd_seq, tensor_parallel=2, sequence_parallel=True,
-                             abstract=True)
+        with pytest.raises(ConfigError) as error:
+            build()
+        assert needle in str(error.value)
 
     def test_dropout_zero_matches_without_mask_source(self, serial):
         """Without dropout the mask source is unnecessary for equivalence."""
