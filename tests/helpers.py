@@ -1,15 +1,15 @@
-"""Shared test utilities: tiny configs, numerical grad checks, builders."""
+"""Shared test utilities: tiny configs, builders, resilient-run driver.
+
+Gradient checking and shard gathering live in :mod:`repro.testing`."""
 
 from __future__ import annotations
 
 import functools
-from typing import Callable, List
+from typing import List
 
 import numpy as np
 
 from repro.config import ModelConfig
-from repro.tensor import Tensor, from_numpy, no_grad
-from repro.tensor import functions as F
 
 TINY = ModelConfig(num_layers=2, hidden_size=32, num_heads=4,
                    seq_length=16, vocab_size=64, name="tiny")
@@ -28,35 +28,6 @@ def preset_doc(name: str) -> dict:
     a second *fresh* run calls ``run_preset`` itself."""
     from repro.observability.regress import run_preset
     return run_preset(name)
-
-
-def numerical_grad(f: Callable[[np.ndarray], float], x: np.ndarray,
-                   eps: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of a scalar function of an array."""
-    grad = np.zeros_like(x, dtype=np.float64)
-    for idx in np.ndindex(x.shape):
-        xp = x.copy()
-        xp[idx] += eps
-        xm = x.copy()
-        xm[idx] -= eps
-        grad[idx] = (f(xp) - f(xm)) / (2 * eps)
-    return grad
-
-
-def check_grad(op: Callable[[Tensor], Tensor], x: np.ndarray,
-               atol: float = 1e-6) -> None:
-    """Compare autograd's input gradient against central differences."""
-    t = from_numpy(x, requires_grad=True)
-    out = F.sum_all(op(t))
-    out.backward()
-    analytic = np.asarray(t.grad[0])
-
-    def scalar(arr: np.ndarray) -> float:
-        with no_grad():
-            return F.sum_all(op(from_numpy(arr))).item()
-
-    numeric = numerical_grad(scalar, x)
-    np.testing.assert_allclose(analytic, numeric, atol=atol, rtol=1e-4)
 
 
 def flat_weights(model) -> List[np.ndarray]:
@@ -99,22 +70,3 @@ def run_resilient(model_factory, plan, checkpoint_path, num_steps: int = 6,
 
 def random_tokens(rng: np.random.Generator, vocab: int, s: int, b: int) -> np.ndarray:
     return rng.integers(0, vocab, size=(s, b)).astype(np.int64)
-
-
-def gather_param(param: Tensor) -> np.ndarray:
-    """Reassemble a full parameter from shards according to its layout."""
-    if "shard(dim=0)" in param.layout:
-        return np.concatenate([np.asarray(s) for s in param.shards], axis=0)
-    if "shard(dim=1)" in param.layout:
-        return np.concatenate([np.asarray(s) for s in param.shards], axis=1)
-    return np.asarray(param.shards[0])
-
-
-def gather_grad(param: Tensor) -> np.ndarray:
-    if param.grad is None:
-        raise AssertionError(f"no grad on {param.name}")
-    if "shard(dim=0)" in param.layout:
-        return np.concatenate([np.asarray(g) for g in param.grad], axis=0)
-    if "shard(dim=1)" in param.layout:
-        return np.concatenate([np.asarray(g) for g in param.grad], axis=1)
-    return np.asarray(param.grad[0])

@@ -10,8 +10,7 @@ from repro.tensor import (
     Tensor, abstract, free_graph, from_numpy, no_grad, parameter, seed,
 )
 from repro.tensor import functions as F
-
-from helpers import check_grad, numerical_grad
+from repro.testing import check_gradients, numerical_grad
 
 rng = np.random.default_rng(42)
 
@@ -21,18 +20,18 @@ class TestGradCheck:
 
     def test_add_broadcast(self):
         b = from_numpy(rng.normal(size=(1, 4)))
-        check_grad(lambda t: F.add(t, b), rng.normal(size=(3, 4)))
+        check_gradients(lambda t: F.add(t, b), rng.normal(size=(3, 4)))
 
     def test_mul_tensor(self):
         b = from_numpy(rng.normal(size=(3, 4)))
-        check_grad(lambda t: F.mul(t, b), rng.normal(size=(3, 4)))
+        check_gradients(lambda t: F.mul(t, b), rng.normal(size=(3, 4)))
 
     def test_mul_scalar(self):
-        check_grad(lambda t: F.scale(t, 2.5), rng.normal(size=(3, 4)))
+        check_gradients(lambda t: F.scale(t, 2.5), rng.normal(size=(3, 4)))
 
     def test_matmul_linear(self):
         w = parameter([rng.normal(size=(5, 7))])
-        check_grad(lambda t: F.matmul(t, w), rng.normal(size=(2, 3, 5)))
+        check_gradients(lambda t: F.matmul(t, w), rng.normal(size=(2, 3, 5)))
 
     def test_matmul_weight_grad(self):
         x = from_numpy(rng.normal(size=(4, 5)))
@@ -48,22 +47,22 @@ class TestGradCheck:
 
     def test_matmul_batched(self):
         w = from_numpy(rng.normal(size=(2, 4, 5)))
-        check_grad(lambda t: F.matmul(t, w), rng.normal(size=(2, 3, 4)))
+        check_gradients(lambda t: F.matmul(t, w), rng.normal(size=(2, 3, 4)))
 
     def test_batched_matmul_second_operand(self):
         x = from_numpy(rng.normal(size=(2, 3, 4)))
-        check_grad(lambda t: F.matmul(x, t), rng.normal(size=(2, 4, 5)))
+        check_gradients(lambda t: F.matmul(x, t), rng.normal(size=(2, 4, 5)))
 
     def test_gelu(self):
-        check_grad(F.gelu, rng.normal(size=(3, 5)))
+        check_gradients(F.gelu, rng.normal(size=(3, 5)))
 
     def test_softmax(self):
-        check_grad(F.softmax, rng.normal(size=(2, 3, 6)), atol=1e-5)
+        check_gradients(F.softmax, rng.normal(size=(2, 3, 6)), atol=1e-5)
 
     def test_layernorm(self):
         gamma = parameter([rng.normal(size=(8,))])
         beta = parameter([rng.normal(size=(8,))])
-        check_grad(lambda t: F.layernorm(t, gamma, beta), rng.normal(size=(4, 8)), atol=1e-5)
+        check_gradients(lambda t: F.layernorm(t, gamma, beta), rng.normal(size=(4, 8)), atol=1e-5)
 
     def test_layernorm_param_grads(self):
         x = from_numpy(rng.normal(size=(4, 8)))
@@ -81,7 +80,7 @@ class TestGradCheck:
     def test_causal_mask(self):
         # Composed with softmax (the real usage): the -1e9 fill would
         # otherwise destroy central-difference precision in the sum.
-        check_grad(lambda t: F.softmax(F.causal_mask(t)),
+        check_gradients(lambda t: F.softmax(F.causal_mask(t)),
                    rng.normal(size=(2, 4, 4)), atol=1e-5)
 
     def test_causal_mask_zeroes_future_grads(self):
@@ -91,23 +90,23 @@ class TestGradCheck:
         np.testing.assert_array_equal(grad, np.tril(np.ones((3, 3))))
 
     def test_reshape_transpose(self):
-        check_grad(lambda t: F.transpose(F.reshape(t, (2, 6)), (1, 0)),
+        check_gradients(lambda t: F.transpose(F.reshape(t, (2, 6)), (1, 0)),
                    rng.normal(size=(3, 4)))
 
     def test_split_concat_roundtrip(self):
         def op(t):
             a, b, c = F.split(t, 3, axis=-1)
             return F.concat([c, a, b], axis=-1)
-        check_grad(op, rng.normal(size=(2, 9)))
+        check_gradients(op, rng.normal(size=(2, 9)))
 
     def test_cast_passthrough(self):
         from repro.tensor import FP32
-        check_grad(lambda t: F.cast(t, FP32), rng.normal(size=(3, 3)))
+        check_gradients(lambda t: F.cast(t, FP32), rng.normal(size=(3, 3)))
 
     def test_cross_entropy(self):
         targets = from_numpy(rng.integers(0, 5, size=(4, 2)).astype(float))
         targets.dtype = targets.dtype  # int-like targets stored as floats
-        check_grad(lambda t: F.cross_entropy(t, targets),
+        check_gradients(lambda t: F.cross_entropy(t, targets),
                    rng.normal(size=(4, 2, 5)), atol=1e-5)
 
     @given(st.integers(2, 5), st.integers(2, 5), st.integers(2, 5))
@@ -115,7 +114,7 @@ class TestGradCheck:
     def test_matmul_random_shapes(self, m, k, n):
         local = np.random.default_rng(m * 100 + k * 10 + n)
         w = parameter([local.normal(size=(k, n))])
-        check_grad(lambda t: F.matmul(t, w), local.normal(size=(m, k)))
+        check_gradients(lambda t: F.matmul(t, w), local.normal(size=(m, k)))
 
 
 class TestEngineMechanics:

@@ -38,8 +38,9 @@ from repro.tensor import (MemoryTracker, OpLog, from_numpy, instrument, seed,
                           shard_along)
 from repro.tensor import functions as F
 from repro.tensor.functions import MaskSource
+from repro.testing import gather_full
 
-from helpers import TINY, gather_grad, random_tokens
+from helpers import TINY, random_tokens
 
 rng = np.random.default_rng(7)
 MS = MaskSource(seed=77, keep_prob=0.9)
@@ -183,7 +184,7 @@ class TestParallelEquivalence:
                 loss.backward()
             model.finish_grad_sync()
             losses.append(loss.item())
-            grads.append([gather_grad(p) if len(p.shards) == t else
+            grads.append([gather_full(p, grad=True) if len(p.shards) == t else
                           np.asarray(p.grad[0]) for p in model.parameters()])
             peaks.append([tracker.peak_bytes(r) for r in range(t)])
         assert losses[0] == losses[1]

@@ -200,6 +200,60 @@ class TestCheckpointIO:
                 np.testing.assert_array_equal(np.asarray(p1.shards[r]),
                                               np.asarray(p2.shards[r]))
 
+    #: ``<named_parameters() path>::<rank>`` entries of a one-layer
+    #: (h=8, a=2, s=4, v=8) model, per layout, as written by
+    #: ``save_weights`` before the three class hierarchies were merged
+    #: (serial and context-parallel kept wq/wk/wv; tensor-parallel a
+    #: fused qkv), with each shard's shape.
+    _LN = {f"{ln}.{p}": (8,) for ln in ("layers.0.ln1", "layers.0.ln2",
+                                         "head.ln_f")
+           for p in ("gamma", "beta")}
+    _SPLIT_QKV = {f"layers.0.attn.{n}.{p}": shape
+                  for n in ("wq", "wk", "wv", "wo")
+                  for p, shape in (("weight", (8, 8)), ("bias", (8,)))}
+    LEGACY_ENTRIES = {
+        "serial": (1, {
+            "embedding.word": (8, 8), "embedding.position": (4, 1, 8),
+            **_LN, **_SPLIT_QKV,
+            "layers.0.mlp.fc1.weight": (8, 32), "layers.0.mlp.fc1.bias": (32,),
+            "layers.0.mlp.fc2.weight": (32, 8), "layers.0.mlp.fc2.bias": (8,),
+            "head.proj.weight": (8, 8)}),
+        "tp2": (2, {
+            "embedding.word": (4, 8), "embedding.position": (4, 1, 8), **_LN,
+            "layers.0.attn.qkv.weight": (8, 12), "layers.0.attn.qkv.bias": (12,),
+            "layers.0.attn.wo.weight": (4, 8), "layers.0.attn.wo.bias": (8,),
+            "layers.0.mlp.fc1.weight": (8, 16), "layers.0.mlp.fc1.bias": (16,),
+            "layers.0.mlp.fc2.weight": (16, 8), "layers.0.mlp.fc2.bias": (8,),
+            "head.proj.weight": (8, 4)}),
+        "cp2": (2, {
+            "embedding.word": (8, 8), "embedding.position": (4, 1, 8),
+            **_LN, **_SPLIT_QKV,
+            "layers.0.mlp.fc1.weight": (8, 32), "layers.0.mlp.fc1.bias": (32,),
+            "layers.0.mlp.fc2.weight": (32, 8), "layers.0.mlp.fc2.bias": (8,),
+            "head.proj.weight": (8, 8)}),
+    }
+
+    @pytest.mark.parametrize("layout", list(LEGACY_ENTRIES))
+    def test_checkpoint_from_before_the_layout_merge_loads(self, tmp_path,
+                                                           layout):
+        from repro.longctx import LongContextGPTModel
+        cfg = ModelConfig(num_layers=1, hidden_size=8, num_heads=2,
+                          seq_length=4, vocab_size=8)
+        model = {"serial": lambda: GPTModel(cfg, seed=1),
+                 "tp2": lambda: ParallelGPTModel(cfg, 2, seed=1),
+                 "cp2": lambda: LongContextGPTModel(cfg, 2, seed=1)}[layout]()
+        world, entries = self.LEGACY_ENTRIES[layout]
+        local = np.random.default_rng(3)
+        archive = {f"{name}::{rank}": local.normal(size=shape)
+                   for name, shape in entries.items() for rank in range(world)}
+        path = str(tmp_path / "legacy.npz")
+        np.savez(path, **archive)  # pre-checksum archives are accepted
+        load_weights(model, path)
+        for name, param in model.named_parameters():
+            for rank in range(param.world):
+                np.testing.assert_array_equal(
+                    np.asarray(param.shards[rank]), archive[f"{name}::{rank}"])
+
     def test_layout_mismatch_rejected(self, tmp_path, serial):
         par2 = ParallelGPTModel(CFG, tensor_parallel=2, serial=serial)
         path = str(tmp_path / "t2.npz")

@@ -106,6 +106,78 @@ class TestRecomputeEquivalence:
         assert partial(ids, tgt).item() == pytest.approx(l0, abs=1e-10)
 
 
+class TestIndependentReference:
+    """The shared block against a forward that is not itself.
+
+    Every parallel layout is verified against the serial layout of the
+    *same* classes, so the serial layout needs an outside oracle: one
+    pre-LN layer and the LM head written directly from the paper's
+    Figure 2 in plain NumPy (einsum contractions, no ``repro`` op).
+    Tolerance: both sides are fp64 and differ only in summation order, so
+    1e-10 relative is ~5 decimal digits of slack over the observed
+    ~1e-15 and far below any real defect.
+    """
+
+    S, B, H, A, V = 8, 2, 16, 4, 32
+    RTOL = 1e-10
+
+    @staticmethod
+    def _layernorm(x, gamma, beta, eps=1e-5):
+        mu = x.mean(axis=-1, keepdims=True)
+        var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+        return (x - mu) / np.sqrt(var + eps) * gamma + beta
+
+    def _reference_layer(self, w, x):
+        s, b, h = x.shape
+        a, d = self.A, h // self.A
+        y = self._layernorm(x, w["ln1.gamma"], w["ln1.beta"])
+        q, k, v = (
+            (y @ w[f"attn.{n}.weight"] + w[f"attn.{n}.bias"]).reshape(s, b, a, d)
+            for n in ("wq", "wk", "wv"))
+        scores = np.einsum("ibad,jbad->baij", q, k) / np.sqrt(d)
+        scores = np.where(np.tril(np.ones((s, s), dtype=bool)), scores, -np.inf)
+        probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        probs /= probs.sum(axis=-1, keepdims=True)
+        ctxt = np.einsum("baij,jbad->ibad", probs, v).reshape(s, b, h)
+        x = x + ctxt @ w["attn.wo.weight"] + w["attn.wo.bias"]
+        y = self._layernorm(x, w["ln2.gamma"], w["ln2.beta"])
+        z = y @ w["mlp.fc1.weight"] + w["mlp.fc1.bias"]
+        z = 0.5 * z * (1 + np.tanh(np.sqrt(2 / np.pi) * (z + 0.044715 * z**3)))
+        return x + z @ w["mlp.fc2.weight"] + w["mlp.fc2.bias"]
+
+    def _reference_loss(self, w, x, targets):
+        logits = self._layernorm(x, w["ln_f.gamma"], w["ln_f.beta"]) \
+            @ w["proj.weight"]
+        logits = logits - logits.max(axis=-1, keepdims=True)
+        logp = logits - np.log(np.exp(logits).sum(axis=-1, keepdims=True))
+        return -np.take_along_axis(logp, targets[..., None], -1).mean()
+
+    def test_layer_and_head_match_numpy(self):
+        from repro.layers import LMHead
+        local = np.random.default_rng(17)
+        layer = TransformerLayer(self.H, self.A, attention_dropout=0.0,
+                                 hidden_dropout=0.0, rng=local)
+        head = LMHead(self.H, self.V, rng=local)
+        # Layer-norm parameters initialise to (1, 0); move them off the
+        # identity so a dropped gain or bias would show.
+        for ln in (layer.ln1, layer.ln2, head.ln_f):
+            ln.gamma.shards[0][:] = local.normal(1.0, 0.2, size=self.H)
+            ln.beta.shards[0][:] = local.normal(0.0, 0.2, size=self.H)
+        weights = {name: np.array(p.shards[0])
+                   for module in (layer, head)
+                   for name, p in module.named_parameters()}
+        x = local.normal(size=(self.S, self.B, self.H))
+        targets = random_tokens(local, self.V, self.S, self.B)
+
+        hidden = layer(from_numpy(x))
+        expected_hidden = self._reference_layer(weights, x)
+        np.testing.assert_allclose(np.asarray(hidden.shards[0]),
+                                   expected_hidden, rtol=self.RTOL, atol=0)
+        loss = head(hidden, token_tensor(targets)).item()
+        expected_loss = self._reference_loss(weights, expected_hidden, targets)
+        assert loss == pytest.approx(expected_loss, rel=self.RTOL)
+
+
 class TestMemoryTerms:
     """The instrumented graph reproduces Section 4's accounting exactly."""
 
