@@ -4,7 +4,7 @@ PY ?= python
 # (one GEMM varies 40x); anything timed or gated runs single-threaded.
 ONE_THREAD = OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1
 
-.PHONY: test bench bench-gate bench-wall-smoke smoke chaos trace serve fleet monitor memprofile compile longctx report examples all clean
+.PHONY: test bench bench-gate bench-wall-smoke loc smoke chaos trace serve fleet monitor memprofile compile longctx report examples all clean
 
 test:
 	$(ONE_THREAD) $(PY) -m pytest tests/
@@ -22,6 +22,19 @@ bench-gate:
 # three units each, output checks on, ~20 s.  Exit code is the result.
 bench-wall-smoke:
 	python3 bench/run.py --smoke
+
+# Code size and the three dispatch smells ROADMAP aim 2 tracks ("net
+# lines removed is a tracked number"): Python lines per tree, lines of
+# src/ mentioning `fused`, isinstance(..., ParallelGPTModel) sites, and
+# `self.parallel` arms in the decode engine.
+loc:
+	@printf '%-44s %6d\n' \
+		'src/ python lines' "$$(find src -name '*.py' | xargs cat | wc -l)" \
+		'tests/ python lines' "$$(find tests -name '*.py' | xargs cat | wc -l)" \
+		'bench/ + benchmarks/ python lines' "$$(find bench benchmarks -name '*.py' | xargs cat | wc -l)" \
+		'src/ lines mentioning fused' "$$(grep -rn --include='*.py' fused src | wc -l)" \
+		'src/ isinstance(..., ParallelGPTModel)' "$$(grep -rnE --include='*.py' 'isinstance\(.*ParallelGPTModel' src | wc -l)" \
+		'serving/engine.py self.parallel' "$$(grep -n 'self\.parallel\b' src/repro/serving/engine.py | wc -l)"
 
 # CI smoke run: the artifact-writing CLI invocation of each per-feature
 # target below, without the `pytest tests/test_<feature>.py` those

@@ -39,6 +39,7 @@ from repro.pipeline_sim import (
 from repro.tensor import Tensor, from_numpy
 from repro.tensor import functions as F
 from repro.tensor.functions import MaskSource
+from repro.testing import assert_parallel_equivalent
 
 from helpers import TINY, random_tokens
 
@@ -331,6 +332,34 @@ class TestModelValidation:
     def test_ulysses_heads_not_divisible(self):
         with pytest.raises(ConfigError):
             LongContextGPTModel(TINY, 8, layout="ulysses", abstract=True)
+
+    @pytest.mark.parametrize("fused", [False, True])
+    @pytest.mark.parametrize(
+        "rc", [Recompute.NONE, Recompute.SELECTIVE, Recompute.FULL])
+    def test_a_new_layout_is_one_class(self, serial, rc, fused):
+        """docs/extending.md: ring attention's dataflow with an all-gather
+        instead of hops is six lines over the shared block stack, and
+        bitwise equal to serial like the shipped layouts."""
+        from repro.longctx import ContextParallel
+        from repro.parallel import gather_from_sequence_parallel_region as g
+
+        class AllGatherKV(ContextParallel):
+            core_dropout = ("sharded", 2)
+            row_blocked_scores = True
+
+            def enter_core(self, q, k, v):
+                return q, g(k, self.group), g(v, self.group)
+
+        model_s, ids, tgt, _ = serial
+        reference = GPTModel(TINY, seed=4, mask_source=MS, recompute=rc,
+                             fused=fused)
+        m = GPTModel(TINY, mask_source=MS, serial=model_s, recompute=rc,
+                     fused=fused,
+                     layout=AllGatherKV(ProcessGroup(4, scope="cp")))
+        loss = m(token_tensor(ids, world=4), token_tensor(tgt, world=4))
+        assert loss.item() == reference(token_tensor(ids),
+                                        token_tensor(tgt)).item()
+        assert_parallel_equivalent(reference, m, ids, tgt, atol=1e-12)
 
     def test_ring_allows_head_indivisible_groups(self, serial):
         # 8-way ring on 4 heads: ring shards sequence only.
