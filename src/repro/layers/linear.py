@@ -50,18 +50,19 @@ class Linear(Module):
             self.bias = layout.parameter(rng, (out_features,), f"{name}.bias",
                                          b_axis, abstract)
 
+    def _add_bias(self, y: Tensor, skip_bias_add: bool) -> Tensor:
+        if self.bias is None or skip_bias_add:
+            return y
+        return F.add(y, self.bias)
+
     def forward(self, x: Tensor, skip_bias_add: bool = False) -> Tensor:
         """``skip_bias_add=True`` returns ``x @ W`` only, so the caller can
         fold the bias into a following fused kernel (e.g. bias+GeLU)."""
         y = self.layout.matmul(x, self.weight, self.split, self.category)
-        if self.bias is not None and not skip_bias_add:
-            y = F.add(y, self.bias)
-        return y
+        return self._add_bias(y, skip_bias_add)
 
     def decode(self, x: Tensor, skip_bias_add: bool = False) -> Tensor:
         """:meth:`forward` for one token under ``no_grad`` (see
         :meth:`Layout.decode_matmul`)."""
         y = self.layout.decode_matmul(x, self.weight, self.split)
-        if self.bias is not None and not skip_bias_add:
-            y = F.add(y, self.bias)
-        return y
+        return self._add_bias(y, skip_bias_add)

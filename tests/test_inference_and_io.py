@@ -211,13 +211,14 @@ class TestCheckpointIO:
     _SPLIT_QKV = {f"layers.0.attn.{n}.{p}": shape
                   for n in ("wq", "wk", "wv", "wo")
                   for p, shape in (("weight", (8, 8)), ("bias", (8,)))}
+    _WHOLE = {
+        "embedding.word": (8, 8), "embedding.position": (4, 1, 8),
+        **_LN, **_SPLIT_QKV,
+        "layers.0.mlp.fc1.weight": (8, 32), "layers.0.mlp.fc1.bias": (32,),
+        "layers.0.mlp.fc2.weight": (32, 8), "layers.0.mlp.fc2.bias": (8,),
+        "head.proj.weight": (8, 8)}
     LEGACY_ENTRIES = {
-        "serial": (1, {
-            "embedding.word": (8, 8), "embedding.position": (4, 1, 8),
-            **_LN, **_SPLIT_QKV,
-            "layers.0.mlp.fc1.weight": (8, 32), "layers.0.mlp.fc1.bias": (32,),
-            "layers.0.mlp.fc2.weight": (32, 8), "layers.0.mlp.fc2.bias": (8,),
-            "head.proj.weight": (8, 8)}),
+        "serial": (1, _WHOLE),
         "tp2": (2, {
             "embedding.word": (4, 8), "embedding.position": (4, 1, 8), **_LN,
             "layers.0.attn.qkv.weight": (8, 12), "layers.0.attn.qkv.bias": (12,),
@@ -225,12 +226,7 @@ class TestCheckpointIO:
             "layers.0.mlp.fc1.weight": (8, 16), "layers.0.mlp.fc1.bias": (16,),
             "layers.0.mlp.fc2.weight": (16, 8), "layers.0.mlp.fc2.bias": (8,),
             "head.proj.weight": (8, 4)}),
-        "cp2": (2, {
-            "embedding.word": (8, 8), "embedding.position": (4, 1, 8),
-            **_LN, **_SPLIT_QKV,
-            "layers.0.mlp.fc1.weight": (8, 32), "layers.0.mlp.fc1.bias": (32,),
-            "layers.0.mlp.fc2.weight": (32, 8), "layers.0.mlp.fc2.bias": (8,),
-            "head.proj.weight": (8, 8)}),
+        "cp2": (2, _WHOLE),  # context parallelism replicates every weight
     }
 
     @pytest.mark.parametrize("layout", list(LEGACY_ENTRIES))

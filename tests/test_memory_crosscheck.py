@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.comm.process_group import ProcessGroup
 from repro.config import PAPER_CONFIGS, ModelConfig
-from repro.layers import GPTModel, Recompute
+from repro.layers import Recompute
 from repro.layers.transformer import TransformerLayer
 from repro.memory_model import per_layer_activation_bytes
 from repro.parallel import TensorParallel
