@@ -110,18 +110,16 @@ class _stripped_seams:
 
     def __enter__(self):
         import repro.fusion.ops
-        import repro.parallel.embedding
+        import repro.parallel.layout
         import repro.parallel.loss
         import repro.parallel.mappings
-        import repro.serving.engine
         import repro.tensor.functions
         import repro.tensor.tensor
 
         mp = self.monkeypatch
         for mod in (repro.tensor.tensor, repro.tensor.functions,
                     repro.fusion.ops, repro.parallel.mappings,
-                    repro.parallel.embedding, repro.parallel.loss,
-                    repro.serving.engine):
+                    repro.parallel.layout, repro.parallel.loss):
             mp.setattr(mod, "apply", _stripped_apply)
         mp.setattr(Module, "__call__", _stripped_call)
         return self
