@@ -23,10 +23,12 @@ bench-gate:
 bench-wall-smoke:
 	python3 bench/run.py --smoke
 
-# Code size and the three dispatch smells ROADMAP aim 2 tracks ("net
+# Code size and the duplication smells ROADMAP aim 2 tracks ("net
 # lines removed is a tracked number"): Python lines per tree, lines of
-# src/ mentioning `fused`, isinstance(..., ParallelGPTModel) sites, and
-# `self.parallel` arms in the decode engine.
+# src/ mentioning `fused`, isinstance(..., ParallelGPTModel) sites,
+# `self.parallel` arms in the decode engine, 1F1B walk loops (each ends
+# in its own "deadlocked" raise) and TransformerLayer( constructions
+# outside layers/ (each one a hand-built abstract probe).
 loc:
 	@printf '%-44s %6d\n' \
 		'src/ python lines' "$$(find src -name '*.py' | xargs cat | wc -l)" \
@@ -34,7 +36,9 @@ loc:
 		'bench/ + benchmarks/ python lines' "$$(find bench benchmarks -name '*.py' | xargs cat | wc -l)" \
 		'src/ lines mentioning fused' "$$(grep -rn --include='*.py' fused src | wc -l)" \
 		'src/ isinstance(..., ParallelGPTModel)' "$$(grep -rnE --include='*.py' 'isinstance\(.*ParallelGPTModel' src | wc -l)" \
-		'serving/engine.py self.parallel' "$$(grep -n 'self\.parallel\b' src/repro/serving/engine.py | wc -l)"
+		'serving/engine.py self.parallel' "$$(grep -n 'self\.parallel\b' src/repro/serving/engine.py | wc -l)" \
+		'src/ raise ScheduleError("... deadlocked")' "$$(grep -rn --include='*.py' 'deadlocked")' src | wc -l)" \
+		'src/ TransformerLayer( outside layers/' "$$(grep -rn --include='*.py' 'TransformerLayer(' src | grep -v 'src/repro/layers/' | wc -l)"
 
 # CI smoke run: the artifact-writing CLI invocation of each per-feature
 # target below, without the `pytest tests/test_<feature>.py` those

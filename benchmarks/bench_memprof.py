@@ -31,21 +31,15 @@ def _forward():
     """One abstract TP+SP layer forward with *nothing* attached: the
     memprof seams run their disabled path on every op."""
     from repro.comm.process_group import ProcessGroup
-    from repro.layers import TransformerLayer
+    from repro.layers import abstract_layer
     from repro.parallel import TensorParallel
-    from repro.tensor import Tensor, seed
-    from repro.tensor.backend import AbstractArray
+    from repro.tensor import seed
 
     seed(0)
-    layer = TransformerLayer(
-        CFG.hidden_size, CFG.num_heads, recompute=Recompute.NONE,
-        abstract=True,
-        layout=TensorParallel(ProcessGroup(2), sequence_parallel=True))
-    shape = (CFG.seq_length // 2, 1, CFG.hidden_size)
+    layout = TensorParallel(ProcessGroup(2), sequence_parallel=True)
+    layer, _ = abstract_layer(layout, CFG, 1, recompute=Recompute.NONE)
     for _ in range(INNER):
-        x = Tensor([AbstractArray(shape) for _ in range(2)],
-                   requires_grad=True, layout="shard(dim=0)")
-        layer(x)
+        layer(layout.abstract_stream(CFG, 1))
 
 
 def _profiled():

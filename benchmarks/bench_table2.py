@@ -10,11 +10,10 @@ import pytest
 from repro import experiments
 from repro.comm.process_group import ProcessGroup
 from repro.config import PAPER_CONFIGS
-from repro.layers import Recompute, TransformerLayer
+from repro.layers import Recompute, abstract_layer
 from repro.memory_model import per_layer_activation_bytes, table2
 from repro.parallel import TensorParallel
-from repro.tensor import MemoryTracker, Tensor, instrument
-from repro.tensor.backend import AbstractArray
+from repro.tensor import MemoryTracker, instrument
 
 CFG = PAPER_CONFIGS["22B"]
 
@@ -27,15 +26,11 @@ def bench_formula_table(benchmark):
     assert values == sorted(values, reverse=True)  # each row tightens memory
 
 
-def _measure(sp: bool, rc: Recompute) -> int:
-    t = CFG.parallel.tensor_parallel
-    layer = TransformerLayer(
-        CFG.model.hidden_size, CFG.model.num_heads, recompute=rc,
-        abstract=True, layout=TensorParallel(ProcessGroup(t), sp))
-    s = CFG.model.seq_length // t if sp else CFG.model.seq_length
-    x = Tensor([AbstractArray((s, CFG.training.micro_batch_size,
-                               CFG.model.hidden_size)) for _ in range(t)],
-               requires_grad=True, layout="shard(dim=0)" if sp else "replicated")
+def _measure(sp: bool, rc: Recompute, fuse_sp_gather: bool = True) -> int:
+    layer, x = abstract_layer(
+        TensorParallel(ProcessGroup(CFG.parallel.tensor_parallel), sp,
+                       fuse_sp_gather),
+        CFG.model, CFG.training.micro_batch_size, recompute=rc)
     tracker = MemoryTracker()
     with instrument(memory=tracker):
         layer(x)
@@ -62,23 +57,7 @@ def bench_fused_gather_ablation(benchmark):
     two column-parallel inputs in full on every rank."""
     def both():
         return (_measure(True, Recompute.NONE),
-                _measure_unfused())
-
-    def _measure_unfused():
-        t = CFG.parallel.tensor_parallel
-        layer = TransformerLayer(
-            CFG.model.hidden_size, CFG.model.num_heads,
-            recompute=Recompute.NONE, abstract=True,
-            layout=TensorParallel(ProcessGroup(t), sequence_parallel=True,
-                                  fuse_sp_gather=False))
-        x = Tensor([AbstractArray((CFG.model.seq_length // t,
-                                   CFG.training.micro_batch_size,
-                                   CFG.model.hidden_size)) for _ in range(t)],
-                   requires_grad=True, layout="shard(dim=0)")
-        tracker = MemoryTracker()
-        with instrument(memory=tracker):
-            layer(x)
-        return tracker.live_bytes(0)
+                _measure(True, Recompute.NONE, fuse_sp_gather=False))
 
     fused, unfused = benchmark(both)
     sbh = (CFG.model.seq_length * CFG.training.micro_batch_size

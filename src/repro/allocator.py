@@ -293,27 +293,20 @@ def layer_trace(model_config, microbatch_size: int, tensor_parallel: int,
     """The rank-0 alloc/free stream of ``num_layers`` stacked abstract
     layers run fwd+bwd for ``num_microbatches`` accumulation steps."""
     from .comm.process_group import ProcessGroup
-    from .layers.transformer import TransformerLayer
+    from .layers.transformer import abstract_layer
     from .parallel.layout import TensorParallel
-    from .tensor import Tensor, instrument
-    from .tensor.backend import AbstractArray
+    from .tensor import instrument
 
-    t = tensor_parallel
-    layout = TensorParallel(ProcessGroup(t), sequence_parallel)
+    layout = TensorParallel(ProcessGroup(tensor_parallel), sequence_parallel)
     layers = [
-        TransformerLayer(
-            model_config.hidden_size, model_config.num_heads,
-            recompute=recompute, abstract=True, tag=f"frag_layer{i}",
-            layout=layout)
+        abstract_layer(layout, model_config, microbatch_size,
+                       recompute=recompute, tag=f"frag_layer{i}")[0]
         for i in range(num_layers)
     ]
-    s = model_config.seq_length // t if sequence_parallel else model_config.seq_length
     tracker = TracingMemoryTracker(rank=0)
     with instrument(memory=tracker):
         for _ in range(num_microbatches):
-            x = Tensor([AbstractArray((s, microbatch_size, model_config.hidden_size))
-                        for _ in range(t)], requires_grad=True,
-                       layout="shard(dim=0)" if sequence_parallel else "replicated")
+            x = layout.abstract_stream(model_config, microbatch_size)
             for layer in layers:
                 x = layer(x)
             x.backward()

@@ -4,8 +4,9 @@ A small adoption surface on top of the training substrate: greedy and
 top-k sampling with an ``evaluation`` context that disables dropout.
 Two decode paths are provided and verified identical: :func:`generate`
 recomputes the full forward per step (works under every layout), while
-:func:`generate_cached` keeps per-layer KV caches and does O(context)
-work per step (serial and tensor-parallel models).
+:func:`generate_cached` runs on the serving
+:class:`~repro.serving.engine.DecodeEngine`'s paged KV cache and does
+O(context) work per step (serial and tensor-parallel models).
 """
 
 from __future__ import annotations
@@ -137,38 +138,15 @@ def perplexity(model: GPTModel, ids: np.ndarray, targets: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# KV-cache incremental decoding (serial models)
+# KV-cache incremental decoding
 # ---------------------------------------------------------------------------
-
-class KVCache:
-    """Per-layer key/value tensors accumulated across decode steps.
-
-    Each entry is a world-1 ``Tensor`` of shape ``(positions_so_far, b, h)``.
-    """
-
-    def __init__(self, num_layers: int):
-        self.keys: list = [None] * num_layers
-        self.values: list = [None] * num_layers
-
-    @property
-    def length(self) -> int:
-        return 0 if self.keys[0] is None else self.keys[0].shape[0]
-
-    def append(self, layer: int, k, v) -> None:
-        from .tensor import functions as F
-        if self.keys[layer] is None:
-            self.keys[layer], self.values[layer] = k, v
-        else:
-            self.keys[layer] = F.concat([self.keys[layer], k], axis=0)
-            self.values[layer] = F.concat([self.values[layer], v], axis=0)
-
 
 def one_query_attention(num_heads, q, keys, values):
     """One-query attention over cached keys/values (no mask needed: the
-    cache contains only past positions).  Reuses the training ops and is
-    shared by :func:`decode_step` and the serving engine's batched step —
-    shapes are per-shard, so it serves both the serial model (``a`` heads
-    on ``h``) and tensor-parallel ranks (``a/t`` heads on ``h/t``)."""
+    cache contains only past positions).  Reuses the training ops; the
+    serving engine's batched step runs it per request.  Shapes are
+    per-shard, so it serves both the serial model (``a`` heads on ``h``)
+    and tensor-parallel ranks (``a/t`` heads on ``h/t``)."""
     import math
     from .tensor import functions as F
 
@@ -185,40 +163,6 @@ def one_query_attention(num_heads, q, keys, values):
     ctxt = F.matmul(probs, vr)                                         # (b,a,1,d)
     ctxt = F.transpose(ctxt, (2, 0, 1, 3))                             # (1,b,a,d)
     return F.reshape(ctxt, (one, b, h))
-
-
-def decode_step(model: GPTModel, cache: KVCache, tokens: np.ndarray) -> np.ndarray:
-    """Advance the cache by one token per sequence; return ``(b, v)`` logits.
-
-    ``tokens`` is ``(1, b)``: the token at position ``cache.length``.
-    Mathematically identical to a full forward over the whole context
-    (verified in tests) but does O(context) work per step instead of
-    O(context^2).  Serial models only — the parallel model decodes via
-    :func:`generate`'s full-forward path.
-    """
-    from .tensor import functions as F
-
-    if model.group.size != 1:
-        raise ConfigError("decode_step supports serial GPTModel only")
-    if tokens.shape[0] != 1:
-        raise ConfigError("decode_step consumes exactly one position per call")
-    pos = cache.length
-    if pos >= model.config.seq_length:
-        raise ConfigError("cache is at the model's maximum sequence length")
-
-    ids = token_tensor(tokens)
-    x = F.embedding(model.embedding.word, ids)
-    x = F.add(x, F.slice_axis(model.embedding.position, 0, pos, pos + 1))
-    for index, layer in enumerate(model.layers):
-        h = layer.ln1(x)
-        q, k, v = layer.attn.project_qkv(h)
-        cache.append(index, k, v)
-        ctxt = one_query_attention(layer.attn.num_heads, q, cache.keys[index],
-                                   cache.values[index])
-        x = F.add(layer.attn.wo(ctxt), x)
-        x = F.add(layer.mlp(layer.ln2(x)), x)
-    logits = model.head.logits(x)
-    return np.asarray(logits.shards[0])[0]
 
 
 def generate_cached(model: GPTModel, prompt: np.ndarray, max_new_tokens: int,

@@ -8,10 +8,12 @@ from .layout import SERIAL, Layout
 from .linear import Linear
 from .mlp import MLP
 from .module import Module
-from .transformer import GPTModel, LMHead, Recompute, TransformerLayer
+from .transformer import (
+    GPTModel, LMHead, Recompute, TransformerLayer, abstract_layer,
+)
 
 __all__ = [
     "CoreAttention", "Dropout", "GPTEmbedding", "GPTModel", "LMHead",
     "LayerNorm", "Layout", "Linear", "MLP", "Module", "Recompute", "SERIAL",
-    "SelfAttention", "TransformerLayer", "token_tensor",
+    "SelfAttention", "TransformerLayer", "abstract_layer", "token_tensor",
 ]

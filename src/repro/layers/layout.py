@@ -31,7 +31,7 @@ import numpy as np
 from ..comm.process_group import ProcessGroup
 from ..errors import ConfigError
 from ..fusion.ops import softmax_cross_entropy
-from ..tensor import FP16, FP32, Tensor, checkpoint, parameter
+from ..tensor import FP16, FP32, Tensor, abstract, checkpoint, parameter
 from ..tensor import functions as F
 from ..tensor.backend import AbstractArray
 
@@ -142,6 +142,17 @@ class Layout:
 
     def exit_core(self, ctxt: Tensor) -> Tensor:
         return ctxt
+
+    # -- shape-only execution -------------------------------------------------
+    def abstract_stream(self, model, microbatch_size: int) -> Tensor:
+        """A shape-only residual-stream tensor of ``model`` (a
+        ``ModelConfig``) as this layout holds it: ``(s, b, h)`` on every
+        rank, with ``s`` cut into the layout's sequence shards."""
+        shards = self.sequence_shards
+        return abstract(
+            (model.seq_length // shards, microbatch_size, model.hidden_size),
+            world=self.group.size, requires_grad=True,
+            layout="shard(dim=0)" if shards > 1 else "replicated")
 
     # -- recomputation and gradient sync -------------------------------------
     def sharded_checkpoint(self, body, x: Tensor, label: str) -> Tensor:

@@ -12,7 +12,7 @@ against.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -113,6 +113,18 @@ class TransformerLayer(Module):
         if self.recompute == Recompute.FULL_SHARDED:
             return self.layout.sharded_checkpoint(self._body, x, self.tag)
         return self._body(x)
+
+
+def abstract_layer(layout: Layout, model: ModelConfig, microbatch_size: int,
+                   **layer_kwargs) -> Tuple[TransformerLayer, Tensor]:
+    """One shape-only :class:`TransformerLayer` of ``model`` under
+    ``layout`` and an input for it — the probe the layer-timing, memory
+    drift, memory-profiler and allocator instruments all run.
+    ``layer_kwargs`` go to the layer (``recompute``, ``fused``, ``tag``,
+    dropout rates)."""
+    layer = TransformerLayer(model.hidden_size, model.num_heads, abstract=True,
+                             layout=layout, **layer_kwargs)
+    return layer, layout.abstract_stream(model, microbatch_size)
 
 
 class LMHead(Module):

@@ -444,6 +444,27 @@ def group_measured_categories(categories: Dict[str, int],
     return grouped, unmapped
 
 
+def _layer_term_drift(layout, model, microbatch_size: int, recompute: Recompute,
+                      fused: bool, predicted: Dict[str, float],
+                      sequence_parallel: bool) -> MemoryTermDrift:
+    """Forward one abstract layer under ``layout`` with a fresh tracker and
+    match its saved bytes, folded into term groups, against ``predicted``."""
+    from ..layers.transformer import abstract_layer
+    from ..tensor import MemoryTracker, instrument, seed
+
+    seed(0)
+    layer, x = abstract_layer(layout, model, microbatch_size,
+                              recompute=recompute, fused=fused)
+    tracker = MemoryTracker()
+    with instrument(memory=tracker):
+        layer(x)
+    measured, unmapped = group_measured_categories(
+        tracker.category_breakdown(0), recompute)
+    return MemoryTermDrift(
+        sequence_parallel=sequence_parallel, recompute=recompute,
+        measured=measured, predicted=predicted, unmapped=unmapped)
+
+
 def memory_term_drift(model, microbatch_size: int, tensor_parallel: int,
                       sequence_parallel: bool,
                       recompute: Recompute,
@@ -460,33 +481,15 @@ def memory_term_drift(model, microbatch_size: int, tensor_parallel: int,
     """
     from ..comm.process_group import ProcessGroup
     from ..memory_model import per_layer_term_groups
-    from ..layers.transformer import TransformerLayer
     from ..parallel.layout import TensorParallel
-    from ..tensor import MemoryTracker, Tensor, instrument, seed
-    from ..tensor.backend import AbstractArray
 
     recompute = Recompute(recompute)
-    t = tensor_parallel
-    seed(0)
-    layer = TransformerLayer(
-        model.hidden_size, model.num_heads, recompute=recompute,
-        abstract=True, fused=fused,
-        layout=TensorParallel(ProcessGroup(t), sequence_parallel))
-    s, b, h = model.seq_length, microbatch_size, model.hidden_size
-    sp = sequence_parallel and t > 1
-    shape = (s // t if sp else s, b, h)
-    x = Tensor([AbstractArray(shape) for _ in range(t)], requires_grad=True,
-               layout="shard(dim=0)" if sp else "replicated")
-    tracker = MemoryTracker()
-    with instrument(memory=tracker):
-        layer(x)
-    measured, unmapped = group_measured_categories(
-        tracker.category_breakdown(0), recompute)
-    predicted = per_layer_term_groups(model, microbatch_size, t,
-                                      sequence_parallel, recompute)
-    return MemoryTermDrift(
-        sequence_parallel=sequence_parallel, recompute=recompute,
-        measured=measured, predicted=predicted, unmapped=unmapped)
+    return _layer_term_drift(
+        TensorParallel(ProcessGroup(tensor_parallel), sequence_parallel),
+        model, microbatch_size, recompute, fused,
+        per_layer_term_groups(model, microbatch_size, tensor_parallel,
+                              sequence_parallel, recompute),
+        sequence_parallel=sequence_parallel)
 
 
 def longctx_memory_term_drift(model, microbatch_size: int,
@@ -498,32 +501,16 @@ def longctx_memory_term_drift(model, microbatch_size: int,
     the ``longctx_*`` closed forms.  Zero drift on every
     (layout, recompute, fused) cell — asserted in ``tests/test_longctx.py``
     and gated by the ``longctx`` bench preset."""
-    from ..layers.transformer import TransformerLayer
     from ..longctx.layout import context_layout
     from ..memory_model import longctx_per_layer_term_groups
-    from ..tensor import MemoryTracker, Tensor, instrument, seed
-    from ..tensor.backend import AbstractArray
 
     recompute = Recompute(recompute)
-    p = context_parallel
-    seed(0)
-    layer = TransformerLayer(
-        model.hidden_size, model.num_heads, recompute=recompute,
-        abstract=True, fused=fused,
-        layout=context_layout(layout, p))
-    s, b, h = model.seq_length, microbatch_size, model.hidden_size
-    x = Tensor([AbstractArray((s // p, b, h)) for _ in range(p)],
-               requires_grad=True, layout="shard(dim=0)")
-    tracker = MemoryTracker()
-    with instrument(memory=tracker):
-        layer(x)
-    measured, unmapped = group_measured_categories(
-        tracker.category_breakdown(0), recompute)
-    predicted = longctx_per_layer_term_groups(model, microbatch_size, p,
-                                              layout, recompute)
-    return MemoryTermDrift(
-        sequence_parallel=False, recompute=recompute,
-        measured=measured, predicted=predicted, unmapped=unmapped)
+    return _layer_term_drift(
+        context_layout(layout, context_parallel), model, microbatch_size,
+        recompute, fused,
+        longctx_per_layer_term_groups(model, microbatch_size, context_parallel,
+                                      layout, recompute),
+        sequence_parallel=False)
 
 
 MEMORY_DRIFT_CASES = (

@@ -536,27 +536,18 @@ def profile_layer(model, microbatch_size: int, tensor_parallel: int = 1,
     per-tensor granularity.  Pass a ``tracer`` to timestamp the ledger
     on its simulated clock (and feed its counter tracks)."""
     from ..comm.process_group import ProcessGroup
-    from ..layers.transformer import TransformerLayer
+    from ..layers.transformer import abstract_layer
     from ..parallel.layout import TensorParallel
-    from ..tensor import Tensor, instrument, seed
-    from ..tensor.backend import AbstractArray
+    from ..tensor import instrument, seed
 
-    recompute = Recompute(recompute)
-    t = tensor_parallel
     prof = profiler if profiler is not None else MemProfiler()
     ledger = prof.ledger()
     if tracer is not None:
         tracer.watch_tracker(ledger, "memprof")
     seed(0)
-    layer = TransformerLayer(
-        model.hidden_size, model.num_heads, recompute=recompute,
-        abstract=True, fused=fused,
-        layout=TensorParallel(ProcessGroup(t), sequence_parallel))
-    s, b, h = model.seq_length, microbatch_size, model.hidden_size
-    sp = sequence_parallel and t > 1
-    shape = (s // t if sp else s, b, h)
-    x = Tensor([AbstractArray(shape) for _ in range(t)], requires_grad=True,
-               layout="shard(dim=0)" if sp else "replicated")
+    layer, x = abstract_layer(
+        TensorParallel(ProcessGroup(tensor_parallel), sequence_parallel),
+        model, microbatch_size, recompute=recompute, fused=fused)
     if tracer is not None:
         from .tracer import trace_scope
         with trace_scope(tracer), memprof_scope(prof), \

@@ -12,7 +12,7 @@ any overlapping of gradient all-reduces with back-propagation").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..comm.process_group import ProcessGroup
 from ..config import ExperimentConfig
@@ -22,8 +22,7 @@ from ..layers.embedding import GPTEmbedding
 from ..layers.transformer import LMHead, Recompute
 from ..memory_model.weights import parameters_per_rank
 from ..parallel.layout import TensorParallel
-from ..tensor import INT64, OpLog, Tensor, instrument
-from ..tensor.backend import AbstractArray
+from ..tensor import INT64, OpLog, abstract, instrument
 from .gpu import KernelCostModel, PhaseTimes
 from .layer_timing import layer_times
 from ..pipeline_sim.schedule import schedule_interleaved
@@ -59,8 +58,8 @@ def embedding_times(config: ExperimentConfig, sequence_parallel: bool,
             model.vocab_size, model.hidden_size, model.seq_length,
             abstract=True, layout=TensorParallel(group, sequence_parallel),
         )
-        ids = Tensor([AbstractArray((model.seq_length, train.micro_batch_size))
-                      for _ in range(t)], dtype=INT64)
+        ids = abstract((model.seq_length, train.micro_batch_size), world=t,
+                       dtype=INT64)
         out = emb(ids)
         out.backward()
 
@@ -72,19 +71,14 @@ def head_times(config: ExperimentConfig, sequence_parallel: bool,
     """Abstract-priced forward/backward of final LN + LM head + loss."""
     model, par, train = config.model, config.parallel, config.training
     t = par.tensor_parallel
-    group = ProcessGroup(t, scope="tp")
-    s = model.seq_length // t if sequence_parallel else model.seq_length
+    layout = TensorParallel(ProcessGroup(t, scope="tp"), sequence_parallel)
 
     def run():
-        head = LMHead(
-            model.hidden_size, model.vocab_size, abstract=True,
-            layout=TensorParallel(group, sequence_parallel),
-        )
-        x = Tensor([AbstractArray((s, train.micro_batch_size, model.hidden_size))
-                    for _ in range(t)], requires_grad=True,
-                   layout="shard(dim=0)" if sequence_parallel else "replicated")
-        targets = Tensor([AbstractArray((model.seq_length, train.micro_batch_size))
-                          for _ in range(t)], dtype=INT64)
+        head = LMHead(model.hidden_size, model.vocab_size, abstract=True,
+                      layout=layout)
+        x = layout.abstract_stream(model, train.micro_batch_size)
+        targets = abstract((model.seq_length, train.micro_batch_size), world=t,
+                           dtype=INT64)
         loss = head(x, targets)
         loss.backward()
 
@@ -131,6 +125,21 @@ def iteration_time(
     data parallel size", so microbatch count per replica is unchanged)
     and appends the unoverlapped gradient all-reduce.
     """
+    return _iteration(config, [0.0] * config.parallel.pipeline_parallel,
+                      sequence_parallel, recompute, cost, data_parallel,
+                      dp_allreduce_efficiency, paper_flops_mode)
+
+
+def _iteration(config: ExperimentConfig, stored_full_fraction: Sequence[float],
+               sequence_parallel: bool, recompute: Recompute,
+               cost: Optional[KernelCostModel], data_parallel: int = 1,
+               dp_allreduce_efficiency: float = DP_ALLREDUCE_EFFICIENCY,
+               paper_flops_mode: bool = True) -> IterationResult:
+    """The one iteration body.  ``stored_full_fraction[stage]`` is the
+    share of that pipeline stage's backward passes that skip their
+    recompute segment (Appendix C; mean-field — the stage's backward
+    duration shrinks proportionally).  All zeros is the plain schedule:
+    ``x - 0.0`` keeps every bit."""
     model, par, train = config.model, config.parallel, config.training
     if cost is None:
         num_gpus = par.model_parallel_size * data_parallel
@@ -156,8 +165,11 @@ def iteration_time(
             t += head.forward
         return t
 
+    skipped = [stored_full_fraction[group % p] * layers_per_group * lt.recompute
+               for group in range(num_groups)]
+
     def bwd(group: int) -> float:
-        t = layers_per_group * lt.backward_total
+        t = layers_per_group * lt.backward_total - skipped[group]
         if group == 0:
             t += emb.backward_total
         if group == num_groups - 1:

@@ -15,10 +15,9 @@ from typing import Dict, List, Optional
 
 from ..comm.process_group import ProcessGroup
 from ..config import ModelConfig
-from ..layers.transformer import Recompute, TransformerLayer
+from ..layers.transformer import Recompute, abstract_layer
 from ..parallel.layout import TensorParallel
-from ..tensor import OpLog, Tensor, instrument
-from ..tensor.backend import AbstractArray
+from ..tensor import OpLog, instrument
 from .gpu import KernelCostModel, PhaseTimes
 
 
@@ -40,23 +39,12 @@ def layer_oplog(
     per fused chain (true combined traffic, priced without the unfused
     fusion discount), so one roofline pass replaces N.
     """
-    t = tensor_parallel
-    group = ProcessGroup(t, scope="tp")
-    layer = TransformerLayer(
-        model.hidden_size, model.num_heads,
+    layer, x = abstract_layer(
+        TensorParallel(ProcessGroup(tensor_parallel), sequence_parallel,
+                       fuse_sp_gather),
+        model, microbatch_size,
         attention_dropout=attention_dropout, hidden_dropout=hidden_dropout,
-        recompute=recompute, abstract=True, tag="timed_layer", fused=fused,
-        layout=TensorParallel(group, sequence_parallel, fuse_sp_gather),
-    )
-    s, b, h = model.seq_length, microbatch_size, model.hidden_size
-    if sequence_parallel:
-        shape = (s // t, b, h)
-        layout = "shard(dim=0)"
-    else:
-        shape = (s, b, h)
-        layout = "replicated"
-    x = Tensor([AbstractArray(shape) for _ in range(t)],
-               requires_grad=True, layout=layout)
+        recompute=recompute, tag="timed_layer", fused=fused)
     log = OpLog()
     with instrument(oplog=log):
         y = layer(x)

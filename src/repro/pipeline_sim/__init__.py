@@ -3,10 +3,13 @@
 from .schedule import (
     Op,
     OpKind,
+    StorageWindow,
+    op_dependency,
     rank_of_group,
     schedule_1f1b,
     schedule_interleaved,
     validate_schedule,
+    walk_schedule,
 )
 from .simulator import PipelineCosts, SimResult, simulate
 from .chrome_trace import chrome_trace_events, export_chrome_trace
@@ -17,13 +20,13 @@ from .overlap import (
     longctx_overlap_segments,
     schedule_overlap,
 )
-from .timeline import TimelineCosts, figure10, op_dependency, render_timeline
+from .timeline import TimelineCosts, figure10, render_timeline
 
 __all__ = [
     "Op", "OpKind", "OverlapResult", "OverlapSegment", "PipelineCosts",
-    "SimResult", "TimelineCosts", "chrome_trace_events",
+    "SimResult", "StorageWindow", "TimelineCosts", "chrome_trace_events",
     "export_chrome_trace", "figure10", "longctx_overlap_report",
     "longctx_overlap_segments", "op_dependency", "rank_of_group",
     "render_timeline", "schedule_1f1b", "schedule_interleaved", "simulate",
-    "schedule_overlap", "validate_schedule",
+    "schedule_overlap", "validate_schedule", "walk_schedule",
 ]

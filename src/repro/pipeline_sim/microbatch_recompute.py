@@ -127,69 +127,7 @@ def iteration_time_with_plan(
     shape as the baseline path so MFU deltas (the paper's +0.7% / +0.4%)
     can be read directly.
     """
-    from ..flops_model import utilization
-    from ..hardware import selene_like
-    from ..perf_model.gpu import KernelCostModel
-    from ..perf_model.iteration import (
-        IterationResult, OPTIMIZER_BYTES_PER_PARAM, embedding_times, head_times,
-    )
-    from ..perf_model.layer_timing import layer_times
-    from ..memory_model.weights import parameters_per_rank
-    from .schedule import schedule_interleaved
-    from .simulator import PipelineCosts, simulate
+    from ..perf_model.iteration import _iteration
 
-    model, par, train = config.model, config.parallel, config.training
-    if cost is None:
-        cost = KernelCostModel(cluster=selene_like(par.model_parallel_size))
-    lt = layer_times(model, train.micro_batch_size, par.tensor_parallel,
-                     sequence_parallel=sequence_parallel,
-                     recompute=plan.base_recompute, cost=cost)
-    emb = embedding_times(config, sequence_parallel, cost)
-    head = head_times(config, sequence_parallel, cost)
-    p, m = par.pipeline_parallel, par.interleave_stages
-    num_groups = p * m
-    layers_per_group = model.num_layers // num_groups
-
-    def fwd(group: int) -> float:
-        time = layers_per_group * lt.forward
-        if group == 0:
-            time += emb.forward
-        if group == num_groups - 1:
-            time += head.forward
-        return time
-
-    def bwd(group: int) -> float:
-        stage = group % p
-        saved = plan.stage(stage).full_fraction * layers_per_group * lt.recompute
-        time = layers_per_group * lt.backward_total - saved
-        if group == 0:
-            time += emb.backward_total
-        if group == num_groups - 1:
-            time += head.backward_total
-        return time
-
-    s, b, h = model.seq_length, train.micro_batch_size, model.hidden_size
-    p2p_bytes = 2 * s * b * h // (par.tensor_parallel if sequence_parallel else 1)
-    p2p = cost.comm.p2p_time(p2p_bytes, scope="pp") if p > 1 else 0.0
-    result = simulate(
-        schedule_interleaved(p, train.num_microbatches(1), m),
-        PipelineCosts(num_groups=num_groups, forward_time=fwd,
-                      backward_time=bwd, p2p_time=p2p),
-    )
-    optimizer_time = (parameters_per_rank(config) * OPTIMIZER_BYTES_PER_PARAM
-                      / (cost.gpu.hbm_bandwidth * cost.hbm_efficiency))
-    total = result.makespan + optimizer_time
-    util = utilization(config, total, recompute=plan.base_recompute,
-                       peak_flops_per_gpu=cost.gpu.peak_flops)
-    return IterationResult(
-        config_name=model.name or "model",
-        sequence_parallel=sequence_parallel,
-        recompute=plan.base_recompute,
-        iteration_time=total,
-        pipeline_time=result.makespan,
-        dp_allreduce_time=0.0,
-        optimizer_time=optimizer_time,
-        bubble_fraction=result.bubble_fraction,
-        per_layer=lt,
-        util=util,
-    )
+    return _iteration(config, [stage.full_fraction for stage in plan.stages],
+                      sequence_parallel, plan.base_recompute, cost)

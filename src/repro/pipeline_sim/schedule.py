@@ -7,15 +7,26 @@ group ``g`` lives on rank ``g % p`` as that rank's chunk ``g // p``.
 A schedule is, per rank, an ordered list of :class:`Op` — forward or
 backward of one microbatch through one group — the order Megatron's
 scheduler would issue them in.
+
+This module is also the single statement of 1F1B **dataflow**: what an op
+waits for (:func:`op_dependency`), the order a set of ranks issues a
+schedule in (:func:`walk_schedule`) and Appendix C's moving window of
+fully-stored microbatches (:class:`StorageWindow`).  The event simulator,
+the Figure 10 timeline and the real ``PipelinedGPT`` executor are three
+consumers of that one walk.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import List
+from typing import Container, Iterator, List, Optional, Sequence, Tuple
 
-from ..errors import ScheduleError
+from ..errors import ConfigError, ScheduleError
+
+#: ``(kind letter, microbatch, group)`` — how a finished op is recorded
+OpKey = Tuple[str, int, int]
 
 
 class OpKind(str, Enum):
@@ -131,7 +142,8 @@ def schedule_interleaved(pipeline_parallel: int, num_microbatches: int,
 def validate_schedule(ranks: List[List[Op]], num_microbatches: int,
                       interleave_stages: int = 1) -> None:
     """Sanity-check a schedule: every (mb, group) appears exactly once per
-    kind per owning rank, and backwards never precede their forward."""
+    kind per owning rank, backwards never precede their forward, and the
+    ranks together can issue it to the end (no deadlock)."""
     p = len(ranks)
     for i, ops in enumerate(ranks):
         seen_f = set()
@@ -156,3 +168,105 @@ def validate_schedule(ranks: List[List[Op]], num_microbatches: int,
                 f"rank {i}: {len(seen_f)} forwards / {len(seen_b)} backwards, "
                 f"expected {expected}"
             )
+    done: set = set()
+    for _rank, _op, key, _dep in walk_schedule(
+            ranks, p * interleave_stages, done):
+        done.add(key)
+
+
+def _waits_for(op: Op, num_groups: int) -> Optional[OpKey]:
+    if op.kind == OpKind.F:
+        return None if op.group == 0 else ("F", op.microbatch, op.group - 1)
+    if op.group == num_groups - 1:
+        return ("F", op.microbatch, op.group)
+    return ("B", op.microbatch, op.group + 1)
+
+
+def op_dependency(op: Op, num_groups: int) -> Optional[OpKey]:
+    """The cross-rank completion ``(kind, microbatch, group)`` that must
+    finish before ``op`` can start under 1F1B dataflow, or ``None``.
+
+    A forward waits for the previous group's forward of the same
+    microbatch; a backward waits for the next group's backward — except
+    the last group's backward, which only needs its own forward.  These
+    are the edges :func:`walk_schedule` follows and the trace analysis'
+    cross-rank critical-path extraction walks backward.
+    """
+    # The walker calls the private name: bench/layers.py wraps every
+    # public function here in a timing span, and this one runs per op.
+    return _waits_for(op, num_groups)
+
+
+def walk_schedule(ranks_ops: List[List[Op]], num_groups: int,
+                  done: Container[OpKey]
+                  ) -> Iterator[Tuple[int, Op, OpKey, Optional[OpKey]]]:
+    """Yield every op of a schedule once, in issue order, as
+    ``(rank, op, key, dependency)``.
+
+    Each rank issues its list strictly in order; the ranks take turns,
+    each running until its next op's dependency is not in ``done``.
+    ``done`` is the **consumer's own** completion table (a set, or a
+    mapping to finish times): it must hold ``key`` before the next op is
+    asked for, which is also what keeps the walk lazy — no second copy
+    of the order or of what has run is ever built.  Raises
+    :class:`ScheduleError` when a full turn of the ranks issues nothing.
+    """
+    ptr = [0] * len(ranks_ops)
+    remaining = sum(len(ops) for ops in ranks_ops)
+    while remaining:
+        before = remaining
+        for rank, ops in enumerate(ranks_ops):
+            i = ptr[rank]
+            while i < len(ops):
+                op = ops[i]
+                dep = _waits_for(op, num_groups)
+                if dep is not None and dep not in done:
+                    break
+                yield rank, op, (op.kind.value, op.microbatch, op.group), dep
+                i += 1
+            remaining -= i - ptr[rank]
+            ptr[rank] = i
+        if remaining == before:
+            raise ScheduleError("pipeline schedule deadlocked")
+
+
+class StorageWindow:
+    """Appendix C's moving window of fully-stored microbatches.
+
+    Rank ``i`` may keep **all** activations of up to ``slots[i]`` of its
+    in-flight microbatches.  A microbatch claims a free slot at a forward
+    on the rank and gives it back at its last backward there, so the next
+    arriving microbatch can take it (Figure 10.b).
+    """
+
+    def __init__(self, slots: Sequence[int], ranks_ops: List[List[Op]]):
+        if len(slots) != len(ranks_ops) or any(k < 0 for k in slots):
+            raise ConfigError(
+                f"full_storage_slots needs one count >= 0 per pipeline rank "
+                f"({len(ranks_ops)}), got {list(slots)}")
+        self.slots = list(slots)
+        #: per rank: microbatches that ran a forward without checkpointing
+        self.stored_full = [0] * len(slots)
+        self._full = [set() for _ in slots]   # microbatches holding a slot
+        self._backwards_left = [
+            Counter(op.microbatch for op in ops if op.kind == OpKind.B)
+            for ops in ranks_ops]
+
+    def forward(self, rank: int, microbatch: int) -> bool:
+        """Whether this forward stores everything (claiming a slot if the
+        microbatch holds none and one is free)."""
+        full = self._full[rank]
+        if microbatch not in full and len(full) < self.slots[rank]:
+            self.stored_full[rank] += 1
+            full.add(microbatch)
+        return microbatch in full
+
+    def backward(self, rank: int, microbatch: int) -> bool:
+        """Whether this backward finds everything stored (no recompute
+        segment); the microbatch's last backward on the rank frees its
+        slot."""
+        full = microbatch in self._full[rank]
+        self._backwards_left[rank][microbatch] -= 1
+        if full and not self._backwards_left[rank][microbatch]:
+            self._full[rank].discard(microbatch)
+        return full

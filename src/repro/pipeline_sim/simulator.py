@@ -17,10 +17,9 @@ the closed-form :mod:`repro.memory_model.pipeline` profile.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
-from ..errors import ScheduleError
-from .schedule import Op, OpKind, rank_of_group
+from .schedule import Op, OpKind, rank_of_group, walk_schedule
 
 
 @dataclass(frozen=True)
@@ -62,70 +61,38 @@ class SimResult:
         return 1.0 - self.busy_time[rank] / self.makespan
 
 
-def _dependency(op: Op, num_groups: int) -> Optional[Tuple[str, int, int]]:
-    if op.kind == OpKind.F:
-        if op.group == 0:
-            return None
-        return ("F", op.microbatch, op.group - 1)
-    if op.group == num_groups - 1:
-        return ("F", op.microbatch, op.group)
-    return ("B", op.microbatch, op.group + 1)
-
-
 def simulate(ranks_ops: List[List[Op]], costs: PipelineCosts) -> SimResult:
     """Run the schedule to completion; raises on deadlock."""
     p = len(ranks_ops)
     done: Dict[Tuple[str, int, int], float] = {}
-    ptr = [0] * p
     clock = [0.0] * p
     busy = [0.0] * p
     mem = [0.0] * p
     peak = [0.0] * p
-
-    def op_key(op: Op) -> Tuple[str, int, int]:
-        return (op.kind.value, op.microbatch, op.group)
-
-    total_ops = sum(len(ops) for ops in ranks_ops)
-    executed = 0
-    while executed < total_ops:
-        progressed = False
-        for i in range(p):
-            while ptr[i] < len(ranks_ops[i]):
-                op = ranks_ops[i][ptr[i]]
-                dep = _dependency(op, costs.num_groups)
-                if dep is not None and dep not in done:
-                    break
-                same_rank_dep = (
-                    dep is not None
-                    and rank_of_group(dep[2], p) == i
-                )
-                ready = clock[i]
-                if dep is not None:
-                    transfer = 0.0 if same_rank_dep else costs.p2p_time
-                    ready = max(ready, done[dep] + transfer)
-                duration = (
-                    costs.forward_time(op.group)
-                    if op.kind == OpKind.F
-                    else costs.backward_time(op.group)
-                )
-                finish = ready + duration
-                done[op_key(op)] = finish
-                clock[i] = finish
-                busy[i] += duration
-                executed += 1
-                progressed = True
-                # -- memory accounting -----------------------------------
-                delta = costs.activation_bytes(op.group)
-                if not costs.deallocate_output_tensor:
-                    delta += costs.output_tensor_bytes
-                if op.kind == OpKind.F:
-                    mem[i] += delta
-                    peak[i] = max(peak[i], mem[i])
-                else:
-                    mem[i] -= delta
-                ptr[i] += 1
-        if not progressed:
-            raise ScheduleError("pipeline schedule deadlocked")
+    for i, op, key, dep in walk_schedule(ranks_ops, costs.num_groups, done):
+        ready = clock[i]
+        if dep is not None:
+            same_rank_dep = rank_of_group(dep[2], p) == i
+            transfer = 0.0 if same_rank_dep else costs.p2p_time
+            ready = max(ready, done[dep] + transfer)
+        duration = (
+            costs.forward_time(op.group)
+            if op.kind == OpKind.F
+            else costs.backward_time(op.group)
+        )
+        finish = ready + duration
+        done[key] = finish
+        clock[i] = finish
+        busy[i] += duration
+        # -- memory accounting -------------------------------------------
+        delta = costs.activation_bytes(op.group)
+        if not costs.deallocate_output_tensor:
+            delta += costs.output_tensor_bytes
+        if op.kind == OpKind.F:
+            mem[i] += delta
+            peak[i] = max(peak[i], mem[i])
+        else:
+            mem[i] -= delta
     return SimResult(
         makespan=max(clock),
         busy_time=busy,

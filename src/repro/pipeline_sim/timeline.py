@@ -9,7 +9,8 @@ character per time cell:
 * ``B`` — back-propagation (blue),
 * ``.`` — idle (pipeline bubble).
 
-The renderer runs the same event-driven simulation as
+The renderer consumes the same
+:func:`~repro.pipeline_sim.schedule.walk_schedule` order as
 :func:`repro.pipeline_sim.simulator.simulate`, splitting each backward op
 into its recompute and gradient components so the Figure 10.a vs 10.b
 contrast (checkpoint-everything vs microbatch-level recomputation) is
@@ -19,10 +20,9 @@ visible directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Tuple
 
-from ..errors import ScheduleError
-from .schedule import Op, OpKind, rank_of_group
+from .schedule import Op, OpKind, StorageWindow, schedule_1f1b, walk_schedule
 
 
 @dataclass(frozen=True)
@@ -49,82 +49,29 @@ class TimelineEvent:
     symbol: str
 
 
-def op_dependency(op: Op, num_groups: int) -> Optional[Tuple[str, int, int]]:
-    """The cross-rank completion ``(kind, microbatch, group)`` that must
-    finish before ``op`` can start under 1F1B dataflow, or ``None``.
-
-    A forward waits for the previous group's forward of the same
-    microbatch; a backward waits for the next group's backward — except
-    the last group's backward, which only needs its own forward.  This
-    is the dependency walk both the timeline simulation and the trace
-    analysis' cross-rank critical-path extraction use.
-    """
-    if op.kind == OpKind.F:
-        return None if op.group == 0 else ("F", op.microbatch, op.group - 1)
-    if op.group == num_groups - 1:
-        return ("F", op.microbatch, op.group)
-    return ("B", op.microbatch, op.group + 1)
-
-
 def _simulate_events(ranks_ops: List[List[Op]],
                      costs: TimelineCosts) -> Tuple[List[TimelineEvent], float]:
     p = len(ranks_ops)
     done = {}
-    ptr = [0] * p
     clock = [0.0] * p
     events: List[TimelineEvent] = []
-    slots_in_use = [0] * p
-    full_mbs: List[Set[int]] = [set() for _ in range(p)]
-    backwards_left = [dict() for _ in range(p)]
-    for rank, ops in enumerate(ranks_ops):
-        for op in ops:
-            if op.kind == OpKind.B:
-                backwards_left[rank][op.microbatch] = (
-                    backwards_left[rank].get(op.microbatch, 0) + 1)
-
-    def dependency(op: Op):
-        return op_dependency(op, costs.num_groups)
-
-    total = sum(len(ops) for ops in ranks_ops)
-    executed = 0
-    while executed < total:
-        progressed = False
-        for rank in range(p):
-            while ptr[rank] < len(ranks_ops[rank]):
-                op = ranks_ops[rank][ptr[rank]]
-                dep = dependency(op)
-                if dep is not None and dep not in done:
-                    break
-                start = clock[rank]
-                if dep is not None:
-                    start = max(start, done[dep])
-                if op.kind == OpKind.F:
-                    if (op.microbatch not in full_mbs[rank]
-                            and slots_in_use[rank] < costs.full_storage_slots):
-                        slots_in_use[rank] += 1
-                        full_mbs[rank].add(op.microbatch)
-                    symbol = "f" if op.microbatch in full_mbs[rank] else "F"
-                    end = start + costs.forward
-                    events.append(TimelineEvent(rank, start, end, symbol))
-                else:
-                    end = start
-                    if op.microbatch not in full_mbs[rank] and costs.recompute > 0:
-                        events.append(TimelineEvent(rank, end, end + costs.recompute, "R"))
-                        end += costs.recompute
-                    events.append(TimelineEvent(rank, end, end + costs.backward, "B"))
-                    end += costs.backward
-                    backwards_left[rank][op.microbatch] -= 1
-                    if (backwards_left[rank][op.microbatch] == 0
-                            and op.microbatch in full_mbs[rank]):
-                        full_mbs[rank].discard(op.microbatch)
-                        slots_in_use[rank] -= 1
-                done[(op.kind.value, op.microbatch, op.group)] = end
-                clock[rank] = end
-                ptr[rank] += 1
-                executed += 1
-                progressed = True
-        if not progressed:
-            raise ScheduleError("timeline simulation deadlocked")
+    window = StorageWindow([costs.full_storage_slots] * p, ranks_ops)
+    for rank, op, key, dep in walk_schedule(ranks_ops, costs.num_groups, done):
+        end = clock[rank]
+        if dep is not None:
+            end = max(end, done[dep])
+        if op.kind == OpKind.F:
+            symbol = "f" if window.forward(rank, op.microbatch) else "F"
+            segments = [(symbol, costs.forward)]
+        elif window.backward(rank, op.microbatch) or costs.recompute <= 0:
+            segments = [("B", costs.backward)]
+        else:
+            segments = [("R", costs.recompute), ("B", costs.backward)]
+        for symbol, duration in segments:
+            events.append(TimelineEvent(rank, end, end + duration, symbol))
+            end += duration
+        done[key] = end
+        clock[rank] = end
     return events, max(clock)
 
 
@@ -155,8 +102,6 @@ def figure10(pipeline_parallel: int = 4, num_microbatches: int = 9,
              full_storage_slots: int = 1) -> str:
     """The paper's Figure 10: baseline (a) vs microbatch-level
     recomputation (b) on the first-stage computation pattern."""
-    from .schedule import schedule_1f1b
-
     sched = schedule_1f1b(pipeline_parallel, num_microbatches)
     base = render_timeline(sched, TimelineCosts(
         num_groups=pipeline_parallel, forward=1, recompute=1, backward=2))

@@ -21,10 +21,7 @@ Numerics notes:
   collectives is the identity, so the serial model is not a special case;
 * a decode step consumes exactly one token per request; positions come
   from the cache's block tables, so requests join and leave freely
-  between steps (continuous batching);
-* the single-query attention core is shared with
-  :func:`repro.inference.decode_step` (``one_query_attention``) so the
-  two cached decode paths cannot drift apart.
+  between steps (continuous batching).
 """
 
 from __future__ import annotations

@@ -31,7 +31,10 @@ from ..errors import CollectiveTimeout, ConfigError, CorruptionDetected, Schedul
 from ..observability.tracer import active_tracer, span_or_null
 from ..layers.embedding import token_tensor
 from ..layers.transformer import GPTModel, Recompute
-from ..pipeline_sim.schedule import Op, OpKind, schedule_interleaved
+from ..pipeline_sim.schedule import (
+    Op, OpKind, StorageWindow, schedule_interleaved, validate_schedule,
+    walk_schedule,
+)
 from ..tensor import MemoryTracker, Tensor, instrument
 from ..tensor.context import ctx as execution_context
 from .optimizer import Adam
@@ -392,41 +395,22 @@ class PipelinedGPT:
         plan externals reading the :class:`PlanRuntime` holder."""
         world = self.model.group.size
         microbatches = split_microbatches(ids, targets, num_microbatches)
-        slots = list(full_storage_slots) if full_storage_slots else [0] * self.p
-
         schedule = schedule_interleaved(self.p, num_microbatches, self.m)
-        ptr = [0] * self.p
+        window = StorageWindow(full_storage_slots or [0] * self.p, schedule)
+        # A schedule that cannot finish fails here, before any op has
+        # accumulated a gradient or been recorded into a plan.
+        validate_schedule(schedule, num_microbatches, self.m)
+
         outputs: Dict[Tuple[int, int], Tensor] = {}      # (mb, group) -> output
         inputs: Dict[Tuple[int, int], Tensor] = {}       # (mb, group) -> boundary leaf
-        backward_done: set = set()
         losses: List[float] = rt.losses if rt is not None else []
-        # Appendix C moving window state, per pipeline rank.
-        slots_in_use = [0] * self.p
-        full_microbatches: List[set] = [set() for _ in range(self.p)]
-        stored_full_count = [0] * self.p
-        remaining_backwards = [
-            {mb: self.m for mb in range(num_microbatches)} for _ in range(self.p)
-        ]
-
-        def ready(op: Op) -> bool:
-            if op.kind == OpKind.F:
-                return op.group == 0 or (op.microbatch, op.group - 1) in outputs
-            if op.group == self.num_groups - 1:
-                return (op.microbatch, op.group) in outputs
-            return ("B", op.microbatch, op.group + 1) in backward_done
 
         tracer = active_tracer()
 
         def exec_op(op: Op, rank: int) -> None:
             mb, group = op.microbatch, op.group
             if op.kind == OpKind.F:
-                # Moving window: claim a full-storage slot for a new
-                # microbatch if one is free.
-                if mb not in full_microbatches[rank] and slots_in_use[rank] < slots[rank]:
-                    slots_in_use[rank] += 1
-                    full_microbatches[rank].add(mb)
-                    stored_full_count[rank] += 1
-                store_full = mb in full_microbatches[rank]
+                store_full = window.forward(rank, mb)
                 if group == 0:
                     x = token_tensor(microbatches[mb][0], world=world)
                     if recorder is not None:
@@ -470,12 +454,7 @@ class PipelinedGPT:
                         # gradient (written by the downstream backward op).
                         recorder.declare_seed_source(out, ("tgrad", downstream))
                 out.backward(grad)
-                backward_done.add(("B", mb, group))
-                remaining_backwards[rank][mb] -= 1
-                if (remaining_backwards[rank][mb] == 0
-                        and mb in full_microbatches[rank]):
-                    full_microbatches[rank].discard(mb)
-                    slots_in_use[rank] -= 1
+                window.backward(rank, mb)
 
         def run_op(op: Op, rank: int) -> None:
             if recorder is None:
@@ -501,23 +480,11 @@ class PipelinedGPT:
                         microbatch=op.microbatch, group=op.group):
                     run_op(op, rank)
 
-        total_ops = sum(len(ops) for ops in schedule)
-        executed = 0
-        while executed < total_ops:
-            progressed = False
-            for rank in range(self.p):
-                while ptr[rank] < len(schedule[rank]):
-                    op = schedule[rank][ptr[rank]]
-                    if not ready(op):
-                        break
-                    run(op, rank)
-                    ptr[rank] += 1
-                    executed += 1
-                    progressed = True
-            if not progressed:
-                raise ScheduleError("pipelined execution deadlocked")
-
-        return losses, stored_full_count
+        done: set = set()
+        for rank, op, key, _ in walk_schedule(schedule, self.num_groups, done):
+            run(op, rank)
+            done.add(key)
+        return losses, window.stored_full
 
     def _finish_step(self, losses: List[float], trackers: List[MemoryTracker],
                      stored_full: List[int]) -> PipelineStepResult:

@@ -9,7 +9,7 @@ from repro.inference import evaluation, generate, perplexity
 from repro.layers import GPTModel, token_tensor
 from repro.layers.dropout import Dropout
 from repro.parallel import ParallelGPTModel
-from repro.tensor import from_numpy, parameter
+from repro.tensor import from_numpy, no_grad, parameter
 from repro.tensor import functions as F
 from repro.training import (
     Adam, MarkovTokens, Trainer, load_training_state, load_weights,
@@ -123,35 +123,25 @@ class TestKVCacheDecoding:
         np.testing.assert_array_equal(cached, full)
 
     def test_per_step_logits_match_full_context(self, serial):
-        from repro.inference import KVCache, decode_step, evaluation
-        from repro.tensor import no_grad
+        from repro.serving import DecodeEngine, PagedKVCache
         ids = rng.integers(0, CFG.vocab_size, size=(5, 2))
+        cache = PagedKVCache(CFG, block_size=4, num_blocks=4)
+        engine = DecodeEngine(serial, cache)
+        requests = ["a", "b"]
+        for request in requests:
+            cache.add_request(request)
+        for i in range(5):
+            logits = engine.decode(requests, ids[i])
         with no_grad(), evaluation(serial):
-            cache = KVCache(CFG.num_layers)
-            for i in range(5):
-                logits = decode_step(serial, cache, ids[i:i + 1])
             reference = np.asarray(serial.logits(token_tensor(ids)).shards[0])[-1]
         np.testing.assert_allclose(logits, reference, atol=1e-10)
-        assert cache.length == 5
+        assert [engine.context_length(r) for r in requests] == [5, 5]
 
     def test_cache_length_capped(self, serial):
         from repro.inference import generate_cached
         prompt = rng.integers(0, CFG.vocab_size, size=(CFG.seq_length - 1, 1))
         out = generate_cached(serial, prompt, max_new_tokens=10)
         assert out.shape[0] == CFG.seq_length
-
-    def test_decode_step_validation(self, serial):
-        from repro.inference import KVCache, decode_step
-        with pytest.raises(ConfigError):
-            decode_step(serial, KVCache(CFG.num_layers),
-                        np.zeros((2, 1), dtype=np.int64))
-
-    def test_parallel_model_rejected(self, serial):
-        from repro.inference import KVCache, decode_step
-        par = ParallelGPTModel(CFG, tensor_parallel=2, serial=serial)
-        with pytest.raises(ConfigError):
-            decode_step(par, KVCache(CFG.num_layers),
-                        np.zeros((1, 1), dtype=np.int64))
 
     def test_top_k_cached_matches_uncached_with_same_rng(self, serial):
         from repro.inference import generate_cached

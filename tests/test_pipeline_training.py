@@ -85,6 +85,18 @@ class TestNumerics:
             PipelinedGPT(model, 3)
 
 
+    @pytest.mark.parametrize("slots", [[1], [1, 1, 1], [1, -3]])
+    def test_full_storage_slots_validated_before_any_op(self, slots):
+        """One count >= 0 per pipeline rank, or ConfigError up front (not an
+        IndexError mid-schedule, a silently ignored entry or a negative
+        count)."""
+        model, _ = make_models()
+        with pytest.raises(ConfigError):
+            PipelinedGPT(model, 2).train_step(*batch(), num_microbatches=2,
+                                              full_storage_slots=slots)
+        assert all(p.grad is None for p in model.parameters())
+
+
 class TestMeasuredStageMemory:
     def test_stage_peaks_decrease_along_pipeline(self):
         """The toy-scale, concretely *measured* Figure 9 shape."""

@@ -169,6 +169,21 @@ class TestMicrobatchRecompute:
         assert improved.iteration_time < base.iteration_time
 
 
+    def test_zero_slot_plan_is_the_plain_iteration_bitwise(self):
+        """Both entry points run one iteration body; a plan that stores
+        nothing in full subtracts 0.0 everywhere, which keeps every bit."""
+        from dataclasses import fields, replace
+        cfg = PAPER_CONFIGS["175B"]
+        planned = plan_microbatch_recompute(cfg)
+        zero = replace(planned, stages=[replace(s, full_slots=0.0)
+                                        for s in planned.stages])
+        with_plan = iteration_time_with_plan(cfg, zero)
+        plain = iteration_time(cfg, recompute=zero.base_recompute)
+        for f in fields(plain):
+            assert (repr(getattr(with_plan, f.name))
+                    == repr(getattr(plain, f.name))), f.name
+
+
 class TestPlanExecution:
     def test_plan_build_kwargs_execute_and_match_bytes(self):
         """The planner's chosen option, built as a real model, measures the

@@ -1,6 +1,8 @@
 """Property-based checks on the real pipelined executor: for random
 (p, m, n_mb) partitions of a tiny model, 1F1B/interleaved execution equals
-plain gradient accumulation exactly."""
+plain gradient accumulation exactly.  Also the one 1F1B walker under it:
+its order properties, and that the executor, the event simulator and the
+Figure 10 timeline issue one and the same sequence."""
 
 import numpy as np
 import pytest
@@ -8,8 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import ModelConfig
+from repro.errors import ScheduleError
 from repro.layers import GPTModel, Recompute, token_tensor
+from repro.observability import Tracer, trace_scope
 from repro.parallel import ParallelGPTModel
+from repro.pipeline_sim import (
+    PipelineCosts, TimelineCosts, chrome_trace_events, op_dependency,
+    rank_of_group, schedule_interleaved, simulate, walk_schedule,
+)
 from repro.training import PipelinedGPT, split_microbatches
 
 CFG = ModelConfig(num_layers=4, hidden_size=16, num_heads=2,
@@ -61,3 +69,87 @@ def test_executor_matches_accumulation(p, m, n_mb, recompute, slots):
             np.testing.assert_allclose(
                 np.asarray(param.grad[r]), reference[name][r],
                 atol=1e-9, err_msg=f"{name} (p={p}, m={m}, rc={recompute})")
+
+
+def _drain(schedule, num_groups):
+    """Walk a schedule to the end, recording completions as a consumer must."""
+    done = set()
+    for _rank, _op, key, _dep in walk_schedule(schedule, num_groups, done):
+        done.add(key)
+
+
+@given(p=st.integers(1, 5), rounds=st.integers(1, 3), m=st.integers(1, 3),
+       data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_walker_issues_each_op_once_in_dataflow_order(p, rounds, m, data):
+    n, num_groups = p * rounds, p * m
+    schedule = schedule_interleaved(p, n, m)
+    done = set()
+    issued = [[] for _ in range(p)]
+    for rank, op, key, dep in walk_schedule(schedule, num_groups, done):
+        assert key == (op.kind.value, op.microbatch, op.group)
+        assert key not in done
+        assert dep == op_dependency(op, num_groups)
+        assert dep is None or dep in done      # never before its dependency
+        issued[rank].append(op)
+        done.add(key)
+    assert issued == schedule   # every op once, each rank's order preserved
+
+    # A backward moved ahead of its own forward on a rank can never run:
+    # its dependency chain leads back to that forward.
+    rank = data.draw(st.integers(0, p - 1))
+    ops = list(schedule[rank])
+    i = data.draw(st.sampled_from(
+        [i for i, op in enumerate(ops) if op.kind.value == "F"]))
+    j = next(j for j, op in enumerate(ops)
+             if (op.kind.value, op.microbatch, op.group)
+             == ("B", ops[i].microbatch, ops[i].group))
+    ops[i], ops[j] = ops[j], ops[i]
+    with pytest.raises(ScheduleError):
+        _drain(schedule[:rank] + [ops] + schedule[rank + 1:], num_groups)
+
+
+def test_executor_simulator_and_timeline_issue_the_same_sequence():
+    """The trace hashes are byte-stable because the executor's span order
+    is the walker's order; the two analytic consumers must see it too."""
+    p, m, n = 2, 2, 4
+    schedule = schedule_interleaved(p, n, m)
+    model = GPTModel(CFG, seed=3)
+    tracer = Tracer()
+    with trace_scope(tracer):
+        PipelinedGPT(model, p, interleave_stages=m).train_step(
+            _IDS, _TGT, num_microbatches=n)
+    executed = [(s.name.split()[0][0].upper(), s.args["microbatch"],
+                 s.args["group"])
+                for s in tracer.spans
+                if s.name.startswith(("forward mb", "backward mb"))]
+
+    simulated = list(simulate(schedule, PipelineCosts(
+        num_groups=p * m, forward_time=lambda g: 1.0,
+        backward_time=lambda g: 2.0)).op_finish)
+    assert executed == simulated
+
+    timeline = [(e["name"][0].upper(), e["tid"])
+                for e in chrome_trace_events(
+                    schedule, TimelineCosts(num_groups=p * m, recompute=0))
+                if e["ph"] == "X"]
+    assert timeline == [(kind, rank_of_group(group, p))
+                        for kind, _mb, group in executed]
+
+
+def test_deadlocking_schedule_leaves_gradients_untouched(monkeypatch):
+    """The executor proves the schedule can finish before it runs any op,
+    so a bad one cannot leave half an iteration's gradients behind."""
+    from repro.training import trainer
+
+    def deadlocks_late(p, n, m):
+        schedule = schedule_interleaved(p, n, m)
+        last = schedule[-1]
+        last[-1], last[-2] = last[-2], last[-1]   # B of mb n-1 before its F
+        return schedule
+
+    monkeypatch.setattr(trainer, "schedule_interleaved", deadlocks_late)
+    model = GPTModel(CFG, seed=3)
+    with pytest.raises(ScheduleError):
+        PipelinedGPT(model, 2).train_step(_IDS, _TGT, num_microbatches=2)
+    assert all(p.grad is None for p in model.parameters())
