@@ -4,7 +4,7 @@ PY ?= python
 # (one GEMM varies 40x); anything timed or gated runs single-threaded.
 ONE_THREAD = OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1
 
-.PHONY: test bench bench-gate bench-wall-smoke loc smoke chaos trace serve fleet monitor memprofile compile longctx report examples all clean
+.PHONY: test bench bench-gate bench-wall-smoke wall-history loc smoke chaos trace serve fleet monitor memprofile compile longctx report examples all clean
 
 test:
 	$(ONE_THREAD) $(PY) -m pytest tests/
@@ -23,12 +23,27 @@ bench-gate:
 bench-wall-smoke:
 	python3 bench/run.py --smoke
 
+# One more row of benchmarks/wall_history.jsonl for the tree as it stands
+# (ROADMAP item 1): the full wall-clock benchmark (~3 min), a timed tier-1
+# run and `make loc`.  `make wall-history LABEL="PR 18"`; the last step
+# prints the history (`python3 benchmarks/wall_history.py show setup_s`
+# for another metric).
+wall-history:
+	python3 bench/run.py > /dev/null
+	$(ONE_THREAD) $(PY) -m pytest -x tests/ | tail -1 > bench/out/tier1.txt
+	python3 benchmarks/wall_history.py append bench/out/results.json "$(LABEL)" bench/out/tier1.txt
+	python3 benchmarks/wall_history.py show
+
 # Code size and the duplication smells ROADMAP aim 2 tracks ("net
 # lines removed is a tracked number"): Python lines per tree, lines of
 # src/ mentioning `fused`, isinstance(..., ParallelGPTModel) sites,
 # `self.parallel` arms in the decode engine, 1F1B walk loops (each ends
-# in its own "deadlocked" raise) and TransformerLayer( constructions
-# outside layers/ (each one a hand-built abstract probe).
+# in its own "deadlocked" raise), TransformerLayer( constructions
+# outside layers/ (each one a hand-built abstract probe), and the two
+# re-derivations the analytic path had: layer_times( call sites in the
+# planner (one abstract trace per call; more than one means a trace per
+# ladder rung) and iteration_time( calls from the table code (one
+# schedule build each; a pair that shares (p, n, m) should share it).
 loc:
 	@printf '%-44s %6d\n' \
 		'src/ python lines' "$$(find src -name '*.py' | xargs cat | wc -l)" \
@@ -38,7 +53,9 @@ loc:
 		'src/ isinstance(..., ParallelGPTModel)' "$$(grep -rnE --include='*.py' 'isinstance\(.*ParallelGPTModel' src | wc -l)" \
 		'serving/engine.py self.parallel' "$$(grep -n 'self\.parallel\b' src/repro/serving/engine.py | wc -l)" \
 		'src/ raise ScheduleError("... deadlocked")' "$$(grep -rn --include='*.py' 'deadlocked")' src | wc -l)" \
-		'src/ TransformerLayer( outside layers/' "$$(grep -rn --include='*.py' 'TransformerLayer(' src | grep -v 'src/repro/layers/' | wc -l)"
+		'src/ TransformerLayer( outside layers/' "$$(grep -rn --include='*.py' 'TransformerLayer(' src | grep -v 'src/repro/layers/' | wc -l)" \
+		'planner/ layer_times( call sites' "$$(grep -rn --include='*.py' 'layer_times(' src/repro/planner | wc -l)" \
+		'table code iteration_time( calls' "$$(grep -n 'iteration_time(' src/repro/perf_model/iteration.py src/repro/experiments.py | grep -vc 'def ')"
 
 # CI smoke run: the artifact-writing CLI invocation of each per-feature
 # target below, without the `pytest tests/test_<feature>.py` those

@@ -1,0 +1,59 @@
+"""Append-only wall-clock history, one row per PR (ROADMAP item 1).
+
+    python3 benchmarks/wall_history.py append bench/out/results.json LABEL [PYTEST_LOG]
+    python3 benchmarks/wall_history.py show [unit_ref_p50|setup_s|work_per_kref|peak_rss_mb]
+
+``append`` runs from the root of the tree that produced the results file
+(a full ``python3 bench/run.py``): commit and ``make loc`` counts are read
+there, tier-1 seconds and test count from ``PYTEST_LOG``'s last line.
+Rows are never rewritten; a re-measurement is a new row.
+"""
+
+import json
+import os
+import re
+import sys
+from subprocess import check_output
+
+HISTORY = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       "wall_history.jsonl")
+
+
+def append(results_path: str, label: str, pytest_log: str = None) -> None:
+    with open(results_path) as handle:
+        results = json.load(handle)
+    commit = check_output(["git", "describe", "--always", "--dirty"], text=True)
+    loc = check_output(["make", "-s", "loc"], text=True)
+    row = {"label": label, "commit": commit.strip(), "seed": results["seed"],
+           "loc": {name.strip(): int(count) for name, count in (
+               line.rsplit(None, 1) for line in loc.splitlines())},
+           "tier1": None,
+           "workloads": {name: dict(
+               {metric: [value["value"], value["spread"]]
+                for metric, value in entry["end_to_end"].items()},
+               py_calls_per_unit=entry["per_layer"][
+                   "harness.py_calls_per_unit"]["value"])
+               for name, entry in results["workloads"].items()}}
+    if pytest_log:
+        with open(pytest_log) as handle:
+            tests, seconds = re.findall(r"(\d+) passed.* in ([\d.]+)s",
+                                        handle.read())[-1]
+        row["tier1"] = {"tests": int(tests), "seconds": float(seconds)}
+    with open(HISTORY, "a") as handle:
+        handle.write(json.dumps(row, sort_keys=True) + "\n")
+
+
+def show(metric: str = "unit_ref_p50") -> None:
+    print(f"{metric}: median +-spread per workload | src/ lines | tier-1")
+    with open(HISTORY) as handle:
+        for row in map(json.loads, handle):
+            tier1 = row["tier1"] or {"tests": "-", "seconds": "-"}
+            print(f"{row['label']} ({row['commit']}) | "
+                  f"{row['loc']['src/ python lines']} | "
+                  f"{tier1['seconds']} s, {tier1['tests']} tests")
+            for name, entry in row["workloads"].items():
+                print("  {:<26}{:>12.4g} +-{:.2f}".format(name, *entry[metric]))
+
+
+if __name__ == "__main__":
+    {"append": append, "show": show}[sys.argv[1]](*sys.argv[2:])

@@ -191,8 +191,7 @@ def cmd_flops(args) -> str:
 
 def cmd_plan(args) -> str:
     cfg = _config(args.model)
-    option = plan(cfg, device_memory_bytes=args.memory_gb * GIB,
-                  full_layer_step=max(1, cfg.model.num_layers // 16))
+    option = plan(cfg, device_memory_bytes=args.memory_gb * GIB)
     if args.json:
         return emit_json({"model": args.model, "memory_gb": args.memory_gb,
                           "option": option, "total_bytes": option.total_bytes})

@@ -38,7 +38,7 @@ from .perf_model import (
     table5_row,
 )
 from .pipeline_sim.microbatch_recompute import (
-    iteration_time_with_plan,
+    baseline_and_plan_times,
     plan_microbatch_recompute,
 )
 from .reporting import ascii_bars, format_table, ms, pct, seconds, stacked_ascii_bars
@@ -434,9 +434,8 @@ def appendix_c_data() -> List[dict]:
     out = []
     for name in ("175B", "530B"):
         cfg = PAPER_CONFIGS[name]
-        base = iteration_time(cfg)
         plan = plan_microbatch_recompute(cfg)
-        improved = iteration_time_with_plan(cfg, plan)
+        base, improved = baseline_and_plan_times(cfg, plan)
         paper_base, paper_new = PAPER_APPENDIX_C[name]
         out.append({
             "model": name,

@@ -12,7 +12,7 @@ any overlapping of gradient all-reduces with back-propagation").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from ..comm.process_group import ProcessGroup
 from ..config import ExperimentConfig
@@ -125,66 +125,45 @@ def iteration_time(
     data parallel size", so microbatch count per replica is unchanged)
     and appends the unoverlapped gradient all-reduce.
     """
-    return _iteration(config, [0.0] * config.parallel.pipeline_parallel,
-                      sequence_parallel, recompute, cost, data_parallel,
-                      dp_allreduce_efficiency, paper_flops_mode)
+    plain = [0.0] * config.parallel.pipeline_parallel
+    return _iterations(config, [(sequence_parallel, recompute, plain)], cost,
+                       data_parallel, dp_allreduce_efficiency,
+                       paper_flops_mode)[0]
 
 
-def _iteration(config: ExperimentConfig, stored_full_fraction: Sequence[float],
-               sequence_parallel: bool, recompute: Recompute,
-               cost: Optional[KernelCostModel], data_parallel: int = 1,
-               dp_allreduce_efficiency: float = DP_ALLREDUCE_EFFICIENCY,
-               paper_flops_mode: bool = True) -> IterationResult:
-    """The one iteration body.  ``stored_full_fraction[stage]`` is the
-    share of that pipeline stage's backward passes that skip their
-    recompute segment (Appendix C; mean-field — the stage's backward
-    duration shrinks proportionally).  All zeros is the plain schedule:
-    ``x - 0.0`` keeps every bit."""
+def _iterations(config: ExperimentConfig,
+                variants: Sequence[Tuple[bool, Recompute, Sequence[float]]],
+                cost: Optional[KernelCostModel], data_parallel: int = 1,
+                dp_allreduce_efficiency: float = DP_ALLREDUCE_EFFICIENCY,
+                paper_flops_mode: bool = True) -> List[IterationResult]:
+    """The one iteration body, run for each ``(sequence_parallel,
+    recompute, stored_full_fraction)`` variant of one configuration.
+
+    ``stored_full_fraction[stage]`` is the share of that pipeline stage's
+    backward passes that skip their recompute segment (Appendix C;
+    mean-field — the stage's backward duration shrinks proportionally).
+    All zeros is the plain schedule: ``x - 0.0`` keeps every bit.
+
+    What variants have in common is built once and handed down: the
+    schedule (a function of ``(p, n, m)`` only), one layer trace per
+    distinct ``(sequence_parallel, recompute)`` and one embedding / head
+    trace per ``sequence_parallel``.  Nothing outlives the call — a
+    paper-scale schedule is 6-7 MB."""
     model, par, train = config.model, config.parallel, config.training
     if cost is None:
         num_gpus = par.model_parallel_size * data_parallel
         cost = KernelCostModel(cluster=selene_like(num_gpus))
 
-    lt = layer_times(
-        model, train.micro_batch_size, par.tensor_parallel,
-        sequence_parallel=sequence_parallel, recompute=recompute, cost=cost,
-    )
-    emb = embedding_times(config, sequence_parallel, cost)
-    head = head_times(config, sequence_parallel, cost)
-
     p, m = par.pipeline_parallel, par.interleave_stages
     num_groups = p * m
     layers_per_group = model.num_layers // num_groups
-    n_mb = train.num_microbatches(1)  # per model replica
-
-    def fwd(group: int) -> float:
-        t = layers_per_group * lt.forward
-        if group == 0:
-            t += emb.forward
-        if group == num_groups - 1:
-            t += head.forward
-        return t
-
-    skipped = [stored_full_fraction[group % p] * layers_per_group * lt.recompute
-               for group in range(num_groups)]
-
-    def bwd(group: int) -> float:
-        t = layers_per_group * lt.backward_total - skipped[group]
-        if group == 0:
-            t += emb.backward_total
-        if group == num_groups - 1:
-            t += head.backward_total
-        return t
-
-    s, b, h = model.seq_length, train.micro_batch_size, model.hidden_size
-    p2p_bytes = 2 * s * b * h // (par.tensor_parallel if sequence_parallel else 1)
-    p2p = cost.comm.p2p_time(p2p_bytes, scope="pp") if p > 1 else 0.0
-
-    sched = schedule_interleaved(p, n_mb, m)
-    result = simulate(sched, PipelineCosts(
-        num_groups=num_groups, forward_time=fwd, backward_time=bwd, p2p_time=p2p,
-    ))
-    pipeline_time = result.makespan
+    sched = schedule_interleaved(p, train.num_microbatches(1), m)  # per replica
+    layer = {key: layer_times(model, train.micro_batch_size, par.tensor_parallel,
+                              sequence_parallel=key[0], recompute=key[1],
+                              cost=cost)
+             for key in dict.fromkeys(variant[:2] for variant in variants)}
+    ends = {sp: (embedding_times(config, sp, cost), head_times(config, sp, cost))
+            for sp in dict.fromkeys(variant[0] for variant in variants)}
 
     dp_time = 0.0
     if data_parallel > 1:
@@ -197,24 +176,51 @@ def _iteration(config: ExperimentConfig, stored_full_fraction: Sequence[float],
 
     optimizer_time = (parameters_per_rank(config) * OPTIMIZER_BYTES_PER_PARAM
                       / (cost.gpu.hbm_bandwidth * cost.hbm_efficiency))
-
-    total = pipeline_time + dp_time + optimizer_time
     util_cfg = config if data_parallel == 1 else _scaled_config(config, data_parallel)
-    util = utilization(util_cfg, total, recompute=recompute,
-                       peak_flops_per_gpu=cost.gpu.peak_flops,
-                       paper_mode=paper_flops_mode)
-    return IterationResult(
-        config_name=model.name or "model",
-        sequence_parallel=sequence_parallel,
-        recompute=recompute,
-        iteration_time=total,
-        pipeline_time=pipeline_time,
-        dp_allreduce_time=dp_time,
-        optimizer_time=optimizer_time,
-        bubble_fraction=result.bubble_fraction,
-        per_layer=lt,
-        util=util,
-    )
+
+    def one(sequence_parallel: bool, recompute: Recompute,
+            stored_full_fraction: Sequence[float]) -> IterationResult:
+        lt = layer[sequence_parallel, recompute]
+        emb, head = ends[sequence_parallel]
+
+        # seconds per group: its layers, plus the embedding on the first
+        # group and the head on the last
+        fwd = [layers_per_group * lt.forward] * num_groups
+        fwd[0] += emb.forward
+        fwd[-1] += head.forward
+        bwd = [layers_per_group * lt.backward_total
+               - stored_full_fraction[group % p] * layers_per_group * lt.recompute
+               for group in range(num_groups)]
+        bwd[0] += emb.backward_total
+        bwd[-1] += head.backward_total
+
+        s, b, h = model.seq_length, train.micro_batch_size, model.hidden_size
+        p2p_bytes = 2 * s * b * h // (par.tensor_parallel if sequence_parallel else 1)
+        p2p = cost.comm.p2p_time(p2p_bytes, scope="pp") if p > 1 else 0.0
+
+        result = simulate(sched, PipelineCosts(
+            num_groups=num_groups, forward_time=fwd.__getitem__,
+            backward_time=bwd.__getitem__, p2p_time=p2p))
+        total = result.makespan + dp_time + optimizer_time
+        util = utilization(util_cfg, total, recompute=recompute,
+                           peak_flops_per_gpu=cost.gpu.peak_flops,
+                           paper_mode=paper_flops_mode)
+        return IterationResult(
+            config_name=model.name or "model",
+            sequence_parallel=sequence_parallel,
+            recompute=recompute,
+            iteration_time=total,
+            pipeline_time=result.makespan,
+            dp_allreduce_time=dp_time,
+            optimizer_time=optimizer_time,
+            bubble_fraction=result.bubble_fraction,
+            per_layer=lt,
+            util=util,
+        )
+
+    # One call frame per variant: its SimResult (an ``op_finish`` entry
+    # per op) is gone before the next variant's is built.
+    return [one(*variant) for variant in variants]
 
 
 def measured_utilization(
@@ -273,10 +279,10 @@ def table5_row(config: ExperimentConfig,
                cost: Optional[KernelCostModel] = None) -> Table5Row:
     """One row of Table 5: full recompute (no SP) vs present work (SP +
     selective recompute), with the latter's MFU/HFU."""
-    full = iteration_time(config, sequence_parallel=False,
-                          recompute=Recompute.FULL, cost=cost)
-    present = iteration_time(config, sequence_parallel=True,
-                             recompute=Recompute.SELECTIVE, cost=cost)
+    plain = [0.0] * config.parallel.pipeline_parallel
+    full, present = _iterations(
+        config, [(False, Recompute.FULL, plain),
+                 (True, Recompute.SELECTIVE, plain)], cost)
     return Table5Row(
         config_name=config.model.name or "model",
         full_recompute_time=full.iteration_time,

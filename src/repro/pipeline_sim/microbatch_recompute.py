@@ -23,6 +23,7 @@ from ..layers.transformer import Recompute
 from ..memory_model.activations import per_layer_activation_bytes
 from ..memory_model.pipeline import in_flight_microbatches
 from ..memory_model.weights import weight_and_optimizer_bytes
+from ..perf_model.iteration import _iterations
 
 
 @dataclass(frozen=True)
@@ -127,7 +128,21 @@ def iteration_time_with_plan(
     shape as the baseline path so MFU deltas (the paper's +0.7% / +0.4%)
     can be read directly.
     """
-    from ..perf_model.iteration import _iteration
+    return _iterations(config, [_variant(plan, sequence_parallel)], cost)[0]
 
-    return _iteration(config, [stage.full_fraction for stage in plan.stages],
-                      sequence_parallel, plan.base_recompute, cost)
+
+def baseline_and_plan_times(config: ExperimentConfig,
+                            plan: MicrobatchRecomputePlan,
+                            sequence_parallel: bool = True, cost=None):
+    """``(iteration_time(config, ...), iteration_time_with_plan(config,
+    plan, ...))`` — the Appendix C before/after pair.  The two differ only
+    in their backward durations, so they are priced over one schedule and
+    one layer / embedding / head trace."""
+    plain = (sequence_parallel, plan.base_recompute, [0.0] * len(plan.stages))
+    return tuple(_iterations(
+        config, [plain, _variant(plan, sequence_parallel)], cost))
+
+
+def _variant(plan: MicrobatchRecomputePlan, sequence_parallel: bool):
+    return (sequence_parallel, plan.base_recompute,
+            [stage.full_fraction for stage in plan.stages])

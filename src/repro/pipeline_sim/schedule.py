@@ -174,14 +174,6 @@ def validate_schedule(ranks: List[List[Op]], num_microbatches: int,
         done.add(key)
 
 
-def _waits_for(op: Op, num_groups: int) -> Optional[OpKey]:
-    if op.kind == OpKind.F:
-        return None if op.group == 0 else ("F", op.microbatch, op.group - 1)
-    if op.group == num_groups - 1:
-        return ("F", op.microbatch, op.group)
-    return ("B", op.microbatch, op.group + 1)
-
-
 def op_dependency(op: Op, num_groups: int) -> Optional[OpKey]:
     """The cross-rank completion ``(kind, microbatch, group)`` that must
     finish before ``op`` can start under 1F1B dataflow, or ``None``.
@@ -192,9 +184,11 @@ def op_dependency(op: Op, num_groups: int) -> Optional[OpKey]:
     are the edges :func:`walk_schedule` follows and the trace analysis'
     cross-rank critical-path extraction walks backward.
     """
-    # The walker calls the private name: bench/layers.py wraps every
-    # public function here in a timing span, and this one runs per op.
-    return _waits_for(op, num_groups)
+    if op.kind == OpKind.F:
+        return None if op.group == 0 else ("F", op.microbatch, op.group - 1)
+    if op.group == num_groups - 1:
+        return ("F", op.microbatch, op.group)
+    return ("B", op.microbatch, op.group + 1)
 
 
 def walk_schedule(ranks_ops: List[List[Op]], num_groups: int,
@@ -211,18 +205,31 @@ def walk_schedule(ranks_ops: List[List[Op]], num_groups: int,
     of the order or of what has run is ever built.  Raises
     :class:`ScheduleError` when a full turn of the ranks issues nothing.
     """
+    # The inner loop runs once per op (58 800 for the 530B schedule), so
+    # :func:`op_dependency`'s rule is written out in place: the call and
+    # the enum's ``.value`` descriptor were over a third of the walk.
+    # tests/test_property_pipeline_exec.py holds the two statements equal
+    # on generated schedules.
+    forward, last = OpKind.F, num_groups - 1
     ptr = [0] * len(ranks_ops)
     remaining = sum(len(ops) for ops in ranks_ops)
     while remaining:
         before = remaining
         for rank, ops in enumerate(ranks_ops):
-            i = ptr[rank]
-            while i < len(ops):
+            i, end = ptr[rank], len(ops)
+            while i < end:
                 op = ops[i]
-                dep = _waits_for(op, num_groups)
+                microbatch, group = op.microbatch, op.group
+                if op.kind is forward:
+                    letter = "F"
+                    dep = ("F", microbatch, group - 1) if group else None
+                else:
+                    letter = "B"
+                    dep = (("F", microbatch, group) if group == last
+                           else ("B", microbatch, group + 1))
                 if dep is not None and dep not in done:
                     break
-                yield rank, op, (op.kind.value, op.microbatch, op.group), dep
+                yield rank, op, (letter, microbatch, group), dep
                 i += 1
             remaining -= i - ptr[rank]
             ptr[rank] = i

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Tuple
 
-from .schedule import Op, OpKind, rank_of_group, walk_schedule
+from .schedule import Op, walk_schedule
 
 
 @dataclass(frozen=True)
@@ -64,6 +64,14 @@ class SimResult:
 def simulate(ranks_ops: List[List[Op]], costs: PipelineCosts) -> SimResult:
     """Run the schedule to completion; raises on deadlock."""
     p = len(ranks_ops)
+    # costs depend on the group only: one call per group, not one per op
+    groups = range(costs.num_groups)
+    forward = [costs.forward_time(g) for g in groups]
+    backward = [costs.backward_time(g) for g in groups]
+    held = [costs.activation_bytes(g) for g in groups]
+    if not costs.deallocate_output_tensor:
+        held = [nbytes + costs.output_tensor_bytes for nbytes in held]
+    p2p = costs.p2p_time
     done: Dict[Tuple[str, int, int], float] = {}
     clock = [0.0] * p
     busy = [0.0] * p
@@ -71,28 +79,22 @@ def simulate(ranks_ops: List[List[Op]], costs: PipelineCosts) -> SimResult:
     peak = [0.0] * p
     for i, op, key, dep in walk_schedule(ranks_ops, costs.num_groups, done):
         ready = clock[i]
+        group = op.group
         if dep is not None:
-            same_rank_dep = rank_of_group(dep[2], p) == i
-            transfer = 0.0 if same_rank_dep else costs.p2p_time
-            ready = max(ready, done[dep] + transfer)
-        duration = (
-            costs.forward_time(op.group)
-            if op.kind == OpKind.F
-            else costs.backward_time(op.group)
-        )
-        finish = ready + duration
-        done[key] = finish
-        clock[i] = finish
-        busy[i] += duration
-        # -- memory accounting -------------------------------------------
-        delta = costs.activation_bytes(op.group)
-        if not costs.deallocate_output_tensor:
-            delta += costs.output_tensor_bytes
-        if op.kind == OpKind.F:
-            mem[i] += delta
-            peak[i] = max(peak[i], mem[i])
+            # a dependency on another rank pays the point-to-point send
+            arrived = done[dep] + (0.0 if dep[2] % p == i else p2p)
+            if arrived > ready:
+                ready = arrived
+        if key[0] == "F":
+            duration = forward[group]
+            mem[i] += held[group]
+            if mem[i] > peak[i]:
+                peak[i] = mem[i]
         else:
-            mem[i] -= delta
+            duration = backward[group]
+            mem[i] -= held[group]
+        done[key] = clock[i] = ready + duration
+        busy[i] += duration
     return SimResult(
         makespan=max(clock),
         busy_time=busy,

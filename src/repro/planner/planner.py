@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..config import ExperimentConfig
-from ..errors import PlanningError
+from ..errors import ConfigError, PlanningError
 from ..layers.transformer import Recompute
 from ..memory_model.activations import (
     first_stage_layers_worth,
@@ -86,32 +86,41 @@ def enumerate_options(config: ExperimentConfig,
                       cost: Optional[KernelCostModel] = None,
                       allow_sequence_parallel: bool = True,
                       full_layer_step: int = 1) -> List[PlanOption]:
-    """All candidate plans, cheapest overhead first."""
+    """All candidate plans, cheapest overhead first.
+
+    The FULL family is a ladder: full recomputation of ``full_layer_step``,
+    ``2 * full_layer_step``, ... layers (selective elsewhere), and always
+    the all-layers rung ``L`` whether or not the step divides ``L``.
+    """
+    if full_layer_step < 1:
+        raise ConfigError(
+            f"full_layer_step must be >= 1, got {full_layer_step}")
     cost = cost or KernelCostModel()
     model, par, train = config.model, config.parallel, config.training
     static = weight_and_optimizer_bytes(config)
 
     sp_options = [True, False] if allow_sequence_parallel else [False]
+    # One abstract trace per distinct layer; a rung is arithmetic on these.
+    combined = {
+        (sp, rc): layer_times(model, train.micro_batch_size,
+                              par.tensor_parallel, sequence_parallel=sp,
+                              recompute=rc, cost=cost).combined
+        for sp in sp_options
+        for rc in (Recompute.NONE, Recompute.SELECTIVE, Recompute.FULL)
+    }
     # One global baseline — the fastest no-recompute layout — so options
     # across SP settings are comparable.
-    baseline_combined = min(
-        layer_times(model, train.micro_batch_size, par.tensor_parallel,
-                    sequence_parallel=sp, recompute=Recompute.NONE,
-                    cost=cost).combined
-        for sp in sp_options
-    )
+    baseline_combined = min(combined[sp, Recompute.NONE] for sp in sp_options)
 
     def overhead(sp: bool, rc: Recompute, full_layers: int = 0) -> float:
-        this = layer_times(model, train.micro_batch_size, par.tensor_parallel,
-                           sequence_parallel=sp, recompute=rc, cost=cost)
-        combined = this.combined
+        this = combined[sp, rc]
         if rc == Recompute.FULL and full_layers < model.num_layers:
             frac = full_layers / model.num_layers
-            selective = layer_times(
-                model, train.micro_batch_size, par.tensor_parallel,
-                sequence_parallel=sp, recompute=Recompute.SELECTIVE, cost=cost)
-            combined = frac * this.combined + (1 - frac) * selective.combined
-        return combined / baseline_combined - 1.0
+            this = frac * this + (1 - frac) * combined[sp, Recompute.SELECTIVE]
+        return this / baseline_combined - 1.0
+
+    rungs = [*range(full_layer_step, model.num_layers, full_layer_step),
+             model.num_layers]
     options: List[PlanOption] = []
     for sp in sp_options:
         sp_label = "SP + " if sp else ""
@@ -130,7 +139,7 @@ def enumerate_options(config: ExperimentConfig,
             static_bytes=static,
             overhead_fraction=overhead(sp, Recompute.SELECTIVE),
         ))
-        for n in range(full_layer_step, model.num_layers + 1, full_layer_step):
+        for n in rungs:
             options.append(PlanOption(
                 description=(
                     f"{sp_label}full recomputation of {n}/{model.num_layers} "

@@ -30,6 +30,19 @@ def preset_doc(name: str) -> dict:
     return run_preset(name)
 
 
+def count_calls(monkeypatch, owner, name: str) -> list:
+    """Put a pass-through in place of ``owner.name`` that records each
+    call's positional arguments; returns the (live) list of records."""
+    original, calls = getattr(owner, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def flat_weights(model) -> List[np.ndarray]:
     """Every parameter shard of a model, in deterministic order."""
     return [np.asarray(shard)

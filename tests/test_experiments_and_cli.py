@@ -3,6 +3,7 @@ the expected headline facts."""
 
 import pytest
 
+from helpers import count_calls
 from repro import experiments
 from repro.cli import main
 
@@ -35,9 +36,20 @@ class TestExperimentData:
             assert r["present_work_s"] == pytest.approx(
                 r["paper"]["present"], rel=0.15)
 
-    def test_appendix_c_improves_mfu(self):
-        for d in experiments.appendix_c_data():
+    def test_appendix_c_improves_mfu(self, monkeypatch):
+        from repro.perf_model import iteration
+        built = count_calls(monkeypatch, iteration, "schedule_interleaved")
+        data = experiments.appendix_c_data()
+        for d in data:
             assert d["mfu_microbatch"] > d["mfu_base"]
+        # Baseline and plan of a model walk one schedule, and sharing it
+        # (and their traces) leaves both MFUs at their previous bits.
+        assert built == [(8, 64, 3), (35, 280, 3)]
+        assert {d["model"]: (d["mfu_base"].hex(), d["mfu_microbatch"].hex())
+                for d in data} == {
+            "175B": ("0x1.003193fd93c56p-1", "0x1.078eb2677c8e8p-1"),
+            "530B": ("0x1.1ac8fcef83850p-1", "0x1.1edead25b1825p-1"),
+        }
 
 
 class TestReports:
@@ -87,6 +99,13 @@ class TestCli:
     def test_unknown_number_is_a_usage_error(self, argv, needle, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err == f"repro: error: {needle}\n"
+
+    def test_plan_walks_the_exact_ladder(self, capsys):
+        """105 layers have no divisor near L/16: the coarsened ladder the
+        command used to pass had no rung that fits 34 GB and exited 2."""
+        assert main(["plan", "--model", "530B", "--memory-gb", "34"]) == 0
+        assert ("SP + full recomputation of 104/105 layers (selective "
+                "elsewhere)") in capsys.readouterr().out
 
     def test_simulate_reports_bubble_and_mfu(self, capsys):
         main(["simulate-pipeline", "--model", "175B"])

@@ -7,6 +7,7 @@ of the model, not fit targets.
 
 import pytest
 
+from helpers import count_calls
 from repro.config import PAPER_CONFIGS
 from repro.hardware import GPUSpec
 from repro.layers.transformer import Recompute
@@ -159,6 +160,25 @@ class TestTable5Shape:
         paper = {"22B": 1.10, "175B": 13.75, "530B": 37.83, "1T": 71.49}
         for name, row in rows.items():
             assert row.present_work_time == pytest.approx(paper[name], rel=0.15)
+
+    def test_iteration_times_keep_every_bit(self, rows):
+        """(full recompute, present work) as printed by ``float.hex`` before
+        the two iterations of a row shared a schedule and the simulator read
+        per-group tables: sharing and tabulating must not move a bit."""
+        assert {name: (row.full_recompute_time.hex(),
+                       row.present_work_time.hex())
+                for name, row in rows.items()} == {
+            "22B": ("0x1.5934ba748c048p+0", "0x1.00f1c246f00acp+0"),
+            "175B": ("0x1.2f2a55bc8d0f6p+4", "0x1.c3dfe5ea4c463p+3"),
+            "530B": ("0x1.9bcc9a12d431ap+5", "0x1.331aaec0ea2d1p+5"),
+            "1T": ("0x1.9617cbea34131p+6", "0x1.31d125b7487cfp+6"),
+        }
+
+    def test_a_row_builds_one_schedule(self, monkeypatch):
+        from repro.perf_model import iteration
+        built = count_calls(monkeypatch, iteration, "schedule_interleaved")
+        table5_row(PAPER_CONFIGS["530B"])
+        assert built == [(35, 280, 3)]
 
 
 class TestDataParallelExtension:

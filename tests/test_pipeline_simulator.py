@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from repro.errors import ScheduleError
 from repro.memory_model import in_flight_microbatches
 from repro.pipeline_sim import (
-    Op, OpKind, PipelineCosts, schedule_1f1b, schedule_interleaved, simulate,
+    Op, OpKind, PipelineCosts, rank_of_group, schedule_1f1b,
+    schedule_interleaved, simulate,
 )
 
 
@@ -121,3 +122,97 @@ class TestMemoryTimeline:
         result = simulate(schedule_1f1b(p, n), uniform_costs(p, act=1.0))
         peaks = result.peak_activation_bytes
         assert peaks == sorted(peaks, reverse=True)
+
+
+# The per-op loop `simulate` and `walk_schedule` ran before they were made
+# cheap, kept verbatim: a call per dependency, a closure call per duration,
+# `max` per comparison.  The fast path must do the same float operations in
+# the same per-rank order, so everything below is compared with `==`.
+
+def _reference_waits_for(op, num_groups):
+    if op.kind == OpKind.F:
+        return None if op.group == 0 else ("F", op.microbatch, op.group - 1)
+    if op.group == num_groups - 1:
+        return ("F", op.microbatch, op.group)
+    return ("B", op.microbatch, op.group + 1)
+
+
+def _reference_walk(ranks_ops, num_groups, done):
+    ptr = [0] * len(ranks_ops)
+    remaining = sum(len(ops) for ops in ranks_ops)
+    while remaining:
+        before = remaining
+        for rank, ops in enumerate(ranks_ops):
+            i = ptr[rank]
+            while i < len(ops):
+                op = ops[i]
+                dep = _reference_waits_for(op, num_groups)
+                if dep is not None and dep not in done:
+                    break
+                yield rank, op, (op.kind.value, op.microbatch, op.group), dep
+                i += 1
+            remaining -= i - ptr[rank]
+            ptr[rank] = i
+        if remaining == before:
+            raise ScheduleError("pipeline schedule deadlocked")
+
+
+def _reference_simulate(ranks_ops, costs):
+    p = len(ranks_ops)
+    done = {}
+    clock = [0.0] * p
+    busy = [0.0] * p
+    mem = [0.0] * p
+    peak = [0.0] * p
+    for i, op, key, dep in _reference_walk(ranks_ops, costs.num_groups, done):
+        ready = clock[i]
+        if dep is not None:
+            same_rank_dep = rank_of_group(dep[2], p) == i
+            transfer = 0.0 if same_rank_dep else costs.p2p_time
+            ready = max(ready, done[dep] + transfer)
+        duration = (
+            costs.forward_time(op.group)
+            if op.kind == OpKind.F
+            else costs.backward_time(op.group)
+        )
+        finish = ready + duration
+        done[key] = finish
+        clock[i] = finish
+        busy[i] += duration
+        delta = costs.activation_bytes(op.group)
+        if not costs.deallocate_output_tensor:
+            delta += costs.output_tensor_bytes
+        if op.kind == OpKind.F:
+            mem[i] += delta
+            peak[i] = max(peak[i], mem[i])
+        else:
+            mem[i] -= delta
+    return max(clock), busy, peak, done
+
+
+_seconds = st.floats(0.001, 10.0, allow_nan=False)
+_nbytes = st.floats(0.0, 1e9, allow_nan=False)
+
+
+@given(p=st.integers(1, 5), rounds=st.integers(1, 3), m=st.integers(1, 3),
+       p2p=st.one_of(st.just(0.0), _seconds), out=_nbytes,
+       dealloc=st.booleans(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_simulate_equals_the_previous_per_op_loop(p, rounds, m, p2p, out,
+                                                  dealloc, data):
+    groups = p * m
+    per_group = st.lists(_seconds, min_size=groups, max_size=groups)
+    fwd, bwd = data.draw(per_group), data.draw(per_group)
+    act = data.draw(st.lists(_nbytes, min_size=groups, max_size=groups))
+    costs = PipelineCosts(
+        num_groups=groups, forward_time=fwd.__getitem__,
+        backward_time=bwd.__getitem__, p2p_time=p2p,
+        activation_bytes=act.__getitem__, output_tensor_bytes=out,
+        deallocate_output_tensor=dealloc)
+    schedule = schedule_interleaved(p, p * rounds, m)
+    result = simulate(schedule, costs)
+    makespan, busy, peak, finish = _reference_simulate(schedule, costs)
+    assert result.makespan == makespan
+    assert result.busy_time == busy
+    assert result.peak_activation_bytes == peak
+    assert list(result.op_finish.items()) == list(finish.items())

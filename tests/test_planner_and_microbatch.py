@@ -2,8 +2,9 @@
 
 import pytest
 
+from helpers import count_calls
 from repro.config import PAPER_CONFIGS
-from repro.errors import PlanningError
+from repro.errors import ConfigError, PlanningError
 from repro.layers.transformer import Recompute
 from repro.perf_model import iteration_time
 from repro.pipeline_sim.microbatch_recompute import (
@@ -36,6 +37,31 @@ class TestPlanner:
     def test_impossible_budget_raises(self):
         with pytest.raises(PlanningError):
             plan(PAPER_CONFIGS["530B"], device_memory_bytes=30 * GIB)
+
+    def test_ladder_always_ends_on_all_layers(self):
+        """A step that does not divide L (or exceeds it) must not drop the
+        full-recomputation rung: it is the only one that fits 46 GiB."""
+        cfg = PAPER_CONFIGS["22B"]
+        exact = plan(cfg, device_memory_bytes=46 * GIB)
+        assert exact.description == "SP + full recomputation"
+        assert plan(cfg, device_memory_bytes=46 * GIB,
+                    full_layer_step=5) == exact
+        full = [o.recompute_num_layers
+                for o in enumerate_options(cfg, full_layer_step=49)
+                if o.recompute == Recompute.FULL and o.sequence_parallel]
+        assert full == [48]
+
+    @pytest.mark.parametrize("step", [0, -3])
+    def test_full_layer_step_below_one_is_a_config_error(self, step):
+        with pytest.raises(ConfigError, match="full_layer_step must be >= 1"):
+            enumerate_options(PAPER_CONFIGS["22B"], full_layer_step=step)
+
+    def test_one_abstract_trace_per_distinct_layer(self, monkeypatch):
+        """100 options, six layers: (SP, no SP) x (none, selective, full)."""
+        from repro.perf_model import layer_timing
+        traced = count_calls(monkeypatch, layer_timing, "layer_oplog")
+        assert len(enumerate_options(PAPER_CONFIGS["22B"])) == 100
+        assert len(traced) <= 6
 
     def test_options_sorted_by_overhead(self):
         options = enumerate_options(PAPER_CONFIGS["22B"], full_layer_step=12)
