@@ -43,7 +43,10 @@ wall-history:
 # re-derivations the analytic path had: layer_times( call sites in the
 # planner (one abstract trace per call; more than one means a trace per
 # ladder rung) and iteration_time( calls from the table code (one
-# schedule build each; a pair that shares (p, n, m) should share it).
+# schedule build each; a pair that shares (p, n, m) should share it);
+# and the step compiler's footprint (ROADMAP item 3): `recorder/cap is
+# (not) None` arms in the drivers (each one a fork beside the eager
+# step body) and lines of src/ mentioning `compiled`.
 loc:
 	@printf '%-44s %6d\n' \
 		'src/ python lines' "$$(find src -name '*.py' | xargs cat | wc -l)" \
@@ -55,7 +58,9 @@ loc:
 		'src/ raise ScheduleError("... deadlocked")' "$$(grep -rn --include='*.py' 'deadlocked")' src | wc -l)" \
 		'src/ TransformerLayer( outside layers/' "$$(grep -rn --include='*.py' 'TransformerLayer(' src | grep -v 'src/repro/layers/' | wc -l)" \
 		'planner/ layer_times( call sites' "$$(grep -rn --include='*.py' 'layer_times(' src/repro/planner | wc -l)" \
-		'table code iteration_time( calls' "$$(grep -n 'iteration_time(' src/repro/perf_model/iteration.py src/repro/experiments.py | grep -vc 'def ')"
+		'table code iteration_time( calls' "$$(grep -n 'iteration_time(' src/repro/perf_model/iteration.py src/repro/experiments.py | grep -vc 'def ')" \
+		'driver capture arms' "$$(grep -rnE --include='*.py' '(recorder|cap) is (not )?None' src/repro/training src/repro/serving | wc -l)" \
+		'src/ lines mentioning compiled' "$$(grep -rn --include='*.py' compiled src | wc -l)"
 
 # CI smoke run: the artifact-writing CLI invocation of each per-feature
 # target below, without the `pytest tests/test_<feature>.py` those
@@ -126,10 +131,10 @@ memprofile:
 	$(PY) -c "import json; json.load(open('memprof-out/memprof-ledger.json')); json.load(open('memprof-out/memprof-flamegraph.json'))"
 	@echo "memory profile artifacts written to memprof-out/"
 
-# Static-graph step compiler: eager-vs-replay bitwise equivalence
-# matrix, then a compile run per layout printing plan stats with a
-# validated Perfetto trace of a replayed step (docs/architecture.md
-# "Static-graph step compiler").
+# Static-graph step compiler: the eager-vs-replay bitwise equivalence
+# matrix of its two drivers (Trainer, DecodeEngine), then a compile run
+# per layout printing plan stats with a validated Perfetto trace of a
+# replayed step (docs/architecture.md "Static-graph step compiler").
 compile:
 	$(PY) -m pytest tests/test_compiler.py
 	$(PY) -m repro compile --trace-out compile-trace.json

@@ -10,13 +10,16 @@ Python bookkeeping while remaining bitwise-identical to eager mode
 (losses, gradients, generated tokens, tracked peak bytes, priced cost
 model — all byte-for-byte).
 
-Drivers: ``Trainer(compiled=True)``, ``PipelinedGPT(compiled=True)`` and
-``DecodeEngine(compiled=True)`` (the continuous-batching scheduler
-inherits the engine's flag).
+Drivers: ``Trainer(compiled=True)`` and ``DecodeEngine(compiled=True)``
+(the continuous-batching scheduler inherits the engine's flag).  Each
+states its step once: tape ops record through the context hooks, and
+everything else the step does goes through :func:`effect`, so the same
+body runs eagerly, under a capture, or is skipped for a replay
+(:meth:`PlanCache.run`).
 """
 
 from .cache import PlanCache
-from .capture import CaptureRecorder, PlanRuntime, capture_scope
+from .capture import CaptureRecorder, capture_scope, effect
 from .memplan import MemoryPlan, plan_memory
 from .plan import StepPlan
 
@@ -24,8 +27,8 @@ __all__ = [
     "CaptureRecorder",
     "MemoryPlan",
     "PlanCache",
-    "PlanRuntime",
     "StepPlan",
     "capture_scope",
+    "effect",
     "plan_memory",
 ]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
+from .capture import CaptureRecorder, capture_scope
 from .plan import StepPlan
 
 
@@ -33,6 +34,26 @@ class PlanCache:
 
     def put(self, key, plan: StepPlan) -> None:
         self._plans[key] = plan
+
+    def run(self, key, label: str, inputs: Dict[Any, "Tensor"], body) -> None:
+        """One step of a driver whose step is ``body()`` over ``inputs``.
+
+        Hit: rebind the plan's input registers to this step's shards and
+        replay.  Miss: run ``body()`` under a recorder labelled ``label``
+        (the capture *is* the step) and store the plan under ``key``.
+        """
+        plan = self.get(key)
+        if plan is not None:
+            for name, tensor in inputs.items():
+                plan.bind(name, tensor.shards)
+            plan.replay()
+            return
+        recorder = CaptureRecorder(label)
+        for name, tensor in inputs.items():
+            recorder.bind_input(name, tensor)
+        with capture_scope(recorder):
+            body()
+        self.put(key, recorder.finalize())
 
     def plans(self):
         """All cached plans in insertion order (for stats/introspection)."""

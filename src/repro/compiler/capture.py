@@ -39,6 +39,7 @@ Eq. 1-4 drift between eager and replayed steps is exactly zero.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -48,26 +49,6 @@ from ..tensor import context as _tctx
 from ..tensor.backend import size_of
 from ..tensor.tensor import Tensor, _accumulate, _zeros_for
 from .plan import StepPlan
-
-
-class PlanRuntime:
-    """Mutable per-replay state shared between a plan and its driver.
-
-    Engine-level side effects that are not tape ops (loss reads, KV-cache
-    writes, tracker swaps, span emission) are captured as *external*
-    closures reading this holder, so one plan serves every step: the
-    driver refreshes the runtime fields, then replays.
-    """
-
-    def __init__(self) -> None:
-        self.losses: List[float] = []
-        self.span_stack: List[Any] = []
-        self.trackers: Optional[list] = None
-        self.request_ids: List[str] = []
-        self.tokens: Any = None
-        self.positions: List[int] = []
-        self.out: Any = None
-        self._prev_memory: List[Any] = []
 
 
 class CaptureRecorder:
@@ -82,7 +63,6 @@ class CaptureRecorder:
         self._suspend = 0
         self._nodes: Dict[int, Any] = {}      # id(node) -> node (keeps ids stable)
         self._sym: Dict[int, List[Optional[int]]] = {}  # id(node) -> grad reg per output
-        self._seed_sources: Dict[int, Tuple] = {}       # id(root tensor) -> source spec
         # Memory-plan bookkeeping: charges recorded per FnCtx at its
         # forward op, freed where its release closure lands.
         self._save_buffer: List[Tuple[int, int, int]] = []  # (rank, bufid, nbytes)
@@ -105,27 +85,13 @@ class CaptureRecorder:
             raise CompilerError(f"duplicate plan input key {key!r}")
         self.inputs[key] = tensor
 
-    def external(self, closure) -> None:
-        """Record (and immediately run) an engine-level side effect.
-
-        The closure must read all step-varying state from a
-        :class:`PlanRuntime` (or other mutable holder), never from
-        capture-time locals.
-        """
-        closure()
+    def external(self, fn, *args) -> None:
+        """Run ``fn(*args)`` now and record it as a program entry — the
+        recording half of :func:`effect`, whose argument rule applies."""
+        fn(*args)
         if not self._suspend:
-            self.program.append(closure)
-            self.meta.append(("external", getattr(closure, "__name__", "external")))
-
-    def declare_seed_source(self, root: Tensor, source: Tuple) -> None:
-        """Override the gradient source for an upcoming backward seed.
-
-        ``source`` is ``("tgrad", leaf_tensor)`` to read ``leaf.grad`` at
-        replay time (pipeline stage boundaries); the default for
-        undeclared seeds is a constant copy of the capture-time gradient.
-        """
-        if not self._suspend:
-            self._seed_sources[id(root)] = source
+            self.program.append(partial(fn, *args))
+            self.meta.append(("external", getattr(fn, "__name__", "external")))
 
     # -- hooks wired into repro.tensor.tensor --------------------------------
     def on_save(self, fctx, shards, dtype) -> None:
@@ -239,10 +205,9 @@ class CaptureRecorder:
         if self._suspend:
             return
         for root, grad in seeds:
-            source = self._seed_sources.pop(id(root), None)
-            if source is None:
-                source = ("const", [np.array(g) for g in grad])
-            self._route_into(root._node, root._out_index, self._seed_thunk(source))
+            # A seed is a constant of the plan: the capture-time gradient.
+            self._route_seed(root._node, root._out_index,
+                             [np.array(g) for g in grad])
 
     def on_node_pop(self, node):
         """Mirror ``pending.pop``: gradient source specs for this node.
@@ -347,33 +312,22 @@ class CaptureRecorder:
             return ("create", k)
         return ("accum", sym[out_index])
 
-    def _seed_thunk(self, source: Tuple):
-        kind = source[0]
-        if kind == "const":
-            arrs = source[1]
-            return lambda arrs=arrs: [np.array(a) for a in arrs]
-        if kind == "tgrad":
-            leaf = source[1]
-            return lambda leaf=leaf: leaf.grad
-        raise CompilerError(f"unknown seed source {kind!r}")
-
-    def _route_into(self, node, out_index: int, thunk) -> None:
+    def _route_seed(self, node, out_index: int, arrs: List[np.ndarray]) -> None:
         gr = self.gr
-        dest = self._dest_slot(node, out_index)
-        kind, k = dest
+        kind, k = self._dest_slot(node, out_index)
         if kind == "create":
-            def op(gr=gr, k=k, thunk=thunk):
-                gr[k] = list(thunk())
+            def op(gr=gr, k=k, arrs=arrs):
+                gr[k] = [np.array(a) for a in arrs]
         else:
-            def op(gr=gr, k=k, thunk=thunk):
-                gr[k] = _accumulate(gr[k], thunk())
+            def op(gr=gr, k=k, arrs=arrs):
+                gr[k] = _accumulate(gr[k], [np.array(a) for a in arrs])
 
         op()  # seeds run immediately at capture (mirrors eager insertion)
         self.program.append(op)
         self.meta.append(("seed", None))
 
     # -- finalize -------------------------------------------------------------
-    def finalize(self, runtime: Optional[PlanRuntime] = None) -> StepPlan:
+    def finalize(self) -> StepPlan:
         from .memplan import plan_memory
 
         memory = plan_memory(self._charges, self._alloc_at, self._free_at,
@@ -383,7 +337,6 @@ class CaptureRecorder:
             program=tuple(self.program),
             meta=tuple(self.meta),
             inputs=dict(self.inputs),
-            runtime=runtime if runtime is not None else PlanRuntime(),
             memory=memory,
         )
 
@@ -399,3 +352,25 @@ def capture_scope(recorder: CaptureRecorder):
         yield recorder
     finally:
         c.capture = None
+
+
+def effect(fn, *args) -> None:
+    """Run the side effect ``fn(*args)`` now and, iff a step capture is
+    active, again at this point of every replay.
+
+    Everything a step does that is not a tape op — a span, a loss read, a
+    KV-cache write — goes through here, which is what lets a driver state
+    its step once: the same body runs bare (eager) or under
+    :func:`capture_scope`, and a replay re-runs exactly its effects.  One
+    plan serves every later step, so each argument must be a register (a
+    capture-time tensor whose shards replay refreshes), a mutable holder
+    (a list, the driver object) or a constant of the plan key (a layer
+    index, a microbatch number) — never a step-varying value; ``fn``
+    reads those from the holder when it runs.  Outside a capture the cost
+    is this one call.
+    """
+    recorder = _tctx._CTX.capture
+    if recorder is None:
+        fn(*args)
+    else:
+        recorder.external(fn, *args)

@@ -1,10 +1,9 @@
 """Static step plans: the captured program and its replay loop.
 
 A :class:`StepPlan` owns a flat tuple of zero-argument closures (the
-program), the input registers a driver rebinds between replays, a
-:class:`~repro.compiler.capture.PlanRuntime` holder for engine-level
-state, and a precomputed :class:`MemoryPlan` (static arena offsets for
-every charged activation, planned once through the first-fit allocator).
+program), the input registers a driver rebinds between replays, and a
+precomputed :class:`MemoryPlan` (static arena offsets for every charged
+activation, planned once through the first-fit allocator).
 
 Replay is one tight loop — no tape, no graph walk, no Python-side
 bookkeeping allocations beyond what the kernels themselves produce.
@@ -22,12 +21,11 @@ class StepPlan:
     """An executable, immutable capture of one step."""
 
     def __init__(self, label: str, program: Tuple, meta: Tuple,
-                 inputs: Dict[Any, "Tensor"], runtime, memory):
+                 inputs: Dict[Any, "Tensor"], memory):
         self.label = label
         self._program = program
         self._meta = meta
         self.inputs = inputs
-        self.runtime = runtime
         self.memory = memory
         self.replays = 0
 

@@ -75,6 +75,14 @@ class Module:
         """Put the module in evaluation mode (all dropout disabled)."""
         return self.train(False)
 
+    @property
+    def training(self) -> bool:
+        """``False`` while any stochastic submodule is switched off by
+        :meth:`eval` (read off the submodules, which scoped helpers such
+        as :func:`repro.inference.evaluation` restore directly)."""
+        return all(getattr(module, "_train_p", None) is None
+                   for module in self.modules())
+
     def modules(self):
         """Yield this module and every (recursively) contained submodule."""
         yield self

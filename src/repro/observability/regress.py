@@ -349,7 +349,7 @@ def _run_substrate_preset(seed_value: int, steps: int) -> dict:
 
     import numpy as np
 
-    from ..compiler import CaptureRecorder, PlanRuntime, capture_scope
+    from ..compiler import CaptureRecorder, capture_scope
     from ..tensor import Tensor
     from ..tensor import functions as F
 
@@ -382,7 +382,7 @@ def _run_substrate_preset(seed_value: int, steps: int) -> dict:
     with capture_scope(chain_recorder):
         chain_recorder.bind_input("x", chain_x)
         _chain_step()
-    chain_plan = chain_recorder.finalize(runtime=PlanRuntime())
+    chain_plan = chain_recorder.finalize()
 
     # Best-of timing, *interleaved* so a load spike on the host hits both
     # sides alike — the gated quantity is their ratio.

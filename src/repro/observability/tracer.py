@@ -122,12 +122,19 @@ class Tracer:
     @contextmanager
     def span(self, name: str, subsystem: str = "train",
              rank: Optional[int] = None, **args: object) -> Iterator[None]:
-        """A span covering the simulated time its body advances the clock."""
+        """A span covering the simulated time its body advances the clock.
+
+        On the way out it also closes, innermost first, any span its body
+        left open: a replayed plan that raises never reaches its recorded
+        end-spans, and the enclosing ``step`` span must not close in their
+        place."""
         self.begin_span(name, subsystem, rank, **args)
+        depth = len(self._stack)
         try:
             yield
         finally:
-            self.end_span()
+            while len(self._stack) >= depth:
+                self.end_span()
 
     @contextmanager
     def rank_scope(self, rank: int) -> Iterator[None]:

@@ -26,11 +26,11 @@ Numerics notes:
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..compiler import CaptureRecorder, PlanCache, PlanRuntime, capture_scope
+from ..compiler import PlanCache, effect
 from ..errors import ConfigError
 from ..inference import evaluation, one_query_attention
 from ..layers.embedding import token_tensor
@@ -41,61 +41,19 @@ from ..tensor import functions as F
 from ..tensor.context import ctx as execution_context
 from .kv_cache import KVAdmissionFull, KVCacheFull, KVStepFull, PagedKVCache
 
-
-# -- compiled-mode external closures -----------------------------------------
-# A compiled decode plan is shape-polymorphic in the context length but
-# fixed in batch size; everything that varies between replays of the same
-# batch-size bucket (which requests, which slots, how long each context)
-# is read from the engine's :class:`PlanRuntime` holder at call time.
-
-def _rebind_pos(rt: PlanRuntime, engine: "DecodeEngine", pos_t: Tensor):
-    def rebind():
-        pos_t.shards = [
-            np.asarray(shard)[rt.positions, 0, :][None]
-            for shard in engine.model.embedding.position.shards
-        ]
-    return rebind
-
-
-def _cache_writes(rt: PlanRuntime, cache: PagedKVCache, k_t: Tensor,
-                  v_t: Tensor, layer: int, world: int):
-    def write():
-        for rank in range(world):
-            k_arr = np.asarray(k_t.shards[rank])
-            v_arr = np.asarray(v_t.shards[rank])
-            for j, request_id in enumerate(rt.request_ids):
-                cache.write(request_id, layer, rank, rt.positions[j],
-                            k_arr[0, j], v_arr[0, j])
-    return write
-
-
-def _gather_kv(rt: PlanRuntime, cache: PagedKVCache, k_t: Tensor,
-               v_t: Tensor, j: int, layer: int, world: int):
-    def gather():
-        keys, values = [], []
-        for rank in range(world):
-            k, v = cache.gather(rt.request_ids[j], layer, rank)
-            keys.append(k[:, None, :])
-            values.append(v[:, None, :])
-        k_t.shards = keys
-        v_t.shards = values
-    return gather
-
-
-def _store_logits(rt: PlanRuntime, logits_t: Tensor, layout):
-    def store():
-        rt.out = layout.full_logits(logits_t)[0]
-    return store
+#: Shard of a register that an effect has yet to load.
+_UNLOADED = np.empty(0)
 
 
 class DecodeEngine:
     """Prefill/decode executor binding one model to one paged KV cache.
 
-    ``compiled=True`` captures the first decode step per batch size
-    through :mod:`repro.compiler` and replays the static plan for every
-    later step of that ragged-batch bucket — token-identical logits with
-    no per-step tape construction.  Prefill reuses the ``B=1`` bucket.
-    A :class:`~repro.serving.scheduler.ContinuousBatchingScheduler`
+    The step is stated once (:meth:`_forward`).  ``compiled=True`` runs
+    it under a :mod:`repro.compiler` capture the first time a batch size
+    is seen and replays the static plan for every later step of that
+    ragged-batch bucket — token-identical logits with no per-step tape
+    construction.  Prefill reuses the ``B=1`` bucket.  A
+    :class:`~repro.serving.scheduler.ContinuousBatchingScheduler`
     inherits the flag from the engine it drives.
     """
 
@@ -115,9 +73,13 @@ class DecodeEngine:
         self.max_context = model.config.seq_length
         self.compiled = compiled
         self.plans = PlanCache()
-        #: step-varying state shared by every plan's externals (decode
-        #: steps are serial, so one holder serves all batch-size buckets)
-        self._rt = PlanRuntime()
+        # The step being run.  A plan is fixed in batch size and polymorphic
+        # in context length; what varies between its replays (which
+        # requests, which slots) the step's effects read from here, never
+        # from their arguments.
+        self._request_ids: List[str] = []
+        self._positions: List[int] = []
+        self._logits: Optional[np.ndarray] = None
 
     # -- request lifecycle (thin cache passthroughs) -----------------------
     def context_length(self, request_id: str) -> int:
@@ -168,30 +130,18 @@ class DecodeEngine:
                 raise ConfigError(
                     f"request {request_id!r} is at the model's maximum "
                     "sequence length")
-        positions = [self.cache.reserve_token(r) for r in request_ids]
+        self._request_ids = list(request_ids)
+        self._positions = [self.cache.reserve_token(r) for r in request_ids]
+        ids = token_tensor(tokens[None, :], world=self.world)
         with no_grad(), evaluation(self.model):
             c = execution_context()
             if self.compiled and c.memprof is None and c.capture is None:
-                return self._decode_compiled(list(request_ids), tokens,
-                                             positions)
-            return self._forward(list(request_ids), tokens, positions)
-
-    def _decode_compiled(self, request_ids: List[str], tokens: np.ndarray,
-                         positions: List[int]) -> np.ndarray:
-        rt = self._rt
-        rt.request_ids = request_ids
-        rt.positions = positions
-        key = ("decode", len(request_ids))
-        plan = self.plans.get(key)
-        if plan is None:
-            recorder = CaptureRecorder(f"decode_step[B={len(request_ids)}]")
-            with capture_scope(recorder):
-                out = self._forward(request_ids, tokens, positions)
-            self.plans.put(key, recorder.finalize(runtime=rt))
-            return out
-        plan.bind("ids", token_tensor(tokens[None, :], world=self.world).shards)
-        plan.replay()
-        return rt.out
+                batch = len(request_ids)
+                self.plans.run(("decode", batch), f"decode_step[B={batch}]",
+                               {"ids": ids}, lambda: self._forward(ids))
+            else:
+                self._forward(ids)
+        return self._logits
 
     def finish(self, request_id: str) -> None:
         self.cache.free_request(request_id)
@@ -203,71 +153,61 @@ class DecodeEngine:
         self.cache.swap_in(swapped)
 
     # -- the model step ----------------------------------------------------
-    def _position_rows(self, positions: List[int]) -> Tensor:
-        """Per-request positional-embedding rows as a ``(1, B, h)`` tensor
-        (the batch is ragged, so each row indexes its own position)."""
-        rows = [np.asarray(shard)[positions, 0, :][None]
-                for shard in self.model.embedding.position.shards]
-        return Tensor(rows, dtype=FP16, layout="replicated", name="pos_rows")
-
-    def _cached_kv(self, request_id: str,
-                   layer: int) -> Tuple[Tensor, Tensor]:
-        """One request's cached K and V as ``(n, 1, h_local)`` tensors."""
-        keys, values = [], []
-        for rank in range(self.world):
-            k, v = self.cache.gather(request_id, layer, rank)
-            keys.append(k[:, None, :])
-            values.append(v[:, None, :])
-        layout = "replicated" if self.world == 1 else "shard(dim=2)"
-        return (Tensor(keys, dtype=FP16, layout=layout),
-                Tensor(values, dtype=FP16, layout=layout))
-
-    def _forward(self, request_ids: List[str], tokens: np.ndarray,
-                 positions: List[int]) -> np.ndarray:
+    def _forward(self, ids: Tensor) -> None:
+        """One token per request of the current step; leaves the
+        ``(B, v)`` logits in ``self._logits``."""
         model = self.model
-        cap = execution_context().capture
-        rt = self._rt if cap is not None else None
-        if cap is not None:
-            rt.request_ids = request_ids
-            rt.positions = positions
-        ids = token_tensor(tokens[None, :], world=self.world)
-        if cap is not None:
-            cap.bind_input("ids", ids)
+        unloaded = [_UNLOADED] * self.world
+        kv_layout = "replicated" if self.world == 1 else "shard(dim=2)"
         x = model.layout.lookup(model.embedding.word, ids)
-        pos = self._position_rows(positions)
-        if cap is not None:
-            cap.external(_rebind_pos(rt, self, pos))
+        pos = Tensor(unloaded, dtype=FP16, layout="replicated", name="pos_rows")
+        effect(self._load_position_rows, pos)
         x = F.add(x, pos)
 
         for index, layer in enumerate(model.layers):
             h = layer.ln1(x)
             q, k, v = layer.attn.project_qkv(h, Linear.decode)
             heads = layer.attn.core.num_heads
-            if cap is not None:
-                # Executes now (the capture is the step) and at replay.
-                cap.external(_cache_writes(rt, self.cache, k, v, index,
-                                           self.world))
-            else:
-                for rank in range(self.world):
-                    k_arr = np.asarray(k.shards[rank])
-                    v_arr = np.asarray(v.shards[rank])
-                    for j, request_id in enumerate(request_ids):
-                        self.cache.write(request_id, index, rank, positions[j],
-                                         k_arr[0, j], v_arr[0, j])
+            effect(self._write_kv, index, k, v)
             parts = []
-            for j, request_id in enumerate(request_ids):
-                keys, values = self._cached_kv(request_id, index)
-                if cap is not None:
-                    cap.external(_gather_kv(rt, self.cache, keys, values, j,
-                                            index, self.world))
+            for j in range(len(self._request_ids)):
+                keys = Tensor(unloaded, dtype=FP16, layout=kv_layout)
+                values = Tensor(unloaded, dtype=FP16, layout=kv_layout)
+                effect(self._load_kv, index, j, keys, values)
                 q_j = F.slice_axis(q, 1, j, j + 1)
                 parts.append(one_query_attention(heads, q_j, keys, values))
             ctxt = parts[0] if len(parts) == 1 else F.concat(parts, axis=1)
             x = F.add(layer.attn.wo.decode(ctxt), x)
             x = F.add(layer.mlp.decode(layer.ln2(x)), x)
 
-        logits = model.head.decode_logits(x)
-        if cap is not None:
-            cap.external(_store_logits(rt, logits, model.layout))
-            return rt.out
-        return model.layout.full_logits(logits)[0]
+        effect(self._store_logits, model.head.decode_logits(x))
+
+    # The step's effects (see ``repro.compiler.effect``): arguments are
+    # registers and plan constants — a layer index, a batch column.
+    def _load_position_rows(self, pos: Tensor) -> None:
+        """Per-request positional-embedding rows, ``(1, B, h)`` (the batch
+        is ragged, so each row indexes its own position)."""
+        pos.shards = [np.asarray(shard)[self._positions, 0, :][None]
+                      for shard in self.model.embedding.position.shards]
+
+    def _write_kv(self, layer: int, k: Tensor, v: Tensor) -> None:
+        for rank in range(self.world):
+            k_arr = np.asarray(k.shards[rank])
+            v_arr = np.asarray(v.shards[rank])
+            for j, request_id in enumerate(self._request_ids):
+                self.cache.write(request_id, layer, rank, self._positions[j],
+                                 k_arr[0, j], v_arr[0, j])
+
+    def _load_kv(self, layer: int, j: int, keys: Tensor, values: Tensor) -> None:
+        """Request ``j``'s cached K and V as ``(n, 1, h_local)`` shards."""
+        request_id = self._request_ids[j]
+        k_shards, v_shards = [], []
+        for rank in range(self.world):
+            k, v = self.cache.gather(request_id, layer, rank)
+            k_shards.append(k[:, None, :])
+            v_shards.append(v[:, None, :])
+        keys.shards = k_shards
+        values.shards = v_shards
+
+    def _store_logits(self, logits: Tensor) -> None:
+        self._logits = self.model.layout.full_logits(logits)[0]

@@ -3,8 +3,8 @@
 The anchor tests are the eager-vs-replay equivalence matrices — every
 loss, gradient, weight, logit and tracked byte a replayed plan produces
 must equal the eager tape exactly (``assert_array_equal``, not
-``allclose``) across serial, tensor-parallel, sequence-parallel,
-pipelined and decode configurations — plus the plan-cache semantics and
+``allclose``) across serial, tensor-parallel, sequence-parallel and
+decode configurations — plus the plan-cache semantics and
 the first-fit allocator's sorted-free-list rewrite (differential-tested
 against the former append+sort+scan implementation).
 """
@@ -12,26 +12,28 @@ against the former append+sort+scan implementation).
 import numpy as np
 import pytest
 
+from helpers import count_calls
 from repro.allocator import FirstFitAllocator, TracingMemoryTracker
+from repro.comm import fault_scope
 from repro.compiler import (
     CaptureRecorder,
     PlanCache,
-    PlanRuntime,
     capture_scope,
 )
 from repro.config import ModelConfig
 from repro.errors import CompilerError
 from repro.layers import GPTModel, Recompute
+from repro.observability.metrics import MetricsRegistry
+from repro.observability.tracer import Tracer, trace_scope
 from repro.parallel import ParallelGPTModel
+from repro.resilience import FaultInjector, FaultKind, FaultPlan, FaultSpec
 from repro.serving import DecodeEngine, PagedKVCache
-from repro.tensor import from_numpy, instrument, seed
+from repro.tensor import MemoryTracker, from_numpy, instrument, seed
 from repro.tensor import functions as F
-from repro.training import Adam, PipelinedGPT, Trainer
+from repro.training import PipelinedGPT, Trainer
 
 CFG = ModelConfig(num_layers=2, hidden_size=32, num_heads=4,
                   seq_length=16, vocab_size=32, name="compiler-tiny")
-PIPE_CFG = ModelConfig(num_layers=4, hidden_size=32, num_heads=4,
-                       seq_length=16, vocab_size=32, name="compiler-pipe")
 rng = np.random.default_rng(23)
 
 
@@ -107,60 +109,6 @@ class TestTrainerReplay:
         replayed = _trace(compiled, 8)   # replay step
         eagered = _trace(eager, 8)
         assert replayed == eagered
-
-
-class TestPipelineReplay:
-    def _models(self, recompute=Recompute.NONE):
-        def build():
-            seed(0)
-            serial = GPTModel(PIPE_CFG, seed=6)
-            return ParallelGPTModel(PIPE_CFG, tensor_parallel=2,
-                                    sequence_parallel=True,
-                                    recompute=recompute, serial=serial)
-        return build(), build()
-
-    def _run(self, pipe, model, ids, targets, n_mb, steps=3, **kw):
-        opt = Adam(model.parameters(), lr=1e-3)
-        results = []
-        for step in range(steps):
-            seed(2000 + step)
-            opt.zero_grad()
-            results.append(pipe.train_step(ids, targets,
-                                           num_microbatches=n_mb, **kw))
-            opt.step()
-        return results
-
-    @pytest.mark.parametrize("n_mb,interleave", [(2, 1), (4, 2)])
-    def test_pipeline_bitwise(self, n_mb, interleave):
-        model_c, model_e = self._models()
-        pipe_c = PipelinedGPT(model_c, 2, interleave_stages=interleave,
-                              compiled=True)
-        pipe_e = PipelinedGPT(model_e, 2, interleave_stages=interleave)
-        ids, targets = _batch(PIPE_CFG, b=n_mb * 2)
-        got = self._run(pipe_c, model_c, ids, targets, n_mb)
-        want = self._run(pipe_e, model_e, ids, targets, n_mb)
-        for g, w in zip(got, want):
-            assert g.loss == w.loss
-            assert g.peak_stage_bytes == w.peak_stage_bytes
-            assert g.microbatches_stored_full == w.microbatches_stored_full
-        _assert_params_equal(model_c, model_e)
-        assert pipe_c.plans.stats() == {"plans": 1, "hits": 2, "misses": 1}
-
-    def test_pipeline_with_storage_slots(self):
-        """Appendix C microbatch-level recompute (full-storage slots)
-        replays with identical per-stage peaks and stored-full counts."""
-        model_c, model_e = self._models(recompute=Recompute.FULL)
-        pipe_c = PipelinedGPT(model_c, 2, compiled=True)
-        pipe_e = PipelinedGPT(model_e, 2)
-        ids, targets = _batch(PIPE_CFG, b=4)
-        got = self._run(pipe_c, model_c, ids, targets, 2,
-                        full_storage_slots=[1, 1])
-        want = self._run(pipe_e, model_e, ids, targets, 2,
-                         full_storage_slots=[1, 1])
-        for g, w in zip(got, want):
-            assert g.loss == w.loss
-            assert g.peak_stage_bytes == w.peak_stage_bytes
-            assert g.microbatches_stored_full == w.microbatches_stored_full
 
 
 class TestDecodeReplay:
@@ -256,6 +204,124 @@ class TestPlanCacheSemantics:
         assert indices == sorted(indices)
 
 
+class TestOneStepBody:
+    """Each driver states its step once: the capture is the eager body
+    under a recorder, a replay is that body's effects without the tape."""
+
+    def test_trace_stream_is_identical_eager_capture_replay(self):
+        """Spans, instants and counters of an eager step, a capture step,
+        a replay step, and a replay step whose plan was captured with no
+        tracer installed."""
+        ids, targets = _batch()
+
+        def stream(trainer, reseed):
+            tracer = Tracer(metrics=MetricsRegistry())
+            seed(reseed)
+            with trace_scope(tracer):
+                trainer.train_step(ids, targets, num_microbatches=2)
+            return ([(s.name, s.subsystem, s.rank, s.ts, s.dur, s.args,
+                      s.parent) for s in tracer.spans],
+                    [(i.name, i.ts, i.args) for i in tracer.instants],
+                    tracer.metrics.snapshot())
+
+        def trainer(compiled):
+            return Trainer(_model("tp+sp", Recompute.SELECTIVE), lr=1e-3,
+                           compiled=compiled)
+
+        eager, compiled, untraced = trainer(False), trainer(True), trainer(True)
+        seed(5)
+        untraced.train_step(ids, targets, num_microbatches=2)   # capture, no tracer
+        want = stream(eager, 5)
+        assert stream(compiled, 5) == want                      # capture step
+        assert len(want[0]) > 10 and want[2]
+        want = stream(eager, 6)
+        assert stream(compiled, 6) == want                      # replay step
+        assert stream(untraced, 6) == want
+        assert untraced.plans.stats() == {"plans": 1, "hits": 1, "misses": 1}
+
+    def test_capture_step_gathers_kv_once(self, monkeypatch):
+        """A capture step reads the paged cache exactly as often as the
+        eager step it is (it used to gather every (layer, request) twice)."""
+        gathers = count_calls(monkeypatch, PagedKVCache, "gather")
+        model = GPTModel(CFG, seed=2)
+        counts = []
+        for compiled in (True, False):
+            cache = PagedKVCache(CFG, tensor_parallel=1, block_size=4,
+                                 num_blocks=16)
+            engine = DecodeEngine(model, cache, compiled=compiled)
+            for request_id in ("a", "b"):
+                engine.prefill(request_id, [1, 2])
+            del gathers[:]
+            engine.decode(["a", "b"], [3, 4])   # B=2: a capture when compiled
+            counts.append(len(gathers))
+            assert engine.plans.stats()["plans"] == (2 if compiled else 0)
+        assert counts[0] == counts[1] == 2 * CFG.num_layers
+
+    def test_pipeline_has_no_compiled_arm(self):
+        with pytest.raises(TypeError):
+            PipelinedGPT(_model("serial"), 2, compiled=True)
+
+
+class TestStaleReplay:
+    """Whatever the public API can change between two steps is in the
+    plan key: the changed step captures afresh and equals eager."""
+
+    @pytest.mark.parametrize("mutate", [
+        lambda model: model.eval(),
+        lambda model: [setattr(layer, "recompute", Recompute.FULL)
+                       for layer in model.layers],
+    ], ids=["eval", "recompute"])
+    def test_model_mutation_between_steps_misses(self, mutate):
+        compiled = Trainer(_model("serial"), lr=1e-3, compiled=True)
+        eager = Trainer(_model("serial"), lr=1e-3)
+        ids, targets = _batch()
+
+        def step(trainer, reseed):
+            tracker = MemoryTracker()
+            seed(reseed)
+            with instrument(memory=tracker):
+                loss = trainer.train_step(ids, targets)
+            return loss, tracker.peak_bytes(0)
+
+        for index in range(4):
+            if index == 1:
+                mutate(compiled.model)
+                mutate(eager.model)
+            assert step(compiled, 3000 + index) == step(eager, 3000 + index)
+        _assert_params_equal(compiled.model, eager.model)
+        assert compiled.plans.stats() == {"plans": 2, "hits": 2, "misses": 2}
+
+
+class TestFaultedStepTrace:
+    """A collective fault aborts an attempt mid-forward; the retried run's
+    span stream and the tracer's final stack depth equal the eager
+    twin's, whether the fault hit the capture step or a replay."""
+
+    @pytest.mark.parametrize("fault_step", [0, 1], ids=["capture", "replay"])
+    def test_aborted_attempt_leaves_tracer_balanced(self, fault_step):
+        ids, targets = _batch()
+
+        def run(compiled):
+            trainer = Trainer(_model("tp"), lr=1e-3, compiled=compiled)
+            injector = FaultInjector(FaultPlan([FaultSpec(
+                step=fault_step, kind=FaultKind.DROPPED_COLLECTIVE,
+                call_index=3)]))
+            tracer, losses = Tracer(), []
+            with trace_scope(tracer), fault_scope(injector):
+                for step in range(3):
+                    injector.begin_step(step)
+                    seed(4000 + step)
+                    losses.append(trainer.train_step_with_retry(ids, targets))
+                depth = len(tracer._stack)
+            assert injector.report.retries == 1
+            return ([s.name for s in tracer.spans], depth, losses), trainer
+
+        (got, compiled), (want, eager) = run(True), run(False)
+        assert got == want
+        assert want[1] == 0 and want[0].count("step") == 4
+        _assert_params_equal(compiled.model, eager.model)
+
+
 class TestCaptureErrors:
     def test_nested_capture_raises(self):
         with capture_scope(CaptureRecorder("outer")):
@@ -292,7 +358,7 @@ class TestStandaloneCapture:
         with capture_scope(recorder):
             recorder.bind_input("x", x)
             y = F.scale(F.add(F.mul(x, w), w), 0.5)
-        plan = recorder.finalize(runtime=PlanRuntime())
+        plan = recorder.finalize()
         first = np.asarray(y.shards[0]).copy()
         fresh = rng.standard_normal((4, 4))
         plan.bind("x", [fresh])
@@ -319,7 +385,7 @@ class TestStandaloneCapture:
             recorder.bind_input("x", x)
             loss = F.sum_all(F.gelu(F.scale(x, 1.3)))
             loss.backward()
-        plan = recorder.finalize(runtime=PlanRuntime())
+        plan = recorder.finalize()
         assert loss.item() == want_loss
         np.testing.assert_array_equal(np.asarray(x.grad[0]), want_grad)
         x.grad = None

@@ -340,7 +340,7 @@ class TestCompilerFuzz:
     @settings(max_examples=25, deadline=None)
     def test_random_chain_replays_bitwise(self, chain, seed_value,
                                           checkpointed):
-        from repro.compiler import CaptureRecorder, PlanRuntime, capture_scope
+        from repro.compiler import CaptureRecorder, capture_scope
 
         rng = np.random.default_rng(seed_value)
         x_arr = rng.normal(size=(4, 6))
@@ -370,7 +370,7 @@ class TestCompilerFuzz:
             recorder.bind_input("x", x2)
             l2 = loss_of(x2)
             l2.backward()
-        plan = recorder.finalize(runtime=PlanRuntime())
+        plan = recorder.finalize()
         # The capture step IS a correct step.
         assert l2.item() == want_loss
         np.testing.assert_array_equal(np.asarray(x2.grad[0]), want_grad)
@@ -390,7 +390,7 @@ class TestCompilerFuzz:
         """Rebinding the input register and replaying equals a fresh
         eager run on the new data (dropout-free chains, where the output
         is a pure function of the input)."""
-        from repro.compiler import CaptureRecorder, PlanRuntime, capture_scope
+        from repro.compiler import CaptureRecorder, capture_scope
 
         chain = [name for name in chain if name != "dropout"] or ["gelu"]
         rng = np.random.default_rng(seed_value)
@@ -406,7 +406,7 @@ class TestCompilerFuzz:
         with capture_scope(recorder):
             recorder.bind_input("x", x)
             out = body(x)
-        plan = recorder.finalize(runtime=PlanRuntime())
+        plan = recorder.finalize()
 
         fresh = rng.normal(size=(4, 6))
         plan.bind("x", [fresh])
