@@ -46,9 +46,12 @@ wall-history:
 # schedule build each; a pair that shares (p, n, m) should share it);
 # and the step compiler's footprint (ROADMAP item 3): `recorder/cap is
 # (not) None` arms in the drivers (each one a fork beside the eager
-# step body) and lines of src/ mentioning `compiled`.
+# step body) and lines of src/ mentioning `compiled`; and tape-op call
+# sites (`F.*(`) inside a loop over the decode step's requests in the
+# serving engine (each one costs a tape application per request per
+# layer per step; attention is one F.decode_attention per layer).
 loc:
-	@printf '%-44s %6d\n' \
+	@printf '%-56s %6d\n' \
 		'src/ python lines' "$$(find src -name '*.py' | xargs cat | wc -l)" \
 		'tests/ python lines' "$$(find tests -name '*.py' | xargs cat | wc -l)" \
 		'bench/ + benchmarks/ python lines' "$$(find bench benchmarks -name '*.py' | xargs cat | wc -l)" \
@@ -60,7 +63,8 @@ loc:
 		'planner/ layer_times( call sites' "$$(grep -rn --include='*.py' 'layer_times(' src/repro/planner | wc -l)" \
 		'table code iteration_time( calls' "$$(grep -n 'iteration_time(' src/repro/perf_model/iteration.py src/repro/experiments.py | grep -vc 'def ')" \
 		'driver capture arms' "$$(grep -rnE --include='*.py' '(recorder|cap) is (not )?None' src/repro/training src/repro/serving | wc -l)" \
-		'src/ lines mentioning compiled' "$$(grep -rn --include='*.py' compiled src | wc -l)"
+		'src/ lines mentioning compiled' "$$(grep -rn --include='*.py' compiled src | wc -l)" \
+		'serving/engine.py F.* calls inside the per-request loop' "$$(awk '/^ *for .*_request_ids.*:$$/ { match($$0, /^ */); ind = RLENGTH; inloop = 1; next } inloop && NF { match($$0, /^ */); if (RLENGTH <= ind) inloop = 0; else if ($$0 ~ /F\.[a-z_]+\(/) n++ } END { print n + 0 }' src/repro/serving/engine.py)"
 
 # CI smoke run: the artifact-writing CLI invocation of each per-feature
 # target below, without the `pytest tests/test_<feature>.py` those

@@ -65,19 +65,27 @@ def _stripped_apply(fn, *args, **kwargs):
     stays honest if those internals move."""
     from repro.tensor import tensor as T
 
-    tensor_inputs = [a if isinstance(a, T.Tensor) else None for a in args]
-    fwd_args = [a.shards if isinstance(a, T.Tensor) else a for a in args]
+    tensor_inputs, fwd_args, first, requires = [], [], None, False
+    for a in args:
+        if isinstance(a, T.Tensor):
+            tensor_inputs.append(a)
+            fwd_args.append(a.shards)
+            requires = requires or a.requires_grad
+            if first is None:
+                first = a
+        else:
+            tensor_inputs.append(None)
+            fwd_args.append(a)
     fctx = T.FnCtx(tensor_inputs)
     out = fn.forward(fctx, *fwd_args, **kwargs)
     multi = isinstance(out, tuple)
     out_lists = list(out) if multi else [out]
-    requires = T.ctx().grad_enabled and any(
-        t is not None and t.requires_grad for t in tensor_inputs)
-    in_dtype = next((t.dtype for t in tensor_inputs if t is not None), T.FP16)
+    requires = requires and T.ctx().grad_enabled
+    in_dtype, layout = ((T.FP16, "replicated") if first is None
+                        else (first.dtype, first.layout))
     dtypes = fctx.out_dtypes or [in_dtype] * len(out_lists)
     outputs = [
-        T.Tensor(shards, dtype=dt, requires_grad=requires,
-                 layout=T._infer_layout(tensor_inputs))
+        T.Tensor(shards, dtype=dt, requires_grad=requires, layout=layout)
         for shards, dt in zip(out_lists, dtypes)
     ]
     if requires:

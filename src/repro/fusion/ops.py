@@ -312,10 +312,10 @@ class FusedLayerNorm(Function):
                 stats.append(None)
                 continue
             mu = np.mean(xi, axis=-1, keepdims=True)
-            var = np.var(xi, axis=-1, keepdims=True)
-            rstd = 1.0 / np.sqrt(var + self.eps)
             y = np.empty(xi.shape)
             np.subtract(xi, mu, out=y)
+            var = np.mean(y * y, axis=-1, keepdims=True)  # == np.var, bitwise
+            rstd = 1.0 / np.sqrt(var + self.eps)
             np.divide(y, np.sqrt(var + self.eps), out=y)
             np.multiply(y, gi, out=y)
             np.add(y, bi, out=y)

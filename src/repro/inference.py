@@ -31,8 +31,9 @@ def evaluation(model: Module):
     Scoped sugar over :meth:`Module.eval`: on exit each dropout is put
     back in exactly its pre-context state (not unconditionally back to
     training), so the context nests and composes with explicit
-    ``model.eval()`` calls — the serving engine wraps every step in it
-    while the scheduler may hold the model in eval mode across the run.
+    ``model.eval()`` calls.  For the paths that run the training forward
+    (:func:`generate`, :func:`perplexity`); the serving engine's decode
+    step calls no dropout module and needs no scope.
     """
     dropouts = [m for m in model.modules() if isinstance(m, Dropout)]
     saved = [(d.p, d._train_p) for d in dropouts]
@@ -141,30 +142,6 @@ def perplexity(model: GPTModel, ids: np.ndarray, targets: np.ndarray) -> float:
 # KV-cache incremental decoding
 # ---------------------------------------------------------------------------
 
-def one_query_attention(num_heads, q, keys, values):
-    """One-query attention over cached keys/values (no mask needed: the
-    cache contains only past positions).  Reuses the training ops; the
-    serving engine's batched step runs it per request.  Shapes are
-    per-shard, so it serves both the serial model (``a`` heads on ``h``)
-    and tensor-parallel ranks (``a/t`` heads on ``h/t``)."""
-    import math
-    from .tensor import functions as F
-
-    one, b, h = q.shape
-    a = num_heads
-    d = h // a
-    # The context dimension is -1 (not ``keys.shape[0]``) so a compiled
-    # decode plan stays shape-polymorphic as the KV cache grows.
-    qr = F.transpose(F.reshape(q, (one, b, a, d)), (1, 2, 0, 3))       # (b,a,1,d)
-    kt = F.transpose(F.reshape(keys, (-1, b, a, d)), (1, 2, 3, 0))     # (b,a,d,cur)
-    vr = F.transpose(F.reshape(values, (-1, b, a, d)), (1, 2, 0, 3))   # (b,a,cur,d)
-    scores = F.scale(F.matmul(qr, kt), 1.0 / math.sqrt(d))
-    probs = F.softmax(scores)
-    ctxt = F.matmul(probs, vr)                                         # (b,a,1,d)
-    ctxt = F.transpose(ctxt, (2, 0, 1, 3))                             # (1,b,a,d)
-    return F.reshape(ctxt, (one, b, h))
-
-
 def generate_cached(model: GPTModel, prompt: np.ndarray, max_new_tokens: int,
                     strategy: str = "greedy", top_k: int = 10,
                     temperature: float = 1.0,
@@ -201,14 +178,13 @@ def generate_cached(model: GPTModel, prompt: np.ndarray, max_new_tokens: int,
     for request_id in request_ids:
         cache.add_request(request_id)
 
-    with no_grad(), evaluation(model):
-        logits = None
-        for position in range(ids.shape[0]):
-            logits = engine.decode(request_ids, ids[position])
-        for _ in range(max_new_tokens):
-            if engine.context_length(request_ids[0]) >= max_len:
-                break
-            nxt = sample_next(logits, strategy, top_k, temperature, rng)
-            ids = np.concatenate([ids, nxt[None, :]], axis=0)
-            logits = engine.decode(request_ids, ids[-1])
+    logits = None
+    for position in range(ids.shape[0]):
+        logits = engine.decode(request_ids, ids[position])
+    for _ in range(max_new_tokens):
+        if engine.context_length(request_ids[0]) >= max_len:
+            break
+        nxt = sample_next(logits, strategy, top_k, temperature, rng)
+        ids = np.concatenate([ids, nxt[None, :]], axis=0)
+        logits = engine.decode(request_ids, ids[-1])
     return ids

@@ -8,7 +8,8 @@ full-forward path on every layout (``tests/test_serving.py``).
 
 Numerics notes:
 
-* all math runs under ``no_grad`` + ``evaluation`` (dropout off), so the
+* all math runs under ``no_grad`` and calls no dropout module (so a
+  model left in training mode decodes the same bits), and the
   tensor-parallel conjugate operators degenerate: ``f`` is the identity
   (its all-reduce lives in backward) and the sequence-parallel
   scatter/gather pairs become pure layout shuffles of replicated data.
@@ -16,9 +17,12 @@ Numerics notes:
   surface (``Linear.decode``): the plain *tensor-parallel* dataflow —
   column matmul, shard-local attention on ``a/t`` heads, row matmul +
   ``f̄`` all-reduce — for SP models too, which is numerically identical
-  with dropout disabled (matmuls are row-independent and the all-reduce
+  without dropout (matmuls are row-independent and the all-reduce
   adds shards in the same order).  At world size 1 every one of those
   collectives is the identity, so the serial model is not a special case;
+* attention is one ``F.decode_attention`` per layer per step over the
+  whole ragged batch — the single paged-attention launch
+  :class:`~repro.serving.perf.ServingPerfModel` prices;
 * a decode step consumes exactly one token per request; positions come
   from the cache's block tables, so requests join and leave freely
   between steps (continuous batching).
@@ -32,7 +36,6 @@ import numpy as np
 
 from ..compiler import PlanCache, effect
 from ..errors import ConfigError
-from ..inference import evaluation, one_query_attention
 from ..layers.embedding import token_tensor
 from ..layers.linear import Linear
 from ..layers.transformer import GPTModel
@@ -113,13 +116,20 @@ class DecodeEngine:
                tokens: Sequence[int]) -> np.ndarray:
         """Advance every request by one token; returns ``(B, v)`` logits.
 
-        Atomic with respect to the cache: the needed fresh blocks are
-        counted up front and :class:`KVStepFull` is raised *before* any
-        slot is claimed, so a failed step leaves no request half-advanced.
+        Atomic with respect to the cache: the arguments are validated and
+        the needed fresh blocks counted up front, and :class:`KVStepFull`
+        is raised *before* any slot is claimed, so a failed step leaves no
+        request half-advanced.
         """
         tokens = np.asarray(tokens, dtype=np.int64).reshape(-1)
         if len(request_ids) == 0 or tokens.shape[0] != len(request_ids):
             raise ConfigError("decode needs one token per request")
+        if len(set(request_ids)) != len(request_ids):
+            raise ConfigError("decode advances a request once per step; "
+                              f"got {list(request_ids)}")
+        vocab = self.model.config.vocab_size
+        if tokens.min() < 0 or tokens.max() >= vocab:
+            raise ConfigError(f"token ids must lie in [0, {vocab})")
         need = sum(1 for r in request_ids if self.cache.needs_block(r))
         if need > self.cache.free_blocks:
             raise KVStepFull(
@@ -133,7 +143,7 @@ class DecodeEngine:
         self._request_ids = list(request_ids)
         self._positions = [self.cache.reserve_token(r) for r in request_ids]
         ids = token_tensor(tokens[None, :], world=self.world)
-        with no_grad(), evaluation(self.model):
+        with no_grad():
             c = execution_context()
             if self.compiled and c.memprof is None and c.capture is None:
                 batch = len(request_ids)
@@ -159,6 +169,11 @@ class DecodeEngine:
         model = self.model
         unloaded = [_UNLOADED] * self.world
         kv_layout = "replicated" if self.world == 1 else "shard(dim=2)"
+
+        def kv_registers() -> List[Tensor]:  # one per request of the step
+            return [Tensor(unloaded, dtype=FP16, layout=kv_layout)
+                    for _ in self._request_ids]
+
         x = model.layout.lookup(model.embedding.word, ids)
         pos = Tensor(unloaded, dtype=FP16, layout="replicated", name="pos_rows")
         effect(self._load_position_rows, pos)
@@ -169,14 +184,9 @@ class DecodeEngine:
             q, k, v = layer.attn.project_qkv(h, Linear.decode)
             heads = layer.attn.core.num_heads
             effect(self._write_kv, index, k, v)
-            parts = []
-            for j in range(len(self._request_ids)):
-                keys = Tensor(unloaded, dtype=FP16, layout=kv_layout)
-                values = Tensor(unloaded, dtype=FP16, layout=kv_layout)
-                effect(self._load_kv, index, j, keys, values)
-                q_j = F.slice_axis(q, 1, j, j + 1)
-                parts.append(one_query_attention(heads, q_j, keys, values))
-            ctxt = parts[0] if len(parts) == 1 else F.concat(parts, axis=1)
+            keys, values = kv_registers(), kv_registers()
+            effect(self._load_kv, index, keys, values)
+            ctxt = F.decode_attention(heads, q, keys, values)
             x = F.add(layer.attn.wo.decode(ctxt), x)
             x = F.add(layer.mlp.decode(layer.ln2(x)), x)
 
@@ -198,16 +208,14 @@ class DecodeEngine:
                 self.cache.write(request_id, layer, rank, self._positions[j],
                                  k_arr[0, j], v_arr[0, j])
 
-    def _load_kv(self, layer: int, j: int, keys: Tensor, values: Tensor) -> None:
-        """Request ``j``'s cached K and V as ``(n, 1, h_local)`` shards."""
-        request_id = self._request_ids[j]
-        k_shards, v_shards = [], []
-        for rank in range(self.world):
-            k, v = self.cache.gather(request_id, layer, rank)
-            k_shards.append(k[:, None, :])
-            v_shards.append(v[:, None, :])
-        keys.shards = k_shards
-        values.shards = v_shards
+    def _load_kv(self, layer: int, keys: List[Tensor],
+                 values: List[Tensor]) -> None:
+        """Every request's cached K and V as ``(n_j, 1, h_local)`` shards."""
+        for request_id, k_reg, v_reg in zip(self._request_ids, keys, values):
+            pairs = [self.cache.gather(request_id, layer, rank)
+                     for rank in range(self.world)]
+            k_reg.shards = [k[:, None, :] for k, _ in pairs]
+            v_reg.shards = [v[:, None, :] for _, v in pairs]
 
     def _store_logits(self, logits: Tensor) -> None:
         self._logits = self.model.layout.full_logits(logits)[0]

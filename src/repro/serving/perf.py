@@ -62,6 +62,8 @@ class ServingPerfModel:
         # serves the whole ragged batch in ONE launch, so the per-request
         # work is summed into a single gemm_time call — this is what makes
         # batched decode pay one launch per step rather than per token.
+        # The executed engine does the same: one F.decode_attention per
+        # layer per step, whose op record carries these flops and bytes.
         total_context = float(sum(context_lengths))
         layer_time += self.cost.gemm_time(
             4.0 * total_context * self.h_local,

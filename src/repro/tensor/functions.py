@@ -574,9 +574,9 @@ class LayerNorm(Function):
             if bk.is_abstract(xi):
                 out.append(bk.AbstractArray(bk.shape_of(xi)))
                 continue
-            mu = np.mean(xi, axis=-1, keepdims=True)
-            var = np.var(xi, axis=-1, keepdims=True)
-            out.append((xi - mu) / np.sqrt(var + self.eps) * gi + bi)
+            xc = xi - np.mean(xi, axis=-1, keepdims=True)
+            var = np.mean(xc * xc, axis=-1, keepdims=True)  # == np.var, bitwise
+            out.append(xc / np.sqrt(var + self.eps) * gi + bi)
         w = _widths(fctx.inputs[0])[0]
         fctx.log_elementwise("layernorm", bytes_moved=2 * w * bk.size_of(x[0]),
                              flops_per_rank=8 * bk.size_of(x[0]))
@@ -594,10 +594,10 @@ class LayerNorm(Function):
                 dgamma.append(bk.AbstractArray(bk.shape_of(gi)))
                 dbeta.append(bk.AbstractArray(bk.shape_of(gi)))
                 continue
-            mu = np.mean(xi, axis=-1, keepdims=True)
-            var = np.var(xi, axis=-1, keepdims=True)
+            xc = xi - np.mean(xi, axis=-1, keepdims=True)
+            var = np.mean(xc * xc, axis=-1, keepdims=True)
             rstd = 1.0 / np.sqrt(var + self.eps)
-            xhat = (xi - mu) * rstd
+            xhat = xc * rstd
             reduce_axes = tuple(range(xi.ndim - 1))
             dgamma.append(np.sum(g * xhat, axis=reduce_axes))
             dbeta.append(np.sum(g, axis=reduce_axes))
@@ -925,3 +925,56 @@ class SliceAxis(Function):
 
 def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     return apply(SliceAxis(axis, start, stop), x)
+
+
+# ---------------------------------------------------------------------------
+# Decode attention (the serving engine's one launch per layer per step)
+# ---------------------------------------------------------------------------
+
+class DecodeAttention(Function):
+    """One-query attention of a ragged decode batch over its cached K/V,
+    the whole batch in one application — the one launch per layer per
+    step a paged-attention kernel makes.  No mask (a cache holds only
+    past positions); forward-only (decoding runs under ``no_grad``), so
+    it saves nothing.
+
+    Takes the ``(1, B, h)`` queries, then request ``j``'s ``(n_j, 1, h)``
+    keys and values as inputs ``1 + j`` and ``1 + B + j``; shapes are per
+    shard, so it serves the serial model (``a`` heads on ``h``) and
+    tensor-parallel ranks (``a/t`` on ``h/t``).  Each request keeps its
+    own ``(1, a, 1, n_j)`` score panel: padding the batch to one
+    ``(B, a, 1, n_max)`` operand would hand BLAS other shapes, and the
+    logits would no longer be bitwise those of per-request attention.
+    """
+
+    name = "decode_attention"
+
+    def __init__(self, num_heads: int):
+        self.num_heads = num_heads
+
+    def forward(self, fctx: FnCtx, q: ShardList, *kv: ShardList) -> ShardList:
+        batch = len(kv) // 2
+        a, h = self.num_heads, bk.shape_of(q[0])[-1]
+        d = h // a
+        rsqrt_d = 1.0 / math.sqrt(d)
+        out = []
+        for rank, qi in enumerate(q):
+            parts = []
+            for j in range(batch):
+                qr = qi[:, j:j + 1].reshape(1, 1, a, d).transpose(1, 2, 0, 3)
+                kt = kv[j][rank].reshape(-1, 1, a, d).transpose(1, 2, 3, 0)
+                vr = kv[batch + j][rank].reshape(-1, 1, a, d).transpose(1, 2, 0, 3)
+                scores = (qr @ kt) * rsqrt_d                   # (1,a,1,n_j)
+                e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+                ctxt = (e / np.sum(e, axis=-1, keepdims=True)) @ vr
+                parts.append(ctxt.transpose(2, 0, 1, 3).reshape(1, 1, h))
+            out.append(np.concatenate(parts, axis=1))
+        context = sum(bk.shape_of(k[0])[0] for k in kv[:batch])
+        fctx.log_gemm("decode_attention", flops_per_rank=4.0 * context * h,
+                      bytes_moved=2 * context * h * _widths(fctx.inputs[1])[0])
+        return out
+
+
+def decode_attention(num_heads: int, q: Tensor, keys: Sequence[Tensor],
+                     values: Sequence[Tensor]) -> Tensor:
+    return apply(DecodeAttention(num_heads), q, *keys, *values)

@@ -334,8 +334,20 @@ def apply(fn: Function, *args, **kwargs) -> Union[Tensor, Tuple[Tensor, ...]]:
     Non-Tensor positional args are passed to ``forward`` verbatim with a
     ``None`` placeholder in the node's input list (no gradient flows).
     """
-    tensor_inputs: List[Optional[Tensor]] = [a if isinstance(a, Tensor) else None for a in args]
-    fwd_args = [a.shards if isinstance(a, Tensor) else a for a in args]
+    tensor_inputs: List[Optional[Tensor]] = []
+    fwd_args = []
+    first = None  # the first tensor input lends the outputs dtype and layout
+    requires = False
+    for a in args:
+        if isinstance(a, Tensor):
+            tensor_inputs.append(a)
+            fwd_args.append(a.shards)
+            requires = requires or a.requires_grad
+            if first is None:
+                first = a
+        else:
+            tensor_inputs.append(None)
+            fwd_args.append(a)
     fctx = FnCtx(tensor_inputs)
     c = ctx()
     mp = c.memprof
@@ -360,13 +372,11 @@ def apply(fn: Function, *args, **kwargs) -> Union[Tensor, Tuple[Tensor, ...]]:
     multi = isinstance(out, tuple)
     out_lists = list(out) if multi else [out]
 
-    requires = ctx().grad_enabled and any(
-        t is not None and t.requires_grad for t in tensor_inputs
-    )
-    in_dtype = next((t.dtype for t in tensor_inputs if t is not None), FP16)
+    requires = requires and c.grad_enabled
+    in_dtype, layout = (FP16, "replicated") if first is None else (first.dtype, first.layout)
     dtypes = fctx.out_dtypes or [in_dtype] * len(out_lists)
     outputs = [
-        Tensor(shards, dtype=dt, requires_grad=requires, layout=_infer_layout(tensor_inputs))
+        Tensor(shards, dtype=dt, requires_grad=requires, layout=layout)
         for shards, dt in zip(out_lists, dtypes)
     ]
     if mp is not None:
@@ -385,13 +395,6 @@ def apply(fn: Function, *args, **kwargs) -> Union[Tensor, Tuple[Tensor, ...]]:
         cap.on_apply(fn, fctx, args, kwargs, outputs, requires, multi)
 
     return tuple(outputs) if multi else outputs[0]
-
-
-def _infer_layout(inputs: Sequence[Optional[Tensor]]) -> str:
-    for t in inputs:
-        if t is not None:
-            return t.layout
-    return "replicated"
 
 
 def _zeros_for(template) -> ShardList:

@@ -1,0 +1,232 @@
+"""The decode step's attention: one ``F.decode_attention`` per layer per
+step over the whole ragged batch.  The oracle is the per-request path it
+replaced — ``one_query_attention`` under a slice/concat loop, kept here
+verbatim — and the contract is bitwise: same NumPy calls, same logits."""
+
+import math
+import sys
+
+import numpy as np
+import pytest
+
+from helpers import count_calls
+from repro.compiler import effect
+from repro.config import ModelConfig
+from repro.layers import GPTModel
+from repro.layers.linear import Linear
+from repro.parallel import ParallelGPTModel
+from repro.perf_model import KernelCostModel
+from repro.serving import DecodeEngine, PagedKVCache, ServingPerfModel
+from repro.tensor import FP16, OpLog, Tensor, instrument
+from repro.tensor import functions as F
+from repro.tensor import tensor as tape
+
+CFG = ModelConfig(num_layers=2, hidden_size=32, num_heads=4,
+                  seq_length=24, vocab_size=16, name="decode-tiny")
+BLOCK = 4
+
+
+# ---------------------------------------------------------------------------
+# The replaced path, verbatim from the parent commit
+# ---------------------------------------------------------------------------
+
+def one_query_attention(num_heads, q, keys, values):
+    one, b, h = q.shape
+    a = num_heads
+    d = h // a
+    qr = F.transpose(F.reshape(q, (one, b, a, d)), (1, 2, 0, 3))       # (b,a,1,d)
+    kt = F.transpose(F.reshape(keys, (-1, b, a, d)), (1, 2, 3, 0))     # (b,a,d,cur)
+    vr = F.transpose(F.reshape(values, (-1, b, a, d)), (1, 2, 0, 3))   # (b,a,cur,d)
+    scores = F.scale(F.matmul(qr, kt), 1.0 / math.sqrt(d))
+    probs = F.softmax(scores)
+    ctxt = F.matmul(probs, vr)                                         # (b,a,1,d)
+    ctxt = F.transpose(ctxt, (2, 0, 1, 3))                             # (1,b,a,d)
+    return F.reshape(ctxt, (one, b, h))
+
+
+class PerRequestEngine(DecodeEngine):
+    """``DecodeEngine`` with the parent's ``_forward``: one attention,
+    one K/V load effect and one query slice per request."""
+
+    def _forward(self, ids):
+        model = self.model
+        unloaded = [np.empty(0)] * self.world
+        kv_layout = "replicated" if self.world == 1 else "shard(dim=2)"
+        x = model.layout.lookup(model.embedding.word, ids)
+        pos = Tensor(unloaded, dtype=FP16, layout="replicated", name="pos_rows")
+        effect(self._load_position_rows, pos)
+        x = F.add(x, pos)
+
+        for index, layer in enumerate(model.layers):
+            h = layer.ln1(x)
+            q, k, v = layer.attn.project_qkv(h, Linear.decode)
+            heads = layer.attn.core.num_heads
+            effect(self._write_kv, index, k, v)
+            parts = []
+            for j in range(len(self._request_ids)):
+                keys = Tensor(unloaded, dtype=FP16, layout=kv_layout)
+                values = Tensor(unloaded, dtype=FP16, layout=kv_layout)
+                effect(self._load_kv_of, index, j, keys, values)
+                q_j = F.slice_axis(q, 1, j, j + 1)
+                parts.append(one_query_attention(heads, q_j, keys, values))
+            ctxt = parts[0] if len(parts) == 1 else F.concat(parts, axis=1)
+            x = F.add(layer.attn.wo.decode(ctxt), x)
+            x = F.add(layer.mlp.decode(layer.ln2(x)), x)
+
+        effect(self._store_logits, model.head.decode_logits(x))
+
+    def _load_kv_of(self, layer, j, keys, values):
+        request_id = self._request_ids[j]
+        k_shards, v_shards = [], []
+        for rank in range(self.world):
+            k, v = self.cache.gather(request_id, layer, rank)
+            k_shards.append(k[:, None, :])
+            v_shards.append(v[:, None, :])
+        keys.shards = k_shards
+        values.shards = v_shards
+
+
+# ---------------------------------------------------------------------------
+# Fixtures
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def layouts():
+    serial = GPTModel(CFG, seed=2)
+    return {
+        "serial": serial,
+        "tp": ParallelGPTModel(CFG, tensor_parallel=2, serial=serial),
+        "tp+sp": ParallelGPTModel(CFG, tensor_parallel=2,
+                                  sequence_parallel=True, serial=serial),
+    }
+
+
+def _engine(model, cls=DecodeEngine, compiled=False, num_blocks=40):
+    cache = PagedKVCache(CFG, tensor_parallel=model.group.size,
+                         block_size=BLOCK, num_blocks=num_blocks)
+    return cls(model, cache, compiled=compiled)
+
+
+def _ragged_run(engine, batch):
+    """Prompts of 1..7 tokens (so contexts straddle the 4-token blocks at
+    different steps), three joint steps, request 0 swapped out for one
+    step and back in, three more joint steps.  Returns every logits
+    array the engine produced, in order."""
+    rng = np.random.default_rng(batch)
+    requests = [f"r{j}" for j in range(batch)]
+    out = [engine.prefill(r, rng.integers(0, CFG.vocab_size,
+                                          size=1 + (3 * j) % 7))
+           for j, r in enumerate(requests)]
+
+    def step(ids):
+        out.append(engine.decode(ids, rng.integers(0, CFG.vocab_size,
+                                                   size=len(ids))))
+
+    for _ in range(3):
+        step(requests)
+    swapped = engine.swap_out(requests[0])
+    if batch > 1:
+        step(requests[1:])
+    engine.swap_in(swapped)
+    for _ in range(3):
+        step(requests)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Tests
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("compiled", [False, True], ids=["eager", "compiled"])
+@pytest.mark.parametrize("batch", [1, 3, 8])
+@pytest.mark.parametrize("layout", ["serial", "tp", "tp+sp"])
+def test_logits_bitwise_equal_to_per_request_attention(layouts, layout, batch,
+                                                       compiled):
+    model = layouts[layout]
+    want = _ragged_run(_engine(model, PerRequestEngine), batch)
+    engine = _engine(model, compiled=compiled)
+    got = _ragged_run(engine, batch)
+    assert len(got) == len(want) == batch + (7 if batch > 1 else 6)
+    for step, (g, w) in enumerate(zip(got, want)):
+        assert g.shape == w.shape
+        assert np.array_equal(g, w), f"logits differ at engine call {step}"
+    if compiled:   # the joint steps after the first one really were replays
+        assert engine.plans.stats()["hits"] > 0
+
+
+@pytest.mark.parametrize("layout", ["serial", "tp"])
+def test_tape_applications_do_not_grow_with_the_batch(layouts, layout,
+                                                      monkeypatch):
+    """One attention application per layer whatever the batch width
+    (the per-request loop paid 13 more per request per layer); the paged
+    cache is still read once per (layer, request, rank)."""
+    model = layouts[layout]
+    bound = [m for name, m in sys.modules.items()
+             if name.startswith("repro.")
+             and getattr(m, "apply", None) is tape.apply]
+    assert tape in bound and F in bound
+    applies = [count_calls(monkeypatch, m, "apply") for m in bound]
+    gathers = count_calls(monkeypatch, PagedKVCache, "gather")
+    per_step = {}
+    for batch in (1, 8):
+        engine = _engine(model)
+        requests = [f"r{j}" for j in range(batch)]
+        for r in requests:
+            engine.prefill(r, [1, 2])
+        for calls in applies + [gathers]:
+            del calls[:]
+        engine.decode(requests, [3] * batch)
+        fns = [args[0] for calls in applies for args in calls]
+        assert sum(isinstance(fn, F.DecodeAttention) for fn in fns) \
+            == CFG.num_layers
+        assert len(gathers) == CFG.num_layers * batch * model.group.size
+        per_step[batch] = len(fns)
+    assert per_step[1] == per_step[8]
+
+
+def test_swapped_out_kv_is_owned_by_the_caller(layouts):
+    """``gather`` hands out copies: ``swap_out`` holds them while the
+    freed blocks are reused by other requests."""
+    engine = _engine(layouts["tp"], num_blocks=4)
+    engine.prefill("a", [1, 2, 3, 4, 5])
+    swapped = engine.swap_out("a")
+    held = {key: (k.copy(), v.copy()) for key, (k, v) in swapped.data.items()}
+    stores = [block for rank in engine.cache._store for layer in rank
+              for block in layer if block is not None]
+    assert stores
+    for k, v in swapped.data.values():
+        assert not any(np.shares_memory(k, s) or np.shares_memory(v, s)
+                       for s in stores)
+    engine.prefill("b", [6, 7, 8, 9, 10, 11])      # reuses a's blocks
+    for key, (k, v) in swapped.data.items():
+        assert np.array_equal(k, held[key][0])
+        assert np.array_equal(v, held[key][1])
+
+
+@pytest.mark.parametrize("layout", ["serial", "tp"])
+def test_executed_and_simulated_clock_price_the_same_attention(layouts, layout,
+                                                               monkeypatch):
+    """One GEMM-kind ``decode_attention`` record per layer per step whose
+    flops and bytes are exactly what ``decode_step_time`` hands to
+    ``gemm_time`` for the step's context lengths."""
+    model = layouts[layout]
+    world = model.group.size
+    engine = _engine(model)
+    prompts = {"a": [1], "b": [1, 2, 3, 4, 5], "c": [1, 2, 3]}
+    for request_id, prompt in prompts.items():
+        engine.prefill(request_id, prompt)
+    contexts = [engine.context_length(r) + 1 for r in prompts]
+    log = OpLog()
+    with instrument(oplog=log):
+        engine.decode(list(prompts), [7, 8, 9])
+    records = [r for r in log.records if r.name == "decode_attention"]
+    assert len(records) == CFG.num_layers
+    h_local = CFG.hidden_size // world
+    assert {r.flops for r in records} == {4.0 * sum(contexts) * h_local}
+
+    perf = ServingPerfModel(CFG, tensor_parallel=world)
+    priced = count_calls(monkeypatch, KernelCostModel, "gemm_time")
+    perf.decode_step_time(len(contexts), contexts)
+    assert len(priced) == 6      # qkv, wo, fc1, fc2, attention, vocabulary
+    assert priced[4][1:] == (records[0].flops, records[0].bytes_moved)
+    assert records[0].kind.name == "GEMM"

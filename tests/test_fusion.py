@@ -18,6 +18,8 @@ Three layers of guarantees:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import ModelConfig
 from repro.fusion import (
@@ -106,6 +108,40 @@ class TestFusedOps:
         self._compare(fused_layernorm,
                       lambda xt, gt, bt: F.layernorm(xt, gt, bt),
                       x, g, b, atol=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data_seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 5),
+           width=st.integers(1, 40), spread=st.sampled_from([1e-4, 1.0, 1e4]),
+           offset=st.sampled_from([0.0, 3.0, -1e3]))
+    def test_layernorm_statistics_are_bitwise_two_pass(self, data_seed, rows,
+                                                       width, spread, offset):
+        """Both layer norms centre once and reuse the centred array for
+        the variance; forward and backward stay ``array_equal`` to the
+        ``np.mean`` + ``np.var`` formulas they had before."""
+        draw = np.random.default_rng(data_seed)
+        x = draw.standard_normal((rows, 2, width)) * spread + offset
+        gamma, beta = draw.standard_normal(width), draw.standard_normal(width)
+        upstream = draw.standard_normal(x.shape)
+        eps = 1e-5
+
+        mu = np.mean(x, axis=-1, keepdims=True)
+        var = np.var(x, axis=-1, keepdims=True)
+        want = (x - mu) / np.sqrt(var + eps) * gamma + beta
+        rstd = 1.0 / np.sqrt(var + eps)
+        xhat = (x - mu) * rstd
+        dxhat = upstream * gamma
+        want_dx = rstd * (dxhat - np.mean(dxhat, axis=-1, keepdims=True)
+                          - xhat * np.mean(dxhat * xhat, axis=-1, keepdims=True))
+        want_dgamma = np.sum(upstream * xhat, axis=(0, 1))
+
+        for op in (F.layernorm, fused_layernorm):
+            xt, gt, bt = (from_numpy(a, requires_grad=True)
+                          for a in (x, gamma, beta))
+            out = op(xt, gt, bt, eps)
+            np.testing.assert_array_equal(out.shards[0], want)
+            out.backward([upstream])
+            np.testing.assert_array_equal(xt.grad[0], want_dx)
+            np.testing.assert_array_equal(gt.grad[0], want_dgamma)
 
     def test_scale_mask_softmax_dropout(self):
         x = rng.standard_normal((2, 4, 4))

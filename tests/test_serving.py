@@ -168,6 +168,44 @@ class TestDecodeEngine:
         with pytest.raises(ConfigError):
             engine.decode(["a"], [0])
 
+    @pytest.mark.parametrize("request_ids, tokens", [
+        (["a", "a"], [1, 2]),                  # advanced "a" twice, silently
+        (["a", "b"], [1, CFG.vocab_size]),     # IndexError after the reserve
+        (["a", "b"], [-1, 1]),
+    ], ids=["duplicate-request", "token-too-large", "token-negative"])
+    def test_invalid_step_is_rejected_before_the_cache_moves(
+            self, serial, request_ids, tokens):
+        cache = PagedKVCache(CFG, block_size=2, num_blocks=8)
+        engine = DecodeEngine(serial, cache)
+        engine.prefill("a", [1, 2])     # full block: the step needs a new one
+        cache.add_request("b")
+        with pytest.raises(ConfigError):
+            engine.decode(request_ids, tokens)
+        assert cache.num_tokens("a") == 2 and cache.num_tokens("b") == 0
+        assert cache.blocks_in_use == 1
+
+    def test_training_mode_model_decodes_the_same_bits(self):
+        """The step calls no dropout module, so it needs (and takes) no
+        ``evaluation`` scope: a model left in training mode with live
+        dropout rates decodes what its ``eval()`` twin decodes."""
+        def model():
+            return ParallelGPTModel(CFG, tensor_parallel=2, seed=2,
+                                    hidden_dropout=0.1, attention_dropout=0.1)
+
+        training, evaluating = model(), model().eval()
+        drops = [m for m in training.modules() if isinstance(m, Dropout)]
+        rates = [(d.p, d._train_p) for d in drops]
+        assert any(p > 0 for p, _ in rates)
+        logits = []
+        for m in (training, evaluating):
+            engine = DecodeEngine(m, PagedKVCache(
+                CFG, tensor_parallel=2, block_size=4, num_blocks=8))
+            engine.prefill("a", [1, 2, 3])
+            engine.prefill("b", [4])
+            logits.append(engine.decode(["a", "b"], [5, 6]))
+        np.testing.assert_array_equal(logits[0], logits[1])
+        assert [(d.p, d._train_p) for d in drops] == rates
+
 
 SPEC_KW = dict(num_requests=5, seed=5, arrival_rate=2000.0,
                prompt_lengths=(1, 3), new_tokens=(2, 6))
