@@ -170,10 +170,6 @@ class DecodeEngine:
         unloaded = [_UNLOADED] * self.world
         kv_layout = "replicated" if self.world == 1 else "shard(dim=2)"
 
-        def kv_registers() -> List[Tensor]:  # one per request of the step
-            return [Tensor(unloaded, dtype=FP16, layout=kv_layout)
-                    for _ in self._request_ids]
-
         x = model.layout.lookup(model.embedding.word, ids)
         pos = Tensor(unloaded, dtype=FP16, layout="replicated", name="pos_rows")
         effect(self._load_position_rows, pos)
@@ -184,7 +180,10 @@ class DecodeEngine:
             q, k, v = layer.attn.project_qkv(h, Linear.decode)
             heads = layer.attn.core.num_heads
             effect(self._write_kv, index, k, v)
-            keys, values = kv_registers(), kv_registers()
+            keys = [Tensor(unloaded, dtype=FP16, layout=kv_layout)
+                    for _ in self._request_ids]  # one register per request
+            values = [Tensor(unloaded, dtype=FP16, layout=kv_layout)
+                      for _ in self._request_ids]
             effect(self._load_kv, index, keys, values)
             ctxt = F.decode_attention(heads, q, keys, values)
             x = F.add(layer.attn.wo.decode(ctxt), x)
