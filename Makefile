@@ -24,13 +24,14 @@ bench-wall-smoke:
 	python3 bench/run.py --smoke
 
 # One more row of benchmarks/wall_history.jsonl for the tree as it stands
-# (ROADMAP item 1): the full wall-clock benchmark (~3 min), a timed tier-1
-# run and `make loc`.  `make wall-history LABEL="PR 18"`; the last step
+# (ROADMAP item 1): the full wall-clock benchmark (~3 min), tier-1 timed
+# twice under the pinned thread counts (the row keeps the faster) and
+# `make loc`.  `make wall-history LABEL="PR 18"`; the last step
 # prints the history (`python3 benchmarks/wall_history.py show setup_s`
 # for another metric).
 wall-history:
 	python3 bench/run.py > /dev/null
-	$(ONE_THREAD) $(PY) -m pytest -x tests/ | tail -1 > bench/out/tier1.txt
+	for run in 1 2; do $(ONE_THREAD) $(PY) -m pytest -x tests/ | tail -1; done > bench/out/tier1.txt
 	python3 benchmarks/wall_history.py append bench/out/results.json "$(LABEL)" bench/out/tier1.txt
 	python3 benchmarks/wall_history.py show
 
@@ -64,7 +65,7 @@ loc:
 		'table code iteration_time( calls' "$$(grep -n 'iteration_time(' src/repro/perf_model/iteration.py src/repro/experiments.py | grep -vc 'def ')" \
 		'driver capture arms' "$$(grep -rnE --include='*.py' '(recorder|cap) is (not )?None' src/repro/training src/repro/serving | wc -l)" \
 		'src/ lines mentioning compiled' "$$(grep -rn --include='*.py' compiled src | wc -l)" \
-		'serving/engine.py F.* calls inside the per-request loop' "$$(awk '/^ *for .*_request_ids.*:$$/ { match($$0, /^ */); ind = RLENGTH; inloop = 1; next } inloop && NF { match($$0, /^ */); if (RLENGTH <= ind) inloop = 0; else if ($$0 ~ /F\.[a-z_]+\(/) n++ } END { print n + 0 }' src/repro/serving/engine.py)"
+		'serving/engine.py F.* calls inside the per-request loop' "$$(awk '/^ *for .*request_ids.*:$$/ { match($$0, /^ */); ind = RLENGTH; inloop = 1; next } inloop && NF { match($$0, /^ */); if (RLENGTH <= ind) inloop = 0; else if ($$0 ~ /F\.[a-z_]+\(/) n++ } END { print n + 0 }' src/repro/serving/engine.py)"
 
 # CI smoke run: the artifact-writing CLI invocation of each per-feature
 # target below, without the `pytest tests/test_<feature>.py` those
@@ -136,9 +137,9 @@ memprofile:
 	@echo "memory profile artifacts written to memprof-out/"
 
 # Static-graph step compiler: the eager-vs-replay bitwise equivalence
-# matrix of its two drivers (Trainer, DecodeEngine), then a compile run
-# per layout printing plan stats with a validated Perfetto trace of a
-# replayed step (docs/architecture.md "Static-graph step compiler").
+# matrix of its driver (Trainer), then a compile run per layout
+# printing plan stats with a validated Perfetto trace of a replayed
+# step (docs/architecture.md "Static-graph step compiler").
 compile:
 	$(PY) -m pytest tests/test_compiler.py
 	$(PY) -m repro compile --trace-out compile-trace.json

@@ -1,11 +1,10 @@
 """Plan caching: capture once per (config, layout, shape) key.
 
 Drivers key plans on everything that changes the op stream — the model
-config and layout are implicit in the driver instance; batch shape,
-microbatch count and (for ragged decode) the batch-size bucket are
-explicit key components.  A hit replays; a miss captures eagerly (the
-capture step *is* a correct step, so a miss costs one eager step, never
-a wasted one).
+config and layout are implicit in the driver instance; batch shape and
+microbatch count are explicit key components.  A hit replays; a miss
+captures eagerly (the capture step *is* a correct step, so a miss costs
+one eager step, never a wasted one).
 """
 
 from __future__ import annotations

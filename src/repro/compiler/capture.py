@@ -358,14 +358,14 @@ def effect(fn, *args) -> None:
     """Run the side effect ``fn(*args)`` now and, iff a step capture is
     active, again at this point of every replay.
 
-    Everything a step does that is not a tape op — a span, a loss read, a
-    KV-cache write — goes through here, which is what lets a driver state
+    Everything a step does that is not a tape op — a span, a loss read —
+    goes through here, which is what lets a driver state
     its step once: the same body runs bare (eager) or under
     :func:`capture_scope`, and a replay re-runs exactly its effects.  One
     plan serves every later step, so each argument must be a register (a
     capture-time tensor whose shards replay refreshes), a mutable holder
-    (a list, the driver object) or a constant of the plan key (a layer
-    index, a microbatch number) — never a step-varying value; ``fn``
+    (a list, the driver object) or a constant of the plan key (a
+    microbatch number) — never a step-varying value; ``fn``
     reads those from the holder when it runs.  Outside a capture the cost
     is this one call.
     """

@@ -400,6 +400,18 @@ class MemoryLedger(MemoryTracker):
             self._seq, self._now(), rank, kind, entry.category,
             self._live[rank], self._category_live[rank][entry.category]))
 
+    def rollback(self, mark: int) -> List[Tuple[int, int]]:
+        dropped = super().rollback(mark)
+        for key in dropped:
+            rank, entry = key[0], self._open.pop(key)
+            entry.refcount_history.append(0)
+            entry.death_seq = self._seq
+            entry.death_t = self._now()
+            self.timeline.append(TimelineEvent(
+                self._seq, self._now(), rank, "free", entry.category,
+                self._live[rank], self._category_live[rank][entry.category]))
+        return dropped
+
     # -- queries -----------------------------------------------------------
     def peak_seq(self, rank: int) -> int:
         """Sequence number at which ``rank``'s peak was set (0 if the

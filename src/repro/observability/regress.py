@@ -12,7 +12,7 @@ telemetry stack attached), ``memprof`` (the activation ledger) and
 with their model deltas, peak memory, per-term memory drift, goodput
 and a SHA-256 hash of the merged trace.  Because the simulated clock is
 deterministic, the documents are byte-identical across runs at the same
-seed (``substrate`` alone carries one wall-clock ratio).
+seed.
 
 The runs themselves are defined once, in :mod:`repro.scenarios`, and
 shared with the ``repro <command>`` CLI; a preset here is only the
@@ -81,11 +81,6 @@ TOLERANCES: Tuple[Tuple[str, Tuple[str, float]], ...] = (
     ("config.", ("exact", 0)),
     ("trace_hash", ("exact", 0)),
     ("counts.", ("exact", 0)),
-    # Replaying a captured plan must beat re-running the eager tape by
-    # 2x on a tape-overhead-bound op chain (the one wall-clock key of
-    # the gate; the ratio is stable because the two sides are timed
-    # interleaved — raw seconds are machine-specific and not recorded).
-    ("timing.compiled_chain_speedup", ("floor", 2.0)),
     ("fusion.", ("exact", 0)),
     ("arena.", ("exact", 0)),
     # The step compiler's captured plan is a static artifact: op counts,
@@ -287,15 +282,11 @@ def _run_substrate_preset(seed_value: int, steps: int) -> dict:
     ``bench/`` (workload ``train_parallel_selective``), not here.
 
     The preset also gates the static-graph step compiler
-    (:mod:`repro.compiler`): replaying a captured plan must beat the
-    eager tape by 2x on a tape-overhead-bound elementwise chain
-    (``timing.compiled_chain_speedup``, floor), the captured train
-    plan's op schedule / collective count / planned arena bytes are
-    exact, and the compiled-vs-eager loss drift on the real model is an
-    exact 0.0.
+    (:mod:`repro.compiler`): the captured train plan's op schedule /
+    collective count / planned arena bytes are exact, and the
+    compiled-vs-eager loss drift on the real model is an exact 0.0.
+    Replay wall clock is ``bench/``'s (workload ``train_compiled_replay``).
     """
-    import time
-
     from ..fusion import fusion_report, reset_arena
     from ..layers import GPTModel
     from ..parallel.transformer import ParallelGPTModel
@@ -345,74 +336,21 @@ def _run_substrate_preset(seed_value: int, steps: int) -> dict:
             trainer.train_step(ids, targets)
 
     # -- static-graph step compiler (repro.compiler) ---------------------
-    import gc
-
-    import numpy as np
-
-    from ..compiler import CaptureRecorder, capture_scope
-    from ..tensor import Tensor
-    from ..tensor import functions as F
-
-    # (a) Bitwise replay parity on the real model, dropout on: compiled
-    # and eager twins see identical per-step RNG, so the max |loss delta|
-    # is an exact 0.0 — any drift means the capture diverged from the tape.
+    # Bitwise replay parity on the real model, dropout on: compiled and
+    # eager twins see identical per-step RNG, so the max |loss delta| is
+    # an exact 0.0 — any drift means the capture diverged from the tape.
     twins = scenarios.compiled_eager_twins(
         batch=batch, steps=3, seed_value=seed_value, dropout=0.1)
     train_plan = twins.compiled.plans.plans()[0]
     cache_stats = dict(twins.compiled.plans.stats())
 
-    # (b) The gated replay speedup.  A deep elementwise chain is
-    # tape-overhead-bound (the regime the compiler exists for: tiny
-    # kernels under a Python tape), so replay-vs-eager measures the
-    # eliminated bookkeeping rather than numpy kernel time (on the GPT
-    # step, whose numpy bodies dominate, replay removes tape cost only).
-    chain_depth = 200
-    rng = np.random.default_rng(seed_value)
-    chain_x = Tensor([rng.standard_normal((4, 4))])
-    chain_w = Tensor([rng.standard_normal((4, 4))])
-    chain_b = Tensor([rng.standard_normal((4, 4))])
-
-    def _chain_step():
-        y = chain_x
-        for _ in range(chain_depth):
-            y = F.scale(F.add(F.mul(y, chain_w), chain_b), 0.999)
-        return y
-
-    chain_recorder = CaptureRecorder("substrate_chain")
-    with capture_scope(chain_recorder):
-        chain_recorder.bind_input("x", chain_x)
-        _chain_step()
-    chain_plan = chain_recorder.finalize()
-
-    # Best-of timing, *interleaved* so a load spike on the host hits both
-    # sides alike — the gated quantity is their ratio.
-    chain_eager_s = chain_replay_s = float("inf")
-    was_enabled = gc.isenabled()
-    gc.disable()  # as timeit does: GC pauses dominate the noise
-    try:
-        for _ in range(max(9, steps)):
-            t0 = time.perf_counter()
-            _chain_step()
-            t1 = time.perf_counter()
-            chain_plan.replay()
-            t2 = time.perf_counter()
-            chain_eager_s = min(chain_eager_s, t1 - t0)
-            chain_replay_s = min(chain_replay_s, t2 - t1)
-    finally:
-        if was_enabled:
-            gc.enable()
-
     doc = _base_doc("substrate", seed_value, steps, model_cfg, tp, 1)
-    doc["timing"] = {
-        "compiled_chain_speedup": chain_eager_s / chain_replay_s,
-    }
     doc["compiler"] = {
         "train_plan_ops": train_plan.num_ops,
         "train_plan_op_counts": train_plan.op_counts(),
         "train_plan_collectives": len(train_plan.collective_schedule()),
         "train_plan_arena_bytes": train_plan.memory.arena_bytes,
         "train_plan_buffers": train_plan.memory.num_buffers,
-        "chain_plan_ops": chain_plan.num_ops,
         "cache": cache_stats,
         "replay_loss_drift": twins.drift,
     }
@@ -851,8 +789,7 @@ PRESETS: Dict[str, Tuple[Callable[[int, int], dict],
     "chaos": (_run_chaos_preset, lambda doc:
               f"goodput {doc['resilience']['goodput']:.1%}"),
     "substrate": (_run_substrate_preset, lambda doc:
-                  f"replay x{doc['timing']['compiled_chain_speedup']:.2f} "
-                  f"chain (drift {doc['compiler']['replay_loss_drift']:g})"),
+                  f"replay drift {doc['compiler']['replay_loss_drift']:g}"),
     "serve": (_run_serve_preset, lambda doc:
               f"serve x{doc['serving']['continuous_vs_static_speedup']:.2f}"
               f" vs static"),

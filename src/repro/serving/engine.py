@@ -30,38 +30,27 @@ Numerics notes:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
-from ..compiler import PlanCache, effect
 from ..errors import ConfigError
 from ..layers.embedding import token_tensor
 from ..layers.linear import Linear
 from ..layers.transformer import GPTModel
 from ..tensor import FP16, Tensor, no_grad
 from ..tensor import functions as F
-from ..tensor.context import ctx as execution_context
 from .kv_cache import KVAdmissionFull, KVCacheFull, KVStepFull, PagedKVCache
-
-#: Shard of a register that an effect has yet to load.
-_UNLOADED = np.empty(0)
 
 
 class DecodeEngine:
     """Prefill/decode executor binding one model to one paged KV cache.
 
-    The step is stated once (:meth:`_forward`).  ``compiled=True`` runs
-    it under a :mod:`repro.compiler` capture the first time a batch size
-    is seen and replays the static plan for every later step of that
-    ragged-batch bucket — token-identical logits with no per-step tape
-    construction.  Prefill reuses the ``B=1`` bucket.  A
-    :class:`~repro.serving.scheduler.ContinuousBatchingScheduler`
-    inherits the flag from the engine it drives.
+    The step is stated once (:meth:`_forward`); prefill is that step at
+    ``B=1``, once per prompt token.  The engine keeps no per-step state.
     """
 
-    def __init__(self, model: GPTModel, cache: PagedKVCache,
-                 compiled: bool = False):
+    def __init__(self, model: GPTModel, cache: PagedKVCache):
         world = model.group.size
         if cache.world != world:
             raise ConfigError(
@@ -74,15 +63,6 @@ class DecodeEngine:
         self.cache = cache
         self.world = world
         self.max_context = model.config.seq_length
-        self.compiled = compiled
-        self.plans = PlanCache()
-        # The step being run.  A plan is fixed in batch size and polymorphic
-        # in context length; what varies between its replays (which
-        # requests, which slots) the step's effects read from here, never
-        # from their arguments.
-        self._request_ids: List[str] = []
-        self._positions: List[int] = []
-        self._logits: Optional[np.ndarray] = None
 
     # -- request lifecycle (thin cache passthroughs) -----------------------
     def context_length(self, request_id: str) -> int:
@@ -140,18 +120,10 @@ class DecodeEngine:
                 raise ConfigError(
                     f"request {request_id!r} is at the model's maximum "
                     "sequence length")
-        self._request_ids = list(request_ids)
-        self._positions = [self.cache.reserve_token(r) for r in request_ids]
+        positions = [self.cache.reserve_token(r) for r in request_ids]
         ids = token_tensor(tokens[None, :], world=self.world)
         with no_grad():
-            c = execution_context()
-            if self.compiled and c.memprof is None and c.capture is None:
-                batch = len(request_ids)
-                self.plans.run(("decode", batch), f"decode_step[B={batch}]",
-                               {"ids": ids}, lambda: self._forward(ids))
-            else:
-                self._forward(ids)
-        return self._logits
+            return self._forward(ids, request_ids, positions)
 
     def finish(self, request_id: str) -> None:
         self.cache.free_request(request_id)
@@ -163,58 +135,43 @@ class DecodeEngine:
         self.cache.swap_in(swapped)
 
     # -- the model step ----------------------------------------------------
-    def _forward(self, ids: Tensor) -> None:
-        """One token per request of the current step; leaves the
-        ``(B, v)`` logits in ``self._logits``."""
-        model = self.model
-        unloaded = [_UNLOADED] * self.world
+    def _forward(self, ids: Tensor, request_ids: Sequence[str],
+                 positions: List[int]) -> np.ndarray:
+        """One token per request, request ``j`` at slot ``positions[j]``;
+        returns the ``(B, v)`` logits."""
+        model, cache = self.model, self.cache
+        ranks = range(self.world)
         kv_layout = "replicated" if self.world == 1 else "shard(dim=2)"
 
         x = model.layout.lookup(model.embedding.word, ids)
-        pos = Tensor(unloaded, dtype=FP16, layout="replicated", name="pos_rows")
-        effect(self._load_position_rows, pos)
+        # The batch is ragged, so each row indexes its own position: (1, B, h).
+        pos = Tensor([np.asarray(shard)[positions, 0, :][None]
+                      for shard in model.embedding.position.shards],
+                     dtype=FP16, layout="replicated", name="pos_rows")
         x = F.add(x, pos)
 
         for index, layer in enumerate(model.layers):
             h = layer.ln1(x)
             q, k, v = layer.attn.project_qkv(h, Linear.decode)
             heads = layer.attn.core.num_heads
-            effect(self._write_kv, index, k, v)
-            keys = [Tensor(unloaded, dtype=FP16, layout=kv_layout)
-                    for _ in self._request_ids]  # one register per request
-            values = [Tensor(unloaded, dtype=FP16, layout=kv_layout)
-                      for _ in self._request_ids]
-            effect(self._load_kv, index, keys, values)
+            for rank in ranks:
+                k_arr = np.asarray(k.shards[rank])
+                v_arr = np.asarray(v.shards[rank])
+                for j, request_id in enumerate(request_ids):
+                    cache.write(request_id, index, rank, positions[j],
+                                k_arr[0, j], v_arr[0, j])
+            # Every request's cached K and V as (n_j, 1, h_local) shards,
+            # gathered once per rank.
+            keys, values = [], []
+            for request_id in request_ids:
+                pairs = [cache.gather(request_id, index, rank)
+                         for rank in ranks]
+                keys.append(Tensor([k_j[:, None, :] for k_j, _ in pairs],
+                                   dtype=FP16, layout=kv_layout))
+                values.append(Tensor([v_j[:, None, :] for _, v_j in pairs],
+                                     dtype=FP16, layout=kv_layout))
             ctxt = F.decode_attention(heads, q, keys, values)
             x = F.add(layer.attn.wo.decode(ctxt), x)
             x = F.add(layer.mlp.decode(layer.ln2(x)), x)
 
-        effect(self._store_logits, model.head.decode_logits(x))
-
-    # The step's effects (see ``repro.compiler.effect``): arguments are
-    # registers and plan constants — a layer index, a batch column.
-    def _load_position_rows(self, pos: Tensor) -> None:
-        """Per-request positional-embedding rows, ``(1, B, h)`` (the batch
-        is ragged, so each row indexes its own position)."""
-        pos.shards = [np.asarray(shard)[self._positions, 0, :][None]
-                      for shard in self.model.embedding.position.shards]
-
-    def _write_kv(self, layer: int, k: Tensor, v: Tensor) -> None:
-        for rank in range(self.world):
-            k_arr = np.asarray(k.shards[rank])
-            v_arr = np.asarray(v.shards[rank])
-            for j, request_id in enumerate(self._request_ids):
-                self.cache.write(request_id, layer, rank, self._positions[j],
-                                 k_arr[0, j], v_arr[0, j])
-
-    def _load_kv(self, layer: int, keys: List[Tensor],
-                 values: List[Tensor]) -> None:
-        """Every request's cached K and V as ``(n_j, 1, h_local)`` shards."""
-        for request_id, k_reg, v_reg in zip(self._request_ids, keys, values):
-            pairs = [self.cache.gather(request_id, layer, rank)
-                     for rank in range(self.world)]
-            k_reg.shards = [k[:, None, :] for k, _ in pairs]
-            v_reg.shards = [v[:, None, :] for _, v in pairs]
-
-    def _store_logits(self, logits: Tensor) -> None:
-        self._logits = self.model.layout.full_logits(logits)[0]
+        return model.layout.full_logits(model.head.decode_logits(x))[0]

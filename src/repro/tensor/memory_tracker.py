@@ -31,6 +31,7 @@ from .dtypes import DType
 class _BufferEntry:
     nbytes: int
     category: str
+    born: int  # the tracker's sequence number at the first charge
     refcount: int = 1
 
 
@@ -97,7 +98,8 @@ class MemoryTracker:
             entry.refcount += 1
             return
         nbytes = size_of(buffer) * dtype.nbytes
-        self._entries[key] = _BufferEntry(nbytes=nbytes, category=category)
+        self._entries[key] = _BufferEntry(nbytes=nbytes, category=category,
+                                          born=self._seq)
         self._live[rank] += nbytes
         self._category_live[rank][category] += nbytes
         if self._live[rank] > self._peak[rank]:
@@ -120,6 +122,26 @@ class MemoryTracker:
             del self._entries[key]
             self._live[rank] -= entry.nbytes
             self._category_live[rank][entry.category] -= entry.nbytes
+
+    def mark(self) -> int:
+        """A point of the save/release stream for :meth:`rollback`."""
+        return self._seq
+
+    def rollback(self, mark: int) -> List[Tuple[int, int]]:
+        """Drop, whatever its refcount, every live buffer first charged
+        after ``mark``; returns the dropped keys.  A step attempt aborted
+        mid-forward never releases what it saved — its tape is garbage —
+        and the stale ``(rank, id)`` keys would swallow the charge of any
+        later buffer that recycles an id.  Peaks already set stand: those
+        bytes were live."""
+        self._seq += 1
+        dropped = [key for key, entry in self._entries.items()
+                   if entry.born > mark]
+        for key in dropped:
+            entry = self._entries.pop(key)
+            self._live[key[0]] -= entry.nbytes
+            self._category_live[key[0]][entry.category] -= entry.nbytes
+        return dropped
 
     # -- queries -----------------------------------------------------------
     def live_bytes(self, rank: Optional[int] = None) -> int:

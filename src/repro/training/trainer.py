@@ -98,14 +98,20 @@ def run_step_with_retries(step_fn, max_retries: int = 3,
     installed fault injector, if any.  After ``max_retries`` failed
     retries the last error propagates; rank failures are not transient
     and propagate immediately (the resilience layer rolls back instead).
+    An aborted attempt's saved activations are dropped from the installed
+    memory tracker before the retry.
     """
     attempt = 0
+    tracker = execution_context().memory
+    mark = None if tracker is None else tracker.mark()
     while True:
         try:
             return step_fn()
         except (CollectiveTimeout, CorruptionDetected) as error:
             if attempt >= max_retries:
                 raise
+            if tracker is not None:
+                tracker.rollback(mark)
             backoff = backoff_base_s * backoff_factor ** attempt
             attempt += 1
             injector = active_fault_injector()

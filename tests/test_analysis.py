@@ -215,12 +215,7 @@ class TestBenchDeterminism:
                                      _bench_file(preset))
         assert os.path.exists(baseline_path), (
             "run `python -m repro bench` and commit the baselines")
-        # ``timing.*`` is the one wall-clock section of any document; its
-        # floor is ``make bench-gate``'s to hold on a quiet machine, not a
-        # ``-x`` unit run's on a shared one.
-        regressions = compare(load_bench(baseline_path), preset_doc(preset))
-        assert [r for r in regressions
-                if not r.key.startswith("timing.")] == []
+        assert compare(load_bench(baseline_path), preset_doc(preset)) == []
 
     def test_repo_root_bench_matches_baselines(self):
         for preset in PRESET_NAMES:

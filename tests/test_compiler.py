@@ -1,10 +1,10 @@
 """Static-graph step compiler: capture one step, replay bitwise-identical.
 
 The anchor tests are the eager-vs-replay equivalence matrices — every
-loss, gradient, weight, logit and tracked byte a replayed plan produces
+loss, gradient, weight and tracked byte a replayed plan produces
 must equal the eager tape exactly (``assert_array_equal``, not
-``allclose``) across serial, tensor-parallel, sequence-parallel and
-decode configurations — plus the plan-cache semantics and
+``allclose``) across serial, tensor-parallel and sequence-parallel
+configurations — plus the plan-cache semantics and
 the first-fit allocator's sorted-free-list rewrite (differential-tested
 against the former append+sort+scan implementation).
 """
@@ -23,6 +23,7 @@ from repro.compiler import (
 from repro.config import ModelConfig
 from repro.errors import CompilerError
 from repro.layers import GPTModel, Recompute
+from repro.observability.memprof import MemoryLedger
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracer import Tracer, trace_scope
 from repro.parallel import ParallelGPTModel
@@ -30,6 +31,7 @@ from repro.resilience import FaultInjector, FaultKind, FaultPlan, FaultSpec
 from repro.serving import DecodeEngine, PagedKVCache
 from repro.tensor import MemoryTracker, from_numpy, instrument, seed
 from repro.tensor import functions as F
+from repro.tensor import tensor as tape
 from repro.training import PipelinedGPT, Trainer
 
 CFG = ModelConfig(num_layers=2, hidden_size=32, num_heads=4,
@@ -109,50 +111,6 @@ class TestTrainerReplay:
         replayed = _trace(compiled, 8)   # replay step
         eagered = _trace(eager, 8)
         assert replayed == eagered
-
-
-class TestDecodeReplay:
-    def _engines(self, layout="serial"):
-        serial = GPTModel(CFG, seed=2)
-        if layout == "serial":
-            model, world = serial, 1
-        else:
-            model = ParallelGPTModel(CFG, tensor_parallel=2,
-                                     sequence_parallel=True, serial=serial)
-            world = 2
-        def make(compiled):
-            cache = PagedKVCache(CFG, tensor_parallel=world, block_size=4,
-                                 num_blocks=16)
-            return DecodeEngine(model, cache, compiled=compiled)
-        return make(True), make(False)
-
-    @pytest.mark.parametrize("layout", ["serial", "tp+sp"])
-    def test_ragged_decode_bitwise(self, layout):
-        compiled, eager = self._engines(layout)
-        prompts = {"a": [1, 2, 3], "b": [4, 5, 6, 7, 8], "c": [9, 10]}
-        for request_id, prompt in prompts.items():
-            np.testing.assert_array_equal(compiled.prefill(request_id, prompt),
-                                          eager.prefill(request_id, prompt))
-        tokens = {r: p[-1] for r, p in prompts.items()}
-        for _ in range(4):
-            batch = sorted(tokens)
-            got = compiled.decode(batch, [tokens[r] for r in batch])
-            want = eager.decode(batch, [tokens[r] for r in batch])
-            np.testing.assert_array_equal(got, want)
-            for j, r in enumerate(batch):
-                tokens[r] = int(np.argmax(want[j]))
-        # a request finishes: the B=2 bucket captures its own plan
-        compiled.finish("b")
-        eager.finish("b")
-        del tokens["b"]
-        batch = sorted(tokens)
-        np.testing.assert_array_equal(
-            compiled.decode(batch, [tokens[r] for r in batch]),
-            eager.decode(batch, [tokens[r] for r in batch]))
-        stats = compiled.plans.stats()
-        # prefill buckets (one per distinct prompt length) + B=3 + B=2
-        assert stats["plans"] == stats["misses"] >= 3
-        assert stats["hits"] >= 3
 
 
 class TestPlanCacheSemantics:
@@ -239,27 +197,15 @@ class TestOneStepBody:
         assert stream(untraced, 6) == want
         assert untraced.plans.stats() == {"plans": 1, "hits": 1, "misses": 1}
 
-    def test_capture_step_gathers_kv_once(self, monkeypatch):
-        """A capture step reads the paged cache exactly as often as the
-        eager step it is (it used to gather every (layer, request) twice)."""
-        gathers = count_calls(monkeypatch, PagedKVCache, "gather")
-        model = GPTModel(CFG, seed=2)
-        counts = []
-        for compiled in (True, False):
-            cache = PagedKVCache(CFG, tensor_parallel=1, block_size=4,
-                                 num_blocks=16)
-            engine = DecodeEngine(model, cache, compiled=compiled)
-            for request_id in ("a", "b"):
-                engine.prefill(request_id, [1, 2])
-            del gathers[:]
-            engine.decode(["a", "b"], [3, 4])   # B=2: a capture when compiled
-            counts.append(len(gathers))
-            assert engine.plans.stats()["plans"] == (2 if compiled else 0)
-        assert counts[0] == counts[1] == 2 * CFG.num_layers
-
     def test_pipeline_has_no_compiled_arm(self):
         with pytest.raises(TypeError):
             PipelinedGPT(_model("serial"), 2, compiled=True)
+
+    def test_decode_engine_has_no_compiled_arm(self):
+        cache = PagedKVCache(CFG, tensor_parallel=1, block_size=4,
+                             num_blocks=16)
+        with pytest.raises(TypeError):
+            DecodeEngine(_model("serial"), cache, compiled=True)
 
 
 class TestStaleReplay:
@@ -320,6 +266,34 @@ class TestFaultedStepTrace:
         assert got == want
         assert want[1] == 0 and want[0].count("step") == 4
         _assert_params_equal(compiled.model, eager.model)
+
+
+    @pytest.mark.parametrize("compiled", [False, True],
+                             ids=["eager", "compiled"])
+    def test_aborted_attempt_leaves_tracker_clean(self, compiled):
+        """The retry drops what the aborted attempt charged: live bytes
+        return to zero after every step and the peak is the fault-free
+        twin's (the retry used to run on top of the abandoned saves)."""
+        ids, targets = _batch()
+
+        def run(specs):
+            trainer = Trainer(_model("tp"), lr=1e-3, compiled=compiled)
+            injector = FaultInjector(FaultPlan(specs))
+            ledger, rows = MemoryLedger(), []
+            with instrument(memory=ledger), fault_scope(injector):
+                for step in range(4):
+                    injector.begin_step(step)
+                    seed(4000 + step)
+                    trainer.train_step_with_retry(ids, targets)
+                    rows.append((ledger.live_bytes(0), ledger.peak_bytes(0)))
+                    assert ledger.live_entry_bytes() == ledger.live_bytes()
+            assert injector.report.retries == len(specs)
+            return rows
+
+        want = run([])
+        assert [live for live, _ in want] == [0] * 4 and want[0][1] > 0
+        assert run([FaultSpec(step=1, kind=FaultKind.DROPPED_COLLECTIVE,
+                              call_index=3)]) == want
 
 
 class TestCaptureErrors:
@@ -392,6 +366,51 @@ class TestStandaloneCapture:
         plan.replay()
         assert loss.item() == want_loss
         np.testing.assert_array_equal(np.asarray(x.grad[0]), want_grad)
+
+
+    def test_chain_replay_runs_the_program_and_no_tape(self, monkeypatch):
+        """What the retired wall-clock chain ratio stood for, stated
+        exactly: replaying the 600-op elementwise chain applies nothing
+        to the tape, builds no ``Node``, runs each program entry once and
+        leaves the eager chain's bits in the output register."""
+        x = from_numpy(rng.standard_normal((4, 4)), requires_grad=True)
+        w = from_numpy(rng.standard_normal((4, 4)))
+        b = from_numpy(rng.standard_normal((4, 4)))
+
+        def chain(y):
+            for _ in range(200):
+                y = F.scale(F.add(F.mul(y, w), b), 0.999)
+            return y
+
+        recorder = CaptureRecorder("chain")
+        with capture_scope(recorder):
+            recorder.bind_input("x", x)
+            out = chain(x)
+        plan = recorder.finalize()
+        assert plan.op_counts()["forward"] == 600
+        fresh = rng.standard_normal((4, 4))
+        want = np.asarray(
+            chain(from_numpy(fresh, requires_grad=True)).shards[0]).copy()
+
+        runs = [0] * plan.num_ops
+
+        def counted(index, closure):
+            def run():
+                runs[index] += 1
+                closure()
+            return run
+
+        plan._program = tuple(counted(i, c)
+                              for i, c in enumerate(plan._program))
+        applies = count_calls(monkeypatch, F, "apply")
+        nodes = count_calls(monkeypatch, tape, "Node")
+        plan.bind("x", [fresh])
+        plan.replay()
+        assert applies == [] and nodes == []
+        assert runs == [1] * plan.num_ops
+        np.testing.assert_array_equal(np.asarray(out.shards[0]), want)
+        chain(from_numpy(fresh, requires_grad=True))   # the counters do count
+        assert len(applies) == len(nodes) == 600
 
 
 class _ReferenceFirstFit(FirstFitAllocator):
