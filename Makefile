@@ -50,7 +50,12 @@ wall-history:
 # step body) and lines of src/ mentioning `compiled`; and tape-op call
 # sites (`F.*(`) inside a loop over the decode step's requests in the
 # serving engine (each one costs a tape application per request per
-# layer per step; attention is one F.decode_attention per layer).
+# layer per step; attention is one F.decode_attention per layer); and
+# the autograd-collective layer's footprint: `Function` subclasses in
+# the two mapping modules (the six conjugate operators are rows of one
+# table run by one `Boundary`, not a class each) and `log_comm(` call
+# sites in src/ (a collective's logged size is stated once, in
+# `repro.comm.cost_model.logged_nbytes`; each extra site restates it).
 loc:
 	@printf '%-56s %6d\n' \
 		'src/ python lines' "$$(find src -name '*.py' | xargs cat | wc -l)" \
@@ -65,7 +70,9 @@ loc:
 		'table code iteration_time( calls' "$$(grep -n 'iteration_time(' src/repro/perf_model/iteration.py src/repro/experiments.py | grep -vc 'def ')" \
 		'driver capture arms' "$$(grep -rnE --include='*.py' '(recorder|cap) is (not )?None' src/repro/training src/repro/serving | wc -l)" \
 		'src/ lines mentioning compiled' "$$(grep -rn --include='*.py' compiled src | wc -l)" \
-		'serving/engine.py F.* calls inside the per-request loop' "$$(awk '/^ *for .*request_ids.*:$$/ { match($$0, /^ */); ind = RLENGTH; inloop = 1; next } inloop && NF { match($$0, /^ */); if (RLENGTH <= ind) inloop = 0; else if ($$0 ~ /F\.[a-z_]+\(/) n++ } END { print n + 0 }' src/repro/serving/engine.py)"
+		'serving/engine.py F.* calls inside the per-request loop' "$$(awk '/^ *for .*request_ids.*:$$/ { match($$0, /^ */); ind = RLENGTH; inloop = 1; next } inloop && NF { match($$0, /^ */); if (RLENGTH <= ind) inloop = 0; else if ($$0 ~ /F\.[a-z_]+\(/) n++ } END { print n + 0 }' src/repro/serving/engine.py)" \
+		'Function subclasses in parallel/ + longctx/mappings.py' "$$(cat src/repro/parallel/mappings.py src/repro/longctx/mappings.py | grep -cE '^class .*\(Function\):')" \
+		'src/ log_comm( call sites' "$$(grep -rn --include='*.py' 'log_comm(' src | grep -vc 'def log_comm')"
 
 # CI smoke run: the artifact-writing CLI invocation of each per-feature
 # target below, without the `pytest tests/test_<feature>.py` those

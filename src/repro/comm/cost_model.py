@@ -32,6 +32,14 @@ from ..hardware import ClusterSpec, LinkSpec
 from ..tensor.oplog import CommInfo
 
 
+def logged_nbytes(op: str, shard_nbytes: int, world: int) -> int:
+    """The ``nbytes`` convention above, from one rank's *input* shard: only
+    an all-gather is sized by its output (``world`` input shards).  The
+    autograd wrappers, the tracer's data-plane hook and the fault
+    injector's watchdog all size a collective through here."""
+    return shard_nbytes * world if op == "all_gather" else shard_nbytes
+
+
 @dataclass(frozen=True)
 class CollectiveCostModel:
     """Maps a :class:`~repro.tensor.oplog.CommInfo` to seconds."""

@@ -32,6 +32,7 @@ from typing import Iterator
 
 from ..comm import collectives
 from ..comm.process_group import ProcessGroup
+from ..parallel.mappings import Leg
 from ..tensor import backend as bk
 from ..tensor.context import ctx
 from ..tensor.oplog import Phase
@@ -61,6 +62,11 @@ def overlap_active() -> bool:
     return _RECOMPUTE_OVERLAP and ctx().phase is Phase.RECOMPUTE
 
 
+#: The re-shard as a sixth leg beside :data:`repro.parallel.mappings.LEGS`;
+#: its "axis" is the ``(split_axis, concat_axis)`` pair.
+_ALL_TO_ALL = Leg("all_to_all", lambda shards, axes: collectives.all_to_all(shards, *axes))
+
+
 class AllToAll(Function):
     """Ulysses re-shard: split along one axis, concatenate along another.
 
@@ -81,20 +87,13 @@ class AllToAll(Function):
 
     def forward(self, fctx: FnCtx, x: ShardList) -> ShardList:
         self.group.check_world(len(x))
-        width = fctx.inputs[0].dtype.nbytes
-        fctx.log_comm(self.label, "all_to_all", bk.size_of(x[0]) * width,
-                      self.group.size, scope=self.group.scope,
-                      overlapped=overlap_active())
-        return collectives.all_to_all(x, self.split_axis, self.concat_axis)
+        return _ALL_TO_ALL(fctx, self.label, x, self.group,
+                           (self.split_axis, self.concat_axis), overlap_active())
 
     def backward(self, fctx: FnCtx, grad: ShardList):
-        width = fctx.inputs[0].dtype.nbytes
-        fctx.log_comm(f"{self.label}.bwd", "all_to_all",
-                      bk.size_of(grad[0]) * width, self.group.size,
-                      scope=self.group.scope, overlapped=overlap_active())
         # The inverse re-shard: swap the split/concat axes.
-        return (collectives.all_to_all(grad, self.concat_axis,
-                                       self.split_axis),)
+        return (_ALL_TO_ALL(fctx, f"{self.label}.bwd", grad, self.group,
+                            (self.concat_axis, self.split_axis), overlap_active()),)
 
 
 class RingGather(Function):

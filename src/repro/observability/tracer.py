@@ -28,7 +28,7 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence
 
-from ..comm.cost_model import CollectiveCostModel
+from ..comm.cost_model import CollectiveCostModel, logged_nbytes
 from ..hardware import GPUSpec
 from ..tensor import backend as bk
 from ..tensor.context import ctx
@@ -180,9 +180,7 @@ class Tracer:
         overlapped = (pending is not None and pending.comm is not None
                       and pending.comm.op == op)
         n = len(shards)
-        nbytes = bk.size_of(shards[0]) * _WIRE_BYTES
-        if op == "all_gather":
-            nbytes *= n
+        nbytes = logged_nbytes(op, bk.size_of(shards[0]) * _WIRE_BYTES, n)
         dur = self.cost.time(CommInfo(op, nbytes, n)) if n > 1 else 0.0
         start = self.clock_s
         self.clock_s += dur

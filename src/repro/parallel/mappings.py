@@ -1,206 +1,123 @@
-"""The conjugate communication operators of Figures 4-6.
+"""The conjugate communication operators of Figures 4-6, as a table.
 
-Tensor parallelism (Figure 4):
-
-* ``f``  — identity in forward, **all-reduce in backward**;
-* ``f̄``  — **all-reduce in forward**, identity in backward.
-
-Tensor + sequence parallelism (Figure 5):
-
-* ``g``  — **all-gather (sequence dim) in forward, reduce-scatter in
-  backward**;
-* ``ḡ``  — **reduce-scatter in forward, all-gather in backward**.
-
-Plus the sequence-region entry point used by the embedding (a local
-scatter whose backward is an all-gather), and the fused
-all-gather-matmul that implements the paper's "we store only the Y_i^s
-part on the i-th tensor parallel rank and perform an extra all-gather in
-the backward pass" optimization.
-
-Every operator logs a :class:`~repro.tensor.oplog.CommInfo` so the cost
-model can price the communication; ``overlapped=True`` marks collectives
-the paper overlaps with compute (the backward weight-gradient GEMM).
+``f``/``f̄`` and ``g``/``ḡ`` are *conjugate pairs* (Section 4.2.2): an
+operator is fully described by which collective runs forward and which
+backward.  :data:`LEGS` names the five things a boundary can do to a
+shard list, :data:`ROWS` pairs them into the six operators, and one
+:class:`Boundary` function runs a row.  The fused all-gather-matmul (the
+paper's "we store only the Y_i^s part on the i-th tensor parallel rank
+and perform an extra all-gather in the backward pass") runs on the same
+legs.  Every collective leg logs a :class:`~repro.tensor.oplog.CommInfo`
+so the cost model can price it; ``overlapped=True`` marks collectives the
+paper overlaps with compute (the backward weight-gradient GEMM).
 """
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple, Optional
+
 import numpy as np
 
 from ..comm import collectives
+from ..comm.cost_model import logged_nbytes
 from ..comm.process_group import ProcessGroup
 from ..errors import CommError
 from ..tensor import backend as bk
 from ..tensor.tensor import FnCtx, Function, ShardList, Tensor, apply
 
 
-def _full_bytes(shards: ShardList, width: int, multiplier: int = 1) -> int:
-    return bk.size_of(shards[0]) * width * multiplier
+class Leg(NamedTuple):
+    """One direction of a boundary: what it logs and what it does."""
+
+    #: The collective the cost model prices (``None``: local, unlogged);
+    #: ``logged_nbytes`` sizes it (an all-gather by its output).
+    op: Optional[str]
+    run: Callable[[ShardList, int], ShardList]  # (shards, axis) -> shards
+
+    def __call__(self, fctx: FnCtx, name: str, shards: ShardList, group: ProcessGroup,
+                 axis: int, overlapped: bool = False) -> ShardList:
+        """Log this leg under ``name`` (when it is a collective), then run it."""
+        if self.op is not None:
+            shard_nbytes = bk.size_of(shards[0]) * fctx.inputs[0].dtype.nbytes
+            fctx.log_comm(name, self.op, logged_nbytes(self.op, shard_nbytes, group.size),
+                          group.size, scope=group.scope, overlapped=overlapped)
+        return self.run(shards, axis)
 
 
-class CopyToTensorParallelRegion(Function):
-    """``f``: identity forward, all-reduce backward (Figure 4).
-
-    The backward all-reduce is marked ``overlapped`` — Megatron overlaps
-    it with the preceding linear's weight-gradient GEMM, which the paper
-    credits for full-recompute overhead being 39% rather than 33%.
-    """
-
-    name = "f"
-
-    def __init__(self, group: ProcessGroup):
-        self.group = group
-
-    def forward(self, fctx: FnCtx, x: ShardList) -> ShardList:
-        self.group.check_world(len(x))
-        return list(x)
-
-    def backward(self, fctx: FnCtx, grad: ShardList):
-        width = fctx.inputs[0].dtype.nbytes
-        fctx.log_comm("f.bwd", "all_reduce", _full_bytes(grad, width),
-                      self.group.size, scope=self.group.scope, overlapped=True)
-        return (collectives.all_reduce(grad),)
+def _slice(shards: ShardList, axis: int) -> ShardList:
+    # Rank i keeps chunk i: no communication, the data is resident everywhere.
+    world, extent = len(shards), bk.shape_of(shards[0])[axis]
+    if extent % world != 0:
+        raise CommError(f"axis {axis} ({extent}) not divisible by world {world}")
+    chunk = extent // world
+    return [bk.slice_axis(s, axis, r * chunk, (r + 1) * chunk) for r, s in enumerate(shards)]
 
 
-class ReduceFromTensorParallelRegion(Function):
-    """``f̄``: all-reduce forward (sums partial outputs), identity backward."""
-
-    name = "f_bar"
-
-    def __init__(self, group: ProcessGroup):
-        self.group = group
-
-    def forward(self, fctx: FnCtx, x: ShardList) -> ShardList:
-        self.group.check_world(len(x))
-        width = fctx.inputs[0].dtype.nbytes
-        fctx.log_comm("f_bar", "all_reduce", _full_bytes(x, width),
-                      self.group.size, scope=self.group.scope)
-        return collectives.all_reduce(x)
-
-    def backward(self, fctx: FnCtx, grad: ShardList):
-        return (list(grad),)
+LEGS = {
+    "identity": Leg(None, lambda shards, axis: list(shards)),
+    "slice": Leg(None, _slice),
+    "all_reduce": Leg("all_reduce", lambda shards, axis: collectives.all_reduce(shards)),
+    "all_gather": Leg("all_gather", collectives.all_gather),
+    "reduce_scatter": Leg("reduce_scatter", collectives.reduce_scatter),
+}
 
 
-class GatherFromSequenceParallelRegion(Function):
-    """``g``: all-gather along the sequence dim forward, reduce-scatter
-    backward (Figure 5)."""
+class Row(NamedTuple):
+    """One conjugate operator; the backward record is ``<name>.bwd``."""
 
-    name = "g"
+    name: str
+    forward: Leg
+    backward: Leg
+    layout: str  # of the output; ``{axis}`` is the operator's axis
+    overlap_backward: bool = False
 
-    def __init__(self, group: ProcessGroup, axis: int = 0):
-        self.group = group
-        self.axis = axis
-
-    def forward(self, fctx: FnCtx, x: ShardList) -> ShardList:
-        self.group.check_world(len(x))
-        width = fctx.inputs[0].dtype.nbytes
-        fctx.log_comm("g", "all_gather",
-                      _full_bytes(x, width, multiplier=self.group.size),
-                      self.group.size, scope=self.group.scope)
-        return collectives.all_gather(x, self.axis)
-
-    def backward(self, fctx: FnCtx, grad: ShardList):
-        width = fctx.inputs[0].dtype.nbytes
-        fctx.log_comm("g.bwd", "reduce_scatter", bk.size_of(grad[0]) * width,
-                      self.group.size, scope=self.group.scope)
-        return (collectives.reduce_scatter(grad, self.axis),)
+    def __call__(self, x: Tensor, group: ProcessGroup, axis: int = 0) -> Tensor:
+        out = apply(Boundary(self, group, axis), x)
+        out.layout = self.layout.format(axis=axis)
+        return out
 
 
-class ScatterToSequenceParallelRegion(Function):
-    """``ḡ``: reduce-scatter forward (sums partials and shards the
-    sequence dim), all-gather backward (Figure 5)."""
+# ``f`` (Figure 4).  Its backward all-reduce is marked overlapped: Megatron
+# overlaps it with the preceding linear's weight-gradient GEMM, which the
+# paper credits for full-recompute overhead being 39% rather than 33%.
+F = Row("f", LEGS["identity"], LEGS["all_reduce"], "replicated", overlap_backward=True)
+# ``f̄`` (Figure 4): the forward all-reduce sums the partial outputs.
+F_BAR = Row("f_bar", LEGS["all_reduce"], LEGS["identity"], "replicated")
+# ``g`` / ``ḡ`` (Figure 5), along the sequence dim; ``ḡ`` sums partials.
+G = Row("g", LEGS["all_gather"], LEGS["reduce_scatter"], "replicated")
+G_BAR = Row("g_bar", LEGS["reduce_scatter"], LEGS["all_gather"], "shard(dim={axis})")
+# Enter the sequence-parallel region from replicated data (after the embedding
+# lookup, Section 4.3); backward all-gathers the gradient chunks back.
+SCATTER_SEQ = Row("scatter_seq", LEGS["slice"], LEGS["all_gather"], "shard(dim={axis})")
+# An all-gather whose backward is a local slice: valid only when the
+# downstream gradient is *replicated* across the group (the consumer region
+# contains ``f``, whose backward all-reduce makes every rank's gradient
+# identical), so each rank takes its own chunk instead of reduce-scattering.
+# The sharded-checkpoint variant of full recompute uses it: the paper's
+# "store a portion of activations in each tensor parallel rank ... requires
+# an extra all-gather per layer" (Section 5) is this row's forward, re-run
+# during recomputation.
+GATHER_SLICE = Row("gather_slice", LEGS["all_gather"], LEGS["slice"], "replicated")
 
-    name = "g_bar"
-
-    def __init__(self, group: ProcessGroup, axis: int = 0):
-        self.group = group
-        self.axis = axis
-
-    def forward(self, fctx: FnCtx, x: ShardList) -> ShardList:
-        self.group.check_world(len(x))
-        width = fctx.inputs[0].dtype.nbytes
-        fctx.log_comm("g_bar", "reduce_scatter", _full_bytes(x, width),
-                      self.group.size, scope=self.group.scope)
-        return collectives.reduce_scatter(x, self.axis)
-
-    def backward(self, fctx: FnCtx, grad: ShardList):
-        width = fctx.inputs[0].dtype.nbytes
-        fctx.log_comm("g_bar.bwd", "all_gather",
-                      _full_bytes(grad, width, multiplier=self.group.size),
-                      self.group.size, scope=self.group.scope)
-        return (collectives.all_gather(grad, self.axis),)
+ROWS = (F, F_BAR, G, G_BAR, SCATTER_SEQ, GATHER_SLICE)
 
 
-class ScatterSplitSequence(Function):
-    """Enter the sequence-parallel region from replicated data.
+class Boundary(Function):
+    """Run one :class:`Row`: its forward leg, and its conjugate backward."""
 
-    Forward is a local slice (rank ``i`` keeps chunk ``i`` of the sequence
-    dim — no communication, the data is already resident everywhere);
-    backward all-gathers the gradient chunks back to the replicated layout.
-    Used after the embedding lookup (Section 4.3).
-    """
-
-    name = "scatter_seq"
-
-    def __init__(self, group: ProcessGroup, axis: int = 0):
+    def __init__(self, row: Row, group: ProcessGroup, axis: int = 0):
+        self.name = row.name
+        self.row = row
         self.group = group
         self.axis = axis
 
     def forward(self, fctx: FnCtx, x: ShardList) -> ShardList:
         self.group.check_world(len(x))
-        world = len(x)
-        shape = bk.shape_of(x[0])
-        if shape[self.axis] % world != 0:
-            raise CommError(
-                f"axis {self.axis} ({shape[self.axis]}) not divisible by world {world}"
-            )
-        chunk = shape[self.axis] // world
-        return [
-            bk.slice_axis(x[r], self.axis, r * chunk, (r + 1) * chunk)
-            for r in range(world)
-        ]
+        return self.row.forward(fctx, self.name, x, self.group, self.axis)
 
     def backward(self, fctx: FnCtx, grad: ShardList):
-        width = fctx.inputs[0].dtype.nbytes
-        fctx.log_comm("scatter_seq.bwd", "all_gather",
-                      _full_bytes(grad, width, multiplier=self.group.size),
-                      self.group.size, scope=self.group.scope)
-        return (collectives.all_gather(grad, self.axis),)
-
-
-class GatherWithSliceBackward(Function):
-    """All-gather whose backward is a local slice (no communication).
-
-    Appropriate when the downstream gradient is *replicated* across the
-    group (the consumer region contains ``f``, whose backward all-reduce
-    makes every rank's gradient identical), so each rank can simply take
-    its own chunk instead of reduce-scattering.  Used by the sharded-
-    checkpoint variant of full recomputation: the paper's "store a portion
-    of activations in each tensor parallel rank ... requires an extra
-    all-gather per layer" (Section 5) — the all-gather is this operator's
-    forward, re-run during recomputation.
-    """
-
-    name = "gather_slice"
-
-    def __init__(self, group: ProcessGroup, axis: int = 0):
-        self.group = group
-        self.axis = axis
-
-    def forward(self, fctx: FnCtx, x: ShardList) -> ShardList:
-        self.group.check_world(len(x))
-        width = fctx.inputs[0].dtype.nbytes
-        fctx.misc["chunk"] = bk.shape_of(x[0])[self.axis]
-        fctx.log_comm("gather_slice", "all_gather",
-                      _full_bytes(x, width, multiplier=self.group.size),
-                      self.group.size, scope=self.group.scope)
-        return collectives.all_gather(x, self.axis)
-
-    def backward(self, fctx: FnCtx, grad: ShardList):
-        chunk = fctx.misc["chunk"]
-        return ([
-            bk.slice_axis(g, self.axis, r * chunk, (r + 1) * chunk)
-            for r, g in enumerate(grad)
-        ],)
+        return (self.row.backward(fctx, f"{self.name}.bwd", grad, self.group,
+                                  self.axis, self.row.overlap_backward),)
 
 
 class AllGatherMatmul(Function):
@@ -217,8 +134,7 @@ class AllGatherMatmul(Function):
 
     name = "ag_matmul"
 
-    def __init__(self, group: ProcessGroup, axis: int = 0,
-                 category: str = "sp_linear_input"):
+    def __init__(self, group: ProcessGroup, axis: int = 0, category: str = "sp_linear_input"):
         self.group = group
         self.axis = axis
         self.category = category
@@ -227,36 +143,25 @@ class AllGatherMatmul(Function):
         self.group.check_world(len(x))
         fctx.misc["x_slot"] = fctx.save_input(0, category=self.category)
         fctx.misc["w_slot"] = fctx.save_input(1)
-        width = fctx.inputs[0].dtype.nbytes
-        full = collectives.all_gather(x, self.axis)
-        fctx.log_comm("ag_matmul", "all_gather",
-                      _full_bytes(x, width, multiplier=self.group.size),
-                      self.group.size, scope=self.group.scope)
+        full = G.forward(fctx, "ag_matmul", x, self.group, self.axis)
         out = [fi @ wi for fi, wi in zip(full, w)]
-        k = bk.shape_of(full[0])[-1]
-        flops = 2.0 * bk.size_of(out[0]) * k
-        fctx.misc["flops"] = flops
-        fctx.misc["shapes"] = (bk.shape_of(x[0]), bk.shape_of(w[0]))
+        flops = fctx.misc["flops"] = 2.0 * bk.size_of(out[0]) * bk.shape_of(full[0])[-1]
         fctx.log_gemm(f"ag_matmul[{self.category}]", flops_per_rank=flops)
         return out
 
     def backward(self, fctx: FnCtx, grad: ShardList):
         x = fctx.saved(fctx.misc["x_slot"])
         w = fctx.saved(fctx.misc["w_slot"])
-        x_shape, w_shape = fctx.misc["shapes"]
-        width = fctx.inputs[0].dtype.nbytes
         # Extra all-gather of the saved shards (the cost of storing Y_i^s
         # only); overlapped with the dY GEMM per the paper.
-        fctx.log_comm("ag_matmul.bwd_regather", "all_gather",
-                      _full_bytes(x, width, multiplier=self.group.size),
-                      self.group.size, scope=self.group.scope, overlapped=True)
-        full = collectives.all_gather(x, self.axis)
+        full = G.forward(fctx, "ag_matmul.bwd_regather", x, self.group, self.axis,
+                         overlapped=True)
         flops = fctx.misc["flops"]
         fctx.log_gemm(f"ag_matmul[{self.category}].dgrad", flops_per_rank=flops)
         fctx.log_gemm(f"ag_matmul[{self.category}].wgrad", flops_per_rank=flops)
+        w_shape = bk.shape_of(w[0])
         k, n = w_shape
-        dw = []
-        dfull = []
+        dw, dfull = [], []
         for g, fi, wi in zip(grad, full, w):
             if bk.is_abstract(g) or bk.is_abstract(fi):
                 dw.append(bk.AbstractArray(w_shape))
@@ -267,51 +172,35 @@ class AllGatherMatmul(Function):
         # Megatron issues this reduce-scatter asynchronously and overlaps
         # it with the weight-gradient GEMM (LinearWithGradAccumulationAnd-
         # AsyncCommunication), so it is marked overlapped.
-        fctx.log_comm("ag_matmul.bwd", "reduce_scatter",
-                      bk.size_of(dfull[0]) * width,
-                      self.group.size, scope=self.group.scope, overlapped=True)
-        dx = collectives.reduce_scatter(dfull, self.axis)
+        dx = G.backward(fctx, "ag_matmul.bwd", dfull, self.group, self.axis,
+                        overlapped=True)
         return dx, dw
 
 
-# -- convenience wrappers ----------------------------------------------------
-
 def copy_to_tensor_parallel_region(x: Tensor, group: ProcessGroup) -> Tensor:
-    out = apply(CopyToTensorParallelRegion(group), x)
-    out.layout = "replicated"
-    return out
+    return F(x, group)
 
 
 def reduce_from_tensor_parallel_region(x: Tensor, group: ProcessGroup) -> Tensor:
-    out = apply(ReduceFromTensorParallelRegion(group), x)
-    out.layout = "replicated"
-    return out
+    return F_BAR(x, group)
 
 
 def gather_from_sequence_parallel_region(x: Tensor, group: ProcessGroup,
                                          axis: int = 0) -> Tensor:
-    out = apply(GatherFromSequenceParallelRegion(group, axis), x)
-    out.layout = "replicated"
-    return out
+    return G(x, group, axis)
 
 
 def scatter_to_sequence_parallel_region(x: Tensor, group: ProcessGroup,
                                         axis: int = 0) -> Tensor:
-    out = apply(ScatterToSequenceParallelRegion(group, axis), x)
-    out.layout = f"shard(dim={axis})"
-    return out
+    return G_BAR(x, group, axis)
 
 
 def scatter_split_sequence(x: Tensor, group: ProcessGroup, axis: int = 0) -> Tensor:
-    out = apply(ScatterSplitSequence(group, axis), x)
-    out.layout = f"shard(dim={axis})"
-    return out
+    return SCATTER_SEQ(x, group, axis)
 
 
 def gather_with_slice_backward(x: Tensor, group: ProcessGroup, axis: int = 0) -> Tensor:
-    out = apply(GatherWithSliceBackward(group, axis), x)
-    out.layout = "replicated"
-    return out
+    return GATHER_SLICE(x, group, axis)
 
 
 def all_gather_matmul(x: Tensor, w: Tensor, group: ProcessGroup, axis: int = 0,

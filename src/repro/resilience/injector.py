@@ -30,6 +30,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from ..comm.cost_model import logged_nbytes
 from ..errors import (
     CollectiveTimeout,
     CorruptionDetected,
@@ -40,14 +41,6 @@ from ..tensor import backend as bk
 from .faults import FaultKind, FaultPlan, FaultSpec
 from .report import FaultRecord, RecoveryRecord, ResilienceReport
 from .watchdog import Watchdog
-
-
-def _payload_nbytes(op: str, shards: Sequence) -> int:
-    """Full logical tensor size, matching the cost-model convention."""
-    per_shard = int(np.asarray(shards[0]).nbytes)
-    if op == "all_gather":
-        return per_shard * len(shards)
-    return per_shard
 
 
 def _flip_one_bit(arr: np.ndarray, seed: int) -> np.ndarray:
@@ -124,7 +117,7 @@ class FaultInjector:
         if bk.is_abstract(shards[0]):
             return shards  # abstract (shape-only) mode: nothing to fault
         n = len(shards)
-        nbytes = _payload_nbytes(op, shards)
+        nbytes = logged_nbytes(op, int(np.asarray(shards[0]).nbytes), n)
         call = self.calls
         self.calls += 1
         self.report.collectives_observed += 1

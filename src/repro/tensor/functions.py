@@ -150,13 +150,11 @@ class Matmul(Function):
 
     name = "matmul"
 
-    def __init__(self, category: str = "activation", save_x: bool = True):
+    def __init__(self, category: str = "activation"):
         self.category = category
-        self.save_x = save_x
 
     def forward(self, fctx: FnCtx, x: ShardList, w: ShardList) -> ShardList:
-        if self.save_x:
-            fctx.misc["x_slot"] = fctx.save_input(0, category=self.category)
+        fctx.misc["x_slot"] = fctx.save_input(0, category=self.category)
         fctx.misc["w_slot"] = fctx.save_input(1, category=self.category)
         x_shape, w_shape = bk.shape_of(x[0]), bk.shape_of(w[0])
         fctx.misc["shapes"] = (x_shape, w_shape)
@@ -180,7 +178,7 @@ class Matmul(Function):
         return out
 
     def backward(self, fctx: FnCtx, grad: ShardList):
-        x = fctx.saved(fctx.misc["x_slot"]) if self.save_x else fctx.misc["x_override"]
+        x = fctx.saved(fctx.misc["x_slot"])
         w = fctx.saved(fctx.misc["w_slot"])
         x_shape, w_shape = fctx.misc["shapes"]
         flops = fctx.misc["flops"]

@@ -12,9 +12,9 @@ deduplicated per rank by identity: when the Q, K and V projections all save
 their shared input, it is counted once — matching the paper's "we only need
 to store their shared input with size 2sbh".
 
-Identity-based dedup requires the caller to keep a live reference to every
-charged buffer until it is released (``FnCtx`` holds the saved shard lists,
-so autograd use always satisfies this).
+Identity-based dedup needs a charged buffer alive until it is released (a
+freed buffer's ``id`` is recycled and would swallow the next charge), so
+each entry owns a reference to its buffer for as long as it is charged.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .dtypes import DType
 
 @dataclass
 class _BufferEntry:
+    buffer: object  # held so that ``id(buffer)`` stays this buffer's
     nbytes: int
     category: str
     born: int  # the tracker's sequence number at the first charge
@@ -98,8 +99,8 @@ class MemoryTracker:
             entry.refcount += 1
             return
         nbytes = size_of(buffer) * dtype.nbytes
-        self._entries[key] = _BufferEntry(nbytes=nbytes, category=category,
-                                          born=self._seq)
+        self._entries[key] = _BufferEntry(buffer=buffer, nbytes=nbytes,
+                                          category=category, born=self._seq)
         self._live[rank] += nbytes
         self._category_live[rank][category] += nbytes
         if self._live[rank] > self._peak[rank]:
@@ -131,9 +132,8 @@ class MemoryTracker:
         """Drop, whatever its refcount, every live buffer first charged
         after ``mark``; returns the dropped keys.  A step attempt aborted
         mid-forward never releases what it saved — its tape is garbage —
-        and the stale ``(rank, id)`` keys would swallow the charge of any
-        later buffer that recycles an id.  Peaks already set stand: those
-        bytes were live."""
+        so its charges would stay live (and its buffers held) for good.
+        Peaks already set stand: those bytes were live."""
         self._seq += 1
         dropped = [key for key, entry in self._entries.items()
                    if entry.born > mark]

@@ -98,8 +98,8 @@ def run_step_with_retries(step_fn, max_retries: int = 3,
     installed fault injector, if any.  After ``max_retries`` failed
     retries the last error propagates; rank failures are not transient
     and propagate immediately (the resilience layer rolls back instead).
-    An aborted attempt's saved activations are dropped from the installed
-    memory tracker before the retry.
+    Whichever way an aborted attempt is left (retried here or propagated),
+    its saved activations are dropped from the installed memory tracker.
     """
     attempt = 0
     tracker = execution_context().memory
@@ -107,11 +107,12 @@ def run_step_with_retries(step_fn, max_retries: int = 3,
     while True:
         try:
             return step_fn()
-        except (CollectiveTimeout, CorruptionDetected) as error:
-            if attempt >= max_retries:
-                raise
+        except Exception as error:
             if tracker is not None:
                 tracker.rollback(mark)
+            if (not isinstance(error, (CollectiveTimeout, CorruptionDetected))
+                    or attempt >= max_retries):
+                raise
             backoff = backoff_base_s * backoff_factor ** attempt
             attempt += 1
             injector = active_fault_injector()

@@ -21,7 +21,7 @@ from repro.compiler import (
     capture_scope,
 )
 from repro.config import ModelConfig
-from repro.errors import CompilerError
+from repro.errors import CollectiveTimeout, CompilerError, RankFailure
 from repro.layers import GPTModel, Recompute
 from repro.observability.memprof import MemoryLedger
 from repro.observability.metrics import MetricsRegistry
@@ -268,12 +268,23 @@ class TestFaultedStepTrace:
         _assert_params_equal(compiled.model, eager.model)
 
 
-    @pytest.mark.parametrize("compiled", [False, True],
-                             ids=["eager", "compiled"])
-    def test_aborted_attempt_leaves_tracker_clean(self, compiled):
-        """The retry drops what the aborted attempt charged: live bytes
-        return to zero after every step and the peak is the fault-free
-        twin's (the retry used to run on top of the abandoned saves)."""
+    _DROP = FaultSpec(step=1, kind=FaultKind.DROPPED_COLLECTIVE, call_index=3)
+
+    @pytest.mark.parametrize("compiled, specs, retries", [
+        (False, [_DROP], 1),
+        (True, [_DROP], 1),
+        # The two ways an attempt's error leaves the retry loop: a rank
+        # failure is never retried in place, and with ``max_retries=1`` a
+        # second drop re-raises.  The caller replays the step.
+        (False, [FaultSpec(step=1, kind=FaultKind.RANK_CRASH, call_index=3)], 0),
+        (False, [_DROP, _DROP], 1),
+    ], ids=["eager", "compiled", "crash", "exhausted"])
+    def test_aborted_attempt_leaves_tracker_clean(self, compiled, specs,
+                                                  retries):
+        """Whichever way an aborted attempt is left — retried in place or
+        propagated — what it charged is dropped: live bytes return to
+        zero after every step and the peak is the fault-free twin's (the
+        next attempt used to run on top of the abandoned saves)."""
         ids, targets = _batch()
 
         def run(specs):
@@ -283,17 +294,22 @@ class TestFaultedStepTrace:
             with instrument(memory=ledger), fault_scope(injector):
                 for step in range(4):
                     injector.begin_step(step)
-                    seed(4000 + step)
-                    trainer.train_step_with_retry(ids, targets)
+                    for _replay in range(2):
+                        seed(4000 + step)
+                        try:
+                            trainer.train_step_with_retry(ids, targets,
+                                                          max_retries=1)
+                            break
+                        except (RankFailure, CollectiveTimeout):
+                            assert ledger.live_bytes() == 0
                     rows.append((ledger.live_bytes(0), ledger.peak_bytes(0)))
                     assert ledger.live_entry_bytes() == ledger.live_bytes()
-            assert injector.report.retries == len(specs)
-            return rows
+            assert len(injector.report.faults) == len(specs)
+            return rows, injector.report.retries
 
-        want = run([])
+        want, _ = run([])
         assert [live for live, _ in want] == [0] * 4 and want[0][1] > 0
-        assert run([FaultSpec(step=1, kind=FaultKind.DROPPED_COLLECTIVE,
-                              call_index=3)]) == want
+        assert run(specs) == (want, retries)
 
 
 class TestCaptureErrors:

@@ -57,6 +57,19 @@ class TestTracker:
         mt.reset_peak()
         assert mt.peak_bytes(0) == 0
 
+    def test_dropped_buffer_cannot_lend_its_id_to_the_next_charge(self):
+        """The entry owns its buffer while charged.  Keyed by a bare
+        ``id``, a charged array dropped without ``release`` handed its id
+        to the very next allocation, whose ``save`` then bumped the stale
+        entry's refcount instead of charging 128 B."""
+        mt = MemoryTracker()
+        dropped = np.zeros((64, 64))
+        mt.save(0, dropped, FP16)
+        del dropped
+        fresh = np.empty((8, 8))
+        mt.save(0, fresh, FP16)
+        assert mt.live_bytes(0) == 8192 + 128
+
     def test_release_unknown_buffer_is_noop(self):
         mt = MemoryTracker()
         mt.release(0, np.zeros(5))
