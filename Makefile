@@ -55,7 +55,12 @@ wall-history:
 # the two mapping modules (the six conjugate operators are rows of one
 # table run by one `Boundary`, not a class each) and `log_comm(` call
 # sites in src/ (a collective's logged size is stated once, in
-# `repro.comm.cost_model.logged_nbytes`; each extra site restates it).
+# `repro.comm.cost_model.logged_nbytes`; each extra site restates it);
+# and the kernel rule of tensor/backend.py: calls of NumPy's Python
+# reduction/split wrappers from kernel code (each costs 3-8 us before
+# the ufunc it ends in) and paged-cache reads/writes inside a loop over
+# the decode step's requests (the step reads the cache through one slot
+# mapping, once per layer and rank).
 loc:
 	@printf '%-56s %6d\n' \
 		'src/ python lines' "$$(find src -name '*.py' | xargs cat | wc -l)" \
@@ -72,7 +77,9 @@ loc:
 		'src/ lines mentioning compiled' "$$(grep -rn --include='*.py' compiled src | wc -l)" \
 		'serving/engine.py F.* calls inside the per-request loop' "$$(awk '/^ *for .*request_ids.*:$$/ { match($$0, /^ */); ind = RLENGTH; inloop = 1; next } inloop && NF { match($$0, /^ */); if (RLENGTH <= ind) inloop = 0; else if ($$0 ~ /F\.[a-z_]+\(/) n++ } END { print n + 0 }' src/repro/serving/engine.py)" \
 		'Function subclasses in parallel/ + longctx/mappings.py' "$$(cat src/repro/parallel/mappings.py src/repro/longctx/mappings.py | grep -cE '^class .*\(Function\):')" \
-		'src/ log_comm( call sites' "$$(grep -rn --include='*.py' 'log_comm(' src | grep -vc 'def log_comm')"
+		'src/ log_comm( call sites' "$$(grep -rn --include='*.py' 'log_comm(' src | grep -vc 'def log_comm')" \
+		'kernel np.(mean|sum|max|split)( call sites' "$$(cd src/repro && grep -rnE --include='*.py' 'np\.(mean|sum|max|split)\(' tensor fusion parallel layers serving comm | wc -l)" \
+		'engine.py cache.(gather|write)( in the per-request loop' "$$(awk '/^ *for .*request_ids.*:$$/ { match($$0, /^ */); ind = RLENGTH; inloop = 1; next } inloop && NF { match($$0, /^ */); if (RLENGTH <= ind) inloop = 0; else if ($$0 ~ /cache\.(gather|write)\(/) n++ } END { print n + 0 }' src/repro/serving/engine.py)"
 
 # CI smoke run: the artifact-writing CLI invocation of each per-feature
 # target below, without the `pytest tests/test_<feature>.py` those

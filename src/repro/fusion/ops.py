@@ -194,10 +194,10 @@ class ScaleMaskSoftmaxDropout(Function):
                 t = arena.take(shape)
                 np.multiply(xi, self.scale, out=t)
                 np.copyto(t, CausalMask.MASKED_VALUE, where=masked_tril)
-                np.subtract(t, np.max(t, axis=-1, keepdims=True), out=t)
+                np.subtract(t, bk.max_(t, axis=-1, keepdims=True), out=t)
                 np.exp(t, out=t)
                 y = np.empty(shape)
-                np.divide(t, np.sum(t, axis=-1, keepdims=True), out=y)
+                np.divide(t, bk.sum_(t, axis=-1, keepdims=True), out=y)
                 arena.give(t)
                 y_list.append(y)
         fctx.misc["y_slot"] = fctx.save_new(y_list, FP16, category="softmax_output")
@@ -262,7 +262,7 @@ class ScaleMaskSoftmaxDropout(Function):
                 gsm = g
             t2 = arena.take(shape)
             np.multiply(gsm, yi, out=t2)        # gy = g*y
-            s_ = np.sum(t2, axis=-1, keepdims=True)
+            s_ = bk.sum_(t2, axis=-1, keepdims=True)
             np.multiply(yi, s_, out=t1)         # y*sum(gy)
             dx = np.empty(shape)
             np.subtract(t2, t1, out=dx)         # softmax bwd
@@ -311,10 +311,10 @@ class FusedLayerNorm(Function):
                 out.append(bk.AbstractArray(bk.shape_of(xi)))
                 stats.append(None)
                 continue
-            mu = np.mean(xi, axis=-1, keepdims=True)
+            mu = bk.mean(xi, axis=-1, keepdims=True)
             y = np.empty(xi.shape)
             np.subtract(xi, mu, out=y)
-            var = np.mean(y * y, axis=-1, keepdims=True)  # == np.var, bitwise
+            var = bk.mean(y * y, axis=-1, keepdims=True)  # == np.var, bitwise
             rstd = 1.0 / np.sqrt(var + self.eps)
             np.divide(y, np.sqrt(var + self.eps), out=y)
             np.multiply(y, gi, out=y)
@@ -350,13 +350,13 @@ class FusedLayerNorm(Function):
             reduce_axes = tuple(range(xi.ndim - 1))
             t2 = arena.take(shape)
             np.multiply(g, xhat, out=t2)
-            dgamma.append(np.sum(t2, axis=reduce_axes))
-            dbeta.append(np.sum(g, axis=reduce_axes))
+            dgamma.append(bk.sum_(t2, axis=reduce_axes))
+            dbeta.append(bk.sum_(g, axis=reduce_axes))
             np.multiply(g, gi, out=t2)          # dxhat
-            m1 = np.mean(t2, axis=-1, keepdims=True)
+            m1 = bk.mean(t2, axis=-1, keepdims=True)
             t3 = arena.take(shape)
             np.multiply(t2, xhat, out=t3)
-            m2 = np.mean(t3, axis=-1, keepdims=True)
+            m2 = bk.mean(t3, axis=-1, keepdims=True)
             np.multiply(xhat, m2, out=t3)       # xhat*mean(dxhat*xhat)
             np.subtract(t2, m1, out=t2)
             np.subtract(t2, t3, out=t2)
@@ -485,8 +485,8 @@ class SoftmaxCrossEntropy(Function):
             if bk.is_abstract(li):
                 out.append(bk.AbstractArray(()))
                 continue
-            shifted = li - np.max(li, axis=-1, keepdims=True)
-            logz = np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+            shifted = li - bk.max_(li, axis=-1, keepdims=True)
+            logz = np.log(bk.sum_(np.exp(shifted), axis=-1, keepdims=True))
             logp = shifted - logz
             picked = np.take_along_axis(logp, ti.astype(np.int64)[..., None],
                                         axis=-1)[..., 0]
@@ -497,7 +497,7 @@ class SoftmaxCrossEntropy(Function):
                     raise ShapeError("loss_mask masks out every token")
                 out.append(np.asarray(-(picked * m).sum() / denom))
             else:
-                out.append(np.asarray(-np.mean(picked)))
+                out.append(np.asarray(-bk.mean(picked)))
         n = bk.size_of(logits[0])
         fctx.log_elementwise("softmax_xent", bytes_moved=4 * n,
                              flops_per_rank=5 * n, fused=True)
@@ -512,9 +512,9 @@ class SoftmaxCrossEntropy(Function):
             if bk.is_abstract(li):
                 out.append(bk.AbstractArray(bk.shape_of(li)))
                 continue
-            shifted = li - np.max(li, axis=-1, keepdims=True)
+            shifted = li - bk.max_(li, axis=-1, keepdims=True)
             e = np.exp(shifted)
-            p = e / np.sum(e, axis=-1, keepdims=True)
+            p = e / bk.sum_(e, axis=-1, keepdims=True)
             onehot = bk.one_hot_rows(ti, bk.shape_of(li)[-1])
             scale_num = np.asarray(g, dtype=np.float64)
             if self.has_mask:

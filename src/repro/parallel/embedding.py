@@ -9,6 +9,16 @@ from ..tensor.backend import AbstractArray
 from ..tensor.tensor import FnCtx, Function, ShardList
 
 
+def _local_rows(ids: np.ndarray, rank: int, rows_per_rank: int):
+    """``ids`` as row numbers of rank ``rank``'s table slice, clamped
+    into range, and the mask of the ids that slice really owns."""
+    lo = rank * rows_per_rank
+    local = ids - lo                    # a fresh array, clamped in place
+    np.maximum(local, 0, out=local)
+    np.minimum(local, rows_per_rank - 1, out=local)
+    return local, (ids >= lo) & (ids < lo + rows_per_rank)
+
+
 class VocabParallelLookup(Function):
     """Per-rank masked lookup into a row-sharded embedding table.
 
@@ -30,9 +40,7 @@ class VocabParallelLookup(Function):
             if bk.is_abstract(w) or bk.is_abstract(i):
                 out.append(AbstractArray(bk.shape_of(i) + w_shape[1:]))
                 continue
-            lo = r * rows_per_rank
-            local = np.clip(i.astype(np.int64) - lo, 0, rows_per_rank - 1)
-            mask = (i >= lo) & (i < lo + rows_per_rank)
+            local, mask = _local_rows(i, r, rows_per_rank)
             out.append(bk.take_rows(w, local) * mask[..., None])
         return out
 
@@ -45,8 +53,6 @@ class VocabParallelLookup(Function):
             if bk.is_abstract(g) or bk.is_abstract(i):
                 dw.append(AbstractArray(w_shape))
                 continue
-            lo = r * rows_per_rank
-            local = np.clip(i.astype(np.int64) - lo, 0, rows_per_rank - 1)
-            mask = (i >= lo) & (i < lo + rows_per_rank)
+            local, mask = _local_rows(i, r, rows_per_rank)
             dw.append(bk.index_add_rows(w_shape, local, g * mask[..., None]))
         return dw, None

@@ -21,7 +21,7 @@ from ..errors import ConfigError
 from ..layers.layout import Layout, draw
 from ..tensor import FP32, Tensor, checkpoint
 from ..tensor import functions as F
-from ..tensor.backend import AbstractArray
+from ..tensor.backend import AbstractArray, split
 from ..tensor.tensor import apply
 from .embedding import VocabParallelLookup
 from .loss import vocab_parallel_cross_entropy
@@ -99,7 +99,7 @@ class TensorParallel(Layout):
         # Explicit copies: an axis-0 split is a contiguous *view* of the
         # source weight, and parameter shards must own their storage (the
         # optimizer updates them in place).
-        return [p.copy() for p in np.split(full, t, axis=axis)], tag
+        return [p.copy() for p in split(full, t, axis)], tag
 
     def fused_qkv_init(self, rng, hidden_size: int, tag: str) -> dict:
         """The fused QKV projection's initial value: the three serial

@@ -47,8 +47,8 @@ class VocabParallelCrossEntropy(Function):
             return [AbstractArray(()) for _ in logits]
 
         vpr = shape[-1]
-        gmax = np.maximum.reduce([np.max(l, axis=-1) for l in logits])
-        sumexp = sum(np.sum(np.exp(l - gmax[..., None]), axis=-1) for l in logits)
+        gmax = np.maximum.reduce([bk.max_(l, axis=-1) for l in logits])
+        sumexp = sum(bk.sum_(np.exp(l - gmax[..., None]), axis=-1) for l in logits)
         tlogit = np.zeros_like(gmax)
         for r, (l, t) in enumerate(zip(logits, targets)):
             lo = r * vpr
@@ -63,7 +63,7 @@ class VocabParallelCrossEntropy(Function):
                 raise ShapeError("loss_mask masks out every token")
             loss = float((per_token * m).sum() / denom)
         else:
-            loss = float(np.mean(per_token))
+            loss = float(bk.mean(per_token))
         fctx.misc["stats"] = (gmax, sumexp)
         return [np.asarray(loss)] * len(logits)
 

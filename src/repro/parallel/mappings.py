@@ -144,7 +144,17 @@ class AllGatherMatmul(Function):
         fctx.misc["x_slot"] = fctx.save_input(0, category=self.category)
         fctx.misc["w_slot"] = fctx.save_input(1)
         full = G.forward(fctx, "ag_matmul", x, self.group, self.axis)
-        out = [fi @ wi for fi, wi in zip(full, w)]
+        if bk.is_abstract(full[0]) or bk.is_abstract(w[0]):
+            out = [fi @ wi for fi, wi in zip(full, w)]
+        else:
+            # One 2-D GEMM, not NumPy's loop of small ones over the leading
+            # dims (as the serial Matmul): bitwise the same product.  Not so
+            # the dgrad ``g @ w.T``, which flattened rounds differently on
+            # OpenBLAS and therefore stays 3-D in backward.
+            k, n = bk.shape_of(w[0])
+            out_shape = bk.shape_of(full[0])[:-1] + (n,)
+            out = [(fi.reshape(-1, k) @ wi).reshape(out_shape)
+                   for fi, wi in zip(full, w)]
         flops = fctx.misc["flops"] = 2.0 * bk.size_of(out[0]) * bk.shape_of(full[0])[-1]
         fctx.log_gemm(f"ag_matmul[{self.category}]", flops_per_rank=flops)
         return out

@@ -22,7 +22,9 @@ Numerics notes:
   collectives is the identity, so the serial model is not a special case;
 * attention is one ``F.decode_attention`` per layer per step over the
   whole ragged batch — the single paged-attention launch
-  :class:`~repro.serving.perf.ServingPerfModel` prices;
+  :class:`~repro.serving.perf.ServingPerfModel` prices — fed through
+  one slot mapping per step: the cache is written and read once per
+  (layer, rank), never per request;
 * a decode step consumes exactly one token per request; positions come
   from the cache's block tables, so requests join and leave freely
   between steps (continuous batching).
@@ -143,6 +145,11 @@ class DecodeEngine:
         ranks = range(self.world)
         kv_layout = "replicated" if self.world == 1 else "shard(dim=2)"
 
+        # Block tables -> physical rows once per step: the mapping is the
+        # same for every layer and rank.
+        slots, lengths = cache.slot_mapping(request_ids)
+        newest = slots[np.cumsum(lengths) - 1]
+
         x = model.layout.lookup(model.embedding.word, ids)
         # The batch is ragged, so each row indexes its own position: (1, B, h).
         pos = Tensor([np.asarray(shard)[positions, 0, :][None]
@@ -153,24 +160,20 @@ class DecodeEngine:
         for index, layer in enumerate(model.layers):
             h = layer.ln1(x)
             q, k, v = layer.attn.project_qkv(h, Linear.decode)
-            heads = layer.attn.core.num_heads
+            # Per rank: the step's new rows in, then the whole batch's
+            # cached K and V out, flat and ragged as (sum n_j, 1, h_local).
+            cached = []
             for rank in ranks:
-                k_arr = np.asarray(k.shards[rank])
-                v_arr = np.asarray(v.shards[rank])
-                for j, request_id in enumerate(request_ids):
-                    cache.write(request_id, index, rank, positions[j],
-                                k_arr[0, j], v_arr[0, j])
-            # Every request's cached K and V as (n_j, 1, h_local) shards,
-            # gathered once per rank.
-            keys, values = [], []
-            for request_id in request_ids:
-                pairs = [cache.gather(request_id, index, rank)
-                         for rank in ranks]
-                keys.append(Tensor([k_j[:, None, :] for k_j, _ in pairs],
-                                   dtype=FP16, layout=kv_layout))
-                values.append(Tensor([v_j[:, None, :] for _, v_j in pairs],
-                                     dtype=FP16, layout=kv_layout))
-            ctxt = F.decode_attention(heads, q, keys, values)
+                cache.write_slots(index, rank, newest,
+                                  np.asarray(k.shards[rank])[0],
+                                  np.asarray(v.shards[rank])[0])
+                cached.append(cache.gather_slots(index, rank, slots))
+            keys = Tensor([k_r[:, None, :] for k_r, _ in cached],
+                          dtype=FP16, layout=kv_layout)
+            values = Tensor([v_r[:, None, :] for _, v_r in cached],
+                            dtype=FP16, layout=kv_layout)
+            ctxt = F.decode_attention(layer.attn.core.num_heads, q, keys,
+                                      values, lengths)
             x = F.add(layer.attn.wo.decode(ctxt), x)
             x = F.add(layer.mlp.decode(layer.ln2(x)), x)
 

@@ -31,7 +31,7 @@ tracker uses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -134,12 +134,21 @@ class PagedKVCache:
             capacity=num_blocks * self.block_bytes,
             alignment=self.block_bytes)
         self._handles: Dict[int, int] = {}          # block id -> arena handle
-        # Physical stores, created lazily and owned for the cache's
-        # lifetime: _store[rank][layer][block id] is a (2, block_size,
-        # h_local) float64 array (K at [0], V at [1]).
-        self._store: List[List[List[Optional[np.ndarray]]]] = [
-            [[None] * num_blocks for _ in range(config.num_layers)]
+        # Physical stores, owned for the cache's lifetime: one (2, num_blocks
+        # * block_size, h_local) float64 pool per (rank, layer), K at [0] and
+        # V at [1], row ``block * block_size + offset`` holding one token slot.
+        # _store[rank][layer][block id] is that block's (2, block_size,
+        # h_local) view of the pool -- the object the tracker charges.
+        self._pool: List[List[np.ndarray]] = [
+            [np.zeros((2, num_blocks * block_size, self.h_local))
+             for _ in range(config.num_layers)]
             for _ in range(tensor_parallel)
+        ]
+        self._store: List[List[List[np.ndarray]]] = [
+            [[pool[:, lo:lo + block_size]
+              for lo in range(0, num_blocks * block_size, block_size)]
+             for pool in pools]
+            for pools in self._pool
         ]
         self._tables: Dict[str, BlockTable] = {}
         self.peak_blocks_in_use = 0
@@ -182,11 +191,8 @@ class PagedKVCache:
         self._handles[block] = handle
         for rank in range(self.world):
             for layer in range(self.config.num_layers):
-                store = self._store[rank][layer][block]
-                if store is None:
-                    store = np.zeros((2, self.block_size, self.h_local))
-                    self._store[rank][layer][block] = store
-                self.tracker.save(rank, store, FP16, category=self.CATEGORY)
+                self.tracker.save(rank, self._store[rank][layer][block], FP16,
+                                  category=self.CATEGORY)
         self.peak_blocks_in_use = max(self.peak_blocks_in_use,
                                       self.blocks_in_use)
         return block
@@ -232,49 +238,56 @@ class PagedKVCache:
         return table.block_ids
 
     # -- K/V data plane ----------------------------------------------------
-    def _locate(self, table: BlockTable, position: int) -> Tuple[int, int]:
-        if not 0 <= position < table.num_tokens:
-            raise ConfigError(
-                f"position {position} outside request {table.request_id!r} "
-                f"({table.num_tokens} token(s))")
-        return (table.block_ids[position // self.block_size],
-                position % self.block_size)
+    def slot_mapping(self, request_ids: Sequence[str]
+                     ) -> Tuple[np.ndarray, List[int]]:
+        """Block tables -> physical pool rows: the int64 slots of every
+        cached token of ``request_ids``, request after request in position
+        order, and each request's token count.  The same for every layer
+        and rank, so a decode step computes it once; request ``j``'s
+        newest token sits at ``slots[cumsum(lengths)[j] - 1]``."""
+        size = self.block_size
+        slots: List[int] = []
+        lengths = []
+        for request_id in request_ids:
+            table = self.block_table(request_id)
+            for i, block in enumerate(table.block_ids):
+                slots.extend(range(block * size, block * size
+                                   + min(size, table.num_tokens - i * size)))
+            lengths.append(table.num_tokens)
+        return np.array(slots, dtype=np.int64), lengths
 
-    def write(self, request_id: str, layer: int, rank: int, position: int,
-              k_row: np.ndarray, v_row: np.ndarray) -> None:
-        """Store one position's K/V rows (``(h_local,)`` each)."""
-        table = self.block_table(request_id)
-        block, offset = self._locate(table, position)
-        store = self._store[rank][layer][block]
-        store[0, offset] = k_row
-        store[1, offset] = v_row
+    def write_slots(self, layer: int, rank: int, slots: np.ndarray,
+                    k_rows: np.ndarray, v_rows: np.ndarray) -> None:
+        """Store K/V rows (``(len(slots), h_local)`` each) at ``slots``."""
+        pool = self._pool[rank][layer]
+        pool[0, slots] = k_rows
+        pool[1, slots] = v_rows
+
+    def gather_slots(self, layer: int, rank: int,
+                     slots: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The cached ``(keys, values)`` rows at ``slots``, each
+        ``(len(slots), h_local)``.  Copies: the caller owns them."""
+        keys, values = self._pool[rank][layer].take(slots, axis=1)
+        return keys, values
 
     def gather(self, request_id: str, layer: int,
                rank: int) -> Tuple[np.ndarray, np.ndarray]:
         """All cached ``(keys, values)`` for a request, each
         ``(num_tokens, h_local)`` in position order."""
-        table = self.block_table(request_id)
-        n = table.num_tokens
-        keys = np.empty((n, self.h_local))
-        values = np.empty((n, self.h_local))
-        for start in range(0, n, self.block_size):
-            take = min(self.block_size, n - start)
-            store = self._store[rank][layer][table.block_ids[start // self.block_size]]
-            keys[start:start + take] = store[0, :take]
-            values[start:start + take] = store[1, :take]
-        return keys, values
+        return self.gather_slots(layer, rank,
+                                 self.slot_mapping([request_id])[0])
 
     # -- preemption --------------------------------------------------------
     def swap_out(self, request_id: str) -> SwappedKV:
         """Copy a request's cache to the host and free its blocks."""
-        table = self.block_table(request_id)
+        slots, (num_tokens,) = self.slot_mapping([request_id])
         data = {
-            (rank, layer): self.gather(request_id, layer, rank)
+            (rank, layer): self.gather_slots(layer, rank, slots)
             for rank in range(self.world)
             for layer in range(self.config.num_layers)
         }
         self.free_request(request_id)
-        return SwappedKV(request_id=request_id, num_tokens=table.num_tokens,
+        return SwappedKV(request_id=request_id, num_tokens=num_tokens,
                          data=data)
 
     def swap_in(self, swapped: SwappedKV) -> None:
@@ -288,13 +301,9 @@ class PagedKVCache:
         self.add_request(swapped.request_id)
         for _ in range(swapped.num_tokens):
             self.reserve_token(swapped.request_id)
-        table = self.block_table(swapped.request_id)
+        slots, _ = self.slot_mapping([swapped.request_id])
         for (rank, layer), (keys, values) in swapped.data.items():
-            for start in range(0, swapped.num_tokens, self.block_size):
-                take = min(self.block_size, swapped.num_tokens - start)
-                store = self._store[rank][layer][table.block_ids[start // self.block_size]]
-                store[0, :take] = keys[start:start + take]
-                store[1, :take] = values[start:start + take]
+            self.write_slots(layer, rank, slots, keys, values)
 
     # -- accounting --------------------------------------------------------
     def expected_bytes(self) -> float:

@@ -171,22 +171,31 @@ sqrt = _unary(np.sqrt)
 log = _unary(np.log)
 
 
+# Kernel rule: a concrete kernel reaches a ufunc directly -- it reduces
+# with a ufunc method (these three, or ``np.add.reduce`` /
+# ``np.maximum.reduce`` in place) and splits with basic slices, never
+# through NumPy's np.mean / np.sum / np.max / np.split wrappers, which
+# end in the same ufunc calls (same bits) after 3-8 us of Python that a
+# decode step's tiny operands pay hundreds of times.
+
 def sum_(x: ArrayLike, axis=None, keepdims: bool = False) -> ArrayLike:
     if is_abstract(x):
         return AbstractArray(_reduced_shape(x.shape, axis, keepdims))
-    return np.sum(x, axis=axis, keepdims=keepdims)
+    return np.add.reduce(x, axis=axis, keepdims=keepdims)
 
 
 def mean(x: ArrayLike, axis=None, keepdims: bool = False) -> ArrayLike:
+    """The sum over ``axis`` divided by the count, as NumPy's ``_mean``."""
     if is_abstract(x):
         return AbstractArray(_reduced_shape(x.shape, axis, keepdims))
-    return np.mean(x, axis=axis, keepdims=keepdims)
+    total = np.add.reduce(x, axis=axis, keepdims=keepdims)
+    return total / (x.size // max(total.size, 1))
 
 
 def max_(x: ArrayLike, axis=None, keepdims: bool = False) -> ArrayLike:
     if is_abstract(x):
         return AbstractArray(_reduced_shape(x.shape, axis, keepdims))
-    return np.max(x, axis=axis, keepdims=keepdims)
+    return np.maximum.reduce(x, axis=axis, keepdims=keepdims)
 
 
 def var(x: ArrayLike, axis=None, keepdims: bool = False) -> ArrayLike:
@@ -234,15 +243,18 @@ def concatenate(parts: Sequence[ArrayLike], axis: int) -> ArrayLike:
 def split(x: ArrayLike, sections: int, axis: int) -> list:
     shp = shape_of(x)
     axis_ = axis % len(shp)
-    if shp[axis_] % sections != 0:
+    if sections < 1 or shp[axis_] % sections != 0:
         raise ShapeError(f"cannot split axis {axis_} of {shp} into {sections} equal parts")
+    step = shp[axis_] // sections
     if is_abstract(x):
         piece = list(shp)
-        piece[axis_] //= sections
+        piece[axis_] = step
         return [AbstractArray(piece) for _ in range(sections)]
     # Views, not copies: callers that need ownership (e.g. parameter
     # sharding) copy explicitly; the hot paths just read.
-    return list(np.split(x, sections, axis=axis_))
+    lead = (slice(None),) * axis_
+    return [x[lead + (slice(i * step, (i + 1) * step),)]
+            for i in range(sections)]
 
 
 def slice_axis(x: ArrayLike, axis: int, start: int, stop: int) -> ArrayLike:

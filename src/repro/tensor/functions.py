@@ -405,9 +405,9 @@ class Softmax(Function):
             if bk.is_abstract(xi):
                 out.append(bk.AbstractArray(xi.shape))
             else:
-                shifted = xi - np.max(xi, axis=-1, keepdims=True)
+                shifted = xi - bk.max_(xi, axis=-1, keepdims=True)
                 e = np.exp(shifted)
-                out.append(e / np.sum(e, axis=-1, keepdims=True))
+                out.append(e / bk.sum_(e, axis=-1, keepdims=True))
         fctx.misc["y_slot"] = fctx.save_new(out, FP16, category="softmax_output")
         fctx.log_elementwise("softmax", bytes_moved=4 * bk.size_of(x[0]),
                              flops_per_rank=5 * bk.size_of(x[0]))
@@ -572,8 +572,8 @@ class LayerNorm(Function):
             if bk.is_abstract(xi):
                 out.append(bk.AbstractArray(bk.shape_of(xi)))
                 continue
-            xc = xi - np.mean(xi, axis=-1, keepdims=True)
-            var = np.mean(xc * xc, axis=-1, keepdims=True)  # == np.var, bitwise
+            xc = xi - bk.mean(xi, axis=-1, keepdims=True)
+            var = bk.mean(xc * xc, axis=-1, keepdims=True)  # == np.var, bitwise
             out.append(xc / np.sqrt(var + self.eps) * gi + bi)
         w = _widths(fctx.inputs[0])[0]
         fctx.log_elementwise("layernorm", bytes_moved=2 * w * bk.size_of(x[0]),
@@ -592,18 +592,18 @@ class LayerNorm(Function):
                 dgamma.append(bk.AbstractArray(bk.shape_of(gi)))
                 dbeta.append(bk.AbstractArray(bk.shape_of(gi)))
                 continue
-            xc = xi - np.mean(xi, axis=-1, keepdims=True)
-            var = np.mean(xc * xc, axis=-1, keepdims=True)
+            xc = xi - bk.mean(xi, axis=-1, keepdims=True)
+            var = bk.mean(xc * xc, axis=-1, keepdims=True)
             rstd = 1.0 / np.sqrt(var + self.eps)
             xhat = xc * rstd
             reduce_axes = tuple(range(xi.ndim - 1))
-            dgamma.append(np.sum(g * xhat, axis=reduce_axes))
-            dbeta.append(np.sum(g, axis=reduce_axes))
+            dgamma.append(bk.sum_(g * xhat, axis=reduce_axes))
+            dbeta.append(bk.sum_(g, axis=reduce_axes))
             dxhat = g * gi
             dx.append(rstd * (
                 dxhat
-                - np.mean(dxhat, axis=-1, keepdims=True)
-                - xhat * np.mean(dxhat * xhat, axis=-1, keepdims=True)
+                - bk.mean(dxhat, axis=-1, keepdims=True)
+                - xhat * bk.mean(dxhat * xhat, axis=-1, keepdims=True)
             ))
         return dx, dgamma, dbeta
 
@@ -716,8 +716,8 @@ class CrossEntropy(Function):
             if bk.is_abstract(li):
                 out.append(bk.AbstractArray(()))
                 continue
-            shifted = li - np.max(li, axis=-1, keepdims=True)
-            logz = np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+            shifted = li - bk.max_(li, axis=-1, keepdims=True)
+            logz = np.log(bk.sum_(np.exp(shifted), axis=-1, keepdims=True))
             logp = shifted - logz
             picked = np.take_along_axis(logp, ti.astype(np.int64)[..., None], axis=-1)[..., 0]
             if self.has_mask:
@@ -727,7 +727,7 @@ class CrossEntropy(Function):
                     raise ShapeError("loss_mask masks out every token")
                 out.append(np.asarray(-(picked * m).sum() / denom))
             else:
-                out.append(np.asarray(-np.mean(picked)))
+                out.append(np.asarray(-bk.mean(picked)))
         v = bk.shape_of(logits[0])[-1]
         fctx.log_gemm("cross_entropy", flops_per_rank=0,
                       bytes_moved=0)  # loss math is negligible next to the logits GEMM
@@ -745,9 +745,9 @@ class CrossEntropy(Function):
             if bk.is_abstract(li):
                 out.append(bk.AbstractArray(bk.shape_of(li)))
                 continue
-            shifted = li - np.max(li, axis=-1, keepdims=True)
+            shifted = li - bk.max_(li, axis=-1, keepdims=True)
             e = np.exp(shifted)
-            p = e / np.sum(e, axis=-1, keepdims=True)
+            p = e / bk.sum_(e, axis=-1, keepdims=True)
             onehot = bk.one_hot_rows(ti, bk.shape_of(li)[-1])
             scale_num = np.asarray(g, dtype=np.float64)
             if self.has_mask:
@@ -936,43 +936,59 @@ class DecodeAttention(Function):
     past positions); forward-only (decoding runs under ``no_grad``), so
     it saves nothing.
 
-    Takes the ``(1, B, h)`` queries, then request ``j``'s ``(n_j, 1, h)``
-    keys and values as inputs ``1 + j`` and ``1 + B + j``; shapes are per
-    shard, so it serves the serial model (``a`` heads on ``h``) and
-    tensor-parallel ranks (``a/t`` on ``h/t``).  Each request keeps its
-    own ``(1, a, 1, n_j)`` score panel: padding the batch to one
+    Takes the ``(1, B, h)`` queries and the batch's cached keys and
+    values flat and ragged, ``(sum n_j, 1, h)`` each: request ``j`` owns
+    ``lengths[j]`` consecutive rows.  Shapes are per shard, so it serves
+    the serial model (``a`` heads on ``h``) and tensor-parallel ranks
+    (``a/t`` on ``h/t``).  Each request keeps its own ``(a, 1, n_j)``
+    score panel over its row slice: padding the batch to one
     ``(B, a, 1, n_max)`` operand would hand BLAS other shapes, and the
     logits would no longer be bitwise those of per-request attention.
     """
 
     name = "decode_attention"
 
-    def __init__(self, num_heads: int):
+    def __init__(self, num_heads: int, lengths: Sequence[int]):
         self.num_heads = num_heads
+        self.lengths = lengths
 
-    def forward(self, fctx: FnCtx, q: ShardList, *kv: ShardList) -> ShardList:
-        batch = len(kv) // 2
-        a, h = self.num_heads, bk.shape_of(q[0])[-1]
+    def forward(self, fctx: FnCtx, q: ShardList, keys: ShardList,
+                values: ShardList) -> ShardList:
+        a, lengths = self.num_heads, self.lengths
+        _, batch, h = bk.shape_of(q[0])
+        rows = bk.shape_of(keys[0])[0]
+        # The output is preallocated, so a wrong ``lengths`` would leave
+        # unwritten rows in the logits: reject it before any arithmetic.
+        if (h % a != 0 or len(lengths) != batch or min(lengths, default=0) < 1
+                or sum(lengths) != rows or bk.shape_of(values[0])[0] != rows):
+            raise ShapeError(
+                f"decode attention: {a} head(s), q {bk.shape_of(q[0])}, keys "
+                f"{bk.shape_of(keys[0])}, values {bk.shape_of(values[0])} "
+                f"and lengths {list(lengths)} do not pair up")
         d = h // a
         rsqrt_d = 1.0 / math.sqrt(d)
         out = []
-        for rank, qi in enumerate(q):
-            parts = []
-            for j in range(batch):
-                qr = qi[:, j:j + 1].reshape(1, 1, a, d).transpose(1, 2, 0, 3)
-                kt = kv[j][rank].reshape(-1, 1, a, d).transpose(1, 2, 3, 0)
-                vr = kv[batch + j][rank].reshape(-1, 1, a, d).transpose(1, 2, 0, 3)
-                scores = (qr @ kt) * rsqrt_d                   # (1,a,1,n_j)
-                e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
-                ctxt = (e / np.sum(e, axis=-1, keepdims=True)) @ vr
-                parts.append(ctxt.transpose(2, 0, 1, 3).reshape(1, 1, h))
-            out.append(np.concatenate(parts, axis=1))
-        context = sum(bk.shape_of(k[0])[0] for k in kv[:batch])
-        fctx.log_gemm("decode_attention", flops_per_rank=4.0 * context * h,
-                      bytes_moved=2 * context * h * _widths(fctx.inputs[1])[0])
+        for qi, ki, vi in zip(q, keys, values):
+            qr = qi.reshape(batch, a, 1, d)
+            kt = ki.reshape(rows, a, d).transpose(1, 2, 0)     # (a,d,sum n)
+            vr = vi.reshape(rows, a, d).transpose(1, 0, 2)     # (a,sum n,d)
+            oi = np.empty((1, batch, h))
+            ctxt = oi.reshape(batch, a, 1, d)
+            start = 0
+            for j, n in enumerate(lengths):
+                stop = start + n
+                scores = (qr[j] @ kt[:, :, start:stop]) * rsqrt_d  # (a,1,n_j)
+                e = np.exp(scores - np.maximum.reduce(
+                    scores, axis=-1, keepdims=True))
+                np.matmul(e / np.add.reduce(e, axis=-1, keepdims=True),
+                          vr[:, start:stop], out=ctxt[j])
+                start = stop
+            out.append(oi)
+        fctx.log_gemm("decode_attention", flops_per_rank=4.0 * rows * h,
+                      bytes_moved=2 * rows * h * _widths(fctx.inputs[1])[0])
         return out
 
 
-def decode_attention(num_heads: int, q: Tensor, keys: Sequence[Tensor],
-                     values: Sequence[Tensor]) -> Tensor:
-    return apply(DecodeAttention(num_heads), q, *keys, *values)
+def decode_attention(num_heads: int, q: Tensor, keys: Tensor, values: Tensor,
+                     lengths: Sequence[int]) -> Tensor:
+    return apply(DecodeAttention(num_heads, lengths), q, keys, values)

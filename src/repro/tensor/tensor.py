@@ -210,8 +210,8 @@ class FnCtx:
     def _save(self, shards: ShardList, dtype: DType, category: str, charge: bool) -> int:
         if not ctx().grad_enabled:
             # no tape -> nothing retained; still return a slot so callers
-            # can write uniform code (the slot holds the live shards).
-            self._saved.append(list(shards))
+            # can write uniform code (the slot holds the caller's live list).
+            self._saved.append(shards)
             return len(self._saved) - 1
         self._saved.append(list(shards))
         if charge:

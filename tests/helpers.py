@@ -10,6 +10,7 @@ from typing import List
 import numpy as np
 
 from repro.config import ModelConfig
+from repro.errors import ConfigError
 
 TINY = ModelConfig(num_layers=2, hidden_size=32, num_heads=4,
                    seq_length=16, vocab_size=64, name="tiny")
@@ -41,6 +42,46 @@ def count_calls(monkeypatch, owner, name: str) -> list:
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+# ---------------------------------------------------------------------------
+# The paged KV cache's data plane before the slot mapping: one block-table
+# walk per (request, layer, rank), kept verbatim (as functions of the cache)
+# as the oracle for ``slot_mapping`` / ``write_slots`` / ``gather_slots``.
+# ---------------------------------------------------------------------------
+
+def kv_locate(cache, table, position: int):
+    if not 0 <= position < table.num_tokens:
+        raise ConfigError(
+            f"position {position} outside request {table.request_id!r} "
+            f"({table.num_tokens} token(s))")
+    return (table.block_ids[position // cache.block_size],
+            position % cache.block_size)
+
+
+def kv_write(cache, request_id: str, layer: int, rank: int, position: int,
+             k_row: np.ndarray, v_row: np.ndarray) -> None:
+    """Store one position's K/V rows (``(h_local,)`` each)."""
+    table = cache.block_table(request_id)
+    block, offset = kv_locate(cache, table, position)
+    store = cache._store[rank][layer][block]
+    store[0, offset] = k_row
+    store[1, offset] = v_row
+
+
+def kv_gather(cache, request_id: str, layer: int, rank: int):
+    """All cached ``(keys, values)`` for a request, each
+    ``(num_tokens, h_local)`` in position order."""
+    table = cache.block_table(request_id)
+    n = table.num_tokens
+    keys = np.empty((n, cache.h_local))
+    values = np.empty((n, cache.h_local))
+    for start in range(0, n, cache.block_size):
+        take = min(cache.block_size, n - start)
+        store = cache._store[rank][layer][table.block_ids[start // cache.block_size]]
+        keys[start:start + take] = store[0, :take]
+        values[start:start + take] = store[1, :take]
+    return keys, values
 
 
 def flat_weights(model) -> List[np.ndarray]:

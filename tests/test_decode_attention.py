@@ -3,20 +3,25 @@ step over the whole ragged batch.  The oracle is the per-request path it
 replaced — ``one_query_attention`` under a slice/concat loop, kept here
 verbatim — and the contract is bitwise: same NumPy calls, same logits."""
 
+import hashlib
+import importlib.util
 import math
+import os
 import sys
 
 import numpy as np
 import pytest
 
-from helpers import count_calls
+from helpers import count_calls, kv_gather, kv_write
 from repro.config import ModelConfig
+from repro.errors import ConfigError, ShapeError
 from repro.layers import GPTModel
 from repro.layers.linear import Linear
 from repro.parallel import ParallelGPTModel
 from repro.perf_model import KernelCostModel
 from repro.serving import DecodeEngine, PagedKVCache, ServingPerfModel
-from repro.tensor import FP16, OpLog, Tensor, instrument
+from repro.tensor import FP16, OpLog, Tensor, instrument, no_grad
+from repro.tensor import backend as bk
 from repro.tensor import functions as F
 from repro.tensor import tensor as tape
 
@@ -64,13 +69,13 @@ class PerRequestEngine(DecodeEngine):
                 k_arr = np.asarray(k.shards[rank])
                 v_arr = np.asarray(v.shards[rank])
                 for j, request_id in enumerate(request_ids):
-                    self.cache.write(request_id, index, rank, positions[j],
-                                     k_arr[0, j], v_arr[0, j])
+                    kv_write(self.cache, request_id, index, rank,
+                             positions[j], k_arr[0, j], v_arr[0, j])
             parts = []
             for j, request_id in enumerate(request_ids):
                 k_shards, v_shards = [], []
                 for rank in range(self.world):
-                    k_j, v_j = self.cache.gather(request_id, index, rank)
+                    k_j, v_j = kv_gather(self.cache, request_id, index, rank)
                     k_shards.append(k_j[:, None, :])
                     v_shards.append(v_j[:, None, :])
                 keys = Tensor(k_shards, dtype=FP16, layout=kv_layout)
@@ -164,15 +169,16 @@ def test_engine_holds_no_per_step_state(layouts):
 def test_tape_applications_do_not_grow_with_the_batch(layouts, layout,
                                                       monkeypatch):
     """One attention application per layer whatever the batch width
-    (the per-request loop paid 13 more per request per layer); the paged
-    cache is still read once per (layer, request, rank)."""
+    (the per-request loop paid 13 more per request per layer), and the
+    paged cache is read once per (layer, rank) through the step's slot
+    mapping, never per request."""
     model = layouts[layout]
     bound = [m for name, m in sys.modules.items()
              if name.startswith("repro.")
              and getattr(m, "apply", None) is tape.apply]
     assert tape in bound and F in bound
     applies = [count_calls(monkeypatch, m, "apply") for m in bound]
-    gathers = count_calls(monkeypatch, PagedKVCache, "gather")
+    gathers = count_calls(monkeypatch, PagedKVCache, "gather_slots")
     per_step = {}
     for batch in (1, 8):
         engine = _engine(model)
@@ -185,7 +191,7 @@ def test_tape_applications_do_not_grow_with_the_batch(layouts, layout,
         fns = [args[0] for calls in applies for args in calls]
         assert sum(isinstance(fn, F.DecodeAttention) for fn in fns) \
             == CFG.num_layers
-        assert len(gathers) == CFG.num_layers * batch * model.group.size
+        assert len(gathers) == CFG.num_layers * model.group.size
         per_step[batch] = len(fns)
     assert per_step[1] == per_step[8]
 
@@ -236,3 +242,62 @@ def test_executed_and_simulated_clock_price_the_same_attention(layouts, layout,
     assert len(priced) == 6      # qkv, wo, fc1, fc2, attention, vocabulary
     assert priced[4][1:] == (records[0].flops, records[0].bytes_moved)
     assert records[0].kind.name == "GEMM"
+
+
+def _attention(heads=2, batch=2, lengths=(2, 3), key_rows=5, value_rows=5):
+    q = Tensor([np.ones((1, batch, 8))], dtype=FP16)
+    keys = Tensor([np.ones((key_rows, 1, 8))], dtype=FP16)
+    values = Tensor([np.ones((value_rows, 1, 8))], dtype=FP16)
+    with no_grad():
+        return F.decode_attention(heads, q, keys, values, list(lengths))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: _attention(lengths=(5,)), ShapeError),           # B=2, one length
+    (lambda: _attention(lengths=(2, 2, 1)), ShapeError),
+    (lambda: _attention(key_rows=6), ShapeError),              # sum n_j != K rows
+    (lambda: _attention(value_rows=4), ShapeError),            # V rows != K rows
+    (lambda: _attention(lengths=(5, 0)), ShapeError),          # an empty context
+    (lambda: _attention(heads=3), ShapeError),                 # 8 % 3 != 0
+    (lambda: _attention(batch=0, lengths=(), key_rows=0, value_rows=0),
+     ShapeError),
+    (lambda: bk.split(np.zeros((4, 2)), 0, 0), ShapeError),
+    (lambda: PagedKVCache(CFG, block_size=BLOCK, num_blocks=2)
+     .slot_mapping(["ghost"]), ConfigError),
+], ids=["few-lengths", "many-lengths", "key-rows", "value-rows", "zero-length",
+        "head-count", "empty-batch", "split-zero", "unknown-request"])
+def test_malformed_step_operands_raise_typed_errors(call, error):
+    """The output rows are preallocated, so operands that do not pair up
+    must fail before any arithmetic — not leave ``np.empty`` rows in the
+    logits or surface as a NumPy ``ValueError`` / ``ZeroDivisionError``."""
+    assert _attention().shape == (1, 2, 8)
+    with pytest.raises(error):
+        call()
+
+
+def test_serve_continuous_logits_are_pinned(monkeypatch):
+    """The benchmark's ``serve_continuous`` unit at its default seed: the
+    bytes of all 156 engine steps' logits and the generated tokens.  A
+    change to the decode step that moves either is not the same program
+    (a different BLAS build may legitimately move the first)."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", os.path.join(os.path.dirname(__file__), os.pardir,
+                                        "bench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    workload = workloads.ServeContinuous(1234)
+    digest, steps = hashlib.sha256(), []
+    decode = DecodeEngine.decode
+
+    def hashed(self, request_ids, tokens):
+        logits = decode(self, request_ids, tokens)
+        digest.update(np.ascontiguousarray(logits).tobytes())
+        steps.append(len(request_ids))
+        return logits
+
+    monkeypatch.setattr(DecodeEngine, "decode", hashed)
+    workload.unit()
+    assert len(steps) == 156
+    assert workload.token_digest == "0de3a317c3688376"
+    assert digest.hexdigest() == ("069015c72d6e7bddb5ab3babc3bf9549"
+                                  "d6e5f340d0c4064796cec7afb74c642a")

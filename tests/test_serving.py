@@ -8,8 +8,10 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import preset_doc
+from helpers import kv_gather, kv_locate, kv_write, preset_doc
 from repro.config import ModelConfig
 from repro.errors import ConfigError, PlanningError
 from repro.inference import evaluation, generate, generate_cached
@@ -117,8 +119,8 @@ class TestPagedKVCache:
             cache.reserve_token("a")
             for layer in range(CFG.num_layers):
                 for rank in range(2):
-                    cache.write("a", layer, rank, pos,
-                                rng.normal(size=16), rng.normal(size=16))
+                    kv_write(cache, "a", layer, rank, pos,
+                             rng.normal(size=16), rng.normal(size=16))
         before = {(r, l): cache.gather("a", l, r)
                   for r in range(2) for l in range(CFG.num_layers)}
         swapped = cache.swap_out("a")
@@ -133,6 +135,91 @@ class TestPagedKVCache:
             got_k, got_v = cache.gather("a", l, r)
             np.testing.assert_array_equal(got_k, keys)
             np.testing.assert_array_equal(got_v, values)
+
+
+class TestSlotMapping:
+    """The step's slot mapping against the block-table walk it replaced
+    (``helpers.kv_locate`` / ``kv_write`` / ``kv_gather``, verbatim)."""
+
+    @staticmethod
+    def _check(cache, requests, fill):
+        slots, lengths = cache.slot_mapping(requests)
+        tables = [cache.block_table(r) for r in requests]
+        assert slots.dtype == np.int64 and slots.shape == (sum(lengths),)
+        assert lengths == [t.num_tokens for t in tables]
+        newest = slots[np.cumsum(lengths) - 1]
+        for slot, table in zip(newest, tables):
+            block, offset = kv_locate(cache, table, table.num_tokens - 1)
+            assert slot == block * cache.block_size + offset
+        for layer in range(CFG.num_layers):
+            for rank in range(cache.world):
+                walked = [kv_gather(cache, r, layer, rank) for r in requests]
+                keys, values = cache.gather_slots(layer, rank, slots)
+                assert np.array_equal(keys, np.concatenate([k for k, _ in walked]))
+                assert np.array_equal(values, np.concatenate([v for _, v in walked]))
+                for request, (k, v) in zip(requests, walked):
+                    got_k, got_v = cache.gather(request, layer, rank)
+                    assert np.array_equal(got_k, k) and np.array_equal(got_v, v)
+                # a write through the slots is what the walk reads back
+                new_k = fill.normal(size=keys.shape)
+                new_v = fill.normal(size=values.shape)
+                cache.write_slots(layer, rank, slots, new_k, new_v)
+                walked = [kv_gather(cache, r, layer, rank) for r in requests]
+                assert np.array_equal(new_k, np.concatenate([k for k, _ in walked]))
+                assert np.array_equal(new_v, np.concatenate([v for _, v in walked]))
+
+    @given(block_size=st.integers(1, 5), world=st.sampled_from([1, 2]),
+           tokens=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 5)),
+                           min_size=1, max_size=5),
+           seed=st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_slots_read_and_write_what_the_block_walk_does(
+            self, block_size, world, tokens, seed):
+        """Ragged requests of 0..3 full blocks plus a partial one, their
+        tokens reserved in a shuffled interleaving (so block tables are
+        permutations of the pool), then one request freed and its blocks
+        reused, then one swapped out and back in."""
+        order = np.random.default_rng(seed)
+        lengths = [blocks * block_size + 1 + (part - 1) % block_size
+                   for blocks, part in tokens]
+        requests = [f"r{j}" for j in range(len(lengths))]
+        cache = PagedKVCache(CFG, tensor_parallel=world, block_size=block_size,
+                             num_blocks=2 * sum(-(-n // block_size)
+                                                for n in lengths) + 4)
+
+        def grow(request):
+            position = cache.reserve_token(request)
+            for layer in range(CFG.num_layers):
+                for rank in range(world):
+                    kv_write(cache, request, layer, rank, position,
+                             order.normal(size=cache.h_local),
+                             order.normal(size=cache.h_local))
+
+        for request in requests:
+            cache.add_request(request)
+        for j in order.permutation(np.repeat(np.arange(len(lengths)), lengths)):
+            grow(requests[j])
+        self._check(cache, requests, order)
+
+        cache.free_request(requests[0])              # holes in the pool ...
+        cache.add_request("late")
+        for _ in range(lengths[0] + block_size):     # ... reused out of order
+            grow("late")
+        resident = requests[1:] + ["late"]
+        self._check(cache, resident, order)
+
+        victim = resident[int(order.integers(len(resident)))]
+        swapped = cache.swap_out(victim)
+        held = {key: (k.copy(), v.copy())
+                for key, (k, v) in swapped.data.items()}
+        cache.add_request("filler")                  # takes a victim's block
+        grow("filler")
+        cache.swap_in(swapped)
+        for (rank, layer), (k, v) in held.items():
+            got_k, got_v = kv_gather(cache, victim, layer, rank)
+            assert np.array_equal(got_k, k) and np.array_equal(got_v, v)
+        self._check(cache, resident + ["filler"], order)
+        assert cache.drift_bytes() == 0.0
 
 
 class TestDecodeEngine:
