@@ -25,7 +25,7 @@ from ..parallel.layout import TensorParallel
 from ..tensor import INT64, OpLog, abstract, instrument
 from .gpu import KernelCostModel, PhaseTimes
 from .layer_timing import layer_times
-from ..pipeline_sim.schedule import schedule_interleaved
+from ..pipeline_sim.schedule import schedule_table
 from ..pipeline_sim.simulator import PipelineCosts, simulate
 
 #: Achieved fraction of link bandwidth for the large bucketed data-parallel
@@ -145,10 +145,10 @@ def _iterations(config: ExperimentConfig,
     All zeros is the plain schedule: ``x - 0.0`` keeps every bit.
 
     What variants have in common is built once and handed down: the
-    schedule (a function of ``(p, n, m)`` only), one layer trace per
+    schedule table (a function of ``(p, n, m)`` only, with the level
+    order its first ``simulate`` computes), one layer trace per
     distinct ``(sequence_parallel, recompute)`` and one embedding / head
-    trace per ``sequence_parallel``.  Nothing outlives the call — a
-    paper-scale schedule is 6-7 MB."""
+    trace per ``sequence_parallel``.  Nothing outlives the call."""
     model, par, train = config.model, config.parallel, config.training
     if cost is None:
         num_gpus = par.model_parallel_size * data_parallel
@@ -157,7 +157,7 @@ def _iterations(config: ExperimentConfig,
     p, m = par.pipeline_parallel, par.interleave_stages
     num_groups = p * m
     layers_per_group = model.num_layers // num_groups
-    sched = schedule_interleaved(p, train.num_microbatches(1), m)  # per replica
+    sched = schedule_table(p, train.num_microbatches(1), m)  # per replica
     layer = {key: layer_times(model, train.micro_batch_size, par.tensor_parallel,
                               sequence_parallel=key[0], recompute=key[1],
                               cost=cost)
@@ -218,8 +218,9 @@ def _iterations(config: ExperimentConfig,
             util=util,
         )
 
-    # One call frame per variant: its SimResult (an ``op_finish`` entry
-    # per op) is gone before the next variant's is built.
+    # One call frame per variant: its SimResult (and the finish-time array
+    # it holds for a lazy ``op_finish``) is gone before the next
+    # variant's is built; the table is dropped when this call returns.
     return [one(*variant) for variant in variants]
 
 

@@ -3,11 +3,13 @@
 from .schedule import (
     Op,
     OpKind,
+    ScheduleTable,
     StorageWindow,
     op_dependency,
     rank_of_group,
     schedule_1f1b,
     schedule_interleaved,
+    schedule_table,
     validate_schedule,
     walk_schedule,
 )
@@ -24,9 +26,9 @@ from .timeline import TimelineCosts, figure10, render_timeline
 
 __all__ = [
     "Op", "OpKind", "OverlapResult", "OverlapSegment", "PipelineCosts",
-    "SimResult", "StorageWindow", "TimelineCosts", "chrome_trace_events",
+    "ScheduleTable", "SimResult", "StorageWindow", "TimelineCosts", "chrome_trace_events",
     "export_chrome_trace", "figure10", "longctx_overlap_report",
     "longctx_overlap_segments", "op_dependency", "rank_of_group",
     "render_timeline", "schedule_1f1b", "schedule_interleaved", "simulate",
-    "schedule_overlap", "validate_schedule", "walk_schedule",
+    "schedule_overlap", "schedule_table", "validate_schedule", "walk_schedule",
 ]

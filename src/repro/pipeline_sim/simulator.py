@@ -12,14 +12,25 @@ fraction, and a per-rank activation-memory high-water mark (activations
 charged at forward completion, released when the backward completes —
 optionally including the Appendix-B output tensors), which cross-checks
 the closed-form :mod:`repro.memory_model.pipeline` profile.
+
+It evaluates the schedule's dataflow one wavefront level at a time
+(:class:`~repro.pipeline_sim.schedule.ScheduleTable`'s level order): all
+ops of a level finish at ``max(previous op on the rank, dependency +
+send) + duration`` in one array expression — per op, the same float
+operations :func:`~repro.pipeline_sim.schedule.walk_schedule`'s order
+would apply, so every value is bitwise the per-op walk's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from functools import cached_property
+from typing import Callable, Dict, List, Tuple, Union
 
-from .schedule import Op, walk_schedule
+import numpy as np
+
+from ..errors import ScheduleError
+from .schedule import Op, ScheduleTable, walk_schedule
 
 
 @dataclass(frozen=True)
@@ -46,7 +57,15 @@ class SimResult:
     makespan: float
     busy_time: List[float]
     peak_activation_bytes: List[float]
-    op_finish: Dict[Tuple[str, int, int], float] = field(repr=False, default_factory=dict)
+    _issue_order: Callable[[], Dict[Tuple[str, int, int], float]] = field(
+        repr=False, compare=False, default=dict)
+
+    @cached_property
+    def op_finish(self) -> Dict[Tuple[str, int, int], float]:
+        """Finish time per ``(kind, microbatch, group)``, inserted in
+        :func:`~repro.pipeline_sim.schedule.walk_schedule` issue order;
+        built on first access."""
+        return self._issue_order()
 
     @property
     def bubble_fraction(self) -> float:
@@ -61,43 +80,74 @@ class SimResult:
         return 1.0 - self.busy_time[rank] / self.makespan
 
 
-def simulate(ranks_ops: List[List[Op]], costs: PipelineCosts) -> SimResult:
-    """Run the schedule to completion; raises on deadlock."""
-    p = len(ranks_ops)
+def simulate(ranks_ops: Union[ScheduleTable, List[List[Op]]],
+             costs: PipelineCosts) -> SimResult:
+    """Run the schedule to completion; raises on deadlock.
+
+    ``ranks_ops`` is a :class:`ScheduleTable` or per-rank ``Op`` lists
+    (converted to a table once, here)."""
+    if isinstance(ranks_ops, ScheduleTable):
+        table = ranks_ops
+        if table.num_groups != costs.num_groups:
+            raise ScheduleError(
+                f"schedule has {table.num_groups} groups, costs price "
+                f"{costs.num_groups}")
+    else:
+        table = ScheduleTable._of(ranks_ops, costs.num_groups)
+    levels = table._levels
+    n_ops, p = len(table.group), len(table.starts) - 1
     # costs depend on the group only: one call per group, not one per op
     groups = range(costs.num_groups)
-    forward = [costs.forward_time(g) for g in groups]
-    backward = [costs.backward_time(g) for g in groups]
+    forward = np.array([costs.forward_time(g) for g in groups], dtype=float)
+    backward = np.array([costs.backward_time(g) for g in groups], dtype=float)
     held = [costs.activation_bytes(g) for g in groups]
     if not costs.deallocate_output_tensor:
         held = [nbytes + costs.output_tensor_bytes for nbytes in held]
-    p2p = costs.p2p_time
-    done: Dict[Tuple[str, int, int], float] = {}
-    clock = [0.0] * p
-    busy = [0.0] * p
-    mem = [0.0] * p
-    peak = [0.0] * p
-    for i, op, key, dep in walk_schedule(ranks_ops, costs.num_groups, done):
-        ready = clock[i]
-        group = op.group
-        if dep is not None:
-            # a dependency on another rank pays the point-to-point send
-            arrived = done[dep] + (0.0 if dep[2] % p == i else p2p)
-            if arrived > ready:
-                ready = arrived
-        if key[0] == "F":
-            duration = forward[group]
-            mem[i] += held[group]
-            if mem[i] > peak[i]:
-                peak[i] = mem[i]
-        else:
-            duration = backward[group]
-            mem[i] -= held[group]
-        done[key] = clock[i] = ready + duration
-        busy[i] += duration
-    return SimResult(
-        makespan=max(clock),
-        busy_time=busy,
-        peak_activation_bytes=peak,
-        op_finish=done,
-    )
+    held = np.array(held, dtype=float)
+    is_forward, group = table.forward, table.group
+    duration = np.where(is_forward, forward[group], backward[group])
+    charge = np.where(is_forward, held[group], -held[group])
+
+    # finish times by level position; the two slots past the ops are what
+    # "waits for nothing" (-inf) and "first op of its rank" (0.0) read
+    finish = np.empty(n_ops + 2)
+    finish[n_ops:] = (-np.inf, 0.0)
+    send = np.where(levels.remote, costs.p2p_time, 0.0)
+    took = duration[levels.order]
+    prev, dependency = levels.prev, levels.dependency
+    for lo, hi in levels.spans:
+        np.add(np.maximum(finish[prev[lo:hi]],
+                          finish[dependency[lo:hi]] + send[lo:hi]),
+               took[lo:hi], out=finish[lo:hi])
+    at = np.empty(n_ops)
+    at[levels.order] = finish[:n_ops]
+
+    starts = table.starts.tolist()
+    clock = [float(at[b - 1]) if b > a else 0.0
+             for a, b in zip(starts, starts[1:])]
+    lengths = np.diff(table.starts)
+
+    def running(values: np.ndarray) -> np.ndarray:
+        # per rank, the sequential sums 0.0 + v0 + v1 + ... the per-op loop
+        # formed (accumulate never reassociates, unlike add.reduce)
+        grid = np.zeros((p, levels.width))
+        grid[levels.rows, levels.cols] = values
+        return np.add.accumulate(grid, axis=1)
+
+    busy = running(duration)[np.arange(p), lengths].tolist()
+    forward_at = np.zeros((p, levels.width), dtype=bool)
+    forward_at[levels.rows, levels.cols] = is_forward
+    highest = np.where(forward_at, running(charge), -np.inf).max(
+        axis=1, initial=-np.inf)
+    peak = [max(0.0, nbytes) for nbytes in highest.tolist()]
+
+    def issue_order() -> Dict[Tuple[str, int, int], float]:
+        ops = table.ops() if ranks_ops is table else ranks_ops
+        times, nxt, done = at.tolist(), starts[:-1], {}
+        for rank, _op, key, _dep in walk_schedule(ops, costs.num_groups, done):
+            done[key] = times[nxt[rank]]
+            nxt[rank] += 1
+        return done
+
+    return SimResult(makespan=max(clock), busy_time=busy,
+                     peak_activation_bytes=peak, _issue_order=issue_order)

@@ -38,7 +38,7 @@ class TestExperimentData:
 
     def test_appendix_c_improves_mfu(self, monkeypatch):
         from repro.perf_model import iteration
-        built = count_calls(monkeypatch, iteration, "schedule_interleaved")
+        built = count_calls(monkeypatch, iteration, "schedule_table")
         data = experiments.appendix_c_data()
         for d in data:
             assert d["mfu_microbatch"] > d["mfu_base"]

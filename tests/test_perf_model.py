@@ -176,7 +176,7 @@ class TestTable5Shape:
 
     def test_a_row_builds_one_schedule(self, monkeypatch):
         from repro.perf_model import iteration
-        built = count_calls(monkeypatch, iteration, "schedule_interleaved")
+        built = count_calls(monkeypatch, iteration, "schedule_table")
         table5_row(PAPER_CONFIGS["530B"])
         assert built == [(35, 280, 3)]
 

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from typing import List
+
 from repro.errors import ScheduleError
 from repro.pipeline_sim import (
     Op, OpKind, rank_of_group, schedule_1f1b, schedule_interleaved,
-    validate_schedule,
+    schedule_table, validate_schedule,
 )
 
 
@@ -90,6 +92,95 @@ class TestInterleaved:
     def test_rank_of_group(self):
         assert rank_of_group(0, 4) == 0
         assert rank_of_group(5, 4) == 1
+
+
+# The hand-written builders `schedule_table` replaced, kept verbatim as the
+# oracle: the table's `ops()` view must equal them op for op.
+
+def _oracle_1f1b(pipeline_parallel: int, num_microbatches: int) -> List[List[Op]]:
+    p, n = pipeline_parallel, num_microbatches
+    if p < 1 or n < 1:
+        raise ScheduleError("pipeline_parallel and num_microbatches must be >= 1")
+    ranks: List[List[Op]] = []
+    for i in range(p):
+        warmup = min(n, p - i - 1)
+        ops: List[Op] = [Op(OpKind.F, mb, i) for mb in range(warmup)]
+        steady = n - warmup
+        for j in range(steady):
+            ops.append(Op(OpKind.F, warmup + j, i))
+            ops.append(Op(OpKind.B, j, i))
+        for j in range(steady, n):
+            ops.append(Op(OpKind.B, j, i))
+        ranks.append(ops)
+    return ranks
+
+
+def _oracle_virtual_order(pipeline_parallel: int, num_microbatches: int,
+                          interleave_stages: int) -> List[tuple]:
+    p, n, m = pipeline_parallel, num_microbatches, interleave_stages
+    order = []
+    for k in range(n * m):
+        chunk = (k // p) % m
+        mb = k % p + p * (k // (p * m))
+        order.append((mb, chunk))
+    return order
+
+
+def _oracle_interleaved(pipeline_parallel: int, num_microbatches: int,
+                        interleave_stages: int) -> List[List[Op]]:
+    p, n, m = pipeline_parallel, num_microbatches, interleave_stages
+    if m == 1:
+        return _oracle_1f1b(p, n)
+    if n % p != 0:
+        raise ScheduleError(
+            f"interleaved schedule needs num_microbatches ({n}) divisible "
+            f"by pipeline_parallel ({p})"
+        )
+    fwd_order = _oracle_virtual_order(p, n, m)
+    # Backward virtual order: same microbatch pattern, chunks reversed.
+    bwd_order = [(mb, m - 1 - chunk) for mb, chunk in fwd_order]
+
+    ranks: List[List[Op]] = []
+    total = n * m
+    for i in range(p):
+        warmup = min(total, 2 * (p - i - 1) + (m - 1) * p)
+        ops: List[Op] = []
+        f_idx = b_idx = 0
+        for _ in range(warmup):
+            mb, chunk = fwd_order[f_idx]
+            ops.append(Op(OpKind.F, mb, chunk * p + i))
+            f_idx += 1
+        while f_idx < total:
+            mb, chunk = fwd_order[f_idx]
+            ops.append(Op(OpKind.F, mb, chunk * p + i))
+            f_idx += 1
+            mb, chunk = bwd_order[b_idx]
+            ops.append(Op(OpKind.B, mb, chunk * p + i))
+            b_idx += 1
+        while b_idx < total:
+            mb, chunk = bwd_order[b_idx]
+            ops.append(Op(OpKind.B, mb, chunk * p + i))
+            b_idx += 1
+        ranks.append(ops)
+    return ranks
+
+
+@given(p=st.integers(1, 8), rounds=st.integers(1, 4), m=st.integers(1, 4),
+       data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_table_view_equals_the_hand_written_builders(p, rounds, m, data):
+    # without interleaving any n is valid, including n < p - 1, where
+    # the warm-up is cut short
+    n = p * rounds - (data.draw(st.integers(0, p - 1)) if m == 1 else 0)
+    table = schedule_table(p, n, m)
+    assert table.num_groups == p * m
+    ops = table.ops()
+    assert ops == _oracle_interleaved(p, n, m)
+    assert all(type(op.kind) is OpKind and type(op.microbatch) is int
+               and type(op.group) is int for rank in ops for op in rank)
+    assert schedule_interleaved(p, n, m) == ops
+    if m == 1:
+        assert schedule_1f1b(p, n) == ops
 
 
 class TestValidator:

@@ -1,5 +1,7 @@
 """Event-driven pipeline simulator: makespan, bubble, memory timeline."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,7 @@ from repro.errors import ScheduleError
 from repro.memory_model import in_flight_microbatches
 from repro.pipeline_sim import (
     Op, OpKind, PipelineCosts, rank_of_group, schedule_1f1b,
-    schedule_interleaved, simulate,
+    schedule_interleaved, schedule_table, simulate,
 )
 
 
@@ -79,6 +81,21 @@ class TestMakespan:
         bad = [[Op(OpKind.B, 0, 0), Op(OpKind.F, 0, 0)]]
         with pytest.raises(ScheduleError):
             simulate(bad, uniform_costs(1))
+
+
+F, B = OpKind.F, OpKind.B
+
+
+@pytest.mark.parametrize("schedule, num_groups, message", [
+    # the same op twice would be priced twice and overwrite its finish time
+    ([[Op(F, 0, 0), Op(F, 0, 0), Op(B, 0, 0)]], 1, "duplicate op F0g0"),
+    # B0g1 waits for F0g1, which no rank issues
+    ([[Op(F, 0, 0), Op(B, 0, 0)], [Op(B, 0, 1)]], 2, "deadlocked"),
+    ([[Op(B, 0, 0), Op(F, 0, 0)]], 1, "deadlocked"),
+], ids=["duplicate", "missing-forward", "backward-before-forward"])
+def test_malformed_schedule_is_a_schedule_error(schedule, num_groups, message):
+    with pytest.raises(ScheduleError, match=message):
+        simulate(schedule, uniform_costs(num_groups))
 
 
 class TestMemoryTimeline:
@@ -212,6 +229,30 @@ def test_simulate_equals_the_previous_per_op_loop(p, rounds, m, p2p, out,
     schedule = schedule_interleaved(p, p * rounds, m)
     result = simulate(schedule, costs)
     makespan, busy, peak, finish = _reference_simulate(schedule, costs)
+    assert result.makespan == makespan
+    assert result.busy_time == busy
+    assert result.peak_activation_bytes == peak
+    assert list(result.op_finish.items()) == list(finish.items())
+
+
+@pytest.mark.parametrize("p, n, m", [(35, 280, 3), (64, 512, 1)],
+                         ids=["530B", "1T"])
+def test_simulate_equals_the_previous_per_op_loop_at_paper_scale(p, n, m):
+    """The Table 5 schedules, priced from the table as `_iterations`
+    does, with random per-group costs and a p2p send."""
+    rng = random.Random(p * n * m)
+    groups = p * m
+    fwd = [rng.uniform(0.001, 10.0) for _ in range(groups)]
+    bwd = [rng.uniform(0.001, 10.0) for _ in range(groups)]
+    act = [rng.uniform(0.0, 1e9) for _ in range(groups)]
+    costs = PipelineCosts(
+        num_groups=groups, forward_time=fwd.__getitem__,
+        backward_time=bwd.__getitem__, p2p_time=rng.uniform(0.001, 1.0),
+        activation_bytes=act.__getitem__, output_tensor_bytes=3e7,
+        deallocate_output_tensor=False)
+    result = simulate(schedule_table(p, n, m), costs)
+    makespan, busy, peak, finish = _reference_simulate(
+        schedule_interleaved(p, n, m), costs)
     assert result.makespan == makespan
     assert result.busy_time == busy
     assert result.peak_activation_bytes == peak

@@ -16,8 +16,10 @@ from repro.observability import Tracer, trace_scope
 from repro.parallel import ParallelGPTModel
 from repro.pipeline_sim import (
     PipelineCosts, TimelineCosts, chrome_trace_events, op_dependency,
-    rank_of_group, schedule_interleaved, simulate, walk_schedule,
+    rank_of_group, schedule_interleaved, schedule_table, simulate,
+    walk_schedule,
 )
+from repro.pipeline_sim.schedule import _dependency_index
 from repro.training import PipelinedGPT, split_microbatches
 
 CFG = ModelConfig(num_layers=4, hidden_size=16, num_heads=2,
@@ -107,6 +109,42 @@ def test_walker_issues_each_op_once_in_dataflow_order(p, rounds, m, data):
     ops[i], ops[j] = ops[j], ops[i]
     with pytest.raises(ScheduleError):
         _drain(schedule[:rank] + [ops] + schedule[rank + 1:], num_groups)
+
+
+@given(p=st.integers(1, 5), rounds=st.integers(1, 3), m=st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_dependency_index_and_level_order(p, rounds, m):
+    """The simulator's statement of the dataflow: the vectorised
+    dependency index is `op_dependency` for every op, and the level
+    order is topological — each level runs at most one op per rank, after
+    the op before it on its rank and after its dependency."""
+    table = schedule_table(p, p * rounds, m)
+    flat = [op for ops in table.ops() for op in ops]
+    n_ops, num_groups = len(flat), p * m
+    keys = [(op.kind.value, op.microbatch, op.group) for op in flat]
+    dependency = _dependency_index(table).tolist()
+    assert [None if d == n_ops else keys[d] for d in dependency] == [
+        op_dependency(op, num_groups) for op in flat]
+
+    levels = table._levels
+    order = levels.order.tolist()
+    assert sorted(order) == list(range(n_ops))
+    rank = [rank for rank, ops in enumerate(table.ops()) for _ in ops]
+    first = set(table.starts[:-1].tolist())
+    for lo, hi in levels.spans:
+        assert len({rank[k] for k in order[lo:hi]}) == hi - lo <= p
+        for j in range(lo, hi):
+            k, prev, dep = order[j], levels.prev[j], levels.dependency[j]
+            if k in first:
+                assert prev == n_ops + 1
+            else:
+                assert prev < lo and order[prev] == k - 1
+            if dependency[k] == n_ops:
+                assert dep == n_ops
+            else:
+                assert dep < lo and order[dep] == dependency[k]
+                assert levels.remote[j] == (keys[dependency[k]][2] % p
+                                            != rank[k])
 
 
 def test_executor_simulator_and_timeline_issue_the_same_sequence():
