@@ -62,7 +62,13 @@ wall-history:
 # the decode step's requests (the step reads the cache through one slot
 # mapping, once per layer and rank); and `Op(` constructions in the
 # schedule module (a schedule is built as arrays; the one `Op(` is the
-# table's `ops()` view — a second is a hand-written builder loop).
+# table's `ops()` view — a second is a hand-written builder loop); and
+# the abstract-mode rule of tensor/backend.py: np.broadcast_shapes( calls
+# in src/ (0: broadcasting is tuple arithmetic) and validating
+# AbstractArray( constructions in src/, the doors where a shape enters
+# from outside (8: tensor.abstract, zeros(abstract=True), bernoulli_mask,
+# reshape's resolved target, the two layouts' `place`, layer norm's gamma
+# and beta) — a derived shape goes through the trusted `shaped`.
 loc:
 	@printf '%-56s %6d\n' \
 		'src/ python lines' "$$(find src -name '*.py' | xargs cat | wc -l)" \
@@ -82,7 +88,9 @@ loc:
 		'src/ log_comm( call sites' "$$(grep -rn --include='*.py' 'log_comm(' src | grep -vc 'def log_comm')" \
 		'kernel np.(mean|sum|max|split)( call sites' "$$(cd src/repro && grep -rnE --include='*.py' 'np\.(mean|sum|max|split)\(' tensor fusion parallel layers serving comm | wc -l)" \
 		'engine.py cache.(gather|write)( in the per-request loop' "$$(awk '/^ *for .*request_ids.*:$$/ { match($$0, /^ */); ind = RLENGTH; inloop = 1; next } inloop && NF { match($$0, /^ */); if (RLENGTH <= ind) inloop = 0; else if ($$0 ~ /cache\.(gather|write)\(/) n++ } END { print n + 0 }' src/repro/serving/engine.py)" \
-		'pipeline_sim/schedule.py Op( constructions' "$$(grep -cE '\bOp\(' src/repro/pipeline_sim/schedule.py)"
+		'pipeline_sim/schedule.py Op( constructions' "$$(grep -cE '\bOp\(' src/repro/pipeline_sim/schedule.py)" \
+		'src/ np.broadcast_shapes( calls' "$$(grep -rn --include='*.py' 'np\.broadcast_shapes(' src | wc -l)" \
+		'src/ validating AbstractArray( constructions (doors)' "$$(grep -rn --include='*.py' 'AbstractArray(' src | grep -v 'AbstractArray(shape=' | wc -l)"
 
 # CI smoke run: the artifact-writing CLI invocation of each per-feature
 # target below, without the `pytest tests/test_<feature>.py` those

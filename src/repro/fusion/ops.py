@@ -91,8 +91,8 @@ class BiasGelu(Function):
         z_list, out = [], []
         for xi, bi in zip(x, bias):
             if bk.is_abstract(xi):
-                z_list.append(bk.AbstractArray(bk.shape_of(xi)))
-                out.append(bk.AbstractArray(bk.shape_of(xi)))
+                z_list.append(bk.shaped(bk.shape_of(xi)))
+                out.append(bk.shaped(bk.shape_of(xi)))
                 continue
             z = xi + bi
             t = arena.take(z.shape)
@@ -118,8 +118,8 @@ class BiasGelu(Function):
         dx, db = [], []
         for g, z in zip(grad, z_list):
             if bk.is_abstract(g) or bk.is_abstract(z):
-                dx.append(bk.AbstractArray(bk.shape_of(z)))
-                db.append(bk.AbstractArray(bias_shape))
+                dx.append(bk.shaped(bk.shape_of(z)))
+                db.append(bk.shaped(bias_shape))
                 continue
             scratch = [arena.take(z.shape) for _ in range(3)]
             d = _gelu_bwd(z, g, scratch)
@@ -187,7 +187,7 @@ class ScaleMaskSoftmaxDropout(Function):
         has_dropout = not (self.p == 0.0 and self.mask_source is None)
         y_list = []
         if abstract:
-            y_list = [bk.AbstractArray(shape) for _ in range(world)]
+            y_list = [bk.shaped(shape) for _ in range(world)]
         else:
             for r, xi in enumerate(x):
                 _, masked_tril = self._keep(shape, r)
@@ -219,7 +219,7 @@ class ScaleMaskSoftmaxDropout(Function):
         out = []
         for yi, m in zip(y_list, masks):
             if abstract:
-                out.append(bk.AbstractArray(shape))
+                out.append(bk.shaped(shape))
                 continue
             o = np.empty(shape)
             np.multiply(yi, m, out=o)
@@ -249,7 +249,7 @@ class ScaleMaskSoftmaxDropout(Function):
         out = []
         for r, (g, yi, m) in enumerate(zip(grad, y_list, masks)):
             if bk.is_abstract(g) or bk.is_abstract(yi):
-                out.append(bk.AbstractArray(bk.shape_of(yi)))
+                out.append(bk.shaped(bk.shape_of(yi)))
                 continue
             shape = yi.shape
             keep_tril, _ = self._keep(shape, r)
@@ -308,7 +308,7 @@ class FusedLayerNorm(Function):
         out, stats = [], []
         for xi, gi, bi in zip(x, gamma, beta):
             if bk.is_abstract(xi):
-                out.append(bk.AbstractArray(bk.shape_of(xi)))
+                out.append(bk.shaped(bk.shape_of(xi)))
                 stats.append(None)
                 continue
             mu = bk.mean(xi, axis=-1, keepdims=True)
@@ -338,9 +338,9 @@ class FusedLayerNorm(Function):
         dx, dgamma, dbeta = [], [], []
         for g, xi, gi, st in zip(grad, x, gamma, stats):
             if bk.is_abstract(g) or bk.is_abstract(xi):
-                dx.append(bk.AbstractArray(bk.shape_of(xi)))
-                dgamma.append(bk.AbstractArray(bk.shape_of(gi)))
-                dbeta.append(bk.AbstractArray(bk.shape_of(gi)))
+                dx.append(bk.shaped(bk.shape_of(xi)))
+                dgamma.append(bk.shaped(bk.shape_of(gi)))
+                dbeta.append(bk.shaped(bk.shape_of(gi)))
                 continue
             mu, rstd = st
             shape = xi.shape
@@ -410,7 +410,7 @@ class DropoutAdd(Function):
         out = []
         for xi, m, res in zip(x, masks, residual):
             if abstract:
-                out.append(bk.AbstractArray(shape))
+                out.append(bk.shaped(shape))
                 continue
             o = np.empty(shape)
             np.multiply(xi, m, out=o)
@@ -431,7 +431,7 @@ class DropoutAdd(Function):
         dx = []
         for g, m in zip(grad, masks):
             if bk.is_abstract(g):
-                dx.append(bk.AbstractArray(bk.shape_of(g)))
+                dx.append(bk.shaped(bk.shape_of(g)))
                 continue
             d = np.empty(g.shape)
             np.multiply(g, m, out=d)
@@ -483,7 +483,7 @@ class SoftmaxCrossEntropy(Function):
         out = []
         for r, (li, ti) in enumerate(zip(logits, targets)):
             if bk.is_abstract(li):
-                out.append(bk.AbstractArray(()))
+                out.append(bk.shaped(()))
                 continue
             shifted = li - bk.max_(li, axis=-1, keepdims=True)
             logz = np.log(bk.sum_(np.exp(shifted), axis=-1, keepdims=True))
@@ -510,7 +510,7 @@ class SoftmaxCrossEntropy(Function):
         out = []
         for r, (g, li, ti) in enumerate(zip(grad, logits, targets)):
             if bk.is_abstract(li):
-                out.append(bk.AbstractArray(bk.shape_of(li)))
+                out.append(bk.shaped(bk.shape_of(li)))
                 continue
             shifted = li - bk.max_(li, axis=-1, keepdims=True)
             e = np.exp(shifted)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..tensor import backend as bk
-from ..tensor.backend import AbstractArray
 from ..tensor.tensor import FnCtx, Function, ShardList
 
 
@@ -38,7 +37,7 @@ class VocabParallelLookup(Function):
         out = []
         for r, (w, i) in enumerate(zip(weight, ids)):
             if bk.is_abstract(w) or bk.is_abstract(i):
-                out.append(AbstractArray(bk.shape_of(i) + w_shape[1:]))
+                out.append(bk.shaped(bk.shape_of(i) + w_shape[1:]))
                 continue
             local, mask = _local_rows(i, r, rows_per_rank)
             out.append(bk.take_rows(w, local) * mask[..., None])
@@ -51,7 +50,7 @@ class VocabParallelLookup(Function):
         dw = []
         for r, (g, i) in enumerate(zip(grad, ids)):
             if bk.is_abstract(g) or bk.is_abstract(i):
-                dw.append(AbstractArray(w_shape))
+                dw.append(bk.shaped(w_shape))
                 continue
             local, mask = _local_rows(i, r, rows_per_rank)
             dw.append(bk.index_add_rows(w_shape, local, g * mask[..., None]))

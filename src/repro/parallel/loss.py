@@ -15,7 +15,6 @@ from ..comm.process_group import ProcessGroup
 from ..errors import ShapeError
 from ..tensor import FP32, Tensor
 from ..tensor import backend as bk
-from ..tensor.backend import AbstractArray
 from ..tensor.tensor import FnCtx, Function, ShardList, apply
 
 
@@ -44,7 +43,7 @@ class VocabParallelCrossEntropy(Function):
                           self.group.size, scope=self.group.scope)
 
         if bk.is_abstract(logits[0]):
-            return [AbstractArray(()) for _ in logits]
+            return [bk.shaped(()) for _ in logits]
 
         vpr = shape[-1]
         gmax = np.maximum.reduce([bk.max_(l, axis=-1) for l in logits])
@@ -73,7 +72,7 @@ class VocabParallelCrossEntropy(Function):
         loss_masks = fctx.saved(fctx.misc["mask_slot"]) if self.has_mask else None
         n_grads = 3 if self.has_mask else 2
         if bk.is_abstract(logits[0]):
-            grads = [AbstractArray(bk.shape_of(l)) for l in logits]
+            grads = [bk.shaped(bk.shape_of(l)) for l in logits]
             return (grads,) + (None,) * (n_grads - 1)
         gmax, sumexp = fctx.misc["stats"]
         vpr = bk.shape_of(logits[0])[-1]

@@ -174,8 +174,8 @@ class AllGatherMatmul(Function):
         dw, dfull = [], []
         for g, fi, wi in zip(grad, full, w):
             if bk.is_abstract(g) or bk.is_abstract(fi):
-                dw.append(bk.AbstractArray(w_shape))
-                dfull.append(bk.AbstractArray(bk.shape_of(fi)))
+                dw.append(bk.shaped(w_shape))
+                dfull.append(bk.shaped(bk.shape_of(fi)))
             else:
                 dw.append(np.reshape(fi, (-1, k)).T @ np.reshape(g, (-1, n)))
                 dfull.append(g @ wi.T)

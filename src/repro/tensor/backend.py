@@ -15,11 +15,30 @@ two modes:
 Abstract numerics: elementwise results propagate shapes by NumPy
 broadcasting rules; reductions and matmuls compute result shapes the same
 way NumPy would, raising :class:`~repro.errors.ShapeError` on mismatch.
+
+Abstract-mode rule: a shape is validated once, at the door where it
+enters from outside, and every shape derived from an existing array is
+pure tuple arithmetic.
+
+* **Doors** — the validating ``AbstractArray`` constructor: every dimension
+  must be an integer (``operator.index``; ``6.7`` is a ``ShapeError``, not
+  ``6``) and non-negative.  It is the path for :func:`repro.tensor.abstract`,
+  ``zeros(abstract=True)``, :func:`bernoulli_mask`, the weight-placement
+  sites of the layouts and layer norm, and :meth:`AbstractArray.reshape`'s
+  resolved target.
+* **Trusted path** — :func:`shaped` wraps a shape tuple that was read off
+  an existing array or computed from such shapes by the rules below
+  (broadcasting, matmul, transpose, reductions, concatenate, split,
+  slice) without re-checking it.  Every ``Function``'s abstract arm uses
+  it.  It returns an exact, fresh ``AbstractArray`` on every call: the
+  memory tracker keys charges by buffer identity, so instances are never
+  shared.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, Sequence, Tuple, Union
 
 import numpy as np
@@ -35,14 +54,15 @@ class AbstractArray:
     Supports the operator surface the autograd functions need (arithmetic
     with broadcasting, matmul, comparison-free slicing) plus the dispatch
     functions below.  It carries no element data; ``size`` and ``shape``
-    are the only meaningful attributes.
+    are the only meaningful attributes.  Calling the class validates the
+    shape (a door); derived arrays are built by :func:`shaped`.
     """
 
     __slots__ = ("shape",)
     __array_priority__ = 100.0  # make np.ndarray defer to our __r*__ ops
 
     def __init__(self, shape: Iterable[int]):
-        shape = tuple(int(d) for d in shape)
+        shape = _dims(shape)
         if any(d < 0 for d in shape):
             raise ShapeError(f"negative dimension in shape {shape}")
         self.shape: Shape = shape
@@ -57,26 +77,26 @@ class AbstractArray:
 
     @property
     def T(self) -> "AbstractArray":  # noqa: N802 - numpy-compatible name
-        return AbstractArray(self.shape[::-1])
+        return shaped(self.shape[::-1])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"AbstractArray(shape={self.shape})"
 
     # -- broadcasting arithmetic ------------------------------------------
     def _broadcast(self, other) -> "AbstractArray":
-        return AbstractArray(np.broadcast_shapes(self.shape, shape_of(other)))
+        return shaped(broadcast_shape(self.shape, shape_of(other)))
 
     __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _broadcast
     __truediv__ = __rtruediv__ = __pow__ = _broadcast
 
     def __neg__(self) -> "AbstractArray":
-        return AbstractArray(self.shape)
+        return shaped(self.shape)
 
     def __matmul__(self, other) -> "AbstractArray":
-        return AbstractArray(matmul_shape(self.shape, shape_of(other)))
+        return shaped(matmul_shape(self.shape, shape_of(other)))
 
     def __rmatmul__(self, other) -> "AbstractArray":
-        return AbstractArray(matmul_shape(shape_of(other), self.shape))
+        return shaped(matmul_shape(shape_of(other), self.shape))
 
     def reshape(self, *shape) -> "AbstractArray":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -84,10 +104,29 @@ class AbstractArray:
         return AbstractArray(_resolve_reshape(self.shape, shape))
 
     def copy(self) -> "AbstractArray":
-        return AbstractArray(self.shape)
+        return shaped(self.shape)
 
     def astype(self, _dtype) -> "AbstractArray":
-        return AbstractArray(self.shape)
+        return shaped(self.shape)
+
+
+_new = object.__new__
+
+
+def shaped(shape: Shape) -> AbstractArray:
+    """The trusted constructor: a fresh ``AbstractArray`` of ``shape``,
+    which must already be a valid shape tuple (read off an existing array
+    or derived from such shapes).  Nothing is checked or converted."""
+    a = _new(AbstractArray)
+    a.shape = shape
+    return a
+
+
+def _dims(shape) -> Shape:
+    try:
+        return tuple(map(operator.index, shape))
+    except TypeError:
+        raise ShapeError(f"a shape is a sequence of integers, got {shape!r}") from None
 
 
 ArrayLike = Union[np.ndarray, AbstractArray]
@@ -98,13 +137,11 @@ def is_abstract(x) -> bool:
 
 
 def shape_of(x) -> Shape:
-    # Exact-type check first: concrete ndarrays dominate every hot path
+    # Exact-type checks first: concrete ndarrays dominate every hot path
     # and ``type() is`` skips the mro walk isinstance pays.
     if type(x) is np.ndarray:
         return x.shape
-    if isinstance(x, AbstractArray):
-        return x.shape
-    if isinstance(x, np.ndarray):
+    if type(x) is AbstractArray or isinstance(x, (AbstractArray, np.ndarray)):
         return x.shape
     if np.isscalar(x):
         return ()
@@ -117,18 +154,47 @@ def size_of(x) -> int:
     return int(math.prod(shape_of(x)))
 
 
+def broadcast_shape(a: Shape, b: Shape) -> Shape:
+    """Result shape of an elementwise op on ``a`` and ``b`` under NumPy
+    broadcasting rules."""
+    if a == b or not b:
+        return a
+    if not a:
+        return b
+    if len(a) < len(b):
+        a = (1,) * (len(b) - len(a)) + a
+    elif len(b) < len(a):
+        b = (1,) * (len(a) - len(b)) + b
+    out = []
+    for x, y in zip(a, b):
+        if x == y or y == 1:
+            out.append(x)
+        elif x == 1:
+            out.append(y)
+        else:
+            raise ShapeError(f"shapes {a} and {b} cannot be broadcast together")
+    return tuple(out)
+
+
 def matmul_shape(a: Shape, b: Shape) -> Shape:
     """Result shape of ``a @ b`` under NumPy matmul rules (ndim >= 2 each)."""
     if len(a) < 2 or len(b) < 2:
         raise ShapeError(f"matmul requires ndim >= 2, got {a} @ {b}")
     if a[-1] != b[-2]:
         raise ShapeError(f"matmul inner dimensions differ: {a} @ {b}")
-    batch = np.broadcast_shapes(a[:-2], b[:-2])
-    return tuple(batch) + (a[-2], b[-1])
+    return broadcast_shape(a[:-2], b[:-2]) + (a[-2], b[-1])
+
+
+def _axis(axis: int, ndim: int) -> int:
+    """``axis`` as an index in ``[0, ndim)``; out of range (NumPy's
+    ``AxisError``) is a ShapeError rather than a silent wrap."""
+    if not -ndim <= axis < ndim:
+        raise ShapeError(f"axis {axis} is out of bounds for an array of dimension {ndim}")
+    return axis + ndim if axis < 0 else axis
 
 
 def _resolve_reshape(old: Shape, new: Sequence[int]) -> Shape:
-    new = tuple(int(d) for d in new)
+    new = _dims(new)
     old_size = int(math.prod(old))
     if new.count(-1) > 1:
         raise ShapeError(f"at most one -1 allowed in reshape target {new}")
@@ -144,12 +210,17 @@ def _resolve_reshape(old: Shape, new: Sequence[int]) -> Shape:
 
 def _reduced_shape(shape: Shape, axis, keepdims: bool) -> Shape:
     if axis is None:
-        return shape if not shape else ((1,) * len(shape) if keepdims else ())
-    axes = (axis,) if isinstance(axis, int) else tuple(axis)
-    axes = tuple(a % len(shape) for a in axes)
+        return (1,) * len(shape) if keepdims else ()
+    ndim = len(shape)
+    if isinstance(axis, int):
+        axes = (_axis(axis, ndim),)
+    else:
+        axes = tuple([_axis(a, ndim) for a in axis])
+        if len(set(axes)) != len(axes):
+            raise ShapeError(f"duplicate value in axis {axis}")
     if keepdims:
-        return tuple(1 if i in axes else d for i, d in enumerate(shape))
-    return tuple(d for i, d in enumerate(shape) if i not in axes)
+        return tuple([1 if i in axes else d for i, d in enumerate(shape)])
+    return tuple([d for i, d in enumerate(shape) if i not in axes])
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +230,7 @@ def _reduced_shape(shape: Shape, axis, keepdims: bool) -> Shape:
 def _unary(np_fn):
     def op(x: ArrayLike) -> ArrayLike:
         if is_abstract(x):
-            return AbstractArray(x.shape)
+            return shaped(x.shape)
         return np_fn(x)
 
     return op
@@ -180,27 +251,27 @@ log = _unary(np.log)
 
 def sum_(x: ArrayLike, axis=None, keepdims: bool = False) -> ArrayLike:
     if is_abstract(x):
-        return AbstractArray(_reduced_shape(x.shape, axis, keepdims))
+        return shaped(_reduced_shape(x.shape, axis, keepdims))
     return np.add.reduce(x, axis=axis, keepdims=keepdims)
 
 
 def mean(x: ArrayLike, axis=None, keepdims: bool = False) -> ArrayLike:
     """The sum over ``axis`` divided by the count, as NumPy's ``_mean``."""
     if is_abstract(x):
-        return AbstractArray(_reduced_shape(x.shape, axis, keepdims))
+        return shaped(_reduced_shape(x.shape, axis, keepdims))
     total = np.add.reduce(x, axis=axis, keepdims=keepdims)
     return total / (x.size // max(total.size, 1))
 
 
 def max_(x: ArrayLike, axis=None, keepdims: bool = False) -> ArrayLike:
     if is_abstract(x):
-        return AbstractArray(_reduced_shape(x.shape, axis, keepdims))
+        return shaped(_reduced_shape(x.shape, axis, keepdims))
     return np.maximum.reduce(x, axis=axis, keepdims=keepdims)
 
 
 def var(x: ArrayLike, axis=None, keepdims: bool = False) -> ArrayLike:
     if is_abstract(x):
-        return AbstractArray(_reduced_shape(x.shape, axis, keepdims))
+        return shaped(_reduced_shape(x.shape, axis, keepdims))
     return np.var(x, axis=axis, keepdims=keepdims)
 
 
@@ -213,9 +284,12 @@ def reshape(x: ArrayLike, shape) -> ArrayLike:
 def transpose(x: ArrayLike, axes: Sequence[int]) -> ArrayLike:
     axes = tuple(axes)
     if is_abstract(x):
-        if sorted(a % x.ndim for a in axes) != list(range(x.ndim)):
-            raise ShapeError(f"invalid transpose axes {axes} for shape {x.shape}")
-        return AbstractArray(tuple(x.shape[a] for a in axes))
+        shape = x.shape
+        ndim = len(shape)
+        perm = [_axis(a, ndim) for a in axes]
+        if len(perm) != ndim or len(set(perm)) != ndim:
+            raise ShapeError(f"invalid transpose axes {axes} for shape {shape}")
+        return shaped(tuple([shape[a] for a in perm]))
     return np.transpose(x, axes)
 
 
@@ -228,28 +302,27 @@ def swap_last_two(x: ArrayLike) -> ArrayLike:
 def concatenate(parts: Sequence[ArrayLike], axis: int) -> ArrayLike:
     if any(is_abstract(p) for p in parts):
         shapes = [shape_of(p) for p in parts]
-        base = list(shapes[0])
-        axis_ = axis % len(base)
-        for s in shapes[1:]:
-            if len(s) != len(base) or any(
-                s[i] != base[i] for i in range(len(base)) if i != axis_
-            ):
+        base = shapes[0]
+        ax = _axis(axis, len(base))
+        lead, trail = base[:ax], base[ax + 1:]
+        total = 0
+        for s in shapes:
+            if len(s) != len(base) or s[:ax] != lead or s[ax + 1:] != trail:
                 raise ShapeError(f"concatenate shape mismatch: {shapes}")
-        base[axis_] = sum(s[axis_] for s in shapes)
-        return AbstractArray(base)
+            total += s[ax]
+        return shaped(lead + (total,) + trail)
     return np.concatenate(list(parts), axis=axis)
 
 
 def split(x: ArrayLike, sections: int, axis: int) -> list:
     shp = shape_of(x)
-    axis_ = axis % len(shp)
+    axis_ = _axis(axis, len(shp))
     if sections < 1 or shp[axis_] % sections != 0:
         raise ShapeError(f"cannot split axis {axis_} of {shp} into {sections} equal parts")
     step = shp[axis_] // sections
     if is_abstract(x):
-        piece = list(shp)
-        piece[axis_] = step
-        return [AbstractArray(piece) for _ in range(sections)]
+        piece = shp[:axis_] + (step,) + shp[axis_ + 1:]
+        return [shaped(piece) for _ in range(sections)]
     # Views, not copies: callers that need ownership (e.g. parameter
     # sharding) copy explicitly; the hot paths just read.
     lead = (slice(None),) * axis_
@@ -260,13 +333,11 @@ def split(x: ArrayLike, sections: int, axis: int) -> list:
 def slice_axis(x: ArrayLike, axis: int, start: int, stop: int) -> ArrayLike:
     """``x[..., start:stop, ...]`` along ``axis``."""
     shp = shape_of(x)
-    axis_ = axis % len(shp)
+    axis_ = _axis(axis, len(shp))
     if not (0 <= start <= stop <= shp[axis_]):
         raise ShapeError(f"slice [{start}:{stop}] out of range for axis {axis_} of {shp}")
     if is_abstract(x):
-        piece = list(shp)
-        piece[axis_] = stop - start
-        return AbstractArray(piece)
+        return shaped(shp[:axis_] + (stop - start,) + shp[axis_ + 1:])
     index = [slice(None)] * len(shp)
     index[axis_] = slice(start, stop)
     return x[tuple(index)]
@@ -280,28 +351,28 @@ def zeros(shape: Shape, abstract: bool = False) -> ArrayLike:
 
 def zeros_like(x: ArrayLike) -> ArrayLike:
     if is_abstract(x):
-        return AbstractArray(x.shape)
+        return shaped(x.shape)
     return np.zeros_like(x)
 
 
 def ones_like(x: ArrayLike) -> ArrayLike:
     if is_abstract(x):
-        return AbstractArray(x.shape)
+        return shaped(x.shape)
     return np.ones_like(x)
 
 
 def take_rows(table: ArrayLike, ids: ArrayLike) -> ArrayLike:
     """Embedding lookup: ``table[ids]`` where ids has arbitrary shape."""
     if is_abstract(table) or is_abstract(ids):
-        return AbstractArray(shape_of(ids) + shape_of(table)[1:])
+        return shaped(shape_of(ids) + shape_of(table)[1:])
     return table[ids.astype(np.int64)]
 
 
 def index_add_rows(shape: Shape, ids: ArrayLike, values: ArrayLike) -> ArrayLike:
     """Scatter-add ``values`` into a zero array of ``shape`` at rows ``ids``
-    (the backward of :func:`take_rows`)."""
+    (the backward of :func:`take_rows`; ``shape`` is the table's)."""
     if is_abstract(ids) or is_abstract(values):
-        return AbstractArray(shape)
+        return shaped(shape)
     out = np.zeros(shape, dtype=np.float64)
     np.add.at(out, ids.astype(np.int64).reshape(-1), values.reshape(-1, shape[-1]))
     return out
@@ -317,8 +388,9 @@ def bernoulli_mask(shape: Shape, keep_prob: float, rng, abstract: bool) -> Array
 
 
 def one_hot_rows(ids: ArrayLike, depth: int) -> ArrayLike:
+    """One-hot rows of width ``depth`` (the logits' last dimension)."""
     if is_abstract(ids):
-        return AbstractArray(shape_of(ids) + (depth,))
+        return shaped(shape_of(ids) + (depth,))
     out = np.zeros(ids.shape + (depth,), dtype=np.float64)
     np.put_along_axis(out, ids.astype(np.int64)[..., None], 1.0, axis=-1)
     return out
@@ -327,5 +399,5 @@ def one_hot_rows(ids: ArrayLike, depth: int) -> ArrayLike:
 def take_along_last(x: ArrayLike, ids: ArrayLike) -> ArrayLike:
     """``x[..., ids]`` gathered along the last axis, one per leading index."""
     if is_abstract(x) or is_abstract(ids):
-        return AbstractArray(shape_of(ids))
+        return shaped(shape_of(ids))
     return np.take_along_axis(x, ids.astype(np.int64)[..., None], axis=-1)[..., 0]

@@ -194,7 +194,7 @@ class Matmul(Function):
             dw = []
             for g, xi in zip(grad, x):
                 if bk.is_abstract(g) or bk.is_abstract(xi):
-                    dw.append(bk.AbstractArray(w_shape))
+                    dw.append(bk.shaped(w_shape))
                 else:
                     k, n = w_shape
                     dw.append(np.reshape(xi, (-1, k)).T @ np.reshape(g, (-1, n)))
@@ -244,7 +244,7 @@ class Transpose(Function):
         return [bk.transpose(xi, self.axes) for xi in x]
 
     def backward(self, fctx: FnCtx, grad: ShardList):
-        inverse = tuple(np.argsort(self.axes))
+        inverse = tuple(sorted(range(len(self.axes)), key=self.axes.__getitem__))
         return ([bk.transpose(g, inverse) for g in grad],)
 
 
@@ -373,7 +373,7 @@ class Gelu(Function):
 
     def forward(self, fctx: FnCtx, x: ShardList) -> ShardList:
         fctx.misc["x_slot"] = fctx.save_input(0, category="gelu_input")
-        out = [bk.AbstractArray(xi.shape) if bk.is_abstract(xi)
+        out = [bk.shaped(xi.shape) if bk.is_abstract(xi)
                else _gelu_fwd(xi) for xi in x]
         w = _widths(fctx.inputs[0])[0]
         fctx.log_elementwise("gelu", bytes_moved=2 * w * bk.size_of(x[0]),
@@ -384,7 +384,7 @@ class Gelu(Function):
         x = fctx.saved(fctx.misc["x_slot"])
         fctx.log_elementwise("gelu.bwd", bytes_moved=6 * bk.size_of(grad[0]),
                              flops_per_rank=16 * bk.size_of(grad[0]))
-        out = [bk.AbstractArray(bk.shape_of(xi))
+        out = [bk.shaped(bk.shape_of(xi))
                if bk.is_abstract(g) or bk.is_abstract(xi)
                else _gelu_bwd(xi, g) for g, xi in zip(grad, x)]
         return (out,)
@@ -403,7 +403,7 @@ class Softmax(Function):
         out = []
         for xi in x:
             if bk.is_abstract(xi):
-                out.append(bk.AbstractArray(xi.shape))
+                out.append(bk.shaped(xi.shape))
             else:
                 shifted = xi - bk.max_(xi, axis=-1, keepdims=True)
                 e = np.exp(shifted)
@@ -570,7 +570,7 @@ class LayerNorm(Function):
         out = []
         for xi, gi, bi in zip(x, gamma, beta):
             if bk.is_abstract(xi):
-                out.append(bk.AbstractArray(bk.shape_of(xi)))
+                out.append(bk.shaped(bk.shape_of(xi)))
                 continue
             xc = xi - bk.mean(xi, axis=-1, keepdims=True)
             var = bk.mean(xc * xc, axis=-1, keepdims=True)  # == np.var, bitwise
@@ -588,9 +588,9 @@ class LayerNorm(Function):
         dx, dgamma, dbeta = [], [], []
         for g, xi, gi in zip(grad, x, gamma):
             if bk.is_abstract(g) or bk.is_abstract(xi):
-                dx.append(bk.AbstractArray(bk.shape_of(xi)))
-                dgamma.append(bk.AbstractArray(bk.shape_of(gi)))
-                dbeta.append(bk.AbstractArray(bk.shape_of(gi)))
+                dx.append(bk.shaped(bk.shape_of(xi)))
+                dgamma.append(bk.shaped(bk.shape_of(gi)))
+                dbeta.append(bk.shaped(bk.shape_of(gi)))
                 continue
             xc = xi - bk.mean(xi, axis=-1, keepdims=True)
             var = bk.mean(xc * xc, axis=-1, keepdims=True)
@@ -653,7 +653,7 @@ class Cast(Function):
         fctx.out_dtypes = [self.dtype]
         src = _widths(fctx.inputs[0])[0]
         fctx.log_elementwise("cast", bytes_moved=(src + self.dtype.nbytes) * bk.size_of(x[0]))
-        return [xi.copy() if not bk.is_abstract(xi) else bk.AbstractArray(xi.shape) for xi in x]
+        return [xi.copy() if not bk.is_abstract(xi) else bk.shaped(xi.shape) for xi in x]
 
     def backward(self, fctx: FnCtx, grad: ShardList):
         return (list(grad),)
@@ -672,7 +672,7 @@ class SumAll(Function):
     def backward(self, fctx: FnCtx, grad: ShardList):
         shape = fctx.misc["shape"]
         if fctx.misc["abstract"]:
-            return ([bk.AbstractArray(shape) for _ in grad],)
+            return ([bk.shaped(shape) for _ in grad],)
         return ([np.broadcast_to(np.asarray(g, dtype=np.float64), shape).copy() for g in grad],)
 
 
@@ -714,7 +714,7 @@ class CrossEntropy(Function):
         out = []
         for r, (li, ti) in enumerate(zip(logits, targets)):
             if bk.is_abstract(li):
-                out.append(bk.AbstractArray(()))
+                out.append(bk.shaped(()))
                 continue
             shifted = li - bk.max_(li, axis=-1, keepdims=True)
             logz = np.log(bk.sum_(np.exp(shifted), axis=-1, keepdims=True))
@@ -743,7 +743,7 @@ class CrossEntropy(Function):
         out = []
         for r, (g, li, ti) in enumerate(zip(grad, logits, targets)):
             if bk.is_abstract(li):
-                out.append(bk.AbstractArray(bk.shape_of(li)))
+                out.append(bk.shaped(bk.shape_of(li)))
                 continue
             shifted = li - bk.max_(li, axis=-1, keepdims=True)
             e = np.exp(shifted)
@@ -816,7 +816,7 @@ class CausalMask(Function):
         out = []
         for xi in x:
             if bk.is_abstract(xi):
-                out.append(bk.AbstractArray(xi.shape))
+                out.append(bk.shaped(xi.shape))
             else:
                 out.append(np.where(_causal_keep(shape)[0], xi,
                                     self.MASKED_VALUE))
@@ -826,7 +826,7 @@ class CausalMask(Function):
         out = []
         for g in grad:
             if bk.is_abstract(g):
-                out.append(bk.AbstractArray(bk.shape_of(g)))
+                out.append(bk.shaped(bk.shape_of(g)))
             else:
                 out.append(g * _causal_keep(bk.shape_of(g))[0])
         return (out,)
@@ -867,7 +867,7 @@ class OffsetCausalMask(Function):
         out = []
         for r, xi in enumerate(x):
             if bk.is_abstract(xi):
-                out.append(bk.AbstractArray(xi.shape))
+                out.append(bk.shaped(xi.shape))
             else:
                 out.append(np.where(self._keep(shape, r), xi,
                                     self.MASKED_VALUE))
@@ -877,7 +877,7 @@ class OffsetCausalMask(Function):
         out = []
         for r, g in enumerate(grad):
             if bk.is_abstract(g):
-                out.append(bk.AbstractArray(bk.shape_of(g)))
+                out.append(bk.shaped(bk.shape_of(g)))
             else:
                 out.append(g * self._keep(bk.shape_of(g), r))
         return (out,)
@@ -911,7 +911,7 @@ class SliceAxis(Function):
         out = []
         for g in grad:
             if bk.is_abstract(g):
-                out.append(bk.AbstractArray(in_shape))
+                out.append(bk.shaped(in_shape))
                 continue
             full = np.zeros(in_shape, dtype=np.float64)
             index = [slice(None)] * len(in_shape)
