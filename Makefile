@@ -38,8 +38,12 @@ wall-history:
 # Code size and the duplication smells ROADMAP aim 2 tracks ("net
 # lines removed is a tracked number"): Python lines per tree, lines of
 # src/ mentioning `fused`, isinstance(..., ParallelGPTModel) sites,
-# `self.parallel` arms in the decode engine, 1F1B walk loops (each ends
-# in its own "deadlocked" raise), TransformerLayer( constructions
+# `self.parallel` arms in the decode engine, schedule deadlock checks
+# (each its own "deadlocked" raise; the one left is the wavefront's) and
+# statements of the 1F1B dependency rule in pipeline_sim/ (lines with
+# `num_groups - 1`; its one home is `schedule._waits_for`, which the
+# dependency index, `op_dependency` and so the issue order and the
+# level order all read), TransformerLayer( constructions
 # outside layers/ (each one a hand-built abstract probe), and the two
 # re-derivations the analytic path had: layer_times( call sites in the
 # planner (one abstract trace per call; more than one means a trace per
@@ -78,6 +82,7 @@ loc:
 		'src/ isinstance(..., ParallelGPTModel)' "$$(grep -rnE --include='*.py' 'isinstance\(.*ParallelGPTModel' src | wc -l)" \
 		'serving/engine.py self.parallel' "$$(grep -n 'self\.parallel\b' src/repro/serving/engine.py | wc -l)" \
 		'src/ raise ScheduleError("... deadlocked")' "$$(grep -rn --include='*.py' 'deadlocked")' src | wc -l)" \
+		'pipeline_sim/ statements of the 1F1B dependency rule' "$$(grep -rn --include='*.py' 'num_groups - 1' src/repro/pipeline_sim | wc -l)" \
 		'src/ TransformerLayer( outside layers/' "$$(grep -rn --include='*.py' 'TransformerLayer(' src | grep -v 'src/repro/layers/' | wc -l)" \
 		'planner/ layer_times( call sites' "$$(grep -rn --include='*.py' 'layer_times(' src/repro/planner | wc -l)" \
 		'table code iteration_time( calls' "$$(grep -n 'iteration_time(' src/repro/perf_model/iteration.py src/repro/experiments.py | grep -vc 'def ')" \

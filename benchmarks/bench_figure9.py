@@ -11,7 +11,7 @@ from repro.layers.transformer import Recompute
 from repro.memory_model import (
     per_layer_activation_bytes, pipeline_memory_profile,
 )
-from repro.pipeline_sim import PipelineCosts, schedule_interleaved, simulate
+from repro.pipeline_sim import PipelineCosts, schedule_table, simulate
 from repro.units import GIB
 
 CFG = PAPER_CONFIGS["530B"]
@@ -43,10 +43,9 @@ def bench_simulator_cross_check(benchmark):
     n_mb = CFG.num_microbatches
 
     def run():
-        sched = schedule_interleaved(par.pipeline_parallel, n_mb,
-                                     par.interleave_stages)
+        sched = schedule_table(par.pipeline_parallel, n_mb,
+                               par.interleave_stages)
         return simulate(sched, PipelineCosts(
-            num_groups=par.pipeline_parallel * par.interleave_stages,
             forward_time=lambda g: 1.0, backward_time=lambda g: 2.0,
             activation_bytes=lambda g: layers_per_group * per_layer,
         ))

@@ -55,18 +55,16 @@ def trace_shape() -> None:
 
 def chrome_trace_export() -> None:
     from repro.pipeline_sim import (
-        TimelineCosts, export_chrome_trace, schedule_interleaved,
+        TimelineCosts, export_chrome_trace, schedule_table,
     )
     cfg = PAPER_CONFIGS["175B"]
-    sched = schedule_interleaved(cfg.parallel.pipeline_parallel,
-                                 cfg.num_microbatches,
-                                 cfg.parallel.interleave_stages)
+    sched = schedule_table(cfg.parallel.pipeline_parallel,
+                           cfg.num_microbatches,
+                           cfg.parallel.interleave_stages)
     path = os.path.join(tempfile.gettempdir(), "repro_175b_schedule.json")
     n = export_chrome_trace(
         sched,
-        TimelineCosts(num_groups=cfg.parallel.pipeline_parallel
-                      * cfg.parallel.interleave_stages,
-                      forward=1.0, recompute=0.2, backward=2.0),
+        TimelineCosts(forward=1.0, recompute=0.2, backward=2.0),
         path,
     )
     print(f"\nChrome trace of the 175B interleaved schedule written to "

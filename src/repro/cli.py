@@ -333,7 +333,7 @@ def cmd_trace(args) -> str:
     simulated clock, so two runs at the same seed write byte-identical
     artifacts.
     """
-    from .pipeline_sim import TimelineCosts, chrome_trace_events, schedule_1f1b
+    from .pipeline_sim import TimelineCosts, chrome_trace_events, schedule_table
     from .training.serialization import save_training_state
 
     os.makedirs(args.output_dir, exist_ok=True)
@@ -354,8 +354,7 @@ def cmd_trace(args) -> str:
 
     pp = run.experiment.parallel.pipeline_parallel
     pipeline_events = rehome_events(chrome_trace_events(
-        schedule_1f1b(pp, run.experiment.num_microbatches),
-        TimelineCosts(num_groups=pp)))
+        schedule_table(pp, run.experiment.num_microbatches), TimelineCosts()))
     trace_path = os.path.join(args.output_dir, "trace.json")
     trace_note = _write_trace(tracer, trace_path,
                               extra_events=pipeline_events)

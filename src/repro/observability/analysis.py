@@ -566,7 +566,7 @@ def schedule_critical_path(data: TraceData,
     predecessor finishing latest is on the critical path.  Spans from
     repeated iterations are separated by occurrence index.
     """
-    from ..pipeline_sim import Op, OpKind, op_dependency
+    from ..pipeline_sim import op_dependency
 
     occurrences: Dict[tuple, int] = {}
     nodes: Dict[tuple, CriticalPathNode] = {}
@@ -596,7 +596,7 @@ def schedule_critical_path(data: TraceData,
     def predecessors(key: tuple):
         letter, mb, group, step = key
         out = []
-        dep = op_dependency(Op(OpKind(letter), mb, group), num_groups)
+        dep = op_dependency((letter, mb, group), num_groups)
         if dep is not None:
             dep_key = dep + (step,)
             if dep_key in nodes and dep_key != key:

@@ -199,8 +199,8 @@ def _iterations(config: ExperimentConfig,
         p2p = cost.comm.p2p_time(p2p_bytes, scope="pp") if p > 1 else 0.0
 
         result = simulate(sched, PipelineCosts(
-            num_groups=num_groups, forward_time=fwd.__getitem__,
-            backward_time=bwd.__getitem__, p2p_time=p2p))
+            forward_time=fwd.__getitem__, backward_time=bwd.__getitem__,
+            p2p_time=p2p))
         total = result.makespan + dp_time + optimizer_time
         util = utilization(util_cfg, total, recompute=recompute,
                            peak_flops_per_gpu=cost.gpu.peak_flops,

@@ -7,11 +7,8 @@ from .schedule import (
     StorageWindow,
     op_dependency,
     rank_of_group,
-    schedule_1f1b,
-    schedule_interleaved,
     schedule_table,
     validate_schedule,
-    walk_schedule,
 )
 from .simulator import PipelineCosts, SimResult, simulate
 from .chrome_trace import chrome_trace_events, export_chrome_trace
@@ -29,6 +26,6 @@ __all__ = [
     "ScheduleTable", "SimResult", "StorageWindow", "TimelineCosts", "chrome_trace_events",
     "export_chrome_trace", "figure10", "longctx_overlap_report",
     "longctx_overlap_segments", "op_dependency", "rank_of_group",
-    "render_timeline", "schedule_1f1b", "schedule_interleaved", "simulate",
-    "schedule_overlap", "schedule_table", "validate_schedule", "walk_schedule",
+    "render_timeline", "simulate", "schedule_overlap", "schedule_table",
+    "validate_schedule",
 ]

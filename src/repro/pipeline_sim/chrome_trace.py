@@ -9,9 +9,9 @@ duration event per forward/recompute/backward segment, colored by phase.
 from __future__ import annotations
 
 import json
-from typing import List, Optional
+from typing import List
 
-from .schedule import Op
+from .schedule import ScheduleTable
 from .timeline import TimelineCosts, _simulate_events
 
 #: chrome traces use microseconds; our durations are arbitrary units when
@@ -21,10 +21,10 @@ _NAME = {"F": "forward (checkpointed)", "f": "forward (stored)",
          "R": "recompute", "B": "backward"}
 
 
-def chrome_trace_events(ranks_ops: List[List[Op]], costs: TimelineCosts,
+def chrome_trace_events(table: ScheduleTable, costs: TimelineCosts,
                         time_scale: float = 1e6) -> List[dict]:
     """The trace as a list of Chrome duration events (``ph: "X"``)."""
-    events, _makespan = _simulate_events(ranks_ops, costs)
+    events, _makespan = _simulate_events(table, costs)
     out = []
     for ev in events:
         out.append({
@@ -38,7 +38,7 @@ def chrome_trace_events(ranks_ops: List[List[Op]], costs: TimelineCosts,
             "cname": _COLOR[ev.symbol],
         })
     # name the rows
-    for rank in range(len(ranks_ops)):
+    for rank in range(len(table.starts) - 1):
         out.append({
             "name": "thread_name", "ph": "M", "pid": 0, "tid": rank,
             "args": {"name": f"pipeline rank {rank}"},
@@ -46,10 +46,10 @@ def chrome_trace_events(ranks_ops: List[List[Op]], costs: TimelineCosts,
     return out
 
 
-def export_chrome_trace(ranks_ops: List[List[Op]], costs: TimelineCosts,
+def export_chrome_trace(table: ScheduleTable, costs: TimelineCosts,
                         path: str, time_scale: float = 1e6) -> int:
     """Write the trace JSON to ``path``; returns the number of events."""
-    events = chrome_trace_events(ranks_ops, costs, time_scale=time_scale)
+    events = chrome_trace_events(table, costs, time_scale=time_scale)
     with open(path, "w") as fh:
         json.dump({"traceEvents": events, "displayTimeUnit": "ms"}, fh)
     return len(events)

@@ -6,19 +6,19 @@ interleaved stages is cut into ``p*m`` **groups** of ``L/(p*m)`` layers;
 group ``g`` lives on rank ``g % p`` as that rank's chunk ``g // p``.
 A schedule is, per rank, an ordered sequence of ops — forward or backward
 of one microbatch through one group — the order Megatron's scheduler
-would issue them in.  :func:`schedule_table` builds it once, as flat
-arrays (:class:`ScheduleTable`); :meth:`ScheduleTable.ops` is its view as
-per-rank lists of :class:`Op`, which is what ``schedule_1f1b`` /
-``schedule_interleaved`` return.
+would issue them in.  :func:`schedule_table` builds it as flat arrays, a
+:class:`ScheduleTable`, which is the only form a schedule takes;
+:meth:`ScheduleTable.ops` views it as per-rank :class:`Op` lists for
+display and tests.
 
-This module is also the single statement of 1F1B **dataflow**: what an op
-waits for (:func:`op_dependency`), the order a set of ranks issues a
-schedule in (:func:`walk_schedule`) and Appendix C's moving window of
-fully-stored microbatches (:class:`StorageWindow`).  The Figure 10
-timeline and the real ``PipelinedGPT`` executor consume that one walk;
-the event simulator evaluates the same dataflow a wavefront at a time,
-from the table's dependency index (the :func:`op_dependency` rule as
-array indexing) and its level order.
+This module is also the single statement of 1F1B **dataflow**: one rule
+of what an op waits for (``_waits_for``, per op in :func:`op_dependency`,
+per table in its dependency index) and the two orders a table derives
+from it once each — the wavefront levels the event simulator prices and
+:attr:`ScheduleTable.issue_order`, which the ``PipelinedGPT`` executor,
+the Figure 10 timeline and ``SimResult.op_finish`` follow — plus
+Appendix C's moving window of fully-stored microbatches
+(:class:`StorageWindow`).
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import (Container, Iterator, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,15 +60,12 @@ def rank_of_group(group: int, pipeline_parallel: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class ScheduleTable:
-    """A schedule as flat arrays in rank-major issue order.
+    """A schedule as flat arrays in rank-major order.
 
     Rank ``r`` issues ops ``starts[r]`` to ``starts[r + 1] - 1`` in
     order; op ``k`` is the forward (``forward[k]``) or backward of
     ``microbatch[k]`` through ``group[k]``, one of ``num_groups`` groups.
-    :meth:`ops` is the ``List[List[Op]]`` view the executor, the
-    timeline and :func:`walk_schedule` consume; the event simulator
-    reads the arrays and the wavefront order the table computes once
-    (on first use) and keeps.
+    Its level order and issue order are computed on first use and kept.
     """
 
     forward: np.ndarray
@@ -100,9 +96,55 @@ class ScheduleTable:
         return [flat[a:b] for a, b in zip(starts, starts[1:])]
 
     @cached_property
+    def rank(self) -> np.ndarray:
+        """The rank that issues each op."""
+        return np.repeat(np.arange(len(self.starts) - 1), np.diff(self.starts))
+
+    @cached_property
     def _levels(self) -> "_Levels":
         """The wavefront order, computed on first use and kept."""
-        return _level_order(self)
+        dependency = _dependency_index(self)
+        starts = self.starts
+        n_ops, p = len(dependency), len(starts) - 1
+        level = _wavefront(dependency, starts)
+        order = np.argsort(level, kind="stable")
+        bounds = np.cumsum(np.bincount(level)).tolist()
+        position = np.empty(n_ops + 2, dtype=np.int64)
+        position[order] = np.arange(n_ops)
+        position[n_ops:] = (n_ops, n_ops + 1)      # the sentinels stay put
+        lengths = np.diff(starts)
+        cols = np.arange(1, n_ops + 1) - np.repeat(starts[:-1], lengths)
+        prev = np.arange(-1, n_ops - 1)
+        prev[starts[:-1][lengths > 0]] = n_ops + 1
+        dep_group = np.append(self.group, 0)[dependency]
+        return _Levels(
+            order=order, spans=list(zip([0] + bounds, bounds)),
+            prev=position[prev[order]], dependency=position[dependency[order]],
+            remote=(dep_group % p != self.rank)[order],
+            cols=cols, width=int(lengths.max(initial=0)) + 1)
+
+    @cached_property
+    def issue_order(self) -> np.ndarray:
+        """Rank-major op positions in the order the ranks issue them: in
+        turns, rank by rank, each running until its next op's dependency
+        has not run.  So an op runs in turn ``max(turn of the op before it
+        on its rank, turn of its dependency + (dependency's rank > its
+        rank))``: the level loop, with no durations and that flag as send."""
+        levels = self._levels
+        # the two sentinel positions (no dependency, first op) are never later
+        rank = np.append(self.rank[levels.order], (-1, -1))
+        turn = levels.relax(np.zeros(len(rank), dtype=np.int64),
+                            rank[levels.dependency] > rank[:-2],
+                            np.zeros(len(levels.order), dtype=np.int64))
+        return levels.order[np.lexsort((levels.order, turn[:-2]))]
+
+    def issued(self) -> Iterator[Tuple[int, OpKey]]:
+        """``(rank, (kind letter, microbatch, group))`` per op in issue
+        order, as Python ``str`` / ``int``."""
+        order = self.issue_order
+        return zip(self.rank[order].tolist(), zip(
+            np.where(self.forward[order], "F", "B").tolist(),
+            self.microbatch[order].tolist(), self.group[order].tolist()))
 
 
 def schedule_table(pipeline_parallel: int, num_microbatches: int,
@@ -153,125 +195,48 @@ def schedule_table(pipeline_parallel: int, num_microbatches: int,
                          np.arange(p + 1) * 2 * total, p * m)
 
 
-def schedule_1f1b(pipeline_parallel: int, num_microbatches: int) -> List[List[Op]]:
-    """Non-interleaved 1F1B: per-rank op lists (see :func:`schedule_table`)."""
-    return schedule_table(pipeline_parallel, num_microbatches).ops()
+def validate_schedule(table: ScheduleTable, num_microbatches: int) -> None:
+    """Check a schedule before it runs: rank ``r`` issues the forward and
+    the backward of each ``(microbatch < num_microbatches, group % p == r)``
+    exactly once, and the ranks can issue it to the end (a backward ahead
+    of its own forward is a deadlock)."""
+    n, microbatch, group = num_microbatches, table.microbatch, table.group
+    foreign = np.flatnonzero((microbatch >= n)
+                             | (group % (len(table.starts) - 1) != table.rank))
+    if foreign.size:
+        k = foreign[0]
+        raise ScheduleError(
+            f"op {'BF'[int(table.forward[k])]}{microbatch[k]}g{group[k]} does "
+            f"not belong on rank {table.rank[k]} of a {n}-microbatch schedule")
+    # raises on an op named twice, a group or microbatch out of range, or
+    # a deadlock; past it, the right op count means every op once
+    table.issue_order
+    if len(group) != 2 * n * table.num_groups:
+        raise ScheduleError(
+            f"{len(group)} ops, expected a forward and a backward of {n} "
+            f"microbatch(es) through {table.num_groups} group(s)")
 
 
-def schedule_interleaved(pipeline_parallel: int, num_microbatches: int,
-                         interleave_stages: int) -> List[List[Op]]:
-    """Megatron's interleaved 1F1B: per-rank op lists (see
-    :func:`schedule_table`)."""
-    return schedule_table(pipeline_parallel, num_microbatches,
-                          interleave_stages).ops()
+def _waits_for(forward, group, num_groups):
+    """The 1F1B dataflow rule, on ints and int arrays alike: op ``(forward,
+    group)`` of a microbatch waits for its op ``(dep_forward, dep_group)`` —
+    a forward for the previous group's forward, a backward for the next
+    group's backward, the last group's backward for its own forward.
+    ``dep_group`` is -1 for the first group's forward: it waits for nothing."""
+    last = group == num_groups - 1
+    return forward | last, group - forward + (1 - forward) * (1 - last)
 
 
-def validate_schedule(ranks: List[List[Op]], num_microbatches: int,
-                      interleave_stages: int = 1) -> None:
-    """Sanity-check a schedule: every (mb, group) appears exactly once per
-    kind per owning rank, backwards never precede their forward, and the
-    ranks together can issue it to the end (no deadlock)."""
-    p = len(ranks)
-    for i, ops in enumerate(ranks):
-        seen_f = set()
-        seen_b = set()
-        for op in ops:
-            if rank_of_group(op.group, p) != i:
-                raise ScheduleError(f"op {op} scheduled on wrong rank {i}")
-            key = (op.microbatch, op.group)
-            if op.kind == OpKind.F:
-                if key in seen_f:
-                    raise ScheduleError(f"duplicate forward {op}")
-                seen_f.add(key)
-            else:
-                if key not in seen_f:
-                    raise ScheduleError(f"backward before forward: {op}")
-                if key in seen_b:
-                    raise ScheduleError(f"duplicate backward {op}")
-                seen_b.add(key)
-        expected = num_microbatches * interleave_stages
-        if len(seen_f) != expected or len(seen_b) != expected:
-            raise ScheduleError(
-                f"rank {i}: {len(seen_f)} forwards / {len(seen_b)} backwards, "
-                f"expected {expected}"
-            )
-    done: set = set()
-    for _rank, _op, key, _dep in walk_schedule(
-            ranks, p * interleave_stages, done):
-        done.add(key)
-
-
-def op_dependency(op: Op, num_groups: int) -> Optional[OpKey]:
-    """The cross-rank completion ``(kind, microbatch, group)`` that must
-    finish before ``op`` can start under 1F1B dataflow, or ``None``.
-
-    A forward waits for the previous group's forward of the same
-    microbatch; a backward waits for the next group's backward — except
-    the last group's backward, which only needs its own forward.  These
-    are the edges :func:`walk_schedule` follows and the trace analysis'
-    cross-rank critical-path extraction walks backward.
-    """
-    if op.kind == OpKind.F:
-        return None if op.group == 0 else ("F", op.microbatch, op.group - 1)
-    if op.group == num_groups - 1:
-        return ("F", op.microbatch, op.group)
-    return ("B", op.microbatch, op.group + 1)
-
-
-def walk_schedule(ranks_ops: List[List[Op]], num_groups: int,
-                  done: Container[OpKey]
-                  ) -> Iterator[Tuple[int, Op, OpKey, Optional[OpKey]]]:
-    """Yield every op of a schedule once, in issue order, as
-    ``(rank, op, key, dependency)``.
-
-    Each rank issues its list strictly in order; the ranks take turns,
-    each running until its next op's dependency is not in ``done``.
-    ``done`` is the **consumer's own** completion table (a set, or a
-    mapping to finish times): it must hold ``key`` before the next op is
-    asked for, which is also what keeps the walk lazy — no second copy
-    of the order or of what has run is ever built.  Raises
-    :class:`ScheduleError` when a full turn of the ranks issues nothing.
-    """
-    # The inner loop runs once per op (58 800 for the 530B schedule), so
-    # :func:`op_dependency`'s rule is written out in place: the call and
-    # the enum's ``.value`` descriptor were over a third of the walk.
-    # tests/test_property_pipeline_exec.py holds the two statements equal
-    # on generated schedules.
-    forward, last = OpKind.F, num_groups - 1
-    ptr = [0] * len(ranks_ops)
-    remaining = sum(len(ops) for ops in ranks_ops)
-    while remaining:
-        before = remaining
-        for rank, ops in enumerate(ranks_ops):
-            i, end = ptr[rank], len(ops)
-            while i < end:
-                op = ops[i]
-                microbatch, group = op.microbatch, op.group
-                if op.kind is forward:
-                    letter = "F"
-                    dep = ("F", microbatch, group - 1) if group else None
-                else:
-                    letter = "B"
-                    dep = (("F", microbatch, group) if group == last
-                           else ("B", microbatch, group + 1))
-                if dep is not None and dep not in done:
-                    break
-                yield rank, op, (letter, microbatch, group), dep
-                i += 1
-            remaining -= i - ptr[rank]
-            ptr[rank] = i
-        _check_progress(before, remaining)
-
-
-def _check_progress(before: int, remaining: int) -> None:
-    """A turn of the ranks that issued nothing is a deadlock: no op left
-    can ever have its dependency met."""
-    if remaining == before:
-        raise ScheduleError("pipeline schedule deadlocked")
+def op_dependency(key: OpKey, num_groups: int) -> Optional[OpKey]:
+    """The ``(kind, microbatch, group)`` op ``key`` waits for
+    (``_waits_for``), or ``None``: the edges the trace analysis'
+    cross-rank critical-path extraction walks backward."""
+    dep_forward, dep_group = _waits_for(key[0] == "F", key[2], num_groups)
+    return ("BF"[dep_forward], key[1], dep_group) if dep_group >= 0 else None
 
 
 def _dependency_index(table: ScheduleTable) -> np.ndarray:
-    """:func:`op_dependency` as array indexing: per op (rank-major), the
+    """The dependency rule as array indexing: per op (rank-major), the
     position of the op it waits for — ``N`` (the op count) when it waits
     for nothing, ``N + 1`` when the schedule lacks that op, so it can
     never run.  Raises :class:`ScheduleError` on an op outside the
@@ -297,12 +262,11 @@ def _dependency_index(table: ScheduleTable) -> np.ndarray:
         k = clash[0]
         raise ScheduleError(
             f"duplicate op {'BF'[kind[k]]}{microbatch[k]}g{group[k]}")
-    last = group == num_groups - 1
-    waits = ~forward | (group > 0)
+    dep_forward, dep_group = _waits_for(forward, group, num_groups)
+    waits = dep_group >= 0
     dependency = np.full(n_ops, n_ops)
-    dependency[waits] = position[
-        (forward | last)[waits].astype(np.intp),
-        np.where(forward, key - 1, np.where(last, key, key + 1))[waits]]
+    dependency[waits] = position[dep_forward[waits].astype(np.intp),
+                                 (key - group + dep_group)[waits]]
     return dependency
 
 
@@ -310,7 +274,7 @@ def _wavefront(dependency: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """The step each op runs at when every step advances each rank whose
     next op's dependency ran at an earlier step (so a step runs at most
     one op per rank).  Raises the deadlock error on a step that runs
-    nothing."""
+    nothing: no op left can ever have its dependency met."""
     n_ops = len(dependency)
     first, ends = starts[:-1], starts[1:]
     # the op after each one on its rank, N after a rank's last; the
@@ -325,10 +289,11 @@ def _wavefront(dependency: np.ndarray, starts: np.ndarray) -> np.ndarray:
     while remaining:
         ready = ran_at[waits_for[ptr]] < step
         ran = ptr[ready]
+        if not ran.size:
+            raise ScheduleError("pipeline schedule deadlocked")
         ran_at[ran] = step
         ptr[ready] = after[ran]
-        before, remaining = remaining, remaining - len(ran)
-        _check_progress(before, remaining)
+        remaining -= len(ran)
         step += 1
     return ran_at[:n_ops]
 
@@ -343,40 +308,27 @@ class _Levels(NamedTuple):
     ``N`` (waits for nothing) and ``N + 1`` (first op of its rank).
     ``remote[j]``: the dependency's group lives on another rank than the
     one issuing ``j`` (``dep_group % p != rank``), so it pays the
-    point-to-point send.  ``rows`` / ``cols`` place each rank-major op in
-    a ``(p, width)`` grid whose column 0 is a rank's start."""
+    point-to-point send.  ``cols`` places each rank-major op in a
+    ``(p, width)`` grid whose column 0 is a rank's start."""
 
     order: np.ndarray
     spans: List[Tuple[int, int]]
     prev: np.ndarray
     dependency: np.ndarray
     remote: np.ndarray
-    rows: np.ndarray
     cols: np.ndarray
     width: int
 
-
-def _level_order(table: ScheduleTable) -> _Levels:
-    dependency = _dependency_index(table)
-    starts = table.starts
-    n_ops, p = len(dependency), len(starts) - 1
-    level = _wavefront(dependency, starts)
-    order = np.argsort(level, kind="stable")
-    bounds = np.cumsum(np.bincount(level)).tolist()
-    position = np.empty(n_ops + 2, dtype=np.int64)
-    position[order] = np.arange(n_ops)
-    position[n_ops:] = (n_ops, n_ops + 1)      # the sentinels stay put
-    lengths = np.diff(starts)
-    rows = np.repeat(np.arange(p), lengths)
-    cols = np.arange(1, n_ops + 1) - np.repeat(starts[:-1], lengths)
-    prev = np.arange(-1, n_ops - 1)
-    prev[starts[:-1][lengths > 0]] = n_ops + 1
-    dep_group = np.append(table.group, 0)[dependency]
-    return _Levels(
-        order=order, spans=list(zip([0] + bounds, bounds)),
-        prev=position[prev[order]], dependency=position[dependency[order]],
-        remote=(dep_group % p != rows)[order],
-        rows=rows, cols=cols, width=int(lengths.max(initial=0)) + 1)
+    def relax(self, finish: np.ndarray, send: np.ndarray,
+              took: np.ndarray) -> np.ndarray:
+        """Fill ``finish`` (by position, sentinel slots preset) level by
+        level with ``max(finish[prev], finish[dependency] + send) + took``."""
+        prev, dependency = self.prev, self.dependency
+        for lo, hi in self.spans:
+            np.add(np.maximum(finish[prev[lo:hi]],
+                              finish[dependency[lo:hi]] + send[lo:hi]),
+                   took[lo:hi], out=finish[lo:hi])
+        return finish
 
 
 class StorageWindow:
@@ -388,18 +340,19 @@ class StorageWindow:
     arriving microbatch can take it (Figure 10.b).
     """
 
-    def __init__(self, slots: Sequence[int], ranks_ops: List[List[Op]]):
-        if len(slots) != len(ranks_ops) or any(k < 0 for k in slots):
+    def __init__(self, slots: Sequence[int], table: ScheduleTable):
+        p = len(table.starts) - 1
+        if len(slots) != p or any(k < 0 for k in slots):
             raise ConfigError(
                 f"full_storage_slots needs one count >= 0 per pipeline rank "
-                f"({len(ranks_ops)}), got {list(slots)}")
+                f"({p}), got {list(slots)}")
         self.slots = list(slots)
         #: per rank: microbatches that ran a forward without checkpointing
-        self.stored_full = [0] * len(slots)
+        self.stored_full = [0] * p
         self._full = [set() for _ in slots]   # microbatches holding a slot
-        self._backwards_left = [
-            Counter(op.microbatch for op in ops if op.kind == OpKind.B)
-            for ops in ranks_ops]
+        backward = ~table.forward
+        self._backwards_left = Counter(zip(       # per (rank, microbatch)
+            table.rank[backward].tolist(), table.microbatch[backward].tolist()))
 
     def forward(self, rank: int, microbatch: int) -> bool:
         """Whether this forward stores everything (claiming a slot if the
@@ -415,7 +368,7 @@ class StorageWindow:
         segment); the microbatch's last backward on the rank frees its
         slot."""
         full = microbatch in self._full[rank]
-        self._backwards_left[rank][microbatch] -= 1
-        if full and not self._backwards_left[rank][microbatch]:
+        self._backwards_left[rank, microbatch] -= 1
+        if full and not self._backwards_left[rank, microbatch]:
             self._full[rank].discard(microbatch)
         return full

@@ -9,12 +9,12 @@ character per time cell:
 * ``B`` — back-propagation (blue),
 * ``.`` — idle (pipeline bubble).
 
-The renderer consumes the same
-:func:`~repro.pipeline_sim.schedule.walk_schedule` order as
-:func:`repro.pipeline_sim.simulator.simulate`, splitting each backward op
-into its recompute and gradient components so the Figure 10.a vs 10.b
-contrast (checkpoint-everything vs microbatch-level recomputation) is
-visible directly.
+The renderer follows the schedule table's
+:attr:`~repro.pipeline_sim.schedule.ScheduleTable.issue_order`, the order
+the ``PipelinedGPT`` executor runs and ``SimResult.op_finish`` records,
+splitting each backward op into its recompute and gradient components so
+the Figure 10.a vs 10.b contrast (checkpoint-everything vs
+microbatch-level recomputation) is visible directly.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .schedule import Op, OpKind, StorageWindow, schedule_1f1b, walk_schedule
+from .schedule import (ScheduleTable, StorageWindow, op_dependency,
+                       schedule_table)
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,6 @@ class TimelineCosts:
     microbatches, whose backward then needs no recompute segment.
     """
 
-    num_groups: int
     forward: float = 1.0
     recompute: float = 1.0
     backward: float = 2.0
@@ -49,21 +49,23 @@ class TimelineEvent:
     symbol: str
 
 
-def _simulate_events(ranks_ops: List[List[Op]],
+def _simulate_events(table: ScheduleTable,
                      costs: TimelineCosts) -> Tuple[List[TimelineEvent], float]:
-    p = len(ranks_ops)
+    p = len(table.starts) - 1
     done = {}
     clock = [0.0] * p
     events: List[TimelineEvent] = []
-    window = StorageWindow([costs.full_storage_slots] * p, ranks_ops)
-    for rank, op, key, dep in walk_schedule(ranks_ops, costs.num_groups, done):
+    window = StorageWindow([costs.full_storage_slots] * p, table)
+    for rank, key in table.issued():
         end = clock[rank]
+        dep = op_dependency(key, table.num_groups)
         if dep is not None:
             end = max(end, done[dep])
-        if op.kind == OpKind.F:
-            symbol = "f" if window.forward(rank, op.microbatch) else "F"
+        letter, microbatch, _group = key
+        if letter == "F":
+            symbol = "f" if window.forward(rank, microbatch) else "F"
             segments = [(symbol, costs.forward)]
-        elif window.backward(rank, op.microbatch) or costs.recompute <= 0:
+        elif window.backward(rank, microbatch) or costs.recompute <= 0:
             segments = [("B", costs.backward)]
         else:
             segments = [("R", costs.recompute), ("B", costs.backward)]
@@ -75,16 +77,16 @@ def _simulate_events(ranks_ops: List[List[Op]],
     return events, max(clock)
 
 
-def render_timeline(ranks_ops: List[List[Op]], costs: TimelineCosts,
+def render_timeline(table: ScheduleTable, costs: TimelineCosts,
                     cell: Optional[float] = None, max_width: int = 120) -> str:
     """One line per pipeline rank, one character per ``cell`` time units."""
-    events, makespan = _simulate_events(ranks_ops, costs)
+    events, makespan = _simulate_events(table, costs)
     if cell is None:
         smallest = min(costs.forward, costs.backward,
                        costs.recompute if costs.recompute > 0 else costs.forward)
         cell = max(smallest, makespan / max_width)
     n_cells = max(1, round(makespan / cell))
-    grid = [["."] * n_cells for _ in ranks_ops]
+    grid = [["."] * n_cells for _ in range(len(table.starts) - 1)]
     for ev in events:
         lo = int(round(ev.start / cell))
         hi = max(lo + 1, int(round(ev.end / cell)))
@@ -102,11 +104,11 @@ def figure10(pipeline_parallel: int = 4, num_microbatches: int = 9,
              full_storage_slots: int = 1) -> str:
     """The paper's Figure 10: baseline (a) vs microbatch-level
     recomputation (b) on the first-stage computation pattern."""
-    sched = schedule_1f1b(pipeline_parallel, num_microbatches)
-    base = render_timeline(sched, TimelineCosts(
-        num_groups=pipeline_parallel, forward=1, recompute=1, backward=2))
-    window = render_timeline(sched, TimelineCosts(
-        num_groups=pipeline_parallel, forward=1, recompute=1, backward=2,
+    table = schedule_table(pipeline_parallel, num_microbatches)
+    base = render_timeline(table, TimelineCosts(
+        forward=1, recompute=1, backward=2))
+    window = render_timeline(table, TimelineCosts(
+        forward=1, recompute=1, backward=2,
         full_storage_slots=full_storage_slots))
     return (
         "(a) baseline: every microbatch checkpointed and recomputed\n"

@@ -33,8 +33,7 @@ from ..observability.tracer import active_tracer, span_or_null
 from ..layers.embedding import token_tensor
 from ..layers.transformer import GPTModel, Recompute
 from ..pipeline_sim.schedule import (
-    Op, OpKind, StorageWindow, schedule_interleaved, validate_schedule,
-    walk_schedule,
+    StorageWindow, schedule_table, validate_schedule,
 )
 from ..tensor import MemoryTracker, Tensor, instrument
 from ..tensor.context import ctx as execution_context
@@ -306,21 +305,20 @@ class PipelinedGPT:
             trackers = [MemoryTracker() for _ in range(self.p)]
         world = self.model.group.size
         microbatches = split_microbatches(ids, targets, num_microbatches)
-        schedule = schedule_interleaved(self.p, num_microbatches, self.m)
+        schedule = schedule_table(self.p, num_microbatches, self.m)
         window = StorageWindow(full_storage_slots or [0] * self.p, schedule)
         # A schedule that cannot finish fails here, before any op has
         # accumulated a gradient.
-        validate_schedule(schedule, num_microbatches, self.m)
+        validate_schedule(schedule, num_microbatches)
 
         outputs: Dict[Tuple[int, int], Tensor] = {}      # (mb, group) -> output
         inputs: Dict[Tuple[int, int], Tensor] = {}       # (mb, group) -> boundary leaf
         losses: List[float] = []
         last = self.num_groups - 1
 
-        def run_op(op: Op, rank: int) -> None:
-            mb, group = op.microbatch, op.group
+        def run_op(rank: int, letter: str, mb: int, group: int) -> None:
             with instrument(memory=trackers[rank]):
-                if op.kind == OpKind.F:
+                if letter == "F":
                     store_full = window.forward(rank, mb)
                     if group == 0:
                         x = token_tensor(microbatches[mb][0], world=world)
@@ -350,17 +348,15 @@ class PipelinedGPT:
                     window.backward(rank, mb)
 
         tracer = active_tracer()
-        done: set = set()
-        for rank, op, key, _ in walk_schedule(schedule, self.num_groups, done):
+        for rank, (letter, mb, group) in schedule.issued():
             if tracer is None:
-                run_op(op, rank)
+                run_op(rank, letter, mb, group)
             else:
-                kind = "forward" if op.kind == OpKind.F else "backward"
+                kind = "forward" if letter == "F" else "backward"
                 with tracer.rank_scope(rank), tracer.span(
-                        f"{kind} mb{op.microbatch} g{op.group}", rank=rank,
-                        microbatch=op.microbatch, group=op.group):
-                    run_op(op, rank)
-            done.add(key)
+                        f"{kind} mb{mb} g{group}", rank=rank,
+                        microbatch=mb, group=group):
+                    run_op(rank, letter, mb, group)
 
         self.model.finish_grad_sync()
         if tracer is not None and tracer.metrics is not None:

@@ -10,7 +10,8 @@ from typing import List
 import numpy as np
 
 from repro.config import ModelConfig
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ScheduleError
+from repro.pipeline_sim import OpKind
 
 TINY = ModelConfig(num_layers=2, hidden_size=32, num_heads=4,
                    seq_length=16, vocab_size=64, name="tiny")
@@ -82,6 +83,42 @@ def kv_gather(cache, request_id: str, layer: int, rank: int):
         keys[start:start + take] = store[0, :take]
         values[start:start + take] = store[1, :take]
     return keys, values
+
+
+# ---------------------------------------------------------------------------
+# The per-op 1F1B walk the pipeline simulator, the executor and the timeline
+# ran before a schedule became one table, kept verbatim: the oracle for
+# ``ScheduleTable.issue_order`` and for ``simulate``'s level-by-level
+# arithmetic.  Ranks take turns, each running until its next op's
+# dependency is not in ``done`` (which the caller fills in).
+# ---------------------------------------------------------------------------
+
+def reference_waits_for(op, num_groups):
+    if op.kind == OpKind.F:
+        return None if op.group == 0 else ("F", op.microbatch, op.group - 1)
+    if op.group == num_groups - 1:
+        return ("F", op.microbatch, op.group)
+    return ("B", op.microbatch, op.group + 1)
+
+
+def reference_walk(ranks_ops, num_groups, done):
+    ptr = [0] * len(ranks_ops)
+    remaining = sum(len(ops) for ops in ranks_ops)
+    while remaining:
+        before = remaining
+        for rank, ops in enumerate(ranks_ops):
+            i = ptr[rank]
+            while i < len(ops):
+                op = ops[i]
+                dep = reference_waits_for(op, num_groups)
+                if dep is not None and dep not in done:
+                    break
+                yield rank, op, (op.kind.value, op.microbatch, op.group), dep
+                i += 1
+            remaining -= i - ptr[rank]
+            ptr[rank] = i
+        if remaining == before:
+            raise ScheduleError("pipeline schedule deadlocked")
 
 
 def flat_weights(model) -> List[np.ndarray]:

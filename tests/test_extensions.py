@@ -9,7 +9,7 @@ from repro.config import ModelConfig
 from repro.layers import GPTModel, Recompute, token_tensor
 from repro.memory_model import in_flight_microbatches, per_layer_activation_bytes
 from repro.parallel import ParallelGPTModel
-from repro.pipeline_sim import TimelineCosts, figure10, render_timeline, schedule_1f1b
+from repro.pipeline_sim import TimelineCosts, figure10, render_timeline, schedule_table
 from repro.tensor import MemoryTracker, OpLog, instrument
 from repro.tensor.functions import MaskSource
 from repro.tensor.oplog import Phase
@@ -211,31 +211,29 @@ class TestFigure10Timeline:
         assert "rank 0" in text and "rank 3" in text
 
     def test_baseline_has_recompute_everywhere(self):
-        sched = schedule_1f1b(4, 6)
-        text = render_timeline(sched, TimelineCosts(num_groups=4))
+        sched = schedule_table(4, 6)
+        text = render_timeline(sched, TimelineCosts())
         assert "R" in text and "f" not in text.split("]")[1]
 
     def test_window_removes_recompute_for_stored_microbatches(self):
-        sched = schedule_1f1b(4, 6)
-        base = render_timeline(sched, TimelineCosts(num_groups=4))
-        windowed = render_timeline(sched, TimelineCosts(num_groups=4,
-                                                        full_storage_slots=1))
+        sched = schedule_table(4, 6)
+        base = render_timeline(sched, TimelineCosts())
+        windowed = render_timeline(sched, TimelineCosts(full_storage_slots=1))
         assert windowed.count("R") < base.count("R")
         assert "f" in windowed
 
     def test_last_rank_with_one_slot_never_recomputes(self):
         """Window size on the last rank is 1: a single slot removes all
         recomputation there — Appendix C's observation."""
-        sched = schedule_1f1b(4, 6)
-        text = render_timeline(sched, TimelineCosts(num_groups=4,
-                                                    full_storage_slots=1))
+        sched = schedule_table(4, 6)
+        text = render_timeline(sched, TimelineCosts(full_storage_slots=1))
         last = [l for l in text.splitlines() if l.startswith("rank 3")][0]
         assert "R" not in last
         assert "F" not in last  # every microbatch stored full
 
     def test_all_microbatches_covered(self):
-        sched = schedule_1f1b(3, 5)
-        text = render_timeline(sched, TimelineCosts(num_groups=3))
+        sched = schedule_table(3, 5)
+        text = render_timeline(sched, TimelineCosts())
         for rank in range(3):
             line = [l for l in text.splitlines() if l.startswith(f"rank {rank}")][0]
             assert line.count("B") >= 5  # one backward segment per microbatch
@@ -247,8 +245,8 @@ class TestChromeTrace:
             TimelineCosts, chrome_trace_events, export_chrome_trace,
         )
         p, n = 3, 4
-        sched = schedule_1f1b(p, n)
-        costs = TimelineCosts(num_groups=p)
+        sched = schedule_table(p, n)
+        costs = TimelineCosts()
         events = chrome_trace_events(sched, costs)
         durations = [e for e in events if e["ph"] == "X"]
         # every F has F+R+B segments; every rank gets a metadata row
@@ -261,18 +259,18 @@ class TestChromeTrace:
         import json
         from repro.pipeline_sim import TimelineCosts, export_chrome_trace
         path = str(tmp_path / "trace.json")
-        n_events = export_chrome_trace(schedule_1f1b(2, 3),
-                                       TimelineCosts(num_groups=2), path)
+        n_events = export_chrome_trace(schedule_table(2, 3),
+                                       TimelineCosts(), path)
         with open(path) as fh:
             doc = json.load(fh)
         assert len(doc["traceEvents"]) == n_events
 
     def test_window_removes_recompute_events(self):
         from repro.pipeline_sim import TimelineCosts, chrome_trace_events
-        sched = schedule_1f1b(4, 6)
-        base = chrome_trace_events(sched, TimelineCosts(num_groups=4))
+        sched = schedule_table(4, 6)
+        base = chrome_trace_events(sched, TimelineCosts())
         windowed = chrome_trace_events(
-            sched, TimelineCosts(num_groups=4, full_storage_slots=1))
+            sched, TimelineCosts(full_storage_slots=1))
         n_rec = lambda evs: sum(1 for e in evs if e["name"] == "recompute")
         assert n_rec(windowed) < n_rec(base)
 

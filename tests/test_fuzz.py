@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.allocator import FirstFitAllocator
 from repro.errors import PlanningError
-from repro.pipeline_sim import PipelineCosts, schedule_1f1b, schedule_interleaved, simulate
+from repro.pipeline_sim import PipelineCosts, schedule_table, simulate
 from repro.tensor import checkpoint, from_numpy, parameter, seed
 from repro.tensor import functions as F
 
@@ -85,8 +85,7 @@ class TestSimulatorFuzz:
         rng = np.random.default_rng(seed_value)
         fwd = rng.uniform(0.1, 2.0, size=p).tolist()
         bwd = rng.uniform(0.1, 4.0, size=p).tolist()
-        result = simulate(schedule_1f1b(p, n), PipelineCosts(
-            num_groups=p,
+        result = simulate(schedule_table(p, n), PipelineCosts(
             forward_time=lambda g: fwd[g],
             backward_time=lambda g: bwd[g],
             p2p_time=rng.uniform(0, 0.5),
@@ -105,8 +104,7 @@ class TestSimulatorFuzz:
         groups = p * m
         fwd = rng.uniform(0.1, 1.0, size=groups).tolist()
         bwd = rng.uniform(0.1, 2.0, size=groups).tolist()
-        result = simulate(schedule_interleaved(p, n, m), PipelineCosts(
-            num_groups=groups,
+        result = simulate(schedule_table(p, n, m), PipelineCosts(
             forward_time=lambda g: fwd[g],
             backward_time=lambda g: bwd[g],
         ))

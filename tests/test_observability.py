@@ -42,7 +42,7 @@ from repro.observability import (
 )
 from repro.observability.perfetto import SUBSYSTEM_PIDS
 from repro.parallel.transformer import ParallelGPTModel
-from repro.pipeline_sim import TimelineCosts, chrome_trace_events, schedule_1f1b
+from repro.pipeline_sim import TimelineCosts, chrome_trace_events, schedule_table
 from repro.tensor import FP32, MemoryTracker, seed
 from repro.training.data import UniformTokens
 from repro.training.optimizer import Adam
@@ -331,8 +331,8 @@ class TestPerfettoSchema:
         assert SUBSYSTEM_PIDS["memory"] in pids
 
     def test_pipeline_sim_chrome_trace_validates_when_rehomed(self):
-        schedule = schedule_1f1b(4, 8)
-        raw = chrome_trace_events(schedule, TimelineCosts(num_groups=4))
+        schedule = schedule_table(4, 8)
+        raw = chrome_trace_events(schedule, TimelineCosts())
         events = rehome_events(raw)
         validate_trace_events(events)
         assert all(e["pid"] == SUBSYSTEM_PIDS["pipeline"] for e in events)
@@ -342,9 +342,8 @@ class TestPerfettoSchema:
 
     def test_merged_trace_sorted_monotone_per_track(self):
         tracer, _ = _traced_run()
-        schedule = schedule_1f1b(2, 2)
-        extra = rehome_events(
-            chrome_trace_events(schedule, TimelineCosts(num_groups=2)))
+        schedule = schedule_table(2, 2)
+        extra = rehome_events(chrome_trace_events(schedule, TimelineCosts()))
         doc = merged_trace(tracer, extra_events=extra)
         validate_trace_events(doc["traceEvents"])
         last = {}

@@ -8,8 +8,8 @@ from typing import List
 
 from repro.errors import ScheduleError
 from repro.pipeline_sim import (
-    Op, OpKind, rank_of_group, schedule_1f1b, schedule_interleaved,
-    schedule_table, validate_schedule,
+    Op, OpKind, ScheduleTable, rank_of_group, schedule_table,
+    validate_schedule,
 )
 
 
@@ -30,32 +30,31 @@ class Test1F1B:
     @given(st.integers(1, 8), st.integers(1, 16))
     @settings(max_examples=60, deadline=None)
     def test_valid_for_any_p_n(self, p, n):
-        sched = schedule_1f1b(p, n)
-        validate_schedule(sched, n)
+        validate_schedule(schedule_table(p, n), n)
 
     @given(st.integers(1, 8), st.integers(1, 16))
     @settings(max_examples=60, deadline=None)
     def test_peak_in_flight_is_min_n_p_minus_stage(self, p, n):
         """The memory model's in-flight count is exactly what the schedule
         holds (Section 4.2.3: stage 0 stores p microbatches)."""
-        sched = schedule_1f1b(p, n)
+        sched = schedule_table(p, n).ops()
         for stage, ops in enumerate(sched):
             assert peak_in_flight(ops) == min(n, p - stage)
 
     def test_last_stage_strictly_alternates(self):
-        ops = schedule_1f1b(4, 6)[3]
+        ops = schedule_table(4, 6).ops()[3]
         kinds = [op.kind for op in ops]
         assert kinds == [OpKind.F, OpKind.B] * 6
 
     def test_first_stage_warmup(self):
-        ops = schedule_1f1b(4, 8)[0]
+        ops = schedule_table(4, 8).ops()[0]
         assert [op.kind for op in ops[:3]] == [OpKind.F] * 3
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ScheduleError):
-            schedule_1f1b(0, 4)
+            schedule_table(0, 4)
         with pytest.raises(ScheduleError):
-            schedule_1f1b(4, 0)
+            schedule_table(4, 0)
 
 
 class TestInterleaved:
@@ -63,15 +62,11 @@ class TestInterleaved:
     @settings(max_examples=40, deadline=None)
     def test_valid_for_divisible_microbatches(self, p, rounds, m):
         n = p * rounds
-        sched = schedule_interleaved(p, n, m)
-        validate_schedule(sched, n, m)
-
-    def test_m1_reduces_to_1f1b(self):
-        assert schedule_interleaved(4, 8, 1) == schedule_1f1b(4, 8)
+        validate_schedule(schedule_table(p, n, m), n)
 
     def test_indivisible_microbatches_rejected(self):
         with pytest.raises(ScheduleError):
-            schedule_interleaved(4, 6, 2)
+            schedule_table(4, 6, 2)
 
     @given(st.integers(2, 6), st.integers(2, 3))
     @settings(max_examples=30, deadline=None)
@@ -79,12 +74,12 @@ class TestInterleaved:
         """Peak chunks in flight on rank 0 = pm + p - 1, giving the
         L(1 + (p-1)/(pm)) first-stage memory of Section 4.2.3."""
         n = 4 * p  # plenty of microbatches
-        sched = schedule_interleaved(p, n, m)
+        sched = schedule_table(p, n, m).ops()
         assert peak_in_flight(sched[0]) == p * m + p - 1
 
     def test_groups_cover_all_chunks(self):
         p, n, m = 3, 6, 2
-        sched = schedule_interleaved(p, n, m)
+        sched = schedule_table(p, n, m).ops()
         for rank, ops in enumerate(sched):
             groups = {op.group for op in ops}
             assert groups == {rank, rank + p}
@@ -178,28 +173,34 @@ def test_table_view_equals_the_hand_written_builders(p, rounds, m, data):
     assert ops == _oracle_interleaved(p, n, m)
     assert all(type(op.kind) is OpKind and type(op.microbatch) is int
                and type(op.group) is int for rank in ops for op in rank)
-    assert schedule_interleaved(p, n, m) == ops
-    if m == 1:
-        assert schedule_1f1b(p, n) == ops
+
+
+F, B = OpKind.F, OpKind.B
 
 
 class TestValidator:
+    @staticmethod
+    def check(ranks_ops, num_microbatches, match):
+        table = ScheduleTable._of(ranks_ops, num_groups=len(ranks_ops))
+        with pytest.raises(ScheduleError, match=match):
+            validate_schedule(table, num_microbatches)
+
     def test_detects_backward_before_forward(self):
-        bad = [[Op(OpKind.B, 0, 0), Op(OpKind.F, 0, 0)]]
-        with pytest.raises(ScheduleError):
-            validate_schedule(bad, 1)
+        self.check([[Op(B, 0, 0), Op(F, 0, 0)]], 1, "deadlocked")
 
     def test_detects_duplicates(self):
-        bad = [[Op(OpKind.F, 0, 0), Op(OpKind.F, 0, 0), Op(OpKind.B, 0, 0)]]
-        with pytest.raises(ScheduleError):
-            validate_schedule(bad, 1)
+        self.check([[Op(F, 0, 0), Op(F, 0, 0), Op(B, 0, 0)]], 1,
+                   "duplicate op F0g0")
 
     def test_detects_wrong_rank(self):
-        bad = [[Op(OpKind.F, 0, 1), Op(OpKind.B, 0, 1)], []]
-        with pytest.raises(ScheduleError):
-            validate_schedule(bad, 1)
+        self.check([[Op(F, 0, 1), Op(B, 0, 1)], []], 1,
+                   "op F0g1 does not belong on rank 0")
 
     def test_detects_missing_ops(self):
-        bad = [[Op(OpKind.F, 0, 0), Op(OpKind.B, 0, 0)]]
-        with pytest.raises(ScheduleError):
-            validate_schedule(bad, 2)
+        self.check([[Op(F, 0, 0), Op(B, 0, 0)]], 2, "2 ops, expected")
+
+    def test_detects_a_microbatch_the_batch_does_not_have(self):
+        """The right number of keys, but not the right keys: microbatch
+        1 never runs and microbatch 5 does not exist."""
+        self.check([[Op(F, 0, 0), Op(F, 5, 0), Op(B, 0, 0), Op(B, 5, 0)]], 2,
+                   "op F5g0 does not belong on rank 0")

@@ -6,18 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_walk
 from repro.errors import ScheduleError
 from repro.memory_model import in_flight_microbatches
 from repro.pipeline_sim import (
-    Op, OpKind, PipelineCosts, rank_of_group, schedule_1f1b,
-    schedule_interleaved, schedule_table, simulate,
+    Op, OpKind, PipelineCosts, ScheduleTable, rank_of_group, schedule_table,
+    simulate,
 )
 
 
-def uniform_costs(num_groups, tf=1.0, tb=2.0, p2p=0.0, act=0.0, out=0.0,
-                  dealloc=True):
+def uniform_costs(tf=1.0, tb=2.0, p2p=0.0, act=0.0, out=0.0, dealloc=True):
     return PipelineCosts(
-        num_groups=num_groups,
         forward_time=lambda g: tf,
         backward_time=lambda g: tb,
         p2p_time=p2p,
@@ -29,7 +28,7 @@ def uniform_costs(num_groups, tf=1.0, tb=2.0, p2p=0.0, act=0.0, out=0.0,
 
 class TestMakespan:
     def test_single_stage_is_serial_sum(self):
-        result = simulate(schedule_1f1b(1, 5), uniform_costs(1))
+        result = simulate(schedule_table(1, 5), uniform_costs())
         assert result.makespan == pytest.approx(5 * (1.0 + 2.0))
         assert result.bubble_fraction == pytest.approx(0.0)
 
@@ -37,50 +36,60 @@ class TestMakespan:
         """Ideal 1F1B: makespan = (n + p - 1) * (tf + tb); the busiest-rank
         bubble is (p-1)/(n+p-1)."""
         p, n = 4, 8
-        result = simulate(schedule_1f1b(p, n), uniform_costs(p))
+        result = simulate(schedule_table(p, n), uniform_costs())
         assert result.makespan == pytest.approx((n + p - 1) * 3.0)
         assert result.bubble_fraction_of(0) == pytest.approx((p - 1) / (n + p - 1))
 
     def test_interleaving_shrinks_bubble(self):
         p, n = 4, 8
-        plain = simulate(schedule_1f1b(p, n), uniform_costs(p))
-        inter = simulate(schedule_interleaved(p, n, 2),
-                         uniform_costs(2 * p, tf=0.5, tb=1.0))
+        plain = simulate(schedule_table(p, n), uniform_costs())
+        inter = simulate(schedule_table(p, n, 2),
+                         uniform_costs(tf=0.5, tb=1.0))
         # Same total work per rank, smaller makespan.
         assert inter.makespan < plain.makespan
 
     def test_interleaved_bubble_matches_theory(self):
         """Interleaved bubble time = (p-1)(tf+tb)/m."""
         p, n, m = 4, 16, 2
-        inter = simulate(schedule_interleaved(p, n, m),
-                         uniform_costs(m * p, tf=1.0 / m, tb=2.0 / m))
+        inter = simulate(schedule_table(p, n, m),
+                         uniform_costs(tf=1.0 / m, tb=2.0 / m))
         ideal = n * 3.0
         bubble_time = inter.makespan - ideal
         assert bubble_time == pytest.approx((p - 1) * 3.0 / m, rel=0.05)
 
     def test_p2p_adds_to_critical_path(self):
         p, n = 4, 4
-        without = simulate(schedule_1f1b(p, n), uniform_costs(p))
-        with_p2p = simulate(schedule_1f1b(p, n), uniform_costs(p, p2p=0.5))
+        without = simulate(schedule_table(p, n), uniform_costs())
+        with_p2p = simulate(schedule_table(p, n), uniform_costs(p2p=0.5))
         assert with_p2p.makespan > without.makespan
 
     def test_busy_time_is_total_work(self):
         p, n = 3, 6
-        result = simulate(schedule_1f1b(p, n), uniform_costs(p))
+        result = simulate(schedule_table(p, n), uniform_costs())
         for busy in result.busy_time:
             assert busy == pytest.approx(n * 3.0)
 
     @given(st.integers(1, 6), st.integers(1, 10))
     @settings(max_examples=40, deadline=None)
     def test_no_deadlock_and_lower_bound(self, p, n):
-        result = simulate(schedule_1f1b(p, n), uniform_costs(p))
+        result = simulate(schedule_table(p, n), uniform_costs())
         assert result.makespan >= n * 3.0  # cannot beat one rank's work
 
     def test_deadlock_detection(self):
         # B before its F on the only rank is an impossible program.
         bad = [[Op(OpKind.B, 0, 0), Op(OpKind.F, 0, 0)]]
         with pytest.raises(ScheduleError):
-            simulate(bad, uniform_costs(1))
+            simulate(ScheduleTable._of(bad, 1), uniform_costs())
+
+
+def test_pricing_never_computes_the_issue_order():
+    """The analytic path prices tables and never reads `op_finish`, so
+    only `op_finish` may pay for the issue order."""
+    table = schedule_table(4, 8, 2)
+    result = simulate(table, uniform_costs())
+    assert "_levels" in vars(table) and "issue_order" not in vars(table)
+    result.op_finish
+    assert "issue_order" in vars(table)
 
 
 F, B = OpKind.F, OpKind.B
@@ -95,21 +104,21 @@ F, B = OpKind.F, OpKind.B
 ], ids=["duplicate", "missing-forward", "backward-before-forward"])
 def test_malformed_schedule_is_a_schedule_error(schedule, num_groups, message):
     with pytest.raises(ScheduleError, match=message):
-        simulate(schedule, uniform_costs(num_groups))
+        simulate(ScheduleTable._of(schedule, num_groups), uniform_costs())
 
 
 class TestMemoryTimeline:
     def test_peak_matches_in_flight_formula(self):
         p, n, act = 4, 8, 100.0
-        result = simulate(schedule_1f1b(p, n), uniform_costs(p, act=act))
+        result = simulate(schedule_table(p, n), uniform_costs(act=act))
         for stage in range(p):
             expected = in_flight_microbatches(stage, p, n) * act
             assert result.peak_activation_bytes[stage] == pytest.approx(expected)
 
     def test_interleaved_peak_matches_formula(self):
         p, n, m, act = 4, 8, 2, 100.0
-        result = simulate(schedule_interleaved(p, n, m),
-                          uniform_costs(p * m, act=act))
+        result = simulate(schedule_table(p, n, m),
+                          uniform_costs(act=act))
         for stage in range(p):
             chunks = in_flight_microbatches(stage, p, n, m) * m
             assert result.peak_activation_bytes[stage] == pytest.approx(chunks * act)
@@ -118,10 +127,10 @@ class TestMemoryTimeline:
         """Appendix B in simulation: the unoptimized run pins one output
         tensor per in-flight microbatch."""
         p, n = 4, 8
-        base = simulate(schedule_1f1b(p, n),
-                        uniform_costs(p, act=100.0, out=7.0, dealloc=True))
-        unopt = simulate(schedule_1f1b(p, n),
-                         uniform_costs(p, act=100.0, out=7.0, dealloc=False))
+        base = simulate(schedule_table(p, n),
+                        uniform_costs(act=100.0, out=7.0, dealloc=True))
+        unopt = simulate(schedule_table(p, n),
+                         uniform_costs(act=100.0, out=7.0, dealloc=False))
         for stage in range(p):
             r = min(n, p - stage)
             saving = (unopt.peak_activation_bytes[stage]
@@ -131,57 +140,31 @@ class TestMemoryTimeline:
     def test_memory_returns_to_zero(self):
         # After all backwards the live bytes are zero; peak is positive.
         p, n = 3, 5
-        result = simulate(schedule_1f1b(p, n), uniform_costs(p, act=10.0))
+        result = simulate(schedule_table(p, n), uniform_costs(act=10.0))
         assert all(peak > 0 for peak in result.peak_activation_bytes)
 
     def test_first_stage_holds_most(self):
         p, n = 6, 12
-        result = simulate(schedule_1f1b(p, n), uniform_costs(p, act=1.0))
+        result = simulate(schedule_table(p, n), uniform_costs(act=1.0))
         peaks = result.peak_activation_bytes
         assert peaks == sorted(peaks, reverse=True)
 
 
-# The per-op loop `simulate` and `walk_schedule` ran before they were made
-# cheap, kept verbatim: a call per dependency, a closure call per duration,
-# `max` per comparison.  The fast path must do the same float operations in
-# the same per-rank order, so everything below is compared with `==`.
+# The per-op loop `simulate` ran before it was made cheap, kept verbatim
+# over the verbatim walk (`helpers.reference_walk`): a call per dependency,
+# a closure call per duration, `max` per comparison.  The fast path must do
+# the same float operations in the same per-rank order, so everything below
+# is compared with `==`.
 
-def _reference_waits_for(op, num_groups):
-    if op.kind == OpKind.F:
-        return None if op.group == 0 else ("F", op.microbatch, op.group - 1)
-    if op.group == num_groups - 1:
-        return ("F", op.microbatch, op.group)
-    return ("B", op.microbatch, op.group + 1)
-
-
-def _reference_walk(ranks_ops, num_groups, done):
-    ptr = [0] * len(ranks_ops)
-    remaining = sum(len(ops) for ops in ranks_ops)
-    while remaining:
-        before = remaining
-        for rank, ops in enumerate(ranks_ops):
-            i = ptr[rank]
-            while i < len(ops):
-                op = ops[i]
-                dep = _reference_waits_for(op, num_groups)
-                if dep is not None and dep not in done:
-                    break
-                yield rank, op, (op.kind.value, op.microbatch, op.group), dep
-                i += 1
-            remaining -= i - ptr[rank]
-            ptr[rank] = i
-        if remaining == before:
-            raise ScheduleError("pipeline schedule deadlocked")
-
-
-def _reference_simulate(ranks_ops, costs):
+def _reference_simulate(table, costs):
+    ranks_ops = table.ops()
     p = len(ranks_ops)
     done = {}
     clock = [0.0] * p
     busy = [0.0] * p
     mem = [0.0] * p
     peak = [0.0] * p
-    for i, op, key, dep in _reference_walk(ranks_ops, costs.num_groups, done):
+    for i, op, key, dep in reference_walk(ranks_ops, table.num_groups, done):
         ready = clock[i]
         if dep is not None:
             same_rank_dep = rank_of_group(dep[2], p) == i
@@ -222,11 +205,11 @@ def test_simulate_equals_the_previous_per_op_loop(p, rounds, m, p2p, out,
     fwd, bwd = data.draw(per_group), data.draw(per_group)
     act = data.draw(st.lists(_nbytes, min_size=groups, max_size=groups))
     costs = PipelineCosts(
-        num_groups=groups, forward_time=fwd.__getitem__,
+        forward_time=fwd.__getitem__,
         backward_time=bwd.__getitem__, p2p_time=p2p,
         activation_bytes=act.__getitem__, output_tensor_bytes=out,
         deallocate_output_tensor=dealloc)
-    schedule = schedule_interleaved(p, p * rounds, m)
+    schedule = schedule_table(p, p * rounds, m)
     result = simulate(schedule, costs)
     makespan, busy, peak, finish = _reference_simulate(schedule, costs)
     assert result.makespan == makespan
@@ -246,13 +229,13 @@ def test_simulate_equals_the_previous_per_op_loop_at_paper_scale(p, n, m):
     bwd = [rng.uniform(0.001, 10.0) for _ in range(groups)]
     act = [rng.uniform(0.0, 1e9) for _ in range(groups)]
     costs = PipelineCosts(
-        num_groups=groups, forward_time=fwd.__getitem__,
+        forward_time=fwd.__getitem__,
         backward_time=bwd.__getitem__, p2p_time=rng.uniform(0.001, 1.0),
         activation_bytes=act.__getitem__, output_tensor_bytes=3e7,
         deallocate_output_tensor=False)
     result = simulate(schedule_table(p, n, m), costs)
     makespan, busy, peak, finish = _reference_simulate(
-        schedule_interleaved(p, n, m), costs)
+        schedule_table(p, n, m), costs)
     assert result.makespan == makespan
     assert result.busy_time == busy
     assert result.peak_activation_bytes == peak

@@ -1,7 +1,8 @@
 """Property-based checks on the real pipelined executor: for random
 (p, m, n_mb) partitions of a tiny model, 1F1B/interleaved execution equals
-plain gradient accumulation exactly.  Also the one 1F1B walker under it:
-its order properties, and that the executor, the event simulator and the
+plain gradient accumulation exactly.  Also the one issue order under it:
+the table's `issue_order` against the per-op walk it replaced, on valid
+and mutated schedules, and that the executor, the event simulator and the
 Figure 10 timeline issue one and the same sequence."""
 
 import numpy as np
@@ -9,15 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_walk
 from repro.config import ModelConfig
 from repro.errors import ScheduleError
 from repro.layers import GPTModel, Recompute, token_tensor
 from repro.observability import Tracer, trace_scope
 from repro.parallel import ParallelGPTModel
 from repro.pipeline_sim import (
-    PipelineCosts, TimelineCosts, chrome_trace_events, op_dependency,
-    rank_of_group, schedule_interleaved, schedule_table, simulate,
-    walk_schedule,
+    PipelineCosts, ScheduleTable, TimelineCosts, chrome_trace_events,
+    op_dependency, rank_of_group, schedule_table, simulate,
 )
 from repro.pipeline_sim.schedule import _dependency_index
 from repro.training import PipelinedGPT, split_microbatches
@@ -73,42 +74,72 @@ def test_executor_matches_accumulation(p, m, n_mb, recompute, slots):
                 atol=1e-9, err_msg=f"{name} (p={p}, m={m}, rc={recompute})")
 
 
-def _drain(schedule, num_groups):
-    """Walk a schedule to the end, recording completions as a consumer must."""
-    done = set()
-    for _rank, _op, key, _dep in walk_schedule(schedule, num_groups, done):
+def _reference_order(table):
+    """`(rank, key)` per op in the verbatim walk's order.  A key issued
+    twice is a `ScheduleError` here too: the walk cannot see duplicates,
+    the table refuses them."""
+    done, order = set(), []
+    for rank, _op, key, _dep in reference_walk(table.ops(), table.num_groups,
+                                               done):
+        if key in done:
+            raise ScheduleError(f"duplicate op {key}")
         done.add(key)
+        order.append((rank, key))
+    return order
 
 
-@given(p=st.integers(1, 5), rounds=st.integers(1, 3), m=st.integers(1, 3),
+def _mutate(ranks_ops, mutation, data):
+    """One of the ways a hand-written schedule goes wrong, in place."""
+    ranks = [r for r, ops in enumerate(ranks_ops) if len(ops) > 1]
+    ops = ranks_ops[data.draw(st.sampled_from(ranks))]
+    if mutation == "swap":
+        i, j = data.draw(st.lists(st.integers(0, len(ops) - 1), min_size=2,
+                                  max_size=2, unique=True))
+        ops[i], ops[j] = ops[j], ops[i]
+    elif mutation == "backward-before-forward":
+        i = data.draw(st.sampled_from(
+            [i for i, op in enumerate(ops) if op.kind.value == "F"]))
+        j = next(j for j, op in enumerate(ops) if op.kind.value == "B"
+                 and (op.microbatch, op.group)
+                 == (ops[i].microbatch, ops[i].group))
+        ops[i], ops[j] = ops[j], ops[i]
+    elif mutation == "drop":
+        del ops[data.draw(st.integers(0, len(ops) - 1))]
+    elif mutation == "duplicate":
+        op = data.draw(st.sampled_from(ops))
+        ops.insert(data.draw(st.integers(0, len(ops))), op)
+    elif mutation == "group-off-its-rank" and len(ranks_ops) > 1:
+        group = data.draw(st.sampled_from(sorted({op.group for op in ops})))
+        target = data.draw(st.sampled_from(
+            [r for r in range(len(ranks_ops)) if ranks_ops[r] is not ops]))
+        moved = [op for op in ops if op.group == group]
+        ops[:] = [op for op in ops if op.group != group]
+        at = data.draw(st.integers(0, len(ranks_ops[target])))
+        ranks_ops[target][at:at] = moved
+
+
+@given(p=st.integers(1, 6), rounds=st.integers(1, 3), m=st.integers(1, 3),
+       mutation=st.sampled_from([None, "swap", "backward-before-forward",
+                                 "drop", "duplicate", "group-off-its-rank"]),
        data=st.data())
-@settings(max_examples=40, deadline=None)
-def test_walker_issues_each_op_once_in_dataflow_order(p, rounds, m, data):
-    n, num_groups = p * rounds, p * m
-    schedule = schedule_interleaved(p, n, m)
-    done = set()
-    issued = [[] for _ in range(p)]
-    for rank, op, key, dep in walk_schedule(schedule, num_groups, done):
-        assert key == (op.kind.value, op.microbatch, op.group)
-        assert key not in done
-        assert dep == op_dependency(op, num_groups)
-        assert dep is None or dep in done      # never before its dependency
-        issued[rank].append(op)
-        done.add(key)
-    assert issued == schedule   # every op once, each rank's order preserved
-
-    # A backward moved ahead of its own forward on a rank can never run:
-    # its dependency chain leads back to that forward.
-    rank = data.draw(st.integers(0, p - 1))
-    ops = list(schedule[rank])
-    i = data.draw(st.sampled_from(
-        [i for i, op in enumerate(ops) if op.kind.value == "F"]))
-    j = next(j for j, op in enumerate(ops)
-             if (op.kind.value, op.microbatch, op.group)
-             == ("B", ops[i].microbatch, ops[i].group))
-    ops[i], ops[j] = ops[j], ops[i]
-    with pytest.raises(ScheduleError):
-        _drain(schedule[:rank] + [ops] + schedule[rank + 1:], num_groups)
+@settings(max_examples=150, deadline=None)
+def test_issue_order_equals_the_reference_walk(p, rounds, m, mutation, data):
+    """`issue_order` is the order the per-op walk issued, op for op, on
+    valid schedules (including 1F1B with fewer microbatches than ranks)
+    and on mutated ones; where the walk deadlocks, the table raises."""
+    n = p * rounds - (data.draw(st.integers(0, p - 1)) if m == 1 else 0)
+    ranks_ops = schedule_table(p, n, m).ops()
+    if mutation is not None:
+        _mutate(ranks_ops, mutation, data)
+    table = ScheduleTable._of(ranks_ops, p * m)
+    try:
+        expected = _reference_order(table)
+    except ScheduleError:
+        with pytest.raises(ScheduleError):
+            table.issue_order
+        return
+    assert list(table.issued()) == expected
+    assert sorted(table.issue_order.tolist()) == list(range(len(expected)))
 
 
 @given(p=st.integers(1, 5), rounds=st.integers(1, 3), m=st.integers(1, 3))
@@ -124,12 +155,12 @@ def test_dependency_index_and_level_order(p, rounds, m):
     keys = [(op.kind.value, op.microbatch, op.group) for op in flat]
     dependency = _dependency_index(table).tolist()
     assert [None if d == n_ops else keys[d] for d in dependency] == [
-        op_dependency(op, num_groups) for op in flat]
+        op_dependency(key, num_groups) for key in keys]
 
     levels = table._levels
     order = levels.order.tolist()
     assert sorted(order) == list(range(n_ops))
-    rank = [rank for rank, ops in enumerate(table.ops()) for _ in ops]
+    rank = table.rank.tolist()
     first = set(table.starts[:-1].tolist())
     for lo, hi in levels.spans:
         assert len({rank[k] for k in order[lo:hi]}) == hi - lo <= p
@@ -149,9 +180,10 @@ def test_dependency_index_and_level_order(p, rounds, m):
 
 def test_executor_simulator_and_timeline_issue_the_same_sequence():
     """The trace hashes are byte-stable because the executor's span order
-    is the walker's order; the two analytic consumers must see it too."""
+    is the table's issue order; the two analytic consumers must see it
+    too."""
     p, m, n = 2, 2, 4
-    schedule = schedule_interleaved(p, n, m)
+    schedule = schedule_table(p, n, m)
     model = GPTModel(CFG, seed=3)
     tracer = Tracer()
     with trace_scope(tracer):
@@ -163,13 +195,12 @@ def test_executor_simulator_and_timeline_issue_the_same_sequence():
                 if s.name.startswith(("forward mb", "backward mb"))]
 
     simulated = list(simulate(schedule, PipelineCosts(
-        num_groups=p * m, forward_time=lambda g: 1.0,
-        backward_time=lambda g: 2.0)).op_finish)
+        forward_time=lambda g: 1.0, backward_time=lambda g: 2.0)).op_finish)
     assert executed == simulated
 
     timeline = [(e["name"][0].upper(), e["tid"])
                 for e in chrome_trace_events(
-                    schedule, TimelineCosts(num_groups=p * m, recompute=0))
+                    schedule, TimelineCosts(recompute=0))
                 if e["ph"] == "X"]
     assert timeline == [(kind, rank_of_group(group, p))
                         for kind, _mb, group in executed]
@@ -181,12 +212,12 @@ def test_deadlocking_schedule_leaves_gradients_untouched(monkeypatch):
     from repro.training import trainer
 
     def deadlocks_late(p, n, m):
-        schedule = schedule_interleaved(p, n, m)
+        schedule = schedule_table(p, n, m).ops()
         last = schedule[-1]
         last[-1], last[-2] = last[-2], last[-1]   # B of mb n-1 before its F
-        return schedule
+        return ScheduleTable._of(schedule, p * m)
 
-    monkeypatch.setattr(trainer, "schedule_interleaved", deadlocks_late)
+    monkeypatch.setattr(trainer, "schedule_table", deadlocks_late)
     model = GPTModel(CFG, seed=3)
     with pytest.raises(ScheduleError):
         PipelinedGPT(model, 2).train_step(_IDS, _TGT, num_microbatches=2)
