@@ -72,7 +72,12 @@ wall-history:
 # AbstractArray( constructions in src/, the doors where a shape enters
 # from outside (8: tensor.abstract, zeros(abstract=True), bernoulli_mask,
 # reshape's resolved target, the two layouts' `place`, layer norm's gamma
-# and beta) — a derived shape goes through the trusted `shaped`.
+# and beta) — a derived shape goes through the trusted `shaped`; and the
+# `rank_local = True` declarations in src/ (per-rank maps that
+# tensor.apply runs once, on rank 0, over abstract inputs) — each one is
+# covered by its strategy in the CASES table of tests/test_rank_local.py,
+# whose oracle compares the projected run with the per-rank run and fails
+# on a declaration without a strategy.
 loc:
 	@printf '%-56s %6d\n' \
 		'src/ python lines' "$$(find src -name '*.py' | xargs cat | wc -l)" \
@@ -95,7 +100,8 @@ loc:
 		'engine.py cache.(gather|write)( in the per-request loop' "$$(awk '/^ *for .*request_ids.*:$$/ { match($$0, /^ */); ind = RLENGTH; inloop = 1; next } inloop && NF { match($$0, /^ */); if (RLENGTH <= ind) inloop = 0; else if ($$0 ~ /cache\.(gather|write)\(/) n++ } END { print n + 0 }' src/repro/serving/engine.py)" \
 		'pipeline_sim/schedule.py Op( constructions' "$$(grep -cE '\bOp\(' src/repro/pipeline_sim/schedule.py)" \
 		'src/ np.broadcast_shapes( calls' "$$(grep -rn --include='*.py' 'np\.broadcast_shapes(' src | wc -l)" \
-		'src/ validating AbstractArray( constructions (doors)' "$$(grep -rn --include='*.py' 'AbstractArray(' src | grep -v 'AbstractArray(shape=' | wc -l)"
+		'src/ validating AbstractArray( constructions (doors)' "$$(grep -rn --include='*.py' 'AbstractArray(' src | grep -v 'AbstractArray(shape=' | wc -l)" \
+		'src/ rank_local Function declarations' "$$(grep -rn --include='*.py' 'rank_local = True' src | wc -l)"
 
 # CI smoke run: the artifact-writing CLI invocation of each per-feature
 # target below, without the `pytest tests/test_<feature>.py` those

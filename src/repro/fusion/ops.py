@@ -85,6 +85,7 @@ class BiasGelu(Function):
     """
 
     name = "bias_gelu"
+    rank_local = True
 
     def forward(self, fctx: FnCtx, x: ShardList, bias: ShardList) -> ShardList:
         arena = default_arena()
@@ -150,9 +151,11 @@ class ScaleMaskSoftmaxDropout(Function):
     :class:`repro.tensor.functions.OffsetCausalMask`: scores are
     ``(..., s/w, s)`` panels (ring attention), and rank ``r``'s tril is
     shifted by ``r * s/w`` rows.  With one shard the two modes coincide.
+    A ring instance is not :attr:`~repro.tensor.tensor.Function.rank_local`.
     """
 
     name = "scale_mask_softmax_dropout"
+    rank_local = True
 
     def __init__(self, scale: float, p: float, mode: str = "replicated",
                  shard_axis: int = 1, tag: str = "",
@@ -166,6 +169,8 @@ class ScaleMaskSoftmaxDropout(Function):
         self.tag = tag
         self.mask_source = mask_source
         self.ring = ring
+        if ring:  # rank r's tril and the shape check read the world
+            self.rank_local = False
 
     def _keep(self, shape, rank: int) -> Tuple[np.ndarray, np.ndarray]:
         if self.ring:
@@ -297,6 +302,7 @@ class FusedLayerNorm(Function):
     """
 
     name = "fused_layernorm"
+    rank_local = True
 
     def __init__(self, eps: float = 1e-5):
         self.eps = eps
@@ -388,6 +394,7 @@ class DropoutAdd(Function):
     """
 
     name = "dropout_add"
+    rank_local = True
 
     def __init__(self, p: float, mode: str = "replicated", shard_axis: int = 0,
                  tag: str = "", mask_source: Optional[MaskSource] = None):
@@ -466,6 +473,7 @@ class SoftmaxCrossEntropy(Function):
     """
 
     name = "softmax_xent"
+    rank_local = True
 
     def __init__(self, has_mask: bool = False):
         self.has_mask = has_mask

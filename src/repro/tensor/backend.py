@@ -30,9 +30,13 @@ pure tuple arithmetic.
   an existing array or computed from such shapes by the rules below
   (broadcasting, matmul, transpose, reductions, concatenate, split,
   slice) without re-checking it.  Every ``Function``'s abstract arm uses
-  it.  It returns an exact, fresh ``AbstractArray`` on every call: the
-  memory tracker keys charges by buffer identity, so instances are never
-  shared.
+  it.  It returns an exact, fresh ``AbstractArray`` on every call.
+
+The memory tracker keys charges by ``(rank, buffer identity)``, so an
+abstract instance is shared across ranks, never within a rank: an abstract
+dropout mask, :func:`repro.tensor.tensor.replicate`, and the one result of
+a projected rank-local ``Function`` (:func:`repro.tensor.tensor.apply`)
+each stand for every rank's buffer.
 """
 
 from __future__ import annotations
@@ -267,12 +271,6 @@ def max_(x: ArrayLike, axis=None, keepdims: bool = False) -> ArrayLike:
     if is_abstract(x):
         return shaped(_reduced_shape(x.shape, axis, keepdims))
     return np.maximum.reduce(x, axis=axis, keepdims=keepdims)
-
-
-def var(x: ArrayLike, axis=None, keepdims: bool = False) -> ArrayLike:
-    if is_abstract(x):
-        return shaped(_reduced_shape(x.shape, axis, keepdims))
-    return np.var(x, axis=axis, keepdims=keepdims)
 
 
 def reshape(x: ArrayLike, shape) -> ArrayLike:

@@ -64,6 +64,7 @@ class Add(Function):
     """Broadcasting addition. Saves nothing."""
 
     name = "add"
+    rank_local = True
 
     def forward(self, fctx: FnCtx, a: ShardList, b) -> ShardList:
         b_shards = b if isinstance(b, list) else [b] * len(a)
@@ -92,6 +93,7 @@ class Mul(Function):
     """
 
     name = "mul"
+    rank_local = True
 
     def forward(self, fctx: FnCtx, a: ShardList, b) -> ShardList:
         if isinstance(b, list):
@@ -149,6 +151,7 @@ class Matmul(Function):
     """
 
     name = "matmul"
+    rank_local = True
 
     def __init__(self, category: str = "activation"):
         self.category = category
@@ -217,6 +220,7 @@ class Reshape(Function):
     """Free (a view); saves only the input shape."""
 
     name = "reshape"
+    rank_local = True
 
     def __init__(self, shape):
         self.shape = tuple(shape)
@@ -234,6 +238,7 @@ class Transpose(Function):
     """Axis permutation; logged as a bandwidth-bound copy."""
 
     name = "transpose"
+    rank_local = True
 
     def __init__(self, axes: Sequence[int]):
         self.axes = tuple(axes)
@@ -252,6 +257,7 @@ class Split(Function):
     """Split into equal sections along an axis (multi-output)."""
 
     name = "split"
+    rank_local = True
 
     def __init__(self, sections: int, axis: int):
         self.sections = sections
@@ -271,6 +277,7 @@ class Concat(Function):
     """Concatenate tensors along an axis."""
 
     name = "concat"
+    rank_local = True
 
     def __init__(self, axis: int):
         self.axis = axis
@@ -370,6 +377,7 @@ class Gelu(Function):
     """Tanh-approximated GeLU (the Megatron-LM variant). Saves its input."""
 
     name = "gelu"
+    rank_local = True
 
     def forward(self, fctx: FnCtx, x: ShardList) -> ShardList:
         fctx.misc["x_slot"] = fctx.save_input(0, category="gelu_input")
@@ -398,6 +406,7 @@ class Softmax(Function):
     """
 
     name = "softmax"
+    rank_local = True
 
     def forward(self, fctx: FnCtx, x: ShardList) -> ShardList:
         out = []
@@ -483,6 +492,7 @@ class Dropout(Function):
     """
 
     name = "dropout"
+    rank_local = True
 
     def __init__(self, p: float, mode: str = "replicated", shard_axis: int = 0,
                  tag: str = "", mask_source: Optional[MaskSource] = None):
@@ -560,6 +570,7 @@ class LayerNorm(Function):
     """
 
     name = "layernorm"
+    rank_local = True
 
     def __init__(self, eps: float = 1e-5):
         self.eps = eps
@@ -620,6 +631,7 @@ class EmbeddingLookup(Function):
     """Row gather ``weight[ids]``. Saves the (tiny, integer) ids."""
 
     name = "embedding"
+    rank_local = True
 
     def forward(self, fctx: FnCtx, weight: ShardList, ids: ShardList) -> ShardList:
         fctx.misc["ids_slot"] = fctx.save_input(1, category="embedding_ids")
@@ -645,6 +657,7 @@ class Cast(Function):
     """Accounting-dtype change (e.g. fp16 logits -> fp32 before the loss)."""
 
     name = "cast"
+    rank_local = True
 
     def __init__(self, dtype: DType):
         self.dtype = dtype
@@ -663,6 +676,7 @@ class SumAll(Function):
     """Sum of all elements -> scalar (per rank). Saves only the shape."""
 
     name = "sum_all"
+    rank_local = True
 
     def forward(self, fctx: FnCtx, x: ShardList) -> ShardList:
         fctx.misc["shape"] = bk.shape_of(x[0])
@@ -700,6 +714,7 @@ class CrossEntropy(Function):
     """
 
     name = "cross_entropy"
+    rank_local = True
 
     def __init__(self, has_mask: bool = False):
         self.has_mask = has_mask
@@ -804,6 +819,7 @@ class CausalMask(Function):
     """
 
     name = "causal_mask"
+    rank_local = True
 
     MASKED_VALUE = -1e9
 
@@ -844,7 +860,8 @@ class OffsetCausalMask(Function):
     global rows ``[r*s/w, (r+1)*s/w)``: row ``i`` of rank ``r`` may attend
     to columns ``<= r*s/w + i``, i.e. a tril shifted by ``r*s/w``.  With
     ``w == 1`` this is exactly :class:`CausalMask`.  Like it, the mask is
-    a pure function of (shape, rank) — nothing is saved.
+    a pure function of (shape, rank) — nothing is saved.  Reading the
+    rank and the world keeps it off :attr:`Function.rank_local`.
     """
 
     name = "offset_causal_mask"
@@ -896,6 +913,7 @@ class SliceAxis(Function):
     shape.  Saves nothing."""
 
     name = "slice_axis"
+    rank_local = True
 
     def __init__(self, axis: int, start: int, stop: int):
         self.axis = axis

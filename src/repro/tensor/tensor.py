@@ -61,9 +61,10 @@ class Tensor:
         self.shards: ShardList = _as_shard_list(shards)
         if not self.shards:
             raise ShapeError("Tensor needs at least one shard")
-        shape0 = bk.shape_of(self.shards[0])
+        s0 = self.shards[0]
+        shape0 = bk.shape_of(s0)
         for s in self.shards[1:]:
-            if bk.shape_of(s) != shape0:
+            if s is not s0 and bk.shape_of(s) != shape0:
                 raise ShapeError(
                     f"all shards must share a shape; got {shape0} and {bk.shape_of(s)}"
                 )
@@ -180,12 +181,19 @@ class Tensor:
 
 
 class FnCtx:
-    """Per-application context: saved buffers and their tracker charges."""
+    """Per-application context: saved buffers and their tracker charges.
 
-    __slots__ = ("inputs", "_saved", "_charges", "misc", "out_dtypes")
+    ``world`` > 1 marks a projected application (see :func:`apply`): its
+    forward and backward see rank 0's shard alone, standing for ``world``
+    ranks, while every save is charged to each rank's own buffer, exactly
+    as the per-rank save would be.
+    """
 
-    def __init__(self, inputs: Sequence[Optional[Tensor]]):
+    __slots__ = ("inputs", "world", "_saved", "_charges", "misc", "out_dtypes")
+
+    def __init__(self, inputs: Sequence[Optional[Tensor]], world: int = 1):
         self.inputs = tuple(inputs)
+        self.world = world
         self._saved: List[ShardList] = []
         self._charges: List[Tuple[int, object, DType]] = []  # (rank, buf, dtype)
         self.misc: dict = {}
@@ -205,15 +213,21 @@ class FnCtx:
 
     def save_new(self, shards: ShardList, dtype: DType, category: str = "activation") -> int:
         """Save freshly created buffers (always charged)."""
+        if self.world > 1:  # rank 0's buffer, as every rank's
+            shards = _spread(shards, [t.shards for t in self.inputs if t is not None],
+                             self.world)
         return self._save(shards, dtype, category, charge=True)
 
     def _save(self, shards: ShardList, dtype: DType, category: str, charge: bool) -> int:
+        # ``shards`` holds one buffer per rank; a projected application
+        # keeps rank 0's, the only one its backward reads.
+        kept = shards[:1] if self.world > 1 else shards
         if not ctx().grad_enabled:
             # no tape -> nothing retained; still return a slot so callers
             # can write uniform code (the slot holds the caller's live list).
-            self._saved.append(shards)
+            self._saved.append(kept)
             return len(self._saved) - 1
-        self._saved.append(list(shards))
+        self._saved.append(list(kept))
         if charge:
             c = ctx()
             tracker = c.memory
@@ -302,6 +316,11 @@ class Function:
     #: inside their ``forward``/``backward``; the step compiler records
     #: them as one opaque call instead of re-recording their inner ops.
     composite = False
+    #: Rank-local functions compute each rank's shards from that rank's
+    #: shards alone, never reading ``len(shards)`` as the world or a rank
+    #: index, so on abstract inputs :func:`apply` runs them once, on rank
+    #: 0, and shares the result across ranks (``docs/extending.md``).
+    rank_local = False
 
     def forward(self, fctx: FnCtx, *args):  # pragma: no cover - abstract
         raise NotImplementedError
@@ -313,19 +332,22 @@ class Function:
 class Node:
     """A recorded function application on the tape."""
 
-    __slots__ = ("fn", "fctx", "inputs", "n_outputs", "out_templates", "executed")
+    __slots__ = ("fn", "fctx", "inputs", "world", "n_outputs", "out_templates", "spent")
 
     def __init__(self, fn: Function, fctx: FnCtx, inputs: Sequence[Optional[Tensor]],
                  outputs: Sequence[Tensor]):
         self.fn = fn
         self.fctx = fctx
         self.inputs = tuple(inputs)
+        self.world = fctx.world  # > 1: projected; backward runs on rank 0
         self.n_outputs = len(outputs)
         # Enough metadata to synthesize zero grads for unused outputs.
         self.out_templates = [
             (t.shape, t.world, t.is_abstract) for t in outputs
         ]
-        self.executed = False
+        #: ``None`` until backward runs it or :func:`free_graph` drops its
+        #: saves; then the name of whichever did.
+        self.spent: Optional[str] = None
 
 
 def apply(fn: Function, *args, **kwargs) -> Union[Tensor, Tuple[Tensor, ...]]:
@@ -333,6 +355,16 @@ def apply(fn: Function, *args, **kwargs) -> Union[Tensor, Tuple[Tensor, ...]]:
 
     Non-Tensor positional args are passed to ``forward`` verbatim with a
     ``None`` placeholder in the node's input list (no gradient flows).
+
+    A :attr:`Function.rank_local` function on abstract inputs is
+    *projected*: ``forward`` sees each tensor argument as ``shards[:1]``
+    and every rank gets the one result, shared across ranks (an abstract
+    array is nothing but its shape, and all shards share one).  A result
+    that *is* an input's rank-0 shard stands for that input's list.  Saves
+    are charged rank by rank (:class:`FnCtx`) and backward runs on rank
+    0's grads (:func:`run_backward`), so tracker streams, op logs and
+    shapes are those of the per-rank run.  Not under a memory profiler or
+    a capture, which key buffers by identity alone.
     """
     tensor_inputs: List[Optional[Tensor]] = []
     fwd_args = []
@@ -348,10 +380,17 @@ def apply(fn: Function, *args, **kwargs) -> Union[Tensor, Tuple[Tensor, ...]]:
         else:
             tensor_inputs.append(None)
             fwd_args.append(a)
-    fctx = FnCtx(tensor_inputs)
     c = ctx()
     mp = c.memprof
     cap = c.capture
+    world = 1
+    if (first is not None and type(first.shards[0]) is AbstractArray
+            and fn.rank_local and len(first.shards) > 1
+            and mp is None and cap is None):
+        world = len(first.shards)
+        fwd_args = [a[:1] if t is not None else a
+                    for a, t in zip(fwd_args, tensor_inputs)]
+    fctx = FnCtx(tensor_inputs, world)
     if cap is not None and fn.composite:
         # Composite ops replay as one opaque call; don't record the inner
         # function applications their forward runs.
@@ -371,6 +410,9 @@ def apply(fn: Function, *args, **kwargs) -> Union[Tensor, Tuple[Tensor, ...]]:
 
     multi = isinstance(out, tuple)
     out_lists = list(out) if multi else [out]
+    if world > 1:
+        sources = [t.shards for t in tensor_inputs if t is not None]
+        out_lists = [_spread(o, sources, world) for o in out_lists]
 
     requires = requires and c.grad_enabled
     in_dtype, layout = (FP16, "replicated") if first is None else (first.dtype, first.layout)
@@ -397,15 +439,42 @@ def apply(fn: Function, *args, **kwargs) -> Union[Tensor, Tuple[Tensor, ...]]:
     return tuple(outputs) if multi else outputs[0]
 
 
+def _spread(one: ShardList, sources: Sequence[ShardList], world: int) -> ShardList:
+    """A projected application's one-rank result as every rank's: its
+    shard shared across ranks -- or, when that shard *is* a source's rank-0
+    shard (an identity pass-through), the source's own list, so each rank
+    keeps its own buffer exactly as the per-rank run would."""
+    buf = one[0]
+    for src in sources:
+        if src[0] is buf:
+            return list(src)
+    return one * world
+
+
 def _zeros_for(template) -> ShardList:
     shape, world, abstract = template
-    return [bk.zeros(shape, abstract=abstract) for _ in range(world)]
+    if abstract:  # a shape: one array stands for every rank
+        return [bk.shaped(shape)] * world
+    return [bk.zeros(shape) for _ in range(world)]
 
 
 def _accumulate(dst: Optional[ShardList], src: ShardList) -> ShardList:
     if dst is None:
         return list(src)
+    d0, s0 = dst[0], src[0]
+    if (type(s0) is AbstractArray and type(d0) is AbstractArray
+            and src.count(s0) == len(src) and dst.count(d0) == len(dst)):
+        return [d0 + s0] * len(src)  # both shared across ranks: so is the sum
     return [d + s for d, s in zip(dst, src)]
+
+
+def _backward_projected(node: Node, grads_out: List[ShardList]) -> tuple:
+    """A projected node's backward: run on rank 0's grads, results shared."""
+    grads_in = node.fn.backward(node.fctx, *[g[:1] for g in grads_out])
+    if not isinstance(grads_in, tuple):
+        grads_in = (grads_in,)
+    return tuple(g if g is None else _spread(g, grads_out, node.world)
+                 for g in grads_in)
 
 
 def run_backward(seeds: Sequence[Tuple[Tensor, ShardList]]) -> None:
@@ -444,6 +513,11 @@ def run_backward(seeds: Sequence[Tuple[Tensor, ShardList]]) -> None:
             continue
         if id(node) in visited:
             continue
+        if node.spent == "free_graph":
+            raise AutogradError(
+                f"backward through a freed graph: free_graph() released the "
+                f"saved activations of {node.fn.name!r}"
+            )
         visited.add(id(node))
         stack.append((node, True))
         for t in node.inputs:
@@ -454,11 +528,11 @@ def run_backward(seeds: Sequence[Tuple[Tensor, ShardList]]) -> None:
     ctx().phase = Phase.BACKWARD
     try:
         for node in reversed(topo):
-            if node.executed:
+            if node.spent is not None:
                 raise AutogradError(
                     "graph node executed twice (double backward is not supported)"
                 )
-            node.executed = True
+            node.spent = "backward"
             grads_out = pending.pop(id(node), [None] * node.n_outputs)
             if all(g is None for g in grads_out):
                 node.fctx.release()
@@ -470,7 +544,9 @@ def run_backward(seeds: Sequence[Tuple[Tensor, ShardList]]) -> None:
                 g if g is not None else _zeros_for(node.out_templates[i])
                 for i, g in enumerate(grads_out)
             ]
-            if cap is not None and node.fn.composite:
+            if node.world > 1:
+                grads_in = _backward_projected(node, grads_out)
+            elif cap is not None and node.fn.composite:
                 # Composite backward (checkpoint recompute) replays as one
                 # opaque call; don't record its inner re-execution.
                 cap.suspend()
@@ -514,6 +590,8 @@ def free_graph(*tensors: Tensor) -> None:
 
     Used when a forward pass is measured and then discarded (e.g. abstract
     paper-scale runs, or dropping a microbatch in a schedule simulation).
+    The nodes are spent: a later backward through them is an
+    :class:`AutogradError`, raised before any backward runs.
     """
     stack = [t._node for t in tensors if t._node is not None]
     seen = set()
@@ -523,6 +601,8 @@ def free_graph(*tensors: Tensor) -> None:
             continue
         seen.add(id(node))
         node.fctx.release()
+        if node.spent is None:
+            node.spent = "free_graph"
         for t in node.inputs:
             if t is not None and t._node is not None:
                 stack.append(t._node)

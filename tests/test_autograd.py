@@ -174,6 +174,20 @@ class TestEngineMechanics:
             free_graph(y)
         assert mt.live_bytes(0) == 0
 
+    @pytest.mark.parametrize("world", [1, 4], ids=["concrete", "abstract-world4"])
+    def test_backward_after_free_graph_rejected(self, world):
+        if world == 1:
+            x = from_numpy(rng.normal(size=(2, 3, 4)), requires_grad=True)
+            w = parameter([rng.normal(size=(4, 5))])
+        else:
+            x = abstract((2, 3, 4), world=world, requires_grad=True)
+            w = abstract((4, 5), world=world, requires_grad=True)
+        y = F.sum_all(F.gelu(F.matmul(x, w)))
+        free_graph(y)
+        with pytest.raises(AutogradError, match="freed graph"):
+            y.backward()
+        assert x.grad is None and w.grad is None  # raised before any backward
+
     def test_unused_output_gets_zero_grad(self):
         x = from_numpy(rng.normal(size=(2, 6)), requires_grad=True)
         a, b, c = F.split(x, 3, axis=-1)
