@@ -112,16 +112,16 @@ class ScheduleTable:
         position = np.empty(n_ops + 2, dtype=np.int64)
         position[order] = np.arange(n_ops)
         position[n_ops:] = (n_ops, n_ops + 1)      # the sentinels stay put
-        lengths = np.diff(starts)
-        cols = np.arange(1, n_ops + 1) - np.repeat(starts[:-1], lengths)
-        prev = np.arange(-1, n_ops - 1)
-        prev[starts[:-1][lengths > 0]] = n_ops + 1
+        # the op before op k on its rank is k - 1 (position[-1] is N + 1),
+        # except that a rank's first op reads N + 1
+        prev = position[order - 1]
+        prev[position[starts[:-1][np.diff(starts) > 0]]] = n_ops + 1
         dep_group = np.append(self.group, 0)[dependency]
         return _Levels(
             order=order, spans=list(zip([0] + bounds, bounds)),
-            prev=position[prev[order]], dependency=position[dependency[order]],
-            remote=(dep_group % p != self.rank)[order],
-            cols=cols, width=int(lengths.max(initial=0)) + 1)
+            position=position, prev=prev,
+            dependency=position[dependency[order]],
+            remote=(dep_group % p != self.rank)[order])
 
     @cached_property
     def issue_order(self) -> np.ndarray:
@@ -250,24 +250,24 @@ def _dependency_index(table: ScheduleTable) -> np.ndarray:
             f"schedule ops must name groups in [0, {num_groups}) and "
             f"microbatches >= 0")
     key = microbatch * num_groups + group
-    kind = forward.astype(np.intp)
-    # position[1, key] / position[0, key]: where the forward / backward of
-    # (microbatch, group) is issued; N + 1 where the schedule has none
+    # position[size + key] / position[key]: where the forward / backward
+    # of (microbatch, group) is issued, N + 1 where the schedule has none;
+    # the last slot, 2 * size, is N: "waits for nothing"
     size = (int(microbatch.max()) + 1) * num_groups if n_ops else 0
-    position = np.full((2, size), n_ops + 1)
+    position = np.full(2 * size + 1, n_ops + 1)
+    position[-1] = n_ops
+    slot = key + size * forward
     ops = np.arange(n_ops)
-    position[kind, key] = ops
-    clash = np.flatnonzero(position[kind, key] != ops)
+    position[slot] = ops
+    clash = np.flatnonzero(position[slot] != ops)
     if clash.size:
         k = clash[0]
         raise ScheduleError(
-            f"duplicate op {'BF'[kind[k]]}{microbatch[k]}g{group[k]}")
+            f"duplicate op {'BF'[int(forward[k])]}{microbatch[k]}g{group[k]}")
     dep_forward, dep_group = _waits_for(forward, group, num_groups)
-    waits = dep_group >= 0
-    dependency = np.full(n_ops, n_ops)
-    dependency[waits] = position[dep_forward[waits].astype(np.intp),
-                                 (key - group + dep_group)[waits]]
-    return dependency
+    return position[np.where(dep_group >= 0,
+                             key - group + dep_group + size * dep_forward,
+                             2 * size)]
 
 
 def _wavefront(dependency: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -302,22 +302,20 @@ class _Levels(NamedTuple):
     """A table's ops renumbered into wavefront order, so that each step
     (*level*) is one contiguous slice ``spans[l]`` of positions.
 
-    ``order[j]`` is the rank-major op at position ``j``; ``prev[j]`` /
-    ``dependency[j]`` the positions of the op before it on its rank and
-    of the op it waits for, with two sentinel positions past the ops:
-    ``N`` (waits for nothing) and ``N + 1`` (first op of its rank).
-    ``remote[j]``: the dependency's group lives on another rank than the
-    one issuing ``j`` (``dep_group % p != rank``), so it pays the
-    point-to-point send.  ``cols`` places each rank-major op in a
-    ``(p, width)`` grid whose column 0 is a rank's start."""
+    ``order[j]`` is the rank-major op at position ``j`` and ``position``
+    its inverse; ``prev[j]`` / ``dependency[j]`` the positions of the op
+    before it on its rank and of the op it waits for, with two sentinel
+    positions past the ops, which ``position`` keeps: ``N`` (waits for
+    nothing) and ``N + 1`` (first op of its rank).  ``remote[j]``: the
+    dependency's group lives on another rank than the one issuing ``j``
+    (``dep_group % p != rank``), so it pays the point-to-point send."""
 
     order: np.ndarray
     spans: List[Tuple[int, int]]
+    position: np.ndarray
     prev: np.ndarray
     dependency: np.ndarray
     remote: np.ndarray
-    cols: np.ndarray
-    width: int
 
     def relax(self, finish: np.ndarray, send: np.ndarray,
               took: np.ndarray) -> np.ndarray:

@@ -14,8 +14,10 @@ It prices the dataflow one wavefront level at a time (the
 :class:`~repro.pipeline_sim.schedule.ScheduleTable`'s level order): all
 ops of a level finish at ``max(previous op on the rank, dependency +
 send) + duration`` in one array expression — per op the float operations
-of a per-op loop, so every value is bitwise that loop's.  Only
-``SimResult.op_finish`` reads the table's issue order.
+of a per-op loop, so every value is bitwise that loop's.  It computes
+only the makespan and busy times (what the perf model reads); the peaks
+and ``SimResult.op_finish``, the one reader of the table's issue order,
+are built on first read.
 """
 
 from __future__ import annotations
@@ -51,9 +53,15 @@ class PipelineCosts:
 class SimResult:
     makespan: float
     busy_time: List[float]
-    peak_activation_bytes: List[float]
+    _peaks: Callable[[], List[float]] = field(
+        repr=False, compare=False, default=list)
     _issue_order: Callable[[], Dict[Tuple[str, int, int], float]] = field(
         repr=False, compare=False, default=dict)
+
+    @cached_property
+    def peak_activation_bytes(self) -> List[float]:
+        """Per-rank activation high-water mark; built on first access."""
+        return self._peaks()
 
     @cached_property
     def op_finish(self) -> Dict[Tuple[str, int, int], float]:
@@ -76,50 +84,44 @@ class SimResult:
 
 def simulate(table: ScheduleTable, costs: PipelineCosts) -> SimResult:
     """Run the schedule to completion; raises on deadlock."""
-    levels = table._levels
-    n_ops, p = len(table.group), len(table.starts) - 1
-    # costs depend on the group only: one call per group, not one per op
-    groups = range(table.num_groups)
-    forward = np.array([costs.forward_time(g) for g in groups], dtype=float)
-    backward = np.array([costs.backward_time(g) for g in groups], dtype=float)
-    held = np.array([costs.activation_bytes(g) for g in groups], dtype=float)
-    if not costs.deallocate_output_tensor:
-        held += costs.output_tensor_bytes
+    levels, n_ops = table._levels, len(table.group)
     is_forward, group = table.forward, table.group
-    duration = np.where(is_forward, forward[group], backward[group])
-    charge = np.where(is_forward, held[group], -held[group])
+
+    def per_group(cost: Callable[[int], float]) -> np.ndarray:
+        # costs depend on the group only: one call per group, not per op
+        return np.array(list(map(cost, range(table.num_groups))), dtype=float)
 
     # finish times by level position; the two slots past the ops are what
     # "waits for nothing" (-inf) and "first op of its rank" (0.0) read
+    duration = np.where(is_forward, per_group(costs.forward_time)[group],
+                        per_group(costs.backward_time)[group])
     finish = np.empty(n_ops + 2)
     finish[n_ops:] = (-np.inf, 0.0)
     levels.relax(finish, np.where(levels.remote, costs.p2p_time, 0.0),
                  duration[levels.order])
-    at = np.empty(n_ops)
-    at[levels.order] = finish[:n_ops]
 
+    # per rank: its slice of the rank-major arrays, summed in the per-op
+    # loop's order by np.add.accumulate (add.reduce would reassociate); the
+    # loop's start from 0.0 can only flip a zero's sign, which `0.0 +` and
+    # `max(0.0, ...)` restore.  An empty rank's clock reads the 0.0 slot.
     starts = table.starts.tolist()
-    clock = [float(at[b - 1]) if b > a else 0.0
-             for a, b in zip(starts, starts[1:])]
-    lengths = np.diff(table.starts)
+    spans = list(zip(starts, starts[1:]))
+    clock = finish[[levels.position[b - 1] if b > a else n_ops + 1
+                    for a, b in spans]].tolist()
+    busy = [0.0 + float(np.add.accumulate(duration[a:b])[-1]) if b > a
+            else 0.0 for a, b in spans]
 
-    def running(values: np.ndarray) -> np.ndarray:
-        # per rank, the sequential sums 0.0 + v0 + v1 + ... the per-op loop
-        # formed (accumulate never reassociates, unlike add.reduce)
-        grid = np.zeros((p, levels.width))
-        grid[table.rank, levels.cols] = values
-        return np.add.accumulate(grid, axis=1)
-
-    busy = running(duration)[np.arange(p), lengths].tolist()
-    forward_at = np.zeros((p, levels.width), dtype=bool)
-    forward_at[table.rank, levels.cols] = is_forward
-    highest = np.where(forward_at, running(charge), -np.inf).max(
-        axis=1, initial=-np.inf)
-    peak = [max(0.0, nbytes) for nbytes in highest.tolist()]
+    def peaks() -> List[float]:
+        held = per_group(costs.activation_bytes)
+        if not costs.deallocate_output_tensor:
+            held += costs.output_tensor_bytes
+        charge = np.where(is_forward, held[group], -held[group])
+        return [max(0.0, float(np.add.accumulate(charge[a:b])[
+            is_forward[a:b]].max(initial=-np.inf))) for a, b in spans]
 
     def issue_order() -> Dict[Tuple[str, int, int], float]:
         return dict(zip((key for _rank, key in table.issued()),
-                        at[table.issue_order].tolist()))
+                        finish[levels.position[table.issue_order]].tolist()))
 
-    return SimResult(makespan=max(clock), busy_time=busy,
-                     peak_activation_bytes=peak, _issue_order=issue_order)
+    return SimResult(makespan=max(clock), busy_time=busy, _peaks=peaks,
+                     _issue_order=issue_order)

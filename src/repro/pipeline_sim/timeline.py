@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from ..errors import ConfigError
 from .schedule import (ScheduleTable, StorageWindow, op_dependency,
                        schedule_table)
 
@@ -39,6 +40,15 @@ class TimelineCosts:
     recompute: float = 1.0
     backward: float = 2.0
     full_storage_slots: int = 0
+
+    def __post_init__(self):
+        # a zero forward or backward leaves no cell width to render with;
+        # a zero recompute only drops the R segment
+        if not (self.forward > 0 and self.backward > 0
+                and self.recompute >= 0 and self.full_storage_slots >= 0):
+            raise ConfigError(
+                f"timeline costs need forward > 0, backward > 0, "
+                f"recompute >= 0 and full_storage_slots >= 0, got {self}")
 
 
 @dataclass

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.config import ModelConfig
+from repro.errors import ConfigError
 from repro.layers import GPTModel, Recompute, token_tensor
 from repro.memory_model import in_flight_microbatches, per_layer_activation_bytes
 from repro.parallel import ParallelGPTModel
@@ -237,6 +238,21 @@ class TestFigure10Timeline:
         for rank in range(3):
             line = [l for l in text.splitlines() if l.startswith(f"rank {rank}")][0]
             assert line.count("B") >= 5  # one backward segment per microbatch
+
+    @pytest.mark.parametrize("costs", [
+        dict(forward=0.0, recompute=0.0, backward=0.0), dict(forward=-1.0),
+        dict(backward=0.0), dict(recompute=-0.5), dict(full_storage_slots=-1),
+    ], ids=["all-zero", "negative-forward", "zero-backward",
+            "negative-recompute", "negative-slots"])
+    def test_invalid_costs_are_a_config_error(self, costs):
+        # all-zero costs would divide by a zero cell width
+        with pytest.raises(ConfigError, match="timeline costs need"):
+            render_timeline(schedule_table(2, 3), TimelineCosts(**costs))
+
+    def test_zero_recompute_drops_the_recompute_segment(self):
+        text = render_timeline(schedule_table(2, 3),
+                               TimelineCosts(recompute=0.0))
+        assert "R" not in text.split("]")[1] and "B" in text
 
 
 class TestChromeTrace:

@@ -83,11 +83,19 @@ class TestMakespan:
 
 
 def test_pricing_never_computes_the_issue_order():
-    """The analytic path prices tables and never reads `op_finish`, so
-    only `op_finish` may pay for the issue order."""
+    """The analytic path prices tables and reads only the makespan and
+    busy times, so the peaks are built (and the held bytes asked for) on
+    first read, and only `op_finish` may pay for the issue order."""
     table = schedule_table(4, 8, 2)
-    result = simulate(table, uniform_costs())
+    asked = []
+    result = simulate(table, PipelineCosts(
+        forward_time=lambda g: 1.0, backward_time=lambda g: 2.0,
+        activation_bytes=lambda g: asked.append(g) or 1.0))
     assert "_levels" in vars(table) and "issue_order" not in vars(table)
+    assert "peak_activation_bytes" not in vars(result) and not asked
+    assert result.peak_activation_bytes == [
+        in_flight_microbatches(rank, 4, 8, 2) * 2 for rank in range(4)]
+    assert asked == list(range(8)) and "issue_order" not in vars(table)
     result.op_finish
     assert "issue_order" in vars(table)
 
@@ -216,6 +224,27 @@ def test_simulate_equals_the_previous_per_op_loop(p, rounds, m, p2p, out,
     assert result.busy_time == busy
     assert result.peak_activation_bytes == peak
     assert list(result.op_finish.items()) == list(finish.items())
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+@pytest.mark.parametrize("table", [
+    schedule_table(3, 6), schedule_table(2, 4, 2),
+    ScheduleTable._of([[Op(F, 0, 0), Op(B, 0, 0)], []], 1),
+    ScheduleTable._of([[], [Op(F, 0, 0), Op(B, 0, 0)]], 1),
+], ids=["1f1b", "interleaved", "empty-last-rank", "empty-first-rank"])
+def test_simulate_equals_the_previous_per_op_loop_bit_for_bit(table, zero):
+    """Zero costs and empty ranks, compared by `float.hex` (`==` cannot
+    tell -0.0 from 0.0): the per-op loop's sums started from 0.0."""
+    costs = PipelineCosts(
+        forward_time=lambda g: zero, backward_time=lambda g: zero,
+        p2p_time=0.25, activation_bytes=lambda g: zero,
+        output_tensor_bytes=zero, deallocate_output_tensor=False)
+    result = simulate(table, costs)
+    makespan, busy, peak, finish = _reference_simulate(table, costs)
+    assert list(map(float.hex, [
+        result.makespan, *result.busy_time, *result.peak_activation_bytes,
+        *result.op_finish.values()])) == list(map(float.hex, [
+            makespan, *busy, *peak, *finish.values()]))
 
 
 @pytest.mark.parametrize("p, n, m", [(35, 280, 3), (64, 512, 1)],
