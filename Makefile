@@ -77,7 +77,13 @@ wall-history:
 # tensor.apply runs once, on rank 0, over abstract inputs) — each one is
 # covered by its strategy in the CASES table of tests/test_rank_local.py,
 # whose oracle compares the projected run with the per-rank run and fails
-# on a declaration without a strategy.
+# on a declaration without a strategy; and the shared-list rule of
+# tensor/backend.py: per-rank abstract constructions in src/ (one
+# AbstractArray / shaped per rank where one instance shared across ranks
+# would do; 9 before the rule).  Two survive: backend.split, whose pieces
+# are different tensors on one rank, and ScaleMaskSoftmaxDropout's
+# forward, a rank-local class whose unprojected (ring or profiled) run is
+# a per-rank map that tests/test_rank_local.py pins.
 loc:
 	@printf '%-56s %6d\n' \
 		'src/ python lines' "$$(find src -name '*.py' | xargs cat | wc -l)" \
@@ -101,7 +107,8 @@ loc:
 		'pipeline_sim/schedule.py Op( constructions' "$$(grep -cE '\bOp\(' src/repro/pipeline_sim/schedule.py)" \
 		'src/ np.broadcast_shapes( calls' "$$(grep -rn --include='*.py' 'np\.broadcast_shapes(' src | wc -l)" \
 		'src/ validating AbstractArray( constructions (doors)' "$$(grep -rn --include='*.py' 'AbstractArray(' src | grep -v 'AbstractArray(shape=' | wc -l)" \
-		'src/ rank_local Function declarations' "$$(grep -rn --include='*.py' 'rank_local = True' src | wc -l)"
+		'src/ rank_local Function declarations' "$$(grep -rn --include='*.py' 'rank_local = True' src | wc -l)" \
+		'src/ per-rank abstract constructions' "$$(grep -rnE --include='*.py' '(AbstractArray|shaped)\(.*for _ in' src | wc -l)"
 
 # CI smoke run: the artifact-writing CLI invocation of each per-feature
 # target below, without the `pytest tests/test_<feature>.py` those

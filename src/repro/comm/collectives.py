@@ -24,6 +24,9 @@ Conventions (matching NCCL):
   (no reduction).
 * ``gather_concat(shards, axis)`` — like all_gather but conceptually
   rooted; provided for schedule code that wants a single full array.
+
+On abstract shards each collective is one shape computation whose result
+every rank shares (the shared-list rule of :mod:`repro.tensor.backend`).
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Iterator, List, Sequence
 
 from ..errors import CommError
 from ..tensor import backend as bk
-from ..tensor.backend import ArrayLike
+from ..tensor.backend import AbstractArray, ArrayLike
 
 #: The installed fault injector (see :mod:`repro.resilience`).  ``None``
 #: on the clean path, where collectives pay only this one identity check.
@@ -97,9 +100,10 @@ def _inject(op: str, shards: Sequence[ArrayLike]) -> Sequence[ArrayLike]:
 def _check(shards: Sequence[ArrayLike]) -> None:
     if not shards:
         raise CommError("collective needs at least one shard")
-    shape0 = bk.shape_of(shards[0])
+    s0 = shards[0]
+    shape0 = bk.shape_of(s0)
     for s in shards[1:]:
-        if bk.shape_of(s) != shape0:
+        if s is not s0 and bk.shape_of(s) != shape0:
             raise CommError(
                 f"collective shards must share a shape; got {shape0} and {bk.shape_of(s)}"
             )
@@ -109,20 +113,28 @@ def all_reduce(shards: Sequence[ArrayLike]) -> List[ArrayLike]:
     """Sum across ranks; every rank receives the (shared) result."""
     _check(shards)
     shards = _inject("all_reduce", shards)
+    n = len(shards)
     total = shards[0]
+    if type(total) is AbstractArray:
+        # The sum of equal shapes is that shape; one rank passes through.
+        return [total if n == 1 else bk.shaped(total.shape)] * n
     for s in shards[1:]:
         total = total + s
-    if len(shards) == 1 and not bk.is_abstract(total):
+    if n == 1:
         total = total.copy()  # fresh buffer, same as the W>1 path
-    return [total] * len(shards)
+    return [total] * n
 
 
 def all_gather(shards: Sequence[ArrayLike], axis: int = 0) -> List[ArrayLike]:
     """Concatenate all shards along ``axis``; every rank gets the full array."""
     _check(shards)
     shards = _inject("all_gather", shards)
-    full = bk.concatenate(list(shards), axis)
-    return [full] * len(shards)
+    n, s0 = len(shards), shards[0]
+    if type(s0) is AbstractArray:
+        full = bk.shaped(bk.tiled_shape(s0.shape, n, axis))
+    else:
+        full = bk.concatenate(list(shards), axis)
+    return [full] * n
 
 
 def all_to_all(shards: Sequence[ArrayLike], split_axis: int = 0,
@@ -138,11 +150,13 @@ def all_to_all(shards: Sequence[ArrayLike], split_axis: int = 0,
     _check(shards)
     n = len(shards)
     shape = bk.shape_of(shards[0])
-    axis = split_axis % len(shape)
-    if shape[axis] % n != 0:
+    if shape[bk.axis_index(split_axis, len(shape))] % n != 0:
         raise CommError(
             f"all_to_all needs axis {split_axis} of {shape} divisible by {n}")
     shards = _inject("all_to_all", shards)
+    if type(shards[0]) is AbstractArray:
+        piece = bk.split_shape(shape, n, split_axis)
+        return [bk.shaped(bk.tiled_shape(piece, n, concat_axis))] * n
     pieces = [bk.split(s, n, split_axis) for s in shards]
     return [
         bk.concatenate([pieces[src][r] for src in range(n)], concat_axis)
@@ -154,10 +168,12 @@ def reduce_scatter(shards: Sequence[ArrayLike], axis: int = 0) -> List[ArrayLike
     """Sum across ranks, then rank ``i`` keeps slice ``i`` along ``axis``."""
     _check(shards)
     shards = _inject("reduce_scatter", shards)
-    total = shards[0]
+    n, total = len(shards), shards[0]
+    if type(total) is AbstractArray:
+        return [bk.shaped(bk.split_shape(total.shape, n, axis))] * n
     for s in shards[1:]:
         total = total + s
-    return bk.split(total, len(shards), axis)
+    return bk.split(total, n, axis)
 
 
 def scatter(full: ArrayLike, world: int, axis: int = 0) -> List[ArrayLike]:

@@ -192,6 +192,10 @@ class ScaleMaskSoftmaxDropout(Function):
         has_dropout = not (self.p == 0.0 and self.mask_source is None)
         y_list = []
         if abstract:
+            # One output per rank, unlike the shared-list rule: run per
+            # rank (a ring instance, or any under a memory profiler) a
+            # rank-local class stays a per-rank map, as the per-rank oracle
+            # of tests/test_rank_local.py pins.
             y_list = [bk.shaped(shape) for _ in range(world)]
         else:
             for r, xi in enumerate(x):
@@ -251,11 +255,10 @@ class ScaleMaskSoftmaxDropout(Function):
             fctx.log_elementwise("scale_mask_softmax_dropout.bwd",
                                  bytes_moved=6 * n, flops_per_rank=6 * n,
                                  fused=True)
+        if bk.is_abstract(grad[0]) or bk.is_abstract(y_list[0]):
+            return ([bk.shaped(bk.shape_of(y_list[0]))] * len(grad),)
         out = []
         for r, (g, yi, m) in enumerate(zip(grad, y_list, masks)):
-            if bk.is_abstract(g) or bk.is_abstract(yi):
-                out.append(bk.shaped(bk.shape_of(yi)))
-                continue
             shape = yi.shape
             keep_tril, _ = self._keep(shape, r)
             t1 = arena.take(shape)

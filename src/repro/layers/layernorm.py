@@ -27,8 +27,8 @@ class LayerNorm(Module):
         self.fused = fused
         self.name = name
         if abstract:
-            gamma = [AbstractArray((hidden_size,)) for _ in range(world)]
-            beta = [AbstractArray((hidden_size,)) for _ in range(world)]
+            gamma = [AbstractArray((hidden_size,))] * world
+            beta = [AbstractArray((hidden_size,))] * world
         else:
             gamma = [np.ones(hidden_size) for _ in range(world)]
             beta = [np.zeros(hidden_size) for _ in range(world)]

@@ -82,7 +82,7 @@ class Layout:
         shards."""
         world = self.group.size
         if full is None:
-            return [AbstractArray(shape) for _ in range(world)], "replicated"
+            return [AbstractArray(shape)] * world, "replicated"
         return [full] + [full.copy() for _ in range(world - 1)], "replicated"
 
     def parameter(self, rng, shape: Tuple[int, ...], name: str,

@@ -142,6 +142,8 @@ class RingGather(Function):
         for hop in range(n - 1):
             fctx.log_comm(f"{self.label}.bwd_hop{hop}", "p2p", nbytes, 2,
                           scope=self.group.scope, overlapped=overlapped)
+        if bk.is_abstract(grad[0]):
+            return ([bk.slice_axis(grad[0], self.axis, 0, chunk)] * n,)
         out = []
         for r in range(n):
             pieces = [bk.slice_axis(g, self.axis, r * chunk, (r + 1) * chunk)

@@ -33,12 +33,11 @@ class VocabParallelLookup(Function):
         fctx.misc["ids_slot"] = fctx.save_input(1, category="embedding_ids")
         w_shape = bk.shape_of(weight[0])
         fctx.misc["w_shape"] = w_shape
+        if bk.is_abstract(weight[0]) or bk.is_abstract(ids[0]):
+            return [bk.shaped(bk.shape_of(ids[0]) + w_shape[1:])] * len(weight)
         rows_per_rank = w_shape[0]
         out = []
         for r, (w, i) in enumerate(zip(weight, ids)):
-            if bk.is_abstract(w) or bk.is_abstract(i):
-                out.append(bk.shaped(bk.shape_of(i) + w_shape[1:]))
-                continue
             local, mask = _local_rows(i, r, rows_per_rank)
             out.append(bk.take_rows(w, local) * mask[..., None])
         return out
@@ -46,12 +45,11 @@ class VocabParallelLookup(Function):
     def backward(self, fctx: FnCtx, grad: ShardList):
         ids = fctx.saved(fctx.misc["ids_slot"])
         w_shape = fctx.misc["w_shape"]
+        if bk.is_abstract(grad[0]) or bk.is_abstract(ids[0]):
+            return [bk.shaped(w_shape)] * len(grad), None
         rows_per_rank = w_shape[0]
         dw = []
         for r, (g, i) in enumerate(zip(grad, ids)):
-            if bk.is_abstract(g) or bk.is_abstract(i):
-                dw.append(bk.shaped(w_shape))
-                continue
             local, mask = _local_rows(i, r, rows_per_rank)
             dw.append(bk.index_add_rows(w_shape, local, g * mask[..., None]))
         return dw, None

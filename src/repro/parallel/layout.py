@@ -95,7 +95,7 @@ class TensorParallel(Layout):
         if full is None:
             shard_shape = list(shape)
             shard_shape[axis] //= t
-            return [AbstractArray(shard_shape) for _ in range(t)], tag
+            return [AbstractArray(shard_shape)] * t, tag
         # Explicit copies: an axis-0 split is a contiguous *view* of the
         # source weight, and parameter shards must own their storage (the
         # optimizer updates them in place).

@@ -43,7 +43,7 @@ class VocabParallelCrossEntropy(Function):
                           self.group.size, scope=self.group.scope)
 
         if bk.is_abstract(logits[0]):
-            return [bk.shaped(()) for _ in logits]
+            return [bk.shaped(())] * len(logits)
 
         vpr = shape[-1]
         gmax = np.maximum.reduce([bk.max_(l, axis=-1) for l in logits])
@@ -72,7 +72,7 @@ class VocabParallelCrossEntropy(Function):
         loss_masks = fctx.saved(fctx.misc["mask_slot"]) if self.has_mask else None
         n_grads = 3 if self.has_mask else 2
         if bk.is_abstract(logits[0]):
-            grads = [bk.shaped(bk.shape_of(l)) for l in logits]
+            grads = [bk.shaped(bk.shape_of(logits[0]))] * len(logits)
             return (grads,) + (None,) * (n_grads - 1)
         gmax, sumexp = fctx.misc["stats"]
         vpr = bk.shape_of(logits[0])[-1]

@@ -23,6 +23,7 @@ from ..comm.cost_model import logged_nbytes
 from ..comm.process_group import ProcessGroup
 from ..errors import CommError
 from ..tensor import backend as bk
+from ..tensor.backend import AbstractArray
 from ..tensor.tensor import FnCtx, Function, ShardList, Tensor, apply
 
 
@@ -46,9 +47,13 @@ class Leg(NamedTuple):
 
 def _slice(shards: ShardList, axis: int) -> ShardList:
     # Rank i keeps chunk i: no communication, the data is resident everywhere.
-    world, extent = len(shards), bk.shape_of(shards[0])[axis]
+    world, s0 = len(shards), shards[0]
+    shape = bk.shape_of(s0)
+    extent = shape[bk.axis_index(axis, len(shape))]
     if extent % world != 0:
         raise CommError(f"axis {axis} ({extent}) not divisible by world {world}")
+    if type(s0) is AbstractArray:
+        return [bk.shaped(bk.split_shape(shape, world, axis))] * world
     chunk = extent // world
     return [bk.slice_axis(s, axis, r * chunk, (r + 1) * chunk) for r, s in enumerate(shards)]
 
@@ -145,7 +150,7 @@ class AllGatherMatmul(Function):
         fctx.misc["w_slot"] = fctx.save_input(1)
         full = G.forward(fctx, "ag_matmul", x, self.group, self.axis)
         if bk.is_abstract(full[0]) or bk.is_abstract(w[0]):
-            out = [fi @ wi for fi, wi in zip(full, w)]
+            out = [full[0] @ w[0]] * len(full)
         else:
             # One 2-D GEMM, not NumPy's loop of small ones over the leading
             # dims (as the serial Matmul): bitwise the same product.  Not so
@@ -171,12 +176,13 @@ class AllGatherMatmul(Function):
         fctx.log_gemm(f"ag_matmul[{self.category}].wgrad", flops_per_rank=flops)
         w_shape = bk.shape_of(w[0])
         k, n = w_shape
-        dw, dfull = [], []
-        for g, fi, wi in zip(grad, full, w):
-            if bk.is_abstract(g) or bk.is_abstract(fi):
-                dw.append(bk.shaped(w_shape))
-                dfull.append(bk.shaped(bk.shape_of(fi)))
-            else:
+        if bk.is_abstract(grad[0]) or bk.is_abstract(full[0]):
+            world = len(grad)
+            dw = [bk.shaped(w_shape)] * world
+            dfull = [bk.shaped(bk.shape_of(full[0]))] * world
+        else:
+            dw, dfull = [], []
+            for g, fi, wi in zip(grad, full, w):
                 dw.append(np.reshape(fi, (-1, k)).T @ np.reshape(g, (-1, n)))
                 dfull.append(g @ wi.T)
         # Megatron issues this reduce-scatter asynchronously and overlaps

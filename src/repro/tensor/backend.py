@@ -29,14 +29,22 @@ pure tuple arithmetic.
 * **Trusted path** — :func:`shaped` wraps a shape tuple that was read off
   an existing array or computed from such shapes by the rules below
   (broadcasting, matmul, transpose, reductions, concatenate, split,
-  slice) without re-checking it.  Every ``Function``'s abstract arm uses
-  it.  It returns an exact, fresh ``AbstractArray`` on every call.
+  slice, :func:`tiled_shape`, :func:`split_shape`) without re-checking
+  it.  Every ``Function``'s abstract arm uses it.  It returns an exact,
+  fresh ``AbstractArray`` on every call.
 
 The memory tracker keys charges by ``(rank, buffer identity)``, so an
 abstract instance is shared across ranks, never within a rank: an abstract
 dropout mask, :func:`repro.tensor.tensor.replicate`, and the one result of
 a projected rank-local ``Function`` (:func:`repro.tensor.tensor.apply`)
 each stand for every rank's buffer.
+
+Shared-list rule: an abstract tensor's shards are one instance repeated
+``world`` times.  A door validates one shape and repeats its one array
+``world`` times, and every per-rank map or collective over abstract
+shards does its shape arithmetic once and shares the result
+(``[shaped(...)] * world``).  :func:`split` is the exception: its pieces
+are different tensors on one rank, so each is fresh.
 """
 
 from __future__ import annotations
@@ -189,7 +197,7 @@ def matmul_shape(a: Shape, b: Shape) -> Shape:
     return broadcast_shape(a[:-2], b[:-2]) + (a[-2], b[-1])
 
 
-def _axis(axis: int, ndim: int) -> int:
+def axis_index(axis: int, ndim: int) -> int:
     """``axis`` as an index in ``[0, ndim)``; out of range (NumPy's
     ``AxisError``) is a ShapeError rather than a silent wrap."""
     if not -ndim <= axis < ndim:
@@ -217,9 +225,9 @@ def _reduced_shape(shape: Shape, axis, keepdims: bool) -> Shape:
         return (1,) * len(shape) if keepdims else ()
     ndim = len(shape)
     if isinstance(axis, int):
-        axes = (_axis(axis, ndim),)
+        axes = (axis_index(axis, ndim),)
     else:
-        axes = tuple([_axis(a, ndim) for a in axis])
+        axes = tuple([axis_index(a, ndim) for a in axis])
         if len(set(axes)) != len(axes):
             raise ShapeError(f"duplicate value in axis {axis}")
     if keepdims:
@@ -284,7 +292,7 @@ def transpose(x: ArrayLike, axes: Sequence[int]) -> ArrayLike:
     if is_abstract(x):
         shape = x.shape
         ndim = len(shape)
-        perm = [_axis(a, ndim) for a in axes]
+        perm = [axis_index(a, ndim) for a in axes]
         if len(perm) != ndim or len(set(perm)) != ndim:
             raise ShapeError(f"invalid transpose axes {axes} for shape {shape}")
         return shaped(tuple([shape[a] for a in perm]))
@@ -298,10 +306,12 @@ def swap_last_two(x: ArrayLike) -> ArrayLike:
 
 
 def concatenate(parts: Sequence[ArrayLike], axis: int) -> ArrayLike:
+    if not parts:
+        raise ShapeError("concatenate needs at least one array")
     if any(is_abstract(p) for p in parts):
         shapes = [shape_of(p) for p in parts]
         base = shapes[0]
-        ax = _axis(axis, len(base))
+        ax = axis_index(axis, len(base))
         lead, trail = base[:ax], base[ax + 1:]
         total = 0
         for s in shapes:
@@ -309,20 +319,34 @@ def concatenate(parts: Sequence[ArrayLike], axis: int) -> ArrayLike:
                 raise ShapeError(f"concatenate shape mismatch: {shapes}")
             total += s[ax]
         return shaped(lead + (total,) + trail)
+    axis_index(axis, len(shape_of(parts[0])))  # NumPy's AxisError, typed
     return np.concatenate(list(parts), axis=axis)
+
+
+def tiled_shape(shape: Shape, n: int, axis: int) -> Shape:
+    """The shape of ``n`` arrays of ``shape`` concatenated along ``axis``."""
+    ax = axis_index(axis, len(shape))
+    return shape[:ax] + (shape[ax] * n,) + shape[ax + 1:]
+
+
+def split_shape(shape: Shape, sections: int, axis: int) -> Shape:
+    """The shape of each of :func:`split`'s ``sections`` equal pieces."""
+    ax = axis_index(axis, len(shape))
+    if sections < 1 or shape[ax] % sections != 0:
+        raise ShapeError(f"cannot split axis {ax} of {shape} into {sections} equal parts")
+    return shape[:ax] + (shape[ax] // sections,) + shape[ax + 1:]
 
 
 def split(x: ArrayLike, sections: int, axis: int) -> list:
     shp = shape_of(x)
-    axis_ = _axis(axis, len(shp))
-    if sections < 1 or shp[axis_] % sections != 0:
-        raise ShapeError(f"cannot split axis {axis_} of {shp} into {sections} equal parts")
-    step = shp[axis_] // sections
+    piece = split_shape(shp, sections, axis)
     if is_abstract(x):
-        piece = shp[:axis_] + (step,) + shp[axis_ + 1:]
+        # Fresh pieces: they are different tensors on one rank.
         return [shaped(piece) for _ in range(sections)]
     # Views, not copies: callers that need ownership (e.g. parameter
     # sharding) copy explicitly; the hot paths just read.
+    axis_ = axis % len(shp)  # in range: split_shape checked it
+    step = piece[axis_]
     lead = (slice(None),) * axis_
     return [x[lead + (slice(i * step, (i + 1) * step),)]
             for i in range(sections)]
@@ -331,7 +355,7 @@ def split(x: ArrayLike, sections: int, axis: int) -> list:
 def slice_axis(x: ArrayLike, axis: int, start: int, stop: int) -> ArrayLike:
     """``x[..., start:stop, ...]`` along ``axis``."""
     shp = shape_of(x)
-    axis_ = _axis(axis, len(shp))
+    axis_ = axis_index(axis, len(shp))
     if not (0 <= start <= stop <= shp[axis_]):
         raise ShapeError(f"slice [{start}:{stop}] out of range for axis {axis_} of {shp}")
     if is_abstract(x):

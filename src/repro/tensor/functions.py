@@ -686,7 +686,7 @@ class SumAll(Function):
     def backward(self, fctx: FnCtx, grad: ShardList):
         shape = fctx.misc["shape"]
         if fctx.misc["abstract"]:
-            return ([bk.shaped(shape) for _ in grad],)
+            return ([bk.shaped(shape)] * len(grad),)
         return ([np.broadcast_to(np.asarray(g, dtype=np.float64), shape).copy() for g in grad],)
 
 
@@ -881,23 +881,16 @@ class OffsetCausalMask(Function):
                 f"w={len(x)} shards, got {shape}")
         fctx.log_elementwise("offset_causal_mask",
                              bytes_moved=2 * bk.size_of(x[0]))
-        out = []
-        for r, xi in enumerate(x):
-            if bk.is_abstract(xi):
-                out.append(bk.shaped(xi.shape))
-            else:
-                out.append(np.where(self._keep(shape, r), xi,
-                                    self.MASKED_VALUE))
-        return out
+        if bk.is_abstract(x[0]):
+            return [bk.shaped(shape)] * len(x)
+        return [np.where(self._keep(shape, r), xi, self.MASKED_VALUE)
+                for r, xi in enumerate(x)]
 
     def backward(self, fctx: FnCtx, grad: ShardList):
-        out = []
-        for r, g in enumerate(grad):
-            if bk.is_abstract(g):
-                out.append(bk.shaped(bk.shape_of(g)))
-            else:
-                out.append(g * self._keep(bk.shape_of(g), r))
-        return (out,)
+        shape = bk.shape_of(grad[0])
+        if bk.is_abstract(grad[0]):
+            return ([bk.shaped(shape)] * len(grad),)
+        return ([g * self._keep(shape, r) for r, g in enumerate(grad)],)
 
 
 def offset_causal_mask(x: Tensor) -> Tensor:

@@ -176,7 +176,9 @@ class Tensor:
                 raise AutogradError("backward() on a leaf tensor does nothing")
             raise AutogradError("tensor does not require grad / has no graph")
         if grad is None:
-            grad = [bk.ones_like(s) for s in self.shards]
+            s0 = self.shards[0]
+            grad = ([bk.shaped(s0.shape)] * self.world if type(s0) is AbstractArray
+                    else [bk.ones_like(s) for s in self.shards])
         run_backward([(self, grad)])
 
 
@@ -645,5 +647,5 @@ def abstract(shape: Sequence[int], world: int = 1, dtype: DType = FP16,
              requires_grad: bool = False, layout: str = "replicated",
              name: str = "") -> Tensor:
     """A shape-only tensor for paper-scale abstract execution."""
-    return Tensor([AbstractArray(shape) for _ in range(world)], dtype=dtype,
+    return Tensor([AbstractArray(shape)] * world, dtype=dtype,
                   requires_grad=requires_grad, layout=layout, name=name)
