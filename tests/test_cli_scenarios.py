@@ -1,18 +1,23 @@
-"""The concrete-run CLI commands, pinned byte for byte.
+"""The CLI, pinned byte for byte.
 
-Every row of ``ARGV_ROWS`` is one ``repro <command>`` invocation whose
-stdout and written artifacts ride the simulated clock and seeded RNG
-streams, so they are byte-identical run to run.  Their SHA-256 digests
-are committed in ``tests/golden/cli_sha256.json``; a refactor of the
+Every row of ``ARGV_ROWS`` is one ``repro <command>`` invocation (or a
+short chain of them) whose stdout and written artifacts ride the
+simulated clock and seeded RNG streams, so they are byte-identical run
+to run.  Their SHA-256 digests are committed in
+``tests/golden/cli_sha256.json``; a refactor of the CLI or of the
 scenario set-up code (``repro.scenarios``) must leave all of them
-unchanged.  ``python tests/test_cli_scenarios.py`` rewrites the goldens
-after an *intentional* output change.
+unchanged.  ``tests/golden/cli_parser.json`` pins the argparse spec of
+every sub-command (everything but the help text), so the same refactor
+cannot move a flag, default, choice or type either.
+``python tests/test_cli_scenarios.py`` rewrites both goldens after an
+*intentional* change.
 
 The "two doors" tests state the other half of the contract: a CLI
 command at its defaults and the ``repro bench`` preset of the same name
 are the same run, so their numbers agree exactly.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -29,14 +34,31 @@ from repro import scenarios
 from repro.cli import main
 from repro.errors import ConfigError
 
-GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                           "golden", "cli_sha256.json")
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          "golden")
+GOLDEN_PATH = os.path.join(GOLDEN_DIR, "cli_sha256.json")
+PARSER_GOLDEN_PATH = os.path.join(GOLDEN_DIR, "cli_parser.json")
 
 TRACE_ARTIFACTS = ("out/trace.json", "out/metrics.prom", "out/metrics.json")
 MEMPROF_ARTIFACTS = ("out/memprof-ledger.json", "out/memprof-flamegraph.json",
                      "out/memprof-trace.json")
 
-#: (id, argv, artifacts written relative to the working directory)
+
+
+def _text_and_json(*argvs):
+    """A row per argv at its text output, and one more with ``--json``."""
+    rows = []
+    for argv in argvs:
+        row_id = " ".join(argv).replace("--", "").replace(" ", "-")
+        rows += [(row_id, list(argv), ()),
+                 (row_id + "-json", list(argv) + ["--json"], ())]
+    return tuple(rows)
+
+
+TRACE_TINY = ["trace", "--config", "tiny", "--output-dir", "out"]
+
+#: (id, argv -- or a list of argvs run in order --, artifacts written
+#: relative to the working directory)
 ARGV_ROWS = (
     ("chaos", ["chaos", "--json"], ()),
     ("serve", ["serve", "--json"], ()),
@@ -54,8 +76,40 @@ ARGV_ROWS = (
     ("memprofile-tiny",
      ["memprofile", "--config", "tiny", "--output-dir", "out", "--json"],
      MEMPROF_ARTIFACTS),
-    ("trace-tiny", ["trace", "--config", "tiny", "--output-dir", "out"],
-     TRACE_ARTIFACTS),
+    ("trace-tiny", TRACE_TINY, TRACE_ARTIFACTS),
+) + _text_and_json(
+    ["table", "2"], ["table", "4"], ["table", "5"], ["table", "6"],
+    ["figure", "1"], ["figure", "7"], ["figure", "8"], ["figure", "9"],
+    ["figure", "10"], ["memory-report"], ["flops-report"], ["plan"],
+    ["simulate-pipeline"], ["simulate-pipeline", "--breakdown"],
+    ["section5"], ["appendix-c"],
+) + tuple((f"sweep-{kind}", ["sweep", kind], ())
+          for kind in ("seq", "tp", "fit", "overhead")) + (
+    ("report", ["report"], ()),
+    ("chaos-text", ["chaos"], ()),
+    ("chaos-verify-text", ["chaos", "--verify"], ()),
+    ("serve-text", ["serve"], ()),
+    ("serve-artifacts-text",
+     ["serve", "--trace-out", "st.json", "--request-trace", "rt.json"],
+     ("st.json", "rt.json")),
+    ("fleet-text", ["fleet"], ()),
+    ("fleet-verify-text", ["fleet", "--verify"], ()),
+    ("monitor-text", ["monitor"], ()),
+    ("monitor-artifacts-text",
+     ["monitor", "--postmortem", "pm.json", "--request-trace", "rt.json",
+      "--trace-out", "mt.json"], ("pm.json", "rt.json", "mt.json")),
+    ("compile-text", ["compile"], ()),
+    ("compile-trace-text", ["compile", "--trace-out", "ct.json"],
+     ("ct.json",)),
+    ("longctx-text", ["longctx"], ()),
+    ("longctx-trace-text", ["longctx", "--trace-out", "lt.json"],
+     ("lt.json",)),
+    ("memprofile-tiny-text",
+     ["memprofile", "--config", "tiny", "--output-dir", "out"],
+     MEMPROF_ARTIFACTS),
+    ("analyze-text", [TRACE_TINY, ["analyze", "out/trace.json"]], ()),
+    ("analyze-json", [TRACE_TINY, ["analyze", "out/trace.json", "--json"]],
+     ()),
 )
 
 
@@ -71,7 +125,8 @@ def _digests(argv, artifacts, workdir) -> dict:
     try:
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
-            assert main(list(argv)) == 0
+            for one in (argv if isinstance(argv[0], list) else [argv]):
+                assert main(list(one)) == 0
         digests = {"stdout": _sha(stdout.getvalue().encode())}
         for name in artifacts:
             with open(name, "rb") as fh:
@@ -86,6 +141,41 @@ def _run_json(argv) -> dict:
     with contextlib.redirect_stdout(stdout):
         assert main(list(argv)) == 0
     return json.loads(stdout.getvalue())
+
+
+def parser_spec() -> dict:
+    """Every sub-command's argparse spec, help strings left out: its
+    actions in order (positionals included) and the ``fn`` it runs."""
+    from repro.cli import build_parser
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    return {name: {
+        "fn": parser.get_default("fn").__name__,
+        "actions": [{
+            "option_strings": action.option_strings,
+            "dest": action.dest,
+            "default": action.default,
+            "type": getattr(action.type, "__name__", action.type),
+            "choices": (None if action.choices is None
+                        else list(action.choices)),
+            "nargs": action.nargs,
+            "metavar": action.metavar,
+            "required": action.required,
+            "action": type(action).__name__,
+        } for action in parser._actions
+            if not isinstance(action, argparse._HelpAction)],
+    } for name, parser in subparsers.choices.items()}
+
+
+def _dump(doc, path, **kw) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1, **kw)
+        fh.write("\n")
+
+
+def test_parser_matches_golden():
+    with open(PARSER_GOLDEN_PATH) as fh:
+        assert parser_spec() == json.load(fh)
 
 
 @pytest.fixture(scope="module")
@@ -227,8 +317,7 @@ if __name__ == "__main__":  # pragma: no cover - golden capture
     for row_id, argv, artifacts in ARGV_ROWS:
         with tempfile.TemporaryDirectory() as workdir:
             captured[row_id] = _digests(argv, artifacts, workdir)
-    os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
-    with open(GOLDEN_PATH, "w") as fh:
-        json.dump(captured, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {GOLDEN_PATH}")
+    os.makedirs(GOLDEN_DIR, exist_ok=True)
+    _dump(captured, GOLDEN_PATH, sort_keys=True)
+    _dump(parser_spec(), PARSER_GOLDEN_PATH)
+    print(f"wrote {GOLDEN_PATH} and {PARSER_GOLDEN_PATH}")
