@@ -1,8 +1,16 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands regenerate the paper's tables and figures, report memory/FLOPs
-for a configuration, run the recomputation planner, or simulate a
-pipeline schedule.  Run ``python -m repro --help`` for the full list.
+Commands regenerate the paper's tables and figures (the menu is
+:data:`repro.experiments.PAPER_MENU`), report memory/FLOPs for a
+configuration, run the recomputation planner, simulate a pipeline
+schedule, or run a concrete-run scenario (:mod:`repro.scenarios`).  Run
+``python -m repro --help`` for the full list.
+
+The parser is one table: ``_COMMANDS`` has a row per sub-command naming
+its flags, each stated once in ``_FLAGS``.  A scenario's keywords are
+its command's flags (``_kwargs``), so the argparse defaults are the
+scenario's own.  A command with ``--json`` returns ``(doc, text)`` and
+:func:`main` prints one of them.
 """
 
 from __future__ import annotations
@@ -10,6 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from enum import Enum
 from types import MappingProxyType
 from typing import Callable, List, Mapping, NamedTuple, Optional
 
@@ -57,17 +66,10 @@ from .observability import (
 )
 from .observability.regress import DEFAULT_BASELINE_DIR, PRESET_NAMES, PRESETS
 from .perf_model import iteration_time
-from .pipeline_sim import figure10
 from .planner import choose_context_layout, plan
 from .serving import POLICIES
 from .reporting import format_table, pct
 from .units import GIB, fmt_bytes, fmt_count, fmt_flops
-
-
-def _config(name: str):
-    if name not in PAPER_CONFIGS:
-        raise ConfigError(f"unknown model {name!r}; choose from {', '.join(PAPER_CONFIG_NAMES)}")
-    return PAPER_CONFIGS[name]
 
 
 def emit_json(payload) -> str:
@@ -77,63 +79,38 @@ def emit_json(payload) -> str:
     return dumps_json(payload).rstrip("\n")
 
 
-class _PaperItem(NamedTuple):
-    """One ``repro table N`` / ``repro figure N`` entry."""
-
-    data: Callable
-    report: Callable
-    #: ``--json`` key the data goes under
-    json_key: str
-    #: argparse fields echoed in the ``--json`` document -> the keyword
-    #: both functions take them as
-    args: Mapping[str, str] = MappingProxyType({})
-    #: constants echoed in the ``--json`` document
-    json_extra: Mapping[str, object] = MappingProxyType({})
-
-
-_TABLES = {
-    2: _PaperItem(experiments.table2_data, experiments.table2_report, "rows",
-                  {"model": "model_name"}),
-    4: _PaperItem(experiments.table4_data, experiments.table4_report, "rows",
-                  json_extra={"model": "22B"}),
-    5: _PaperItem(experiments.table5_data, experiments.table5_report, "rows"),
-    6: _PaperItem(experiments.table6_data, experiments.table6_report, "rows",
-                  {"model": "model_name",
-                   "context_parallel": "context_parallel",
-                   "seq_length": "seq_length"}),
-}
-_FIGURES = {
-    1: _PaperItem(experiments.figure1_data, experiments.figure1_report, "series"),
-    7: _PaperItem(experiments.figure7_data, experiments.figure7_report, "series"),
-    8: _PaperItem(experiments.figure8_data, experiments.figure8_report, "series"),
-    9: _PaperItem(experiments.figure9_data, experiments.figure9_report, "profile"),
-    10: _PaperItem(figure10, figure10, "timeline"),
-}
-
-
-def _paper_item(kind: str, menu: Mapping[int, _PaperItem], args) -> str:
-    item = menu.get(args.number)
+def _paper_item(kind: str, number, args):
+    """One entry of :data:`repro.experiments.PAPER_MENU`."""
+    menu = {item.number: item for item in experiments.PAPER_MENU
+            if item.kind == kind}
+    item = menu.get(number)
     if item is None:
         raise ConfigError(
             f"reproducible {kind}s: {', '.join(str(n) for n in menu)}")
     echoed = {field: getattr(args, field) for field in item.args}
     kwargs = {item.args[field]: value for field, value in echoed.items()}
-    if not args.json:
-        return item.report(**kwargs)
-    return emit_json({kind: args.number, **echoed, **item.json_extra,
-                      item.json_key: item.data(**kwargs)})
+    return ({kind: number, **echoed, **item.json_extra,
+             item.json_key: item.data(**kwargs)}, item.report(**kwargs))
 
 
-def cmd_table(args) -> str:
-    return _paper_item("table", _TABLES, args)
+def cmd_table(args):
+    return _paper_item("table", args.number, args)
 
 
-def cmd_figure(args) -> str:
-    return _paper_item("figure", _FIGURES, args)
+def cmd_figure(args):
+    return _paper_item("figure", args.number, args)
 
 
-def cmd_memory(args) -> str:
-    cfg = _config(args.model)
+def cmd_section5(args):
+    return _paper_item("section", 5, args)
+
+
+def cmd_appendix_c(args):
+    return _paper_item("appendix", "C", args)
+
+
+def cmd_memory(args):
+    cfg = PAPER_CONFIGS[args.model]
     recompute = Recompute(args.recompute)
     rows = []
     data = []
@@ -146,23 +123,21 @@ def cmd_memory(args) -> str:
         data.append({"sequence_parallel": sp, "per_layer_bytes": per_layer,
                      "first_stage_total_bytes": total})
     static = weight_and_optimizer_bytes(cfg)
-    if args.json:
-        return emit_json({"model": args.model, "recompute": recompute,
-                          "tensor_parallel": cfg.parallel.tensor_parallel,
-                          "pipeline_parallel": cfg.parallel.pipeline_parallel,
-                          "activations": data, "static_bytes": static})
     text = format_table(
         ["sequence parallel", "per layer", "first-stage total"],
         rows,
         title=(f"Activation memory, {args.model}, recompute={recompute.value}, "
                f"t={cfg.parallel.tensor_parallel}, p={cfg.parallel.pipeline_parallel}"),
     )
-    text += f"\nweights + optimizer state per GPU: {fmt_bytes(static)}"
-    return text
+    return ({"model": args.model, "recompute": recompute,
+             "tensor_parallel": cfg.parallel.tensor_parallel,
+             "pipeline_parallel": cfg.parallel.pipeline_parallel,
+             "activations": data, "static_bytes": static},
+            text + f"\nweights + optimizer state per GPU: {fmt_bytes(static)}")
 
 
-def cmd_flops(args) -> str:
-    cfg = _config(args.model)
+def cmd_flops(args):
+    cfg = PAPER_CONFIGS[args.model]
     batch = cfg.training.global_batch_size
     model_fl = model_flops_per_iteration(cfg.model, batch)
     rows = []
@@ -172,49 +147,38 @@ def cmd_flops(args) -> str:
         rows.append((rc.value, fmt_flops(hw), f"{hw / model_fl:.4f}"))
         data.append({"recompute": rc, "hardware_flops": hw,
                      "hardware_to_model": hw / model_fl})
-    if args.json:
-        return emit_json({
-            "model": args.model, "global_batch_size": batch,
-            "model_flops": model_fl,
-            "eq9_ratio": hardware_to_model_ratio(cfg.model),
-            "parameters": cfg.model.parameter_count(), "rows": data})
+    ratio = hardware_to_model_ratio(cfg.model)
     text = format_table(
         ["recompute", "hardware FLOPs/iter", "hardware/model"],
         rows,
         title=(f"FLOPs, {args.model} (global batch {batch}); model FLOPs = "
-               f"{fmt_flops(model_fl)}; Eq. 9 ratio = "
-               f"{hardware_to_model_ratio(cfg.model):.4f}"),
+               f"{fmt_flops(model_fl)}; Eq. 9 ratio = {ratio:.4f}"),
     )
-    text += f"\nparameters: {fmt_count(cfg.model.parameter_count())}"
-    return text
+    return ({"model": args.model, "global_batch_size": batch,
+             "model_flops": model_fl, "eq9_ratio": ratio,
+             "parameters": cfg.model.parameter_count(), "rows": data},
+            text + f"\nparameters: {fmt_count(cfg.model.parameter_count())}")
 
 
-def cmd_plan(args) -> str:
-    cfg = _config(args.model)
-    option = plan(cfg, device_memory_bytes=args.memory_gb * GIB)
-    if args.json:
-        return emit_json({"model": args.model, "memory_gb": args.memory_gb,
-                          "option": option, "total_bytes": option.total_bytes})
-    return (
-        f"cheapest strategy that fits {args.memory_gb} GB on {args.model}:\n"
-        f"  {option.description}\n"
-        f"  activations: {fmt_bytes(option.activation_bytes)}  "
-        f"weights+optimizer: {fmt_bytes(option.static_bytes)}  "
-        f"total: {fmt_bytes(option.total_bytes)}\n"
-        f"  estimated per-layer time overhead vs no-recompute: "
-        f"{pct(option.overhead_fraction)}"
-    )
+def cmd_plan(args):
+    option = plan(PAPER_CONFIGS[args.model],
+                  device_memory_bytes=args.memory_gb * GIB)
+    return ({"model": args.model, "memory_gb": args.memory_gb,
+             "option": option, "total_bytes": option.total_bytes},
+            f"cheapest strategy that fits {args.memory_gb} GB on {args.model}:\n"
+            f"  {option.description}\n"
+            f"  activations: {fmt_bytes(option.activation_bytes)}  "
+            f"weights+optimizer: {fmt_bytes(option.static_bytes)}  "
+            f"total: {fmt_bytes(option.total_bytes)}\n"
+            f"  estimated per-layer time overhead vs no-recompute: "
+            f"{pct(option.overhead_fraction)}")
 
 
-def cmd_simulate(args) -> str:
-    cfg = _config(args.model)
-    result = iteration_time(
-        cfg, sequence_parallel=not args.no_sequence_parallel,
-        recompute=Recompute(args.recompute), data_parallel=args.data_parallel,
-    )
-    if args.json:
-        return emit_json({"model": args.model, "result": result,
-                          "mfu": result.mfu, "hfu": result.hfu})
+def cmd_simulate(args):
+    cfg = PAPER_CONFIGS[args.model]
+    sp, recompute = not args.no_sequence_parallel, Recompute(args.recompute)
+    result = iteration_time(cfg, sequence_parallel=sp, recompute=recompute,
+                            data_parallel=args.data_parallel)
     text = (
         f"{args.model}: iteration {result.iteration_time:.3f} s "
         f"(pipeline {result.pipeline_time:.3f} s + optimizer "
@@ -228,33 +192,20 @@ def cmd_simulate(args) -> str:
     )
     if args.breakdown:
         from .perf_model import KernelCostModel, layer_oplog
-        cost = KernelCostModel()
         log = layer_oplog(cfg.model, cfg.training.micro_batch_size,
                           cfg.parallel.tensor_parallel,
-                          sequence_parallel=not args.no_sequence_parallel,
-                          recompute=Recompute(args.recompute))
+                          sequence_parallel=sp, recompute=recompute)
         text += "\n  per-layer time attribution (ms):"
-        for phase, kinds in cost.price_breakdown(log).items():
+        for phase, kinds in KernelCostModel().price_breakdown(log).items():
             parts = ", ".join(f"{k} {1e3*v:.2f}" for k, v in sorted(kinds.items()))
             text += f"\n    {phase:9s} {parts}"
-    return text
-
-
-def cmd_section5(args) -> str:
-    if args.json:
-        return emit_json({"section": 5, "rows": experiments.section5_data()})
-    return experiments.section5_report()
-
-
-def cmd_appendix_c(args) -> str:
-    if args.json:
-        return emit_json({"appendix": "C", "rows": experiments.appendix_c_data()})
-    return experiments.appendix_c_report()
+    return ({"model": args.model, "result": result,
+             "mfu": result.mfu, "hfu": result.hfu}, text)
 
 
 def cmd_sweep(args) -> str:
     from . import sweeps
-    cfg = _config(args.model)
+    cfg = PAPER_CONFIGS[args.model]
     m, b, t = cfg.model, cfg.training.micro_batch_size, cfg.parallel.tensor_parallel
     lengths = tuple(args.seq_lengths)
     if args.kind == "seq":
@@ -288,7 +239,25 @@ def _write_request_trace(tracker, path: str) -> str:
             f"partition exact={partition['exact']}")
 
 
-def cmd_chaos(args) -> str:
+def _flag(keyword: str) -> str:
+    """The flag a scenario keyword is (``seed_value`` is ``--seed``)."""
+    return "seed" if keyword == "seed_value" else keyword
+
+
+def _kwargs(args, *scenario_fns) -> dict:
+    """The keywords of ``scenario_fns`` that are flags of this command,
+    read off ``args`` (an enum default converts the flag's string)."""
+    kwargs = {}
+    for fn in scenario_fns:
+        for keyword, default in scenarios.defaults(fn).items():
+            if _flag(keyword) in vars(args):
+                value = getattr(args, _flag(keyword))
+                kwargs[keyword] = (type(default)(value)
+                                   if isinstance(default, Enum) else value)
+    return kwargs
+
+
+def cmd_chaos(args):
     """Run a tiny training job under a seeded random fault plan and show
     the resilience report; with ``--verify``, also run fault-free at the
     same seed and check the final weights are bitwise identical."""
@@ -298,12 +267,9 @@ def cmd_chaos(args) -> str:
 
     def run(plan=None):
         return scenarios.dp_chaos_segment(
-            args.steps, args.seed, dp=args.dp, fault_rate=args.fault_rate,
-            checkpoint_interval=args.checkpoint_interval, plan=plan)
+            **_kwargs(args, scenarios.dp_chaos_segment), plan=plan)
 
     trainer, result, plan_ = run()
-    if args.json:
-        return emit_json(result.report.to_json())
     text = (f"chaos run: seed {args.seed}, {args.steps} steps, dp={args.dp}, "
             f"fault rate {args.fault_rate}, {len(plan_)} fault(s) planned\n")
     text += result.report.summary()
@@ -318,7 +284,7 @@ def cmd_chaos(args) -> str:
             raise ReproError(
                 "VERIFY FAILED: faulty run does not match the fault-free run")
         text += "\nverify: recovered weights bitwise-identical to fault-free run"
-    return text
+    return result.report.to_json(), text
 
 
 def cmd_trace(args) -> str:
@@ -341,8 +307,8 @@ def cmd_trace(args) -> str:
     tracer = Tracer(metrics=registry)
     ckpt_path = os.path.join(args.output_dir, "trace-checkpoint.npz")
     with trace_scope(tracer):
-        run = scenarios.pipelined_training(args.config, args.steps,
-                                           args.seed, tracer=tracer)
+        run = scenarios.pipelined_training(
+            **_kwargs(args, scenarios.pipelined_training), tracer=tracer)
         save_training_state(run.model, run.optimizer, ckpt_path)
         # A short fault-injected data-parallel segment: resilience
         # instants land on the same timeline and the report's goodput
@@ -374,7 +340,7 @@ def cmd_trace(args) -> str:
     )
 
 
-def cmd_serve(args) -> str:
+def cmd_serve(args):
     """Run the continuous-batching scheduler on a seeded open-loop
     workload against a real (serial or tensor-parallel) model and report
     throughput, token latency, preemption traffic and the KV accounting
@@ -386,19 +352,15 @@ def cmd_serve(args) -> str:
     tracer = Tracer()
     tracker = RequestTracker(tracer=tracer) if args.request_trace else None
     scheduler, specs, _ = scenarios.serving_scheduler(
-        requests=args.requests, seed_value=args.seed, tp=args.tp,
-        sequence_parallel=args.sequence_parallel, policy=args.policy,
-        block_size=args.block_size, num_blocks=args.num_blocks,
-        max_batch=args.max_batch, tracer=tracer, request_tracker=tracker)
+        **_kwargs(args, scenarios.serving_scheduler), tracer=tracer,
+        request_tracker=tracker)
     report = scheduler.run(specs)
     trace_note = ""
     if args.trace_out:
         trace_note = _write_trace(tracer, args.trace_out)
     if tracker is not None:
         trace_note += _write_request_trace(tracker, args.request_trace)
-    if args.json:
-        return emit_json(report.to_dict())
-    return (
+    return report.to_dict(), (
         f"served {report.num_requests} request(s), policy {report.policy}, "
         f"tp={args.tp}: {report.tokens_generated} token(s) in "
         f"{1e3 * report.elapsed_s:.2f} ms simulated "
@@ -412,7 +374,7 @@ def cmd_serve(args) -> str:
     )
 
 
-def cmd_memprofile(args) -> str:
+def cmd_memprofile(args):
     """Profile one abstract transformer layer with the activation ledger
     and write the canonical artifacts: the per-tensor ledger with exact
     peak attribution and the save-vs-recompute frontier
@@ -457,8 +419,6 @@ def cmd_memprofile(args) -> str:
         tracer, os.path.join(args.output_dir, "memprof-trace.json"),
         extra_events=counter_events(ledger))
 
-    if args.json:
-        return emit_json(doc)
     rank0 = doc["peak"]["0"]
     cats = frontier_by_category(doc["frontier"]["0"])
     top = sorted(
@@ -490,7 +450,7 @@ def cmd_memprofile(args) -> str:
         f"  {ledger_path}: canonical ledger + frontier",
         f"  {flame_path}: flamegraph byte tree" + trace_note,
     ]
-    return "\n".join(lines)
+    return doc, "\n".join(lines)
 
 
 def _write_fleet_artifacts(args, tracer, recorder, tracker) -> str:
@@ -507,16 +467,7 @@ def _write_fleet_artifacts(args, tracer, recorder, tracker) -> str:
     return note
 
 
-def _fleet_kwargs(args) -> dict:
-    """The ``chaos_fleet`` keywords ``fleet`` and ``monitor`` share."""
-    return dict(
-        replicas=args.replicas, requests=args.requests, seed_value=args.seed,
-        tp=args.tp, sequence_parallel=args.sequence_parallel,
-        block_size=args.block_size, num_blocks=args.num_blocks,
-        max_batch=args.max_batch, fault_rate=args.fault_rate)
-
-
-def cmd_fleet(args) -> str:
+def cmd_fleet(args):
     """Run the chaos-serving fleet: a seeded open-loop workload routed
     across N replicas while a fault plan crashes, slows and drops
     dispatches under it.  ``--verify`` additionally runs the fault-free
@@ -528,8 +479,7 @@ def cmd_fleet(args) -> str:
     and request tracker (pure observers — the report is unchanged) and
     write their canonical-JSON artifacts.
     """
-    kwargs = dict(_fleet_kwargs(args), policy=args.policy, tiers=args.tiers,
-                  slo_ttft_s=args.slo_ttft_s)
+    kwargs = _kwargs(args, scenarios.chaos_fleet)
     tracer = Tracer()
     recorder = FlightRecorder() if args.postmortem else None
     tracker = RequestTracker(tracer=tracer) if args.request_trace else None
@@ -545,12 +495,10 @@ def cmd_fleet(args) -> str:
         verify_note = ("\n  verify OK: token streams identical to the "
                        "fault-free fleet at the same seed")
     trace_note = _write_fleet_artifacts(args, tracer, recorder, tracker)
-    if args.json:
-        return emit_json(report.to_json())
-    return report.summary() + verify_note + trace_note
+    return report.to_json(), report.summary() + verify_note + trace_note
 
 
-def cmd_monitor(args) -> str:
+def cmd_monitor(args):
     """Run the chaos fleet with the full request-telemetry stack —
     distributed request tracing, the flight recorder and the SLO
     burn-rate monitor feeding dispatch and shedding — then report the
@@ -561,29 +509,19 @@ def cmd_monitor(args) -> str:
     :class:`~repro.fleet.FleetReport` ledger.
     """
     (report, tracer, monitor, recorder, tracker, score, partition,
-     reconciled) = scenarios.monitored_fleet(
-        **_fleet_kwargs(args), slo_ttft_s=args.slo_ttft_s,
-        slo_tpot_s=args.slo_tpot_s, flight_capacity=args.flight_capacity)
+     reconciled) = scenarios.monitored_fleet(**_kwargs(
+        args, scenarios.chaos_fleet, scenarios.monitored_fleet))
     snapshot = monitor.snapshot()
-
     notes = _write_fleet_artifacts(args, tracer, recorder, tracker)
-
-    if args.json:
-        return emit_json({
-            "fleet": report.to_json(),
-            "detection": score,
-            "partition": partition,
-            "reconciliation": reconciled,
-            "monitor": snapshot,
-            "flight_recorder": {
-                "capacity": recorder.capacity,
-                "recorded": recorder.recorded,
-                "postmortems": len(recorder.postmortems),
-            },
-        })
+    doc = {"fleet": report.to_json(), "detection": score,
+           "partition": partition, "reconciliation": reconciled,
+           "monitor": snapshot,
+           "flight_recorder": {"capacity": recorder.capacity,
+                               "recorded": recorder.recorded,
+                               "postmortems": len(recorder.postmortems)}}
     health = ", ".join(f"{rid}:{v:.2f}"
                        for rid, v in sorted(snapshot["health_scores"].items()))
-    return (
+    return doc, (
         f"monitored fleet: {args.replicas} replica(s), "
         f"{report.requests} request(s), seed {args.seed}, "
         f"goodput {report.goodput():.1%} under {len(report.faults)} "
@@ -605,7 +543,7 @@ def cmd_monitor(args) -> str:
     )
 
 
-def cmd_compile(args) -> str:
+def cmd_compile(args):
     """Capture one training step as a static plan and replay it.
 
     Builds a small concrete model (serial, or tensor-parallel with
@@ -622,10 +560,7 @@ def cmd_compile(args) -> str:
     """
     recompute = Recompute(args.recompute)
     run = scenarios.compiled_eager_twins(
-        layers=args.layers, tp=args.tp,
-        sequence_parallel=args.sequence_parallel, recompute=recompute,
-        microbatches=args.microbatches, batch=args.batch, steps=args.steps,
-        seed_value=args.seed)
+        **_kwargs(args, scenarios.compiled_eager_twins))
     model_cfg, compiled = run.model_cfg, run.compiled
     plan = compiled.plans.plans()[0]
     cache = compiled.plans.stats()
@@ -642,30 +577,27 @@ def cmd_compile(args) -> str:
         trace_note = _write_trace(tracer, args.trace_out)
 
     stats = plan.stats()
-    if args.json:
-        return emit_json({
-            "config": {"name": model_cfg.name,
-                       "num_layers": model_cfg.num_layers,
-                       "hidden_size": model_cfg.hidden_size,
-                       "tensor_parallel": args.tp,
-                       "sequence_parallel": bool(args.sequence_parallel),
-                       "recompute": recompute.value,
-                       "microbatches": args.microbatches,
-                       "batch": args.batch},
-            "plan": stats,
-            "collectives": [
-                {"op_index": index, "kind": kind, "fn": name}
-                for index, kind, name in plan.collective_schedule()],
-            "cache": cache,
-            "steps": args.steps,
-            "losses": run.losses,
-            "replay_vs_eager_loss_drift": run.drift,
-        })
+    doc = {
+        "config": {"name": model_cfg.name,
+                   "num_layers": model_cfg.num_layers,
+                   "hidden_size": model_cfg.hidden_size,
+                   "tensor_parallel": args.tp,
+                   "sequence_parallel": bool(args.sequence_parallel),
+                   "recompute": recompute.value,
+                   "microbatches": args.microbatches, "batch": args.batch},
+        "plan": stats,
+        "collectives": [{"op_index": index, "kind": kind, "fn": name}
+                        for index, kind, name in plan.collective_schedule()],
+        "cache": cache,
+        "steps": args.steps,
+        "losses": run.losses,
+        "replay_vs_eager_loss_drift": run.drift,
+    }
     counts = ", ".join(
         f"{stats[k]} {k.replace('_ops', '')}"
         for k in ("forward_ops", "backward_ops", "release_ops", "seed_ops",
                   "external_ops"))
-    return (
+    return doc, (
         f"compiled {model_cfg.name} (layers={model_cfg.num_layers}, "
         f"tp={args.tp}{', sp' if args.sequence_parallel else ''}, "
         f"recompute={recompute.value}, microbatches={args.microbatches}): "
@@ -681,7 +613,7 @@ def cmd_compile(args) -> str:
     )
 
 
-def cmd_longctx(args) -> str:
+def cmd_longctx(args):
     """Run a traced context-parallel (Ulysses or ring) training step and
     reconcile it end to end: forward loss bitwise against the serial
     model, traced comm bytes exactly against the closed-form volumes,
@@ -693,8 +625,7 @@ def cmd_longctx(args) -> str:
     p = args.context_parallel
     rc = Recompute(args.recompute)
     run = scenarios.context_parallel_step(
-        layout=args.layout, context_parallel=p, recompute=rc,
-        seq_length=args.seq_length, seed_value=args.seed)
+        **_kwargs(args, scenarios.context_parallel_step))
     model_cfg, b = run.model_cfg, run.batch
     att = attribute(from_tracer(run.tracer))
     overlap = longctx_overlap_report(model_cfg, b, p, args.layout, rc)
@@ -728,9 +659,7 @@ def cmd_longctx(args) -> str:
             "seconds_per_layer": choice.seconds_per_layer,
         },
     }
-    if args.json:
-        return emit_json(doc)
-    return (
+    return doc, (
         f"longctx {args.layout} p={p} recompute={rc.value} "
         f"(s={model_cfg.seq_length}, b={b}):\n"
         f"  loss {run.loss:.6f}, serial drift {doc['loss_drift']:g} "
@@ -784,18 +713,9 @@ def cmd_bench(args) -> str:
     return "\n".join(lines)
 
 
-def cmd_analyze(args) -> str:
+def cmd_analyze(args):
     """Offline critical-path attribution of an exported ``trace.json``."""
-    data = load_trace(args.trace)
-    att = attribute(data)
-    if args.json:
-        return emit_json({
-            "trace": args.trace,
-            "wall_time_s": att.wall,
-            "totals": att.totals,
-            "coverage_error": att.coverage_error,
-            "per_rank": {str(r.rank): r.buckets for r in att.ranks},
-        })
+    att = attribute(load_trace(args.trace))
     rows = []
     for r in att.ranks:
         rows.append([str(r.rank)] + [f"{1e3 * r.buckets[b]:.3f}"
@@ -811,7 +731,9 @@ def cmd_analyze(args) -> str:
                                          key=lambda kv: -kv[1]))
     text += f"\ntotals across ranks: {parts}"
     text += f"\ncoverage error: {att.coverage_error:.2e} (buckets vs wall)"
-    return text
+    return ({"trace": args.trace, "wall_time_s": att.wall,
+             "totals": att.totals, "coverage_error": att.coverage_error,
+             "per_rank": {str(r.rank): r.buckets for r in att.ranks}}, text)
 
 
 def cmd_report(args) -> str:
@@ -824,6 +746,195 @@ def cmd_report(args) -> str:
     return text
 
 
+_RECOMPUTE_RUN = [r.value for r in (Recompute.NONE, Recompute.SELECTIVE,
+                                     Recompute.FULL)]
+_EACH = " (per replica in a fleet)"
+
+#: Every flag once: dest -> its argparse keywords.  The option string is
+#: ``--`` + the dest with dashes (``option`` where it is not), ``type``
+#: follows the default, and a ``False`` default makes a switch.
+#: ``dest:variant`` is the same dest with other choices or another
+#: meaning; it inherits the plain entry's keywords.  The first three are
+#: positionals.
+_FLAGS = {
+    "number": dict(type=int),
+    "kind": dict(choices=["seq", "tp", "fit", "overhead"]),
+    "trace": dict(help="path to a trace.json written by `repro trace`"),
+    "model": dict(choices=PAPER_CONFIG_NAMES),
+    "recompute": dict(choices=_RECOMPUTE_RUN,
+                      help="activation recompute strategy"),
+    "recompute:all": dict(choices=[r.value for r in Recompute]),
+    "context_parallel": dict(help="context-parallel group size"),
+    "seq_length": dict(type=int,
+                       help="sequence length (divisible by the group size)"),
+    "memory_gb": dict(default=80.0),
+    "no_sequence_parallel": dict(default=False),
+    "data_parallel": dict(default=1),
+    "breakdown": dict(default=False,
+                      help="attribute per-layer time to GEMM/elementwise/comm"),
+    "seq_lengths": dict(type=int, nargs="+",
+                        default=[1024, 2048, 4096, 8192, 16384]),
+    "config": dict(choices=list(scenarios.TRACE_PRESETS)),
+    "config:memprof": dict(
+        choices=[*scenarios.TRACE_PRESETS, *PAPER_CONFIG_NAMES],
+        help="paper config or trace preset to profile one layer of "
+             "(default: 22B)"),
+    "steps": dict(help="training steps"),
+    "seed": dict(help="random seed (equal seeds print equal bytes)"),
+    "dp": dict(help="data-parallel replicas"),
+    "fault_rate": dict(help="per-step fault probability"),
+    "fault_rate:fleet": dict(
+        help="0 = clean run; 1 = the default chaos plan (crash + straggler "
+             "+ dispatch loss, needs 3 replicas); in between = seeded "
+             "random per-round fault probability"),
+    "checkpoint_interval": {},
+    "verify": dict(default=False,
+                   help="also run fault-free and require bitwise-equal "
+                        "weights / identical token streams"),
+    "output_dir": dict(help="where the artifacts are written"),
+    "replicas": dict(help="serving replicas in the fleet"),
+    "requests": dict(help="open-loop workload size"),
+    "tp": dict(help="tensor-parallel size"),
+    "sequence_parallel": dict(default=False,
+                              help="sequence-parallel layout (tp > 1)"),
+    "block_size": dict(help="token slots per KV block"),
+    "num_blocks": dict(help="KV pool size in blocks" + _EACH),
+    "max_batch": dict(help="decode batch width cap" + _EACH),
+    "policy": dict(choices=list(POLICIES),
+                   help="what preemption does with the victim's KV state"),
+    "tiers": dict(help="priority tiers for SLO-aware shedding"),
+    "slo_ttft_s": dict(type=float,
+                       help="TTFT SLO in seconds; enables load shedding of "
+                            "the lowest tier when saturated"),
+    "slo_ttft_s:burn": dict(help="TTFT SLO budget for the burn-rate windows"),
+    "slo_tpot_s": dict(help="TPOT SLO budget for the burn-rate windows"),
+    "flight_capacity": dict(help="flight-recorder ring size in events"),
+    "trace_out": dict(help="also write a validated Perfetto trace here"),
+    "postmortem": dict(metavar="PATH",
+                       help="write the flight recorder's postmortem dumps "
+                            "(canonical JSON) here"),
+    "request_trace": dict(metavar="PATH",
+                          help="write per-request span graphs (canonical "
+                               "JSON) here"),
+    "microbatch": dict(default=1),
+    "fused": dict(default=False, help="profile the fused-kernel layer variant"),
+    "layers": dict(help="transformer layers in the toy model"),
+    "microbatches": dict(help="gradient-accumulation microbatches per step"),
+    "batch": dict(help="global batch size"),
+    "layout": dict(choices=["ulysses", "ring"],
+                   help="context-parallel attention layout"),
+    "presets": dict(option="--preset", action="append",
+                    choices=list(PRESET_NAMES),
+                    help="preset to run (repeatable; default: all)"),
+    "baseline_dir": dict(default=DEFAULT_BASELINE_DIR,
+                         help="committed baselines for --check"),
+    "check": dict(default=False,
+                  help="diff fresh documents against the baselines; exit "
+                       "non-zero on any out-of-tolerance metric"),
+    "output": dict(help="write to a file instead of stdout"),
+    "json": dict(default=False, help="emit machine-readable canonical JSON"),
+}
+_POSITIONAL = ("number", "kind", "trace")
+
+
+class _Command(NamedTuple):
+    fn: Callable
+    help: str
+    #: ``_FLAGS`` keys in argparse order
+    flags: str
+    #: literal defaults
+    defaults: Mapping[str, object] = MappingProxyType({})
+    #: scenarios whose keyword defaults are the rest of the defaults
+    #: (and whose keywords ``_kwargs`` reads the flags as)
+    scenarios: tuple = ()
+
+
+_ENGINE = "requests seed tp sequence_parallel block_size num_blocks max_batch"
+_FLEET = f"replicas {_ENGINE} fault_rate:fleet"
+
+_COMMANDS = {
+    "table": _Command(
+        cmd_table, "regenerate a paper table (2, 4, 5 or 6)",
+        "number model context_parallel seq_length json",
+        dict(model="22B", context_parallel=8)),
+    "figure": _Command(
+        cmd_figure, "regenerate a paper figure (1, 7, 8, 9 or 10)",
+        "number json"),
+    "memory-report": _Command(
+        cmd_memory, "activation + weight memory for a config",
+        "model recompute:all json", dict(model="530B", recompute="selective")),
+    "flops-report": _Command(
+        cmd_flops, "model vs hardware FLOPs (Appendix A)", "model json",
+        dict(model="175B")),
+    "plan": _Command(
+        cmd_plan, "cheapest recompute strategy that fits memory",
+        "model memory_gb json", dict(model="530B")),
+    "simulate-pipeline": _Command(
+        cmd_simulate, "end-to-end iteration simulation",
+        "model recompute:all no_sequence_parallel data_parallel breakdown "
+        "json", dict(model="175B", recompute="selective")),
+    "section5": _Command(
+        cmd_section5, "Section 5 selective-recompute claims", "json"),
+    "appendix-c": _Command(
+        cmd_appendix_c, "microbatch-level recomputation MFU", "json"),
+    "sweep": _Command(
+        cmd_sweep, "parameter sweeps (CSV): seq, tp, fit, overhead",
+        "kind model seq_lengths memory_gb", dict(model="175B")),
+    "chaos": _Command(
+        cmd_chaos, "fault-injection run with recovery report",
+        "steps dp fault_rate seed checkpoint_interval json verify",
+        scenarios=(scenarios.dp_chaos_segment,)),
+    "trace": _Command(
+        cmd_trace, "instrumented run: merged Perfetto trace + metrics",
+        "config steps seed output_dir", dict(output_dir="trace-out"),
+        (scenarios.pipelined_training,)),
+    "serve": _Command(
+        cmd_serve, "continuous-batching serving run on the paged KV cache "
+                   "(swap/recompute preemption)",
+        f"{_ENGINE} policy trace_out request_trace json",
+        scenarios=(scenarios.serving_scheduler,)),
+    "fleet": _Command(
+        cmd_fleet, "chaos-serving fleet: fault-tolerant multi-replica "
+                   "routing with mid-stream recovery",
+        f"{_FLEET} policy tiers slo_ttft_s verify trace_out postmortem "
+        "request_trace json", scenarios=(scenarios.chaos_fleet,)),
+    "monitor": _Command(
+        cmd_monitor, "fleet run with request tracing, flight recorder and "
+                     "SLO burn-rate monitor; exact detection gates",
+        f"{_FLEET} slo_ttft_s:burn slo_tpot_s flight_capacity trace_out "
+        "postmortem request_trace json",
+        scenarios=(scenarios.chaos_fleet, scenarios.monitored_fleet)),
+    "memprofile": _Command(
+        cmd_memprofile, "activation ledger: per-tensor peak attribution, "
+                        "save-vs-recompute frontier, memory counter tracks",
+        "config:memprof microbatch tp sequence_parallel recompute fused seed "
+        "output_dir json",
+        dict(config="22B", tp=1, recompute="none", seed=0,
+             output_dir="memprof-out")),
+    "compile": _Command(
+        cmd_compile, "capture one training step as a static plan, replay "
+                     "it, report plan stats and zero loss drift",
+        "layers tp sequence_parallel recompute microbatches batch steps seed "
+        "trace_out json", scenarios=(scenarios.compiled_eager_twins,)),
+    "longctx": _Command(
+        cmd_longctx, "traced context-parallel run (Ulysses/ring) with exact "
+                     "volume + overlap reconciliation",
+        "layout context_parallel recompute seq_length seed trace_out json",
+        scenarios=(scenarios.context_parallel_step,)),
+    "bench": _Command(
+        cmd_bench, "benchmark presets -> BENCH_*.json; --check gates "
+                   "against committed baselines",
+        "presets seed output_dir baseline_dir check",
+        dict(seed=1234, output_dir=".")),
+    "analyze": _Command(
+        cmd_analyze, "offline time attribution of an exported trace.json",
+        "trace json"),
+    "report": _Command(
+        cmd_report, "regenerate every table/figure in one document",
+        "output"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -831,297 +942,39 @@ def build_parser() -> argparse.ArgumentParser:
                      "Large Transformer Models' (MLSys 2023)"),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_json_flag(p):
-        p.add_argument("--json", action="store_true",
-                       help="emit machine-readable canonical JSON")
-
-    p = sub.add_parser("table",
-                       help="regenerate a paper table (2, 4, 5 or 6)")
-    p.add_argument("number", type=int)
-    p.add_argument("--model", default="22B", choices=PAPER_CONFIG_NAMES)
-    p.add_argument("--context-parallel", type=int, default=8,
-                   help="context-parallel group size (table 6)")
-    p.add_argument("--seq-length", type=int, default=None,
-                   help="override sequence length (table 6)")
-    add_json_flag(p)
-    p.set_defaults(fn=cmd_table)
-
-    p = sub.add_parser("figure", help="regenerate a paper figure (1, 7, 8, 9 or 10)")
-    p.add_argument("number", type=int)
-    add_json_flag(p)
-    p.set_defaults(fn=cmd_figure)
-
-    p = sub.add_parser("memory-report", help="activation + weight memory for a config")
-    p.add_argument("--model", default="530B", choices=PAPER_CONFIG_NAMES)
-    p.add_argument("--recompute", default="selective",
-                   choices=[r.value for r in Recompute])
-    add_json_flag(p)
-    p.set_defaults(fn=cmd_memory)
-
-    p = sub.add_parser("flops-report", help="model vs hardware FLOPs (Appendix A)")
-    p.add_argument("--model", default="175B", choices=PAPER_CONFIG_NAMES)
-    add_json_flag(p)
-    p.set_defaults(fn=cmd_flops)
-
-    p = sub.add_parser("plan", help="cheapest recompute strategy that fits memory")
-    p.add_argument("--model", default="530B", choices=PAPER_CONFIG_NAMES)
-    p.add_argument("--memory-gb", type=float, default=80.0)
-    add_json_flag(p)
-    p.set_defaults(fn=cmd_plan)
-
-    p = sub.add_parser("simulate-pipeline", help="end-to-end iteration simulation")
-    p.add_argument("--model", default="175B", choices=PAPER_CONFIG_NAMES)
-    p.add_argument("--recompute", default="selective",
-                   choices=[r.value for r in Recompute])
-    p.add_argument("--no-sequence-parallel", action="store_true")
-    p.add_argument("--data-parallel", type=int, default=1)
-    p.add_argument("--breakdown", action="store_true",
-                   help="attribute per-layer time to GEMM/elementwise/comm")
-    add_json_flag(p)
-    p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("section5", help="Section 5 selective-recompute claims")
-    add_json_flag(p)
-    p.set_defaults(fn=cmd_section5)
-
-    p = sub.add_parser("appendix-c", help="microbatch-level recomputation MFU")
-    add_json_flag(p)
-    p.set_defaults(fn=cmd_appendix_c)
-
-    p = sub.add_parser("sweep", help="parameter sweeps (CSV): seq, tp, fit, overhead")
-    p.add_argument("kind", choices=["seq", "tp", "fit", "overhead"])
-    p.add_argument("--model", default="175B", choices=PAPER_CONFIG_NAMES)
-    p.add_argument("--seq-lengths", type=int, nargs="+",
-                   default=[1024, 2048, 4096, 8192, 16384])
-    p.add_argument("--memory-gb", type=float, default=80.0)
-    p.set_defaults(fn=cmd_sweep)
-
-    d = scenarios.defaults(scenarios.dp_chaos_segment)
-    p = sub.add_parser("chaos", help="fault-injection run with recovery report")
-    p.add_argument("--steps", type=int, default=d["steps"])
-    p.add_argument("--dp", type=int, default=d["dp"],
-                   help="data-parallel replicas")
-    p.add_argument("--fault-rate", type=float, default=d["fault_rate"],
-                   help="per-step fault probability")
-    p.add_argument("--seed", type=int, default=d["seed_value"],
-                   help="fault-plan + data seed")
-    p.add_argument("--checkpoint-interval", type=int,
-                   default=d["checkpoint_interval"])
-    p.add_argument("--json", action="store_true",
-                   help="emit the resilience report as JSON")
-    p.add_argument("--verify", action="store_true",
-                   help="also run fault-free and require bitwise-equal weights")
-    p.set_defaults(fn=cmd_chaos)
-
-    d = scenarios.defaults(scenarios.pipelined_training)
-    p = sub.add_parser(
-        "trace", help="instrumented run: merged Perfetto trace + metrics")
-    p.add_argument("--config", default=d["config"],
-                   choices=list(scenarios.TRACE_PRESETS))
-    p.add_argument("--steps", type=int, default=d["steps"])
-    p.add_argument("--seed", type=int, default=d["seed_value"])
-    p.add_argument("--output-dir", default="trace-out")
-    p.set_defaults(fn=cmd_trace)
-
-    def add_engine_flags(p, scenario):
-        """Workload + decode-engine flags of serve/fleet/monitor; the
-        defaults are the scenario's own, i.e. the bench preset's."""
-        d = scenarios.defaults(scenario)
-        fleet = "replicas" in d
-        each = ", per replica" if fleet else ""
-        if fleet:
-            p.add_argument("--replicas", type=int, default=d["replicas"],
-                           help="serving replicas in the fleet")
-        p.add_argument("--requests", type=int, default=d["requests"],
-                       help="open-loop workload size")
-        p.add_argument("--seed", type=int, default=d["seed_value"],
-                       help="workload + sampling"
-                            + (" + fault-plan" if fleet else "") + " seed")
-        p.add_argument("--tp", type=int, default=d["tp"],
-                       help="tensor-parallel size"
-                            + (" inside each replica" if fleet else ""))
-        p.add_argument("--sequence-parallel", action="store_true",
-                       help="serve a sequence-parallel trained layout "
-                            "(tp > 1)")
-        p.add_argument("--block-size", type=int, default=d["block_size"],
-                       help="token slots per KV block")
-        p.add_argument("--num-blocks", type=int, default=d["num_blocks"],
-                       help="KV pool size in blocks" + each)
-        p.add_argument("--max-batch", type=int, default=d["max_batch"],
-                       help="decode batch width cap" + each)
-        if fleet:
-            p.add_argument("--fault-rate", type=float,
-                           default=d["fault_rate"],
-                           help="0 = clean run; 1 = the default chaos plan "
-                                "(crash + straggler + dispatch loss, needs 3 "
-                                "replicas); in between = seeded random "
-                                "per-round fault probability")
-
-    def add_policy_flag(p, scenario):
-        p.add_argument("--policy", choices=list(POLICIES),
-                       default=scenarios.defaults(scenario)["policy"],
-                       help="what preemption does with the victim's KV state")
-
-    def add_artifact_flags(p, postmortem):
-        p.add_argument("--trace-out", default=None,
-                       help="also write a validated Perfetto trace here")
-        if postmortem:
-            p.add_argument("--postmortem", default=None, metavar="PATH",
-                           help="write the flight recorder's postmortem "
-                                "dumps (canonical JSON) here")
-        p.add_argument("--request-trace", default=None, metavar="PATH",
-                       help="write per-request span graphs (canonical JSON) "
-                            "here")
-
-    p = sub.add_parser(
-        "serve", help="continuous-batching serving run on the paged KV "
-                      "cache (swap/recompute preemption)")
-    add_engine_flags(p, scenarios.serving_scheduler)
-    add_policy_flag(p, scenarios.serving_scheduler)
-    add_artifact_flags(p, postmortem=False)
-    add_json_flag(p)
-    p.set_defaults(fn=cmd_serve)
-
-    p = sub.add_parser(
-        "fleet", help="chaos-serving fleet: fault-tolerant multi-replica "
-                      "routing with mid-stream recovery")
-    add_engine_flags(p, scenarios.chaos_fleet)
-    add_policy_flag(p, scenarios.chaos_fleet)
-    d = scenarios.defaults(scenarios.chaos_fleet)
-    p.add_argument("--tiers", type=int, default=d["tiers"],
-                   help="priority tiers for SLO-aware shedding")
-    p.add_argument("--slo-ttft-s", type=float, default=d["slo_ttft_s"],
-                   help="TTFT SLO in seconds; enables load shedding of "
-                        "the lowest tier when saturated")
-    p.add_argument("--verify", action="store_true",
-                   help="also run fault-free and require identical "
-                        "per-request token streams")
-    add_artifact_flags(p, postmortem=True)
-    add_json_flag(p)
-    p.set_defaults(fn=cmd_fleet)
-
-    d = scenarios.defaults(scenarios.monitored_fleet)
-    p = sub.add_parser(
-        "monitor", help="fleet run with request tracing, flight recorder "
-                        "and SLO burn-rate monitor; exact detection gates")
-    add_engine_flags(p, scenarios.chaos_fleet)
-    p.add_argument("--slo-ttft-s", type=float, default=d["slo_ttft_s"],
-                   help="TTFT SLO budget for the burn-rate windows")
-    p.add_argument("--slo-tpot-s", type=float, default=d["slo_tpot_s"],
-                   help="TPOT SLO budget for the burn-rate windows")
-    p.add_argument("--flight-capacity", type=int,
-                   default=d["flight_capacity"],
-                   help="flight-recorder ring size in events")
-    add_artifact_flags(p, postmortem=True)
-    add_json_flag(p)
-    p.set_defaults(fn=cmd_monitor)
-
-    p = sub.add_parser(
-        "memprofile",
-        help="activation ledger: per-tensor peak attribution, "
-             "save-vs-recompute frontier, memory counter tracks")
-    p.add_argument("--config", default="22B",
-                   choices=["tiny", "small", "22B", "175B", "530B", "1T"],
-                   help="paper config or trace preset to profile one "
-                        "layer of (default: 22B)")
-    p.add_argument("--microbatch", type=int, default=1)
-    p.add_argument("--tp", type=int, default=1, help="tensor parallel size")
-    p.add_argument("--sequence-parallel", action="store_true")
-    p.add_argument("--recompute", default="none",
-                   choices=["none", "selective", "full"])
-    p.add_argument("--fused", action="store_true",
-                   help="profile the fused-kernel layer variant")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for the paged-KV fragmentation workload")
-    p.add_argument("--output-dir", default="memprof-out")
-    add_json_flag(p)
-    p.set_defaults(fn=cmd_memprofile)
-
-    recompute_choices = [r.value for r in (Recompute.NONE, Recompute.SELECTIVE,
-                                           Recompute.FULL)]
-
-    d = scenarios.defaults(scenarios.compiled_eager_twins)
-    p = sub.add_parser(
-        "compile", help="capture one training step as a static plan, "
-                        "replay it, report plan stats and zero loss drift")
-    p.add_argument("--layers", type=int, default=d["layers"],
-                   help="transformer layers in the toy model")
-    p.add_argument("--tp", type=int, default=d["tp"],
-                   help="tensor-parallel size")
-    p.add_argument("--sequence-parallel", action="store_true",
-                   help="sequence-parallel layout (tp > 1)")
-    p.add_argument("--recompute", default=d["recompute"].value,
-                   choices=recompute_choices,
-                   help="activation recompute strategy captured in the plan")
-    p.add_argument("--microbatches", type=int, default=d["microbatches"],
-                   help="gradient-accumulation microbatches per step")
-    p.add_argument("--batch", type=int, default=d["batch"],
-                   help="global batch size")
-    p.add_argument("--steps", type=int, default=d["steps"],
-                   help="training steps (1 capture + replays)")
-    p.add_argument("--seed", type=int, default=d["seed_value"])
-    p.add_argument("--trace-out", default=None,
-                   help="write a validated Perfetto trace of one replayed "
-                        "step here")
-    add_json_flag(p)
-    p.set_defaults(fn=cmd_compile)
-
-    d = scenarios.defaults(scenarios.context_parallel_step)
-    p = sub.add_parser(
-        "longctx", help="traced context-parallel run (Ulysses/ring) with "
-                        "exact volume + overlap reconciliation")
-    p.add_argument("--layout", default=d["layout"],
-                   choices=["ulysses", "ring"],
-                   help="context-parallel attention layout")
-    p.add_argument("--context-parallel", type=int,
-                   default=d["context_parallel"],
-                   help="context-parallel group size")
-    p.add_argument("--recompute", default=d["recompute"].value,
-                   choices=recompute_choices,
-                   help="activation recompute strategy")
-    p.add_argument("--seq-length", type=int, default=d["seq_length"],
-                   help="sequence length (divisible by the group size)")
-    p.add_argument("--seed", type=int, default=d["seed_value"])
-    p.add_argument("--trace-out", default=None,
-                   help="write a validated Perfetto trace here")
-    add_json_flag(p)
-    p.set_defaults(fn=cmd_longctx)
-
-    p = sub.add_parser(
-        "bench", help="benchmark presets -> BENCH_*.json; --check gates "
-                      "against committed baselines")
-    p.add_argument("--preset", dest="presets", action="append",
-                   choices=list(PRESET_NAMES), default=None,
-                   help="preset to run (repeatable; default: all)")
-    p.add_argument("--seed", type=int, default=1234)
-    p.add_argument("--output-dir", default=".",
-                   help="where BENCH_<preset>.json files are written")
-    p.add_argument("--baseline-dir", default=DEFAULT_BASELINE_DIR,
-                   help="committed baselines for --check")
-    p.add_argument("--check", action="store_true",
-                   help="diff fresh documents against the baselines; "
-                        "exit non-zero on any out-of-tolerance metric")
-    p.set_defaults(fn=cmd_bench)
-
-    p = sub.add_parser(
-        "analyze", help="offline time attribution of an exported trace.json")
-    p.add_argument("trace", help="path to a trace.json written by `repro trace`")
-    add_json_flag(p)
-    p.set_defaults(fn=cmd_analyze)
-
-    p = sub.add_parser("report", help="regenerate every table/figure in one document")
-    p.add_argument("--output", default=None, help="write to a file instead of stdout")
-    p.set_defaults(fn=cmd_report)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.set_defaults(fn=command.fn)
+        defaults = {_flag(keyword): getattr(default, "value", default)
+                    for fn in command.scenarios
+                    for keyword, default in scenarios.defaults(fn).items()}
+        defaults.update(command.defaults)
+        for key in command.flags.split():
+            dest = key.split(":")[0]
+            kw = {**_FLAGS.get(dest, {}), **_FLAGS[key]}
+            if dest in defaults:
+                kw["default"] = defaults[dest]
+            if isinstance(kw.get("default"), bool):
+                kw["action"] = "store_true"
+            elif isinstance(kw.get("default"), (int, float)):
+                kw.setdefault("type", type(kw["default"]))
+            if dest in _POSITIONAL:
+                p.add_argument(dest, **kw)
+            else:
+                p.add_argument(kw.pop("option", "--" + dest.replace("_", "-")),
+                               dest=dest, **kw)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        print(args.fn(args))
-    except ReproError as exc:
-        # an invalid configuration is a usage error, not a crash
+        out = args.fn(args)
+        # a command with --json returns (doc, text)
+        doc, text = out if isinstance(out, tuple) else (None, out)
+        print(emit_json(doc) if vars(args).get("json") else text)
+    except (ReproError, OSError) as exc:
+        # an invalid configuration or path is a usage error, not a crash
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .config import PAPER_CONFIG_NAMES, PAPER_CONFIGS, ExperimentConfig
 from .flops_model import (
@@ -37,6 +38,7 @@ from .perf_model import (
     table4,
     table5_row,
 )
+from .pipeline_sim import figure10
 from .pipeline_sim.microbatch_recompute import (
     baseline_and_plan_times,
     plan_microbatch_recompute,
@@ -320,8 +322,8 @@ def table6_data(model_name: str = "22B", context_parallel: int = 8,
     if seq_length is not None:
         model = dataclasses.replace(model, seq_length=seq_length,
                                     name=f"{model.name}@s={seq_length}")
-    volumes = layout_volumes(model, microbatch_size, context_parallel)
     choice = choose_context_layout(model, microbatch_size, context_parallel)
+    volumes = layout_volumes(model, microbatch_size, context_parallel)
     return [{
         "layout": key,
         "bytes_per_layer": volumes[key].bytes_per_layer,
@@ -465,3 +467,55 @@ def appendix_c_report() -> str:
         rows,
         title="Appendix C: microbatch-level activation recomputation",
     )
+
+
+# ---------------------------------------------------------------------------
+# The menu: ``repro table N`` / ``figure N`` / ``section5`` / ``appendix-c``
+# and, in this order, the sections of ``repro report``
+# ---------------------------------------------------------------------------
+
+class PaperItem(NamedTuple):
+    """One reproducible table, figure, section or appendix."""
+
+    kind: str
+    number: object
+    data: Callable
+    report: Callable
+    #: ``--json`` key the data goes under
+    json_key: str
+    #: ``repro report`` heading after "<Kind> <number> — "; ``None``
+    #: leaves the item out of the report
+    title: Optional[str]
+    #: CLI flags echoed in the ``--json`` document -> the keyword both
+    #: functions take them as
+    args: Mapping[str, str] = MappingProxyType({})
+    #: constants echoed in the ``--json`` document
+    json_extra: Mapping[str, object] = MappingProxyType({})
+
+
+PAPER_MENU = (
+    PaperItem("figure", 1, figure1_data, figure1_report, "series",
+              "per-GPU memory vs the 80 GB A100"),
+    PaperItem("table", 2, table2_data, table2_report, "rows",
+              "activation memory per transformer layer",
+              {"model": "model_name"}),
+    PaperItem("figure", 7, figure7_data, figure7_report, "series",
+              "% of the tensor-parallel baseline"),
+    PaperItem("section", 5, section5_data, section5_report, "rows",
+              "selective recomputation claims"),
+    PaperItem("table", 4, table4_data, table4_report, "rows",
+              "per-layer times (22B)", json_extra={"model": "22B"}),
+    PaperItem("figure", 8, figure8_data, figure8_report, "series",
+              "per-layer breakdown (all models)"),
+    PaperItem("table", 5, table5_data, table5_report, "rows",
+              "end-to-end iteration time"),
+    PaperItem("table", 6, table6_data, table6_report, "rows", None,
+              {"model": "model_name", "context_parallel": "context_parallel",
+               "seq_length": "seq_length"}),
+    PaperItem("figure", 9, figure9_data, figure9_report, "profile",
+              "per-pipeline-rank memory (530B)"),
+    PaperItem("appendix", "C", appendix_c_data, appendix_c_report, "rows",
+              "microbatch-level recomputation"),
+    PaperItem("figure", 10, figure10, figure10, "timeline",
+              "microbatch-level schedule"),
+)

@@ -467,38 +467,28 @@ class FleetRouter:
         request_id = state.spec.request_id
         before = replica.scheduler.clock
         fid = self._flow()
+        migrate = False
         if swapped is not None:
             wire = self.cost.p2p_time(int(swapped.nbytes * replica.world),
                                       scope="fleet")
-            migrate_cost = wire + replica.perf.swap_time(
+            migrate = (wire + replica.perf.swap_time(
                 swapped.nbytes * replica.world)
-            recompute_cost = replica.perf.prefill_time(state.resident_tokens)
-            if migrate_cost <= recompute_cost:
-                with self._span("fleet.migrate", "migrate",
-                                request=request_id,
-                                replica=replica.replica_id, flow_out=fid):
-                    self._advance(wire, traced=True)
-                    replica.scheduler.inject(state, swapped, flow=fid)
-                self._mark(request_id, "migrate", replica=replica.replica_id)
-                self.report.wasted_s += wire
-                self.report.migrations += 1
-            else:
-                with self._span("fleet.recover", "recover",
-                                request=request_id,
-                                replica=replica.replica_id, flow_out=fid):
-                    replica.scheduler.inject(state, None, flow=fid)
-                self._mark(request_id, "recover", replica=replica.replica_id)
-                self.report.recomputes += 1
+                <= replica.perf.prefill_time(state.resident_tokens))
+        action = "migrate" if migrate else "recover"
+        with self._span(f"fleet.{action}", action, request=request_id,
+                        replica=replica.replica_id, flow_out=fid):
+            if migrate:
+                self._advance(wire, traced=True)
+            replica.scheduler.inject(state, swapped if migrate else None,
+                                     flow=fid)
+        self._mark(request_id, action, replica=replica.replica_id)
+        if migrate:
+            self.report.wasted_s += wire
+            self.report.migrations += 1
         else:
-            with self._span("fleet.recover", "recover", request=request_id,
-                            replica=replica.replica_id, flow_out=fid):
-                replica.scheduler.inject(state, None, flow=fid)
-            self._mark(request_id, "recover", replica=replica.replica_id)
             self.report.recomputes += 1
         self._record("placement", request=request_id,
-                     replica=replica.replica_id,
-                     action="migrate" if swapped is not None
-                     and migrate_cost <= recompute_cost else "recover")
+                     replica=replica.replica_id, action=action)
         self.report.wasted_s += replica.scheduler.clock - before
         self._outcomes[request_id]["replica"] = replica.replica_id
         self._outcomes[request_id]["recoveries"] = \

@@ -50,11 +50,6 @@ class GPUSpec:
         eff = self.gemm_efficiency * flops / (flops + self.gemm_half_sat_flops)
         return self.peak_flops * max(eff, 1e-6)
 
-    @property
-    def effective_flops(self) -> float:
-        """Asymptotic sustained GEMM throughput (peak x max efficiency)."""
-        return self.peak_flops * self.gemm_efficiency
-
 
 @dataclass(frozen=True)
 class LinkSpec:
@@ -68,12 +63,6 @@ class LinkSpec:
     name: str
     bandwidth: float
     latency: float
-
-    def transfer_time(self, n_bytes: float) -> float:
-        """Time to move ``n_bytes`` point-to-point over this link."""
-        if n_bytes < 0:
-            raise ConfigError("n_bytes must be non-negative")
-        return self.latency + n_bytes / self.bandwidth
 
 
 #: NVLink3/NVSwitch inside a DGX A100: 600 GB/s total per GPU; ~300 GB/s

@@ -46,6 +46,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from ..errors import ConfigError
 from ..layers.transformer import Recompute
 from ..tensor.backend import shape_of
 from ..tensor.context import ctx
@@ -552,6 +553,9 @@ def profile_layer(model, microbatch_size: int, tensor_parallel: int = 1,
     from ..parallel.layout import TensorParallel
     from ..tensor import instrument, seed
 
+    if microbatch_size < 1:
+        raise ConfigError(
+            f"microbatch_size must be >= 1, got {microbatch_size}")
     prof = profiler if profiler is not None else MemProfiler()
     ledger = prof.ledger()
     if tracer is not None:

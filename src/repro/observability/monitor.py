@@ -29,6 +29,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
+from ..errors import ConfigError
 from .metrics import DEFAULT_BUCKETS, Histogram
 from .serialize import dumps_json, to_jsonable
 from .tracer import Tracer
@@ -47,7 +48,8 @@ class FlightRecorder:
 
     def __init__(self, capacity: int = 256):
         if capacity < 1:
-            raise ValueError("flight recorder capacity must be >= 1")
+            raise ConfigError(
+                f"flight recorder capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._events: Deque[dict] = deque(maxlen=capacity)
         self._seq = 0

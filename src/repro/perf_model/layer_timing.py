@@ -77,18 +77,6 @@ class Table4Row:
     experiment: str
     times: PhaseTimes
 
-    @property
-    def forward_ms(self) -> float:
-        return self.times.forward * 1e3
-
-    @property
-    def backward_ms(self) -> float:
-        return self.times.backward_total * 1e3
-
-    @property
-    def combined_ms(self) -> float:
-        return self.times.combined * 1e3
-
 
 #: The five experiments of Table 4 as (label, sequence_parallel, recompute).
 TABLE4_EXPERIMENTS = (

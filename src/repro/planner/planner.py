@@ -166,6 +166,11 @@ def plan(config: ExperimentConfig,
          full_layer_step: int = 1) -> PlanOption:
     """The cheapest-overhead strategy that fits in device memory."""
     capacity = device_memory_bytes - reserve_bytes
+    if not capacity > 0:  # also rejects NaN
+        raise ConfigError(
+            f"device_memory_bytes must exceed reserve_bytes "
+            f"({reserve_bytes / 2**30:.1f} GiB), got "
+            f"{device_memory_bytes / 2**30:.1f} GiB")
     options = enumerate_options(config, cost=cost,
                                 allow_sequence_parallel=allow_sequence_parallel,
                                 full_layer_step=full_layer_step)

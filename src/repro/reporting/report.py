@@ -12,34 +12,11 @@ from __future__ import annotations
 from typing import List
 
 
-def _sections():
-    # Imported lazily: experiments itself imports repro.reporting.
-    from .. import experiments
-
-    return [
-        ("Figure 1 — per-GPU memory vs the 80 GB A100",
-         experiments.figure1_report),
-        ("Table 2 — activation memory per transformer layer",
-         experiments.table2_report),
-        ("Figure 7 — % of the tensor-parallel baseline",
-         experiments.figure7_report),
-        ("Section 5 — selective recomputation claims",
-         experiments.section5_report),
-        ("Table 4 — per-layer times (22B)",
-         experiments.table4_report),
-        ("Figure 8 — per-layer breakdown (all models)",
-         experiments.figure8_report),
-        ("Table 5 — end-to-end iteration time",
-         experiments.table5_report),
-        ("Figure 9 — per-pipeline-rank memory (530B)",
-         experiments.figure9_report),
-        ("Appendix C — microbatch-level recomputation",
-         experiments.appendix_c_report),
-    ]
-
-
 def full_report(header: bool = True) -> str:
     """Every experiment's current output, concatenated with headers."""
+    # Imported lazily: experiments itself imports repro.reporting.
+    from ..experiments import PAPER_MENU
+
     parts: List[str] = []
     if header:
         parts.append(
@@ -47,8 +24,8 @@ def full_report(header: bool = True) -> str:
             "Generated by `python -m repro report` — every number computed "
             "fresh from the simulator.\n"
         )
-    for title, fn in _sections():
-        parts.append(f"## {title}\n\n{fn()}\n")
-    from ..pipeline_sim import figure10
-    parts.append(f"## Figure 10 — microbatch-level schedule\n\n{figure10()}\n")
+    for item in PAPER_MENU:
+        if item.title is not None:
+            parts.append(f"## {item.kind.capitalize()} {item.number} — "
+                         f"{item.title}\n\n{item.report()}\n")
     return "\n".join(parts)

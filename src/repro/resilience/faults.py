@@ -116,9 +116,6 @@ class FaultPlan:
     def is_empty(self) -> bool:
         return not self.faults
 
-    def for_step(self, step: int) -> List[FaultSpec]:
-        return [f for f in self.faults if f.step == step]
-
     @classmethod
     def random(cls, seed: int, num_steps: int, fault_rate: float,
                world_size: int = 2,

@@ -244,12 +244,14 @@ def serving_scheduler(*, requests: int = 12, seed_value: int = 1234,
 # -- chaos-serving fleet -------------------------------------------------------
 
 def fleet_fault_plan(seed_value: int, fault_rate: float, replicas: int):
-    """``fault_rate >= 1`` is the fixed chaos plan — one *permanent*
+    """``fault_rate`` 1 is the fixed chaos plan — one *permanent*
     replica crash mid-decode, one straggler, one dropped dispatch;
     in between is a seeded random plan; 0 is a clean run."""
     from .resilience import FLEET_KINDS, FaultKind, FaultPlan, FaultSpec
 
-    if fault_rate <= 0.0:
+    if not 0.0 <= fault_rate <= 1.0:
+        raise ConfigError(f"fault_rate must be in [0, 1], got {fault_rate}")
+    if fault_rate == 0.0:
         return FaultPlan()
     if fault_rate < 1.0:
         return FaultPlan.random(seed=seed_value, num_steps=32,
@@ -354,7 +356,7 @@ def compiled_eager_twins(*, layers: int = 2, tp: int = 1,
     from .training import Trainer
     from .training.data import UniformTokens
 
-    for name, value in (("steps", steps), ("batch", batch),
+    for name, value in (("tp", tp), ("steps", steps), ("batch", batch),
                         ("microbatches", microbatches)):
         if value < 1:
             raise ConfigError(f"{name} must be >= 1, got {value}")

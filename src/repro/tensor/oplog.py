@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 
 class Phase(str, Enum):
@@ -106,9 +106,6 @@ class OpLog:
             for r in self.records
             if (name is None or r.name == name) and (phase is None or r.phase == phase)
         )
-
-    def filter(self, phase: Phase) -> Iterable[OpRecord]:
-        return (r for r in self.records if r.phase == phase)
 
     def clear(self) -> None:
         self.records.clear()

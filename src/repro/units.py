@@ -29,11 +29,6 @@ def bytes_to_gib(n_bytes: float) -> float:
     return n_bytes / GIB
 
 
-def bytes_to_mib(n_bytes: float) -> float:
-    """Convert bytes to binary megabytes (MiB, 2**20 bytes)."""
-    return n_bytes / MIB
-
-
 def fmt_bytes(n_bytes: float) -> str:
     """Format a byte count with a binary suffix, e.g. ``'2.73 GiB'``."""
     n = float(n_bytes)

@@ -227,6 +227,18 @@ class TestInvalidConfigurations:
         (["compile", "--microbatches", "0"], "microbatches must be >= 1"),
         (["fleet", "--replicas", "2"], "at least 3 replicas"),
         (["monitor", "--replicas", "2"], "at least 3 replicas"),
+        (["table", "6", "--context-parallel", "0"],
+         "context_parallel must be >= 1"),
+        (["monitor", "--flight-capacity", "0"], "capacity must be >= 1"),
+        (["analyze", "missing.json"], "No such file"),
+        (["report", "--output", "no-such-dir/x.md"], "No such file"),
+        (["compile", "--tp", "0"], "tp must be >= 1"),
+        (["memprofile", "--microbatch", "0", "--output-dir", "out"],
+         "microbatch_size must be >= 1"),
+        (["plan", "--memory-gb", "0"], "device_memory_bytes must exceed"),
+        (["plan", "--memory-gb", "-5"], "device_memory_bytes must exceed"),
+        (["plan", "--memory-gb", "nan"], "device_memory_bytes must exceed"),
+        (["fleet", "--fault-rate", "-1"], "fault_rate must be in [0, 1]"),
     ], ids=lambda value: " ".join(value) if isinstance(value, list) else "")
     def test_error_is_reported_not_raised(self, argv, needle, capsys,
                                           tmp_path, monkeypatch):

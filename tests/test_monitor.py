@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.observability import Detection, FlightRecorder, SLOMonitor, Tracer
 from repro.observability.monitor import CRASH, DISPATCH_LOSS, SLOW
 
@@ -21,7 +22,7 @@ class TestFlightRecorder:
         assert rec.recorded == 5
 
     def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError, match="capacity"):
+        with pytest.raises(ConfigError, match="capacity"):
             FlightRecorder(capacity=0)
 
     def test_postmortem_snapshots_ring_and_counts_drops(self):

@@ -269,8 +269,8 @@ class TestElasticShrink:
 
 
 class TestChaos:
-    """Randomized (but seeded) multi-fault campaigns, the `make chaos`
-    configuration: every fault detected, recovery bitwise-exact."""
+    """Randomized (but seeded) multi-fault campaigns: every fault
+    detected, recovery bitwise-exact."""
 
     @pytest.mark.parametrize("seed", [11, 23, 47])
     def test_chaos_campaign_recovers_bitwise(self, factory, tmp_path, seed):
