@@ -85,7 +85,10 @@ wall-history:
 # forward, a rank-local class whose unprojected (ring or profiled) run is
 # a per-rank map that tests/test_rank_local.py pins; and add_argument(
 # calls in cli.py (a flag is one row of its _FLAGS table, and one loop
-# builds every sub-command; 80 calls before the table).
+# builds every sub-command; 80 calls before the table); and the defaulted
+# keyword options of ContinuousBatchingScheduler, FleetRouter and
+# build_fleet, counted with inspect.signature (38 before the unused
+# sampling options and router knobs were dropped).
 loc:
 	@printf '%-56s %6d\n' \
 		'src/ python lines' "$$(find src -name '*.py' | xargs cat | wc -l)" \
@@ -111,7 +114,8 @@ loc:
 		'src/ validating AbstractArray( constructions (doors)' "$$(grep -rn --include='*.py' 'AbstractArray(' src | grep -v 'AbstractArray(shape=' | wc -l)" \
 		'src/ rank_local Function declarations' "$$(grep -rn --include='*.py' 'rank_local = True' src | wc -l)" \
 		'src/ per-rank abstract constructions' "$$(grep -rnE --include='*.py' '(AbstractArray|shaped)\(.*for _ in' src | wc -l)" \
-		'cli.py add_argument( calls' "$$(grep -c 'add_argument(' src/repro/cli.py)"
+		'cli.py add_argument( calls' "$$(grep -c 'add_argument(' src/repro/cli.py)" \
+		'serving/ + fleet/ constructor keyword options' "$$(PYTHONPATH=src $(PY) -c 'import inspect; from repro.serving import ContinuousBatchingScheduler as S; from repro.fleet import FleetRouter as R, build_fleet as B; print(sum(p.default is not p.empty for f in (S.__init__, R.__init__, B) for p in inspect.signature(f).parameters.values()))')"
 
 # CI smoke run: the artifact-writing CLI invocation of each concrete-run
 # command, plus the two invocations no tier-1 test makes (the recompute

@@ -9,9 +9,10 @@ dispatches mid-decode.
 The headline guarantee mirrors the training side's bitwise-identical
 weights: under *any* fleet fault plan, every request's streamed token
 sequence is identical to the fault-free run at the same seed, because
-the sampling stream travels with the request's control record
-(:class:`~repro.serving.RequestState`) and recovery either restores KV
-pages bit-exactly (swap migration) or replays deterministic engine math
+decoding is greedy (there is no per-request sampling stream), the
+request's control record (:class:`~repro.serving.RequestState`) carries
+its logits and tokens so far, and recovery either restores KV pages
+bit-exactly (swap migration) or replays deterministic engine math
 (recompute-from-prompt).  See ``docs/serving.md`` ("Chaos serving") and
 ``docs/resilience.md`` (the fleet recovery ladder).
 

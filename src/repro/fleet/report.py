@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
-from ..observability.serialize import to_jsonable
 from ..resilience.report import ResilienceReport
 
 
@@ -56,34 +55,6 @@ class FleetReport(ResilienceReport):
         """Useful simulated seconds over total spent (1.0 when clean)."""
         total = self.useful_s + self.wasted_s
         return 1.0 if total == 0 else self.useful_s / total
-
-    def to_json(self) -> Dict[str, Any]:
-        doc = super().to_json()
-        doc.update(to_jsonable({
-            "replicas": self.replicas,
-            "final_replicas": self.final_replicas,
-            "rounds": self.rounds,
-            "requests": self.requests,
-            "completed": self.completed,
-            "shed": self.shed,
-            "dispatches": self.dispatches,
-            "redispatches": self.redispatches,
-            "migrations": self.migrations,
-            "recomputes": self.recomputes,
-            "tokens_generated": self.tokens_generated,
-            "useful_s": self.useful_s,
-            "wasted_s": self.wasted_s,
-            "kv_drift_bytes": self.kv_drift_bytes,
-            "kv_fragmentation": self.kv_fragmentation,
-            "ttft_p50_s": self.ttft_p50_s,
-            "ttft_p95_s": self.ttft_p95_s,
-            "ttft_p99_s": self.ttft_p99_s,
-            "tpot_p50_s": self.tpot_p50_s,
-            "tpot_p95_s": self.tpot_p95_s,
-            "tpot_p99_s": self.tpot_p99_s,
-            "per_request": self.per_request,
-        }))
-        return doc
 
     def summary(self) -> str:
         lines = [super().summary()]

@@ -14,10 +14,10 @@ machinery the trainer uses, with ``step`` read as the fleet round and
 ``rank`` as the replica id:
 
 * ``REPLICA_CRASH`` fires at the round boundary *before* the replica
-  decodes, so no sampling stream is ever consumed for work the crash
-  would discard — the key to token identity.  Device KV pages die with
-  the replica; host-side swap copies survive.  Every resident request
-  is recovered onto survivors: a request with a host-side
+  decodes, so no token is ever decoded for work the crash would
+  discard.  Device KV pages die with the replica; host-side swap
+  copies survive.  Every resident request is recovered onto
+  survivors: a request with a host-side
   :class:`~repro.serving.SwappedKV` is either **migrated** (p2p wire
   transfer over the ``fleet`` link + bit-exact swap-in) or **recomputed
   from its prompt + streamed tokens**, whichever the
@@ -35,15 +35,16 @@ machinery the trainer uses, with ``step`` read as the fleet round and
 
 Determinism contract: every decision above is a pure function of the
 seed, the fault plan and the workload, so equal seeds produce
-byte-identical :class:`FleetReport` JSON — and because each request
-samples from its own ``default_rng((seed, index))`` stream and the
-engine's decode math is per-request independent, the tokens every
-request streams are **identical to the fault-free run** (asserted by
+byte-identical :class:`FleetReport` JSON — and because decoding is
+greedy (no per-request sampling stream) and the engine's decode math is
+per-request independent, the tokens every request streams are
+**identical to the fault-free run** (asserted by
 ``tests/test_fleet.py``).
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -55,6 +56,7 @@ from ..config import ModelConfig
 from ..errors import ConfigError, PlanningError
 from ..layers.transformer import GPTModel
 from ..observability.metrics import MetricsRegistry
+from ..observability.monitor import check_slo
 from ..observability.tracer import Tracer, span_or_null
 from ..parallel.transformer import ParallelGPTModel
 from ..planner import FleetCapacity, plan_fleet_capacity
@@ -71,6 +73,9 @@ from ..serving.scheduler import (
     RequestState,
 )
 from .report import FleetReport
+
+#: Livelock guard: a run still unfinished after this many rounds raises.
+MAX_ROUNDS = 100_000
 
 
 class ReplicaHealth(str, Enum):
@@ -105,10 +110,8 @@ class Replica:
         self.health = ReplicaHealth.HEALTHY
         self.slowdown = 1.0
         self.restart_pending = False
-        # counters carried across restarts (a crash discards the
-        # scheduler object but not the ledger)
-        self.total_preemptions = 0
-        self.total_resumes = 0
+        # ledger carried across restarts (a crash discards the scheduler
+        # object but not the ledger)
         self.max_drift = 0.0
         self.max_fragmentation = 0.0
         self.reset()
@@ -119,7 +122,7 @@ class Replica:
 
     @property
     def world(self) -> int:
-        return getattr(getattr(self.model, "group", None), "size", 1)
+        return self.model.group.size
 
     @property
     def dispatchable(self) -> bool:
@@ -142,34 +145,19 @@ class Replica:
     def retire_counters(self) -> None:
         """Fold the current scheduler's ledger into the replica totals
         (called before the scheduler object is discarded)."""
-        self.total_preemptions += self.scheduler.preemptions
-        self.total_resumes += self.scheduler.resumes
-        self.max_drift = max(self.max_drift, self.scheduler.max_drift)
-        self.max_fragmentation = max(self.max_fragmentation,
-                                     self.kv_fragmentation_now)
-
-    @property
-    def preemptions(self) -> int:
-        return self.total_preemptions + self.scheduler.preemptions
-
-    @property
-    def resumes(self) -> int:
-        return self.total_resumes + self.scheduler.resumes
+        self.max_drift = self.drift_bytes
+        self.max_fragmentation = self.kv_fragmentation
 
     @property
     def drift_bytes(self) -> float:
         return max(self.max_drift, self.scheduler.max_drift)
 
     @property
-    def kv_fragmentation_now(self) -> float:
-        """Pool fragmentation of the *current* KV arena."""
-        return self.engine.cache.arena.stats.fragmentation
-
-    @property
     def kv_fragmentation(self) -> float:
         """Worst paged-KV pool fragmentation across this replica's life
         (restarts discard the arena but not this ledger)."""
-        return max(self.max_fragmentation, self.kv_fragmentation_now)
+        return max(self.max_fragmentation,
+                   self.engine.cache.arena.stats.fragmentation)
 
 
 @dataclass
@@ -187,13 +175,9 @@ class FleetRouter:
 
     def __init__(self, replicas: Sequence[Replica],
                  plan: Optional[FaultPlan] = None,
-                 watchdog: Optional[Watchdog] = None,
-                 cost: Optional[CollectiveCostModel] = None,
                  tracer: Optional[Tracer] = None, seed: int = 0,
                  num_tiers: int = 1, slo_ttft_s: Optional[float] = None,
-                 backoff_base_s: Optional[float] = None,
-                 max_rounds: int = 100_000, monitor=None, recorder=None,
-                 request_tracker=None):
+                 monitor=None, recorder=None, request_tracker=None):
         if not replicas:
             raise ConfigError("a fleet needs at least one replica")
         if num_tiers < 1:
@@ -205,16 +189,16 @@ class FleetRouter:
                 raise ConfigError(
                     f"{fault.kind.value!r} is a training fault; fleet plans "
                     f"use {[k.value for k in FLEET_KINDS]}")
-        self.cost = cost or CollectiveCostModel()
+        check_slo("slo_ttft_s", slo_ttft_s)
+        self.cost = CollectiveCostModel()
         # The serving-scale watchdog: decode rounds are microseconds, so
-        # the default is derived from the roofline — a dispatch is
+        # the timeout is derived from the roofline — a dispatch is
         # declared lost after ~8 unloaded decode steps, not after the
         # trainer's 0.5 s NCCL window.
         step_s = self.replicas[0].perf.decode_step_time(1, [8])
-        self.watchdog = watchdog or Watchdog(cost=self.cost,
-                                             timeout_s=8.0 * step_s)
-        self.backoff_base_s = (backoff_base_s if backoff_base_s is not None
-                               else 2.0 * step_s)
+        self.watchdog = Watchdog(cost=self.cost, timeout_s=8.0 * step_s,
+                                 recorder=recorder)
+        self.backoff_base_s = 2.0 * step_s
         self.tracer = tracer
         # Telemetry companions (all optional, all one-``is None``-check
         # cheap when off): the SLO monitor consumes the router's
@@ -224,17 +208,15 @@ class FleetRouter:
         self.monitor = monitor
         self.recorder = recorder
         self.tracker = request_tracker
-        self._next_flow = 0
+        # Perfetto flow ids, one per router->replica delivery.
+        self._flows = itertools.count()
         if monitor is not None:
             # One straggler vocabulary: the monitor flags exactly what
             # the watchdog's profiling alarm flags.
             monitor.straggler_threshold = self.watchdog.straggler_threshold
-        if recorder is not None and self.watchdog.recorder is None:
-            self.watchdog.recorder = recorder
         self.seed = seed
         self.num_tiers = num_tiers
         self.slo_ttft_s = slo_ttft_s
-        self.max_rounds = max_rounds
         self.group = ProcessGroup(len(self.replicas), "fleet")
         first = self.replicas[0]
         self.capacity: FleetCapacity = plan_fleet_capacity(
@@ -271,12 +253,6 @@ class FleetRouter:
         if traced and self.tracer is not None:
             self.tracer.advance(seconds)
 
-    def _flow(self) -> int:
-        """A fresh Perfetto flow id for one router->replica delivery."""
-        fid = self._next_flow
-        self._next_flow += 1
-        return fid
-
     def _mark(self, request_id: str, phase: str, **kw) -> None:
         if self.tracker is not None:
             self.tracker.mark(request_id, phase, self.clock, **kw)
@@ -288,6 +264,13 @@ class FleetRouter:
     def _postmortem(self, trigger: str, **context) -> None:
         if self.recorder is not None:
             self.recorder.postmortem(trigger, self.clock, **context)
+
+    def _fault(self, kind: str, postmortem_extra: dict, **fields) -> None:
+        """One injected fault's three records: a ``fault.<kind>`` trace
+        instant, a ``fault_injected`` flight event and a postmortem."""
+        self._instant(f"fault.{kind}", **fields)
+        self._record("fault_injected", fault=kind, **fields)
+        self._postmortem(kind, **fields, **postmortem_extra)
 
     def _end_round(self, round_idx: int) -> None:
         """Heartbeat sweep: called once per round on *every* exit path
@@ -379,15 +362,8 @@ class FleetRouter:
                 self._crash(replica, fault, round_idx, recovery)
             elif fault.kind == FaultKind.SLOW_REPLICA:
                 replica.slowdown = fault.slowdown
-                self._instant("fault.slow_replica",
-                              replica=replica.replica_id, round=round_idx,
-                              slowdown=fault.slowdown)
-                self._record("fault_injected", fault=fault.kind.value,
-                             replica=replica.replica_id, round=round_idx,
-                             slowdown=fault.slowdown)
-                self._postmortem("slow_replica",
-                                 replica=replica.replica_id,
-                                 round=round_idx, slowdown=fault.slowdown)
+                self._fault(fault.kind.value, {}, replica=replica.replica_id,
+                            round=round_idx, slowdown=fault.slowdown)
 
     def _crash(self, replica: Replica, fault: FaultSpec, round_idx: int,
                recovery: List[Tuple[RequestState,
@@ -408,12 +384,10 @@ class FleetRouter:
             step=round_idx, kind=fault.kind.value, rank=replica.replica_id,
             error="ReplicaCrash", detected=True,
             detection_latency_s=latency, op="decode"))
-        self._instant("fault.replica_crash", replica=replica.replica_id,
-                      round=round_idx, permanent=fault.permanent)
-        self._record("fault_injected", fault=fault.kind.value,
-                     replica=replica.replica_id, round=round_idx,
-                     permanent=fault.permanent)
         residents = replica.scheduler.resident_requests()
+        self._fault(fault.kind.value, {"residents": len(residents)},
+                    replica=replica.replica_id, round=round_idx,
+                    permanent=fault.permanent)
         for state, _ in residents:
             # Detection stall attributed to the crashed replica; the
             # re-placement wait lands on the coming migrate/recover
@@ -421,9 +395,6 @@ class FleetRouter:
             # decode rounds only (keeps TTFT reconciliation exact).
             self._mark(state.spec.request_id, "recover",
                        replica=replica.replica_id, round_idx=round_idx)
-        self._postmortem("replica_crash", replica=replica.replica_id,
-                         round=round_idx, permanent=fault.permanent,
-                         residents=len(residents))
         recovery.extend(residents)
         replica.retire_counters()
         if fault.permanent:
@@ -466,14 +437,13 @@ class FleetRouter:
         cheaper of bit-exact migration and recompute-from-prompt."""
         request_id = state.spec.request_id
         before = replica.scheduler.clock
-        fid = self._flow()
+        fid = next(self._flows)
         migrate = False
         if swapped is not None:
-            wire = self.cost.p2p_time(int(swapped.nbytes * replica.world),
-                                      scope="fleet")
-            migrate = (wire + replica.perf.swap_time(
-                swapped.nbytes * replica.world)
-                <= replica.perf.prefill_time(state.resident_tokens))
+            nbytes = swapped.nbytes * replica.world
+            wire = self.cost.p2p_time(int(nbytes), scope="fleet")
+            migrate = (wire + replica.perf.swap_time(nbytes)
+                       <= replica.perf.prefill_time(state.resident_tokens))
         action = "migrate" if migrate else "recover"
         with self._span(f"fleet.{action}", action, request=request_id,
                         replica=replica.replica_id, flow_out=fid):
@@ -501,18 +471,12 @@ class FleetRouter:
         re-placed (FCFS) before the dispatch queue is looked at."""
         remaining: List[Tuple[RequestState, Optional[SwappedKV]]] = []
         for state, swapped in recovery:
-            placed = False
-            for replica in self._targets():
-                if not replica.scheduler.can_accept(state):
-                    continue
-                try:
-                    self._place(replica, state, swapped)
-                    placed = True
-                    break
-                except KVAdmissionFull:
-                    continue
-            if not placed:
+            target = next((r for r in self._targets()
+                           if r.scheduler.can_accept(state)), None)
+            if target is None:
                 remaining.append((state, swapped))
+            else:
+                self._place(target, state, swapped)
         recovery[:] = remaining
 
     def _shed(self, queue: List[_Queued]) -> None:
@@ -585,19 +549,15 @@ class FleetRouter:
                     step=round_idx, action="retry",
                     detail=f"dispatch of {request_id} lost",
                     backoff_s=delay))
-                self._instant("fault.dispatch_loss", request=request_id,
-                              round=round_idx)
-                self._record("fault_injected", fault=loss.kind.value,
-                             request=request_id, round=round_idx)
-                self._postmortem("dispatch_loss", request=request_id,
-                                 round=round_idx, backoff_s=delay)
+                self._fault(loss.kind.value, {"backoff_s": delay},
+                            request=request_id, round=round_idx)
                 continue
             placed = False
             if self.monitor is not None:
                 self.monitor.dispatch_issued(request_id, round_idx)
             for replica in self._targets():
                 before = replica.scheduler.clock
-                fid = self._flow()
+                fid = next(self._flows)
                 try:
                     with self._span("fleet.dispatch", "dispatch",
                                     request=request_id,
@@ -753,8 +713,7 @@ class FleetRouter:
             sorted(specs, key=lambda s: (s.arrival_s, s.index)))
         queue: List[_Queued] = []
         recovery: List[Tuple[RequestState, Optional[SwappedKV]]] = []
-        self._drained_queue: List[Tuple[RequestState,
-                                        Optional[SwappedKV]]] = []
+        self._drained_queue = []
         self._outcomes = {
             spec.request_id: {"tier": self._tier(spec)} for spec in specs}
         self.report.requests = len(specs)
@@ -767,9 +726,9 @@ class FleetRouter:
                 [r.replica_id for r in self.replicas if r.live])
         round_idx = 0
         while True:
-            if round_idx > self.max_rounds:
+            if round_idx > MAX_ROUNDS:
                 raise PlanningError(
-                    f"fleet did not converge within {self.max_rounds} "
+                    f"fleet did not converge within {MAX_ROUNDS} "
                     f"rounds; requests are stuck")
             self._begin_round(round_idx, recovery)
             recovery.extend(self._drained_queue)
@@ -852,22 +811,20 @@ def build_fleet(config: ModelConfig, num_replicas: int, *,
                 tensor_parallel: int = 1, sequence_parallel: bool = False,
                 block_size: int = 4, num_blocks: int = 24,
                 max_batch: int = 8, policy: str = "swap", seed: int = 0,
-                model_seed: int = 3, plan: Optional[FaultPlan] = None,
+                plan: Optional[FaultPlan] = None,
                 tracer: Optional[Tracer] = None, num_tiers: int = 1,
-                slo_ttft_s: Optional[float] = None,
-                watchdog: Optional[Watchdog] = None,
-                max_rounds: int = 100_000, monitor=None, recorder=None,
-                request_tracker=None) -> FleetRouter:
+                slo_ttft_s: Optional[float] = None, monitor=None,
+                recorder=None, request_tracker=None) -> FleetRouter:
     """A homogeneous fleet over one shared set of model weights.
 
-    The serial reference weights are built once (``model_seed``) and
+    The serial reference weights are built once (model seed 3) and
     shared by every replica — decode is read-only, and sharing mirrors
     production fleets loading one checkpoint.  Each replica still owns a
     private KV pool, engine and scheduler.
     """
     if num_replicas < 1:
         raise ConfigError("num_replicas must be >= 1")
-    serial = GPTModel(config, seed=model_seed)
+    serial = GPTModel(config, seed=3)
     if tensor_parallel > 1 or sequence_parallel:
         model = ParallelGPTModel(
             config, tensor_parallel=tensor_parallel,
@@ -882,8 +839,7 @@ def build_fleet(config: ModelConfig, num_replicas: int, *,
                 seed=seed, tracer=tracer)
         for i in range(num_replicas)
     ]
-    return FleetRouter(replicas, plan=plan, watchdog=watchdog,
-                       tracer=tracer, seed=seed, num_tiers=num_tiers,
-                       slo_ttft_s=slo_ttft_s, max_rounds=max_rounds,
+    return FleetRouter(replicas, plan=plan, tracer=tracer, seed=seed,
+                       num_tiers=num_tiers, slo_ttft_s=slo_ttft_s,
                        monitor=monitor, recorder=recorder,
                        request_tracker=request_tracker)

@@ -74,9 +74,9 @@ def sample_next(logits: np.ndarray, strategy: str, top_k: int,
                 rng: Optional[np.random.Generator]) -> np.ndarray:
     """One next token per row of ``(b, v)`` logits.
 
-    Shared by :func:`generate`, :func:`generate_cached` and the serving
-    scheduler so every decode path draws from the RNG in exactly the same
-    order — the foundation of the token-identity guarantees in tests.
+    Shared by :func:`generate` and :func:`generate_cached` so both decode
+    paths draw from the RNG in exactly the same order — the foundation of
+    their token-identity tests.  (The serving scheduler decodes greedily.)
     """
     if strategy == "greedy":
         return np.argmax(logits, axis=-1)

@@ -584,7 +584,7 @@ def check_peak_attribution(model, microbatch_size: int,
     peak decomposition is bitwise-exact and reconciles term-by-term with
     the Section 4 closed forms (zero drift)."""
     from ..memory_model import per_layer_term_groups
-    from .analysis import group_measured_categories
+    from .analysis import MemoryTermDrift, group_measured_categories
 
     recompute = Recompute(recompute)
     _, ledger = profile_layer(
@@ -600,11 +600,9 @@ def check_peak_attribution(model, microbatch_size: int,
         final_composition = watermarks[-1].by_category if watermarks else {}
         measured, unmapped = group_measured_categories(
             att.by_category, recompute)
-        terms = sorted(set(measured) | set(predicted))
-        drift = {t: measured.get(t, 0.0) - predicted.get(t, 0.0)
-                 for t in terms}
-        total = (sum(abs(v) for v in drift.values())
-                 + sum(abs(v) for v in unmapped.values()))
+        terms = MemoryTermDrift(
+            sequence_parallel=sequence_parallel, recompute=recompute,
+            measured=measured, predicted=predicted, unmapped=unmapped)
         checks.append(AttributionCheck(
             rank=rank, tensor_parallel=tensor_parallel,
             sequence_parallel=sequence_parallel,
@@ -616,7 +614,7 @@ def check_peak_attribution(model, microbatch_size: int,
             watermark_exact=att.by_category == dict(
                 sorted(final_composition.items())),
             path_sum_exact=sum(att.by_path.values()) == att.peak_bytes,
-            term_drift_total=total, term_drift=drift))
+            term_drift_total=terms.total_drift, term_drift=terms.drift))
     return checks
 
 

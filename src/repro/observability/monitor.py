@@ -25,6 +25,7 @@ Two online companions to the request tracer:
 
 from __future__ import annotations
 
+import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
@@ -41,6 +42,14 @@ CRASH = "replica_crash"
 DISPATCH_LOSS = "dispatch_loss"
 SLOW = "slow_replica"
 FLEET_FAULT_KINDS = (CRASH, DISPATCH_LOSS, SLOW)
+
+
+def check_slo(name: str, seconds: Optional[float]) -> None:
+    """An SLO threshold is unset (None) or a finite number of seconds
+    above zero; anything else raises :class:`ConfigError`."""
+    if seconds is not None and not 0.0 < seconds < math.inf:
+        raise ConfigError(
+            f"{name} must be a finite number of seconds > 0, got {seconds}")
 
 
 class FlightRecorder:
@@ -120,10 +129,12 @@ class SLOMonitor:
                  health_window: int = 16,
                  recorder: Optional[FlightRecorder] = None,
                  tracer: Optional[Tracer] = None):
+        check_slo("slo_ttft_s", slo_ttft_s)
+        check_slo("slo_tpot_s", slo_tpot_s)
         if not 0.0 < error_budget <= 1.0:
-            raise ValueError("error_budget must be in (0, 1]")
+            raise ConfigError("error_budget must be in (0, 1]")
         if short_window < 1 or long_window < short_window:
-            raise ValueError("need 1 <= short_window <= long_window")
+            raise ConfigError("need 1 <= short_window <= long_window")
         self.slo_ttft_s = slo_ttft_s
         self.slo_tpot_s = slo_tpot_s
         self.error_budget = error_budget

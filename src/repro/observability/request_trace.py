@@ -110,23 +110,15 @@ class RequestTracker:
 
     One tracker serves one fleet (or scheduler) run; all timestamps are
     on the *driver's* clock (the router lockstep clock for fleets).  The
-    tracker also allocates the deterministic Perfetto **flow ids** that
-    link a router-side dispatch span (``flow_out``) to the replica-side
-    admission span (``flow_in``) across process tracks.
+    router, not the tracker, allocates the Perfetto flow ids that link a
+    dispatch span (``flow_out``) to the replica-side admission span
+    (``flow_in``).
     """
 
     def __init__(self, tracer: Optional[Tracer] = None):
         self.tracer = tracer
         self._traces: Dict[str, RequestTrace] = {}
         self._last: Dict[str, float] = {}
-        self._next_flow = 0
-
-    # -- flow ids ----------------------------------------------------------
-    def new_flow(self) -> int:
-        """The next cross-track flow id (deterministic counter)."""
-        flow = self._next_flow
-        self._next_flow += 1
-        return flow
 
     # -- lifecycle ---------------------------------------------------------
     def begin(self, request_id: str, index: int, arrival_s: float) -> None:

@@ -69,30 +69,18 @@ class ResilienceReport:
         return 1.0 if total == 0 else self.useful_flops / total
 
     def to_json(self) -> Dict[str, Any]:
-        """The report as plain JSON types.
+        """The report as plain JSON types: every field, plus ``goodput``
+        and ``all_faults_detected``.
 
         Serializes through the canonical path shared with the metrics
         snapshot (:mod:`repro.observability.serialize`), and is itself
         the single source :meth:`MetricsRegistry.observe_resilience`
         consumes — goodput is computed once, here.
         """
-        return to_jsonable({
-            "faults": self.faults,
-            "recoveries": self.recoveries,
-            "collectives_observed": self.collectives_observed,
-            "steps_completed": self.steps_completed,
-            "steps_replayed": self.steps_replayed,
-            "checkpoints_saved": self.checkpoints_saved,
-            "rollbacks": self.rollbacks,
-            "retries": self.retries,
-            "shrinks": self.shrinks,
-            "useful_flops": self.useful_flops,
-            "wasted_flops": self.wasted_flops,
-            "goodput": self.goodput(),
-            "simulated_seconds": self.simulated_seconds,
-            "final_world_size": self.final_world_size,
-            "all_faults_detected": self.all_faults_detected,
-        })
+        doc = to_jsonable(self)
+        doc.update(goodput=self.goodput(),
+                   all_faults_detected=self.all_faults_detected)
+        return doc
 
     def summary(self) -> str:
         lines = [

@@ -8,12 +8,12 @@ of the work, inside a tracer span tagged with the matching serving phase
 renders a serving run exactly like a training run.
 
 Determinism contract (asserted in tests): request workloads come from a
-seeded open-loop generator, each request samples from its *own*
-``default_rng((seed, index))`` stream, and all durations are pure
-functions of the workload — so equal seeds produce byte-identical
-reports, and a request's token sequence is invariant under preemption
-(swap restores K/V bit-exactly; recompute replays the identical engine
-math).
+seeded open-loop generator, decoding is greedy (the argmax of each
+request's logits; there is no per-request sampling stream), and all
+durations are pure functions of the workload — so equal seeds produce
+byte-identical reports, and a request's token sequence is invariant
+under preemption (swap restores K/V bit-exactly; recompute replays the
+identical engine math).
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ import numpy as np
 
 from ..config import ModelConfig
 from ..errors import ConfigError, PlanningError
-from ..inference import sample_next
-from ..observability.serialize import dumps_json
+from ..observability.serialize import dumps_json, to_jsonable
 from ..observability.tracer import Tracer, span_or_null
 from .engine import DecodeEngine
 from .kv_cache import KVAdmissionFull, SwappedKV
@@ -75,8 +74,8 @@ def generate_requests(config: ModelConfig, num_requests: int, seed: int,
 class RequestState:
     """One admitted request's live decode state.
 
-    This is the *control-plane* record: the sampling stream, the logits
-    for the next draw, and the tokens generated so far.  It is what a
+    This is the *control-plane* record: the logits the next token is
+    read from, and the tokens generated so far.  It is what a
     fleet router carries across replicas when it migrates or recovers a
     request — the KV pages are device state and may be lost, but this
     record (conceptually held by the router, which already streamed the
@@ -84,7 +83,6 @@ class RequestState:
     """
 
     spec: RequestSpec
-    rng: np.random.Generator
     logits: np.ndarray
     order: int
     admitted_s: float
@@ -96,10 +94,6 @@ class RequestState:
     def resident_tokens(self) -> int:
         """Tokens a replay (prompt + generated so far) must prefill."""
         return len(self.spec.prompt) + len(self.tokens)
-
-
-#: Backwards-compatible private alias (pre-fleet name).
-_Running = RequestState
 
 
 @dataclass
@@ -126,24 +120,7 @@ class ServeReport:
     kv_fragmentation: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "policy": self.policy,
-            "seed": self.seed,
-            "num_requests": self.num_requests,
-            "completed": self.completed,
-            "preemptions": self.preemptions,
-            "resumes": self.resumes,
-            "tokens_generated": self.tokens_generated,
-            "elapsed_s": self.elapsed_s,
-            "tokens_per_s": self.tokens_per_s,
-            "p50_token_latency_s": self.p50_token_latency_s,
-            "p95_token_latency_s": self.p95_token_latency_s,
-            "kv_drift_bytes": self.kv_drift_bytes,
-            "peak_kv_occupancy": self.peak_kv_occupancy,
-            "kv_fragmentation": self.kv_fragmentation,
-            "per_request": self.per_request,
-            "timeline": self.timeline,
-        }
+        return to_jsonable(self)
 
     def to_json(self) -> str:
         return dumps_json(self.to_dict())
@@ -163,8 +140,7 @@ class ContinuousBatchingScheduler:
 
     def __init__(self, engine: DecodeEngine, perf: ServingPerfModel,
                  policy: str = "swap", max_batch: int = 8, seed: int = 0,
-                 strategy: str = "greedy", top_k: int = 10,
-                 temperature: float = 1.0, tracer: Optional[Tracer] = None,
+                 tracer: Optional[Tracer] = None,
                  subsystem: str = "serving", request_tracker=None):
         if policy not in POLICIES:
             raise ConfigError(f"unknown preemption policy {policy!r}")
@@ -175,10 +151,7 @@ class ContinuousBatchingScheduler:
         self.policy = policy
         self.subsystem = subsystem
         self.max_batch = max_batch
-        self.seed = seed
-        self.strategy = strategy
-        self.top_k = top_k
-        self.temperature = temperature
+        self.seed = seed  # echoed into the report; decoding is greedy
         self.tracer = tracer
         # Optional per-request span tracking for the closed-loop ``run``
         # path (a fleet router tracks requests on its own clock instead
@@ -220,6 +193,12 @@ class ContinuousBatchingScheduler:
             self.request_tracker.mark(request_id, phase, self.clock, **kw)
 
     # -- scheduling steps --------------------------------------------------
+    def _fits(self, tokens: int) -> bool:
+        """Room in the batch, and KV blocks for ``tokens`` of context plus
+        the token the next decode step writes."""
+        return (len(self._running) < self.max_batch
+                and self.engine.cache.can_admit(tokens + 1))
+
     def _admit(self, spec: RequestSpec, flow: Optional[int] = None) -> None:
         self._mark(spec.request_id, "queue_wait")
         args = {"request": spec.request_id, "tokens": len(spec.prompt)}
@@ -229,18 +208,16 @@ class ContinuousBatchingScheduler:
             logits = self.engine.prefill(spec.request_id, spec.prompt)
             self._advance(self.perf.prefill_time(len(spec.prompt)))
         self._mark(spec.request_id, "prefill")
-        self._running[spec.request_id] = _Running(
-            spec=spec, rng=np.random.default_rng((self.seed, spec.index)),
-            logits=logits, order=self._next_order(), admitted_s=self.clock)
+        self._running[spec.request_id] = RequestState(
+            spec=spec, logits=logits, order=self._next_order(),
+            admitted_s=self.clock)
         self._event("admit", request=spec.request_id)
 
-    def _preempt_youngest(self) -> None:
-        if len(self._running) <= 1:
-            raise PlanningError(
-                "KV pool cannot hold a single request's context; "
-                "raise num_blocks or block_size")
-        state = max(self._running.values(), key=lambda s: s.order)
-        request_id = state.spec.request_id
+    def _evict(self, request_id: str) -> Tuple[RequestState,
+                                               Optional[SwappedKV]]:
+        """Take a running request off the device under ``policy``: swap
+        copies its KV pages to the host, recompute frees them."""
+        state = self._running.pop(request_id)
         state.preemptions += 1
         self.preemptions += 1
         with self._span("serve.preempt", "preempt", request=request_id,
@@ -252,38 +229,57 @@ class ContinuousBatchingScheduler:
             else:
                 swapped = None
                 self.engine.finish(request_id)
-        del self._running[request_id]
+        return state, swapped
+
+    def _resume(self, state: RequestState, swapped: Optional[SwappedKV],
+                flow: Optional[int] = None) -> None:
+        """Put an evicted request back in the batch: bit-exact swap-in of
+        its host KV pages, or a replay of prompt + generated tokens when
+        ``swapped`` is None."""
+        spec = state.spec
+        args = {"request": spec.request_id,
+                "policy": "swap" if swapped is not None else "recompute"}
+        if flow is not None:
+            args["flow_in"] = flow
+        with self._span("serve.resume", "resume", **args):
+            if swapped is not None:
+                self.engine.swap_in(swapped)
+                self._advance(self.perf.swap_time(swapped.nbytes
+                                                  * self.engine.world))
+            else:
+                replay = np.concatenate(
+                    [spec.prompt, np.asarray(state.tokens, dtype=np.int64)])
+                state.logits = self.engine.prefill(spec.request_id, replay)
+                self._advance(self.perf.prefill_time(len(replay)))
+        state.order = self._next_order()
+        self._running[spec.request_id] = state
+        self.resumes += 1
+
+    def _preempt_youngest(self) -> None:
+        if len(self._running) <= 1:
+            raise PlanningError(
+                "KV pool cannot hold a single request's context; "
+                "raise num_blocks or block_size")
+        request_id = max(self._running.values(),
+                         key=lambda s: s.order).spec.request_id
+        state, swapped = self._evict(request_id)
         self._preempted.append((state, swapped))
         self._mark(request_id, "preempt", tokens=len(state.tokens))
         self._event("preempt", request=request_id, policy=self.policy)
 
     def _resume_preempted(self) -> None:
-        while self._preempted and len(self._running) < self.max_batch:
+        while self._preempted:
             state, swapped = self._preempted[0]
-            spec = state.spec
-            resident = len(spec.prompt) + len(state.tokens)
-            if not self.engine.cache.can_admit(resident + 1):
+            if not self._fits(state.resident_tokens):
                 return  # FCFS: do not let younger work jump the queue
             self._preempted.popleft()
-            with self._span("serve.resume", "resume", request=spec.request_id,
-                            policy=self.policy):
-                if swapped is not None:
-                    self.engine.swap_in(swapped)
-                    self._advance(self.perf.swap_time(swapped.nbytes
-                                                      * self.engine.world))
-                else:
-                    replay = np.concatenate(
-                        [spec.prompt,
-                         np.asarray(state.tokens, dtype=np.int64)])
-                    state.logits = self.engine.prefill(spec.request_id, replay)
-                    self._advance(self.perf.prefill_time(len(replay)))
-            state.order = self._next_order()
-            self._running[spec.request_id] = state
-            self.resumes += 1
-            self._mark(spec.request_id, "preempt", tokens=len(state.tokens))
-            self._event("resume", request=spec.request_id, policy=self.policy)
+            self._resume(state, swapped)
+            self._mark(state.spec.request_id, "preempt",
+                       tokens=len(state.tokens))
+            self._event("resume", request=state.spec.request_id,
+                        policy=self.policy)
 
-    def _finish(self, state: _Running) -> None:
+    def _finish(self, state: RequestState) -> None:
         self.engine.finish(state.spec.request_id)
         self._finished.append(state)
         self._finish_times[state.spec.request_id] = self.clock
@@ -300,9 +296,7 @@ class ContinuousBatchingScheduler:
             self._preempt_youngest()
         batch = sorted(self._running.values(), key=lambda s: s.order)
         request_ids = [s.spec.request_id for s in batch]
-        tokens = [int(sample_next(s.logits[None, :], self.strategy,
-                                  self.top_k, self.temperature, s.rng)[0])
-                  for s in batch]
+        tokens = [int(np.argmax(s.logits)) for s in batch]
         contexts = [self.engine.context_length(r) + 1 for r in request_ids]
         step = self.perf.decode_step_time(len(batch), contexts)
         with self._span("serve.decode", "decode", batch=len(batch)):
@@ -328,7 +322,7 @@ class ContinuousBatchingScheduler:
     # (:mod:`repro.fleet`) instead drives N schedulers round by round
     # through the four hooks below.  They reuse the exact admission /
     # span / clock machinery above, so a request decoded through the
-    # hooks samples the same tokens as one decoded by ``run``.
+    # hooks decodes the same tokens as one decoded by ``run``.
 
     def submit(self, spec: RequestSpec, flow: Optional[int] = None) -> None:
         """Admit one externally-dispatched request, or raise
@@ -347,11 +341,9 @@ class ContinuousBatchingScheduler:
         if self._preempted:
             reason = (f"replica has preempted work queued ahead of "
                       f"{spec.request_id!r}")
-        elif len(self._running) >= self.max_batch:
-            reason = (f"batch is full ({self.max_batch}); cannot admit "
-                      f"{spec.request_id!r}")
-        elif not self.engine.cache.can_admit(len(spec.prompt) + 1):
-            reason = f"KV pool too full to admit {spec.request_id!r}"
+        elif not self._fits(len(spec.prompt)):
+            reason = (f"batch ({self.max_batch}) or KV pool too full to "
+                      f"admit {spec.request_id!r}")
         if reason is not None:
             args = {"request": spec.request_id}
             if flow is not None:
@@ -379,33 +371,22 @@ class ContinuousBatchingScheduler:
         control record); an already-preempted request leaves as queued.
         """
         if request_id in self._running:
-            state = self._running.pop(request_id)
-            state.preemptions += 1
-            self.preemptions += 1
-            with self._span("serve.preempt", "preempt", request=request_id,
-                            policy=self.policy):
-                if self.policy == "swap":
-                    swapped = self.engine.swap_out(request_id)
-                    self._advance(self.perf.swap_time(swapped.nbytes
-                                                      * self.engine.world))
-                else:
-                    swapped = None
-                    self.engine.finish(request_id)
-            self._event("extract", request=request_id, policy=self.policy)
-            return state, swapped
-        for i, (state, swapped) in enumerate(self._preempted):
-            if state.spec.request_id == request_id:
-                del self._preempted[i]
-                self._event("extract", request=request_id,
-                            policy=self.policy)
-                return state, swapped
-        raise ConfigError(f"request {request_id!r} is not on this replica")
+            entry = self._evict(request_id)
+        else:
+            for i, entry in enumerate(self._preempted):
+                if entry[0].spec.request_id == request_id:
+                    del self._preempted[i]
+                    break
+            else:
+                raise ConfigError(
+                    f"request {request_id!r} is not on this replica")
+        self._event("extract", request=request_id, policy=self.policy)
+        return entry
 
     def can_accept(self, state: RequestState) -> bool:
         """Would :meth:`inject` of ``state`` succeed right now?  Lets a
         router pick a target *before* paying migration wire time."""
-        return (len(self._running) < self.max_batch
-                and self.engine.cache.can_admit(state.resident_tokens + 1))
+        return self._fits(state.resident_tokens)
 
     def inject(self, state: RequestState,
                swapped: Optional[SwappedKV] = None,
@@ -415,32 +396,12 @@ class ContinuousBatchingScheduler:
         None.  Raises :class:`KVAdmissionFull` if it does not fit.
         ``flow`` links the resume span back to the router's migrate /
         recover span, exactly as in :meth:`submit`."""
-        spec = state.spec
-        if len(self._running) >= self.max_batch:
+        if not self.can_accept(state):
             raise KVAdmissionFull(
-                f"batch is full ({self.max_batch}); cannot inject "
-                f"{spec.request_id!r}")
-        if not self.engine.cache.can_admit(state.resident_tokens + 1):
-            raise KVAdmissionFull(
-                f"KV pool too full to inject {spec.request_id!r}")
-        args = {"request": spec.request_id,
-                "policy": "swap" if swapped is not None else "recompute"}
-        if flow is not None:
-            args["flow_in"] = flow
-        with self._span("serve.resume", "resume", **args):
-            if swapped is not None:
-                self.engine.swap_in(swapped)
-                self._advance(self.perf.swap_time(swapped.nbytes
-                                                  * self.engine.world))
-            else:
-                replay = np.concatenate(
-                    [spec.prompt, np.asarray(state.tokens, dtype=np.int64)])
-                state.logits = self.engine.prefill(spec.request_id, replay)
-                self._advance(self.perf.prefill_time(len(replay)))
-        state.order = self._next_order()
-        self._running[spec.request_id] = state
-        self.resumes += 1
-        self._event("inject", request=spec.request_id)
+                f"batch ({self.max_batch}) or KV pool too full to inject "
+                f"{state.spec.request_id!r}")
+        self._resume(state, swapped, flow)
+        self._event("inject", request=state.spec.request_id)
 
     def is_running(self, request_id: str) -> bool:
         """True while the request occupies a slot in the decode batch
@@ -474,9 +435,8 @@ class ContinuousBatchingScheduler:
                 waiting.append(spec)
                 self._event("arrive", request=spec.request_id)
             self._resume_preempted()
-            while (waiting and len(self._running) < self.max_batch
-                   and not self._preempted    # preempted work resumes first
-                   and self.engine.cache.can_admit(len(waiting[0].prompt) + 1)):
+            while (waiting and not self._preempted  # preempted work first
+                   and self._fits(len(waiting[0].prompt))):
                 self._admit(waiting.popleft())
             if not self._running:
                 if pending:

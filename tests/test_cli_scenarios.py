@@ -239,6 +239,10 @@ class TestInvalidConfigurations:
         (["plan", "--memory-gb", "-5"], "device_memory_bytes must exceed"),
         (["plan", "--memory-gb", "nan"], "device_memory_bytes must exceed"),
         (["fleet", "--fault-rate", "-1"], "fault_rate must be in [0, 1]"),
+        (["fleet", "--slo-ttft-s", "-1"], "slo_ttft_s must be a finite"),
+        (["fleet", "--slo-ttft-s", "0"], "slo_ttft_s must be a finite"),
+        (["monitor", "--slo-tpot-s", "-1"], "slo_tpot_s must be a finite"),
+        (["monitor", "--slo-ttft-s", "nan"], "slo_ttft_s must be a finite"),
     ], ids=lambda value: " ".join(value) if isinstance(value, list) else "")
     def test_error_is_reported_not_raised(self, argv, needle, capsys,
                                           tmp_path, monkeypatch):

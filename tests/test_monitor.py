@@ -153,10 +153,17 @@ class TestBurnRatesAndHealth:
         assert mon.ttft_burn() == 0.0 and mon.tpot_burn() == 0.0
 
     def test_bad_windows_rejected(self):
-        with pytest.raises(ValueError, match="short_window"):
+        with pytest.raises(ConfigError, match="short_window"):
             SLOMonitor(short_window=8, long_window=4)
-        with pytest.raises(ValueError, match="error_budget"):
+        with pytest.raises(ConfigError, match="error_budget"):
             SLOMonitor(error_budget=0.0)
+
+    @pytest.mark.parametrize("field", ["slo_ttft_s", "slo_tpot_s"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"),
+                                       float("inf")])
+    def test_bad_slo_threshold_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be a finite"):
+            SLOMonitor(**{field: value})
 
     def test_health_score_is_p50_over_fleet_median(self):
         mon = _monitor()

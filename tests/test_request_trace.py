@@ -76,10 +76,6 @@ class TestTrackerLifecycle:
         assert not verify_partition(tracker)["exact"]
         assert verify_partition(tracker)["open_requests"] == 1
 
-    def test_flow_ids_are_a_deterministic_counter(self):
-        tracker = RequestTracker()
-        assert [tracker.new_flow() for _ in range(3)] == [0, 1, 2]
-
 
 class TestLatencyReconstruction:
     def test_ttft_and_tpot_from_span_graph(self):

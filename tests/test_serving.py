@@ -346,6 +346,34 @@ class TestScheduler:
         assert {e["args"]["phase"] for e in serving} == \
             {"prefill", "decode", "preempt", "resume"}
 
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_preempt_and_resume_spans_carry_the_policy(self, serial, policy):
+        tracer = Tracer()
+        scheduler = _scheduler(serial, policy=policy, tracer=tracer)
+        report = scheduler.run(generate_requests(CFG, **SPEC_KW))
+        assert report.preemptions > 0 and report.resumes > 0
+        spans = [e for e in merged_trace(tracer)["traceEvents"]
+                 if e["ph"] == "X"
+                 and e["name"] in ("serve.preempt", "serve.resume")]
+        assert {e["name"] for e in spans} == {"serve.preempt", "serve.resume"}
+        assert all(e["args"]["policy"] == scheduler.policy for e in spans)
+
+    def test_injected_replay_is_labelled_recompute(self, serial):
+        """The resume label follows what resume does: a request injected
+        without KV pages replays, even on a swap-policy scheduler."""
+        source = _scheduler(serial, num_blocks=32)
+        spec = generate_requests(CFG, **SPEC_KW)[0]
+        source.submit(spec)
+        source.step()
+        state, _ = source.extract(spec.request_id)
+        tracer = Tracer()
+        target = _scheduler(serial, policy="swap", num_blocks=32,
+                            tracer=tracer)
+        target.inject(state, None)
+        resumes = [e for e in merged_trace(tracer)["traceEvents"]
+                   if e["ph"] == "X" and e["name"] == "serve.resume"]
+        assert [e["args"]["policy"] for e in resumes] == ["recompute"]
+
     def test_unknown_span_phase_rejected(self):
         events = [
             {"name": "process_name", "ph": "M", "pid": 8, "tid": 0,
@@ -362,8 +390,9 @@ class TestCrossReplicaHandoff:
     request from one scheduler and ``inject`` it into another (as the
     router does when a replica crashes or straggles), with either the
     bit-exact swapped KV pages or a recompute-from-prompt replay.  The
-    streamed tokens must not change — the per-request sampling stream
-    travels with the :class:`~repro.serving.RequestState`."""
+    streamed tokens must not change — decoding is greedy, so the
+    :class:`~repro.serving.RequestState` (logits and tokens so far) is
+    all a request carries; there is no per-request sampling stream."""
 
     def _make(self, model, policy):
         world = getattr(getattr(model, "group", None), "size", 1)
