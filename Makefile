@@ -88,7 +88,10 @@ wall-history:
 # builds every sub-command; 80 calls before the table); and the defaulted
 # keyword options of ContinuousBatchingScheduler, FleetRouter and
 # build_fleet, counted with inspect.signature (38 before the unused
-# sampling options and router knobs were dropped).
+# sampling options and router knobs were dropped); and the defaulted
+# keyword options of the training recovery ladder (ResilientTrainer,
+# FaultInjector, run_step_with_retries; 11 while the retry policy was an
+# option of each).
 loc:
 	@printf '%-56s %6d\n' \
 		'src/ python lines' "$$(find src -name '*.py' | xargs cat | wc -l)" \
@@ -115,7 +118,8 @@ loc:
 		'src/ rank_local Function declarations' "$$(grep -rn --include='*.py' 'rank_local = True' src | wc -l)" \
 		'src/ per-rank abstract constructions' "$$(grep -rnE --include='*.py' '(AbstractArray|shaped)\(.*for _ in' src | wc -l)" \
 		'cli.py add_argument( calls' "$$(grep -c 'add_argument(' src/repro/cli.py)" \
-		'serving/ + fleet/ constructor keyword options' "$$(PYTHONPATH=src $(PY) -c 'import inspect; from repro.serving import ContinuousBatchingScheduler as S; from repro.fleet import FleetRouter as R, build_fleet as B; print(sum(p.default is not p.empty for f in (S.__init__, R.__init__, B) for p in inspect.signature(f).parameters.values()))')"
+		'serving/ + fleet/ constructor keyword options' "$$(PYTHONPATH=src $(PY) -c 'import inspect; from repro.serving import ContinuousBatchingScheduler as S; from repro.fleet import FleetRouter as R, build_fleet as B; print(sum(p.default is not p.empty for f in (S.__init__, R.__init__, B) for p in inspect.signature(f).parameters.values()))')" \
+		'resilience/ + training retry keyword options' "$$(PYTHONPATH=src $(PY) -c 'import inspect; from repro.resilience import FaultInjector as I, ResilientTrainer as T; from repro.training import run_step_with_retries as r; print(sum(p.default is not p.empty for f in (T.__init__, I.__init__, r) for p in inspect.signature(f).parameters.values()))')"
 
 # CI smoke run: the artifact-writing CLI invocation of each concrete-run
 # command, plus the two invocations no tier-1 test makes (the recompute

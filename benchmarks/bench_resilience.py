@@ -18,7 +18,6 @@ from repro.resilience import (
     FaultKind,
     FaultPlan,
     FaultSpec,
-    RecoveryPolicy,
     ResilientTrainer,
     make_step_batches,
 )
@@ -44,8 +43,7 @@ def _run(plan, checkpoint_interval=2):
     try:
         result = ResilientTrainer(
             trainer, batch_fn, path, plan=plan,
-            policy=RecoveryPolicy(checkpoint_interval=checkpoint_interval),
-        ).run(STEPS)
+            checkpoint_interval=checkpoint_interval).run(STEPS)
     finally:
         os.remove(path)
     return result.report

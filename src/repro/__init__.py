@@ -26,7 +26,6 @@ from .config import (
     ExperimentConfig,
     ModelConfig,
     ParallelConfig,
-    ResilienceConfig,
     TrainingConfig,
 )
 from .errors import (
@@ -49,7 +48,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "PAPER_CONFIGS", "PAPER_CONFIG_NAMES", "ExperimentConfig", "ModelConfig",
-    "ParallelConfig", "ResilienceConfig", "TrainingConfig", "ClusterSpec",
+    "ParallelConfig", "TrainingConfig", "ClusterSpec",
     "GPUSpec", "LinkSpec", "NodeSpec", "selene_like",
     "ReproError", "AutogradError", "CheckpointCorruptError",
     "CollectiveTimeout", "CommError", "CompilerError", "ConfigError",

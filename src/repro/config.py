@@ -202,42 +202,6 @@ class TrainingConfig:
 
 
 @dataclass(frozen=True)
-class ResilienceConfig:
-    """Fault-injection and recovery settings (see :mod:`repro.resilience`).
-
-    ``fault_seed``/``fault_rate`` parameterize the deterministic random
-    :class:`~repro.resilience.FaultPlan`; the rest tune detection and the
-    recovery ladder.  The defaults describe a modestly unreliable cluster
-    with frequent-enough checkpoints that rollbacks stay cheap.
-    """
-
-    fault_seed: int = 0
-    fault_rate: float = 0.0            # per-step fault probability
-    checkpoint_interval: int = 2       # steps between periodic checkpoints
-    max_retries: int = 3               # in-place retries of transient faults
-    backoff_base_s: float = 0.05       # first retry backoff (simulated s)
-    backoff_factor: float = 2.0        # exponential backoff growth
-    watchdog_timeout_s: float = 0.5    # NCCL_TIMEOUT analogue
-    straggler_threshold: float = 4.0   # flag observed/expected above this
-    permanent_crash_fraction: float = 0.0  # crashes that are node losses
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.fault_rate <= 1.0):
-            raise ConfigError(f"fault_rate must be in [0, 1], got {self.fault_rate}")
-        if not (0.0 <= self.permanent_crash_fraction <= 1.0):
-            raise ConfigError("permanent_crash_fraction must be in [0, 1]")
-        if self.checkpoint_interval < 1:
-            raise ConfigError("checkpoint_interval must be >= 1")
-        if self.max_retries < 0:
-            raise ConfigError("max_retries must be >= 0")
-        if self.backoff_base_s < 0 or self.backoff_factor < 1.0:
-            raise ConfigError("backoff_base_s >= 0 and backoff_factor >= 1 required")
-        if self.watchdog_timeout_s <= 0 or self.straggler_threshold < 1.0:
-            raise ConfigError(
-                "watchdog_timeout_s must be > 0 and straggler_threshold >= 1")
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     """A full (model, parallelism, batch) tuple — one column of Table 3."""
 

@@ -845,22 +845,19 @@ def ledger_document(profiler: MemProfiler, ledger: MemoryLedger,
 # installation (mirrors observability.tracer)
 # ---------------------------------------------------------------------------
 
-_MEMPROF: Optional[MemProfiler] = None
-
-
 def active_memprof() -> Optional[MemProfiler]:
-    """The installed profiler, or None (profiling off)."""
-    return _MEMPROF
+    """The installed profiler (``ctx().memprof``), or None (profiling
+    off)."""
+    return ctx().memprof
 
 
 def install_memprof(profiler: Optional[MemProfiler]) -> Optional[MemProfiler]:
     """Install ``profiler`` into the tensor-core context (None turns every
     hook site back into a single is-None check); returns the previous
     profiler so callers can restore it."""
-    global _MEMPROF
-    previous = _MEMPROF
-    _MEMPROF = profiler
-    ctx().memprof = profiler
+    context = ctx()
+    previous = context.memprof
+    context.memprof = profiler
     return previous
 
 

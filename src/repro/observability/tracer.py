@@ -286,16 +286,17 @@ class Tracer:
                             rank=str(rank))
 
 
-#: The process-wide tracer. ``None`` (the default) means every hook site
-#: is a single identity check — tracing must cost nothing when off.
-_TRACER: Optional[Tracer] = None
-
 _NULL_CTX = nullcontext()
 
 
 def active_tracer() -> Optional[Tracer]:
-    """The installed tracer, or ``None`` when tracing is off."""
-    return _TRACER
+    """The installed tracer, or ``None`` when tracing is off.
+
+    The process-wide tracer lives in the execution context
+    (``ctx().tracer``); ``None`` (the default) keeps every hook site a
+    single identity check — tracing must cost nothing when off.
+    """
+    return ctx().tracer
 
 
 def install_tracer(tracer: Optional[Tracer]) -> None:
@@ -305,10 +306,8 @@ def install_tracer(tracer: Optional[Tracer]) -> None:
     (:mod:`repro.comm.collectives`) and the autograd execution context
     (:func:`repro.tensor.context.ctx`).  Prefer :func:`trace_scope`.
     """
-    global _TRACER
     from ..comm import collectives
 
-    _TRACER = tracer
     collectives.install_trace_hook(None if tracer is None
                                    else tracer.on_collective)
     ctx().tracer = tracer
@@ -318,7 +317,7 @@ def install_tracer(tracer: Optional[Tracer]) -> None:
 def trace_scope(tracer: Tracer) -> Iterator[Tracer]:
     """Install ``tracer`` for a ``with`` block; restores the previous one
     (and finalizes open spans) on exit."""
-    previous = _TRACER
+    previous = ctx().tracer
     install_tracer(tracer)
     try:
         yield tracer

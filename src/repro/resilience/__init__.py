@@ -23,18 +23,13 @@ seed.  See ``docs/resilience.md``.
 from .backoff import backoff_delay, backoff_jitter
 from .faults import FLEET_KINDS, TRAINING_KINDS, FaultKind, FaultPlan, FaultSpec
 from .injector import FaultInjector
-from .recovery import (
-    RecoveryPolicy,
-    ResilientTrainer,
-    RunResult,
-    make_step_batches,
-)
+from .recovery import ResilientTrainer, RunResult, make_step_batches
 from .report import FaultRecord, RecoveryRecord, ResilienceReport
 from .watchdog import Watchdog
 
 __all__ = [
     "FLEET_KINDS", "FaultInjector", "FaultKind", "FaultPlan", "FaultRecord",
-    "FaultSpec", "RecoveryPolicy", "RecoveryRecord", "ResilienceReport",
+    "FaultSpec", "RecoveryRecord", "ResilienceReport",
     "ResilientTrainer", "RunResult", "TRAINING_KINDS", "Watchdog",
     "backoff_delay", "backoff_jitter", "make_step_batches",
 ]

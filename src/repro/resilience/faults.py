@@ -96,10 +96,8 @@ class FaultSpec:
 class FaultPlan:
     """An ordered, immutable schedule of faults to inject.
 
-    Build one explicitly from :class:`FaultSpec` entries, randomly (but
-    deterministically) with :meth:`random`, or from a
-    :class:`~repro.config.ResilienceConfig` with :meth:`from_config`.
-    An empty plan is the clean path: zero faults ever fire.
+    Build one explicitly from :class:`FaultSpec` entries, or randomly
+    (but deterministically) with :meth:`random`.  An empty plan is the clean path: zero faults ever fire.
     """
 
     def __init__(self, faults: Iterable[FaultSpec] = ()):
@@ -150,12 +148,3 @@ class FaultPlan:
                 permanent=permanent,
             ))
         return cls(faults)
-
-    @classmethod
-    def from_config(cls, config, num_steps: int, world_size: int = 2) -> "FaultPlan":
-        """Plan derived from a :class:`~repro.config.ResilienceConfig`."""
-        return cls.random(
-            seed=config.fault_seed, num_steps=num_steps,
-            fault_rate=config.fault_rate, world_size=world_size,
-            permanent_crash_fraction=config.permanent_crash_fraction,
-        )

@@ -56,10 +56,10 @@ def _flip_one_bit(arr: np.ndarray, seed: int) -> np.ndarray:
 class FaultInjector:
     """Arms a :class:`FaultPlan` step by step and injects matching faults."""
 
-    def __init__(self, plan: FaultPlan, watchdog: Optional[Watchdog] = None,
+    def __init__(self, plan: FaultPlan,
                  report: Optional[ResilienceReport] = None):
         self.plan = plan
-        self.watchdog = watchdog or Watchdog()
+        self.watchdog = Watchdog()
         self.report = report or ResilienceReport()
         self.step = -1
         self.calls = 0
@@ -98,19 +98,10 @@ class FaultInjector:
         """A trainer is backing off before retrying a transient fault."""
         self.watchdog.sleep(backoff_s)
         self.report.retries += 1
-        self.report.recoveries.append(RecoveryRecord(
-            step=step, action="retry", detail=type(error).__name__,
-            backoff_s=backoff_s))
-        tracer = active_tracer()
-        if tracer is not None:
-            tracer.advance(backoff_s)
-            tracer.instant("recovery.retry", subsystem="resilience",
-                           step=step, error=type(error).__name__,
-                           backoff_s=backoff_s)
-            if tracer.metrics is not None:
-                tracer.metrics.counter(
-                    "repro_recoveries_total",
-                    "recovery actions by kind").inc(action="retry")
+        self.report.recover(
+            RecoveryRecord(step=step, action="retry",
+                           detail=type(error).__name__, backoff_s=backoff_s),
+            error=type(error).__name__, backoff_s=backoff_s)
 
     # -- the collective hook --------------------------------------------------
     def on_collective(self, op: str, shards: Sequence) -> Sequence:

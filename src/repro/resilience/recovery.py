@@ -2,18 +2,24 @@
 
 :class:`ResilientTrainer` drives a
 :class:`~repro.training.data_parallel.DataParallelTrainer` through a
-fault plan with the recovery ladder a production job runs:
+fault plan with the recovery ladder a production job runs.  Each rung
+and its policy is stated once:
 
 1. **retry with exponential backoff** — transient collective faults
    (timeouts, detected corruption) abort the step attempt before any
    optimizer state changed, so re-running the step from its start is
-   exact (the trainers re-zero gradients on entry);
-2. **rollback and replay** — a rank crash loses that rank's state, so
-   training restarts from the last periodic checkpoint
-   (:mod:`repro.training.serialization`, checksummed) and replays the
+   exact (the trainers re-zero gradients on entry).  The rung is
+   :func:`repro.training.trainer.run_step_with_retries`: at most
+   ``MAX_RETRIES`` retries, ``BACKOFF_BASE_S * BACKOFF_FACTOR**attempt``
+   simulated seconds apart;
+2. **rollback and replay** — a rank crash, or a transient fault that
+   outlived every retry, restarts training from the last periodic
+   checkpoint (written every ``checkpoint_interval`` steps through
+   :mod:`repro.training.serialization`, checksummed) and replays the
    intervening steps; batches are keyed by step index and dropout masks
    come from a stateless tag-keyed source, so the replay is
-   bit-identical to a run that never crashed;
+   bit-identical to a run that never crashed.  A run takes at most
+   :data:`MAX_ROLLBACKS` rollbacks, then raises;
 3. **shrink and replan** — a *permanent* rank loss removes the dead
    replica from the data-parallel group, re-invokes the recomputation
    planner (:func:`repro.planner.replan_after_shrink`) to re-fit the
@@ -22,6 +28,7 @@ fault plan with the recovery ladder a production job runs:
    (the repository's verified data-parallel property), the shrunken
    group continues on the same trajectory.
 
+Each action is recorded once, through :meth:`ResilienceReport.recover`.
 The determinism standard is the repository's usual one: for any fault
 plan, the final weights must be bitwise-identical to the fault-free run
 at the same seed (asserted in ``tests/test_resilience.py``).
@@ -35,18 +42,17 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from ..comm.collectives import fault_scope
-from ..config import ExperimentConfig, ResilienceConfig
-from ..observability.tracer import active_tracer
+from ..config import ExperimentConfig
 from ..errors import CommError, ConfigError, RankFailure, ReproError
 from ..flops_model import hardware_flops_per_iteration
 from ..layers.transformer import Recompute
 from ..planner.planner import PlanOption, replan_after_shrink
 from ..training.data_parallel import DataParallelTrainer
+from ..training.trainer import run_step_with_retries
 from ..training.serialization import load_training_state, save_training_state
 from .faults import FaultPlan
 from .injector import FaultInjector
 from .report import RecoveryRecord, ResilienceReport
-from .watchdog import Watchdog
 
 #: ``batch_fn(step) -> (ids, targets)`` — must be a pure function of the
 #: step index so rollback-and-replay reproduces the exact token stream.
@@ -70,28 +76,9 @@ def make_step_batches(vocab_size: int, seq_length: int, batch_size: int,
     return batch_fn
 
 
-@dataclass(frozen=True)
-class RecoveryPolicy:
-    """Knobs of the recovery ladder."""
-
-    checkpoint_interval: int = 2       # steps between periodic checkpoints
-    max_retries: int = 3               # in-place retries per step attempt
-    backoff_base_s: float = 0.05       # first retry backoff (simulated s)
-    backoff_factor: float = 2.0        # exponential backoff growth
-    max_rollbacks: int = 16            # hard stop against recovery loops
-
-    def __post_init__(self) -> None:
-        if self.checkpoint_interval < 1:
-            raise ConfigError("checkpoint_interval must be >= 1")
-        if self.max_retries < 0 or self.max_rollbacks < 1:
-            raise ConfigError("max_retries >= 0 and max_rollbacks >= 1 required")
-
-    @classmethod
-    def from_config(cls, config: ResilienceConfig) -> "RecoveryPolicy":
-        return cls(checkpoint_interval=config.checkpoint_interval,
-                   max_retries=config.max_retries,
-                   backoff_base_s=config.backoff_base_s,
-                   backoff_factor=config.backoff_factor)
+#: Rollbacks one run may take before it gives up: the hard stop against a
+#: fault plan that keeps killing recovery.
+MAX_ROLLBACKS = 16
 
 
 @dataclass
@@ -103,34 +90,40 @@ class RunResult:
 
 
 class ResilientTrainer:
-    """Fault-tolerant training loop over a :class:`DataParallelTrainer`."""
+    """Fault-tolerant training loop over a :class:`DataParallelTrainer`.
+
+    A checkpoint is written every ``checkpoint_interval`` completed steps;
+    a rollback replays from the last one.
+    """
 
     def __init__(self, trainer: DataParallelTrainer, batch_fn: BatchFn,
                  checkpoint_path: str,
                  plan: Optional[FaultPlan] = None,
-                 policy: Optional[RecoveryPolicy] = None,
-                 watchdog: Optional[Watchdog] = None,
+                 checkpoint_interval: int = 2,
                  microbatches_per_replica: int = 1,
-                 experiment_config: Optional[ExperimentConfig] = None,
-                 device_memory_bytes: float = 80 * 1024**3):
+                 experiment_config: Optional[ExperimentConfig] = None):
+        if checkpoint_interval < 1:
+            raise ConfigError("checkpoint_interval must be >= 1")
         self.trainer = trainer
         self.batch_fn = batch_fn
         self.checkpoint_path = checkpoint_path
         self.plan = plan or FaultPlan()
-        self.policy = policy or RecoveryPolicy()
+        self.checkpoint_interval = checkpoint_interval
         self.report = ResilienceReport()
-        self.injector = FaultInjector(self.plan, watchdog or Watchdog(),
-                                      self.report)
+        self.injector = FaultInjector(self.plan, self.report)
         self.injector.set_world(trainer.dp)
         self.microbatches_per_replica = microbatches_per_replica
         self.experiment_config = experiment_config
-        self.device_memory_bytes = device_memory_bytes
         # Keep total microbatch count constant across elastic shrinks so
         # the global batch's microbatch boundaries (and hence numerics)
         # never move.
         self._total_microbatches = trainer.dp * microbatches_per_replica
         self._ckpt_step = 0
-        self._step_flops: Optional[float] = None
+        # Hardware FLOPs of one global-batch step, for goodput.  Useful
+        # work is model FLOPs: recompute overhead is a strategy choice,
+        # not fault waste.
+        self._step_flops = hardware_flops_per_iteration(
+            trainer.model.config, batch_fn(0)[0].shape[1], Recompute.NONE)
 
     # -- checkpointing --------------------------------------------------------
     def _save_checkpoint(self, step: int) -> None:
@@ -148,36 +141,26 @@ class ResilientTrainer:
     def _rollback(self, step: int, error: Exception) -> int:
         """Restore the last checkpoint; returns the step to resume from."""
         wasted_steps = step - self._ckpt_step
-        wasted = (wasted_steps + 1) * self._flops_per_step()
+        wasted = (wasted_steps + 1) * self._step_flops
         self.report.rollbacks += 1
         self.report.steps_replayed += wasted_steps
         self.report.wasted_flops += wasted
-        self.report.recoveries.append(RecoveryRecord(
-            step=step, action="rollback",
-            detail=(f"{type(error).__name__} -> restored step "
-                    f"{self._ckpt_step} checkpoint, replaying "
-                    f"{wasted_steps} step(s)"),
-            wasted_flops=wasted))
-        tracer = active_tracer()
-        if tracer is not None:
-            tracer.instant("recovery.rollback", subsystem="resilience",
-                           step=step, restored_step=self._ckpt_step,
-                           replayed_steps=wasted_steps,
-                           error=type(error).__name__)
-            if tracer.metrics is not None:
-                tracer.metrics.counter(
-                    "repro_recoveries_total",
-                    "recovery actions by kind").inc(action="rollback")
+        self.report.recover(
+            RecoveryRecord(
+                step=step, action="rollback",
+                detail=(f"{type(error).__name__} -> restored step "
+                        f"{self._ckpt_step} checkpoint, replaying "
+                        f"{wasted_steps} step(s)"),
+                wasted_flops=wasted),
+            restored_step=self._ckpt_step, replayed_steps=wasted_steps,
+            error=type(error).__name__)
         self._restore_checkpoint()
         return self._ckpt_step
 
     def _shrink(self, step: int, failure: RankFailure) -> None:
         """Remove the permanently dead replica and re-fit the plan."""
-        dead = failure.rank
-        if dead >= self.trainer.dp:
-            dead = self.trainer.dp - 1
-        self.trainer.drop_replica(dead)
-        self.injector.remove_rank(dead)
+        self.trainer.drop_replica(failure.rank)
+        self.injector.remove_rank(failure.rank)
         new_dp = self.trainer.dp
         self.injector.set_world(new_dp)
         if self._total_microbatches % new_dp != 0:
@@ -186,23 +169,15 @@ class ResilientTrainer:
                 f"over {new_dp} surviving replicas")
         self.microbatches_per_replica = self._total_microbatches // new_dp
         self.report.shrinks += 1
-        self.report.recoveries.append(RecoveryRecord(
-            step=step, action="shrink",
-            detail=(f"rank {failure.rank} lost permanently; data-parallel "
-                    f"group {new_dp + 1} -> {new_dp}, "
-                    f"{self.microbatches_per_replica} microbatch(es)/replica")))
-        tracer = active_tracer()
-        if tracer is not None:
-            tracer.instant("recovery.shrink", subsystem="resilience",
-                           step=step, dead_rank=failure.rank, new_world=new_dp)
-            if tracer.metrics is not None:
-                tracer.metrics.counter(
-                    "repro_recoveries_total",
-                    "recovery actions by kind").inc(action="shrink")
+        self.report.recover(
+            RecoveryRecord(
+                step=step, action="shrink",
+                detail=(f"rank {failure.rank} lost permanently; data-parallel "
+                        f"group {new_dp + 1} -> {new_dp}, "
+                        f"{self.microbatches_per_replica} microbatch(es)/replica")),
+            dead_rank=failure.rank, new_world=new_dp)
         if self.experiment_config is not None:
-            option = replan_after_shrink(
-                self.experiment_config, new_dp,
-                device_memory_bytes=self.device_memory_bytes)
+            option = replan_after_shrink(self.experiment_config, new_dp)
             self._apply_plan(option)
             self.report.recoveries.append(RecoveryRecord(
                 step=step, action="replan",
@@ -221,69 +196,47 @@ class ResilientTrainer:
                 layer.attn.recompute_core = (
                     option.recompute == Recompute.SELECTIVE)
 
-    def _flops_per_step(self) -> float:
-        """Hardware FLOPs one global-batch step costs (for goodput)."""
-        if self._step_flops is None:
-            return 0.0
-        return self._step_flops
-
     # -- the loop -------------------------------------------------------------
     def run(self, num_steps: int) -> RunResult:
         """Train ``num_steps`` steps under the fault plan; returns losses
         and the filled-in :class:`ResilienceReport`."""
-        policy = self.policy
+        if num_steps < 1:
+            raise ConfigError(f"steps must be >= 1, got {num_steps}")
         losses: List[float] = []
-        rollbacks_left = policy.max_rollbacks
+        rollbacks_left = MAX_ROLLBACKS
         self._save_checkpoint(step=0)
         with fault_scope(self.injector):
             step = 0
             while step < num_steps:
                 ids, targets = self.batch_fn(step)
-                if self._step_flops is None:
-                    # Useful work is model FLOPs — recompute overhead is a
-                    # strategy choice, not fault waste.
-                    self._step_flops = hardware_flops_per_iteration(
-                        self.trainer.model.config, ids.shape[1],
-                        Recompute.NONE)
                 self.injector.begin_step(step)
                 retries_before = self.report.retries
                 try:
-                    loss = self.trainer.train_step_with_retry(
-                        ids, targets,
-                        microbatches_per_replica=self.microbatches_per_replica,
-                        max_retries=policy.max_retries,
-                        backoff_base_s=policy.backoff_base_s,
-                        backoff_factor=policy.backoff_factor)
-                except RankFailure as failure:
-                    if rollbacks_left == 0:
-                        raise ReproError(
-                            "resilience: exceeded max_rollbacks; the fault "
-                            "plan keeps killing recovery") from failure
-                    rollbacks_left -= 1
-                    if failure.permanent:
-                        self._shrink(step, failure)
-                    step = self._rollback(step, failure)
-                    del losses[step:]
-                    continue
+                    loss = run_step_with_retries(
+                        lambda: self.trainer.train_step(
+                            ids, targets, self.microbatches_per_replica))
                 except CommError as error:
-                    # Transient faults that survived every in-place retry:
-                    # escalate to a rollback.
+                    # A rank failure, or transient faults that survived
+                    # every in-place retry: escalate to a rollback (after
+                    # a shrink, if the rank is gone for good).
                     if rollbacks_left == 0:
                         raise ReproError(
                             "resilience: exceeded max_rollbacks; the fault "
                             "plan keeps killing recovery") from error
                     rollbacks_left -= 1
+                    if isinstance(error, RankFailure) and error.permanent:
+                        self._shrink(step, error)
                     step = self._rollback(step, error)
                     del losses[step:]
                     continue
                 # Each failed in-place attempt re-ran (part of) the step.
                 failed_attempts = self.report.retries - retries_before
-                self.report.wasted_flops += failed_attempts * self._flops_per_step()
-                self.report.useful_flops += self._flops_per_step()
+                self.report.wasted_flops += failed_attempts * self._step_flops
+                self.report.useful_flops += self._step_flops
                 losses.append(loss)
                 self.report.steps_completed += 1
                 step += 1
-                if step % policy.checkpoint_interval == 0 and step < num_steps:
+                if step % self.checkpoint_interval == 0 and step < num_steps:
                     self._save_checkpoint(step)
         self.report.simulated_seconds = self.injector.watchdog.clock_s
         self.report.final_world_size = self.trainer.dp

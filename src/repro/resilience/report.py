@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from ..observability.serialize import to_jsonable
+from ..observability.tracer import active_tracer
 
 
 @dataclass
@@ -58,6 +59,22 @@ class ResilienceReport:
     wasted_flops: float = 0.0
     simulated_seconds: float = 0.0
     final_world_size: Optional[int] = None
+
+    def recover(self, record: RecoveryRecord, **trace_args: object) -> None:
+        """Record one recovery action.  Under a tracer, simulated time
+        advances by the action's backoff (0 unless it is a retry), a
+        ``recovery.<action>`` instant carries ``trace_args`` and
+        ``repro_recoveries_total`` counts it."""
+        self.recoveries.append(record)
+        tracer = active_tracer()
+        if tracer is not None:
+            tracer.advance(record.backoff_s)
+            tracer.instant(f"recovery.{record.action}", subsystem="resilience",
+                           step=record.step, **trace_args)
+            if tracer.metrics is not None:
+                tracer.metrics.counter(
+                    "repro_recoveries_total",
+                    "recovery actions by kind").inc(action=record.action)
 
     @property
     def all_faults_detected(self) -> bool:

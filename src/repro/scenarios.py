@@ -131,6 +131,8 @@ def pipelined_training(config: str = "tiny", steps: int = 2,
     from .training.optimizer import Adam
     from .training.trainer import PipelinedGPT
 
+    if steps < 1:
+        raise ConfigError(f"steps must be >= 1, got {steps}")
     experiment = trace_experiment(config)
     model_cfg = experiment.model
     pp = experiment.parallel.pipeline_parallel
@@ -168,12 +170,7 @@ def dp_chaos_segment(steps: int = 6, seed_value: int = 0, *, dp: int = 2,
     (or ``plan``, e.g. an empty one for the fault-free reference) with
     checkpoint/restart recovery.  Returns ``(trainer, result, plan)``."""
     from .parallel.transformer import ParallelGPTModel
-    from .resilience import (
-        FaultPlan,
-        RecoveryPolicy,
-        ResilientTrainer,
-        make_step_batches,
-    )
+    from .resilience import FaultPlan, ResilientTrainer, make_step_batches
     from .training import DataParallelTrainer
 
     if model_cfg is None:
@@ -194,8 +191,7 @@ def dp_chaos_segment(steps: int = 6, seed_value: int = 0, *, dp: int = 2,
     try:
         result = ResilientTrainer(
             trainer, batch_fn, path, plan=plan,
-            policy=RecoveryPolicy(checkpoint_interval=checkpoint_interval),
-        ).run(steps)
+            checkpoint_interval=checkpoint_interval).run(steps)
     finally:
         os.remove(path)
     return trainer, result, plan

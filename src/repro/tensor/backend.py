@@ -239,21 +239,6 @@ def _reduced_shape(shape: Shape, axis, keepdims: bool) -> Shape:
 # Dispatch functions: each takes np.ndarray or AbstractArray operands.
 # ---------------------------------------------------------------------------
 
-def _unary(np_fn):
-    def op(x: ArrayLike) -> ArrayLike:
-        if is_abstract(x):
-            return shaped(x.shape)
-        return np_fn(x)
-
-    return op
-
-
-exp = _unary(np.exp)
-tanh = _unary(np.tanh)
-sqrt = _unary(np.sqrt)
-log = _unary(np.log)
-
-
 # Kernel rule: a concrete kernel reaches a ufunc directly -- it reduces
 # with a ufunc method (these three, or ``np.add.reduce`` /
 # ``np.maximum.reduce`` in place) and splits with basic slices, never
@@ -369,12 +354,6 @@ def zeros(shape: Shape, abstract: bool = False) -> ArrayLike:
     if abstract:
         return AbstractArray(shape)
     return np.zeros(shape, dtype=np.float64)
-
-
-def zeros_like(x: ArrayLike) -> ArrayLike:
-    if is_abstract(x):
-        return shaped(x.shape)
-    return np.zeros_like(x)
 
 
 def ones_like(x: ArrayLike) -> ArrayLike:

@@ -27,7 +27,7 @@ from ..layers.transformer import GPTModel
 from ..tensor import ctx
 from ..tensor.oplog import CommInfo, OpKind, OpRecord, Phase
 from .optimizer import Adam
-from .trainer import run_step_with_retries, split_microbatches
+from .trainer import split_microbatches
 
 
 class DataParallelTrainer:
@@ -135,18 +135,6 @@ class DataParallelTrainer:
         for opt in self.optimizers:
             opt.step()
         return total_loss / self.dp
-
-    def train_step_with_retry(self, ids: np.ndarray, targets: np.ndarray,
-                              microbatches_per_replica: int = 1,
-                              max_retries: int = 3,
-                              backoff_base_s: float = 0.05,
-                              backoff_factor: float = 2.0) -> float:
-        """:meth:`train_step` with in-place retry of transient collective
-        faults (see :func:`repro.training.trainer.run_step_with_retries`)."""
-        return run_step_with_retries(
-            lambda: self.train_step(ids, targets, microbatches_per_replica),
-            max_retries=max_retries, backoff_base_s=backoff_base_s,
-            backoff_factor=backoff_factor)
 
     def drop_replica(self, index: int) -> None:
         """Elastically remove one replica (a permanently lost rank).

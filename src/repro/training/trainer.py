@@ -85,20 +85,26 @@ def split_microbatches(ids: np.ndarray, targets: np.ndarray,
     ]
 
 
-def run_step_with_retries(step_fn, max_retries: int = 3,
-                          backoff_base_s: float = 0.05,
-                          backoff_factor: float = 2.0):
+#: The retry rung of the recovery ladder: in-place retries of a transient
+#: collective fault, with exponential backoff between them (simulated s).
+MAX_RETRIES = 3
+BACKOFF_BASE_S = 0.05
+BACKOFF_FACTOR = 2.0
+
+
+def run_step_with_retries(step_fn):
     """Run ``step_fn`` again after a *transient* collective fault.
 
     Collective timeouts and detected payload corruption abort a step
     attempt before any optimizer state changed (gradients are re-zeroed
-    on entry), so re-running the whole step is exact.  Backoff between
-    attempts is exponential and charged to the simulated clock via the
-    installed fault injector, if any.  After ``max_retries`` failed
-    retries the last error propagates; rank failures are not transient
-    and propagate immediately (the resilience layer rolls back instead).
-    Whichever way an aborted attempt is left (retried here or propagated),
-    its saved activations are dropped from the installed memory tracker.
+    on entry), so re-running the whole step is exact.  Retry ``k`` (from
+    0) backs off ``BACKOFF_BASE_S * BACKOFF_FACTOR**k``, charged to the
+    simulated clock via the installed fault injector, if any.  After
+    ``MAX_RETRIES`` failed retries the last error propagates; rank
+    failures are not transient and propagate immediately (the resilience
+    layer rolls back instead).  Whichever way an aborted attempt is left
+    (retried here or propagated), its saved activations are dropped from
+    the installed memory tracker.
     """
     attempt = 0
     tracker = execution_context().memory
@@ -110,9 +116,9 @@ def run_step_with_retries(step_fn, max_retries: int = 3,
             if tracker is not None:
                 tracker.rollback(mark)
             if (not isinstance(error, (CollectiveTimeout, CorruptionDetected))
-                    or attempt >= max_retries):
+                    or attempt >= MAX_RETRIES):
                 raise
-            backoff = backoff_base_s * backoff_factor ** attempt
+            backoff = BACKOFF_BASE_S * BACKOFF_FACTOR ** attempt
             attempt += 1
             injector = active_fault_injector()
             if injector is not None:
@@ -195,16 +201,6 @@ class Trainer:
         return (getattr(model, "config", None), type(model).__name__,
                 ids.shape, targets.shape, num_microbatches, model.training,
                 tuple(layer.recompute for layer in model.layers))
-
-    def train_step_with_retry(self, ids: np.ndarray, targets: np.ndarray,
-                              num_microbatches: int = 1, max_retries: int = 3,
-                              backoff_base_s: float = 0.05,
-                              backoff_factor: float = 2.0) -> float:
-        """:meth:`train_step` under :func:`run_step_with_retries`."""
-        return run_step_with_retries(
-            lambda: self.train_step(ids, targets, num_microbatches),
-            max_retries=max_retries, backoff_base_s=backoff_base_s,
-            backoff_factor=backoff_factor)
 
     def evaluate(self, ids: np.ndarray, targets: np.ndarray) -> float:
         """Validation loss on one ``(s, b)`` batch.

@@ -135,10 +135,10 @@ def assert_weights_bitwise_equal(model_a, model_b) -> None:
 
 def run_resilient(model_factory, plan, checkpoint_path, num_steps: int = 6,
                   data_parallel: int = 2, batch_seed: int = 5,
-                  batch_size: int = 4, lr: float = 1e-2, policy=None,
-                  microbatches_per_replica: int = 1,
-                  experiment_config=None):
+                  batch_size: int = 4, lr: float = 1e-2, **options):
     """Train under a fault plan; returns ``(trainer, RunResult)``.
+
+    ``options`` go to :class:`~repro.resilience.ResilientTrainer`.
 
     The batch stream is step-keyed, so the same ``batch_seed`` always
     produces the same global batches — comparable across fault plans.
@@ -152,10 +152,8 @@ def run_resilient(model_factory, plan, checkpoint_path, num_steps: int = 6,
     from repro.resilience import make_step_batches
     batch_fn = make_step_batches(model_cfg.vocab_size, model_cfg.seq_length,
                                  batch_size=batch_size, seed=batch_seed)
-    resilient = ResilientTrainer(
-        trainer, batch_fn, str(checkpoint_path), plan=plan, policy=policy,
-        microbatches_per_replica=microbatches_per_replica,
-        experiment_config=experiment_config)
+    resilient = ResilientTrainer(trainer, batch_fn, str(checkpoint_path),
+                                 plan=plan, **options)
     return trainer, resilient.run(num_steps)
 
 

@@ -223,6 +223,10 @@ class TestInvalidConfigurations:
         (["memprofile", "--config", "tiny", "--tp", "3",
           "--output-dir", "out"], "divisible"),
         (["compile", "--steps", "0"], "steps must be >= 1"),
+        (["chaos", "--steps", "0"], "steps must be >= 1, got 0"),
+        (["chaos", "--steps", "-1"], "steps must be >= 1, got -1"),
+        (["trace", "--steps", "0"], "steps must be >= 1, got 0"),
+        (["trace", "--steps", "-1"], "steps must be >= 1, got -1"),
         (["compile", "--batch", "0"], "batch must be >= 1"),
         (["compile", "--microbatches", "0"], "microbatches must be >= 1"),
         (["fleet", "--replicas", "2"], "at least 3 replicas"),

@@ -32,7 +32,8 @@ from repro.serving import DecodeEngine, PagedKVCache
 from repro.tensor import MemoryTracker, from_numpy, instrument, seed
 from repro.tensor import functions as F
 from repro.tensor import tensor as tape
-from repro.training import PipelinedGPT, Trainer
+from repro.training import PipelinedGPT, Trainer, run_step_with_retries
+from repro.training.trainer import MAX_RETRIES
 
 CFG = ModelConfig(num_layers=2, hidden_size=32, num_heads=4,
                   seq_length=16, vocab_size=32, name="compiler-tiny")
@@ -257,7 +258,8 @@ class TestFaultedStepTrace:
                 for step in range(3):
                     injector.begin_step(step)
                     seed(4000 + step)
-                    losses.append(trainer.train_step_with_retry(ids, targets))
+                    losses.append(run_step_with_retries(
+                        lambda: trainer.train_step(ids, targets)))
                 depth = len(tracer._stack)
             assert injector.report.retries == 1
             return ([s.name for s in tracer.spans], depth, losses), trainer
@@ -274,10 +276,10 @@ class TestFaultedStepTrace:
         (False, [_DROP], 1),
         (True, [_DROP], 1),
         # The two ways an attempt's error leaves the retry loop: a rank
-        # failure is never retried in place, and with ``max_retries=1`` a
-        # second drop re-raises.  The caller replays the step.
+        # failure is never retried in place, and one drop more than
+        # ``MAX_RETRIES`` re-raises.  The caller replays the step.
         (False, [FaultSpec(step=1, kind=FaultKind.RANK_CRASH, call_index=3)], 0),
-        (False, [_DROP, _DROP], 1),
+        (False, [_DROP] * (MAX_RETRIES + 1), MAX_RETRIES),
     ], ids=["eager", "compiled", "crash", "exhausted"])
     def test_aborted_attempt_leaves_tracker_clean(self, compiled, specs,
                                                   retries):
@@ -297,8 +299,8 @@ class TestFaultedStepTrace:
                     for _replay in range(2):
                         seed(4000 + step)
                         try:
-                            trainer.train_step_with_retry(ids, targets,
-                                                          max_retries=1)
+                            run_step_with_retries(
+                                lambda: trainer.train_step(ids, targets))
                             break
                         except (RankFailure, CollectiveTimeout):
                             assert ledger.live_bytes() == 0

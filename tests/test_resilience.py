@@ -15,7 +15,6 @@ from repro.config import (
     ExperimentConfig,
     ModelConfig,
     ParallelConfig,
-    ResilienceConfig,
     TrainingConfig,
 )
 from repro.errors import (
@@ -25,6 +24,7 @@ from repro.errors import (
     ConfigError,
     CorruptionDetected,
     RankFailure,
+    ReproError,
 )
 from repro.layers import GPTModel
 from repro.parallel import ParallelGPTModel
@@ -33,13 +33,13 @@ from repro.resilience import (
     FaultKind,
     FaultPlan,
     FaultSpec,
-    RecoveryPolicy,
-    ResilientTrainer,
     Watchdog,
     make_step_batches,
 )
+from repro.resilience import recovery
 from repro.tensor.functions import MaskSource
 from repro.training import DataParallelTrainer, checkpoint_exists
+from repro.training.trainer import MAX_RETRIES
 from repro.training.serialization import (
     load_training_state,
     save_training_state,
@@ -86,12 +86,6 @@ class TestFaultPlan:
             FaultSpec(step=0, kind=FaultKind.STRAGGLER, slowdown=0.5)
         with pytest.raises(ConfigError):
             FaultPlan.random(seed=0, num_steps=5, fault_rate=1.5)
-
-    def test_from_config(self):
-        plan = FaultPlan.from_config(
-            ResilienceConfig(fault_seed=3, fault_rate=0.8), num_steps=10)
-        same = FaultPlan.random(seed=3, num_steps=10, fault_rate=0.8)
-        assert plan.faults == same.faults
 
 
 class TestWatchdog:
@@ -167,7 +161,7 @@ class TestRecoveryDeterminism:
         spec = FaultSpec(step=3, kind=FaultKind.RANK_CRASH, rank=0)
         _, result = run_resilient(factory, FaultPlan([spec]),
                                   tmp_path / "c.npz",
-                                  policy=RecoveryPolicy(checkpoint_interval=2))
+                                  checkpoint_interval=2)
         report = result.report
         assert report.rollbacks == 1
         assert report.steps_replayed == 1      # step 3 restored from step 2
@@ -347,8 +341,7 @@ class TestErrorHierarchy:
         for name in ("ReproError", "CommError", "ConfigError", "ShapeError",
                      "AutogradError", "PlanningError", "ScheduleError",
                      "CheckpointCorruptError", "RankFailure",
-                     "CollectiveTimeout", "CorruptionDetected",
-                     "ResilienceConfig"):
+                     "CollectiveTimeout", "CorruptionDetected"):
             assert hasattr(repro, name), name
             assert name in repro.__all__
 
@@ -362,26 +355,36 @@ class TestErrorHierarchy:
 
 
 class TestRetryExhaustion:
+    """The ladder's two budgets, at their constants: ``MAX_RETRIES``
+    in-place retries per step attempt, then a rollback; at most
+    ``MAX_ROLLBACKS`` rollbacks per run, then the run fails loudly
+    rather than looping forever."""
+
+    @staticmethod
+    def _drops(step, count):
+        return [FaultSpec(step=step, kind=FaultKind.DROPPED_COLLECTIVE,
+                          call_index=i) for i in range(count)]
+
     def test_unrecoverable_plan_escalates(self, factory, tmp_path):
-        """More consecutive transient faults than max_retries: the step
-        escalates to rollback; with max_rollbacks exhausted too, the
-        run fails loudly rather than looping forever."""
-        plan = FaultPlan([
-            FaultSpec(step=1, kind=FaultKind.DROPPED_COLLECTIVE,
-                      call_index=i) for i in range(3)
-        ])
-        policy = RecoveryPolicy(max_retries=1, max_rollbacks=1)
-        trainer = DataParallelTrainer(factory, data_parallel=2, lr=1e-2)
-        batch_fn = make_step_batches(CFG.vocab_size, CFG.seq_length,
-                                     batch_size=4, seed=5)
-        resilient = ResilientTrainer(trainer, batch_fn,
-                                     str(tmp_path / "x.npz"),
-                                     plan=plan, policy=policy)
-        # 3 faults, 1 retry, 1 rollback: the rollback clears two faults
-        # (original + retry), the replay hits the third and recovers.
-        result = resilient.run(3)
-        assert result.report.rollbacks == 1
+        """One drop more than the retries absorb escalates to a rollback;
+        the replay meets the last drop and retries it in place."""
+        plan = FaultPlan(self._drops(1, MAX_RETRIES + 2))
+        _, result = run_resilient(factory, plan, tmp_path / "x.npz",
+                                  num_steps=3)
+        report = result.report
+        assert report.rollbacks == 1
+        assert report.retries == MAX_RETRIES + 1
         assert len(result.losses) == 3
+
+    def test_rollback_budget_exhausted_raises(self, factory, tmp_path,
+                                               monkeypatch):
+        """Two escalations (exhausted retries, then a crash) against a
+        budget of one rollback."""
+        monkeypatch.setattr(recovery, "MAX_ROLLBACKS", 1)
+        plan = FaultPlan(self._drops(1, MAX_RETRIES + 1) + [
+            FaultSpec(step=2, kind=FaultKind.RANK_CRASH, rank=0)])
+        with pytest.raises(ReproError, match="max_rollbacks"):
+            run_resilient(factory, plan, tmp_path / "x.npz", num_steps=3)
 
 
 class TestSeededBackoff:
