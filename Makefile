@@ -91,7 +91,10 @@ wall-history:
 # sampling options and router knobs were dropped); and the defaulted
 # keyword options of the training recovery ladder (ResilientTrainer,
 # FaultInjector, run_step_with_retries; 11 while the retry policy was an
-# option of each).
+# option of each); and the defaulted keyword options of every function and
+# method (dataclass __init__s included) defined in the nine
+# repro.observability modules (117 while the tracer, profiler, exporters
+# and SLO monitor carried options no caller set).
 loc:
 	@printf '%-56s %6d\n' \
 		'src/ python lines' "$$(find src -name '*.py' | xargs cat | wc -l)" \
@@ -119,7 +122,8 @@ loc:
 		'src/ per-rank abstract constructions' "$$(grep -rnE --include='*.py' '(AbstractArray|shaped)\(.*for _ in' src | wc -l)" \
 		'cli.py add_argument( calls' "$$(grep -c 'add_argument(' src/repro/cli.py)" \
 		'serving/ + fleet/ constructor keyword options' "$$(PYTHONPATH=src $(PY) -c 'import inspect; from repro.serving import ContinuousBatchingScheduler as S; from repro.fleet import FleetRouter as R, build_fleet as B; print(sum(p.default is not p.empty for f in (S.__init__, R.__init__, B) for p in inspect.signature(f).parameters.values()))')" \
-		'resilience/ + training retry keyword options' "$$(PYTHONPATH=src $(PY) -c 'import inspect; from repro.resilience import FaultInjector as I, ResilientTrainer as T; from repro.training import run_step_with_retries as r; print(sum(p.default is not p.empty for f in (T.__init__, I.__init__, r) for p in inspect.signature(f).parameters.values()))')"
+		'resilience/ + training retry keyword options' "$$(PYTHONPATH=src $(PY) -c 'import inspect; from repro.resilience import FaultInjector as I, ResilientTrainer as T; from repro.training import run_step_with_retries as r; print(sum(p.default is not p.empty for f in (T.__init__, I.__init__, r) for p in inspect.signature(f).parameters.values()))')" \
+		'observability/ keyword options' "$$(PYTHONPATH=src $(PY) -c 'import importlib, inspect; mods = [importlib.import_module("repro.observability." + m) for m in "analysis memprof metrics monitor perfetto regress request_trace serialize tracer".split()]; fns = [f for m in mods for o in vars(m).values() if getattr(o, "__module__", None) == m.__name__ for f in ([o] if inspect.isfunction(o) else [getattr(v, "__func__", v) for v in vars(o).values()] if inspect.isclass(o) else [])]; print(sum(p.default is not p.empty for f in fns if inspect.isfunction(f) for p in inspect.signature(f).parameters.values()))')"
 
 # CI smoke run: the artifact-writing CLI invocation of each concrete-run
 # command, plus the two invocations no tier-1 test makes (the recompute

@@ -210,10 +210,6 @@ class FleetRouter:
         self.tracker = request_tracker
         # Perfetto flow ids, one per router->replica delivery.
         self._flows = itertools.count()
-        if monitor is not None:
-            # One straggler vocabulary: the monitor flags exactly what
-            # the watchdog's profiling alarm flags.
-            monitor.straggler_threshold = self.watchdog.straggler_threshold
         self.seed = seed
         self.num_tiers = num_tiers
         self.slo_ttft_s = slo_ttft_s

@@ -37,15 +37,20 @@ and :func:`load_trace` normalize either source into :class:`TraceData`.
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..config import ExperimentConfig
+from ..errors import ConfigError
 from ..layers.transformer import Recompute
-from .perfetto import REPLICA_PID_BASE, SUBSYSTEM_PIDS, TIME_SCALE
-from .tracer import Tracer
+from .perfetto import (
+    REPLICA_PID_BASE,
+    SUBSYSTEM_PIDS,
+    TIME_SCALE,
+    read_trace_events,
+)
+from .tracer import InstantEvent, SpanEvent, Tracer
 
 #: Attribution buckets, in report order.  They partition the analysis
 #: window: per rank the bucket times sum to the wall time exactly.
@@ -84,30 +89,11 @@ _PIPE_SPAN = re.compile(r"^(forward|backward) mb(\d+) g(\d+)$")
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TraceSpan:
-    name: str
-    subsystem: str
-    rank: int
-    ts: float
-    dur: float
-    args: Dict[str, object] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class TraceInstant:
-    name: str
-    subsystem: str
-    rank: int
-    ts: float
-    args: Dict[str, object] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class TraceData:
-    """Spans + instants on one simulated-seconds axis."""
+    """The tracer's own span/instant records on one simulated-seconds axis."""
 
-    spans: Tuple[TraceSpan, ...]
-    instants: Tuple[TraceInstant, ...]
+    spans: Tuple[SpanEvent, ...]
+    instants: Tuple[InstantEvent, ...]
     wall: float
 
     def ranks(self) -> List[int]:
@@ -116,18 +102,16 @@ class TraceData:
 
 
 def from_tracer(tracer: Tracer) -> TraceData:
-    """Normalize a live tracer's event stream (view tracks dropped)."""
-    spans = tuple(TraceSpan(s.name, s.subsystem, s.rank, s.ts, s.dur,
-                            dict(s.args)) for s in tracer.spans
-                  if s.subsystem not in _VIEW_SUBSYSTEMS)
-    instants = tuple(TraceInstant(i.name, i.subsystem, i.rank, i.ts,
-                                  dict(i.args)) for i in tracer.instants
-                     if i.subsystem not in _VIEW_SUBSYSTEMS)
-    return TraceData(spans=spans, instants=instants, wall=tracer.clock_s)
+    """A live tracer's event stream, view tracks dropped."""
+    return TraceData(
+        spans=tuple(s for s in tracer.spans
+                    if s.subsystem not in _VIEW_SUBSYSTEMS),
+        instants=tuple(i for i in tracer.instants
+                       if i.subsystem not in _VIEW_SUBSYSTEMS),
+        wall=tracer.clock_s)
 
 
-def from_chrome_events(events: Sequence[dict],
-                       time_scale: float = TIME_SCALE) -> TraceData:
+def from_chrome_events(events: Sequence[dict]) -> TraceData:
     """Normalize exported Chrome/Perfetto events (the offline path).
 
     Only tracer-produced subsystems are kept — the re-homed analytic
@@ -138,8 +122,8 @@ def from_chrome_events(events: Sequence[dict],
     """
     pid_to_subsystem = {pid: name for name, pid in SUBSYSTEM_PIDS.items()}
     skip = {"memory", "pipeline"} | set(_VIEW_SUBSYSTEMS)
-    spans: List[TraceSpan] = []
-    instants: List[TraceInstant] = []
+    spans: List[SpanEvent] = []
+    instants: List[InstantEvent] = []
     wall = 0.0
     for event in events:
         ph = event.get("ph")
@@ -148,29 +132,28 @@ def from_chrome_events(events: Sequence[dict],
         if subsystem is None and isinstance(pid, int) \
                 and REPLICA_PID_BASE <= pid < 100:
             subsystem = f"replica{pid - REPLICA_PID_BASE}"
-        if subsystem is None or subsystem in skip:
+        if subsystem is None or subsystem in skip or ph not in ("X", "i"):
             continue
+        name, rank = event.get("name", ""), event.get("tid", 0)
+        ts, args = event["ts"] / TIME_SCALE, dict(event.get("args", {}))
         if ph == "X":
-            ts = event["ts"] / time_scale
-            dur = event.get("dur", 0.0) / time_scale
-            spans.append(TraceSpan(event.get("name", ""), subsystem,
-                                   event.get("tid", 0), ts, dur,
-                                   dict(event.get("args", {}))))
+            dur = event.get("dur", 0.0) / TIME_SCALE
+            spans.append(SpanEvent(name, subsystem, rank, ts, dur, args))
             wall = max(wall, ts + dur)
-        elif ph == "i":
-            ts = event["ts"] / time_scale
-            instants.append(TraceInstant(event.get("name", ""), subsystem,
-                                         event.get("tid", 0), ts,
-                                         dict(event.get("args", {}))))
+        else:
+            instants.append(InstantEvent(name, subsystem, rank, ts, args))
             wall = max(wall, ts)
     return TraceData(spans=tuple(spans), instants=tuple(instants), wall=wall)
 
 
-def load_trace(path: str, time_scale: float = TIME_SCALE) -> TraceData:
-    """Load an exported ``trace.json`` into the normalized model."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    return from_chrome_events(doc.get("traceEvents", []), time_scale)
+def load_trace(path: str) -> TraceData:
+    """Load an exported ``trace.json`` into the normalized model; a file
+    that is not a valid Chrome trace raises :class:`ConfigError`."""
+    try:
+        events = read_trace_events(path)
+    except ValueError as exc:
+        raise ConfigError(f"{path} is not a Chrome trace: {exc}") from None
+    return from_chrome_events(events)
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +271,8 @@ def _sweep(intervals: List[tuple], wall: float) -> Dict[str, float]:
     return buckets
 
 
-def attribute(data: TraceData, wall: Optional[float] = None) -> Attribution:
-    """Per-rank critical-path time attribution over ``[0, wall]``.
+def attribute(data: TraceData) -> Attribution:
+    """Per-rank critical-path time attribution over ``[0, data.wall]``.
 
     Each rank's timeline is partitioned by a priority sweep: recovery
     stalls > comm spans (split exposed/overlapped by the operator
@@ -299,11 +282,10 @@ def attribute(data: TraceData, wall: Optional[float] = None) -> Attribution:
     other train spans > replica serving spans > fleet router spans;
     uncovered time is the pipeline bubble (idle).
     """
-    w = data.wall if wall is None else wall
-    ranks = []
-    for rank in data.ranks():
-        buckets = _sweep(_bucket_intervals(data, rank), w)
-        ranks.append(RankAttribution(rank=rank, wall=w, buckets=buckets))
+    w = data.wall
+    ranks = [RankAttribution(rank=rank, wall=w,
+                             buckets=_sweep(_bucket_intervals(data, rank), w))
+             for rank in data.ranks()]
     totals = {b: sum(r.buckets[b] for r in ranks) for b in BUCKETS}
     return Attribution(wall=w, ranks=tuple(ranks), totals=totals)
 
@@ -353,8 +335,6 @@ def utilization_crosscheck(
     config: ExperimentConfig,
     num_iterations: int = 1,
     recompute: Recompute = Recompute.NONE,
-    wall: Optional[float] = None,
-    peak_flops_per_gpu: Optional[float] = None,
 ) -> UtilizationCrosscheck:
     """Reconcile trace-derived MFU/HFU with ``perf_model``'s formulas.
 
@@ -364,13 +344,11 @@ def utilization_crosscheck(
     the FLOPs come from (counted spans vs closed forms), so the deltas
     measure model drift, not timing noise.
     """
+    from ..hardware import GPUSpec
     from ..perf_model import measured_utilization
 
-    if peak_flops_per_gpu is None:
-        from ..hardware import GPUSpec
-        peak_flops_per_gpu = GPUSpec().peak_flops
-    w = data.wall if wall is None else wall
-    iteration = w / max(num_iterations, 1)
+    peak_flops_per_gpu = GPUSpec().peak_flops
+    iteration = data.wall / max(num_iterations, 1)
     t = config.parallel.tensor_parallel
     by_phase = traced_flops_by_phase(data)
     scale = t / max(num_iterations, 1)
@@ -421,27 +399,26 @@ class MemoryTermDrift:
         return (sum(abs(v) for v in self.drift.values())
                 + sum(abs(v) for v in self.unmapped.values()))
 
+    @classmethod
+    def of(cls, categories: Dict[str, int], predicted: Dict[str, float],
+           sequence_parallel: bool, recompute: Recompute) -> "MemoryTermDrift":
+        """Fold measured tracker category bytes into ``recompute``'s term
+        groups and match them against ``predicted``; a category with no
+        term lands in ``unmapped``."""
+        from ..memory_model import term_group_categories
 
-def group_measured_categories(categories: Dict[str, int],
-                              recompute: Recompute) -> Tuple[Dict[str, float],
-                                                             Dict[str, float]]:
-    """Fold tracker categories into term groups; returns (grouped, unmapped)."""
-    from ..memory_model import term_group_categories
-
-    mapping = term_group_categories(recompute)
-    by_category = {}
-    for group, cats in mapping.items():
-        for cat in cats:
-            by_category[cat] = group
-    grouped: Dict[str, float] = {g: 0.0 for g in mapping}
-    unmapped: Dict[str, float] = {}
-    for category, nbytes in categories.items():
-        group = by_category.get(category)
-        if group is None:
-            unmapped[category] = unmapped.get(category, 0.0) + nbytes
-        else:
-            grouped[group] += nbytes
-    return grouped, unmapped
+        mapping = term_group_categories(recompute)
+        group_of = {cat: group for group, cats in mapping.items()
+                    for cat in cats}
+        measured: Dict[str, float] = {g: 0.0 for g in mapping}
+        unmapped: Dict[str, float] = {}
+        for category, nbytes in categories.items():
+            if category in group_of:
+                measured[group_of[category]] += nbytes
+            else:
+                unmapped[category] = float(nbytes)
+        return cls(sequence_parallel=sequence_parallel, recompute=recompute,
+                   measured=measured, predicted=predicted, unmapped=unmapped)
 
 
 def _layer_term_drift(layout, model, microbatch_size: int, recompute: Recompute,
@@ -458,11 +435,8 @@ def _layer_term_drift(layout, model, microbatch_size: int, recompute: Recompute,
     tracker = MemoryTracker()
     with instrument(memory=tracker):
         layer(x)
-    measured, unmapped = group_measured_categories(
-        tracker.category_breakdown(0), recompute)
-    return MemoryTermDrift(
-        sequence_parallel=sequence_parallel, recompute=recompute,
-        measured=measured, predicted=predicted, unmapped=unmapped)
+    return MemoryTermDrift.of(tracker.category_breakdown(0), predicted,
+                              sequence_parallel, recompute)
 
 
 def memory_term_drift(model, microbatch_size: int, tensor_parallel: int,

@@ -42,7 +42,7 @@ gated in ``benchmarks/bench_memprof.py``).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -52,6 +52,7 @@ from ..tensor.backend import shape_of
 from ..tensor.context import ctx
 from ..tensor.dtypes import DType
 from ..tensor.memory_tracker import MemoryTracker
+from .tracer import trace_scope
 
 LEDGER_SCHEMA_VERSION = 1
 
@@ -110,11 +111,10 @@ class MemProfiler:
     registers one.
     """
 
-    def __init__(self, cost_model=None) -> None:
-        if cost_model is None:
-            from ..perf_model.gpu import KernelCostModel
-            cost_model = KernelCostModel()
-        self.cost_model = cost_model
+    def __init__(self) -> None:
+        from ..perf_model.gpu import KernelCostModel
+
+        self.cost_model = KernelCostModel()
         #: (label, absolute path, was tag/name-rooted) per live module.
         self._module_stack: List[Tuple[str, str, bool]] = []
         self._op_stack: List[_OpFrame] = []
@@ -198,8 +198,8 @@ class MemProfiler:
                 )
 
     # -- ledgers -----------------------------------------------------------
-    def ledger(self, clock=None) -> "MemoryLedger":
-        led = MemoryLedger(profiler=self, clock=clock)
+    def ledger(self) -> "MemoryLedger":
+        led = MemoryLedger(profiler=self)
         self.ledgers.append(led)
         return led
 
@@ -327,9 +327,8 @@ class MemoryLedger(MemoryTracker):
     only *observes* the same save/release stream, so its attribution can
     be checked bitwise against the tracker's own accounting."""
 
-    def __init__(self, profiler: Optional[MemProfiler] = None,
-                 clock=None) -> None:
-        super().__init__(clock=clock)
+    def __init__(self, profiler: Optional[MemProfiler] = None) -> None:
+        super().__init__()
         self.profiler = profiler
         self.entries: List[LedgerEntry] = []
         self._open: Dict[Tuple[int, int], LedgerEntry] = {}
@@ -351,10 +350,7 @@ class MemoryLedger(MemoryTracker):
             if entry is not None:
                 entry.refcount_history.append(self._entries[key].refcount)
                 entry.paths.append(path)
-                self.timeline.append(TimelineEvent(
-                    self._seq, self._now(), rank, "ref", entry.category,
-                    self._live[rank],
-                    self._category_live[rank][entry.category]))
+                self._record(rank, "ref", entry.category)
             return
         tracker_entry = self._entries[key]
         frame = prof.current_frame() if prof is not None else None
@@ -374,9 +370,7 @@ class MemoryLedger(MemoryTracker):
         self.entries.append(entry)
         if self._peak[rank] > prev_peak:
             self._peak_seq[rank] = self._seq
-        self.timeline.append(TimelineEvent(
-            self._seq, self._now(), rank, "save", category,
-            self._live[rank], self._category_live[rank][category]))
+        self._record(rank, "save", category)
 
     def release(self, rank: int, buffer) -> None:
         key = (rank, id(buffer))
@@ -387,31 +381,28 @@ class MemoryLedger(MemoryTracker):
         entry = self._open.get(key)
         if entry is None:
             return
-        freed = key not in self._entries
-        entry.refcount_history.append(
-            0 if freed else self._entries[key].refcount)
-        if freed:
-            entry.death_seq = self._seq
-            entry.death_t = self._now()
-            del self._open[key]
-            kind = "free"
+        if key in self._entries:
+            entry.refcount_history.append(self._entries[key].refcount)
+            self._record(rank, "unref", entry.category)
         else:
-            kind = "unref"
-        self.timeline.append(TimelineEvent(
-            self._seq, self._now(), rank, kind, entry.category,
-            self._live[rank], self._category_live[rank][entry.category]))
+            self._free(rank, self._open.pop(key))
 
     def rollback(self, mark: int) -> List[Tuple[int, int]]:
         dropped = super().rollback(mark)
         for key in dropped:
-            rank, entry = key[0], self._open.pop(key)
-            entry.refcount_history.append(0)
-            entry.death_seq = self._seq
-            entry.death_t = self._now()
-            self.timeline.append(TimelineEvent(
-                self._seq, self._now(), rank, "free", entry.category,
-                self._live[rank], self._category_live[rank][entry.category]))
+            self._free(key[0], self._open.pop(key))
         return dropped
+
+    def _free(self, rank: int, entry: LedgerEntry) -> None:
+        entry.refcount_history.append(0)
+        entry.death_seq = self._seq
+        entry.death_t = self._now()
+        self._record(rank, "free", entry.category)
+
+    def _record(self, rank: int, kind: str, category: str) -> None:
+        self.timeline.append(TimelineEvent(
+            self._seq, self._now(), rank, kind, category, self._live[rank],
+            self._category_live[rank][category]))
 
     # -- queries -----------------------------------------------------------
     def peak_seq(self, rank: int) -> int:
@@ -540,7 +531,6 @@ def profile_layer(model, microbatch_size: int, tensor_parallel: int = 1,
                   sequence_parallel: bool = False,
                   recompute: Recompute = Recompute.NONE,
                   fused: bool = False,
-                  profiler: Optional[MemProfiler] = None,
                   tracer=None,
                   ) -> Tuple[MemProfiler, MemoryLedger]:
     """Forward one abstract parallel transformer layer under a fresh
@@ -556,7 +546,7 @@ def profile_layer(model, microbatch_size: int, tensor_parallel: int = 1,
     if microbatch_size < 1:
         raise ConfigError(
             f"microbatch_size must be >= 1, got {microbatch_size}")
-    prof = profiler if profiler is not None else MemProfiler()
+    prof = MemProfiler()
     ledger = prof.ledger()
     if tracer is not None:
         tracer.watch_tracker(ledger, "memprof")
@@ -564,14 +554,9 @@ def profile_layer(model, microbatch_size: int, tensor_parallel: int = 1,
     layer, x = abstract_layer(
         TensorParallel(ProcessGroup(tensor_parallel), sequence_parallel),
         model, microbatch_size, recompute=recompute, fused=fused)
-    if tracer is not None:
-        from .tracer import trace_scope
-        with trace_scope(tracer), memprof_scope(prof), \
-                instrument(memory=ledger):
-            layer(x)
-    else:
-        with memprof_scope(prof), instrument(memory=ledger):
-            layer(x)
+    with (nullcontext() if tracer is None else trace_scope(tracer)), \
+            memprof_scope(prof), instrument(memory=ledger):
+        layer(x)
     return prof, ledger
 
 
@@ -584,7 +569,7 @@ def check_peak_attribution(model, microbatch_size: int,
     peak decomposition is bitwise-exact and reconciles term-by-term with
     the Section 4 closed forms (zero drift)."""
     from ..memory_model import per_layer_term_groups
-    from .analysis import MemoryTermDrift, group_measured_categories
+    from .analysis import MemoryTermDrift
 
     recompute = Recompute(recompute)
     _, ledger = profile_layer(
@@ -598,11 +583,8 @@ def check_peak_attribution(model, microbatch_size: int,
         att = peak_attribution(ledger, rank)
         watermarks = ledger.watermark_events(rank)
         final_composition = watermarks[-1].by_category if watermarks else {}
-        measured, unmapped = group_measured_categories(
-            att.by_category, recompute)
-        terms = MemoryTermDrift(
-            sequence_parallel=sequence_parallel, recompute=recompute,
-            measured=measured, predicted=predicted, unmapped=unmapped)
+        terms = MemoryTermDrift.of(att.by_category, predicted,
+                                   sequence_parallel, recompute)
         checks.append(AttributionCheck(
             rank=rank, tensor_parallel=tensor_parallel,
             sequence_parallel=sequence_parallel,
@@ -714,25 +696,23 @@ def selective_recompute_dominates(by_category: Dict[str, dict]) -> bool:
 # Perfetto counter tracks
 # ---------------------------------------------------------------------------
 
-def counter_events(ledger: MemoryLedger, name: str = "memprof",
-                   time_scale: Optional[float] = None) -> List[dict]:
+def counter_events(ledger: MemoryLedger) -> List[dict]:
     """Perfetto counter events ("ph": "C"): live bytes per category per
     rank over the ledger timeline, plus total live bytes per rank.
     Append to a trace via ``export_trace(..., extra_events=...)``."""
     from .perfetto import SUBSYSTEM_PIDS, TIME_SCALE, _metadata
 
-    scale = TIME_SCALE if time_scale is None else time_scale
     pid = SUBSYSTEM_PIDS["memory"]
     events: List[dict] = []
     for ev in ledger.timeline:
-        ts = ev.t * scale
+        ts = ev.t * TIME_SCALE
         events.append({
-            "name": f"{name}_bytes[{ev.category}/rank {ev.rank}]",
+            "name": f"memprof_bytes[{ev.category}/rank {ev.rank}]",
             "cat": "memory", "ph": "C", "ts": ts, "pid": pid, "tid": 0,
             "args": {"live": ev.category_bytes},
         })
         events.append({
-            "name": f"{name}_bytes[total/rank {ev.rank}]",
+            "name": f"memprof_bytes[total/rank {ev.rank}]",
             "cat": "memory", "ph": "C", "ts": ts, "pid": pid, "tid": 0,
             "args": {"live": ev.live_bytes},
         })
@@ -745,34 +725,29 @@ def counter_events(ledger: MemoryLedger, name: str = "memprof",
 # allocator lifetime / fragmentation
 # ---------------------------------------------------------------------------
 
-def arena_recycling_report(arena=None) -> dict:
+def arena_recycling_report() -> dict:
     """Recycling effectiveness of the fusion scratch arena: hit rate and
     pooled-vs-served byte ratio (lifetime analysis of scratch reuse)."""
-    if arena is None:
-        from ..fusion.arena import default_arena
-        arena = default_arena()
-    stats = dict(arena.stats())
+    from ..fusion.arena import default_arena
+
+    stats = dict(default_arena().stats())
     requests = stats.get("hits", 0) + stats.get("misses", 0)
     stats["requests"] = requests
     stats["hit_rate"] = stats.get("hits", 0) / requests if requests else 0.0
     return stats
 
 
-def paged_kv_fragmentation(num_requests: int = 12, seed: int = 0,
-                           block_size: int = 4, num_blocks: int = 24,
-                           max_batch: int = 8, policy: str = "swap",
-                           ) -> dict:
+def paged_kv_fragmentation(seed: int = 0) -> dict:
     """Fragmentation-over-time of the paged-KV FirstFitAllocator under
     continuous-batching churn: the ``repro serve`` scenario's seeded
-    workload is driven round by round through the scheduler's fleet
-    hooks, sampling the allocator's live/reserved bytes after every
-    decode round."""
-    from ..scenarios import serving_scheduler
+    workload (at its default shape) is driven round by round through the
+    scheduler's fleet hooks, sampling the allocator's live/reserved
+    bytes after every decode round."""
+    from ..scenarios import defaults, serving_scheduler
     from ..serving import KVAdmissionFull
 
-    scheduler, specs, _ = serving_scheduler(
-        requests=num_requests, seed_value=seed, policy=policy,
-        block_size=block_size, num_blocks=num_blocks, max_batch=max_batch)
+    shape = defaults(serving_scheduler)
+    scheduler, specs, _ = serving_scheduler(seed_value=seed)
     pending = list(specs)
     finished = 0
     samples = []
@@ -796,9 +771,9 @@ def paged_kv_fragmentation(num_requests: int = 12, seed: int = 0,
         })
     stats = arena.stats
     return {
-        "block_size": block_size,
-        "num_blocks": num_blocks,
-        "policy": policy,
+        "block_size": shape["block_size"],
+        "num_blocks": shape["num_blocks"],
+        "policy": shape["policy"],
         "rounds": len(samples),
         "samples": samples,
         "max_fragmentation": max(

@@ -246,17 +246,8 @@ class MetricsRegistry:
     def gauge(self, name: str, help_text: str = "") -> Gauge:
         return self._get_or_create(name, Gauge, help_text)
 
-    def histogram(self, name: str, help_text: str = "",
-                  buckets: Sequence[float] = DEFAULT_BUCKETS) -> Histogram:
-        if name in self._metrics:
-            metric = self._metrics[name]
-            if not isinstance(metric, Histogram):
-                raise TypeError(f"metric {name!r} already registered as "
-                                f"{type(metric).__name__}")
-            return metric
-        metric = Histogram(name, help_text, buckets)
-        self._metrics[name] = metric
-        return metric
+    def histogram(self, name: str, help_text: str = "") -> Histogram:
+        return self._get_or_create(name, Histogram, help_text)
 
     def _get_or_create(self, name: str, cls, help_text: str):
         if name in self._metrics:
@@ -301,8 +292,8 @@ class MetricsRegistry:
             doc["resilience"] = self._resilience
         return to_jsonable(doc)
 
-    def to_json(self, indent: int = 2) -> str:
-        return dumps_json(self.snapshot(), indent=indent)
+    def to_json(self) -> str:
+        return dumps_json(self.snapshot())
 
     def to_prometheus(self) -> str:
         """Prometheus text exposition format (deterministic ordering)."""

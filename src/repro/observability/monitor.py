@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Deque, Dict, List, Optional, Sequence, Set
 
 from ..errors import ConfigError
-from .metrics import DEFAULT_BUCKETS, Histogram
+from .metrics import Histogram
 from .serialize import dumps_json, to_jsonable
 from .tracer import Tracer
 
@@ -42,6 +42,27 @@ CRASH = "replica_crash"
 DISPATCH_LOSS = "dispatch_loss"
 SLOW = "slow_replica"
 FLEET_FAULT_KINDS = (CRASH, DISPATCH_LOSS, SLOW)
+
+#: The straggler rule, shared by the training watchdog's per-collective
+#: profiling alarm and the fleet monitor's decode-round check: observed
+#: time above this multiple of the expected time is a straggler.
+STRAGGLER_THRESHOLD = 4.0
+
+#: The SLO policy: the share of requests allowed to miss their SLO, the
+#: short and long burn-rate windows (in requests), the burn rate both
+#: windows must reach for an alert, and the decode rounds per replica
+#: the health score looks back over.
+ERROR_BUDGET = 0.1
+SHORT_WINDOW = 8
+LONG_WINDOW = 32
+BURN_THRESHOLD = 1.0
+HEALTH_WINDOW = 16
+
+
+def is_straggling(expected_s: float, observed_s: float) -> bool:
+    """True when ``observed_s`` exceeds :data:`STRAGGLER_THRESHOLD` times
+    ``expected_s``."""
+    return observed_s > STRAGGLER_THRESHOLD * max(expected_s, 1e-30)
 
 
 def check_slo(name: str, seconds: Optional[float]) -> None:
@@ -97,9 +118,9 @@ class FlightRecorder:
         self.postmortems.append(doc)
         return doc
 
-    def dumps(self, indent: int = 2) -> str:
+    def dumps(self) -> str:
         """Canonical JSON of every postmortem captured so far."""
-        return dumps_json({"postmortems": self.postmortems}, indent=indent)
+        return dumps_json({"postmortems": self.postmortems})
 
 
 @dataclass(frozen=True)
@@ -122,33 +143,18 @@ class SLOMonitor:
 
     def __init__(self, slo_ttft_s: Optional[float] = None,
                  slo_tpot_s: Optional[float] = None,
-                 error_budget: float = 0.1,
-                 short_window: int = 8, long_window: int = 32,
-                 burn_threshold: float = 1.0,
-                 straggler_threshold: float = 4.0,
-                 health_window: int = 16,
                  recorder: Optional[FlightRecorder] = None,
                  tracer: Optional[Tracer] = None):
         check_slo("slo_ttft_s", slo_ttft_s)
         check_slo("slo_tpot_s", slo_tpot_s)
-        if not 0.0 < error_budget <= 1.0:
-            raise ConfigError("error_budget must be in (0, 1]")
-        if short_window < 1 or long_window < short_window:
-            raise ConfigError("need 1 <= short_window <= long_window")
         self.slo_ttft_s = slo_ttft_s
         self.slo_tpot_s = slo_tpot_s
-        self.error_budget = error_budget
-        self.short_window = short_window
-        self.long_window = long_window
-        self.burn_threshold = burn_threshold
-        self.straggler_threshold = straggler_threshold
-        self.health_window = health_window
         self.recorder = recorder
         self.tracer = tracer
         self.detections: List[Detection] = []
         # Rolling SLO-violation windows (True = budget-burning request).
-        self._ttft_bad: Deque[bool] = deque(maxlen=long_window)
-        self._tpot_bad: Deque[bool] = deque(maxlen=long_window)
+        self._ttft_bad: Deque[bool] = deque(maxlen=LONG_WINDOW)
+        self._tpot_bad: Deque[bool] = deque(maxlen=LONG_WINDOW)
         # Per-replica decode-latency histograms for the health score.
         self._decode: Dict[int, Histogram] = {}
         # Heartbeat ledger: replicas alive at the end of last round.
@@ -184,15 +190,13 @@ class SLOMonitor:
         hist = self._decode.get(replica_id)
         if hist is None:
             hist = self._decode[replica_id] = Histogram(
-                f"monitor_decode_replica{replica_id}",
-                window=self.health_window)
+                f"monitor_decode_replica{replica_id}", window=HEALTH_WINDOW)
         hist.observe(observed_s)
-        # Straggler check: same predicate as the watchdog's profiling
-        # alarm, latched per replica life so a persistently slow replica
-        # yields exactly one detection (until a crash-restart resets it).
+        # Straggler check: the watchdog's profiling alarm, latched per
+        # replica life so a persistently slow replica yields exactly one
+        # detection (until a crash-restart resets it).
         if (replica_id not in self._slow_latched
-                and observed_s > self.straggler_threshold
-                * max(expected_s, 1e-30)):
+                and is_straggling(expected_s, observed_s)):
             self._slow_latched.add(replica_id)
             self._detect(Detection(round_idx, SLOW, replica_id))
 
@@ -241,29 +245,29 @@ class SLOMonitor:
         recent = list(window)[-n:]
         if not recent:
             return 0.0
-        return (sum(recent) / len(recent)) / self.error_budget
+        return (sum(recent) / len(recent)) / ERROR_BUDGET
 
     def ttft_burn(self, window: Optional[int] = None) -> float:
         """TTFT error-budget burn rate over the last ``window`` requests
         (1.0 = burning exactly at budget)."""
-        return self._burn(self._ttft_bad, window or self.long_window)
+        return self._burn(self._ttft_bad, window or LONG_WINDOW)
 
     def tpot_burn(self, window: Optional[int] = None) -> float:
-        return self._burn(self._tpot_bad, window or self.long_window)
+        return self._burn(self._tpot_bad, window or LONG_WINDOW)
 
     def ttft_burn_alert(self) -> bool:
         """Multi-window alert: both the fast and slow windows must burn
         above threshold, so one outlier cannot trip shedding but a
         sustained breach trips it quickly."""
-        return (self.ttft_burn(self.short_window) >= self.burn_threshold
-                and self.ttft_burn(self.long_window) >= self.burn_threshold)
+        return (self.ttft_burn(SHORT_WINDOW) >= BURN_THRESHOLD
+                and self.ttft_burn(LONG_WINDOW) >= BURN_THRESHOLD)
 
     # -- health scores -----------------------------------------------------
     def health_score(self, replica_id: int) -> float:
         """Rolling decode p50 of this replica over the fleet median of
         the same statistic (1.0 = typical, > 1 = slow).  Replicas with
         no samples score a neutral 1.0."""
-        p50s = {rid: h.quantile(0.50, window=self.health_window)
+        p50s = {rid: h.quantile(0.50, window=HEALTH_WINDOW)
                 for rid, h in self._decode.items() if h.count() > 0}
         mine = p50s.get(replica_id)
         if mine is None or not p50s:
@@ -315,10 +319,10 @@ class SLOMonitor:
         return to_jsonable({
             "detections": [{"round": d.round, "kind": d.kind,
                             "replica": d.replica} for d in self.detections],
-            "ttft_burn_short": self.ttft_burn(self.short_window),
-            "ttft_burn_long": self.ttft_burn(self.long_window),
-            "tpot_burn_short": self.tpot_burn(self.short_window),
-            "tpot_burn_long": self.tpot_burn(self.long_window),
+            "ttft_burn_short": self.ttft_burn(SHORT_WINDOW),
+            "ttft_burn_long": self.ttft_burn(LONG_WINDOW),
+            "tpot_burn_short": self.tpot_burn(SHORT_WINDOW),
+            "tpot_burn_long": self.tpot_burn(LONG_WINDOW),
             "health_scores": {str(rid): self.health_score(rid)
                               for rid in sorted(self._decode)},
         })

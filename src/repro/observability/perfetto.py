@@ -76,7 +76,7 @@ def _metadata(pid: int, name: str, tids: Iterable[int],
     return out
 
 
-def tracer_events(tracer: Tracer, time_scale: float = TIME_SCALE) -> List[dict]:
+def tracer_events(tracer: Tracer) -> List[dict]:
     """Tracer spans/instants/memory counters as Chrome trace events."""
     out: List[dict] = []
     tids_by_subsystem: Dict[str, set] = {}
@@ -92,7 +92,7 @@ def tracer_events(tracer: Tracer, time_scale: float = TIME_SCALE) -> List[dict]:
             args["parent"] = span.parent
         out.append({
             "name": span.name, "cat": span.subsystem, "ph": "X",
-            "ts": span.ts * time_scale, "dur": span.dur * time_scale,
+            "ts": span.ts * TIME_SCALE, "dur": span.dur * TIME_SCALE,
             "pid": pid, "tid": span.rank, "args": args,
         })
     for inst in tracer.instants:
@@ -100,7 +100,7 @@ def tracer_events(tracer: Tracer, time_scale: float = TIME_SCALE) -> List[dict]:
         tids_by_subsystem.setdefault(inst.subsystem, set()).add(inst.rank)
         out.append({
             "name": inst.name, "cat": inst.subsystem, "ph": "i", "s": "t",
-            "ts": inst.ts * time_scale, "pid": pid, "tid": inst.rank,
+            "ts": inst.ts * TIME_SCALE, "pid": pid, "tid": inst.rank,
             "args": to_jsonable(inst.args),
         })
 
@@ -112,7 +112,7 @@ def tracer_events(tracer: Tracer, time_scale: float = TIME_SCALE) -> List[dict]:
             have_memory = True
             out.append({
                 "name": f"activation_bytes[{name}/rank {event.rank}]",
-                "cat": "memory", "ph": "C", "ts": event.t * time_scale,
+                "cat": "memory", "ph": "C", "ts": event.t * TIME_SCALE,
                 "pid": memory_pid, "tid": 0,
                 "args": {"live": event.live_bytes, "peak": event.peak_bytes},
             })
@@ -125,12 +125,11 @@ def tracer_events(tracer: Tracer, time_scale: float = TIME_SCALE) -> List[dict]:
     return out
 
 
-def rehome_events(events: Iterable[dict], subsystem: str = "pipeline",
-                  process_name: Optional[str] = None) -> List[dict]:
-    """Re-assign foreign Chrome events (e.g. the pipeline-schedule trace
-    from :mod:`repro.pipeline_sim.chrome_trace`) to ``subsystem``'s pid so
-    they interleave with tracer events without pid collisions."""
-    pid = _pid_for(subsystem)
+def rehome_events(events: Iterable[dict]) -> List[dict]:
+    """Re-assign the pipeline-schedule trace of
+    :mod:`repro.pipeline_sim.chrome_trace` to the ``pipeline`` pid so it
+    interleaves with tracer events without pid collisions."""
+    pid = _pid_for("pipeline")
     out = []
     tids = set()
     for event in events:
@@ -142,7 +141,7 @@ def rehome_events(events: Iterable[dict], subsystem: str = "pipeline",
         elif ev.get("name") == "thread_name":
             out.append(ev)  # keep the source's row names
     out.append({"name": "process_name", "ph": "M", "pid": pid, "tid": 0,
-                "args": {"name": process_name or subsystem}})
+                "args": {"name": "pipeline"}})
     return out
 
 
@@ -153,11 +152,11 @@ def _sort_key(event: dict):
             event.get("ts", -1.0), event.get("name", ""))
 
 
-def merged_trace(tracer: Tracer, extra_events: Optional[List[dict]] = None,
-                 time_scale: float = TIME_SCALE) -> dict:
+def merged_trace(tracer: Tracer,
+                 extra_events: Optional[List[dict]] = None) -> dict:
     """The full trace document: tracer + extra sources, sorted and ready
     for ``json.dump``."""
-    events = tracer_events(tracer, time_scale)
+    events = tracer_events(tracer)
     if extra_events:
         events.extend(extra_events)
     events.sort(key=_sort_key)
@@ -165,14 +164,13 @@ def merged_trace(tracer: Tracer, extra_events: Optional[List[dict]] = None,
 
 
 def export_trace(tracer: Tracer, path: str,
-                 extra_events: Optional[List[dict]] = None,
-                 time_scale: float = TIME_SCALE) -> int:
+                 extra_events: Optional[List[dict]] = None) -> int:
     """Write the merged trace to ``path``; returns the event count.
 
     The byte stream is canonical (sorted keys, fixed separators) so two
     runs at the same seed write identical files.
     """
-    doc = merged_trace(tracer, extra_events, time_scale)
+    doc = merged_trace(tracer, extra_events)
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -219,6 +217,8 @@ def validate_trace_events(events: List[dict]) -> None:
     flow_out: set = set()
     flow_in: set = set()
     for event in events:
+        if not isinstance(event, dict):
+            raise ValueError(f"event is not an object: {event!r}")
         ph = event.get("ph")
         if ph is None:
             raise ValueError(f"event missing 'ph': {event!r}")
@@ -281,11 +281,18 @@ def validate_trace_events(events: List[dict]) -> None:
             f"dangling flow ids (seen on only one side): {sorted(dangling)}")
 
 
-def validate_trace_file(path: str) -> int:
-    """Load ``path`` and validate it; returns the number of events."""
+def read_trace_events(path: str) -> List[dict]:
+    """Load ``path`` and return its validated ``traceEvents``; raises
+    ``ValueError`` for anything that is not a valid Chrome trace."""
     with open(path) as fh:
         doc = json.load(fh)
-    if "traceEvents" not in doc:
-        raise ValueError(f"{path}: missing 'traceEvents'")
+    if not isinstance(doc, dict) or not isinstance(doc.get("traceEvents"),
+                                                  list):
+        raise ValueError("want a JSON object with a 'traceEvents' list")
     validate_trace_events(doc["traceEvents"])
-    return len(doc["traceEvents"])
+    return doc["traceEvents"]
+
+
+def validate_trace_file(path: str) -> int:
+    """Load ``path`` and validate it; returns the number of events."""
+    return len(read_trace_events(path))

@@ -40,7 +40,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .. import scenarios
 from ..layers.transformer import Recompute
-from ..scenarios import TRACE_PRESETS  # noqa: F401 - public name of this module
 from .analysis import (
     attribute,
     from_tracer,
@@ -844,10 +843,8 @@ def flatten(doc: dict, prefix: str = "") -> Dict[str, object]:
 
 
 def tolerance_for(key: str) -> Tuple[str, float]:
-    for prefix, tol in TOLERANCES:
-        if key.startswith(prefix):
-            return tol
-    return ("rel", 0.02)
+    # The closing "" row matches every key.
+    return next(tol for prefix, tol in TOLERANCES if key.startswith(prefix))
 
 
 def _within(baseline, current, tol: Tuple[str, float]) -> bool:

@@ -28,9 +28,9 @@ timeline next to the replica timelines it summarizes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .metrics import DEFAULT_BUCKETS, Histogram
+from .metrics import Histogram
 from .serialize import dumps_json
 from .tracer import SpanEvent, Tracer
 
@@ -186,10 +186,9 @@ class RequestTracker:
         """All traces, in arrival-index order."""
         return sorted(self._traces.values(), key=lambda t: t.index)
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self) -> str:
         """Canonical JSON of every request trace (byte-deterministic)."""
-        return dumps_json({"requests": [t.to_dict() for t in self.traces()]},
-                          indent=indent)
+        return dumps_json({"requests": [t.to_dict() for t in self.traces()]})
 
 
 # -- the accounting invariant ---------------------------------------------
@@ -267,16 +266,15 @@ def trace_latencies(trace: RequestTrace) -> Tuple[float, float]:
     return ttft, tpot
 
 
-def reconcile_quantiles(tracker: RequestTracker, report,
-                        buckets: Sequence[float] = DEFAULT_BUCKETS) -> dict:
+def reconcile_quantiles(tracker: RequestTracker, report) -> dict:
     """Cross-check span-graph latencies against a :class:`FleetReport`.
 
     Rebuilds the TTFT/TPOT histograms from the request traces alone
-    (same bucket layout the router uses) and compares the exported
-    quantiles for exact equality with the report's.
+    (the default bucket layout, as the router's) and compares the
+    exported quantiles for exact equality with the report's.
     """
-    ttft_h = Histogram("trace_ttft_seconds", buckets=buckets)
-    tpot_h = Histogram("trace_tpot_seconds", buckets=buckets)
+    ttft_h = Histogram("trace_ttft_seconds")
+    tpot_h = Histogram("trace_tpot_seconds")
     completed = 0
     for trace in tracker.traces():
         if trace.outcome != "completed":

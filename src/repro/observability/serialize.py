@@ -54,7 +54,7 @@ def dumps_json(obj: Any, indent: int = 2) -> str:
     return json.dumps(to_jsonable(obj), indent=indent, sort_keys=True) + "\n"
 
 
-def dump_json(obj: Any, path: str, indent: int = 2) -> None:
+def dump_json(obj: Any, path: str) -> None:
     """Write :func:`dumps_json` output to ``path``."""
     with open(path, "w") as fh:
-        fh.write(dumps_json(obj, indent=indent))
+        fh.write(dumps_json(obj))

@@ -75,11 +75,9 @@ class InstantEvent:
 class Tracer:
     """Collects spans/instants on a deterministic simulated clock."""
 
-    def __init__(self, cost_model: Optional[CollectiveCostModel] = None,
-                 gpu: Optional[GPUSpec] = None,
-                 metrics: Optional[MetricsRegistry] = None):
-        self.cost = cost_model or CollectiveCostModel()
-        self.gpu = gpu or (self.cost.cluster.gpu if cost_model else GPUSpec())
+    def __init__(self, metrics: Optional[MetricsRegistry] = None):
+        self.cost = CollectiveCostModel()
+        self.gpu = GPUSpec()
         self.metrics = metrics
         self.clock_s = 0.0
         self.spans: List[SpanEvent] = []

@@ -14,8 +14,10 @@ same units as the paper's iteration times:
   timeout-based failure detectors;
 * a straggler that inflates a collective past ``timeout_s`` becomes a
   :class:`~repro.errors.CollectiveTimeout`; a milder one is flagged when
-  the observed time exceeds ``straggler_threshold`` times the expected
-  time (the per-collective profiling check real clusters alarm on), with
+  the observed time exceeds
+  :data:`~repro.observability.monitor.STRAGGLER_THRESHOLD` times the
+  expected time (the per-collective profiling check real clusters alarm
+  on; the fleet SLO monitor applies the same rule to decode rounds), with
   detection latency equal to the slowed collective's completion time.
 """
 
@@ -26,6 +28,7 @@ from typing import Optional, Tuple
 
 from ..comm.cost_model import CollectiveCostModel
 from ..errors import CollectiveTimeout
+from ..observability.monitor import is_straggling
 from ..tensor.oplog import CommInfo
 
 
@@ -36,13 +39,10 @@ class Watchdog:
     cost: CollectiveCostModel = field(default_factory=CollectiveCostModel)
     #: NCCL_TIMEOUT analogue, in simulated seconds.
     timeout_s: float = 0.5
-    #: Flag a collective whose observed/expected ratio exceeds this.
-    straggler_threshold: float = 4.0
     #: Accumulated simulated seconds across everything observed.
     clock_s: float = 0.0
     #: Optional :class:`~repro.observability.FlightRecorder`: every trip
-    #: (``hang``) lands in the ring buffer.  Duck-typed so the
-    #: resilience layer does not import the observability package.
+    #: (``hang``) lands in the ring buffer.
     recorder: Optional[object] = None
 
     def expected_time(self, op: str, nbytes: int, world: int,
@@ -68,7 +68,7 @@ class Watchdog:
         return expected, observed
 
     def is_straggling(self, expected_s: float, observed_s: float) -> bool:
-        return observed_s > self.straggler_threshold * max(expected_s, 1e-30)
+        return is_straggling(expected_s, observed_s)
 
     def hang(self, op: str) -> float:
         """A collective that never completes: the clock runs to the

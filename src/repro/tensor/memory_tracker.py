@@ -62,12 +62,6 @@ class MemorySnapshot:
     peak_bytes: Dict[int, int] = field(default_factory=dict)
     by_category: Dict[int, Dict[str, int]] = field(default_factory=dict)
 
-    def max_live(self) -> int:
-        return max(self.live_bytes.values(), default=0)
-
-    def max_peak(self) -> int:
-        return max(self.peak_bytes.values(), default=0)
-
 
 class MemoryTracker:
     """Tracks live and peak saved-activation bytes per rank."""
@@ -154,9 +148,6 @@ class MemoryTracker:
             return max(self._peak.values(), default=0)
         return self._peak.get(rank, 0)
 
-    def max_live_over_ranks(self) -> int:
-        return max(self._live.values(), default=0)
-
     def category_breakdown(self, rank: int) -> Dict[str, int]:
         return {k: v for k, v in self._category_live[rank].items() if v != 0}
 
@@ -174,7 +165,3 @@ class MemoryTracker:
             peak_bytes=dict(self._peak),
             by_category={r: dict(cats) for r, cats in self._category_live.items()},
         )
-
-    def reset_peak(self) -> None:
-        for rank, live in self._live.items():
-            self._peak[rank] = live

@@ -16,10 +16,9 @@ rank 0's share).
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 
 class Phase(str, Enum):
@@ -82,13 +81,6 @@ class OpLog:
             for r in self.records
             if (phase is None or r.phase == phase) and (kind is None or r.kind == kind)
         )
-
-    def gemm_flops_by_phase(self) -> Dict[Phase, float]:
-        out: Dict[Phase, float] = defaultdict(float)
-        for r in self.records:
-            if r.kind == OpKind.GEMM:
-                out[r.phase] += r.flops
-        return dict(out)
 
     def bytes_moved(self, phase: Optional[Phase] = None) -> float:
         return sum(r.bytes_moved for r in self.records if phase is None or r.phase == phase)

@@ -20,14 +20,6 @@ MEGA = 1_000_000
 GIGA = 1_000_000_000
 TERA = 1_000_000_000_000
 
-MS = 1e-3
-US = 1e-6
-
-
-def bytes_to_gib(n_bytes: float) -> float:
-    """Convert bytes to binary gigabytes (GiB, 2**30 bytes)."""
-    return n_bytes / GIB
-
 
 def fmt_bytes(n_bytes: float) -> str:
     """Format a byte count with a binary suffix, e.g. ``'2.73 GiB'``."""
@@ -45,15 +37,6 @@ def fmt_flops(n_flops: float) -> str:
         if abs(n) >= scale:
             return f"{n / scale:.2f} {suffix}"
     return f"{n:.0f} FLOP"
-
-
-def fmt_time(seconds: float) -> str:
-    """Format a duration, e.g. ``'7.70 ms'`` or ``'37.83 s'``."""
-    if seconds >= 1.0:
-        return f"{seconds:.2f} s"
-    if seconds >= MS:
-        return f"{seconds / MS:.2f} ms"
-    return f"{seconds / US:.1f} us"
 
 
 def fmt_count(n: float) -> str:

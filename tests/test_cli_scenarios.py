@@ -258,6 +258,25 @@ class TestInvalidConfigurations:
         assert needle in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("content,needle", [
+        ("not json {", "Expecting value"),
+        ("[]", "'traceEvents' list"),
+        ('{"traceEvents": 5}', "'traceEvents' list"),
+        ('{"traceEvents": [{"ph": "X", "pid": 1, "tid": 0, "dur": 1}]}',
+         "missing 'ts'"),
+    ], ids=["not-json", "json-list", "events-not-a-list", "span-without-ts"])
+    def test_analyze_rejects_a_file_that_is_not_a_trace(
+            self, content, needle, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.json").write_text(content)
+        assert main(["analyze", "bad.json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "repro: error: bad.json is not a Chrome trace: ")
+        assert needle in captured.err
+        assert "Traceback" not in captured.err
+
     def test_fixed_chaos_plan_names_its_replica_minimum(self):
         with pytest.raises(ConfigError, match="at least 3 replicas"):
             scenarios.fleet_fault_plan(0, 1.0, replicas=2)

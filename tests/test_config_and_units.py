@@ -11,9 +11,7 @@ from repro.config import (
     TrainingConfig,
 )
 from repro.errors import ConfigError
-from repro.units import (
-    GIB, MIB, bytes_to_gib, fmt_bytes, fmt_count, fmt_flops, fmt_time,
-)
+from repro.units import GIB, MIB, fmt_bytes, fmt_count, fmt_flops
 
 
 class TestModelConfig:
@@ -123,14 +121,6 @@ class TestUnits:
         assert fmt_flops(312e12) == "312.00 TFLOP"
         assert fmt_flops(1.5e15) == "1.50 PFLOP"
 
-    def test_fmt_time(self):
-        assert fmt_time(0.0077) == "7.70 ms"
-        assert fmt_time(37.83) == "37.83 s"
-        assert fmt_time(12e-6) == "12.0 us"
-
     def test_fmt_count(self):
         assert fmt_count(530e9) == "530.0B"
         assert fmt_count(1e12) == "1.0T"
-
-    def test_bytes_to_gib(self):
-        assert bytes_to_gib(GIB) == 1.0

@@ -195,10 +195,6 @@ class TestOpLogQueries:
         assert self.log.flops(Phase.FORWARD) == 15
         assert self.log.flops(Phase.FORWARD, OpKind.GEMM) == 10
 
-    def test_gemm_by_phase(self):
-        assert self.log.gemm_flops_by_phase() == {Phase.FORWARD: 10,
-                                                  Phase.BACKWARD: 20}
-
     def test_bytes_and_counts(self):
         assert self.log.bytes_moved() == 100
         assert self.log.count("a") == 1
