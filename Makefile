@@ -4,13 +4,16 @@ PY ?= python
 # (one GEMM varies 40x); anything timed or gated runs single-threaded.
 ONE_THREAD = OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1
 
-.PHONY: test bench bench-gate bench-wall-smoke wall-history loc smoke report examples all clean
+.PHONY: test overhead bench-gate bench-wall-smoke wall-history loc smoke report examples all clean
 
 test:
 	$(ONE_THREAD) $(PY) -m pytest tests/
 
-bench:
-	$(PY) -m pytest benchmarks/ --benchmark-only
+# Disabled-overhead proofs (benchmarks/test_disabled_overhead.py): the
+# tracer, memprof and fleet-telemetry seams cost < 5% when nothing is
+# installed.  Wall-clock, so outside tier-1; -s prints the timings.
+overhead:
+	$(ONE_THREAD) $(PY) -m pytest benchmarks/test_disabled_overhead.py -s
 
 # Regression gate: re-run the trace presets, write BENCH_*.json, and
 # diff against benchmarks/baselines/ with per-metric tolerances
@@ -150,7 +153,7 @@ examples:
 	@for f in examples/*.py; do echo "== $$f"; $(PY) $$f > /dev/null || exit 1; done
 	@echo "all examples ran"
 
-all: test bench report
+all: test overhead report
 
 clean:
 	rm -rf .pytest_cache .hypothesis report.md trace-out serve-trace.json fleet-trace.json \

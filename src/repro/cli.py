@@ -969,6 +969,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if vars(args).get("seed", 0) < 0:
+            raise ConfigError(f"seed must be >= 0, got {args.seed}")
         out = args.fn(args)
         # a command with --json returns (doc, text)
         doc, text = out if isinstance(out, tuple) else (None, out)

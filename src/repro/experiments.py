@@ -1,9 +1,9 @@
 """One entry point per paper table/figure.
 
 Each ``*_data`` function computes the numbers; each ``*_report`` renders
-them the way the paper presents them.  The benchmark harness
-(``benchmarks/``) and the CLI (``python -m repro``) both call these, so
-the printed rows/series are identical everywhere.
+them the way the paper presents them.  The CLI (``python -m repro``)
+and the tests both call these, so the printed rows/series are identical
+everywhere.
 
 Paper reference values are embedded (``PAPER_*``) so reports can show
 paper-vs-measured side by side; EXPERIMENTS.md is generated from the same

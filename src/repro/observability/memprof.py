@@ -37,7 +37,7 @@ Three analyses sit on top of the ledger:
 The profiler is installed like the tracer (:func:`install_memprof` /
 :func:`memprof_scope`); when it is not installed every hook site in the
 tensor core is a single ``is None`` check (the <5% overhead bound is
-gated in ``benchmarks/bench_memprof.py``).
+gated in ``benchmarks/test_disabled_overhead.py``).
 """
 
 from __future__ import annotations

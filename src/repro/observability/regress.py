@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .. import scenarios
+from ..errors import ConfigError
 from ..layers.transformer import Recompute
 from .analysis import (
     attribute,
@@ -116,8 +117,8 @@ TOLERANCES: Tuple[Tuple[str, Tuple[str, float]], ...] = (
     # frontier must keep ranking the attention softmax/dropout tensors
     # as the paper's best save-vs-recompute candidates, and the
     # fragmentation/counter accounting rides the deterministic allocator
-    # and sequence clock.  Wall clock (the <5% disabled-overhead bound,
-    # the enabled-profiler cost) is ``benchmarks/bench_memprof.py``'s.
+    # and sequence clock.  Wall clock is measured by
+    # benchmarks/test_disabled_overhead.py.
     ("exactness.", ("exact", 0)),
     ("frontier.", ("exact", 0)),
     ("fragmentation.", ("exact", 0)),
@@ -172,6 +173,13 @@ def trace_hash(tracer, extra_events: Optional[List[dict]] = None) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def _fields(report_doc: dict, keys: str) -> dict:
+    """The space-separated ``keys`` of a report's own JSON document; a
+    list (``faults``, ``recoveries``) is gated by its length."""
+    return {key: (len(report_doc[key]) if isinstance(report_doc[key], list)
+                  else report_doc[key]) for key in keys.split()}
+
+
 def _counts(tracer, **extra: int) -> dict:
     return {"spans": len(tracer.spans), "instants": len(tracer.instants),
             **extra}
@@ -219,14 +227,10 @@ def _run_pipelined_preset(preset: str, seed_value: int, steps: int) -> dict:
                                  config.training.micro_batch_size, tp)
     doc["iteration_time_s"] = xc.iteration_time
     doc["utilization"] = {
-        "mfu": xc.mfu,
-        "hfu": xc.hfu,
-        "model_mfu": xc.model_mfu,
-        "model_hfu": xc.model_hfu,
+        **_fields(to_jsonable(xc), "mfu hfu model_mfu model_hfu "
+                  "traced_model_flops traced_hardware_flops"),
         "mfu_delta": xc.mfu_delta,
         "hfu_delta": xc.hfu_delta,
-        "traced_model_flops": xc.traced_model_flops,
-        "traced_hardware_flops": xc.traced_hardware_flops,
     }
     doc["memory"] = {
         "peak_bytes": {f"stage{i}": trackers[i].peak_bytes()
@@ -259,12 +263,8 @@ def _run_chaos_preset(seed_value: int, steps: int) -> dict:
                     trainer.model.group.size, 1)
     doc["config"]["data_parallel"] = trainer.dp
     _traced_training_blocks(doc, tracer)
-    doc["resilience"] = {
-        "goodput": report.goodput(),
-        "faults": len(report.faults),
-        "recoveries": len(report.recoveries),
-        "steps_completed": report.steps_completed,
-    }
+    doc["resilience"] = _fields(report.to_json(),
+                                "goodput faults recoveries steps_completed")
     return doc
 
 
@@ -376,17 +376,10 @@ def _run_substrate_preset(seed_value: int, steps: int) -> dict:
 def _run_serve_preset(seed_value: int, steps: int) -> dict:
     """Serve a seeded open-loop workload through the continuous-batching
     scheduler (real TP=2 engine on the paged KV cache) and gate it
-    against the static-batching baseline at the same KV budget.
-
-    Gated quantities: the continuous-vs-static tokens/s ratio (floor
-    1.5x — throughput lives on the analytic simulated clock, so it is
-    reproducible, but the floor states the paper-style claim directly),
-    swap/recompute token agreement (exact — preemption must never change
-    a request's output), zero KV accounting drift (exact), the
-    preemption/resume counts and peak KV occupancy (exact), and the
-    serving trace hash (exact — byte-identical timelines at equal
-    seeds).
-    """
+    against the static-batching baseline at the same KV budget, and
+    swap-policy tokens against recompute-policy tokens (preemption must
+    never change a request's output); :data:`TOLERANCES` states the
+    gates."""
     from ..serving import simulate_static_batching
 
     def _serve(policy: str, tracer=None):
@@ -411,18 +404,13 @@ def _run_serve_preset(seed_value: int, steps: int) -> dict:
                     shape["tp"], 1)
     doc["config"].update(pool)
     doc["serving"] = {
-        "tokens_per_s": report.tokens_per_s,
+        **_fields(report.to_dict(),
+                  "tokens_per_s p50_token_latency_s p95_token_latency_s "
+                  "tokens_generated completed preemptions resumes "
+                  "kv_drift_bytes peak_kv_occupancy"),
         "static_tokens_per_s": static["tokens_per_s"],
         "continuous_vs_static_speedup":
             report.tokens_per_s / static["tokens_per_s"],
-        "p50_token_latency_s": report.p50_token_latency_s,
-        "p95_token_latency_s": report.p95_token_latency_s,
-        "tokens_generated": report.tokens_generated,
-        "completed": report.completed,
-        "preemptions": report.preemptions,
-        "resumes": report.resumes,
-        "kv_drift_bytes": report.kv_drift_bytes,
-        "peak_kv_occupancy": report.peak_kv_occupancy,
         "policies_agree": policies_agree,
     }
     doc["counts"] = _counts(
@@ -435,17 +423,8 @@ def _run_chaos_serve_preset(seed_value: int, steps: int) -> dict:
     """Serve a seeded open-loop workload through a three-replica fleet
     under the default chaos plan — one *permanent* replica crash
     mid-decode, one straggler, one dropped dispatch — and gate the
-    fault-tolerance claims directly.
-
-    Gated quantities: fleet goodput under the plan (floor 0.85 — the
-    waste ledger is on the simulated clock, so the floor states the
-    robustness claim, not a machine-speed fact), per-request token
-    streams identical to the fault-free run at the same seed (exact —
-    the headline guarantee), zero KV accounting drift across crash /
-    migrate / recompute traffic (exact), the migration-vs-recompute
-    recovery mix and fault/recovery ledger counts (exact), and the
-    fleet trace hash (exact — byte-identical timelines at equal seeds,
-    dispatch/migrate/recover spans included).
+    fault-tolerance claims (:data:`TOLERANCES`) against the fault-free
+    run at the same seed: per-request token streams must be identical.
     """
     tracer = Tracer()
     fleet, report = scenarios.chaos_fleet(seed_value=seed_value,
@@ -457,30 +436,14 @@ def _run_chaos_serve_preset(seed_value: int, steps: int) -> dict:
 
     doc = _fleet_doc("chaos_serve", seed_value, steps)
     doc["fleet"] = {
-        "goodput": report.goodput(),
+        **_fields(report.to_json(),
+                  "goodput requests completed shed rounds final_replicas "
+                  "faults recoveries dispatches redispatches migrations "
+                  "recomputes tokens_generated useful_s wasted_s "
+                  "kv_drift_bytes ttft_p50_s ttft_p95_s ttft_p99_s "
+                  "tpot_p50_s tpot_p95_s tpot_p99_s"),
         "clean_goodput": clean_report.goodput(),
         "tokens_identical_to_clean": tokens_identical,
-        "requests": report.requests,
-        "completed": report.completed,
-        "shed": report.shed,
-        "rounds": report.rounds,
-        "final_replicas": report.final_replicas,
-        "faults": len(report.faults),
-        "recoveries": len(report.recoveries),
-        "dispatches": report.dispatches,
-        "redispatches": report.redispatches,
-        "migrations": report.migrations,
-        "recomputes": report.recomputes,
-        "tokens_generated": report.tokens_generated,
-        "useful_s": report.useful_s,
-        "wasted_s": report.wasted_s,
-        "kv_drift_bytes": report.kv_drift_bytes,
-        "ttft_p50_s": report.ttft_p50_s,
-        "ttft_p95_s": report.ttft_p95_s,
-        "ttft_p99_s": report.ttft_p99_s,
-        "tpot_p50_s": report.tpot_p50_s,
-        "tpot_p95_s": report.tpot_p95_s,
-        "tpot_p99_s": report.tpot_p99_s,
     }
     doc["counts"] = _counts(
         tracer,
@@ -505,9 +468,8 @@ def _run_fleet_obs_preset(seed_value: int, steps: int) -> dict:
     bit; SHA-256 fingerprints of the postmortem dump and the request
     trace export (byte-identity at equal seeds); and the merged trace
     hash with the request/monitor view tracks and cross-process flow
-    events included.  Wall-clock telemetry cost (and its <5%
-    disabled-overhead bound) is measured by
-    ``benchmarks/bench_fleet_telemetry.py``, not here.
+    events included.  Wall-clock cost is measured by
+    ``benchmarks/test_disabled_overhead.py``, not here.
     """
     # Same fleet and fault plan as ``chaos_serve`` so the two documents
     # describe the same physics, with and without telemetry.
@@ -518,13 +480,8 @@ def _run_fleet_obs_preset(seed_value: int, steps: int) -> dict:
         tracker.to_json().encode()).hexdigest()
 
     doc = _fleet_doc("fleet_obs", seed_value, steps)
-    doc["fleet"] = {
-        "goodput": report.goodput(),
-        "completed": report.completed,
-        "shed": report.shed,
-        "rounds": report.rounds,
-        "faults": len(report.faults),
-    }
+    doc["fleet"] = _fields(report.to_json(),
+                           "goodput completed shed rounds faults")
     doc["telemetry"] = {
         "detection_precision": score["precision"],
         "detection_recall": score["recall"],
@@ -571,8 +528,8 @@ def _run_memprof_preset(seed_value: int, steps: int) -> dict:
     per-category byte totals pinned exactly); the ledger-vs-tracker
     live-bytes identity; the paged-KV fragmentation timeline (seeded
     first-fit churn is deterministic); and the validated counter-track
-    event count.  Profiler wall cost (enabled, and the <5% *disabled*
-    overhead bound) is measured by ``benchmarks/bench_memprof.py``.
+    event count.  Profiler wall cost is measured by
+    ``benchmarks/test_disabled_overhead.py``.
     """
 
     shapes = {name: scenarios.memprof_model(name)
@@ -826,8 +783,18 @@ def write_bench(doc: dict, directory: str) -> str:
 
 
 def load_bench(path: str) -> dict:
+    """Read one BENCH document; anything but a JSON object is a
+    :class:`ConfigError`."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(
+                f"{path} is not a BENCH document: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path} is not a BENCH document: expected an "
+                          f"object, got {type(doc).__name__}")
+    return doc
 
 
 def flatten(doc: dict, prefix: str = "") -> Dict[str, object]:

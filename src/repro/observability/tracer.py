@@ -19,7 +19,7 @@ the byte-identical-trace guarantee the tests assert.
 
 Enabling is explicit and scoped (:func:`trace_scope`).  When no tracer
 is installed every hook site is a single ``is None`` check; the
-disabled overhead is bounded by ``benchmarks/bench_observability.py``.
+disabled overhead is bounded by ``benchmarks/test_disabled_overhead.py``.
 """
 
 from __future__ import annotations

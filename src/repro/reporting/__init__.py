@@ -1,4 +1,4 @@
-"""Table/figure formatting for benchmarks and the CLI."""
+"""Table/figure formatting for the CLI and the reports."""
 
 from .figures import ascii_bars, csv_series, grouped_ascii_bars, stacked_ascii_bars
 from .report import full_report

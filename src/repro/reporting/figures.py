@@ -1,6 +1,6 @@
 """Text renderings of the paper's figures: ASCII bars and CSV series.
 
-The benchmarks print the same series the paper plots; CSV output allows
+The CLI prints the same series the paper plots; CSV output allows
 external plotting without adding a plotting dependency.
 """
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from .config import ExperimentConfig, ModelConfig
+from .errors import ConfigError
 from .layers.transformer import Recompute
 from .memory_model import (
     per_layer_activation_bytes,
@@ -88,6 +89,9 @@ def strategy_fit_sweep(
     A planner-flavoured view of the long-context regime: the baseline
     falls off a cliff, SP+selective keeps fitting far longer.
     """
+    if not device_memory_bytes > 0:  # also rejects NaN
+        raise ConfigError(f"device_memory_bytes must be > 0, got "
+                          f"{device_memory_bytes / 2**30:g} GiB")
     rows = []
     static = weight_and_optimizer_bytes(config)
     for s in seq_lengths:

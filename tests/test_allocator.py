@@ -1,5 +1,8 @@
-"""Allocator simulation (the paper's future-work fragmentation study)."""
+"""Allocator simulation (the paper's future-work fragmentation study)
+and the first-fit allocator's sorted free list, differential-tested
+against the former append+sort+scan implementation."""
 
+import numpy as np
 import pytest
 
 from repro.allocator import (
@@ -152,9 +155,84 @@ class TestFragmentationStudy:
         assert selective.fragmentation > 0.03
         assert baseline.fragmentation < 0.01
 
+    def test_more_microbatches_more_allocator_churn(self):
+        """"memory fragmentation for large microbatches": accumulating
+        microbatches multiplies the alloc/free churn."""
+        one, three = (measure_fragmentation(M22, 4, 8, True,
+                                            Recompute.SELECTIVE, num_layers=2,
+                                            num_microbatches=n, caching=True)
+                      for n in (1, 3))
+        assert three.allocations > one.allocations
+
     def test_recompute_lowers_live_peak_despite_fragmentation(self):
         full = measure_fragmentation(M22, 4, 8, False, Recompute.FULL,
                                      num_layers=4, caching=True)
         none = measure_fragmentation(M22, 4, 8, False, Recompute.NONE,
                                      num_layers=4, caching=True)
         assert full.peak_reserved_bytes < none.peak_reserved_bytes
+
+
+class _ReferenceFirstFit(FirstFitAllocator):
+    """The pre-optimisation free path: append, full sort, full-list
+    coalesce scan.  Kept as the differential-test oracle for the sorted
+    insert in :meth:`FirstFitAllocator._insert_free`."""
+
+    def free(self, handle: int) -> None:
+        block = self._allocated.pop(handle, None)
+        if block is None:
+            raise PlanningError(f"double free or unknown handle {handle}")
+        self._live -= block.size
+        self.stats.frees += 1
+        self._free.append(block)
+        self._free.sort(key=lambda b: b.offset)
+        merged = []
+        for blk in self._free:
+            if merged and merged[-1].offset + merged[-1].size == blk.offset:
+                merged[-1].size += blk.size
+            else:
+                merged.append(blk)
+        if merged and merged[-1].offset + merged[-1].size == self._top:
+            self._top = merged[-1].offset
+            merged.pop()
+        self._free = merged
+
+
+class TestFirstFitDifferential:
+    def test_sorted_insert_matches_reference(self):
+        """Random alloc/free interleavings: the bisect-insert free list
+        must equal the former sort-and-scan implementation block for
+        block (offsets, sizes, arena top, stats) after every event."""
+        for trial in range(25):
+            local = np.random.default_rng(trial)
+            fast = FirstFitAllocator(alignment=64)
+            slow = _ReferenceFirstFit(alignment=64)
+            live = []
+            for _ in range(300):
+                if live and local.random() < 0.45:
+                    i = int(local.integers(len(live)))
+                    hf, hs = live.pop(i)
+                    fast.free(hf)
+                    slow.free(hs)
+                else:
+                    n = int(local.integers(1, 4096))
+                    live.append((fast.alloc(n), slow.alloc(n)))
+                assert [(b.offset, b.size) for b in fast._free] == \
+                    [(b.offset, b.size) for b in slow._free], trial
+                assert fast._top == slow._top
+            assert fast.stats == slow.stats
+            assert fast.stats.peak_reserved_bytes > 0  # not vacuously equal
+
+    def test_free_list_stays_sorted_and_coalesced(self):
+        a = FirstFitAllocator(alignment=1)
+        handles = [a.alloc(10) for _ in range(8)]
+        keep = a.alloc(5)
+        for h in handles[::2]:
+            a.free(h)
+        for h in handles[1::2]:
+            a.free(h)
+        offsets = [b.offset for b in a._free]
+        assert offsets == sorted(offsets)
+        for left, right in zip(a._free, a._free[1:]):
+            assert left.offset + left.size < right.offset
+        a.free(keep)
+        assert a.reserved_bytes == 0 and a._free == []

@@ -48,11 +48,10 @@ from repro.observability import (
     write_bench,
 )
 from repro.observability.analysis import BUCKETS
-# aliased: the repo's pytest config collects bench_* names as benchmarks
-from repro.observability.regress import bench_filename as _bench_file
 from repro.observability.regress import (
     DEFAULT_BASELINE_DIR,
     PRESET_NAMES,
+    bench_filename,
     flatten,
     load_bench,
     tolerance_for,
@@ -212,16 +211,16 @@ class TestBenchDeterminism:
     @pytest.mark.parametrize("preset", PRESET_NAMES)
     def test_committed_baselines_match_fresh_run(self, preset):
         baseline_path = os.path.join(REPO_ROOT, DEFAULT_BASELINE_DIR,
-                                     _bench_file(preset))
+                                     bench_filename(preset))
         assert os.path.exists(baseline_path), (
             "run `python -m repro bench` and commit the baselines")
         assert compare(load_bench(baseline_path), preset_doc(preset)) == []
 
     def test_repo_root_bench_matches_baselines(self):
         for preset in PRESET_NAMES:
-            root = os.path.join(REPO_ROOT, _bench_file(preset))
+            root = os.path.join(REPO_ROOT, bench_filename(preset))
             base = os.path.join(REPO_ROOT, DEFAULT_BASELINE_DIR,
-                                _bench_file(preset))
+                                bench_filename(preset))
             assert open(root, "rb").read() == open(base, "rb").read()
 
 

@@ -247,6 +247,12 @@ class TestInvalidConfigurations:
         (["fleet", "--slo-ttft-s", "0"], "slo_ttft_s must be a finite"),
         (["monitor", "--slo-tpot-s", "-1"], "slo_tpot_s must be a finite"),
         (["monitor", "--slo-ttft-s", "nan"], "slo_ttft_s must be a finite"),
+        *(([command, "--seed", "-1"], "seed must be >= 0, got -1")
+          for command in ("chaos", "trace", "serve", "fleet", "monitor",
+                          "memprofile", "compile", "longctx", "bench")),
+        (["sweep", "fit", "--memory-gb", "0"], "must be > 0, got 0 GiB"),
+        (["sweep", "fit", "--memory-gb", "-3"], "must be > 0, got -3 GiB"),
+        (["sweep", "fit", "--memory-gb", "nan"], "must be > 0, got nan GiB"),
     ], ids=lambda value: " ".join(value) if isinstance(value, list) else "")
     def test_error_is_reported_not_raised(self, argv, needle, capsys,
                                           tmp_path, monkeypatch):
@@ -276,6 +282,23 @@ class TestInvalidConfigurations:
             "repro: error: bad.json is not a Chrome trace: ")
         assert needle in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("content,needle", [
+        ("{oops", "Expecting property name"),
+        ("[]", "expected an object, got list"),
+    ], ids=["not-json", "json-list"])
+    def test_bench_check_rejects_a_baseline_that_is_not_a_bench_document(
+            self, content, needle, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "base").mkdir()
+        (tmp_path / "base" / "BENCH_chaos.json").write_text(content)
+        assert main(["bench", "--preset", "chaos", "--baseline-dir", "base",
+                     "--check"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "repro: error: base/BENCH_chaos.json is not a BENCH document: ")
+        assert needle in captured.err
 
     def test_fixed_chaos_plan_names_its_replica_minimum(self):
         with pytest.raises(ConfigError, match="at least 3 replicas"):

@@ -205,7 +205,8 @@ class TestCostModel:
         ar = self.cost.all_reduce_time(nbytes, n)
         rs = self.cost.reduce_scatter_time(nbytes, n)
         ag = self.cost.all_gather_time(nbytes, n)
-        assert rs + ag == pytest.approx(ar + self.cost.call_overhead)
+        assert rs + ag > ar
+        assert rs + ag == pytest.approx(ar + self.cost.call_overhead, rel=1e-9)
 
     def test_time_scales_with_bytes(self):
         small = self.cost.all_reduce_time(1 << 20, 8)

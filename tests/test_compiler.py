@@ -4,16 +4,14 @@ The anchor tests are the eager-vs-replay equivalence matrices — every
 loss, gradient, weight and tracked byte a replayed plan produces
 must equal the eager tape exactly (``assert_array_equal``, not
 ``allclose``) across serial, tensor-parallel and sequence-parallel
-configurations — plus the plan-cache semantics and
-the first-fit allocator's sorted-free-list rewrite (differential-tested
-against the former append+sort+scan implementation).
+configurations — plus the plan-cache semantics.
 """
 
 import numpy as np
 import pytest
 
 from helpers import count_calls
-from repro.allocator import FirstFitAllocator, TracingMemoryTracker
+from repro.allocator import TracingMemoryTracker
 from repro.comm import fault_scope
 from repro.compiler import (
     CaptureRecorder,
@@ -429,69 +427,3 @@ class TestStandaloneCapture:
         np.testing.assert_array_equal(np.asarray(out.shards[0]), want)
         chain(from_numpy(fresh, requires_grad=True))   # the counters do count
         assert len(applies) == len(nodes) == 600
-
-
-class _ReferenceFirstFit(FirstFitAllocator):
-    """The pre-optimisation free path: append, full sort, full-list
-    coalesce scan.  Kept as the differential-test oracle for the sorted
-    insert in :meth:`FirstFitAllocator._insert_free`."""
-
-    def free(self, handle: int) -> None:
-        from repro.errors import PlanningError
-        block = self._allocated.pop(handle, None)
-        if block is None:
-            raise PlanningError(f"double free or unknown handle {handle}")
-        self._live -= block.size
-        self.stats.frees += 1
-        self._free.append(block)
-        self._free.sort(key=lambda b: b.offset)
-        merged = []
-        for blk in self._free:
-            if merged and merged[-1].offset + merged[-1].size == blk.offset:
-                merged[-1].size += blk.size
-            else:
-                merged.append(blk)
-        if merged and merged[-1].offset + merged[-1].size == self._top:
-            self._top = merged[-1].offset
-            merged.pop()
-        self._free = merged
-
-
-class TestFirstFitDifferential:
-    def test_sorted_insert_matches_reference(self):
-        """Random alloc/free interleavings: the bisect-insert free list
-        must equal the former sort-and-scan implementation block for
-        block (offsets, sizes, arena top, stats) after every event."""
-        for trial in range(25):
-            local = np.random.default_rng(trial)
-            fast = FirstFitAllocator(alignment=64)
-            slow = _ReferenceFirstFit(alignment=64)
-            live = []
-            for _ in range(300):
-                if live and local.random() < 0.45:
-                    i = int(local.integers(len(live)))
-                    hf, hs = live.pop(i)
-                    fast.free(hf)
-                    slow.free(hs)
-                else:
-                    n = int(local.integers(1, 4096))
-                    live.append((fast.alloc(n), slow.alloc(n)))
-                assert [(b.offset, b.size) for b in fast._free] == \
-                    [(b.offset, b.size) for b in slow._free], trial
-                assert fast._top == slow._top
-            assert fast.stats == slow.stats
-
-    def test_free_list_stays_sorted_and_coalesced(self):
-        a = FirstFitAllocator(alignment=1)
-        handles = [a.alloc(10) for _ in range(8)]
-        keep = a.alloc(5)
-        for h in handles[::2]:
-            a.free(h)
-        for h in handles[1::2]:
-            a.free(h)
-        offsets = [b.offset for b in a._free]
-        assert offsets == sorted(offsets)
-        for left, right in zip(a._free, a._free[1:]):
-            assert left.offset + left.size < right.offset
-        a.free(keep)
-        assert a.reserved_bytes == 0 and a._free == []

@@ -14,6 +14,10 @@ class TestExperimentData:
         for name, d in data.items():
             assert not d["fits_baseline"], name
             assert d["fits_present"], name
+        # activations dominate at the largest scales (the motivation)
+        for name in ("530B", "1T"):
+            assert (data[name]["activations_baseline_gib"]
+                    > data[name]["weights_optimizer_gib"]), name
 
     def test_figure7_orderings(self):
         data = experiments.figure7_data()
@@ -27,6 +31,10 @@ class TestExperimentData:
         for name, schemes in data.items():
             assert schemes["baseline"][2] == 0.0           # no recompute time
             assert schemes["full recompute"][2] > schemes["selective recompute"][2] > 0
+            # full rebuilds ~one forward; selective only the attention core
+            assert schemes["full recompute"][2] > 0.8 * schemes["baseline"][0]
+            assert (schemes["selective recompute"][2]
+                    < 0.35 * schemes["full recompute"][2]), name
 
     def test_table5_rows_complete(self):
         rows = experiments.table5_data()

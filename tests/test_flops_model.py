@@ -53,6 +53,15 @@ class TestFormulas:
         assert strict - base == pytest.approx(
             m.num_layers * attention_core_forward_flops_per_layer(m, 1))
 
+    def test_model_flops_follow_params_times_tokens(self):
+        totals = [model_flops_per_iteration(cfg.model,
+                                            cfg.training.global_batch_size)
+                  for cfg in map(PAPER_CONFIGS.get,
+                                 ("22B", "175B", "530B", "1T"))]
+        assert totals == sorted(totals)
+        # GPT-3 at batch 64 x seq 2048: the classic 6 x params x tokens
+        assert totals[1] == pytest.approx(6 * 175e9 * 64 * 2048, rel=0.1)
+
     def test_no_recompute_equals_model_flops(self):
         m = PAPER_CONFIGS["22B"].model
         assert hardware_flops_per_iteration(m, 4, Recompute.NONE) == \

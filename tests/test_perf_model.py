@@ -9,6 +9,7 @@ import pytest
 
 from helpers import count_calls
 from repro.config import PAPER_CONFIGS
+from repro.experiments import PAPER_TABLE4, PAPER_TABLE5
 from repro.hardware import GPUSpec
 from repro.layers.transformer import Recompute
 from repro.perf_model import (
@@ -56,6 +57,8 @@ class TestTable4Relations:
     def test_sp_speeds_up_forward(self, t4rows):
         assert t4rows["Sequence Parallelism"].forward < \
             t4rows["Baseline no recompute"].forward
+        assert t4rows["Sequence Parallelism"].combined < \
+            t4rows["Baseline no recompute"].combined
 
     def test_sp_speedup_is_modest(self, t4rows):
         """Paper: ~6% forward speedup from LN/dropout on 1/t of the data."""
@@ -86,6 +89,7 @@ class TestTable4Relations:
         sel = t4rows["Selective Recompute"].overhead_vs(base)
         full = t4rows["Baseline with recompute"].overhead_vs(base)
         assert sel < full / 3
+        assert 0.0 < sel < 0.10  # paper: 7%
 
     def test_selective_plus_sequence_cheapest_recompute(self, t4rows):
         base = t4rows["Baseline no recompute"]
@@ -105,8 +109,9 @@ class TestTable4Relations:
 
     def test_calibration_against_paper_within_8_percent(self, t4rows):
         base = t4rows["Baseline no recompute"]
-        assert base.forward * 1e3 == pytest.approx(7.7, rel=0.08)
-        assert base.backward_total * 1e3 == pytest.approx(11.9, rel=0.08)
+        forward_ms, backward_ms, _, _ = PAPER_TABLE4["Baseline no recompute"]
+        assert base.forward * 1e3 == pytest.approx(forward_ms, rel=0.08)
+        assert base.backward_total * 1e3 == pytest.approx(backward_ms, rel=0.08)
 
 
 class TestFigure8Trends:
@@ -117,12 +122,13 @@ class TestFigure8Trends:
             cfg = PAPER_CONFIGS[name]
             data = figure8(cfg.model, cfg.training.micro_batch_size, 8)
             overheads.append(data["present work"].overhead_vs(data["baseline"]))
+        assert overheads[0] > overheads[2]
         assert overheads[0] > overheads[-1]
         assert overheads[-1] < 0.02
         assert overheads[0] < 0.08
 
     def test_full_recompute_overhead_stable_around_a_third(self):
-        for name in ("22B", "530B"):
+        for name in ("22B", "530B", "1T"):
             cfg = PAPER_CONFIGS[name]
             data = figure8(cfg.model, cfg.training.micro_batch_size, 8)
             ov = data["full recompute"].overhead_vs(data["baseline"])
@@ -151,15 +157,17 @@ class TestTable5Shape:
         for name, (lo, hi) in {"22B": (0.38, 0.50), "175B": (0.45, 0.56),
                                "530B": (0.50, 0.60), "1T": (0.48, 0.60)}.items():
             assert lo < rows[name].mfu < hi, name
+            assert rows[name].mfu == pytest.approx(PAPER_TABLE5[name][3],
+                                                   abs=0.05), name
 
     def test_hfu_exceeds_mfu(self, rows):
         for row in rows.values():
             assert row.hfu > row.mfu
 
     def test_iteration_times_within_15_percent_of_paper(self, rows):
-        paper = {"22B": 1.10, "175B": 13.75, "530B": 37.83, "1T": 71.49}
         for name, row in rows.items():
-            assert row.present_work_time == pytest.approx(paper[name], rel=0.15)
+            assert row.present_work_time == pytest.approx(
+                PAPER_TABLE5[name][1], rel=0.15)
 
     def test_iteration_times_keep_every_bit(self, rows):
         """(full recompute, present work) as printed by ``float.hex`` before

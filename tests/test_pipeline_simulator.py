@@ -131,6 +131,26 @@ class TestMemoryTimeline:
             chunks = in_flight_microbatches(stage, p, n, m) * m
             assert result.peak_activation_bytes[stage] == pytest.approx(chunks * act)
 
+    def test_530b_peaks_match_figure9_profile(self):
+        """The paper's own interleaved 530B schedule (p=35, v=3) lands on
+        the closed-form per-rank activation peaks Figure 9 plots."""
+        from repro.config import PAPER_CONFIGS
+        from repro.layers.transformer import Recompute
+        from repro.memory_model import per_layer_activation_bytes
+
+        cfg = PAPER_CONFIGS["530B"]
+        par, model, n = cfg.parallel, cfg.model, cfg.num_microbatches
+        p, v = par.pipeline_parallel, par.interleave_stages
+        per_layer = per_layer_activation_bytes(
+            model, cfg.training.micro_batch_size, par.tensor_parallel, True,
+            Recompute.SELECTIVE)
+        result = simulate(schedule_table(p, n, v), uniform_costs(
+            act=model.num_layers // (p * v) * per_layer))
+        for stage in (0, 1, 17, 34):
+            expected = (in_flight_microbatches(stage, p, n, v)
+                        * (model.num_layers // p) * per_layer)
+            assert result.peak_activation_bytes[stage] == pytest.approx(expected)
+
     def test_output_tensor_dealloc_saving(self):
         """Appendix B in simulation: the unoptimized run pins one output
         tensor per in-flight microbatch."""

@@ -23,6 +23,7 @@ class TestPlanner:
             option = plan(cfg, full_layer_step=max(1, cfg.model.num_layers // 8))
             assert option.sequence_parallel
             assert option.recompute == Recompute.SELECTIVE
+            assert option.overhead_fraction < 0.06, name
 
     def test_generous_memory_chooses_no_recompute(self):
         option = plan(PAPER_CONFIGS["530B"], device_memory_bytes=200 * GIB)
@@ -33,6 +34,32 @@ class TestPlanner:
         option = plan(PAPER_CONFIGS["530B"], device_memory_bytes=54 * GIB)
         assert option.recompute == Recompute.FULL
         assert 0 < option.recompute_num_layers < 105
+
+    def test_shrinking_device_climbs_the_ladder(self):
+        """Section 5: as memory shrinks the choice escalates nothing ->
+        selective -> more and more full layers, at a rising cost."""
+        gbs = (200, 80, 54, 45, 34)
+        chosen = [plan(PAPER_CONFIGS["530B"], device_memory_bytes=gb * GIB,
+                       full_layer_step=3) for gb in gbs]
+        assert [o.recompute for o in chosen[:3]] == [
+            Recompute.NONE, Recompute.SELECTIVE, Recompute.FULL]
+        assert 0 < chosen[2].recompute_num_layers < 105
+        assert chosen[3].recompute_num_layers > chosen[2].recompute_num_layers
+        overheads = [o.overhead_fraction for o in chosen]
+        assert overheads == sorted(overheads)
+
+    def test_layer_checkpointing_costs_more_than_selective(self):
+        """Section 5: at a footprint no larger than selective recompute's,
+        checkpointing whole layers costs over twice the recompute time."""
+        options = [o for o in enumerate_options(PAPER_CONFIGS["530B"],
+                                                full_layer_step=5)
+                   if o.sequence_parallel]
+        selective = next(o for o in options
+                         if o.recompute == Recompute.SELECTIVE)
+        layerwise = min((o for o in options if o.recompute == Recompute.FULL
+                         and o.activation_bytes <= selective.activation_bytes),
+                        key=lambda o: o.overhead_fraction)
+        assert layerwise.overhead_fraction > 2 * selective.overhead_fraction
 
     def test_impossible_budget_raises(self):
         with pytest.raises(PlanningError):

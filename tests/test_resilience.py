@@ -294,6 +294,47 @@ class TestChaos:
         assert 0.0 < blob["goodput"] <= 1.0
 
 
+class TestGoodputSweeps:
+    """What the resilience layer costs, swept on a dropout-free TP=1
+    model: goodput falls as faults get more frequent and as checkpoints
+    get sparser."""
+
+    TINY = ModelConfig(num_layers=1, hidden_size=16, num_heads=2,
+                       seq_length=16, vocab_size=32)
+
+    def _report(self, plan, path, checkpoint_interval=2):
+        def factory():
+            return ParallelGPTModel(self.TINY, tensor_parallel=1,
+                                    attention_dropout=0.0, hidden_dropout=0.0)
+        _, result = run_resilient(factory, plan, path, num_steps=8,
+                                  batch_seed=0,
+                                  checkpoint_interval=checkpoint_interval)
+        return result.report
+
+    def test_goodput_falls_as_fault_rate_rises(self, tmp_path):
+        reports = [self._report(FaultPlan.random(seed=11, num_steps=8,
+                                                 fault_rate=rate,
+                                                 world_size=2),
+                                tmp_path / f"rate{rate}.npz")
+                   for rate in (0.0, 0.25, 0.5, 0.75, 1.0)]
+        assert reports[0].goodput() == 1.0      # clean path: zero overhead
+        assert all(r.all_faults_detected for r in reports)
+        assert reports[-1].goodput() < reports[0].goodput()
+
+    def test_sparser_checkpoints_replay_more(self, tmp_path):
+        crashes = FaultPlan([
+            FaultSpec(step=3, kind=FaultKind.RANK_CRASH, rank=0),
+            FaultSpec(step=6, kind=FaultKind.RANK_CRASH, rank=1),
+        ])
+        reports = [self._report(crashes, tmp_path / f"every{n}.npz",
+                                checkpoint_interval=n)
+                   for n in (1, 2, 4, 8)]
+        replayed = [r.steps_replayed for r in reports]
+        assert replayed == sorted(replayed)
+        goodputs = [r.goodput() for r in reports]
+        assert goodputs == sorted(goodputs, reverse=True)
+
+
 class TestCheckpointChecksum:
     def _state(self, factory, tmp_path):
         trainer = DataParallelTrainer(factory, data_parallel=1, lr=1e-2)

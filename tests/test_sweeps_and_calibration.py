@@ -29,6 +29,15 @@ class TestSequenceLengthSweep:
         assert base[1] > 2 * base[0]
         assert base[2] > 4 * base[0]
 
+    def test_saving_grows_with_context_to_32k(self):
+        """Eq. 6 at the default lengths: selective stays exactly linear in
+        s, so its saving over the baseline grows with every doubling."""
+        rows = sequence_length_sweep(M175, 1, 8)
+        by_s = {r["seq_length"]: r["sp_selective"] for r in rows}
+        assert by_s[32768] == pytest.approx(16 * by_s[2048])
+        ratios = [r["baseline"] / r["sp_selective"] for r in rows]
+        assert all(a < b for a, b in zip(ratios, ratios[1:]))
+
     def test_attention_factor_column(self):
         rows = sequence_length_sweep(M175, 1, 8, seq_lengths=(2048,))
         assert rows[0]["attention_factor"] == 80.0
@@ -72,13 +81,14 @@ class TestStrategyFit:
 
 class TestRecomputeOverheadSweep:
     def test_selective_stays_cheap_as_context_grows(self):
-        rows = recompute_overhead_sweep(M175, 1, 8, seq_lengths=(2048, 8192))
+        rows = recompute_overhead_sweep(M175, 1, 8,
+                                        seq_lengths=(2048, 4096, 8192))
         for r in rows:
-            assert r["selective_overhead"] < r["full_overhead"]
+            assert r["selective_overhead"] < r["full_overhead"] / 2
         # selective's overhead grows with s (more core to re-run) but stays
         # far below one extra forward pass.
-        assert rows[1]["selective_overhead"] > rows[0]["selective_overhead"]
-        assert rows[1]["selective_overhead"] < 0.20
+        assert rows[-1]["selective_overhead"] > rows[0]["selective_overhead"]
+        assert rows[-1]["selective_overhead"] < 0.20
 
 
 class TestCrossover:
