@@ -10,7 +10,9 @@ The parser is one table: ``_COMMANDS`` has a row per sub-command naming
 its flags, each stated once in ``_FLAGS``.  A scenario's keywords are
 its command's flags (``_kwargs``), so the argparse defaults are the
 scenario's own.  A command with ``--json`` returns ``(doc, text)`` and
-:func:`main` prints one of them.
+:func:`main` prints one of them; for a concrete-run command that pair is
+its scenario's report value, ``(report.to_json(), report.summary())``,
+plus the lines of the artifacts the command wrote.
 """
 
 from __future__ import annotations
@@ -41,24 +43,16 @@ from .observability import (
     MetricsRegistry,
     RequestTracker,
     Tracer,
-    arena_recycling_report,
     attribute,
     check_against_baselines,
-    check_peak_attribution,
     counter_events,
     dump_json,
     dumps_json,
     export_trace,
     flamegraph,
-    from_tracer,
-    frontier_by_category,
-    ledger_document,
     load_trace,
-    paged_kv_fragmentation,
-    profile_layer,
     rehome_events,
     run_preset,
-    selective_recompute_dominates,
     trace_scope,
     validate_trace_file,
     verify_partition,
@@ -66,7 +60,7 @@ from .observability import (
 )
 from .observability.regress import DEFAULT_BASELINE_DIR, PRESET_NAMES, PRESETS
 from .perf_model import iteration_time
-from .planner import choose_context_layout, plan
+from .planner import plan
 from .serving import POLICIES
 from .reporting import format_table, pct
 from .units import GIB, fmt_bytes, fmt_count, fmt_flops
@@ -231,12 +225,25 @@ def _write_trace(tracer, path: str, extra_events=None) -> str:
             "https://ui.perfetto.dev)")
 
 
-def _write_request_trace(tracker, path: str) -> str:
-    partition = verify_partition(tracker)
-    with open(path, "w") as fh:
-        fh.write(tracker.to_json())
-    return (f"\n  {path}: {len(tracker.traces())} request span graph(s), "
-            f"partition exact={partition['exact']}")
+def _write_artifacts(args, tracer, recorder=None, tracker=None) -> str:
+    """Write whichever of ``--trace-out`` / ``--postmortem`` /
+    ``--request-trace`` a command was given; returns their lines."""
+    options = vars(args)
+    note = ""
+    if options.get("trace_out"):
+        note = _write_trace(tracer, args.trace_out)
+    if options.get("postmortem"):
+        with open(args.postmortem, "w") as fh:
+            fh.write(recorder.dumps())
+        note += (f"\n  {args.postmortem}: {len(recorder.postmortems)} "
+                 f"postmortem(s) from {recorder.recorded} flight event(s)")
+    if options.get("request_trace"):
+        partition = verify_partition(tracker)
+        with open(args.request_trace, "w") as fh:
+            fh.write(tracker.to_json())
+        note += (f"\n  {args.request_trace}: {len(tracker.traces())} request "
+                 f"span graph(s), partition exact={partition['exact']}")
+    return note
 
 
 def _flag(keyword: str) -> str:
@@ -258,33 +265,19 @@ def _kwargs(args, *scenario_fns) -> dict:
 
 
 def cmd_chaos(args):
-    """Run a tiny training job under a seeded random fault plan and show
-    the resilience report; with ``--verify``, also run fault-free at the
-    same seed and check the final weights are bitwise identical."""
-    import numpy as np
-
-    from .resilience import FaultPlan
-
-    def run(plan=None):
-        return scenarios.dp_chaos_segment(
-            **_kwargs(args, scenarios.dp_chaos_segment), plan=plan)
-
-    trainer, result, plan_ = run()
-    text = (f"chaos run: seed {args.seed}, {args.steps} steps, dp={args.dp}, "
-            f"fault rate {args.fault_rate}, {len(plan_)} fault(s) planned\n")
-    text += result.report.summary()
+    kwargs = _kwargs(args, scenarios.dp_chaos_segment)
+    trainer, result, plan = scenarios.dp_chaos_segment(**kwargs)
+    notes = ""
     if args.verify:
-        clean_trainer, clean, _ = run(FaultPlan())
-        identical = clean.losses == result.losses and all(
-            np.array_equal(np.asarray(p.shards[r]), np.asarray(q.shards[r]))
-            for p, q in zip(clean_trainer.model.parameters(),
-                            trainer.model.parameters())
-            for r in range(p.world))
-        if not identical:
+        if not scenarios.recovered_as_fault_free(trainer, result, **kwargs):
             raise ReproError(
                 "VERIFY FAILED: faulty run does not match the fault-free run")
-        text += "\nverify: recovered weights bitwise-identical to fault-free run"
-    return result.report.to_json(), text
+        notes = ("\nverify: recovered weights bitwise-identical to "
+                 "fault-free run")
+    return result.report.to_json(), (
+        f"chaos run: seed {args.seed}, {args.steps} steps, dp={args.dp}, "
+        f"fault rate {args.fault_rate}, {len(plan)} fault(s) planned\n"
+        + result.report.summary() + notes)
 
 
 def cmd_trace(args) -> str:
@@ -341,206 +334,59 @@ def cmd_trace(args) -> str:
 
 
 def cmd_serve(args):
-    """Run the continuous-batching scheduler on a seeded open-loop
-    workload against a real (serial or tensor-parallel) model and report
-    throughput, token latency, preemption traffic and the KV accounting
-    drift (always exactly zero).  ``--json`` emits the full canonical
-    :class:`~repro.serving.ServeReport` — byte-identical at equal seeds.
-    ``--request-trace`` additionally writes the per-request span graphs
-    (queue-wait / prefill / decode / preempt) as canonical JSON.
-    """
     tracer = Tracer()
     tracker = RequestTracker(tracer=tracer) if args.request_trace else None
     scheduler, specs, _ = scenarios.serving_scheduler(
         **_kwargs(args, scenarios.serving_scheduler), tracer=tracer,
         request_tracker=tracker)
     report = scheduler.run(specs)
-    trace_note = ""
-    if args.trace_out:
-        trace_note = _write_trace(tracer, args.trace_out)
-    if tracker is not None:
-        trace_note += _write_request_trace(tracker, args.request_trace)
-    return report.to_dict(), (
-        f"served {report.num_requests} request(s), policy {report.policy}, "
-        f"tp={args.tp}: {report.tokens_generated} token(s) in "
-        f"{1e3 * report.elapsed_s:.2f} ms simulated "
-        f"({report.tokens_per_s:.0f} tok/s)\n"
-        f"  preemptions {report.preemptions}, resumes {report.resumes}, "
-        f"peak KV occupancy {pct(report.peak_kv_occupancy)}, "
-        f"KV drift {report.kv_drift_bytes:.0f} B, "
-        f"KV fragmentation {pct(report.kv_fragmentation)}\n"
-        f"  token latency p50 {1e3 * report.p50_token_latency_s:.3f} ms, "
-        f"p95 {1e3 * report.p95_token_latency_s:.3f} ms" + trace_note
-    )
+    return report.to_json(), (report.summary(args.tp)
+                              + _write_artifacts(args, tracer, None, tracker))
 
 
 def cmd_memprofile(args):
-    """Profile one abstract transformer layer with the activation ledger
-    and write the canonical artifacts: the per-tensor ledger with exact
-    peak attribution and the save-vs-recompute frontier
-    (``memprof-ledger.json``), a flamegraph-style byte tree keyed by
-    module path (``memprof-flamegraph.json``), and a validated Perfetto
-    trace with live-bytes counter tracks (``memprof-trace.json``).  The
-    attribution is bitwise: entry bytes sum exactly to the tracker's
-    ``peak_bytes`` per rank and reconcile term-by-term with the Section
-    4 closed forms.
-    """
-    model_cfg = scenarios.memprof_model(args.config)
-    recompute = Recompute(args.recompute)
-
+    report = scenarios.profiled_layer(
+        **_kwargs(args, scenarios.profiled_layer))
+    doc = report.to_json()
     os.makedirs(args.output_dir, exist_ok=True)
-    tracer = Tracer()
-    prof, ledger = profile_layer(
-        model_cfg, args.microbatch, args.tp, args.sequence_parallel,
-        recompute, fused=args.fused, tracer=tracer)
-    config_doc = {
-        "config": args.config, "microbatch": args.microbatch,
-        "tensor_parallel": args.tp,
-        "sequence_parallel": args.sequence_parallel,
-        "recompute": recompute.value, "fused": args.fused,
-    }
-    doc = ledger_document(prof, ledger, config=config_doc)
-    doc["fragmentation"] = {"paged_kv": paged_kv_fragmentation(seed=args.seed)}
-    if args.fused:
-        doc["fragmentation"]["fusion_arena"] = arena_recycling_report()
-    checks = check_peak_attribution(
-        model_cfg, args.microbatch, args.tp, args.sequence_parallel,
-        recompute, fused=args.fused)
-    doc["attribution_checks"] = [
-        {"rank": c.rank, "exact": c.exact, "peak_bytes": c.peak_bytes,
-         "term_drift_total": c.term_drift_total} for c in checks]
-
     ledger_path = os.path.join(args.output_dir, "memprof-ledger.json")
     dump_json(doc, ledger_path)
     flame_path = os.path.join(args.output_dir, "memprof-flamegraph.json")
-    dump_json({str(r): flamegraph(ledger, r) for r in ledger.ranks()},
-              flame_path)
+    dump_json({str(r): flamegraph(report.ledger, r)
+               for r in report.ledger.ranks()}, flame_path)
     trace_note = _write_trace(
-        tracer, os.path.join(args.output_dir, "memprof-trace.json"),
-        extra_events=counter_events(ledger))
-
-    rank0 = doc["peak"]["0"]
-    cats = frontier_by_category(doc["frontier"]["0"])
-    top = sorted(
-        ((c, agg) for c, agg in cats.items()
-         if agg["bytes_per_recompute_s"] is not None),
-        key=lambda kv: -kv[1]["bytes_per_recompute_s"])[:3]
-    lines = [
-        f"memprofiled {model_cfg.name} layer (b={args.microbatch}, "
-        f"t={args.tp}, sp={args.sequence_parallel}, "
-        f"recompute={recompute.value}, fused={args.fused}): "
-        f"{len(ledger.entries)} ledger entries, "
-        f"{len(ledger.timeline)} timeline events",
-        f"  rank 0 peak {rank0['peak_bytes']} B, attribution exact="
-        f"{all(c.exact for c in checks)} over {len(checks)} rank(s), "
-        f"term drift {max(c.term_drift_total for c in checks):.1f} B",
-        f"  softmax/dropout dominate frontier: "
-        f"{selective_recompute_dominates(cats)}; top categories by "
-        "bytes-per-recompute-second:",
-    ]
-    for cat, agg in top:
-        lines.append(
-            f"    {cat}: {agg['nbytes']} B / {agg['recompute_s']:.3e} s "
-            f"= {agg['bytes_per_recompute_s']:.3e} B/s")
-    frag = doc["fragmentation"]["paged_kv"]
-    lines += [
-        f"  paged-KV fragmentation over {frag['rounds']} round(s): "
-        f"max {frag['max_fragmentation']:.1%}, "
-        f"final {frag['final_fragmentation']:.1%}",
-        f"  {ledger_path}: canonical ledger + frontier",
-        f"  {flame_path}: flamegraph byte tree" + trace_note,
-    ]
-    return doc, "\n".join(lines)
-
-
-def _write_fleet_artifacts(args, tracer, recorder, tracker) -> str:
-    """Write whichever of ``--trace-out`` / ``--postmortem`` /
-    ``--request-trace`` a fleet command was given; returns their lines."""
-    note = _write_trace(tracer, args.trace_out) if args.trace_out else ""
-    if args.postmortem:
-        with open(args.postmortem, "w") as fh:
-            fh.write(recorder.dumps())
-        note += (f"\n  {args.postmortem}: {len(recorder.postmortems)} "
-                 f"postmortem(s) from {recorder.recorded} flight event(s)")
-    if args.request_trace:
-        note += _write_request_trace(tracker, args.request_trace)
-    return note
+        report.tracer, os.path.join(args.output_dir, "memprof-trace.json"),
+        extra_events=counter_events(report.ledger))
+    return doc, (report.summary() +
+                 f"\n  {ledger_path}: canonical ledger + frontier"
+                 f"\n  {flame_path}: flamegraph byte tree" + trace_note)
 
 
 def cmd_fleet(args):
-    """Run the chaos-serving fleet: a seeded open-loop workload routed
-    across N replicas while a fault plan crashes, slows and drops
-    dispatches under it.  ``--verify`` additionally runs the fault-free
-    fleet at the same seed and requires every completed request's token
-    stream to match exactly — the serving-side analogue of the trainer's
-    bitwise-identical-weights check.  ``--json`` emits the canonical
-    :class:`~repro.fleet.FleetReport` — byte-identical at equal seeds.
-    ``--postmortem`` / ``--request-trace`` attach the flight recorder
-    and request tracker (pure observers — the report is unchanged) and
-    write their canonical-JSON artifacts.
-    """
     kwargs = _kwargs(args, scenarios.chaos_fleet)
     tracer = Tracer()
     recorder = FlightRecorder() if args.postmortem else None
     tracker = RequestTracker(tracer=tracer) if args.request_trace else None
-    fleet, report = scenarios.chaos_fleet(
-        **kwargs, tracer=tracer, recorder=recorder, request_tracker=tracker)
-    verify_note = ""
+    report = scenarios.chaos_fleet(**kwargs, tracer=tracer, recorder=recorder,
+                                   request_tracker=tracker)
+    notes = ""
     if args.verify:
-        clean_fleet, _ = scenarios.chaos_fleet(**dict(kwargs, fault_rate=0.0))
-        if fleet.tokens_by_request() != clean_fleet.tokens_by_request():
+        if not scenarios.faulted_vs_clean(
+                report, **kwargs)["tokens_identical_to_clean"]:
             raise ReproError(
                 "FLEET VERIFY FAILED: token streams diverged from the "
                 "fault-free run at the same seed")
-        verify_note = ("\n  verify OK: token streams identical to the "
-                       "fault-free fleet at the same seed")
-    trace_note = _write_fleet_artifacts(args, tracer, recorder, tracker)
-    return report.to_json(), report.summary() + verify_note + trace_note
+        notes = ("\n  verify OK: token streams identical to the "
+                 "fault-free fleet at the same seed")
+    notes += _write_artifacts(args, tracer, recorder, tracker)
+    return report.to_json(), report.summary() + notes
 
 
 def cmd_monitor(args):
-    """Run the chaos fleet with the full request-telemetry stack —
-    distributed request tracing, the flight recorder and the SLO
-    burn-rate monitor feeding dispatch and shedding — then report the
-    exactness gates: monitor detections scored against the injected
-    fault plan (precision/recall), the zero-gap zero-overlap span
-    partition invariant, and TTFT/TPOT quantiles recomputed from the
-    span graphs alone reconciled bit-for-bit against the
-    :class:`~repro.fleet.FleetReport` ledger.
-    """
-    (report, tracer, monitor, recorder, tracker, score, partition,
-     reconciled) = scenarios.monitored_fleet(**_kwargs(
+    report = scenarios.monitored_fleet(**_kwargs(
         args, scenarios.chaos_fleet, scenarios.monitored_fleet))
-    snapshot = monitor.snapshot()
-    notes = _write_fleet_artifacts(args, tracer, recorder, tracker)
-    doc = {"fleet": report.to_json(), "detection": score,
-           "partition": partition, "reconciliation": reconciled,
-           "monitor": snapshot,
-           "flight_recorder": {"capacity": recorder.capacity,
-                               "recorded": recorder.recorded,
-                               "postmortems": len(recorder.postmortems)}}
-    health = ", ".join(f"{rid}:{v:.2f}"
-                       for rid, v in sorted(snapshot["health_scores"].items()))
-    return doc, (
-        f"monitored fleet: {args.replicas} replica(s), "
-        f"{report.requests} request(s), seed {args.seed}, "
-        f"goodput {report.goodput():.1%} under {len(report.faults)} "
-        f"fault(s)\n"
-        f"  detections: {score['detections']} vs {score['injected']} "
-        f"injected — precision {score['precision']:.2f}, "
-        f"recall {score['recall']:.2f}\n"
-        f"  span partition: max gap {partition['max_gap_s']:.1e} s, "
-        f"max overlap {partition['max_overlap_s']:.1e} s, "
-        f"exact={partition['exact']}\n"
-        f"  ledger reconciliation over {reconciled['completed']} "
-        f"completed: ttft={reconciled['ttft_match']} "
-        f"tpot={reconciled['tpot_match']}\n"
-        f"  burn rates: ttft {snapshot['ttft_burn_long']:.2f}, "
-        f"tpot {snapshot['tpot_burn_long']:.2f} (long window); "
-        f"health [{health}]\n"
-        f"  flight recorder: {recorder.recorded} event(s), "
-        f"{len(recorder.postmortems)} postmortem(s)" + notes
-    )
+    return report.to_json(), report.summary() + _write_artifacts(
+        args, report.tracer, report.recorder, report.tracker)
 
 
 def cmd_compile(args):
@@ -614,89 +460,30 @@ def cmd_compile(args):
 
 
 def cmd_longctx(args):
-    """Run a traced context-parallel (Ulysses or ring) training step and
-    reconcile it end to end: forward loss bitwise against the serial
-    model, traced comm bytes exactly against the closed-form volumes,
-    recompute-phase collectives attributed to the overlapped bucket, and
-    the analytic overlap/chooser summaries alongside.
-    """
-    from .pipeline_sim import longctx_overlap_report
-
-    p = args.context_parallel
-    rc = Recompute(args.recompute)
-    run = scenarios.context_parallel_step(
+    report = scenarios.context_parallel_step(
         **_kwargs(args, scenarios.context_parallel_step))
-    model_cfg, b = run.model_cfg, run.batch
-    att = attribute(from_tracer(run.tracer))
-    overlap = longctx_overlap_report(model_cfg, b, p, args.layout, rc)
-    choice = choose_context_layout(model_cfg, b, p)
-
-    trace_note = ""
-    if args.trace_out:
-        trace_note = _write_trace(run.tracer, args.trace_out)
-
-    doc = {
-        "layout": args.layout,
-        "context_parallel": p,
-        "recompute": rc.value,
-        "loss": run.loss,
-        "serial_loss": run.serial_loss,
-        "loss_drift": abs(run.loss - run.serial_loss),
-        "traced_comm_bytes": run.traced_bytes,
-        "expected_comm_bytes": run.expected_bytes,
-        "volume_exact": run.traced_bytes == run.expected_bytes,
-        "attribution": {
-            "exposed_comm": att.totals["exposed_comm"],
-            "overlapped_comm": att.totals["overlapped_comm"],
-            "coverage_error": att.coverage_error,
-        },
-        "overlap": {
-            "exposed_reduction": overlap.exposed_reduction,
-            "speedup": overlap.speedup,
-        },
-        "chooser": {
-            "layout": choice.layout,
-            "seconds_per_layer": choice.seconds_per_layer,
-        },
-    }
-    return doc, (
-        f"longctx {args.layout} p={p} recompute={rc.value} "
-        f"(s={model_cfg.seq_length}, b={b}):\n"
-        f"  loss {run.loss:.6f}, serial drift {doc['loss_drift']:g} "
-        f"(bitwise)\n"
-        f"  traced comm {fmt_bytes(run.traced_bytes)} vs closed form "
-        f"{fmt_bytes(run.expected_bytes)} "
-        f"({'exact' if doc['volume_exact'] else 'MISMATCH'})\n"
-        f"  exposed comm {att.totals['exposed_comm']:.6f} s, overlapped "
-        f"{att.totals['overlapped_comm']:.6f} s "
-        f"(coverage error {att.coverage_error:g})\n"
-        f"  analytic overlap: exposed-comm reduction "
-        f"{overlap.exposed_reduction:.2f}x, step speedup "
-        f"{overlap.speedup:.3f}x\n"
-        f"  chooser pick at this shape: {choice.layout}" + trace_note
-    )
+    return report.to_json(), report.summary() + _write_artifacts(
+        args, report.tracer)
 
 
 def cmd_bench(args) -> str:
     """Run the benchmark presets, write canonical ``BENCH_<preset>.json``
-    documents, and (with ``--check``) gate against committed baselines.
-
-    The documents are byte-identical across runs at the same seed, so a
-    ``--check`` failure means a real behavior change: slower attribution
-    mix, drifted MFU, different peak memory, lost goodput, or a
-    non-deterministic trace.  Regressions are listed per metric with
-    their deltas and the command exits non-zero.
-    """
+    documents, and (with ``--check``) gate against committed baselines:
+    each out-of-tolerance metric is listed with its owner and delta."""
+    if args.check and os.path.realpath(args.output_dir) == \
+            os.path.realpath(args.baseline_dir):
+        raise ConfigError(
+            f"--check needs an --output-dir other than the --baseline-dir "
+            f"{args.baseline_dir!r}: the fresh documents would overwrite "
+            f"the baselines they are gated against")
     docs = {}
     lines = []
     # dict.fromkeys: a repeated --preset runs (and is written) once
     for preset in dict.fromkeys(args.presets or PRESET_NAMES):
-        doc = run_preset(preset, seed_value=args.seed)
-        docs[preset] = doc
-        path = write_bench(doc, args.output_dir)
-        _, summary = PRESETS[preset]
-        headline = summary(doc)
-        lines.append(f"wrote {path} (trace {doc['trace_hash'][:12]}"
+        doc = docs[preset] = run_preset(preset, seed_value=args.seed)
+        headline = PRESETS[preset].headline(doc)
+        lines.append(f"wrote {write_bench(doc, args.output_dir)} (trace "
+                     f"{doc['trace_hash'][:12]}"
                      + (f", {headline}" if headline else "") + ")")
 
     if args.check:
@@ -816,8 +603,8 @@ _FLAGS = {
     "request_trace": dict(metavar="PATH",
                           help="write per-request span graphs (canonical "
                                "JSON) here"),
-    "microbatch": dict(default=1),
-    "fused": dict(default=False, help="profile the fused-kernel layer variant"),
+    "microbatch": {},
+    "fused": dict(help="profile the fused-kernel layer variant"),
     "layers": dict(help="transformer layers in the toy model"),
     "microbatches": dict(help="gradient-accumulation microbatches per step"),
     "batch": dict(help="global batch size"),
@@ -908,9 +695,8 @@ _COMMANDS = {
         cmd_memprofile, "activation ledger: per-tensor peak attribution, "
                         "save-vs-recompute frontier, memory counter tracks",
         "config:memprof microbatch tp sequence_parallel recompute fused seed "
-        "output_dir json",
-        dict(config="22B", tp=1, recompute="none", seed=0,
-             output_dir="memprof-out")),
+        "output_dir json", dict(output_dir="memprof-out"),
+        (scenarios.profiled_layer,)),
     "compile": _Command(
         cmd_compile, "capture one training step as a static plan, replay "
                      "it, report plan stats and zero loss drift",

@@ -67,6 +67,10 @@ PAPER_TABLE5 = {
 
 PAPER_APPENDIX_C = {"175B": (0.514, 0.523), "530B": (0.560, 0.564)}
 
+#: Section 6.3's data-parallel point: 530B on 8-way DP (2240 GPUs),
+#: (iteration seconds, MFU).
+PAPER_530B_DP8 = (39.15, 0.542)
+
 
 # ---------------------------------------------------------------------------
 # Figure 1 — memory per GPU vs the 80 GB line
@@ -293,7 +297,8 @@ def table5_report(include_dp: bool = True) -> str:
         text += (
             f"\n\nSection 6.3 DP extension — 530B x 8-way data parallel "
             f"(2240 GPUs): iteration {dp.iteration_time:.2f} s "
-            f"(paper 39.15 s), MFU {pct(dp.mfu)} (paper 54.2%)"
+            f"(paper {PAPER_530B_DP8[0]} s), MFU {pct(dp.mfu)} "
+            f"(paper {pct(PAPER_530B_DP8[1])})"
         )
     return text
 

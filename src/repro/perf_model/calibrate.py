@@ -50,10 +50,13 @@ class CalibrationTarget:
 def paper_targets() -> Tuple[CalibrationTarget, ...]:
     """Table 4's baseline row (primary) and the present-work per-layer
     times implied by Table 5 (secondary, lower weight)."""
-    m22 = PAPER_CONFIGS["22B"].model
+    from ..experiments import PAPER_TABLE4  # experiments imports perf_model
+
+    forward_ms, backward_ms, _, _ = PAPER_TABLE4["Baseline no recompute"]
     targets = [
-        CalibrationTarget(m22, 4, 8, False, Recompute.NONE,
-                          forward=7.7e-3, backward=11.9e-3, weight=2.0),
+        CalibrationTarget(PAPER_CONFIGS["22B"].model, 4, 8, False,
+                          Recompute.NONE, forward=forward_ms / 1e3,
+                          backward=backward_ms / 1e3, weight=2.0),
     ]
     # Present-work per-layer combined times backed out of Table 5:
     # iteration / (n_mb * layers_per_rank * (1 + bubble)).  Only the

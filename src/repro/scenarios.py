@@ -9,17 +9,18 @@ traced step — together with the constants each one fixes: model shape,
 workload parameters, pool sizes, the default chaos plan.
 
 Two doors open onto every scenario.  ``repro <command>``
-(:mod:`repro.cli`) maps argparse to the keyword arguments below and
-prints the result; a ``repro bench`` preset
-(:mod:`repro.observability.regress`) calls the same function at its
-defaults and reduces the finished run to the gated document.  The
-keyword defaults *are* the preset values — the CLI reads its argparse
-defaults off these signatures — so a command at its defaults and the
-preset of the same name are one run, bit for bit.
+(:mod:`repro.cli`) maps argparse to the keyword arguments below; a
+``repro bench`` preset (:mod:`repro.observability.regress`) calls the
+same function at its defaults.  The keyword defaults *are* the preset
+values — the CLI reads its argparse defaults off these signatures — so
+a command at the preset's seed and the preset are one run, bit for bit.
 
-Functions return the live objects (trainer, report, fleet, tracer,
-losses); nothing here formats output or assembles documents.  Spans
-land on whatever tracer the caller installed or passed in.
+A scenario returns one report value: its ``to_json()`` is the command's
+``--json`` document and its ``summary()`` the command's text, and the
+bench preset reads its gated keys off the same ``to_json()``.  The
+command adds only its artifact lines; the preset adds only its shared
+blocks and two-arm comparisons.  Spans land on whatever tracer the
+caller installed or passed in.
 
 Subsystem imports are function-local on purpose:
 :mod:`repro.observability.regress` imports this module, and importing
@@ -45,6 +46,7 @@ from .config import (
 )
 from .errors import ConfigError
 from .layers.transformer import Recompute
+from .units import fmt_bytes
 
 #: Model/run shapes of the pipelined trace presets (``repro trace
 #: --config``, the ``tiny``/``small`` bench presets, ``repro memprofile
@@ -197,6 +199,22 @@ def dp_chaos_segment(steps: int = 6, seed_value: int = 0, *, dp: int = 2,
     return trainer, result, plan
 
 
+def recovered_as_fault_free(trainer, result, **segment) -> bool:
+    """The two-arm check of a :func:`dp_chaos_segment` run (``segment``
+    are its keywords): the fault-free run at the same seed has the same
+    losses and bitwise-identical final weights."""
+    import numpy as np
+
+    from .resilience import FaultPlan
+
+    clean_trainer, clean, _ = dp_chaos_segment(**segment, plan=FaultPlan())
+    return clean.losses == result.losses and all(
+        np.array_equal(np.asarray(p.shards[r]), np.asarray(q.shards[r]))
+        for p, q in zip(clean_trainer.model.parameters(),
+                        trainer.model.parameters())
+        for r in range(p.world))
+
+
 # -- continuous-batching serve ------------------------------------------------
 
 def serving_scheduler(*, requests: int = 12, seed_value: int = 1234,
@@ -277,8 +295,9 @@ def chaos_fleet(*, replicas: int = 3, requests: int = 24,
     """Route a seeded open-loop workload across a replica fleet while
     :func:`fleet_fault_plan` crashes, slows and drops dispatches under
     it.  The tight 16-block pool per replica forces recovered requests
-    through the real migrate-vs-recompute pricing decision.  Returns
-    ``(fleet, report)``; ``fault_rate=0`` is the fault-free reference."""
+    through the real migrate-vs-recompute pricing decision.  Returns the
+    :class:`~repro.fleet.FleetReport`; ``fault_rate=0`` is the
+    fault-free reference."""
     from .fleet import build_fleet
     from .serving import generate_requests
 
@@ -293,25 +312,85 @@ def chaos_fleet(*, replicas: int = 3, requests: int = 24,
         plan=fleet_fault_plan(seed_value, fault_rate, replicas),
         tracer=tracer, num_tiers=tiers, slo_ttft_s=slo_ttft_s,
         monitor=monitor, recorder=recorder, request_tracker=request_tracker)
-    return fleet, fleet.run(specs)
+    return fleet.run(specs)
+
+
+def faulted_vs_clean(report, **fleet) -> dict:
+    """The two-arm check of a :func:`chaos_fleet` run (``fleet`` are its
+    keywords): the fault-free twin's goodput, and whether every request
+    streamed exactly the tokens it streams without faults."""
+    clean = chaos_fleet(**dict(fleet, fault_rate=0.0))
+    return {"clean_goodput": clean.goodput(),
+            "tokens_identical_to_clean": [
+                r["generated_tokens"] for r in report.per_request] == [
+                r["generated_tokens"] for r in clean.per_request]}
+
+
+class MonitorReport(NamedTuple):
+    """A :func:`monitored_fleet` run: the fleet's report and the
+    telemetry stack that watched it."""
+
+    seed: int
+    fleet: object
+    tracer: object
+    monitor: object
+    recorder: object
+    tracker: object
+
+    def to_json(self) -> dict:
+        """The three exactness checks — detections scored against the
+        injected plan, the request-span partition, TTFT/TPOT recomputed
+        from the span graphs against the report's ledger — with the
+        fleet report, monitor snapshot and flight-recorder tallies."""
+        from .observability.request_trace import (
+            reconcile_quantiles,
+            verify_partition,
+        )
+        recorder = self.recorder
+        return {"fleet": self.fleet.to_json(),
+                "detection": self.monitor.score_against(self.fleet),
+                "partition": verify_partition(self.tracker),
+                "reconciliation": reconcile_quantiles(self.tracker,
+                                                      self.fleet),
+                "monitor": self.monitor.snapshot(),
+                "flight_recorder": {"capacity": recorder.capacity,
+                                    "recorded": recorder.recorded,
+                                    "postmortems": len(recorder.postmortems)}}
+
+    def summary(self) -> str:
+        doc, fleet = self.to_json(), self.fleet
+        score, partition = doc["detection"], doc["partition"]
+        reconciled, snapshot = doc["reconciliation"], doc["monitor"]
+        health = ", ".join(f"{rid}:{v:.2f}" for rid, v in
+                           sorted(snapshot["health_scores"].items()))
+        return (
+            f"monitored fleet: {fleet.replicas} replica(s), "
+            f"{fleet.requests} request(s), seed {self.seed}, "
+            f"goodput {fleet.goodput():.1%} under {len(fleet.faults)} "
+            f"fault(s)\n"
+            f"  detections: {score['detections']} vs {score['injected']} "
+            f"injected — precision {score['precision']:.2f}, "
+            f"recall {score['recall']:.2f}\n"
+            f"  span partition: max gap {partition['max_gap_s']:.1e} s, "
+            f"max overlap {partition['max_overlap_s']:.1e} s, "
+            f"exact={partition['exact']}\n"
+            f"  ledger reconciliation over {reconciled['completed']} "
+            f"completed: ttft={reconciled['ttft_match']} "
+            f"tpot={reconciled['tpot_match']}\n"
+            f"  burn rates: ttft {snapshot['ttft_burn_long']:.2f}, "
+            f"tpot {snapshot['tpot_burn_long']:.2f} (long window); "
+            f"health [{health}]\n"
+            f"  flight recorder: {self.recorder.recorded} event(s), "
+            f"{len(self.recorder.postmortems)} postmortem(s)")
 
 
 def monitored_fleet(*, slo_ttft_s: float = 0.05, slo_tpot_s: float = 0.005,
-                    flight_capacity: int = 64, **fleet):
+                    flight_capacity: int = 64, **fleet) -> MonitorReport:
     """:func:`chaos_fleet` (``fleet`` are its keywords) with the full
-    request-telemetry stack attached — flight recorder, request tracker,
-    SLO burn-rate monitor — and the three exactness checks taken on the
-    finished run: detections scored against the injected plan, the
-    request-span partition, and TTFT/TPOT quantiles recomputed from the
-    span graphs reconciled against the report's ledger.  Returns
-    ``(report, tracer, monitor, recorder, tracker, score, partition,
-    reconciled)``."""
+    request-telemetry stack attached: flight recorder, request tracker
+    and SLO burn-rate monitor."""
     from .observability.monitor import FlightRecorder, SLOMonitor
-    from .observability.request_trace import (
-        RequestTracker,
-        reconcile_quantiles,
-        verify_partition,
-    )
+    from .observability.request_trace import RequestTracker
     from .observability.tracer import Tracer
 
     tracer = Tracer()
@@ -319,11 +398,100 @@ def monitored_fleet(*, slo_ttft_s: float = 0.05, slo_tpot_s: float = 0.005,
     tracker = RequestTracker(tracer=tracer)
     monitor = SLOMonitor(slo_ttft_s=slo_ttft_s, slo_tpot_s=slo_tpot_s,
                          recorder=recorder, tracer=tracer)
-    _, report = chaos_fleet(**fleet, tracer=tracer, recorder=recorder,
-                            request_tracker=tracker, monitor=monitor)
-    return (report, tracer, monitor, recorder, tracker,
-            monitor.score_against(report), verify_partition(tracker),
-            reconcile_quantiles(tracker, report))
+    report = chaos_fleet(**fleet, tracer=tracer, recorder=recorder,
+                         request_tracker=tracker, monitor=monitor)
+    seed = {**defaults(chaos_fleet), **fleet}["seed_value"]
+    return MonitorReport(seed, report, tracer, monitor, recorder, tracker)
+
+
+# -- activation ledger --------------------------------------------------------
+
+class MemprofReport(NamedTuple):
+    """A :func:`profiled_layer` run: the profiled layer's ledger, its
+    attribution checks and the paged-KV fragmentation run."""
+
+    config: dict  # the ledger document's config block
+    model_cfg: ModelConfig
+    profiler: object
+    ledger: object
+    tracer: object
+    checks: list
+    fragmentation: dict
+
+    def to_json(self) -> dict:
+        """The canonical ledger document (per-rank peak attribution,
+        priced frontier, every entry) with the fragmentation runs and
+        the per-rank attribution checks."""
+        from .observability.memprof import ledger_document
+        doc = ledger_document(self.profiler, self.ledger, config=self.config)
+        doc["fragmentation"] = self.fragmentation
+        doc["attribution_checks"] = [
+            {"rank": c.rank, "exact": c.exact, "peak_bytes": c.peak_bytes,
+             "term_drift_total": c.term_drift_total} for c in self.checks]
+        return doc
+
+    def summary(self) -> str:
+        from .observability.memprof import selective_recompute_dominates
+        doc, checks, config = self.to_json(), self.checks, self.config
+        cats = doc["frontier_by_category"]["0"]
+        top = sorted(
+            ((c, agg) for c, agg in cats.items()
+             if agg["bytes_per_recompute_s"] is not None),
+            key=lambda kv: -kv[1]["bytes_per_recompute_s"])[:3]
+        frag = self.fragmentation["paged_kv"]
+        return "\n".join([
+            f"memprofiled {self.model_cfg.name} layer "
+            f"(b={config['microbatch']}, t={config['tensor_parallel']}, "
+            f"sp={config['sequence_parallel']}, "
+            f"recompute={config['recompute']}, fused={config['fused']}): "
+            f"{len(self.ledger.entries)} ledger entries, "
+            f"{len(self.ledger.timeline)} timeline events",
+            f"  rank 0 peak {doc['peak']['0']['peak_bytes']} B, attribution "
+            f"exact={all(c.exact for c in checks)} over {len(checks)} "
+            f"rank(s), term drift "
+            f"{max(c.term_drift_total for c in checks):.1f} B",
+            f"  softmax/dropout dominate frontier: "
+            f"{selective_recompute_dominates(cats)}; top categories by "
+            "bytes-per-recompute-second:",
+            *(f"    {cat}: {agg['nbytes']} B / {agg['recompute_s']:.3e} s "
+              f"= {agg['bytes_per_recompute_s']:.3e} B/s" for cat, agg in top),
+            f"  paged-KV fragmentation over {frag['rounds']} round(s): "
+            f"max {frag['max_fragmentation']:.1%}, "
+            f"final {frag['final_fragmentation']:.1%}"])
+
+
+def profiled_layer(*, config: str = "22B", microbatch: int = 1, tp: int = 1,
+                   sequence_parallel: bool = False,
+                   recompute: Recompute = Recompute.NONE, fused: bool = False,
+                   seed_value: int = 0) -> MemprofReport:
+    """Profile one abstract layer of :func:`memprof_model` ``config``
+    under the activation ledger (watched by a fresh tracer), check its
+    peak attribution bitwise against the tracker and the Section 4
+    closed forms, and run the seeded paged-KV fragmentation churn (and,
+    fused, the fusion arena's recycling)."""
+    from .observability.memprof import (
+        arena_recycling_report,
+        check_peak_attribution,
+        paged_kv_fragmentation,
+        profile_layer,
+    )
+    from .observability.tracer import Tracer
+
+    model_cfg = memprof_model(config)
+    tracer = Tracer()
+    profiler, ledger = profile_layer(model_cfg, microbatch, tp,
+                                     sequence_parallel, recompute,
+                                     fused=fused, tracer=tracer)
+    fragmentation = {"paged_kv": paged_kv_fragmentation(seed=seed_value)}
+    if fused:
+        fragmentation["fusion_arena"] = arena_recycling_report()
+    checks = check_peak_attribution(model_cfg, microbatch, tp,
+                                    sequence_parallel, recompute, fused=fused)
+    return MemprofReport(
+        {"config": config, "microbatch": microbatch, "tensor_parallel": tp,
+         "sequence_parallel": sequence_parallel,
+         "recompute": recompute.value, "fused": fused},
+        model_cfg, profiler, ledger, tracer, checks, fragmentation)
 
 
 # -- compiled / eager twins -----------------------------------------------------
@@ -389,22 +557,80 @@ def compiled_eager_twins(*, layers: int = 2, tp: int = 1,
 
 # -- context-parallel traced step ----------------------------------------------
 
-class LongctxRun(NamedTuple):
+class LongctxReport(NamedTuple):
+    """A :func:`context_parallel_step` run: its loss next to the serial
+    reference's, and its traced collective bytes next to the closed
+    form."""
+
     model_cfg: ModelConfig
-    batch: int
+    layout: str
     context_parallel: int
+    recompute: Recompute
+    batch: int
     tracer: object
     loss: float
     serial_loss: float
     traced_bytes: int
     expected_bytes: float
 
+    def to_json(self) -> dict:
+        """The run's reconciliation — serial-loss drift, traced vs
+        closed-form comm bytes, the exposed/overlapped comm attribution
+        — and, at its shape, the analytic overlap summary and the
+        layout chooser's pick."""
+        from .observability.analysis import attribute, from_tracer
+        from .pipeline_sim import longctx_overlap_report
+        from .planner import choose_context_layout
+
+        cfg, b, p = self.model_cfg, self.batch, self.context_parallel
+        att = attribute(from_tracer(self.tracer))
+        overlap = longctx_overlap_report(cfg, b, p, self.layout,
+                                         self.recompute)
+        choice = choose_context_layout(cfg, b, p)
+        return {
+            "layout": self.layout, "context_parallel": p,
+            "recompute": self.recompute.value,
+            "loss": self.loss, "serial_loss": self.serial_loss,
+            "loss_drift": abs(self.loss - self.serial_loss),
+            "traced_comm_bytes": self.traced_bytes,
+            "expected_comm_bytes": self.expected_bytes,
+            "volume_exact": self.traced_bytes == self.expected_bytes,
+            "attribution": {
+                "exposed_comm": att.totals["exposed_comm"],
+                "overlapped_comm": att.totals["overlapped_comm"],
+                "coverage_error": att.coverage_error},
+            "overlap": {"exposed_reduction": overlap.exposed_reduction,
+                        "speedup": overlap.speedup},
+            "chooser": {"layout": choice.layout,
+                        "seconds_per_layer": choice.seconds_per_layer},
+        }
+
+    def summary(self) -> str:
+        doc = self.to_json()
+        att, overlap = doc["attribution"], doc["overlap"]
+        return (
+            f"longctx {self.layout} p={self.context_parallel} "
+            f"recompute={self.recompute.value} "
+            f"(s={self.model_cfg.seq_length}, b={self.batch}):\n"
+            f"  loss {self.loss:.6f}, serial drift {doc['loss_drift']:g} "
+            f"(bitwise)\n"
+            f"  traced comm {fmt_bytes(self.traced_bytes)} vs closed form "
+            f"{fmt_bytes(self.expected_bytes)} "
+            f"({'exact' if doc['volume_exact'] else 'MISMATCH'})\n"
+            f"  exposed comm {att['exposed_comm']:.6f} s, overlapped "
+            f"{att['overlapped_comm']:.6f} s "
+            f"(coverage error {att['coverage_error']:g})\n"
+            f"  analytic overlap: exposed-comm reduction "
+            f"{overlap['exposed_reduction']:.2f}x, step speedup "
+            f"{overlap['speedup']:.3f}x\n"
+            f"  chooser pick at this shape: {doc['chooser']['layout']}")
+
 
 def context_parallel_step(*, layout: str = "ulysses",
                           context_parallel: int = 2,
                           recompute: Recompute = Recompute.FULL,
                           seq_length: int = 16, seed_value: int = 4,
-                          overlap: bool = True) -> LongctxRun:
+                          overlap: bool = True) -> LongctxReport:
     """One traced forward/backward of a context-parallel (Ulysses or
     ring) model cloned from a serial reference — whose loss on the same
     batch is returned alongside — with checkpoint-segment recompute
@@ -453,5 +679,5 @@ def context_parallel_step(*, layout: str = "ulysses",
     expected = model_cfg.num_layers * layer_bytes(model_cfg, b, p)
     if recompute != Recompute.NONE:
         expected += model_cfg.num_layers * extra_bytes(model_cfg, b, p)
-    return LongctxRun(model_cfg, b, p, tracer, loss.item(), serial_loss,
-                      traced, expected)
+    return LongctxReport(model_cfg, layout, p, recompute, b, tracer,
+                         loss.item(), serial_loss, traced, expected)

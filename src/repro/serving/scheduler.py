@@ -26,8 +26,9 @@ import numpy as np
 
 from ..config import ModelConfig
 from ..errors import ConfigError, PlanningError
-from ..observability.serialize import dumps_json, to_jsonable
+from ..observability.serialize import to_jsonable
 from ..observability.tracer import Tracer, span_or_null
+from ..reporting.tables import pct
 from .engine import DecodeEngine
 from .kv_cache import KVAdmissionFull, SwappedKV
 from .perf import ServingPerfModel
@@ -119,11 +120,23 @@ class ServeReport:
     #: end of run: 1 - peak_live/peak_reserved (0.0 = no pool waste).
     kv_fragmentation: float = 0.0
 
-    def to_dict(self) -> dict:
+    def to_json(self) -> dict:
         return to_jsonable(self)
 
-    def to_json(self) -> str:
-        return dumps_json(self.to_dict())
+    def summary(self, tp: int) -> str:
+        """The ``repro serve`` text; ``tp`` is the engine's
+        tensor-parallel size, which the report does not record."""
+        return (
+            f"served {self.num_requests} request(s), policy {self.policy}, "
+            f"tp={tp}: {self.tokens_generated} token(s) in "
+            f"{1e3 * self.elapsed_s:.2f} ms simulated "
+            f"({self.tokens_per_s:.0f} tok/s)\n"
+            f"  preemptions {self.preemptions}, resumes {self.resumes}, "
+            f"peak KV occupancy {pct(self.peak_kv_occupancy)}, "
+            f"KV drift {self.kv_drift_bytes:.0f} B, "
+            f"KV fragmentation {pct(self.kv_fragmentation)}\n"
+            f"  token latency p50 {1e3 * self.p50_token_latency_s:.3f} ms, "
+            f"p95 {1e3 * self.p95_token_latency_s:.3f} ms")
 
 
 class ContinuousBatchingScheduler:

@@ -12,10 +12,10 @@ Four contracts under test:
    on the seed configurations;
 3. **Determinism** — ``repro bench`` writes byte-identical
    ``BENCH_<preset>.json`` documents across runs at the same seed, and
-   the committed baselines match a fresh run;
+   the committed baselines are a fresh run's bytes;
 4. **Gate** — :func:`repro.observability.regress.compare` passes on
-   identical documents and fails, naming the metric, when one is
-   perturbed beyond tolerance.
+   identical documents and fails, naming the metric and its owner, when
+   one is perturbed beyond tolerance.
 """
 
 import copy
@@ -51,6 +51,8 @@ from repro.observability.analysis import BUCKETS
 from repro.observability.regress import (
     DEFAULT_BASELINE_DIR,
     PRESET_NAMES,
+    PRESETS,
+    TOLERANCES,
     bench_filename,
     flatten,
     load_bench,
@@ -209,19 +211,19 @@ class TestBenchDeterminism:
         assert run_preset("tiny", steps=3)["trace_hash"] != a["trace_hash"]
 
     @pytest.mark.parametrize("preset", PRESET_NAMES)
-    def test_committed_baselines_match_fresh_run(self, preset):
+    def test_committed_baselines_match_fresh_run(self, preset, tmp_path):
+        """The committed baseline is the fresh document, byte for byte
+        (the failure message lists what moved, with tolerances)."""
         baseline_path = os.path.join(REPO_ROOT, DEFAULT_BASELINE_DIR,
                                      bench_filename(preset))
         assert os.path.exists(baseline_path), (
-            "run `python -m repro bench` and commit the baselines")
-        assert compare(load_bench(baseline_path), preset_doc(preset)) == []
-
-    def test_repo_root_bench_matches_baselines(self):
-        for preset in PRESET_NAMES:
-            root = os.path.join(REPO_ROOT, bench_filename(preset))
-            base = os.path.join(REPO_ROOT, DEFAULT_BASELINE_DIR,
-                                bench_filename(preset))
-            assert open(root, "rb").read() == open(base, "rb").read()
+            "run `python -m repro bench --output-dir benchmarks/baselines` "
+            "and commit the baselines")
+        doc = preset_doc(preset)
+        with open(write_bench(doc, str(tmp_path)), "rb") as fresh, \
+                open(baseline_path, "rb") as committed:
+            assert fresh.read() == committed.read(), [
+                str(r) for r in compare(load_bench(baseline_path), doc)]
 
 
 class TestRegressionGate:
@@ -265,6 +267,42 @@ class TestRegressionGate:
         assert tolerance_for("utilization.mfu_delta") == ("abs", 1e-3)
         assert tolerance_for("utilization.mfu") == ("rel", 0.02)
         assert tolerance_for("something_else") == ("rel", 0.02)
+
+    def test_preset_tolerance_rows_agree(self):
+        """Each preset states its rows once; one prefix never carries two
+        tolerances, so the merged table is every row's own."""
+        for row in PRESETS.values():
+            for prefix, tol in row.tolerances:
+                assert TOLERANCES[prefix] == tol, prefix
+
+    @pytest.mark.parametrize("preset,key,owner", [
+        ("chaos", "resilience.goodput", "ResilienceReport"),
+        ("serve", "serving.tokens_per_s", "ServeReport"),
+        ("chaos_serve", "fleet.goodput", "FleetReport"),
+        ("fleet_obs", "telemetry.detection_recall", "MonitorReport"),
+        ("memprof", "fragmentation.max_fragmentation", "MemprofReport"),
+        ("longctx", "longctx.ring.loss", "LongctxReport"),
+        # a two-arm comparison and the shared blocks name their builder
+        ("serve", "serving.continuous_vs_static_speedup",
+         "_swap_vs_recompute_vs_static"),
+        ("chaos_serve", "fleet.clean_goodput", "faulted_vs_clean"),
+        ("chaos", "counts.spans", "_counts"),
+        ("chaos", "attribution.totals.forward", "_traced_training_blocks"),
+        ("longctx", "trace_hash", "trace_hash"),
+    ])
+    def test_perturbed_key_names_its_owner(self, preset, key, owner):
+        baseline = load_bench(os.path.join(
+            REPO_ROOT, DEFAULT_BASELINE_DIR, bench_filename(preset)))
+        current = copy.deepcopy(baseline)
+        *outer, leaf = key.split(".")
+        block = current
+        for part in outer:
+            block = block[part]
+        value = block[leaf]
+        block[leaf] = value[::-1] if isinstance(value, str) else value / 2
+        [regression] = compare(baseline, current)
+        assert regression.key == key
+        assert str(regression).startswith(f"{key} [{owner}]: ")
 
     def test_flatten_produces_dotted_scalars(self):
         flat = flatten({"a": {"b": {"c": 1}}, "d": 2.5})

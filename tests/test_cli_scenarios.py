@@ -13,8 +13,9 @@ cannot move a flag, default, choice or type either.
 *intentional* change.
 
 The "two doors" tests state the other half of the contract: a CLI
-command at its defaults and the ``repro bench`` preset of the same name
-are the same run, so their numbers agree exactly.
+command at a preset's seed and the ``repro bench`` preset are the same
+run, so every key the preset reads off the run's report value is the
+command's ``--json`` value at the same path.
 """
 
 import argparse
@@ -34,8 +35,8 @@ from repro import scenarios
 from repro.cli import main
 from repro.errors import ConfigError
 
-GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                          "golden")
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GOLDEN_DIR = os.path.join(REPO_ROOT, "tests", "golden")
 GOLDEN_PATH = os.path.join(GOLDEN_DIR, "cli_sha256.json")
 PARSER_GOLDEN_PATH = os.path.join(GOLDEN_DIR, "cli_parser.json")
 
@@ -190,27 +191,51 @@ def test_cli_output_matches_golden(row_id, argv, artifacts, tmp_path, golden):
     assert _digests(argv, artifacts, str(tmp_path)) == golden[row_id]
 
 
+def _at(doc, dotted: str):
+    for part in dotted.split("."):
+        doc = doc[part]
+    return doc
+
+
+#: preset -> the ``repro <command> --json`` document its report value is,
+#: at the preset's seed (1234) and steps (2); the longctx preset's report
+#: holds one run per layout.
+DOORS = {
+    "chaos": lambda: _run_json(["chaos", "--seed", "1234", "--steps", "2",
+                                "--json"]),
+    "serve": lambda: _run_json(["serve", "--seed", "1234", "--json"]),
+    "chaos_serve": lambda: _run_json(["fleet", "--seed", "1234", "--json"]),
+    "fleet_obs": lambda: _run_json(["monitor", "--seed", "1234", "--json"]),
+    "memprof": lambda: _run_json([
+        "memprofile", "--config", "small", "--tp", "2",
+        "--sequence-parallel", "--seed", "1234", "--output-dir", "out",
+        "--json"]),
+    "longctx": lambda: {layout: _run_json(["longctx", "--layout", layout,
+                                           "--seed", "1234", "--json"])
+                        for layout in ("ulysses", "ring")},
+}
+
+
 class TestOneScenarioTwoDoors:
-    def test_fleet_command_is_the_chaos_serve_preset(self):
-        report = _run_json(["fleet", "--json"])
-        gated = preset_doc("chaos_serve")["fleet"]
-        for key in ("useful_s", "wasted_s", "tokens_generated"):
-            assert report[key] == gated[key], key
-
-    def test_serve_command_is_the_serve_preset(self):
-        report = _run_json(["serve", "--json"])
-        gated = preset_doc("serve")["serving"]
-        for key in ("tokens_per_s", "preemptions"):
-            assert report[key] == gated[key], key
-
-    def test_longctx_command_is_the_longctx_preset(self):
-        gated = preset_doc("longctx")["longctx"]
-        for layout in ("ulysses", "ring"):
-            doc = _run_json(["longctx", "--layout", layout, "--seed", "1234",
-                             "--json"])
-            assert doc["loss"] == gated[layout]["loss"]
-            assert doc["traced_comm_bytes"] == \
-                gated[layout]["traced_comm_bytes"]
+    @pytest.mark.parametrize("preset", DOORS)
+    def test_every_picked_bench_key_is_the_command_json(
+            self, preset, tmp_path, monkeypatch):
+        """Every key a preset reads off its report value holds, in the
+        BENCH document, exactly what the same path holds in the
+        matching command's ``--json`` document."""
+        from repro.observability.regress import PRESETS
+        monkeypatch.chdir(tmp_path)
+        door, bench = DOORS[preset](), preset_doc(preset)
+        checked = 0
+        for section, keys in PRESETS[preset].picks.items():
+            for key in keys.split():
+                path, _, name = key.partition(":")
+                value = _at(door, path.lstrip("#"))
+                name = name or path.lstrip("#").split(".")[-1]
+                assert _at(bench, f"{section}.{name}") == (
+                    len(value) if path.startswith("#") else value), key
+                checked += 1
+        assert checked >= 4
 
 
 class TestInvalidConfigurations:
@@ -300,6 +325,29 @@ class TestInvalidConfigurations:
             "repro: error: base/BENCH_chaos.json is not a BENCH document: ")
         assert needle in captured.err
 
+    @pytest.mark.parametrize("output_dir,baseline_dir", [
+        ("same", "same"), ("./same", "same/")])
+    def test_bench_check_refuses_to_gate_baselines_against_themselves(
+            self, output_dir, baseline_dir, capsys, tmp_path, monkeypatch):
+        """The fresh documents would overwrite the baselines and then pass
+        against themselves: a regressed baseline must not be gated OK."""
+        (tmp_path / "same").mkdir()
+        with open(os.path.join(REPO_ROOT, "benchmarks", "baselines",
+                               "BENCH_chaos.json")) as fh:
+            doc = json.load(fh)
+        doc["resilience"]["goodput"] = 0.01
+        baseline = tmp_path / "same" / "BENCH_chaos.json"
+        baseline.write_text(json.dumps(doc))
+        before = baseline.read_bytes()
+        monkeypatch.chdir(tmp_path)
+        assert main(["bench", "--preset", "chaos", "--output-dir", output_dir,
+                     "--baseline-dir", baseline_dir, "--check"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "repro: error: --check needs an --output-dir other than")
+        assert baseline.read_bytes() == before
+
     def test_fixed_chaos_plan_names_its_replica_minimum(self):
         with pytest.raises(ConfigError, match="at least 3 replicas"):
             scenarios.fleet_fault_plan(0, 1.0, replicas=2)
@@ -326,8 +374,8 @@ class TestBenchCommand:
     def test_every_preset_is_one_registry_entry(self):
         from repro.observability import regress
         assert regress.PRESET_NAMES == tuple(regress.PRESETS)
-        for runner, summary in regress.PRESETS.values():
-            assert callable(runner) and callable(summary)
+        for row in regress.PRESETS.values():
+            assert callable(row.run) and callable(row.headline)
         with pytest.raises(ValueError, match="unknown preset"):
             regress.run_preset("nope")
 
@@ -340,6 +388,7 @@ class TestBenchCommand:
     # monitor's --slo-ttft-s is the burn-rate budget, not the shed SLO
     ("monitor", scenarios.chaos_fleet, ("slo_ttft_s",)),
     ("monitor", scenarios.monitored_fleet, ()),
+    ("memprofile", scenarios.profiled_layer, ()),
     ("compile", scenarios.compiled_eager_twins, ()),
     ("longctx", scenarios.context_parallel_step, ()),
 ])

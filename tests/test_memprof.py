@@ -306,7 +306,7 @@ class TestFragmentationSurfacing:
             cfg, num_requests=4, seed=0, prompt_lengths=(1, 3),
             new_tokens=(2, 6)))
         assert report.kv_fragmentation == cache.arena.stats.fragmentation
-        assert report.to_dict()["kv_fragmentation"] == \
+        assert report.to_json()["kv_fragmentation"] == \
             report.kv_fragmentation
 
     def test_fleet_report_surfaces_worst_replica_fragmentation(self):
