@@ -77,17 +77,16 @@ wall-history:
 # from outside (8: tensor.abstract, zeros(abstract=True), bernoulli_mask,
 # reshape's resolved target, the two layouts' `place`, layer norm's gamma
 # and beta) — a derived shape goes through the trusted `shaped`; and the
-# `rank_local = True` declarations in src/ (per-rank maps that
-# tensor.apply runs once, on rank 0, over abstract inputs) — each one is
-# covered by its strategy in the CASES table of tests/test_rank_local.py,
-# whose oracle compares the projected run with the per-rank run and fails
-# on a declaration without a strategy; and the shared-list rule of
-# tensor/backend.py: per-rank abstract constructions in src/ (one
-# AbstractArray / shaped per rank where one instance shared across ranks
-# would do; 9 before the rule).  Two survive: backend.split, whose pieces
-# are different tensors on one rank, and ScaleMaskSoftmaxDropout's
-# forward, a rank-local class whose unprojected (ring or profiled) run is
-# a per-rank map that tests/test_rank_local.py pins; and add_argument(
+# `rank_local = True` declarations in src/ (0: the flag is gone — a
+# per-rank op hands one shard's kernel to tensor.map_shards, which owns
+# the rank loop and the abstract projection, and tests/test_rank_local.py
+# checks the mapper's contract; 22 while each op claimed rank-locality by
+# flag), and the lines of tensor/functions.py (1 005 while each op wrote
+# its own rank loop); and the shared-list rule of tensor/backend.py:
+# per-rank abstract constructions in src/ (one AbstractArray / shaped per
+# rank where one instance shared across ranks would do; 9 before the
+# rule).  One survives: backend.split, whose pieces are different tensors
+# on one rank; and add_argument(
 # calls in cli.py (a flag is one row of its _FLAGS table, and one loop
 # builds every sub-command; 80 calls before the table); and the defaulted
 # keyword options of ContinuousBatchingScheduler, FleetRouter and
@@ -126,6 +125,7 @@ loc:
 		'src/ np.broadcast_shapes( calls' "$$(grep -rn --include='*.py' 'np\.broadcast_shapes(' src | wc -l)" \
 		'src/ validating AbstractArray( constructions (doors)' "$$(grep -rn --include='*.py' 'AbstractArray(' src | grep -v 'AbstractArray(shape=' | wc -l)" \
 		'src/ rank_local Function declarations' "$$(grep -rn --include='*.py' 'rank_local = True' src | wc -l)" \
+		'tensor/functions.py lines' "$$(wc -l < src/repro/tensor/functions.py)" \
 		'src/ per-rank abstract constructions' "$$(grep -rnE --include='*.py' '(AbstractArray|shaped)\(.*for _ in' src | wc -l)" \
 		'cli.py add_argument( calls' "$$(grep -c 'add_argument(' src/repro/cli.py)" \
 		'serving/ + fleet/ constructor keyword options' "$$(PYTHONPATH=src $(PY) -c 'import inspect; from repro.serving import ContinuousBatchingScheduler as S; from repro.fleet import FleetRouter as R, build_fleet as B; print(sum(p.default is not p.empty for f in (S.__init__, R.__init__, B) for p in inspect.signature(f).parameters.values()))')" \

@@ -27,8 +27,9 @@ from repro.training import (
 
 def masked_loss(model, ids, targets, mask, world):
     mask_t = Tensor([mask] * world, dtype=FP32)
-    return model(token_tensor(ids, world=world),
-                 token_tensor(targets, world=world), loss_mask=mask_t)
+    v = model.config.vocab_size
+    return model(token_tensor(ids, v, world=world),
+                 token_tensor(targets, v, world=world), loss_mask=mask_t)
 
 
 def main() -> None:
@@ -71,9 +72,7 @@ def main() -> None:
 
     ids, targets, mask = data.batch(8)
     with no_grad(), evaluation(model):
-        mask_t = Tensor([mask] * 2, dtype=FP32)
-        val = model(token_tensor(ids, world=2), token_tensor(targets, world=2),
-                    loss_mask=mask_t).item()
+        val = masked_loss(model, ids, targets, mask, 2).item()
     print(f"validation masked loss {val:.4f} "
           f"(perplexity {np.exp(val):.2f}; uniform would be "
           f"{config.vocab_size})")

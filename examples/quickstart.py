@@ -25,6 +25,7 @@ def main() -> None:
     rng = np.random.default_rng(0)
     ids = rng.integers(0, config.vocab_size, size=(config.seq_length, 2))
     targets = rng.integers(0, config.vocab_size, size=(config.seq_length, 2))
+    v = config.vocab_size  # every token id must be an integer in [0, v)
 
     # A deterministic mask source lets dropout stay ON while comparing
     # layouts bit-for-bit.
@@ -32,7 +33,7 @@ def main() -> None:
 
     print("== 1. Serial reference model ==")
     serial = GPTModel(config, seed=1, mask_source=masks)
-    loss = serial(token_tensor(ids), token_tensor(targets))
+    loss = serial(token_tensor(ids, v), token_tensor(targets, v))
     loss.backward()
     print(f"loss = {loss.item():.6f}  (~log V = {np.log(config.vocab_size):.3f})")
 
@@ -41,7 +42,7 @@ def main() -> None:
         config, tensor_parallel=4, sequence_parallel=True,
         recompute=Recompute.SELECTIVE, mask_source=masks, serial=serial,
     )
-    ploss = parallel(token_tensor(ids, world=4), token_tensor(targets, world=4))
+    ploss = parallel(token_tensor(ids, v, world=4), token_tensor(targets, v, world=4))
     ploss.backward()
     parallel.finish_grad_sync()
     print(f"loss = {ploss.item():.6f}  "
@@ -69,7 +70,7 @@ def main() -> None:
                                  num_layers_override=1)
         tracker = MemoryTracker()
         with instrument(memory=tracker):
-            x = model.embedding(token_tensor(ids, world=t))
+            x = model.embedding(token_tensor(ids, v, world=t))
             before = tracker.live_bytes(0)
             model.layers[0](x)
             measured = tracker.live_bytes(0) - before

@@ -25,51 +25,18 @@ and saved buffers are always fresh arrays.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from ..errors import ShapeError
 from ..tensor import backend as bk
-from ..tensor.context import ctx
 from ..tensor.dtypes import FP16, FP32, MASK
-from ..tensor.functions import (CausalMask, MaskSource, _causal_keep,
+from ..tensor.functions import (CausalMask, Dropout, MaskSource, _causal_keep,
                                 _gelu_bwd, _gelu_fwd, _offset_keep,
-                                _unbroadcast, _widths)
-from ..tensor.tensor import FnCtx, Function, ShardList, Tensor, apply
+                                _unbroadcast, _widths, _xent, _xent_backward)
+from ..tensor.tensor import FnCtx, Function, ShardList, Tensor, apply, map_shards
 from .arena import default_arena
-
-
-def _draw_masks(fctx: FnCtx, p: float, mode: str, shard_axis: int, tag: str,
-                mask_source: Optional[MaskSource], shape, world: int,
-                abstract: bool) -> ShardList:
-    """Exactly the unfused ``Dropout.forward`` mask-draw sequence, so the
-    RNG stream (and therefore every mask bit) matches the unfused tape."""
-    keep = 1.0 - p
-    if mode == "replicated":
-        if mask_source is not None and not abstract:
-            mask = mask_source.full_mask(tag, shape)
-        else:
-            mask = bk.bernoulli_mask(shape, keep, ctx().rng, abstract)
-        return [mask] * world
-    if mask_source is not None and not abstract:
-        full_shape = list(shape)
-        full_shape[shard_axis] *= world
-        full = mask_source.full_mask(tag, tuple(full_shape))
-        return [
-            bk.slice_axis(full, shard_axis, r * shape[shard_axis],
-                          (r + 1) * shape[shard_axis])
-            for r in range(world)
-        ]
-    return [bk.bernoulli_mask(shape, keep, ctx().rng, abstract)
-            for _ in range(world)]
-
-
-def _check_dropout_args(p: float, mode: str) -> None:
-    if not (0.0 <= p < 1.0):
-        raise ShapeError(f"dropout p must be in [0, 1), got {p}")
-    if mode not in ("replicated", "sharded"):
-        raise ShapeError(f"unknown dropout mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -85,22 +52,9 @@ class BiasGelu(Function):
     """
 
     name = "bias_gelu"
-    rank_local = True
 
     def forward(self, fctx: FnCtx, x: ShardList, bias: ShardList) -> ShardList:
-        arena = default_arena()
-        z_list, out = [], []
-        for xi, bi in zip(x, bias):
-            if bk.is_abstract(xi):
-                z_list.append(bk.shaped(bk.shape_of(xi)))
-                out.append(bk.shaped(bk.shape_of(xi)))
-                continue
-            z = xi + bi
-            t = arena.take(z.shape)
-            y = _gelu_fwd(z, t)
-            arena.give(t)
-            z_list.append(z)
-            out.append(y)
+        z_list, out = map_shards(_bias_gelu, x, bias)
         fctx.misc["z_slot"] = fctx.save_new(z_list, FP16, category="gelu_input")
         fctx.misc["bias_shape"] = bk.shape_of(bias[0])
         n = bk.size_of(x[0])
@@ -110,24 +64,34 @@ class BiasGelu(Function):
         return out
 
     def backward(self, fctx: FnCtx, grad: ShardList):
-        arena = default_arena()
         z_list = fctx.saved(fctx.misc["z_slot"])
         bias_shape = fctx.misc["bias_shape"]
         n = bk.size_of(grad[0])
         fctx.log_elementwise("bias_gelu.bwd", bytes_moved=6 * n,
                              flops_per_rank=17 * n, fused=True)
-        dx, db = [], []
-        for g, z in zip(grad, z_list):
+
+        def _grads(g, z):
             if bk.is_abstract(g) or bk.is_abstract(z):
-                dx.append(bk.shaped(bk.shape_of(z)))
-                db.append(bk.shaped(bias_shape))
-                continue
+                return bk.shaped(z.shape), bk.shaped(bias_shape)
+            arena = default_arena()
             scratch = [arena.take(z.shape) for _ in range(3)]
             d = _gelu_bwd(z, g, scratch)
             arena.give(*scratch)
-            dx.append(d)
-            db.append(_unbroadcast(d, bias_shape))
-        return dx, db
+            return d, _unbroadcast(d, bias_shape)
+
+        return map_shards(_grads, grad, z_list)
+
+
+def _bias_gelu(x, bias):
+    """One shard's ``(z, gelu(z))`` for ``z = x + bias``."""
+    if bk.is_abstract(x):
+        return bk.shaped(x.shape), bk.shaped(x.shape)
+    z = x + bias
+    arena = default_arena()
+    t = arena.take(z.shape)
+    y = _gelu_fwd(z, t)
+    arena.give(t)
+    return z, y
 
 
 def bias_gelu(x: Tensor, bias: Tensor) -> Tensor:
@@ -151,34 +115,22 @@ class ScaleMaskSoftmaxDropout(Function):
     :class:`repro.tensor.functions.OffsetCausalMask`: scores are
     ``(..., s/w, s)`` panels (ring attention), and rank ``r``'s tril is
     shifted by ``r * s/w`` rows.  With one shard the two modes coincide.
-    A ring instance is not :attr:`~repro.tensor.tensor.Function.rank_local`.
+    The shifted tril reads the rank, so the ring mode keeps its own rank
+    loop where the causal mode maps one shard's kernel.
     """
 
     name = "scale_mask_softmax_dropout"
-    rank_local = True
 
     def __init__(self, scale: float, p: float, mode: str = "replicated",
                  shard_axis: int = 1, tag: str = "",
                  mask_source: Optional[MaskSource] = None,
                  ring: bool = False):
-        _check_dropout_args(p, mode)
         self.scale = float(scale)
-        self.p = p
-        self.mode = mode
-        self.shard_axis = shard_axis
-        self.tag = tag
-        self.mask_source = mask_source
+        self.dropout = Dropout(p, mode=mode, shard_axis=shard_axis, tag=tag,
+                               mask_source=mask_source)
         self.ring = ring
-        if ring:  # rank r's tril and the shape check read the world
-            self.rank_local = False
-
-    def _keep(self, shape, rank: int) -> Tuple[np.ndarray, np.ndarray]:
-        if self.ring:
-            return _offset_keep(shape[-2], shape[-1], rank * shape[-2])
-        return _causal_keep(shape)
 
     def forward(self, fctx: FnCtx, x: ShardList) -> ShardList:
-        arena = default_arena()
         shape = bk.shape_of(x[0])
         world = len(x)
         if self.ring:
@@ -188,58 +140,31 @@ class ScaleMaskSoftmaxDropout(Function):
                     f"shards, got {shape}")
         elif len(shape) < 2 or shape[-1] != shape[-2]:
             raise ShapeError(f"causal mask needs (..., s, s) scores, got {shape}")
-        abstract = bk.is_abstract(x[0])
-        has_dropout = not (self.p == 0.0 and self.mask_source is None)
-        y_list = []
-        if abstract:
-            # One output per rank, unlike the shared-list rule: run per
-            # rank (a ring instance, or any under a memory profiler) a
-            # rank-local class stays a per-rank map, as the per-rank oracle
-            # of tests/test_rank_local.py pins.
-            y_list = [bk.shaped(shape) for _ in range(world)]
-        else:
-            for r, xi in enumerate(x):
-                _, masked_tril = self._keep(shape, r)
-                t = arena.take(shape)
-                np.multiply(xi, self.scale, out=t)
-                np.copyto(t, CausalMask.MASKED_VALUE, where=masked_tril)
-                np.subtract(t, bk.max_(t, axis=-1, keepdims=True), out=t)
-                np.exp(t, out=t)
-                y = np.empty(shape)
-                np.divide(t, bk.sum_(t, axis=-1, keepdims=True), out=y)
-                arena.give(t)
-                y_list.append(y)
+        if not self.ring:
+            y_list = map_shards(lambda xi: self._probs(xi, 0), x)
+        elif bk.is_abstract(x[0]):
+            y_list = [bk.shaped(shape)] * world
+        else:  # rank r's panel holds rows r*s/w onwards: its tril is shifted so
+            y_list = [self._probs(xi, r * shape[-2]) for r, xi in enumerate(x)]
         fctx.misc["y_slot"] = fctx.save_new(y_list, FP16, category="softmax_output")
         n = bk.size_of(x[0])
-        if not has_dropout:
+        fctx.misc["has_dropout"] = not self.dropout.identity
+        if self.dropout.identity:
             # Identity dropout: the output *is* the saved softmax output,
             # matching the unfused chain where Dropout passes buffers
             # through untouched (identity-dedup parity in the tracker).
             fctx.log_elementwise("scale_mask_softmax_dropout", bytes_moved=4 * n,
                                  flops_per_rank=6 * n, fused=True)
-            fctx.misc["has_dropout"] = False
             return list(y_list)
-        keep = 1.0 - self.p
-        masks = _draw_masks(fctx, self.p, self.mode, self.shard_axis, self.tag,
-                            self.mask_source, shape, world, abstract)
+        keep = fctx.misc["keep"] = 1.0 - self.dropout.p
+        masks = self.dropout.masks(x)
         fctx.misc["mask_slot"] = fctx.save_new(masks, MASK, category="dropout_mask")
-        fctx.misc["keep"] = keep
-        fctx.misc["has_dropout"] = True
-        out = []
-        for yi, m in zip(y_list, masks):
-            if abstract:
-                out.append(bk.shaped(shape))
-                continue
-            o = np.empty(shape)
-            np.multiply(yi, m, out=o)
-            np.divide(o, keep, out=o)
-            out.append(o)
+        out = map_shards(lambda y, m: _dropped(y, m, keep), y_list, masks)
         fctx.log_elementwise("scale_mask_softmax_dropout", bytes_moved=7 * n,
                              flops_per_rank=8 * n, fused=True)
         return out
 
     def backward(self, fctx: FnCtx, grad: ShardList):
-        arena = default_arena()
         y_list = fctx.saved(fctx.misc["y_slot"])
         has_dropout = fctx.misc["has_dropout"]
         n = bk.size_of(grad[0])
@@ -257,28 +182,60 @@ class ScaleMaskSoftmaxDropout(Function):
                                  fused=True)
         if bk.is_abstract(grad[0]) or bk.is_abstract(y_list[0]):
             return ([bk.shaped(bk.shape_of(y_list[0]))] * len(grad),)
-        out = []
-        for r, (g, yi, m) in enumerate(zip(grad, y_list, masks)):
-            shape = yi.shape
-            keep_tril, _ = self._keep(shape, r)
-            t1 = arena.take(shape)
-            if has_dropout:
-                np.multiply(g, m, out=t1)
-                np.divide(t1, keep, out=t1)     # dropout bwd: g*m/keep
-                gsm = t1
-            else:
-                gsm = g
-            t2 = arena.take(shape)
-            np.multiply(gsm, yi, out=t2)        # gy = g*y
-            s_ = bk.sum_(t2, axis=-1, keepdims=True)
-            np.multiply(yi, s_, out=t1)         # y*sum(gy)
-            dx = np.empty(shape)
-            np.subtract(t2, t1, out=dx)         # softmax bwd
-            np.multiply(dx, keep_tril, out=dx)  # causal mask bwd
-            np.multiply(dx, self.scale, out=dx)  # scale bwd
-            arena.give(t1, t2)
-            out.append(dx)
-        return (out,)
+        if not self.ring:
+            return (map_shards(lambda g, y, m: self._probs_grad(g, y, m, keep, 0),
+                               grad, y_list, masks),)
+        rows = bk.shape_of(y_list[0])[-2]
+        return ([self._probs_grad(g, y, m, keep, r * rows)
+                 for r, (g, y, m) in enumerate(zip(grad, y_list, masks))],)
+
+    def _probs(self, x, offset: int):
+        """One shard's ``softmax(mask(x * scale))`` under the causal tril
+        shifted ``offset`` columns right (0: the plain causal mask)."""
+        if bk.is_abstract(x):
+            return bk.shaped(x.shape)
+        masked_tril = _offset_keep(*x.shape[-2:], offset)[1]
+        arena = default_arena()
+        t = arena.take(x.shape)
+        np.multiply(x, self.scale, out=t)
+        np.copyto(t, CausalMask.MASKED_VALUE, where=masked_tril)
+        np.subtract(t, bk.max_(t, axis=-1, keepdims=True), out=t)
+        np.exp(t, out=t)
+        y = np.empty(x.shape)
+        np.divide(t, bk.sum_(t, axis=-1, keepdims=True), out=y)
+        arena.give(t)
+        return y
+
+    def _probs_grad(self, g, y, m, keep, offset: int):
+        """One shard's gradient through dropout (mask ``m``, or none),
+        softmax, the ``offset`` causal mask and the scale."""
+        keep_tril = _offset_keep(*y.shape[-2:], offset)[0]
+        arena = default_arena()
+        t1 = arena.take(y.shape)
+        if m is not None:
+            np.multiply(g, m, out=t1)
+            np.divide(t1, keep, out=t1)     # dropout bwd: g*m/keep
+            g = t1
+        t2 = arena.take(y.shape)
+        np.multiply(g, y, out=t2)           # gy = g*y
+        s_ = bk.sum_(t2, axis=-1, keepdims=True)
+        np.multiply(y, s_, out=t1)          # y*sum(gy)
+        dx = np.empty(y.shape)
+        np.subtract(t2, t1, out=dx)         # softmax bwd
+        np.multiply(dx, keep_tril, out=dx)  # causal mask bwd
+        np.multiply(dx, self.scale, out=dx)  # scale bwd
+        arena.give(t1, t2)
+        return dx
+
+
+def _dropped(x, m, keep: float):
+    """One shard's inverted dropout ``x * m / keep`` into a fresh array."""
+    if bk.is_abstract(x):
+        return bk.shaped(x.shape)
+    o = np.empty(x.shape)
+    np.multiply(x, m, out=o)
+    np.divide(o, keep, out=o)
+    return o
 
 
 def scale_mask_softmax_dropout(x: Tensor, scale: float, p: float,
@@ -305,7 +262,6 @@ class FusedLayerNorm(Function):
     """
 
     name = "fused_layernorm"
-    rank_local = True
 
     def __init__(self, eps: float = 1e-5):
         self.eps = eps
@@ -314,66 +270,61 @@ class FusedLayerNorm(Function):
                 beta: ShardList) -> ShardList:
         fctx.misc["x_slot"] = fctx.save_input(0, category="layernorm_input")
         fctx.misc["gamma_slot"] = fctx.save_input(1)
-        out, stats = [], []
-        for xi, gi, bi in zip(x, gamma, beta):
-            if bk.is_abstract(xi):
-                out.append(bk.shaped(bk.shape_of(xi)))
-                stats.append(None)
-                continue
-            mu = bk.mean(xi, axis=-1, keepdims=True)
-            y = np.empty(xi.shape)
-            np.subtract(xi, mu, out=y)
-            var = bk.mean(y * y, axis=-1, keepdims=True)  # == np.var, bitwise
-            rstd = 1.0 / np.sqrt(var + self.eps)
-            np.divide(y, np.sqrt(var + self.eps), out=y)
-            np.multiply(y, gi, out=y)
-            np.add(y, bi, out=y)
-            out.append(y)
-            stats.append((mu, rstd))
-        fctx.misc["stats"] = stats
+        out, fctx.misc["stats"] = map_shards(self._norm, x, gamma, beta)
         w = _widths(fctx.inputs[0])[0]
         fctx.log_elementwise("fused_layernorm", bytes_moved=2 * w * bk.size_of(x[0]),
                              flops_per_rank=8 * bk.size_of(x[0]), fused=True)
         return out
 
     def backward(self, fctx: FnCtx, grad: ShardList):
-        arena = default_arena()
         x = fctx.saved(fctx.misc["x_slot"])
         gamma = fctx.saved(fctx.misc["gamma_slot"])
-        stats = fctx.misc["stats"]
         n = bk.size_of(grad[0])
         fctx.log_elementwise("fused_layernorm.bwd", bytes_moved=6 * n,
                              flops_per_rank=12 * n, fused=True)
-        dx, dgamma, dbeta = [], [], []
-        for g, xi, gi, st in zip(grad, x, gamma, stats):
-            if bk.is_abstract(g) or bk.is_abstract(xi):
-                dx.append(bk.shaped(bk.shape_of(xi)))
-                dgamma.append(bk.shaped(bk.shape_of(gi)))
-                dbeta.append(bk.shaped(bk.shape_of(gi)))
-                continue
-            mu, rstd = st
-            shape = xi.shape
-            xhat = arena.take(shape)
-            np.subtract(xi, mu, out=xhat)
-            np.multiply(xhat, rstd, out=xhat)
-            reduce_axes = tuple(range(xi.ndim - 1))
-            t2 = arena.take(shape)
-            np.multiply(g, xhat, out=t2)
-            dgamma.append(bk.sum_(t2, axis=reduce_axes))
-            dbeta.append(bk.sum_(g, axis=reduce_axes))
-            np.multiply(g, gi, out=t2)          # dxhat
-            m1 = bk.mean(t2, axis=-1, keepdims=True)
-            t3 = arena.take(shape)
-            np.multiply(t2, xhat, out=t3)
-            m2 = bk.mean(t3, axis=-1, keepdims=True)
-            np.multiply(xhat, m2, out=t3)       # xhat*mean(dxhat*xhat)
-            np.subtract(t2, m1, out=t2)
-            np.subtract(t2, t3, out=t2)
-            d = np.empty(shape)
-            np.multiply(t2, rstd, out=d)
-            arena.give(xhat, t2, t3)
-            dx.append(d)
-        return dx, dgamma, dbeta
+        return map_shards(_norm_grads, grad, x, gamma, fctx.misc["stats"])
+
+    def _norm(self, x, gamma, beta):
+        """One shard's output and its ``(mean, rstd)`` statistics."""
+        if bk.is_abstract(x):
+            return bk.shaped(x.shape), None
+        mu = bk.mean(x, axis=-1, keepdims=True)
+        y = np.empty(x.shape)
+        np.subtract(x, mu, out=y)
+        var = bk.mean(y * y, axis=-1, keepdims=True)  # == np.var, bitwise
+        rstd = 1.0 / np.sqrt(var + self.eps)
+        np.divide(y, np.sqrt(var + self.eps), out=y)
+        np.multiply(y, gamma, out=y)
+        np.add(y, beta, out=y)
+        return y, (mu, rstd)
+
+
+def _norm_grads(g, x, gamma, stats):
+    """One shard's ``(dx, dgamma, dbeta)`` from the stashed statistics."""
+    if bk.is_abstract(g) or bk.is_abstract(x):
+        return bk.shaped(x.shape), bk.shaped(gamma.shape), bk.shaped(gamma.shape)
+    mu, rstd = stats
+    arena = default_arena()
+    xhat = arena.take(x.shape)
+    np.subtract(x, mu, out=xhat)
+    np.multiply(xhat, rstd, out=xhat)
+    reduce_axes = tuple(range(x.ndim - 1))
+    t2 = arena.take(x.shape)
+    np.multiply(g, xhat, out=t2)
+    dgamma = bk.sum_(t2, axis=reduce_axes)
+    dbeta = bk.sum_(g, axis=reduce_axes)
+    np.multiply(g, gamma, out=t2)       # dxhat
+    m1 = bk.mean(t2, axis=-1, keepdims=True)
+    t3 = arena.take(x.shape)
+    np.multiply(t2, xhat, out=t3)
+    m2 = bk.mean(t3, axis=-1, keepdims=True)
+    np.multiply(xhat, m2, out=t3)       # xhat*mean(dxhat*xhat)
+    np.subtract(t2, m1, out=t2)
+    np.subtract(t2, t3, out=t2)
+    dx = np.empty(x.shape)
+    np.multiply(t2, rstd, out=dx)
+    arena.give(xhat, t2, t3)
+    return dx, dgamma, dbeta
 
 
 def fused_layernorm(x: Tensor, gamma: Tensor, beta: Tensor,
@@ -397,36 +348,25 @@ class DropoutAdd(Function):
     """
 
     name = "dropout_add"
-    rank_local = True
 
     def __init__(self, p: float, mode: str = "replicated", shard_axis: int = 0,
                  tag: str = "", mask_source: Optional[MaskSource] = None):
-        _check_dropout_args(p, mode)
-        self.p = p
-        self.mode = mode
-        self.shard_axis = shard_axis
-        self.tag = tag
-        self.mask_source = mask_source
+        self.dropout = Dropout(p, mode=mode, shard_axis=shard_axis, tag=tag,
+                               mask_source=mask_source)
 
     def forward(self, fctx: FnCtx, x: ShardList, residual: ShardList) -> ShardList:
-        shape = bk.shape_of(x[0])
-        world = len(x)
-        abstract = bk.is_abstract(x[0])
-        keep = 1.0 - self.p
-        masks = _draw_masks(fctx, self.p, self.mode, self.shard_axis, self.tag,
-                            self.mask_source, shape, world, abstract)
+        keep = fctx.misc["keep"] = 1.0 - self.dropout.p
+        masks = self.dropout.masks(x)
         fctx.misc["mask_slot"] = fctx.save_new(masks, MASK, category="dropout_mask")
-        fctx.misc["keep"] = keep
-        out = []
-        for xi, m, res in zip(x, masks, residual):
-            if abstract:
-                out.append(bk.shaped(shape))
-                continue
-            o = np.empty(shape)
-            np.multiply(xi, m, out=o)
-            np.divide(o, keep, out=o)
+
+        def _shard(xi, m, res):
+            if bk.is_abstract(xi):
+                return bk.shaped(xi.shape)
+            o = _dropped(xi, m, keep)
             np.add(o, res, out=o)
-            out.append(o)
+            return o
+
+        out = map_shards(_shard, x, masks, residual)
         n = bk.size_of(x[0])
         fctx.log_elementwise("dropout_add", bytes_moved=7 * n,
                              flops_per_rank=3 * n, fused=True)
@@ -438,18 +378,9 @@ class DropoutAdd(Function):
         n = bk.size_of(grad[0])
         fctx.log_elementwise("dropout_add.bwd", bytes_moved=5 * n,
                              flops_per_rank=2 * n, fused=True)
-        dx = []
-        for g, m in zip(grad, masks):
-            if bk.is_abstract(g):
-                dx.append(bk.shaped(bk.shape_of(g)))
-                continue
-            d = np.empty(g.shape)
-            np.multiply(g, m, out=d)
-            np.divide(d, keep, out=d)
-            dx.append(d)
         # Residual gradient is the incoming gradient itself (same buffers),
         # exactly like the unfused Add backward with equal shapes.
-        return dx, list(grad)
+        return map_shards(lambda g, m: _dropped(g, m, keep), grad, masks), list(grad)
 
 
 def dropout_add(x: Tensor, residual: Tensor, p: float,
@@ -476,7 +407,6 @@ class SoftmaxCrossEntropy(Function):
     """
 
     name = "softmax_xent"
-    rank_local = True
 
     def __init__(self, has_mask: bool = False):
         self.has_mask = has_mask
@@ -491,49 +421,14 @@ class SoftmaxCrossEntropy(Function):
         if self.has_mask:
             fctx.misc["mask_slot"] = fctx.save_input(2, category="loss_mask")
         fctx.out_dtypes = [FP32]
-        out = []
-        for r, (li, ti) in enumerate(zip(logits, targets)):
-            if bk.is_abstract(li):
-                out.append(bk.shaped(()))
-                continue
-            shifted = li - bk.max_(li, axis=-1, keepdims=True)
-            logz = np.log(bk.sum_(np.exp(shifted), axis=-1, keepdims=True))
-            logp = shifted - logz
-            picked = np.take_along_axis(logp, ti.astype(np.int64)[..., None],
-                                        axis=-1)[..., 0]
-            if self.has_mask:
-                m = np.asarray(mask[r], dtype=np.float64)
-                denom = m.sum()
-                if denom == 0:
-                    raise ShapeError("loss_mask masks out every token")
-                out.append(np.asarray(-(picked * m).sum() / denom))
-            else:
-                out.append(np.asarray(-bk.mean(picked)))
+        out = map_shards(_xent, logits, targets, *([mask] if self.has_mask else []))
         n = bk.size_of(logits[0])
         fctx.log_elementwise("softmax_xent", bytes_moved=4 * n,
                              flops_per_rank=5 * n, fused=True)
         return out
 
     def backward(self, fctx: FnCtx, grad: ShardList):
-        logits = fctx.saved(fctx.misc["logits_slot"])
-        targets = fctx.saved(fctx.misc["targets_slot"])
-        masks = fctx.saved(fctx.misc["mask_slot"]) if self.has_mask else None
-        out = []
-        for r, (g, li, ti) in enumerate(zip(grad, logits, targets)):
-            if bk.is_abstract(li):
-                out.append(bk.shaped(bk.shape_of(li)))
-                continue
-            shifted = li - bk.max_(li, axis=-1, keepdims=True)
-            e = np.exp(shifted)
-            p = e / bk.sum_(e, axis=-1, keepdims=True)
-            onehot = bk.one_hot_rows(ti, bk.shape_of(li)[-1])
-            scale_num = np.asarray(g, dtype=np.float64)
-            if self.has_mask:
-                m = np.asarray(masks[r], dtype=np.float64)
-                out.append((p - onehot) * m[..., None] * (scale_num / m.sum()))
-            else:
-                out.append((p - onehot) * (scale_num / bk.size_of(ti)))
-        return (out, None, None) if self.has_mask else (out, None)
+        return _xent_backward(fctx, grad, self.has_mask)
 
 
 def softmax_cross_entropy(logits: Tensor, targets: Tensor,

@@ -65,7 +65,7 @@ def _next_token_logits(model: GPTModel, ids: np.ndarray,
             )
         ids = np.concatenate(
             [ids, np.zeros((pad, ids.shape[1]), dtype=np.int64)], axis=0)
-    logits = model.logits(token_tensor(ids, world=model.group.size))
+    logits = model.logits(token_tensor(ids, model.config.vocab_size, world=model.group.size))
     return model.layout.full_logits(logits)[length - 1]
 
 
@@ -131,10 +131,10 @@ def generate(
 
 def perplexity(model: GPTModel, ids: np.ndarray, targets: np.ndarray) -> float:
     """``exp`` of the token-mean cross entropy on one batch (dropout off)."""
-    world = model.group.size
+    world, vocab = model.group.size, model.config.vocab_size
     with no_grad(), evaluation(model):
-        loss = model(token_tensor(ids, world=world),
-                     token_tensor(targets, world=world))
+        loss = model(token_tensor(ids, vocab, world=world),
+                     token_tensor(targets, vocab, world=world))
     return float(np.exp(loss.item()))
 
 

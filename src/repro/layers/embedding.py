@@ -6,6 +6,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..errors import ConfigError
 from ..tensor import INT64, Tensor
 from ..tensor import functions as F
 from ..tensor.functions import MaskSource
@@ -14,11 +15,22 @@ from .layout import SERIAL, Layout
 from .module import Module
 
 
-def token_tensor(ids: np.ndarray, world: int = 1) -> Tensor:
-    """Wrap integer token ids ``(s, b)`` as a non-differentiable tensor,
-    replicated across ``world`` ranks (every rank sees the same tokens)."""
-    arr = np.asarray(ids, dtype=np.int64)
-    return Tensor([arr] * world, dtype=INT64, requires_grad=False,
+def token_ids(ids, vocab: int) -> np.ndarray:
+    """``ids`` as an int64 array, checked against the one rule every token
+    id and target obeys: integral and in ``[0, vocab)``.  A ``ConfigError``
+    otherwise; NumPy would wrap a negative id to the last row."""
+    arr = np.asarray(ids)
+    ints = arr.astype(np.int64, copy=False)
+    if arr.size and ((ints != arr).any() or ints.min() < 0 or ints.max() >= vocab):
+        raise ConfigError(f"token ids must be integers in [0, {vocab})")
+    return ints
+
+
+def token_tensor(ids: np.ndarray, vocab: int, world: int = 1) -> Tensor:
+    """Wrap integer token ids ``(s, b)``, checked by :func:`token_ids`, as
+    a non-differentiable tensor replicated across ``world`` ranks (every
+    rank sees the same tokens)."""
+    return Tensor([token_ids(ids, vocab)] * world, dtype=INT64, requires_grad=False,
                   layout="replicated", name="ids")
 
 

@@ -653,7 +653,8 @@ def context_parallel_step(*, layout: str = "ulysses",
                        size=(model_cfg.seq_length, b)).astype(np.int64)
     tgt = rng.integers(0, model_cfg.vocab_size,
                        size=(model_cfg.seq_length, b)).astype(np.int64)
-    serial_loss = serial(token_tensor(ids), token_tensor(tgt)).item()
+    vocab = model_cfg.vocab_size
+    serial_loss = serial(token_tensor(ids, vocab), token_tensor(tgt, vocab)).item()
 
     model = longctx.LongContextGPTModel(
         model_cfg, context_parallel=p, layout=layout, recompute=recompute,
@@ -662,8 +663,8 @@ def context_parallel_step(*, layout: str = "ulysses",
     with trace_scope(tracer):
         with (longctx.recompute_overlap_scope() if overlap
               else contextlib.nullcontext()):
-            loss = model(token_tensor(ids, world=p),
-                         token_tensor(tgt, world=p))
+            loss = model(token_tensor(ids, vocab, world=p),
+                         token_tensor(tgt, vocab, world=p))
             loss.backward()
     model.finish_grad_sync()
 

@@ -37,7 +37,7 @@ from typing import List, Sequence
 import numpy as np
 
 from ..errors import ConfigError
-from ..layers.embedding import token_tensor
+from ..layers.embedding import token_ids, token_tensor
 from ..layers.linear import Linear
 from ..layers.transformer import GPTModel
 from ..tensor import FP16, Tensor, no_grad
@@ -74,12 +74,13 @@ class DecodeEngine:
         """Admit a request and run its prompt; returns the ``(v,)`` logits
         for the position after the last prompt token.
 
-        Admission is all-or-nothing: if the pool runs out mid-prompt the
+        Admission is all-or-nothing: the whole prompt is checked before
+        the request is admitted, and if the pool runs out mid-prompt the
         partial request is freed and :class:`KVAdmissionFull` is raised,
         so a failed admission leaves the cache exactly as it found it and
         is always safe to retry (elsewhere, or later).
         """
-        tokens = np.asarray(tokens, dtype=np.int64).reshape(-1)
+        tokens = token_ids(np.reshape(tokens, -1), self.model.config.vocab_size)
         if tokens.size == 0:
             raise ConfigError("prefill needs at least one prompt token")
         self.cache.add_request(request_id)
@@ -103,15 +104,13 @@ class DecodeEngine:
         is raised *before* any slot is claimed, so a failed step leaves no
         request half-advanced.
         """
-        tokens = np.asarray(tokens, dtype=np.int64).reshape(-1)
+        vocab = self.model.config.vocab_size
+        tokens = token_ids(np.reshape(tokens, -1), vocab)
         if len(request_ids) == 0 or tokens.shape[0] != len(request_ids):
             raise ConfigError("decode needs one token per request")
         if len(set(request_ids)) != len(request_ids):
             raise ConfigError("decode advances a request once per step; "
                               f"got {list(request_ids)}")
-        vocab = self.model.config.vocab_size
-        if tokens.min() < 0 or tokens.max() >= vocab:
-            raise ConfigError(f"token ids must lie in [0, {vocab})")
         need = sum(1 for r in request_ids if self.cache.needs_block(r))
         if need > self.cache.free_blocks:
             raise KVStepFull(
@@ -123,7 +122,7 @@ class DecodeEngine:
                     f"request {request_id!r} is at the model's maximum "
                     "sequence length")
         positions = [self.cache.reserve_token(r) for r in request_ids]
-        ids = token_tensor(tokens[None, :], world=self.world)
+        ids = token_tensor(tokens[None, :], vocab, world=self.world)
         with no_grad():
             return self._forward(ids, request_ids, positions)
 

@@ -36,7 +36,7 @@ pure tuple arithmetic.
 The memory tracker keys charges by ``(rank, buffer identity)``, so an
 abstract instance is shared across ranks, never within a rank: an abstract
 dropout mask, :func:`repro.tensor.tensor.replicate`, and the one result of
-a projected rank-local ``Function`` (:func:`repro.tensor.tensor.apply`)
+a per-shard kernel on abstract shards (:func:`repro.tensor.tensor.map_shards`)
 each stand for every rank's buffer.
 
 Shared-list rule: an abstract tensor's shards are one instance repeated

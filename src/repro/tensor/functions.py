@@ -19,7 +19,9 @@ mapping to the paper's per-layer bytes (Table 2 terms):
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import zlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -28,8 +30,8 @@ import numpy as np
 from ..errors import ShapeError
 from . import backend as bk
 from .context import ctx
-from .dtypes import FP16, FP32, INT64, MASK, DType
-from .tensor import FnCtx, Function, ShardList, Tensor, apply
+from .dtypes import FP16, FP32, MASK, DType
+from .tensor import FnCtx, Function, ShardList, Tensor, apply, map_shards
 
 
 def _widths(*tensors: Optional[Tensor]) -> List[int]:
@@ -64,16 +66,15 @@ class Add(Function):
     """Broadcasting addition. Saves nothing."""
 
     name = "add"
-    rank_local = True
 
     def forward(self, fctx: FnCtx, a: ShardList, b) -> ShardList:
-        b_shards = b if isinstance(b, list) else [b] * len(a)
-        out = [x + y for x, y in zip(a, b_shards)]
-        fctx.misc["shapes"] = (bk.shape_of(a[0]), bk.shape_of(b_shards[0]) if isinstance(b, list) else None)
+        tensor_b = isinstance(b, list)
+        out = map_shards(operator.add, a, b) if tensor_b else map_shards(lambda x: x + b, a)
+        fctx.misc["shapes"] = (bk.shape_of(a[0]), bk.shape_of(b[0]) if tensor_b else None)
         wa, wb = _widths(fctx.inputs[0], fctx.inputs[1])
         nbytes = bk.size_of(a[0]) * wa + bk.size_of(out[0]) * 2
-        if isinstance(b, list):
-            nbytes += bk.size_of(b_shards[0]) * wb
+        if tensor_b:
+            nbytes += bk.size_of(b[0]) * wb
         fctx.log_elementwise("add", bytes_moved=nbytes, flops_per_rank=bk.size_of(out[0]))
         return out
 
@@ -81,8 +82,8 @@ class Add(Function):
         a_shape, b_shape = fctx.misc["shapes"]
         fctx.log_elementwise("add.bwd", bytes_moved=4 * bk.size_of(grad[0]),
                              flops_per_rank=bk.size_of(grad[0]))
-        ga = [_unbroadcast(g, a_shape) for g in grad]
-        gb = [_unbroadcast(g, b_shape) for g in grad] if b_shape is not None else None
+        ga = map_shards(lambda g: _unbroadcast(g, a_shape), grad)
+        gb = None if b_shape is None else map_shards(lambda g: _unbroadcast(g, b_shape), grad)
         return ga, gb
 
 
@@ -93,35 +94,32 @@ class Mul(Function):
     """
 
     name = "mul"
-    rank_local = True
 
     def forward(self, fctx: FnCtx, a: ShardList, b) -> ShardList:
-        if isinstance(b, list):
-            fctx.misc["a_slot"] = fctx.save_input(0)
-            fctx.misc["b_slot"] = fctx.save_input(1)
-            out = [x * y for x, y in zip(a, b)]
-            fctx.misc["shapes"] = (bk.shape_of(a[0]), bk.shape_of(b[0]))
-            fctx.log_elementwise("mul", bytes_moved=4 * bk.size_of(out[0]),
-                                 flops_per_rank=bk.size_of(out[0]))
-        else:
+        if not isinstance(b, list):
             # Scalar scaling is folded into the adjacent GEMM/softmax kernel
             # (Megatron's fused scale-mask-softmax); no memory traffic.
             fctx.misc["scalar"] = float(b)
-            out = [x * b for x in a]
+            return map_shards(lambda x: x * b, a)
+        fctx.misc["a_slot"] = fctx.save_input(0)
+        fctx.misc["b_slot"] = fctx.save_input(1)
+        out = map_shards(operator.mul, a, b)
+        fctx.misc["shapes"] = (bk.shape_of(a[0]), bk.shape_of(b[0]))
+        fctx.log_elementwise("mul", bytes_moved=4 * bk.size_of(out[0]),
+                             flops_per_rank=bk.size_of(out[0]))
         return out
 
     def backward(self, fctx: FnCtx, grad: ShardList):
         if "scalar" in fctx.misc:
             c = fctx.misc["scalar"]
-            return ([g * c for g in grad], None)
+            return (map_shards(lambda g: g * c, grad), None)
         fctx.log_elementwise("mul.bwd", bytes_moved=4 * bk.size_of(grad[0]),
                              flops_per_rank=2 * bk.size_of(grad[0]))
         a = fctx.saved(fctx.misc["a_slot"])
         b = fctx.saved(fctx.misc["b_slot"])
         a_shape, b_shape = fctx.misc["shapes"]
-        ga = [_unbroadcast(g * y, a_shape) for g, y in zip(grad, b)]
-        gb = [_unbroadcast(g * x, b_shape) for g, x in zip(grad, a)]
-        return ga, gb
+        return (map_shards(lambda g, y: _unbroadcast(g * y, a_shape), grad, b),
+                map_shards(lambda g, x: _unbroadcast(g * x, b_shape), grad, a))
 
 
 def add(a: Tensor, b) -> Tensor:
@@ -136,10 +134,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return apply(Mul(), a, float(c))
 
 
-# ---------------------------------------------------------------------------
-# Matmul / linear algebra
-# ---------------------------------------------------------------------------
-
 class Matmul(Function):
     """``x @ w``: linear (``w`` 2-D) or batched (``w.ndim == x.ndim``).
 
@@ -151,7 +145,6 @@ class Matmul(Function):
     """
 
     name = "matmul"
-    rank_local = True
 
     def __init__(self, category: str = "activation"):
         self.category = category
@@ -168,10 +161,10 @@ class Matmul(Function):
             and not (bk.is_abstract(x[0]) or bk.is_abstract(w[0])))
         if flat:
             out_shape = x_shape[:-1] + w_shape[-1:]
-            out = [(xi.reshape(-1, w_shape[0]) @ wi).reshape(out_shape)
-                   for xi, wi in zip(x, w)]
+            out = map_shards(lambda xi, wi: (xi.reshape(-1, w_shape[0]) @ wi).reshape(out_shape),
+                             x, w)
         else:
-            out = [xi @ wi for xi, wi in zip(x, w)]
+            out = map_shards(operator.matmul, x, w)
         k = x_shape[-1]
         flops = 2.0 * bk.size_of(out[0]) * k
         fctx.misc["flops"] = flops
@@ -184,28 +177,22 @@ class Matmul(Function):
         x = fctx.saved(fctx.misc["x_slot"])
         w = fctx.saved(fctx.misc["w_slot"])
         x_shape, w_shape = fctx.misc["shapes"]
+        flat = fctx.misc["flat"]
         flops = fctx.misc["flops"]
         fctx.log_gemm(f"matmul[{self.category}].dgrad", flops_per_rank=flops)
         fctx.log_gemm(f"matmul[{self.category}].wgrad", flops_per_rank=flops)
-        if len(w_shape) == 2:
-            # Linear: x (..., k) @ w (k, n)
-            if fctx.misc["flat"]:
-                dx = [(g.reshape(-1, w_shape[1]) @ wi.T).reshape(x_shape)
-                      for g, wi in zip(grad, w)]
-            else:
-                dx = [g @ bk.swap_last_two(wi) for g, wi in zip(grad, w)]
-            dw = []
-            for g, xi in zip(grad, x):
-                if bk.is_abstract(g) or bk.is_abstract(xi):
-                    dw.append(bk.shaped(w_shape))
-                else:
-                    k, n = w_shape
-                    dw.append(np.reshape(xi, (-1, k)).T @ np.reshape(g, (-1, n)))
-        else:
-            dx = [g @ bk.swap_last_two(wi) for g, wi in zip(grad, w)]
-            dw = [_unbroadcast(bk.swap_last_two(xi) @ g, w_shape) for g, xi in zip(grad, x)]
-        dx = [_unbroadcast(d, x_shape) for d in dx]
-        return dx, dw
+
+        def _grads(g, xi, wi):
+            if len(w_shape) != 2:  # batched
+                return (_unbroadcast(g @ bk.swap_last_two(wi), x_shape),
+                        _unbroadcast(bk.swap_last_two(xi) @ g, w_shape))
+            k, n = w_shape  # linear: x (..., k) @ w (k, n)
+            dx = (g.reshape(-1, n) @ wi.T).reshape(x_shape) if flat else g @ bk.swap_last_two(wi)
+            if bk.is_abstract(g) or bk.is_abstract(xi):
+                return _unbroadcast(dx, x_shape), bk.shaped(w_shape)
+            return _unbroadcast(dx, x_shape), np.reshape(xi, (-1, k)).T @ np.reshape(g, (-1, n))
+
+        return map_shards(_grads, grad, x, w)
 
 
 def matmul(x: Tensor, w: Tensor, category: str = "activation") -> Tensor:
@@ -220,81 +207,69 @@ class Reshape(Function):
     """Free (a view); saves only the input shape."""
 
     name = "reshape"
-    rank_local = True
 
     def __init__(self, shape):
         self.shape = tuple(shape)
 
     def forward(self, fctx: FnCtx, x: ShardList) -> ShardList:
         fctx.misc["in_shape"] = bk.shape_of(x[0])
-        return [bk.reshape(xi, self.shape) for xi in x]
+        return map_shards(lambda xi: bk.reshape(xi, self.shape), x)
 
     def backward(self, fctx: FnCtx, grad: ShardList):
         in_shape = fctx.misc["in_shape"]
-        return ([bk.reshape(g, in_shape) for g in grad],)
+        return (map_shards(lambda g: bk.reshape(g, in_shape), grad),)
 
 
 class Transpose(Function):
-    """Axis permutation; logged as a bandwidth-bound copy."""
+    """Axis permutation.  Free: real implementations express permutations
+    as strided batched-GEMM layouts rather than materialized copies."""
 
     name = "transpose"
-    rank_local = True
 
     def __init__(self, axes: Sequence[int]):
         self.axes = tuple(axes)
 
     def forward(self, fctx: FnCtx, x: ShardList) -> ShardList:
-        # Free: real implementations express permutations as strided
-        # batched-GEMM layouts rather than materialized copies.
-        return [bk.transpose(xi, self.axes) for xi in x]
+        return map_shards(lambda xi: bk.transpose(xi, self.axes), x)
 
     def backward(self, fctx: FnCtx, grad: ShardList):
         inverse = tuple(sorted(range(len(self.axes)), key=self.axes.__getitem__))
-        return ([bk.transpose(g, inverse) for g in grad],)
+        return (map_shards(lambda g: bk.transpose(g, inverse), grad),)
 
 
 class Split(Function):
     """Split into equal sections along an axis (multi-output)."""
 
     name = "split"
-    rank_local = True
 
     def __init__(self, sections: int, axis: int):
         self.sections = sections
         self.axis = axis
 
     def forward(self, fctx: FnCtx, x: ShardList):
-        per_rank = [bk.split(xi, self.sections, self.axis) for xi in x]
-        return tuple([pr[i] for pr in per_rank] for i in range(self.sections))
+        return map_shards(lambda xi: tuple(bk.split(xi, self.sections, self.axis)), x)
 
     def backward(self, fctx: FnCtx, *grads: ShardList):
-        world = len(grads[0])
-        out = [bk.concatenate([g[r] for g in grads], self.axis) for r in range(world)]
-        return (out,)
+        return (map_shards(lambda *g: bk.concatenate(g, self.axis), *grads),)
 
 
 class Concat(Function):
     """Concatenate tensors along an axis."""
 
     name = "concat"
-    rank_local = True
 
     def __init__(self, axis: int):
         self.axis = axis
 
     def forward(self, fctx: FnCtx, *parts: ShardList) -> ShardList:
         fctx.misc["sizes"] = [bk.shape_of(p[0])[self.axis] for p in parts]
-        world = len(parts[0])
-        return [bk.concatenate([p[r] for p in parts], self.axis) for r in range(world)]
+        return map_shards(lambda *p: bk.concatenate(p, self.axis), *parts)
 
     def backward(self, fctx: FnCtx, grad: ShardList):
-        sizes = fctx.misc["sizes"]
-        outs = []
-        start = 0
-        for size in sizes:
-            outs.append([bk.slice_axis(g, self.axis, start, start + size) for g in grad])
-            start += size
-        return tuple(outs)
+        stops = list(itertools.accumulate(fctx.misc["sizes"]))
+        spans = list(zip([0] + stops[:-1], stops))
+        return map_shards(
+            lambda g: tuple(bk.slice_axis(g, self.axis, a, b) for a, b in spans), grad)
 
 
 def reshape(x: Tensor, *shape) -> Tensor:
@@ -337,6 +312,8 @@ def _gelu_fwd(z: np.ndarray, t: Optional[np.ndarray] = None) -> np.ndarray:
     """``0.5*z*(1 + tanh(...))`` into a fresh array: the one GeLU forward
     kernel, behind ``Gelu`` and ``fusion.ops.BiasGelu`` alike.  ``t`` is a
     scratch buffer of ``z``'s shape, allocated here when none is lent."""
+    if bk.is_abstract(z):
+        return bk.shaped(z.shape)
     if t is None:
         t = np.empty(z.shape)
     _gelu_tanh(z, t)
@@ -354,6 +331,8 @@ def _gelu_bwd(z: np.ndarray, g: np.ndarray, scratch=None) -> np.ndarray:
     only its input (the ``8sbh`` term).  ``scratch`` is three buffers of
     ``z``'s shape, allocated here when none are lent.
     """
+    if bk.is_abstract(g) or bk.is_abstract(z):
+        return bk.shaped(bk.shape_of(z))
     t, u, v = scratch or [np.empty(z.shape) for _ in range(3)]
     _gelu_tanh(z, t)
     np.multiply(t, t, out=u)
@@ -377,12 +356,10 @@ class Gelu(Function):
     """Tanh-approximated GeLU (the Megatron-LM variant). Saves its input."""
 
     name = "gelu"
-    rank_local = True
 
     def forward(self, fctx: FnCtx, x: ShardList) -> ShardList:
         fctx.misc["x_slot"] = fctx.save_input(0, category="gelu_input")
-        out = [bk.shaped(xi.shape) if bk.is_abstract(xi)
-               else _gelu_fwd(xi) for xi in x]
+        out = map_shards(_gelu_fwd, x)
         w = _widths(fctx.inputs[0])[0]
         fctx.log_elementwise("gelu", bytes_moved=2 * w * bk.size_of(x[0]),
                              flops_per_rank=8 * bk.size_of(x[0]))
@@ -392,10 +369,19 @@ class Gelu(Function):
         x = fctx.saved(fctx.misc["x_slot"])
         fctx.log_elementwise("gelu.bwd", bytes_moved=6 * bk.size_of(grad[0]),
                              flops_per_rank=16 * bk.size_of(grad[0]))
-        out = [bk.shaped(bk.shape_of(xi))
-               if bk.is_abstract(g) or bk.is_abstract(xi)
-               else _gelu_bwd(xi, g) for g, xi in zip(grad, x)]
-        return (out,)
+        return (map_shards(_gelu_bwd, x, grad),)
+
+
+def _softmax(x: bk.ArrayLike) -> bk.ArrayLike:
+    if bk.is_abstract(x):
+        return bk.shaped(x.shape)
+    e = np.exp(x - bk.max_(x, axis=-1, keepdims=True))
+    return e / bk.sum_(e, axis=-1, keepdims=True)
+
+
+def _softmax_bwd(g: bk.ArrayLike, y: bk.ArrayLike) -> bk.ArrayLike:
+    gy = g * y
+    return gy - y * bk.sum_(gy, axis=-1, keepdims=True)
 
 
 class Softmax(Function):
@@ -406,17 +392,9 @@ class Softmax(Function):
     """
 
     name = "softmax"
-    rank_local = True
 
     def forward(self, fctx: FnCtx, x: ShardList) -> ShardList:
-        out = []
-        for xi in x:
-            if bk.is_abstract(xi):
-                out.append(bk.shaped(xi.shape))
-            else:
-                shifted = xi - bk.max_(xi, axis=-1, keepdims=True)
-                e = np.exp(shifted)
-                out.append(e / bk.sum_(e, axis=-1, keepdims=True))
+        out = map_shards(_softmax, x)
         fctx.misc["y_slot"] = fctx.save_new(out, FP16, category="softmax_output")
         fctx.log_elementwise("softmax", bytes_moved=4 * bk.size_of(x[0]),
                              flops_per_rank=5 * bk.size_of(x[0]))
@@ -426,11 +404,7 @@ class Softmax(Function):
         y = fctx.saved(fctx.misc["y_slot"])
         fctx.log_elementwise("softmax.bwd", bytes_moved=6 * bk.size_of(grad[0]),
                              flops_per_rank=4 * bk.size_of(grad[0]))
-        out = []
-        for g, yi in zip(grad, y):
-            gy = g * yi
-            out.append(gy - yi * bk.sum_(gy, axis=-1, keepdims=True))
-        return (out,)
+        return (map_shards(_softmax_bwd, grad, y),)
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -489,10 +463,11 @@ class Dropout(Function):
     * ``"sharded"`` — each rank's shard is slice ``rank`` of the full tensor
       along ``shard_axis``; masks are drawn per rank (or sliced from a
       :class:`MaskSource` for equivalence testing).
+
+    The fused dropout ops hold one for its checks and its :meth:`masks`.
     """
 
     name = "dropout"
-    rank_local = True
 
     def __init__(self, p: float, mode: str = "replicated", shard_axis: int = 0,
                  tag: str = "", mask_source: Optional[MaskSource] = None):
@@ -506,36 +481,38 @@ class Dropout(Function):
         self.tag = tag
         self.mask_source = mask_source
 
+    @property
+    def identity(self) -> bool:
+        """``p == 0`` with no mask source: the op passes its input through."""
+        return self.p == 0.0 and self.mask_source is None
+
+    def masks(self, x: ShardList) -> ShardList:
+        """One keep mask per rank of ``x``, drawn in rank order: the one
+        draw sequence behind every dropout, fused or not, so equal seeds
+        give equal mask bits.  An abstract mask is one shared instance."""
+        keep, world, shape, rng = 1.0 - self.p, len(x), bk.shape_of(x[0]), ctx().rng
+        if bk.is_abstract(x[0]):
+            return [bk.bernoulli_mask(shape, keep, rng, True)] * world
+        if self.mode == "replicated":
+            if self.mask_source is not None:
+                return [self.mask_source.full_mask(self.tag, shape)] * world
+            return [bk.bernoulli_mask(shape, keep, rng, False)] * world
+        if self.mask_source is None:
+            return [bk.bernoulli_mask(shape, keep, rng, False) for _ in range(world)]
+        # rank r's shard is slice r of the full tensor along shard_axis
+        n = shape[self.shard_axis]
+        full = self.mask_source.full_mask(self.tag, bk.tiled_shape(shape, world, self.shard_axis))
+        return [bk.slice_axis(full, self.shard_axis, r * n, (r + 1) * n) for r in range(world)]
+
     def forward(self, fctx: FnCtx, x: ShardList) -> ShardList:
-        if self.p == 0.0 and self.mask_source is None:
+        if self.identity:
             fctx.misc["identity"] = True
             return list(x)
         keep = 1.0 - self.p
-        world = len(x)
-        abstract = bk.is_abstract(x[0])
-        shape = bk.shape_of(x[0])
-        if self.mode == "replicated":
-            if self.mask_source is not None and not abstract:
-                mask = self.mask_source.full_mask(self.tag, shape)
-            else:
-                mask = bk.bernoulli_mask(shape, keep, ctx().rng, abstract)
-            masks = [mask] * world
-        else:
-            if self.mask_source is not None and not abstract:
-                full_shape = list(shape)
-                full_shape[self.shard_axis] *= world
-                full = self.mask_source.full_mask(self.tag, tuple(full_shape))
-                masks = [
-                    bk.slice_axis(full, self.shard_axis,
-                                  r * shape[self.shard_axis],
-                                  (r + 1) * shape[self.shard_axis])
-                    for r in range(world)
-                ]
-            else:
-                masks = [bk.bernoulli_mask(shape, keep, ctx().rng, abstract) for _ in range(world)]
+        masks = self.masks(x)
         fctx.misc["mask_slot"] = fctx.save_new(masks, MASK, category="dropout_mask")
         fctx.misc["keep"] = keep
-        out = [xi * m / keep for xi, m in zip(x, masks)]
+        out = map_shards(lambda xi, m: xi * m / keep, x, masks)
         w = _widths(fctx.inputs[0])[0]
         fctx.log_elementwise("dropout", bytes_moved=(2 * w + 1) * bk.size_of(x[0]),
                              flops_per_rank=2 * bk.size_of(x[0]))
@@ -548,7 +525,7 @@ class Dropout(Function):
         keep = fctx.misc["keep"]
         fctx.log_elementwise("dropout.bwd", bytes_moved=5 * bk.size_of(grad[0]),
                              flops_per_rank=2 * bk.size_of(grad[0]))
-        return ([g * m / keep for g, m in zip(grad, masks)],)
+        return (map_shards(lambda g, m: g * m / keep, grad, masks),)
 
 
 def dropout(x: Tensor, p: float, mode: str = "replicated", shard_axis: int = 0,
@@ -556,10 +533,6 @@ def dropout(x: Tensor, p: float, mode: str = "replicated", shard_axis: int = 0,
     return apply(Dropout(p, mode=mode, shard_axis=shard_axis, tag=tag,
                          mask_source=mask_source), x)
 
-
-# ---------------------------------------------------------------------------
-# Layer norm
-# ---------------------------------------------------------------------------
 
 class LayerNorm(Function):
     """Layer normalization over the last axis.
@@ -570,7 +543,6 @@ class LayerNorm(Function):
     """
 
     name = "layernorm"
-    rank_local = True
 
     def __init__(self, eps: float = 1e-5):
         self.eps = eps
@@ -578,14 +550,7 @@ class LayerNorm(Function):
     def forward(self, fctx: FnCtx, x: ShardList, gamma: ShardList, beta: ShardList) -> ShardList:
         fctx.misc["x_slot"] = fctx.save_input(0, category="layernorm_input")
         fctx.misc["gamma_slot"] = fctx.save_input(1)
-        out = []
-        for xi, gi, bi in zip(x, gamma, beta):
-            if bk.is_abstract(xi):
-                out.append(bk.shaped(bk.shape_of(xi)))
-                continue
-            xc = xi - bk.mean(xi, axis=-1, keepdims=True)
-            var = bk.mean(xc * xc, axis=-1, keepdims=True)  # == np.var, bitwise
-            out.append(xc / np.sqrt(var + self.eps) * gi + bi)
+        out = map_shards(self._norm, x, gamma, beta)
         w = _widths(fctx.inputs[0])[0]
         fctx.log_elementwise("layernorm", bytes_moved=2 * w * bk.size_of(x[0]),
                              flops_per_rank=8 * bk.size_of(x[0]))
@@ -596,53 +561,47 @@ class LayerNorm(Function):
         gamma = fctx.saved(fctx.misc["gamma_slot"])
         fctx.log_elementwise("layernorm.bwd", bytes_moved=8 * bk.size_of(grad[0]),
                              flops_per_rank=14 * bk.size_of(grad[0]))
-        dx, dgamma, dbeta = [], [], []
-        for g, xi, gi in zip(grad, x, gamma):
-            if bk.is_abstract(g) or bk.is_abstract(xi):
-                dx.append(bk.shaped(bk.shape_of(xi)))
-                dgamma.append(bk.shaped(bk.shape_of(gi)))
-                dbeta.append(bk.shaped(bk.shape_of(gi)))
-                continue
-            xc = xi - bk.mean(xi, axis=-1, keepdims=True)
-            var = bk.mean(xc * xc, axis=-1, keepdims=True)
-            rstd = 1.0 / np.sqrt(var + self.eps)
-            xhat = xc * rstd
-            reduce_axes = tuple(range(xi.ndim - 1))
-            dgamma.append(bk.sum_(g * xhat, axis=reduce_axes))
-            dbeta.append(bk.sum_(g, axis=reduce_axes))
-            dxhat = g * gi
-            dx.append(rstd * (
-                dxhat
-                - bk.mean(dxhat, axis=-1, keepdims=True)
-                - xhat * bk.mean(dxhat * xhat, axis=-1, keepdims=True)
-            ))
-        return dx, dgamma, dbeta
+        return map_shards(self._grads, grad, x, gamma)
+
+    def _norm(self, x, gamma, beta):
+        if bk.is_abstract(x):
+            return bk.shaped(x.shape)
+        xc = x - bk.mean(x, axis=-1, keepdims=True)
+        var = bk.mean(xc * xc, axis=-1, keepdims=True)  # == np.var, bitwise
+        return xc / np.sqrt(var + self.eps) * gamma + beta
+
+    def _grads(self, g, x, gamma):
+        if bk.is_abstract(g) or bk.is_abstract(x):
+            return bk.shaped(x.shape), bk.shaped(gamma.shape), bk.shaped(gamma.shape)
+        xc = x - bk.mean(x, axis=-1, keepdims=True)
+        var = bk.mean(xc * xc, axis=-1, keepdims=True)
+        rstd = 1.0 / np.sqrt(var + self.eps)
+        xhat = xc * rstd
+        reduce_axes = tuple(range(x.ndim - 1))
+        dxhat = g * gamma
+        dx = rstd * (dxhat - bk.mean(dxhat, axis=-1, keepdims=True)
+                     - xhat * bk.mean(dxhat * xhat, axis=-1, keepdims=True))
+        return dx, bk.sum_(g * xhat, axis=reduce_axes), bk.sum_(g, axis=reduce_axes)
 
 
 def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     return apply(LayerNorm(eps), x, gamma, beta)
 
 
-# ---------------------------------------------------------------------------
-# Embedding
-# ---------------------------------------------------------------------------
-
 class EmbeddingLookup(Function):
     """Row gather ``weight[ids]``. Saves the (tiny, integer) ids."""
 
     name = "embedding"
-    rank_local = True
 
     def forward(self, fctx: FnCtx, weight: ShardList, ids: ShardList) -> ShardList:
         fctx.misc["ids_slot"] = fctx.save_input(1, category="embedding_ids")
         fctx.misc["w_shape"] = bk.shape_of(weight[0])
-        return [bk.take_rows(w, i) for w, i in zip(weight, ids)]
+        return map_shards(bk.take_rows, weight, ids)
 
     def backward(self, fctx: FnCtx, grad: ShardList):
         ids = fctx.saved(fctx.misc["ids_slot"])
         w_shape = fctx.misc["w_shape"]
-        dw = [bk.index_add_rows(w_shape, i, g) for i, g in zip(ids, grad)]
-        return dw, None
+        return map_shards(lambda g, i: bk.index_add_rows(w_shape, i, g), grad, ids), None
 
 
 def embedding(weight: Tensor, ids: Tensor) -> Tensor:
@@ -657,7 +616,6 @@ class Cast(Function):
     """Accounting-dtype change (e.g. fp16 logits -> fp32 before the loss)."""
 
     name = "cast"
-    rank_local = True
 
     def __init__(self, dtype: DType):
         self.dtype = dtype
@@ -666,7 +624,7 @@ class Cast(Function):
         fctx.out_dtypes = [self.dtype]
         src = _widths(fctx.inputs[0])[0]
         fctx.log_elementwise("cast", bytes_moved=(src + self.dtype.nbytes) * bk.size_of(x[0]))
-        return [xi.copy() if not bk.is_abstract(xi) else bk.shaped(xi.shape) for xi in x]
+        return map_shards(lambda xi: xi.copy(), x)
 
     def backward(self, fctx: FnCtx, grad: ShardList):
         return (list(grad),)
@@ -676,18 +634,16 @@ class SumAll(Function):
     """Sum of all elements -> scalar (per rank). Saves only the shape."""
 
     name = "sum_all"
-    rank_local = True
 
     def forward(self, fctx: FnCtx, x: ShardList) -> ShardList:
         fctx.misc["shape"] = bk.shape_of(x[0])
-        fctx.misc["abstract"] = bk.is_abstract(x[0])
-        return [bk.sum_(xi) for xi in x]
+        return map_shards(bk.sum_, x)
 
     def backward(self, fctx: FnCtx, grad: ShardList):
         shape = fctx.misc["shape"]
-        if fctx.misc["abstract"]:
-            return ([bk.shaped(shape)] * len(grad),)
-        return ([np.broadcast_to(np.asarray(g, dtype=np.float64), shape).copy() for g in grad],)
+        return (map_shards(lambda g: bk.shaped(shape) if bk.is_abstract(g) else
+                           np.broadcast_to(np.asarray(g, dtype=np.float64), shape).copy(),
+                           grad),)
 
 
 def cast(x: Tensor, dtype: DType) -> Tensor:
@@ -703,6 +659,36 @@ def sum_all(x: Tensor) -> Tensor:
 # repro.parallel.loss and uses collectives)
 # ---------------------------------------------------------------------------
 
+def _xent(logits, targets, mask=None):
+    """One shard's token-mean cross entropy (the masked mean under a
+    ``mask``), behind ``CrossEntropy`` and ``fusion.ops.SoftmaxCrossEntropy``."""
+    if bk.is_abstract(logits):
+        return bk.shaped(())
+    shifted = logits - bk.max_(logits, axis=-1, keepdims=True)
+    logz = np.log(bk.sum_(np.exp(shifted), axis=-1, keepdims=True))
+    picked = np.take_along_axis(shifted - logz, targets.astype(np.int64)[..., None],
+                                axis=-1)[..., 0]
+    if mask is None:
+        return np.asarray(-bk.mean(picked))
+    m = np.asarray(mask, dtype=np.float64)
+    denom = m.sum()
+    if denom == 0:
+        raise ShapeError("loss_mask masks out every token")
+    return np.asarray(-(picked * m).sum() / denom)
+
+
+def _xent_grad(g, logits, targets, mask=None):
+    """``_xent``'s gradient with respect to the logits."""
+    if bk.is_abstract(logits):
+        return bk.shaped(logits.shape)
+    dz = _softmax(logits) - bk.one_hot_rows(targets, logits.shape[-1])
+    scale_num = np.asarray(g, dtype=np.float64)
+    if mask is None:
+        return dz * (scale_num / bk.size_of(targets))
+    m = np.asarray(mask, dtype=np.float64)
+    return dz * m[..., None] * (scale_num / m.sum())
+
+
 class CrossEntropy(Function):
     """Token-mean cross entropy from logits, with optional loss masking.
 
@@ -714,7 +700,6 @@ class CrossEntropy(Function):
     """
 
     name = "cross_entropy"
-    rank_local = True
 
     def __init__(self, has_mask: bool = False):
         self.has_mask = has_mask
@@ -726,52 +711,23 @@ class CrossEntropy(Function):
         if self.has_mask:
             fctx.misc["mask_slot"] = fctx.save_input(2, category="loss_mask")
         fctx.out_dtypes = [FP32]
-        out = []
-        for r, (li, ti) in enumerate(zip(logits, targets)):
-            if bk.is_abstract(li):
-                out.append(bk.shaped(()))
-                continue
-            shifted = li - bk.max_(li, axis=-1, keepdims=True)
-            logz = np.log(bk.sum_(np.exp(shifted), axis=-1, keepdims=True))
-            logp = shifted - logz
-            picked = np.take_along_axis(logp, ti.astype(np.int64)[..., None], axis=-1)[..., 0]
-            if self.has_mask:
-                m = np.asarray(mask[r], dtype=np.float64)
-                denom = m.sum()
-                if denom == 0:
-                    raise ShapeError("loss_mask masks out every token")
-                out.append(np.asarray(-(picked * m).sum() / denom))
-            else:
-                out.append(np.asarray(-bk.mean(picked)))
-        v = bk.shape_of(logits[0])[-1]
+        out = map_shards(_xent, logits, targets, *([mask] if self.has_mask else []))
         fctx.log_gemm("cross_entropy", flops_per_rank=0,
                       bytes_moved=0)  # loss math is negligible next to the logits GEMM
         fctx.log_elementwise("cross_entropy", bytes_moved=4 * bk.size_of(logits[0]),
                              flops_per_rank=5 * bk.size_of(logits[0]))
-        fctx.misc["vocab"] = v
         return out
 
     def backward(self, fctx: FnCtx, grad: ShardList):
-        logits = fctx.saved(fctx.misc["logits_slot"])
-        targets = fctx.saved(fctx.misc["targets_slot"])
-        masks = fctx.saved(fctx.misc["mask_slot"]) if self.has_mask else None
-        out = []
-        for r, (g, li, ti) in enumerate(zip(grad, logits, targets)):
-            if bk.is_abstract(li):
-                out.append(bk.shaped(bk.shape_of(li)))
-                continue
-            shifted = li - bk.max_(li, axis=-1, keepdims=True)
-            e = np.exp(shifted)
-            p = e / bk.sum_(e, axis=-1, keepdims=True)
-            onehot = bk.one_hot_rows(ti, bk.shape_of(li)[-1])
-            scale_num = np.asarray(g, dtype=np.float64)
-            if self.has_mask:
-                m = np.asarray(masks[r], dtype=np.float64)
-                out.append((p - onehot) * m[..., None] * (scale_num / m.sum()))
-            else:
-                out.append((p - onehot) * (scale_num / bk.size_of(ti)))
-        grads = (out, None, None) if self.has_mask else (out, None)
-        return grads
+        return _xent_backward(fctx, grad, self.has_mask)
+
+
+def _xent_backward(fctx: FnCtx, grad: ShardList, has_mask: bool) -> tuple:
+    """The cross-entropy backward from the logits, targets (and mask)
+    saved in ``fctx``'s ``logits_slot``, ``targets_slot`` (``mask_slot``)."""
+    slots = ("logits_slot", "targets_slot", "mask_slot")[:3 if has_mask else 2]
+    dlogits = map_shards(_xent_grad, grad, *[fctx.saved(fctx.misc[k]) for k in slots])
+    return (dlogits, None, None) if has_mask else (dlogits, None)
 
 
 def cross_entropy(logits: Tensor, targets: Tensor,
@@ -819,7 +775,6 @@ class CausalMask(Function):
     """
 
     name = "causal_mask"
-    rank_local = True
 
     MASKED_VALUE = -1e9
 
@@ -829,23 +784,18 @@ class CausalMask(Function):
             raise ShapeError(f"causal mask needs (..., s, s) scores, got {shape}")
         # Fused with the softmax kernel in practice (scale-mask-softmax).
         fctx.log_elementwise("causal_mask", bytes_moved=2 * bk.size_of(x[0]))
-        out = []
-        for xi in x:
-            if bk.is_abstract(xi):
-                out.append(bk.shaped(xi.shape))
-            else:
-                out.append(np.where(_causal_keep(shape)[0], xi,
-                                    self.MASKED_VALUE))
-        return out
+        return map_shards(self._masked, x)
 
     def backward(self, fctx: FnCtx, grad: ShardList):
-        out = []
-        for g in grad:
-            if bk.is_abstract(g):
-                out.append(bk.shaped(bk.shape_of(g)))
-            else:
-                out.append(g * _causal_keep(bk.shape_of(g))[0])
-        return (out,)
+        return (map_shards(self._masked_grad, grad),)
+
+    def _masked(self, x):
+        if bk.is_abstract(x):
+            return bk.shaped(x.shape)
+        return np.where(_causal_keep(x.shape)[0], x, self.MASKED_VALUE)
+
+    def _masked_grad(self, g):
+        return bk.shaped(g.shape) if bk.is_abstract(g) else g * _causal_keep(g.shape)[0]
 
 
 def causal_mask(x: Tensor) -> Tensor:
@@ -860,8 +810,9 @@ class OffsetCausalMask(Function):
     global rows ``[r*s/w, (r+1)*s/w)``: row ``i`` of rank ``r`` may attend
     to columns ``<= r*s/w + i``, i.e. a tril shifted by ``r*s/w``.  With
     ``w == 1`` this is exactly :class:`CausalMask`.  Like it, the mask is
-    a pure function of (shape, rank) — nothing is saved.  Reading the
-    rank and the world keeps it off :attr:`Function.rank_local`.
+    a pure function of (shape, rank) — nothing is saved.  It reads the
+    rank, so it keeps its own rank loop instead of a :func:`map_shards`
+    kernel.
     """
 
     name = "offset_causal_mask"
@@ -897,16 +848,11 @@ def offset_causal_mask(x: Tensor) -> Tensor:
     return apply(OffsetCausalMask(), x)
 
 
-# ---------------------------------------------------------------------------
-# Axis slicing (used for position embeddings of short sequences)
-# ---------------------------------------------------------------------------
-
 class SliceAxis(Function):
-    """``x[start:stop]`` along ``axis``; backward zero-pads to the input
-    shape.  Saves nothing."""
+    """``x[start:stop]`` along ``axis`` (position embeddings of short
+    sequences); backward zero-pads to the input shape.  Saves nothing."""
 
     name = "slice_axis"
-    rank_local = True
 
     def __init__(self, axis: int, start: int, stop: int):
         self.axis = axis
@@ -915,35 +861,29 @@ class SliceAxis(Function):
 
     def forward(self, fctx: FnCtx, x: ShardList) -> ShardList:
         fctx.misc["in_shape"] = bk.shape_of(x[0])
-        return [bk.slice_axis(xi, self.axis, self.start, self.stop) for xi in x]
+        return map_shards(lambda xi: bk.slice_axis(xi, self.axis, self.start, self.stop), x)
 
     def backward(self, fctx: FnCtx, grad: ShardList):
-        in_shape = fctx.misc["in_shape"]
-        out = []
-        for g in grad:
-            if bk.is_abstract(g):
-                out.append(bk.shaped(in_shape))
-                continue
-            full = np.zeros(in_shape, dtype=np.float64)
-            index = [slice(None)] * len(in_shape)
-            index[self.axis % len(in_shape)] = slice(self.start, self.stop)
-            full[tuple(index)] = g
-            out.append(full)
-        return (out,)
+        return (map_shards(lambda g: self._pad(g, fctx.misc["in_shape"]), grad),)
+
+    def _pad(self, g, in_shape):
+        if bk.is_abstract(g):
+            return bk.shaped(in_shape)
+        full = np.zeros(in_shape, dtype=np.float64)
+        index = [slice(None)] * len(in_shape)
+        index[self.axis % len(in_shape)] = slice(self.start, self.stop)
+        full[tuple(index)] = g
+        return full
 
 
 def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     return apply(SliceAxis(axis, start, stop), x)
 
 
-# ---------------------------------------------------------------------------
-# Decode attention (the serving engine's one launch per layer per step)
-# ---------------------------------------------------------------------------
-
 class DecodeAttention(Function):
     """One-query attention of a ragged decode batch over its cached K/V,
-    the whole batch in one application — the one launch per layer per
-    step a paged-attention kernel makes.  No mask (a cache holds only
+    the whole batch in one application — the serving engine's one launch
+    per layer per step, as a paged-attention kernel makes.  No mask (a cache holds only
     past positions); forward-only (decoding runs under ``no_grad``), so
     it saves nothing.
 
@@ -976,27 +916,26 @@ class DecodeAttention(Function):
                 f"decode attention: {a} head(s), q {bk.shape_of(q[0])}, keys "
                 f"{bk.shape_of(keys[0])}, values {bk.shape_of(values[0])} "
                 f"and lengths {list(lengths)} do not pair up")
-        d = h // a
-        rsqrt_d = 1.0 / math.sqrt(d)
-        out = []
-        for qi, ki, vi in zip(q, keys, values):
-            qr = qi.reshape(batch, a, 1, d)
-            kt = ki.reshape(rows, a, d).transpose(1, 2, 0)     # (a,d,sum n)
-            vr = vi.reshape(rows, a, d).transpose(1, 0, 2)     # (a,sum n,d)
-            oi = np.empty((1, batch, h))
-            ctxt = oi.reshape(batch, a, 1, d)
-            start = 0
-            for j, n in enumerate(lengths):
-                stop = start + n
-                scores = (qr[j] @ kt[:, :, start:stop]) * rsqrt_d  # (a,1,n_j)
-                e = np.exp(scores - np.maximum.reduce(
-                    scores, axis=-1, keepdims=True))
-                np.matmul(e / np.add.reduce(e, axis=-1, keepdims=True),
-                          vr[:, start:stop], out=ctxt[j])
-                start = stop
-            out.append(oi)
+        out = map_shards(self._attend, q, keys, values)
         fctx.log_gemm("decode_attention", flops_per_rank=4.0 * rows * h,
                       bytes_moved=2 * rows * h * _widths(fctx.inputs[1])[0])
+        return out
+
+    def _attend(self, q, keys, values):
+        (_, batch, h), rows, a = q.shape, keys.shape[0], self.num_heads
+        d = h // a
+        rsqrt_d = 1.0 / math.sqrt(d)
+        qr = q.reshape(batch, a, 1, d)
+        kt = keys.reshape(rows, a, d).transpose(1, 2, 0)     # (a,d,sum n)
+        vr = values.reshape(rows, a, d).transpose(1, 0, 2)   # (a,sum n,d)
+        out = np.empty((1, batch, h))
+        ctxt = out.reshape(batch, a, 1, d)
+        start = 0
+        for j, n in enumerate(self.lengths):
+            stop = start + n
+            scores = (qr[j] @ kt[:, :, start:stop]) * rsqrt_d  # (a,1,n_j)
+            np.matmul(_softmax(scores), vr[:, start:stop], out=ctxt[j])
+            start = stop
         return out
 
 

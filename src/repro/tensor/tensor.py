@@ -10,7 +10,8 @@ logic rather than a sharding algebra).
 
 Autograd functions (:class:`Function`) operate on whole shard *lists* so a
 single function application can express a collective (mix data across
-ranks) as well as per-rank math.  Saved activations are charged to the
+ranks) as well as per-rank math, which :func:`map_shards` runs one shard
+at a time.  Saved activations are charged to the
 :class:`~repro.tensor.memory_tracker.MemoryTracker` per rank and released
 when backward consumes them — giving byte-exact, time-resolved activation
 memory for any execution order (including recomputation and pipelined
@@ -185,17 +186,15 @@ class Tensor:
 class FnCtx:
     """Per-application context: saved buffers and their tracker charges.
 
-    ``world`` > 1 marks a projected application (see :func:`apply`): its
-    forward and backward see rank 0's shard alone, standing for ``world``
-    ranks, while every save is charged to each rank's own buffer, exactly
-    as the per-rank save would be.
+    A save takes a whole shard list and charges each rank's own buffer, in
+    rank order; a list :func:`map_shards` shares across ranks is charged
+    once per rank all the same.
     """
 
-    __slots__ = ("inputs", "world", "_saved", "_charges", "misc", "out_dtypes")
+    __slots__ = ("inputs", "_saved", "_charges", "misc", "out_dtypes")
 
-    def __init__(self, inputs: Sequence[Optional[Tensor]], world: int = 1):
+    def __init__(self, inputs: Sequence[Optional[Tensor]]):
         self.inputs = tuple(inputs)
-        self.world = world
         self._saved: List[ShardList] = []
         self._charges: List[Tuple[int, object, DType]] = []  # (rank, buf, dtype)
         self.misc: dict = {}
@@ -215,21 +214,15 @@ class FnCtx:
 
     def save_new(self, shards: ShardList, dtype: DType, category: str = "activation") -> int:
         """Save freshly created buffers (always charged)."""
-        if self.world > 1:  # rank 0's buffer, as every rank's
-            shards = _spread(shards, [t.shards for t in self.inputs if t is not None],
-                             self.world)
         return self._save(shards, dtype, category, charge=True)
 
     def _save(self, shards: ShardList, dtype: DType, category: str, charge: bool) -> int:
-        # ``shards`` holds one buffer per rank; a projected application
-        # keeps rank 0's, the only one its backward reads.
-        kept = shards[:1] if self.world > 1 else shards
         if not ctx().grad_enabled:
             # no tape -> nothing retained; still return a slot so callers
             # can write uniform code (the slot holds the caller's live list).
-            self._saved.append(kept)
+            self._saved.append(shards)
             return len(self._saved) - 1
-        self._saved.append(list(kept))
+        self._saved.append(list(shards))
         if charge:
             c = ctx()
             tracker = c.memory
@@ -311,6 +304,10 @@ class Function:
     * ``forward(fctx, *shard_lists) -> shard_list | tuple[shard_list, ...]``
     * ``backward(fctx, *grad_shard_lists) -> tuple[shard_list | None, ...]``
       returning one gradient (or ``None``) per *tensor* input.
+
+    Both see whole shard lists: they do the per-op bookkeeping (saves,
+    ``fctx.log_*``, shapes, mask draws) once, and hand each rank's math
+    to :func:`map_shards` as a kernel of one shard per input.
     """
 
     name = "fn"
@@ -318,11 +315,6 @@ class Function:
     #: inside their ``forward``/``backward``; the step compiler records
     #: them as one opaque call instead of re-recording their inner ops.
     composite = False
-    #: Rank-local functions compute each rank's shards from that rank's
-    #: shards alone, never reading ``len(shards)`` as the world or a rank
-    #: index, so on abstract inputs :func:`apply` runs them once, on rank
-    #: 0, and shares the result across ranks (``docs/extending.md``).
-    rank_local = False
 
     def forward(self, fctx: FnCtx, *args):  # pragma: no cover - abstract
         raise NotImplementedError
@@ -331,17 +323,53 @@ class Function:
         raise NotImplementedError
 
 
+def map_shards(kernel, *lists: ShardList):
+    """``kernel`` applied rank by rank: ``kernel(a[r], b[r], ...)`` for
+    each rank ``r`` of the shard lists, as one list (or, when the kernel
+    returns a tuple, one list per element).
+
+    The kernel sees one shard per input, never the world size or a rank
+    index, so on abstract lists at world > 1 it runs once, on rank 0's
+    shards, and every rank shares the one result: an abstract array is
+    nothing but its shape, and all shards share one.  A result that *is*
+    its rank-0 input stands for that input's own list, so an identity
+    pass-through keeps each rank's buffer.  Not under a memory profiler
+    or a capture, which key buffers by identity alone: there each rank
+    keeps its own object.
+    """
+    first = lists[0]
+    world = len(first)
+    if world > 1 and type(first[0]) is AbstractArray:
+        c = ctx()
+        if c.memprof is None and c.capture is None:
+            one = kernel(*[a[0] for a in lists])
+            if type(one) is tuple:
+                return tuple(_shared(o, lists, world) for o in one)
+            return _shared(one, lists, world)
+    out = list(map(kernel, *lists))
+    if type(out[0]) is tuple:
+        return tuple(map(list, zip(*out)))
+    return out
+
+
+def _shared(one, lists: Sequence[ShardList], world: int) -> ShardList:
+    """A projected kernel's one result as every rank's."""
+    for a in lists:
+        if a[0] is one:
+            return list(a)
+    return [one] * world
+
+
 class Node:
     """A recorded function application on the tape."""
 
-    __slots__ = ("fn", "fctx", "inputs", "world", "n_outputs", "out_templates", "spent")
+    __slots__ = ("fn", "fctx", "inputs", "n_outputs", "out_templates", "spent")
 
     def __init__(self, fn: Function, fctx: FnCtx, inputs: Sequence[Optional[Tensor]],
                  outputs: Sequence[Tensor]):
         self.fn = fn
         self.fctx = fctx
         self.inputs = tuple(inputs)
-        self.world = fctx.world  # > 1: projected; backward runs on rank 0
         self.n_outputs = len(outputs)
         # Enough metadata to synthesize zero grads for unused outputs.
         self.out_templates = [
@@ -357,16 +385,8 @@ def apply(fn: Function, *args, **kwargs) -> Union[Tensor, Tuple[Tensor, ...]]:
 
     Non-Tensor positional args are passed to ``forward`` verbatim with a
     ``None`` placeholder in the node's input list (no gradient flows).
-
-    A :attr:`Function.rank_local` function on abstract inputs is
-    *projected*: ``forward`` sees each tensor argument as ``shards[:1]``
-    and every rank gets the one result, shared across ranks (an abstract
-    array is nothing but its shape, and all shards share one).  A result
-    that *is* an input's rank-0 shard stands for that input's list.  Saves
-    are charged rank by rank (:class:`FnCtx`) and backward runs on rank
-    0's grads (:func:`run_backward`), so tracker streams, op logs and
-    shapes are those of the per-rank run.  Not under a memory profiler or
-    a capture, which key buffers by identity alone.
+    ``forward`` sees every tensor argument's whole shard list; the rank
+    loop and its abstract projection are :func:`map_shards`'s.
     """
     tensor_inputs: List[Optional[Tensor]] = []
     fwd_args = []
@@ -385,14 +405,7 @@ def apply(fn: Function, *args, **kwargs) -> Union[Tensor, Tuple[Tensor, ...]]:
     c = ctx()
     mp = c.memprof
     cap = c.capture
-    world = 1
-    if (first is not None and type(first.shards[0]) is AbstractArray
-            and fn.rank_local and len(first.shards) > 1
-            and mp is None and cap is None):
-        world = len(first.shards)
-        fwd_args = [a[:1] if t is not None else a
-                    for a, t in zip(fwd_args, tensor_inputs)]
-    fctx = FnCtx(tensor_inputs, world)
+    fctx = FnCtx(tensor_inputs)
     if cap is not None and fn.composite:
         # Composite ops replay as one opaque call; don't record the inner
         # function applications their forward runs.
@@ -412,9 +425,6 @@ def apply(fn: Function, *args, **kwargs) -> Union[Tensor, Tuple[Tensor, ...]]:
 
     multi = isinstance(out, tuple)
     out_lists = list(out) if multi else [out]
-    if world > 1:
-        sources = [t.shards for t in tensor_inputs if t is not None]
-        out_lists = [_spread(o, sources, world) for o in out_lists]
 
     requires = requires and c.grad_enabled
     in_dtype, layout = (FP16, "replicated") if first is None else (first.dtype, first.layout)
@@ -441,18 +451,6 @@ def apply(fn: Function, *args, **kwargs) -> Union[Tensor, Tuple[Tensor, ...]]:
     return tuple(outputs) if multi else outputs[0]
 
 
-def _spread(one: ShardList, sources: Sequence[ShardList], world: int) -> ShardList:
-    """A projected application's one-rank result as every rank's: its
-    shard shared across ranks -- or, when that shard *is* a source's rank-0
-    shard (an identity pass-through), the source's own list, so each rank
-    keeps its own buffer exactly as the per-rank run would."""
-    buf = one[0]
-    for src in sources:
-        if src[0] is buf:
-            return list(src)
-    return one * world
-
-
 def _zeros_for(template) -> ShardList:
     shape, world, abstract = template
     if abstract:  # a shape: one array stands for every rank
@@ -468,15 +466,6 @@ def _accumulate(dst: Optional[ShardList], src: ShardList) -> ShardList:
             and src.count(s0) == len(src) and dst.count(d0) == len(dst)):
         return [d0 + s0] * len(src)  # both shared across ranks: so is the sum
     return [d + s for d, s in zip(dst, src)]
-
-
-def _backward_projected(node: Node, grads_out: List[ShardList]) -> tuple:
-    """A projected node's backward: run on rank 0's grads, results shared."""
-    grads_in = node.fn.backward(node.fctx, *[g[:1] for g in grads_out])
-    if not isinstance(grads_in, tuple):
-        grads_in = (grads_in,)
-    return tuple(g if g is None else _spread(g, grads_out, node.world)
-                 for g in grads_in)
 
 
 def run_backward(seeds: Sequence[Tuple[Tensor, ShardList]]) -> None:
@@ -546,9 +535,7 @@ def run_backward(seeds: Sequence[Tuple[Tensor, ShardList]]) -> None:
                 g if g is not None else _zeros_for(node.out_templates[i])
                 for i, g in enumerate(grads_out)
             ]
-            if node.world > 1:
-                grads_in = _backward_projected(node, grads_out)
-            elif cap is not None and node.fn.composite:
+            if cap is not None and node.fn.composite:
                 # Composite backward (checkpoint recompute) replays as one
                 # opaque call; don't record its inner re-execution.
                 cap.suspend()

@@ -79,13 +79,13 @@ def assert_parallel_equivalent(serial: Module, parallel, ids: np.ndarray,
     models (matched by name) is compared, with sharded parallel gradients
     gathered per their layout.
     """
-    world = parallel.group.size
+    world, vocab = parallel.group.size, serial.config.vocab_size
     serial.zero_grad()
     parallel.zero_grad()
-    loss_s = serial(token_tensor(ids), token_tensor(targets))
+    loss_s = serial(token_tensor(ids, vocab), token_tensor(targets, vocab))
     loss_s.backward()
-    loss_p = parallel(token_tensor(ids, world=world),
-                      token_tensor(targets, world=world))
+    loss_p = parallel(token_tensor(ids, vocab, world=world),
+                      token_tensor(targets, vocab, world=world))
     loss_p.backward()
     parallel.finish_grad_sync()
     if abs(loss_s.item() - loss_p.item()) > atol:

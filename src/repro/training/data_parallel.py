@@ -123,8 +123,9 @@ class DataParallelTrainer:
                     total_loss += result.loss
                     continue
                 for mb_ids, mb_targets in split_microbatches(r_ids, r_targets, n_mb):
-                    loss = replica(token_tensor(mb_ids, world=world),
-                                   token_tensor(mb_targets, world=world))
+                    vocab = replica.config.vocab_size
+                    loss = replica(token_tensor(mb_ids, vocab, world=world),
+                                   token_tensor(mb_targets, vocab, world=world))
                     loss.backward([np.asarray(1.0 / n_mb)] * loss.world)
                     total_loss += loss.item() / n_mb
                 replica.finish_grad_sync()

@@ -155,10 +155,11 @@ class Trainer:
         tracer = active_tracer()
         self.optimizer.zero_grad()
         inputs = {}
+        vocab = self.model.config.vocab_size
         for mb, (mb_ids, mb_targets) in enumerate(
                 split_microbatches(ids, targets, num_microbatches)):
-            inputs["ids", mb] = token_tensor(mb_ids, world=self.world)
-            inputs["targets", mb] = token_tensor(mb_targets, world=self.world)
+            inputs["ids", mb] = token_tensor(mb_ids, vocab, world=self.world)
+            inputs["targets", mb] = token_tensor(mb_targets, vocab, world=self.world)
         losses = self._losses
         losses.clear()
 
@@ -216,10 +217,9 @@ class Trainer:
         self.model.eval()
         try:
             with span_or_null(tracer, "validation"), no_grad():
-                loss = self.model(
-                    token_tensor(ids, world=self.world),
-                    token_tensor(targets, world=self.world),
-                )
+                vocab = self.model.config.vocab_size
+                loss = self.model(token_tensor(ids, vocab, world=self.world),
+                                  token_tensor(targets, vocab, world=self.world))
                 value = loss.item()
         finally:
             self.model.train()
@@ -299,8 +299,10 @@ class PipelinedGPT:
         without checkpointing per rank."""
         if trackers is None:
             trackers = [MemoryTracker() for _ in range(self.p)]
-        world = self.model.group.size
-        microbatches = split_microbatches(ids, targets, num_microbatches)
+        world, vocab = self.model.group.size, self.model.config.vocab_size
+        # Every microbatch's tokens pass the id rule before any op runs.
+        microbatches = [(token_tensor(i, vocab, world=world), token_tensor(t, vocab, world=world))
+                        for i, t in split_microbatches(ids, targets, num_microbatches)]
         schedule = schedule_table(self.p, num_microbatches, self.m)
         window = StorageWindow(full_storage_slots or [0] * self.p, schedule)
         # A schedule that cannot finish fails here, before any op has
@@ -317,15 +319,14 @@ class PipelinedGPT:
                 if letter == "F":
                     store_full = window.forward(rank, mb)
                     if group == 0:
-                        x = token_tensor(microbatches[mb][0], world=world)
+                        x = microbatches[mb][0]
                     else:
                         prev = outputs[(mb, group - 1)]
                         x = Tensor([np.asarray(s).copy() for s in prev.shards],
                                    dtype=prev.dtype, requires_grad=True,
                                    layout=prev.layout)
                         inputs[(mb, group)] = x
-                    tgt = (token_tensor(microbatches[mb][1], world=world)
-                           if group == last else None)
+                    tgt = microbatches[mb][1] if group == last else None
                     out = self._run_group(group, x, tgt, store_full=store_full)
                     outputs[(mb, group)] = out
                     if group == last:

@@ -28,11 +28,13 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 
 from helpers import preset_doc
 from repro import scenarios
 from repro.cli import main
+from repro.config import ModelConfig
 from repro.errors import ConfigError
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -238,6 +240,11 @@ class TestOneScenarioTwoDoors:
         assert checked >= 4
 
 
+#: vocab 32: every token id and target must be an integer in [0, 32).
+TOKENS_CFG = ModelConfig(num_layers=2, hidden_size=16, num_heads=2, seq_length=8,
+                         vocab_size=32)
+
+
 class TestInvalidConfigurations:
     """A ``ReproError`` is a usage error: one ``repro: error:`` line on
     stderr and exit code 2, never a traceback."""
@@ -347,6 +354,31 @@ class TestInvalidConfigurations:
         assert captured.err.startswith(
             "repro: error: --check needs an --output-dir other than")
         assert baseline.read_bytes() == before
+
+    @pytest.mark.parametrize("door", ["Trainer", "PipelinedGPT"])
+    @pytest.mark.parametrize("field,value", [
+        ("ids", -1), ("targets", -1), ("ids", 32), ("ids", 7.9),
+    ], ids=["negative id", "negative target", "id == vocab", "non-integral id"])
+    def test_token_ids_are_integers_below_the_vocabulary(self, door, field, value):
+        from repro.layers import GPTModel
+        from repro.training import PipelinedGPT, Trainer
+        model = GPTModel(TOKENS_CFG, seed=0)
+        batch = {"ids": np.ones((8, 2)), "targets": np.ones((8, 2))}
+        batch[field][3, 1] = value
+        step = (Trainer(model).train_step if door == "Trainer"
+                else lambda ids, tgt: PipelinedGPT(model, 2).train_step(ids, tgt, 2))
+        with pytest.raises(ConfigError, match=r"integers in \[0, 32\)"):
+            step(batch["ids"], batch["targets"])
+
+    def test_a_bad_prompt_token_leaves_the_kv_cache_untouched(self):
+        from repro.layers import GPTModel
+        from repro.serving import DecodeEngine, PagedKVCache
+        cache = PagedKVCache(TOKENS_CFG, block_size=2, num_blocks=8)
+        engine = DecodeEngine(GPTModel(TOKENS_CFG, seed=0), cache)
+        with pytest.raises(ConfigError, match=r"integers in \[0, 32\)"):
+            engine.prefill("r", [1, 2, 3, 99])
+        assert (cache.free_blocks, cache.requests()) == (8, [])
+        assert engine.prefill("r", [1, 2, 3]).shape == (32,)
 
     def test_fixed_chaos_plan_names_its_replica_minimum(self):
         with pytest.raises(ConfigError, match="at least 3 replicas"):

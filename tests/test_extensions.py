@@ -19,6 +19,7 @@ from helpers import random_tokens
 
 CFG = ModelConfig(num_layers=4, hidden_size=32, num_heads=4,
                   seq_length=16, vocab_size=32)
+V = CFG.vocab_size  # token ids lie in [0, V)
 MS = MaskSource(seed=21, keep_prob=0.9)
 rng = np.random.default_rng(23)
 
@@ -28,7 +29,7 @@ def serial():
     model = GPTModel(CFG, seed=11, mask_source=MS)
     ids = random_tokens(rng, CFG.vocab_size, CFG.seq_length, 4)
     tgt = random_tokens(rng, CFG.vocab_size, CFG.seq_length, 4)
-    loss = model(token_tensor(ids), token_tensor(tgt))
+    loss = model(token_tensor(ids, V), token_tensor(tgt, V))
     loss.backward()
     return model, ids, tgt, loss.item()
 
@@ -42,7 +43,7 @@ class TestFullShardedRecompute:
         m = ParallelGPTModel(CFG, tensor_parallel=4, sequence_parallel=False,
                              recompute=Recompute.FULL_SHARDED,
                              mask_source=MS, serial=model_s)
-        loss = m(token_tensor(ids, world=4), token_tensor(tgt, world=4))
+        loss = m(token_tensor(ids, V, world=4), token_tensor(tgt, V, world=4))
         loss.backward()
         m.finish_grad_sync()
         assert loss.item() == pytest.approx(loss_s, abs=1e-9)
@@ -58,7 +59,7 @@ class TestFullShardedRecompute:
                              mask_source=MS, serial=model_s)
         mt = MemoryTracker()
         with instrument(memory=mt):
-            x = m.embedding(token_tensor(ids, world=4))
+            x = m.embedding(token_tensor(ids, V, world=4))
             before = mt.live_bytes(0)
             m.layers[0](x)
             per_layer = mt.live_bytes(0) - before
@@ -76,7 +77,7 @@ class TestFullShardedRecompute:
                              mask_source=MS, serial=model_s)
         log = OpLog()
         with instrument(oplog=log):
-            loss = m(token_tensor(ids, world=4), token_tensor(tgt, world=4))
+            loss = m(token_tensor(ids, V, world=4), token_tensor(tgt, V, world=4))
             loss.backward()
         gathers = [r for r in log.comm_records(Phase.RECOMPUTE)
                    if r.name == "gather_slice"]
@@ -88,7 +89,7 @@ class TestFullShardedRecompute:
                              mask_source=MS, serial=model_s)
         log = OpLog()
         with instrument(oplog=log):
-            loss = m(token_tensor(ids, world=4), token_tensor(tgt, world=4))
+            loss = m(token_tensor(ids, V, world=4), token_tensor(tgt, V, world=4))
             loss.backward()
         assert not [r for r in log.comm_records() if r.name == "gather_slice"]
 
@@ -97,7 +98,7 @@ class TestFullShardedRecompute:
         m = ParallelGPTModel(CFG, tensor_parallel=4, sequence_parallel=True,
                              recompute=Recompute.FULL_SHARDED,
                              mask_source=MS, serial=model_s)
-        loss = m(token_tensor(ids, world=4), token_tensor(tgt, world=4))
+        loss = m(token_tensor(ids, V, world=4), token_tensor(tgt, V, world=4))
         assert loss.item() == pytest.approx(loss_s, abs=1e-9)
 
     def test_serial_t1_equals_full(self):
@@ -116,7 +117,7 @@ class TestInterleavedExecutor:
                                  mask_source=MS, serial=model_s)
         n_mb = 4
         for mb_ids, mb_tgt in split_microbatches(ids, tgt, n_mb):
-            loss = ref(token_tensor(mb_ids, world=2), token_tensor(mb_tgt, world=2))
+            loss = ref(token_tensor(mb_ids, V, world=2), token_tensor(mb_tgt, V, world=2))
             loss.backward([np.asarray(1.0 / n_mb)] * 2)
         ref.finish_grad_sync()
 

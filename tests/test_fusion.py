@@ -46,6 +46,7 @@ from helpers import TINY, random_tokens
 
 rng = np.random.default_rng(7)
 MS = MaskSource(seed=77, keep_prob=0.9)
+V = TINY.vocab_size  # token ids lie in [0, V)
 
 MODES = [Recompute.NONE, Recompute.SELECTIVE, Recompute.FULL]
 
@@ -165,9 +166,9 @@ class TestFusedOps:
         logits_u = from_numpy(np.asarray(logits.shards[0]).copy(),
                               requires_grad=True)
         tgt = np.asarray(rng.integers(0, 9, size=6))
-        loss_f = softmax_cross_entropy(logits, token_tensor(tgt))
+        loss_f = softmax_cross_entropy(logits, token_tensor(tgt, 9))
         from repro.tensor.dtypes import FP32
-        loss_u = F.cross_entropy(F.cast(logits_u, FP32), token_tensor(tgt))
+        loss_u = F.cross_entropy(F.cast(logits_u, FP32), token_tensor(tgt, 9))
         assert loss_f.item() == loss_u.item()
         loss_f.backward()
         loss_u.backward()
@@ -190,7 +191,7 @@ class TestSerialEquivalence:
                              mask_source=MS, fused=fused)
             log = OpLog()
             with instrument(oplog=log):
-                loss = model(token_tensor(ids), token_tensor(tgt))
+                loss = model(token_tensor(ids, V), token_tensor(tgt, V))
                 loss.backward()
             losses.append(loss.item())
             grads.append(_grads(model))
@@ -215,8 +216,8 @@ class TestParallelEquivalence:
                                      mask_source=MS, seed=4, fused=fused)
             tracker = MemoryTracker()
             with instrument(memory=tracker):
-                loss = model(token_tensor(ids, world=t),
-                             token_tensor(tgt, world=t))
+                loss = model(token_tensor(ids, V, world=t),
+                             token_tensor(tgt, V, world=t))
                 loss.backward()
             model.finish_grad_sync()
             losses.append(loss.item())
@@ -237,11 +238,11 @@ def test_fused_parallel_matches_unfused_serial():
     guarantees instead of merely being self-consistent."""
     ids, tgt = _tokens()
     serial_model = GPTModel(TINY, seed=4, mask_source=MS)
-    loss_s = serial_model(token_tensor(ids), token_tensor(tgt)).item()
+    loss_s = serial_model(token_tensor(ids, V), token_tensor(tgt, V)).item()
     m = ParallelGPTModel(TINY, tensor_parallel=4, sequence_parallel=True,
                          recompute=Recompute.SELECTIVE, mask_source=MS,
                          serial=serial_model, fused=True)
-    loss_p = m(token_tensor(ids, world=4), token_tensor(tgt, world=4)).item()
+    loss_p = m(token_tensor(ids, V, world=4), token_tensor(tgt, V, world=4)).item()
     assert loss_p == pytest.approx(loss_s, abs=1e-9)
 
 
@@ -259,7 +260,7 @@ class TestFusionPass:
                              **kwargs)
             log = OpLog()
             with instrument(oplog=log):
-                model(token_tensor(ids), token_tensor(tgt)).backward()
+                model(token_tensor(ids, V), token_tensor(tgt, V)).backward()
             logs.append(log)
         return logs
 
@@ -340,11 +341,11 @@ class TestArena:
         model = GPTModel(TINY, seed=4, mask_source=MS, fused=True)
         arena = reset_arena()
         try:
-            model(token_tensor(ids), token_tensor(tgt)).backward()
+            model(token_tensor(ids, V), token_tensor(tgt, V)).backward()
             warm = arena.stats()
             assert warm["misses"] > 0
             model.zero_grad()
-            model(token_tensor(ids), token_tensor(tgt)).backward()
+            model(token_tensor(ids, V), token_tensor(tgt, V)).backward()
             after = arena.stats()
             assert after["misses"] == warm["misses"]
             assert after["hits"] > warm["hits"]
@@ -466,8 +467,8 @@ def test_tracer_emits_fused_spans_and_stays_deterministic():
         tgt = random_tokens(np.random.default_rng(3), TINY.vocab_size,
                             TINY.seq_length, 2)
         with trace_scope(tracer):
-            model(token_tensor(ids, world=2),
-                  token_tensor(tgt, world=2)).backward()
+            model(token_tensor(ids, V, world=2),
+                  token_tensor(tgt, V, world=2)).backward()
         return tracer
 
     t1, t2 = run(), run()

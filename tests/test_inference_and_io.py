@@ -18,6 +18,7 @@ from repro.training import (
 
 CFG = ModelConfig(num_layers=2, hidden_size=32, num_heads=4,
                   seq_length=24, vocab_size=16)
+V = CFG.vocab_size  # token ids lie in [0, V)
 rng = np.random.default_rng(41)
 
 
@@ -49,7 +50,7 @@ class TestSliceAxis:
     def test_short_sequence_forward(self, serial):
         """Position embeddings are sliced for contexts shorter than s."""
         ids = rng.integers(0, CFG.vocab_size, size=(5, 2))
-        logits = serial.logits(token_tensor(ids))
+        logits = serial.logits(token_tensor(ids, V))
         assert logits.shape == (5, 2, CFG.vocab_size)
 
 
@@ -133,7 +134,7 @@ class TestKVCacheDecoding:
         for i in range(5):
             logits = engine.decode(requests, ids[i])
         with no_grad(), evaluation(serial):
-            reference = np.asarray(serial.logits(token_tensor(ids)).shards[0])[-1]
+            reference = np.asarray(serial.logits(token_tensor(ids, V)).shards[0])[-1]
         np.testing.assert_allclose(logits, reference, atol=1e-10)
         assert [engine.context_length(r) for r in requests] == [5, 5]
 

@@ -45,6 +45,7 @@ from helpers import TINY, random_tokens
 
 rng = np.random.default_rng(31)
 MS = MaskSource(seed=77, keep_prob=0.9)
+V = TINY.vocab_size  # token ids lie in [0, V)
 
 WIDE = ModelConfig(num_layers=1, hidden_size=48, num_heads=6,
                    seq_length=24, vocab_size=64, name="wide")
@@ -55,7 +56,7 @@ def serial():
     model = GPTModel(TINY, seed=4, mask_source=MS)
     ids = random_tokens(rng, TINY.vocab_size, TINY.seq_length, 2)
     tgt = random_tokens(rng, TINY.vocab_size, TINY.seq_length, 2)
-    loss = model(token_tensor(ids), token_tensor(tgt))
+    loss = model(token_tensor(ids, V), token_tensor(tgt, V))
     return model, ids, tgt, loss.item()
 
 
@@ -67,10 +68,10 @@ def traced_run(serial, layout, rc, p=2, overlap=False):
     with trace_scope(tracer):
         if overlap:
             with recompute_overlap_scope():
-                loss = m(token_tensor(ids, world=p), token_tensor(tgt, world=p))
+                loss = m(token_tensor(ids, V, world=p), token_tensor(tgt, V, world=p))
                 loss.backward()
         else:
-            loss = m(token_tensor(ids, world=p), token_tensor(tgt, world=p))
+            loss = m(token_tensor(ids, V, world=p), token_tensor(tgt, V, world=p))
             loss.backward()
     return tracer, loss.item()
 
@@ -356,9 +357,9 @@ class TestModelValidation:
         m = GPTModel(TINY, mask_source=MS, serial=model_s, recompute=rc,
                      fused=fused,
                      layout=AllGatherKV(ProcessGroup(4, scope="cp")))
-        loss = m(token_tensor(ids, world=4), token_tensor(tgt, world=4))
-        assert loss.item() == reference(token_tensor(ids),
-                                        token_tensor(tgt)).item()
+        loss = m(token_tensor(ids, V, world=4), token_tensor(tgt, V, world=4))
+        assert loss.item() == reference(token_tensor(ids, V),
+                                        token_tensor(tgt, V)).item()
         assert_parallel_equivalent(reference, m, ids, tgt, atol=1e-12)
 
     def test_ring_allows_head_indivisible_groups(self, serial):
@@ -366,5 +367,5 @@ class TestModelValidation:
         model_s, ids, tgt, loss_s = serial
         m = LongContextGPTModel(TINY, 8, layout="ring", mask_source=MS,
                                 serial=model_s)
-        loss = m(token_tensor(ids, world=8), token_tensor(tgt, world=8))
+        loss = m(token_tensor(ids, V, world=8), token_tensor(tgt, V, world=8))
         assert loss.item() == loss_s

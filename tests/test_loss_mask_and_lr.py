@@ -20,6 +20,7 @@ from repro.training.lr_scheduler import WarmupDecayLR
 rng = np.random.default_rng(61)
 CFG = ModelConfig(num_layers=2, hidden_size=32, num_heads=4,
                   seq_length=16, vocab_size=16)
+V = CFG.vocab_size  # token ids lie in [0, V)
 
 
 def mask_tensor(mask: np.ndarray, world: int = 1) -> Tensor:
@@ -33,7 +34,7 @@ class TestSerialLossMask:
         targets = rng.integers(0, 5, size=(6, 2))
         mask = (rng.random((6, 2)) > 0.4).astype(float)
         lt = F.cast(from_numpy(logits), FP32)
-        loss = F.cross_entropy(lt, token_tensor(targets),
+        loss = F.cross_entropy(lt, token_tensor(targets, 5),
                                loss_mask=mask_tensor(mask)).item()
         # reference: per-token CE averaged over kept tokens
         from scipy.special import logsumexp
@@ -48,7 +49,7 @@ class TestSerialLossMask:
         mask = np.ones((4, 2))
         mask[0, 0] = 0.0
         lt = from_numpy(logits, requires_grad=True)
-        loss = F.cross_entropy(F.cast(lt, FP32), token_tensor(targets),
+        loss = F.cross_entropy(F.cast(lt, FP32), token_tensor(targets, 5),
                                loss_mask=mask_tensor(mask))
         loss.backward()
         grad = np.asarray(lt.grad[0])
@@ -59,9 +60,9 @@ class TestSerialLossMask:
         logits = rng.normal(size=(4, 2, 5))
         targets = rng.integers(0, 5, size=(4, 2))
         lt = F.cast(from_numpy(logits), FP32)
-        unmasked = F.cross_entropy(lt, token_tensor(targets)).item()
+        unmasked = F.cross_entropy(lt, token_tensor(targets, 5)).item()
         lt2 = F.cast(from_numpy(logits), FP32)
-        masked = F.cross_entropy(lt2, token_tensor(targets),
+        masked = F.cross_entropy(lt2, token_tensor(targets, 5),
                                  loss_mask=mask_tensor(np.ones((4, 2)))).item()
         assert masked == pytest.approx(unmasked, abs=1e-12)
 
@@ -78,7 +79,7 @@ class TestSerialLossMask:
         shards = [rng.normal(size=(2, 1, 4)) for _ in range(world)]
         lt = Tensor(shards, dtype=FP32, requires_grad=True)
         with pytest.raises(ShapeError, match="masks out every token"):
-            loss(lt, token_tensor(np.zeros((2, 1), dtype=int), world=world),
+            loss(lt, token_tensor(np.zeros((2, 1), dtype=int), 4, world=world),
                  loss_mask=mask_tensor(np.zeros((2, 1)), world=world))
 
 
@@ -89,7 +90,7 @@ class TestParallelLossMask:
         mask = (rng.random((6, 2)) > 0.3).astype(float)
         # serial
         ls = from_numpy(logits, requires_grad=True)
-        loss_s = F.cross_entropy(F.cast(ls, FP32), token_tensor(targets),
+        loss_s = F.cross_entropy(F.cast(ls, FP32), token_tensor(targets, 8),
                                  loss_mask=mask_tensor(mask))
         loss_s.backward()
         # vocab-parallel (t=2)
@@ -97,7 +98,7 @@ class TestParallelLossMask:
                   for p in np.split(logits, 2, axis=-1)]
         lp = Tensor(shards, dtype=FP32, requires_grad=True)
         loss_p = vocab_parallel_cross_entropy(
-            lp, token_tensor(targets, world=2), ProcessGroup(2),
+            lp, token_tensor(targets, 8, world=2), ProcessGroup(2),
             loss_mask=mask_tensor(mask, world=2))
         loss_p.backward()
         assert loss_p.item() == pytest.approx(loss_s.item(), abs=1e-10)
@@ -113,13 +114,13 @@ class TestParallelLossMask:
         tgt = np.roll(ids, -1, axis=0)
         mask = np.ones((CFG.seq_length, 2))
         mask[-4:] = 0.0  # ignore the trailing "padding"
-        loss_s = serial(token_tensor(ids), token_tensor(tgt),
+        loss_s = serial(token_tensor(ids, V), token_tensor(tgt, V),
                         loss_mask=mask_tensor(mask)).item()
-        loss_p = par(token_tensor(ids, world=2), token_tensor(tgt, world=2),
+        loss_p = par(token_tensor(ids, V, world=2), token_tensor(tgt, V, world=2),
                      loss_mask=mask_tensor(mask, world=2)).item()
         assert loss_p == pytest.approx(loss_s, abs=1e-10)
         # and masking changes the value vs unmasked
-        unmasked = serial(token_tensor(ids), token_tensor(tgt)).item()
+        unmasked = serial(token_tensor(ids, V), token_tensor(tgt, V)).item()
         assert abs(unmasked - loss_s) > 1e-9
 
 

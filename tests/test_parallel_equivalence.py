@@ -17,6 +17,7 @@ from helpers import TINY, random_tokens
 
 rng = np.random.default_rng(31)
 MS = MaskSource(seed=77, keep_prob=0.9)
+V = TINY.vocab_size  # token ids lie in [0, V)
 ODD_SEQ = ModelConfig(num_layers=1, hidden_size=32, num_heads=4,
                       seq_length=15, vocab_size=64)
 
@@ -26,7 +27,7 @@ def serial():
     model = GPTModel(TINY, seed=4, mask_source=MS)
     ids = random_tokens(rng, TINY.vocab_size, TINY.seq_length, 2)
     tgt = random_tokens(rng, TINY.vocab_size, TINY.seq_length, 2)
-    loss = model(token_tensor(ids), token_tensor(tgt))
+    loss = model(token_tensor(ids, V), token_tensor(tgt, V))
     loss.backward()
     return model, ids, tgt, loss.item()
 
@@ -45,7 +46,7 @@ class TestFullEquivalence:
     def test_loss_matches(self, serial, t, sp, rc):
         model_s, ids, tgt, loss_s = serial
         m = build_parallel(model_s, t, sp, rc)
-        loss = m(token_tensor(ids, world=t), token_tensor(tgt, world=t))
+        loss = m(token_tensor(ids, V, world=t), token_tensor(tgt, V, world=t))
         assert loss.item() == pytest.approx(loss_s, abs=1e-9)
         # Loss is replicated identically on every rank.
         vals = [float(np.asarray(s)) for s in loss.shards]
@@ -54,7 +55,7 @@ class TestFullEquivalence:
     def test_gradients_match(self, serial, t, sp, rc):
         model_s, ids, tgt, _ = serial
         m = build_parallel(model_s, t, sp, rc)
-        loss = m(token_tensor(ids, world=t), token_tensor(tgt, world=t))
+        loss = m(token_tensor(ids, V, world=t), token_tensor(tgt, V, world=t))
         loss.backward()
         m.finish_grad_sync()
 
@@ -113,17 +114,17 @@ class TestVariants:
     def test_unfused_sp_gather_same_numerics(self, serial):
         model_s, ids, tgt, loss_s = serial
         m = build_parallel(model_s, 2, True, Recompute.NONE, fuse=False)
-        loss = m(token_tensor(ids, world=2), token_tensor(tgt, world=2))
+        loss = m(token_tensor(ids, V, world=2), token_tensor(tgt, V, world=2))
         assert loss.item() == pytest.approx(loss_s, abs=1e-9)
 
     def test_logits_match_serial(self, serial):
         model_s, ids, _, _ = serial
         m = build_parallel(model_s, 2, True, Recompute.NONE)
-        x = m.hidden_states(token_tensor(ids, world=2))
+        x = m.hidden_states(token_tensor(ids, V, world=2))
         logits_p = m.head.logits(x)
         # vocab-sharded: concatenate along the last axis
         full_p = np.concatenate([np.asarray(s) for s in logits_p.shards], axis=-1)
-        logits_s = np.asarray(model_s.logits(token_tensor(ids)).shards[0])
+        logits_s = np.asarray(model_s.logits(token_tensor(ids, V)).shards[0])
         np.testing.assert_allclose(full_p, logits_s, atol=1e-8)
 
     def test_partial_full_recompute_layers(self, serial):
@@ -133,13 +134,13 @@ class TestVariants:
                              mask_source=MS, serial=model_s)
         assert m.layers[0].recompute == Recompute.FULL
         assert m.layers[1].recompute == Recompute.NONE
-        loss = m(token_tensor(ids, world=2), token_tensor(tgt, world=2))
+        loss = m(token_tensor(ids, V, world=2), token_tensor(tgt, V, world=2))
         assert loss.item() == pytest.approx(loss_s, abs=1e-9)
 
     def test_finish_grad_sync_noop_without_sp(self, serial):
         model_s, ids, tgt, _ = serial
         m = build_parallel(model_s, 2, False, Recompute.NONE)
-        loss = m(token_tensor(ids, world=2), token_tensor(tgt, world=2))
+        loss = m(token_tensor(ids, V, world=2), token_tensor(tgt, V, world=2))
         loss.backward()
         before = np.asarray(m.layers[0].ln1.gamma.grad[0]).copy()
         m.finish_grad_sync()
@@ -180,11 +181,11 @@ class TestVariants:
         model_s = GPTModel(TINY, seed=4, attention_dropout=0.0, hidden_dropout=0.0)
         ids = random_tokens(rng, TINY.vocab_size, TINY.seq_length, 2)
         tgt = random_tokens(rng, TINY.vocab_size, TINY.seq_length, 2)
-        loss_s = model_s(token_tensor(ids), token_tensor(tgt)).item()
+        loss_s = model_s(token_tensor(ids, V), token_tensor(tgt, V)).item()
         m = ParallelGPTModel(TINY, tensor_parallel=4, sequence_parallel=True,
                              attention_dropout=0.0, hidden_dropout=0.0,
                              serial=model_s)
-        loss_p = m(token_tensor(ids, world=4), token_tensor(tgt, world=4)).item()
+        loss_p = m(token_tensor(ids, V, world=4), token_tensor(tgt, V, world=4)).item()
         assert loss_p == pytest.approx(loss_s, abs=1e-9)
 
 
@@ -206,7 +207,7 @@ class TestLongContextEquivalence:
     def test_loss_bitwise(self, serial, layout, rc, fused, p):
         model_s, ids, tgt, loss_s = serial
         m = self.build(model_s, layout, rc, fused, p)
-        loss = m(token_tensor(ids, world=p), token_tensor(tgt, world=p))
+        loss = m(token_tensor(ids, V, world=p), token_tensor(tgt, V, world=p))
         # Row-sliced GEMMs reproduce the serial rows exactly, so the
         # forward loss is bitwise identical — not merely close.
         assert loss.item() == loss_s
@@ -216,7 +217,7 @@ class TestLongContextEquivalence:
     def test_gradients_match(self, serial, layout, rc, fused, p):
         model_s, ids, tgt, _ = serial
         m = self.build(model_s, layout, rc, fused, p)
-        loss = m(token_tensor(ids, world=p), token_tensor(tgt, world=p))
+        loss = m(token_tensor(ids, V, world=p), token_tensor(tgt, V, world=p))
         loss.backward()
         m.finish_grad_sync()
 
@@ -303,7 +304,7 @@ def test_world_one_is_the_serial_model(serial, layout, rc):
 
     def step(model):
         optimizer = Adam(model.parameters(), lr=1e-2)
-        loss = model(token_tensor(ids), token_tensor(tgt))
+        loss = model(token_tensor(ids, V), token_tensor(tgt, V))
         loss.backward()
         model.finish_grad_sync()
         grads = {n: np.array(p.grad[0]) for n, p in model.named_parameters()}
@@ -342,7 +343,7 @@ class TestLongContextVariants:
         m = LongContextGPTModel(TINY, context_parallel=4, layout="ring",
                                 recompute=Recompute.SELECTIVE, mask_source=MS,
                                 serial=model_s)
-        loss = m(token_tensor(ids, world=4), token_tensor(tgt, world=4))
+        loss = m(token_tensor(ids, V, world=4), token_tensor(tgt, V, world=4))
         assert loss.item() == loss_s
 
     def test_four_way_ulysses(self, serial):
@@ -351,7 +352,7 @@ class TestLongContextVariants:
         m = LongContextGPTModel(TINY, context_parallel=4, layout="ulysses",
                                 recompute=Recompute.FULL, mask_source=MS,
                                 serial=model_s)
-        loss = m(token_tensor(ids, world=4), token_tensor(tgt, world=4))
+        loss = m(token_tensor(ids, V, world=4), token_tensor(tgt, V, world=4))
         assert loss.item() == loss_s
 
     def test_logits_match_serial(self, serial):
@@ -359,7 +360,7 @@ class TestLongContextVariants:
         model_s, ids, _, _ = serial
         m = LongContextGPTModel(TINY, context_parallel=2, layout="ulysses",
                                 mask_source=MS, serial=model_s)
-        logits_p = m.logits(token_tensor(ids, world=2))
-        logits_s = np.asarray(model_s.logits(token_tensor(ids)).shards[0])
+        logits_p = m.logits(token_tensor(ids, V, world=2))
+        logits_s = np.asarray(model_s.logits(token_tensor(ids, V)).shards[0])
         for shard in logits_p.shards:
             np.testing.assert_array_equal(np.asarray(shard), logits_s)

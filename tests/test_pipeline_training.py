@@ -16,6 +16,7 @@ from helpers import random_tokens
 
 CFG = ModelConfig(num_layers=4, hidden_size=32, num_heads=4,
                   seq_length=16, vocab_size=32)
+V = CFG.vocab_size  # token ids lie in [0, V)
 MS = MaskSource(seed=8, keep_prob=0.9)
 rng = np.random.default_rng(17)
 
@@ -41,8 +42,8 @@ class TestNumerics:
         ids, tgt = batch(n_mb)
         # reference: plain accumulation
         for mb_ids, mb_tgt in split_microbatches(ids, tgt, n_mb):
-            loss = ref_model(token_tensor(mb_ids, world=2),
-                             token_tensor(mb_tgt, world=2))
+            loss = ref_model(token_tensor(mb_ids, V, world=2),
+                             token_tensor(mb_tgt, V, world=2))
             loss.backward([np.asarray(1.0 / n_mb)] * 2)
         ref_model.finish_grad_sync()
 

@@ -25,6 +25,7 @@ from repro.training import PipelinedGPT, split_microbatches
 
 CFG = ModelConfig(num_layers=4, hidden_size=16, num_heads=2,
                   seq_length=8, vocab_size=16)
+V = CFG.vocab_size  # token ids lie in [0, V)
 
 # One shared reference: serial weights + the accumulated-gradient answer
 # for a fixed batch, computed once.
@@ -39,7 +40,7 @@ def _reference_grads(n_mb: int):
                              attention_dropout=0.0, hidden_dropout=0.0,
                              serial=_SERIAL)
     for mb_ids, mb_tgt in split_microbatches(_IDS, _TGT, n_mb):
-        loss = model(token_tensor(mb_ids, world=2), token_tensor(mb_tgt, world=2))
+        loss = model(token_tensor(mb_ids, V, world=2), token_tensor(mb_tgt, V, world=2))
         loss.backward([np.asarray(1.0 / n_mb)] * 2)
     model.finish_grad_sync()
     return {name: [np.asarray(g).copy() for g in p.grad]

@@ -1,14 +1,13 @@
-"""Generated oracle for the rank-local projection of ``tensor.apply``.
+"""The rank loop of a shard-local op: ``tensor.map_shards``.
 
-A ``Function`` declaring ``rank_local`` runs once, on rank 0, when its
-inputs are abstract, and every rank gets the one result.  Each case below
-applies one rank-local ``Function`` forward and backward at world 2-4 on
-abstract inputs, then applies the same instance again with
-``fn.rank_local = False`` (the per-rank run), and asserts the two runs
-agree on everything the rest of the system can observe: shapes, the op
-log, each rank's tracker stream, and which buffers alias which *within*
-a rank.  Across ranks the projected run shares every fresh buffer, and a
-pass-through output keeps its input's own list.
+A per-rank ``Function`` hands one shard's math to ``map_shards``, which
+maps it rank by rank on concrete shards and runs it once, sharing the
+result, on abstract shards at world > 1 (not under a memory profiler).
+What that structure cannot guarantee is checked here: each converted op's
+projected run and per-rank run (the same case under a ``MemProfiler``)
+agree on shapes, op log, per-rank tracker stream and within-rank
+aliasing; a result that *is* its rank-0 input keeps that input's own
+list; concrete shards and the profiler path keep one object per rank.
 """
 
 import numpy as np
@@ -16,27 +15,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.longctx.mappings  # noqa: F401  (every Function subclass loaded)
-import repro.parallel.embedding  # noqa: F401
-import repro.parallel.loss  # noqa: F401
-import repro.parallel.mappings  # noqa: F401
-import repro.tensor.checkpoint  # noqa: F401
 from repro.fusion import ops as FO
 from repro.observability.memprof import MemProfiler, memprof_scope
-from repro.tensor import (FP16, FP32, AbstractArray, Function, MemoryTracker,
-                          OpLog, Tensor, apply, instrument, run_backward)
-from repro.tensor import backend as bk
+from repro.tensor import (FP32, AbstractArray, MemoryTracker, OpLog, Tensor, apply,
+                          instrument, run_backward)
 from repro.tensor import functions as F
+from repro.tensor.tensor import map_shards
+
+B = st.booleans()
 
 
 class _StreamTracker(MemoryTracker):
-    """A tracker that keeps its save/release stream, and the buffers each
-    rank was charged, in order."""
+    """Keeps its save/release stream and each rank's charged buffers."""
 
     def __init__(self, world):
         super().__init__()
-        self.stream = []
-        self.charged = [[] for _ in range(world)]
+        self.stream, self.charged = [], [[] for _ in range(world)]
 
     def save(self, rank, buffer, dtype, category="activation"):
         super().save(rank, buffer, dtype, category)
@@ -49,266 +43,107 @@ class _StreamTracker(MemoryTracker):
         self.stream.append(("release", rank, self.live_bytes(rank)))
 
 
-# ---------------------------------------------------------------------------
-# input specs: rebuilt fresh for each of the two runs
-# ---------------------------------------------------------------------------
-
-def _dims(data, min_dims=1, max_dims=3, label="shape"):
-    return data.draw(st.lists(st.integers(1, 4), min_size=min_dims,
-                              max_size=max_dims).map(tuple), label=label)
+def _dims(d, lo=1, hi=3):
+    return d.draw(st.lists(st.integers(1, 4), min_size=lo, max_size=hi).map(tuple))
 
 
-def _tensor(data, shape, grad=None, param=False):
-    """A tensor input: ``shape``, distinct shards per rank unless drawn
-    shared (a replicated input); ``grad`` None draws ``requires_grad``."""
-    if grad is None:
-        grad = data.draw(st.booleans(), label="requires_grad")
-    shared = data.draw(st.booleans(), label="shared across ranks")
-    return ("tensor", tuple(shape), grad, param, shared)
+def _case(cls, d, world):
+    """A generated ``(fn, specs)``; a spec is ("t", shape, requires_grad or None
+    to draw it, is_param), ("same", input index) or ("v", plain value)."""
+    shape = _dims(d)
+    x, param = ("t", shape, True, False), ("t", shape[-1:], True, True)
+    axis = d.draw(st.integers(0, len(shape) - 1), label="axis")
+    if cls in (F.Add, F.Mul):
+        k = d.draw(st.integers(0, len(shape)), label="operand rank")
+        b = ("t", tuple(1 if d.draw(B) else n for n in shape[len(shape) - k:]), None, False)
+        kind = d.draw(st.sampled_from(["tensor", "scalar", "same"]), label="b")
+        return cls(), [x, {"tensor": b, "scalar": ("v", 0.5), "same": ("same", 0)}[kind]]
+    if cls is F.Matmul:
+        (k, n), p = _dims(d, 2, 2), d.draw(B)
+        xs, ws = (shape + (k,), (k, n)) if d.draw(B) else (shape[:1] + (n, k), shape[:1] + (k, n))
+        fn = F.Matmul(d.draw(st.sampled_from(["activation", "attn_qk"]), label="category"))
+        return fn, [("t", xs, True, False), ("t", ws, p or None, p)]
+    if cls in (F.Reshape, F.Transpose):
+        perm = d.draw(st.permutations(range(len(shape))), label="perm")
+        target = [shape[a] for a in perm]
+        if len(target) >= 2 and d.draw(B):
+            target[:2] = [target[0] * target[1]]
+        return (F.Reshape(target) if cls is F.Reshape else F.Transpose(perm)), [x]
+    if cls is F.SliceAxis:
+        start = d.draw(st.integers(0, shape[axis]), label="start")
+        return F.SliceAxis(axis, start, d.draw(st.integers(start, shape[axis]))), [x]
+    if cls in (F.Split, F.Concat):
+        n = d.draw(st.integers(1, 3), label="sections / parts")
+        wide = shape[:axis] + (shape[axis] * n,) + shape[axis + 1:]
+        if cls is F.Split:
+            return F.Split(n, axis - len(shape)), [("t", wide, True, False)]
+        return F.Concat(axis), [x] + [("t", shape, None, False)] * (n - 1)
+    if cls in (F.Dropout, FO.DropoutAdd, FO.ScaleMaskSoftmaxDropout):
+        p = d.draw(st.sampled_from([0.0, 0.1]), label="p")  # p=0: identity
+        mode = d.draw(st.sampled_from(["replicated", "sharded"]), label="mode")
+        if cls is not FO.ScaleMaskSoftmaxDropout:  # DropoutAdd has a residual
+            return cls(p, mode, axis), [x] + [("t", shape, None, False)] * (cls is FO.DropoutAdd)
+        ring = d.draw(B)  # scores (..., s, s), or (..., s/w, s) panels
+        fn = cls(0.125, p, mode=mode, shard_axis=axis, ring=ring)
+        return fn, [("t", shape + (shape[-1] * (world if ring else 1),), True, False)]
+    if cls in (F.CrossEntropy, FO.SoftmaxCrossEntropy):
+        has_mask, ids = d.draw(B), x[:2] + (False, False)
+        return cls(has_mask), [("t", shape + (d.draw(st.integers(1, 4)),), True, False)] + [
+            ids] * (1 + has_mask)
+    if cls is F.CausalMask:
+        return cls(), [("t", shape[:-1] + shape[-1:] * 2, True, False)]
+    if cls is F.EmbeddingLookup:
+        return cls(), [("t", _dims(d, 2, 2), True, True), ("t", shape, False, False)]
+    n_params = {F.LayerNorm: 2, FO.FusedLayerNorm: 2, FO.BiasGelu: 1}.get(cls, 0)
+    return (F.Cast(FP32) if cls is F.Cast else cls()), [x] + [param] * n_params
 
 
-def _broadcastable(data, shape):
-    k = data.draw(st.integers(0, len(shape)), label="operand rank")
-    return tuple(1 if data.draw(st.booleans(), label="broadcast dim") else d
-                 for d in shape[len(shape) - k:])
-
-
-def _binary(cls):
-    def case(data, world):
-        shape = _dims(data)
-        a = _tensor(data, shape, grad=True)
-        kind = data.draw(st.sampled_from(["tensor", "scalar", "same"]), label="b")
-        if kind == "tensor":
-            b = _tensor(data, _broadcastable(data, shape))
-        elif kind == "scalar":
-            b = ("value", 0.5)
-        else:
-            b = ("same", 0)  # the same tensor twice: a shared save / pass-through
-        return cls(), [a, b]
-    return case
-
-
-def _unary(make):
-    def case(data, world):
-        return make(), [_tensor(data, _dims(data), grad=True)]
-    return case
-
-
-def _matmul(data, world):
-    category = data.draw(st.sampled_from(["activation", "attn_qk"]), label="category")
-    if data.draw(st.booleans(), label="linear"):
-        lead, k, n = _dims(data, 1, 2, "lead"), *_dims(data, 2, 2, "k n")
-        x, w = lead + (k,), (k, n)
-    else:
-        b, m, k, n = _dims(data, 4, 4, "b m k n")
-        x, w = (b, m, k), (b, k, n)
-    param = data.draw(st.booleans(), label="w is a parameter")
-    return F.Matmul(category), [_tensor(data, x, grad=True),
-                                _tensor(data, w, grad=param or None, param=param)]
-
-
-def _reshape(data, world):
-    shape = _dims(data, 1, 4)
-    target = list(data.draw(st.permutations(shape), label="target"))
-    if len(target) >= 2 and data.draw(st.booleans(), label="merge"):
-        target[:2] = [target[0] * target[1]]
-    if data.draw(st.booleans(), label="unknown"):
-        target[data.draw(st.integers(0, len(target) - 1))] = -1
-    return F.Reshape(target), [_tensor(data, shape, grad=True)]
-
-
-def _transpose(data, world):
-    shape = _dims(data, 1, 4)
-    axes = data.draw(st.permutations(range(len(shape))), label="axes")
-    return F.Transpose(axes), [_tensor(data, shape, grad=True)]
-
-
-def _split(data, world):
-    shape = list(_dims(data, 1, 3))
-    axis = data.draw(st.integers(0, len(shape) - 1), label="axis")
-    sections = data.draw(st.integers(1, 3), label="sections")
-    shape[axis] *= sections
-    return F.Split(sections, axis - len(shape)), [_tensor(data, shape, grad=True)]
-
-
-def _concat(data, world):
-    base = list(_dims(data, 1, 3))
-    axis = data.draw(st.integers(0, len(base) - 1), label="axis")
-    parts = []
-    for i in range(data.draw(st.integers(1, 3), label="parts")):
-        shape = list(base)
-        shape[axis] = data.draw(st.integers(1, 3), label="part width")
-        parts.append(_tensor(data, shape, grad=True if i == 0 else None))
-    return F.Concat(axis), parts
-
-
-def _dropout_args(data, ndim):
-    p = data.draw(st.sampled_from([0.0, 0.1]), label="p")  # p=0: identity
-    mode = data.draw(st.sampled_from(["replicated", "sharded"]), label="mode")
-    return p, mode, data.draw(st.integers(0, ndim - 1), label="shard axis")
-
-
-def _dropout(data, world):
-    shape = _dims(data)
-    p, mode, axis = _dropout_args(data, len(shape))
-    return F.Dropout(p, mode=mode, shard_axis=axis), [_tensor(data, shape, grad=True)]
-
-
-def _norm(cls):
-    def case(data, world):
-        shape = _dims(data)
-        h = shape[-1:]
-        return cls(1e-5), [_tensor(data, shape, grad=True),
-                           _tensor(data, h, grad=True, param=True),
-                           _tensor(data, h, grad=True, param=True)]
-    return case
-
-
-def _embedding(data, world):
-    v, h = _dims(data, 2, 2, "v h")
-    return F.EmbeddingLookup(), [_tensor(data, (v, h), grad=True, param=True),
-                                 _tensor(data, _dims(data, 1, 2, "ids"), grad=False)]
-
-
-def _loss(cls):
-    def case(data, world):
-        s, b, v = _dims(data, 3, 3, "s b v")
-        has_mask = data.draw(st.booleans(), label="loss mask")
-        args = [_tensor(data, (s, b, v), grad=True), _tensor(data, (s, b), grad=False)]
-        if has_mask:
-            args.append(_tensor(data, (s, b), grad=False))
-        return cls(has_mask), args
-    return case
-
-
-def _causal_mask(data, world):
-    s = data.draw(st.integers(1, 4), label="s")
-    return F.CausalMask(), [_tensor(data, _dims(data, 0, 2, "lead") + (s, s), grad=True)]
-
-
-def _slice_axis(data, world):
-    shape = _dims(data)
-    axis = data.draw(st.integers(0, len(shape) - 1), label="axis")
-    start = data.draw(st.integers(0, shape[axis]), label="start")
-    stop = data.draw(st.integers(start, shape[axis]), label="stop")
-    return F.SliceAxis(axis, start, stop), [_tensor(data, shape, grad=True)]
-
-
-def _bias_gelu(data, world):
-    shape = _dims(data)
-    return FO.BiasGelu(), [_tensor(data, shape, grad=True),
-                           _tensor(data, shape[-1:], grad=True, param=True)]
-
-
-def _scale_mask_softmax_dropout(data, world):
-    b, a, s = _dims(data, 3, 3, "b a s")
-    ring = data.draw(st.booleans(), label="ring")
-    p, mode, _ = _dropout_args(data, 4)
-    fn = FO.ScaleMaskSoftmaxDropout(0.125, p, mode=mode, shard_axis=1, ring=ring)
-    shape = (b, a, s, s * world if ring else s)  # ring: (s/w, s) score panels
-    return fn, [_tensor(data, shape, grad=True)]
-
-
-def _dropout_add(data, world):
-    shape = _dims(data)
-    p, mode, axis = _dropout_args(data, len(shape))
-    return FO.DropoutAdd(p, mode=mode, shard_axis=axis), [
-        _tensor(data, shape, grad=True), _tensor(data, shape)]
-
-
-#: One strategy per rank-local Function class.
-CASES = {
-    F.Add: _binary(F.Add),
-    F.Mul: _binary(F.Mul),
-    F.Matmul: _matmul,
-    F.Reshape: _reshape,
-    F.Transpose: _transpose,
-    F.Split: _split,
-    F.Concat: _concat,
-    F.Gelu: _unary(F.Gelu),
-    F.Softmax: _unary(F.Softmax),
-    F.Dropout: _dropout,
-    F.LayerNorm: _norm(F.LayerNorm),
-    F.EmbeddingLookup: _embedding,
-    F.Cast: _unary(lambda: F.Cast(FP32)),
-    F.SumAll: _unary(F.SumAll),
-    F.CrossEntropy: _loss(F.CrossEntropy),
-    F.CausalMask: _causal_mask,
-    F.SliceAxis: _slice_axis,
-    FO.BiasGelu: _bias_gelu,
-    FO.ScaleMaskSoftmaxDropout: _scale_mask_softmax_dropout,
-    FO.FusedLayerNorm: _norm(FO.FusedLayerNorm),
-    FO.DropoutAdd: _dropout_add,
-    FO.SoftmaxCrossEntropy: _loss(FO.SoftmaxCrossEntropy),
-}
+CASES = [F.Add, F.Mul, F.Matmul, F.Reshape, F.Transpose, F.Split, F.Concat, F.Gelu,
+         F.Softmax, F.Dropout, F.LayerNorm, F.EmbeddingLookup, F.Cast, F.SumAll,
+         F.CrossEntropy, F.CausalMask, F.SliceAxis, FO.BiasGelu, FO.ScaleMaskSoftmaxDropout,
+         FO.FusedLayerNorm, FO.DropoutAdd, FO.SoftmaxCrossEntropy]
 
 
 def _shards(shape, world, shared):
-    if shared:
-        return [AbstractArray(shape)] * world
-    return [AbstractArray(shape) for _ in range(world)]
-
-
-def _build(specs, world):
-    args = []
-    for spec in specs:
-        if spec[0] == "tensor":
-            _, shape, grad, param, shared = spec
-            args.append(Tensor(_shards(shape, world, shared), dtype=FP16,
-                               requires_grad=grad, is_param=param))
-        elif spec[0] == "same":
-            args.append(args[spec[1]])
-        else:
-            args.append(spec[1])
-    return args
+    fresh = [AbstractArray(shape) for _ in range(world)]
+    return fresh[:1] * world if shared else fresh
 
 
 def _pattern(objs):
-    """Entry i -> the first index holding the same object; for a shard
-    list, which ranks share which buffer."""
+    """Entry i -> the first index holding the same object."""
     return tuple(next(j for j, o in enumerate(objs) if o is x) for x in objs)
 
 
-def _aliasing(lists, charged):
-    """Per rank, which of ``lists``' rank-r buffers and of the buffers
-    charged to rank r are one object."""
-    return [_pattern([lst[r] for lst in lists] + saves)
-            for r, saves in enumerate(charged)]
-
-
-def _run(fn, specs, seed_plan, world):
-    args = _build(specs, world)
+def _run(fn, specs, flags, world):
+    """Apply ``fn`` forward and backward, taking each drawn flag from ``flags``."""
+    flags, args = iter(flags), []
+    for spec in specs:
+        if spec[0] == "t":
+            grad = next(flags) if spec[2] is None else spec[2]
+            args.append(Tensor(_shards(spec[1], world, next(flags)),
+                               requires_grad=grad, is_param=spec[3]))
+        else:
+            args.append(args[spec[1]] if spec[0] == "same" else spec[1])
     tensors = [a for a in args if isinstance(a, Tensor)]
     tracker, log = _StreamTracker(world), OpLog()
     with instrument(memory=tracker, oplog=log):
         out = apply(fn, *args)
         outs = out if isinstance(out, tuple) else (out,)
-        node_world = outs[0]._node.world
-        seeds = []
-        for o, (seeded, shared) in zip(outs, seed_plan):
-            if seeded:
-                seeds.append((o, _shards(o.shape, world, shared)))
+        seeds = [(o, _shards(o.shape, world, next(flags)))
+                 for i, o in enumerate(outs) if next(flags) or i == 0]
         run_backward(seeds)
-    grads = [t.grad for t in tensors if t.grad is not None]
-    through = [next((t for t in tensors
-                     if all(a is b for a, b in zip(o.shards, t.shards))), None)
-               for o in outs]
+    lists = ([t.shards for t in tensors] + [o.shards for o in outs] + [g for _, g in seeds]
+             + [t.grad for t in tensors if t.grad is not None])
     return {
-        "node_world": node_world,
-        "out_shapes": [[bk.shape_of(s) for s in o.shards] for o in outs],
-        "out_dtypes": [o.dtype for o in outs],
-        "grad_shapes": [None if t.grad is None else [bk.shape_of(g) for g in t.grad]
-                        for t in tensors],
-        # which ranks share which output buffer, and, for an output that
-        # passes an input through, that input's own sharing
-        "out_patterns": [_pattern(o.shards) for o in outs],
-        "through": [None if t is None else _pattern(t.shards) for t in through],
-        "aliasing": _aliasing([t.shards for t in tensors] + [o.shards for o in outs]
-                              + [g for _, g in seeds] + grads, tracker.charged),
-        "records": list(log.records),
-        "stream": tracker.stream,
-        "watermarks": tracker.watermark_events(),
+        "shapes": [(o.shape, o.dtype) for o in outs] + [t.grad and list(map(np.shape, t.grad))
+                                                         for t in tensors],
+        "through": [next((_pattern(t.shards) for t in tensors  # a pass-through's input
+                          if all(a is b for a, b in zip(o.shards, t.shards))), None) for o in outs],
+        "aliasing": [_pattern([a[r] for a in lists] + saves)
+                     for r, saves in enumerate(tracker.charged)],
+        "records": list(log.records), "stream": tracker.stream,
         "live_after": [tracker.live_bytes(r) for r in range(world)],
+        "out_patterns": [_pattern(o.shards) for o in outs],
     }
 
 
@@ -318,73 +153,43 @@ class TestProjectionOracle:
     @settings(max_examples=30, deadline=None)
     def test_projected_run_matches_per_rank_run(self, cls, data):
         world = data.draw(st.integers(2, 4), label="world")
-        fn, specs = CASES[cls](data, world)
+        fn, specs = _case(cls, data, world)
         assert type(fn) is cls
-        n_out = fn.sections if cls is F.Split else 1
-        seed_plan = [(i == 0 or data.draw(st.booleans(), label="seed output"),
-                      data.draw(st.booleans(), label="seed grad shared"))
-                     for i in range(n_out)]
-        projected = fn.rank_local
-        first = _run(fn, specs, seed_plan, world)
-        fn.rank_local = False
-        per_rank = _run(fn, specs, seed_plan, world)
-
-        assert first["node_world"] == (world if projected else 1)
-        assert per_rank["node_world"] == 1
-        for key in ("out_shapes", "out_dtypes", "grad_shapes", "through",
-                    "aliasing", "records", "stream", "watermarks", "live_after"):
-            assert first[key] == per_rank[key], key
+        flags = data.draw(st.lists(st.booleans(), min_size=16, max_size=16), label="flags")
+        projected = _run(fn, specs, flags, world)
+        with memprof_scope(MemProfiler()):
+            per_rank = _run(fn, specs, flags, world)
+        for key in ("shapes", "through", "aliasing", "records", "stream", "live_after"):
+            assert projected[key] == per_rank[key], key
         assert per_rank["live_after"] == [0] * world
-        for run, fresh_shared in ((first, projected), (per_rank, False)):
-            for pattern, through in zip(run["out_patterns"], run["through"]):
-                if through is None:  # fresh: one buffer for all ranks if projected
-                    assert pattern == ((0,) * world if fresh_shared
-                                       else tuple(range(world)))
-                else:  # a pass-through keeps its input's own list
-                    assert pattern == through
-
-
-def _subclasses(cls):
-    for sub in cls.__subclasses__():
-        yield sub
-        yield from _subclasses(sub)
-
-
-class TestDeclarations:
-    def test_every_rank_local_class_has_an_oracle_strategy(self):
-        declared = {c for c in _subclasses(Function) if c.__dict__.get("rank_local")}
-        assert declared, "no rank-local Function found"
-        missing = sorted(c.__qualname__ for c in declared - set(CASES))
-        assert not missing, f"rank_local without a strategy in CASES: {missing}"
-        assert set(CASES) <= declared
-
-    def test_ring_softmax_stays_per_rank(self):
-        assert FO.ScaleMaskSoftmaxDropout(1.0, 0.0).rank_local
-        assert not FO.ScaleMaskSoftmaxDropout(1.0, 0.0, ring=True).rank_local
+        for pattern, through in zip(projected["out_patterns"], projected["through"]):
+            assert pattern == ((0,) * world if through is None else through)
 
 
 class TestWhenProjected:
-    def _gelu(self, shards):
-        return F.gelu(Tensor(shards, requires_grad=True))
+    def _map(self, shards):
+        calls = []
+        return map_shards(lambda x: calls.append(x) or x * 2.0, shards), calls
 
     def test_memory_profiler_keeps_the_per_rank_path(self):
-        # memprof keys producers by id(shard) alone: each rank's output
-        # must stay its own object under a profiler.
+        # memprof keys producers by id(shard) alone: each rank keeps its own output
         with memprof_scope(MemProfiler()):
-            y = self._gelu([AbstractArray((2, 3)) for _ in range(4)])
-        assert y._node.world == 1
-        assert _pattern(y.shards) == (0, 1, 2, 3)
+            out, calls = self._map([AbstractArray((2, 3)) for _ in range(4)])
+        assert (len(calls), _pattern(out)) == (4, (0, 1, 2, 3))
 
     def test_abstract_inputs_are_projected(self):
-        y = self._gelu([AbstractArray((2, 3)) for _ in range(4)])
-        assert y._node.world == 4
-        assert _pattern(y.shards) == (0, 0, 0, 0)
+        shards = [AbstractArray((2, 3)) for _ in range(4)]
+        out, calls = self._map(shards)
+        assert calls[0] is shards[0] and (len(calls), _pattern(out)) == (1, (0, 0, 0, 0))
 
     def test_concrete_inputs_are_not_projected(self):
-        y = self._gelu([np.zeros((2, 3)) for _ in range(2)])
-        assert y._node.world == 1
-        assert _pattern(y.shards) == (0, 1)
+        out, calls = self._map([np.zeros((2, 3)) for _ in range(2)])
+        assert (len(calls), _pattern(out)) == (2, (0, 1))
 
     def test_world_one_is_not_projected(self):
-        y = self._gelu([AbstractArray((2, 3))])
-        assert y._node.world == 1
+        assert [len(r) for r in self._map([AbstractArray((2, 3))])] == [1, 1]
+
+    def test_a_pass_through_keeps_each_rank_buffer(self):
+        for shards in ([AbstractArray((2,)) for _ in range(3)], [np.zeros(2) for _ in range(3)]):
+            same, fresh = map_shards(lambda x, y: (x, y * 2.0), shards, [AbstractArray((2,))] * 3)
+            assert all(a is b for a, b in zip(same, shards)) and len(fresh) == 3

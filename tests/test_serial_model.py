@@ -15,6 +15,7 @@ from repro.tensor import functions as F
 from helpers import TINY, random_tokens
 
 rng = np.random.default_rng(0)
+V = TINY.vocab_size  # token ids lie in [0, V)
 
 
 def tiny_model(recompute=Recompute.NONE, **kw):
@@ -22,8 +23,8 @@ def tiny_model(recompute=Recompute.NONE, **kw):
 
 
 def batch(b=2):
-    return (token_tensor(random_tokens(rng, TINY.vocab_size, TINY.seq_length, b)),
-            token_tensor(random_tokens(rng, TINY.vocab_size, TINY.seq_length, b)))
+    return (token_tensor(random_tokens(rng, TINY.vocab_size, TINY.seq_length, b), V),
+            token_tensor(random_tokens(rng, TINY.vocab_size, TINY.seq_length, b), V))
 
 
 class TestStructure:
@@ -65,8 +66,8 @@ class TestStructure:
         ids_a = random_tokens(rng, TINY.vocab_size, TINY.seq_length, 1)
         ids_b = ids_a.copy()
         ids_b[-1, 0] = (ids_b[-1, 0] + 1) % TINY.vocab_size
-        la = np.asarray(model.logits(token_tensor(ids_a)).shards[0])
-        lb = np.asarray(model.logits(token_tensor(ids_b)).shards[0])
+        la = np.asarray(model.logits(token_tensor(ids_a, V)).shards[0])
+        lb = np.asarray(model.logits(token_tensor(ids_b, V)).shards[0])
         np.testing.assert_allclose(la[:-1], lb[:-1])
         assert not np.allclose(la[-1], lb[-1])
 
@@ -173,7 +174,7 @@ class TestIndependentReference:
         expected_hidden = self._reference_layer(weights, x)
         np.testing.assert_allclose(np.asarray(hidden.shards[0]),
                                    expected_hidden, rtol=self.RTOL, atol=0)
-        loss = head(hidden, token_tensor(targets)).item()
+        loss = head(hidden, token_tensor(targets, self.V)).item()
         expected_loss = self._reference_loss(weights, expected_hidden, targets)
         assert loss == pytest.approx(expected_loss, rel=self.RTOL)
 
@@ -236,7 +237,7 @@ class TestMemoryTerms:
         seed(2)
         head = LMHead(self.H, 64, rng=np.random.default_rng(4))
         x = from_numpy(rng.normal(size=(self.S, self.B, self.H)), requires_grad=True)
-        tgt = token_tensor(random_tokens(rng, 64, self.S, self.B))
+        tgt = token_tensor(random_tokens(rng, 64, self.S, self.B), 64)
         mt = MemoryTracker()
         with instrument(memory=mt):
             head(x, tgt)

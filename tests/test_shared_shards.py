@@ -148,12 +148,8 @@ TRACES = (
     + [(f"{name} sp={sp}", lambda fn=fn, sp=sp: fn(CFG22, sp, KernelCostModel()))
        for name, fn in (("embedding_times", embedding_times), ("head_times", head_times))
        for sp in (False, True)]
-    # Not the fused Ring layer: a ring ScaleMaskSoftmaxDropout keeps one
-    # forward output per rank, because its class is rank-local and
-    # tests/test_rank_local.py pins fresh per-rank outputs for every run
-    # of a rank-local class that is not projected.
     + [(f"{cls.__name__} fused={fused}", lambda cls=cls, fused=fused: _cp_layer(cls, fused))
-       for cls, fused in ((Ulysses, False), (Ulysses, True), (Ring, False))]
+       for cls in (Ulysses, Ring) for fused in (False, True)]
 )
 
 

@@ -223,12 +223,13 @@ class TestEndToEndTraining:
         data = MarkovTokens(16, 32, seed=4)
         ids, tgt = data.batch(4)
         model.zero_grad()
-        loss = model(token_tensor(ids), token_tensor(tgt))
+        v = self.CFG.vocab_size
+        loss = model(token_tensor(ids, v), token_tensor(tgt, v))
         loss.backward()
         big = np.asarray(model.layers[0].mlp.fc1.weight.grad[0]).copy()
         model.zero_grad()
         for mb_ids, mb_tgt in split_microbatches(ids, tgt, 2):
-            l = model(token_tensor(mb_ids), token_tensor(mb_tgt))
+            l = model(token_tensor(mb_ids, v), token_tensor(mb_tgt, v))
             l.backward([np.asarray(0.5)])
         accum = np.asarray(model.layers[0].mlp.fc1.weight.grad[0])
         np.testing.assert_allclose(accum, big, atol=1e-9)
@@ -303,7 +304,8 @@ class TestPackedDocuments:
         data = PackedDocuments(16, 16, seed=2)
         ids, targets, mask = data.batch(4)
         mask_t = Tensor([mask], dtype=FP32)
-        loss = model(token_tensor(ids), token_tensor(targets), loss_mask=mask_t)
+        v = cfg.vocab_size
+        loss = model(token_tensor(ids, v), token_tensor(targets, v), loss_mask=mask_t)
         loss.backward()
         opt.step()
         assert np.isfinite(loss.item())

@@ -21,7 +21,7 @@ class TestVocabParallelLookup:
         ids_np = rng.integers(0, v, size=(5, 2))
         weight = Tensor([np.ascontiguousarray(p).copy() for p in np.split(table, t)],
                         is_param=True, requires_grad=True, layout="shard(dim=0)")
-        ids = token_tensor(ids_np, world=t)
+        ids = token_tensor(ids_np, v, world=t)
         partial = apply(VocabParallelLookup(), weight, ids)
         summed = np.sum([np.asarray(s) for s in partial.shards], axis=0)
         np.testing.assert_allclose(summed, table[ids_np])
@@ -32,7 +32,7 @@ class TestVocabParallelLookup:
         weight = Tensor([p.copy() for p in np.split(table, t)],
                         is_param=True, requires_grad=True, layout="shard(dim=0)")
         ids_np = np.array([[0], [7]])  # one id per rank's range
-        partial = apply(VocabParallelLookup(), weight, token_tensor(ids_np, world=t))
+        partial = apply(VocabParallelLookup(), weight, token_tensor(ids_np, v, world=t))
         F.sum_all(partial).backward()
         g0, g1 = [np.asarray(g) for g in weight.grad]
         assert g0[0].sum() != 0 and g0[1:].sum() == 0       # row 0 on rank 0
@@ -42,7 +42,7 @@ class TestVocabParallelLookup:
         v, h, t = 8, 4, 2
         weight = Tensor([rng.normal(size=(4, 4)) for _ in range(t)],
                         is_param=True, requires_grad=True, layout="shard(dim=0)")
-        ids = token_tensor(np.zeros((5, 2), dtype=np.int64), world=t)
+        ids = token_tensor(np.zeros((5, 2), dtype=np.int64), 8, world=t)
         mt = MemoryTracker()
         with instrument(memory=mt):
             apply(VocabParallelLookup(), weight, ids)
@@ -52,7 +52,7 @@ class TestVocabParallelLookup:
 class TestVocabParallelCrossEntropy:
     def _serial_ce(self, logits, targets):
         l = from_numpy(logits, requires_grad=True)
-        t = token_tensor(targets)
+        t = token_tensor(targets, 8)
         loss = F.cross_entropy(F.cast(l, FP32), t)
         loss.backward()
         return loss.item(), np.asarray(l.grad[0])
@@ -62,7 +62,7 @@ class TestVocabParallelCrossEntropy:
         shards = [np.ascontiguousarray(p).copy()
                   for p in np.split(logits, t, axis=-1)]
         lt = Tensor(shards, dtype=FP32, requires_grad=True, layout="shard(dim=-1)")
-        loss = vocab_parallel_cross_entropy(lt, token_tensor(targets, world=t), group)
+        loss = vocab_parallel_cross_entropy(lt, token_tensor(targets, 8, world=t), group)
         loss.backward()
         grad = np.concatenate([np.asarray(g) for g in lt.grad], axis=-1)
         return loss.item(), grad
@@ -82,7 +82,7 @@ class TestVocabParallelCrossEntropy:
         group = ProcessGroup(2)
         shards = [np.ascontiguousarray(p).copy() for p in np.split(logits, 2, axis=-1)]
         lt = Tensor(shards, dtype=FP32, requires_grad=True)
-        loss = vocab_parallel_cross_entropy(lt, token_tensor(targets, world=2), group)
+        loss = vocab_parallel_cross_entropy(lt, token_tensor(targets, 8, world=2), group)
         vals = [float(np.asarray(s)) for s in loss.shards]
         assert vals[0] == vals[1]
 
@@ -96,7 +96,7 @@ class TestVocabParallelCrossEntropy:
         lt = Tensor(shards, dtype=FP32, requires_grad=True)
         mt = MemoryTracker()
         with instrument(memory=mt):
-            vocab_parallel_cross_entropy(lt, token_tensor(targets, world=t), group)
+            vocab_parallel_cross_entropy(lt, token_tensor(targets, 8, world=t), group)
         # fp32 logits shard + int64 targets per rank
         assert mt.live_bytes(0) == 4 * s * b * v // t + s * b * 8
 
@@ -109,7 +109,7 @@ class TestVocabParallelCrossEntropy:
         lt = Tensor(shards, dtype=FP32, requires_grad=True)
         log = OpLog()
         with instrument(oplog=log):
-            vocab_parallel_cross_entropy(lt, token_tensor(targets, world=2), group)
+            vocab_parallel_cross_entropy(lt, token_tensor(targets, 8, world=2), group)
         comms = log.comm_records()
         assert len(comms) == 3
         assert all(r.comm.op == "all_reduce" for r in comms)
@@ -121,13 +121,13 @@ class TestVocabParallelEmbeddingModule:
         emb = GPTEmbedding(8, 4, 6, hidden_dropout=0.0, rng=rng,
                            layout=TensorParallel(ProcessGroup(2),
                                                  sequence_parallel=True))
-        out = emb(token_tensor(np.zeros((6, 2), dtype=np.int64), world=2))
+        out = emb(token_tensor(np.zeros((6, 2), dtype=np.int64), 8, world=2))
         assert out.shape == (3, 2, 4)
 
     def test_no_sp_output_replicated(self):
         emb = GPTEmbedding(8, 4, 6, hidden_dropout=0.0, rng=rng,
                            layout=TensorParallel(ProcessGroup(2)))
-        out = emb(token_tensor(np.zeros((6, 2), dtype=np.int64), world=2))
+        out = emb(token_tensor(np.zeros((6, 2), dtype=np.int64), 8, world=2))
         assert out.shape == (6, 2, 4)
         np.testing.assert_allclose(np.asarray(out.shards[0]),
                                    np.asarray(out.shards[1]))
@@ -139,7 +139,7 @@ class TestVocabParallelEmbeddingModule:
                            layout=TensorParallel(ProcessGroup(t),
                                                  sequence_parallel=True))
         mt = MemoryTracker()
-        ids = token_tensor(rng.integers(0, 8, size=(s, b)), world=t)
+        ids = token_tensor(rng.integers(0, 8, size=(s, b)), 8, world=t)
         with instrument(memory=mt):
             out = emb(ids)
         assert mt.category_breakdown(0)["dropout_mask"] == s * b * h // t
