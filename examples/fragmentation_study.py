@@ -4,7 +4,7 @@ The paper's conclusion names "memory fragmentation for large microbatches"
 as future work.  This example replays the *actual* allocation/free trace
 of a 22B layer stack (collected from the autograd tape) through two
 allocator models and shows where fragmentation comes from — and exports a
-Chrome trace of the 530B interleaved schedule for visual inspection.
+Chrome trace of the 175B interleaved schedule for visual inspection.
 
 Run:  python examples/fragmentation_study.py
 """
@@ -54,19 +54,15 @@ def trace_shape() -> None:
 
 
 def chrome_trace_export() -> None:
-    from repro.pipeline_sim import (
-        TimelineCosts, export_chrome_trace, schedule_table,
-    )
+    from repro.observability import Tracer, export_trace, schedule_events
+    from repro.pipeline_sim import TimelineCosts, schedule_table
     cfg = PAPER_CONFIGS["175B"]
     sched = schedule_table(cfg.parallel.pipeline_parallel,
                            cfg.num_microbatches,
                            cfg.parallel.interleave_stages)
     path = os.path.join(tempfile.gettempdir(), "repro_175b_schedule.json")
-    n = export_chrome_trace(
-        sched,
-        TimelineCosts(forward=1.0, recompute=0.2, backward=2.0),
-        path,
-    )
+    n = export_trace(Tracer(), path, extra_events=schedule_events(
+        sched, TimelineCosts(forward=1.0, recompute=0.2, backward=2.0)))
     print(f"\nChrome trace of the 175B interleaved schedule written to "
           f"{path} ({n} events) — open chrome://tracing or ui.perfetto.dev")
 

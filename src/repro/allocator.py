@@ -18,12 +18,10 @@ churn the paper worries about.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from .errors import PlanningError
-from .tensor.dtypes import DType
-from .tensor.memory_tracker import MemoryTracker
 
 
 @dataclass(frozen=True)
@@ -34,33 +32,6 @@ class TraceEvent:
     buffer_id: int
     nbytes: int
     category: str
-
-
-class TracingMemoryTracker(MemoryTracker):
-    """A MemoryTracker that also records the alloc/free event stream of
-    one rank, suitable for allocator replay."""
-
-    def __init__(self, rank: int = 0):
-        super().__init__()
-        self.rank = rank
-        self.trace: List[TraceEvent] = []
-
-    def save(self, rank: int, buffer, dtype: DType, category: str = "activation") -> None:
-        was_live = (rank, id(buffer)) in self._entries
-        super().save(rank, buffer, dtype, category)
-        if rank == self.rank and not was_live:
-            from .tensor.backend import size_of
-            self.trace.append(TraceEvent("alloc", id(buffer),
-                                         size_of(buffer) * dtype.nbytes, category))
-
-    def release(self, rank: int, buffer) -> None:
-        key = (rank, id(buffer))
-        entry = self._entries.get(key)
-        will_free = entry is not None and entry.refcount == 1
-        if will_free and rank == self.rank:
-            self.trace.append(TraceEvent("free", id(buffer),
-                                         entry.nbytes, entry.category))
-        super().release(rank, buffer)
 
 
 @dataclass
@@ -294,6 +265,7 @@ def layer_trace(model_config, microbatch_size: int, tensor_parallel: int,
     layers run fwd+bwd for ``num_microbatches`` accumulation steps."""
     from .comm.process_group import ProcessGroup
     from .layers.transformer import abstract_layer
+    from .observability.memprof import MemoryLedger
     from .parallel.layout import TensorParallel
     from .tensor import instrument
 
@@ -303,14 +275,14 @@ def layer_trace(model_config, microbatch_size: int, tensor_parallel: int,
                        recompute=recompute, tag=f"frag_layer{i}")[0]
         for i in range(num_layers)
     ]
-    tracker = TracingMemoryTracker(rank=0)
-    with instrument(memory=tracker):
+    ledger = MemoryLedger()
+    with instrument(memory=ledger):
         for _ in range(num_microbatches):
             x = layout.abstract_stream(model_config, microbatch_size)
             for layer in layers:
                 x = layer(x)
             x.backward()
-    return tracker.trace
+    return ledger.trace(0)
 
 
 def measure_fragmentation(model_config, microbatch_size: int, tensor_parallel: int,

@@ -51,8 +51,8 @@ from .observability import (
     export_trace,
     flamegraph,
     load_trace,
-    rehome_events,
     run_preset,
+    schedule_events,
     trace_scope,
     validate_trace_file,
     verify_partition,
@@ -288,11 +288,11 @@ def cmd_trace(args) -> str:
     spans, collectives, recompute, activation-memory counters), a
     checkpoint save, a short fault-injected data-parallel segment
     (resilience instants + goodput metrics), and the analytic pipeline
-    schedule rehomed into the same timeline.  All spans sit on the
+    schedule on the same timeline.  All spans sit on the
     simulated clock, so two runs at the same seed write byte-identical
     artifacts.
     """
-    from .pipeline_sim import TimelineCosts, chrome_trace_events, schedule_table
+    from .pipeline_sim import TimelineCosts, schedule_table
     from .training.serialization import save_training_state
 
     os.makedirs(args.output_dir, exist_ok=True)
@@ -312,8 +312,8 @@ def cmd_trace(args) -> str:
     os.remove(ckpt_path)  # keep only the observability artifacts
 
     pp = run.experiment.parallel.pipeline_parallel
-    pipeline_events = rehome_events(chrome_trace_events(
-        schedule_table(pp, run.experiment.num_microbatches), TimelineCosts()))
+    pipeline_events = schedule_events(
+        schedule_table(pp, run.experiment.num_microbatches), TimelineCosts())
     trace_path = os.path.join(args.output_dir, "trace.json")
     trace_note = _write_trace(tracer, trace_path,
                               extra_events=pipeline_events)

@@ -572,7 +572,6 @@ class FleetRouter:
                     self.report.redispatches += 1
                 outcome = self._outcomes[request_id]
                 outcome["replica"] = replica.replica_id
-                outcome["admitted_s"] = self.clock
                 outcome["attempts"] = entry.attempts + 1
                 self._mark(request_id, "queue_wait")
                 self._mark(request_id, "prefill",
@@ -656,7 +655,6 @@ class FleetRouter:
             self._tpot.observe(tpot)
             if self.monitor is not None:
                 self.monitor.observe_tpot(tpot)
-            outcome["tpot_s"] = tpot
             self.report.completed += 1
             self.report.tokens_generated += len(state.tokens)
 
@@ -665,7 +663,6 @@ class FleetRouter:
         if "first_token_s" not in outcome and state.tokens:
             outcome["first_token_s"] = self.clock
             ttft = self.clock - state.spec.arrival_s
-            outcome["ttft_s"] = ttft
             self._ttft.observe(ttft)
             if self.monitor is not None:
                 self.monitor.observe_ttft(ttft)

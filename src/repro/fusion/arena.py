@@ -14,8 +14,8 @@ back to — the arena.  That makes recycling safe without any liveness
 analysis.
 
 The arena records the same :class:`~repro.allocator.TraceEvent` stream
-the :class:`~repro.allocator.TracingMemoryTracker` produces, so a fused
-run's scratch churn can be replayed through
+that :meth:`repro.observability.memprof.MemoryLedger.trace` produces, so
+a fused run's scratch churn can be replayed through
 :func:`repro.allocator.replay` against the first-fit or caching
 allocator models alongside the activation trace.
 """

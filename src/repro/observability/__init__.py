@@ -11,12 +11,12 @@ reproducible:
   histograms with Prometheus-text and canonical-JSON export;
 * :mod:`~repro.observability.perfetto` — the merged Chrome/Perfetto
   trace exporter (one pid per subsystem, one tid per rank, counter
-  tracks for activation bytes) plus the schema validator;
+  tracks for activation bytes, the Figure-10 schedule rows) plus the
+  schema validator; the one module that builds trace events;
 * :mod:`~repro.observability.memprof` — the activation ledger: a
   per-tensor memory-timeline profiler with bitwise-exact peak
   attribution (by module path and Eq-term category), roofline-priced
-  save-vs-recompute frontiers, Perfetto memory counter tracks and
-  allocator fragmentation analysis.  Entry point:
+  save-vs-recompute frontiers and allocator fragmentation analysis.  Entry point:
   ``python -m repro memprofile``.
 
 The serving fleet adds a request-level telemetry layer:
@@ -72,7 +72,6 @@ from .memprof import (
     active_memprof,
     arena_recycling_report,
     check_peak_attribution,
-    counter_events,
     flamegraph,
     frontier,
     frontier_by_category,
@@ -87,9 +86,10 @@ from .memprof import (
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .monitor import Detection, FlightRecorder, SLOMonitor
 from .perfetto import (
+    counter_events,
     export_trace,
     merged_trace,
-    rehome_events,
+    schedule_events,
     tracer_events,
     validate_trace_events,
     validate_trace_file,
@@ -137,8 +137,9 @@ __all__ = [
     "memory_drift_report",
     "memory_term_drift", "memprof_scope", "merged_trace",
     "paged_kv_fragmentation", "partition_error", "peak_attribution",
-    "profile_layer", "reconcile_quantiles", "rehome_events", "run_preset",
-    "schedule_critical_path", "selective_recompute_dominates",
+    "profile_layer", "reconcile_quantiles", "run_preset",
+    "schedule_critical_path", "schedule_events",
+    "selective_recompute_dominates",
     "span_or_null", "to_jsonable", "trace_latencies", "trace_scope",
     "tracer_events", "utilization_crosscheck", "validate_trace_events",
     "validate_trace_file", "verify_partition", "write_bench",

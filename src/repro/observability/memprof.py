@@ -46,6 +46,7 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from ..allocator import TraceEvent
 from ..errors import ConfigError
 from ..layers.transformer import Recompute
 from ..tensor.backend import shape_of
@@ -428,6 +429,22 @@ class MemoryLedger(MemoryTracker):
     def ranks(self) -> List[int]:
         return sorted({e.rank for e in self.entries})
 
+    def trace(self, rank: int) -> List[TraceEvent]:
+        """``rank``'s alloc/free stream for :func:`repro.allocator.replay`:
+        an alloc at each entry's birth, a free at its death (a rollback
+        frees several entries at one sequence number)."""
+        events = []
+        for e in self.entries:
+            if e.rank != rank:
+                continue
+            events.append((e.birth_seq, TraceEvent(
+                "alloc", e.buffer_id, e.nbytes, e.category)))
+            if e.death_seq is not None:
+                events.append((e.death_seq, TraceEvent(
+                    "free", e.buffer_id, e.nbytes, e.category)))
+        events.sort(key=lambda pair: pair[0])
+        return [event for _, event in events]
+
 
 # ---------------------------------------------------------------------------
 # peak attribution
@@ -690,35 +707,6 @@ def selective_recompute_dominates(by_category: Dict[str, dict]) -> bool:
     other_bytes = sum(agg["nbytes"] for cat, agg in by_category.items()
                       if cat not in ATTENTION_CORE_CATEGORIES)
     return core_bytes > other_bytes
-
-
-# ---------------------------------------------------------------------------
-# Perfetto counter tracks
-# ---------------------------------------------------------------------------
-
-def counter_events(ledger: MemoryLedger) -> List[dict]:
-    """Perfetto counter events ("ph": "C"): live bytes per category per
-    rank over the ledger timeline, plus total live bytes per rank.
-    Append to a trace via ``export_trace(..., extra_events=...)``."""
-    from .perfetto import SUBSYSTEM_PIDS, TIME_SCALE, _metadata
-
-    pid = SUBSYSTEM_PIDS["memory"]
-    events: List[dict] = []
-    for ev in ledger.timeline:
-        ts = ev.t * TIME_SCALE
-        events.append({
-            "name": f"memprof_bytes[{ev.category}/rank {ev.rank}]",
-            "cat": "memory", "ph": "C", "ts": ts, "pid": pid, "tid": 0,
-            "args": {"live": ev.category_bytes},
-        })
-        events.append({
-            "name": f"memprof_bytes[total/rank {ev.rank}]",
-            "cat": "memory", "ph": "C", "ts": ts, "pid": pid, "tid": 0,
-            "args": {"live": ev.live_bytes},
-        })
-    if events:
-        events.extend(_metadata(pid, "memory", [0], "counters"))
-    return events
 
 
 # ---------------------------------------------------------------------------

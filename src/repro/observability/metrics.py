@@ -17,8 +17,7 @@ emit byte-identical Prometheus text.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .serialize import dumps_json, to_jsonable
 
@@ -91,31 +90,22 @@ class Gauge(Counter):
 
 
 class Histogram:
-    """Cumulative-bucket histogram in the Prometheus layout.
-
-    Besides the lifetime cumulative buckets, each label set keeps the
-    last ``window`` raw observations in a bounded ring, so recency-aware
-    consumers (the fleet SLO monitor's per-replica health score) can ask
-    for ``quantile(q, window=N)`` / ``snapshot(window=N)`` over recent
-    latency only.  The default (windowless) calls render exclusively
-    from the cumulative state and stay byte-identical.
+    """Cumulative-bucket histogram in the Prometheus layout: per label
+    set, lifetime bucket counts, a sum and a total, and nothing else.
+    A consumer that wants recent values only keeps its own window and
+    observes it into a fresh histogram (the SLO monitor's health score).
     """
 
     kind = "histogram"
 
     def __init__(self, name: str, help_text: str = "",
-                 buckets: Sequence[float] = DEFAULT_BUCKETS,
-                 window: int = 512):
-        if window < 1:
-            raise ValueError("histogram window must be >= 1")
+                 buckets: Sequence[float] = DEFAULT_BUCKETS):
         self.name = name
         self.help = help_text
         self.buckets = tuple(sorted(buckets))
-        self.window = int(window)
         self._counts: Dict[LabelKey, list] = {}
         self._sums: Dict[LabelKey, float] = {}
         self._totals: Dict[LabelKey, int] = {}
-        self._recent: Dict[LabelKey, Deque[float]] = {}
 
     def observe(self, value: float, **labels: str) -> None:
         key = _label_key(labels)
@@ -123,13 +113,11 @@ class Histogram:
             self._counts[key] = [0] * len(self.buckets)
             self._sums[key] = 0.0
             self._totals[key] = 0
-            self._recent[key] = deque(maxlen=self.window)
         for i, bound in enumerate(self.buckets):
             if value <= bound:
                 self._counts[key][i] += 1
         self._sums[key] += value
         self._totals[key] += 1
-        self._recent[key].append(value)
 
     def count(self, **labels: str) -> int:
         return self._totals.get(_label_key(labels), 0)
@@ -137,29 +125,19 @@ class Histogram:
     def sum(self, **labels: str) -> float:
         return self._sums.get(_label_key(labels), 0.0)
 
-    def quantile(self, q: float, window: Optional[int] = None,
-                 **labels: str) -> float:
+    def quantile(self, q: float, **labels: str) -> float:
         """Estimate the ``q``-quantile from the cumulative buckets.
 
         Linear interpolation inside the containing bucket (PromQL's
         ``histogram_quantile`` convention); observations above the
         highest finite bound clamp to that bound, so the estimate never
-        invents a value outside the bucket layout.  With ``window=N``
-        the estimate covers only the last ``N`` observations (clamped to
-        the ring capacity) instead of the lifetime.
+        invents a value outside the bucket layout.
         """
-        key = _label_key(labels)
-        if window is None:
-            return self._quantile(key, q)
-        counts, total, _ = self._window_state(key, window)
-        return self._interpolate(counts, total, q)
+        return self._quantile(_label_key(labels), q)
 
     def _quantile(self, key: LabelKey, q: float) -> float:
-        return self._interpolate(self._counts.get(key),
-                                 self._totals.get(key, 0), q)
-
-    def _interpolate(self, counts: Optional[list], total: int,
-                     q: float) -> float:
+        counts = self._counts.get(key)
+        total = self._totals.get(key, 0)
         if total == 0 or counts is None:
             return 0.0
         target = q * total
@@ -173,23 +151,6 @@ class Histogram:
                 return lower + (bound - lower) * (target - below) / width
         return self.buckets[-1]
 
-    def _window_state(self, key: LabelKey,
-                      window: int) -> Tuple[Optional[list], int, float]:
-        """Cumulative bucket counts rebuilt from the last ``window`` raw
-        observations of one label set."""
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        recent = self._recent.get(key)
-        if not recent:
-            return None, 0, 0.0
-        values = list(recent)[-window:]
-        counts = [0] * len(self.buckets)
-        for value in values:
-            for i, bound in enumerate(self.buckets):
-                if value <= bound:
-                    counts[i] += 1
-        return counts, len(values), sum(values)
-
     def samples(self) -> Iterable[Tuple[str, LabelKey, float]]:
         for key in sorted(self._totals):
             for bound, count in zip(self.buckets, self._counts[key]):
@@ -202,34 +163,18 @@ class Histogram:
                 yield (self.name, key + (("quantile", _format_value(q)),),
                        self._quantile(key, q))
 
-    def snapshot(self, window: Optional[int] = None
-                 ) -> Dict[str, Dict[str, float]]:
-        if window is None:
-            return {
-                _format_labels(key) or "": {
-                    "count": self._totals[key],
-                    "sum": self._sums[key],
-                    "buckets": {_format_value(b): c for b, c in
-                                zip(self.buckets, self._counts[key])},
-                    "quantiles": {_format_value(q): self._quantile(key, q)
-                                  for q in EXPORT_QUANTILES},
-                }
-                for key in sorted(self._totals)
-            }
-        doc: Dict[str, Dict[str, float]] = {}
-        for key in sorted(self._totals):
-            counts, total, total_sum = self._window_state(key, window)
-            doc[_format_labels(key) or ""] = {
-                "count": total,
-                "sum": total_sum,
+    def snapshot(self) -> Dict[str, Dict[str, float]]:
+        return {
+            _format_labels(key) or "": {
+                "count": self._totals[key],
+                "sum": self._sums[key],
                 "buckets": {_format_value(b): c for b, c in
-                            zip(self.buckets, counts or
-                                [0] * len(self.buckets))},
-                "quantiles": {
-                    _format_value(q): self._interpolate(counts, total, q)
-                    for q in EXPORT_QUANTILES},
+                            zip(self.buckets, self._counts[key])},
+                "quantiles": {_format_value(q): self._quantile(key, q)
+                              for q in EXPORT_QUANTILES},
             }
-        return doc
+            for key in sorted(self._totals)
+        }
 
 
 class MetricsRegistry:

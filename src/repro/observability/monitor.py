@@ -10,14 +10,14 @@ Two online companions to the request tracer:
   artifact that is byte-identical at equal seeds.
 
 * :class:`SLOMonitor` — multi-window burn-rate tracking over the
-  TTFT/TPOT error budgets plus a per-replica health score (rolling
-  decode-latency quantiles against the fleet median, via the windowed
-  :meth:`Histogram.quantile`).  The monitor watches only *telemetry*
-  the router already emits — per-round heartbeats, decode durations,
-  dispatch send/ack pairs — and derives crash / straggler /
-  dispatch-loss detections from transitions in that stream.  Because
-  the injected :class:`~repro.resilience.FaultPlan` is seeded, the
-  detections can be cross-checked against the ground-truth
+  TTFT/TPOT error budgets plus a per-replica health score (the p50 of
+  each replica's last :data:`HEALTH_WINDOW` decode rounds against the
+  fleet median, estimated on :class:`Histogram` buckets).  The monitor
+  watches only *telemetry* the router already emits — per-round
+  heartbeats, decode durations, dispatch send/ack pairs — and derives
+  crash / straggler / dispatch-loss detections from transitions in that
+  stream.  Because the injected :class:`~repro.resilience.FaultPlan` is
+  seeded, the detections can be cross-checked against the ground-truth
   :class:`~repro.fleet.FleetReport` fault ledger
   (:meth:`SLOMonitor.score_against`); the ``fleet_obs`` bench preset
   gates the match at exact precision/recall = 1.0.
@@ -155,8 +155,8 @@ class SLOMonitor:
         # Rolling SLO-violation windows (True = budget-burning request).
         self._ttft_bad: Deque[bool] = deque(maxlen=LONG_WINDOW)
         self._tpot_bad: Deque[bool] = deque(maxlen=LONG_WINDOW)
-        # Per-replica decode-latency histograms for the health score.
-        self._decode: Dict[int, Histogram] = {}
+        # Per-replica recent decode times for the health score.
+        self._decode: Dict[int, Deque[float]] = {}
         # Heartbeat ledger: replicas alive at the end of last round.
         self._alive: Optional[Set[int]] = None
         # Straggler latches: replicas already flagged slow this "life".
@@ -187,11 +187,8 @@ class SLOMonitor:
     def observe_decode(self, replica_id: int, round_idx: int,
                        expected_s: float, observed_s: float) -> None:
         """One replica's decode-round duration (straggler telemetry)."""
-        hist = self._decode.get(replica_id)
-        if hist is None:
-            hist = self._decode[replica_id] = Histogram(
-                f"monitor_decode_replica{replica_id}", window=HEALTH_WINDOW)
-        hist.observe(observed_s)
+        self._decode.setdefault(
+            replica_id, deque(maxlen=HEALTH_WINDOW)).append(observed_s)
         # Straggler check: the watchdog's profiling alarm, latched per
         # replica life so a persistently slow replica yields exactly one
         # detection (until a crash-restart resets it).
@@ -267,8 +264,12 @@ class SLOMonitor:
         """Rolling decode p50 of this replica over the fleet median of
         the same statistic (1.0 = typical, > 1 = slow).  Replicas with
         no samples score a neutral 1.0."""
-        p50s = {rid: h.quantile(0.50, window=HEALTH_WINDOW)
-                for rid, h in self._decode.items() if h.count() > 0}
+        p50s = {}
+        for rid, times in self._decode.items():
+            hist = Histogram("decode_s")
+            for observed_s in times:
+                hist.observe(observed_s)
+            p50s[rid] = hist.quantile(0.50)
         mine = p50s.get(replica_id)
         if mine is None or not p50s:
             return 1.0

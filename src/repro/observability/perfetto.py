@@ -13,13 +13,14 @@ simulated-time axis:
 * duration events (``ph: "X"``) for tracer spans, instant events
   (``ph: "i"``) for faults/recoveries/checkpoints, counter events
   (``ph: "C"``) for the memory trackers' activation-byte watermarks;
-* optionally the existing :mod:`repro.pipeline_sim.chrome_trace`
-  schedule events, re-homed under the ``pipeline`` pid.
+* optionally the analytic Figure-10 schedule (:func:`schedule_events`,
+  one row per pipeline rank under the ``pipeline`` pid) and the
+  activation ledger's live-bytes tracks (:func:`counter_events`).
 
-Events are sorted by ``(pid, tid, ts, name)`` so every track is
-monotone in ``ts`` and the byte stream is deterministic.
-:func:`validate_trace_events` is the schema contract the tests and the
-``repro trace`` CLI both enforce.
+This is the one module that knows the Chrome event format.  Events are
+sorted by ``(pid, tid, ts, name)`` so every track is monotone in ``ts``
+and the byte stream is deterministic.  :func:`validate_trace_events` is
+the schema contract the tests and the ``repro trace`` CLI both enforce.
 """
 
 from __future__ import annotations
@@ -125,23 +126,54 @@ def tracer_events(tracer: Tracer) -> List[dict]:
     return out
 
 
-def rehome_events(events: Iterable[dict]) -> List[dict]:
-    """Re-assign the pipeline-schedule trace of
-    :mod:`repro.pipeline_sim.chrome_trace` to the ``pipeline`` pid so it
-    interleaves with tracer events without pid collisions."""
+def counter_events(ledger) -> List[dict]:
+    """A :class:`~repro.observability.memprof.MemoryLedger`'s counter
+    tracks: live bytes per category per rank over the ledger timeline,
+    plus total live bytes per rank.  Append to a trace via
+    ``export_trace(..., extra_events=...)``."""
+    pid = _pid_for("memory")
+    events: List[dict] = []
+    for ev in ledger.timeline:
+        ts = ev.t * TIME_SCALE
+        events.append({
+            "name": f"memprof_bytes[{ev.category}/rank {ev.rank}]",
+            "cat": "memory", "ph": "C", "ts": ts, "pid": pid, "tid": 0,
+            "args": {"live": ev.category_bytes},
+        })
+        events.append({
+            "name": f"memprof_bytes[total/rank {ev.rank}]",
+            "cat": "memory", "ph": "C", "ts": ts, "pid": pid, "tid": 0,
+            "args": {"live": ev.live_bytes},
+        })
+    if events:
+        events.extend(_metadata(pid, "memory", [0], "counters"))
+    return events
+
+
+#: Figure 10's segment kinds: the event name and Chrome colour of the
+#: checkpointed forward, the all-saved forward, recompute and backward.
+_SEGMENT_NAME = {"F": "forward (checkpointed)", "f": "forward (stored)",
+                 "R": "recompute", "B": "backward"}
+_SEGMENT_COLOR = {"F": "good", "f": "white", "R": "terrible",
+                  "B": "thread_state_running"}
+
+
+def schedule_events(table, costs) -> List[dict]:
+    """The analytic pipeline schedule of Figure 10 (a ``ScheduleTable``
+    priced by ``TimelineCosts``) as duration events under the
+    ``pipeline`` pid, one row per pipeline rank, in issue order."""
+    from ..pipeline_sim.timeline import simulate_timeline
+
     pid = _pid_for("pipeline")
-    out = []
-    tids = set()
-    for event in events:
-        ev = dict(event)
-        ev["pid"] = pid
-        if ev.get("ph") != "M":
-            tids.add(ev.get("tid", 0))
-            out.append(ev)
-        elif ev.get("name") == "thread_name":
-            out.append(ev)  # keep the source's row names
-    out.append({"name": "process_name", "ph": "M", "pid": pid, "tid": 0,
-                "args": {"name": "pipeline"}})
+    segments, _makespan = simulate_timeline(table, costs)
+    out = [{
+        "name": _SEGMENT_NAME[seg.symbol], "cat": "pipeline", "ph": "X",
+        "ts": seg.start * TIME_SCALE,
+        "dur": (seg.end - seg.start) * TIME_SCALE,
+        "pid": pid, "tid": seg.rank, "cname": _SEGMENT_COLOR[seg.symbol],
+    } for seg in segments]
+    out.extend(_metadata(pid, "pipeline", range(len(table.starts) - 1),
+                         "pipeline rank"))
     return out
 
 
@@ -177,8 +209,8 @@ def export_trace(tracer: Tracer, path: str,
     return len(doc["traceEvents"])
 
 
-#: Phase letters this exporter (and the rehomed pipeline-schedule trace)
-#: can legitimately produce.  Anything else is a schema violation.
+#: Phase letters this exporter can legitimately produce.  Anything else
+#: is a schema violation.
 KNOWN_PHASES = frozenset({"M", "X", "i", "I", "C", "B", "E"})
 
 #: Legal ``args["phase"]`` tags on spans: the training execution phases

@@ -49,13 +49,12 @@ from .analysis import (
 )
 from .memprof import (
     check_peak_attribution,
-    counter_events,
     frontier,
     frontier_by_category,
     profile_layer,
     selective_recompute_dominates,
 )
-from .perfetto import merged_trace, validate_trace_events
+from .perfetto import counter_events, merged_trace, validate_trace_events
 from .serialize import dumps_json, to_jsonable
 from .tracer import Tracer, trace_scope
 

@@ -11,7 +11,6 @@ from .schedule import (
     validate_schedule,
 )
 from .simulator import PipelineCosts, SimResult, simulate
-from .chrome_trace import chrome_trace_events, export_chrome_trace
 from .overlap import (
     OverlapResult,
     OverlapSegment,
@@ -23,9 +22,9 @@ from .timeline import TimelineCosts, figure10, render_timeline
 
 __all__ = [
     "Op", "OpKind", "OverlapResult", "OverlapSegment", "PipelineCosts",
-    "ScheduleTable", "SimResult", "StorageWindow", "TimelineCosts", "chrome_trace_events",
-    "export_chrome_trace", "figure10", "longctx_overlap_report",
-    "longctx_overlap_segments", "op_dependency", "rank_of_group",
+    "ScheduleTable", "SimResult", "StorageWindow", "TimelineCosts", "figure10",
+    "longctx_overlap_report", "longctx_overlap_segments", "op_dependency",
+    "rank_of_group",
     "render_timeline", "simulate", "schedule_overlap", "schedule_table",
     "validate_schedule",
 ]

@@ -59,8 +59,11 @@ class TimelineEvent:
     symbol: str
 
 
-def _simulate_events(table: ScheduleTable,
-                     costs: TimelineCosts) -> Tuple[List[TimelineEvent], float]:
+def simulate_timeline(table: ScheduleTable, costs: TimelineCosts
+                      ) -> Tuple[List[TimelineEvent], float]:
+    """Every rank's segments in issue order, and the makespan: the walk
+    both the ASCII renderer and the Perfetto export
+    (:func:`repro.observability.perfetto.schedule_events`) draw."""
     p = len(table.starts) - 1
     done = {}
     clock = [0.0] * p
@@ -90,7 +93,7 @@ def _simulate_events(table: ScheduleTable,
 def render_timeline(table: ScheduleTable, costs: TimelineCosts,
                     cell: Optional[float] = None, max_width: int = 120) -> str:
     """One line per pipeline rank, one character per ``cell`` time units."""
-    events, makespan = _simulate_events(table, costs)
+    events, makespan = simulate_timeline(table, costs)
     if cell is None:
         smallest = min(costs.forward, costs.backward,
                        costs.recompute if costs.recompute > 0 else costs.forward)

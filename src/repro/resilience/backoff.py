@@ -36,27 +36,35 @@ def backoff_jitter(seed: int, attempt: int, request_id: str) -> float:
     return int.from_bytes(digest[:8], "big") / 2.0**64
 
 
+#: Every backoff ladder doubles per retry; the fleet's delays are drawn
+#: from the upper half of their envelope.
+BACKOFF_FACTOR = 2.0
+JITTER = 0.5
+
+
+def backoff_envelope(base_s: float, attempt: int,
+                     cap_s: float = math.inf) -> float:
+    """The exponential envelope of retry ``attempt`` (0-based),
+    ``base_s * BACKOFF_FACTOR**attempt``, clamped to ``cap_s`` without
+    overflowing on huge attempt counts."""
+    if attempt * math.log(BACKOFF_FACTOR) >= math.log(cap_s / base_s):
+        return cap_s
+    return min(cap_s, base_s * BACKOFF_FACTOR ** attempt)
+
+
 def backoff_delay(seed: int, attempt: int, request_id: str,
-                  base_s: float = 0.005, factor: float = 2.0,
-                  cap_s: float = 0.5, jitter: float = 0.5) -> float:
+                  base_s: float = 0.005, cap_s: float = 0.5) -> float:
     """Jittered exponential backoff, deterministic at equal seeds.
 
-    The uncapped envelope for retry ``attempt`` (0-based) is
-    ``base_s * factor**attempt``, clamped to ``cap_s``; the returned
-    delay is drawn deterministically from
-    ``[envelope * (1 - jitter), envelope]`` using
-    :func:`backoff_jitter` — so delays grow exponentially, never exceed
-    the cap, and two requests backing off from the same fault retry at
-    different (but reproducible) times.
+    The returned delay is drawn deterministically from
+    ``[envelope * (1 - JITTER), envelope]`` of :func:`backoff_envelope`
+    using :func:`backoff_jitter` — so delays grow exponentially, never
+    exceed the cap, and two requests backing off from the same fault
+    retry at different (but reproducible) times.
     """
     if attempt < 0:
         raise ConfigError(f"attempt must be >= 0, got {attempt}")
-    if base_s <= 0 or factor < 1.0 or cap_s <= 0:
-        raise ConfigError("need base_s > 0, factor >= 1 and cap_s > 0")
-    if not 0.0 <= jitter <= 1.0:
-        raise ConfigError(f"jitter must be in [0, 1], got {jitter}")
-    if factor == 1.0 or attempt * math.log(factor) >= math.log(cap_s / base_s):
-        envelope = cap_s if factor > 1.0 else min(cap_s, base_s)
-    else:
-        envelope = min(cap_s, base_s * factor ** attempt)
-    return envelope * (1.0 - jitter * backoff_jitter(seed, attempt, request_id))
+    if base_s <= 0 or cap_s <= 0:
+        raise ConfigError("need base_s > 0 and cap_s > 0")
+    return backoff_envelope(base_s, attempt, cap_s) * (
+        1.0 - JITTER * backoff_jitter(seed, attempt, request_id))

@@ -10,7 +10,7 @@ and its policy is stated once:
    optimizer state changed, so re-running the step from its start is
    exact (the trainers re-zero gradients on entry).  The rung is
    :func:`repro.training.trainer.run_step_with_retries`: at most
-   ``MAX_RETRIES`` retries, ``BACKOFF_BASE_S * BACKOFF_FACTOR**attempt``
+   ``MAX_RETRIES`` retries, ``backoff_envelope(BACKOFF_BASE_S, attempt)``
    simulated seconds apart;
 2. **rollback and replay** — a rank crash, or a transient fault that
    outlived every retry, restarts training from the last periodic

@@ -3,8 +3,10 @@
 Weights are stored per parameter *shard* (``<name>::<rank>``) in a single
 ``.npz`` archive, so a sharded parallel model round-trips exactly.  The
 layout is deliberately simple and dependency-free; it is not a Megatron
-checkpoint format, but `load_weights` verifies names, shapes and shard
-counts so mismatched parallel layouts fail loudly instead of silently.
+checkpoint format, but both loaders verify every entry's name and shape
+against the model before writing anything, so a mismatched model or
+parallel layout fails loudly and leaves the model and optimizer as they
+were.
 
 Every archive carries a content checksum (SHA-256 over sorted entry
 names, dtypes, shapes and raw bytes).  Loading verifies it and raises
@@ -31,6 +33,8 @@ from .optimizer import Adam
 
 _SEP = "::"
 _CHECKSUM_KEY = "__checksum__"
+_STEP_KEY = "__optimizer_step__"
+_MOMENTS = ("__adam_m__", "__adam_v__")
 
 
 def _trace_io(event: str, payload: Dict[str, np.ndarray]) -> None:
@@ -92,6 +96,32 @@ def _verify(archive: "np.lib.npyio.NpzFile", path: str) -> None:
             f"(stored {stored[:12]}…, computed {actual[:12]}…)")
 
 
+def _check_entries(model: Module, archive, training_state: bool) -> None:
+    """Raise :class:`ConfigError` unless ``archive`` holds exactly the
+    model's parameter shards at their shapes (plus, for a training state,
+    the step count and, per parameter, all or none of its Adam moments).
+    Runs before anything is written."""
+    shapes = {key: shard.shape for key, shard in _named_shards(model).items()}
+    stored = set(archive.files) - {_CHECKSUM_KEY}
+    if training_state:
+        shapes[_STEP_KEY] = ()
+        for name, param in model.named_parameters():
+            if f"{_MOMENTS[0]}{name}{_SEP}0" in stored:
+                for prefix in _MOMENTS:
+                    for rank in range(param.world):
+                        key = f"{name}{_SEP}{rank}"
+                        shapes[prefix + key] = shapes[key]
+    if stored != shapes.keys():
+        missing = sorted(shapes.keys() - stored)[:3]
+        extra = sorted(stored - shapes.keys())[:3]
+        raise ConfigError(
+            f"checkpoint mismatch: missing {missing}, unexpected {extra}")
+    for key, shape in shapes.items():
+        if archive[key].shape != shape:
+            raise ConfigError(
+                f"shape mismatch for {key}: {archive[key].shape} vs {shape}")
+
+
 def save_weights(model: Module, path: str) -> None:
     """Write all parameter shards to ``path`` (.npz), checksummed."""
     payload = _named_shards(model)
@@ -103,29 +133,16 @@ def load_weights(model: Module, path: str) -> None:
     """Load shards saved by :func:`save_weights` into ``model`` in place."""
     with np.load(path) as archive:
         _verify(archive, path)
-        stored = set(archive.files) - {_CHECKSUM_KEY}
-        expected = set(_named_shards(model).keys())
-        if stored != expected:
-            missing = sorted(expected - stored)[:3]
-            extra = sorted(stored - expected)[:3]
-            raise ConfigError(
-                f"checkpoint mismatch: missing {missing}, unexpected {extra}"
-            )
+        _check_entries(model, archive, training_state=False)
         for name, param in model.named_parameters():
             for rank in range(param.world):
-                data = archive[f"{name}{_SEP}{rank}"]
-                if data.shape != np.asarray(param.shards[rank]).shape:
-                    raise ConfigError(
-                        f"shape mismatch for {name} rank {rank}: "
-                        f"{data.shape} vs {np.asarray(param.shards[rank]).shape}"
-                    )
-                np.copyto(param.shards[rank], data)
+                np.copyto(param.shards[rank], archive[f"{name}{_SEP}{rank}"])
 
 
 def save_training_state(model: Module, optimizer: Adam, path: str) -> None:
     """Weights + Adam moments + step count in one archive, checksummed."""
     payload = _named_shards(model)
-    payload["__optimizer_step__"] = np.asarray(optimizer.step_count)
+    payload[_STEP_KEY] = np.asarray(optimizer.step_count)
     for name, param in model.named_parameters():
         key = id(param)
         if key in optimizer._m:
@@ -140,26 +157,23 @@ def load_training_state(model: Module, optimizer: Adam, path: str) -> None:
     """Restore weights and Adam state saved by :func:`save_training_state`.
 
     Raises :class:`~repro.errors.CheckpointCorruptError` if the archive's
-    content no longer matches its checksum.
+    content no longer matches its checksum, and :class:`ConfigError` if
+    it does not fit the model.
     """
     with np.load(path) as archive:
         _verify(archive, path)
+        _check_entries(model, archive, training_state=True)
         _trace_io("checkpoint.restore", {n: archive[n] for n in archive.files})
         for name, param in model.named_parameters():
             for rank in range(param.world):
                 np.copyto(param.shards[rank], archive[f"{name}{_SEP}{rank}"])
-            m_key = f"__adam_m__{name}{_SEP}0"
-            if m_key in archive.files:
-                key = id(param)
-                optimizer._m[key] = [
-                    archive[f"__adam_m__{name}{_SEP}{r}"].copy()
-                    for r in range(param.world)
-                ]
-                optimizer._v[key] = [
-                    archive[f"__adam_v__{name}{_SEP}{r}"].copy()
-                    for r in range(param.world)
-                ]
-        optimizer.step_count = int(archive["__optimizer_step__"])
+            if f"{_MOMENTS[0]}{name}{_SEP}0" in archive.files:
+                for prefix, moments in zip(_MOMENTS,
+                                           (optimizer._m, optimizer._v)):
+                    moments[id(param)] = [
+                        archive[f"{prefix}{name}{_SEP}{r}"].copy()
+                        for r in range(param.world)]
+        optimizer.step_count = int(archive[_STEP_KEY])
 
 
 def checkpoint_exists(path: str, validate: bool = True) -> bool:

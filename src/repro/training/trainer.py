@@ -89,7 +89,6 @@ def split_microbatches(ids: np.ndarray, targets: np.ndarray,
 #: collective fault, with exponential backoff between them (simulated s).
 MAX_RETRIES = 3
 BACKOFF_BASE_S = 0.05
-BACKOFF_FACTOR = 2.0
 
 
 def run_step_with_retries(step_fn):
@@ -98,7 +97,7 @@ def run_step_with_retries(step_fn):
     Collective timeouts and detected payload corruption abort a step
     attempt before any optimizer state changed (gradients are re-zeroed
     on entry), so re-running the whole step is exact.  Retry ``k`` (from
-    0) backs off ``BACKOFF_BASE_S * BACKOFF_FACTOR**k``, charged to the
+    0) backs off ``backoff_envelope(BACKOFF_BASE_S, k)``, charged to the
     simulated clock via the installed fault injector, if any.  After
     ``MAX_RETRIES`` failed retries the last error propagates; rank
     failures are not transient and propagate immediately (the resilience
@@ -118,7 +117,9 @@ def run_step_with_retries(step_fn):
             if (not isinstance(error, (CollectiveTimeout, CorruptionDetected))
                     or attempt >= MAX_RETRIES):
                 raise
-            backoff = BACKOFF_BASE_S * BACKOFF_FACTOR ** attempt
+            # imported here: repro.resilience imports this module
+            from ..resilience.backoff import backoff_envelope
+            backoff = backoff_envelope(BACKOFF_BASE_S, attempt)
             attempt += 1
             injector = active_fault_injector()
             if injector is not None:

@@ -9,7 +9,6 @@ from repro.allocator import (
     CachingAllocator,
     FirstFitAllocator,
     TraceEvent,
-    TracingMemoryTracker,
     layer_trace,
     measure_fragmentation,
     replay,
@@ -17,6 +16,8 @@ from repro.allocator import (
 from repro.config import PAPER_CONFIGS
 from repro.errors import PlanningError
 from repro.layers import Recompute
+from repro.observability import MemoryLedger
+from repro.tensor import FP32
 
 M22 = PAPER_CONFIGS["22B"].model
 
@@ -114,6 +115,22 @@ class TestCaching:
 
 
 class TestTraceReplay:
+    def test_rolled_back_buffers_replay_to_zero_live_bytes(self):
+        """A rollback drops an aborted attempt's charges; the trace must
+        free them too, or an allocator replay keeps them live for good."""
+        ledger = MemoryLedger()
+        kept, *dropped = (np.zeros(4) for _ in range(3))
+        ledger.save(0, kept, FP32)
+        mark = ledger.mark()
+        for buffer in dropped:
+            ledger.save(0, buffer, FP32)
+        ledger.rollback(mark)
+        ledger.release(0, kept)
+        assert ledger.live_bytes(0) == 0
+        allocator = FirstFitAllocator()
+        replay(ledger.trace(0), allocator)
+        assert allocator.live_bytes == 0
+
     def test_tracker_emits_balanced_trace(self):
         trace = layer_trace(M22, 4, 8, True, Recompute.SELECTIVE, num_layers=2)
         allocs = sum(1 for e in trace if e.kind == "alloc")

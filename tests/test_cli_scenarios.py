@@ -380,6 +380,49 @@ class TestInvalidConfigurations:
         assert (cache.free_blocks, cache.requests()) == (8, [])
         assert engine.prefill("r", [1, 2, 3]).shape == (32,)
 
+    @pytest.mark.parametrize("saved,loader", [
+        ("weights", "load_weights"),
+        ("training_state", "load_training_state"),
+        ("weights", "load_training_state"),
+    ], ids=["weights of a shorter model", "state of a shorter model",
+            "weights-only archive as a training state"])
+    def test_a_checkpoint_that_does_not_fit_changes_nothing(
+            self, saved, loader, tmp_path):
+        """Names and shapes are checked before any entry is written: a
+        mismatched archive neither half-applies nor broadcasts."""
+        from repro.layers import GPTModel
+        from repro.training import Adam, Trainer, serialization
+        shape = dict(num_layers=1, hidden_size=8, num_heads=2, vocab_size=8)
+        source = GPTModel(ModelConfig(seq_length=1, **shape), seed=1)
+        path = str(tmp_path / "ckpt.npz")
+        if saved == "weights":
+            serialization.save_weights(source, path)
+        else:
+            serialization.save_training_state(
+                source, Adam(source.parameters()), path)
+        model = GPTModel(ModelConfig(seq_length=4, **shape), seed=2)
+        trainer = Trainer(model)
+        trainer.train_step(np.ones((4, 2), dtype=np.int64),
+                           np.ones((4, 2), dtype=np.int64))
+        optimizer = trainer.optimizer
+
+        def state():
+            arrays = [s for p in model.parameters() for s in p.shards]
+            for moments in (optimizer._m, optimizer._v):
+                arrays += [m for key in sorted(moments) for m in moments[key]]
+            return [np.array(a) for a in arrays], optimizer.step_count
+
+        (before, step), num_moments = state(), len(optimizer._m)
+        with pytest.raises(ConfigError, match="mismatch"):
+            if loader == "load_weights":
+                serialization.load_weights(model, path)
+            else:
+                serialization.load_training_state(model, optimizer, path)
+        after, step_after = state()
+        assert step_after == step and len(optimizer._m) == num_moments > 0
+        assert len(after) == len(before)
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
     def test_fixed_chaos_plan_names_its_replica_minimum(self):
         with pytest.raises(ConfigError, match="at least 3 replicas"):
             scenarios.fleet_fault_plan(0, 1.0, replicas=2)

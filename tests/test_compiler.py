@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from helpers import count_calls
-from repro.allocator import TracingMemoryTracker
 from repro.comm import fault_scope
 from repro.compiler import (
     CaptureRecorder,
@@ -92,14 +91,14 @@ class TestTrainerReplay:
 
     def test_memory_tracking_is_identical_under_replay(self):
         """A replayed step re-saves and re-releases through the same
-        FnCtx objects, so a tracing tracker sees the exact alloc/free
+        FnCtx objects, so a memory ledger sees the exact alloc/free
         stream the eager tape produced — sizes, categories and order."""
         def _trace(trainer, reseed):
-            tracker = TracingMemoryTracker(rank=0)
+            ledger = MemoryLedger()
             seed(reseed)
-            with instrument(memory=tracker):
+            with instrument(memory=ledger):
                 trainer.train_step(*_pair)
-            return [(e.kind, e.nbytes, e.category) for e in tracker.trace]
+            return [(e.kind, e.nbytes, e.category) for e in ledger.trace(0)]
 
         _pair = _batch()
         compiled = Trainer(_model("serial", Recompute.SELECTIVE), lr=1e-3,

@@ -258,35 +258,41 @@ class TestFigure10Timeline:
 
 class TestChromeTrace:
     def test_events_cover_all_ops(self, tmp_path):
-        from repro.pipeline_sim import (
-            TimelineCosts, chrome_trace_events, export_chrome_trace,
-        )
+        from repro.observability import schedule_events
+        from repro.observability.perfetto import SUBSYSTEM_PIDS
+        from repro.pipeline_sim import TimelineCosts
         p, n = 3, 4
         sched = schedule_table(p, n)
         costs = TimelineCosts()
-        events = chrome_trace_events(sched, costs)
+        events = schedule_events(sched, costs)
         durations = [e for e in events if e["ph"] == "X"]
         # every F has F+R+B segments; every rank gets a metadata row
         assert len(durations) == p * n * 3
-        assert len([e for e in events if e["ph"] == "M"]) == p
+        assert len([e for e in events if e["name"] == "thread_name"]) == p
+        assert {e["pid"] for e in events} == {SUBSYSTEM_PIDS["pipeline"]}
         # durations are non-negative and rows are valid ranks
         assert all(e["dur"] > 0 and 0 <= e["tid"] < p for e in durations)
 
     def test_export_writes_valid_json(self, tmp_path):
         import json
-        from repro.pipeline_sim import TimelineCosts, export_chrome_trace
+        from repro.observability import (
+            Tracer, export_trace, schedule_events, validate_trace_file,
+        )
+        from repro.pipeline_sim import TimelineCosts
         path = str(tmp_path / "trace.json")
-        n_events = export_chrome_trace(schedule_table(2, 3),
-                                       TimelineCosts(), path)
+        n_events = export_trace(Tracer(), path, extra_events=schedule_events(
+            schedule_table(2, 3), TimelineCosts()))
         with open(path) as fh:
             doc = json.load(fh)
         assert len(doc["traceEvents"]) == n_events
+        assert validate_trace_file(path) == n_events
 
     def test_window_removes_recompute_events(self):
-        from repro.pipeline_sim import TimelineCosts, chrome_trace_events
+        from repro.observability import schedule_events
+        from repro.pipeline_sim import TimelineCosts
         sched = schedule_table(4, 6)
-        base = chrome_trace_events(sched, TimelineCosts())
-        windowed = chrome_trace_events(
+        base = schedule_events(sched, TimelineCosts())
+        windowed = schedule_events(
             sched, TimelineCosts(full_storage_slots=1))
         n_rec = lambda evs: sum(1 for e in evs if e["name"] == "recompute")
         assert n_rec(windowed) < n_rec(base)

@@ -14,6 +14,7 @@ from repro.observability.monitor import (
     CRASH,
     DISPATCH_LOSS,
     ERROR_BUDGET,
+    HEALTH_WINDOW,
     LONG_WINDOW,
     SHORT_WINDOW,
     SLOW,
@@ -212,6 +213,22 @@ class TestBurnRatesAndHealth:
         assert mon.health_score(0) == pytest.approx(1.0, rel=1e-6)
         assert mon.health_score(2) > 1.5
         assert mon.health_score(99) == 1.0      # no samples: neutral
+
+    def test_health_score_sees_only_the_last_window_of_rounds(self):
+        """A replica slow only before its last HEALTH_WINDOW decode rounds
+        scores 1.0; over its lifetime it would still read slow."""
+        mon = _monitor()
+        for round_idx in range(3 * HEALTH_WINDOW):
+            late = round_idx >= 2 * HEALTH_WINDOW
+            for replica, observed in ((0, 0.010), (1, 0.010),
+                                      (2, 0.010 if late else 0.030)):
+                mon.observe_decode(replica, round_idx, expected_s=1.0,
+                                   observed_s=observed)
+        assert mon.health_score(2) == pytest.approx(1.0, rel=1e-6)
+        for round_idx in range(HEALTH_WINDOW):
+            mon.observe_decode(0, round_idx, expected_s=1.0,
+                               observed_s=0.030)
+        assert mon.health_score(0) > 1.5
 
     def test_snapshot_is_jsonable(self):
         from repro.observability import dumps_json

@@ -8,8 +8,8 @@ Three contracts under test:
 2. **Schema** — the merged Perfetto/Chrome JSON honours the contract
    :func:`~repro.observability.perfetto.validate_trace_events` encodes
    (``ph/ts/dur/pid/tid``, non-negative durations, monotone ``ts`` per
-   track, named pids), for both the new tracer export and the existing
-   :mod:`repro.pipeline_sim.chrome_trace` schedule trace;
+   track, named pids), for both the tracer export and the Figure-10
+   schedule rows of :func:`~repro.observability.schedule_events`;
 3. **Off by default** — with no tracer installed every hook is inert:
    no spans, no metrics, identical numerics.
 """
@@ -32,7 +32,7 @@ from repro.observability import (
     dumps_json,
     export_trace,
     merged_trace,
-    rehome_events,
+    schedule_events,
     span_or_null,
     to_jsonable,
     trace_scope,
@@ -42,7 +42,7 @@ from repro.observability import (
 )
 from repro.observability.perfetto import SUBSYSTEM_PIDS
 from repro.parallel.transformer import ParallelGPTModel
-from repro.pipeline_sim import TimelineCosts, chrome_trace_events, schedule_table
+from repro.pipeline_sim import TimelineCosts, schedule_table
 from repro.tensor import FP32, MemoryTracker, seed
 from repro.training.data import UniformTokens
 from repro.training.optimizer import Adam
@@ -331,19 +331,20 @@ class TestPerfettoSchema:
         assert SUBSYSTEM_PIDS["memory"] in pids
 
     def test_pipeline_sim_chrome_trace_validates_when_rehomed(self):
+        """The Figure-10 schedule lands under the ``pipeline`` pid with a
+        named row per pipeline rank."""
         schedule = schedule_table(4, 8)
-        raw = chrome_trace_events(schedule, TimelineCosts())
-        events = rehome_events(raw)
+        events = schedule_events(schedule, TimelineCosts())
         validate_trace_events(events)
         assert all(e["pid"] == SUBSYSTEM_PIDS["pipeline"] for e in events)
-        # source row names survive the re-homing
-        assert any(e.get("ph") == "M" and e["name"] == "thread_name"
-                   for e in events)
+        assert sorted(e["args"]["name"] for e in events
+                      if e["name"] == "thread_name") == [
+            f"pipeline rank {rank}" for rank in range(4)]
 
     def test_merged_trace_sorted_monotone_per_track(self):
         tracer, _ = _traced_run()
         schedule = schedule_table(2, 2)
-        extra = rehome_events(chrome_trace_events(schedule, TimelineCosts()))
+        extra = schedule_events(schedule, TimelineCosts())
         doc = merged_trace(tracer, extra_events=extra)
         validate_trace_events(doc["traceEvents"])
         last = {}
@@ -475,48 +476,6 @@ class TestJsonFlags:
         assert capsys.readouterr().out == first
         doc = json.loads(first)
         assert first == dumps_json(doc)
-
-
-class TestWindowedHistogram:
-    def test_windowed_quantile_sees_only_recent_samples(self):
-        h = Histogram("lat", buckets=(0.001, 0.01, 0.1), window=4)
-        for _ in range(8):
-            h.observe(0.0005)          # old regime: fast
-        for _ in range(4):
-            h.observe(0.05)            # new regime: slow
-        # all-time p50 sits in the fast regime; windowed p50 is pure slow
-        assert h.quantile(0.5) < 0.001
-        assert h.quantile(0.5, window=4) > 0.01
-        # a wider request than the ring holds degrades to the ring
-        assert h.quantile(0.5, window=100) == h.quantile(0.5, window=4)
-
-    def test_default_output_independent_of_window_size(self):
-        """The ring is a pure addition: cumulative buckets, sums,
-        quantiles and the exported snapshot are byte-identical whatever
-        window the histogram was built with."""
-        a = Histogram("lat", buckets=(0.001, 0.01, 0.1), window=2)
-        b = Histogram("lat", buckets=(0.001, 0.01, 0.1), window=512)
-        for v in (0.0005, 0.005, 0.05, 5.0, 0.0005):
-            a.observe(v)
-            b.observe(v)
-        assert dumps_json(a.snapshot()) == dumps_json(b.snapshot())
-        assert a.quantile(0.95) == b.quantile(0.95)
-
-    def test_windowed_snapshot_same_schema(self):
-        h = Histogram("lat", buckets=(0.001, 0.01), window=4)
-        for v in (0.0005, 0.005, 0.005, 0.005, 0.005):
-            h.observe(v)
-        full, recent = h.snapshot()[""], h.snapshot(window=4)[""]
-        assert set(full) == set(recent)
-        assert full["count"] == 5 and recent["count"] == 4
-        assert recent["buckets"] == {"0.001": 0, "0.01": 4}
-
-    def test_empty_window_quantile_is_zero(self):
-        assert Histogram("lat", window=4).quantile(0.5, window=4) == 0.0
-
-    def test_window_must_be_positive(self):
-        with pytest.raises(ValueError):
-            Histogram("lat", window=0)
 
 
 class TestFlowEvents:

@@ -14,11 +14,11 @@ from helpers import reference_walk
 from repro.config import ModelConfig
 from repro.errors import ScheduleError
 from repro.layers import GPTModel, Recompute, token_tensor
-from repro.observability import Tracer, trace_scope
+from repro.observability import Tracer, schedule_events, trace_scope
 from repro.parallel import ParallelGPTModel
 from repro.pipeline_sim import (
-    PipelineCosts, ScheduleTable, TimelineCosts, chrome_trace_events,
-    op_dependency, rank_of_group, schedule_table, simulate,
+    PipelineCosts, ScheduleTable, TimelineCosts, op_dependency,
+    rank_of_group, schedule_table, simulate,
 )
 from repro.pipeline_sim.schedule import _dependency_index
 from repro.training import PipelinedGPT, split_microbatches
@@ -200,7 +200,7 @@ def test_executor_simulator_and_timeline_issue_the_same_sequence():
     assert executed == simulated
 
     timeline = [(e["name"][0].upper(), e["tid"])
-                for e in chrome_trace_events(
+                for e in schedule_events(
                     schedule, TimelineCosts(recompute=0))
                 if e["ph"] == "X"]
     assert timeline == [(kind, rank_of_group(group, p))

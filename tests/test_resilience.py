@@ -434,14 +434,15 @@ class TestSeededBackoff:
     equal seeds yet decorrelated across requests."""
 
     def test_envelope_grows_exponentially_to_the_cap(self):
-        from repro.resilience import backoff_delay
+        from repro.resilience.backoff import backoff_envelope
 
-        kw = dict(base_s=0.01, factor=2.0, cap_s=0.5, jitter=0.0)
-        assert backoff_delay(0, 0, "r", **kw) == pytest.approx(0.01)
-        assert backoff_delay(0, 3, "r", **kw) == pytest.approx(0.08)
-        assert backoff_delay(0, 9, "r", **kw) == pytest.approx(0.5)
+        assert backoff_envelope(0.01, 0, 0.5) == pytest.approx(0.01)
+        assert backoff_envelope(0.01, 3, 0.5) == pytest.approx(0.08)
+        assert backoff_envelope(0.01, 9, 0.5) == pytest.approx(0.5)
         # huge attempt counts must clamp, not overflow factor**attempt
-        assert backoff_delay(0, 10**6, "r", **kw) == pytest.approx(0.5)
+        assert backoff_envelope(0.01, 10**6, 0.5) == pytest.approx(0.5)
+        # the training retry ladder's envelope is uncapped
+        assert backoff_envelope(0.05, 2) == pytest.approx(0.2)
 
     def test_jitter_window_and_decorrelation(self):
         from repro.resilience import backoff_delay, backoff_jitter
@@ -449,8 +450,7 @@ class TestSeededBackoff:
         delays = {backoff_delay(7, 2, f"req{i}") for i in range(16)}
         assert len(delays) == 16  # distinct requests spread out
         for i in range(16):
-            d = backoff_delay(7, 2, f"req{i}", base_s=0.01, cap_s=1.0,
-                              jitter=0.5)
+            d = backoff_delay(7, 2, f"req{i}", base_s=0.01, cap_s=1.0)
             assert 0.02 <= d <= 0.04  # [envelope/2, envelope]
         assert 0.0 <= backoff_jitter(7, 2, "req0") < 1.0
 
@@ -483,6 +483,4 @@ class TestSeededBackoff:
         with pytest.raises(ConfigError):
             backoff_delay(0, 0, "r", base_s=0.0)
         with pytest.raises(ConfigError):
-            backoff_delay(0, 0, "r", factor=0.5)
-        with pytest.raises(ConfigError):
-            backoff_delay(0, 0, "r", jitter=1.5)
+            backoff_delay(0, 0, "r", cap_s=0.0)
