@@ -85,8 +85,9 @@ wall-history:
 # its own rank loop); and the shared-list rule of tensor/backend.py:
 # per-rank abstract constructions in src/ (one AbstractArray / shaped per
 # rank where one instance shared across ranks would do; 9 before the
-# rule).  One survives: backend.split, whose pieces are different tensors
-# on one rank; and add_argument(
+# rule).  Two survive: backend.split, whose pieces are different tensors
+# on one rank, and tensor.map_shards' declared result under a memory
+# profiler or a capture, which key buffers by identity alone; and add_argument(
 # calls in cli.py (a flag is one row of its _FLAGS table, and one loop
 # builds every sub-command; 80 calls before the table); and the defaulted
 # keyword options of ContinuousBatchingScheduler, FleetRouter and
@@ -104,7 +105,13 @@ wall-history:
 # trace-event dicts, counted as files with a `"ph": "` literal (1:
 # observability/perfetto.py is the one module that knows the
 # Chrome/Perfetto event format; 3 while the pipeline schedule and the
-# memory ledger's counter tracks each built their own events).
+# memory ledger's counter tracks each built their own events); and the
+# is_abstract( lines of the three op modules (tensor/functions.py,
+# fusion/ops.py, parallel/mappings.py; 5: Dropout.masks and the
+# rank-reading loops of OffsetCausalMask and the ring softmax -- a
+# per-shard kernel declares its abstract result as a shape to
+# tensor.map_shards instead of branching on it; 27 while each kernel
+# carried its own abstract arm).
 loc:
 	@printf '%-56s %6d\n' \
 		'src/ python lines' "$$(find src -name '*.py' | xargs cat | wc -l)" \
@@ -136,7 +143,8 @@ loc:
 		'resilience/ + training retry keyword options' "$$(PYTHONPATH=src $(PY) -c 'import inspect; from repro.resilience import FaultInjector as I, ResilientTrainer as T; from repro.training import run_step_with_retries as r; print(sum(p.default is not p.empty for f in (T.__init__, I.__init__, r) for p in inspect.signature(f).parameters.values()))')" \
 		'cli.py + regress.py lines' "$$(cat src/repro/cli.py src/repro/observability/regress.py | wc -l)" \
 		'observability/ keyword options' "$$(PYTHONPATH=src $(PY) -c 'import importlib, inspect; mods = [importlib.import_module("repro.observability." + m) for m in "analysis memprof metrics monitor perfetto regress request_trace serialize tracer".split()]; fns = [f for m in mods for o in vars(m).values() if getattr(o, "__module__", None) == m.__name__ for f in ([o] if inspect.isfunction(o) else [getattr(v, "__func__", v) for v in vars(o).values()] if inspect.isclass(o) else [])]; print(sum(p.default is not p.empty for f in fns if inspect.isfunction(f) for p in inspect.signature(f).parameters.values()))')" \
-		'src/ modules building trace-event dicts' "$$(grep -rl --include='*.py' '"ph": "' src | wc -l)"
+		'src/ modules building trace-event dicts' "$$(grep -rl --include='*.py' '"ph": "' src | wc -l)" \
+		'op modules is_abstract( lines' "$$(cat src/repro/tensor/functions.py src/repro/fusion/ops.py src/repro/parallel/mappings.py | grep -c 'is_abstract(')"
 
 # CI smoke run: the artifact-writing CLI invocation of each concrete-run
 # command, plus the two invocations no tier-1 test makes (the recompute

@@ -35,6 +35,7 @@ from repro.resilience import FaultKind, FaultPlan, FaultSpec
 from repro.serving import generate_requests
 from repro.serving.scheduler import ContinuousBatchingScheduler
 from repro.tensor import seed
+from repro.tensor import tensor as T
 from repro.tensor.context import ctx
 from repro.tensor.oplog import OpRecord
 from repro.tensor.tensor import FnCtx
@@ -166,9 +167,9 @@ def _profiled():
 def _stripped_apply(fn, *args, **kwargs):
     """``tensor.apply`` with the profiler seam removed — the exact
     pre-ledger body, built from the tensor module's own internals so it
-    stays honest if those internals move."""
-    from repro.tensor import tensor as T
-
+    stays honest if those internals move.  ``T`` is bound at import, as
+    the real path's names are: an import statement here would run the
+    import machinery on every call, which the real ``apply`` does not."""
     tensor_inputs, fwd_args, first, requires = [], [], None, False
     for a in args:
         if isinstance(a, T.Tensor):

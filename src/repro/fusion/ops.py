@@ -35,7 +35,7 @@ from ..tensor.dtypes import FP16, FP32, MASK
 from ..tensor.functions import (CausalMask, Dropout, MaskSource, _causal_keep,
                                 _gelu_bwd, _gelu_fwd, _offset_keep,
                                 _unbroadcast, _widths, _xent, _xent_backward)
-from ..tensor.tensor import FnCtx, Function, ShardList, Tensor, apply, map_shards
+from ..tensor.tensor import FnCtx, Function, ShardList, Tensor, apply, map_shards, same_shape
 from .arena import default_arena
 
 
@@ -54,7 +54,8 @@ class BiasGelu(Function):
     name = "bias_gelu"
 
     def forward(self, fctx: FnCtx, x: ShardList, bias: ShardList) -> ShardList:
-        z_list, out = map_shards(_bias_gelu, x, bias)
+        z_list, out = map_shards(_bias_gelu, x, bias,
+                                 shape=lambda x, b: [bk.broadcast_shape(x, b)] * 2)
         fctx.misc["z_slot"] = fctx.save_new(z_list, FP16, category="gelu_input")
         fctx.misc["bias_shape"] = bk.shape_of(bias[0])
         n = bk.size_of(x[0])
@@ -71,21 +72,17 @@ class BiasGelu(Function):
                              flops_per_rank=17 * n, fused=True)
 
         def _grads(g, z):
-            if bk.is_abstract(g) or bk.is_abstract(z):
-                return bk.shaped(z.shape), bk.shaped(bias_shape)
             arena = default_arena()
             scratch = [arena.take(z.shape) for _ in range(3)]
             d = _gelu_bwd(z, g, scratch)
             arena.give(*scratch)
             return d, _unbroadcast(d, bias_shape)
 
-        return map_shards(_grads, grad, z_list)
+        return map_shards(_grads, grad, z_list, shape=lambda g, z: [z, bias_shape])
 
 
 def _bias_gelu(x, bias):
     """One shard's ``(z, gelu(z))`` for ``z = x + bias``."""
-    if bk.is_abstract(x):
-        return bk.shaped(x.shape), bk.shaped(x.shape)
     z = x + bias
     arena = default_arena()
     t = arena.take(z.shape)
@@ -141,7 +138,7 @@ class ScaleMaskSoftmaxDropout(Function):
         elif len(shape) < 2 or shape[-1] != shape[-2]:
             raise ShapeError(f"causal mask needs (..., s, s) scores, got {shape}")
         if not self.ring:
-            y_list = map_shards(lambda xi: self._probs(xi, 0), x)
+            y_list = map_shards(lambda xi: self._probs(xi, 0), x, shape=same_shape)
         elif bk.is_abstract(x[0]):
             y_list = [bk.shaped(shape)] * world
         else:  # rank r's panel holds rows r*s/w onwards: its tril is shifted so
@@ -159,7 +156,7 @@ class ScaleMaskSoftmaxDropout(Function):
         keep = fctx.misc["keep"] = 1.0 - self.dropout.p
         masks = self.dropout.masks(x)
         fctx.misc["mask_slot"] = fctx.save_new(masks, MASK, category="dropout_mask")
-        out = map_shards(lambda y, m: _dropped(y, m, keep), y_list, masks)
+        out = map_shards(lambda y, m: _dropped(y, m, keep), y_list, masks, shape=same_shape)
         fctx.log_elementwise("scale_mask_softmax_dropout", bytes_moved=7 * n,
                              flops_per_rank=8 * n, fused=True)
         return out
@@ -180,11 +177,11 @@ class ScaleMaskSoftmaxDropout(Function):
             fctx.log_elementwise("scale_mask_softmax_dropout.bwd",
                                  bytes_moved=6 * n, flops_per_rank=6 * n,
                                  fused=True)
-        if bk.is_abstract(grad[0]) or bk.is_abstract(y_list[0]):
-            return ([bk.shaped(bk.shape_of(y_list[0]))] * len(grad),)
         if not self.ring:
             return (map_shards(lambda g, y, m: self._probs_grad(g, y, m, keep, 0),
-                               grad, y_list, masks),)
+                               grad, y_list, masks, shape=same_shape),)
+        if bk.is_abstract(grad[0]) or bk.is_abstract(y_list[0]):
+            return ([bk.shaped(bk.shape_of(y_list[0]))] * len(grad),)
         rows = bk.shape_of(y_list[0])[-2]
         return ([self._probs_grad(g, y, m, keep, r * rows)
                  for r, (g, y, m) in enumerate(zip(grad, y_list, masks))],)
@@ -192,8 +189,6 @@ class ScaleMaskSoftmaxDropout(Function):
     def _probs(self, x, offset: int):
         """One shard's ``softmax(mask(x * scale))`` under the causal tril
         shifted ``offset`` columns right (0: the plain causal mask)."""
-        if bk.is_abstract(x):
-            return bk.shaped(x.shape)
         masked_tril = _offset_keep(*x.shape[-2:], offset)[1]
         arena = default_arena()
         t = arena.take(x.shape)
@@ -230,8 +225,6 @@ class ScaleMaskSoftmaxDropout(Function):
 
 def _dropped(x, m, keep: float):
     """One shard's inverted dropout ``x * m / keep`` into a fresh array."""
-    if bk.is_abstract(x):
-        return bk.shaped(x.shape)
     o = np.empty(x.shape)
     np.multiply(x, m, out=o)
     np.divide(o, keep, out=o)
@@ -270,7 +263,8 @@ class FusedLayerNorm(Function):
                 beta: ShardList) -> ShardList:
         fctx.misc["x_slot"] = fctx.save_input(0, category="layernorm_input")
         fctx.misc["gamma_slot"] = fctx.save_input(1)
-        out, fctx.misc["stats"] = map_shards(self._norm, x, gamma, beta)
+        out, fctx.misc["stats"] = map_shards(self._norm, x, gamma, beta,
+                                              shape=lambda x, gamma, beta: [x, None])
         w = _widths(fctx.inputs[0])[0]
         fctx.log_elementwise("fused_layernorm", bytes_moved=2 * w * bk.size_of(x[0]),
                              flops_per_rank=8 * bk.size_of(x[0]), fused=True)
@@ -282,12 +276,11 @@ class FusedLayerNorm(Function):
         n = bk.size_of(grad[0])
         fctx.log_elementwise("fused_layernorm.bwd", bytes_moved=6 * n,
                              flops_per_rank=12 * n, fused=True)
-        return map_shards(_norm_grads, grad, x, gamma, fctx.misc["stats"])
+        return map_shards(_norm_grads, grad, x, gamma, fctx.misc["stats"],
+                          shape=lambda g, x, gamma, stats: [x, gamma, gamma])
 
     def _norm(self, x, gamma, beta):
         """One shard's output and its ``(mean, rstd)`` statistics."""
-        if bk.is_abstract(x):
-            return bk.shaped(x.shape), None
         mu = bk.mean(x, axis=-1, keepdims=True)
         y = np.empty(x.shape)
         np.subtract(x, mu, out=y)
@@ -301,8 +294,6 @@ class FusedLayerNorm(Function):
 
 def _norm_grads(g, x, gamma, stats):
     """One shard's ``(dx, dgamma, dbeta)`` from the stashed statistics."""
-    if bk.is_abstract(g) or bk.is_abstract(x):
-        return bk.shaped(x.shape), bk.shaped(gamma.shape), bk.shaped(gamma.shape)
     mu, rstd = stats
     arena = default_arena()
     xhat = arena.take(x.shape)
@@ -360,13 +351,11 @@ class DropoutAdd(Function):
         fctx.misc["mask_slot"] = fctx.save_new(masks, MASK, category="dropout_mask")
 
         def _shard(xi, m, res):
-            if bk.is_abstract(xi):
-                return bk.shaped(xi.shape)
             o = _dropped(xi, m, keep)
             np.add(o, res, out=o)
             return o
 
-        out = map_shards(_shard, x, masks, residual)
+        out = map_shards(_shard, x, masks, residual, shape=same_shape)
         n = bk.size_of(x[0])
         fctx.log_elementwise("dropout_add", bytes_moved=7 * n,
                              flops_per_rank=3 * n, fused=True)
@@ -380,7 +369,8 @@ class DropoutAdd(Function):
                              flops_per_rank=2 * n, fused=True)
         # Residual gradient is the incoming gradient itself (same buffers),
         # exactly like the unfused Add backward with equal shapes.
-        return map_shards(lambda g, m: _dropped(g, m, keep), grad, masks), list(grad)
+        return (map_shards(lambda g, m: _dropped(g, m, keep), grad, masks, shape=same_shape),
+                list(grad))
 
 
 def dropout_add(x: Tensor, residual: Tensor, p: float,
@@ -421,7 +411,8 @@ class SoftmaxCrossEntropy(Function):
         if self.has_mask:
             fctx.misc["mask_slot"] = fctx.save_input(2, category="loss_mask")
         fctx.out_dtypes = [FP32]
-        out = map_shards(_xent, logits, targets, *([mask] if self.has_mask else []))
+        out = map_shards(_xent, logits, targets, *([mask] if self.has_mask else []),
+                         shape=lambda *_: ())
         n = bk.size_of(logits[0])
         fctx.log_elementwise("softmax_xent", bytes_moved=4 * n,
                              flops_per_rank=5 * n, fused=True)

@@ -24,7 +24,7 @@ from ..comm.process_group import ProcessGroup
 from ..errors import CommError
 from ..tensor import backend as bk
 from ..tensor.backend import AbstractArray
-from ..tensor.tensor import FnCtx, Function, ShardList, Tensor, apply
+from ..tensor.tensor import FnCtx, Function, ShardList, Tensor, apply, map_shards
 
 
 class Leg(NamedTuple):
@@ -146,20 +146,18 @@ class AllGatherMatmul(Function):
 
     def forward(self, fctx: FnCtx, x: ShardList, w: ShardList) -> ShardList:
         self.group.check_world(len(x))
+        w_shape = bk.shape_of(w[0])
+        # A mismatch is a ShapeError here, before anything is saved or logged.
+        out_shape = bk.matmul_shape(bk.tiled_shape(bk.shape_of(x[0]), len(x), self.axis), w_shape)
         fctx.misc["x_slot"] = fctx.save_input(0, category=self.category)
         fctx.misc["w_slot"] = fctx.save_input(1)
         full = G.forward(fctx, "ag_matmul", x, self.group, self.axis)
-        if bk.is_abstract(full[0]) or bk.is_abstract(w[0]):
-            out = [full[0] @ w[0]] * len(full)
-        else:
-            # One 2-D GEMM, not NumPy's loop of small ones over the leading
-            # dims (as the serial Matmul): bitwise the same product.  Not so
-            # the dgrad ``g @ w.T``, which flattened rounds differently on
-            # OpenBLAS and therefore stays 3-D in backward.
-            k, n = bk.shape_of(w[0])
-            out_shape = bk.shape_of(full[0])[:-1] + (n,)
-            out = [(fi.reshape(-1, k) @ wi).reshape(out_shape)
-                   for fi, wi in zip(full, w)]
+        # One 2-D GEMM, not NumPy's loop of small ones over the leading
+        # dims (as the serial Matmul): bitwise the same product.  Not so
+        # the dgrad ``g @ w.T``, which flattened rounds differently on
+        # OpenBLAS and therefore stays 3-D in backward.
+        out = map_shards(lambda fi, wi: (fi.reshape(-1, w_shape[0]) @ wi).reshape(out_shape),
+                         full, w, shape=bk.matmul_shape)
         flops = fctx.misc["flops"] = 2.0 * bk.size_of(out[0]) * bk.shape_of(full[0])[-1]
         fctx.log_gemm(f"ag_matmul[{self.category}]", flops_per_rank=flops)
         return out
@@ -174,17 +172,10 @@ class AllGatherMatmul(Function):
         flops = fctx.misc["flops"]
         fctx.log_gemm(f"ag_matmul[{self.category}].dgrad", flops_per_rank=flops)
         fctx.log_gemm(f"ag_matmul[{self.category}].wgrad", flops_per_rank=flops)
-        w_shape = bk.shape_of(w[0])
-        k, n = w_shape
-        if bk.is_abstract(grad[0]) or bk.is_abstract(full[0]):
-            world = len(grad)
-            dw = [bk.shaped(w_shape)] * world
-            dfull = [bk.shaped(bk.shape_of(full[0]))] * world
-        else:
-            dw, dfull = [], []
-            for g, fi, wi in zip(grad, full, w):
-                dw.append(np.reshape(fi, (-1, k)).T @ np.reshape(g, (-1, n)))
-                dfull.append(g @ wi.T)
+        k, n = bk.shape_of(w[0])
+        dw, dfull = map_shards(
+            lambda g, fi, wi: (np.reshape(fi, (-1, k)).T @ np.reshape(g, (-1, n)), g @ wi.T),
+            grad, full, w, shape=lambda g, full, w: [w, full])
         # Megatron issues this reduce-scatter asynchronously and overlaps
         # it with the weight-gradient GEMM (LinearWithGradAccumulationAnd-
         # AsyncCommunication), so it is marked overlapped.

@@ -1,8 +1,9 @@
 """Array backend: concrete NumPy arrays or shape-only abstract arrays.
 
-Every autograd :class:`~repro.tensor.tensor.Function` is written against the
-small dispatch API in this module, so the same layer graph can execute in
-two modes:
+Every autograd :class:`~repro.tensor.tensor.Function` does its bookkeeping
+against the small dispatch API in this module, and hands each rank's NumPy
+math to :func:`~repro.tensor.tensor.map_shards` with the shape of its
+result, so the same layer graph can execute in two modes:
 
 * **concrete** — operands are ``np.ndarray``; real numerics, used at toy
   scale for correctness tests and end-to-end training.
@@ -12,9 +13,13 @@ two modes:
   memory tracker and op log see exactly the same graph either way, which is
   what lets the simulator *measure* Equations 1-6 instead of restating them.
 
-Abstract numerics: elementwise results propagate shapes by NumPy
-broadcasting rules; reductions and matmuls compute result shapes the same
-way NumPy would, raising :class:`~repro.errors.ShapeError` on mismatch.
+Abstract numerics: a kernel that calls NumPy never sees an abstract
+array; ``map_shards`` builds its result from the shape it declares, with
+the rules here (:func:`matmul_shape`, :func:`broadcast_shape`,
+:func:`split_shape`).  The few kernels that reach NumPy only through
+this module and ``+ - * /``, ``reshape`` and ``copy`` run on abstract
+arrays too.  Every rule computes shapes the way NumPy would, raising
+:class:`~repro.errors.ShapeError` where NumPy raises.
 
 Abstract-mode rule: a shape is validated once, at the door where it
 enters from outside, and every shape derived from an existing array is
@@ -30,8 +35,8 @@ pure tuple arithmetic.
   an existing array or computed from such shapes by the rules below
   (broadcasting, matmul, transpose, reductions, concatenate, split,
   slice, :func:`tiled_shape`, :func:`split_shape`) without re-checking
-  it.  Every ``Function``'s abstract arm uses it.  It returns an exact,
-  fresh ``AbstractArray`` on every call.
+  it.  A kernel's declared result and every op with its own rank loop
+  use it.  It returns an exact, fresh ``AbstractArray`` on every call.
 
 The memory tracker keys charges by ``(rank, buffer identity)``, so an
 abstract instance is shared across ranks, never within a rank: an abstract
@@ -63,15 +68,16 @@ Shape = Tuple[int, ...]
 class AbstractArray:
     """A shape-only stand-in for ``np.ndarray``.
 
-    Supports the operator surface the autograd functions need (arithmetic
-    with broadcasting, matmul, comparison-free slicing) plus the dispatch
-    functions below.  It carries no element data; ``size`` and ``shape``
-    are the only meaningful attributes.  Calling the class validates the
-    shape (a door); derived arrays are built by :func:`shaped`.
+    Supports what the polymorphic kernels reach: ``+ - * /`` with
+    broadcasting (as the left operand; there are no reflected operators),
+    ``reshape``, ``copy`` and the shape functions below.  A kernel that
+    computes with NumPy declares its result's shape to ``map_shards``
+    instead.  It carries no element data; ``size`` and ``shape`` are the
+    only meaningful attributes.  Calling the class validates the shape (a
+    door); derived arrays are built by :func:`shaped`.
     """
 
     __slots__ = ("shape",)
-    __array_priority__ = 100.0  # make np.ndarray defer to our __r*__ ops
 
     def __init__(self, shape: Iterable[int]):
         shape = _dims(shape)
@@ -87,10 +93,6 @@ class AbstractArray:
     def size(self) -> int:
         return int(math.prod(self.shape))
 
-    @property
-    def T(self) -> "AbstractArray":  # noqa: N802 - numpy-compatible name
-        return shaped(self.shape[::-1])
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"AbstractArray(shape={self.shape})"
 
@@ -98,17 +100,7 @@ class AbstractArray:
     def _broadcast(self, other) -> "AbstractArray":
         return shaped(broadcast_shape(self.shape, shape_of(other)))
 
-    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _broadcast
-    __truediv__ = __rtruediv__ = __pow__ = _broadcast
-
-    def __neg__(self) -> "AbstractArray":
-        return shaped(self.shape)
-
-    def __matmul__(self, other) -> "AbstractArray":
-        return shaped(matmul_shape(self.shape, shape_of(other)))
-
-    def __rmatmul__(self, other) -> "AbstractArray":
-        return shaped(matmul_shape(shape_of(other), self.shape))
+    __add__ = __sub__ = __mul__ = __truediv__ = _broadcast
 
     def reshape(self, *shape) -> "AbstractArray":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -116,9 +108,6 @@ class AbstractArray:
         return AbstractArray(_resolve_reshape(self.shape, shape))
 
     def copy(self) -> "AbstractArray":
-        return shaped(self.shape)
-
-    def astype(self, _dtype) -> "AbstractArray":
         return shaped(self.shape)
 
 
@@ -236,7 +225,8 @@ def _reduced_shape(shape: Shape, axis, keepdims: bool) -> Shape:
 
 
 # ---------------------------------------------------------------------------
-# Dispatch functions: each takes np.ndarray or AbstractArray operands.
+# Dispatch functions.  The shape functions take np.ndarray or AbstractArray
+# operands; mean, max_ and the gathers are concrete only.
 # ---------------------------------------------------------------------------
 
 # Kernel rule: a concrete kernel reaches a ufunc directly -- it reduces
@@ -252,17 +242,13 @@ def sum_(x: ArrayLike, axis=None, keepdims: bool = False) -> ArrayLike:
     return np.add.reduce(x, axis=axis, keepdims=keepdims)
 
 
-def mean(x: ArrayLike, axis=None, keepdims: bool = False) -> ArrayLike:
+def mean(x: np.ndarray, axis=None, keepdims: bool = False) -> np.ndarray:
     """The sum over ``axis`` divided by the count, as NumPy's ``_mean``."""
-    if is_abstract(x):
-        return shaped(_reduced_shape(x.shape, axis, keepdims))
     total = np.add.reduce(x, axis=axis, keepdims=keepdims)
     return total / (x.size // max(total.size, 1))
 
 
-def max_(x: ArrayLike, axis=None, keepdims: bool = False) -> ArrayLike:
-    if is_abstract(x):
-        return shaped(_reduced_shape(x.shape, axis, keepdims))
+def max_(x: np.ndarray, axis=None, keepdims: bool = False) -> np.ndarray:
     return np.maximum.reduce(x, axis=axis, keepdims=keepdims)
 
 
@@ -356,24 +342,14 @@ def zeros(shape: Shape, abstract: bool = False) -> ArrayLike:
     return np.zeros(shape, dtype=np.float64)
 
 
-def ones_like(x: ArrayLike) -> ArrayLike:
-    if is_abstract(x):
-        return shaped(x.shape)
-    return np.ones_like(x)
-
-
-def take_rows(table: ArrayLike, ids: ArrayLike) -> ArrayLike:
+def take_rows(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Embedding lookup: ``table[ids]`` where ids has arbitrary shape."""
-    if is_abstract(table) or is_abstract(ids):
-        return shaped(shape_of(ids) + shape_of(table)[1:])
     return table[ids.astype(np.int64)]
 
 
-def index_add_rows(shape: Shape, ids: ArrayLike, values: ArrayLike) -> ArrayLike:
+def index_add_rows(shape: Shape, ids: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Scatter-add ``values`` into a zero array of ``shape`` at rows ``ids``
     (the backward of :func:`take_rows`; ``shape`` is the table's)."""
-    if is_abstract(ids) or is_abstract(values):
-        return shaped(shape)
     out = np.zeros(shape, dtype=np.float64)
     np.add.at(out, ids.astype(np.int64).reshape(-1), values.reshape(-1, shape[-1]))
     return out
@@ -388,17 +364,13 @@ def bernoulli_mask(shape: Shape, keep_prob: float, rng, abstract: bool) -> Array
     return rng.random(shape) < keep_prob
 
 
-def one_hot_rows(ids: ArrayLike, depth: int) -> ArrayLike:
+def one_hot_rows(ids: np.ndarray, depth: int) -> np.ndarray:
     """One-hot rows of width ``depth`` (the logits' last dimension)."""
-    if is_abstract(ids):
-        return shaped(shape_of(ids) + (depth,))
     out = np.zeros(ids.shape + (depth,), dtype=np.float64)
     np.put_along_axis(out, ids.astype(np.int64)[..., None], 1.0, axis=-1)
     return out
 
 
-def take_along_last(x: ArrayLike, ids: ArrayLike) -> ArrayLike:
+def take_along_last(x: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """``x[..., ids]`` gathered along the last axis, one per leading index."""
-    if is_abstract(x) or is_abstract(ids):
-        return shaped(shape_of(ids))
     return np.take_along_axis(x, ids.astype(np.int64)[..., None], axis=-1)[..., 0]

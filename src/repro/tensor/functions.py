@@ -31,7 +31,7 @@ from ..errors import ShapeError
 from . import backend as bk
 from .context import ctx
 from .dtypes import FP16, FP32, MASK, DType
-from .tensor import FnCtx, Function, ShardList, Tensor, apply, map_shards
+from .tensor import FnCtx, Function, ShardList, Tensor, apply, map_shards, same_shape
 
 
 def _widths(*tensors: Optional[Tensor]) -> List[int]:
@@ -150,21 +150,17 @@ class Matmul(Function):
         self.category = category
 
     def forward(self, fctx: FnCtx, x: ShardList, w: ShardList) -> ShardList:
+        x_shape, w_shape = bk.shape_of(x[0]), bk.shape_of(w[0])
+        out_shape = bk.matmul_shape(x_shape, w_shape)  # a mismatch: ShapeError, before any save
         fctx.misc["x_slot"] = fctx.save_input(0, category=self.category)
         fctx.misc["w_slot"] = fctx.save_input(1, category=self.category)
-        x_shape, w_shape = bk.shape_of(x[0]), bk.shape_of(w[0])
         fctx.misc["shapes"] = (x_shape, w_shape)
-        # A linear layer on concrete (..., k) activations runs as one 2-D
-        # GEMM, not NumPy's loop of small ones over the leading dims.
-        flat = fctx.misc["flat"] = (
-            len(w_shape) == 2 and len(x_shape) > 2
-            and not (bk.is_abstract(x[0]) or bk.is_abstract(w[0])))
-        if flat:
-            out_shape = x_shape[:-1] + w_shape[-1:]
-            out = map_shards(lambda xi, wi: (xi.reshape(-1, w_shape[0]) @ wi).reshape(out_shape),
-                             x, w)
-        else:
-            out = map_shards(operator.matmul, x, w)
+        # A linear layer on (..., k) activations runs as one 2-D GEMM, not
+        # NumPy's loop of small ones over the leading dims.
+        flat = fctx.misc["flat"] = len(w_shape) == 2 and len(x_shape) > 2
+        kernel = ((lambda xi, wi: (xi.reshape(-1, w_shape[0]) @ wi).reshape(out_shape))
+                  if flat else operator.matmul)
+        out = map_shards(kernel, x, w, shape=bk.matmul_shape)
         k = x_shape[-1]
         flops = 2.0 * bk.size_of(out[0]) * k
         fctx.misc["flops"] = flops
@@ -188,11 +184,9 @@ class Matmul(Function):
                         _unbroadcast(bk.swap_last_two(xi) @ g, w_shape))
             k, n = w_shape  # linear: x (..., k) @ w (k, n)
             dx = (g.reshape(-1, n) @ wi.T).reshape(x_shape) if flat else g @ bk.swap_last_two(wi)
-            if bk.is_abstract(g) or bk.is_abstract(xi):
-                return _unbroadcast(dx, x_shape), bk.shaped(w_shape)
             return _unbroadcast(dx, x_shape), np.reshape(xi, (-1, k)).T @ np.reshape(g, (-1, n))
 
-        return map_shards(_grads, grad, x, w)
+        return map_shards(_grads, grad, x, w, shape=lambda *_: [x_shape, w_shape])
 
 
 def matmul(x: Tensor, w: Tensor, category: str = "activation") -> Tensor:
@@ -312,8 +306,6 @@ def _gelu_fwd(z: np.ndarray, t: Optional[np.ndarray] = None) -> np.ndarray:
     """``0.5*z*(1 + tanh(...))`` into a fresh array: the one GeLU forward
     kernel, behind ``Gelu`` and ``fusion.ops.BiasGelu`` alike.  ``t`` is a
     scratch buffer of ``z``'s shape, allocated here when none is lent."""
-    if bk.is_abstract(z):
-        return bk.shaped(z.shape)
     if t is None:
         t = np.empty(z.shape)
     _gelu_tanh(z, t)
@@ -331,8 +323,6 @@ def _gelu_bwd(z: np.ndarray, g: np.ndarray, scratch=None) -> np.ndarray:
     only its input (the ``8sbh`` term).  ``scratch`` is three buffers of
     ``z``'s shape, allocated here when none are lent.
     """
-    if bk.is_abstract(g) or bk.is_abstract(z):
-        return bk.shaped(bk.shape_of(z))
     t, u, v = scratch or [np.empty(z.shape) for _ in range(3)]
     _gelu_tanh(z, t)
     np.multiply(t, t, out=u)
@@ -359,7 +349,7 @@ class Gelu(Function):
 
     def forward(self, fctx: FnCtx, x: ShardList) -> ShardList:
         fctx.misc["x_slot"] = fctx.save_input(0, category="gelu_input")
-        out = map_shards(_gelu_fwd, x)
+        out = map_shards(_gelu_fwd, x, shape=same_shape)
         w = _widths(fctx.inputs[0])[0]
         fctx.log_elementwise("gelu", bytes_moved=2 * w * bk.size_of(x[0]),
                              flops_per_rank=8 * bk.size_of(x[0]))
@@ -369,12 +359,10 @@ class Gelu(Function):
         x = fctx.saved(fctx.misc["x_slot"])
         fctx.log_elementwise("gelu.bwd", bytes_moved=6 * bk.size_of(grad[0]),
                              flops_per_rank=16 * bk.size_of(grad[0]))
-        return (map_shards(_gelu_bwd, x, grad),)
+        return (map_shards(_gelu_bwd, x, grad, shape=same_shape),)
 
 
-def _softmax(x: bk.ArrayLike) -> bk.ArrayLike:
-    if bk.is_abstract(x):
-        return bk.shaped(x.shape)
+def _softmax(x: np.ndarray) -> np.ndarray:
     e = np.exp(x - bk.max_(x, axis=-1, keepdims=True))
     return e / bk.sum_(e, axis=-1, keepdims=True)
 
@@ -394,7 +382,7 @@ class Softmax(Function):
     name = "softmax"
 
     def forward(self, fctx: FnCtx, x: ShardList) -> ShardList:
-        out = map_shards(_softmax, x)
+        out = map_shards(_softmax, x, shape=same_shape)
         fctx.misc["y_slot"] = fctx.save_new(out, FP16, category="softmax_output")
         fctx.log_elementwise("softmax", bytes_moved=4 * bk.size_of(x[0]),
                              flops_per_rank=5 * bk.size_of(x[0]))
@@ -550,7 +538,7 @@ class LayerNorm(Function):
     def forward(self, fctx: FnCtx, x: ShardList, gamma: ShardList, beta: ShardList) -> ShardList:
         fctx.misc["x_slot"] = fctx.save_input(0, category="layernorm_input")
         fctx.misc["gamma_slot"] = fctx.save_input(1)
-        out = map_shards(self._norm, x, gamma, beta)
+        out = map_shards(self._norm, x, gamma, beta, shape=same_shape)
         w = _widths(fctx.inputs[0])[0]
         fctx.log_elementwise("layernorm", bytes_moved=2 * w * bk.size_of(x[0]),
                              flops_per_rank=8 * bk.size_of(x[0]))
@@ -561,18 +549,14 @@ class LayerNorm(Function):
         gamma = fctx.saved(fctx.misc["gamma_slot"])
         fctx.log_elementwise("layernorm.bwd", bytes_moved=8 * bk.size_of(grad[0]),
                              flops_per_rank=14 * bk.size_of(grad[0]))
-        return map_shards(self._grads, grad, x, gamma)
+        return map_shards(self._grads, grad, x, gamma, shape=lambda g, x, gamma: [x, gamma, gamma])
 
     def _norm(self, x, gamma, beta):
-        if bk.is_abstract(x):
-            return bk.shaped(x.shape)
         xc = x - bk.mean(x, axis=-1, keepdims=True)
         var = bk.mean(xc * xc, axis=-1, keepdims=True)  # == np.var, bitwise
         return xc / np.sqrt(var + self.eps) * gamma + beta
 
     def _grads(self, g, x, gamma):
-        if bk.is_abstract(g) or bk.is_abstract(x):
-            return bk.shaped(x.shape), bk.shaped(gamma.shape), bk.shaped(gamma.shape)
         xc = x - bk.mean(x, axis=-1, keepdims=True)
         var = bk.mean(xc * xc, axis=-1, keepdims=True)
         rstd = 1.0 / np.sqrt(var + self.eps)
@@ -596,12 +580,13 @@ class EmbeddingLookup(Function):
     def forward(self, fctx: FnCtx, weight: ShardList, ids: ShardList) -> ShardList:
         fctx.misc["ids_slot"] = fctx.save_input(1, category="embedding_ids")
         fctx.misc["w_shape"] = bk.shape_of(weight[0])
-        return map_shards(bk.take_rows, weight, ids)
+        return map_shards(bk.take_rows, weight, ids, shape=lambda w, i: i + w[1:])
 
     def backward(self, fctx: FnCtx, grad: ShardList):
         ids = fctx.saved(fctx.misc["ids_slot"])
         w_shape = fctx.misc["w_shape"]
-        return map_shards(lambda g, i: bk.index_add_rows(w_shape, i, g), grad, ids), None
+        return map_shards(lambda g, i: bk.index_add_rows(w_shape, i, g), grad, ids,
+                          shape=lambda *_: w_shape), None
 
 
 def embedding(weight: Tensor, ids: Tensor) -> Tensor:
@@ -641,9 +626,8 @@ class SumAll(Function):
 
     def backward(self, fctx: FnCtx, grad: ShardList):
         shape = fctx.misc["shape"]
-        return (map_shards(lambda g: bk.shaped(shape) if bk.is_abstract(g) else
-                           np.broadcast_to(np.asarray(g, dtype=np.float64), shape).copy(),
-                           grad),)
+        return (map_shards(lambda g: np.broadcast_to(np.asarray(g, np.float64), shape).copy(),
+                           grad, shape=lambda _: shape),)
 
 
 def cast(x: Tensor, dtype: DType) -> Tensor:
@@ -662,8 +646,6 @@ def sum_all(x: Tensor) -> Tensor:
 def _xent(logits, targets, mask=None):
     """One shard's token-mean cross entropy (the masked mean under a
     ``mask``), behind ``CrossEntropy`` and ``fusion.ops.SoftmaxCrossEntropy``."""
-    if bk.is_abstract(logits):
-        return bk.shaped(())
     shifted = logits - bk.max_(logits, axis=-1, keepdims=True)
     logz = np.log(bk.sum_(np.exp(shifted), axis=-1, keepdims=True))
     picked = np.take_along_axis(shifted - logz, targets.astype(np.int64)[..., None],
@@ -679,8 +661,6 @@ def _xent(logits, targets, mask=None):
 
 def _xent_grad(g, logits, targets, mask=None):
     """``_xent``'s gradient with respect to the logits."""
-    if bk.is_abstract(logits):
-        return bk.shaped(logits.shape)
     dz = _softmax(logits) - bk.one_hot_rows(targets, logits.shape[-1])
     scale_num = np.asarray(g, dtype=np.float64)
     if mask is None:
@@ -711,7 +691,8 @@ class CrossEntropy(Function):
         if self.has_mask:
             fctx.misc["mask_slot"] = fctx.save_input(2, category="loss_mask")
         fctx.out_dtypes = [FP32]
-        out = map_shards(_xent, logits, targets, *([mask] if self.has_mask else []))
+        out = map_shards(_xent, logits, targets, *([mask] if self.has_mask else []),
+                         shape=lambda *_: ())
         fctx.log_gemm("cross_entropy", flops_per_rank=0,
                       bytes_moved=0)  # loss math is negligible next to the logits GEMM
         fctx.log_elementwise("cross_entropy", bytes_moved=4 * bk.size_of(logits[0]),
@@ -726,7 +707,8 @@ def _xent_backward(fctx: FnCtx, grad: ShardList, has_mask: bool) -> tuple:
     """The cross-entropy backward from the logits, targets (and mask)
     saved in ``fctx``'s ``logits_slot``, ``targets_slot`` (``mask_slot``)."""
     slots = ("logits_slot", "targets_slot", "mask_slot")[:3 if has_mask else 2]
-    dlogits = map_shards(_xent_grad, grad, *[fctx.saved(fctx.misc[k]) for k in slots])
+    dlogits = map_shards(_xent_grad, grad, *[fctx.saved(fctx.misc[k]) for k in slots],
+                         shape=lambda g, logits, *_: logits)
     return (dlogits, None, None) if has_mask else (dlogits, None)
 
 
@@ -784,18 +766,11 @@ class CausalMask(Function):
             raise ShapeError(f"causal mask needs (..., s, s) scores, got {shape}")
         # Fused with the softmax kernel in practice (scale-mask-softmax).
         fctx.log_elementwise("causal_mask", bytes_moved=2 * bk.size_of(x[0]))
-        return map_shards(self._masked, x)
+        return map_shards(lambda xi: np.where(_causal_keep(xi.shape)[0], xi, self.MASKED_VALUE),
+                          x, shape=same_shape)
 
     def backward(self, fctx: FnCtx, grad: ShardList):
-        return (map_shards(self._masked_grad, grad),)
-
-    def _masked(self, x):
-        if bk.is_abstract(x):
-            return bk.shaped(x.shape)
-        return np.where(_causal_keep(x.shape)[0], x, self.MASKED_VALUE)
-
-    def _masked_grad(self, g):
-        return bk.shaped(g.shape) if bk.is_abstract(g) else g * _causal_keep(g.shape)[0]
+        return (map_shards(lambda g: g * _causal_keep(g.shape)[0], grad, shape=same_shape),)
 
 
 def causal_mask(x: Tensor) -> Tensor:
@@ -864,11 +839,10 @@ class SliceAxis(Function):
         return map_shards(lambda xi: bk.slice_axis(xi, self.axis, self.start, self.stop), x)
 
     def backward(self, fctx: FnCtx, grad: ShardList):
-        return (map_shards(lambda g: self._pad(g, fctx.misc["in_shape"]), grad),)
+        in_shape = fctx.misc["in_shape"]
+        return (map_shards(lambda g: self._pad(g, in_shape), grad, shape=lambda _: in_shape),)
 
     def _pad(self, g, in_shape):
-        if bk.is_abstract(g):
-            return bk.shaped(in_shape)
         full = np.zeros(in_shape, dtype=np.float64)
         index = [slice(None)] * len(in_shape)
         index[self.axis % len(in_shape)] = slice(self.start, self.stop)
@@ -916,7 +890,7 @@ class DecodeAttention(Function):
                 f"decode attention: {a} head(s), q {bk.shape_of(q[0])}, keys "
                 f"{bk.shape_of(keys[0])}, values {bk.shape_of(values[0])} "
                 f"and lengths {list(lengths)} do not pair up")
-        out = map_shards(self._attend, q, keys, values)
+        out = map_shards(self._attend, q, keys, values, shape=same_shape)
         fctx.log_gemm("decode_attention", flops_per_rank=4.0 * rows * h,
                       bytes_moved=2 * rows * h * _widths(fctx.inputs[1])[0])
         return out

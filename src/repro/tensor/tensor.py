@@ -179,7 +179,7 @@ class Tensor:
         if grad is None:
             s0 = self.shards[0]
             grad = ([bk.shaped(s0.shape)] * self.world if type(s0) is AbstractArray
-                    else [bk.ones_like(s) for s in self.shards])
+                    else [np.ones_like(s) for s in self.shards])
         run_backward([(self, grad)])
 
 
@@ -323,33 +323,62 @@ class Function:
         raise NotImplementedError
 
 
-def map_shards(kernel, *lists: ShardList):
+def map_shards(kernel, *lists: ShardList, shape=None):
     """``kernel`` applied rank by rank: ``kernel(a[r], b[r], ...)`` for
     each rank ``r`` of the shard lists, as one list (or, when the kernel
     returns a tuple, one list per element).
 
-    The kernel sees one shard per input, never the world size or a rank
-    index, so on abstract lists at world > 1 it runs once, on rank 0's
-    shards, and every rank shares the one result: an abstract array is
-    nothing but its shape, and all shards share one.  A result that *is*
-    its rank-0 input stands for that input's own list, so an identity
-    pass-through keeps each rank's buffer.  Not under a memory profiler
-    or a capture, which key buffers by identity alone: there each rank
-    keeps its own object.
+    ``shape`` declares the abstract result: a rule from the inputs'
+    rank-0 shapes (``None`` for a non-array) to the output's shape, or a
+    list of them (``None`` for a ``None`` output).  When any input is
+    abstract the mapper builds the result from the rule and never enters
+    the kernel, which is NumPy only.  A declared result is a fresh
+    buffer, so a kernel that may pass an input through (a reshape, an
+    unbroadcast grad) declares none and reaches NumPy only through
+    ``bk.*`` and array operators.  On abstract lists at world > 1 it runs
+    once, on rank 0's shards, and a result that *is* its rank-0 input
+    stands for that input's own list, as the tracker's identity dedup
+    needs.
+
+    An abstract result is one instance every rank shares, except under a
+    memory profiler or a capture, which key buffers by identity alone.
     """
-    first = lists[0]
-    world = len(first)
-    if world > 1 and type(first[0]) is AbstractArray:
-        c = ctx()
-        if c.memprof is None and c.capture is None:
-            one = kernel(*[a[0] for a in lists])
-            if type(one) is tuple:
-                return tuple(_shared(o, lists, world) for o in one)
-            return _shared(one, lists, world)
+    world = len(lists[0])
+    if shape is not None:
+        for a in lists:
+            if type(a[0]) is AbstractArray:
+                return _declared(shape(*[getattr(b[0], "shape", None) for b in lists]), world)
+    elif world > 1 and type(lists[0][0]) is AbstractArray and _shareable():
+        one = kernel(*[a[0] for a in lists])
+        if type(one) is tuple:
+            return tuple(_shared(o, lists, world) for o in one)
+        return _shared(one, lists, world)
     out = list(map(kernel, *lists))
     if type(out[0]) is tuple:
         return tuple(map(list, zip(*out)))
     return out
+
+
+def same_shape(shape, *_):
+    """The ``shape`` rule of an elementwise kernel: its first input's."""
+    return shape
+
+
+def _shareable() -> bool:
+    """Whether ranks may share one abstract result (see map_shards)."""
+    c = ctx()
+    return c.memprof is None and c.capture is None
+
+
+def _declared(shapes, world: int):
+    """The abstract outputs a ``shape`` rule declares, one list each."""
+    if type(shapes) is list:
+        return tuple(_declared(s, world) for s in shapes)
+    if shapes is None:
+        return [None] * world
+    if _shareable():
+        return [bk.shaped(shapes)] * world
+    return [bk.shaped(shapes) for _ in range(world)]
 
 
 def _shared(one, lists: Sequence[ShardList], world: int) -> ShardList:

@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.comm.process_group import ProcessGroup
 from repro.errors import ShapeError
+from repro.parallel import all_gather_matmul
+from repro.tensor import Tensor, abstract
 from repro.tensor import backend as bk
+from repro.tensor import functions as F
 from repro.tensor.backend import AbstractArray
 
 dims = st.integers(min_value=1, max_value=5)
@@ -23,13 +27,8 @@ class TestAbstractArrayBasics:
         with pytest.raises(ShapeError):
             AbstractArray((2, -1))
 
-    def test_copy_and_astype_preserve_shape(self):
-        a = AbstractArray((2, 3))
-        assert a.copy().shape == (2, 3)
-        assert a.astype("anything").shape == (2, 3)
-
-    def test_transpose_property(self):
-        assert AbstractArray((2, 3, 4)).T.shape == (4, 3, 2)
+    def test_copy_preserves_shape(self):
+        assert AbstractArray((2, 3)).copy().shape == (2, 3)
 
     def test_scalar_shape(self):
         assert AbstractArray(()).size == 1
@@ -52,42 +51,33 @@ class TestBroadcasting:
         out = AbstractArray((4, 1, 3)) * np.zeros((2, 3))
         assert out.shape == (4, 2, 3)
 
-    def test_reflected_ops(self):
-        out = np.zeros((2, 3)) + AbstractArray((3,))
-        assert isinstance(out, AbstractArray)
-        assert out.shape == (2, 3)
-
     def test_scalar_operand(self):
         assert (AbstractArray((2, 3)) * 2.0).shape == (2, 3)
-
-    def test_negation_and_power(self):
-        assert (-AbstractArray((2,))).shape == (2,)
-        assert (AbstractArray((2,)) ** 2).shape == (2,)
 
 
 class TestMatmul:
     def test_linear(self):
-        assert (AbstractArray((5, 2, 3)) @ AbstractArray((3, 7))).shape == (5, 2, 7)
+        assert bk.matmul_shape((5, 2, 3), (3, 7)) == (5, 2, 7)
 
     def test_batched(self):
-        assert (AbstractArray((2, 4, 5, 6)) @ AbstractArray((2, 4, 6, 3))).shape == (2, 4, 5, 3)
+        assert bk.matmul_shape((2, 4, 5, 6), (2, 4, 6, 3)) == (2, 4, 5, 3)
 
     def test_batch_broadcast(self):
-        assert (AbstractArray((1, 4, 5, 6)) @ AbstractArray((2, 1, 6, 3))).shape == (2, 4, 5, 3)
+        assert bk.matmul_shape((1, 4, 5, 6), (2, 1, 6, 3)) == (2, 4, 5, 3)
 
     def test_inner_mismatch(self):
         with pytest.raises(ShapeError):
-            _ = AbstractArray((2, 3)) @ AbstractArray((4, 5))
+            bk.matmul_shape((2, 3), (4, 5))
 
     def test_vector_rejected(self):
         with pytest.raises(ShapeError):
-            _ = AbstractArray((3,)) @ AbstractArray((3, 2))
+            bk.matmul_shape((3,), (3, 2))
 
     @given(dims, dims, dims, dims)
     @settings(max_examples=40, deadline=None)
     def test_matches_numpy(self, b, m, k, n):
         expected = (np.zeros((b, m, k)) @ np.zeros((k, n))).shape
-        assert (AbstractArray((b, m, k)) @ AbstractArray((k, n))).shape == expected
+        assert bk.matmul_shape((b, m, k), (k, n)) == expected
 
 
 class TestReductionsAndReshape:
@@ -103,7 +93,7 @@ class TestReductionsAndReshape:
 
     @pytest.mark.parametrize("fn", [bk.mean, bk.max_])
     def test_other_reductions(self, fn):
-        assert bk.shape_of(fn(AbstractArray((2, 3)), axis=-1, keepdims=True)) == (2, 1)
+        assert fn(np.zeros((2, 3)), axis=-1, keepdims=True).shape == (2, 1)
 
     def test_reshape_with_minus_one(self):
         assert AbstractArray((2, 3, 4)).reshape(6, -1).shape == (6, 4)
@@ -170,10 +160,6 @@ class TestGatherScatter:
         assert out.shape == (2, 2, 3)
         np.testing.assert_array_equal(out[0, 1], table[3])
 
-    def test_take_rows_abstract(self):
-        out = bk.take_rows(AbstractArray((10, 4)), AbstractArray((3, 2)))
-        assert bk.shape_of(out) == (3, 2, 4)
-
     def test_index_add_rows_accumulates(self):
         ids = np.array([1, 1, 2])
         vals = np.ones((3, 4))
@@ -210,7 +196,7 @@ class TestTypedShapeErrors:
 
     @pytest.mark.parametrize("op", [
         lambda: AbstractArray((2, 3)) + AbstractArray((4, 3)),
-        lambda: AbstractArray((2, 4, 5, 6)) @ AbstractArray((3, 4, 6, 3)),
+        lambda: bk.matmul_shape((2, 4, 5, 6), (3, 4, 6, 3)),
         lambda: bk.transpose(AbstractArray((2, 3)), (0, 5)),
         lambda: AbstractArray((2, 3)).reshape(6.7),
         lambda: AbstractArray((2.5, 3)),
@@ -219,17 +205,33 @@ class TestTypedShapeErrors:
         with pytest.raises(ShapeError):
             op()
 
+    @pytest.mark.parametrize("abstract_mode", [False, True], ids=["concrete", "abstract"])
+    @pytest.mark.parametrize("op,x_shape,w_shape", [
+        (F.matmul, (2, 3, 4), (6, 5)),
+        (F.matmul, (2, 4, 5, 6), (3, 4, 6, 3)),
+        (lambda x, w: all_gather_matmul(x, w, ProcessGroup(2)), (2, 3, 4), (6, 5)),
+    ], ids=["matmul-linear", "matmul-batch", "ag-matmul"])
+    def test_mismatched_matmul(self, op, x_shape, w_shape, abstract_mode):
+        """A GEMM whose operands do not pair up is the same ShapeError in
+        both modes (concretely it was NumPy's reshape or gufunc error)."""
+        def operand(shape):
+            if abstract_mode:
+                return abstract(shape, world=2)
+            return Tensor([np.zeros(shape)] * 2)
+        with pytest.raises(ShapeError):
+            op(operand(x_shape), operand(w_shape))
+
     @pytest.mark.parametrize("op", [
         lambda: bk.sum_(AbstractArray((2, 3)), axis=3),
-        lambda: bk.mean(AbstractArray((2, 3)), axis=-3),
+        lambda: bk.sum_(AbstractArray((2, 3)), axis=-3),
         lambda: bk.sum_(AbstractArray((2, 3)), axis=(1, 1)),
-        lambda: bk.max_(AbstractArray((2, 3)), axis=(0, -2), keepdims=True),
+        lambda: bk.sum_(AbstractArray((2, 3)), axis=(0, -2), keepdims=True),
         lambda: bk.concatenate([AbstractArray((2, 3)), AbstractArray((2, 3))], axis=4),
         lambda: bk.split(AbstractArray((4, 2)), 2, axis=3),
         lambda: bk.split(np.zeros((4, 2)), 2, axis=3),
         lambda: bk.slice_axis(AbstractArray((4, 2)), 2, 0, 1),
         lambda: bk.slice_axis(np.zeros((4, 2)), -3, 0, 1),
-    ], ids=["sum-axis", "mean-negative-axis", "sum-duplicate", "max-duplicate-negative",
+    ], ids=["sum-axis", "sum-negative-axis", "sum-duplicate", "sum-duplicate-negative",
             "concat-axis", "split-axis", "split-axis-concrete", "slice-axis",
             "slice-axis-concrete"])
     def test_axis_out_of_range_or_repeated(self, op):
@@ -252,9 +254,9 @@ def _axis_of(data, ndim):
 def _case_broadcast(data):
     s1 = data.draw(_shapes(lo=0, hi=3), label="s1")
     s2 = data.draw(_shapes(lo=0, hi=3), label="s2")
-    op = data.draw(st.sampled_from(["__add__", "__rsub__", "__mul__", "__pow__"]))
+    op = data.draw(st.sampled_from(["__add__", "__sub__", "__mul__", "__truediv__"]))
     return (lambda: getattr(AbstractArray(s1), op)(AbstractArray(s2)),
-            lambda: getattr(np.zeros(s1), op)(np.zeros(s2)))
+            lambda: getattr(np.ones(s1), op)(np.ones(s2)))
 
 
 def _case_matmul(data):
@@ -262,7 +264,8 @@ def _case_matmul(data):
     batch = data.draw(_shapes(0, 2, hi=3), label="b batch")
     k = data.draw(st.one_of(st.just(a[-1]), st.integers(1, 3)), label="k")
     b = batch + (k, data.draw(st.integers(1, 3), label="n"))
-    return (lambda: AbstractArray(a) @ AbstractArray(b),
+    # A declared rule's result, as ``map_shards`` builds it.
+    return (lambda: bk.shaped(bk.matmul_shape(a, b)),
             lambda: np.zeros(a) @ np.zeros(b))
 
 
@@ -285,22 +288,18 @@ def _case_transpose(data):
             lambda: np.transpose(np.zeros(shape), axes))
 
 
-_REDUCTIONS = [(bk.sum_, np.sum), (bk.mean, np.mean), (bk.max_, np.max)]
-
-
 def _case_reduce(data):
     # 0-d operands are left out: NumPy's ufunc reductions accept axis 0 / -1
-    # on them (np.sum / np.max do, np.mean raises); the abstract rule
-    # rejects every axis of a 0-d shape, as np.mean does.
+    # on them (np.sum does, np.mean raises); the abstract rule rejects
+    # every axis of a 0-d shape, as np.mean does.
     shape = data.draw(_shapes(min_dims=1), label="shape")
     n = len(shape)
     axis = data.draw(st.one_of(
         st.none(), st.integers(-n - 1, n),
         st.lists(st.integers(-n - 1, n), max_size=n + 1).map(tuple)), label="axis")
     keepdims = data.draw(st.booleans(), label="keepdims")
-    ours, ref = data.draw(st.sampled_from(_REDUCTIONS), label="reduction")
-    return (lambda: ours(AbstractArray(shape), axis=axis, keepdims=keepdims),
-            lambda: ref(np.zeros(shape), axis=axis, keepdims=keepdims))
+    return (lambda: bk.sum_(AbstractArray(shape), axis=axis, keepdims=keepdims),
+            lambda: np.sum(np.zeros(shape), axis=axis, keepdims=keepdims))
 
 
 def _case_reshape(data):

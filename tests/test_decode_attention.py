@@ -275,6 +275,15 @@ def test_malformed_step_operands_raise_typed_errors(call, error):
         call()
 
 
+def test_abstract_operands_take_the_declared_shape():
+    """Shape-only operands never enter the kernel: the result has ``q``'s
+    shape (1, B, h)."""
+    q, kv = Tensor([bk.AbstractArray((1, 2, 8))]), Tensor([bk.AbstractArray((5, 1, 8))])
+    with no_grad():
+        out = F.decode_attention(2, q, kv, kv, [2, 3])
+    assert out.is_abstract and out.shape == (1, 2, 8)
+
+
 def test_serve_continuous_logits_are_pinned(monkeypatch):
     """The benchmark's ``serve_continuous`` unit at its default seed: the
     bytes of all 156 engine steps' logits and the generated tokens.  A

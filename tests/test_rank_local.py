@@ -1,13 +1,17 @@
 """The rank loop of a shard-local op: ``tensor.map_shards``.
 
 A per-rank ``Function`` hands one shard's math to ``map_shards``, which
-maps it rank by rank on concrete shards and runs it once, sharing the
-result, on abstract shards at world > 1 (not under a memory profiler).
-What that structure cannot guarantee is checked here: each converted op's
-projected run and per-rank run (the same case under a ``MemProfiler``)
-agree on shapes, op log, per-rank tracker stream and within-rank
-aliasing; a result that *is* its rank-0 input keeps that input's own
-list; concrete shards and the profiler path keep one object per rank.
+maps it rank by rank on concrete shards.  On abstract shards it builds
+the result from the kernel's declared ``shape`` rule, or runs a
+polymorphic kernel once, and shares the result across ranks at world > 1
+(not under a memory profiler).  What that structure cannot guarantee is
+checked here: each converted op's projected run and per-rank run (the
+same case under a ``MemProfiler``) agree on shapes, op log, per-rank
+tracker stream and within-rank aliasing; its concrete run and its
+abstract run agree on shapes, op log and tracker stream, so every
+declared rule states what its kernel computes; a result that *is* its
+rank-0 input keeps that input's own list; concrete shards and the
+profiler path keep one object per rank.
 """
 
 import numpy as np
@@ -49,7 +53,9 @@ def _dims(d, lo=1, hi=3):
 
 def _case(cls, d, world):
     """A generated ``(fn, specs)``; a spec is ("t", shape, requires_grad or None
-    to draw it, is_param), ("same", input index) or ("v", plain value)."""
+    to draw it, is_param[, concrete fill]), ("same", input index) or ("v",
+    plain value).  A concrete tensor is random unless the spec names its fill:
+    zeros for ids and targets, ones for a loss mask."""
     shape = _dims(d)
     x, param = ("t", shape, True, False), ("t", shape[-1:], True, True)
     axis = d.draw(st.integers(0, len(shape) - 1), label="axis")
@@ -87,13 +93,13 @@ def _case(cls, d, world):
         fn = cls(0.125, p, mode=mode, shard_axis=axis, ring=ring)
         return fn, [("t", shape + (shape[-1] * (world if ring else 1),), True, False)]
     if cls in (F.CrossEntropy, FO.SoftmaxCrossEntropy):
-        has_mask, ids = d.draw(B), x[:2] + (False, False)
-        return cls(has_mask), [("t", shape + (d.draw(st.integers(1, 4)),), True, False)] + [
-            ids] * (1 + has_mask)
+        has_mask, ids = d.draw(B), x[:2] + (False, False, 0.0)
+        logits = ("t", shape + (d.draw(st.integers(1, 4)),), True, False)
+        return cls(has_mask), [logits, ids] + [x[:2] + (False, False, 1.0)] * has_mask
     if cls is F.CausalMask:
         return cls(), [("t", shape[:-1] + shape[-1:] * 2, True, False)]
     if cls is F.EmbeddingLookup:
-        return cls(), [("t", _dims(d, 2, 2), True, True), ("t", shape, False, False)]
+        return cls(), [("t", _dims(d, 2, 2), True, True), ("t", shape, False, False, 0.0)]
     n_params = {F.LayerNorm: 2, FO.FusedLayerNorm: 2, FO.BiasGelu: 1}.get(cls, 0)
     return (F.Cast(FP32) if cls is F.Cast else cls()), [x] + [param] * n_params
 
@@ -104,8 +110,14 @@ CASES = [F.Add, F.Mul, F.Matmul, F.Reshape, F.Transpose, F.Split, F.Concat, F.Ge
          FO.FusedLayerNorm, FO.DropoutAdd, FO.SoftmaxCrossEntropy]
 
 
-def _shards(shape, world, shared):
-    fresh = [AbstractArray(shape) for _ in range(world)]
+def _shards(shape, world, shared, concrete=False, fill=None):
+    if not concrete:
+        fresh = [AbstractArray(shape) for _ in range(world)]
+    elif fill is None:
+        rng = np.random.default_rng(len(shape))
+        fresh = [rng.standard_normal(shape) for _ in range(world)]
+    else:
+        fresh = [np.full(shape, fill) for _ in range(world)]
     return fresh[:1] * world if shared else fresh
 
 
@@ -114,14 +126,14 @@ def _pattern(objs):
     return tuple(next(j for j, o in enumerate(objs) if o is x) for x in objs)
 
 
-def _run(fn, specs, flags, world):
+def _run(fn, specs, flags, world, concrete=False):
     """Apply ``fn`` forward and backward, taking each drawn flag from ``flags``."""
     flags, args = iter(flags), []
     for spec in specs:
         if spec[0] == "t":
             grad = next(flags) if spec[2] is None else spec[2]
-            args.append(Tensor(_shards(spec[1], world, next(flags)),
-                               requires_grad=grad, is_param=spec[3]))
+            shards = _shards(spec[1], world, next(flags), concrete, *spec[4:])
+            args.append(Tensor(shards, requires_grad=grad, is_param=spec[3]))
         else:
             args.append(args[spec[1]] if spec[0] == "same" else spec[1])
     tensors = [a for a in args if isinstance(a, Tensor)]
@@ -129,7 +141,7 @@ def _run(fn, specs, flags, world):
     with instrument(memory=tracker, oplog=log):
         out = apply(fn, *args)
         outs = out if isinstance(out, tuple) else (out,)
-        seeds = [(o, _shards(o.shape, world, next(flags)))
+        seeds = [(o, _shards(o.shape, world, next(flags), concrete))
                  for i, o in enumerate(outs) if next(flags) or i == 0]
         run_backward(seeds)
     lists = ([t.shards for t in tensors] + [o.shards for o in outs] + [g for _, g in seeds]
@@ -164,6 +176,25 @@ class TestProjectionOracle:
         assert per_rank["live_after"] == [0] * world
         for pattern, through in zip(projected["out_patterns"], projected["through"]):
             assert pattern == ((0,) * world if through is None else through)
+
+
+class TestDeclaredShapeOracle:
+    """An abstract kernel is never entered: its result is the shape its
+    ``map_shards`` rule declares.  The concrete run is the oracle."""
+
+    @pytest.mark.parametrize("cls", list(CASES), ids=lambda c: c.__name__)
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_declared_run_matches_concrete_run(self, cls, data):
+        world = data.draw(st.integers(1, 3), label="world")
+        fn, specs = _case(cls, data, world)
+        flags = data.draw(st.lists(st.booleans(), min_size=16, max_size=16), label="flags")
+        with memprof_scope(MemProfiler()):
+            declared = _run(fn, specs, flags, world)
+        with memprof_scope(MemProfiler()):
+            concrete = _run(fn, specs, flags, world, concrete=True)
+        for key in ("shapes", "records", "stream", "live_after"):
+            assert declared[key] == concrete[key], key
 
 
 class TestWhenProjected:
