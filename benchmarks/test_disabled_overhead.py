@@ -194,7 +194,7 @@ def _stripped_apply(fn, *args, **kwargs):
         for shards, dt in zip(out_lists, dtypes)
     ]
     if requires:
-        node = T.Node(fn, fctx, tensor_inputs, outputs)
+        node = T.Node(fn, fctx, outputs)
         for i, t in enumerate(outputs):
             t._node = node
             t._out_index = i

@@ -16,6 +16,11 @@ at a time.  Saved activations are charged to the
 when backward consumes them — giving byte-exact, time-resolved activation
 memory for any execution order (including recomputation and pipelined
 microbatches).
+
+The tape retains nothing but saves: a recorded :class:`Node` keeps each
+input as a data-free :class:`Edge` (producing node, output index and the
+metadata backward reads), so what the tracker charges is all the tape
+holds of a forward pass.
 """
 
 from __future__ import annotations
@@ -389,16 +394,52 @@ def _shared(one, lists: Sequence[ShardList], world: int) -> ShardList:
     return [one] * world
 
 
+class Edge:
+    """A data-free reference to a tensor a recorded node consumed: where
+    backward routes its gradient (producing node, output index) and the
+    metadata backward reads, but no shards."""
+
+    __slots__ = ("_node", "_out_index", "requires_grad", "dtype", "is_param",
+                 "layout", "name", "world")
+
+    def __init__(self, t: Tensor):
+        self._node = t._node
+        self._out_index = t._out_index
+        self.requires_grad = t.requires_grad
+        self.dtype = t.dtype
+        self.is_param = t.is_param
+        self.layout = t.layout
+        self.name = t.name
+        self.world = len(t.shards)
+
+
+def _edge(t: Optional[Tensor]):
+    """What a node keeps of input ``t``: the tensor itself for a leaf
+    backward writes a ``.grad`` to (and a parameter, which the model
+    holds anyway and a checkpoint passes through), else an :class:`Edge`."""
+    if t is None or (t._node is None and (t.requires_grad or t.is_param)):
+        return t
+    return Edge(t)
+
+
 class Node:
-    """A recorded function application on the tape."""
+    """A recorded function application on the tape.
+
+    ``inputs`` (shared with ``fctx.inputs``) holds what :func:`_edge`
+    keeps of each input, so what backward reads of an input's shards it
+    must save.  ``keep_inputs`` keeps the tensors instead, for a capture
+    that replays ``forward`` against them.
+    """
 
     __slots__ = ("fn", "fctx", "inputs", "n_outputs", "out_templates", "spent")
 
-    def __init__(self, fn: Function, fctx: FnCtx, inputs: Sequence[Optional[Tensor]],
-                 outputs: Sequence[Tensor]):
+    def __init__(self, fn: Function, fctx: FnCtx, outputs: Sequence[Tensor],
+                 keep_inputs: bool = False):
         self.fn = fn
         self.fctx = fctx
-        self.inputs = tuple(inputs)
+        if not keep_inputs:
+            fctx.inputs = tuple(map(_edge, fctx.inputs))
+        self.inputs = fctx.inputs
         self.n_outputs = len(outputs)
         # Enough metadata to synthesize zero grads for unused outputs.
         self.out_templates = [
@@ -466,7 +507,7 @@ def apply(fn: Function, *args, **kwargs) -> Union[Tensor, Tuple[Tensor, ...]]:
         mp.register_outputs(frame, tensor_inputs, outputs)
 
     if requires:
-        node = Node(fn, fctx, tensor_inputs, outputs)
+        node = Node(fn, fctx, outputs, keep_inputs=cap is not None)
         for i, t in enumerate(outputs):
             t._node = node
             t._out_index = i
@@ -587,6 +628,11 @@ def run_backward(seeds: Sequence[Tuple[Tensor, ShardList]]) -> None:
             for t, g in zip(node.inputs, grads_in):
                 if t is None or g is None:
                     continue
+                if len(g) != t.world:
+                    raise AutogradError(
+                        f"{node.fn.name}.backward returned a {len(g)}-shard grad "
+                        f"for an input of {t.world} shards"
+                    )
                 if not t.requires_grad:
                     continue
                 if t._node is None:

@@ -203,6 +203,28 @@ class TestEngineMechanics:
         with pytest.raises(AutogradError):
             y.backward([np.ones(2), np.ones(2)])  # 2 shards for world-1
 
+    @pytest.mark.parametrize("extra", [1, -1], ids=["extra-shard", "missing-shard"])
+    def test_missized_backward_grad_names_the_function(self, extra):
+        """A backward whose grad has more or fewer shards than its input
+        is a typed error naming the op, not a silently truncated
+        accumulation or a later ``IndexError``."""
+        from repro.tensor import Function, apply
+
+        class WrongWorld(Function):
+            name = "wrong_world"
+
+            def forward(self, fctx, x):
+                return [s * 2.0 for s in x]
+
+            def backward(self, fctx, grad):
+                return (grad + grad[:1] if extra > 0 else grad[:-1],)
+
+        x = Tensor([rng.normal(size=(3,)) for _ in range(2)], requires_grad=True)
+        y = F.sum_all(apply(WrongWorld(), x))
+        with pytest.raises(AutogradError, match="wrong_world.*2 shards"):
+            y.backward()
+        assert x.grad is None
+
     def test_item_requires_concrete(self):
         t = abstract((2, 2))
         with pytest.raises(AutogradError):
