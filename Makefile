@@ -10,8 +10,10 @@ test:
 	$(ONE_THREAD) $(PY) -m pytest tests/
 
 # Disabled-overhead proofs (benchmarks/test_disabled_overhead.py): the
-# tracer, memprof and fleet-telemetry seams cost < 5% when nothing is
-# installed.  Wall-clock, so outside tier-1; -s prints the timings.
+# tracer, memprof and fleet-telemetry seams make exactly the stripped
+# reference's Python calls plus a stated budget (cProfile) and cost < 5%
+# wall when nothing is installed.  Outside tier-1; -s prints the counts,
+# the timings and the reference's A/A spread.
 overhead:
 	$(ONE_THREAD) $(PY) -m pytest benchmarks/test_disabled_overhead.py -s
 
@@ -111,7 +113,10 @@ wall-history:
 # rank-reading loops of OffsetCausalMask and the ring softmax -- a
 # per-shard kernel declares its abstract result as a shape to
 # tensor.map_shards instead of branching on it; 27 while each kernel
-# carried its own abstract arm).
+# carried its own abstract arm); and the `.grad[0]` reads in
+# tests/test_parallel_equivalence.py (hand-written comparisons against
+# serial gradients; 33 before the one oracle, repro.testing.
+# assert_parallel_equivalent, compared every parameter on every rank).
 loc:
 	@printf '%-56s %6d\n' \
 		'src/ python lines' "$$(find src -name '*.py' | xargs cat | wc -l)" \
@@ -144,7 +149,8 @@ loc:
 		'cli.py + regress.py lines' "$$(cat src/repro/cli.py src/repro/observability/regress.py | wc -l)" \
 		'observability/ keyword options' "$$(PYTHONPATH=src $(PY) -c 'import importlib, inspect; mods = [importlib.import_module("repro.observability." + m) for m in "analysis memprof metrics monitor perfetto regress request_trace serialize tracer".split()]; fns = [f for m in mods for o in vars(m).values() if getattr(o, "__module__", None) == m.__name__ for f in ([o] if inspect.isfunction(o) else [getattr(v, "__func__", v) for v in vars(o).values()] if inspect.isclass(o) else [])]; print(sum(p.default is not p.empty for f in fns if inspect.isfunction(f) for p in inspect.signature(f).parameters.values()))')" \
 		'src/ modules building trace-event dicts' "$$(grep -rl --include='*.py' '"ph": "' src | wc -l)" \
-		'op modules is_abstract( lines' "$$(cat src/repro/tensor/functions.py src/repro/fusion/ops.py src/repro/parallel/mappings.py | grep -c 'is_abstract(')"
+		'op modules is_abstract( lines' "$$(cat src/repro/tensor/functions.py src/repro/fusion/ops.py src/repro/parallel/mappings.py | grep -c 'is_abstract(')" \
+		'test_parallel_equivalence.py .grad[0] reads' "$$(grep -o '\.grad\[0\]' tests/test_parallel_equivalence.py | wc -l)"
 
 # CI smoke run: the artifact-writing CLI invocation of each concrete-run
 # command, plus the two invocations no tier-1 test makes (the recompute

@@ -5,16 +5,21 @@ installed: the tracer (``FnCtx.log_*``, timed on a TP=2 training loop),
 the memory profiler (``tensor.apply`` and ``Module.__call__``, timed on
 an abstract TP+SP layer forward) and the fleet's request telemetry
 (router and scheduler helpers, timed on a chaos-fleet run).  For each,
-the *disabled* run must land within :data:`DISABLED_OVERHEAD_BOUND` of a
-reference with the seams stripped back to their pre-instrumentation
-bodies; the *enabled* cost is printed, not bounded.  This file is the
-only place either ratio is measured (BENCH documents carry no wall
-clock).  Run with ``pytest benchmarks/test_disabled_overhead.py -s``.
+the *disabled* run must make exactly the Python calls of a reference
+with the seams stripped back to their pre-instrumentation bodies, plus
+the seam's stated budget (counted by cProfile), and land within
+:data:`DISABLED_OVERHEAD_BOUND` of it in wall time, printed beside the
+reference's spread against itself (A/A); the *enabled* cost is printed,
+not bounded.  This file is the only place either ratio is measured
+(BENCH documents carry no wall clock).  Run with ``pytest
+benchmarks/test_disabled_overhead.py -s``.
 """
 
 import contextlib
+import cProfile
 import functools
 import gc
+import pstats
 import statistics
 import time
 
@@ -23,6 +28,7 @@ import pytest
 from repro.config import ModelConfig
 from repro.fleet import build_fleet
 from repro.fleet.router import FleetRouter
+from repro.layers.attention import SelfAttention
 from repro.layers.module import Module
 from repro.layers.transformer import Recompute
 from repro.observability import (
@@ -47,7 +53,7 @@ ROUNDS = 11
 DISABLED_OVERHEAD_BOUND = 0.05
 
 
-def _ratio_interleaved(reference, other):
+def _ratio_interleaved(reference, other, aa=False):
     """Median over :data:`ROUNDS` of the ratio ``other / reference`` of
     two ``(context, fn)`` arms, run back to back within each round.
 
@@ -56,12 +62,15 @@ def _ratio_interleaved(reference, other):
     as :mod:`timeit` does.  Pairing the arms round by round cancels slow
     drift in the host's speed, and the median drops a round a load spike
     hit; a shared 2-vCPU host still moves the ratio by a few percent from
-    one process to the next.  Returns ``(median ratio, best reference s,
-    best other s)``."""
+    one process to the next.  With ``aa`` each round also runs the
+    reference a second time, and the sorted ratios of that run to the
+    first (A/A) measure that spread.  Returns ``(median ratio, best
+    reference s, best other s, A/A ratios or [])``."""
+    arms = (reference, other, reference) if aa else (reference, other)
     rounds = []
     for _ in range(ROUNDS):
-        pair = []
-        for context, fn in (reference, other):
+        times = []
+        for context, fn in arms:
             with context():
                 fn()
                 gc.collect()
@@ -69,12 +78,29 @@ def _ratio_interleaved(reference, other):
                 try:
                     start = time.perf_counter()
                     fn()
-                    pair.append(time.perf_counter() - start)
+                    times.append(time.perf_counter() - start)
                 finally:
                     gc.enable()
-        rounds.append(pair)
-    ratio = statistics.median(o / r for r, o in rounds)
-    return ratio, min(r for r, _ in rounds), min(o for _, o in rounds)
+        rounds.append(times)
+    ratio = statistics.median(t[1] / t[0] for t in rounds)
+    return (ratio, min(t[0] for t in rounds), min(t[1] for t in rounds),
+            sorted(t[2] / t[0] for t in rounds) if aa else [])
+
+
+def _profile(context, fn):
+    """cProfile statistics of one ``fn()`` run inside ``context``, after
+    one uncounted warm-up run: a repeat run's call counts are exact."""
+    with context():
+        fn()
+        profile = cProfile.Profile()
+        profile.runcall(fn)
+    return pstats.Stats(profile)
+
+
+def _calls(stats, path, function):
+    """Calls of ``function`` defined in a file ending in ``path``."""
+    return sum(nc for (file, _, name), (_, nc, _, _, _) in stats.stats.items()
+               if name == function and file.endswith(path))
 
 
 @contextlib.contextmanager
@@ -222,6 +248,8 @@ def _strip_memprof(mp):
                 repro.parallel.layout, repro.parallel.loss):
         mp.setattr(mod, "apply", _stripped_apply)
     mp.setattr(Module, "__call__", _stripped_call)
+    # ``project_qkv`` binds ``Module.__call__`` as a default at import
+    mp.setattr(SelfAttention.project_qkv, "__defaults__", (_stripped_call,))
 
 
 FLEET_CFG = ModelConfig(num_layers=2, hidden_size=32, num_heads=4,
@@ -257,27 +285,57 @@ def _strip_fleet(mp):
     mp.setattr(ContinuousBatchingScheduler, "_mark", _noop)
 
 
-# seam -> (disabled run, enabled run, strip the seams back to the reference)
+def _module_calls(stats):
+    # ``Module.__call__``'s one ``ctx()`` read, to see whether a memory
+    # profiler is installed
+    return _calls(stats, "layers/module.py", "__call__")
+
+
+# seam -> (disabled run, enabled run, strip the seams back to the
+# reference, the calls the disabled seams may add over the reference as a
+# function of the disabled run's profile)
 SEAMS = {
     "tracer": (_train_loop,
                lambda: _train_loop(Tracer(metrics=MetricsRegistry())),
-               _strip_tracer),
-    "memprof": (_forward, _profiled, _strip_memprof),
-    "fleet": (_fleet_run, lambda: _fleet_run(telemetry=True), _strip_fleet),
+               _strip_tracer, lambda stats: 0),
+    "memprof": (_forward, _profiled, _strip_memprof, _module_calls),
+    "fleet": (_fleet_run, lambda: _fleet_run(telemetry=True), _strip_fleet,
+              lambda stats: 0),
 }
+
+
+@pytest.mark.parametrize("seam", SEAMS)
+def test_disabled_call_count(seam):
+    """Seams present but nothing installed make exactly the stripped
+    reference's Python calls plus the seam's budget."""
+    disabled_run, _, strip, budget = SEAMS[seam]
+    reference = _profile(functools.partial(_stripped, strip), disabled_run)
+    disabled = _profile(contextlib.nullcontext, disabled_run)
+    allowed = reference.total_calls + budget(disabled)
+    ops = _calls(disabled, "tensor/tensor.py", "apply")
+    extra = disabled.total_calls - allowed
+    print(f"\n{seam}: reference {reference.total_calls} calls, disabled "
+          f"{disabled.total_calls} (budget {allowed - reference.total_calls}, "
+          f"{ops} tape ops)")
+    assert extra == 0, (
+        f"disabled {seam} seams make {extra:+d} calls over the stripped "
+        f"reference plus budget ({extra / max(ops, 1):+.2f} per tape op "
+        f"over {ops} ops): a seam is doing work while nothing is installed")
 
 
 @pytest.mark.parametrize("seam", SEAMS)
 def test_disabled_overhead(seam):
     """Seams present but nothing installed vs seams stripped."""
-    disabled_run, _, strip = SEAMS[seam]
-    ratio, reference, disabled = _ratio_interleaved(
+    disabled_run, _, strip, _ = SEAMS[seam]
+    ratio, reference, disabled, aa = _ratio_interleaved(
         (functools.partial(_stripped, strip), disabled_run),
-        (contextlib.nullcontext, disabled_run))
+        (contextlib.nullcontext, disabled_run), aa=True)
     overhead = ratio - 1.0
     print(f"\n{seam}: reference (no seams) {reference * 1e3:.2f} ms, "
           f"disabled {disabled * 1e3:.2f} ms, overhead {overhead:+.2%} "
-          f"(bound {DISABLED_OVERHEAD_BOUND:.0%})")
+          f"(bound {DISABLED_OVERHEAD_BOUND:.0%}; A/A median "
+          f"{statistics.median(aa) - 1:+.2%}, range {aa[0] - 1:+.2%} .. "
+          f"{aa[-1] - 1:+.2%})")
     assert overhead < DISABLED_OVERHEAD_BOUND, (
         f"disabled {seam} overhead {overhead:.2%} exceeds "
         f"{DISABLED_OVERHEAD_BOUND:.0%}: a seam is doing work while "
@@ -288,8 +346,8 @@ def test_disabled_overhead(seam):
 def test_enabled_cost(seam):
     """What the enabled layer costs, printed for the record: enabled
     instrumentation legitimately does work, so the ratio is not bounded."""
-    disabled_run, enabled_run, _ = SEAMS[seam]
-    ratio, disabled, enabled = _ratio_interleaved(
+    disabled_run, enabled_run, _, _ = SEAMS[seam]
+    ratio, disabled, enabled, _ = _ratio_interleaved(
         (contextlib.nullcontext, disabled_run),
         (contextlib.nullcontext, enabled_run))
     print(f"\n{seam}: disabled {disabled * 1e3:.2f} ms, "

@@ -33,7 +33,7 @@ from .ops import (
     scale_mask_softmax_dropout,
     softmax_cross_entropy,
 )
-from .passes import PATTERNS, fuse_oplog, fuse_records, fusion_report
+from .passes import PATTERNS, fuse_records, fusion_report
 
 __all__ = [
     "SCRATCH_CATEGORY",
@@ -51,7 +51,6 @@ __all__ = [
     "scale_mask_softmax_dropout",
     "softmax_cross_entropy",
     "PATTERNS",
-    "fuse_oplog",
     "fuse_records",
     "fusion_report",
 ]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Sequence, Tuple
 
-from ..tensor.oplog import OpKind, OpLog, OpRecord, Phase
+from ..tensor.oplog import OpKind, OpRecord, Phase
 
 # A pattern is a tuple of (name, kind) pairs plus a builder mapping the
 # matched records to the fused replacement.  ``n`` (elements per rank) is
@@ -142,14 +142,6 @@ def fuse_records(records: Sequence[OpRecord]) -> List[OpRecord]:
             out.append(records[i])
             i += 1
     return out
-
-
-def fuse_oplog(log: OpLog) -> OpLog:
-    """A new :class:`OpLog` holding the fused rewrite of ``log``."""
-    fused = OpLog()
-    for record in fuse_records(log.records):
-        fused.add(record)
-    return fused
 
 
 def fusion_report(records: Sequence[OpRecord]) -> dict:

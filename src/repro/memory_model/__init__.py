@@ -5,7 +5,6 @@ from .activations import (
     first_stage_layers_worth,
     input_output_extras_bytes,
     interleave_memory_factor,
-    longctx_per_layer_activation_bytes,
     longctx_per_layer_term_groups,
     memory_fraction_of_tp_baseline,
     per_layer_activation_bytes,
@@ -44,8 +43,7 @@ __all__ = [
     "Table2Row", "figure1_budget", "first_stage_layers_worth",
     "in_flight_microbatches", "input_output_extras_bytes",
     "interleave_memory_factor", "kv_block_bytes", "kv_blocks_for_tokens",
-    "kv_cache_bytes", "longctx_per_layer_activation_bytes",
-    "longctx_per_layer_term_groups", "memory_fraction_of_tp_baseline",
+    "kv_cache_bytes", "longctx_per_layer_term_groups", "memory_fraction_of_tp_baseline",
     "microbatch_recompute_window", "parameter_count", "parameters_per_rank",
     "per_layer_activation_bytes", "per_layer_breakdown",
     "per_layer_term_groups", "pipeline_memory_profile",

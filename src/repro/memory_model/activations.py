@@ -213,14 +213,18 @@ def term_group_categories(recompute: RecomputeLike) -> Dict[str, tuple]:
 # Context-parallel (long-context) layouts: Ulysses and ring attention
 # ---------------------------------------------------------------------------
 
-def longctx_per_layer_activation_bytes(
+def longctx_per_layer_term_groups(
     model: ModelConfig,
     microbatch_size: int,
     context_parallel: int,
     layout: str = "ulysses",
     recompute: RecomputeLike = Recompute.NONE,
-) -> float:
-    """Activation bytes per layer per rank under p-way context parallelism.
+) -> Dict[str, float]:
+    """Analytic per-layer bytes per rank under p-way context parallelism,
+    per observable term group, on the same group names as
+    :func:`per_layer_term_groups` so :func:`term_group_categories` applies
+    unchanged — the basis of the ``longctx_memory_term_drift`` crosscheck.
+    The groups sum to:
 
     ==============================  ======================================
     Ulysses, no recompute           ``sbh/p (34 + 5as/h)``  (Eq 4, t -> p)
@@ -239,21 +243,6 @@ def longctx_per_layer_activation_bytes(
     *including* the re-shard, so both layouts store just the local Q/K/V
     chunks (``6sbh/p``) and the layouts coincide.
     """
-    return sum(longctx_per_layer_term_groups(
-        model, microbatch_size, context_parallel, layout, recompute).values())
-
-
-def longctx_per_layer_term_groups(
-    model: ModelConfig,
-    microbatch_size: int,
-    context_parallel: int,
-    layout: str = "ulysses",
-    recompute: RecomputeLike = Recompute.NONE,
-) -> Dict[str, float]:
-    """Analytic per-layer bytes per observable term group (context
-    parallelism), on the same group names as :func:`per_layer_term_groups`
-    so :func:`term_group_categories` applies unchanged — the basis of the
-    ``longctx_memory_term_drift`` crosscheck."""
     return dict(_longctx_per_layer_term_groups(
         model, microbatch_size, context_parallel, layout,
         Recompute(recompute)))

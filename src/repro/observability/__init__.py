@@ -69,7 +69,6 @@ from .memprof import (
     MemoryLedger,
     MemProfiler,
     PeakAttribution,
-    active_memprof,
     arena_recycling_report,
     check_peak_attribution,
     flamegraph,
@@ -128,7 +127,7 @@ __all__ = [
     "MetricsRegistry", "PeakAttribution", "RankAttribution", "Regression",
     "RequestSpan", "RequestTrace", "RequestTracker", "SLOMonitor",
     "SpanEvent", "TraceData", "Tracer", "UtilizationCrosscheck",
-    "active_memprof", "active_tracer", "arena_recycling_report", "attribute",
+    "active_tracer", "arena_recycling_report", "attribute",
     "check_against_baselines", "check_peak_attribution", "compare",
     "counter_events", "dump_json", "dumps_json", "export_trace",
     "flamegraph", "from_chrome_events", "from_tracer", "frontier",

@@ -808,12 +808,6 @@ def ledger_document(profiler: MemProfiler, ledger: MemoryLedger,
 # installation (mirrors observability.tracer)
 # ---------------------------------------------------------------------------
 
-def active_memprof() -> Optional[MemProfiler]:
-    """The installed profiler (``ctx().memprof``), or None (profiling
-    off)."""
-    return ctx().memprof
-
-
 def install_memprof(profiler: Optional[MemProfiler]) -> Optional[MemProfiler]:
     """Install ``profiler`` into the tensor-core context (None turns every
     hook site back into a single is-None check); returns the previous

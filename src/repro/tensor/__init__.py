@@ -11,7 +11,6 @@ from .context import (
     no_grad,
     phase,
     seed,
-    set_rng,
     set_rng_state,
 )
 from .dtypes import BF16, FP16, FP32, INT32, INT64, MASK, DType
@@ -37,6 +36,6 @@ __all__ = [
     "OpLog", "OpRecord", "Phase", "Tensor", "abstract", "apply", "checkpoint",
     "ctx", "enable_grad", "free_graph", "from_numpy", "functions",
     "get_rng_state", "instrument", "is_abstract", "is_grad_enabled", "no_grad",
-    "parameter", "phase", "replicate", "run_backward", "seed", "set_rng",
+    "parameter", "phase", "replicate", "run_backward", "seed",
     "set_rng_state", "shard_along", "WatermarkEvent",
 ]

@@ -49,10 +49,6 @@ def ctx() -> ExecutionContext:
     return _CTX
 
 
-def set_rng(rng: np.random.Generator) -> None:
-    _CTX.rng = rng
-
-
 def seed(value: int) -> None:
     """Reset the context RNG to a fresh generator seeded with ``value``."""
     _CTX.rng = np.random.default_rng(value)

@@ -5,9 +5,9 @@ get the same gold-standard checks the test suite uses:
 
 * :func:`numerical_grad` / :func:`check_gradients` — central-difference
   gradient checking of any op or module against the autograd engine;
-* :func:`assert_parallel_equivalent` — run a serial reference and a
-  parallel model on the same batch and require identical losses and
-  gradients (the library's core correctness contract);
+* :func:`assert_parallel_equivalent` — require a parallel model to hold
+  the serial model's loss, weights and gradients on every rank (the
+  library's core correctness contract), against a :func:`serial_run`;
 * :func:`assert_memory_matches` — require the tracker's measured
   activation bytes to equal a closed-form prediction;
 * :func:`gather_full` — reassemble a sharded parameter or gradient.
@@ -15,7 +15,7 @@ get the same gold-standard checks the test suite uses:
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -69,50 +69,81 @@ def gather_full(param: Tensor, grad: bool = False) -> np.ndarray:
     return np.asarray(source[0])
 
 
-def assert_parallel_equivalent(serial: Module, parallel, ids: np.ndarray,
-                               targets: np.ndarray, atol: float = 1e-8,
-                               check_params: Optional[list] = None) -> None:
-    """Run both models on one batch; require equal losses and gradients.
+#: A serial model's loss, weights and gradients (by init name).
+SerialRun = NamedTuple("SerialRun", [("loss", float), ("weights", dict),
+                                     ("grads", dict)])
 
-    ``check_params`` restricts the gradient comparison to (serial_param,
-    parallel_param) pairs; by default every named parameter common to both
-    models (matched by name) is compared, with sharded parallel gradients
-    gathered per their layout.
-    """
-    world, vocab = parallel.group.size, serial.config.vocab_size
+
+def serial_run(serial: Module, ids: np.ndarray,
+               targets: np.ndarray) -> SerialRun:
+    """One forward/backward of ``serial``, to check many models against."""
+    vocab = serial.config.vocab_size
     serial.zero_grad()
+    loss = serial(token_tensor(ids, vocab), token_tensor(targets, vocab))
+    loss.backward()
+    params = serial.parameters()
+    return SerialRun(loss.item(),
+                     {p.name: np.array(p.shards[0]) for p in params},
+                     {p.name: np.array(p.grad[0]) for p in params})
+
+
+def assert_parallel_equivalent(serial: Union[Module, SerialRun], parallel,
+                               ids: np.ndarray, targets: np.ndarray,
+                               atol: float = 1e-8) -> None:
+    """Run ``parallel`` on one batch against ``serial`` (the serial model,
+    or its :func:`serial_run` on the batch), laid out by the parallel
+    model's own ``Layout``: ``place`` per parameter and ``fused_qkv_init``
+    for a fused QKV projection, the rule that built the parallel weights
+    from ``serial=``.  On every rank the loss must be bitwise the serial
+    loss, every weight its placed serial shard exactly, every gradient
+    within ``atol`` of it (and a replicated one bitwise rank 0's); a
+    parameter the layout cannot map is an error.
+    """
+    run = (serial if isinstance(serial, SerialRun)
+           else serial_run(serial, ids, targets))
+    world, config = parallel.group.size, parallel.config
     parallel.zero_grad()
-    loss_s = serial(token_tensor(ids, vocab), token_tensor(targets, vocab))
-    loss_s.backward()
-    loss_p = parallel(token_tensor(ids, vocab, world=world),
-                      token_tensor(targets, vocab, world=world))
-    loss_p.backward()
+    loss = parallel(token_tensor(ids, config.vocab_size, world=world),
+                    token_tensor(targets, config.vocab_size, world=world))
+    loss.backward()
     parallel.finish_grad_sync()
-    if abs(loss_s.item() - loss_p.item()) > atol:
-        raise AssertionError(
-            f"losses differ: serial {loss_s.item()} vs parallel {loss_p.item()}")
-    if check_params is not None:
-        pairs = check_params
+    for rank, shard in enumerate(loss.shards):
+        if float(shard) != run.loss:
+            raise AssertionError(f"loss on rank {rank}: {float(shard)!r} != "
+                                 f"serial {run.loss!r}")
+    for name, p in parallel.named_parameters():
+        if p.grad is None:
+            raise AssertionError(f"{name}: no gradient")
+        for what, values, shards, bound in (
+                ("weight", run.weights, p.shards, 0.0),
+                ("gradient", run.grads, p.grad, atol)):
+            placed = _placed(parallel.layout, values, p, config.hidden_size)
+            for rank, (got, want) in enumerate(zip(shards, placed)):
+                got, want = np.asarray(got), np.asarray(want)
+                deviation = np.abs(got - want).max()
+                if not deviation <= bound:
+                    raise AssertionError(
+                        f"{name} rank {rank}: {what} differs from serial by "
+                        f"{deviation:.3g} (atol {bound:g})")
+                if rank and p.layout == "replicated" and not np.array_equal(
+                        got, shards[0]):
+                    raise AssertionError(
+                        f"{name} rank {rank}: {what} differs from rank 0")
+
+
+def _placed(layout, values: dict, param: Tensor, hidden: int) -> list:
+    """``values`` (serial arrays by init name) laid out as ``param``."""
+    if param.name in values:
+        full = np.asarray(values[param.name])
+    elif layout.fused_qkv and ".qkv." in param.name:
+        tag = param.name.rsplit(".qkv.", 1)[0]
+        full = layout.fused_qkv_init(values, hidden, tag)[param.name]
     else:
-        serial_params = dict(serial.named_parameters())
-        pairs = [(serial_params[name], p)
-                 for name, p in parallel.named_parameters()
-                 if name in serial_params
-                 and serial_params[name].shape == _full_shape(p)]
-    for p_serial, p_parallel in pairs:
-        np.testing.assert_allclose(
-            gather_full(p_parallel, grad=True),
-            np.asarray(p_serial.grad[0]), atol=atol,
-            err_msg=p_parallel.name)
-
-
-def _full_shape(param: Tensor):
-    shape = list(param.shape)
-    if "shard(dim=0)" in param.layout:
-        shape[0] *= param.world
-    elif "shard(dim=1)" in param.layout:
-        shape[1] *= param.world
-    return tuple(shape)
+        raise AssertionError(f"{type(layout).__name__} cannot map "
+                             f"{param.name!r} back to a serial parameter")
+    axis = (int(param.layout[len("shard(dim="):-1])
+            if param.layout.startswith("shard(dim=") else None)
+    return layout.place(full, full.shape, axis, param.name)[0]
 
 
 def assert_memory_matches(build_and_forward: Callable[[], None],

@@ -133,6 +133,16 @@ def assert_weights_bitwise_equal(model_a, model_b) -> None:
             "weights differ bitwise"
 
 
+def assert_zero_drift(drift) -> None:
+    """A ``MemoryTermDrift`` with zero drift on every term group, no
+    measured category outside the groups, and something measured."""
+    moved = {term: value for term, value in drift.drift.items() if value}
+    measured = sum(drift.measured.values())
+    if moved or drift.unmapped or not measured > 0:
+        raise AssertionError(f"memory drift per term {moved}, unmapped "
+                             f"{drift.unmapped}, measured {measured} bytes")
+
+
 def run_resilient(model_factory, plan, checkpoint_path, num_steps: int = 6,
                   data_parallel: int = 2, batch_seed: int = 5,
                   batch_size: int = 4, lr: float = 1e-2, **options):

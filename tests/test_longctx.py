@@ -41,7 +41,7 @@ from repro.tensor import functions as F
 from repro.tensor.functions import MaskSource
 from repro.testing import assert_parallel_equivalent
 
-from helpers import TINY, random_tokens
+from helpers import TINY, assert_zero_drift, random_tokens
 
 rng = np.random.default_rng(31)
 MS = MaskSource(seed=77, keep_prob=0.9)
@@ -180,12 +180,8 @@ class TestMemoryDrift:
     def test_zero_drift(self, model, b, p, layout, rc, fused):
         if layout == "ulysses" and model.num_heads % p:
             pytest.skip("ulysses needs head-divisible groups")
-        drift = longctx_memory_term_drift(model, b, p, layout, rc, fused=fused)
-        assert drift.unmapped == {}
-        assert drift.total_drift == 0.0
-        for term, value in drift.drift.items():
-            assert value == 0.0, term
-        assert sum(drift.measured.values()) > 0
+        assert_zero_drift(
+            longctx_memory_term_drift(model, b, p, layout, rc, fused=fused))
 
 
 class TestMappings:
@@ -357,9 +353,6 @@ class TestModelValidation:
         m = GPTModel(TINY, mask_source=MS, serial=model_s, recompute=rc,
                      fused=fused,
                      layout=AllGatherKV(ProcessGroup(4, scope="cp")))
-        loss = m(token_tensor(ids, V, world=4), token_tensor(tgt, V, world=4))
-        assert loss.item() == reference(token_tensor(ids, V),
-                                        token_tensor(tgt, V)).item()
         assert_parallel_equivalent(reference, m, ids, tgt, atol=1e-12)
 
     def test_ring_allows_head_indivisible_groups(self, serial):

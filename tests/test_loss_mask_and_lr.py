@@ -205,6 +205,46 @@ class TestPublicTestingUtils:
         ids = rng.integers(0, CFG.vocab_size, size=(CFG.seq_length, 2))
         assert_parallel_equivalent(serial, par, ids, np.roll(ids, -1, 0))
 
+    @pytest.mark.parametrize("layout,name,delta,error", [
+        # a fused-QKV shard, laid out from the serial wq/wk/wv gradients
+        ("tp", "layers.1.attn.qkv.bias", 1e-6, "differs from serial"),
+        # a replicated parameter: every rank must hold the serial gradient,
+        # and rank 0's bits even inside the bound
+        ("ulysses", "head.ln_f.gamma", 1e-6, "differs from serial"),
+        ("ulysses", "head.ln_f.gamma", 1e-12, "differs from rank 0"),
+    ])
+    def test_assert_parallel_equivalent_names_the_rank(
+            self, monkeypatch, layout, name, delta, error):
+        from repro.longctx import LongContextGPTModel
+        from repro.testing import assert_parallel_equivalent
+        kw = dict(attention_dropout=0.0, hidden_dropout=0.0)
+        serial = GPTModel(CFG, seed=8, **kw)
+        par = (ParallelGPTModel(CFG, tensor_parallel=2, sequence_parallel=True,
+                                serial=serial, **kw) if layout == "tp"
+               else LongContextGPTModel(CFG, 2, layout=layout, serial=serial,
+                                        **kw))
+        param, sync = dict(par.named_parameters())[name], par.finish_grad_sync
+
+        def finish_grad_sync():  # then move rank 1's gradient by delta
+            sync()
+            param.grad[1] = param.grad[1] + delta
+
+        monkeypatch.setattr(par, "finish_grad_sync", finish_grad_sync)
+        ids = rng.integers(0, CFG.vocab_size, size=(CFG.seq_length, 2))
+        with pytest.raises(AssertionError,
+                           match=rf"^{name} rank 1: gradient {error}"):
+            assert_parallel_equivalent(serial, par, ids, np.roll(ids, -1, 0))
+
+    def test_assert_parallel_equivalent_rejects_an_unmapped_parameter(self):
+        from repro.testing import assert_parallel_equivalent
+        kw = dict(attention_dropout=0.0, hidden_dropout=0.0)
+        serial = GPTModel(CFG, seed=8, **kw)
+        par = ParallelGPTModel(CFG, tensor_parallel=2, serial=serial, **kw)
+        par.layers[0].mlp.fc1.bias.name = "layer0.mlp.extra.bias"
+        ids = rng.integers(0, CFG.vocab_size, size=(CFG.seq_length, 2))
+        with pytest.raises(AssertionError, match="cannot map"):
+            assert_parallel_equivalent(serial, par, ids, np.roll(ids, -1, 0))
+
     def test_assert_memory_matches(self):
         from repro.testing import assert_memory_matches
 

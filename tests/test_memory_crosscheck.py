@@ -11,70 +11,74 @@ from hypothesis import strategies as st
 
 from repro.comm.process_group import ProcessGroup
 from repro.config import PAPER_CONFIGS, ModelConfig
-from repro.layers import Recompute
+from repro.layers import Recompute, abstract_layer
 from repro.layers.transformer import TransformerLayer
 from repro.memory_model import per_layer_activation_bytes
+from repro.observability import memory_term_drift
+from repro.observability.analysis import MEMORY_DRIFT_CASES
 from repro.parallel import TensorParallel
-from repro.tensor import MemoryTracker, Tensor, from_numpy, instrument, seed
+from repro.tensor import MemoryTracker, Tensor, instrument, seed
 from repro.tensor.backend import AbstractArray
+
+from helpers import assert_zero_drift
 
 rng = np.random.default_rng(5)
 
 
-def measure_parallel_layer(model: ModelConfig, b: int, t: int, sp: bool,
-                           rc: Recompute, fuse: bool = True,
-                           abstract: bool = True) -> int:
-    """Saved-activation bytes per rank after one layer's forward pass."""
+def layer_bytes(model: ModelConfig, b: int, rc: Recompute,
+                layout: TensorParallel, concrete: bool = False) -> int:
+    """Saved-activation bytes per rank after one layer's forward, required
+    to be the same on every rank (``memory_term_drift`` reads rank 0
+    only); it also runs the two cases that call does not: concrete weights
+    and inputs, and the unfused sequence-parallel gather."""
     seed(0)
-    layer = TransformerLayer(
-        model.hidden_size, model.num_heads, recompute=rc,
-        rng=None if abstract else np.random.default_rng(1), abstract=abstract,
-        layout=TensorParallel(ProcessGroup(t), sp, fuse_sp_gather=fuse),
-    )
-    s, h = model.seq_length, model.hidden_size
-    shape = (s // t if sp else s, b, h)
-    if abstract:
-        x = Tensor([AbstractArray(shape) for _ in range(t)], requires_grad=True,
-                   layout="shard(dim=0)" if sp else "replicated")
+    if concrete:
+        layer = TransformerLayer(model.hidden_size, model.num_heads,
+                                 recompute=rc, rng=np.random.default_rng(1),
+                                 layout=layout)
+        t, sharded = layout.group.size, layout.sequence_shards > 1
+        full = rng.normal(size=(model.seq_length, b, model.hidden_size))
+        x = Tensor(list(np.split(full, t, axis=0)) if sharded else [full] * t,
+                   requires_grad=True,
+                   layout="shard(dim=0)" if sharded else "replicated")
     else:
-        full = rng.normal(size=(s, b, h))
-        shards = (list(np.split(full, t, axis=0)) if sp else [full] * t)
-        x = Tensor(shards, requires_grad=True,
-                   layout="shard(dim=0)" if sp else "replicated")
+        layer, x = abstract_layer(layout, model, b, recompute=rc)
     tracker = MemoryTracker()
     with instrument(memory=tracker):
         layer(x)
-    per_rank = {tracker.live_bytes(r) for r in range(t)}
+    per_rank = {tracker.live_bytes(r) for r in range(layout.group.size)}
     assert len(per_rank) == 1, "ranks must be symmetric"
     return per_rank.pop()
 
 
-TABLE2_CASES = [
-    (False, Recompute.NONE),
-    (True, Recompute.NONE),
-    (False, Recompute.SELECTIVE),
-    (True, Recompute.SELECTIVE),
-    (False, Recompute.FULL),
-    (True, Recompute.FULL),
-]
+def measured_bytes(model: ModelConfig, b: int, t: int, sp: bool,
+                   rc: Recompute) -> float:
+    """One abstract layer's saved bytes, required to match Equations 1-4
+    term by term on rank 0 and to be the same on every rank."""
+    drift = memory_term_drift(model, b, t, sp, rc)
+    assert_zero_drift(drift)
+    measured = sum(drift.measured.values())
+    if t > 1:
+        assert measured == layer_bytes(model, b, rc,
+                                       TensorParallel(ProcessGroup(t), sp))
+    return measured
 
 
 class TestTable2AtPaperScale:
     """Abstract execution of the real graph at the paper's model sizes."""
 
-    @pytest.mark.parametrize("sp,rc", TABLE2_CASES)
+    @pytest.mark.parametrize("sp,rc", MEMORY_DRIFT_CASES)
     @pytest.mark.parametrize("name", ["22B", "175B"])
     def test_measured_equals_formula(self, name, sp, rc):
         cfg = PAPER_CONFIGS[name]
         b, t = cfg.training.micro_batch_size, cfg.parallel.tensor_parallel
-        measured = measure_parallel_layer(cfg.model, b, t, sp, rc)
+        measured = measured_bytes(cfg.model, b, t, sp, rc)
         formula = per_layer_activation_bytes(cfg.model, b, t, sp, rc)
         assert measured == pytest.approx(formula, rel=1e-9)
 
     def test_no_parallelism_equation_1(self):
-        cfg = PAPER_CONFIGS["22B"]
-        measured = measure_parallel_layer(cfg.model, 4, 1, False, Recompute.NONE)
-        m = cfg.model
+        m = PAPER_CONFIGS["22B"].model
+        measured = measured_bytes(m, 4, 1, False, Recompute.NONE)
         assert measured == pytest.approx(
             m.seq_length * 4 * m.hidden_size
             * (34 + 5 * m.num_heads * m.seq_length / m.hidden_size), rel=1e-9)
@@ -82,32 +86,30 @@ class TestTable2AtPaperScale:
     def test_unfused_gather_ablation(self):
         """Without the Y_i^s trick, both column-parallel inputs are stored
         in full on every rank: +2 * (2sbh - 2sbh/t)."""
-        cfg = PAPER_CONFIGS["22B"]
-        m, b, t = cfg.model, 4, 8
-        fused = measure_parallel_layer(m, b, t, True, Recompute.NONE, fuse=True)
-        unfused = measure_parallel_layer(m, b, t, True, Recompute.NONE, fuse=False)
+        m, b, t = PAPER_CONFIGS["22B"].model, 4, 8
+        fused, unfused = (
+            layer_bytes(m, b, Recompute.NONE,
+                        TensorParallel(ProcessGroup(t), True, fuse_sp_gather=f))
+            for f in (True, False))
         sbh = m.seq_length * b * m.hidden_size
         assert unfused - fused == 2 * (2 * sbh - 2 * sbh // t)
 
     def test_selective_stores_qkv_instead_of_core(self):
-        cfg = PAPER_CONFIGS["530B"]
-        m, b, t = cfg.model, 1, 8
-        none = measure_parallel_layer(m, b, t, True, Recompute.NONE)
-        sel = measure_parallel_layer(m, b, t, True, Recompute.SELECTIVE)
+        m, b, t = PAPER_CONFIGS["530B"].model, 1, 8
+        none = measured_bytes(m, b, t, True, Recompute.NONE)
+        sel = measured_bytes(m, b, t, True, Recompute.SELECTIVE)
         # Dropping the core removes 5as^2b/t but Q,K,V were stored anyway.
         assert none - sel == 5 * m.num_heads * m.seq_length**2 * b // t
 
 
 class TestConcreteMatchesAbstract:
-    @pytest.mark.parametrize("sp,rc", TABLE2_CASES)
+    @pytest.mark.parametrize("sp,rc", MEMORY_DRIFT_CASES)
     def test_toy_scale(self, sp, rc):
         model = ModelConfig(num_layers=1, hidden_size=32, num_heads=4,
                             seq_length=16, vocab_size=64)
-        concrete = measure_parallel_layer(model, 2, 4, sp, rc, abstract=False)
-        abstract = measure_parallel_layer(model, 2, 4, sp, rc, abstract=True)
-        assert concrete == abstract
-        assert concrete == pytest.approx(
-            per_layer_activation_bytes(model, 2, 4, sp, rc), rel=1e-9)
+        concrete = layer_bytes(model, 2, rc, TensorParallel(ProcessGroup(4), sp),
+                               concrete=True)
+        assert concrete == measured_bytes(model, 2, 4, sp, rc)
 
 
 @st.composite
@@ -124,12 +126,12 @@ def layer_configs(draw):
 
 class TestPropertyCrosscheck:
     @given(layer_configs(),
-           st.sampled_from(TABLE2_CASES))
+           st.sampled_from(MEMORY_DRIFT_CASES))
     @settings(max_examples=40, deadline=None)
     def test_formula_holds_for_random_configs(self, cfg_b_t, case):
         model, b, t = cfg_b_t
         sp, rc = case
-        measured = measure_parallel_layer(model, b, t, sp, rc)
+        measured = measured_bytes(model, b, t, sp, rc)
         assert measured == pytest.approx(
             per_layer_activation_bytes(model, b, t, sp, rc), rel=1e-9)
 
