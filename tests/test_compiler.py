@@ -26,7 +26,7 @@ from repro.observability.tracer import Tracer, trace_scope
 from repro.parallel import ParallelGPTModel
 from repro.resilience import FaultInjector, FaultKind, FaultPlan, FaultSpec
 from repro.serving import DecodeEngine, PagedKVCache
-from repro.tensor import MemoryTracker, from_numpy, instrument, seed
+from repro.tensor import MemoryTracker, OpLog, from_numpy, instrument, seed
 from repro.tensor import functions as F
 from repro.tensor import tensor as tape
 from repro.training import PipelinedGPT, Trainer, run_step_with_retries
@@ -194,6 +194,33 @@ class TestOneStepBody:
         assert stream(compiled, 6) == want                      # replay step
         assert stream(untraced, 6) == want
         assert untraced.plans.stats() == {"plans": 1, "hits": 1, "misses": 1}
+
+    def test_replay_under_an_oplog_records_what_eager_records(self):
+        """A plan captured with no op log installed reuses its ``FnCtx``
+        objects on replay; whether an op logs is read when it logs, so a
+        replay under an op log records each op an eager step does."""
+        ids, targets = _batch()
+
+        def records(trainer, reseed):
+            log = OpLog()
+            seed(reseed)
+            with instrument(oplog=log):
+                trainer.train_step(ids, targets, num_microbatches=2)
+            return [(r.name, r.kind, r.phase, r.flops, r.bytes_moved, r.comm)
+                    for r in log.records]
+
+        def trainer(compiled):
+            return Trainer(_model("tp+sp", Recompute.SELECTIVE), lr=1e-3,
+                           compiled=compiled)
+
+        eager, compiled = trainer(False), trainer(True)
+        seed(5)
+        compiled.train_step(ids, targets, num_microbatches=2)   # capture, no op log
+        eager.train_step(ids, targets, num_microbatches=2)
+        want = records(eager, 6)
+        assert records(compiled, 6) == want                     # replay step
+        assert compiled.plans.stats() == {"plans": 1, "hits": 1, "misses": 1}
+        assert len(want) > 100 and any(r[5] is not None for r in want)
 
     def test_pipeline_has_no_compiled_arm(self):
         with pytest.raises(TypeError):

@@ -522,3 +522,36 @@ class TestEvalMode:
         second = trainer.evaluate(ids, targets)
         assert first == second  # dropout off -> no stochasticity
         assert any(d.p > 0 for d in self._drops(model))  # back in training
+
+
+class TestDecodeStepAccounting:
+    """A decode step runs under ``no_grad`` with nothing installed, so
+    its ops must pay for their kernels only: the per-op byte/FLOP
+    accounting runs when an op log, tracer or memory profiler listens,
+    and then records exactly what it always did."""
+
+    REQUESTS, TOKENS = ["r0", "r1", "r2"], [7, 8, 9]
+
+    @staticmethod
+    def _engine(serial):
+        model = ParallelGPTModel(CFG, tensor_parallel=2, serial=serial)
+        engine = DecodeEngine(model, PagedKVCache(CFG, tensor_parallel=2,
+                                                  block_size=2, num_blocks=16))
+        for request_id, prompt in zip(TestDecodeStepAccounting.REQUESTS,
+                                      ([1, 2, 3], [4], [5, 6])):
+            engine.prefill(request_id, np.array(prompt))
+        return engine
+
+    def test_a_listened_step_records_what_it_always_did(self, serial):
+        import hashlib
+        from repro.tensor import OpLog, instrument
+        engine = self._engine(serial)
+        log = OpLog()
+        with instrument(oplog=log):
+            engine.decode(self.REQUESTS, self.TOKENS)
+        rows = [(r.name, r.kind.value, r.phase.value, float(r.flops).hex(),
+                 float(r.bytes_moved).hex(), r.comm, r.overlapped, r.fused)
+                for r in log.records]
+        assert len(rows) == 37
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "0096e33073b6a503c86db8f1adb1b772d6d19a4e4bb6465a06c9e7fd566dd506")
