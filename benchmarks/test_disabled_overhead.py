@@ -1,9 +1,10 @@
 """Disabled-overhead proofs: an instrumentation seam costs nothing when off.
 
 Three layers hook hot paths behind one ``is None`` check when nothing is
-installed: the tracer (``FnCtx.log_*``, timed on a TP=2 training loop),
-the memory profiler (``tensor.apply`` and ``Module.__call__``, timed on
-an abstract TP+SP layer forward) and the fleet's request telemetry
+installed: the tracer (``tensor.listening``, which every op's accounting
+waits on; timed on a TP=2 training loop), the memory profiler
+(``tensor.apply`` and ``Module.__call__``, timed on an abstract TP+SP
+layer forward) and the fleet's request telemetry
 (router and scheduler helpers, timed on a chaos-fleet run).  For each,
 the *disabled* run must make exactly the Python calls of a reference
 with the seams stripped back to their pre-instrumentation bodies, plus
@@ -43,8 +44,6 @@ from repro.serving.scheduler import ContinuousBatchingScheduler
 from repro.tensor import seed
 from repro.tensor import tensor as T
 from repro.tensor.context import ctx
-from repro.tensor.oplog import OpRecord
-from repro.tensor.tensor import FnCtx
 from repro.training.data import UniformTokens
 from repro.training.optimizer import Adam
 from repro.training.trainer import Trainer
@@ -126,44 +125,25 @@ def _train_loop(tracer=None):
             trainer.train_step(ids, targets, num_microbatches=2)
 
 
-def _legacy_log_gemm(self, name, flops_per_rank, bytes_moved=0.0):
-    # The pre-observability hook body: oplog check only, no tracer seam.
-    c = ctx()
-    if c.oplog is None:
-        return
-    from repro.tensor.oplog import OpKind
-    c.oplog.add(OpRecord(name=name, kind=OpKind.GEMM, phase=c.phase,
-                         flops=flops_per_rank, bytes_moved=bytes_moved))
-
-
-def _legacy_log_elementwise(self, name, bytes_moved, flops_per_rank=0.0):
-    c = ctx()
-    if c.oplog is None:
-        return
-    from repro.tensor.oplog import OpKind
-    c.oplog.add(OpRecord(name=name, kind=OpKind.ELEMENTWISE, phase=c.phase,
-                         flops=flops_per_rank, bytes_moved=bytes_moved))
-
-
-def _legacy_log_comm(self, name, op, nbytes, group_size, scope="tp",
-                     overlapped=False):
-    c = ctx()
-    if c.oplog is None:
-        return
-    from repro.tensor.oplog import CommInfo, OpKind
-    c.oplog.add(OpRecord(
-        name=name, kind=OpKind.COLLECTIVE if op != "p2p" else OpKind.P2P,
-        phase=c.phase,
-        comm=CommInfo(op=op, nbytes=int(nbytes), group_size=group_size,
-                      scope=scope),
-        overlapped=overlapped))
+def _legacy_listening():
+    # The pre-observability check: only an op log takes op records.
+    return ctx().oplog is not None
 
 
 def _strip_tracer(mp):
-    # the autograd logging sites are the hot path: hundreds of calls a step
-    mp.setattr(FnCtx, "log_gemm", _legacy_log_gemm)
-    mp.setattr(FnCtx, "log_elementwise", _legacy_log_elementwise)
-    mp.setattr(FnCtx, "log_comm", _legacy_log_comm)
+    # the autograd logging sites are the hot path: hundreds of calls a
+    # step, each behind ``listening()``; it is imported by name, so the
+    # patch lands in every module that bound it
+    import repro.fusion.ops
+    import repro.longctx.mappings
+    import repro.parallel.loss
+    import repro.parallel.mappings
+    import repro.tensor.functions
+
+    for mod in (T, repro.tensor.functions, repro.fusion.ops,
+                repro.parallel.mappings, repro.parallel.loss,
+                repro.longctx.mappings):
+        mp.setattr(mod, "listening", _legacy_listening)
 
 
 LAYER_CFG = ModelConfig(num_layers=4, hidden_size=32, num_heads=4,
@@ -209,21 +189,29 @@ def _stripped_apply(fn, *args, **kwargs):
             fwd_args.append(a)
     fctx = T.FnCtx(tensor_inputs)
     out = fn.forward(fctx, *fwd_args, **kwargs)
-    multi = isinstance(out, tuple)
-    out_lists = list(out) if multi else [out]
+    multi = type(out) is tuple
     requires = requires and T.ctx().grad_enabled
-    in_dtype, layout = ((T.FP16, "replicated") if first is None
-                        else (first.dtype, first.layout))
-    dtypes = fctx.out_dtypes or [in_dtype] * len(out_lists)
-    outputs = [
-        T.Tensor(shards, dtype=dt, requires_grad=requires, layout=layout)
-        for shards, dt in zip(out_lists, dtypes)
-    ]
+    dtype, layout = ((T.FP16, "replicated") if first is None
+                     else (first.dtype, first.layout))
+    dtypes = fctx.out_dtypes
+    outputs = []
+    for i, shards in enumerate(out if multi else (out,)):
+        s0 = shards[0]
+        shape = T.bk.shape_of(s0)
+        for s in shards:
+            if s is not s0 and T.bk.shape_of(s) != shape:
+                raise T.ShapeError(f"all shards must share a shape; got "
+                                   f"{shape} and {T.bk.shape_of(s)}")
+        t = T._new(T.Tensor)
+        t.shards, t.requires_grad, t.layout = shards, requires, layout
+        t.dtype = dtypes[i] if dtypes else dtype
+        t.is_param, t.name, t.grad, t._node, t._out_index = (
+            False, "", None, None, i)
+        outputs.append(t)
     if requires:
         node = T.Node(fn, fctx, outputs)
-        for i, t in enumerate(outputs):
+        for t in outputs:
             t._node = node
-            t._out_index = i
     else:
         fctx.release()
     return tuple(outputs) if multi else outputs[0]

@@ -35,7 +35,8 @@ from ..tensor.dtypes import FP16, FP32, MASK
 from ..tensor.functions import (CausalMask, Dropout, MaskSource, _causal_keep,
                                 _gelu_bwd, _gelu_fwd, _offset_keep,
                                 _unbroadcast, _widths, _xent, _xent_backward)
-from ..tensor.tensor import FnCtx, Function, ShardList, Tensor, apply, map_shards, same_shape
+from ..tensor.tensor import (FnCtx, Function, ShardList, Tensor, apply, listening, map_shards,
+                             same_shape)
 from .arena import default_arena
 
 
@@ -58,18 +59,19 @@ class BiasGelu(Function):
                                  shape=lambda x, b: [bk.broadcast_shape(x, b)] * 2)
         fctx.misc["z_slot"] = fctx.save_new(z_list, FP16, category="gelu_input")
         fctx.misc["bias_shape"] = bk.shape_of(bias[0])
-        n = bk.size_of(x[0])
-        nb = bk.size_of(bias[0])
-        fctx.log_elementwise("bias_gelu", bytes_moved=6 * n + 2 * nb,
-                             flops_per_rank=9 * n, fused=True)
+        if listening():
+            n = bk.size_of(x[0])
+            fctx.log_elementwise("bias_gelu", bytes_moved=6 * n + 2 * bk.size_of(bias[0]),
+                                 flops_per_rank=9 * n, fused=True)
         return out
 
     def backward(self, fctx: FnCtx, grad: ShardList):
         z_list = fctx.saved(fctx.misc["z_slot"])
         bias_shape = fctx.misc["bias_shape"]
-        n = bk.size_of(grad[0])
-        fctx.log_elementwise("bias_gelu.bwd", bytes_moved=6 * n,
-                             flops_per_rank=17 * n, fused=True)
+        if listening():
+            n = bk.size_of(grad[0])
+            fctx.log_elementwise("bias_gelu.bwd", bytes_moved=6 * n,
+                                 flops_per_rank=17 * n, fused=True)
 
         def _grads(g, z):
             arena = default_arena()
@@ -144,39 +146,40 @@ class ScaleMaskSoftmaxDropout(Function):
         else:  # rank r's panel holds rows r*s/w onwards: its tril is shifted so
             y_list = [self._probs(xi, r * shape[-2]) for r, xi in enumerate(x)]
         fctx.misc["y_slot"] = fctx.save_new(y_list, FP16, category="softmax_output")
-        n = bk.size_of(x[0])
         fctx.misc["has_dropout"] = not self.dropout.identity
         if self.dropout.identity:
             # Identity dropout: the output *is* the saved softmax output,
             # matching the unfused chain where Dropout passes buffers
             # through untouched (identity-dedup parity in the tracker).
-            fctx.log_elementwise("scale_mask_softmax_dropout", bytes_moved=4 * n,
-                                 flops_per_rank=6 * n, fused=True)
+            if listening():
+                n = bk.size_of(x[0])
+                fctx.log_elementwise("scale_mask_softmax_dropout", bytes_moved=4 * n,
+                                     flops_per_rank=6 * n, fused=True)
             return list(y_list)
         keep = fctx.misc["keep"] = 1.0 - self.dropout.p
         masks = self.dropout.masks(x)
         fctx.misc["mask_slot"] = fctx.save_new(masks, MASK, category="dropout_mask")
         out = map_shards(lambda y, m: _dropped(y, m, keep), y_list, masks, shape=same_shape)
-        fctx.log_elementwise("scale_mask_softmax_dropout", bytes_moved=7 * n,
-                             flops_per_rank=8 * n, fused=True)
+        if listening():
+            n = bk.size_of(x[0])
+            fctx.log_elementwise("scale_mask_softmax_dropout", bytes_moved=7 * n,
+                                 flops_per_rank=8 * n, fused=True)
         return out
 
     def backward(self, fctx: FnCtx, grad: ShardList):
         y_list = fctx.saved(fctx.misc["y_slot"])
         has_dropout = fctx.misc["has_dropout"]
-        n = bk.size_of(grad[0])
         if has_dropout:
             masks = fctx.saved(fctx.misc["mask_slot"])
             keep = fctx.misc["keep"]
-            fctx.log_elementwise("scale_mask_softmax_dropout.bwd",
-                                 bytes_moved=7 * n, flops_per_rank=8 * n,
-                                 fused=True)
         else:
             masks = [None] * len(grad)
             keep = 1.0
+        if listening():
+            n = bk.size_of(grad[0])
             fctx.log_elementwise("scale_mask_softmax_dropout.bwd",
-                                 bytes_moved=6 * n, flops_per_rank=6 * n,
-                                 fused=True)
+                                 bytes_moved=(7 if has_dropout else 6) * n,
+                                 flops_per_rank=(8 if has_dropout else 6) * n, fused=True)
         if not self.ring:
             return (map_shards(lambda g, y, m: self._probs_grad(g, y, m, keep, 0),
                                grad, y_list, masks, shape=same_shape),)
@@ -265,17 +268,19 @@ class FusedLayerNorm(Function):
         fctx.misc["gamma_slot"] = fctx.save_input(1)
         out, fctx.misc["stats"] = map_shards(self._norm, x, gamma, beta,
                                               shape=lambda x, gamma, beta: [x, None])
-        w = _widths(fctx.inputs[0])[0]
-        fctx.log_elementwise("fused_layernorm", bytes_moved=2 * w * bk.size_of(x[0]),
-                             flops_per_rank=8 * bk.size_of(x[0]), fused=True)
+        if listening():
+            w = _widths(fctx.inputs[0])[0]
+            fctx.log_elementwise("fused_layernorm", bytes_moved=2 * w * bk.size_of(x[0]),
+                                 flops_per_rank=8 * bk.size_of(x[0]), fused=True)
         return out
 
     def backward(self, fctx: FnCtx, grad: ShardList):
         x = fctx.saved(fctx.misc["x_slot"])
         gamma = fctx.saved(fctx.misc["gamma_slot"])
-        n = bk.size_of(grad[0])
-        fctx.log_elementwise("fused_layernorm.bwd", bytes_moved=6 * n,
-                             flops_per_rank=12 * n, fused=True)
+        if listening():
+            n = bk.size_of(grad[0])
+            fctx.log_elementwise("fused_layernorm.bwd", bytes_moved=6 * n,
+                                 flops_per_rank=12 * n, fused=True)
         return map_shards(_norm_grads, grad, x, gamma, fctx.misc["stats"],
                           shape=lambda g, x, gamma, stats: [x, gamma, gamma])
 
@@ -356,17 +361,19 @@ class DropoutAdd(Function):
             return o
 
         out = map_shards(_shard, x, masks, residual, shape=same_shape)
-        n = bk.size_of(x[0])
-        fctx.log_elementwise("dropout_add", bytes_moved=7 * n,
-                             flops_per_rank=3 * n, fused=True)
+        if listening():
+            n = bk.size_of(x[0])
+            fctx.log_elementwise("dropout_add", bytes_moved=7 * n,
+                                 flops_per_rank=3 * n, fused=True)
         return out
 
     def backward(self, fctx: FnCtx, grad: ShardList):
         masks = fctx.saved(fctx.misc["mask_slot"])
         keep = fctx.misc["keep"]
-        n = bk.size_of(grad[0])
-        fctx.log_elementwise("dropout_add.bwd", bytes_moved=5 * n,
-                             flops_per_rank=2 * n, fused=True)
+        if listening():
+            n = bk.size_of(grad[0])
+            fctx.log_elementwise("dropout_add.bwd", bytes_moved=5 * n,
+                                 flops_per_rank=2 * n, fused=True)
         # Residual gradient is the incoming gradient itself (same buffers),
         # exactly like the unfused Add backward with equal shapes.
         return (map_shards(lambda g, m: _dropped(g, m, keep), grad, masks, shape=same_shape),
@@ -413,9 +420,10 @@ class SoftmaxCrossEntropy(Function):
         fctx.out_dtypes = [FP32]
         out = map_shards(_xent, logits, targets, *([mask] if self.has_mask else []),
                          shape=lambda *_: ())
-        n = bk.size_of(logits[0])
-        fctx.log_elementwise("softmax_xent", bytes_moved=4 * n,
-                             flops_per_rank=5 * n, fused=True)
+        if listening():
+            n = bk.size_of(logits[0])
+            fctx.log_elementwise("softmax_xent", bytes_moved=4 * n,
+                                 flops_per_rank=5 * n, fused=True)
         return out
 
     def backward(self, fctx: FnCtx, grad: ShardList):

@@ -36,7 +36,7 @@ from ..parallel.mappings import Leg
 from ..tensor import backend as bk
 from ..tensor.context import ctx
 from ..tensor.oplog import Phase
-from ..tensor.tensor import FnCtx, Function, ShardList, Tensor, apply
+from ..tensor.tensor import FnCtx, Function, ShardList, Tensor, apply, listening
 
 #: Process-wide switch for recompute/communication overlap.
 _RECOMPUTE_OVERLAP = False
@@ -123,25 +123,25 @@ class RingGather(Function):
     def forward(self, fctx: FnCtx, x: ShardList) -> ShardList:
         self.group.check_world(len(x))
         n = self.group.size
-        width = fctx.inputs[0].dtype.nbytes
         fctx.misc["chunk"] = bk.shape_of(x[0])[self.axis]
-        nbytes = bk.size_of(x[0]) * width
-        overlapped = overlap_active()
-        for hop in range(n - 1):
-            fctx.log_comm(f"{self.label}.hop{hop}", "p2p", nbytes, 2,
-                          scope=self.group.scope, overlapped=overlapped)
+        if listening():
+            nbytes = bk.size_of(x[0]) * fctx.inputs[0].dtype.nbytes
+            overlapped = overlap_active()
+            for hop in range(n - 1):
+                fctx.log_comm(f"{self.label}.hop{hop}", "p2p", nbytes, 2,
+                              scope=self.group.scope, overlapped=overlapped)
         full = bk.concatenate(list(x), self.axis)
         return [full] * n
 
     def backward(self, fctx: FnCtx, grad: ShardList):
         n = self.group.size
         chunk = fctx.misc["chunk"]
-        width = fctx.inputs[0].dtype.nbytes
-        nbytes = (bk.size_of(grad[0]) // n) * width
-        overlapped = overlap_active()
-        for hop in range(n - 1):
-            fctx.log_comm(f"{self.label}.bwd_hop{hop}", "p2p", nbytes, 2,
-                          scope=self.group.scope, overlapped=overlapped)
+        if listening():
+            nbytes = (bk.size_of(grad[0]) // n) * fctx.inputs[0].dtype.nbytes
+            overlapped = overlap_active()
+            for hop in range(n - 1):
+                fctx.log_comm(f"{self.label}.bwd_hop{hop}", "p2p", nbytes, 2,
+                              scope=self.group.scope, overlapped=overlapped)
         if bk.is_abstract(grad[0]):
             return ([bk.slice_axis(grad[0], self.axis, 0, chunk)] * n,)
         out = []

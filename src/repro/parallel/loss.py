@@ -15,7 +15,7 @@ from ..comm.process_group import ProcessGroup
 from ..errors import ShapeError
 from ..tensor import FP32, Tensor
 from ..tensor import backend as bk
-from ..tensor.tensor import FnCtx, Function, ShardList, apply
+from ..tensor.tensor import FnCtx, Function, ShardList, apply, listening
 
 
 class VocabParallelCrossEntropy(Function):
@@ -37,10 +37,11 @@ class VocabParallelCrossEntropy(Function):
         fctx.out_dtypes = [FP32]
 
         shape = bk.shape_of(logits[0])
-        n_tokens_bytes = 4 * int(np.prod(shape[:-1])) if len(shape) > 1 else 4
-        for name in ("ce.max", "ce.sumexp", "ce.target"):
-            fctx.log_comm(name, "all_reduce", n_tokens_bytes,
-                          self.group.size, scope=self.group.scope)
+        if listening():
+            n_tokens_bytes = 4 * int(np.prod(shape[:-1])) if len(shape) > 1 else 4
+            for name in ("ce.max", "ce.sumexp", "ce.target"):
+                fctx.log_comm(name, "all_reduce", n_tokens_bytes,
+                              self.group.size, scope=self.group.scope)
 
         if bk.is_abstract(logits[0]):
             return [bk.shaped(())] * len(logits)

@@ -24,7 +24,7 @@ from ..comm.process_group import ProcessGroup
 from ..errors import CommError
 from ..tensor import backend as bk
 from ..tensor.backend import AbstractArray
-from ..tensor.tensor import FnCtx, Function, ShardList, Tensor, apply, map_shards
+from ..tensor.tensor import FnCtx, Function, ShardList, Tensor, apply, listening, map_shards
 
 
 class Leg(NamedTuple):
@@ -38,7 +38,7 @@ class Leg(NamedTuple):
     def __call__(self, fctx: FnCtx, name: str, shards: ShardList, group: ProcessGroup,
                  axis: int, overlapped: bool = False) -> ShardList:
         """Log this leg under ``name`` (when it is a collective), then run it."""
-        if self.op is not None:
+        if self.op is not None and listening():
             shard_nbytes = bk.size_of(shards[0]) * fctx.inputs[0].dtype.nbytes
             fctx.log_comm(name, self.op, logged_nbytes(self.op, shard_nbytes, group.size),
                           group.size, scope=group.scope, overlapped=overlapped)
@@ -159,7 +159,8 @@ class AllGatherMatmul(Function):
         out = map_shards(lambda fi, wi: (fi.reshape(-1, w_shape[0]) @ wi).reshape(out_shape),
                          full, w, shape=bk.matmul_shape)
         flops = fctx.misc["flops"] = 2.0 * bk.size_of(out[0]) * bk.shape_of(full[0])[-1]
-        fctx.log_gemm(f"ag_matmul[{self.category}]", flops_per_rank=flops)
+        if listening():
+            fctx.log_gemm(f"ag_matmul[{self.category}]", flops_per_rank=flops)
         return out
 
     def backward(self, fctx: FnCtx, grad: ShardList):
@@ -169,9 +170,10 @@ class AllGatherMatmul(Function):
         # only); overlapped with the dY GEMM per the paper.
         full = G.forward(fctx, "ag_matmul.bwd_regather", x, self.group, self.axis,
                          overlapped=True)
-        flops = fctx.misc["flops"]
-        fctx.log_gemm(f"ag_matmul[{self.category}].dgrad", flops_per_rank=flops)
-        fctx.log_gemm(f"ag_matmul[{self.category}].wgrad", flops_per_rank=flops)
+        if listening():
+            flops = fctx.misc["flops"]
+            fctx.log_gemm(f"ag_matmul[{self.category}].dgrad", flops_per_rank=flops)
+            fctx.log_gemm(f"ag_matmul[{self.category}].wgrad", flops_per_rank=flops)
         k, n = bk.shape_of(w[0])
         dw, dfull = map_shards(
             lambda g, fi, wi: (np.reshape(fi, (-1, k)).T @ np.reshape(g, (-1, n)), g @ wi.T),

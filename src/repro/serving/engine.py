@@ -83,6 +83,10 @@ class DecodeEngine:
         tokens = token_ids(np.reshape(tokens, -1), self.model.config.vocab_size)
         if tokens.size == 0:
             raise ConfigError("prefill needs at least one prompt token")
+        if tokens.size > self.max_context:
+            raise ConfigError(
+                f"prefill of {request_id!r}: {tokens.size} prompt token(s), "
+                f"the model takes at most {self.max_context}")
         self.cache.add_request(request_id)
         logits = None
         try:

@@ -31,7 +31,8 @@ from ..errors import ShapeError
 from . import backend as bk
 from .context import ctx
 from .dtypes import FP16, FP32, MASK, DType
-from .tensor import FnCtx, Function, ShardList, Tensor, apply, map_shards, same_shape
+from .tensor import (FnCtx, Function, ShardList, Tensor, apply, listening, map_shards,
+                     same_shape)
 
 
 def _widths(*tensors: Optional[Tensor]) -> List[int]:
@@ -71,17 +72,19 @@ class Add(Function):
         tensor_b = isinstance(b, list)
         out = map_shards(operator.add, a, b) if tensor_b else map_shards(lambda x: x + b, a)
         fctx.misc["shapes"] = (bk.shape_of(a[0]), bk.shape_of(b[0]) if tensor_b else None)
-        wa, wb = _widths(fctx.inputs[0], fctx.inputs[1])
-        nbytes = bk.size_of(a[0]) * wa + bk.size_of(out[0]) * 2
-        if tensor_b:
-            nbytes += bk.size_of(b[0]) * wb
-        fctx.log_elementwise("add", bytes_moved=nbytes, flops_per_rank=bk.size_of(out[0]))
+        if listening():
+            wa, wb = _widths(fctx.inputs[0], fctx.inputs[1])
+            nbytes = bk.size_of(a[0]) * wa + bk.size_of(out[0]) * 2
+            if tensor_b:
+                nbytes += bk.size_of(b[0]) * wb
+            fctx.log_elementwise("add", bytes_moved=nbytes, flops_per_rank=bk.size_of(out[0]))
         return out
 
     def backward(self, fctx: FnCtx, grad: ShardList):
         a_shape, b_shape = fctx.misc["shapes"]
-        fctx.log_elementwise("add.bwd", bytes_moved=4 * bk.size_of(grad[0]),
-                             flops_per_rank=bk.size_of(grad[0]))
+        if listening():
+            fctx.log_elementwise("add.bwd", bytes_moved=4 * bk.size_of(grad[0]),
+                                 flops_per_rank=bk.size_of(grad[0]))
         ga = map_shards(lambda g: _unbroadcast(g, a_shape), grad)
         gb = None if b_shape is None else map_shards(lambda g: _unbroadcast(g, b_shape), grad)
         return ga, gb
@@ -105,16 +108,18 @@ class Mul(Function):
         fctx.misc["b_slot"] = fctx.save_input(1)
         out = map_shards(operator.mul, a, b)
         fctx.misc["shapes"] = (bk.shape_of(a[0]), bk.shape_of(b[0]))
-        fctx.log_elementwise("mul", bytes_moved=4 * bk.size_of(out[0]),
-                             flops_per_rank=bk.size_of(out[0]))
+        if listening():
+            fctx.log_elementwise("mul", bytes_moved=4 * bk.size_of(out[0]),
+                                 flops_per_rank=bk.size_of(out[0]))
         return out
 
     def backward(self, fctx: FnCtx, grad: ShardList):
         if "scalar" in fctx.misc:
             c = fctx.misc["scalar"]
             return (map_shards(lambda g: g * c, grad), None)
-        fctx.log_elementwise("mul.bwd", bytes_moved=4 * bk.size_of(grad[0]),
-                             flops_per_rank=2 * bk.size_of(grad[0]))
+        if listening():
+            fctx.log_elementwise("mul.bwd", bytes_moved=4 * bk.size_of(grad[0]),
+                                 flops_per_rank=2 * bk.size_of(grad[0]))
         a = fctx.saved(fctx.misc["a_slot"])
         b = fctx.saved(fctx.misc["b_slot"])
         a_shape, b_shape = fctx.misc["shapes"]
@@ -161,12 +166,12 @@ class Matmul(Function):
         kernel = ((lambda xi, wi: (xi.reshape(-1, w_shape[0]) @ wi).reshape(out_shape))
                   if flat else operator.matmul)
         out = map_shards(kernel, x, w, shape=bk.matmul_shape)
-        k = x_shape[-1]
-        flops = 2.0 * bk.size_of(out[0]) * k
-        fctx.misc["flops"] = flops
-        wx, ww = _widths(fctx.inputs[0], fctx.inputs[1])
-        nbytes = bk.size_of(x[0]) * wx + bk.size_of(w[0]) * ww + bk.size_of(out[0]) * 2
-        fctx.log_gemm(f"matmul[{self.category}]", flops_per_rank=flops, bytes_moved=nbytes)
+        # backward logs its GEMMs from this, whether or not forward logged
+        flops = fctx.misc["flops"] = 2.0 * bk.size_of(out[0]) * x_shape[-1]
+        if listening():
+            wx, ww = _widths(fctx.inputs[0], fctx.inputs[1])
+            nbytes = bk.size_of(x[0]) * wx + bk.size_of(w[0]) * ww + bk.size_of(out[0]) * 2
+            fctx.log_gemm(f"matmul[{self.category}]", flops_per_rank=flops, bytes_moved=nbytes)
         return out
 
     def backward(self, fctx: FnCtx, grad: ShardList):
@@ -174,9 +179,10 @@ class Matmul(Function):
         w = fctx.saved(fctx.misc["w_slot"])
         x_shape, w_shape = fctx.misc["shapes"]
         flat = fctx.misc["flat"]
-        flops = fctx.misc["flops"]
-        fctx.log_gemm(f"matmul[{self.category}].dgrad", flops_per_rank=flops)
-        fctx.log_gemm(f"matmul[{self.category}].wgrad", flops_per_rank=flops)
+        if listening():
+            flops = fctx.misc["flops"]
+            fctx.log_gemm(f"matmul[{self.category}].dgrad", flops_per_rank=flops)
+            fctx.log_gemm(f"matmul[{self.category}].wgrad", flops_per_rank=flops)
 
         def _grads(g, xi, wi):
             if len(w_shape) != 2:  # batched
@@ -350,15 +356,17 @@ class Gelu(Function):
     def forward(self, fctx: FnCtx, x: ShardList) -> ShardList:
         fctx.misc["x_slot"] = fctx.save_input(0, category="gelu_input")
         out = map_shards(_gelu_fwd, x, shape=same_shape)
-        w = _widths(fctx.inputs[0])[0]
-        fctx.log_elementwise("gelu", bytes_moved=2 * w * bk.size_of(x[0]),
-                             flops_per_rank=8 * bk.size_of(x[0]))
+        if listening():
+            w = _widths(fctx.inputs[0])[0]
+            fctx.log_elementwise("gelu", bytes_moved=2 * w * bk.size_of(x[0]),
+                                 flops_per_rank=8 * bk.size_of(x[0]))
         return out
 
     def backward(self, fctx: FnCtx, grad: ShardList):
         x = fctx.saved(fctx.misc["x_slot"])
-        fctx.log_elementwise("gelu.bwd", bytes_moved=6 * bk.size_of(grad[0]),
-                             flops_per_rank=16 * bk.size_of(grad[0]))
+        if listening():
+            fctx.log_elementwise("gelu.bwd", bytes_moved=6 * bk.size_of(grad[0]),
+                                 flops_per_rank=16 * bk.size_of(grad[0]))
         return (map_shards(_gelu_bwd, x, grad, shape=same_shape),)
 
 
@@ -384,14 +392,16 @@ class Softmax(Function):
     def forward(self, fctx: FnCtx, x: ShardList) -> ShardList:
         out = map_shards(_softmax, x, shape=same_shape)
         fctx.misc["y_slot"] = fctx.save_new(out, FP16, category="softmax_output")
-        fctx.log_elementwise("softmax", bytes_moved=4 * bk.size_of(x[0]),
-                             flops_per_rank=5 * bk.size_of(x[0]))
+        if listening():
+            fctx.log_elementwise("softmax", bytes_moved=4 * bk.size_of(x[0]),
+                                 flops_per_rank=5 * bk.size_of(x[0]))
         return out
 
     def backward(self, fctx: FnCtx, grad: ShardList):
         y = fctx.saved(fctx.misc["y_slot"])
-        fctx.log_elementwise("softmax.bwd", bytes_moved=6 * bk.size_of(grad[0]),
-                             flops_per_rank=4 * bk.size_of(grad[0]))
+        if listening():
+            fctx.log_elementwise("softmax.bwd", bytes_moved=6 * bk.size_of(grad[0]),
+                                 flops_per_rank=4 * bk.size_of(grad[0]))
         return (map_shards(_softmax_bwd, grad, y),)
 
 
@@ -501,9 +511,10 @@ class Dropout(Function):
         fctx.misc["mask_slot"] = fctx.save_new(masks, MASK, category="dropout_mask")
         fctx.misc["keep"] = keep
         out = map_shards(lambda xi, m: xi * m / keep, x, masks)
-        w = _widths(fctx.inputs[0])[0]
-        fctx.log_elementwise("dropout", bytes_moved=(2 * w + 1) * bk.size_of(x[0]),
-                             flops_per_rank=2 * bk.size_of(x[0]))
+        if listening():
+            w = _widths(fctx.inputs[0])[0]
+            fctx.log_elementwise("dropout", bytes_moved=(2 * w + 1) * bk.size_of(x[0]),
+                                 flops_per_rank=2 * bk.size_of(x[0]))
         return out
 
     def backward(self, fctx: FnCtx, grad: ShardList):
@@ -511,8 +522,9 @@ class Dropout(Function):
             return (list(grad),)
         masks = fctx.saved(fctx.misc["mask_slot"])
         keep = fctx.misc["keep"]
-        fctx.log_elementwise("dropout.bwd", bytes_moved=5 * bk.size_of(grad[0]),
-                             flops_per_rank=2 * bk.size_of(grad[0]))
+        if listening():
+            fctx.log_elementwise("dropout.bwd", bytes_moved=5 * bk.size_of(grad[0]),
+                                 flops_per_rank=2 * bk.size_of(grad[0]))
         return (map_shards(lambda g, m: g * m / keep, grad, masks),)
 
 
@@ -539,16 +551,18 @@ class LayerNorm(Function):
         fctx.misc["x_slot"] = fctx.save_input(0, category="layernorm_input")
         fctx.misc["gamma_slot"] = fctx.save_input(1)
         out = map_shards(self._norm, x, gamma, beta, shape=same_shape)
-        w = _widths(fctx.inputs[0])[0]
-        fctx.log_elementwise("layernorm", bytes_moved=2 * w * bk.size_of(x[0]),
-                             flops_per_rank=8 * bk.size_of(x[0]))
+        if listening():
+            w = _widths(fctx.inputs[0])[0]
+            fctx.log_elementwise("layernorm", bytes_moved=2 * w * bk.size_of(x[0]),
+                                 flops_per_rank=8 * bk.size_of(x[0]))
         return out
 
     def backward(self, fctx: FnCtx, grad: ShardList):
         x = fctx.saved(fctx.misc["x_slot"])
         gamma = fctx.saved(fctx.misc["gamma_slot"])
-        fctx.log_elementwise("layernorm.bwd", bytes_moved=8 * bk.size_of(grad[0]),
-                             flops_per_rank=14 * bk.size_of(grad[0]))
+        if listening():
+            fctx.log_elementwise("layernorm.bwd", bytes_moved=8 * bk.size_of(grad[0]),
+                                 flops_per_rank=14 * bk.size_of(grad[0]))
         return map_shards(self._grads, grad, x, gamma, shape=lambda g, x, gamma: [x, gamma, gamma])
 
     def _norm(self, x, gamma, beta):
@@ -607,8 +621,9 @@ class Cast(Function):
 
     def forward(self, fctx: FnCtx, x: ShardList) -> ShardList:
         fctx.out_dtypes = [self.dtype]
-        src = _widths(fctx.inputs[0])[0]
-        fctx.log_elementwise("cast", bytes_moved=(src + self.dtype.nbytes) * bk.size_of(x[0]))
+        if listening():
+            src = _widths(fctx.inputs[0])[0]
+            fctx.log_elementwise("cast", bytes_moved=(src + self.dtype.nbytes) * bk.size_of(x[0]))
         return map_shards(lambda xi: xi.copy(), x)
 
     def backward(self, fctx: FnCtx, grad: ShardList):
@@ -693,10 +708,11 @@ class CrossEntropy(Function):
         fctx.out_dtypes = [FP32]
         out = map_shards(_xent, logits, targets, *([mask] if self.has_mask else []),
                          shape=lambda *_: ())
-        fctx.log_gemm("cross_entropy", flops_per_rank=0,
-                      bytes_moved=0)  # loss math is negligible next to the logits GEMM
-        fctx.log_elementwise("cross_entropy", bytes_moved=4 * bk.size_of(logits[0]),
-                             flops_per_rank=5 * bk.size_of(logits[0]))
+        if listening():
+            fctx.log_gemm("cross_entropy", flops_per_rank=0,
+                          bytes_moved=0)  # loss math is negligible next to the logits GEMM
+            fctx.log_elementwise("cross_entropy", bytes_moved=4 * bk.size_of(logits[0]),
+                                 flops_per_rank=5 * bk.size_of(logits[0]))
         return out
 
     def backward(self, fctx: FnCtx, grad: ShardList):
@@ -764,8 +780,8 @@ class CausalMask(Function):
         shape = bk.shape_of(x[0])
         if len(shape) < 2 or shape[-1] != shape[-2]:
             raise ShapeError(f"causal mask needs (..., s, s) scores, got {shape}")
-        # Fused with the softmax kernel in practice (scale-mask-softmax).
-        fctx.log_elementwise("causal_mask", bytes_moved=2 * bk.size_of(x[0]))
+        if listening():  # fused with the softmax kernel in practice (scale-mask-softmax)
+            fctx.log_elementwise("causal_mask", bytes_moved=2 * bk.size_of(x[0]))
         return map_shards(lambda xi: np.where(_causal_keep(xi.shape)[0], xi, self.MASKED_VALUE),
                           x, shape=same_shape)
 
@@ -805,8 +821,8 @@ class OffsetCausalMask(Function):
             raise ShapeError(
                 f"offset causal mask needs (..., s/w, s) scores across "
                 f"w={len(x)} shards, got {shape}")
-        fctx.log_elementwise("offset_causal_mask",
-                             bytes_moved=2 * bk.size_of(x[0]))
+        if listening():
+            fctx.log_elementwise("offset_causal_mask", bytes_moved=2 * bk.size_of(x[0]))
         if bk.is_abstract(x[0]):
             return [bk.shaped(shape)] * len(x)
         return [np.where(self._keep(shape, r), xi, self.MASKED_VALUE)
@@ -891,8 +907,9 @@ class DecodeAttention(Function):
                 f"{bk.shape_of(keys[0])}, values {bk.shape_of(values[0])} "
                 f"and lengths {list(lengths)} do not pair up")
         out = map_shards(self._attend, q, keys, values, shape=same_shape)
-        fctx.log_gemm("decode_attention", flops_per_rank=4.0 * rows * h,
-                      bytes_moved=2 * rows * h * _widths(fctx.inputs[1])[0])
+        if listening():
+            fctx.log_gemm("decode_attention", flops_per_rank=4.0 * rows * h,
+                          bytes_moved=2 * rows * h * _widths(fctx.inputs[1])[0])
         return out
 
     def _attend(self, q, keys, values):

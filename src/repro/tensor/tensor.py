@@ -244,60 +244,59 @@ class FnCtx:
 
     def release(self) -> None:
         """Release all tracker charges (backward consumed the saves)."""
-        tracker = ctx().memory
-        if tracker is not None:
-            for rank, buf, _dtype in self._charges:
-                tracker.release(rank, buf)
-        self._charges.clear()
+        if self._charges:
+            tracker = ctx().memory
+            if tracker is not None:
+                for rank, buf, _dtype in self._charges:
+                    tracker.release(rank, buf)
+            self._charges.clear()
         self._saved.clear()
 
     # -- logging ----------------------------------------------------------------
+    # Callers compute what they log only under ``listening()``; a log call
+    # made with nothing listening builds a record no sink keeps.
     def log_gemm(self, name: str, flops_per_rank: float, bytes_moved: float = 0.0) -> None:
-        c = ctx()
-        if c.oplog is None and c.tracer is None and c.memprof is None:
-            return
-        record = OpRecord(name=name, kind=OpKind.GEMM, phase=c.phase,
-                          flops=flops_per_rank, bytes_moved=bytes_moved)
-        if c.oplog is not None:
-            c.oplog.add(record)
-        if c.tracer is not None:
-            c.tracer.on_op(record)
-        if c.memprof is not None:
-            c.memprof.on_op_record(record)
+        _emit(name=name, kind=OpKind.GEMM, flops=flops_per_rank, bytes_moved=bytes_moved)
 
     def log_elementwise(self, name: str, bytes_moved: float, flops_per_rank: float = 0.0,
                         fused: bool = False) -> None:
-        c = ctx()
-        if c.oplog is None and c.tracer is None and c.memprof is None:
-            return
-        record = OpRecord(name=name, kind=OpKind.ELEMENTWISE, phase=c.phase,
-                          flops=flops_per_rank, bytes_moved=bytes_moved, fused=fused)
-        if c.oplog is not None:
-            c.oplog.add(record)
-        if c.tracer is not None:
-            c.tracer.on_op(record)
-        if c.memprof is not None:
-            c.memprof.on_op_record(record)
+        _emit(name=name, kind=OpKind.ELEMENTWISE, flops=flops_per_rank,
+              bytes_moved=bytes_moved, fused=fused)
 
     def log_comm(self, name: str, op: str, nbytes: int, group_size: int,
                  scope: str = "tp", overlapped: bool = False) -> None:
-        c = ctx()
-        if c.oplog is None and c.tracer is None and c.memprof is None:
-            return
-        record = OpRecord(
-            name=name, kind=OpKind.COLLECTIVE if op != "p2p" else OpKind.P2P,
-            phase=c.phase,
-            comm=CommInfo(op=op, nbytes=int(nbytes), group_size=group_size, scope=scope),
-            overlapped=overlapped,
-        )
-        if c.oplog is not None:
-            c.oplog.add(record)
-        if c.tracer is not None:
-            # The tracer prices P2P records here; collectives are priced
-            # by the data-plane hook in repro.comm.collectives instead.
-            c.tracer.on_op(record)
-        if c.memprof is not None:
-            c.memprof.on_op_record(record)
+        _emit(name=name, kind=OpKind.COLLECTIVE if op != "p2p" else OpKind.P2P,
+              comm=CommInfo(op=op, nbytes=int(nbytes), group_size=group_size, scope=scope),
+              overlapped=overlapped)
+
+
+def listening() -> bool:
+    """Whether an op log, tracer or memory profiler takes op records.
+
+    Every op computes its byte/FLOP accounting (``_widths``, sizes, the
+    ``fctx.log_*`` calls) only under this check, so an op nobody listens
+    to costs its kernel.  It reads the live context each time and is
+    never cached on a :class:`FnCtx`: a compiled plan reuses its
+    ``FnCtx`` objects across replays, which may run under an op log the
+    capture did not have.
+    """
+    c = ctx()
+    return c.oplog is not None or c.tracer is not None or c.memprof is not None
+
+
+def _emit(**fields) -> None:
+    """One :class:`OpRecord`, tagged with the current phase, to every
+    installed sink: the op log, the tracer (which prices P2P records
+    here; collectives are priced by the data-plane hook in
+    :mod:`repro.comm.collectives`) and the memory profiler."""
+    c = ctx()
+    record = OpRecord(phase=c.phase, **fields)
+    if c.oplog is not None:
+        c.oplog.add(record)
+    if c.tracer is not None:
+        c.tracer.on_op(record)
+    if c.memprof is not None:
+        c.memprof.on_op_record(record)
 
 
 class Function:
@@ -450,6 +449,9 @@ class Node:
         self.spent: Optional[str] = None
 
 
+_new = object.__new__
+
+
 def apply(fn: Function, *args, **kwargs) -> Union[Tensor, Tuple[Tensor, ...]]:
     """Run ``fn`` on ``args`` (Tensors or plain values), recording a tape node.
 
@@ -493,24 +495,32 @@ def apply(fn: Function, *args, **kwargs) -> Union[Tensor, Tuple[Tensor, ...]]:
         if cap is not None and fn.composite:
             cap.resume()
 
-    multi = isinstance(out, tuple)
-    out_lists = list(out) if multi else [out]
-
+    multi = type(out) is tuple
     requires = requires and c.grad_enabled
-    in_dtype, layout = (FP16, "replicated") if first is None else (first.dtype, first.layout)
-    dtypes = fctx.out_dtypes or [in_dtype] * len(out_lists)
-    outputs = [
-        Tensor(shards, dtype=dt, requires_grad=requires, layout=layout)
-        for shards, dt in zip(out_lists, dtypes)
-    ]
+    dtype, layout = (FP16, "replicated") if first is None else (first.dtype, first.layout)
+    dtypes = fctx.out_dtypes
+    outputs = []
+    for i, shards in enumerate(out if multi else (out,)):
+        # ``forward`` hands back a fresh list, so of the constructor only
+        # the one-shape check runs, not its keyword parsing and list copy.
+        s0 = shards[0]
+        shape = bk.shape_of(s0)
+        for s in shards:
+            if s is not s0 and bk.shape_of(s) != shape:
+                raise ShapeError(
+                    f"all shards must share a shape; got {shape} and {bk.shape_of(s)}")
+        t = _new(Tensor)
+        t.shards, t.requires_grad, t.layout = shards, requires, layout
+        t.dtype = dtypes[i] if dtypes else dtype
+        t.is_param, t.name, t.grad, t._node, t._out_index = False, "", None, None, i
+        outputs.append(t)
     if mp is not None:
         mp.register_outputs(frame, tensor_inputs, outputs)
 
     if requires:
         node = Node(fn, fctx, outputs, keep_inputs=cap is not None)
-        for i, t in enumerate(outputs):
+        for t in outputs:
             t._node = node
-            t._out_index = i
     else:
         # Forward-only: drop any tracker charges immediately.
         fctx.release()

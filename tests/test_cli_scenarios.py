@@ -380,6 +380,25 @@ class TestInvalidConfigurations:
         assert (cache.free_blocks, cache.requests()) == (8, [])
         assert engine.prefill("r", [1, 2, 3]).shape == (32,)
 
+    def test_an_over_long_prompt_leaves_the_kv_cache_untouched(self):
+        from repro.layers import GPTModel
+        from repro.serving import (ContinuousBatchingScheduler, DecodeEngine,
+                                   PagedKVCache, RequestSpec, ServingPerfModel)
+        cfg = ModelConfig(num_layers=2, hidden_size=16, num_heads=2,
+                          seq_length=4, vocab_size=32)
+        cache = PagedKVCache(cfg, block_size=2, num_blocks=8)
+        engine = DecodeEngine(GPTModel(cfg, seed=0), cache)
+        for _ in range(2):  # a retry meets the same clean rejection
+            with pytest.raises(ConfigError, match="5 prompt token.*at most 4"):
+                engine.prefill("r", [1, 2, 3, 4, 5])
+            assert (cache.free_blocks, cache.requests()) == (8, [])
+        scheduler = ContinuousBatchingScheduler(engine, ServingPerfModel(cfg))
+        with pytest.raises(ConfigError, match="5 prompt token.*at most 4"):
+            scheduler.run([RequestSpec(index=0, request_id="s", arrival_s=0.0,
+                                       prompt=np.arange(5), max_new_tokens=1)])
+        assert (cache.free_blocks, cache.requests()) == (8, [])
+        assert engine.prefill("r", [1, 2, 3, 4]).shape == (32,)
+
     @pytest.mark.parametrize("saved,loader", [
         ("weights", "load_weights"),
         ("training_state", "load_training_state"),

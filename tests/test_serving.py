@@ -542,6 +542,21 @@ class TestDecodeStepAccounting:
             engine.prefill(request_id, np.array(prompt))
         return engine
 
+    def test_an_unlistened_step_makes_no_accounting_calls(self, serial):
+        import cProfile
+        import pstats
+        engine = self._engine(serial)
+        profile = cProfile.Profile()
+        profile.runcall(engine.decode, self.REQUESTS, self.TOKENS)
+        calls = {}
+        for (path, _, name), (_, count, _, _, _) in pstats.Stats(profile).stats.items():
+            if path.endswith(("tensor/tensor.py", "tensor/functions.py")):
+                calls[name] = calls.get(name, 0) + count
+        assert calls["apply"] == 40  # the step ran its 40 ops
+        accounting = {name: calls.get(name, 0) for name in
+                      ("log_gemm", "log_elementwise", "log_comm", "_widths")}
+        assert accounting == dict.fromkeys(accounting, 0)
+
     def test_a_listened_step_records_what_it_always_did(self, serial):
         import hashlib
         from repro.tensor import OpLog, instrument
