@@ -32,7 +32,7 @@ import numpy as np
 from ..errors import AutogradError, ShapeError
 from . import backend as bk
 from .backend import AbstractArray, ArrayLike
-from .context import ctx
+from .context import _CTX, ctx
 from .dtypes import FP16, FP32, DType
 from .memory_tracker import MemoryTracker
 from .oplog import CommInfo, OpKind, OpRecord, Phase
@@ -206,7 +206,9 @@ class FnCtx:
         self.out_dtypes: Optional[List[DType]] = None
 
     # -- saving ----------------------------------------------------------------
-    def save_input(self, index: int, category: str = "activation") -> int:
+    # With no tape (``no_grad``) a save retains nothing and returns no
+    # slot; only ``backward`` reads a slot, and no backward runs then.
+    def save_input(self, index: int, category: str = "activation") -> Optional[int]:
         """Save input tensor ``index`` for backward.
 
         Parameters (``is_param``) are saved for reuse but **not** charged to
@@ -215,21 +217,21 @@ class FnCtx:
         t = self.inputs[index]
         if t is None:
             raise AutogradError(f"input {index} is not a tensor")
+        if not _CTX.grad_enabled:
+            return None
         return self._save(t.shards, t.dtype, category, charge=not t.is_param)
 
-    def save_new(self, shards: ShardList, dtype: DType, category: str = "activation") -> int:
+    def save_new(self, shards: ShardList, dtype: DType,
+                 category: str = "activation") -> Optional[int]:
         """Save freshly created buffers (always charged)."""
+        if not _CTX.grad_enabled:
+            return None
         return self._save(shards, dtype, category, charge=True)
 
     def _save(self, shards: ShardList, dtype: DType, category: str, charge: bool) -> int:
-        if not ctx().grad_enabled:
-            # no tape -> nothing retained; still return a slot so callers
-            # can write uniform code (the slot holds the caller's live list).
-            self._saved.append(shards)
-            return len(self._saved) - 1
         self._saved.append(list(shards))
         if charge:
-            c = ctx()
+            c = _CTX
             tracker = c.memory
             if tracker is not None:
                 for rank, buf in enumerate(shards):
@@ -250,7 +252,8 @@ class FnCtx:
                 for rank, buf, _dtype in self._charges:
                     tracker.release(rank, buf)
             self._charges.clear()
-        self._saved.clear()
+        if self._saved:
+            self._saved.clear()
 
     # -- logging ----------------------------------------------------------------
     # Callers compute what they log only under ``listening()``; a log call

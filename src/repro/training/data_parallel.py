@@ -27,7 +27,7 @@ from ..layers.transformer import GPTModel
 from ..tensor import ctx
 from ..tensor.oplog import CommInfo, OpKind, OpRecord, Phase
 from .optimizer import Adam
-from .trainer import split_microbatches
+from .trainer import keep_heap_resident, split_microbatches
 
 
 class DataParallelTrainer:
@@ -35,7 +35,8 @@ class DataParallelTrainer:
 
     ``model_factory`` must build deterministically identical models (same
     weights) on each call — e.g. ``lambda: ParallelGPTModel(cfg, t,
-    serial=serial_reference)``.
+    serial=serial_reference)``.  Constructing one sets the process's
+    host-memory policy (:func:`~repro.training.trainer.keep_heap_resident`).
     """
 
     def __init__(self, model_factory: Callable[[], GPTModel],
@@ -44,6 +45,7 @@ class DataParallelTrainer:
                  pipeline_parallel: int = 1, interleave_stages: int = 1):
         if data_parallel < 1:
             raise ConfigError("data_parallel must be >= 1")
+        keep_heap_resident()
         self.dp = data_parallel
         self.replicas: List[GPTModel] = [
             model_factory() for _ in range(data_parallel)

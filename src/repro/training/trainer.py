@@ -20,6 +20,7 @@ allow, re-using a slot as soon as its microbatch's backward completes
 
 from __future__ import annotations
 
+import ctypes
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -38,6 +39,39 @@ from ..pipeline_sim.schedule import (
 from ..tensor import MemoryTracker, Tensor, instrument
 from ..tensor.context import ctx as execution_context
 from .optimizer import Adam
+
+
+# -- host memory ---------------------------------------------------------------
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3   # glibc's malloc.h
+_heap_resident: Optional[bool] = None
+
+
+def keep_heap_resident() -> bool:
+    """Keep the memory a training step frees resident in the heap.
+
+    Backward frees a step's saved activations and the next forward
+    allocates them again; glibc's dynamic thresholds (mmap threshold ~
+    the largest freed block, trim threshold twice that) hand the freed
+    heap top back to the kernel in between, so every forward would
+    page-fault its working set in again.  Fixing both thresholds
+    (either alone turns the dynamic rule off) keeps blocks under 32 MiB,
+    the mmap threshold's 64-bit ceiling, in the heap and the freed top
+    resident; no value changes.  Set once per process, from the training
+    drivers' constructors only: never at import, by serving or by the
+    analytic path (docs/architecture.md §2, "Host memory").  Does
+    nothing where ``mallopt`` is missing; returns whether it is in force.
+    """
+    global _heap_resident
+    if _heap_resident is None:
+        try:
+            mallopt = ctypes.CDLL(None).mallopt
+        except (AttributeError, OSError, TypeError):  # not glibc
+            _heap_resident = False
+        else:
+            mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+            _heap_resident = bool(mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+                                  and mallopt(_M_TRIM_THRESHOLD, 256 << 20))
+    return _heap_resident
 
 
 # -- step effects ------------------------------------------------------------
@@ -135,11 +169,13 @@ class Trainer:
     later step — bitwise-identical losses, gradients, tracked memory and
     trace, with no per-step tape construction.  The memory profiler needs
     the live tape's op frames, so steps taken while a memprof is
-    installed run the loop eagerly.
+    installed run the loop eagerly.  Constructing one sets the process's
+    host-memory policy (:func:`keep_heap_resident`).
     """
 
     def __init__(self, model: GPTModel, optimizer: Optional[Adam] = None,
                  lr: float = 1e-3, compiled: bool = False):
+        keep_heap_resident()
         self.model = model
         self.optimizer = optimizer or Adam(model.parameters(), lr=lr)
         self.world = model.group.size
@@ -251,11 +287,13 @@ class PipelinedGPT:
     arriving microbatch keeps **all** activations (its layers'
     checkpointing is bypassed); otherwise it is checkpointed as usual.
     Slots free when the owning microbatch's last backward on that rank
-    completes — the moving window of Figure 10.b.
+    completes — the moving window of Figure 10.b.  Constructing one sets
+    the process's host-memory policy (:func:`keep_heap_resident`).
     """
 
     def __init__(self, model: GPTModel, pipeline_parallel: int,
                  interleave_stages: int = 1):
+        keep_heap_resident()
         L = len(model.layers)
         self.num_groups = pipeline_parallel * interleave_stages
         if L % self.num_groups != 0:

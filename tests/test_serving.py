@@ -556,6 +556,8 @@ class TestDecodeStepAccounting:
         accounting = {name: calls.get(name, 0) for name in
                       ("log_gemm", "log_elementwise", "log_comm", "_widths")}
         assert accounting == dict.fromkeys(accounting, 0)
+        # a save with no tape is one call that retains nothing
+        assert calls.get("_save", 0) == 0
 
     def test_a_listened_step_records_what_it_always_did(self, serial):
         import hashlib

@@ -10,8 +10,11 @@ from repro.parallel import ParallelGPTModel
 from repro.tensor import from_numpy, parameter
 from repro.tensor import functions as F
 from repro.training import (
-    Adam, LossScaler, MarkovTokens, Trainer, UniformTokens, split_microbatches,
+    Adam, DataParallelTrainer, LossScaler, MarkovTokens, PipelinedGPT, Trainer,
+    UniformTokens, split_microbatches,
 )
+from repro.training import data_parallel as data_parallel_module
+from repro.training import trainer as trainer_module
 
 
 class TestAdam:
@@ -314,3 +317,57 @@ class TestPackedDocuments:
         from repro.training.data import PackedDocuments
         with pytest.raises(ConfigError):
             PackedDocuments(vocab_size=2, seq_length=8)
+
+
+class TestHostMemoryPolicy:
+    """The training drivers keep the memory a step frees in the heap
+    (``keep_heap_resident``), so a warm step does not page-fault its
+    working set in again; serving never sets the policy."""
+
+    #: the wall-clock benchmark's train shape: its ~1 MB activation
+    #: buffers are what the default glibc thresholds hand back each step
+    SUBSTRATE = ModelConfig(name="substrate", num_layers=2, hidden_size=128,
+                            num_heads=4, seq_length=64, vocab_size=64)
+
+    def test_a_warm_training_step_is_fault_free(self):
+        resource = pytest.importorskip("resource")
+        if not trainer_module.keep_heap_resident():
+            pytest.skip("no glibc mallopt: the host-memory policy is not set")
+        cfg = self.SUBSTRATE
+        model = GPTModel(cfg, seed=0, fused=False)
+        trainer = Trainer(model, Adam(model.parameters(), lr=1e-3))
+        ids, targets = UniformTokens(cfg.vocab_size, cfg.seq_length, seed=1).batch(4)
+        for _ in range(3):  # the heap settles over the first three steps
+            trainer.train_step(ids, targets)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(3):
+            trainer.train_step(ids, targets)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        # the default thresholds take ~3 000 minor faults per step here
+        assert faults <= 64
+
+    @staticmethod
+    def _count_policy_calls(monkeypatch) -> list:
+        calls = []
+        for module in (trainer_module, data_parallel_module):
+            monkeypatch.setattr(module, "keep_heap_resident",
+                                lambda: calls.append(1))
+        return calls
+
+    def test_each_training_driver_sets_the_policy(self, monkeypatch):
+        calls = self._count_policy_calls(monkeypatch)
+        cfg = TestEndToEndTraining.CFG
+        Trainer(GPTModel(cfg, seed=0))
+        PipelinedGPT(GPTModel(cfg, seed=0), pipeline_parallel=2)
+        DataParallelTrainer(lambda: GPTModel(cfg, seed=0), data_parallel=2)
+        assert len(calls) == 3
+
+    def test_a_decode_step_never_sets_the_policy(self, monkeypatch):
+        from repro.serving import DecodeEngine, PagedKVCache
+        calls = self._count_policy_calls(monkeypatch)
+        cfg = TestEndToEndTraining.CFG
+        engine = DecodeEngine(GPTModel(cfg, seed=0),
+                              PagedKVCache(cfg, block_size=2, num_blocks=16))
+        engine.prefill("r", np.array([1, 2, 3]))
+        engine.decode(["r"], [4])
+        assert calls == []
