@@ -63,8 +63,9 @@ wall-history:
 # layer per step; attention is one F.decode_attention per layer); and
 # the autograd-collective layer's footprint: `Function` subclasses in
 # the two mapping modules (the six conjugate operators are rows of one
-# table run by one `Boundary`, not a class each) and `log_comm(` call
-# sites in src/ (a collective's logged size is stated once, in
+# table run by one `Boundary`, not a class each) and the comm-record
+# sites in src/, `log_comm(` calls and cost rules' `comm(` builds (a
+# collective's logged size is stated once, in
 # `repro.comm.cost_model.logged_nbytes`; each extra site restates it);
 # and the kernel rule of tensor/backend.py: calls of NumPy's Python
 # reduction/split wrappers from kernel code (each costs 3-8 us before
@@ -116,7 +117,11 @@ wall-history:
 # carried its own abstract arm); and the `.grad[0]` reads in
 # tests/test_parallel_equivalence.py (hand-written comparisons against
 # serial gradients; 33 before the one oracle, repro.testing.
-# assert_parallel_equivalent, compared every parameter on every rank).
+# assert_parallel_equivalent, compared every parameter on every rank); and
+# the `fctx.log_` / `listening(` lines of the five op modules (7: only the
+# comm legs that emit in order with their collectives, Leg.__call__ and
+# AllGatherMatmul -- every other op declares a cost rule the tape
+# evaluates; 73 while each op body logged under its own listener check).
 loc:
 	@printf '%-56s %6d\n' \
 		'src/ python lines' "$$(find src -name '*.py' | xargs cat | wc -l)" \
@@ -134,7 +139,7 @@ loc:
 		'src/ lines mentioning compiled' "$$(grep -rn --include='*.py' compiled src | wc -l)" \
 		'serving/engine.py F.* calls inside the per-request loop' "$$(awk '/^ *for .*request_ids.*:$$/ { match($$0, /^ */); ind = RLENGTH; inloop = 1; next } inloop && NF { match($$0, /^ */); if (RLENGTH <= ind) inloop = 0; else if ($$0 ~ /F\.[a-z_]+\(/) n++ } END { print n + 0 }' src/repro/serving/engine.py)" \
 		'Function subclasses in parallel/ + longctx/mappings.py' "$$(cat src/repro/parallel/mappings.py src/repro/longctx/mappings.py | grep -cE '^class .*\(Function\):')" \
-		'src/ log_comm( call sites' "$$(grep -rn --include='*.py' 'log_comm(' src | grep -vc 'def log_comm')" \
+		'src/ comm-record sites (log_comm( / comm()' "$$(grep -rnE --include='*.py' '\b(log_)?comm\(' src | grep -v 'def ' | grep -vc '_emit(\*\*comm(')" \
 		'kernel np.(mean|sum|max|split)( call sites' "$$(cd src/repro && grep -rnE --include='*.py' 'np\.(mean|sum|max|split)\(' tensor fusion parallel layers serving comm | wc -l)" \
 		'engine.py cache.(gather|write)( in the per-request loop' "$$(awk '/^ *for .*request_ids.*:$$/ { match($$0, /^ */); ind = RLENGTH; inloop = 1; next } inloop && NF { match($$0, /^ */); if (RLENGTH <= ind) inloop = 0; else if ($$0 ~ /cache\.(gather|write)\(/) n++ } END { print n + 0 }' src/repro/serving/engine.py)" \
 		'pipeline_sim/schedule.py Op( constructions' "$$(grep -cE '\bOp\(' src/repro/pipeline_sim/schedule.py)" \
@@ -150,7 +155,8 @@ loc:
 		'observability/ keyword options' "$$(PYTHONPATH=src $(PY) -c 'import importlib, inspect; mods = [importlib.import_module("repro.observability." + m) for m in "analysis memprof metrics monitor perfetto regress request_trace serialize tracer".split()]; fns = [f for m in mods for o in vars(m).values() if getattr(o, "__module__", None) == m.__name__ for f in ([o] if inspect.isfunction(o) else [getattr(v, "__func__", v) for v in vars(o).values()] if inspect.isclass(o) else [])]; print(sum(p.default is not p.empty for f in fns if inspect.isfunction(f) for p in inspect.signature(f).parameters.values()))')" \
 		'src/ modules building trace-event dicts' "$$(grep -rl --include='*.py' '"ph": "' src | wc -l)" \
 		'op modules is_abstract( lines' "$$(cat src/repro/tensor/functions.py src/repro/fusion/ops.py src/repro/parallel/mappings.py | grep -c 'is_abstract(')" \
-		'test_parallel_equivalence.py .grad[0] reads' "$$(grep -o '\.grad\[0\]' tests/test_parallel_equivalence.py | wc -l)"
+		'test_parallel_equivalence.py .grad[0] reads' "$$(grep -o '\.grad\[0\]' tests/test_parallel_equivalence.py | wc -l)" \
+		'op modules fctx.log_/listening( lines' "$$(cat src/repro/tensor/functions.py src/repro/fusion/ops.py src/repro/parallel/mappings.py src/repro/parallel/loss.py src/repro/longctx/mappings.py | grep -cE 'fctx\.log_|listening\(')"
 
 # CI smoke run: the artifact-writing CLI invocation of each concrete-run
 # command, plus the two invocations no tier-1 test makes (the recompute

@@ -1,8 +1,9 @@
 """Disabled-overhead proofs: an instrumentation seam costs nothing when off.
 
 Three layers hook hot paths behind one ``is None`` check when nothing is
-installed: the tracer (``tensor.listening``, which every op's accounting
-waits on; timed on a TP=2 training loop), the memory profiler
+installed: the tracer (the listener check before the tape evaluates an
+op's cost rule, and ``tensor.listening`` at the explicit comm-leg emits;
+timed on a TP=2 training loop), the memory profiler
 (``tensor.apply`` and ``Module.__call__``, timed on an abstract TP+SP
 layer forward) and the fleet's request telemetry
 (router and scheduler helpers, timed on a chaos-fleet run).  For each,
@@ -22,6 +23,7 @@ import functools
 import gc
 import pstats
 import statistics
+import sys
 import time
 
 import pytest
@@ -131,19 +133,13 @@ def _legacy_listening():
 
 
 def _strip_tracer(mp):
-    # the autograd logging sites are the hot path: hundreds of calls a
-    # step, each behind ``listening()``; it is imported by name, so the
-    # patch lands in every module that bound it
-    import repro.fusion.ops
-    import repro.longctx.mappings
-    import repro.parallel.loss
-    import repro.parallel.mappings
-    import repro.tensor.functions
-
-    for mod in (T, repro.tensor.functions, repro.fusion.ops,
-                repro.parallel.mappings, repro.parallel.loss,
-                repro.longctx.mappings):
-        mp.setattr(mod, "listening", _legacy_listening)
+    # The tape's listener check is three inline reads (no call), so the
+    # tracer's one call-making hook is ``tensor.listening``, which the
+    # explicit comm-leg emits call; it is imported by name, so the patch
+    # lands wherever the one function is bound.
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__dict__", {}).get("listening") is T.listening:
+            mp.setattr(mod, "listening", _legacy_listening)
 
 
 LAYER_CFG = ModelConfig(num_layers=4, hidden_size=32, num_heads=4,
@@ -187,10 +183,13 @@ def _stripped_apply(fn, *args, **kwargs):
         else:
             tensor_inputs.append(None)
             fwd_args.append(a)
+    c = T.ctx()
     fctx = T.FnCtx(tensor_inputs)
     out = fn.forward(fctx, *fwd_args, **kwargs)
+    if c.oplog is not None or c.tracer is not None:
+        T._account(fn.forward_cost, fctx)
     multi = type(out) is tuple
-    requires = requires and T.ctx().grad_enabled
+    requires = requires and c.grad_enabled
     dtype, layout = ((T.FP16, "replicated") if first is None
                      else (first.dtype, first.layout))
     dtypes = fctx.out_dtypes

@@ -30,8 +30,9 @@ Replay semantics (the levanter/JAX capture-once idiom applied to a tape):
   exactly what eager mode does, so recompute numerics and the
   :attr:`Phase.RECOMPUTE` op stream cannot drift.
 
-Because collectives fire their trace hook and ``fctx.log_*`` records from
-*inside* ``forward``/``backward``, replayed steps price through the same
+Collectives fire their trace hook from *inside* ``forward``/``backward``
+and a replay closure evaluates the op's cost rule where ``apply`` and
+``run_backward`` do, so replayed steps price through the same
 ``KernelCostModel`` and emit byte-identical tracer/metrics artifacts —
 Eq. 1-4 drift between eager and replayed steps is exactly zero.
 """
@@ -47,7 +48,7 @@ import numpy as np
 from ..errors import CompilerError
 from ..tensor import context as _tctx
 from ..tensor.backend import size_of
-from ..tensor.tensor import Tensor, _accumulate, _zeros_for
+from ..tensor.tensor import Tensor, _account, _accumulate, _zeros_for
 from .plan import StepPlan
 
 
@@ -130,49 +131,19 @@ class CaptureRecorder:
             return
         self._emit_state()
 
-        fast = not kwargs and all(isinstance(a, Tensor) for a in args)
-        if not fast:
-            items = tuple(
-                (True, a) if isinstance(a, Tensor) else (False, a) for a in args
-            )
+        # Replay costs the op where ``apply`` does: after forward, before a
+        # forward-only op's release, only while something listens.
+        items = tuple((isinstance(a, Tensor), a) for a in args)
 
-            def run_fwd(fn=fn, fctx=fctx, items=items, kw=dict(kwargs)):
-                return fn.forward(
-                    fctx, *[a.shards if is_t else a for is_t, a in items], **kw
-                )
-
-        if multi:
-            outs = tuple(outputs)
-            if fast:
-                ts = tuple(args)
-
-                def run_fwd(fn=fn, fctx=fctx, ts=ts):
-                    return fn.forward(fctx, *[t.shards for t in ts])
-
-            def op(run=run_fwd, outs=outs, fctx=fctx, requires=requires):
-                for t, s in zip(outs, run()):
-                    t.shards = s
-                if not requires:
-                    fctx.release()
-        elif fast:
-            ts = tuple(args)
-            out0 = outputs[0]
-            if requires:
-                def op(fn=fn, fctx=fctx, ts=ts, out0=out0):
-                    out0.shards = fn.forward(fctx, *[t.shards for t in ts])
-            else:
-                def op(fn=fn, fctx=fctx, ts=ts, out0=out0):
-                    out0.shards = fn.forward(fctx, *[t.shards for t in ts])
-                    fctx.release()
-        else:
-            out0 = outputs[0]
-            if requires:
-                def op(run=run_fwd, out0=out0):
-                    out0.shards = run()
-            else:
-                def op(run=run_fwd, out0=out0, fctx=fctx):
-                    out0.shards = run()
-                    fctx.release()
+        def op(fn=fn, fctx=fctx, items=items, kw=dict(kwargs), outs=tuple(outputs),
+               multi=multi, requires=requires, C=_tctx._CTX):
+            out = fn.forward(fctx, *[a.shards if is_t else a for is_t, a in items], **kw)
+            if C.oplog is not None or C.tracer is not None or C.memprof is not None:
+                _account(fn.forward_cost, fctx)
+            for t, shards in zip(outs, out if multi else (out,)):
+                t.shards = shards
+            if not requires:
+                fctx.release()
 
         index = len(self.program)
         self.program.append(op)
@@ -253,50 +224,27 @@ class CaptureRecorder:
 
         self._emit_state()
         fn, fctx = node.fn, node.fctx
-        gr = self.gr
-        dests = tuple(dests)
 
-        if len(sources) == 1 and sources[0][0] == "slot":
-            # The overwhelmingly common shape: one output whose gradient
-            # sits in a register — read it inline, no thunk dispatch.
-            k0 = sources[0][1]
-
-            def op(fn=fn, fctx=fctx, k0=k0, dests=dests, gr=gr):
-                grads_in = fn.backward(fctx, gr[k0])
-                if not isinstance(grads_in, tuple):
-                    grads_in = (grads_in,)
-                for d, g in zip(dests, grads_in):
-                    if d is None:
-                        continue
-                    kind, target = d
-                    if kind == "leaf":
-                        target.grad = _accumulate(target.grad, g)
-                    elif kind == "create":
-                        gr[target] = list(g)
-                    else:
-                        gr[target] = _accumulate(gr[target], g)
-                fctx.release()
-        else:
-            srcs = tuple(sources)
-
-            def op(fn=fn, fctx=fctx, srcs=srcs, dests=dests, gr=gr):
-                grads_in = fn.backward(fctx, *[
-                    gr[payload] if kind == "slot" else _zeros_for(payload)
-                    for kind, payload in srcs
-                ])
-                if not isinstance(grads_in, tuple):
-                    grads_in = (grads_in,)
-                for d, g in zip(dests, grads_in):
-                    if d is None:
-                        continue
-                    kind, target = d
-                    if kind == "leaf":
-                        target.grad = _accumulate(target.grad, g)
-                    elif kind == "create":
-                        gr[target] = list(g)
-                    else:
-                        gr[target] = _accumulate(gr[target], g)
-                fctx.release()
+        def op(fn=fn, fctx=fctx, srcs=tuple(sources), dests=tuple(dests), gr=self.gr,
+               C=_tctx._CTX):
+            grads = [gr[payload] if kind == "slot" else _zeros_for(payload)
+                     for kind, payload in srcs]
+            if C.oplog is not None or C.tracer is not None or C.memprof is not None:
+                _account(fn.backward_cost, fctx, grads)
+            grads_in = fn.backward(fctx, *grads)
+            if not isinstance(grads_in, tuple):
+                grads_in = (grads_in,)
+            for d, g in zip(dests, grads_in):
+                if d is None:
+                    continue
+                kind, target = d
+                if kind == "leaf":
+                    target.grad = _accumulate(target.grad, g)
+                elif kind == "create":
+                    gr[target] = list(g)
+                else:
+                    gr[target] = _accumulate(gr[target], g)
+            fctx.release()
 
         self._free_at[id(fctx)] = len(self.program)
         self.program.append(op)

@@ -25,6 +25,7 @@ and saved buffers are always fresh arrays.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -34,9 +35,9 @@ from ..tensor import backend as bk
 from ..tensor.dtypes import FP16, FP32, MASK
 from ..tensor.functions import (CausalMask, Dropout, MaskSource, _causal_keep,
                                 _gelu_bwd, _gelu_fwd, _offset_keep,
-                                _unbroadcast, _widths, _xent, _xent_backward)
-from ..tensor.tensor import (FnCtx, Function, ShardList, Tensor, apply, listening, map_shards,
-                             same_shape)
+                                _unbroadcast, _xent, _xent_backward)
+from ..tensor.tensor import (FnCtx, Function, ShardList, Tensor, apply, elementwise, map_shards,
+                             per_element, same_shape)
 from .arena import default_arena
 
 
@@ -53,25 +54,22 @@ class BiasGelu(Function):
     """
 
     name = "bias_gelu"
+    backward_cost = per_element("bias_gelu.bwd", 6, 17, fused=True)
+
+    def forward_cost(self, fctx: FnCtx, shapes, widths):
+        n = math.prod(shapes[0])
+        return (elementwise("bias_gelu", 6 * n + 2 * math.prod(shapes[1]), 9 * n, fused=True),)
 
     def forward(self, fctx: FnCtx, x: ShardList, bias: ShardList) -> ShardList:
         z_list, out = map_shards(_bias_gelu, x, bias,
                                  shape=lambda x, b: [bk.broadcast_shape(x, b)] * 2)
         fctx.misc["z_slot"] = fctx.save_new(z_list, FP16, category="gelu_input")
         fctx.misc["bias_shape"] = bk.shape_of(bias[0])
-        if listening():
-            n = bk.size_of(x[0])
-            fctx.log_elementwise("bias_gelu", bytes_moved=6 * n + 2 * bk.size_of(bias[0]),
-                                 flops_per_rank=9 * n, fused=True)
         return out
 
     def backward(self, fctx: FnCtx, grad: ShardList):
         z_list = fctx.saved(fctx.misc["z_slot"])
         bias_shape = fctx.misc["bias_shape"]
-        if listening():
-            n = bk.size_of(grad[0])
-            fctx.log_elementwise("bias_gelu.bwd", bytes_moved=6 * n,
-                                 flops_per_rank=17 * n, fused=True)
 
         def _grads(g, z):
             arena = default_arena()
@@ -129,6 +127,15 @@ class ScaleMaskSoftmaxDropout(Function):
                                mask_source=mask_source)
         self.ring = ring
 
+    def forward_cost(self, fctx: FnCtx, shapes, widths):
+        n, bare = math.prod(shapes[0]), self.dropout.identity
+        return (elementwise(self.name, (4 if bare else 7) * n, (6 if bare else 8) * n, fused=True),)
+
+    def backward_cost(self, fctx: FnCtx, shapes, widths):
+        n, bare = math.prod(shapes[0]), self.dropout.identity
+        return (elementwise(f"{self.name}.bwd", (6 if bare else 7) * n, (6 if bare else 8) * n,
+                            fused=True),)
+
     def forward(self, fctx: FnCtx, x: ShardList) -> ShardList:
         shape = bk.shape_of(x[0])
         world = len(x)
@@ -151,20 +158,11 @@ class ScaleMaskSoftmaxDropout(Function):
             # Identity dropout: the output *is* the saved softmax output,
             # matching the unfused chain where Dropout passes buffers
             # through untouched (identity-dedup parity in the tracker).
-            if listening():
-                n = bk.size_of(x[0])
-                fctx.log_elementwise("scale_mask_softmax_dropout", bytes_moved=4 * n,
-                                     flops_per_rank=6 * n, fused=True)
             return list(y_list)
         keep = fctx.misc["keep"] = 1.0 - self.dropout.p
         masks = self.dropout.masks(x)
         fctx.misc["mask_slot"] = fctx.save_new(masks, MASK, category="dropout_mask")
-        out = map_shards(lambda y, m: _dropped(y, m, keep), y_list, masks, shape=same_shape)
-        if listening():
-            n = bk.size_of(x[0])
-            fctx.log_elementwise("scale_mask_softmax_dropout", bytes_moved=7 * n,
-                                 flops_per_rank=8 * n, fused=True)
-        return out
+        return map_shards(lambda y, m: _dropped(y, m, keep), y_list, masks, shape=same_shape)
 
     def backward(self, fctx: FnCtx, grad: ShardList):
         y_list = fctx.saved(fctx.misc["y_slot"])
@@ -175,11 +173,6 @@ class ScaleMaskSoftmaxDropout(Function):
         else:
             masks = [None] * len(grad)
             keep = 1.0
-        if listening():
-            n = bk.size_of(grad[0])
-            fctx.log_elementwise("scale_mask_softmax_dropout.bwd",
-                                 bytes_moved=(7 if has_dropout else 6) * n,
-                                 flops_per_rank=(8 if has_dropout else 6) * n, fused=True)
         if not self.ring:
             return (map_shards(lambda g, y, m: self._probs_grad(g, y, m, keep, 0),
                                grad, y_list, masks, shape=same_shape),)
@@ -258,6 +251,8 @@ class FusedLayerNorm(Function):
     """
 
     name = "fused_layernorm"
+    forward_cost = per_element("fused_layernorm", lambda width: 2 * width, 8, fused=True)
+    backward_cost = per_element("fused_layernorm.bwd", 6, 12, fused=True)
 
     def __init__(self, eps: float = 1e-5):
         self.eps = eps
@@ -268,19 +263,11 @@ class FusedLayerNorm(Function):
         fctx.misc["gamma_slot"] = fctx.save_input(1)
         out, fctx.misc["stats"] = map_shards(self._norm, x, gamma, beta,
                                               shape=lambda x, gamma, beta: [x, None])
-        if listening():
-            w = _widths(fctx.inputs[0])[0]
-            fctx.log_elementwise("fused_layernorm", bytes_moved=2 * w * bk.size_of(x[0]),
-                                 flops_per_rank=8 * bk.size_of(x[0]), fused=True)
         return out
 
     def backward(self, fctx: FnCtx, grad: ShardList):
         x = fctx.saved(fctx.misc["x_slot"])
         gamma = fctx.saved(fctx.misc["gamma_slot"])
-        if listening():
-            n = bk.size_of(grad[0])
-            fctx.log_elementwise("fused_layernorm.bwd", bytes_moved=6 * n,
-                                 flops_per_rank=12 * n, fused=True)
         return map_shards(_norm_grads, grad, x, gamma, fctx.misc["stats"],
                           shape=lambda g, x, gamma, stats: [x, gamma, gamma])
 
@@ -344,6 +331,8 @@ class DropoutAdd(Function):
     """
 
     name = "dropout_add"
+    forward_cost = per_element("dropout_add", 7, 3, fused=True)
+    backward_cost = per_element("dropout_add.bwd", 5, 2, fused=True)
 
     def __init__(self, p: float, mode: str = "replicated", shard_axis: int = 0,
                  tag: str = "", mask_source: Optional[MaskSource] = None):
@@ -360,20 +349,11 @@ class DropoutAdd(Function):
             np.add(o, res, out=o)
             return o
 
-        out = map_shards(_shard, x, masks, residual, shape=same_shape)
-        if listening():
-            n = bk.size_of(x[0])
-            fctx.log_elementwise("dropout_add", bytes_moved=7 * n,
-                                 flops_per_rank=3 * n, fused=True)
-        return out
+        return map_shards(_shard, x, masks, residual, shape=same_shape)
 
     def backward(self, fctx: FnCtx, grad: ShardList):
         masks = fctx.saved(fctx.misc["mask_slot"])
         keep = fctx.misc["keep"]
-        if listening():
-            n = bk.size_of(grad[0])
-            fctx.log_elementwise("dropout_add.bwd", bytes_moved=5 * n,
-                                 flops_per_rank=2 * n, fused=True)
         # Residual gradient is the incoming gradient itself (same buffers),
         # exactly like the unfused Add backward with equal shapes.
         return (map_shards(lambda g, m: _dropped(g, m, keep), grad, masks, shape=same_shape),
@@ -404,6 +384,7 @@ class SoftmaxCrossEntropy(Function):
     """
 
     name = "softmax_xent"
+    forward_cost = per_element("softmax_xent", 4, 5, fused=True)
 
     def __init__(self, has_mask: bool = False):
         self.has_mask = has_mask
@@ -418,13 +399,8 @@ class SoftmaxCrossEntropy(Function):
         if self.has_mask:
             fctx.misc["mask_slot"] = fctx.save_input(2, category="loss_mask")
         fctx.out_dtypes = [FP32]
-        out = map_shards(_xent, logits, targets, *([mask] if self.has_mask else []),
-                         shape=lambda *_: ())
-        if listening():
-            n = bk.size_of(logits[0])
-            fctx.log_elementwise("softmax_xent", bytes_moved=4 * n,
-                                 flops_per_rank=5 * n, fused=True)
-        return out
+        return map_shards(_xent, logits, targets, *([mask] if self.has_mask else []),
+                          shape=lambda *_: ())
 
     def backward(self, fctx: FnCtx, grad: ShardList):
         return _xent_backward(fctx, grad, self.has_mask)

@@ -27,6 +27,7 @@ which the tracer forwards to the analysis buckets
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from typing import Iterator
 
@@ -36,7 +37,7 @@ from ..parallel.mappings import Leg
 from ..tensor import backend as bk
 from ..tensor.context import ctx
 from ..tensor.oplog import Phase
-from ..tensor.tensor import FnCtx, Function, ShardList, Tensor, apply, listening
+from ..tensor.tensor import FnCtx, Function, ShardList, Tensor, apply, comm
 
 #: Process-wide switch for recompute/communication overlap.
 _RECOMPUTE_OVERLAP = False
@@ -120,28 +121,29 @@ class RingGather(Function):
         self.axis = axis
         self.label = label
 
+    def forward_cost(self, fctx: FnCtx, shapes, widths):
+        return self._hops("hop", math.prod(shapes[0]) * widths[0])
+
+    def backward_cost(self, fctx: FnCtx, shapes, widths):
+        return self._hops("bwd_hop", math.prod(shapes[0]) // self.group.size * widths[0])
+
+    def _hops(self, kind: str, nbytes: int):
+        """The ``p-1`` ring hops of one shard of ``nbytes``."""
+        overlapped = overlap_active()
+        return tuple(comm(f"{self.label}.{kind}{hop}", "p2p", nbytes, 2,
+                          scope=self.group.scope, overlapped=overlapped)
+                     for hop in range(self.group.size - 1))
+
     def forward(self, fctx: FnCtx, x: ShardList) -> ShardList:
         self.group.check_world(len(x))
         n = self.group.size
         fctx.misc["chunk"] = bk.shape_of(x[0])[self.axis]
-        if listening():
-            nbytes = bk.size_of(x[0]) * fctx.inputs[0].dtype.nbytes
-            overlapped = overlap_active()
-            for hop in range(n - 1):
-                fctx.log_comm(f"{self.label}.hop{hop}", "p2p", nbytes, 2,
-                              scope=self.group.scope, overlapped=overlapped)
         full = bk.concatenate(list(x), self.axis)
         return [full] * n
 
     def backward(self, fctx: FnCtx, grad: ShardList):
         n = self.group.size
         chunk = fctx.misc["chunk"]
-        if listening():
-            nbytes = (bk.size_of(grad[0]) // n) * fctx.inputs[0].dtype.nbytes
-            overlapped = overlap_active()
-            for hop in range(n - 1):
-                fctx.log_comm(f"{self.label}.bwd_hop{hop}", "p2p", nbytes, 2,
-                              scope=self.group.scope, overlapped=overlapped)
         if bk.is_abstract(grad[0]):
             return ([bk.slice_axis(grad[0], self.axis, 0, chunk)] * n,)
         out = []

@@ -9,13 +9,15 @@ per rank are the paper's ``4sbv/t`` term.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..comm.process_group import ProcessGroup
 from ..errors import ShapeError
 from ..tensor import FP32, Tensor
 from ..tensor import backend as bk
-from ..tensor.tensor import FnCtx, Function, ShardList, apply, listening
+from ..tensor.tensor import FnCtx, Function, ShardList, apply, comm
 
 
 class VocabParallelCrossEntropy(Function):
@@ -27,6 +29,11 @@ class VocabParallelCrossEntropy(Function):
         self.group = group
         self.has_mask = has_mask
 
+    def forward_cost(self, fctx: FnCtx, shapes, widths):
+        nbytes = 4 * math.prod(shapes[0][:-1])  # one fp32 per token
+        return tuple(comm(name, "all_reduce", nbytes, self.group.size, scope=self.group.scope)
+                     for name in ("ce.max", "ce.sumexp", "ce.target"))
+
     def forward(self, fctx: FnCtx, logits: ShardList, targets: ShardList,
                 mask=None) -> ShardList:
         self.group.check_world(len(logits))
@@ -36,17 +43,10 @@ class VocabParallelCrossEntropy(Function):
             fctx.misc["mask_slot"] = fctx.save_input(2, category="loss_mask")
         fctx.out_dtypes = [FP32]
 
-        shape = bk.shape_of(logits[0])
-        if listening():
-            n_tokens_bytes = 4 * int(np.prod(shape[:-1])) if len(shape) > 1 else 4
-            for name in ("ce.max", "ce.sumexp", "ce.target"):
-                fctx.log_comm(name, "all_reduce", n_tokens_bytes,
-                              self.group.size, scope=self.group.scope)
-
         if bk.is_abstract(logits[0]):
             return [bk.shaped(())] * len(logits)
 
-        vpr = shape[-1]
+        vpr = bk.shape_of(logits[0])[-1]
         gmax = np.maximum.reduce([bk.max_(l, axis=-1) for l in logits])
         sumexp = sum(bk.sum_(np.exp(l - gmax[..., None]), axis=-1) for l in logits)
         tlogit = np.zeros_like(gmax)

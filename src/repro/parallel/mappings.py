@@ -37,7 +37,10 @@ class Leg(NamedTuple):
 
     def __call__(self, fctx: FnCtx, name: str, shards: ShardList, group: ProcessGroup,
                  axis: int, overlapped: bool = False) -> ShardList:
-        """Log this leg under ``name`` (when it is a collective), then run it."""
+        """Log this leg under ``name`` (when it is a collective), then run it.
+
+        A leg is a step inside an op's ``forward`` / ``backward``, not an
+        op, so it emits explicitly rather than through a cost rule."""
         if self.op is not None and listening():
             shard_nbytes = bk.size_of(shards[0]) * fctx.inputs[0].dtype.nbytes
             fctx.log_comm(name, self.op, logged_nbytes(self.op, shard_nbytes, group.size),
@@ -134,7 +137,9 @@ class AllGatherMatmul(Function):
     implementing the paper's Section 4.2.2 optimization.  Backward
     re-all-gathers ``Y`` (marked ``overlapped`` — the paper hides it under
     the dY GEMM), computes the two gradient GEMMs, and reduce-scatters dY
-    back to sequence shards (``g``'s backward).
+    back to sequence shards (``g``'s backward).  Its GEMM records are
+    explicit emits, not a cost rule: in backward they sit between the
+    re-gather and the reduce-scatter, which the tracer prices in order.
     """
 
     name = "ag_matmul"

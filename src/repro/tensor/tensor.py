@@ -25,6 +25,7 @@ holds of a forward pass.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -256,32 +257,55 @@ class FnCtx:
             self._saved.clear()
 
     # -- logging ----------------------------------------------------------------
-    # Callers compute what they log only under ``listening()``; a log call
-    # made with nothing listening builds a record no sink keeps.
+    # For the comm legs that emit in order with their collectives
+    # (``parallel.mappings``); every other op declares a cost rule.
     def log_gemm(self, name: str, flops_per_rank: float, bytes_moved: float = 0.0) -> None:
-        _emit(name=name, kind=OpKind.GEMM, flops=flops_per_rank, bytes_moved=bytes_moved)
-
-    def log_elementwise(self, name: str, bytes_moved: float, flops_per_rank: float = 0.0,
-                        fused: bool = False) -> None:
-        _emit(name=name, kind=OpKind.ELEMENTWISE, flops=flops_per_rank,
-              bytes_moved=bytes_moved, fused=fused)
+        _emit(**gemm(name, flops_per_rank, bytes_moved))
 
     def log_comm(self, name: str, op: str, nbytes: int, group_size: int,
                  scope: str = "tp", overlapped: bool = False) -> None:
-        _emit(name=name, kind=OpKind.COLLECTIVE if op != "p2p" else OpKind.P2P,
-              comm=CommInfo(op=op, nbytes=int(nbytes), group_size=group_size, scope=scope),
-              overlapped=overlapped)
+        _emit(**comm(name, op, nbytes, group_size, scope, overlapped))
+
+
+def gemm(name: str, flops: float, bytes_moved: float = 0.0) -> dict:
+    """The fields of one GEMM record: ``flops`` per rank."""
+    return {"name": name, "kind": OpKind.GEMM, "flops": flops, "bytes_moved": bytes_moved}
+
+
+def elementwise(name: str, bytes_moved: float, flops: float = 0.0,
+                fused: bool = False) -> dict:
+    """The fields of one bandwidth-bound record (``fused``: a fused kernel's)."""
+    return {"name": name, "kind": OpKind.ELEMENTWISE, "flops": flops,
+            "bytes_moved": bytes_moved, "fused": fused}
+
+
+def comm(name: str, op: str, nbytes: int, group_size: int, scope: str = "tp",
+         overlapped: bool = False) -> dict:
+    """The fields of one collective (or ``"p2p"``) record."""
+    return {"name": name, "kind": OpKind.COLLECTIVE if op != "p2p" else OpKind.P2P,
+            "comm": CommInfo(op=op, nbytes=int(nbytes), group_size=group_size, scope=scope),
+            "overlapped": overlapped}
+
+
+def per_element(name: str, nbytes, flops: float = 0.0, fused: bool = False):
+    """The cost rule of an op that streams its first operand once (its
+    first output gradient, in backward): one elementwise record of
+    ``nbytes`` bytes and ``flops`` FLOPs per element of it.  ``nbytes``
+    may be a function of the first input's width."""
+    def per_element_cost(fn, fctx, shapes, widths):
+        n = math.prod(shapes[0])
+        per = nbytes(widths[0]) if callable(nbytes) else nbytes
+        return (elementwise(name, per * n, flops * n, fused),)
+    return per_element_cost
 
 
 def listening() -> bool:
     """Whether an op log, tracer or memory profiler takes op records.
 
-    Every op computes its byte/FLOP accounting (``_widths``, sizes, the
-    ``fctx.log_*`` calls) only under this check, so an op nobody listens
-    to costs its kernel.  It reads the live context each time and is
-    never cached on a :class:`FnCtx`: a compiled plan reuses its
-    ``FnCtx`` objects across replays, which may run under an op log the
-    capture did not have.
+    The tape reads the same three fields inline (no call) before it
+    evaluates a cost rule; the explicit comm-leg emits call this.  Read
+    live, never cached on a :class:`FnCtx`: a compiled plan reuses its
+    ``FnCtx`` objects in replays that may run under a new op log.
     """
     c = ctx()
     return c.oplog is not None or c.tracer is not None or c.memprof is not None
@@ -302,6 +326,19 @@ def _emit(**fields) -> None:
         c.memprof.on_op_record(record)
 
 
+def _account(rule, fctx: FnCtx, grads: Optional[Sequence[ShardList]] = None) -> None:
+    """Emit ``rule``'s records: an op's forward cost or, given its output
+    ``grads``, its backward cost.  Called only under a listener, after
+    ``forward`` (in the memory profiler's op frame) and before ``backward``."""
+    if rule is None:
+        return
+    shapes = ([None if t is None else bk.shape_of(t.shards[0]) for t in fctx.inputs]
+              if grads is None else [bk.shape_of(g[0]) for g in grads])
+    widths = [None if t is None else t.dtype.nbytes for t in fctx.inputs]
+    for fields in rule(fctx, shapes, widths):
+        _emit(**fields)
+
+
 class Function:
     """Base class for differentiable operations.
 
@@ -313,8 +350,18 @@ class Function:
       returning one gradient (or ``None``) per *tensor* input.
 
     Both see whole shard lists: they do the per-op bookkeeping (saves,
-    ``fctx.log_*``, shapes, mask draws) once, and hand each rank's math
-    to :func:`map_shards` as a kernel of one shard per input.
+    shapes, mask draws) once, and hand each rank's math to
+    :func:`map_shards` as a kernel of one shard per input.
+
+    What an application costs is declared beside them, not logged from
+    them: ``forward_cost(fctx, shapes, widths)`` and ``backward_cost``
+    return the op's records (:func:`gemm`, :func:`elementwise`,
+    :func:`comm`; :func:`per_element` for the common one-record rule)
+    from the rank-0 shapes of the forward's arguments or, in backward,
+    of the output gradients, the arguments' dtype widths (``None`` shape
+    and width for a non-tensor), the op's attributes and ``fctx.misc``.
+    ``None``: the op records nothing.  The tape evaluates them only
+    under a listener.
     """
 
     name = "fn"
@@ -322,6 +369,8 @@ class Function:
     #: inside their ``forward``/``backward``; the step compiler records
     #: them as one opaque call instead of re-recording their inner ops.
     composite = False
+    forward_cost = None
+    backward_cost = None
 
     def forward(self, fctx: FnCtx, *args):  # pragma: no cover - abstract
         raise NotImplementedError
@@ -488,10 +537,13 @@ def apply(fn: Function, *args, **kwargs) -> Union[Tensor, Tuple[Tensor, ...]]:
     try:
         if mp is None:
             out = fn.forward(fctx, *fwd_args, **kwargs)
+            if c.oplog is not None or c.tracer is not None:
+                _account(fn.forward_cost, fctx)
         else:
             frame = mp.begin_op(fn.name, tensor_inputs)
             try:
                 out = fn.forward(fctx, *fwd_args, **kwargs)
+                _account(fn.forward_cost, fctx)
             finally:
                 mp.end_op()
     finally:
@@ -560,7 +612,8 @@ def run_backward(seeds: Sequence[Tuple[Tensor, ShardList]]) -> None:
     """
     pending: dict = {}  # id(node) -> List[Optional[ShardList]] per output
     roots: List[Node] = []
-    cap = ctx().capture
+    c = ctx()
+    cap = c.capture
     for root, grad in seeds:
         if root._node is None:
             raise AutogradError("seed tensor has no producing node")
@@ -598,8 +651,8 @@ def run_backward(seeds: Sequence[Tuple[Tensor, ShardList]]) -> None:
             if t is not None and t._node is not None:
                 stack.append((t._node, False))
 
-    prev_phase = ctx().phase
-    ctx().phase = Phase.BACKWARD
+    prev_phase = c.phase
+    c.phase = Phase.BACKWARD
     try:
         for node in reversed(topo):
             if node.spent is not None:
@@ -618,6 +671,8 @@ def run_backward(seeds: Sequence[Tuple[Tensor, ShardList]]) -> None:
                 g if g is not None else _zeros_for(node.out_templates[i])
                 for i, g in enumerate(grads_out)
             ]
+            if c.oplog is not None or c.tracer is not None or c.memprof is not None:
+                _account(node.fn.backward_cost, node.fctx, grads_out)
             if cap is not None and node.fn.composite:
                 # Composite backward (checkpoint recompute) replays as one
                 # opaque call; don't record its inner re-execution.
@@ -659,7 +714,7 @@ def run_backward(seeds: Sequence[Tuple[Tensor, ShardList]]) -> None:
                     )
             node.fctx.release()
     finally:
-        ctx().phase = prev_phase
+        c.phase = prev_phase
 
 
 def free_graph(*tensors: Tensor) -> None:

@@ -526,38 +526,54 @@ class TestEvalMode:
 
 class TestDecodeStepAccounting:
     """A decode step runs under ``no_grad`` with nothing installed, so
-    its ops must pay for their kernels only: the per-op byte/FLOP
-    accounting runs when an op log, tracer or memory profiler listens,
-    and then records exactly what it always did."""
+    its ops must pay for their kernels only: the tape evaluates an op's
+    declared cost rule when an op log, tracer or memory profiler
+    listens, and then records exactly what it always did."""
 
     REQUESTS, TOKENS = ["r0", "r1", "r2"], [7, 8, 9]
+    #: Python calls of one unlistened step, by tensor-parallel size, when
+    #: each op still called ``listening()`` from its own body: declaring
+    #: the cost may not make the step dearer.
+    CALLS_BEFORE = {1: 1432, 2: 1630}
+    #: The rule evaluator and the record builders.
+    ACCOUNTING = ("_account", "per_element_cost", "gemm", "elementwise", "comm")
 
     @staticmethod
-    def _engine(serial):
-        model = ParallelGPTModel(CFG, tensor_parallel=2, serial=serial)
-        engine = DecodeEngine(model, PagedKVCache(CFG, tensor_parallel=2,
+    def _engine(serial, tensor_parallel=2):
+        model = (ParallelGPTModel(CFG, tensor_parallel=2, serial=serial)
+                 if tensor_parallel == 2 else serial)
+        engine = DecodeEngine(model, PagedKVCache(CFG, tensor_parallel=tensor_parallel,
                                                   block_size=2, num_blocks=16))
         for request_id, prompt in zip(TestDecodeStepAccounting.REQUESTS,
                                       ([1, 2, 3], [4], [5, 6])):
             engine.prefill(request_id, np.array(prompt))
         return engine
 
-    def test_an_unlistened_step_makes_no_accounting_calls(self, serial):
+    def _unlistened_step(self, engine):
+        """One step's cProfile calls by tape-module function name, and in all."""
         import cProfile
         import pstats
-        engine = self._engine(serial)
         profile = cProfile.Profile()
         profile.runcall(engine.decode, self.REQUESTS, self.TOKENS)
+        stats = pstats.Stats(profile)
         calls = {}
-        for (path, _, name), (_, count, _, _, _) in pstats.Stats(profile).stats.items():
+        for (path, _, name), (_, count, _, _, _) in stats.stats.items():
             if path.endswith(("tensor/tensor.py", "tensor/functions.py")):
                 calls[name] = calls.get(name, 0) + count
+        assert {name: calls.get(name, 0) for name in self.ACCOUNTING} == dict.fromkeys(
+            self.ACCOUNTING, 0)
+        return calls, stats.total_calls
+
+    def test_an_unlistened_step_makes_no_accounting_calls(self, serial):
+        calls, total = self._unlistened_step(self._engine(serial))
         assert calls["apply"] == 40  # the step ran its 40 ops
-        accounting = {name: calls.get(name, 0) for name in
-                      ("log_gemm", "log_elementwise", "log_comm", "_widths")}
-        assert accounting == dict.fromkeys(accounting, 0)
         # a save with no tape is one call that retains nothing
         assert calls.get("_save", 0) == 0
+        assert total <= self.CALLS_BEFORE[2]
+
+    def test_an_unlistened_serial_step_makes_no_accounting_calls(self, serial):
+        _, total = self._unlistened_step(self._engine(serial, tensor_parallel=1))
+        assert total <= self.CALLS_BEFORE[1]
 
     def test_a_listened_step_records_what_it_always_did(self, serial):
         import hashlib
