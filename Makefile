@@ -3,11 +3,13 @@ PY ?= python
 # OpenBLAS here is built for 64 threads and oversubscribes a 2-vCPU box
 # (one GEMM varies 40x); anything timed or gated runs single-threaded.
 ONE_THREAD = OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1
+# The suite imports `repro` from the tree (tier-1's own invocation).
+SRC_PATH = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH}
 
 .PHONY: test overhead bench-gate bench-wall-smoke wall-history loc smoke report examples all clean
 
 test:
-	$(ONE_THREAD) $(PY) -m pytest tests/
+	$(ONE_THREAD) $(SRC_PATH) $(PY) -m pytest tests/
 
 # Disabled-overhead proofs (benchmarks/test_disabled_overhead.py): the
 # tracer, memprof and fleet-telemetry seams make exactly the stripped
@@ -34,10 +36,16 @@ bench-wall-smoke:
 # twice under the pinned thread counts (the row keeps the faster) and
 # `make loc`.  `make wall-history LABEL="PR 18"`; the last step
 # prints the history (`python3 benchmarks/wall_history.py show setup_s`
-# for another metric).
+# for another metric).  A tier-1 run that fails stops the target and
+# prints its tail; no row is appended.
 wall-history:
 	python3 bench/run.py > /dev/null
-	for run in 1 2; do $(ONE_THREAD) $(PY) -m pytest -x tests/ | tail -1; done > bench/out/tier1.txt
+	rm -f bench/out/tier1.txt
+	for run in 1 2; do \
+	  log=$$($(ONE_THREAD) $(SRC_PATH) $(PY) -m pytest -x tests/ 2>&1) \
+	    || { echo "$$log" | tail -20; exit 1; }; \
+	  echo "$$log" | tail -1 >> bench/out/tier1.txt; \
+	done
 	python3 benchmarks/wall_history.py append bench/out/results.json "$(LABEL)" bench/out/tier1.txt
 	python3 benchmarks/wall_history.py show
 

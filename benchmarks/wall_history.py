@@ -7,8 +7,9 @@
 (a full ``python3 bench/run.py``): commit, working-tree hash and
 ``make loc`` counts are read there, tier-1 from ``PYTEST_LOG`` — one
 pytest summary line per run, the fastest kept (the suite's time on a
-shared box is its floor, not its mean).  Rows are never rewritten; a
-re-measurement is a new row.
+shared box is its floor, not its mean).  A summary that reports a
+failure or an error is refused: it times a suite cut short.  Rows are
+never rewritten; a re-measurement is a new row.
 """
 
 import json
@@ -50,7 +51,13 @@ def append(results_path: str, label: str, pytest_log: str = None) -> None:
                for name, entry in results["workloads"].items()}}
     if pytest_log:
         with open(pytest_log) as handle:
-            runs = re.findall(r"(\d+) passed.* in ([\d.]+)s", handle.read())
+            summaries = handle.read()
+        # "1 failed, 612 passed" is a suite cut short, not a tier-1 time
+        broken = re.search(r"\d+ (failed|errors?)\b", summaries)
+        if broken:
+            raise SystemExit(f"{pytest_log}: tier-1 reports {broken.group(0)}; "
+                             "no row appended")
+        runs = re.findall(r"(\d+) passed.* in ([\d.]+)s", summaries)
         seconds = [float(s) for _, s in runs]
         row["tier1"] = {"tests": int(runs[-1][0]), "seconds": min(seconds),
                         "readings": seconds}

@@ -158,9 +158,11 @@ class AllGatherMatmul(Function):
         fctx.misc["w_slot"] = fctx.save_input(1)
         full = G.forward(fctx, "ag_matmul", x, self.group, self.axis)
         # One 2-D GEMM, not NumPy's loop of small ones over the leading
-        # dims (as the serial Matmul): bitwise the same product.  Not so
-        # the dgrad ``g @ w.T``, which flattened rounds differently on
-        # OpenBLAS and therefore stays 3-D in backward.
+        # dims (as the serial Matmul): bitwise the same product.  The
+        # dgrad ``g @ w.T`` stays 3-D in backward only for the
+        # ``compile-tp2-sp-selective`` CLI golden: flattened (~1.7x
+        # faster) it moves one printed loss in the last digit, and no
+        # BENCH byte.
         out = map_shards(lambda fi, wi: (fi.reshape(-1, w_shape[0]) @ wi).reshape(out_shape),
                          full, w, shape=bk.matmul_shape)
         flops = fctx.misc["flops"] = 2.0 * bk.size_of(out[0]) * bk.shape_of(full[0])[-1]

@@ -299,17 +299,42 @@ def _gelu_tanh(z: np.ndarray, t: np.ndarray) -> None:
     np.tanh(t, out=t)
 
 
+#: Elements per block (float64: 128 KiB) when GeLU streams an operand.
+#: With no scratch lent, an operand of more than one block runs block by
+#: block through block-sized scratch: full-size scratch (backward's three
+#: buffers of the saved ``8sbh`` input) would be a training step's largest
+#: transient and set its host high-water; a block's stays in L2.  The
+#: kernel is elementwise, so every element sees the same operations.
+_GELU_BLOCK = 16 * 1024
+
+
+def _gelu_blocks(arrays, scratch: int):
+    """Runs of at most ``_GELU_BLOCK`` elements of the flattened ``arrays``
+    (the operands, then the output), each followed by that many elements
+    of ``scratch`` block-sized buffers."""
+    flat = [a.reshape(-1) for a in arrays]
+    buffers = [np.empty(_GELU_BLOCK) for _ in range(scratch)]
+    size = flat[0].size
+    for start in range(0, size, _GELU_BLOCK):
+        stop = min(start + _GELU_BLOCK, size)
+        yield [a[start:stop] for a in flat] + [b[:stop - start] for b in buffers]
+
+
 def _gelu_fwd(z: np.ndarray, t: Optional[np.ndarray] = None) -> np.ndarray:
     """``0.5*z*(1 + tanh(...))`` into a fresh array: the one GeLU forward
     kernel, behind ``Gelu`` and ``fusion.ops.BiasGelu`` alike.  ``t`` is a
-    scratch buffer of ``z``'s shape, allocated here when none is lent."""
-    if t is None:
-        t = np.empty(z.shape)
-    _gelu_tanh(z, t)
-    np.add(t, 1.0, out=t)
+    scratch buffer of ``z``'s shape; with none lent, it is allocated here,
+    one block's worth when ``z`` holds more than ``_GELU_BLOCK`` elements."""
     y = np.empty(z.shape)
-    np.multiply(t, z, out=y)
-    np.multiply(y, 0.5, out=y)
+    if t is None and z.size > _GELU_BLOCK:
+        blocks = _gelu_blocks((z, y), 1)
+    else:
+        blocks = ((z, y, np.empty(z.shape) if t is None else t),)
+    for zb, yb, tb in blocks:
+        _gelu_tanh(zb, tb)
+        np.add(tb, 1.0, out=tb)
+        np.multiply(tb, zb, out=yb)
+        np.multiply(yb, 0.5, out=yb)
     return y
 
 
@@ -318,24 +343,29 @@ def _gelu_bwd(z: np.ndarray, g: np.ndarray, scratch=None) -> np.ndarray:
 
     ``tanh`` is recomputed rather than kept from forward: the op saves
     only its input (the ``8sbh`` term).  ``scratch`` is three buffers of
-    ``z``'s shape, allocated here when none are lent.
+    ``z``'s shape; with none lent, they are allocated here, one block's
+    worth each when ``z`` holds more than ``_GELU_BLOCK`` elements.
     """
-    t, u, v = scratch or [np.empty(z.shape) for _ in range(3)]
-    _gelu_tanh(z, t)
-    np.multiply(t, t, out=u)
-    np.subtract(1.0, u, out=u)        # sech^2
-    np.multiply(z, z, out=v)          # d_inner = C*(1 + 3*0.044715*z^2)
-    np.multiply(v, 3 * 0.044715, out=v)
-    np.add(v, 1.0, out=v)
-    np.multiply(v, _GELU_C, out=v)
-    np.multiply(u, v, out=u)
-    np.multiply(u, z, out=u)
-    np.multiply(u, 0.5, out=u)        # 0.5 * z * sech^2 * d_inner
-    np.add(t, 1.0, out=t)
-    np.multiply(t, 0.5, out=t)        # 0.5 * (1 + tanh)
-    np.add(t, u, out=t)               # dgelu/dz
     d = np.empty(z.shape)
-    np.multiply(g, t, out=d)
+    if scratch is None and z.size > _GELU_BLOCK:
+        blocks = _gelu_blocks((z, g, d), 3)
+    else:
+        blocks = ((z, g, d, *(scratch or [np.empty(z.shape) for _ in range(3)])),)
+    for zb, gb, db, t, u, v in blocks:
+        _gelu_tanh(zb, t)
+        np.multiply(t, t, out=u)
+        np.subtract(1.0, u, out=u)        # sech^2
+        np.multiply(zb, zb, out=v)        # d_inner = C*(1 + 3*0.044715*z^2)
+        np.multiply(v, 3 * 0.044715, out=v)
+        np.add(v, 1.0, out=v)
+        np.multiply(v, _GELU_C, out=v)
+        np.multiply(u, v, out=u)
+        np.multiply(u, zb, out=u)
+        np.multiply(u, 0.5, out=u)        # 0.5 * z * sech^2 * d_inner
+        np.add(t, 1.0, out=t)
+        np.multiply(t, 0.5, out=t)        # 0.5 * (1 + tanh)
+        np.add(t, u, out=t)               # dgelu/dz
+        np.multiply(gb, t, out=db)
     return d
 
 

@@ -56,6 +56,17 @@ class TestGradCheck:
     def test_gelu(self):
         check_gradients(F.gelu, rng.normal(size=(3, 5)))
 
+    def test_gelu_blocks_are_bitwise_the_one_pass_kernel(self):
+        """With no scratch lent, an operand of more than one block streams
+        through block-sized scratch; lent full-size scratch runs it in one
+        pass.  Each element sees the same operations: the same bits."""
+        z = rng.normal(size=(5, 7, 1301))  # two blocks and a ragged third
+        g = rng.normal(size=z.shape)
+        assert 2 * F._GELU_BLOCK < z.size < 3 * F._GELU_BLOCK
+        assert F._gelu_fwd(z).tobytes() == F._gelu_fwd(z, np.empty(z.shape)).tobytes()
+        lent = [np.empty(z.shape) for _ in range(3)]
+        assert F._gelu_bwd(z, g).tobytes() == F._gelu_bwd(z, g, lent).tobytes()
+
     def test_softmax(self):
         check_gradients(F.softmax, rng.normal(size=(2, 3, 6)), atol=1e-5)
 

@@ -1,5 +1,7 @@
 """Training substrate: Adam, loss scaler, data generators, end-to-end fits."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -329,19 +331,26 @@ class TestHostMemoryPolicy:
     SUBSTRATE = ModelConfig(name="substrate", num_layers=2, hidden_size=128,
                             num_heads=4, seq_length=64, vocab_size=64)
 
+    @classmethod
+    def substrate_step(cls):
+        """One ``Trainer.train_step`` of a fresh serial model on the
+        substrate shape and a fixed batch of 4, as a call."""
+        cfg = cls.SUBSTRATE
+        model = GPTModel(cfg, seed=0, fused=False)
+        trainer = Trainer(model, Adam(model.parameters(), lr=1e-3))
+        ids, targets = UniformTokens(cfg.vocab_size, cfg.seq_length, seed=1).batch(4)
+        return functools.partial(trainer.train_step, ids, targets)
+
     def test_a_warm_training_step_is_fault_free(self):
         resource = pytest.importorskip("resource")
         if not trainer_module.keep_heap_resident():
             pytest.skip("no glibc mallopt: the host-memory policy is not set")
-        cfg = self.SUBSTRATE
-        model = GPTModel(cfg, seed=0, fused=False)
-        trainer = Trainer(model, Adam(model.parameters(), lr=1e-3))
-        ids, targets = UniformTokens(cfg.vocab_size, cfg.seq_length, seed=1).batch(4)
+        step = self.substrate_step()
         for _ in range(3):  # the heap settles over the first three steps
-            trainer.train_step(ids, targets)
+            step()
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         for _ in range(3):
-            trainer.train_step(ids, targets)
+            step()
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         # the default thresholds take ~3 000 minor faults per step here
         assert faults <= 64
@@ -371,3 +380,75 @@ class TestHostMemoryPolicy:
         engine.prefill("r", np.array([1, 2, 3]))
         engine.decode(["r"], [4])
         assert calls == []
+
+    def test_backward_high_water_is_one_node_and_gelu_blocks(self, monkeypatch):
+        """ROADMAP item 4, serial cell: above what it holds when backward
+        starts (the saves), one warm step's backward needs at most its
+        largest node's gradients in and out plus GeLU's block scratch.
+        Traced outside any timed unit: ``tracemalloc`` has a cost."""
+        import tracemalloc
+
+        from repro.tensor import tensor as tape
+        step = self.substrate_step()
+        step()
+        marks, run_backward = {}, tape.run_backward
+
+        def traced(seeds):
+            marks["held"] = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run_backward(seeds)
+            marks["peak"] = tracemalloc.get_traced_memory()[1]
+
+        monkeypatch.setattr(tape, "run_backward", traced)
+        tracemalloc.start()
+        try:
+            step()
+        finally:
+            tracemalloc.stop()
+        width = 8  # the kernels' float64
+        h, tokens = self.SUBSTRATE.hidden_size, self.SUBSTRATE.seq_length * 4
+        # The largest node is fc1's bias add: the MLP's 4h-wide gradient
+        # in and out, and the bias gradient.
+        node = (2 * tokens * 4 * h + 4 * h) * width
+        scratch = 3 * F._GELU_BLOCK * width  # backward's t, u, v blocks
+        # 2.49 MB here; full-size GeLU scratch read 4.37 MB, the blocks 1.62
+        assert marks["peak"] - marks["held"] <= node + scratch
+
+
+class TestTrainStepAccounting:
+    """A training step with nothing installed pays for its kernels only:
+    the tape evaluates cost rules and builds op records only under a
+    listener, forward (``apply``) and backward (``run_backward``) alike.
+    The serial counterpart of ``test_serving.TestDecodeStepAccounting``."""
+
+    #: Python calls of one warm unlistened serial step on the substrate
+    #: shape, measured with GeLU streaming blocks (6 589 with one-pass
+    #: GeLU kernels; the blocks add 144).  A listener check per backward
+    #: node made a ``listening()`` call instead of inline adds 150.
+    CALLS = 6733
+    #: The rule evaluator, the cost rules and the record builders.
+    ACCOUNTING = ("_account", "forward_cost", "backward_cost", "per_element_cost",
+                  "gemm", "elementwise", "comm")
+
+    def test_an_unlistened_step_makes_no_accounting_calls(self):
+        import cProfile
+        import gc
+        import pstats
+        step = TestHostMemoryPolicy.substrate_step()
+        step()
+        profile = cProfile.Profile()
+        # A collection would run whatever gc callbacks other tests left
+        # (hypothesis installs one), so the count is taken without one.
+        gc.disable()
+        try:
+            profile.runcall(step)
+        finally:
+            gc.enable()
+        stats = pstats.Stats(profile)
+        calls = {}
+        for (_, _, name), (_, count, _, _, _) in stats.stats.items():
+            calls[name] = calls.get(name, 0) + count
+        assert calls["apply"] == 73 and calls["run_backward"] == 1
+        assert {name: calls.get(name, 0) for name in self.ACCOUNTING} == dict.fromkeys(
+            self.ACCOUNTING, 0)
+        assert stats.total_calls <= self.CALLS
