@@ -85,9 +85,10 @@ wall-history:
 # the abstract-mode rule of tensor/backend.py: np.broadcast_shapes( calls
 # in src/ (0: broadcasting is tuple arithmetic) and validating
 # AbstractArray( constructions in src/, the doors where a shape enters
-# from outside (8: tensor.abstract, zeros(abstract=True), bernoulli_mask,
-# reshape's resolved target, the two layouts' `place`, layer norm's gamma
-# and beta) — a derived shape goes through the trusted `shaped`; and the
+# from outside (7: tensor.abstract, bernoulli_mask, reshape's resolved
+# target, the two layouts' `place`, layer norm's gamma and beta; 8 while
+# backend.zeros had an abstract arm no caller took) — a derived shape
+# goes through the trusted `shaped`; and the
 # `rank_local = True` declarations in src/ (0: the flag is gone — a
 # per-rank op hands one shard's kernel to tensor.map_shards, which owns
 # the rank loop and the abstract projection, and tests/test_rank_local.py
@@ -129,7 +130,13 @@ wall-history:
 # the `fctx.log_` / `listening(` lines of the five op modules (7: only the
 # comm legs that emit in order with their collectives, Leg.__call__ and
 # AllGatherMatmul -- every other op declares a cost rule the tape
-# evaluates; 73 while each op body logged under its own listener check).
+# evaluates; 73 while each op body logged under its own listener check);
+# and the defaulted keyword options of every function and method
+# (dataclass __init__s included) of every repro module but __main__,
+# counted with inspect.signature as the observability row is (815 before
+# the options no caller passes became constants; a defaulted parameter
+# earns its place with two non-test callers passing different values,
+# docs/extending.md).
 loc:
 	@printf '%-56s %6d\n' \
 		'src/ python lines' "$$(find src -name '*.py' | xargs cat | wc -l)" \
@@ -164,7 +171,8 @@ loc:
 		'src/ modules building trace-event dicts' "$$(grep -rl --include='*.py' '"ph": "' src | wc -l)" \
 		'op modules is_abstract( lines' "$$(cat src/repro/tensor/functions.py src/repro/fusion/ops.py src/repro/parallel/mappings.py | grep -c 'is_abstract(')" \
 		'test_parallel_equivalence.py .grad[0] reads' "$$(grep -o '\.grad\[0\]' tests/test_parallel_equivalence.py | wc -l)" \
-		'op modules fctx.log_/listening( lines' "$$(cat src/repro/tensor/functions.py src/repro/fusion/ops.py src/repro/parallel/mappings.py src/repro/parallel/loss.py src/repro/longctx/mappings.py | grep -cE 'fctx\.log_|listening\(')"
+		'op modules fctx.log_/listening( lines' "$$(cat src/repro/tensor/functions.py src/repro/fusion/ops.py src/repro/parallel/mappings.py src/repro/parallel/loss.py src/repro/longctx/mappings.py | grep -cE 'fctx\.log_|listening\(')" \
+		'repro keyword options (every module but __main__)' "$$(PYTHONPATH=src $(PY) -c 'import importlib, inspect, pkgutil, repro; mods = [importlib.import_module(m.name) for m in pkgutil.walk_packages(repro.__path__, "repro.") if m.name != "repro.__main__"]; fns = [f for m in mods for o in vars(m).values() if getattr(o, "__module__", None) == m.__name__ for f in ([o] if inspect.isfunction(o) else [getattr(v, "__func__", v) for v in vars(o).values()] if inspect.isclass(o) else [])]; print(sum(p.default is not p.empty for f in fns if inspect.isfunction(f) for p in inspect.signature(f).parameters.values()))')"
 
 # CI smoke run: the artifact-writing CLI invocation of each concrete-run
 # command, plus the two invocations no tier-1 test makes (the recompute

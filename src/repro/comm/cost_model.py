@@ -98,8 +98,8 @@ class CollectiveCostModel:
         return (self.call_overhead
                 + slowdown * (steps * link.latency + volume / link.bandwidth))
 
-    def all_reduce_time(self, nbytes: int, group_size: int, scope: str = "tp") -> float:
-        return self.time(CommInfo("all_reduce", nbytes, group_size, scope))
+    def all_reduce_time(self, nbytes: int, group_size: int) -> float:
+        return self.time(CommInfo("all_reduce", nbytes, group_size, "tp"))
 
     def all_gather_time(self, nbytes: int, group_size: int, scope: str = "tp") -> float:
         return self.time(CommInfo("all_gather", nbytes, group_size, scope))

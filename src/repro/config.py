@@ -170,8 +170,8 @@ class ParallelConfig:
     def layers_per_stage(self, model: ModelConfig) -> int:
         return model.num_layers // self.pipeline_parallel
 
-    def with_sequence_parallel(self, enabled: bool = True) -> "ParallelConfig":
-        return replace(self, sequence_parallel=enabled)
+    def with_sequence_parallel(self) -> "ParallelConfig":
+        return replace(self, sequence_parallel=True)
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,6 @@ All of these are re-exported from the top-level :mod:`repro` package.
 
 from __future__ import annotations
 
-from typing import Optional
-
 
 class ReproError(Exception):
     """Base class for all library-specific errors."""
@@ -73,14 +71,13 @@ class RankFailure(CommError):
     rollback-to-checkpoint survives at full world size.
     """
 
-    def __init__(self, rank: int, permanent: bool = False,
-                 message: Optional[str] = None):
+    def __init__(self, rank: int, permanent: bool = False):
         self.rank = rank
         self.permanent = permanent
-        super().__init__(message or (
+        super().__init__(
             f"rank {rank} failed"
             + (" permanently (node lost)" if permanent else " (transient crash)")
-        ))
+        )
 
 
 class CollectiveTimeout(CommError):
@@ -91,24 +88,22 @@ class CollectiveTimeout(CommError):
     ``timeout_s`` is the simulated detection latency in seconds.
     """
 
-    def __init__(self, op: str = "?", timeout_s: float = 0.0,
-                 message: Optional[str] = None):
+    def __init__(self, op: str = "?", timeout_s: float = 0.0):
         self.op = op
         self.timeout_s = timeout_s
-        super().__init__(message or (
+        super().__init__(
             f"collective {op!r} exceeded the watchdog timeout "
             f"({timeout_s:.3g} simulated seconds)"
-        ))
+        )
 
 
 class CorruptionDetected(CommError):
     """A collective payload failed its post-transport checksum (bit flip)."""
 
-    def __init__(self, op: str = "?", rank: int = 0,
-                 message: Optional[str] = None):
+    def __init__(self, op: str = "?", rank: int = 0):
         self.op = op
         self.rank = rank
-        super().__init__(message or (
+        super().__init__(
             f"payload checksum mismatch on collective {op!r} "
             f"(corrupted shard from rank {rank})"
-        ))
+        )

@@ -32,7 +32,6 @@ from .memory_model import (
     table2,
 )
 from .perf_model import (
-    KernelCostModel,
     figure8,
     iteration_time,
     table4,
@@ -178,10 +177,10 @@ def figure7_report() -> str:
 # Table 4 — per-layer times, 22B
 # ---------------------------------------------------------------------------
 
-def table4_data(cost: Optional[KernelCostModel] = None) -> List[dict]:
+def table4_data() -> List[dict]:
     cfg = PAPER_CONFIGS["22B"]
     rows = table4(cfg.model, cfg.training.micro_batch_size,
-                  cfg.parallel.tensor_parallel, cost=cost)
+                  cfg.parallel.tensor_parallel)
     base = rows[0].times
     out = []
     for r in rows:
@@ -200,8 +199,8 @@ def table4_data(cost: Optional[KernelCostModel] = None) -> List[dict]:
     return out
 
 
-def table4_report(cost: Optional[KernelCostModel] = None) -> str:
-    rows = table4_data(cost)
+def table4_report() -> str:
+    rows = table4_data()
     table_rows = []
     for r in rows:
         table_rows.append((
@@ -258,10 +257,10 @@ def figure8_report() -> str:
 # Table 5 — end-to-end iteration time
 # ---------------------------------------------------------------------------
 
-def table5_data(cost: Optional[KernelCostModel] = None) -> List[dict]:
+def table5_data() -> List[dict]:
     rows = []
     for name in PAPER_CONFIG_NAMES:
-        row = table5_row(PAPER_CONFIGS[name], cost=cost)
+        row = table5_row(PAPER_CONFIGS[name])
         pf, pp_, pti, pmfu, phfu = PAPER_TABLE5[name]
         rows.append({
             "model": name,
@@ -275,7 +274,7 @@ def table5_data(cost: Optional[KernelCostModel] = None) -> List[dict]:
     return rows
 
 
-def table5_report(include_dp: bool = True) -> str:
+def table5_report() -> str:
     rows = table5_data()
     table_rows = [
         (r["model"],
@@ -292,23 +291,25 @@ def table5_report(include_dp: bool = True) -> str:
         table_rows,
         title="Table 5: end-to-end iteration time",
     )
-    if include_dp:
-        dp = iteration_time(PAPER_CONFIGS["530B"], data_parallel=8)
-        text += (
-            f"\n\nSection 6.3 DP extension — 530B x 8-way data parallel "
-            f"(2240 GPUs): iteration {dp.iteration_time:.2f} s "
-            f"(paper {PAPER_530B_DP8[0]} s), MFU {pct(dp.mfu)} "
-            f"(paper {pct(PAPER_530B_DP8[1])})"
-        )
-    return text
+    dp = iteration_time(PAPER_CONFIGS["530B"], data_parallel=8)
+    return text + (
+        f"\n\nSection 6.3 DP extension — 530B x 8-way data parallel "
+        f"(2240 GPUs): iteration {dp.iteration_time:.2f} s "
+        f"(paper {PAPER_530B_DP8[0]} s), MFU {pct(dp.mfu)} "
+        f"(paper {pct(PAPER_530B_DP8[1])})"
+    )
 
 
 # ---------------------------------------------------------------------------
 # Table 6 (extension) — context-layout comm volumes (repro.longctx)
 # ---------------------------------------------------------------------------
 
+#: Table 6 prices the layouts at one sequence per microbatch (the ``b``
+#: its title prints)
+TABLE6_MICROBATCH = 1
+
+
 def table6_data(model_name: str = "22B", context_parallel: int = 8,
-                microbatch_size: int = 1,
                 seq_length: Optional[int] = None) -> List[dict]:
     """Per-layer comm volume and priced exposed seconds of the context
     layouts — all-gather SP vs Ulysses vs ring — at equal (s, b, h, p).
@@ -327,8 +328,8 @@ def table6_data(model_name: str = "22B", context_parallel: int = 8,
     if seq_length is not None:
         model = dataclasses.replace(model, seq_length=seq_length,
                                     name=f"{model.name}@s={seq_length}")
-    choice = choose_context_layout(model, microbatch_size, context_parallel)
-    volumes = layout_volumes(model, microbatch_size, context_parallel)
+    choice = choose_context_layout(model, TABLE6_MICROBATCH, context_parallel)
+    volumes = layout_volumes(model, TABLE6_MICROBATCH, context_parallel)
     return [{
         "layout": key,
         "bytes_per_layer": volumes[key].bytes_per_layer,
@@ -341,10 +342,8 @@ def table6_data(model_name: str = "22B", context_parallel: int = 8,
 
 
 def table6_report(model_name: str = "22B", context_parallel: int = 8,
-                  microbatch_size: int = 1,
                   seq_length: Optional[int] = None) -> str:
-    rows = table6_data(model_name, context_parallel, microbatch_size,
-                       seq_length=seq_length)
+    rows = table6_data(model_name, context_parallel, seq_length=seq_length)
     shown_seq = seq_length or PAPER_CONFIGS[model_name].model.seq_length
     table_rows = [
         (r["layout"],
@@ -360,7 +359,7 @@ def table6_report(model_name: str = "22B", context_parallel: int = 8,
         table_rows,
         title=(f"Table 6 (extension): context-layout comm volume, "
                f"{model_name} at s={shown_seq}, p={context_parallel}, "
-               f"b={microbatch_size}"),
+               f"b={TABLE6_MICROBATCH}"),
     )
 
 
@@ -368,12 +367,12 @@ def table6_report(model_name: str = "22B", context_parallel: int = 8,
 # Figure 9 — per-pipeline-rank memory (530B)
 # ---------------------------------------------------------------------------
 
-def figure9_data(model_name: str = "530B"):
-    return pipeline_memory_profile(PAPER_CONFIGS[model_name], sequence_parallel=True)
+def figure9_data():
+    return pipeline_memory_profile(PAPER_CONFIGS["530B"], sequence_parallel=True)
 
 
-def figure9_report(model_name: str = "530B") -> str:
-    profile = figure9_data(model_name)
+def figure9_report() -> str:
+    profile = figure9_data()
     rows = [
         (stage, f"{profile.unoptimized_bytes[stage]/GIB:.2f}",
          f"{profile.optimized_bytes[stage]/GIB:.2f}",
@@ -383,7 +382,7 @@ def figure9_report(model_name: str = "530B") -> str:
     text = format_table(
         ["pipeline rank", "unoptimized GiB", "optimized GiB", "saving GiB"],
         rows,
-        title=(f"Figure 9: activation memory per pipeline rank ({model_name}); "
+        title=("Figure 9: activation memory per pipeline rank (530B); "
                "optimized = output-tensor deallocation (Appendix B)"),
     )
     text += (f"\nfirst-stage saving: {fmt_bytes(profile.savings(0))} "

@@ -83,12 +83,10 @@ def hardware_flops_per_iteration(
     return base + L * forward_flops_per_layer(model, batch)
 
 
-def hardware_to_model_ratio(model: ModelConfig,
-                            recompute: Recompute = Recompute.SELECTIVE,
-                            paper_mode: bool = True) -> float:
+def hardware_to_model_ratio(model: ModelConfig) -> float:
     """Equation 9 (``≈ 1 + s/6h`` for selective recompute in paper mode)."""
     return (
-        hardware_flops_per_iteration(model, 1, recompute, paper_mode=paper_mode)
+        hardware_flops_per_iteration(model, 1, Recompute.SELECTIVE)
         / model_flops_per_iteration(model, 1)
     )
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..tensor import FP16, Tensor, parameter
@@ -19,11 +17,10 @@ class LayerNorm(Module):
     are recomputed in backward.
     """
 
-    def __init__(self, hidden_size: int, eps: float = 1e-5,
+    def __init__(self, hidden_size: int,
                  abstract: bool = False, world: int = 1, name: str = "ln",
                  fused: bool = False):
         self.hidden_size = hidden_size
-        self.eps = eps
         self.fused = fused
         self.name = name
         if abstract:
@@ -38,5 +35,5 @@ class LayerNorm(Module):
     def forward(self, x: Tensor) -> Tensor:
         if self.fused:
             from ..fusion.ops import fused_layernorm
-            return fused_layernorm(x, self.gamma, self.beta, eps=self.eps)
-        return F.layernorm(x, self.gamma, self.beta, eps=self.eps)
+            return fused_layernorm(x, self.gamma, self.beta)
+        return F.layernorm(x, self.gamma, self.beta)

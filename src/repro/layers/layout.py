@@ -36,10 +36,14 @@ from ..tensor import functions as F
 from ..tensor.backend import AbstractArray
 
 
-def draw(rng, shape, name: str, std: float = 0.02) -> np.ndarray:
+#: Normal(0, 0.02): the GPT-2 / Megatron-LM weight initialization
+INIT_STD = 0.02
+
+
+def draw(rng, shape, name: str) -> np.ndarray:
     """The full (unsharded) initial value of parameter ``name``.
 
-    ``rng`` is a NumPy ``Generator`` (Normal(0, std) initialization) or a
+    ``rng`` is a NumPy ``Generator`` (Normal(0, INIT_STD) initialization) or a
     mapping from parameter names to arrays — a model being laid out from
     a serial reference model's weights.
     """
@@ -47,7 +51,7 @@ def draw(rng, shape, name: str, std: float = 0.02) -> np.ndarray:
         raise ConfigError(
             f"parameter {name!r} needs an rng unless the model is abstract")
     if hasattr(rng, "normal"):
-        return rng.normal(0.0, std, size=shape)
+        return rng.normal(0.0, INIT_STD, size=shape)
     full = np.array(rng[name])  # a copy: shards must own their storage
     if full.shape != tuple(shape):
         raise ConfigError(

@@ -28,11 +28,11 @@ class MLP(Module):
     with a column partition but would not with a row partition.
     """
 
-    def __init__(self, hidden_size: int, ffn_hidden_size: Optional[int] = None,
+    def __init__(self, hidden_size: int,
                  rng: Optional[np.random.Generator] = None,
                  abstract: bool = False, tag: str = "mlp", fused: bool = False,
                  layout: Layout = SERIAL):
-        ffn = ffn_hidden_size if ffn_hidden_size is not None else 4 * hidden_size
+        ffn = 4 * hidden_size
         self.fused = fused
         self.tag = tag
         self.fc1 = Linear(hidden_size, ffn, rng=rng, abstract=abstract,

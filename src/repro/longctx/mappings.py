@@ -44,13 +44,13 @@ _RECOMPUTE_OVERLAP = False
 
 
 @contextmanager
-def recompute_overlap_scope(enabled: bool = True) -> Iterator[None]:
+def recompute_overlap_scope() -> Iterator[None]:
     """Mark context-parallel traffic issued during recomputation as
     overlapped (the scheduler hides it under the redundant recompute
     FLOPs).  Restores the previous setting on exit."""
     global _RECOMPUTE_OVERLAP
     previous = _RECOMPUTE_OVERLAP
-    _RECOMPUTE_OVERLAP = enabled
+    _RECOMPUTE_OVERLAP = True
     try:
         yield
     finally:

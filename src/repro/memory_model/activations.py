@@ -318,13 +318,11 @@ def total_activation_bytes(
     config: ExperimentConfig,
     recompute: RecomputeLike = Recompute.NONE,
     sequence_parallel: Optional[bool] = None,
-    include_extras: bool = False,
 ) -> float:
     """First-pipeline-stage activation bytes per rank (Equations 5-6).
 
-    ``include_extras`` adds the Section 4.3 input/output terms (embedding
-    dropout, final layer-norm, output projection, fp32 logits) that the
-    paper shows are <0.01% and drops from Equation 5.
+    Like Equation 5 it leaves out the Section 4.3 input/output terms
+    (:func:`input_output_extras_bytes`), which the paper shows are <0.01%.
     """
     model, par, train = config.model, config.parallel, config.training
     sp = par.sequence_parallel if sequence_parallel is None else sequence_parallel
@@ -335,20 +333,16 @@ def total_activation_bytes(
     layers_worth = first_stage_layers_worth(
         model.num_layers, par.pipeline_parallel, par.interleave_stages,
     )
-    total = per_layer * layers_worth
-    if include_extras:
-        total += input_output_extras_bytes(config, sequence_parallel=sp)
-    return total
+    return per_layer * layers_worth
 
 
-def input_output_extras_bytes(config: ExperimentConfig,
-                              sequence_parallel: Optional[bool] = None) -> float:
+def input_output_extras_bytes(config: ExperimentConfig) -> float:
     """Section 4.3: embedding dropout + (if p == 1) final LN, output
-    projection input and fp32 logits; all divided by ``t``."""
+    projection input and fp32 logits; all divided by ``t`` (the paper's
+    extras already assume the SP layout)."""
     model, par, train = config.model, config.parallel, config.training
     s, b, h, v = model.seq_length, train.micro_batch_size, model.hidden_size, model.vocab_size
     t, p = par.tensor_parallel, par.pipeline_parallel
-    del sequence_parallel  # the paper's extras already assume the SP layout
     extras = s * b * h * p / t  # embedding dropout masks, p microbatches
     if p == 1:
         extras += 4.0 * s * b * h / t * (1.0 + v / h)

@@ -47,35 +47,33 @@ def kv_blocks_for_tokens(num_tokens: int, block_size: int) -> int:
 
 
 def kv_block_bytes(model: ModelConfig, block_size: int,
-                   tensor_parallel: int = 1,
-                   dtype_bytes: int = KV_CACHE_DTYPE_BYTES) -> int:
+                   tensor_parallel: int = 1) -> int:
     """Bytes per rank for one KV block spanning **all** layers.
 
     A block reserves ``block_size`` token slots in every layer's K and V
     store (the vLLM-style layout: one block table indexes all layers), so
-    one block costs ``L * 2 * block_size * h/t * dtype_bytes`` per rank.
+    one block costs ``L * 2 * block_size * h/t * KV_CACHE_DTYPE_BYTES``
+    per rank.
     """
     t = tensor_parallel
     if t < 1:
         raise ConfigError("tensor_parallel must be >= 1")
     if model.hidden_size % t != 0:
         raise ConfigError("hidden_size must divide by tensor_parallel")
-    per_layer = 2 * block_size * (model.hidden_size // t) * dtype_bytes
+    per_layer = 2 * block_size * (model.hidden_size // t) * KV_CACHE_DTYPE_BYTES
     return model.num_layers * per_layer
 
 
 def kv_cache_bytes(model: ModelConfig, num_tokens: TokenCounts,
-                   tensor_parallel: int = 1, block_size: int = 0,
-                   dtype_bytes: int = KV_CACHE_DTYPE_BYTES) -> float:
+                   tensor_parallel: int = 1) -> float:
     """KV-cache bytes per rank for one or more cached sequences.
 
-    ``num_tokens`` is a single token count or one count per request.
-    With ``block_size == 0`` the formula is exact per token::
+    ``num_tokens`` is a single token count or one count per request; the
+    formula is exact per token::
 
-        bytes/rank = L * 2 * tokens * h / t * dtype_bytes
+        bytes/rank = L * 2 * tokens * h / t * KV_CACHE_DTYPE_BYTES
 
-    With a positive ``block_size`` each request's count is first rounded
-    up to whole blocks — the resident footprint of the paged allocator,
+    The paged allocator passes each request's block-granular slot count,
     which the :class:`~repro.tensor.MemoryTracker` ``kv_cache`` category
     must match with zero drift.
     """
@@ -87,9 +85,6 @@ def kv_cache_bytes(model: ModelConfig, num_tokens: TokenCounts,
     counts = [num_tokens] if isinstance(num_tokens, int) else list(num_tokens)
     if any(c < 0 for c in counts):
         raise ConfigError("token counts must be >= 0")
-    if block_size:
-        counts = [kv_blocks_for_tokens(c, block_size) * block_size
-                  for c in counts]
     tokens = sum(counts)
     h_local = model.hidden_size // t
-    return float(model.num_layers * 2 * tokens * h_local * dtype_bytes)
+    return float(model.num_layers * 2 * tokens * h_local * KV_CACHE_DTYPE_BYTES)

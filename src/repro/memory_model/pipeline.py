@@ -44,12 +44,11 @@ def in_flight_microbatches(stage: int, pipeline_parallel: int,
 def stage_activation_bytes(
     config: ExperimentConfig,
     stage: int,
-    recompute=Recompute.SELECTIVE,
     sequence_parallel: Optional[bool] = None,
     deallocate_output_tensor: bool = True,
-    num_microbatches: Optional[int] = None,
 ) -> float:
-    """Peak activation bytes on pipeline rank ``stage`` (a Figure 9 point).
+    """Peak activation bytes on pipeline rank ``stage`` (a Figure 9 point),
+    under selective recomputation as in the paper's Figure 9.
 
     Includes the per-layer activations of every in-flight microbatch, the
     stage-output tensors (unless deallocated per Appendix B), and stage
@@ -57,7 +56,7 @@ def stage_activation_bytes(
     """
     model, par, train = config.model, config.parallel, config.training
     sp = par.sequence_parallel if sequence_parallel is None else sequence_parallel
-    n_mb = config.num_microbatches if num_microbatches is None else num_microbatches
+    n_mb = config.num_microbatches
     s, b, h, t = model.seq_length, train.micro_batch_size, model.hidden_size, par.tensor_parallel
 
     r_layers = in_flight_microbatches(stage, par.pipeline_parallel, n_mb,
@@ -68,7 +67,8 @@ def stage_activation_bytes(
     r_mb = min(n_mb, par.pipeline_parallel - stage)
     layers_per_stage = model.num_layers / par.pipeline_parallel
     per_layer = per_layer_activation_bytes(
-        model, b, tensor_parallel=t, sequence_parallel=sp, recompute=recompute,
+        model, b, tensor_parallel=t, sequence_parallel=sp,
+        recompute=Recompute.SELECTIVE,
     )
     total = r_layers * layers_per_stage * per_layer
     if not deallocate_output_tensor:
@@ -98,7 +98,6 @@ class PipelineMemoryProfile:
 
 def pipeline_memory_profile(
     config: ExperimentConfig,
-    recompute=Recompute.SELECTIVE,
     sequence_parallel: Optional[bool] = None,
 ) -> PipelineMemoryProfile:
     """Compute Figure 9 for ``config`` (the paper uses the 530B model)."""
@@ -107,13 +106,13 @@ def pipeline_memory_profile(
     return PipelineMemoryProfile(
         stages=stages,
         optimized_bytes=[
-            stage_activation_bytes(config, i, recompute=recompute,
+            stage_activation_bytes(config, i,
                                    sequence_parallel=sequence_parallel,
                                    deallocate_output_tensor=True)
             for i in stages
         ],
         unoptimized_bytes=[
-            stage_activation_bytes(config, i, recompute=recompute,
+            stage_activation_bytes(config, i,
                                    sequence_parallel=sequence_parallel,
                                    deallocate_output_tensor=False)
             for i in stages

@@ -26,12 +26,9 @@ BYTES_PER_PARAM_MIXED_PRECISION = 16
 OPTIMIZER_STATE_BYTES_PER_PARAM = 12
 
 
-def parameter_count(model: ModelConfig, tied_embeddings: bool = True) -> int:
+def parameter_count(model: ModelConfig) -> int:
     """Total trainable parameters (embeddings tied per paper Section 3)."""
-    count = model.parameter_count(include_embeddings=True)
-    if not tied_embeddings:
-        count += model.vocab_size * model.hidden_size
-    return count
+    return model.parameter_count(include_embeddings=True)
 
 
 def parameters_per_rank(config: ExperimentConfig) -> float:
@@ -45,7 +42,6 @@ def parameters_per_rank(config: ExperimentConfig) -> float:
 
 def weight_and_optimizer_bytes(
     config: ExperimentConfig,
-    bytes_per_param: int = BYTES_PER_PARAM_MIXED_PRECISION,
     distributed_optimizer: bool = False,
 ) -> float:
     """Per-rank bytes for parameters + gradients + optimizer state.
@@ -56,10 +52,10 @@ def weight_and_optimizer_bytes(
     across the ``data_parallel`` replicas, leaving only the fp16 weight and
     gradient resident per rank plus a 1/dp share of the state.
     """
-    per_param = float(bytes_per_param)
+    per_param = float(BYTES_PER_PARAM_MIXED_PRECISION)
     if distributed_optimizer:
         dp = config.parallel.data_parallel
-        state = min(OPTIMIZER_STATE_BYTES_PER_PARAM, per_param)
+        state = OPTIMIZER_STATE_BYTES_PER_PARAM
         per_param = (per_param - state) + state / dp
     return parameters_per_rank(config) * per_param
 
@@ -82,11 +78,14 @@ class MemoryBudget:
         return self.total_bytes <= self.device_capacity_bytes
 
 
+#: Figure 1's line: one 80 GB A100
+DEVICE_CAPACITY_BYTES = 80 * 1024**3
+
+
 def figure1_budget(
     config: ExperimentConfig,
     recompute="none",
     sequence_parallel: bool = False,
-    device_capacity_bytes: int = 80 * 1024**3,
 ) -> MemoryBudget:
     """One bar of Figure 1: weights+optimizer vs activation memory against
     the 80 GB A100 line."""
@@ -98,5 +97,5 @@ def figure1_budget(
         activation_bytes=total_activation_bytes(
             config, recompute=recompute, sequence_parallel=sequence_parallel,
         ),
-        device_capacity_bytes=device_capacity_bytes,
+        device_capacity_bytes=DEVICE_CAPACITY_BYTES,
     )

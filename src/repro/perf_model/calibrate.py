@@ -104,11 +104,10 @@ def _target_error(cost: KernelCostModel, target: CalibrationTarget) -> float:
             + abs(lt.backward_total - target.backward) / target.backward)
 
 
-def error_of(cost: KernelCostModel,
-             targets: Optional[Sequence[CalibrationTarget]] = None) -> float:
-    """Weighted fit error of an arbitrary cost model against targets."""
-    targets = tuple(targets) if targets is not None else paper_targets()
-    return sum(_target_error(cost, t) * t.weight for t in targets)
+def error_of(cost: KernelCostModel) -> float:
+    """Weighted fit error of an arbitrary cost model against the paper's
+    targets."""
+    return sum(_target_error(cost, t) * t.weight for t in paper_targets())
 
 
 def calibrate(

@@ -115,8 +115,6 @@ def iteration_time(
     recompute: Recompute = Recompute.SELECTIVE,
     cost: Optional[KernelCostModel] = None,
     data_parallel: int = 1,
-    dp_allreduce_efficiency: float = DP_ALLREDUCE_EFFICIENCY,
-    paper_flops_mode: bool = True,
 ) -> IterationResult:
     """Simulate one training iteration of ``config``.
 
@@ -127,15 +125,13 @@ def iteration_time(
     """
     plain = [0.0] * config.parallel.pipeline_parallel
     return _iterations(config, [(sequence_parallel, recompute, plain)], cost,
-                       data_parallel, dp_allreduce_efficiency,
-                       paper_flops_mode)[0]
+                       data_parallel)[0]
 
 
 def _iterations(config: ExperimentConfig,
                 variants: Sequence[Tuple[bool, Recompute, Sequence[float]]],
-                cost: Optional[KernelCostModel], data_parallel: int = 1,
-                dp_allreduce_efficiency: float = DP_ALLREDUCE_EFFICIENCY,
-                paper_flops_mode: bool = True) -> List[IterationResult]:
+                cost: Optional[KernelCostModel],
+                data_parallel: int = 1) -> List[IterationResult]:
     """The one iteration body, run for each ``(sequence_parallel,
     recompute, stored_full_fraction)`` variant of one configuration.
 
@@ -171,7 +167,7 @@ def _iterations(config: ExperimentConfig,
         link = cost.cluster.inter_node_link
         n = data_parallel
         dp_time = (2 * (n - 1) / n * grad_bytes
-                   / (link.bandwidth * dp_allreduce_efficiency)
+                   / (link.bandwidth * DP_ALLREDUCE_EFFICIENCY)
                    + 2 * (n - 1) * link.latency)
 
     optimizer_time = (parameters_per_rank(config) * OPTIMIZER_BYTES_PER_PARAM
@@ -203,8 +199,7 @@ def _iterations(config: ExperimentConfig,
             p2p_time=p2p))
         total = result.makespan + dp_time + optimizer_time
         util = utilization(util_cfg, total, recompute=recompute,
-                           peak_flops_per_gpu=cost.gpu.peak_flops,
-                           paper_mode=paper_flops_mode)
+                           peak_flops_per_gpu=cost.gpu.peak_flops)
         return IterationResult(
             config_name=model.name or "model",
             sequence_parallel=sequence_parallel,
@@ -276,14 +271,13 @@ class Table5Row:
         return self.full_recompute_time / self.present_work_time - 1.0
 
 
-def table5_row(config: ExperimentConfig,
-               cost: Optional[KernelCostModel] = None) -> Table5Row:
+def table5_row(config: ExperimentConfig) -> Table5Row:
     """One row of Table 5: full recompute (no SP) vs present work (SP +
     selective recompute), with the latter's MFU/HFU."""
     plain = [0.0] * config.parallel.pipeline_parallel
     full, present = _iterations(
         config, [(False, Recompute.FULL, plain),
-                 (True, Recompute.SELECTIVE, plain)], cost)
+                 (True, Recompute.SELECTIVE, plain)], None)
     return Table5Row(
         config_name=config.model.name or "model",
         full_recompute_time=full.iteration_time,

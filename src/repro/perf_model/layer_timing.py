@@ -28,11 +28,10 @@ def layer_oplog(
     sequence_parallel: bool = False,
     recompute: Recompute = Recompute.NONE,
     fuse_sp_gather: bool = True,
-    attention_dropout: float = 0.1,
-    hidden_dropout: float = 0.1,
     fused: bool = False,
 ) -> OpLog:
-    """Run one abstract layer forward+backward and return its op log.
+    """Run one abstract layer forward+backward, at the layer's default
+    (the paper's) dropout rates, and return its op log.
 
     ``fused=True`` runs the layer through :mod:`repro.fusion`'s fused
     kernels: the log then carries one ``fused=True`` elementwise record
@@ -42,9 +41,8 @@ def layer_oplog(
     layer, x = abstract_layer(
         TensorParallel(ProcessGroup(tensor_parallel), sequence_parallel,
                        fuse_sp_gather),
-        model, microbatch_size,
-        attention_dropout=attention_dropout, hidden_dropout=hidden_dropout,
-        recompute=recompute, tag="timed_layer", fused=fused)
+        model, microbatch_size, recompute=recompute, tag="timed_layer",
+        fused=fused)
     log = OpLog()
     with instrument(oplog=log):
         y = layer(x)
@@ -59,15 +57,12 @@ def layer_times(
     sequence_parallel: bool = False,
     recompute: Recompute = Recompute.NONE,
     cost: Optional[KernelCostModel] = None,
-    fuse_sp_gather: bool = True,
-    fused: bool = False,
 ) -> PhaseTimes:
     """Forward / backward / recompute seconds for one transformer layer."""
     cost = cost or KernelCostModel()
     log = layer_oplog(
         model, microbatch_size, tensor_parallel,
         sequence_parallel=sequence_parallel, recompute=recompute,
-        fuse_sp_gather=fuse_sp_gather, fused=fused,
     )
     return cost.price(log)
 
@@ -110,10 +105,10 @@ FIGURE8_SCHEMES = (
 )
 
 
-def figure8(model: ModelConfig, microbatch_size: int, tensor_parallel: int,
-            cost: Optional[KernelCostModel] = None) -> Dict[str, PhaseTimes]:
+def figure8(model: ModelConfig, microbatch_size: int,
+            tensor_parallel: int) -> Dict[str, PhaseTimes]:
     """Per-layer forward/backward/recompute breakdown (one Figure 8 group)."""
-    cost = cost or KernelCostModel()
+    cost = KernelCostModel()
     return {
         label: layer_times(model, microbatch_size, tensor_parallel,
                            sequence_parallel=sp, recompute=rc, cost=cost)

@@ -15,7 +15,7 @@ matching the paper's observation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from ..config import ExperimentConfig
 from ..errors import PlanningError
@@ -24,6 +24,12 @@ from ..memory_model.activations import per_layer_activation_bytes
 from ..memory_model.pipeline import in_flight_microbatches
 from ..memory_model.weights import weight_and_optimizer_bytes
 from ..perf_model.iteration import _iterations
+
+#: Appendix C keeps full activations on top of selective recomputation,
+#: with sequence parallelism on (the paper's Table 5 configurations)
+BASE_RECOMPUTE = Recompute.SELECTIVE
+#: Device memory held back for fragmentation, as :func:`repro.planner.plan`
+RESERVE_BYTES = 4 * 1024**3
 
 
 @dataclass(frozen=True)
@@ -61,10 +67,7 @@ class MicrobatchRecomputePlan:
 
 def plan_microbatch_recompute(
     config: ExperimentConfig,
-    base_recompute: Recompute = Recompute.SELECTIVE,
-    sequence_parallel: bool = True,
-    device_memory_bytes: Optional[float] = None,
-    reserve_bytes: float = 4 * 1024**3,
+    device_memory_bytes: float = 80 * 1024**3,
 ) -> MicrobatchRecomputePlan:
     """Choose, per stage, how many in-flight microbatches store full
     activations.
@@ -75,19 +78,17 @@ def plan_microbatch_recompute(
     each GPU has its own).
     """
     model, par, train = config.model, config.parallel, config.training
-    gpu_bytes = (device_memory_bytes if device_memory_bytes is not None
-                 else 80 * 1024**3)
-    static = weight_and_optimizer_bytes(config) + reserve_bytes
-    budget = gpu_bytes - static
+    static = weight_and_optimizer_bytes(config) + RESERVE_BYTES
+    budget = device_memory_bytes - static
     if budget <= 0:
         raise PlanningError(
             f"weights/optimizer ({static/2**30:.1f} GiB) exceed device memory"
         )
     t = par.tensor_parallel
     ckpt_per_layer = per_layer_activation_bytes(
-        model, train.micro_batch_size, t, sequence_parallel, base_recompute)
+        model, train.micro_batch_size, t, True, BASE_RECOMPUTE)
     full_per_layer = per_layer_activation_bytes(
-        model, train.micro_batch_size, t, sequence_parallel, Recompute.NONE)
+        model, train.micro_batch_size, t, True, Recompute.NONE)
     layers_per_stage = model.num_layers / par.pipeline_parallel
 
     stages = []
@@ -111,15 +112,11 @@ def plan_microbatch_recompute(
             stage=stage, in_flight=r, full_slots=k,
             bytes_used=(r - k) * ckpt_per_mb + k * full_per_mb,
         ))
-    return MicrobatchRecomputePlan(stages=stages, base_recompute=base_recompute)
+    return MicrobatchRecomputePlan(stages=stages, base_recompute=BASE_RECOMPUTE)
 
 
-def iteration_time_with_plan(
-    config: ExperimentConfig,
-    plan: MicrobatchRecomputePlan,
-    sequence_parallel: bool = True,
-    cost=None,
-):
+def iteration_time_with_plan(config: ExperimentConfig,
+                             plan: MicrobatchRecomputePlan):
     """Iteration time when each stage skips recomputation for its
     ``full_fraction`` of microbatches (mean-field: the per-stage backward
     duration is reduced proportionally).
@@ -128,21 +125,19 @@ def iteration_time_with_plan(
     shape as the baseline path so MFU deltas (the paper's +0.7% / +0.4%)
     can be read directly.
     """
-    return _iterations(config, [_variant(plan, sequence_parallel)], cost)[0]
+    return _iterations(config, [_variant(plan)], None)[0]
 
 
 def baseline_and_plan_times(config: ExperimentConfig,
-                            plan: MicrobatchRecomputePlan,
-                            sequence_parallel: bool = True, cost=None):
+                            plan: MicrobatchRecomputePlan):
     """``(iteration_time(config, ...), iteration_time_with_plan(config,
     plan, ...))`` — the Appendix C before/after pair.  The two differ only
     in their backward durations, so they are priced over one schedule and
     one layer / embedding / head trace."""
-    plain = (sequence_parallel, plan.base_recompute, [0.0] * len(plan.stages))
-    return tuple(_iterations(
-        config, [plain, _variant(plan, sequence_parallel)], cost))
+    plain = (True, plan.base_recompute, [0.0] * len(plan.stages))
+    return tuple(_iterations(config, [plain, _variant(plan)], None))
 
 
-def _variant(plan: MicrobatchRecomputePlan, sequence_parallel: bool):
-    return (sequence_parallel, plan.base_recompute,
+def _variant(plan: MicrobatchRecomputePlan):
+    return (True, plan.base_recompute,
             [stage.full_fraction for stage in plan.stages])

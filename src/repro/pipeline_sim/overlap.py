@@ -22,7 +22,7 @@ immediately, so they remain exposed under either accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..comm.cost_model import CollectiveCostModel
 from ..config import ModelConfig
@@ -136,7 +136,6 @@ def longctx_overlap_segments(
     context_parallel: int,
     layout: str = "ulysses",
     recompute: Recompute = Recompute.FULL,
-    cost: Optional[CollectiveCostModel] = None,
 ) -> Tuple[List[OverlapSegment], float]:
     """Build per-layer overlap segments for a context-parallel model.
 
@@ -152,7 +151,7 @@ def longctx_overlap_segments(
     p = context_parallel
     if p < 1:
         raise PlanningError(f"context_parallel must be >= 1, got {p}")
-    comm = cost if cost is not None else CollectiveCostModel()
+    comm = CollectiveCostModel()
     fwd_calls, bwd_calls, replay_calls = _layer_comm_calls(layout, p)
     if recompute is Recompute.NONE:
         replay_calls = 0
@@ -185,9 +184,8 @@ def longctx_overlap_report(
     context_parallel: int,
     layout: str = "ulysses",
     recompute: Recompute = Recompute.FULL,
-    cost: Optional[CollectiveCostModel] = None,
 ) -> OverlapResult:
     """End-to-end analytic overlap result for one model/layout cell."""
     segments, always_exposed = longctx_overlap_segments(
-        model, microbatch_size, context_parallel, layout, recompute, cost)
+        model, microbatch_size, context_parallel, layout, recompute)
     return schedule_overlap(segments, always_exposed)

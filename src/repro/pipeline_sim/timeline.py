@@ -20,7 +20,7 @@ microbatch-level recomputation) is visible directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..errors import ConfigError
 from .schedule import (ScheduleTable, StorageWindow, op_dependency,
@@ -90,14 +90,17 @@ def simulate_timeline(table: ScheduleTable, costs: TimelineCosts
     return events, max(clock)
 
 
-def render_timeline(table: ScheduleTable, costs: TimelineCosts,
-                    cell: Optional[float] = None, max_width: int = 120) -> str:
-    """One line per pipeline rank, one character per ``cell`` time units."""
+#: Widest rendered row, in cells: a longer schedule gets wider cells
+MAX_WIDTH = 120
+
+
+def render_timeline(table: ScheduleTable, costs: TimelineCosts) -> str:
+    """One line per pipeline rank, one character per cell: the shortest
+    segment's duration, widened so a row fits in :data:`MAX_WIDTH`."""
     events, makespan = simulate_timeline(table, costs)
-    if cell is None:
-        smallest = min(costs.forward, costs.backward,
-                       costs.recompute if costs.recompute > 0 else costs.forward)
-        cell = max(smallest, makespan / max_width)
+    smallest = min(costs.forward, costs.backward,
+                   costs.recompute if costs.recompute > 0 else costs.forward)
+    cell = max(smallest, makespan / MAX_WIDTH)
     n_cells = max(1, round(makespan / cell))
     grid = [["."] * n_cells for _ in range(len(table.starts) - 1)]
     for ev in events:
@@ -113,20 +116,19 @@ def render_timeline(table: ScheduleTable, costs: TimelineCosts,
     return "\n".join([legend] + lines)
 
 
-def figure10(pipeline_parallel: int = 4, num_microbatches: int = 9,
-             full_storage_slots: int = 1) -> str:
+def figure10() -> str:
     """The paper's Figure 10: baseline (a) vs microbatch-level
-    recomputation (b) on the first-stage computation pattern."""
-    table = schedule_table(pipeline_parallel, num_microbatches)
+    recomputation (b) on the first-stage computation pattern, for four
+    pipeline ranks, nine microbatches and one full-storage slot."""
+    table = schedule_table(4, 9)
     base = render_timeline(table, TimelineCosts(
         forward=1, recompute=1, backward=2))
     window = render_timeline(table, TimelineCosts(
-        forward=1, recompute=1, backward=2,
-        full_storage_slots=full_storage_slots))
+        forward=1, recompute=1, backward=2, full_storage_slots=1))
     return (
         "(a) baseline: every microbatch checkpointed and recomputed\n"
         f"{base}\n\n"
-        f"(b) microbatch-level recomputation ({full_storage_slots} full-storage "
+        "(b) microbatch-level recomputation (1 full-storage "
         "slot(s) per rank; 'f' microbatches skip the R segment)\n"
         f"{window}"
     )

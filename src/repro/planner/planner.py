@@ -21,7 +21,7 @@ reported.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from ..config import ExperimentConfig
 from ..errors import ConfigError, PlanningError
@@ -83,7 +83,6 @@ def _activation_bytes(config: ExperimentConfig, sequence_parallel: bool,
 
 
 def enumerate_options(config: ExperimentConfig,
-                      cost: Optional[KernelCostModel] = None,
                       allow_sequence_parallel: bool = True,
                       full_layer_step: int = 1) -> List[PlanOption]:
     """All candidate plans, cheapest overhead first.
@@ -95,7 +94,7 @@ def enumerate_options(config: ExperimentConfig,
     if full_layer_step < 1:
         raise ConfigError(
             f"full_layer_step must be >= 1, got {full_layer_step}")
-    cost = cost or KernelCostModel()
+    cost = KernelCostModel()
     model, par, train = config.model, config.parallel, config.training
     static = weight_and_optimizer_bytes(config)
 
@@ -161,7 +160,6 @@ def enumerate_options(config: ExperimentConfig,
 def plan(config: ExperimentConfig,
          device_memory_bytes: float = 80 * 1024**3,
          reserve_bytes: float = 4 * 1024**3,
-         cost: Optional[KernelCostModel] = None,
          allow_sequence_parallel: bool = True,
          full_layer_step: int = 1) -> PlanOption:
     """The cheapest-overhead strategy that fits in device memory."""
@@ -171,7 +169,7 @@ def plan(config: ExperimentConfig,
             f"device_memory_bytes must exceed reserve_bytes "
             f"({reserve_bytes / 2**30:.1f} GiB), got "
             f"{device_memory_bytes / 2**30:.1f} GiB")
-    options = enumerate_options(config, cost=cost,
+    options = enumerate_options(config,
                                 allow_sequence_parallel=allow_sequence_parallel,
                                 full_layer_step=full_layer_step)
     for option in options:
@@ -209,8 +207,8 @@ class ContextLayoutChoice:
         return self.seconds_per_layer[self.layout]
 
 
-def choose_context_layout(model, microbatch_size: int, context_parallel: int,
-                          cost=None) -> ContextLayoutChoice:
+def choose_context_layout(model, microbatch_size: int,
+                          context_parallel: int) -> ContextLayoutChoice:
     """Pick the cheapest context layout by priced per-layer comm seconds.
 
     Candidates are the all-gather sequence-parallel baseline (four
@@ -242,7 +240,7 @@ def choose_context_layout(model, microbatch_size: int, context_parallel: int,
         raise PlanningError(
             f"seq_length {model.seq_length} not divisible by "
             f"context_parallel {p}")
-    comm = cost if cost is not None else CollectiveCostModel()
+    comm = CollectiveCostModel()
     volumes = layout_volumes(model, microbatch_size, p)
 
     full = 2 * model.seq_length * microbatch_size * model.hidden_size
@@ -334,10 +332,7 @@ def plan_fleet_capacity(num_replicas: int, num_blocks: int, block_size: int,
 
 
 def replan_after_shrink(config: ExperimentConfig,
-                        surviving_data_parallel: int,
-                        device_memory_bytes: float = 80 * 1024**3,
-                        reserve_bytes: float = 4 * 1024**3,
-                        cost: Optional[KernelCostModel] = None) -> PlanOption:
+                        surviving_data_parallel: int) -> PlanOption:
     """Re-fit the recomputation plan after an elastic data-parallel shrink.
 
     When a permanently failed rank is removed, each surviving replica
@@ -351,5 +346,4 @@ def replan_after_shrink(config: ExperimentConfig,
     if surviving_data_parallel < 1:
         raise PlanningError("cannot replan for an empty data-parallel group")
     shrunk = config.with_(data_parallel=surviving_data_parallel)
-    return plan(shrunk, device_memory_bytes=device_memory_bytes,
-                reserve_bytes=reserve_bytes, cost=cost)
+    return plan(shrunk)

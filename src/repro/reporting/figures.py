@@ -27,18 +27,17 @@ def ascii_bars(labels: Sequence[str], values: Sequence[float],
 
 
 def grouped_ascii_bars(group_labels: Sequence[str],
-                       series: Sequence[tuple],
-                       width: int = 40, fmt=lambda v: f"{v:.3g}",
-                       title: Optional[str] = None) -> str:
-    """Grouped bars: ``series`` is [(series_name, values_per_group), ...]."""
+                       series: Sequence[tuple]) -> str:
+    """Grouped bars, 40 characters at the largest value: ``series`` is
+    [(series_name, values_per_group), ...]."""
     top = max((max(vals) for _, vals in series), default=1.0) or 1.0
     name_w = max(len(name) for name, _ in series)
-    lines: List[str] = [title] if title else []
+    lines: List[str] = []
     for gi, glabel in enumerate(group_labels):
         lines.append(glabel)
         for name, vals in series:
-            bar = "#" * max(0, round(width * vals[gi] / top))
-            lines.append(f"  {name.ljust(name_w)} |{bar} {fmt(vals[gi])}")
+            bar = "#" * max(0, round(40 * vals[gi] / top))
+            lines.append(f"  {name.ljust(name_w)} |{bar} {vals[gi]:.3g}")
     return "\n".join(lines)
 
 
@@ -51,12 +50,12 @@ def csv_series(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
 
 def stacked_ascii_bars(labels: Sequence[str],
                        components: Sequence[tuple],
-                       width: int = 50,
                        title: Optional[str] = None) -> str:
     """Stacked horizontal bars (e.g. Figure 8's fwd/bwd/recompute split).
 
     ``components`` is ``[(name, symbol, values), ...]``; each bar stacks
-    the components in order using their symbols.
+    the components in order using their symbols, 50 characters at the
+    largest total.
     """
     totals = [sum(vals[i] for _, _, vals in components) for i in range(len(labels))]
     top = max(totals, default=1.0) or 1.0
@@ -67,6 +66,6 @@ def stacked_ascii_bars(labels: Sequence[str],
     for i, label in enumerate(labels):
         bar = ""
         for _name, sym, vals in components:
-            bar += sym * max(0, round(width * vals[i] / top))
+            bar += sym * max(0, round(50 * vals[i] / top))
         lines.append(f"{label.ljust(label_w)} |{bar} {totals[i]:.3g}")
     return "\n".join(lines)

@@ -12,18 +12,16 @@ from __future__ import annotations
 from typing import List
 
 
-def full_report(header: bool = True) -> str:
+def full_report() -> str:
     """Every experiment's current output, concatenated with headers."""
     # Imported lazily: experiments itself imports repro.reporting.
     from ..experiments import PAPER_MENU
 
-    parts: List[str] = []
-    if header:
-        parts.append(
-            "# Reproduction report\n"
-            "Generated by `python -m repro report` — every number computed "
-            "fresh from the simulator.\n"
-        )
+    parts: List[str] = [
+        "# Reproduction report\n"
+        "Generated by `python -m repro report` — every number computed "
+        "fresh from the simulator.\n"
+    ]
     for item in PAPER_MENU:
         if item.title is not None:
             parts.append(f"## {item.kind.capitalize()} {item.number} — "

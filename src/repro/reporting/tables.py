@@ -30,9 +30,9 @@ def pct(value: float, digits: int = 1) -> str:
     return f"{100 * value:.{digits}f}%"
 
 
-def ms(seconds: float, digits: int = 2) -> str:
-    return f"{1e3 * seconds:.{digits}f}"
+def ms(seconds: float) -> str:
+    return f"{1e3 * seconds:.2f}"
 
 
-def seconds(value: float, digits: int = 2) -> str:
-    return f"{value:.{digits}f}"
+def seconds(value: float) -> str:
+    return f"{value:.2f}"

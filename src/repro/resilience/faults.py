@@ -66,6 +66,10 @@ TRAINING_KINDS = (FaultKind.RANK_CRASH, FaultKind.STRAGGLER,
 FLEET_KINDS = (FaultKind.REPLICA_CRASH, FaultKind.DISPATCH_LOSS,
                FaultKind.SLOW_REPLICA)
 
+#: A random fault fires on one of its step's first six collective calls,
+#: so it can land in forward, backward or the gradient all-reduce
+MAX_CALL_INDEX = 6
+
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -117,14 +121,12 @@ class FaultPlan:
     @classmethod
     def random(cls, seed: int, num_steps: int, fault_rate: float,
                world_size: int = 2,
-               kinds: Optional[Sequence[FaultKind]] = None,
-               permanent_crash_fraction: float = 0.0,
-               max_call_index: int = 6) -> "FaultPlan":
+               kinds: Optional[Sequence[FaultKind]] = None) -> "FaultPlan":
         """A seeded random plan: each step injects one fault with
         probability ``fault_rate``.  Straggler slowdowns are drawn above
         the default detection threshold so every injected fault is
-        detectable; ``permanent_crash_fraction`` of crashes are node
-        losses (only meaningful with ``world_size > 1``)."""
+        detectable; every crash is transient (a node loss is scheduled
+        with an explicit ``FaultSpec(permanent=True)``)."""
         if not (0.0 <= fault_rate <= 1.0):
             raise ConfigError(f"fault_rate must be in [0, 1], got {fault_rate}")
         if world_size < 1:
@@ -136,15 +138,13 @@ class FaultPlan:
             if rng.random() >= fault_rate:
                 continue
             kind = kinds[int(rng.integers(len(kinds)))]
-            permanent = (kind in (FaultKind.RANK_CRASH,
-                                  FaultKind.REPLICA_CRASH)
-                         and world_size > 1
-                         and rng.random() < permanent_crash_fraction)
+            if (kind in (FaultKind.RANK_CRASH, FaultKind.REPLICA_CRASH)
+                    and world_size > 1):
+                rng.random()  # the old permanence coin: drawn so seeded plans stay put
             faults.append(FaultSpec(
                 step=step, kind=kind,
                 rank=int(rng.integers(world_size)),
-                call_index=int(rng.integers(max_call_index)),
+                call_index=int(rng.integers(MAX_CALL_INDEX)),
                 slowdown=float(6.0 + 10.0 * rng.random()),
-                permanent=permanent,
             ))
         return cls(faults)

@@ -34,7 +34,10 @@ from ..tensor.oplog import CommInfo
 
 @dataclass
 class Watchdog:
-    """Times collectives on a simulated clock and raises on timeout."""
+    """Times collectives on a simulated clock and raises on timeout.
+
+    Every watched collective is priced on the ``"tp"`` (intra-node) links.
+    """
 
     cost: CollectiveCostModel = field(default_factory=CollectiveCostModel)
     #: NCCL_TIMEOUT analogue, in simulated seconds.
@@ -45,11 +48,10 @@ class Watchdog:
     #: (``hang``) lands in the ring buffer.
     recorder: Optional[object] = None
 
-    def expected_time(self, op: str, nbytes: int, world: int,
-                      scope: str = "tp") -> float:
-        return self.cost.time(CommInfo(op, nbytes, world, scope))
+    def expected_time(self, op: str, nbytes: int, world: int) -> float:
+        return self.cost.time(CommInfo(op, nbytes, world, "tp"))
 
-    def observe(self, op: str, nbytes: int, world: int, scope: str = "tp",
+    def observe(self, op: str, nbytes: int, world: int,
                 slowdown: float = 1.0) -> Tuple[float, float]:
         """Account one completed (possibly slowed) collective.
 
@@ -58,7 +60,7 @@ class Watchdog:
         advancing the clock by ``timeout_s``) if the slowed collective
         cannot finish inside the watchdog window.
         """
-        info = CommInfo(op, nbytes, world, scope)
+        info = CommInfo(op, nbytes, world, "tp")
         expected = self.cost.time(info)
         observed = expected if slowdown == 1.0 else self.cost.time(info, slowdown)
         if observed > self.timeout_s:

@@ -31,7 +31,7 @@ tracker uses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -113,8 +113,7 @@ class PagedKVCache:
     CATEGORY = "kv_cache"
 
     def __init__(self, config: ModelConfig, tensor_parallel: int = 1,
-                 block_size: int = 16, num_blocks: int = 64,
-                 tracker: Optional[MemoryTracker] = None):
+                 block_size: int = 16, num_blocks: int = 64):
         if tensor_parallel < 1:
             raise ConfigError("tensor_parallel must be >= 1")
         if config.hidden_size % tensor_parallel != 0:
@@ -126,7 +125,7 @@ class PagedKVCache:
         self.block_size = block_size
         self.num_blocks = num_blocks
         self.h_local = config.hidden_size // tensor_parallel
-        self.tracker = tracker if tracker is not None else MemoryTracker()
+        self.tracker = MemoryTracker()
         #: Per-rank bytes of one block across all layers (the allocator's
         #: request size, also the alignment — offsets stay block-exact).
         self.block_bytes = kv_block_bytes(config, block_size, tensor_parallel)

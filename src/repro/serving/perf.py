@@ -16,7 +16,7 @@ longest member finishes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..config import ModelConfig
 from ..errors import ConfigError, PlanningError
@@ -26,21 +26,21 @@ from ..perf_model import KernelCostModel
 #: tracer's pricing convention.
 _WIRE_BYTES = 2
 
+#: Host link of a KV swap: a PCIe 4.0 x16 link's ~32 GB/s and a few
+#: microseconds per transfer
+SWAP_BANDWIDTH = 32.0e9
+SWAP_LATENCY = 5e-6
+
 
 class ServingPerfModel:
     """Analytic step times for one model replica under t-way TP."""
 
-    def __init__(self, config: ModelConfig, tensor_parallel: int = 1,
-                 cost: Optional[KernelCostModel] = None,
-                 swap_bandwidth: float = 32.0e9,
-                 swap_latency: float = 5e-6):
+    def __init__(self, config: ModelConfig, tensor_parallel: int = 1):
         if config.hidden_size % tensor_parallel != 0:
             raise ConfigError("hidden_size must divide by tensor_parallel")
         self.config = config
         self.t = tensor_parallel
-        self.cost = cost if cost is not None else KernelCostModel()
-        self.swap_bandwidth = swap_bandwidth
-        self.swap_latency = swap_latency
+        self.cost = KernelCostModel()
         self.h_local = config.hidden_size // tensor_parallel
 
     def decode_step_time(self, batch: int,
@@ -78,15 +78,13 @@ class ServingPerfModel:
             step += (2 * layers + 1) * all_reduce
         return step
 
-    def prefill_time(self, num_tokens: int, existing_context: int = 0) -> float:
+    def prefill_time(self, num_tokens: int) -> float:
         """Per-token prefill (how the engine actually runs a prompt)."""
-        return sum(
-            self.decode_step_time(1, [existing_context + i + 1])
-            for i in range(num_tokens))
+        return sum(self.decode_step_time(1, [i + 1]) for i in range(num_tokens))
 
     def swap_time(self, nbytes: float) -> float:
         """One direction of a KV swap over the host link."""
-        return self.swap_latency + nbytes / self.swap_bandwidth
+        return SWAP_LATENCY + nbytes / SWAP_BANDWIDTH
 
 
 def simulate_static_batching(specs, perf: ServingPerfModel, block_size: int,

@@ -10,7 +10,7 @@ every sweep has a CSV rendering for external plotting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from .config import ExperimentConfig, ModelConfig
 from .errors import ConfigError
@@ -112,11 +112,10 @@ def recompute_overhead_sweep(
     microbatch_size: int,
     tensor_parallel: int,
     seq_lengths: Sequence[int] = (1024, 2048, 4096, 8192),
-    cost: Optional[KernelCostModel] = None,
 ) -> List[Dict[str, float]]:
     """Per-layer time overhead of selective vs full recomputation as the
     attention share grows with context length."""
-    cost = cost or KernelCostModel()
+    cost = KernelCostModel()
     rows = []
     for s in seq_lengths:
         scaled = model.scaled(seq_length=s)

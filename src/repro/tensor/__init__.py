@@ -24,7 +24,6 @@ from .tensor import (
     free_graph,
     from_numpy,
     parameter,
-    replicate,
     run_backward,
     shard_along,
 )
@@ -36,6 +35,6 @@ __all__ = [
     "OpLog", "OpRecord", "Phase", "Tensor", "abstract", "apply", "checkpoint",
     "ctx", "enable_grad", "free_graph", "from_numpy", "functions",
     "get_rng_state", "instrument", "is_abstract", "is_grad_enabled", "no_grad",
-    "parameter", "phase", "replicate", "run_backward", "seed",
+    "parameter", "phase", "run_backward", "seed",
     "set_rng_state", "shard_along", "WatermarkEvent",
 ]

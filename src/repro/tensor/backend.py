@@ -28,9 +28,8 @@ pure tuple arithmetic.
 * **Doors** — the validating ``AbstractArray`` constructor: every dimension
   must be an integer (``operator.index``; ``6.7`` is a ``ShapeError``, not
   ``6``) and non-negative.  It is the path for :func:`repro.tensor.abstract`,
-  ``zeros(abstract=True)``, :func:`bernoulli_mask`, the weight-placement
-  sites of the layouts and layer norm, and :meth:`AbstractArray.reshape`'s
-  resolved target.
+  :func:`bernoulli_mask`, the weight-placement sites of the layouts and
+  layer norm, and :meth:`AbstractArray.reshape`'s resolved target.
 * **Trusted path** — :func:`shaped` wraps a shape tuple that was read off
   an existing array or computed from such shapes by the rules below
   (broadcasting, matmul, transpose, reductions, concatenate, split,
@@ -40,9 +39,8 @@ pure tuple arithmetic.
 
 The memory tracker keys charges by ``(rank, buffer identity)``, so an
 abstract instance is shared across ranks, never within a rank: an abstract
-dropout mask, :func:`repro.tensor.tensor.replicate`, and the one result of
-a per-shard kernel on abstract shards (:func:`repro.tensor.tensor.map_shards`)
-each stand for every rank's buffer.
+dropout mask and the one result of a per-shard kernel on abstract shards
+(:func:`repro.tensor.tensor.map_shards`) each stand for every rank's buffer.
 
 Shared-list rule: an abstract tensor's shards are one instance repeated
 ``world`` times.  A door validates one shape and repeats its one array
@@ -336,9 +334,7 @@ def slice_axis(x: ArrayLike, axis: int, start: int, stop: int) -> ArrayLike:
     return x[tuple(index)]
 
 
-def zeros(shape: Shape, abstract: bool = False) -> ArrayLike:
-    if abstract:
-        return AbstractArray(shape)
+def zeros(shape: Shape) -> np.ndarray:
     return np.zeros(shape, dtype=np.float64)
 
 

@@ -66,12 +66,12 @@ class MemorySnapshot:
 class MemoryTracker:
     """Tracks live and peak saved-activation bytes per rank."""
 
-    def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
+    def __init__(self) -> None:
         self._entries: Dict[Tuple[int, int], _BufferEntry] = {}
         self._live: Dict[int, int] = defaultdict(int)
         self._peak: Dict[int, int] = defaultdict(int)
         self._category_live: Dict[int, Dict[str, int]] = defaultdict(lambda: defaultdict(int))
-        self._clock = clock
+        self._clock: Optional[Callable[[], float]] = None
         self._seq = 0
         self._watermarks: List[WatermarkEvent] = []
 

@@ -82,8 +82,8 @@ class OpLog:
             if (phase is None or r.phase == phase) and (kind is None or r.kind == kind)
         )
 
-    def bytes_moved(self, phase: Optional[Phase] = None) -> float:
-        return sum(r.bytes_moved for r in self.records if phase is None or r.phase == phase)
+    def bytes_moved(self) -> float:
+        return sum(r.bytes_moved for r in self.records)
 
     def comm_records(self, phase: Optional[Phase] = None) -> List[OpRecord]:
         return [

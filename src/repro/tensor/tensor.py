@@ -259,8 +259,8 @@ class FnCtx:
     # -- logging ----------------------------------------------------------------
     # For the comm legs that emit in order with their collectives
     # (``parallel.mappings``); every other op declares a cost rule.
-    def log_gemm(self, name: str, flops_per_rank: float, bytes_moved: float = 0.0) -> None:
-        _emit(**gemm(name, flops_per_rank, bytes_moved))
+    def log_gemm(self, name: str, flops_per_rank: float) -> None:
+        _emit(**gemm(name, flops_per_rank))
 
     def log_comm(self, name: str, op: str, nbytes: int, group_size: int,
                  scope: str = "tp", overlapped: bool = False) -> None:
@@ -744,11 +744,10 @@ def free_graph(*tensors: Tensor) -> None:
 # Constructors
 # ---------------------------------------------------------------------------
 
-def from_numpy(arr: np.ndarray, dtype: DType = FP16, requires_grad: bool = False,
-               layout: str = "single", name: str = "") -> Tensor:
-    """Wrap a single NumPy array as a world-1 tensor."""
-    return Tensor([np.asarray(arr, dtype=np.float64)], dtype=dtype,
-                  requires_grad=requires_grad, layout=layout, name=name)
+def from_numpy(arr: np.ndarray, requires_grad: bool = False) -> Tensor:
+    """Wrap a single NumPy array as a world-1 FP16 tensor."""
+    return Tensor([np.asarray(arr, dtype=np.float64)], dtype=FP16,
+                  requires_grad=requires_grad, layout="single")
 
 
 def parameter(shards, dtype: DType = FP16, layout: str = "replicated", name: str = "") -> Tensor:
@@ -757,25 +756,17 @@ def parameter(shards, dtype: DType = FP16, layout: str = "replicated", name: str
                   layout=layout, name=name)
 
 
-def replicate(arr: ArrayLike, world: int, dtype: DType = FP16,
-              requires_grad: bool = False, name: str = "") -> Tensor:
-    """Replicate one array across ``world`` ranks (shares the buffer)."""
-    return Tensor([arr] * world, dtype=dtype, requires_grad=requires_grad,
-                  layout="replicated", name=name)
-
-
-def shard_along(arr: np.ndarray, world: int, axis: int, dtype: DType = FP16,
-                requires_grad: bool = False, is_param: bool = False,
-                name: str = "") -> Tensor:
-    """Split a concrete array into ``world`` equal shards along ``axis``."""
+def shard_along(arr: np.ndarray, world: int, axis: int,
+                requires_grad: bool = False) -> Tensor:
+    """Split a concrete array into ``world`` equal FP16 shards along ``axis``."""
     pieces = bk.split(arr, world, axis)
-    return Tensor(pieces, dtype=dtype, requires_grad=requires_grad,
-                  is_param=is_param, layout=f"shard(dim={axis})", name=name)
+    return Tensor(pieces, dtype=FP16, requires_grad=requires_grad,
+                  layout=f"shard(dim={axis})")
 
 
 def abstract(shape: Sequence[int], world: int = 1, dtype: DType = FP16,
-             requires_grad: bool = False, layout: str = "replicated",
-             name: str = "") -> Tensor:
+             requires_grad: bool = False,
+             layout: str = "replicated") -> Tensor:
     """A shape-only tensor for paper-scale abstract execution."""
     return Tensor([AbstractArray(shape)] * world, dtype=dtype,
-                  requires_grad=requires_grad, layout=layout, name=name)
+                  requires_grad=requires_grad, layout=layout)

@@ -25,21 +25,30 @@ from .tensor import MemoryTracker, Tensor, from_numpy, instrument, no_grad
 from .tensor import functions as F
 
 
-def numerical_grad(f: Callable[[np.ndarray], float], x: np.ndarray,
-                   eps: float = 1e-6) -> np.ndarray:
+#: Central-difference step: small enough for float64 truncation error
+#: ~1e-12, large enough that rounding error stays ~1e-10
+FD_STEP = 1e-6
+#: Relative tolerance of :func:`check_gradients` (``atol`` is the knob)
+GRAD_RTOL = 1e-4
+#: Relative tolerance of :func:`assert_memory_matches`: byte counts are
+#: exact, this only absorbs float formulas
+MEMORY_REL = 1e-9
+
+
+def numerical_grad(f: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
     """Central-difference gradient of a scalar function of an array."""
     grad = np.zeros_like(x, dtype=np.float64)
     for index in np.ndindex(x.shape):
         xp = x.copy()
-        xp[index] += eps
+        xp[index] += FD_STEP
         xm = x.copy()
-        xm[index] -= eps
-        grad[index] = (f(xp) - f(xm)) / (2 * eps)
+        xm[index] -= FD_STEP
+        grad[index] = (f(xp) - f(xm)) / (2 * FD_STEP)
     return grad
 
 
 def check_gradients(op: Callable[[Tensor], Tensor], x: np.ndarray,
-                    atol: float = 1e-6, rtol: float = 1e-4) -> None:
+                    atol: float = 1e-6) -> None:
     """Assert ``op``'s autograd input gradient matches central differences.
 
     ``op`` maps a world-1 tensor to a tensor; the check sums the output to
@@ -54,7 +63,7 @@ def check_gradients(op: Callable[[Tensor], Tensor], x: np.ndarray,
             return F.sum_all(op(from_numpy(arr))).item()
 
     numeric = numerical_grad(scalar, x)
-    np.testing.assert_allclose(analytic, numeric, atol=atol, rtol=rtol)
+    np.testing.assert_allclose(analytic, numeric, atol=atol, rtol=GRAD_RTOL)
 
 
 def gather_full(param: Tensor, grad: bool = False) -> np.ndarray:
@@ -147,15 +156,14 @@ def _placed(layout, values: dict, param: Tensor, hidden: int) -> list:
 
 
 def assert_memory_matches(build_and_forward: Callable[[], None],
-                          expected_bytes: float, rank: int = 0,
-                          rel: float = 1e-9) -> int:
+                          expected_bytes: float) -> int:
     """Run ``build_and_forward`` under a tracker and require its end-of-
-    forward live bytes on ``rank`` to equal ``expected_bytes``."""
+    forward live bytes on rank 0 to equal ``expected_bytes``."""
     tracker = MemoryTracker()
     with instrument(memory=tracker):
         build_and_forward()
-        measured = tracker.live_bytes(rank)
-    if abs(measured - expected_bytes) > rel * max(abs(expected_bytes), 1.0):
+        measured = tracker.live_bytes(0)
+    if abs(measured - expected_bytes) > MEMORY_REL * max(abs(expected_bytes), 1.0):
         raise AssertionError(
             f"measured {measured} bytes != expected {expected_bytes}")
     return measured

@@ -38,6 +38,13 @@ class UniformTokens:
             yield self.batch(batch_size)
 
 
+#: Dirichlet concentration of each transition row: well below 1, so a
+#: row puts most of its mass on a few successors
+MARKOV_CONCENTRATION = 0.05
+#: Poisson mean of a packed document's length, in tokens
+MEAN_DOC_LENGTH = 12
+
+
 class MarkovTokens:
     """First-order Markov chain with a peaked transition matrix.
 
@@ -46,14 +53,13 @@ class MarkovTokens:
     and a small model visibly learns within tens of steps.
     """
 
-    def __init__(self, vocab_size: int, seq_length: int, seed: int = 0,
-                 concentration: float = 0.05):
+    def __init__(self, vocab_size: int, seq_length: int, seed: int = 0):
         if vocab_size < 2:
             raise ConfigError("vocab_size must be >= 2")
         self.vocab_size = vocab_size
         self.seq_length = seq_length
         self._rng = np.random.default_rng(seed)
-        alpha = np.full(vocab_size, concentration)
+        alpha = np.full(vocab_size, MARKOV_CONCENTRATION)
         self.transitions = self._rng.dirichlet(alpha, size=vocab_size)
 
     def _walk(self, length: int, batch_size: int) -> np.ndarray:
@@ -97,22 +103,18 @@ class PackedDocuments:
     :func:`repro.tensor.functions.cross_entropy`).
     """
 
-    def __init__(self, vocab_size: int, seq_length: int, seed: int = 0,
-                 mean_doc_length: int = 12):
+    def __init__(self, vocab_size: int, seq_length: int, seed: int = 0):
         if vocab_size < 3:
             raise ConfigError("vocab_size must be >= 3 (needs EOS + pad)")
-        if mean_doc_length < 1:
-            raise ConfigError("mean_doc_length must be >= 1")
         self.vocab_size = vocab_size
         self.seq_length = seq_length
         self.eos = vocab_size - 1
         self.pad = 0
-        self.mean_doc_length = mean_doc_length
         self._rng = np.random.default_rng(seed)
         self._chain = MarkovTokens(vocab_size - 1, seq_length, seed=seed + 1)
 
     def _document(self) -> np.ndarray:
-        length = max(1, int(self._rng.poisson(self.mean_doc_length)))
+        length = max(1, int(self._rng.poisson(MEAN_DOC_LENGTH)))
         tokens, _ = self._chain.batch(1)
         doc = tokens[:length, 0] % (self.vocab_size - 1)
         return np.concatenate([doc, [self.eos]])

@@ -15,7 +15,7 @@ averaging is exact, not approximate).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 import numpy as np
 
@@ -41,8 +41,7 @@ class DataParallelTrainer:
 
     def __init__(self, model_factory: Callable[[], GPTModel],
                  data_parallel: int, lr: float = 1e-3,
-                 optimizer_factory: Optional[Callable[[list], Adam]] = None,
-                 pipeline_parallel: int = 1, interleave_stages: int = 1):
+                 pipeline_parallel: int = 1):
         if data_parallel < 1:
             raise ConfigError("data_parallel must be >= 1")
         keep_heap_resident()
@@ -50,17 +49,14 @@ class DataParallelTrainer:
         self.replicas: List[GPTModel] = [
             model_factory() for _ in range(data_parallel)
         ]
-        make_opt = optimizer_factory or (lambda params: Adam(params, lr=lr))
-        self.optimizers = [make_opt(r.parameters()) for r in self.replicas]
+        self.optimizers = [Adam(r.parameters(), lr=lr) for r in self.replicas]
         # Full 3D parallelism: each replica is itself pipelined (and each
         # pipeline stage tensor-parallel).
         self.pipes = None
-        if pipeline_parallel > 1 or interleave_stages > 1:
+        if pipeline_parallel > 1:
             from .trainer import PipelinedGPT
-            self.pipes = [
-                PipelinedGPT(r, pipeline_parallel, interleave_stages)
-                for r in self.replicas
-            ]
+            self.pipes = [PipelinedGPT(r, pipeline_parallel)
+                          for r in self.replicas]
         self._check_replicas_identical()
 
     def _check_replicas_identical(self) -> None:
@@ -157,18 +153,15 @@ class DataParallelTrainer:
             del self.pipes[index]
         self.dp -= 1
 
-    def replicas_synchronized(self, atol: float = 0.0) -> bool:
-        """True when every replica holds identical weights (the invariant
-        data parallelism must preserve step after step)."""
+    def replicas_synchronized(self) -> bool:
+        """True when every replica holds bitwise-identical weights (the
+        invariant data parallelism must preserve step after step)."""
         reference = self.replicas[0]
         for replica in self.replicas[1:]:
             for p1, p2 in zip(reference.parameters(), replica.parameters()):
                 for r in range(p1.world):
-                    a, b = np.asarray(p1.shards[r]), np.asarray(p2.shards[r])
-                    if atol == 0.0:
-                        if not np.array_equal(a, b):
-                            return False
-                    elif not np.allclose(a, b, atol=atol):
+                    if not np.array_equal(np.asarray(p1.shards[r]),
+                                          np.asarray(p2.shards[r])):
                         return False
         return True
 

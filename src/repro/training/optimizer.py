@@ -35,6 +35,15 @@ class Adam:
                  grad_clip: Optional[float] = None):
         if lr <= 0:
             raise ConfigError("lr must be positive")
+        # Each of these corrupts training silently: a beta of 1 makes the
+        # bias correction 0/0, eps <= 0 divides by zero on a zero gradient,
+        # a negative clip ascends and a zero clip skips the update.
+        if not all(0.0 <= beta < 1.0 for beta in betas):
+            raise ConfigError(f"betas must lie in [0, 1), got {tuple(betas)}")
+        if not eps > 0:
+            raise ConfigError(f"eps must be positive, got {eps}")
+        if grad_clip is not None and not grad_clip > 0:
+            raise ConfigError(f"grad_clip must be positive, got {grad_clip}")
         if not params:
             raise ConfigError("optimizer needs at least one parameter")
         self.params = params
