@@ -20,9 +20,10 @@ overhead:
 	$(ONE_THREAD) $(PY) -m pytest benchmarks/test_disabled_overhead.py -s
 
 # Regression gate: re-run the trace presets, write BENCH_*.json into
-# bench-gate-out/ (git-ignored), and diff against benchmarks/baselines/
-# with per-metric tolerances (docs/observability.md).  Exits non-zero
-# naming any drifted metric and its owner.
+# bench-gate-out/ (git-ignored), and require each to be byte-identical
+# to benchmarks/baselines/ with its claim floors held
+# (docs/observability.md).  Exits non-zero naming each moved key and
+# its owner.
 bench-gate:
 	$(ONE_THREAD) $(PY) -m repro bench --output-dir bench-gate-out --check
 
@@ -136,7 +137,10 @@ wall-history:
 # counted with inspect.signature as the observability row is (815 before
 # the options no caller passes became constants; a defaulted parameter
 # earns its place with two non-test callers passing different values,
-# docs/extending.md).
+# docs/extending.md); and the bench gate's tolerance rows,
+# len(regress.TOLERANCES) (4: the exact default and the three claim
+# floors; 36 while 21 exact, 7 relative, 5 absolute and 3 floor rows
+# judged the documents tier-1 already holds byte-identical).
 loc:
 	@printf '%-56s %6d\n' \
 		'src/ python lines' "$$(find src -name '*.py' | xargs cat | wc -l)" \
@@ -172,7 +176,8 @@ loc:
 		'op modules is_abstract( lines' "$$(cat src/repro/tensor/functions.py src/repro/fusion/ops.py src/repro/parallel/mappings.py | grep -c 'is_abstract(')" \
 		'test_parallel_equivalence.py .grad[0] reads' "$$(grep -o '\.grad\[0\]' tests/test_parallel_equivalence.py | wc -l)" \
 		'op modules fctx.log_/listening( lines' "$$(cat src/repro/tensor/functions.py src/repro/fusion/ops.py src/repro/parallel/mappings.py src/repro/parallel/loss.py src/repro/longctx/mappings.py | grep -cE 'fctx\.log_|listening\(')" \
-		'repro keyword options (every module but __main__)' "$$(PYTHONPATH=src $(PY) -c 'import importlib, inspect, pkgutil, repro; mods = [importlib.import_module(m.name) for m in pkgutil.walk_packages(repro.__path__, "repro.") if m.name != "repro.__main__"]; fns = [f for m in mods for o in vars(m).values() if getattr(o, "__module__", None) == m.__name__ for f in ([o] if inspect.isfunction(o) else [getattr(v, "__func__", v) for v in vars(o).values()] if inspect.isclass(o) else [])]; print(sum(p.default is not p.empty for f in fns if inspect.isfunction(f) for p in inspect.signature(f).parameters.values()))')"
+		'repro keyword options (every module but __main__)' "$$(PYTHONPATH=src $(PY) -c 'import importlib, inspect, pkgutil, repro; mods = [importlib.import_module(m.name) for m in pkgutil.walk_packages(repro.__path__, "repro.") if m.name != "repro.__main__"]; fns = [f for m in mods for o in vars(m).values() if getattr(o, "__module__", None) == m.__name__ for f in ([o] if inspect.isfunction(o) else [getattr(v, "__func__", v) for v in vars(o).values()] if inspect.isclass(o) else [])]; print(sum(p.default is not p.empty for f in fns if inspect.isfunction(f) for p in inspect.signature(f).parameters.values()))')" \
+		'bench gate tolerance rows' "$$(PYTHONPATH=src $(PY) -c 'from repro.observability import regress; print(len(regress.TOLERANCES))')"
 
 # CI smoke run: the artifact-writing CLI invocation of each concrete-run
 # command, plus the two invocations no tier-1 test makes (the recompute

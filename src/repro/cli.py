@@ -469,7 +469,8 @@ def cmd_longctx(args):
 def cmd_bench(args) -> str:
     """Run the benchmark presets, write canonical ``BENCH_<preset>.json``
     documents, and (with ``--check``) gate against committed baselines:
-    each out-of-tolerance metric is listed with its owner and delta."""
+    each must be byte-identical with its claim floors held, and each
+    moved key is listed with its owner and delta."""
     if args.check and os.path.realpath(args.output_dir) == \
             os.path.realpath(args.baseline_dir):
         raise ConfigError(
@@ -495,8 +496,8 @@ def cmd_bench(args) -> str:
                 detail.extend(f"  {r}" for r in failures[preset])
             raise ReproError(
                 "bench regression gate FAILED\n" + "\n".join(detail))
-        lines.append(f"bench gate OK: {len(docs)} preset(s) within "
-                     f"tolerance of {args.baseline_dir}")
+        lines.append(f"bench gate OK: {len(docs)} preset(s) identical to "
+                     f"{args.baseline_dir}")
     return "\n".join(lines)
 
 
@@ -616,8 +617,8 @@ _FLAGS = {
     "baseline_dir": dict(default=DEFAULT_BASELINE_DIR,
                          help="committed baselines for --check"),
     "check": dict(default=False,
-                  help="diff fresh documents against the baselines; exit "
-                       "non-zero on any out-of-tolerance metric"),
+                  help="gate fresh documents against the baselines; exit "
+                       "non-zero on any moved key or broken claim floor"),
     "output": dict(help="write to a file instead of stdout"),
     "json": dict(default=False, help="emit machine-readable canonical JSON"),
 }

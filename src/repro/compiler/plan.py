@@ -11,7 +11,7 @@ bookkeeping allocations beyond what the kernels themselves produce.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from ..errors import CompilerError
 from ..tensor import context as _tctx

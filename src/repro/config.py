@@ -12,7 +12,7 @@ Variable names follow Table 1 of the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict
 
 from .errors import ConfigError

@@ -13,15 +13,13 @@ data.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
-from .config import PAPER_CONFIG_NAMES, PAPER_CONFIGS, ExperimentConfig
+from .config import PAPER_CONFIG_NAMES, PAPER_CONFIGS
 from .flops_model import (
     attention_memory_factor,
     hardware_to_model_ratio,
-    model_flops_per_iteration,
     selective_recompute_flops_overhead,
 )
 from .layers.transformer import Recompute

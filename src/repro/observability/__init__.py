@@ -38,8 +38,8 @@ Two offline consumers sit on top:
   MFU/HFU reconciliation against :mod:`repro.perf_model`, and per-term
   memory drift against :mod:`repro.memory_model`;
 * :mod:`~repro.observability.regress` — the ``repro bench`` regression
-  gate: canonical ``BENCH_<preset>.json`` documents diffed against
-  committed baselines with per-metric tolerances.
+  gate: canonical ``BENCH_<preset>.json`` documents held byte-identical
+  to committed baselines, plus three claim floors.
 
 Entry point: ``python -m repro trace --config tiny`` writes both
 artifacts for a small instrumented run; ``python -m repro bench``

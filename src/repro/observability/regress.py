@@ -17,13 +17,12 @@ the blocks every document shares (config, event counts, trace hash);
 ``picks``, key lists read off the scenario's report value by
 :func:`_fields` — the same ``to_json()`` that is the command's
 ``--json`` document; ``extras``, its two-arm comparisons, one function
-each; and its rows of :data:`TOLERANCES`.
+each; and its claim floors, rows of :data:`TOLERANCES`.
 
-``repro bench --check`` diffs fresh documents against the committed
-baselines under ``benchmarks/baselines/`` (exact for hashes and byte
-counts, relative for times and utilization), naming every
-out-of-tolerance metric with its owner: the report class it is read
-off, or the function that builds it.
+``repro bench --check`` passes a preset when its fresh document's
+canonical bytes are the committed ``benchmarks/baselines/`` file's and
+its claim floors hold; on a failure :func:`compare` names each moved key
+with its owner: the report class it is read off, or its builder.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ from .serialize import dumps_json, to_jsonable
 from .tracer import Tracer, trace_scope
 
 #: Bump when the BENCH document layout changes incompatibly; --check
-#: refuses to compare documents with mismatched schema versions.
+#: refuses to diff documents with mismatched schema versions.
 SCHEMA_VERSION = 1
 
 DEFAULT_BASELINE_DIR = os.path.join("benchmarks", "baselines")
@@ -70,7 +69,7 @@ EXACT: Tolerance = ("exact", 0)
 
 @dataclass(frozen=True)
 class Regression:
-    """One out-of-tolerance metric found by :func:`compare`."""
+    """One moved key (or broken claim floor) found by :func:`compare`."""
 
     key: str
     baseline: object
@@ -541,36 +540,9 @@ class Preset(NamedTuple):
     headline: Callable[[dict], str]
 
 
-#: Tolerance rows of the blocks every document shares, and the default.
-#: ``("exact", 0)`` fails on any difference; ``("abs", x)`` on |delta| >
-#: x; ``("rel", x)`` on relative change > x; ``("floor", x)`` when the
-#: *current* value drops below x (speedup ratios, whose baseline value
-#: is machine-specific).
-_SHARED_TOLERANCES = (
-    ("schema_version", EXACT), ("preset", EXACT), ("seed", EXACT),
-    ("steps", EXACT), ("config.", EXACT), ("trace_hash", EXACT),
-    ("counts.", EXACT),
-    ("attribution.coverage_error", ("abs", 1e-6)),
-    ("attribution.", ("rel", 0.05)),
-    ("per_rank.", ("rel", 0.05)),
-    ("wall_time_s", ("rel", 0.05)),
-    ("", ("rel", 0.02)),  # default; no committed baseline key reaches it
-)
-
-_PIPELINED_TOLERANCES = (
-    ("memory.peak_bytes", EXACT),
-    ("memory.drift", ("abs", 1.0)),
-    ("utilization.mfu_delta", ("abs", 1e-3)),
-    ("utilization.hfu_delta", ("abs", 1e-3)),
-    ("utilization.", ("rel", 0.02)),
-    ("critical_path.", ("rel", 0.05)),
-    ("iteration_time_s", ("rel", 0.05)),
-)
-
 # The default chaos plan (a permanent replica crash mid-decode, a
-# straggler, a dropped dispatch) must keep fleet goodput >= 0.85;
-# everything else rides the simulated clock and is exact.
-_FLEET_TOLERANCES = (("fleet.goodput", ("floor", 0.85)), ("fleet.", EXACT))
+# straggler, a dropped dispatch) must keep fleet goodput >= 0.85.
+_FLEET_TOLERANCES = (("fleet.goodput", ("floor", 0.85)),)
 
 _FLEET_KEYS = ("goodput requests completed shed rounds final_replicas "
                "#faults #recoveries dispatches redispatches migrations "
@@ -617,32 +589,25 @@ def _fleet_goodput(doc: dict) -> str:
 
 PRESETS: Dict[str, Preset] = {
     "tiny": Preset(functools.partial(_run_pipelined_preset, "tiny"), "", {},
-                   {}, _PIPELINED_TOLERANCES, _mfu),
+                   {}, (), _mfu),
     "small": Preset(functools.partial(_run_pipelined_preset, "small"), "",
-                    {}, {}, _PIPELINED_TOLERANCES, _mfu),
+                    {}, {}, (), _mfu),
     "chaos": Preset(
         _chaos, "ResilienceReport",
         {"resilience": "goodput #faults #recoveries steps_completed"}, {},
-        (("resilience.goodput", ("abs", 0.05)), ("resilience.", EXACT)),
-        lambda doc: f"goodput {doc['resilience']['goodput']:.1%}"),
-    # The step compiler's captured plan is a static artifact: it may not
-    # move without an intentional change.
+        (), lambda doc: f"goodput {doc['resilience']['goodput']:.1%}"),
     "substrate": Preset(
-        _run_substrate_preset, "", {}, {},
-        (("compiler.", EXACT), ("fusion.", EXACT), ("arena.", EXACT),
-         ("memory.fused_drift", EXACT), ("memory.peak_bytes", EXACT)),
+        _run_substrate_preset, "", {}, {}, (),
         lambda doc:
             f"replay drift {doc['compiler']['replay_loss_drift']:g}"),
-    # Continuous batching must beat static batching by 1.5x at the same
-    # KV budget; every other serving metric is exact at equal seeds.
+    # Continuous batching must beat static batching 1.5x at one KV budget.
     "serve": Preset(
         _serve, "ServeReport",
         {"serving": "tokens_per_s p50_token_latency_s p95_token_latency_s "
                     "tokens_generated completed preemptions resumes "
                     "kv_drift_bytes peak_kv_occupancy"},
         {"serving": _swap_vs_recompute_vs_static},
-        (("serving.continuous_vs_static_speedup", ("floor", 1.5)),
-         ("serving.", EXACT)),
+        (("serving.continuous_vs_static_speedup", ("floor", 1.5)),),
         lambda doc: f"serve x"
                     f"{doc['serving']['continuous_vs_static_speedup']:.2f}"
                     f" vs static"),
@@ -650,15 +615,13 @@ PRESETS: Dict[str, Preset] = {
         _chaos_serve, "FleetReport", {"fleet": _FLEET_KEYS},
         {"fleet": scenarios.faulted_vs_clean}, _FLEET_TOLERANCES,
         _fleet_goodput),
-    # Detection precision/recall at literally 1.0, span gap/overlap at
-    # literally 0.0: every telemetry key is exact.
     "fleet_obs": Preset(
         _fleet_obs, "MonitorReport",
         {"fleet": "fleet.goodput fleet.completed fleet.shed fleet.rounds "
                   "#fleet.faults",
          "telemetry": _TELEMETRY_KEYS},
         {"telemetry": _artifact_hashes},
-        _FLEET_TOLERANCES + (("telemetry.", EXACT),),
+        _FLEET_TOLERANCES,
         lambda doc: f"{_fleet_goodput(doc)}, detection P/R "
                     f"{doc['telemetry']['detection_precision']:.2f}/"
                     f"{doc['telemetry']['detection_recall']:.2f}, "
@@ -666,16 +629,13 @@ PRESETS: Dict[str, Preset] = {
     "memprof": Preset(
         _memprof, "MemprofReport",
         {"fragmentation": _FRAGMENTATION_KEYS, "ledger": "#entries"},
-        {"exactness": _exactness_matrix, "frontier": _frontier},
-        tuple((block, EXACT) for block in
-              ("exactness.", "frontier.", "fragmentation.", "ledger.")),
+        {"exactness": _exactness_matrix, "frontier": _frontier}, (),
         lambda doc: f"attribution exact={doc['exactness']['all_exact']}, "
                     f"frontier dominates=" + str(all(
                         f["selective_recompute_dominates"]
                         for f in doc["frontier"].values()))),
     # Overlapping recompute with in-flight collectives must keep the
-    # analytic exposed-comm reduction >= 1.2x on both layouts; the rest
-    # (loss drifts of literally 0.0, byte-exact volumes) is exact.
+    # analytic exposed-comm reduction >= 1.2x on both layouts.
     "longctx": Preset(
         _longctx, "LongctxReport",
         {"longctx": "ulysses.overlap.exposed_reduction:"
@@ -686,16 +646,18 @@ PRESETS: Dict[str, Preset] = {
              f"{layout}.{key}" for key in _LONGCTX_KEYS.split())
             for layout in _CP_LAYOUTS}},
         {"longctx": _overlap_off_vs_on},
-        (("longctx.overlap_reduction", ("floor", 1.2)), ("longctx.", EXACT)),
+        (("longctx.overlap_reduction", ("floor", 1.2)),),
         lambda doc: ""),
 }
 
 PRESET_NAMES = tuple(PRESETS)
 
-#: Every tolerance row: the shared ones and each preset's.
-#: :func:`tolerance_for` takes the longest matching prefix.
+#: The exact default and each preset's claim floors.  ``("exact", 0)``
+#: fails on any change of a value's canonical JSON text (``3`` -> ``3.0``
+#: too); ``("floor", x)`` also fails below x, so a rebaseline cannot
+#: commit a broken claim.  :func:`tolerance_for` takes the longest prefix.
 TOLERANCES: Dict[str, Tolerance] = dict(itertools.chain(
-    _SHARED_TOLERANCES, *(row.tolerances for row in PRESETS.values())))
+    (("", EXACT),), *(row.tolerances for row in PRESETS.values())))
 
 
 def run_preset(preset: str, seed_value: int = 1234, steps: int = 2) -> dict:
@@ -748,14 +710,18 @@ def bench_filename(preset: str) -> str:
     return f"BENCH_{preset}.json"
 
 
+def bench_text(doc: dict) -> str:
+    """A BENCH document's canonical text, as :func:`write_bench` writes it."""
+    return dumps_json(doc, indent=1) + "\n"
+
+
 def write_bench(doc: dict, directory: str) -> str:
     """Write one canonical BENCH document; byte-identical per (preset,
     seed) because every input is on the simulated clock."""
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, bench_filename(doc["preset"]))
     with open(path, "w") as fh:
-        fh.write(dumps_json(doc, indent=1))
-        fh.write("\n")
+        fh.write(bench_text(doc))
     return path
 
 
@@ -795,30 +761,20 @@ def tolerance_for(key: str) -> Tolerance:
 
 def _within(baseline, current, tol: Tolerance) -> bool:
     kind, bound = tol
-    if kind == "floor":
-        return isinstance(current, (int, float)) and current >= bound
-    if kind == "exact":
-        return baseline == current
-    if not isinstance(baseline, (int, float)) or \
-            not isinstance(current, (int, float)) or \
-            isinstance(baseline, bool) or isinstance(current, bool):
-        return baseline == current
-    delta = abs(current - baseline)
-    if kind == "abs":
-        return delta <= bound
-    # relative, with an absolute floor so exact-zero baselines (e.g. an
-    # attribution bucket the preset never exercises) tolerate float dust
-    return delta <= max(abs(baseline) * bound, 1e-12)
+    return dumps_json(baseline) == dumps_json(current) and (
+        kind == "exact" or isinstance(current, (int, float)) and
+        current >= bound)
 
 
 def compare(baseline: dict, current: dict) -> List[Regression]:
-    """Diff two BENCH documents; returns every out-of-tolerance metric.
-
-    Keys missing from either side are regressions too — a disappeared
-    metric is as suspicious as a drifted one.
-    """
-    flat_base = flatten(baseline)
-    flat_cur = flatten(current)
+    """Diff two BENCH documents; returns every moved key and broken
+    claim floor.  A key missing from either side is a regression too;
+    documents of two schema versions are not diffed (one regression)."""
+    versions = baseline.get("schema_version"), current.get("schema_version")
+    if versions[0] != versions[1]:
+        return [Regression("schema_version", *versions, EXACT,
+                           _base_doc.__name__)]
+    flat_base, flat_cur = flatten(baseline), flatten(current)
     preset = current.get("preset", baseline.get("preset"))
     regressions: List[Regression] = []
     for key in sorted(set(flat_base) | set(flat_cur)):
@@ -833,11 +789,11 @@ def compare(baseline: dict, current: dict) -> List[Regression]:
 
 def check_against_baselines(docs: Dict[str, dict],
                             baseline_dir: str) -> Dict[str, List[Regression]]:
-    """Compare fresh documents against committed baselines, per preset.
-
-    A missing baseline file is reported as a single synthetic regression
-    so a new preset cannot silently skip the gate.
-    """
+    """Gate fresh documents per preset: one passes when its canonical
+    bytes are the committed file's and its claim floors hold.  A failure
+    lists what :func:`compare` names, or one ``document`` regression (the
+    texts' SHA-256) when only the bytes differ.  A missing baseline is one
+    regression too, so a new preset cannot skip the gate."""
     failures: Dict[str, List[Regression]] = {}
     for preset, doc in docs.items():
         path = os.path.join(baseline_dir, bench_filename(preset))
@@ -845,7 +801,11 @@ def check_against_baselines(docs: Dict[str, dict],
             failures[preset] = [Regression("baseline", path, None, EXACT,
                                            check_against_baselines.__name__)]
             continue
+        with open(path) as fh:
+            committed, fresh = fh.read(), bench_text(doc)
         regressions = compare(load_bench(path), doc)
-        if regressions:
-            failures[preset] = regressions
+        if regressions or committed != fresh:
+            failures[preset] = regressions or [Regression(
+                "document", _sha(committed), _sha(fresh), EXACT,
+                write_bench.__name__)]
     return failures

@@ -9,7 +9,6 @@ every sweep has a CSV rendering for external plotting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from .config import ExperimentConfig, ModelConfig

@@ -26,7 +26,7 @@ holds of a forward pass.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -34,8 +34,7 @@ from ..errors import AutogradError, ShapeError
 from . import backend as bk
 from .backend import AbstractArray, ArrayLike
 from .context import _CTX, ctx
-from .dtypes import FP16, FP32, DType
-from .memory_tracker import MemoryTracker
+from .dtypes import FP16, DType
 from .oplog import CommInfo, OpKind, OpRecord, Phase
 
 ShardList = List[ArrayLike]

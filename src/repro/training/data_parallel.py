@@ -19,7 +19,6 @@ from typing import Callable, List
 
 import numpy as np
 
-from ..comm import all_reduce
 from ..comm.collectives import active_fault_injector
 from ..errors import ConfigError
 from ..layers.embedding import token_tensor

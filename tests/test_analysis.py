@@ -13,9 +13,10 @@ Four contracts under test:
 3. **Determinism** — ``repro bench`` writes byte-identical
    ``BENCH_<preset>.json`` documents across runs at the same seed, and
    the committed baselines are a fresh run's bytes;
-4. **Gate** — :func:`repro.observability.regress.compare` passes on
-   identical documents and fails, naming the metric and its owner, when
-   one is perturbed beyond tolerance.
+4. **Gate** — ``repro bench --check`` passes a document byte-identical
+   to its baseline whose claim floors hold, and otherwise
+   :func:`repro.observability.regress.compare` names each moved key and
+   its owner.
 """
 
 import copy
@@ -54,6 +55,7 @@ from repro.observability.regress import (
     PRESETS,
     TOLERANCES,
     bench_filename,
+    check_against_baselines,
     flatten,
     load_bench,
     tolerance_for,
@@ -213,9 +215,9 @@ class TestBenchDeterminism:
     @pytest.mark.parametrize("preset", PRESET_NAMES)
     def test_committed_baselines_match_fresh_run(self, preset, tmp_path):
         """The committed baseline is the fresh document, byte for byte
-        (the failure message lists what moved, with tolerances)."""
-        baseline_path = os.path.join(REPO_ROOT, DEFAULT_BASELINE_DIR,
-                                     bench_filename(preset))
+        (the failure message is what ``repro bench --check`` reports)."""
+        baseline_dir = os.path.join(REPO_ROOT, DEFAULT_BASELINE_DIR)
+        baseline_path = os.path.join(baseline_dir, bench_filename(preset))
         assert os.path.exists(baseline_path), (
             "run `python -m repro bench --output-dir benchmarks/baselines` "
             "and commit the baselines")
@@ -223,7 +225,8 @@ class TestBenchDeterminism:
         with open(write_bench(doc, str(tmp_path)), "rb") as fresh, \
                 open(baseline_path, "rb") as committed:
             assert fresh.read() == committed.read(), [
-                str(r) for r in compare(load_bench(baseline_path), doc)]
+                str(r) for r in check_against_baselines(
+                    {preset: doc}, baseline_dir).get(preset, [])]
 
 
 class TestRegressionGate:
@@ -254,19 +257,112 @@ class TestRegressionGate:
         assert [r.key for r in compare(doc, bad)] == ["counts.spans"]
 
     def test_within_tolerance_change_passes(self):
+        """Only a document equal in every value passes (re-parsed, its
+        keys reordered); the 1 % move the old relative rows let
+        through fails."""
         doc = preset_doc("tiny")
+
+        def reordered(block):
+            return {key: reordered(value) if isinstance(value, dict)
+                    else value for key, value in reversed(block.items())}
+
+        assert compare(doc, reordered(json.loads(json.dumps(doc)))) == []
         near = copy.deepcopy(doc)
-        near["wall_time_s"] *= 1.01  # rel tolerance is 0.05
-        assert compare(doc, near) == []
+        near["wall_time_s"] *= 1.01
+        assert [r.key for r in compare(doc, near)] == ["wall_time_s"]
 
     def test_tolerance_longest_prefix_wins(self):
-        assert tolerance_for("trace_hash") == ("exact", 0)
-        assert tolerance_for("memory.peak_bytes.stage0") == ("exact", 0)
-        assert tolerance_for("memory.drift.sp+full.checkpoint_input") == \
-            ("abs", 1.0)
-        assert tolerance_for("utilization.mfu_delta") == ("abs", 1e-3)
-        assert tolerance_for("utilization.mfu") == ("rel", 0.02)
-        assert tolerance_for("something_else") == ("rel", 0.02)
+        exact = ("exact", 0)
+        assert tolerance_for("trace_hash") == exact
+        assert tolerance_for("memory.peak_bytes.stage0") == exact
+        # keys the removed abs/rel rows covered are exact now
+        assert tolerance_for("memory.drift.sp+full.checkpoint_input") == exact
+        assert tolerance_for("utilization.mfu_delta") == exact
+        assert tolerance_for("utilization.mfu") == exact
+        assert tolerance_for("wall_time_s") == exact
+        assert tolerance_for("something_else") == exact
+        assert tolerance_for("longctx.overlap_reduction.ring") == \
+            ("floor", 1.2)
+
+    def test_tolerances_are_one_exact_default_and_the_claim_floors(self):
+        assert TOLERANCES == {
+            "": ("exact", 0),
+            "serving.continuous_vs_static_speedup": ("floor", 1.5),
+            "fleet.goodput": ("floor", 0.85),
+            "longctx.overlap_reduction": ("floor", 1.2),
+        }
+
+    @pytest.mark.parametrize("key,owner", [
+        ("wall_time_s", "_run_pipelined_preset"),
+        ("utilization.mfu", "_run_pipelined_preset"),
+        ("attribution.totals.forward", "_traced_training_blocks"),
+    ])
+    def test_one_percent_move_fails_the_gate(self, key, owner):
+        """``--check`` is exact: a 1 % move of a time, of utilization or
+        of an attribution bucket fails, naming the key and its owner."""
+        baseline_dir = os.path.join(REPO_ROOT, DEFAULT_BASELINE_DIR)
+        current = load_bench(os.path.join(baseline_dir,
+                                          bench_filename("tiny")))
+        *outer, leaf = key.split(".")
+        block = current
+        for part in outer:
+            block = block[part]
+        block[leaf] *= 1.01
+        failures = check_against_baselines({"tiny": current}, baseline_dir)
+        assert [str(r).split(":")[0] for r in failures["tiny"]] == [
+            f"{key} [{owner}]"]
+
+    @pytest.mark.parametrize("preset,key,moved", [
+        ("tiny", "counts.spans", float),
+        ("serve", "serving.policies_agree", int),
+    ])
+    def test_a_change_of_json_type_is_a_regression(self, preset, key, moved):
+        """``3`` -> ``3.0`` and ``true`` -> ``1`` compare equal in Python
+        but are different bytes: the key has moved."""
+        baseline_dir = os.path.join(REPO_ROOT, DEFAULT_BASELINE_DIR)
+        baseline = load_bench(os.path.join(baseline_dir,
+                                           bench_filename(preset)))
+        current = copy.deepcopy(baseline)
+        section, leaf = key.split(".")
+        current[section][leaf] = moved(current[section][leaf])
+        assert current == baseline
+        assert [r.key for r in compare(baseline, current)] == [key]
+        assert [r.key for r in check_against_baselines(
+            {preset: current}, baseline_dir)[preset]] == [key]
+
+    def test_schema_mismatch_is_refused_not_diffed(self):
+        doc = preset_doc("tiny")
+        other = copy.deepcopy(doc)
+        other["schema_version"] += 1
+        other["wall_time_s"] *= 2
+        del other["counts"]
+        [regression] = compare(doc, other)
+        assert (regression.key, regression.owner) == (
+            "schema_version", "_base_doc")
+
+    def test_bytes_that_differ_where_no_key_does_fail(self, tmp_path):
+        """A baseline whose bytes are not the canonical text fails as one
+        ``document`` regression, though every key is equal."""
+        doc = preset_doc("tiny")
+        (tmp_path / bench_filename("tiny")).write_text(json.dumps(doc))
+        assert compare(load_bench(str(tmp_path / bench_filename("tiny"))),
+                       doc) == []
+        [regression] = check_against_baselines({"tiny": doc},
+                                               str(tmp_path))["tiny"]
+        assert (regression.key, regression.owner) == ("document",
+                                                      "write_bench")
+
+    def test_a_rebaselined_broken_claim_fails(self, tmp_path):
+        """A floor is exact and at least its bound: committing a document
+        that breaks the claim does not make it pass."""
+        doc = load_bench(os.path.join(REPO_ROOT, DEFAULT_BASELINE_DIR,
+                                      bench_filename("chaos_serve")))
+        doc["fleet"]["goodput"] = 0.5
+        write_bench(doc, str(tmp_path))
+        [regression] = check_against_baselines({"chaos_serve": doc},
+                                               str(tmp_path))["chaos_serve"]
+        assert regression.key == "fleet.goodput"
+        assert regression.tolerance == ("floor", 0.85)
 
     def test_preset_tolerance_rows_agree(self):
         """Each preset states its rows once; one prefix never carries two

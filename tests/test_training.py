@@ -432,6 +432,27 @@ class TestHostMemoryPolicy:
     #: arrays a step keeps (token tensors, the loss); ~0.9 kB measured
     RESIDUE_PER_NODE = 2048
 
+    @staticmethod
+    def _nodes(seeds) -> list:
+        """Every tape node the backward seeds reach, once."""
+        nodes, stack = {}, [root._node for root, _ in seeds]
+        while stack:
+            node = stack.pop()
+            if node is not None and id(node) not in nodes:
+                nodes[id(node)] = node
+                stack.extend(getattr(i, "_node", None) for i in node.inputs)
+        return list(nodes.values())
+
+    @staticmethod
+    def _by_base(buffers) -> dict:
+        """id -> bytes of the buffers' bases: a view counted once."""
+        out = {}
+        for buf in buffers:
+            while isinstance(buf.base, np.ndarray):
+                buf = buf.base
+            out[id(buf)] = buf.nbytes
+        return out
+
     def test_forward_holds_its_saves_and_a_bounded_residue(self, monkeypatch):
         """ROADMAP item 4, serial forward cell: what one warm step's
         forward leaves allocated is the real bytes of the buffers the
@@ -450,20 +471,13 @@ class TestHostMemoryPolicy:
 
         def traced(seeds):
             marks["held"] = tracemalloc.get_traced_memory()[0] - marks["mark"]
-            nodes, saves, stack = set(), {}, [root._node for root, _ in seeds]
-            while stack:
-                node = stack.pop()
-                if node is None or id(node) in nodes:
-                    continue
-                nodes.add(id(node))
-                for shards in node.fctx._saved:
-                    for buf in shards:
-                        while isinstance(buf.base, np.ndarray):
-                            buf = buf.base
-                        if id(buf) not in params:
-                            saves[id(buf)] = buf.nbytes
-                stack.extend(getattr(i, "_node", None) for i in node.inputs)
-            marks["nodes"], marks["saves"] = len(nodes), sum(saves.values())
+            nodes = self._nodes(seeds)
+            saves = self._by_base(buf for node in nodes
+                                  for shards in node.fctx._saved
+                                  for buf in shards)
+            marks["nodes"] = len(nodes)
+            marks["saves"] = sum(nbytes for base, nbytes in saves.items()
+                                 if base not in params)
             run_backward(seeds)
 
         monkeypatch.setattr(tape, "run_backward", traced)
@@ -477,6 +491,40 @@ class TestHostMemoryPolicy:
         # 11.50 MB held, 11.44 MB saved: 63 kB over 73 nodes.  Keeping
         # each MLP's output alive as well reads 602 kB.
         assert 0 <= residue <= marks["nodes"] * self.RESIDUE_PER_NODE, marks
+
+    def test_backward_leaves_only_the_gradients(self, monkeypatch):
+        """ROADMAP item 4, serial after-backward cell: when one warm
+        step's backward returns, what the step has left allocated is the
+        parameters' gradients (a view counted once, by its base) plus
+        the per-node residue -- the saves are released, and the nodes
+        stay only until the step drops its loss.  A saved (s, b, h)
+        activation kept alive past backward is 256 kB here, far above
+        the residue bound."""
+        import tracemalloc
+
+        from repro.tensor import tensor as tape
+        step = self.substrate_step()
+        step()
+        marks, run_backward = {}, tape.run_backward
+
+        def traced(seeds):
+            marks["nodes"] = len(self._nodes(seeds))
+            run_backward(seeds)
+            marks["held"] = tracemalloc.get_traced_memory()[0] - marks["mark"]
+
+        monkeypatch.setattr(tape, "run_backward", traced)
+        tracemalloc.start()
+        try:
+            marks["mark"] = tracemalloc.get_traced_memory()[0]
+            step()
+        finally:
+            tracemalloc.stop()
+        grads = self._by_base(g for p in step.func.__self__.model.parameters()
+                              for g in p.grad)
+        residue = marks["held"] - sum(grads.values())
+        # 3.44 MB held, 3.37 MB of gradients: 74 kB over 73 nodes.
+        assert 0 <= residue <= marks["nodes"] * self.RESIDUE_PER_NODE, (
+            marks, residue)
 
 
 class TestTrainStepAccounting:
