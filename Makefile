@@ -140,7 +140,12 @@ wall-history:
 # docs/extending.md); and the bench gate's tolerance rows,
 # len(regress.TOLERANCES) (4: the exact default and the three claim
 # floors; 36 while 21 exact, 7 relative, 5 absolute and 3 floor rows
-# judged the documents tier-1 already holds byte-identical).
+# judged the documents tier-1 already holds byte-identical); and the
+# names the 19 repro packages re-export, the sum of their __all__s (265:
+# a subpackage re-exports a name only while some caller reaches it
+# through the package, held by tests/test_package_exports.py; 358 before
+# 94 names with no such caller went and training's __all__ gained the one
+# name it bound but omitted).
 loc:
 	@printf '%-56s %6d\n' \
 		'src/ python lines' "$$(find src -name '*.py' | xargs cat | wc -l)" \
@@ -177,7 +182,8 @@ loc:
 		'test_parallel_equivalence.py .grad[0] reads' "$$(grep -o '\.grad\[0\]' tests/test_parallel_equivalence.py | wc -l)" \
 		'op modules fctx.log_/listening( lines' "$$(cat src/repro/tensor/functions.py src/repro/fusion/ops.py src/repro/parallel/mappings.py src/repro/parallel/loss.py src/repro/longctx/mappings.py | grep -cE 'fctx\.log_|listening\(')" \
 		'repro keyword options (every module but __main__)' "$$(PYTHONPATH=src $(PY) -c 'import importlib, inspect, pkgutil, repro; mods = [importlib.import_module(m.name) for m in pkgutil.walk_packages(repro.__path__, "repro.") if m.name != "repro.__main__"]; fns = [f for m in mods for o in vars(m).values() if getattr(o, "__module__", None) == m.__name__ for f in ([o] if inspect.isfunction(o) else [getattr(v, "__func__", v) for v in vars(o).values()] if inspect.isclass(o) else [])]; print(sum(p.default is not p.empty for f in fns if inspect.isfunction(f) for p in inspect.signature(f).parameters.values()))')" \
-		'bench gate tolerance rows' "$$(PYTHONPATH=src $(PY) -c 'from repro.observability import regress; print(len(regress.TOLERANCES))')"
+		'bench gate tolerance rows' "$$(PYTHONPATH=src $(PY) -c 'from repro.observability import regress; print(len(regress.TOLERANCES))')" \
+		'package re-exports (sum of __all__)' "$$(PYTHONPATH=src $(PY) -c 'import importlib, pkgutil, repro; print(len(repro.__all__) + sum(len(importlib.import_module(m.name).__all__) for m in pkgutil.iter_modules(repro.__path__, "repro.") if m.ispkg))')"
 
 # CI smoke run: the artifact-writing CLI invocation of each concrete-run
 # command, plus the two invocations no tier-1 test makes (the recompute

@@ -44,21 +44,25 @@ from .observability import (
     RequestTracker,
     Tracer,
     attribute,
-    check_against_baselines,
     counter_events,
     dump_json,
     dumps_json,
     export_trace,
     flamegraph,
     load_trace,
-    run_preset,
     schedule_events,
     trace_scope,
     validate_trace_file,
     verify_partition,
+)
+from .observability.regress import (
+    DEFAULT_BASELINE_DIR,
+    PRESET_NAMES,
+    PRESETS,
+    check_against_baselines,
+    run_preset,
     write_bench,
 )
-from .observability.regress import DEFAULT_BASELINE_DIR, PRESET_NAMES, PRESETS
 from .perf_model import iteration_time
 from .planner import plan
 from .serving import POLICIES

@@ -1,14 +1,12 @@
 """Simulated NCCL-style communication: groups, collectives, cost model."""
 
 from .collectives import (
-    active_fault_injector,
     all_gather,
     all_reduce,
     all_to_all,
     broadcast,
     fault_scope,
     gather_concat,
-    install_fault_injector,
     reduce_scatter,
     scatter,
 )
@@ -16,7 +14,7 @@ from .cost_model import CollectiveCostModel
 from .process_group import ProcessGroup
 
 __all__ = [
-    "CollectiveCostModel", "ProcessGroup", "active_fault_injector",
+    "CollectiveCostModel", "ProcessGroup",
     "all_gather", "all_reduce", "all_to_all", "broadcast", "fault_scope",
-    "gather_concat", "install_fault_injector", "reduce_scatter", "scatter",
+    "gather_concat", "reduce_scatter", "scatter",
 ]

@@ -2,9 +2,10 @@
 
 ``repro.compiler`` traces one full train step through the
 live tape/:class:`~repro.tensor.tensor.FnCtx` machinery and captures it
-as a :class:`StepPlan` — a topologically ordered closure schedule with
-preplanned first-fit arena offsets, a static collective schedule, and
-recompute segments carried as opaque composite calls.  Replaying the
+as a :class:`~repro.compiler.plan.StepPlan` — a topologically ordered
+closure schedule with preplanned first-fit arena offsets, a static
+collective schedule, and recompute segments carried as opaque composite
+calls.  Replaying the
 plan skips tape construction, the autograd graph walk and all per-step
 Python bookkeeping while remaining bitwise-identical to eager mode
 (losses, gradients, tracked peak bytes, priced cost model — all
@@ -18,15 +19,10 @@ capture, or is skipped for a replay (:meth:`PlanCache.run`).
 
 from .cache import PlanCache
 from .capture import CaptureRecorder, capture_scope, effect
-from .memplan import MemoryPlan, plan_memory
-from .plan import StepPlan
 
 __all__ = [
     "CaptureRecorder",
-    "MemoryPlan",
     "PlanCache",
-    "StepPlan",
     "capture_scope",
     "effect",
-    "plan_memory",
 ]

@@ -22,35 +22,24 @@ Layers in :mod:`repro.layers` and :mod:`repro.parallel` opt in via a
 
 from .arena import SCRATCH_CATEGORY, BufferArena, default_arena, reset_arena
 from .ops import (
-    BiasGelu,
-    DropoutAdd,
-    FusedLayerNorm,
-    ScaleMaskSoftmaxDropout,
-    SoftmaxCrossEntropy,
     bias_gelu,
     dropout_add,
     fused_layernorm,
     scale_mask_softmax_dropout,
     softmax_cross_entropy,
 )
-from .passes import PATTERNS, fuse_records, fusion_report
+from .passes import fuse_records, fusion_report
 
 __all__ = [
     "SCRATCH_CATEGORY",
     "BufferArena",
     "default_arena",
     "reset_arena",
-    "BiasGelu",
-    "DropoutAdd",
-    "FusedLayerNorm",
-    "ScaleMaskSoftmaxDropout",
-    "SoftmaxCrossEntropy",
     "bias_gelu",
     "dropout_add",
     "fused_layernorm",
     "scale_mask_softmax_dropout",
     "softmax_cross_entropy",
-    "PATTERNS",
     "fuse_records",
     "fusion_report",
 ]

@@ -33,9 +33,9 @@ import numpy as np
 from ..errors import ShapeError
 from ..tensor import backend as bk
 from ..tensor.dtypes import FP16, FP32, MASK
-from ..tensor.functions import (CausalMask, Dropout, MaskSource, _causal_keep,
-                                _gelu_bwd, _gelu_fwd, _offset_keep,
-                                _unbroadcast, _xent, _xent_backward)
+from ..tensor.functions import (CausalMask, Dropout, MaskSource, _gelu_bwd,
+                                _gelu_fwd, _offset_keep, _unbroadcast, _xent,
+                                _xent_backward)
 from ..tensor.tensor import (FnCtx, Function, ShardList, Tensor, apply, elementwise, map_shards,
                              per_element, same_shape)
 from .arena import default_arena

@@ -69,6 +69,23 @@ def _next_token_logits(model: GPTModel, ids: np.ndarray,
     return model.layout.full_logits(logits)[length - 1]
 
 
+def _checked_prompt(prompt, strategy: str, top_k: int,
+                    temperature: float) -> np.ndarray:
+    """The ``(length, batch)`` int64 prompt, once the decoding arguments
+    :func:`generate` and :func:`generate_cached` share are valid."""
+    if strategy not in ("greedy", "top_k"):
+        raise ConfigError(f"unknown decoding strategy {strategy!r}")
+    if not 0 < temperature < np.inf:
+        raise ConfigError(f"temperature must be positive and finite, "
+                          f"got {temperature}")
+    if top_k < 1:
+        raise ConfigError(f"top_k must be >= 1, got {top_k}")
+    ids = np.asarray(prompt, dtype=np.int64)
+    if ids.ndim != 2:
+        raise ConfigError("prompt must be (length, batch)")
+    return ids
+
+
 def sample_next(logits: np.ndarray, strategy: str, top_k: int,
                 temperature: float,
                 rng: Optional[np.random.Generator]) -> np.ndarray:
@@ -109,14 +126,8 @@ def generate(
     the tensor-parallel size, so SP models should generate without SP or
     at aligned lengths; a clear error is raised otherwise.
     """
-    if strategy not in ("greedy", "top_k"):
-        raise ConfigError(f"unknown decoding strategy {strategy!r}")
-    if temperature <= 0:
-        raise ConfigError("temperature must be positive")
+    ids = _checked_prompt(prompt, strategy, top_k, temperature)
     rng = rng or np.random.default_rng(0)
-    ids = np.asarray(prompt, dtype=np.int64)
-    if ids.ndim != 2:
-        raise ConfigError("prompt must be (length, batch)")
     max_len = model.config.seq_length
 
     with no_grad(), evaluation(model):
@@ -159,14 +170,10 @@ def generate_cached(model: GPTModel, prompt: np.ndarray, max_new_tokens: int,
     from .serving.engine import DecodeEngine
     from .serving.kv_cache import PagedKVCache
 
-    if strategy not in ("greedy", "top_k"):
-        raise ConfigError(f"unknown decoding strategy {strategy!r}")
-    if temperature <= 0:
-        raise ConfigError("temperature must be positive")
+    ids = _checked_prompt(prompt, strategy, top_k, temperature)
+    if block_size < 1:
+        raise ConfigError("block_size must be >= 1")
     rng = rng or np.random.default_rng(0)
-    ids = np.asarray(prompt, dtype=np.int64)
-    if ids.ndim != 2:
-        raise ConfigError("prompt must be (length, batch)")
     max_len = model.config.seq_length
     batch = ids.shape[1]
     blocks_per_request = -(-max_len // block_size)

@@ -7,19 +7,15 @@ all-to-alls (Ulysses) or ring P2P hops, both verified bitwise against
 the serial model.  See ``docs/long_context.md``.
 """
 
-from .layout import LAYOUTS, ContextParallel, Ring, Ulysses, context_layout
+from .layout import ContextParallel, Ring, Ulysses
 from .mappings import (
-    AllToAll,
-    RingGather,
     all_to_all_head_to_seq,
     all_to_all_seq_to_head,
-    overlap_active,
     recompute_overlap_scope,
     ring_gather,
 )
 from .model import LongContextGPTModel
 from .volume import (
-    LayoutVolume,
     layout_volumes,
     ring_layer_bytes,
     ring_selective_extra_bytes,
@@ -29,10 +25,9 @@ from .volume import (
 )
 
 __all__ = [
-    "AllToAll", "ContextParallel", "LAYOUTS", "LayoutVolume",
-    "LongContextGPTModel", "Ring", "RingGather", "Ulysses", "context_layout",
+    "ContextParallel", "LongContextGPTModel", "Ring", "Ulysses",
     "all_to_all_head_to_seq", "all_to_all_seq_to_head", "layout_volumes",
-    "overlap_active", "recompute_overlap_scope", "ring_gather",
+    "recompute_overlap_scope", "ring_gather",
     "ring_layer_bytes", "ring_selective_extra_bytes", "sp_layer_bytes",
     "ulysses_layer_bytes", "ulysses_selective_extra_bytes",
 ]

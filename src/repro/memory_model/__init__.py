@@ -1,7 +1,6 @@
 """Closed-form memory model (paper Section 4 + Appendices B-C)."""
 
 from .activations import (
-    Table2Row,
     first_stage_layers_worth,
     input_output_extras_bytes,
     interleave_memory_factor,
@@ -15,36 +14,26 @@ from .activations import (
     total_activation_bytes,
 )
 from .kv import (
-    KV_CACHE_DTYPE_BYTES,
-    kv_block_bytes,
-    kv_blocks_for_tokens,
     kv_cache_bytes,
 )
 from .pipeline import (
-    PipelineMemoryProfile,
     in_flight_microbatches,
     microbatch_recompute_window,
     pipeline_memory_profile,
     stage_activation_bytes,
 )
 from .weights import (
-    BYTES_PER_PARAM_MIXED_PRECISION,
-    OPTIMIZER_STATE_BYTES_PER_PARAM,
-    MemoryBudget,
     figure1_budget,
     parameter_count,
-    parameters_per_rank,
     weight_and_optimizer_bytes,
 )
 
 __all__ = [
-    "BYTES_PER_PARAM_MIXED_PRECISION", "KV_CACHE_DTYPE_BYTES", "MemoryBudget",
-    "OPTIMIZER_STATE_BYTES_PER_PARAM", "PipelineMemoryProfile",
-    "Table2Row", "figure1_budget", "first_stage_layers_worth",
+    "figure1_budget", "first_stage_layers_worth",
     "in_flight_microbatches", "input_output_extras_bytes",
-    "interleave_memory_factor", "kv_block_bytes", "kv_blocks_for_tokens",
+    "interleave_memory_factor",
     "kv_cache_bytes", "longctx_per_layer_term_groups", "memory_fraction_of_tp_baseline",
-    "microbatch_recompute_window", "parameter_count", "parameters_per_rank",
+    "microbatch_recompute_window", "parameter_count",
     "per_layer_activation_bytes", "per_layer_breakdown",
     "per_layer_term_groups", "pipeline_memory_profile",
     "stage_activation_bytes", "table2", "term_group_categories",

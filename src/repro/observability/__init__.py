@@ -47,36 +47,22 @@ runs the regression presets.  See ``docs/observability.md``.
 """
 
 from .analysis import (
-    Attribution,
-    CriticalPath,
-    MemoryTermDrift,
-    RankAttribution,
-    TraceData,
-    UtilizationCrosscheck,
     attribute,
-    from_chrome_events,
     from_tracer,
     load_trace,
     longctx_memory_term_drift,
-    memory_drift_report,
     memory_term_drift,
     schedule_critical_path,
     utilization_crosscheck,
 )
 from .memprof import (
-    AttributionCheck,
-    LedgerEntry,
     MemoryLedger,
     MemProfiler,
-    PeakAttribution,
-    arena_recycling_report,
     check_peak_attribution,
     flamegraph,
     frontier,
     frontier_by_category,
-    install_memprof,
     ledger_document,
-    memprof_scope,
     paged_kv_fragmentation,
     peak_attribution,
     profile_layer,
@@ -94,15 +80,11 @@ from .perfetto import (
     validate_trace_file,
 )
 from .regress import (
-    Regression,
-    check_against_baselines,
     compare,
     run_preset,
     write_bench,
 )
 from .request_trace import (
-    RequestSpan,
-    RequestTrace,
     RequestTracker,
     partition_error,
     reconcile_quantiles,
@@ -111,30 +93,21 @@ from .request_trace import (
 )
 from .serialize import dump_json, dumps_json, to_jsonable
 from .tracer import (
-    InstantEvent,
-    SpanEvent,
     Tracer,
     active_tracer,
-    install_tracer,
     span_or_null,
     trace_scope,
 )
 
 __all__ = [
-    "Attribution", "AttributionCheck", "Counter", "CriticalPath",
-    "Detection", "FlightRecorder", "Gauge", "Histogram", "InstantEvent",
-    "LedgerEntry", "MemProfiler", "MemoryLedger", "MemoryTermDrift",
-    "MetricsRegistry", "PeakAttribution", "RankAttribution", "Regression",
-    "RequestSpan", "RequestTrace", "RequestTracker", "SLOMonitor",
-    "SpanEvent", "TraceData", "Tracer", "UtilizationCrosscheck",
-    "active_tracer", "arena_recycling_report", "attribute",
-    "check_against_baselines", "check_peak_attribution", "compare",
+    "Counter", "Detection", "FlightRecorder", "Gauge", "Histogram",
+    "MemProfiler", "MemoryLedger", "MetricsRegistry", "RequestTracker",
+    "SLOMonitor", "Tracer", "active_tracer", "attribute",
+    "check_peak_attribution", "compare",
     "counter_events", "dump_json", "dumps_json", "export_trace",
-    "flamegraph", "from_chrome_events", "from_tracer", "frontier",
-    "frontier_by_category", "install_memprof", "install_tracer",
+    "flamegraph", "from_tracer", "frontier", "frontier_by_category",
     "ledger_document", "load_trace", "longctx_memory_term_drift",
-    "memory_drift_report",
-    "memory_term_drift", "memprof_scope", "merged_trace",
+    "memory_term_drift", "merged_trace",
     "paged_kv_fragmentation", "partition_error", "peak_attribution",
     "profile_layer", "reconcile_quantiles", "run_preset",
     "schedule_critical_path", "schedule_events",

@@ -126,7 +126,6 @@ class MemProfiler:
         #: to a later shard, aliasing two nodes of the producer graph — so
         #: keyed shards stay pinned until :meth:`reset`.
         self._pinned: Dict[int, object] = {}
-        self.ledgers: List["MemoryLedger"] = []
         self._price_memo: Dict[Tuple[int, int], Optional[float]] = {}
 
     # -- module paths ------------------------------------------------------
@@ -200,9 +199,7 @@ class MemProfiler:
 
     # -- ledgers -----------------------------------------------------------
     def ledger(self) -> "MemoryLedger":
-        led = MemoryLedger(profiler=self)
-        self.ledgers.append(led)
-        return led
+        return MemoryLedger(profiler=self)
 
     # -- pricing -----------------------------------------------------------
     def recompute_records(self, ledger: "MemoryLedger",

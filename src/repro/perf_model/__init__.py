@@ -1,21 +1,13 @@
 """Roofline timing model: per-layer (Table 4, Figure 8) and end-to-end
 iteration time (Table 5)."""
 
-from .gpu import KernelCostModel, PhaseTimes
+from .gpu import KernelCostModel
 from .iteration import (
-    DP_ALLREDUCE_EFFICIENCY,
-    IterationResult,
-    Table5Row,
-    embedding_times,
-    head_times,
     iteration_time,
     measured_utilization,
     table5_row,
 )
 from .layer_timing import (
-    FIGURE8_SCHEMES,
-    TABLE4_EXPERIMENTS,
-    Table4Row,
     figure8,
     layer_oplog,
     layer_times,
@@ -23,9 +15,7 @@ from .layer_timing import (
 )
 
 __all__ = [
-    "DP_ALLREDUCE_EFFICIENCY", "FIGURE8_SCHEMES", "IterationResult",
-    "KernelCostModel", "PhaseTimes", "TABLE4_EXPERIMENTS", "Table4Row",
-    "Table5Row", "embedding_times", "figure8", "head_times", "iteration_time",
+    "KernelCostModel", "figure8", "iteration_time",
     "layer_oplog", "layer_times", "measured_utilization", "table4",
     "table5_row",
 ]

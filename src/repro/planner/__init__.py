@@ -1,10 +1,7 @@
 """Memory-budget-driven recomputation planning (paper Section 5)."""
 
 from .planner import (
-    CONTEXT_LAYOUT_PREFERENCE,
-    ContextLayoutChoice,
     FleetCapacity,
-    PlanOption,
     choose_context_layout,
     enumerate_options,
     plan,
@@ -12,7 +9,6 @@ from .planner import (
     replan_after_shrink,
 )
 
-__all__ = ["CONTEXT_LAYOUT_PREFERENCE", "ContextLayoutChoice",
-           "FleetCapacity", "PlanOption", "choose_context_layout",
+__all__ = ["FleetCapacity", "choose_context_layout",
            "enumerate_options", "plan", "plan_fleet_capacity",
            "replan_after_shrink"]

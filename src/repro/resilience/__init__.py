@@ -13,7 +13,8 @@ The subsystem has four pieces:
 * :mod:`~repro.resilience.recovery` — the
   :class:`ResilientTrainer` loop: retry with backoff, checkpoint
   rollback-and-replay, and shrink-and-replan on permanent rank loss,
-  with every fault and action recorded in a :class:`ResilienceReport`.
+  with every fault and action recorded in a
+  :class:`~repro.resilience.report.ResilienceReport`.
 
 The headline guarantee: a run interrupted by *any* fault plan finishes
 with weights bitwise-identical to the uninterrupted run at the same
@@ -21,15 +22,13 @@ seed.  See ``docs/resilience.md``.
 """
 
 from .backoff import backoff_delay, backoff_jitter
-from .faults import FLEET_KINDS, TRAINING_KINDS, FaultKind, FaultPlan, FaultSpec
+from .faults import FLEET_KINDS, FaultKind, FaultPlan, FaultSpec
 from .injector import FaultInjector
-from .recovery import ResilientTrainer, RunResult, make_step_batches
-from .report import FaultRecord, RecoveryRecord, ResilienceReport
+from .recovery import ResilientTrainer, make_step_batches
 from .watchdog import Watchdog
 
 __all__ = [
-    "FLEET_KINDS", "FaultInjector", "FaultKind", "FaultPlan", "FaultRecord",
-    "FaultSpec", "RecoveryRecord", "ResilienceReport",
-    "ResilientTrainer", "RunResult", "TRAINING_KINDS", "Watchdog",
+    "FLEET_KINDS", "FaultInjector", "FaultKind", "FaultPlan", "FaultSpec",
+    "ResilientTrainer", "Watchdog",
     "backoff_delay", "backoff_jitter", "make_step_batches",
 ]

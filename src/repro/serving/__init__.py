@@ -12,10 +12,8 @@ models and emits tracer spans per serving phase.
 
 from .engine import DecodeEngine
 from .kv_cache import (
-    BlockTable,
     KVAdmissionFull,
     KVCacheFull,
-    KVStepFull,
     PagedKVCache,
     SwappedKV,
 )
@@ -25,22 +23,18 @@ from .scheduler import (
     ContinuousBatchingScheduler,
     RequestSpec,
     RequestState,
-    ServeReport,
     generate_requests,
 )
 
 __all__ = [
-    "BlockTable",
     "ContinuousBatchingScheduler",
     "DecodeEngine",
     "KVAdmissionFull",
     "KVCacheFull",
-    "KVStepFull",
     "PagedKVCache",
     "POLICIES",
     "RequestSpec",
     "RequestState",
-    "ServeReport",
     "ServingPerfModel",
     "SwappedKV",
     "generate_requests",

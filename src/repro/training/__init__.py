@@ -13,7 +13,6 @@ from .serialization import (
 )
 from .trainer import (
     PipelinedGPT,
-    PipelineStepResult,
     Trainer,
     run_step_with_retries,
     split_microbatches,
@@ -21,8 +20,8 @@ from .trainer import (
 
 __all__ = [
     "Adam", "DataParallelTrainer", "LossScaler", "MarkovTokens", "WarmupDecayLR",
-    "PackedDocuments", "PipelineStepResult", "PipelinedGPT", "Trainer",
-    "UniformTokens", "checkpoint_exists",
+    "PackedDocuments", "PipelinedGPT", "Trainer",
+    "UniformTokens", "checkpoint_exists", "flush_grads_through_fp16",
     "load_training_state", "load_weights", "run_step_with_retries",
     "save_training_state", "save_weights", "split_microbatches",
 ]

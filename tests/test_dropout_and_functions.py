@@ -268,15 +268,21 @@ class TestLinearMatmulFlattening:
 
 class TestCausalMaskCache:
     def test_masks_come_from_one_read_only_cache(self):
-        from repro.fusion import ops as fused_ops
-        assert fused_ops._causal_keep is F._causal_keep
-        assert fused_ops._offset_keep is F._offset_keep
-        keep, masked = F._causal_keep((2, 5, 5))
-        assert F._causal_keep((7, 5, 5))[0] is keep
-        assert F._offset_keep(5, 5, 0)[0] is keep
-        np.testing.assert_array_equal(keep, np.tril(np.ones((5, 5), bool)))
+        """The fused attention op masks with the read-only pair that
+        ``F._offset_keep`` caches, the same arrays ``F._causal_keep``
+        gives the unfused op."""
+        from repro.fusion import scale_mask_softmax_dropout
+        F._TRIL_CACHE.pop((11, 11, 0), None)
+        y = scale_mask_softmax_dropout(Tensor([rng.normal(size=(2, 11, 11))]),
+                                       0.5, 0.0)
+        keep, masked = F._TRIL_CACHE[(11, 11, 0)]
+        assert F._causal_keep((7, 11, 11))[0] is keep
+        assert F._causal_keep((2, 11, 11))[1] is masked
+        np.testing.assert_array_equal(keep, np.tril(np.ones((11, 11), bool)))
         np.testing.assert_array_equal(masked, ~keep)
         assert not keep.flags.writeable and not masked.flags.writeable
+        np.testing.assert_array_equal(y.shards[0] == 0,
+                                      np.broadcast_to(masked, (2, 11, 11)))
 
     def test_offset_mask_forward_backward(self):
         x = Tensor([rng.normal(size=(2, 6)) for _ in range(3)],

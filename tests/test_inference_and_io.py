@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import ModelConfig
 from repro.errors import ConfigError
-from repro.inference import evaluation, generate, perplexity
+from repro.inference import evaluation, generate, generate_cached, perplexity
 from repro.layers import GPTModel, token_tensor
 from repro.layers.dropout import Dropout
 from repro.parallel import ParallelGPTModel
@@ -20,6 +20,15 @@ CFG = ModelConfig(num_layers=2, hidden_size=32, num_heads=4,
                   seq_length=24, vocab_size=16)
 V = CFG.vocab_size  # token ids lie in [0, V)
 rng = np.random.default_rng(41)
+
+BAD_DECODING = {
+    "beam-strategy": dict(strategy="beam"),
+    "zero-temperature": dict(temperature=0.0),
+    "nan-temperature": dict(strategy="top_k", temperature=float("nan")),
+    "zero-top_k": dict(strategy="top_k", top_k=0),
+    "negative-top_k": dict(strategy="top_k", top_k=-3),
+    "1d-prompt": dict(prompt=np.zeros(3, dtype=int)),
+}
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +109,20 @@ class TestGeneration:
             generate(serial, np.zeros((2, 1), dtype=int), 1, temperature=0.0)
         with pytest.raises(ConfigError):
             generate(serial, np.zeros(3, dtype=int), 1)
+
+    @pytest.mark.parametrize("decode,bad", [
+        *(pytest.param(decode, bad, id=f"{decode.__name__}-{name}")
+          for decode in (generate, generate_cached)
+          for name, bad in BAD_DECODING.items()),
+        pytest.param(generate_cached, dict(block_size=0),
+                     id="generate_cached-zero-block_size"),
+    ])
+    def test_bad_decoding_arguments_raise_config_error(self, serial, decode, bad):
+        """Both decode paths reject the same bad arguments with
+        ``ConfigError`` before any value reaches NumPy."""
+        args = {"prompt": np.zeros((2, 1), dtype=int), **bad}
+        with pytest.raises(ConfigError):
+            decode(serial, args.pop("prompt"), 2, **args)
 
     def test_evaluation_context_disables_and_restores_dropout(self, serial):
         dropouts = [m for m in serial.modules() if isinstance(m, Dropout)]
