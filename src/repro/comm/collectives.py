@@ -59,6 +59,11 @@ def install_trace_hook(hook) -> None:
     _TRACE_HOOK = hook
 
 
+def active_trace_hook():
+    """The installed collective trace observer, or ``None``."""
+    return _TRACE_HOOK
+
+
 def install_fault_injector(injector) -> None:
     """Install (or with ``None``, remove) the process-wide fault injector.
 

@@ -123,6 +123,8 @@ class ParallelConfig:
         for name in ("tensor_parallel", "pipeline_parallel", "interleave_stages", "data_parallel"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.interleave_stages > 1 and self.pipeline_parallel == 1:
+            raise ConfigError("interleave_stages > 1 needs pipeline_parallel > 1")
 
     @property
     def t(self) -> int:

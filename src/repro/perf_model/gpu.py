@@ -24,7 +24,7 @@ prediction of the model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from ..comm.cost_model import CollectiveCostModel
 from ..hardware import ClusterSpec, GPUSpec
@@ -121,10 +121,13 @@ class KernelCostModel:
         )
 
     def price(self, oplog: OpLog) -> PhaseTimes:
+        return self.phase_times(oplog.records)
+
+    def phase_times(self, records: Sequence[OpRecord]) -> PhaseTimes:
         return PhaseTimes(
-            forward=self.price_records(oplog.records, Phase.FORWARD),
-            backward=self.price_records(oplog.records, Phase.BACKWARD),
-            recompute=self.price_records(oplog.records, Phase.RECOMPUTE),
+            forward=self.price_records(records, Phase.FORWARD),
+            backward=self.price_records(records, Phase.BACKWARD),
+            recompute=self.price_records(records, Phase.RECOMPUTE),
         )
 
     def price_breakdown(self, oplog: OpLog) -> dict:

@@ -142,9 +142,10 @@ def _iterations(config: ExperimentConfig,
 
     What variants have in common is built once and handed down: the
     schedule table (a function of ``(p, n, m)`` only, with the level
-    order its first ``simulate`` computes), one layer trace per
-    distinct ``(sequence_parallel, recompute)`` and one embedding / head
-    trace per ``sequence_parallel``.  Nothing outlives the call."""
+    order its first ``simulate`` computes) and one embedding / head
+    trace per ``sequence_parallel``; these are dropped when the call
+    returns.  Layer traces come from :func:`layer_times`, which keeps
+    them for the process."""
     model, par, train = config.model, config.parallel, config.training
     if cost is None:
         num_gpus = par.model_parallel_size * data_parallel
@@ -154,10 +155,6 @@ def _iterations(config: ExperimentConfig,
     num_groups = p * m
     layers_per_group = model.num_layers // num_groups
     sched = schedule_table(p, train.num_microbatches(1), m)  # per replica
-    layer = {key: layer_times(model, train.micro_batch_size, par.tensor_parallel,
-                              sequence_parallel=key[0], recompute=key[1],
-                              cost=cost)
-             for key in dict.fromkeys(variant[:2] for variant in variants)}
     ends = {sp: (embedding_times(config, sp, cost), head_times(config, sp, cost))
             for sp in dict.fromkeys(variant[0] for variant in variants)}
 
@@ -176,7 +173,9 @@ def _iterations(config: ExperimentConfig,
 
     def one(sequence_parallel: bool, recompute: Recompute,
             stored_full_fraction: Sequence[float]) -> IterationResult:
-        lt = layer[sequence_parallel, recompute]
+        lt = layer_times(model, train.micro_batch_size, par.tensor_parallel,
+                         sequence_parallel=sequence_parallel,
+                         recompute=recompute, cost=cost)
         emb, head = ends[sequence_parallel]
 
         # seconds per group: its layers, plus the embedding on the first

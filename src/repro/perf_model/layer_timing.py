@@ -11,13 +11,16 @@ the 22B model with just one layer").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from functools import lru_cache
+from typing import Dict, List, Optional, Tuple
 
+from ..comm import collectives
 from ..comm.process_group import ProcessGroup
 from ..config import ModelConfig
 from ..layers.transformer import Recompute, abstract_layer
 from ..parallel.layout import TensorParallel
-from ..tensor import OpLog, instrument
+from ..tensor import OpLog, ctx, instrument
+from ..tensor.oplog import OpRecord, Phase
 from .gpu import KernelCostModel, PhaseTimes
 
 
@@ -50,6 +53,27 @@ def layer_oplog(
     return log
 
 
+@lru_cache(maxsize=128)  # one analytic pass prices 18 keys, ~15 KB each
+def _layer_records(model: ModelConfig, microbatch_size: int,
+                   tensor_parallel: int, sequence_parallel: bool,
+                   recompute: Recompute) -> Tuple[OpRecord, ...]:
+    """The memoised trace behind :func:`layer_times`: frozen records in
+    a tuple, so no caller can change what the next one prices."""
+    return tuple(layer_oplog(model, microbatch_size, tensor_parallel,
+                             sequence_parallel, recompute).records)
+
+
+def _unobserved() -> bool:
+    """Whether nothing would see a trace's ops: no memory tracker, op
+    log, tracer, memory profiler, capture or collective hook installed,
+    grad on and the forward phase.  Only then may a trace be shared."""
+    c = ctx()
+    return (c.grad_enabled and c.phase is Phase.FORWARD and c.memory is None
+            and c.oplog is None and c.tracer is None and c.memprof is None
+            and c.capture is None and collectives.active_trace_hook() is None
+            and collectives.active_fault_injector() is None)
+
+
 def layer_times(
     model: ModelConfig,
     microbatch_size: int,
@@ -58,13 +82,20 @@ def layer_times(
     recompute: Recompute = Recompute.NONE,
     cost: Optional[KernelCostModel] = None,
 ) -> PhaseTimes:
-    """Forward / backward / recompute seconds for one transformer layer."""
+    """Forward / backward / recompute seconds for one transformer layer.
+
+    A layer is traced once per process and priced under any number of
+    cost models (Tables 4/5, Figure 8, Appendix C, the planner and
+    ``calibrate`` share the same few layers).  Under an observer (see
+    :func:`_unobserved`) the layer is traced afresh, so it sees every op."""
     cost = cost or KernelCostModel()
-    log = layer_oplog(
-        model, microbatch_size, tensor_parallel,
-        sequence_parallel=sequence_parallel, recompute=recompute,
-    )
-    return cost.price(log)
+    if _unobserved():
+        records = _layer_records(model, microbatch_size, tensor_parallel,
+                                 sequence_parallel, recompute)
+    else:
+        records = layer_oplog(model, microbatch_size, tensor_parallel,
+                              sequence_parallel, recompute).records
+    return cost.phase_times(records)
 
 
 @dataclass(frozen=True)

@@ -165,12 +165,15 @@ def schedule_table(pipeline_parallel: int, num_microbatches: int,
     * ``m > 1``: ``w = min(nm, 2(p-i-1) + (m-1)p)``; with the one extra
       forward in flight during steady 1F1B the first stage peaks at
       ``pm + p - 1`` chunks — the paper's memory factor
-      ``1 + (p-1)/(pm)``.  Requires ``n % p == 0``, as Megatron does.
+      ``1 + (p-1)/(pm)``.  Requires ``p > 1`` and ``n % p == 0``, as
+      Megatron does.
     """
     p, n, m = pipeline_parallel, num_microbatches, interleave_stages
     if p < 1 or n < 1 or m < 1:
         raise ScheduleError("pipeline_parallel, num_microbatches and "
                             "interleave_stages must be >= 1")
+    if m > 1 and p == 1:
+        raise ScheduleError("an interleaved schedule needs pipeline_parallel > 1")
     if m > 1 and n % p:
         raise ScheduleError(
             f"interleaved schedule needs num_microbatches ({n}) divisible "

@@ -299,6 +299,8 @@ class PipelinedGPT:
         if L % self.num_groups != 0:
             raise ConfigError(
                 f"{L} layers not divisible by p*m={self.num_groups}")
+        if interleave_stages > 1 and pipeline_parallel == 1:
+            raise ConfigError("interleave_stages > 1 needs pipeline_parallel > 1")
         self.model = model
         self.p = pipeline_parallel
         self.m = interleave_stages

@@ -75,6 +75,16 @@ class TestParallelConfig:
         with pytest.raises(ConfigError):
             ParallelConfig(pipeline_parallel=2, interleave_stages=3).validate_against(model)
 
+    def test_interleave_needs_a_pipeline(self):
+        from repro.layers import GPTModel
+        from repro.training import PipelinedGPT
+        with pytest.raises(ConfigError, match="needs pipeline_parallel > 1"):
+            ParallelConfig(pipeline_parallel=1, interleave_stages=2)
+        model = GPTModel(ModelConfig(num_layers=2, hidden_size=8, num_heads=2,
+                                     seq_length=4, vocab_size=8))
+        with pytest.raises(ConfigError, match="needs pipeline_parallel > 1"):
+            PipelinedGPT(model, 1, interleave_stages=2)
+
     def test_sp_needs_divisible_sequence(self):
         model = ModelConfig(num_layers=2, hidden_size=8, num_heads=2, seq_length=9)
         with pytest.raises(ConfigError):

@@ -68,6 +68,11 @@ class TestInterleaved:
         with pytest.raises(ScheduleError):
             schedule_table(4, 6, 2)
 
+    def test_one_stage_cannot_interleave(self):
+        """Megatron-LM rejects virtual stages without a pipeline."""
+        with pytest.raises(ScheduleError, match="needs pipeline_parallel > 1"):
+            schedule_table(1, 4, 3)
+
     @given(st.integers(2, 6), st.integers(2, 3))
     @settings(max_examples=30, deadline=None)
     def test_first_stage_chunk_peak_matches_paper_factor(self, p, m):
@@ -164,6 +169,10 @@ def _oracle_interleaved(pipeline_parallel: int, num_microbatches: int,
        data=st.data())
 @settings(max_examples=80, deadline=None)
 def test_table_view_equals_the_hand_written_builders(p, rounds, m, data):
+    if p == 1 and m > 1:  # Megatron-LM rejects interleaving one stage
+        with pytest.raises(ScheduleError, match="needs pipeline_parallel > 1"):
+            schedule_table(p, p * rounds, m)
+        return
     # without interleaving any n is valid, including n < p - 1, where
     # the warm-up is cut short
     n = p * rounds - (data.draw(st.integers(0, p - 1)) if m == 1 else 0)

@@ -228,6 +228,10 @@ _nbytes = st.floats(0.0, 1e9, allow_nan=False)
 @settings(max_examples=60, deadline=None)
 def test_simulate_equals_the_previous_per_op_loop(p, rounds, m, p2p, out,
                                                   dealloc, data):
+    if p == 1 and m > 1:  # Megatron-LM rejects interleaving one stage
+        with pytest.raises(ScheduleError, match="needs pipeline_parallel > 1"):
+            schedule_table(p, p * rounds, m)
+        return
     groups = p * m
     per_group = st.lists(_seconds, min_size=groups, max_size=groups)
     fwd, bwd = data.draw(per_group), data.draw(per_group)

@@ -86,9 +86,10 @@ class TestPlanner:
     def test_one_abstract_trace_per_distinct_layer(self, monkeypatch):
         """100 options, six layers: (SP, no SP) x (none, selective, full)."""
         from repro.perf_model import layer_timing
+        layer_timing._layer_records.cache_clear()
         traced = count_calls(monkeypatch, layer_timing, "layer_oplog")
         assert len(enumerate_options(PAPER_CONFIGS["22B"])) == 100
-        assert len(traced) <= 6
+        assert len(traced) == len(set(traced)) == 6
 
     def test_options_sorted_by_overhead(self):
         options = enumerate_options(PAPER_CONFIGS["22B"], full_layer_step=12)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import reference_walk
 from repro.config import ModelConfig
-from repro.errors import ScheduleError
+from repro.errors import ConfigError, ScheduleError
 from repro.layers import GPTModel, Recompute, token_tensor
 from repro.observability import Tracer, schedule_events, trace_scope
 from repro.parallel import ParallelGPTModel
@@ -64,6 +64,10 @@ def test_executor_matches_accumulation(p, m, n_mb, recompute, slots):
     model = ParallelGPTModel(CFG, tensor_parallel=2, sequence_parallel=True,
                              attention_dropout=0.0, hidden_dropout=0.0,
                              recompute=recompute, serial=_SERIAL)
+    if p == 1 and m > 1:  # Megatron-LM rejects interleaving one stage
+        with pytest.raises(ConfigError, match="needs pipeline_parallel > 1"):
+            PipelinedGPT(model, pipeline_parallel=p, interleave_stages=m)
+        return
     pipe = PipelinedGPT(model, pipeline_parallel=p, interleave_stages=m)
     pipe.train_step(_IDS, _TGT, num_microbatches=n_mb,
                     full_storage_slots=[slots] * p)
@@ -128,6 +132,10 @@ def test_issue_order_equals_the_reference_walk(p, rounds, m, mutation, data):
     """`issue_order` is the order the per-op walk issued, op for op, on
     valid schedules (including 1F1B with fewer microbatches than ranks)
     and on mutated ones; where the walk deadlocks, the table raises."""
+    if p == 1 and m > 1:  # Megatron-LM rejects interleaving one stage
+        with pytest.raises(ScheduleError, match="needs pipeline_parallel > 1"):
+            schedule_table(p, p * rounds, m)
+        return
     n = p * rounds - (data.draw(st.integers(0, p - 1)) if m == 1 else 0)
     ranks_ops = schedule_table(p, n, m).ops()
     if mutation is not None:
@@ -150,6 +158,10 @@ def test_dependency_index_and_level_order(p, rounds, m):
     dependency index is `op_dependency` for every op, and the level
     order is topological — each level runs at most one op per rank, after
     the op before it on its rank and after its dependency."""
+    if p == 1 and m > 1:  # Megatron-LM rejects interleaving one stage
+        with pytest.raises(ScheduleError, match="needs pipeline_parallel > 1"):
+            schedule_table(p, p * rounds, m)
+        return
     table = schedule_table(p, p * rounds, m)
     flat = [op for ops in table.ops() for op in ops]
     n_ops, num_groups = len(flat), p * m
