@@ -3,8 +3,10 @@ PY ?= python
 # OpenBLAS here is built for 64 threads and oversubscribes a 2-vCPU box
 # (one GEMM varies 40x); anything timed or gated runs single-threaded.
 ONE_THREAD = OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1
-# The suite imports `repro` from the tree (tier-1's own invocation).
-SRC_PATH = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH}
+# Every command imports `repro` from this tree (tier-1's own invocation),
+# also under `make -f <repo>/Makefile` from another directory.
+ROOT := $(dir $(abspath $(lastword $(MAKEFILE_LIST))))
+SRC_PATH = PYTHONPATH=$(ROOT)src$${PYTHONPATH:+:$$PYTHONPATH}
 
 .PHONY: test overhead bench-gate bench-wall-smoke wall-history loc smoke report examples all clean
 
@@ -25,7 +27,7 @@ overhead:
 # (docs/observability.md).  Exits non-zero naming each moved key and
 # its owner.
 bench-gate:
-	$(ONE_THREAD) $(PY) -m repro bench --output-dir bench-gate-out --check
+	$(ONE_THREAD) $(SRC_PATH) $(PY) -m repro bench --output-dir bench-gate-out --check
 
 # Wall-clock benchmark smoke run (bench/README.md): every workload once,
 # three units each, output checks on, ~20 s.  Exit code is the result.
@@ -145,7 +147,11 @@ wall-history:
 # a subpackage re-exports a name only while some caller reaches it
 # through the package, held by tests/test_package_exports.py; 358 before
 # 94 names with no such caller went and training's __all__ gained the one
-# name it bound but omitted).
+# name it bound but omitted); and the abstract_layer( call sites in src/
+# (3: the memory oracle's one forward, observability.analysis.
+# forward_layer, which the tracker drift, the context-parallel drift and
+# the memprof ledger all read, plus the allocator's layer trace and the
+# layer-timing trace; 4 while memprof built and forwarded its own copy).
 loc:
 	@printf '%-56s %6d\n' \
 		'src/ python lines' "$$(find src -name '*.py' | xargs cat | wc -l)" \
@@ -183,31 +189,32 @@ loc:
 		'op modules fctx.log_/listening( lines' "$$(cat src/repro/tensor/functions.py src/repro/fusion/ops.py src/repro/parallel/mappings.py src/repro/parallel/loss.py src/repro/longctx/mappings.py | grep -cE 'fctx\.log_|listening\(')" \
 		'repro keyword options (every module but __main__)' "$$(PYTHONPATH=src $(PY) -c 'import importlib, inspect, pkgutil, repro; mods = [importlib.import_module(m.name) for m in pkgutil.walk_packages(repro.__path__, "repro.") if m.name != "repro.__main__"]; fns = [f for m in mods for o in vars(m).values() if getattr(o, "__module__", None) == m.__name__ for f in ([o] if inspect.isfunction(o) else [getattr(v, "__func__", v) for v in vars(o).values()] if inspect.isclass(o) else [])]; print(sum(p.default is not p.empty for f in fns if inspect.isfunction(f) for p in inspect.signature(f).parameters.values()))')" \
 		'bench gate tolerance rows' "$$(PYTHONPATH=src $(PY) -c 'from repro.observability import regress; print(len(regress.TOLERANCES))')" \
-		'package re-exports (sum of __all__)' "$$(PYTHONPATH=src $(PY) -c 'import importlib, pkgutil, repro; print(len(repro.__all__) + sum(len(importlib.import_module(m.name).__all__) for m in pkgutil.iter_modules(repro.__path__, "repro.") if m.ispkg))')"
+		'package re-exports (sum of __all__)' "$$(PYTHONPATH=src $(PY) -c 'import importlib, pkgutil, repro; print(len(repro.__all__) + sum(len(importlib.import_module(m.name).__all__) for m in pkgutil.iter_modules(repro.__path__, "repro.") if m.ispkg))')" \
+		'src/ abstract_layer( call sites' "$$(grep -rn --include='*.py' 'abstract_layer(' src | grep -v 'def abstract_layer' | wc -l)"
 
 # CI smoke run: the artifact-writing CLI invocation of each concrete-run
 # command, plus the two invocations no tier-1 test makes (the recompute
 # preemption policy, a long-context Table 6).  Each feature's tests run
 # in `make test`; CI has already run `pytest tests/`.
 smoke:
-	$(PY) -m repro chaos --steps 6 --seed 11 --verify > /dev/null
-	$(PY) -m repro trace --config tiny --output-dir trace-out
-	$(PY) -m repro serve --trace-out serve-trace.json
-	$(PY) -m repro serve --policy recompute > /dev/null
-	$(PY) -m repro fleet --verify --trace-out fleet-trace.json > /dev/null
-	$(PY) -m repro monitor --postmortem postmortem.json \
+	$(SRC_PATH) $(PY) -m repro chaos --steps 6 --seed 11 --verify > /dev/null
+	$(SRC_PATH) $(PY) -m repro trace --config tiny --output-dir trace-out
+	$(SRC_PATH) $(PY) -m repro serve --trace-out serve-trace.json
+	$(SRC_PATH) $(PY) -m repro serve --policy recompute > /dev/null
+	$(SRC_PATH) $(PY) -m repro fleet --verify --trace-out fleet-trace.json > /dev/null
+	$(SRC_PATH) $(PY) -m repro monitor --postmortem postmortem.json \
 		--request-trace request-trace.json --trace-out monitor-trace.json
-	$(PY) -m repro memprofile --config 22B --output-dir memprof-out
-	$(PY) -m repro compile --trace-out compile-trace.json
-	$(PY) -m repro longctx --layout ulysses --trace-out longctx-trace.json
-	$(PY) -m repro table 6 --seq-length 65536 > /dev/null
+	$(SRC_PATH) $(PY) -m repro memprofile --config 22B --output-dir memprof-out
+	$(SRC_PATH) $(PY) -m repro compile --trace-out compile-trace.json
+	$(SRC_PATH) $(PY) -m repro longctx --layout ulysses --trace-out longctx-trace.json
+	$(SRC_PATH) $(PY) -m repro table 6 --seq-length 65536 > /dev/null
 	@echo "smoke artifacts written"
 
 report:
-	$(PY) -m repro report --output report.md
+	$(SRC_PATH) $(PY) -m repro report --output report.md
 
 examples:
-	@for f in examples/*.py; do echo "== $$f"; $(PY) $$f > /dev/null || exit 1; done
+	@for f in examples/*.py; do echo "== $$f"; $(SRC_PATH) $(PY) $$f > /dev/null || exit 1; done
 	@echo "all examples ran"
 
 all: test overhead report

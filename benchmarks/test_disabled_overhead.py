@@ -162,8 +162,12 @@ def _forward():
 
 
 def _profiled():
+    from repro.comm.process_group import ProcessGroup
+    from repro.parallel import TensorParallel
+
+    layout = TensorParallel(ProcessGroup(2), sequence_parallel=True)
     for _ in range(LAYER_RUNS):
-        profile_layer(LAYER_CFG, 1, 2, True, Recompute.NONE)
+        profile_layer(layout, LAYER_CFG, 1, Recompute.NONE)
 
 
 def _stripped_apply(fn, *args, **kwargs):

@@ -5,7 +5,7 @@ node, eliminating Python dispatch and NumPy temporaries, while
 registering the **same logical saved tensors** (same categories, same
 accounting dtypes, same order) with the :class:`MemoryTracker` as the
 unfused chain would — so the paper's Eq. 1-4 per-term accounting and the
-``memory_term_drift`` crosscheck are preserved by construction.
+``layer_term_drift`` crosscheck are preserved by construction.
 
 Numerics contract (verified in ``tests/test_fusion.py``):
 

@@ -223,7 +223,8 @@ def longctx_per_layer_term_groups(
     """Analytic per-layer bytes per rank under p-way context parallelism,
     per observable term group, on the same group names as
     :func:`per_layer_term_groups` so :func:`term_group_categories` applies
-    unchanged — the basis of the ``longctx_memory_term_drift`` crosscheck.
+    unchanged — the basis of the context layouts' ``layer_term_drift``
+    crosscheck.
     The groups sum to:
 
     ==============================  ======================================

@@ -49,8 +49,8 @@ runs the regression presets.  See ``docs/observability.md``.
 from .analysis import (
     attribute,
     from_tracer,
+    layer_term_drift,
     load_trace,
-    longctx_memory_term_drift,
     memory_term_drift,
     schedule_critical_path,
     utilization_crosscheck,
@@ -106,7 +106,7 @@ __all__ = [
     "check_peak_attribution", "compare",
     "counter_events", "dump_json", "dumps_json", "export_trace",
     "flamegraph", "from_tracer", "frontier", "frontier_by_category",
-    "ledger_document", "load_trace", "longctx_memory_term_drift",
+    "layer_term_drift", "ledger_document", "load_trace",
     "memory_term_drift", "merged_trace",
     "paged_kv_fragmentation", "partition_error", "peak_attribution",
     "profile_layer", "reconcile_quantiles", "run_preset",

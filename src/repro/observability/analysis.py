@@ -421,70 +421,88 @@ class MemoryTermDrift:
                    measured=measured, predicted=predicted, unmapped=unmapped)
 
 
-def _layer_term_drift(layout, model, microbatch_size: int, recompute: Recompute,
-                      fused: bool, predicted: Dict[str, float],
-                      sequence_parallel: bool) -> MemoryTermDrift:
-    """Forward one abstract layer under ``layout`` with a fresh tracker and
-    match its saved bytes, folded into term groups, against ``predicted``."""
-    from ..layers.transformer import abstract_layer
-    from ..tensor import MemoryTracker, instrument, seed
+def forward_layer(layout, model, microbatch_size: int, recompute: Recompute,
+                  fused: bool, tracker, *scopes) -> None:
+    """The one forward every memory observer reads: one abstract layer of
+    ``model`` under ``layout``, built from seed 0 and forwarded with
+    ``tracker`` (a :class:`~repro.tensor.MemoryTracker`, or a memory
+    profiler's ledger) charging its saves, inside ``scopes`` (the
+    profiler's, a tracer's)."""
+    from contextlib import ExitStack
 
+    from ..layers.transformer import abstract_layer
+    from ..tensor import instrument, seed
+
+    if microbatch_size < 1:
+        raise ConfigError(
+            f"microbatch_size must be >= 1, got {microbatch_size}")
     seed(0)
     layer, x = abstract_layer(layout, model, microbatch_size,
                               recompute=recompute, fused=fused)
-    tracker = MemoryTracker()
-    with instrument(memory=tracker):
+    with ExitStack() as stack:
+        for scope in (*scopes, instrument(memory=tracker)):
+            stack.enter_context(scope)
         layer(x)
-    return MemoryTermDrift.of(tracker.category_breakdown(0), predicted,
-                              sequence_parallel, recompute)
+
+
+def term_drifts(layout, model, microbatch_size: int, recompute: Recompute,
+                by_rank: Sequence[Dict[str, int]]) -> List[MemoryTermDrift]:
+    """Fold each rank's measured category bytes into term groups and match
+    them against ``layout``'s closed form: Equations 1-4 for the
+    tensor-parallel layouts, the ``longctx_*`` forms for Ulysses and
+    ring."""
+    from ..memory_model import (longctx_per_layer_term_groups,
+                                per_layer_term_groups)
+    from ..parallel.layout import TensorParallel
+
+    recompute = Recompute(recompute)
+    size = layout.group.size
+    if isinstance(layout, TensorParallel):
+        sp = layout.sequence_parallel
+        predicted = per_layer_term_groups(model, microbatch_size, size, sp,
+                                          recompute)
+    else:
+        from ..longctx.layout import LAYOUTS
+
+        sp = False
+        name = {cls: n for n, cls in LAYOUTS.items()}[type(layout)]
+        predicted = longctx_per_layer_term_groups(model, microbatch_size, size,
+                                                  name, recompute)
+    return [MemoryTermDrift.of(categories, predicted, sp, recompute)
+            for categories in by_rank]
+
+
+def layer_term_drift(layout, model, microbatch_size: int,
+                     recompute: Recompute,
+                     fused: bool = False) -> List[MemoryTermDrift]:
+    """Forward one abstract layer under ``layout`` with a fresh tracker and
+    match each rank's saved bytes, term by term, against the layout's
+    closed form (:func:`term_drifts`).  Zero drift on every (layout,
+    recompute, fused) cell; ``fused=True`` runs the kernels of
+    :mod:`repro.fusion`, whose nodes save the same logical tensors as the
+    chains they replace."""
+    from ..tensor import MemoryTracker
+
+    tracker = MemoryTracker()
+    forward_layer(layout, model, microbatch_size, recompute, fused, tracker)
+    return term_drifts(layout, model, microbatch_size, recompute,
+                       [tracker.category_breakdown(rank)
+                        for rank in range(layout.group.size)])
 
 
 def memory_term_drift(model, microbatch_size: int, tensor_parallel: int,
                       sequence_parallel: bool,
                       recompute: Recompute,
                       fused: bool = False) -> MemoryTermDrift:
-    """Run one abstract parallel layer forward under a fresh tracker and
-    match its saved bytes term-by-term against Equations 1-4.
-
-    This is the measured side of the Table 2 cross-check at per-term
-    granularity; on the seed configurations every drift entry is 0.
-    ``fused=True`` runs the layer with the fused kernels of
-    :mod:`repro.fusion` — every fused node registers the same logical
-    saved tensors as the chain it replaces, so the drift stays exactly
-    zero with fusion on (asserted in the tests).
-    """
+    """Rank 0's :func:`layer_term_drift` under ``tensor_parallel``-way
+    tensor parallelism: the measured side of the Table 2 cross-check at
+    per-term granularity."""
     from ..comm.process_group import ProcessGroup
-    from ..memory_model import per_layer_term_groups
     from ..parallel.layout import TensorParallel
 
-    recompute = Recompute(recompute)
-    return _layer_term_drift(
+    return layer_term_drift(
         TensorParallel(ProcessGroup(tensor_parallel), sequence_parallel),
-        model, microbatch_size, recompute, fused,
-        per_layer_term_groups(model, microbatch_size, tensor_parallel,
-                              sequence_parallel, recompute),
-        sequence_parallel=sequence_parallel)
-
-
-def longctx_memory_term_drift(model, microbatch_size: int,
-                              context_parallel: int, layout: str,
-                              recompute: Recompute,
-                              fused: bool = False) -> MemoryTermDrift:
-    """:func:`memory_term_drift` for the context-parallel layouts: run one
-    abstract Ulysses/ring layer forward and match its saved bytes against
-    the ``longctx_*`` closed forms.  Zero drift on every
-    (layout, recompute, fused) cell — asserted in ``tests/test_longctx.py``
-    and gated by the ``longctx`` bench preset."""
-    from ..longctx.layout import context_layout
-    from ..memory_model import longctx_per_layer_term_groups
-
-    recompute = Recompute(recompute)
-    return _layer_term_drift(
-        context_layout(layout, context_parallel), model, microbatch_size,
-        recompute, fused,
-        longctx_per_layer_term_groups(model, microbatch_size, context_parallel,
-                                      layout, recompute),
-        sequence_parallel=False)
+        model, microbatch_size, recompute, fused)[0]
 
 
 MEMORY_DRIFT_CASES = (

@@ -18,8 +18,8 @@ Three analyses sit on top of the ledger:
   decomposes the peak by module path and by category.  The decomposition
   is *bitwise*: the entry bytes sum exactly to
   ``MemoryTracker.peak_bytes(rank)`` and the category split reconciles
-  term-by-term with :func:`repro.memory_model.per_layer_term_groups`
-  (:func:`check_peak_attribution` gates zero drift).
+  term-by-term with the layout's closed form, through the same fold as
+  the plain tracker's (:func:`check_peak_attribution` gates zero drift).
 
 * **Save-vs-recompute pricing** — :func:`frontier` prices every ledger
   entry with the :class:`~repro.perf_model.gpu.KernelCostModel`
@@ -42,12 +42,11 @@ gated in ``benchmarks/test_disabled_overhead.py``).
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..allocator import TraceEvent
-from ..errors import ConfigError
 from ..layers.transformer import Recompute
 from ..tensor.backend import shape_of
 from ..tensor.context import ctx
@@ -519,19 +518,15 @@ def flamegraph(ledger: MemoryLedger, rank: int = 0) -> dict:
 
 @dataclass(frozen=True)
 class AttributionCheck:
-    """One (config, layout) cell of the exactness matrix."""
+    """One rank of one (config, layout) cell of the exactness matrix."""
 
     rank: int
-    tensor_parallel: int
-    sequence_parallel: bool
-    recompute: str
-    fused: bool
     peak_bytes: int
     sum_exact: bool          # entry bytes sum bitwise to the peak
     category_exact: bool     # per-category split matches the tracker
     watermark_exact: bool    # ... and the final WatermarkEvent snapshot
     path_sum_exact: bool     # per-path split sums bitwise to the peak
-    term_drift_total: float  # vs memory_model.per_layer_term_groups
+    term_drift_total: float  # vs the layout's closed form
     term_drift: Dict[str, float]
 
     @property
@@ -541,76 +536,51 @@ class AttributionCheck:
                 and self.term_drift_total == 0.0)
 
 
-def profile_layer(model, microbatch_size: int, tensor_parallel: int = 1,
-                  sequence_parallel: bool = False,
-                  recompute: Recompute = Recompute.NONE,
-                  fused: bool = False,
-                  tracer=None,
+def profile_layer(layout, model, microbatch_size: int, recompute: Recompute,
+                  fused: bool = False, tracer=None,
                   ) -> Tuple[MemProfiler, MemoryLedger]:
-    """Forward one abstract parallel transformer layer under a fresh
-    profiler+ledger — the same protocol as
-    :func:`repro.observability.analysis.memory_term_drift`, upgraded to
-    per-tensor granularity.  Pass a ``tracer`` to timestamp the ledger
-    on its simulated clock (and feed its counter tracks)."""
-    from ..comm.process_group import ProcessGroup
-    from ..layers.transformer import abstract_layer
-    from ..parallel.layout import TensorParallel
-    from ..tensor import instrument, seed
+    """:func:`repro.observability.analysis.forward_layer` under a fresh
+    profiler+ledger: the memory oracle's forward at per-tensor
+    granularity.  Pass a ``tracer`` to timestamp the ledger on its
+    simulated clock (and feed its counter tracks)."""
+    from .analysis import forward_layer
 
-    if microbatch_size < 1:
-        raise ConfigError(
-            f"microbatch_size must be >= 1, got {microbatch_size}")
     prof = MemProfiler()
     ledger = prof.ledger()
+    scopes = [memprof_scope(prof)]
     if tracer is not None:
         tracer.watch_tracker(ledger, "memprof")
-    seed(0)
-    layer, x = abstract_layer(
-        TensorParallel(ProcessGroup(tensor_parallel), sequence_parallel),
-        model, microbatch_size, recompute=recompute, fused=fused)
-    with (nullcontext() if tracer is None else trace_scope(tracer)), \
-            memprof_scope(prof), instrument(memory=ledger):
-        layer(x)
+        scopes.insert(0, trace_scope(tracer))
+    forward_layer(layout, model, microbatch_size, recompute, fused, ledger,
+                  *scopes)
     return prof, ledger
 
 
-def check_peak_attribution(model, microbatch_size: int,
-                           tensor_parallel: int = 1,
-                           sequence_parallel: bool = False,
-                           recompute: Recompute = Recompute.NONE,
-                           fused: bool = False) -> List[AttributionCheck]:
-    """Run :func:`profile_layer` and verify, per rank, that the ledger's
-    peak decomposition is bitwise-exact and reconciles term-by-term with
-    the Section 4 closed forms (zero drift)."""
-    from ..memory_model import per_layer_term_groups
-    from .analysis import MemoryTermDrift
+def check_peak_attribution(ledger: MemoryLedger, layout, model,
+                           microbatch_size: int,
+                           recompute: Recompute) -> List[AttributionCheck]:
+    """Verify, per rank of a :func:`profile_layer` ledger, that the peak
+    decomposition is bitwise-exact and reconciles term by term with
+    ``layout``'s closed form (zero drift,
+    :func:`repro.observability.analysis.term_drifts`)."""
+    from .analysis import term_drifts
 
-    recompute = Recompute(recompute)
-    _, ledger = profile_layer(
-        model, microbatch_size, tensor_parallel, sequence_parallel,
-        recompute, fused)
-    predicted = per_layer_term_groups(model, microbatch_size,
-                                      tensor_parallel, sequence_parallel,
-                                      recompute)
+    atts = [peak_attribution(ledger, rank) for rank in ledger.ranks()]
+    terms = term_drifts(layout, model, microbatch_size, recompute,
+                        [att.by_category for att in atts])
     checks = []
-    for rank in ledger.ranks():
-        att = peak_attribution(ledger, rank)
-        watermarks = ledger.watermark_events(rank)
+    for att, term in zip(atts, terms):
+        watermarks = ledger.watermark_events(att.rank)
         final_composition = watermarks[-1].by_category if watermarks else {}
-        terms = MemoryTermDrift.of(att.by_category, predicted,
-                                   sequence_parallel, recompute)
         checks.append(AttributionCheck(
-            rank=rank, tensor_parallel=tensor_parallel,
-            sequence_parallel=sequence_parallel,
-            recompute=recompute.value, fused=fused,
-            peak_bytes=att.peak_bytes,
+            rank=att.rank, peak_bytes=att.peak_bytes,
             sum_exact=att.exact,
             category_exact=att.by_category == dict(
-                sorted(ledger.category_breakdown(rank).items())),
+                sorted(ledger.category_breakdown(att.rank).items())),
             watermark_exact=att.by_category == dict(
                 sorted(final_composition.items())),
             path_sum_exact=sum(att.by_path.values()) == att.peak_bytes,
-            term_drift_total=terms.total_drift, term_drift=terms.drift))
+            term_drift_total=term.total_drift, term_drift=term.drift))
     return checks
 
 

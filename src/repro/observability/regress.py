@@ -36,12 +36,14 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .. import scenarios
+from ..comm.process_group import ProcessGroup
 from ..errors import ConfigError
 from ..layers.transformer import Recompute
+from ..parallel.layout import TensorParallel
 from .analysis import (
     attribute,
     from_tracer,
-    longctx_memory_term_drift,
+    layer_term_drift,
     memory_drift_report,
     schedule_critical_path,
     utilization_crosscheck,
@@ -464,8 +466,10 @@ def _exactness_matrix(report, seed_value: int) -> dict:
     for name, (t, sp), recompute, fused in itertools.product(
             ("tiny", "small"), ((1, False), (2, False), (2, True)),
             (Recompute.NONE, Recompute.SELECTIVE), (False, True)):
-        checks = check_peak_attribution(scenarios.memprof_model(name), 1, t,
-                                        sp, recompute, fused)
+        model = scenarios.memprof_model(name)
+        layout = TensorParallel(ProcessGroup(t), sp)
+        _, ledger = profile_layer(layout, model, 1, recompute, fused)
+        checks = check_peak_attribution(ledger, layout, model, 1, recompute)
         cells[f"{name}.t{t}{'sp' if sp else ''}.{recompute.value}."
               f"{'fused' if fused else 'unfused'}"] = {
             "exact": all(c.exact for c in checks),
@@ -483,7 +487,8 @@ def _frontier(report, seed_value: int) -> dict:
     model22 = scenarios.memprof_model("22B")
     out = {}
     for t, sp in ((1, False), (2, True)):
-        prof, ledger = profile_layer(model22, 1, t, sp, Recompute.NONE)
+        prof, ledger = profile_layer(TensorParallel(ProcessGroup(t), sp),
+                                     model22, 1, Recompute.NONE)
         by_cat = frontier_by_category(frontier(prof, ledger, 0))
         out[f"t{t}{'sp' if sp else ''}"] = {
             "selective_recompute_dominates":
@@ -501,16 +506,18 @@ def _overlap_off_vs_on(arms, seed_value: int) -> dict:
     else: the overlap-off run's loss and total comm time are conserved.
     The closed forms ride along: the integer per-layout comm volume and
     the per-term memory drift."""
+    from ..longctx.layout import context_layout
+
     out = {}
     for layout, (off, on) in arms.items():
         att_off = attribute(from_tracer(off.tracer)).totals
         att_on = attribute(from_tracer(on.tracer)).totals
+        drifts = layer_term_drift(context_layout(layout, on.context_parallel),
+                                  on.model_cfg, on.batch, on.recompute)
         out[layout] = {
             "overlap_loss_drift": abs(on.loss - off.loss),
             "expected_comm_bytes": int(on.expected_bytes),
-            "memory_drift_bytes": longctx_memory_term_drift(
-                on.model_cfg, on.batch, on.context_parallel, layout,
-                on.recompute).total_drift,
+            "memory_drift_bytes": max(d.total_drift for d in drifts),
             "attribution": {
                 "serial_exposed_s": att_off["exposed_comm"],
                 "conservation_error": abs(

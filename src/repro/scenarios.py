@@ -469,6 +469,7 @@ def profiled_layer(*, config: str = "22B", microbatch: int = 1, tp: int = 1,
     peak attribution bitwise against the tracker and the Section 4
     closed forms, and run the seeded paged-KV fragmentation churn (and,
     fused, the fusion arena's recycling)."""
+    from .comm.process_group import ProcessGroup
     from .observability.memprof import (
         arena_recycling_report,
         check_peak_attribution,
@@ -476,17 +477,18 @@ def profiled_layer(*, config: str = "22B", microbatch: int = 1, tp: int = 1,
         profile_layer,
     )
     from .observability.tracer import Tracer
+    from .parallel.layout import TensorParallel
 
     model_cfg = memprof_model(config)
+    layout = TensorParallel(ProcessGroup(tp), sequence_parallel)
     tracer = Tracer()
-    profiler, ledger = profile_layer(model_cfg, microbatch, tp,
-                                     sequence_parallel, recompute,
-                                     fused=fused, tracer=tracer)
+    profiler, ledger = profile_layer(layout, model_cfg, microbatch, recompute,
+                                     fused, tracer)
     fragmentation = {"paged_kv": paged_kv_fragmentation(seed=seed_value)}
     if fused:
         fragmentation["fusion_arena"] = arena_recycling_report()
-    checks = check_peak_attribution(model_cfg, microbatch, tp,
-                                    sequence_parallel, recompute, fused=fused)
+    checks = check_peak_attribution(ledger, layout, model_cfg, microbatch,
+                                    recompute)
     return MemprofReport(
         {"config": config, "microbatch": microbatch, "tensor_parallel": tp,
          "sequence_parallel": sequence_parallel,

@@ -24,11 +24,12 @@ from repro.longctx import (
     ulysses_layer_bytes,
     ulysses_selective_extra_bytes,
 )
+from repro.longctx.layout import context_layout
 from repro.observability import (
     Tracer,
     attribute,
     from_tracer,
-    longctx_memory_term_drift,
+    layer_term_drift,
     trace_scope,
 )
 from repro.pipeline_sim import (
@@ -180,8 +181,9 @@ class TestMemoryDrift:
     def test_zero_drift(self, model, b, p, layout, rc, fused):
         if layout == "ulysses" and model.num_heads % p:
             pytest.skip("ulysses needs head-divisible groups")
-        assert_zero_drift(
-            longctx_memory_term_drift(model, b, p, layout, rc, fused=fused))
+        for drift in layer_term_drift(context_layout(layout, p), model, b, rc,
+                                      fused=fused):
+            assert_zero_drift(drift)
 
 
 class TestMappings:

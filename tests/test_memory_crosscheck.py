@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from repro.comm.process_group import ProcessGroup
 from repro.config import PAPER_CONFIGS, ModelConfig
-from repro.layers import Recompute, abstract_layer
+from repro.layers import Recompute
 from repro.layers.transformer import TransformerLayer
 from repro.memory_model import per_layer_activation_bytes
 from repro.observability import memory_term_drift
-from repro.observability.analysis import MEMORY_DRIFT_CASES
+from repro.observability.analysis import MEMORY_DRIFT_CASES, forward_layer
 from repro.parallel import TensorParallel
 from repro.tensor import MemoryTracker, Tensor, instrument, seed
 from repro.tensor.backend import AbstractArray
@@ -29,10 +29,12 @@ def layer_bytes(model: ModelConfig, b: int, rc: Recompute,
                 layout: TensorParallel, concrete: bool = False) -> int:
     """Saved-activation bytes per rank after one layer's forward, required
     to be the same on every rank (``memory_term_drift`` reads rank 0
-    only); it also runs the two cases that call does not: concrete weights
-    and inputs, and the unfused sequence-parallel gather."""
-    seed(0)
+    only).  The abstract layer runs through the memory oracle's forward
+    under ``layout`` (the unfused sequence-parallel gather included);
+    ``concrete`` runs the same layer on concrete weights and inputs."""
+    tracker = MemoryTracker()
     if concrete:
+        seed(0)
         layer = TransformerLayer(model.hidden_size, model.num_heads,
                                  recompute=rc, rng=np.random.default_rng(1),
                                  layout=layout)
@@ -41,11 +43,10 @@ def layer_bytes(model: ModelConfig, b: int, rc: Recompute,
         x = Tensor(list(np.split(full, t, axis=0)) if sharded else [full] * t,
                    requires_grad=True,
                    layout="shard(dim=0)" if sharded else "replicated")
+        with instrument(memory=tracker):
+            layer(x)
     else:
-        layer, x = abstract_layer(layout, model, b, recompute=rc)
-    tracker = MemoryTracker()
-    with instrument(memory=tracker):
-        layer(x)
+        forward_layer(layout, model, b, rc, False, tracker)
     per_rank = {tracker.live_bytes(r) for r in range(layout.group.size)}
     assert len(per_rank) == 1, "ranks must be symmetric"
     return per_rank.pop()

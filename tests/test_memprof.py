@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.comm.process_group import ProcessGroup
 from repro.config import PAPER_CONFIGS, ModelConfig
+from repro.errors import ConfigError
 from repro.layers import GPTModel
 from repro.layers.transformer import Recompute
+from repro.longctx.layout import context_layout
 from repro.observability import (
     MemProfiler,
     check_peak_attribution,
@@ -16,18 +19,21 @@ from repro.observability import (
     flamegraph,
     frontier,
     frontier_by_category,
+    layer_term_drift,
     ledger_document,
+    memory_term_drift,
     paged_kv_fragmentation,
     peak_attribution,
     profile_layer,
     selective_recompute_dominates,
 )
+from repro.observability.analysis import term_drifts
 from repro.observability.memprof import (
     ATTENTION_CORE_CATEGORIES,
     GEMM_ANCHORED_CATEGORIES,
 )
 from repro.observability.perfetto import SUBSYSTEM_PIDS, validate_trace_events
-from repro.parallel import ParallelGPTModel
+from repro.parallel import ParallelGPTModel, TensorParallel
 from repro.serving import (
     ContinuousBatchingScheduler,
     DecodeEngine,
@@ -118,18 +124,84 @@ class TestFuzzLedgerMirrorsTracker:
             assert sum(att.by_path.values()) == att.peak_bytes
 
 
+def _profiled_checks(layout, recompute, fused):
+    """Profile ``layout``'s layer, check its peak attribution, and hold each
+    rank's term-group bytes at the peak to the plain tracker's at the end
+    of forward: two observers of the one memory oracle."""
+    _, ledger = profile_layer(layout, TINY, 2, recompute, fused)
+    checks = check_peak_attribution(ledger, layout, TINY, 2, recompute)
+    at_peak = term_drifts(layout, TINY, 2, recompute,
+                          [peak_attribution(ledger, c.rank).by_category
+                           for c in checks])
+    tracked = layer_term_drift(layout, TINY, 2, recompute, fused)
+    assert len(checks) == len(tracked) == layout.group.size
+    assert [d.measured for d in at_peak] == [d.measured for d in tracked]
+    return checks
+
+
 class TestExactness:
     @pytest.mark.parametrize("tp,sp", [(1, False), (2, False), (2, True)])
     @pytest.mark.parametrize("recompute",
-                             [Recompute.NONE, Recompute.SELECTIVE])
+                             [Recompute.NONE, Recompute.SELECTIVE,
+                              Recompute.FULL])
     def test_peak_attribution_bitwise_exact(self, tp, sp, recompute):
         for fused in (False, True):
-            checks = check_peak_attribution(TINY, 2, tp, sp, recompute,
-                                            fused=fused)
+            checks = _profiled_checks(TensorParallel(ProcessGroup(tp), sp),
+                                      recompute, fused)
             assert len(checks) == tp
             for c in checks:
                 assert c.exact, (tp, sp, recompute, fused, c)
                 assert c.term_drift_total == 0.0
+
+    @pytest.mark.parametrize("recompute",
+                             [Recompute.NONE, Recompute.SELECTIVE,
+                              Recompute.FULL])
+    @pytest.mark.parametrize("layout", ["ulysses", "ring"])
+    def test_context_layout_peak_attribution_exact(self, layout, recompute):
+        for fused in (False, True):
+            for c in _profiled_checks(context_layout(layout, 2), recompute,
+                                      fused):
+                assert c.exact, (layout, recompute, fused, c)
+                assert c.term_drift_total == 0.0
+
+    @pytest.mark.parametrize("observer",
+                             ["tensor_parallel", "context_parallel",
+                              "peak_attribution"])
+    @pytest.mark.parametrize("b", [0, -1])
+    def test_microbatch_below_one_is_a_config_error(self, b, observer):
+        """An empty layer measures zero bytes against a zero closed form:
+        every observer refuses it rather than pass it."""
+        layout = TensorParallel(ProcessGroup(2), True)
+        observe = {
+            "tensor_parallel": lambda: memory_term_drift(
+                TINY, b, 2, True, Recompute.NONE),
+            "context_parallel": lambda: layer_term_drift(
+                context_layout("ring", 2), TINY, b, Recompute.NONE),
+            "peak_attribution": lambda: check_peak_attribution(
+                profile_layer(layout, TINY, b, Recompute.NONE)[1], layout,
+                TINY, b, Recompute.NONE),
+        }[observer]
+        with pytest.raises(ConfigError, match="microbatch_size must be >= 1"):
+            observe()
+
+    def test_profiled_layer_forwards_its_layer_once(self, monkeypatch):
+        """The memprofile scenario checks the ledger it profiled: one
+        abstract layer is built and forwarded, not one per observer."""
+        import repro.layers.transformer as transformer
+        from repro import scenarios
+
+        built = []
+        real = transformer.abstract_layer
+
+        def counting(*args, **kwargs):
+            built.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(transformer, "abstract_layer", counting)
+        report = scenarios.profiled_layer(config="tiny", tp=2,
+                                          sequence_parallel=True, fused=True)
+        assert len(built) == 1
+        assert report.checks and all(c.exact for c in report.checks)
 
     def test_watermark_records_composition_at_crossing(self):
         mt = MemoryTracker()
@@ -147,8 +219,8 @@ class TestExactness:
 class TestFrontier:
     @pytest.fixture(scope="class")
     def profiled_22b(self):
-        return profile_layer(PAPER_CONFIGS["22B"].model, 1, 2, True,
-                             Recompute.NONE)
+        return profile_layer(TensorParallel(ProcessGroup(2), True),
+                             PAPER_CONFIGS["22B"].model, 1, Recompute.NONE)
 
     def test_softmax_and_dropout_dominate_at_paper_scale(self, profiled_22b):
         prof, ledger = profiled_22b
@@ -250,7 +322,8 @@ class TestProducerGraph:
 class TestCounterTracks:
     @pytest.fixture(scope="class")
     def ledger(self):
-        return profile_layer(TINY, 1, 2, True, Recompute.NONE)[1]
+        return profile_layer(TensorParallel(ProcessGroup(2), True), TINY, 1,
+                             Recompute.NONE)[1]
 
     def test_counter_events_validate(self, ledger):
         events = counter_events(ledger)

@@ -20,7 +20,7 @@ from repro.config import ModelConfig
 from repro.layers import (GPTModel, Linear, Recompute, SelfAttention,
                           token_tensor)
 from repro.longctx import LongContextGPTModel
-from repro.observability import longctx_memory_term_drift, memory_term_drift
+from repro.observability import layer_term_drift
 from repro.parallel import ParallelGPTModel
 from repro.tensor.functions import MaskSource
 from repro.testing import assert_parallel_equivalent, serial_run
@@ -78,13 +78,10 @@ class Cell:
         return LongContextGPTModel(TINY, context_parallel=self.world,
                                    layout=self.layout, **kw)
 
-    def drift(self):
-        if self.tensor_parallel:
-            return memory_term_drift(TINY, B, self.world,
-                                     self.layout == "tp+sp", self.recompute,
-                                     fused=self.fused)
-        return longctx_memory_term_drift(TINY, B, self.world, self.layout,
-                                         self.recompute, fused=self.fused)
+    def drift(self, model):
+        """Every rank's per-term memory drift under ``model``'s layout."""
+        return layer_term_drift(model.layout, TINY, B, self.recompute,
+                                fused=self.fused)
 
 
 CELLS = [Cell(*values) for values in
@@ -107,9 +104,11 @@ class Serial:
         cell re-reads its verdict."""
         if cell not in self.verdicts:
             try:
-                assert_parallel_equivalent(self.run, cell.build(),
+                model = cell.build()
+                assert_parallel_equivalent(self.run, model,
                                            self.ids, self.tgt, atol=cell.atol)
-                assert_zero_drift(cell.drift())
+                for drift in cell.drift(model):
+                    assert_zero_drift(drift)
             except AssertionError as error:
                 self.verdicts[cell] = f"{cell}: {error}"
             else:
