@@ -151,7 +151,12 @@ wall-history:
 # (3: the memory oracle's one forward, observability.analysis.
 # forward_layer, which the tracker drift, the context-parallel drift and
 # the memprof ledger all read, plus the allocator's layer trace and the
-# layer-timing trace; 4 while memprof built and forwarded its own copy).
+# layer-timing trace; 4 while memprof built and forwarded its own copy);
+# and the process memos in src/, its @lru_cache sites (6: the four
+# activation-term memos of memory_model/activations.py, the layer / end
+# trace records of perf_model/layer_timing.py and the schedule level
+# plans of pipeline_sim/schedule.py), so every new process-lifetime cache
+# shows up in wall_history.
 loc:
 	@printf '%-56s %6d\n' \
 		'src/ python lines' "$$(find src -name '*.py' | xargs cat | wc -l)" \
@@ -190,7 +195,8 @@ loc:
 		'repro keyword options (every module but __main__)' "$$(PYTHONPATH=src $(PY) -c 'import importlib, inspect, pkgutil, repro; mods = [importlib.import_module(m.name) for m in pkgutil.walk_packages(repro.__path__, "repro.") if m.name != "repro.__main__"]; fns = [f for m in mods for o in vars(m).values() if getattr(o, "__module__", None) == m.__name__ for f in ([o] if inspect.isfunction(o) else [getattr(v, "__func__", v) for v in vars(o).values()] if inspect.isclass(o) else [])]; print(sum(p.default is not p.empty for f in fns if inspect.isfunction(f) for p in inspect.signature(f).parameters.values()))')" \
 		'bench gate tolerance rows' "$$(PYTHONPATH=src $(PY) -c 'from repro.observability import regress; print(len(regress.TOLERANCES))')" \
 		'package re-exports (sum of __all__)' "$$(PYTHONPATH=src $(PY) -c 'import importlib, pkgutil, repro; print(len(repro.__all__) + sum(len(importlib.import_module(m.name).__all__) for m in pkgutil.iter_modules(repro.__path__, "repro.") if m.ispkg))')" \
-		'src/ abstract_layer( call sites' "$$(grep -rn --include='*.py' 'abstract_layer(' src | grep -v 'def abstract_layer' | wc -l)"
+		'src/ abstract_layer( call sites' "$$(grep -rn --include='*.py' 'abstract_layer(' src | grep -v 'def abstract_layer' | wc -l)" \
+		'src/ process memos (lru_cache sites)' "$$(grep -rnE --include='*.py' '@(functools\.)?(lru_cache|cache)\b' src | wc -l)"
 
 # CI smoke run: the artifact-writing CLI invocation of each concrete-run
 # command, plus the two invocations no tier-1 test makes (the recompute

@@ -12,10 +12,21 @@ Variable names follow Table 1 of the paper:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from typing import Dict
 
 from .errors import ConfigError
+
+
+def _integral(config, name: str) -> int:
+    """Field ``name`` through ``operator.index``: NumPy ints pass, floats fail."""
+    try:
+        value = operator.index(getattr(config, name))
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {getattr(config, name)!r}") from None
+    object.__setattr__(config, name, value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -121,7 +132,7 @@ class ParallelConfig:
 
     def __post_init__(self) -> None:
         for name in ("tensor_parallel", "pipeline_parallel", "interleave_stages", "data_parallel"):
-            if getattr(self, name) < 1:
+            if _integral(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if self.interleave_stages > 1 and self.pipeline_parallel == 1:
             raise ConfigError("interleave_stages > 1 needs pipeline_parallel > 1")
@@ -184,7 +195,7 @@ class TrainingConfig:
     global_batch_size: int
 
     def __post_init__(self) -> None:
-        if self.micro_batch_size < 1 or self.global_batch_size < 1:
+        if _integral(self, "micro_batch_size") < 1 or _integral(self, "global_batch_size") < 1:
             raise ConfigError("batch sizes must be >= 1")
         if self.global_batch_size % self.micro_batch_size != 0:
             raise ConfigError("global_batch_size must be divisible by micro_batch_size")

@@ -50,7 +50,7 @@ class CalibrationTarget:
 def paper_targets() -> Tuple[CalibrationTarget, ...]:
     """Table 4's baseline row (primary) and the present-work per-layer
     times implied by Table 5 (secondary, lower weight)."""
-    from ..experiments import PAPER_TABLE4  # experiments imports perf_model
+    from ..experiments import PAPER_TABLE4, PAPER_TABLE5  # they import perf_model
 
     forward_ms, backward_ms, _, _ = PAPER_TABLE4["Baseline no recompute"]
     targets = [
@@ -59,11 +59,14 @@ def paper_targets() -> Tuple[CalibrationTarget, ...]:
                           backward=backward_ms / 1e3, weight=2.0),
     ]
     # Present-work per-layer combined times backed out of Table 5:
-    # iteration / (n_mb * layers_per_rank * (1 + bubble)).  Only the
-    # combined time is knowable, so these fit fwd+bwd as one number.
-    implied = {"175B": 17.28e-3, "530B": 43.3e-3, "1T": 61.6e-3}
-    for name, combined in implied.items():
+    # iteration / (n_mb * layers_per_rank * (1 + (p - 1) / (n_mb * v))).
+    # Only the combined time is knowable: these fit fwd+bwd as one number.
+    for name in ("175B", "530B", "1T"):
         cfg = PAPER_CONFIGS[name]
+        p, v = cfg.parallel.pipeline_parallel, cfg.parallel.interleave_stages
+        n = cfg.training.num_microbatches()
+        combined = PAPER_TABLE5[name][1] / (
+            n * cfg.model.num_layers / p * (1 + (p - 1) / (n * v)))
         fwd = combined * 7.2 / 20.3  # nominal split, unused for the error
         targets.append(CalibrationTarget(
             cfg.model, cfg.training.micro_batch_size, 8, True,

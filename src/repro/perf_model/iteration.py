@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..comm.process_group import ProcessGroup
-from ..config import ExperimentConfig
+from ..config import ExperimentConfig, ModelConfig
 from ..flops_model import Utilization, utilization
 from ..hardware import selene_like
 from ..layers.embedding import GPTEmbedding
@@ -24,9 +24,9 @@ from ..memory_model.weights import parameters_per_rank
 from ..parallel.layout import TensorParallel
 from ..tensor import INT64, OpLog, abstract, instrument
 from .gpu import KernelCostModel, PhaseTimes
-from .layer_timing import layer_times
-from ..pipeline_sim.schedule import schedule_table
-from ..pipeline_sim.simulator import PipelineCosts, simulate
+from .layer_timing import layer_times, traced_records
+from ..pipeline_sim.schedule import level_plan
+from ..pipeline_sim.simulator import PipelineCosts, SimResult, price
 
 #: Achieved fraction of link bandwidth for the large bucketed data-parallel
 #: gradient all-reduce.  Calibrated once against the paper's only DP data
@@ -39,50 +39,44 @@ DP_ALLREDUCE_EFFICIENCY = 0.40
 OPTIMIZER_BYTES_PER_PARAM = 30
 
 
-def _price_module_fwd_bwd(build_and_run, cost: KernelCostModel) -> PhaseTimes:
-    log = OpLog()
-    with instrument(oplog=log):
-        build_and_run()
-    return cost.price(log)
-
-
-def embedding_times(config: ExperimentConfig, sequence_parallel: bool,
-                    cost: KernelCostModel) -> PhaseTimes:
-    """Abstract-priced forward/backward of the input embedding block."""
-    model, par, train = config.model, config.parallel, config.training
-    t = par.tensor_parallel
-    group = ProcessGroup(t, scope="tp")
-
-    def run():
-        emb = GPTEmbedding(
-            model.vocab_size, model.hidden_size, model.seq_length,
-            abstract=True, layout=TensorParallel(group, sequence_parallel),
-        )
-        ids = abstract((model.seq_length, train.micro_batch_size), world=t,
-                       dtype=INT64)
-        out = emb(ids)
-        out.backward()
-
-    return _price_module_fwd_bwd(run, cost)
-
-
-def head_times(config: ExperimentConfig, sequence_parallel: bool,
-               cost: KernelCostModel) -> PhaseTimes:
-    """Abstract-priced forward/backward of final LN + LM head + loss."""
-    model, par, train = config.model, config.parallel, config.training
-    t = par.tensor_parallel
+def embedding_oplog(model: ModelConfig, microbatch_size: int,
+                    tensor_parallel: int, sequence_parallel: bool) -> OpLog:
+    """Op log of one abstract forward/backward of the input embedding."""
+    t, log = tensor_parallel, OpLog()
     layout = TensorParallel(ProcessGroup(t, scope="tp"), sequence_parallel)
+    with instrument(oplog=log):
+        emb = GPTEmbedding(model.vocab_size, model.hidden_size,
+                           model.seq_length, abstract=True, layout=layout)
+        emb(abstract((model.seq_length, microbatch_size), world=t,
+                     dtype=INT64)).backward()
+    return log
 
-    def run():
+
+def head_oplog(model: ModelConfig, microbatch_size: int,
+               tensor_parallel: int, sequence_parallel: bool) -> OpLog:
+    """Op log of one abstract forward/backward of final LN + LM head +
+    loss."""
+    t, log = tensor_parallel, OpLog()
+    layout = TensorParallel(ProcessGroup(t, scope="tp"), sequence_parallel)
+    with instrument(oplog=log):
         head = LMHead(model.hidden_size, model.vocab_size, abstract=True,
                       layout=layout)
-        x = layout.abstract_stream(model, train.micro_batch_size)
-        targets = abstract((model.seq_length, train.micro_batch_size), world=t,
+        x = layout.abstract_stream(model, microbatch_size)
+        targets = abstract((model.seq_length, microbatch_size), world=t,
                            dtype=INT64)
-        loss = head(x, targets)
-        loss.backward()
+        head(x, targets).backward()
+    return log
 
-    return _price_module_fwd_bwd(run, cost)
+
+def end_times(config: ExperimentConfig, sequence_parallel: bool,
+              cost: KernelCostModel) -> Tuple[PhaseTimes, PhaseTimes]:
+    """Abstract-priced forward/backward of the input embedding and of the
+    head, each traced once per process as :func:`layer_times` traces a
+    layer."""
+    key = (config.model, config.training.micro_batch_size,
+           config.parallel.tensor_parallel, sequence_parallel)
+    return tuple(cost.phase_times(traced_records(trace, *key))
+                 for trace in (embedding_oplog, head_oplog))
 
 
 @dataclass(frozen=True)
@@ -140,12 +134,10 @@ def _iterations(config: ExperimentConfig,
     mean-field — the stage's backward duration shrinks proportionally).
     All zeros is the plain schedule: ``x - 0.0`` keeps every bit.
 
-    What variants have in common is built once and handed down: the
-    schedule table (a function of ``(p, n, m)`` only, with the level
-    order its first ``simulate`` computes) and one embedding / head
-    trace per ``sequence_parallel``; these are dropped when the call
-    returns.  Layer traces come from :func:`layer_times`, which keeps
-    them for the process."""
+    Every variant prices the schedule's :func:`level_plan` (a function of
+    ``(p, n, m)`` only) through the simulator's one pricing body.  The
+    plan and the layer, embedding and head traces are kept for the
+    process; nothing priced under ``cost`` is."""
     model, par, train = config.model, config.parallel, config.training
     if cost is None:
         num_gpus = par.model_parallel_size * data_parallel
@@ -154,9 +146,7 @@ def _iterations(config: ExperimentConfig,
     p, m = par.pipeline_parallel, par.interleave_stages
     num_groups = p * m
     layers_per_group = model.num_layers // num_groups
-    sched = schedule_table(p, train.num_microbatches(1), m)  # per replica
-    ends = {sp: (embedding_times(config, sp, cost), head_times(config, sp, cost))
-            for sp in dict.fromkeys(variant[0] for variant in variants)}
+    plan = level_plan(p, train.num_microbatches(1), m)  # per replica
 
     dp_time = 0.0
     if data_parallel > 1:
@@ -176,7 +166,7 @@ def _iterations(config: ExperimentConfig,
         lt = layer_times(model, train.micro_batch_size, par.tensor_parallel,
                          sequence_parallel=sequence_parallel,
                          recompute=recompute, cost=cost)
-        emb, head = ends[sequence_parallel]
+        emb, head = end_times(config, sequence_parallel, cost)
 
         # seconds per group: its layers, plus the embedding on the first
         # group and the head on the last
@@ -193,9 +183,9 @@ def _iterations(config: ExperimentConfig,
         p2p_bytes = 2 * s * b * h // (par.tensor_parallel if sequence_parallel else 1)
         p2p = cost.comm.p2p_time(p2p_bytes, scope="pp") if p > 1 else 0.0
 
-        result = simulate(sched, PipelineCosts(
+        result = SimResult(*price(plan, PipelineCosts(
             forward_time=fwd.__getitem__, backward_time=bwd.__getitem__,
-            p2p_time=p2p))
+            p2p_time=p2p))[:2])
         total = result.makespan + dp_time + optimizer_time
         util = utilization(util_cfg, total, recompute=recompute,
                            peak_flops_per_gpu=cost.gpu.peak_flops)
@@ -212,9 +202,6 @@ def _iterations(config: ExperimentConfig,
             util=util,
         )
 
-    # One call frame per variant: its SimResult (and the finish-time array
-    # it holds for a lazy ``op_finish``) is gone before the next
-    # variant's is built; the table is dropped when this call returns.
     return [one(*variant) for variant in variants]
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..comm import collectives
 from ..comm.process_group import ProcessGroup
@@ -53,14 +53,18 @@ def layer_oplog(
     return log
 
 
-@lru_cache(maxsize=128)  # one analytic pass prices 18 keys, ~15 KB each
-def _layer_records(model: ModelConfig, microbatch_size: int,
-                   tensor_parallel: int, sequence_parallel: bool,
-                   recompute: Recompute) -> Tuple[OpRecord, ...]:
-    """The memoised trace behind :func:`layer_times`: frozen records in
-    a tuple, so no caller can change what the next one prices."""
-    return tuple(layer_oplog(model, microbatch_size, tensor_parallel,
-                             sequence_parallel, recompute).records)
+@lru_cache(maxsize=128)  # a pass keeps 18 layers (~15 KB) and 16 ends (~4 KB)
+def _records(trace: Callable[..., OpLog], *key) -> Tuple[OpRecord, ...]:
+    """The memo behind :func:`traced_records`: frozen records in a tuple,
+    so no caller can change what the next one prices."""
+    return tuple(trace(*key).records)
+
+
+def traced_records(trace: Callable[..., OpLog], *key) -> Sequence[OpRecord]:
+    """The records of ``trace(*key)`` (:func:`layer_oplog`, the ends'
+    tracers), traced once per process, or afresh under an observer (see
+    :func:`_unobserved`), so it sees every op."""
+    return _records(trace, *key) if _unobserved() else trace(*key).records
 
 
 def _unobserved() -> bool:
@@ -89,13 +93,9 @@ def layer_times(
     ``calibrate`` share the same few layers).  Under an observer (see
     :func:`_unobserved`) the layer is traced afresh, so it sees every op."""
     cost = cost or KernelCostModel()
-    if _unobserved():
-        records = _layer_records(model, microbatch_size, tensor_parallel,
-                                 sequence_parallel, recompute)
-    else:
-        records = layer_oplog(model, microbatch_size, tensor_parallel,
-                              sequence_parallel, recompute).records
-    return cost.phase_times(records)
+    return cost.phase_times(traced_records(
+        layer_oplog, model, microbatch_size, tensor_parallel,
+        sequence_parallel, recompute))
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -101,27 +101,30 @@ class ScheduleTable:
         return np.repeat(np.arange(len(self.starts) - 1), np.diff(self.starts))
 
     @cached_property
-    def _levels(self) -> "_Levels":
-        """The wavefront order, computed on first use and kept."""
+    def _levels(self) -> Tuple[np.ndarray, "LevelPlan"]:
+        """Each level position's rank-major op, and the :class:`LevelPlan`."""
         dependency = _dependency_index(self)
-        starts = self.starts
+        starts, group = self.starts, self.group
         n_ops, p = len(dependency), len(starts) - 1
         level = _wavefront(dependency, starts)
         order = np.argsort(level, kind="stable")
-        bounds = np.cumsum(np.bincount(level)).tolist()
-        position = np.empty(n_ops + 2, dtype=np.int64)
+        position = np.empty(n_ops + 2, dtype=np.intp)
         position[order] = np.arange(n_ops)
         position[n_ops:] = (n_ops, n_ops + 1)      # the sentinels stay put
         # the op before op k on its rank is k - 1 (position[-1] is N + 1),
         # except that a rank's first op reads N + 1
         prev = position[order - 1]
-        prev[position[starts[:-1][np.diff(starts) > 0]]] = n_ops + 1
-        dep_group = np.append(self.group, 0)[dependency]
-        return _Levels(
-            order=order, spans=list(zip([0] + bounds, bounds)),
-            position=position, prev=prev,
-            dependency=position[dependency[order]],
-            remote=(dep_group % p != self.rank)[order])
+        busy = starts[1:] > starts[:-1]
+        prev[position[starts[:-1][busy]]] = n_ops + 1
+        code = (group + self.num_groups * ~self.forward).astype(
+            np.min_scalar_type(2 * self.num_groups))
+        return order, LevelPlan(
+            np.cumsum(np.bincount(level)).astype(np.int32), prev,
+            position[dependency[order]],
+            (np.append(group, 0)[dependency] % p != self.rank)[order],
+            code[order], code, starts,
+            position[starts[1:] * busy - 1],   # an empty rank reads N + 1
+            self.num_groups)
 
     @cached_property
     def issue_order(self) -> np.ndarray:
@@ -130,20 +133,20 @@ class ScheduleTable:
         has not run.  So an op runs in turn ``max(turn of the op before it
         on its rank, turn of its dependency + (dependency's rank > its
         rank))``: the level loop, with no durations and that flag as send."""
-        levels = self._levels
+        order, plan = self._levels
         # the two sentinel positions (no dependency, first op) are never later
-        rank = np.append(self.rank[levels.order], (-1, -1))
-        turn = levels.relax(np.zeros(len(rank), dtype=np.int64),
-                            rank[levels.dependency] > rank[:-2],
-                            np.zeros(len(levels.order), dtype=np.int64))
-        return levels.order[np.lexsort((levels.order, turn[:-2]))]
+        rank = np.append(self.rank[order], (-1, -1))
+        turn = plan.relax(np.zeros(len(rank), dtype=np.int64),
+                          rank[plan.dependency] > rank[:-2],
+                          np.zeros(len(order), dtype=np.int64))
+        return order[np.lexsort((order, turn[:-2]))]
 
     def issued(self) -> Iterator[Tuple[int, OpKey]]:
         """``(rank, (kind letter, microbatch, group))`` per op in issue
         order, as Python ``str`` / ``int``."""
         order = self.issue_order
         return zip(self.rank[order].tolist(), zip(
-            np.where(self.forward[order], "F", "B").tolist(),
+            ["BF"[forward] for forward in self.forward[order].tolist()],
             self.microbatch[order].tolist(), self.group[order].tolist()))
 
 
@@ -301,35 +304,54 @@ def _wavefront(dependency: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return ran_at[:n_ops]
 
 
-class _Levels(NamedTuple):
-    """A table's ops renumbered into wavefront order, so that each step
-    (*level*) is one contiguous slice ``spans[l]`` of positions.
+class LevelPlan(NamedTuple):
+    """What pricing reads of a table, its ops renumbered into wavefront
+    order: level ``l`` ends at position ``bounds[l]``; ``prev`` /
+    ``dependency`` are the positions of the op before on the rank
+    and of the op waited for, or ``N`` (waits for nothing) / ``N + 1``
+    (first op of its rank); ``remote``: that op is on another rank.
+    ``code`` (by position) and ``rank_code`` (rank-major, split by
+    ``starts``) are ``group + num_groups * backward``; ``last[r]``: rank
+    ``r``'s last position."""
 
-    ``order[j]`` is the rank-major op at position ``j`` and ``position``
-    its inverse; ``prev[j]`` / ``dependency[j]`` the positions of the op
-    before it on its rank and of the op it waits for, with two sentinel
-    positions past the ops, which ``position`` keeps: ``N`` (waits for
-    nothing) and ``N + 1`` (first op of its rank).  ``remote[j]``: the
-    dependency's group lives on another rank than the one issuing ``j``
-    (``dep_group % p != rank``), so it pays the point-to-point send."""
-
-    order: np.ndarray
-    spans: List[Tuple[int, int]]
-    position: np.ndarray
+    bounds: np.ndarray
     prev: np.ndarray
     dependency: np.ndarray
     remote: np.ndarray
+    code: np.ndarray
+    rank_code: np.ndarray
+    starts: np.ndarray
+    last: np.ndarray
+    num_groups: int
 
     def relax(self, finish: np.ndarray, send: np.ndarray,
               took: np.ndarray) -> np.ndarray:
         """Fill ``finish`` (by position, sentinel slots preset) level by
         level with ``max(finish[prev], finish[dependency] + send) + took``."""
-        prev, dependency = self.prev, self.dependency
-        for lo, hi in self.spans:
+        # int32 at rest, widened once: they index slower in every level
+        prev, dependency = (np.asarray(self.prev, dtype=np.intp),
+                            np.asarray(self.dependency, dtype=np.intp))
+        bounds = self.bounds.tolist()
+        for lo, hi in zip([0] + bounds, bounds):
             np.add(np.maximum(finish[prev[lo:hi]],
                               finish[dependency[lo:hi]] + send[lo:hi]),
                    took[lo:hi], out=finish[lo:hi])
         return finish
+
+
+#: One analytic pass keeps four plans, 1.42 MB (1T 0.73, 530B 0.65 MB);
+#: a table with its level order is 3.4-3.8 MB there, so none is kept.
+@lru_cache(maxsize=16)
+def level_plan(pipeline_parallel: int, num_microbatches: int,
+               interleave_stages: int = 1) -> LevelPlan:
+    """The plan of :func:`schedule_table`, int32 and read-only."""
+    plan = schedule_table(pipeline_parallel, num_microbatches,
+                          interleave_stages)._levels[1]
+    plan = plan._replace(prev=plan.prev.astype(np.int32),
+                         dependency=plan.dependency.astype(np.int32))
+    for array in plan[:-1]:  # one plan serves every caller
+        array.flags.writeable = False
+    return plan
 
 
 class StorageWindow:

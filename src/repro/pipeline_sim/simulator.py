@@ -10,14 +10,15 @@ charged at forward completion, released when the backward completes —
 optionally including the Appendix-B output tensors), which cross-checks
 the closed-form :mod:`repro.memory_model.pipeline` profile.
 
-It prices the dataflow one wavefront level at a time (the
-:class:`~repro.pipeline_sim.schedule.ScheduleTable`'s level order): all
-ops of a level finish at ``max(previous op on the rank, dependency +
-send) + duration`` in one array expression — per op the float operations
-of a per-op loop, so every value is bitwise that loop's.  It computes
-only the makespan and busy times (what the perf model reads); the peaks
-and ``SimResult.op_finish``, the one reader of the table's issue order,
-are built on first read.
+It prices the dataflow one wavefront level at a time: all ops of a
+level finish at ``max(previous op on the rank, dependency + send) +
+duration`` in one array expression — per op the float operations of a
+per-op loop, so every value is bitwise that loop's.  :func:`price`, the
+one pricing body, reads only a table's compact
+:class:`~repro.pipeline_sim.schedule.LevelPlan` (the perf model prices
+plans kept by ``schedule.level_plan``) for the makespan and busy times;
+:func:`simulate` adds the peaks and ``SimResult.op_finish``, built on
+first read.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
-from .schedule import ScheduleTable
+from .schedule import LevelPlan, ScheduleTable
 
 
 @dataclass(frozen=True)
@@ -82,37 +83,41 @@ class SimResult:
         return 1.0 - self.busy_time[rank] / self.makespan
 
 
+def price(plan: LevelPlan, costs: PipelineCosts
+          ) -> Tuple[float, List[float], np.ndarray]:
+    """The one pricing body: ``plan``'s makespan, per-rank busy time and
+    finish time per level position under ``costs``."""
+    groups = range(plan.num_groups)  # costs depend on the group only
+    per_code = np.array([*map(costs.forward_time, groups),
+                         *map(costs.backward_time, groups)], dtype=float)
+    # slots N, N + 1: what "waits for nothing" / "first op of its rank" read
+    finish = np.empty(len(plan.code) + 2)
+    finish[-2:] = (-np.inf, 0.0)
+    plan.relax(finish, np.where(plan.remote, costs.p2p_time, 0.0),
+               per_code[plan.code])
+
+    # per rank: its slice of the rank-major durations, summed in the per-op
+    # loop's order by np.add.accumulate (add.reduce would reassociate); the
+    # loop's start from 0.0 can only flip a zero's sign, which `0.0 +`
+    # restores.  An empty rank's clock reads the 0.0 slot.
+    duration = per_code[plan.rank_code]
+    starts = plan.starts.tolist()
+    busy = [0.0 + float(np.add.accumulate(duration[a:b])[-1]) if b > a
+            else 0.0 for a, b in zip(starts, starts[1:])]
+    return max(finish[plan.last].tolist()), busy, finish
+
+
 def simulate(table: ScheduleTable, costs: PipelineCosts) -> SimResult:
     """Run the schedule to completion; raises on deadlock."""
-    levels, n_ops = table._levels, len(table.group)
-    is_forward, group = table.forward, table.group
-
-    def per_group(cost: Callable[[int], float]) -> np.ndarray:
-        # costs depend on the group only: one call per group, not per op
-        return np.array(list(map(cost, range(table.num_groups))), dtype=float)
-
-    # finish times by level position; the two slots past the ops are what
-    # "waits for nothing" (-inf) and "first op of its rank" (0.0) read
-    duration = np.where(is_forward, per_group(costs.forward_time)[group],
-                        per_group(costs.backward_time)[group])
-    finish = np.empty(n_ops + 2)
-    finish[n_ops:] = (-np.inf, 0.0)
-    levels.relax(finish, np.where(levels.remote, costs.p2p_time, 0.0),
-                 duration[levels.order])
-
-    # per rank: its slice of the rank-major arrays, summed in the per-op
-    # loop's order by np.add.accumulate (add.reduce would reassociate); the
-    # loop's start from 0.0 can only flip a zero's sign, which `0.0 +` and
-    # `max(0.0, ...)` restore.  An empty rank's clock reads the 0.0 slot.
-    starts = table.starts.tolist()
-    spans = list(zip(starts, starts[1:]))
-    clock = finish[[levels.position[b - 1] if b > a else n_ops + 1
-                    for a, b in spans]].tolist()
-    busy = [0.0 + float(np.add.accumulate(duration[a:b])[-1]) if b > a
-            else 0.0 for a, b in spans]
+    order, plan = table._levels
+    makespan, busy, finish = price(plan, costs)
+    is_forward, group = table.forward, table.group  # rank-major
+    spans = list(zip(plan.starts[:-1].tolist(), plan.starts[1:].tolist()))
 
     def peaks() -> List[float]:
-        held = per_group(costs.activation_bytes)
+        # per rank as `price` sums busy time; `max(0.0, ...)` is its `0.0 +`
+        held = np.array(list(map(costs.activation_bytes,
+                                 range(table.num_groups))), dtype=float)
         if not costs.deallocate_output_tensor:
             held += costs.output_tensor_bytes
         charge = np.where(is_forward, held[group], -held[group])
@@ -120,8 +125,10 @@ def simulate(table: ScheduleTable, costs: PipelineCosts) -> SimResult:
             is_forward[a:b]].max(initial=-np.inf))) for a, b in spans]
 
     def issue_order() -> Dict[Tuple[str, int, int], float]:
+        at = np.empty(len(order))       # finish times, rank-major
+        at[order] = finish[:len(order)]
         return dict(zip((key for _rank, key in table.issued()),
-                        finish[levels.position[table.issue_order]].tolist()))
+                        at[table.issue_order].tolist()))
 
-    return SimResult(makespan=max(clock), busy_time=busy, _peaks=peaks,
+    return SimResult(makespan=makespan, busy_time=busy, _peaks=peaks,
                      _issue_order=issue_order)

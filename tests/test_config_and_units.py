@@ -1,5 +1,6 @@
 """Configuration validation, paper configs, units, errors."""
 
+import numpy as np
 import pytest
 
 from repro.config import (
@@ -85,6 +86,26 @@ class TestParallelConfig:
         with pytest.raises(ConfigError, match="needs pipeline_parallel > 1"):
             PipelinedGPT(model, 1, interleave_stages=2)
 
+    @pytest.mark.parametrize("field, value", [
+        ("tensor_parallel", 8.0), ("pipeline_parallel", 8.0),
+        ("interleave_stages", 3.0), ("data_parallel", 2.5)])
+    def test_degrees_are_integers(self, field, value):
+        """A float degree is refused at construction, not priced (2.5
+        replicas) or failed on deep in a schedule; a NumPy integer is
+        stored as an ``int``."""
+        base = dict(tensor_parallel=8, pipeline_parallel=8,
+                    interleave_stages=3, data_parallel=1)
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            ParallelConfig(**{**base, field: value})
+        cfg = ParallelConfig(**{**base, field: np.int64(int(value))})
+        assert type(getattr(cfg, field)) is int
+        assert getattr(cfg, field) == int(value)
+
+    def test_fractional_replicas_are_not_priced(self):
+        from repro.perf_model import iteration_time
+        with pytest.raises(ConfigError, match="data_parallel must be an integer"):
+            iteration_time(PAPER_CONFIGS["175B"], data_parallel=2.5)
+
     def test_sp_needs_divisible_sequence(self):
         model = ModelConfig(num_layers=2, hidden_size=8, num_heads=2, seq_length=9)
         with pytest.raises(ConfigError):
@@ -109,6 +130,15 @@ class TestTrainingConfig:
     def test_divisibility(self):
         with pytest.raises(ConfigError):
             TrainingConfig(micro_batch_size=3, global_batch_size=16)
+
+    @pytest.mark.parametrize("field", ["micro_batch_size", "global_batch_size"])
+    def test_batch_sizes_are_integers(self, field):
+        base = dict(micro_batch_size=1, global_batch_size=1536)
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            TrainingConfig(**{**base, field: float(base[field])})
+        cfg = TrainingConfig(**{**base, field: np.int64(base[field])})
+        assert type(getattr(cfg, field)) is int
+        assert cfg.num_microbatches() == 1536
 
     def test_dp_divisibility(self):
         t = TrainingConfig(micro_batch_size=2, global_batch_size=6)

@@ -45,8 +45,9 @@ class TestExperimentData:
                 r["paper"]["present"], rel=0.15)
 
     def test_appendix_c_improves_mfu(self, monkeypatch):
-        from repro.perf_model import iteration
-        built = count_calls(monkeypatch, iteration, "schedule_table")
+        from repro.pipeline_sim import schedule
+        schedule.level_plan.cache_clear()
+        built = count_calls(monkeypatch, schedule, "schedule_table")
         data = experiments.appendix_c_data()
         for d in data:
             assert d["mfu_microbatch"] > d["mfu_base"]

@@ -183,8 +183,10 @@ class TestTable5Shape:
         }
 
     def test_a_row_builds_one_schedule(self, monkeypatch):
-        from repro.perf_model import iteration
-        built = count_calls(monkeypatch, iteration, "schedule_table")
+        from repro.pipeline_sim import schedule
+        schedule.level_plan.cache_clear()
+        built = count_calls(monkeypatch, schedule, "schedule_table")
+        table5_row(PAPER_CONFIGS["530B"])
         table5_row(PAPER_CONFIGS["530B"])
         assert built == [(35, 280, 3)]
 

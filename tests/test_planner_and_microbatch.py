@@ -86,7 +86,7 @@ class TestPlanner:
     def test_one_abstract_trace_per_distinct_layer(self, monkeypatch):
         """100 options, six layers: (SP, no SP) x (none, selective, full)."""
         from repro.perf_model import layer_timing
-        layer_timing._layer_records.cache_clear()
+        layer_timing._records.cache_clear()
         traced = count_calls(monkeypatch, layer_timing, "layer_oplog")
         assert len(enumerate_options(PAPER_CONFIGS["22B"])) == 100
         assert len(traced) == len(set(traced)) == 6

@@ -170,12 +170,14 @@ def test_dependency_index_and_level_order(p, rounds, m):
     assert [None if d == n_ops else keys[d] for d in dependency] == [
         op_dependency(key, num_groups) for key in keys]
 
-    levels = table._levels
-    order = levels.order.tolist()
+    order, levels = table._levels
+    order = order.tolist()
     assert sorted(order) == list(range(n_ops))
     rank = table.rank.tolist()
     first = set(table.starts[:-1].tolist())
-    for lo, hi in levels.spans:
+    bounds = levels.bounds.tolist()
+    assert bounds[-1] == n_ops
+    for lo, hi in zip([0] + bounds, bounds):
         assert len({rank[k] for k in order[lo:hi]}) == hi - lo <= p
         for j in range(lo, hi):
             k, prev, dep = order[j], levels.prev[j], levels.dependency[j]

@@ -29,8 +29,7 @@ from repro.layers.transformer import Recompute, abstract_layer
 from repro.longctx.layout import Ring, Ulysses
 from repro.parallel.layout import TensorParallel
 from repro.parallel.mappings import LEGS
-from repro.perf_model import KernelCostModel
-from repro.perf_model.iteration import embedding_times, head_times
+from repro.perf_model.iteration import embedding_oplog, head_oplog
 from repro.perf_model.layer_timing import TABLE4_EXPERIMENTS, layer_oplog
 from repro.tensor import AbstractArray, MemoryTracker, OpLog, Tensor, instrument
 from repro.tensor import backend as bk
@@ -145,8 +144,9 @@ TRACES = (
       lambda sp=sp, rc=rc, fused=fused: layer_oplog(
           M22, 4, 8, sequence_parallel=sp, recompute=rc, fused=fused))
      for label, sp, rc in TABLE4_EXPERIMENTS for fused in (False, True)]
-    + [(f"{name} sp={sp}", lambda fn=fn, sp=sp: fn(CFG22, sp, KernelCostModel()))
-       for name, fn in (("embedding_times", embedding_times), ("head_times", head_times))
+    + [(f"{name} sp={sp}", lambda fn=fn, sp=sp: fn(
+          M22, CFG22.training.micro_batch_size, CFG22.parallel.tensor_parallel, sp))
+       for name, fn in (("embedding_times", embedding_oplog), ("head_times", head_oplog))
        for sp in (False, True)]
     + [(f"{cls.__name__} fused={fused}", lambda cls=cls, fused=fused: _cp_layer(cls, fused))
        for cls in (Ulysses, Ring) for fused in (False, True)]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import PAPER_CONFIGS
-from repro.experiments import PAPER_TABLE4
+from repro.experiments import PAPER_TABLE4, PAPER_TABLE5
 from repro.perf_model.calibrate import (
     CalibrationTarget, calibrate, paper_targets,
 )
@@ -115,6 +115,21 @@ class TestCalibration:
         assert result.gemm_efficiency == pytest.approx(0.70)
         assert result.nvlink_bandwidth == pytest.approx(300e9)
         assert shipped <= result.error + 0.05
+
+    @pytest.mark.parametrize("name, ms", [
+        ("175B", 17.274), ("530B", 43.284), ("1T", 62.165)])
+    def test_table5_targets_follow_from_the_paper(self, name, ms):
+        """Each present-work target is Table 5's iteration time spread
+        over n microbatches through L/p layers per rank, stretched by the
+        interleaved bubble (p - 1)/(n v) of the model's own schedule."""
+        cfg = PAPER_CONFIGS[name]
+        p, v = cfg.parallel.pipeline_parallel, cfg.parallel.interleave_stages
+        n, layers = cfg.training.num_microbatches(), cfg.model.num_layers
+        want = PAPER_TABLE5[name][1] / (n * layers / p * (1 + (p - 1) / (n * v)))
+        (target,) = [t for t in paper_targets() if t.model is cfg.model]
+        assert target.combined_only and target.recompute is Recompute.SELECTIVE
+        assert target.forward + target.backward == pytest.approx(want, rel=1e-12)
+        assert round(want * 1e3, 3) == ms
 
     def test_best_fit_hits_table4_baseline(self):
         result = calibrate()
