@@ -14,6 +14,14 @@ Replay semantics (the levanter/JAX capture-once idiom applied to a tape):
   registers *at call time* and assigns the output register's ``shards``,
   so parameter updates (the optimizer mutates shards in place) and input
   rebinding flow through with zero copying;
+* a register lives from the entry that writes it to its last reader,
+  which drops it (``shards`` or gradient slot set to ``None``) once it
+  has run; so does ``finalize`` after the capture step.  Kept are
+  inputs, parameters, :func:`effect` arguments and outputs nothing
+  reads (a caller reads those after ``replay()``).  Only forward
+  entries read a register's shards: a backward entry reads gradient
+  registers and its ``FnCtx`` saves, as eager backward sees only
+  :class:`~repro.tensor.tensor.Edge` s;
 * the capture-time :class:`~repro.tensor.tensor.FnCtx` objects are reused
   verbatim: ``fn.forward`` re-saves into them (charging whatever memory
   tracker is installed at replay time) and the recorded backward/release
@@ -71,6 +79,11 @@ class CaptureRecorder:
         self._alloc_at: Dict[int, int] = {}   # id(fctx) -> forward op index
         self._free_at: Dict[int, int] = {}    # id(fctx) -> release op index
         self._last_state: Optional[Tuple] = None  # (grad_enabled, phase) last emitted
+        # Liveness: last entry reading each forward output (id -> (entry,
+        # tensor)) and gradient register; effect arguments are kept.
+        self._outputs: Dict[int, Tuple[Optional[int], Tensor]] = {}
+        self._slot_read: Dict[int, int] = {}
+        self._kept: set = set()
 
     # -- suspension (composite ops record as one opaque call) ---------------
     def suspend(self) -> None:
@@ -91,6 +104,8 @@ class CaptureRecorder:
         recording half of :func:`effect`, whose argument rule applies."""
         fn(*args)
         if not self._suspend:
+            self._kept.update(id(t) for a in args for t in (
+                a if isinstance(a, list) else (a,)) if isinstance(t, Tensor))
             self.program.append(partial(fn, *args))
             self.meta.append(("external", getattr(fn, "__name__", "external")))
 
@@ -148,6 +163,11 @@ class CaptureRecorder:
         index = len(self.program)
         self.program.append(op)
         self.meta.append(("forward", fn))
+        for is_t, a in items:
+            if is_t and id(a) in self._outputs:
+                self._outputs[id(a)] = (index, a)
+        for t in outputs:
+            self._outputs[id(t)] = (None, t)
         if requires:
             node = outputs[0]._node
             self._nodes[id(node)] = node
@@ -246,7 +266,11 @@ class CaptureRecorder:
                     gr[target] = _accumulate(gr[target], g)
             fctx.release()
 
-        self._free_at[id(fctx)] = len(self.program)
+        index = len(self.program)
+        for kind, k in (*sources, *filter(None, dests)):
+            if kind in ("slot", "accum"):
+                self._slot_read[k] = index
+        self._free_at[id(fctx)] = index
         self.program.append(op)
         self.meta.append(("backward", fn))
 
@@ -269,6 +293,7 @@ class CaptureRecorder:
         else:
             def op(gr=gr, k=k, arrs=arrs):
                 gr[k] = _accumulate(gr[k], [np.array(a) for a in arrs])
+            self._slot_read[k] = len(self.program)
 
         op()  # seeds run immediately at capture (mirrors eager insertion)
         self.program.append(op)
@@ -280,13 +305,37 @@ class CaptureRecorder:
 
         memory = plan_memory(self._charges, self._alloc_at, self._free_at,
                              len(self.program))
+        # Each entry that last reads a register drops it once it has run;
+        # the capture step is over, so its registers go now.
+        drops: Dict[int, Tuple[List[Tensor], List[int]]] = {}
+        for key, (index, t) in self._outputs.items():
+            if index is not None and key not in self._kept:
+                drops.setdefault(index, ([], []))[0].append(t)
+        for k, index in self._slot_read.items():
+            drops.setdefault(index, ([], []))[1].append(k)
+        program = list(self.program)
+        for index, drop in drops.items():
+            program[index] = partial(_run_then_drop, program[index], *drop, self.gr)
+            _run_then_drop(lambda: None, *drop, self.gr)
         return StepPlan(
             label=self.label,
-            program=tuple(self.program),
+            program=tuple(program),
             meta=tuple(self.meta),
             inputs=dict(self.inputs),
             memory=memory,
+            released=tuple(t for registers, _ in drops.values() for t in registers),
+            gradients=self.gr,
         )
+
+
+def _run_then_drop(op, registers, slots, gr) -> None:
+    """Run program entry ``op``, the last reader of ``registers`` and of
+    gradient registers ``slots``, then drop them."""
+    op()
+    for t in registers:
+        t.shards = None
+    for k in slots:
+        gr[k] = None
 
 
 @contextmanager
@@ -314,8 +363,9 @@ def effect(fn, *args) -> None:
     capture-time tensor whose shards replay refreshes), a mutable holder
     (a list, the driver object) or a constant of the plan key (a
     microbatch number) — never a step-varying value; ``fn``
-    reads those from the holder when it runs.  Outside a capture the cost
-    is this one call.
+    reads those from the holder when it runs.  A replay never drops a
+    register passed here, directly or in a list.  Outside a capture the
+    cost is this one call.
     """
     recorder = _tctx._CTX.capture
     if recorder is None:

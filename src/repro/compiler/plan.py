@@ -7,11 +7,14 @@ activation, planned once through the first-fit allocator).
 
 Replay is one tight loop — no tape, no graph walk, no Python-side
 bookkeeping allocations beyond what the kernels themselves produce.
+The entry that last reads a register drops it: between steps only the
+inputs, parameters, effect arguments (the loss) and outputs nothing
+reads keep their shards, and :attr:`StepPlan.gradients` holds ``None``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Sequence, Tuple
 
 from ..errors import CompilerError
 from ..tensor import context as _tctx
@@ -21,12 +24,17 @@ class StepPlan:
     """An executable, immutable capture of one step."""
 
     def __init__(self, label: str, program: Tuple, meta: Tuple,
-                 inputs: Dict[Any, "Tensor"], memory):
+                 inputs: Dict[Any, "Tensor"], memory, released: Tuple,
+                 gradients: Sequence):
         self.label = label
         self._program = program
         self._meta = meta
         self.inputs = inputs
         self.memory = memory
+        #: the forward registers a replay drops after their last reader,
+        #: and the gradient registers, which it drops so too
+        self.released = released
+        self.gradients = gradients
         self.replays = 0
 
     # -- binding -------------------------------------------------------------

@@ -167,9 +167,10 @@ class Trainer:
     runs its microbatch loop under a :mod:`repro.compiler` capture the
     first time a plan key is seen and replays the static plan on every
     later step — bitwise-identical losses, gradients, tracked memory and
-    trace, with no per-step tape construction.  The memory profiler needs
-    the live tape's op frames, so steps taken while a memprof is
-    installed run the loop eagerly.  Constructing one sets the process's
+    trace, the host bytes an eager step holds between steps, and no
+    per-step tape construction.  The memory profiler needs the live
+    tape's op frames, so steps taken while a memprof is installed run
+    the loop eagerly.  Constructing one sets the process's
     host-memory policy (:func:`keep_heap_resident`).
     """
 

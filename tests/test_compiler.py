@@ -7,6 +7,8 @@ must equal the eager tape exactly (``assert_array_equal``, not
 configurations — plus the plan-cache semantics.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.compiler import (
     CaptureRecorder,
     PlanCache,
     capture_scope,
+    effect,
 )
 from repro.config import ModelConfig
 from repro.errors import CollectiveTimeout, CompilerError, RankFailure
@@ -26,10 +29,13 @@ from repro.observability.tracer import Tracer, trace_scope
 from repro.parallel import ParallelGPTModel
 from repro.resilience import FaultInjector, FaultKind, FaultPlan, FaultSpec
 from repro.serving import DecodeEngine, PagedKVCache
-from repro.tensor import MemoryTracker, OpLog, from_numpy, instrument, seed
+from repro.tensor import (
+    MemoryTracker, OpLog, from_numpy, instrument, parameter, seed,
+)
 from repro.tensor import functions as F
 from repro.tensor import tensor as tape
 from repro.training import PipelinedGPT, Trainer, run_step_with_retries
+from repro.training import trainer as trainer_module
 from repro.training.trainer import MAX_RETRIES
 
 CFG = ModelConfig(num_layers=2, hidden_size=32, num_heads=4,
@@ -453,3 +459,173 @@ class TestStandaloneCapture:
         np.testing.assert_array_equal(np.asarray(out.shards[0]), want)
         chain(from_numpy(fresh, requires_grad=True))   # the counters do count
         assert len(applies) == len(nodes) == 600
+
+
+class TestRegisterLiveness:
+    """A replay drops each register after its last reader, so between
+    steps a compiled trainer holds what an eager one does: no gradient
+    register and no forward register that a later entry reads."""
+
+    @staticmethod
+    def _registers(plan) -> list:
+        """Every non-parameter tensor register of a trainer's plan: the
+        capture-time graph behind the losses its loss-read effects hold."""
+        stack = [entry.args[1] for entry in plan._program
+                 if isinstance(entry, functools.partial)
+                 and entry.func is trainer_module._read_loss]
+        seen = {}
+        while stack:
+            t = stack.pop()
+            if t is None or id(t) in seen:
+                continue
+            seen[id(t)] = t
+            if t._node is not None:
+                stack.extend(t._node.inputs)
+        return [t for t in seen.values() if not t.is_param]
+
+    @staticmethod
+    def _assert_holds_no_step(plan):
+        assert plan.gradients and all(g is None for g in plan.gradients)
+        assert plan.released and all(t.shards is None for t in plan.released)
+
+    @pytest.mark.parametrize("layout,recompute", [
+        ("serial", Recompute.NONE),
+        ("serial", Recompute.SELECTIVE),
+        ("tp+sp", Recompute.FULL),
+    ])
+    def test_a_replay_holds_no_gradient_or_released_register(self, layout,
+                                                             recompute):
+        trainer = Trainer(_model(layout, recompute), lr=1e-3, compiled=True)
+        ids, targets = _batch()
+        for step in range(2):
+            seed(step)
+            trainer.train_step(ids, targets, num_microbatches=2)
+            plan = trainer.plans.plans()[0]
+            self._assert_holds_no_step(plan)
+        assert plan.replays == 1
+        kept = [*plan.inputs.values(), *trainer.model.parameters()]
+        assert all(t.shards is not None for t in kept)
+        # nothing but a released register lost its shards: the others
+        # are inputs, effect arguments and outputs nothing reads
+        released = {id(t) for t in plan.released}
+        registers = self._registers(plan)
+        assert len(registers) > len(released) > 0
+        assert all(t.shards is not None for t in registers
+                   if id(t) not in released)
+
+    def test_inputs_parameters_effect_arguments_and_outputs_keep_shards(self):
+        x_arr, w_arr = rng.standard_normal((3, 5)), rng.standard_normal((3, 5))
+        sink = []
+
+        def step(x, w):
+            h = F.mul(x, w)        # read by gelu and scale: released
+            g = F.gelu(h)          # an effect argument: kept
+            effect(lambda t: sink.append(float(np.sum(t.shards[0]))), g)
+            z = F.scale(h, 3.0)    # inside an effect's holder list: kept
+            effect(lambda box: None, [z])
+            y = F.scale(g, 2.0)    # read by nothing: kept
+            s = F.add(g, z)        # read by sum_all: released
+            loss = F.sum_all(s)    # read by nothing: kept
+            loss.backward()
+            return h, g, z, y, s, loss
+
+        x0 = from_numpy(x_arr, requires_grad=True)
+        want = step(x0, parameter([w_arr]))
+        x, w = from_numpy(x_arr, requires_grad=True), parameter([w_arr])
+        recorder = CaptureRecorder("kept")
+        with capture_scope(recorder):
+            recorder.bind_input("x", x)
+            h, g, z, y, s, loss = got = step(x, w)
+        plan = recorder.finalize()
+        assert {id(t) for t in plan.released} == {id(h), id(s)}
+        x.grad = w.grad = None
+        plan.replay()
+        assert h.shards is None and s.shards is None
+        assert all(g is None for g in plan.gradients)
+        for index in (1, 2, 3, 5):   # g, z, y and the loss
+            np.testing.assert_array_equal(np.asarray(got[index].shards[0]),
+                                          np.asarray(want[index].shards[0]))
+        assert x.shards is not None and w.shards is not None
+        np.testing.assert_array_equal(np.asarray(x.grad[0]),
+                                      np.asarray(x0.grad[0]))
+        assert len(sink) == 3 and sink[0] == sink[1] == sink[2]
+
+    @pytest.mark.parametrize("layout,recompute", [
+        ("serial", Recompute.NONE),
+        ("serial", Recompute.SELECTIVE),
+        ("serial", Recompute.FULL),
+        ("tp+sp", Recompute.SELECTIVE),
+    ])
+    def test_no_backward_entry_reads_a_register(self, layout, recompute):
+        """What makes dropping a register after its last *forward* reader
+        safe: a backward entry reads gradient registers and its saves,
+        never a tensor register's shards (eager backward sees only
+        ``Edge`` s).  A replay whose every non-parameter register reads
+        ``None`` while each backward, release and seed entry runs --
+        under an op log, so the backward cost rules run too -- still
+        equals the eager twin bit for bit."""
+        compiled = Trainer(_model(layout, recompute), lr=1e-3, compiled=True)
+        eager = Trainer(_model(layout, recompute), lr=1e-3)
+        ids, targets = _batch()
+        seed(1)
+        compiled.train_step(ids, targets, num_microbatches=2)
+        seed(1)
+        eager.train_step(ids, targets, num_microbatches=2)
+        plan = compiled.plans.plans()[0]
+        registers = self._registers(plan)
+
+        def blind(entry):
+            def run():
+                held = [t.shards for t in registers]
+                for t in registers:
+                    t.shards = None
+                try:
+                    entry()
+                finally:
+                    for t, shards in zip(registers, held):
+                        t.shards = shards
+            return run
+
+        plan._program = tuple(
+            blind(entry) if kind in ("backward", "release", "seed") else entry
+            for entry, (kind, _) in zip(plan._program, plan._meta))
+        for step in (2, 3):
+            logs = OpLog(), OpLog()
+            for trainer, log in zip((compiled, eager), logs):
+                seed(step)
+                with instrument(oplog=log):
+                    trainer.train_step(ids, targets, num_microbatches=2)
+            assert logs[0].records == logs[1].records
+            assert compiled._losses == eager._losses
+        _assert_params_equal(compiled.model, eager.model)
+
+    def test_one_cache_of_two_plans_holds_no_step(self):
+        trainer = Trainer(_model("serial", Recompute.SELECTIVE), lr=1e-3,
+                          compiled=True)
+        ids, targets = _batch()
+        for step, microbatches in enumerate((1, 2, 1, 2)):
+            seed(step)
+            trainer.train_step(ids, targets, num_microbatches=microbatches)
+        assert trainer.plans.stats() == {"plans": 2, "hits": 2, "misses": 2}
+        for plan in trainer.plans.plans():
+            assert plan.replays == 1
+            self._assert_holds_no_step(plan)
+
+    def test_the_substrate_plan_is_unchanged(self):
+        """Releases ride inside the existing entries: the wall-clock
+        benchmark's substrate plan has the entries, kinds and statistics
+        it had before liveness (``plan_ops`` 154)."""
+        from test_training import TestHostMemoryPolicy
+        step = TestHostMemoryPolicy.substrate_step(compiled=True)
+        step()
+        step()
+        plan = step.func.__self__.plans.plans()[0]
+        counts = {"external": 5, "state": 2, "forward": 73, "seed": 1,
+                  "backward": 73}
+        assert plan.num_ops == 154 and plan.op_counts() == counts
+        assert plan.collective_schedule() == ()
+        assert plan.stats() == {
+            "label": "train_step", "ops": 154, "forward_ops": 73,
+            "backward_ops": 73, "release_ops": 0, "seed_ops": 1,
+            "external_ops": 5, "collectives": 0, "inputs": 2,
+            "arena_bytes": 3117056, "planned_buffers": 36, "replays": 1}
