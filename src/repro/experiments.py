@@ -6,8 +6,8 @@ and the tests both call these, so the printed rows/series are identical
 everywhere.
 
 Paper reference values are embedded (``PAPER_*``) so reports can show
-paper-vs-measured side by side; EXPERIMENTS.md is generated from the same
-data.
+paper-vs-measured side by side.  EXPERIMENTS.md is written by hand from
+these reports; no code generates it or compares it against them.
 """
 
 from __future__ import annotations

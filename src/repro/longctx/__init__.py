@@ -15,19 +15,10 @@ from .mappings import (
     ring_gather,
 )
 from .model import LongContextGPTModel
-from .volume import (
-    layout_volumes,
-    ring_layer_bytes,
-    ring_selective_extra_bytes,
-    sp_layer_bytes,
-    ulysses_layer_bytes,
-    ulysses_selective_extra_bytes,
-)
+from .volume import layout_volumes, sp_layer_bytes
 
 __all__ = [
     "ContextParallel", "LongContextGPTModel", "Ring", "Ulysses",
     "all_to_all_head_to_seq", "all_to_all_seq_to_head", "layout_volumes",
-    "recompute_overlap_scope", "ring_gather",
-    "ring_layer_bytes", "ring_selective_extra_bytes", "sp_layer_bytes",
-    "ulysses_layer_bytes", "ulysses_selective_extra_bytes",
+    "recompute_overlap_scope", "ring_gather", "sp_layer_bytes",
 ]

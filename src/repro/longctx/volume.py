@@ -1,8 +1,8 @@
-"""Closed-form per-layer communication volumes of the context layouts.
+"""Per-layer communication volumes of the context layouts, side by side.
 
-Per transformer layer, per rank, forward + backward **traced bytes** —
-these formulas are asserted exactly against the tracer's comm spans in
-``tests/test_longctx.py``:
+Per transformer layer, per rank, forward + backward **traced bytes**.
+Each layout's closed form is its class's
+(:meth:`~repro.longctx.layout.ContextParallel.layer_bytes`):
 
 * **Ulysses**: 4 all-to-alls forward (Q, K, V in; context out) and 4
   backward, each logged at the local shard size ``2 s b h / p`` — so
@@ -11,12 +11,8 @@ these formulas are asserted exactly against the tracer's comm spans in
   each, forward and backward — ``4 (p-1) * 2sbh/p``: O(s) for large
   ``p``, but in ``p-1`` latency-tolerant P2P hops.
 * **All-gather sequence parallelism** (the paper's ``g``/``ḡ`` pairs,
-  for comparison): 4 full-size collectives per layer at ``2 s b h``
-  forward+backward — O(s) regardless of the group size.
-
-``selective_extra_*`` add the re-shard replay a checkpointed attention
-core issues during recomputation (the traffic the overlap scheduler can
-hide).
+  for comparison; not a layout here): 4 full-size collectives per layer
+  at ``2 s b h`` forward+backward — O(s) regardless of the group size.
 """
 
 from __future__ import annotations
@@ -25,49 +21,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 from ..config import ModelConfig
-
-#: Accounting wire width (FP16 activations).
-WIRE_BYTES = 2
-
-
-def _sbh(model: ModelConfig, microbatch_size: int) -> float:
-    return float(model.seq_length * microbatch_size * model.hidden_size)
-
-
-def ulysses_layer_bytes(model: ModelConfig, microbatch_size: int,
-                        context_parallel: int) -> float:
-    """Forward+backward all-to-all bytes per layer per rank (no recompute)."""
-    p = context_parallel
-    if p == 1:
-        return 0.0
-    return 8.0 * WIRE_BYTES * _sbh(model, microbatch_size) / p
-
-
-def ulysses_selective_extra_bytes(model: ModelConfig, microbatch_size: int,
-                                  context_parallel: int) -> float:
-    """The 4 forward all-to-alls replayed by selective recomputation."""
-    p = context_parallel
-    if p == 1:
-        return 0.0
-    return 4.0 * WIRE_BYTES * _sbh(model, microbatch_size) / p
-
-
-def ring_layer_bytes(model: ModelConfig, microbatch_size: int,
-                     context_parallel: int) -> float:
-    """Forward+backward ring-hop bytes per layer per rank (no recompute)."""
-    p = context_parallel
-    if p == 1:
-        return 0.0
-    return 4.0 * (p - 1) * WIRE_BYTES * _sbh(model, microbatch_size) / p
-
-
-def ring_selective_extra_bytes(model: ModelConfig, microbatch_size: int,
-                               context_parallel: int) -> float:
-    """The 2 forward ring gathers replayed by selective recomputation."""
-    p = context_parallel
-    if p == 1:
-        return 0.0
-    return 2.0 * (p - 1) * WIRE_BYTES * _sbh(model, microbatch_size) / p
+from .layout import LAYOUTS, WIRE_BYTES
 
 
 def sp_layer_bytes(model: ModelConfig, microbatch_size: int,
@@ -77,7 +31,8 @@ def sp_layer_bytes(model: ModelConfig, microbatch_size: int,
     conjugate pairs of full ``2sbh`` tensors)."""
     if group_size == 1:
         return 0.0
-    return 4.0 * WIRE_BYTES * _sbh(model, microbatch_size)
+    return 4.0 * WIRE_BYTES * float(
+        model.seq_length * microbatch_size * model.hidden_size)
 
 
 @dataclass(frozen=True)
@@ -94,20 +49,10 @@ def layout_volumes(model: ModelConfig, microbatch_size: int,
                    context_parallel: int) -> Dict[str, LayoutVolume]:
     """Per-layer comm volumes of the three layouts at equal (s, b, h, p)."""
     p = context_parallel
-    return {
-        "ulysses": LayoutVolume(
-            "ulysses",
-            ulysses_layer_bytes(model, microbatch_size, p),
-            0 if p == 1 else 8,
-            "O(sbh/p)"),
-        "ring": LayoutVolume(
-            "ring",
-            ring_layer_bytes(model, microbatch_size, p),
-            0 if p == 1 else 4 * (p - 1),
-            "O(sbh (p-1)/p)"),
-        "sp_allgather": LayoutVolume(
-            "sp_allgather",
-            sp_layer_bytes(model, microbatch_size, p),
-            0 if p == 1 else 4,
-            "O(sbh)"),
-    }
+    volumes = {cls.name: LayoutVolume(
+        cls.name, cls.layer_bytes(model, microbatch_size, p),
+        cls.calls_per_layer(p), cls.scaling) for cls in LAYOUTS.values()}
+    volumes["sp_allgather"] = LayoutVolume(
+        "sp_allgather", sp_layer_bytes(model, microbatch_size, p),
+        0 if p == 1 else 4, "O(sbh)")
+    return volumes

@@ -4,7 +4,6 @@ from .activations import (
     first_stage_layers_worth,
     input_output_extras_bytes,
     interleave_memory_factor,
-    longctx_per_layer_term_groups,
     memory_fraction_of_tp_baseline,
     per_layer_activation_bytes,
     per_layer_breakdown,
@@ -32,7 +31,7 @@ __all__ = [
     "figure1_budget", "first_stage_layers_worth",
     "in_flight_microbatches", "input_output_extras_bytes",
     "interleave_memory_factor",
-    "kv_cache_bytes", "longctx_per_layer_term_groups", "memory_fraction_of_tp_baseline",
+    "kv_cache_bytes", "memory_fraction_of_tp_baseline",
     "microbatch_recompute_window", "parameter_count",
     "per_layer_activation_bytes", "per_layer_breakdown",
     "per_layer_term_groups", "pipeline_memory_profile",

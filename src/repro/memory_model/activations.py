@@ -9,7 +9,6 @@ counting saved bytes reproduces every row of Table 2 exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, Optional, Union
 
 from ..config import ExperimentConfig, ModelConfig
@@ -36,24 +35,8 @@ def per_layer_activation_bytes(
     TP + SP + selective recompute   ``sbh 34/t``
     full recompute                  ``2 sbh`` (``2 sbh / t`` with SP)
     ==============================  ======================================
-
-    Memoised on the normalised ``(config, batch, layout, recompute)``
-    key — sweeps and the planner hit the same few cells thousands of
-    times (:class:`ModelConfig` is frozen, so keys are hashable).
     """
-    return _per_layer_activation_bytes(
-        model, microbatch_size, tensor_parallel, bool(sequence_parallel),
-        Recompute(recompute))
-
-
-@lru_cache(maxsize=4096)
-def _per_layer_activation_bytes(
-    model: ModelConfig,
-    microbatch_size: int,
-    tensor_parallel: int,
-    sequence_parallel: bool,
-    recompute: Recompute,
-) -> float:
+    recompute = Recompute(recompute)
     s, b, h, a = model.seq_length, microbatch_size, model.hidden_size, model.num_heads
     t = tensor_parallel
     if t < 1:
@@ -85,23 +68,8 @@ def per_layer_breakdown(
     sequence_parallel: bool = False,
     recompute: RecomputeLike = Recompute.NONE,
 ) -> Dict[str, float]:
-    """Per-layer bytes split into the paper's Section 4.1 constituents.
-
-    Memoised like :func:`per_layer_activation_bytes`; callers get a fresh
-    dict each time so the cached entry cannot be mutated."""
-    return dict(_per_layer_breakdown(
-        model, microbatch_size, tensor_parallel, bool(sequence_parallel),
-        Recompute(recompute)))
-
-
-@lru_cache(maxsize=4096)
-def _per_layer_breakdown(
-    model: ModelConfig,
-    microbatch_size: int,
-    tensor_parallel: int,
-    sequence_parallel: bool,
-    recompute: Recompute,
-) -> Dict[str, float]:
+    """Per-layer bytes split into the paper's Section 4.1 constituents."""
+    recompute = Recompute(recompute)
     s, b, h, a = model.seq_length, microbatch_size, model.hidden_size, model.num_heads
     t = tensor_parallel
     sbh = float(s * b * h)
@@ -147,24 +115,14 @@ def per_layer_term_groups(
     Same total as :func:`per_layer_breakdown`, regrouped so each group
     corresponds exactly to a set of measured tracker categories
     (:func:`term_group_categories`) — the basis of the per-term drift
-    check in :mod:`repro.observability.analysis`.  Memoised like
-    :func:`per_layer_activation_bytes`; returns a fresh dict each call.
+    check in :mod:`repro.observability.analysis`.  Under p-way context
+    parallelism (Ulysses, ring) the groups are these with ``p`` for
+    ``t`` and sequence parallelism on; ring attention overrides one
+    (:meth:`~repro.longctx.layout.ContextParallel.term_groups`).
     """
-    return dict(_per_layer_term_groups(
-        model, microbatch_size, tensor_parallel, bool(sequence_parallel),
-        Recompute(recompute)))
-
-
-@lru_cache(maxsize=4096)
-def _per_layer_term_groups(
-    model: ModelConfig,
-    microbatch_size: int,
-    tensor_parallel: int,
-    sequence_parallel: bool,
-    recompute: Recompute,
-) -> Dict[str, float]:
-    bd = _per_layer_breakdown(model, microbatch_size, tensor_parallel,
-                              sequence_parallel, recompute)
+    recompute = Recompute(recompute)
+    bd = per_layer_breakdown(model, microbatch_size, tensor_parallel,
+                             sequence_parallel, recompute)
     if recompute in (Recompute.FULL, Recompute.FULL_SHARDED):
         return {"checkpoint_input": bd["checkpoint_input"]}
     core_mask = ATTN_CORE_MASK_FRACTION * bd["attn_core"]
@@ -206,93 +164,6 @@ def term_group_categories(recompute: RecomputeLike) -> Dict[str, tuple]:
         "mlp_fc1_input": ("mlp_fc1_input",),
         "mlp_gelu_input": ("gelu_input",),
         "mlp_fc2_input": ("mlp_fc2_input",),
-    }
-
-
-# ---------------------------------------------------------------------------
-# Context-parallel (long-context) layouts: Ulysses and ring attention
-# ---------------------------------------------------------------------------
-
-def longctx_per_layer_term_groups(
-    model: ModelConfig,
-    microbatch_size: int,
-    context_parallel: int,
-    layout: str = "ulysses",
-    recompute: RecomputeLike = Recompute.NONE,
-) -> Dict[str, float]:
-    """Analytic per-layer bytes per rank under p-way context parallelism,
-    per observable term group, on the same group names as
-    :func:`per_layer_term_groups` so :func:`term_group_categories` applies
-    unchanged — the basis of the context layouts' ``layer_term_drift``
-    crosscheck.
-    The groups sum to:
-
-    ==============================  ======================================
-    Ulysses, no recompute           ``sbh/p (34 + 5as/h)``  (Eq 4, t -> p)
-    ring, no recompute              ``sbh/p (30 + 4p + 5as/h)``
-    selective recompute (both)      ``sbh 34/p``
-    full recompute (both)           ``sbh 2/p``
-    ==============================  ======================================
-
-    Ulysses lands exactly on the sequence-parallel Equation 4 with the
-    context-parallel size in place of ``t``: every tensor — including
-    the head-sharded attention internals — is a ``1/p`` shard.  Ring
-    attention instead materializes the ring-gathered full-sequence K and
-    V on each rank (this simulator's gather; a streaming ring holds only
-    one block at a time), swapping the ``8sbh/p`` K/V-side terms for
-    ``4sbh + 4sbh/p``.  Selective recomputation checkpoints the core
-    *including* the re-shard, so both layouts store just the local Q/K/V
-    chunks (``6sbh/p``) and the layouts coincide.
-    """
-    return dict(_longctx_per_layer_term_groups(
-        model, microbatch_size, context_parallel, layout,
-        Recompute(recompute)))
-
-
-@lru_cache(maxsize=4096)
-def _longctx_per_layer_term_groups(
-    model: ModelConfig,
-    microbatch_size: int,
-    context_parallel: int,
-    layout: str,
-    recompute: Recompute,
-) -> Dict[str, float]:
-    if layout not in ("ulysses", "ring"):
-        raise ConfigError(f"unknown context layout {layout!r}")
-    s, b, h, a = (model.seq_length, microbatch_size, model.hidden_size,
-                  model.num_heads)
-    p = context_parallel
-    if p < 1:
-        raise ConfigError("context_parallel must be >= 1")
-    sbh = float(s * b * h)
-    rep = sbh / p                 # every sequence-sharded 1-byte-unit term
-    core = float(a * s * s * b) / p  # attention-core elements per rank
-    if recompute in (Recompute.FULL, Recompute.FULL_SHARDED):
-        # The layer input is already a sequence chunk.
-        return {"checkpoint_input": 2.0 * rep}
-    if recompute == Recompute.SELECTIVE:
-        # Checkpointed core (re-shard included): local Q, K, V chunks.
-        attention = 6.0 * rep
-        mask_bytes = 0.0
-    elif layout == "ulysses":
-        # QK^T saves head-sharded Q+K (4sbh/p); softmax output 2as^2b/p;
-        # context matmul saves probs (2as^2b/p) + head-sharded V (2sbh/p).
-        attention = 6.0 * rep + 4.0 * core
-        mask_bytes = core
-    else:
-        # Ring: Q is a chunk (2sbh/p) but K and V are the ring-gathered
-        # full sequence (2sbh each).
-        attention = 2.0 * rep + 4.0 * sbh + 4.0 * core
-        mask_bytes = core
-    return {
-        "layernorm_inputs": 4.0 * rep,
-        "attn_qkv_input": 2.0 * rep,
-        "attn_qkv_and_core": attention,
-        "attn_proj_input": 2.0 * rep,
-        "dropout_masks": 2.0 * rep + mask_bytes,
-        "mlp_fc1_input": 2.0 * rep,
-        "mlp_gelu_input": 8.0 * rep,
-        "mlp_fc2_input": 8.0 * rep,
     }
 
 

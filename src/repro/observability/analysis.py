@@ -449,10 +449,9 @@ def term_drifts(layout, model, microbatch_size: int, recompute: Recompute,
                 by_rank: Sequence[Dict[str, int]]) -> List[MemoryTermDrift]:
     """Fold each rank's measured category bytes into term groups and match
     them against ``layout``'s closed form: Equations 1-4 for the
-    tensor-parallel layouts, the ``longctx_*`` forms for Ulysses and
-    ring."""
-    from ..memory_model import (longctx_per_layer_term_groups,
-                                per_layer_term_groups)
+    tensor-parallel layouts, the context layouts' own ``term_groups``
+    for Ulysses and ring."""
+    from ..memory_model import per_layer_term_groups
     from ..parallel.layout import TensorParallel
 
     recompute = Recompute(recompute)
@@ -462,12 +461,8 @@ def term_drifts(layout, model, microbatch_size: int, recompute: Recompute,
         predicted = per_layer_term_groups(model, microbatch_size, size, sp,
                                           recompute)
     else:
-        from ..longctx.layout import LAYOUTS
-
         sp = False
-        name = {cls: n for n, cls in LAYOUTS.items()}[type(layout)]
-        predicted = longctx_per_layer_term_groups(model, microbatch_size, size,
-                                                  name, recompute)
+        predicted = layout.term_groups(model, microbatch_size, size, recompute)
     return [MemoryTermDrift.of(categories, predicted, sp, recompute)
             for categories in by_rank]
 

@@ -28,7 +28,7 @@ from ..comm.cost_model import CollectiveCostModel
 from ..config import ModelConfig
 from ..errors import PlanningError
 from ..layers.transformer import Recompute
-from ..longctx.volume import WIRE_BYTES
+from ..longctx.layout import LAYOUTS
 
 
 @dataclass(frozen=True)
@@ -115,21 +115,6 @@ def schedule_overlap(segments: Sequence[OverlapSegment],
                          always_exposed_s=always_exposed_s)
 
 
-def _layer_comm_calls(layout: str, context_parallel: int) -> Tuple[int, int, int]:
-    """(forward, backward, recompute-replay) collective calls per layer.
-
-    Ulysses counts all-to-alls; ring counts P2P hops.  The replay column
-    re-issues the forward re-shard inside the checkpoint segment — the
-    calls :func:`recompute_overlap_scope` marks overlapped.
-    """
-    p = context_parallel
-    if layout == "ulysses":
-        return 4, 4, 4
-    if layout == "ring":
-        return 2 * (p - 1), 2 * (p - 1), 2 * (p - 1)
-    raise PlanningError(f"unknown context layout {layout!r}")
-
-
 def longctx_overlap_segments(
     model: ModelConfig,
     microbatch_size: int,
@@ -143,27 +128,22 @@ def longctx_overlap_segments(
     checkpointed layer pairing its recompute seconds (serial per-layer
     recompute work divided across the ``p`` sequence shards) with the
     collective seconds its replay keeps in flight, plus the
-    forward/backward-proper collective seconds that stay exposed.
+    forward/backward-proper collective seconds that stay exposed.  The
+    layout's class states the calls and their price; the replay
+    re-issues the forward calls inside the checkpoint segment — the
+    calls :func:`~repro.longctx.recompute_overlap_scope` marks
+    overlapped.
     """
     from ..perf_model.layer_timing import layer_times
 
     recompute = Recompute(recompute)
+    cls = LAYOUTS[layout]
     p = context_parallel
     if p < 1:
         raise PlanningError(f"context_parallel must be >= 1, got {p}")
-    comm = CollectiveCostModel()
-    fwd_calls, bwd_calls, replay_calls = _layer_comm_calls(layout, p)
-    if recompute is Recompute.NONE:
-        replay_calls = 0
-
-    shard_bytes = (WIRE_BYTES * model.seq_length * microbatch_size
-                   * model.hidden_size // p)
-    if layout == "ulysses":
-        call_s = comm.all_to_all_time(shard_bytes, p, scope="cp")
-    else:
-        call_s = comm.p2p_time(shard_bytes, scope="cp")
-    if p == 1:
-        fwd_calls = bwd_calls = replay_calls = 0
+    replay_calls = 0 if recompute is Recompute.NONE else cls.forward_calls(p)
+    call_s = cls.call_seconds(CollectiveCostModel(),
+                              cls.shard_bytes(model, microbatch_size, p), p)
 
     lt = layer_times(model, microbatch_size, tensor_parallel=1,
                      recompute=recompute)
@@ -174,7 +154,7 @@ def longctx_overlap_segments(
                        comm_s=replay_calls * call_s)
         for i in range(model.num_layers)
     ]
-    always_exposed = (fwd_calls + bwd_calls) * call_s * model.num_layers
+    always_exposed = cls.calls_per_layer(p) * call_s * model.num_layers
     return segments, always_exposed
 
 

@@ -215,7 +215,8 @@ def choose_context_layout(model, microbatch_size: int,
     full-``2sbh`` collectives per layer), Ulysses (eight ``2sbh/p``
     all-to-alls) and ring attention (``4(p-1)`` ``2sbh/p`` P2P hops),
     priced as **exposed** per-layer seconds on the same ``"cp"``-scope
-    links by :class:`~repro.comm.CollectiveCostModel`.  The baseline's
+    links by :class:`~repro.comm.CollectiveCostModel` (each layout's by
+    its class's ``exposed_seconds``).  The baseline's
     collectives and Ulysses' all-to-alls block (the core cannot start
     until the re-shard lands); ring hops are prefetched one chunk ahead
     of the blockwise core, so in steady state only launch + link
@@ -231,6 +232,7 @@ def choose_context_layout(model, microbatch_size: int,
     deterministically via :data:`CONTEXT_LAYOUT_PREFERENCE`.
     """
     from ..comm.cost_model import CollectiveCostModel
+    from ..longctx.layout import LAYOUTS
     from ..longctx.volume import layout_volumes
 
     p = context_parallel
@@ -244,27 +246,18 @@ def choose_context_layout(model, microbatch_size: int,
     volumes = layout_volumes(model, microbatch_size, p)
 
     full = 2 * model.seq_length * microbatch_size * model.hidden_size
-    shard = full // p
     if p > 1:
-        # 4 gathers (K, V, forward + backward): one full-price fill hop
-        # each, then p-2 steady hops whose volume hides under the
-        # previous chunk's attention compute (launch + latency exposed).
-        fill_hop = comm.p2p_time(shard, scope="cp")
-        steady_hop = comm.p2p_time(0, scope="cp")
-        seconds = {
-            "sp_allgather": (
-                2 * comm.all_gather_time(full, p, scope="cp")
-                + 2 * comm.reduce_scatter_time(full, p, scope="cp")),
-            "ulysses": 8 * comm.all_to_all_time(shard, p, scope="cp"),
-            "ring": 4 * fill_hop + 4 * (p - 2) * steady_hop,
-        }
+        seconds = {"sp_allgather": (
+            2 * comm.all_gather_time(full, p, scope="cp")
+            + 2 * comm.reduce_scatter_time(full, p, scope="cp"))}
+        for cls in LAYOUTS.values():
+            seconds[cls.name] = cls.exposed_seconds(
+                comm, cls.shard_bytes(model, microbatch_size, p), p)
     else:
         seconds = {k: 0.0 for k in volumes}
 
-    excluded = {}
-    if model.num_heads % p:
-        excluded["ulysses"] = (
-            f"num_heads {model.num_heads} not divisible by group {p}")
+    excluded = {cls.name: why for cls in LAYOUTS.values()
+                if (why := cls.unfit(model, p))}
     candidates = [k for k in seconds if k not in excluded]
     winner = min(candidates,
                  key=lambda k: (seconds[k],

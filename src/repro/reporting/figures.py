@@ -26,21 +26,6 @@ def ascii_bars(labels: Sequence[str], values: Sequence[float],
     return "\n".join(lines)
 
 
-def grouped_ascii_bars(group_labels: Sequence[str],
-                       series: Sequence[tuple]) -> str:
-    """Grouped bars, 40 characters at the largest value: ``series`` is
-    [(series_name, values_per_group), ...]."""
-    top = max((max(vals) for _, vals in series), default=1.0) or 1.0
-    name_w = max(len(name) for name, _ in series)
-    lines: List[str] = []
-    for gi, glabel in enumerate(group_labels):
-        lines.append(glabel)
-        for name, vals in series:
-            bar = "#" * max(0, round(40 * vals[gi] / top))
-            lines.append(f"  {name.ljust(name_w)} |{bar} {vals[gi]:.3g}")
-    return "\n".join(lines)
-
-
 def csv_series(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     """Comma-separated series for external plotting."""
     lines = [",".join(headers)]

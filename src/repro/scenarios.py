@@ -670,17 +670,11 @@ def context_parallel_step(*, layout: str = "ulysses",
             loss.backward()
     model.finish_grad_sync()
 
-    comm = [s for s in tracer.spans if s.subsystem == "comm"]
-    if layout == "ulysses":
-        traced = sum(s.args["bytes"] for s in comm if s.name == "all_to_all")
-        layer_bytes = longctx.ulysses_layer_bytes
-        extra_bytes = longctx.ulysses_selective_extra_bytes
-    else:
-        traced = sum(s.args["bytes"] for s in comm if "hop" in s.name)
-        layer_bytes = longctx.ring_layer_bytes
-        extra_bytes = longctx.ring_selective_extra_bytes
-    expected = model_cfg.num_layers * layer_bytes(model_cfg, b, p)
+    cp = model.layout
+    traced = sum(s.args["bytes"] for s in tracer.spans
+                 if s.subsystem == "comm" and cp.owns_span(s.name))
+    expected = model_cfg.num_layers * cp.layer_bytes(model_cfg, b, p)
     if recompute != Recompute.NONE:
-        expected += model_cfg.num_layers * extra_bytes(model_cfg, b, p)
+        expected += model_cfg.num_layers * cp.replay_bytes(model_cfg, b, p)
     return LongctxReport(model_cfg, layout, p, recompute, b, tracer,
                          loss.item(), serial_loss, traced, expected)

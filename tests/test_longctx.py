@@ -13,18 +13,16 @@ from repro.layers.dropout import Dropout
 from repro.comm.process_group import ProcessGroup
 from repro.longctx import (
     LongContextGPTModel,
+    Ring,
+    Ulysses,
     all_to_all_head_to_seq,
     all_to_all_seq_to_head,
     layout_volumes,
     recompute_overlap_scope,
     ring_gather,
-    ring_layer_bytes,
-    ring_selective_extra_bytes,
     sp_layer_bytes,
-    ulysses_layer_bytes,
-    ulysses_selective_extra_bytes,
 )
-from repro.longctx.layout import context_layout
+from repro.longctx.layout import LAYOUTS, context_layout
 from repro.observability import (
     Tracer,
     attribute,
@@ -37,6 +35,8 @@ from repro.pipeline_sim import (
     longctx_overlap_report,
     schedule_overlap,
 )
+from repro.pipeline_sim.overlap import longctx_overlap_segments
+from repro.planner import choose_context_layout
 from repro.tensor import Tensor, from_numpy
 from repro.tensor import functions as F
 from repro.tensor.functions import MaskSource
@@ -84,29 +84,31 @@ def comm_spans(tracer):
 class TestTracedVolumes:
     """The tracer's comm bytes reproduce the closed-form volumes exactly."""
 
+    @pytest.mark.parametrize("p", [2, 4])
     @pytest.mark.parametrize(
         "rc", [Recompute.NONE, Recompute.SELECTIVE, Recompute.FULL])
-    def test_ulysses_bytes_exact(self, serial, rc):
-        tracer, _ = traced_run(serial, "ulysses", rc)
+    def test_ulysses_bytes_exact(self, serial, rc, p):
+        tracer, _ = traced_run(serial, "ulysses", rc, p=p)
         a2a = [s for s in comm_spans(tracer) if s.name == "all_to_all"]
-        expected = TINY.num_layers * ulysses_layer_bytes(TINY, 2, 2)
+        expected = TINY.num_layers * Ulysses.layer_bytes(TINY, 2, p)
         calls = 8 * TINY.num_layers
         if rc != Recompute.NONE:
-            expected += TINY.num_layers * ulysses_selective_extra_bytes(TINY, 2, 2)
+            expected += TINY.num_layers * Ulysses.replay_bytes(TINY, 2, p)
             calls += 4 * TINY.num_layers
         assert len(a2a) == calls
         assert sum(s.args["bytes"] for s in a2a) == expected
 
+    @pytest.mark.parametrize("p", [2, 4])
     @pytest.mark.parametrize(
         "rc", [Recompute.NONE, Recompute.SELECTIVE, Recompute.FULL])
-    def test_ring_bytes_exact(self, serial, rc):
-        tracer, _ = traced_run(serial, "ring", rc)
+    def test_ring_bytes_exact(self, serial, rc, p):
+        tracer, _ = traced_run(serial, "ring", rc, p=p)
         hops = [s for s in comm_spans(tracer) if "hop" in s.name]
-        expected = TINY.num_layers * ring_layer_bytes(TINY, 2, 2)
-        calls = 4 * (2 - 1) * TINY.num_layers
+        expected = TINY.num_layers * Ring.layer_bytes(TINY, 2, p)
+        calls = 4 * (p - 1) * TINY.num_layers
         if rc != Recompute.NONE:
-            expected += TINY.num_layers * ring_selective_extra_bytes(TINY, 2, 2)
-            calls += 2 * (2 - 1) * TINY.num_layers
+            expected += TINY.num_layers * Ring.replay_bytes(TINY, 2, p)
+            calls += 2 * (p - 1) * TINY.num_layers
         assert len(hops) == calls
         assert sum(s.args["bytes"] for s in hops) == expected
 
@@ -124,12 +126,63 @@ class TestTracedVolumes:
     def test_volume_table(self):
         vols = layout_volumes(TINY, 2, 4)
         assert set(vols) == {"ulysses", "ring", "sp_allgather"}
-        assert vols["ulysses"].bytes_per_layer == ulysses_layer_bytes(TINY, 2, 4)
+        assert vols["ulysses"].bytes_per_layer == Ulysses.layer_bytes(TINY, 2, 4)
         assert vols["ulysses"].calls_per_layer == 8
         assert vols["ring"].calls_per_layer == 12
         assert vols["sp_allgather"].scaling == "O(sbh)"
         # degenerate single-rank group: no communication at all
         assert all(v.bytes_per_layer == 0 for v in layout_volumes(TINY, 2, 1).values())
+
+
+#: A shape every group size below divides (s, a and h), at b = 3.
+PINNED = ModelConfig(num_layers=2, hidden_size=192, num_heads=24,
+                     seq_length=12288, vocab_size=64, name="pinned")
+
+#: ``float.hex`` of each layout's closed forms on ``PINNED``, read off the
+#: per-layout functions these classes replaced: layer bytes, replay bytes,
+#: calls per layer, the chooser's seconds, the overlap model's per-segment
+#: and always-exposed seconds under selective recompute, and the memory
+#: groups (no recompute: the attention and mask groups; then the sum of
+#: the groups under none, selective and full recompute).
+CLOSED_FORMS = {
+    ("ulysses", 1): ('0x0.0p+0', '0x0.0p+0', 0, '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x1.4451000000000p+35', '0x1.446c000000000p+33', '0x1.96cb000000000p+35', '0x1.cb00000000000p+27', '0x1.b000000000000p+23'),
+    ("ulysses", 2): ('0x1.b000000000000p+25', '0x1.b000000000000p+24', 8, '0x1.0256efed62956p-12', '0x1.0256efed62956p-13', '0x1.0256efed62956p-11', '0x1.4451000000000p+34', '0x1.446c000000000p+32', '0x1.96cb000000000p+34', '0x1.cb00000000000p+26', '0x1.b000000000000p+22'),
+    ("ulysses", 4): ('0x1.b000000000000p+24', '0x1.b000000000000p+23', 8, '0x1.5f0a8574b3831p-12', '0x1.5f0a8574b3831p-13', '0x1.5f0a8574b3831p-11', '0x1.4451000000000p+33', '0x1.446c000000000p+31', '0x1.96cb000000000p+33', '0x1.cb00000000000p+25', '0x1.b000000000000p+21'),
+    ("ulysses", 6): ('0x1.2000000000000p+24', '0x1.2000000000000p+23', 8, '0x1.c13d7af462c9ep-12', '0x1.c13d7af462c9ep-13', '0x1.c13d7af462c9ep-11', '0x1.b06c000000000p+32', '0x1.b090000000000p+30', '0x1.0f32000000000p+33', '0x1.3200000000000p+25', '0x1.2000000000000p+21'),
+    ("ulysses", 8): ('0x1.b000000000000p+23', '0x1.b000000000000p+22', 8, '0x1.157fca34c9e5ap-11', '0x1.157fca34c9e5ap-12', '0x1.157fca34c9e5ap-10', '0x1.4451000000000p+32', '0x1.446c000000000p+30', '0x1.96cb000000000p+32', '0x1.cb00000000000p+24', '0x1.b000000000000p+20'),
+    ("ring", 1): ('0x0.0p+0', '0x0.0p+0', 0, '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x1.4451000000000p+35', '0x1.446c000000000p+33', '0x1.96cb000000000p+35', '0x1.cb00000000000p+27', '0x1.b000000000000p+23'),
+    ("ring", 2): ('0x1.b000000000000p+24', '0x1.b000000000000p+23', 4, '0x1.654baf6404da0p-13', '0x1.654baf6404da0p-14', '0x1.654baf6404da0p-12', '0x1.4487000000000p+34', '0x1.446c000000000p+32', '0x1.9701000000000p+34', '0x1.cb00000000000p+26', '0x1.b000000000000p+22'),
+    ("ring", 4): ('0x1.4400000000000p+25', '0x1.4400000000000p+24', 12, '0x1.208da86d719b7p-12', '0x1.838267e413e01p-13', '0x1.838267e413e01p-11', '0x1.44f3000000000p+33', '0x1.446c000000000p+31', '0x1.976d000000000p+33', '0x1.cb00000000000p+25', '0x1.b000000000000p+21'),
+    ("ring", 6): ('0x1.6800000000000p+25', '0x1.6800000000000p+24', 20, '0x1.af71b8fb16e0cp-12', '0x1.19b15c21f79e2p-12', '0x1.19b15c21f79e2p-10', '0x1.b1d4000000000p+32', '0x1.b090000000000p+30', '0x1.0fe6000000000p+33', '0x1.3200000000000p+25', '0x1.2000000000000p+21'),
+    ("ring", 8): ('0x1.7a00000000000p+25', '0x1.7a00000000000p+24', 28, '0x1.234a6cbea4d5ep-11', '0x1.6d81fc579e896p-12', '0x1.6d81fc579e896p-10', '0x1.45cb000000000p+32', '0x1.446c000000000p+30', '0x1.9845000000000p+32', '0x1.cb00000000000p+24', '0x1.b000000000000p+20'),
+}
+
+
+@pytest.mark.parametrize("name,p", sorted(CLOSED_FORMS))
+def test_closed_forms_are_pinned(name, p):
+    """Each layout's costs, as its class states them, bitwise: ``table-6``
+    and the ``longctx`` bench preset see only p = 8 and p = 2, and at
+    p = 2 ring's ``p - 1`` factor is 1."""
+    cls, b = LAYOUTS[name], 3
+    groups = {rc: cls.term_groups(PINNED, b, p, rc)
+              for rc in (Recompute.NONE, Recompute.SELECTIVE, Recompute.FULL)}
+    segments, exposed = longctx_overlap_segments(PINNED, b, p, name,
+                                                 Recompute.SELECTIVE)
+    seconds = choose_context_layout(PINNED, b, p).seconds_per_layer[name]
+    got = (cls.layer_bytes(PINNED, b, p).hex(),
+           cls.replay_bytes(PINNED, b, p).hex(), cls.calls_per_layer(p),
+           seconds.hex(), segments[0].comm_s.hex(), exposed.hex(),
+           groups[Recompute.NONE]["attn_qkv_and_core"].hex(),
+           groups[Recompute.NONE]["dropout_masks"].hex(),
+           *(sum(g.values()).hex() for g in groups.values()))
+    assert got == CLOSED_FORMS[name, p]
+
+
+def test_unknown_layout_is_one_config_error():
+    with pytest.raises(ConfigError, match="unknown context layout 'mesh'"):
+        LAYOUTS["mesh"]
+    with pytest.raises(ConfigError, match="unknown context layout"):
+        longctx_overlap_report(TINY, 2, 2, "mesh", Recompute.FULL)
 
 
 class TestOverlapAttribution:

@@ -15,7 +15,7 @@ from repro.parallel.mappings import (
     scatter_to_sequence_parallel_region,
 )
 from repro.reporting import (
-    ascii_bars, csv_series, format_table, grouped_ascii_bars, ms, pct,
+    ascii_bars, csv_series, format_table, ms, pct,
     seconds, stacked_ascii_bars,
 )
 from repro.tensor import OpLog, Tensor, instrument, parameter
@@ -233,11 +233,6 @@ class TestReportingFormatters:
             ["m1"], [("fwd", "F", [1.0]), ("bwd", "B", [2.0])])
         assert "F=fwd" in text and "B=bwd" in text
         assert "FFF" not in text.splitlines()[0]
-
-    def test_grouped_bars(self):
-        text = grouped_ascii_bars(["g1", "g2"],
-                                  [("s", [1.0, 2.0]), ("t", [2.0, 1.0])])
-        assert "g1" in text and "g2" in text
 
     def test_csv_series(self):
         text = csv_series(["a", "b"], [(1, 2), (3, 4)])

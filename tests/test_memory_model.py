@@ -227,25 +227,18 @@ class TestFigure9:
 
 
 class TestMemoization:
-    """The per-layer formulas are memoised on (config, layout,
-    recompute) — a pure-function cache, so hits must be observable,
-    string and enum recompute keys must normalise to the same entry,
-    and returned dicts must be defensive copies."""
+    """The per-layer formulas are pure functions: string and enum
+    recompute values must give the same bytes, and each call returns a
+    fresh dict."""
 
     def test_string_and_enum_recompute_share_an_entry(self):
-        from repro.memory_model.activations import _per_layer_activation_bytes
-
         cfg = ModelConfig(num_layers=2, hidden_size=64, num_heads=4,
                           seq_length=32, vocab_size=64, name="memo")
-        before = _per_layer_activation_bytes.cache_info()
         a = per_layer_activation_bytes(cfg, 2, 2, sequence_parallel=True,
                                        recompute=Recompute.SELECTIVE)
         b = per_layer_activation_bytes(cfg, 2, 2, sequence_parallel=True,
                                        recompute="selective")
-        after = _per_layer_activation_bytes.cache_info()
         assert a == b
-        assert after.misses == before.misses + 1
-        assert after.hits >= before.hits + 1
 
     def test_breakdown_returns_a_copy(self):
         cfg = ModelConfig(num_layers=2, hidden_size=64, num_heads=4,

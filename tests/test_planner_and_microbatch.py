@@ -166,11 +166,11 @@ class TestContextLayoutChooser:
             choose_context_layout(self._model(512), 1, 3)  # 512 % 3 != 0
 
     def test_reports_closed_form_bytes(self):
-        from repro.longctx import ulysses_layer_bytes
+        from repro.longctx import Ulysses
         from repro.planner import choose_context_layout
         m = self._model(65536)
         choice = choose_context_layout(m, 1, 4)
-        assert choice.bytes_per_layer["ulysses"] == ulysses_layer_bytes(m, 1, 4)
+        assert choice.bytes_per_layer["ulysses"] == Ulysses.layer_bytes(m, 1, 4)
 
 
 class TestMicrobatchRecompute:
