@@ -152,11 +152,16 @@ wall-history:
 # forward_layer, which the tracker drift, the context-parallel drift and
 # the memprof ledger all read, plus the allocator's layer trace and the
 # layer-timing trace; 4 while memprof built and forwarded its own copy);
-# and the process memos in src/, its @lru_cache sites (6: the four
-# activation-term memos of memory_model/activations.py, the layer / end
+# and the process memos in src/, its @lru_cache sites (2: the layer / end
 # trace records of perf_model/layer_timing.py and the schedule level
-# plans of pipeline_sim/schedule.py), so every new process-lifetime cache
-# shows up in wall_history.
+# plans of pipeline_sim/schedule.py; 6 while memory_model/activations.py
+# kept four activation-term memos), so every new process-lifetime cache
+# shows up in wall_history; and the repro modules a bench worker imports,
+# what importing bench/workloads.py leaves in sys.modules (80: 79 and the
+# repro._lazy hook; 95 while the observability, training, pipeline_sim,
+# fusion and reporting facades imported every member eagerly and loaded
+# 16 modules no workload runs, tests/test_package_exports.py's
+# UNUSED_BY_BENCH).
 loc:
 	@printf '%-56s %6d\n' \
 		'src/ python lines' "$$(find src -name '*.py' | xargs cat | wc -l)" \
@@ -197,7 +202,8 @@ loc:
 		'package re-exports (sum of __all__)' "$$(PYTHONPATH=src $(PY) -c 'import importlib, pkgutil, repro; print(len(repro.__all__) + sum(len(importlib.import_module(m.name).__all__) for m in pkgutil.iter_modules(repro.__path__, "repro.") if m.ispkg))')" \
 		'src/ abstract_layer( call sites' "$$(grep -rn --include='*.py' 'abstract_layer(' src | grep -v 'def abstract_layer' | wc -l)" \
 		'src/ process memos (lru_cache sites)' "$$(grep -rnE --include='*.py' '@(functools\.)?(lru_cache|cache)\b' src | wc -l)" \
-		'src/ context-layout name branches outside longctx/layout.py' "$$(grep -rnE --include='*.py' '== "(ulysses|ring)"|not in \("ulysses"|LAYOUTS\.items' src | grep -v src/repro/longctx/layout.py | wc -l)"
+		'src/ context-layout name branches outside longctx/layout.py' "$$(grep -rnE --include='*.py' '== "(ulysses|ring)"|not in \("ulysses"|LAYOUTS\.items' src | grep -v src/repro/longctx/layout.py | wc -l)" \
+		'repro modules a bench worker imports' "$$(cd bench && $(SRC_PATH) $(PY) -c 'import sys, workloads; print(sum(m.split(".")[0] == "repro" for m in sys.modules))')"
 
 # CI smoke run: the artifact-writing CLI invocation of each concrete-run
 # command, plus the two invocations no tier-1 test makes (the recompute

@@ -33,6 +33,7 @@ from .flops_model import (
     model_flops_per_iteration,
 )
 from .layers.transformer import Recompute
+from .longctx.layout import LAYOUTS
 from .memory_model import (
     per_layer_activation_bytes,
     total_activation_bytes,
@@ -613,7 +614,7 @@ _FLAGS = {
     "layers": dict(help="transformer layers in the toy model"),
     "microbatches": dict(help="gradient-accumulation microbatches per step"),
     "batch": dict(help="global batch size"),
-    "layout": dict(choices=["ulysses", "ring"],
+    "layout": dict(choices=list(LAYOUTS),
                    help="context-parallel attention layout"),
     "presets": dict(option="--preset", action="append",
                     choices=list(PRESET_NAMES),

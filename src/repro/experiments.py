@@ -327,16 +327,16 @@ def table6_data(model_name: str = "22B", context_parallel: int = 8,
         model = dataclasses.replace(model, seq_length=seq_length,
                                     name=f"{model.name}@s={seq_length}")
     choice = choose_context_layout(model, TABLE6_MICROBATCH, context_parallel)
-    volumes = layout_volumes(model, TABLE6_MICROBATCH, context_parallel)
     return [{
         "layout": key,
-        "bytes_per_layer": volumes[key].bytes_per_layer,
-        "calls_per_layer": volumes[key].calls_per_layer,
-        "scaling": volumes[key].scaling,
+        "bytes_per_layer": volume.bytes_per_layer,
+        "calls_per_layer": volume.calls_per_layer,
+        "scaling": volume.scaling,
         "exposed_seconds_per_layer": choice.seconds_per_layer[key],
         "excluded": choice.excluded.get(key),
         "chosen": key == choice.layout,
-    } for key in ("sp_allgather", "ulysses", "ring")]
+    } for key, volume in layout_volumes(
+        model, TABLE6_MICROBATCH, context_parallel).items()]
 
 
 def table6_report(model_name: str = "22B", context_parallel: int = 8,

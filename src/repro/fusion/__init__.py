@@ -20,15 +20,15 @@ Layers in :mod:`repro.layers` and :mod:`repro.parallel` opt in via a
 ``fused=True`` config flag threaded through their constructors.
 """
 
-from .arena import SCRATCH_CATEGORY, BufferArena, default_arena, reset_arena
-from .ops import (
-    bias_gelu,
-    dropout_add,
-    fused_layernorm,
-    scale_mask_softmax_dropout,
-    softmax_cross_entropy,
-)
-from .passes import fuse_records, fusion_report
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "arena": ("SCRATCH_CATEGORY", "BufferArena", "default_arena",
+              "reset_arena"),
+    "ops": ("bias_gelu", "dropout_add", "fused_layernorm",
+            "scale_mask_softmax_dropout", "softmax_cross_entropy"),
+    "passes": ("fuse_records", "fusion_report"),
+})
 
 __all__ = [
     "SCRATCH_CATEGORY",

@@ -113,35 +113,6 @@ class ClusterSpec:
     def gpu(self) -> GPUSpec:
         return self.node.gpu
 
-    def node_of(self, rank: int) -> int:
-        self._check_rank(rank)
-        return rank // self.node.gpus_per_node
-
-    def link_between(self, rank_a: int, rank_b: int) -> LinkSpec:
-        """The link used by a point-to-point transfer between two ranks."""
-        self._check_rank(rank_a)
-        self._check_rank(rank_b)
-        if self.node_of(rank_a) == self.node_of(rank_b):
-            return self.node.intra_node_link
-        return self.inter_node_link
-
-    def group_link(self, ranks: "list[int] | tuple[int, ...]") -> LinkSpec:
-        """The bottleneck link of a collective over ``ranks``.
-
-        A ring collective is limited by its slowest hop, so a group that
-        spans nodes runs at inter-node bandwidth.
-        """
-        if len(ranks) < 1:
-            raise ConfigError("group must contain at least one rank")
-        nodes = {self.node_of(r) for r in ranks}
-        if len(nodes) > 1:
-            return self.inter_node_link
-        return self.node.intra_node_link
-
-    def _check_rank(self, rank: int) -> None:
-        if not (0 <= rank < self.world_size):
-            raise ConfigError(f"rank {rank} out of range for world size {self.world_size}")
-
 
 #: An H100-SXM-like accelerator for what-if analysis (990 TFLOP/s dense
 #: bf16, ~3.35 TB/s HBM3, NVLink4 at ~450 GB/s effective per GPU).  Not a

@@ -47,12 +47,13 @@ class LayoutVolume:
 
 def layout_volumes(model: ModelConfig, microbatch_size: int,
                    context_parallel: int) -> Dict[str, LayoutVolume]:
-    """Per-layer comm volumes of the three layouts at equal (s, b, h, p)."""
+    """Per-layer comm volumes of the all-gather baseline, then of each
+    :data:`LAYOUTS` layout (Table 6's rows), at equal (s, b, h, p)."""
     p = context_parallel
-    volumes = {cls.name: LayoutVolume(
-        cls.name, cls.layer_bytes(model, microbatch_size, p),
-        cls.calls_per_layer(p), cls.scaling) for cls in LAYOUTS.values()}
-    volumes["sp_allgather"] = LayoutVolume(
+    volumes = {"sp_allgather": LayoutVolume(
         "sp_allgather", sp_layer_bytes(model, microbatch_size, p),
-        0 if p == 1 else 4, "O(sbh)")
+        0 if p == 1 else 4, "O(sbh)")}
+    volumes.update((cls.name, LayoutVolume(
+        cls.name, cls.layer_bytes(model, microbatch_size, p),
+        cls.calls_per_layer(p), cls.scaling)) for cls in LAYOUTS.values())
     return volumes

@@ -46,58 +46,29 @@ artifacts for a small instrumented run; ``python -m repro bench``
 runs the regression presets.  See ``docs/observability.md``.
 """
 
-from .analysis import (
-    attribute,
-    from_tracer,
-    layer_term_drift,
-    load_trace,
-    memory_term_drift,
-    schedule_critical_path,
-    utilization_crosscheck,
-)
-from .memprof import (
-    MemoryLedger,
-    MemProfiler,
-    check_peak_attribution,
-    flamegraph,
-    frontier,
-    frontier_by_category,
-    ledger_document,
-    paged_kv_fragmentation,
-    peak_attribution,
-    profile_layer,
-    selective_recompute_dominates,
-)
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .monitor import Detection, FlightRecorder, SLOMonitor
-from .perfetto import (
-    counter_events,
-    export_trace,
-    merged_trace,
-    schedule_events,
-    tracer_events,
-    validate_trace_events,
-    validate_trace_file,
-)
-from .regress import (
-    compare,
-    run_preset,
-    write_bench,
-)
-from .request_trace import (
-    RequestTracker,
-    partition_error,
-    reconcile_quantiles,
-    trace_latencies,
-    verify_partition,
-)
-from .serialize import dump_json, dumps_json, to_jsonable
-from .tracer import (
-    Tracer,
-    active_tracer,
-    span_or_null,
-    trace_scope,
-)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "analysis": ("attribute", "from_tracer", "layer_term_drift",
+                 "load_trace", "memory_term_drift",
+                 "schedule_critical_path", "utilization_crosscheck"),
+    "memprof": ("MemoryLedger", "MemProfiler", "check_peak_attribution",
+                "flamegraph", "frontier", "frontier_by_category",
+                "ledger_document", "paged_kv_fragmentation",
+                "peak_attribution", "profile_layer",
+                "selective_recompute_dominates"),
+    "metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    "monitor": ("Detection", "FlightRecorder", "SLOMonitor"),
+    "perfetto": ("counter_events", "export_trace", "merged_trace",
+                 "schedule_events", "tracer_events",
+                 "validate_trace_events", "validate_trace_file"),
+    "regress": ("compare", "run_preset", "write_bench"),
+    "request_trace": ("RequestTracker", "partition_error",
+                      "reconcile_quantiles", "trace_latencies",
+                      "verify_partition"),
+    "serialize": ("dump_json", "dumps_json", "to_jsonable"),
+    "tracer": ("Tracer", "active_tracer", "span_or_null", "trace_scope"),
+})
 
 __all__ = [
     "Counter", "Detection", "FlightRecorder", "Gauge", "Histogram",

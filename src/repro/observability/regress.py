@@ -39,6 +39,7 @@ from .. import scenarios
 from ..comm.process_group import ProcessGroup
 from ..errors import ConfigError
 from ..layers.transformer import Recompute
+from ..longctx.layout import LAYOUTS, context_layout
 from ..parallel.layout import TensorParallel
 from .analysis import (
     attribute,
@@ -400,9 +401,6 @@ def _memprof(seed_value: int, steps: int):
     return report, doc
 
 
-_CP_LAYOUTS = ("ulysses", "ring")
-
-
 class _OverlapArms(dict):
     """layout -> (overlap off, overlap on) runs; the JSON is each
     layout's ``repro longctx --json`` document."""
@@ -415,7 +413,7 @@ def _longctx(seed_value: int, steps: int):
     arms = _OverlapArms((layout, tuple(
         scenarios.context_parallel_step(layout=layout, seed_value=seed_value,
                                         overlap=overlap)
-        for overlap in (False, True))) for layout in _CP_LAYOUTS)
+        for overlap in (False, True))) for layout in LAYOUTS)
     ons = {layout: on for layout, (_, on) in arms.items()}
     doc = _base_doc("longctx", seed_value, steps, ons["ring"].model_cfg, 1, 1)
     doc["config"]["context_parallel"] = ons["ring"].context_parallel
@@ -506,8 +504,6 @@ def _overlap_off_vs_on(arms, seed_value: int) -> dict:
     else: the overlap-off run's loss and total comm time are conserved.
     The closed forms ride along: the integer per-layout comm volume and
     the per-term memory drift."""
-    from ..longctx.layout import context_layout
-
     out = {}
     for layout, (off, on) in arms.items():
         att_off = attribute(from_tracer(off.tracer)).totals
@@ -651,7 +647,7 @@ PRESETS: Dict[str, Preset] = {
                     "ring.chooser.layout:chooser_pick",
          **{f"longctx.{layout}": " ".join(
              f"{layout}.{key}" for key in _LONGCTX_KEYS.split())
-            for layout in _CP_LAYOUTS}},
+            for layout in LAYOUTS}},
         {"longctx": _overlap_off_vs_on},
         (("longctx.overlap_reduction", ("floor", 1.2)),),
         lambda doc: ""),

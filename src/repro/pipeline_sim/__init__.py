@@ -1,21 +1,15 @@
 """Pipeline schedules (1F1B, interleaved) and event-driven simulation."""
 
-from .schedule import (
-    Op,
-    OpKind,
-    ScheduleTable,
-    op_dependency,
-    rank_of_group,
-    schedule_table,
-    validate_schedule,
-)
-from .simulator import PipelineCosts, simulate
-from .overlap import (
-    OverlapSegment,
-    longctx_overlap_report,
-    schedule_overlap,
-)
-from .timeline import TimelineCosts, figure10, render_timeline
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "schedule": ("Op", "OpKind", "ScheduleTable", "op_dependency",
+                 "rank_of_group", "schedule_table", "validate_schedule"),
+    "simulator": ("PipelineCosts", "simulate"),
+    "overlap": ("OverlapSegment", "longctx_overlap_report",
+                "schedule_overlap"),
+    "timeline": ("TimelineCosts", "figure10", "render_timeline"),
+})
 
 __all__ = [
     "Op", "OpKind", "OverlapSegment", "PipelineCosts", "ScheduleTable",

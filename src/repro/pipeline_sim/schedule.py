@@ -66,6 +66,8 @@ class ScheduleTable:
     order; op ``k`` is the forward (``forward[k]``) or backward of
     ``microbatch[k]`` through ``group[k]``, one of ``num_groups`` groups.
     Its level order and issue order are computed on first use and kept.
+    Its integer arrays, and every index array built from them, are int32:
+    a paper-scale build's transients are larger than the plan it keeps.
     """
 
     forward: np.ndarray
@@ -80,8 +82,8 @@ class ScheduleTable:
         flat = [op for ops in ranks_ops for op in ops]
         return ScheduleTable(
             np.array([op.kind is OpKind.F for op in flat], dtype=bool),
-            np.array([op.microbatch for op in flat], dtype=np.int64),
-            np.array([op.group for op in flat], dtype=np.int64),
+            np.array([op.microbatch for op in flat], dtype=np.int32),
+            np.array([op.group for op in flat], dtype=np.int32),
             np.cumsum([0] + [len(ops) for ops in ranks_ops]), num_groups)
 
     def ops(self) -> List[List[Op]]:
@@ -98,7 +100,8 @@ class ScheduleTable:
     @cached_property
     def rank(self) -> np.ndarray:
         """The rank that issues each op."""
-        return np.repeat(np.arange(len(self.starts) - 1), np.diff(self.starts))
+        return np.repeat(np.arange(len(self.starts) - 1, dtype=np.int32),
+                         np.diff(self.starts))
 
     @cached_property
     def _levels(self) -> Tuple[np.ndarray, "LevelPlan"]:
@@ -107,21 +110,21 @@ class ScheduleTable:
         starts, group = self.starts, self.group
         n_ops, p = len(dependency), len(starts) - 1
         level = _wavefront(dependency, starts)
-        order = np.argsort(level, kind="stable")
-        position = np.empty(n_ops + 2, dtype=np.intp)
-        position[order] = np.arange(n_ops)
+        order = np.argsort(level, kind="stable").astype(np.int32)
+        position = np.empty(n_ops + 2, dtype=np.int32)
+        position[order] = np.arange(n_ops, dtype=np.int32)
         position[n_ops:] = (n_ops, n_ops + 1)      # the sentinels stay put
         # the op before op k on its rank is k - 1 (position[-1] is N + 1),
         # except that a rank's first op reads N + 1
         prev = position[order - 1]
         busy = starts[1:] > starts[:-1]
         prev[position[starts[:-1][busy]]] = n_ops + 1
-        code = (group + self.num_groups * ~self.forward).astype(
+        code = np.where(self.forward, group, group + self.num_groups).astype(
             np.min_scalar_type(2 * self.num_groups))
         return order, LevelPlan(
             np.cumsum(np.bincount(level)).astype(np.int32), prev,
             position[dependency[order]],
-            (np.append(group, 0)[dependency] % p != self.rank)[order],
+            (np.append(group, np.int32(0))[dependency] % p != self.rank)[order],
             code[order], code, starts,
             position[starts[1:] * busy - 1],   # an empty rank reads N + 1
             self.num_groups)
@@ -183,10 +186,10 @@ def schedule_table(pipeline_parallel: int, num_microbatches: int,
             f"by pipeline_parallel ({p})"
         )
     total = n * m
-    rank = np.arange(p)[:, None]
+    rank = np.arange(p, dtype=np.int32)[:, None]
     warmup = np.minimum(total, p - rank - 1 if m == 1
                         else 2 * (p - rank - 1) + (m - 1) * p)
-    slot = np.arange(2 * total)
+    slot = np.arange(2 * total, dtype=np.int32)
     steady = slot - warmup                    # < 0 during warm-up
     drain = slot >= 2 * total - warmup
     forward = (steady < 0) | (~drain & (steady % 2 == 0))
@@ -230,7 +233,8 @@ def _waits_for(forward, group, num_groups):
     group's backward, the last group's backward for its own forward.
     ``dep_group`` is -1 for the first group's forward: it waits for nothing."""
     last = group == num_groups - 1
-    return forward | last, group - forward + (1 - forward) * (1 - last)
+    dep_forward = forward | last
+    return dep_forward, group - forward + (dep_forward < 1)
 
 
 def op_dependency(key: OpKey, num_groups: int) -> Optional[OpKey]:
@@ -259,11 +263,11 @@ def _dependency_index(table: ScheduleTable) -> np.ndarray:
     # position[size + key] / position[key]: where the forward / backward
     # of (microbatch, group) is issued, N + 1 where the schedule has none;
     # the last slot, 2 * size, is N: "waits for nothing"
-    size = (int(microbatch.max()) + 1) * num_groups if n_ops else 0
-    position = np.full(2 * size + 1, n_ops + 1)
+    size = np.int32((int(microbatch.max()) + 1) * num_groups if n_ops else 0)
+    position = np.full(2 * size + 1, n_ops + 1, dtype=np.int32)
     position[-1] = n_ops
     slot = key + size * forward
-    ops = np.arange(n_ops)
+    ops = np.arange(n_ops, dtype=np.int32)
     position[slot] = ops
     clash = np.flatnonzero(position[slot] != ops)
     if clash.size:
@@ -285,10 +289,10 @@ def _wavefront(dependency: np.ndarray, starts: np.ndarray) -> np.ndarray:
     first, ends = starts[:-1], starts[1:]
     # the op after each one on its rank, N after a rank's last; the
     # sentinel N waits for N + 1, which never runs
-    after = np.arange(1, n_ops + 1)
+    after = np.arange(1, n_ops + 1, dtype=np.int32)
     after[ends[ends > first] - 1] = n_ops
-    waits_for = np.append(dependency, n_ops + 1)
-    ran_at = np.full(n_ops + 2, np.iinfo(np.int64).max)
+    waits_for = np.append(dependency, np.int32(n_ops + 1))
+    ran_at = np.full(n_ops + 2, np.iinfo(np.int32).max, dtype=np.int32)
     ran_at[n_ops] = -1                  # "no dependency" is met from the start
     ptr = np.where(ends > first, first, n_ops)
     step, remaining = 0, n_ops
@@ -340,15 +344,13 @@ class LevelPlan(NamedTuple):
 
 
 #: One analytic pass keeps four plans, 1.42 MB (1T 0.73, 530B 0.65 MB);
-#: a table with its level order is 3.4-3.8 MB there, so none is kept.
+#: a table with its level order and ranks is 1.7-1.8 MB there, so none is kept.
 @lru_cache(maxsize=16)
 def level_plan(pipeline_parallel: int, num_microbatches: int,
                interleave_stages: int = 1) -> LevelPlan:
     """The plan of :func:`schedule_table`, int32 and read-only."""
     plan = schedule_table(pipeline_parallel, num_microbatches,
                           interleave_stages)._levels[1]
-    plan = plan._replace(prev=plan.prev.astype(np.int32),
-                         dependency=plan.dependency.astype(np.int32))
     for array in plan[:-1]:  # one plan serves every caller
         array.flags.writeable = False
     return plan

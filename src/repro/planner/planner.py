@@ -55,17 +55,6 @@ class PlanOption:
     def fits(self, capacity_bytes: float) -> bool:
         return self.total_bytes <= capacity_bytes
 
-    def build_kwargs(self) -> dict:
-        """Keyword arguments that make ``ParallelGPTModel`` execute this
-        plan (mixed plans use selective recomputation on the non-full
-        layers, matching the planner's accounting)."""
-        kwargs = dict(sequence_parallel=self.sequence_parallel,
-                      recompute=self.recompute)
-        if self.recompute == Recompute.FULL and self.recompute_num_layers:
-            kwargs["recompute_num_layers"] = self.recompute_num_layers
-            kwargs["recompute_remainder"] = Recompute.SELECTIVE
-        return kwargs
-
 
 def _activation_bytes(config: ExperimentConfig, sequence_parallel: bool,
                       recompute: Recompute, full_layers: int = 0) -> float:
@@ -199,7 +188,6 @@ class ContextLayoutChoice:
     layout: str                          # winner
     context_parallel: int
     seconds_per_layer: dict              # layout -> priced comm seconds
-    bytes_per_layer: dict                # layout -> closed-form traced bytes
     excluded: dict                       # layout -> reason string
 
     @property
@@ -233,7 +221,6 @@ def choose_context_layout(model, microbatch_size: int,
     """
     from ..comm.cost_model import CollectiveCostModel
     from ..longctx.layout import LAYOUTS
-    from ..longctx.volume import layout_volumes
 
     p = context_parallel
     if p < 1:
@@ -243,8 +230,6 @@ def choose_context_layout(model, microbatch_size: int,
             f"seq_length {model.seq_length} not divisible by "
             f"context_parallel {p}")
     comm = CollectiveCostModel()
-    volumes = layout_volumes(model, microbatch_size, p)
-
     full = 2 * model.seq_length * microbatch_size * model.hidden_size
     if p > 1:
         seconds = {"sp_allgather": (
@@ -254,7 +239,7 @@ def choose_context_layout(model, microbatch_size: int,
             seconds[cls.name] = cls.exposed_seconds(
                 comm, cls.shard_bytes(model, microbatch_size, p), p)
     else:
-        seconds = {k: 0.0 for k in volumes}
+        seconds = dict.fromkeys(("sp_allgather", *LAYOUTS), 0.0)
 
     excluded = {cls.name: why for cls in LAYOUTS.values()
                 if (why := cls.unfit(model, p))}
@@ -264,7 +249,6 @@ def choose_context_layout(model, microbatch_size: int,
                                 CONTEXT_LAYOUT_PREFERENCE.index(k)))
     return ContextLayoutChoice(
         layout=winner, context_parallel=p, seconds_per_layer=seconds,
-        bytes_per_layer={k: v.bytes_per_layer for k, v in volumes.items()},
         excluded=excluded)
 
 

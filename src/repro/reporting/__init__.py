@@ -1,8 +1,12 @@
 """Table/figure formatting for the CLI and the reports."""
 
-from .figures import ascii_bars, csv_series, stacked_ascii_bars
-from .report import full_report
-from .tables import format_table, ms, pct, seconds
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "figures": ("ascii_bars", "csv_series", "stacked_ascii_bars"),
+    "report": ("full_report",),
+    "tables": ("format_table", "ms", "pct", "seconds"),
+})
 
 __all__ = [
     "ascii_bars", "csv_series", "format_table", "full_report",

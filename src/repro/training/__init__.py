@@ -1,22 +1,17 @@
 """Training substrate: optimizer, synthetic data, (pipelined) trainers."""
 
-from .data import MarkovTokens, PackedDocuments, UniformTokens
-from .data_parallel import DataParallelTrainer
-from .lr_scheduler import WarmupDecayLR
-from .optimizer import Adam, LossScaler, flush_grads_through_fp16
-from .serialization import (
-    checkpoint_exists,
-    load_training_state,
-    load_weights,
-    save_training_state,
-    save_weights,
-)
-from .trainer import (
-    PipelinedGPT,
-    Trainer,
-    run_step_with_retries,
-    split_microbatches,
-)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "data": ("MarkovTokens", "PackedDocuments", "UniformTokens"),
+    "data_parallel": ("DataParallelTrainer",),
+    "lr_scheduler": ("WarmupDecayLR",),
+    "optimizer": ("Adam", "LossScaler", "flush_grads_through_fp16"),
+    "serialization": ("checkpoint_exists", "load_training_state",
+                      "load_weights", "save_training_state", "save_weights"),
+    "trainer": ("PipelinedGPT", "Trainer", "run_step_with_retries",
+                "split_microbatches"),
+})
 
 __all__ = [
     "Adam", "DataParallelTrainer", "LossScaler", "MarkovTokens", "WarmupDecayLR",

@@ -152,18 +152,6 @@ class DataParallelTrainer:
             del self.pipes[index]
         self.dp -= 1
 
-    def replicas_synchronized(self) -> bool:
-        """True when every replica holds bitwise-identical weights (the
-        invariant data parallelism must preserve step after step)."""
-        reference = self.replicas[0]
-        for replica in self.replicas[1:]:
-            for p1, p2 in zip(reference.parameters(), replica.parameters()):
-                for r in range(p1.world):
-                    if not np.array_equal(np.asarray(p1.shards[r]),
-                                          np.asarray(p2.shards[r])):
-                        return False
-        return True
-
     @property
     def model(self) -> GPTModel:
         """Replica 0 (all replicas are identical after every step)."""

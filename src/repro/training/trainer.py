@@ -241,28 +241,6 @@ class Trainer:
                 ids.shape, targets.shape, num_microbatches, model.training,
                 tuple(layer.recompute for layer in model.layers))
 
-    def evaluate(self, ids: np.ndarray, targets: np.ndarray) -> float:
-        """Validation loss on one ``(s, b)`` batch.
-
-        The model is flipped to :meth:`Module.eval` (dropout off — the
-        stochastic regularizer must not perturb the validation metric)
-        and restored to training mode afterwards; no gradients are built
-        and no optimizer state changes.
-        """
-        from ..tensor import no_grad
-
-        tracer = active_tracer()
-        self.model.eval()
-        try:
-            with span_or_null(tracer, "validation"), no_grad():
-                vocab = self.model.config.vocab_size
-                loss = self.model(token_tensor(ids, vocab, world=self.world),
-                                  token_tensor(targets, vocab, world=self.world))
-                value = loss.item()
-        finally:
-            self.model.train()
-        return value
-
 
 @dataclass
 class PipelineStepResult:

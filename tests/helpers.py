@@ -133,6 +133,13 @@ def assert_weights_bitwise_equal(model_a, model_b) -> None:
             "weights differ bitwise"
 
 
+def assert_replicas_synchronized(trainer) -> None:
+    """Every data-parallel replica holds replica 0's weights bitwise (the
+    invariant data parallelism must preserve step after step)."""
+    for replica in trainer.replicas[1:]:
+        assert_weights_bitwise_equal(trainer.replicas[0], replica)
+
+
 def assert_zero_drift(drift) -> None:
     """A ``MemoryTermDrift`` with zero drift on every term group, no
     measured category outside the groups, and something measured."""

@@ -277,22 +277,6 @@ class TestHardware:
         assert cluster.num_nodes == 2
         assert cluster.world_size == 16
 
-    def test_link_between(self):
-        cluster = selene_like(16)
-        assert cluster.link_between(0, 7).name.startswith("NVLink")
-        assert cluster.link_between(0, 8).name.endswith("InfiniBand")
-
-    def test_group_link_bottleneck(self):
-        cluster = selene_like(16)
-        assert cluster.group_link([0, 1, 2]).name.startswith("NVLink")
-        assert cluster.group_link([0, 8]).name.endswith("InfiniBand")
-
-    def test_rank_bounds(self):
-        from repro.errors import ConfigError
-        cluster = selene_like(8)
-        with pytest.raises(ConfigError):
-            cluster.node_of(8)
-
     def test_gemm_throughput_curve(self):
         from repro.hardware import GPUSpec
         gpu = GPUSpec()

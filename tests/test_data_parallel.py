@@ -12,6 +12,8 @@ from repro.tensor.functions import MaskSource
 from repro.training import Adam, MarkovTokens, Trainer
 from repro.training.data_parallel import DataParallelTrainer
 
+from helpers import assert_replicas_synchronized
+
 CFG = ModelConfig(num_layers=2, hidden_size=32, num_heads=4,
                   seq_length=16, vocab_size=16)
 MS = MaskSource(seed=3, keep_prob=0.95)
@@ -55,7 +57,7 @@ class TestDataParallel:
         for _ in range(3):
             ids, targets = data.batch(4)
             dp.train_step(ids, targets, microbatches_per_replica=2)
-            assert dp.replicas_synchronized()
+            assert_replicas_synchronized(dp)
 
     def test_loss_decreases(self, serial):
         data = MarkovTokens(CFG.vocab_size, CFG.seq_length, seed=3)
@@ -110,7 +112,7 @@ class Test3DParallelism:
         dp = DataParallelTrainer(make, data_parallel=2, lr=1e-3,
                                  pipeline_parallel=2)
         dp.train_step(ids, targets, microbatches_per_replica=2)
-        assert dp.replicas_synchronized()
+        assert_replicas_synchronized(dp)
 
         single_model = make()
         single = Trainer(single_model, Adam(single_model.parameters(), lr=1e-3))
@@ -137,4 +139,4 @@ class Test3DParallelism:
         losses = [dp.train_step(*data.batch(8), microbatches_per_replica=2)
                   for _ in range(8)]
         assert losses[-1] < losses[0]
-        assert dp.replicas_synchronized()
+        assert_replicas_synchronized(dp)

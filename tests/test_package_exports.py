@@ -7,14 +7,18 @@ path.  That path stays only while some Python file under ``src/``,
 ``from repro.pkg import Name`` (or its relative form inside ``src/``),
 a ``pkg.Name`` attribute read through an imported package, or a
 ``repro.pkg.Name`` cross-reference in a docstring.  ``__all__`` lists
-exactly the names the ``__init__`` binds.  The top-level ``repro``
+exactly the names the ``__init__`` binds, by import or through its
+``lazy_exports`` map (``repro._lazy``).  The top-level ``repro``
 package is pinned by ``test_resilience.py``'s ``test_top_level_exports``
 instead.  ``make loc``'s "package re-exports (sum of __all__)" row
 counts the names this file keeps in step.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -93,14 +97,32 @@ def _callers():
     return used
 
 
+def _lazy_members(node):
+    """The names a ``__getattr__, __dir__ = lazy_exports(__name__,
+    {module: names})`` statement binds, or ``None`` for any other
+    assignment."""
+    call = node.value
+    if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+            and call.func.id == "lazy_exports"):
+        return None
+    return {name for names in ast.literal_eval(call.args[1]).values()
+            for name in names}
+
+
 def _init_names(package: str):
-    """The names the ``__init__``'s own statements bind, and its
-    ``__all__``."""
+    """The names the ``__init__``'s own statements bind (its lazy
+    re-export map's included; the import of the ``lazy_exports`` hook is
+    not a re-export), and its ``__all__``."""
     tree = ast.parse((SRC / "repro" / package / "__init__.py").read_text())
     bound, exported = set(), None
     for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "_lazy":
+            continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.Assign) and (
+                lazy := _lazy_members(node)) is not None:
+            bound.update(lazy)
         elif isinstance(node, ast.Assign):
             for target in node.targets:
                 if isinstance(target, ast.Name) and target.id == "__all__":
@@ -134,3 +156,42 @@ def test_every_reexport_has_a_caller(package, callers):
     unused = sorted(bound - callers.get(f"repro.{package}", set()))
     assert not unused, \
         f"repro.{package} re-exports {unused}, which no caller reaches through it"
+
+
+#: Modules no bench workload runs; only an eager package facade loads
+#: them into a bench worker.
+UNUSED_BY_BENCH = (
+    "repro.observability.memprof", "repro.observability.regress",
+    "repro.observability.monitor", "repro.observability.request_trace",
+    "repro.scenarios", "repro.longctx", "repro.longctx.layout",
+    "repro.longctx.mappings", "repro.longctx.model", "repro.longctx.volume",
+    "repro.pipeline_sim.overlap", "repro.fusion.passes",
+    "repro.training.data_parallel", "repro.training.lr_scheduler",
+    "repro.training.serialization", "repro.reporting.report",
+)
+
+
+def test_bench_imports_load_no_unused_member():
+    """The ``repro`` imports of ``bench/workloads.py`` and
+    ``bench/worker.py``, run in a fresh interpreter, load none of
+    :data:`UNUSED_BY_BENCH`; then every facade's ``__all__`` resolves."""
+    imports = [ast.unparse(node)
+               for name in ("workloads.py", "worker.py")
+               for node in ast.walk(ast.parse((ROOT / "bench" / name).read_text()))
+               if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                   (getattr(node, "module", None) or a.name).startswith("repro")
+                   for a in node.names)]
+    script = "\n".join(imports + [
+        "import importlib, sys",
+        f"print(sorted(set({UNUSED_BY_BENCH!r}) & set(sys.modules)))",
+        f"for package in {PACKAGES!r}:",
+        "    facade = importlib.import_module('repro.' + package)",
+        "    for name in facade.__all__:",
+        "        getattr(facade, name)",
+    ])
+    done = subprocess.run([sys.executable, "-c", script], cwd=ROOT,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, check=False)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]", \
+        f"a bench worker's imports load {done.stdout.strip()}"

@@ -165,13 +165,6 @@ class TestContextLayoutChooser:
         with pytest.raises(PlanningError):
             choose_context_layout(self._model(512), 1, 3)  # 512 % 3 != 0
 
-    def test_reports_closed_form_bytes(self):
-        from repro.longctx import Ulysses
-        from repro.planner import choose_context_layout
-        m = self._model(65536)
-        choice = choose_context_layout(m, 1, 4)
-        assert choice.bytes_per_layer["ulysses"] == Ulysses.layer_bytes(m, 1, 4)
-
 
 class TestMicrobatchRecompute:
     def test_windows_shrink_along_pipeline(self):
@@ -239,7 +232,7 @@ class TestMicrobatchRecompute:
 
 
 class TestPlanExecution:
-    def test_plan_build_kwargs_execute_and_match_bytes(self):
+    def test_planned_option_executes_and_matches_bytes(self):
         """The planner's chosen option, built as a real model, measures the
         bytes the planner promised (per-layer part, first stage, p=1)."""
         from repro.config import ModelConfig
@@ -265,8 +258,13 @@ class TestPlanExecution:
         assert option.recompute == Recompute.FULL
         assert option.recompute_num_layers == 1
         assert option.sequence_parallel
-        gpt = ParallelGPTModel(model, tensor_parallel=8, abstract=True,
-                               **option.build_kwargs())
+        # the mixed plan executed: N full layers, selective elsewhere
+        gpt = ParallelGPTModel(
+            model, tensor_parallel=8, abstract=True,
+            sequence_parallel=option.sequence_parallel,
+            recompute=option.recompute,
+            recompute_num_layers=option.recompute_num_layers,
+            recompute_remainder=Recompute.SELECTIVE)
         t = 8
         s = model.seq_length // t if option.sequence_parallel else model.seq_length
         x = Tensor([AbstractArray((s, 4, model.hidden_size)) for _ in range(t)],

@@ -45,7 +45,8 @@ from repro.training.serialization import (
     save_training_state,
 )
 
-from helpers import assert_weights_bitwise_equal, run_resilient
+from helpers import (assert_replicas_synchronized, assert_weights_bitwise_equal,
+                     run_resilient)
 
 CFG = ModelConfig(num_layers=2, hidden_size=32, num_heads=4,
                   seq_length=16, vocab_size=16)
@@ -221,7 +222,7 @@ class TestElasticShrink:
         actions = [r.action for r in report.recoveries]
         assert actions.index("shrink") < actions.index("rollback")
         assert "replan" in actions
-        assert trainer.replicas_synchronized()
+        assert_replicas_synchronized(trainer)
         assert len(result.losses) == len(clean.losses)
         # dp-way averaging over the same global batch is exact, so the
         # shrunken group stays on the clean trajectory (repo standard).

@@ -35,7 +35,6 @@ from repro.serving import (
     generate_requests,
     simulate_static_batching,
 )
-from repro.training import Adam, Trainer, UniformTokens
 
 CFG = ModelConfig(num_layers=2, hidden_size=32, num_heads=4,
                   seq_length=24, vocab_size=16, name="serving-tiny")
@@ -512,16 +511,6 @@ class TestEvalMode:
         assert all(d.p == 0.0 for d in drops)  # still in eval, as set
         model.train()
         assert any(d.p > 0 for d in drops)
-
-    def test_trainer_evaluate_is_deterministic_and_restores(self):
-        model = GPTModel(CFG, seed=0)
-        trainer = Trainer(model, Adam(model.parameters(), lr=1e-3))
-        ids, targets = UniformTokens(CFG.vocab_size, CFG.seq_length,
-                                     seed=3).batch(2)
-        first = trainer.evaluate(ids, targets)
-        second = trainer.evaluate(ids, targets)
-        assert first == second  # dropout off -> no stochasticity
-        assert any(d.p > 0 for d in self._drops(model))  # back in training
 
 
 class TestDecodeStepAccounting:
