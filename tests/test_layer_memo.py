@@ -214,7 +214,7 @@ def test_one_pass_builds_each_schedule_once(monkeypatch):
 
 def test_kept_plans_are_small_and_narrow():
     """One pass keeps four plans in under 2 MB (a table with its level
-    order is 3.4-3.8 MB at 530B / 1T), no per-op array is int64, and no
+    order is 1.7-1.8 MB at 530B / 1T), no per-op array is int64, and no
     caller can write into a plan the next one prices."""
     schedule.level_plan.cache_clear()
     _analytic_pass()
@@ -235,6 +235,26 @@ def test_kept_plans_are_small_and_narrow():
                 if isinstance(a, np.ndarray) and a.dtype.itemsize > 4
                 } <= {"starts", "last"}
     assert total <= 2.0e6
+
+
+@pytest.mark.parametrize("config", PLAN_KEYS)
+def test_the_schedule_build_stays_int32(config):
+    """Every per-op array from the table to its level plan is int32, the
+    wavefront's sentinel included, so building the 530B / 1T plans holds
+    no int64 intermediate of their 58 800 / 65 536 ops."""
+    p, n, m = PLAN_KEYS[config]
+    table = schedule_table(p, n, m)
+    dependency = schedule._dependency_index(table)
+    ran_at = schedule._wavefront(dependency, table.starts)
+    order, plan = table._levels
+    built = {"microbatch": table.microbatch, "group": table.group,
+             "rank": table.rank, "dependency": dependency, "ran_at": ran_at,
+             "order": order, "bounds": plan.bounds, "prev": plan.prev,
+             "plan.dependency": plan.dependency, "last": plan.last}
+    assert {name: a.dtype for name, a in built.items()
+            if a.dtype != np.int32} == {}
+    assert len(ran_at) == len(order) == 2 * n * m * p
+    assert 0 <= ran_at.min() and ran_at.max() < np.iinfo(np.int32).max
 
 
 def _simulated(table, costs):

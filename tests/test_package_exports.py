@@ -15,6 +15,7 @@ counts the names this file keeps in step.
 """
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -97,16 +98,25 @@ def _callers():
     return used
 
 
-def _lazy_members(node):
-    """The names a ``__getattr__, __dir__ = lazy_exports(__name__,
-    {module: names})`` statement binds, or ``None`` for any other
-    assignment."""
-    call = node.value
-    if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+def _lazy_map(node):
+    """The ``{module: names}`` map of a ``__getattr__, __dir__ =
+    lazy_exports(__name__, {module: names})`` statement, or ``None`` for
+    any other statement."""
+    call = getattr(node, "value", None)
+    if not (isinstance(node, ast.Assign) and isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name)
             and call.func.id == "lazy_exports"):
         return None
-    return {name for names in ast.literal_eval(call.args[1]).values()
-            for name in names}
+    return ast.literal_eval(call.args[1])
+
+
+def _lazy_members(node):
+    """The names a ``lazy_exports`` statement binds, or ``None`` for any
+    other assignment."""
+    members = _lazy_map(node)
+    if members is None:
+        return None
+    return {name for names in members.values() for name in names}
 
 
 def _init_names(package: str):
@@ -156,6 +166,36 @@ def test_every_reexport_has_a_caller(package, callers):
     unused = sorted(bound - callers.get(f"repro.{package}", set()))
     assert not unused, \
         f"repro.{package} re-exports {unused}, which no caller reaches through it"
+
+
+def _facade_map(package: str):
+    """The ``lazy_exports`` map of ``repro.<package>``'s ``__init__``, or
+    ``None`` for an eager one."""
+    tree = ast.parse((SRC / "repro" / package / "__init__.py").read_text())
+    return next((members for node in tree.body
+                 if (members := _lazy_map(node)) is not None), None)
+
+
+LAZY_FACADES = [p for p in PACKAGES if _facade_map(p) is not None]
+
+
+@pytest.mark.parametrize("package", LAZY_FACADES)
+def test_a_lazy_facade_keeps_each_name_it_resolves(package):
+    """Each name of a lazy facade's map reads as its member module's own
+    object and stays in the package namespace after the first read, so
+    no later read reaches the hook; ``dir()`` lists every ``__all__``
+    name, and a name outside the map raises ``AttributeError``."""
+    facade = importlib.import_module(f"repro.{package}")
+    assert set(facade.__all__) <= set(dir(facade))
+    for module, names in _facade_map(package).items():
+        member = importlib.import_module(f"repro.{package}.{module}")
+        for name in names:
+            value = getattr(facade, name)
+            assert value is getattr(member, name), f"repro.{package}.{name}"
+            assert vars(facade)[name] is value, f"repro.{package}.{name}"
+    with pytest.raises(AttributeError,
+                       match=f"module 'repro.{package}' has no attribute"):
+        getattr(facade, "no_such_export")
 
 
 #: Modules no bench workload runs; only an eager package facade loads
