@@ -167,8 +167,8 @@ class Tracer:
 
         The data plane does not know whether the surrounding operator
         *could* overlap this collective with compute — that marker lives
-        on the autograd-layer :class:`OpRecord` (``overlapped=True`` in
-        :mod:`repro.parallel.mappings`).  Every overlapped operator logs
+        on the autograd-layer :class:`OpRecord` (``overlapped``, set by a
+        ``cover`` in :mod:`repro.parallel.mappings`).  Every overlapped operator logs
         its record immediately before issuing the collective, so a
         pending overlapped record whose op matches annotates this span;
         the annotation is what splits exposed from (potentially)

@@ -8,8 +8,8 @@ shard list, :data:`ROWS` pairs them into the six operators, and one
 paper's "we store only the Y_i^s part on the i-th tensor parallel rank
 and perform an extra all-gather in the backward pass") runs on the same
 legs.  Every collective leg logs a :class:`~repro.tensor.oplog.CommInfo`
-so the cost model can price it; ``overlapped=True`` marks collectives the
-paper overlaps with compute (the backward weight-gradient GEMM).
+so the cost model can price it; one the paper overlaps with compute
+names its ``cover``, the GEMM record beside it that hides it.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ class Leg(NamedTuple):
     run: Callable[[ShardList, int], ShardList]  # (shards, axis) -> shards
 
     def __call__(self, fctx: FnCtx, name: str, shards: ShardList, group: ProcessGroup,
-                 axis: int, overlapped: bool = False) -> ShardList:
+                 axis: int, cover: int = 0) -> ShardList:
         """Log this leg under ``name`` (when it is a collective), then run it.
 
         A leg is a step inside an op's ``forward`` / ``backward``, not an
@@ -44,7 +44,7 @@ class Leg(NamedTuple):
         if self.op is not None and listening():
             shard_nbytes = bk.size_of(shards[0]) * fctx.inputs[0].dtype.nbytes
             fctx.log_comm(name, self.op, logged_nbytes(self.op, shard_nbytes, group.size),
-                          group.size, scope=group.scope, overlapped=overlapped)
+                          group.size, scope=group.scope, cover=cover)
         return self.run(shards, axis)
 
 
@@ -77,7 +77,7 @@ class Row(NamedTuple):
     forward: Leg
     backward: Leg
     layout: str  # of the output; ``{axis}`` is the operator's axis
-    overlap_backward: bool = False
+    backward_cover: int = 0  # the backward leg's cover (``OpRecord.cover``)
 
     def __call__(self, x: Tensor, group: ProcessGroup, axis: int = 0) -> Tensor:
         out = apply(Boundary(self, group, axis), x)
@@ -85,10 +85,10 @@ class Row(NamedTuple):
         return out
 
 
-# ``f`` (Figure 4).  Its backward all-reduce is marked overlapped: Megatron
-# overlaps it with the preceding linear's weight-gradient GEMM, which the
-# paper credits for full-recompute overhead being 39% rather than 33%.
-F = Row("f", LEGS["identity"], LEGS["all_reduce"], "replicated", overlap_backward=True)
+# ``f`` (Figure 4).  Megatron overlaps its backward all-reduce with the
+# weight-gradient GEMM of the linear it feeds, the record just before it,
+# which the paper credits for full-recompute overhead being 39% not 33%.
+F = Row("f", LEGS["identity"], LEGS["all_reduce"], "replicated", backward_cover=-1)
 # ``f̄`` (Figure 4): the forward all-reduce sums the partial outputs.
 F_BAR = Row("f_bar", LEGS["all_reduce"], LEGS["identity"], "replicated")
 # ``g`` / ``ḡ`` (Figure 5), along the sequence dim; ``ḡ`` sums partials.
@@ -125,7 +125,7 @@ class Boundary(Function):
 
     def backward(self, fctx: FnCtx, grad: ShardList):
         return (self.row.backward(fctx, f"{self.name}.bwd", grad, self.group,
-                                  self.axis, self.row.overlap_backward),)
+                                  self.axis, cover=self.row.backward_cover),)
 
 
 class AllGatherMatmul(Function):
@@ -135,9 +135,9 @@ class AllGatherMatmul(Function):
     the full ``Y`` and compute ``Y @ W_i`` per rank.  **Only the local
     shard ``Y_i^s`` is saved** (``2sbh/t`` per rank instead of ``2sbh``),
     implementing the paper's Section 4.2.2 optimization.  Backward
-    re-all-gathers ``Y`` (marked ``overlapped`` — the paper hides it under
-    the dY GEMM), computes the two gradient GEMMs, and reduce-scatters dY
-    back to sequence shards (``g``'s backward).  Its GEMM records are
+    re-all-gathers ``Y`` (covered by the dY GEMM just after it, as the
+    paper hides it), computes the two gradient GEMMs, and reduce-scatters
+    dY back to sequence shards (``g``'s backward).  Its GEMM records are
     explicit emits, not a cost rule: in backward they sit between the
     re-gather and the reduce-scatter, which the tracer prices in order.
     """
@@ -174,9 +174,9 @@ class AllGatherMatmul(Function):
         x = fctx.saved(fctx.misc["x_slot"])
         w = fctx.saved(fctx.misc["w_slot"])
         # Extra all-gather of the saved shards (the cost of storing Y_i^s
-        # only); overlapped with the dY GEMM per the paper.
+        # only); covered by the dY GEMM, the next record, per the paper.
         full = G.forward(fctx, "ag_matmul.bwd_regather", x, self.group, self.axis,
-                         overlapped=True)
+                         cover=1)
         if listening():
             flops = fctx.misc["flops"]
             fctx.log_gemm(f"ag_matmul[{self.category}].dgrad", flops_per_rank=flops)
@@ -187,9 +187,9 @@ class AllGatherMatmul(Function):
             grad, full, w, shape=lambda g, full, w: [w, full])
         # Megatron issues this reduce-scatter asynchronously and overlaps
         # it with the weight-gradient GEMM (LinearWithGradAccumulationAnd-
-        # AsyncCommunication), so it is marked overlapped.
+        # AsyncCommunication), the record just before it.
         dx = G.backward(fctx, "ag_matmul.bwd", dfull, self.group, self.axis,
-                        overlapped=True)
+                        cover=-1)
         return dx, dw
 
 

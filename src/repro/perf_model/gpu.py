@@ -9,10 +9,10 @@ priced as:
   overhead (layer-norm, dropout, softmax, GeLU, residual adds — the ops
   sequence parallelism shrinks by ``1/t``);
 * **collective** — the ring alpha-beta model of
-  :class:`~repro.comm.cost_model.CollectiveCostModel`; records marked
-  ``overlapped`` cost nothing when ``overlap_backward_comm`` is on (the
-  paper's backward all-reduce / weight-grad overlap, and the backward
-  re-all-gather of the Y_i^s optimization).
+  :class:`~repro.comm.cost_model.CollectiveCostModel`, less what its
+  ``cover`` hides (:func:`exposed_time`): the paper's backward all-reduce
+  runs under the weight-gradient GEMM, and the re-all-gather of the
+  Y_i^s optimization under the dY GEMM.
 
 Calibration policy (see DESIGN.md): the single free knob set,
 (``gemm_efficiency``, ``hbm_efficiency``, launch/call overheads), is fit
@@ -24,11 +24,16 @@ prediction of the model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import List, Sequence
 
 from ..comm.cost_model import CollectiveCostModel
 from ..hardware import ClusterSpec, GPUSpec
 from ..tensor.oplog import OpKind, OpLog, OpRecord, Phase
+
+
+def exposed_time(comm_s: float, cover_s: float) -> float:
+    """A hidden transfer pays what the compute covering it leaves uncovered."""
+    return max(0.0, comm_s - cover_s)
 
 
 @dataclass(frozen=True)
@@ -65,7 +70,6 @@ class KernelCostModel:
     #: fused bias-GeLU, bias-dropout-add and scale-mask-softmax kernels
     #: avoid round trips the unfused op log charges for).
     fusion_factor: float = 0.55
-    overlap_backward_comm: bool = True
     comm_call_overhead: float = 12e-6
     #: Memo for :meth:`op_time` — the layer-timing sweeps price the same
     #: (kind, flops, bytes, comm) tuples thousands of times.  Excluded from
@@ -94,8 +98,9 @@ class KernelCostModel:
                 + self.gpu.kernel_launch_overhead)
 
     def op_time(self, record: OpRecord) -> float:
+        """Seconds of ``record`` alone; a transfer at its full price."""
         key = (record.kind, record.flops, record.bytes_moved, record.fused,
-               record.comm, record.overlapped)
+               record.comm)
         cached = self._op_time_cache.get(key)
         if cached is not None:
             return cached
@@ -104,50 +109,42 @@ class KernelCostModel:
         elif record.kind == OpKind.ELEMENTWISE:
             cost = self.elementwise_time(record.bytes_moved, fused=record.fused)
         elif record.comm is not None:
-            if record.overlapped and self.overlap_backward_comm:
-                cost = 0.0
-            else:
-                cost = self.comm.time(record.comm)
+            cost = self.comm.time(record.comm)
         else:
             cost = 0.0
         self._op_time_cache[key] = cost
         return cost
 
     # -- aggregate pricing -----------------------------------------------------
-    def price_records(self, records: Iterable[OpRecord],
-                      phase: Optional[Phase] = None) -> float:
-        return sum(
-            self.op_time(r) for r in records if phase is None or r.phase == phase
-        )
+    def record_times(self, records: Sequence[OpRecord]) -> List[float]:
+        """Seconds per record, in log order; a transfer pays
+        :func:`exposed_time` against its cover's (none: ``0.0``)."""
+        own = [self.op_time(r) for r in records]
+        return [t if r.comm is None else exposed_time(t, own[i + r.cover] if r.cover else 0.0)
+                for i, (r, t) in enumerate(zip(records, own))]
 
     def price(self, oplog: OpLog) -> PhaseTimes:
         return self.phase_times(oplog.records)
 
     def phase_times(self, records: Sequence[OpRecord]) -> PhaseTimes:
-        return PhaseTimes(
-            forward=self.price_records(records, Phase.FORWARD),
-            backward=self.price_records(records, Phase.BACKWARD),
-            recompute=self.price_records(records, Phase.RECOMPUTE),
-        )
+        by_phase = {phase: [] for phase in Phase}
+        for record, seconds in zip(records, self.record_times(records)):
+            by_phase[record.phase].append(seconds)
+        return PhaseTimes(**{p.value: sum(t) for p, t in by_phase.items()})
 
     def price_breakdown(self, oplog: OpLog) -> dict:
         """Seconds attributed per (phase, op kind) — where the time goes.
 
-        Collectives that are overlapped (and skipped when
-        ``overlap_backward_comm`` is on) appear under ``"overlapped"``
-        with the time they *would* have cost, so the attribution sums to
-        the phase totals while still exposing hidden communication.
+        A covered transfer books what its cover hides under
+        ``"overlapped"`` (outside the phase totals) and any part left
+        exposed under ``"exposed <record name>"``.
         """
         out: dict = {}
-        for record in oplog.records:
-            phase = record.phase.value
-            if (record.comm is not None and record.overlapped
-                    and self.overlap_backward_comm):
-                kind = "overlapped"
-                cost = self.comm.time(record.comm)
-            else:
-                kind = record.kind.value
-                cost = self.op_time(record)
-            out.setdefault(phase, {}).setdefault(kind, 0.0)
-            out[phase][kind] += cost
+        for record, cost in zip(oplog.records, self.record_times(oplog.records)):
+            kinds = out.setdefault(record.phase.value, {})
+            if record.cover:
+                kinds["overlapped"] = kinds.get("overlapped", 0.0) + (self.op_time(record) - cost)
+            if cost or not record.cover:
+                kind = f"exposed {record.name}" if record.cover else record.kind.value
+                kinds[kind] = kinds.get(kind, 0.0) + cost
         return out

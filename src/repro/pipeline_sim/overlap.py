@@ -5,7 +5,8 @@ Checkpointed long-context layers re-issue their re-shard collectives
 during backward.  Those replayed transfers have no consumer until the
 recomputation reaches the attention core, so they can stay in flight
 under the recompute kernels (arXiv 2406.08756): per checkpoint segment
-the device pays ``max(recompute, comm)`` instead of ``recompute + comm``.
+the device pays ``max(recompute, comm)`` instead of ``recompute + comm``
+(:func:`~repro.perf_model.gpu.exposed_time` with the recompute as cover).
 
 This module is the analytic half of that scheduler; the executable half
 is :func:`repro.longctx.recompute_overlap_scope`, which marks
@@ -29,6 +30,7 @@ from ..config import ModelConfig
 from ..errors import PlanningError
 from ..layers.transformer import Recompute
 from ..longctx.layout import LAYOUTS
+from ..perf_model.gpu import exposed_time
 
 
 @dataclass(frozen=True)
@@ -41,7 +43,7 @@ class OverlapSegment:
 
     @property
     def exposed_s(self) -> float:
-        return max(0.0, self.comm_s - self.recompute_s)
+        return exposed_time(self.comm_s, self.recompute_s)
 
     @property
     def hidden_s(self) -> float:

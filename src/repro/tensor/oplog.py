@@ -59,6 +59,7 @@ class OpRecord:
     bytes_moved: float = 0.0
     comm: Optional[CommInfo] = None
     overlapped: bool = False  # hidden behind compute (e.g. bwd weight-grad AR)
+    cover: int = 0  # log offset of the record hiding this transfer (0: none)
     #: Emitted by a fused kernel (repro.fusion): ``bytes_moved`` already
     #: reflects the eliminated round trips, so the cost model must not
     #: apply its unfused-log fusion discount a second time.

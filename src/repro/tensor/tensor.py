@@ -262,8 +262,8 @@ class FnCtx:
         _emit(**gemm(name, flops_per_rank))
 
     def log_comm(self, name: str, op: str, nbytes: int, group_size: int,
-                 scope: str = "tp", overlapped: bool = False) -> None:
-        _emit(**comm(name, op, nbytes, group_size, scope, overlapped))
+                 scope: str = "tp", cover: int = 0) -> None:
+        _emit(**comm(name, op, nbytes, group_size, scope, cover=cover))
 
 
 def gemm(name: str, flops: float, bytes_moved: float = 0.0) -> dict:
@@ -279,11 +279,11 @@ def elementwise(name: str, bytes_moved: float, flops: float = 0.0,
 
 
 def comm(name: str, op: str, nbytes: int, group_size: int, scope: str = "tp",
-         overlapped: bool = False) -> dict:
-    """The fields of one collective (or ``"p2p"``) record."""
+         overlapped: bool = False, cover: int = 0) -> dict:
+    """The fields of one collective (or ``"p2p"``) record; a cover makes it overlapped."""
     return {"name": name, "kind": OpKind.COLLECTIVE if op != "p2p" else OpKind.P2P,
             "comm": CommInfo(op=op, nbytes=int(nbytes), group_size=group_size, scope=scope),
-            "overlapped": overlapped}
+            "overlapped": overlapped or cover != 0, "cover": cover}
 
 
 def per_element(name: str, nbytes, flops: float = 0.0, fused: bool = False):

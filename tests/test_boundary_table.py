@@ -5,7 +5,8 @@ Two statements about the six rows:
 * each row's backward leg is the *adjoint* of its forward leg — what
   "conjugate pair" means, as an inner-product identity;
 * each row is, record for record and bit for bit, the hand-written
-  ``Function`` class it replaced (kept below, verbatim, as the oracle).
+  ``Function`` class it replaced (kept below, verbatim but for the
+  cover ``f``'s backward record names, as the oracle).
 """
 
 import numpy as np
@@ -92,7 +93,7 @@ class TestAdjoint:
         assert pairs == {(b, a) for a, b in pairs} and len(pairs) == 6
 
 
-# -- the oracle: the parent commit's six classes, verbatim ---------------------
+# -- the oracle: the six classes the rows replaced, verbatim but for f's cover --
 
 def _full_bytes(shards: ShardList, width: int, multiplier: int = 1) -> int:
     return bk.size_of(shards[0]) * width * multiplier
@@ -101,9 +102,10 @@ def _full_bytes(shards: ShardList, width: int, multiplier: int = 1) -> int:
 class CopyToTensorParallelRegion(Function):
     """``f``: identity forward, all-reduce backward (Figure 4).
 
-    The backward all-reduce is marked ``overlapped`` — Megatron overlaps
-    it with the preceding linear's weight-gradient GEMM, which the paper
-    credits for full-recompute overhead being 39% rather than 33%.
+    The backward all-reduce names its cover, the record before it: the
+    weight-gradient GEMM of the linear ``f`` feeds, which Megatron
+    overlaps it with and the paper credits for full-recompute overhead
+    being 39% rather than 33%.
     """
 
     name = "f"
@@ -118,7 +120,7 @@ class CopyToTensorParallelRegion(Function):
     def backward(self, fctx: FnCtx, grad: ShardList):
         width = fctx.inputs[0].dtype.nbytes
         fctx.log_comm("f.bwd", "all_reduce", _full_bytes(grad, width),
-                      self.group.size, scope=self.group.scope, overlapped=True)
+                      self.group.size, scope=self.group.scope, cover=-1)
         return (collectives.all_reduce(grad),)
 
 
@@ -319,8 +321,8 @@ class TestRowsAreTheClassesTheyReplaced:
 
         want_out, want_grad, want_records = _run(oracle, shards, dtype, grad)
         got_out, got_grad, got_records = _run(row, shards, dtype, grad)
-        # OpRecord is a frozen dataclass: name, kind, phase, overlapped
-        # and CommInfo(op, nbytes, group_size, scope) all compare.
+        # OpRecord is a frozen dataclass: name, kind, phase, overlapped,
+        # cover and CommInfo(op, nbytes, group_size, scope) all compare.
         assert got_records == want_records
         legs = (BY_NAME[name].forward, BY_NAME[name].backward)
         assert [r.phase for r in got_records] == [

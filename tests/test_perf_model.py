@@ -5,6 +5,8 @@ these tests assert the *relations* the paper reports, which are predictions
 of the model, not fit targets.
 """
 
+import dataclasses
+
 import pytest
 
 from helpers import count_calls
@@ -16,10 +18,18 @@ from repro.perf_model import (
     KernelCostModel, figure8, iteration_time, layer_oplog, layer_times,
     table4, table5_row,
 )
+from repro.perf_model.iteration import head_oplog
+from repro.scenarios import trace_experiment
 from repro.tensor.oplog import OpKind, Phase
 
 
 CFG22 = PAPER_CONFIGS["22B"]
+
+
+def uncovered(records):
+    """The same records with every cover cleared: each transfer priced
+    in full, as if nothing ran beside it."""
+    return [dataclasses.replace(r, cover=0) for r in records]
 
 
 @pytest.fixture(scope="module")
@@ -42,8 +52,9 @@ class TestKernelCostModel:
 
     def test_overlap_toggle(self):
         log = layer_oplog(CFG22.model, 4, 8)
-        on = KernelCostModel(overlap_backward_comm=True).price(log)
-        off = KernelCostModel(overlap_backward_comm=False).price(log)
+        cost = KernelCostModel()
+        on = cost.price(log)
+        off = cost.phase_times(uncovered(log.records))
         assert off.backward > on.backward
         assert off.forward == pytest.approx(on.forward)
 
@@ -74,10 +85,14 @@ class TestTable4Relations:
     def test_full_recompute_exceeds_expected_33_due_to_overlap(self):
         """With backward comm overlap off, the overhead falls back toward
         the naive 33% (the paper's explanation for 39% > 33%)."""
+        cost = KernelCostModel()
         with_overlap = {r.experiment: r.times for r in table4(
-            CFG22.model, 4, 8, cost=KernelCostModel(overlap_backward_comm=True))}
-        without = {r.experiment: r.times for r in table4(
-            CFG22.model, 4, 8, cost=KernelCostModel(overlap_backward_comm=False))}
+            CFG22.model, 4, 8, cost=cost)}
+        without = {
+            label: cost.phase_times(uncovered(
+                layer_oplog(CFG22.model, 4, 8, sp, rc).records))
+            for label, sp, rc in (("Baseline no recompute", False, Recompute.NONE),
+                                  ("Baseline with recompute", False, Recompute.FULL))}
         ov_with = with_overlap["Baseline with recompute"].overhead_vs(
             with_overlap["Baseline no recompute"])
         ov_without = without["Baseline with recompute"].overhead_vs(
@@ -304,3 +319,67 @@ class TestPriceBreakdown:
         main(["simulate-pipeline", "--model", "22B", "--breakdown"])
         out = capsys.readouterr().out
         assert "time attribution" in out and "gemm" in out
+
+
+#: What covers each hidden transfer: the GEMM record's name suffix and
+#: its place in the log relative to the transfer.
+COVERS = {"f.bwd": (".wgrad", -1), "ag_matmul.bwd": (".wgrad", -1),
+          "ag_matmul.bwd_regather": (".dgrad", 1)}
+
+
+class TestExposureRule:
+    """One rule prices hidden communication: a transfer costs what the
+    GEMM record it names as its cover leaves uncovered."""
+
+    @pytest.mark.parametrize("sp", [False, True], ids=["tp", "sp"])
+    @pytest.mark.parametrize("name", [*PAPER_CONFIGS, "tiny", "small"])
+    def test_every_cover_hides_its_transfer(self, name, sp):
+        """Every published trace's hidden transfers are hidden in fact:
+        each names a GEMM that outlasts it, so the rule charges 0.0."""
+        cfg = PAPER_CONFIGS.get(name) or trace_experiment(name)
+        m, b, t = (cfg.model, cfg.training.micro_batch_size,
+                   cfg.parallel.tensor_parallel)
+        cost = KernelCostModel()
+        logs = [layer_oplog(m, b, t, sp, rc) for rc in Recompute]
+        logs.append(head_oplog(m, b, t, sp))
+        for log in logs:
+            records = log.records
+            times = cost.record_times(records)
+            covered = [i for i, r in enumerate(records) if r.cover]
+            assert covered, "a tensor-parallel trace hides some transfer"
+            for i, record in enumerate(records):
+                assert record.overlapped == bool(record.cover), record.name
+                if not record.cover:
+                    assert times[i] == cost.op_time(record), record.name
+                    continue
+                suffix, offset = COVERS[record.name]
+                cover = records[i + record.cover]
+                assert record.cover == offset, record.name
+                assert cover.kind == OpKind.GEMM and cover.name.endswith(suffix)
+                assert cost.op_time(record) < cost.op_time(cover), record.name
+                assert times[i] == 0.0, record.name
+
+    def test_a_short_cover_leaves_its_transfer_exposed(self):
+        """On a GPU 100x faster at GEMMs every cover is shorter than its
+        transfer; the breakdown names each transfer's ``comm - cover``
+        and the phase total pays it."""
+        fast = KernelCostModel(gpu=GPUSpec(peak_flops=100 * GPUSpec().peak_flops))
+        log = layer_oplog(CFG22.model, 4, 8, sequence_parallel=True,
+                          recompute=Recompute.SELECTIVE)
+        records = log.records
+        want = {}
+        for i, record in enumerate(records):
+            if record.cover:
+                gap = fast.op_time(record) - fast.op_time(records[i + record.cover])
+                assert gap > 0
+                key = f"exposed {record.name}"
+                want[key] = want.get(key, 0.0) + gap
+        assert set(want) == {"exposed ag_matmul.bwd_regather", "exposed ag_matmul.bwd"}
+        backward = fast.price_breakdown(log)["backward"]
+        for key, seconds in want.items():
+            assert backward[key] == pytest.approx(seconds, rel=1e-12)
+        assert fast.price(log).backward == pytest.approx(
+            sum(v for k, v in backward.items() if k != "overlapped"), rel=1e-12)
+        assert fast.price(log).backward == pytest.approx(
+            fast.phase_times(uncovered(records)).backward - backward["overlapped"],
+            rel=1e-12)

@@ -1,6 +1,9 @@
 """Training substrate: Adam, loss scaler, data generators, end-to-end fits."""
 
 import functools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -358,18 +361,37 @@ class TestHostMemoryPolicy:
     @pytest.mark.parametrize("compiled", [False, True],
                              ids=["eager", "compiled"])
     def test_a_warm_training_step_is_fault_free(self, compiled):
-        resource = pytest.importorskip("resource")
-        if not trainer_module.keep_heap_resident():
+        """Counted in a fresh interpreter with BLAS on one thread, so the
+        heap measured is the step's own, not what earlier tests left.
+        The heap may still grow once by one (s, b, h) activation (64
+        pages) at a warm step, seen as late as the fifteenth, so the
+        window follows twenty."""
+        pytest.importorskip("resource")
+        script = "\n".join([
+            "import resource, sys",
+            "from repro.training import trainer",
+            "from test_training import TestHostMemoryPolicy",
+            "if not trainer.keep_heap_resident():",
+            "    sys.exit(print('no policy'))",
+            f"step = TestHostMemoryPolicy.substrate_step({compiled})",
+            "for _ in range(20):  # the heap settles over the first steps",
+            "    step()",
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
+            "for _ in range(3):",
+            "    step()",
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)",
+        ])
+        tests = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.join(os.path.dirname(tests), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]),
+                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=False)
+        assert done.returncode == 0, done.stderr
+        if done.stdout.strip() == "no policy":
             pytest.skip("no glibc mallopt: the host-memory policy is not set")
-        step = self.substrate_step(compiled)
-        for _ in range(3):  # the heap settles over the first three steps
-            step()
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        for _ in range(3):
-            step()
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         # the default thresholds take ~3 000 minor faults per step here
-        assert faults <= 64
+        assert int(done.stdout) <= 64
 
     @staticmethod
     def _count_policy_calls(monkeypatch) -> list:
