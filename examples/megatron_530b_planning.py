@@ -9,13 +9,10 @@ Run:  python examples/megatron_530b_planning.py
 
 from repro.config import PAPER_CONFIGS
 from repro.layers.transformer import Recompute
-from repro.memory_model import (
-    per_layer_activation_bytes,
-    total_activation_bytes,
-    weight_and_optimizer_bytes,
-)
+from repro.memory_model import stage_memory, weight_and_optimizer_bytes
 from repro.perf_model import iteration_time
-from repro.planner import enumerate_options, plan
+from repro.planner import plan
+from repro.planner.planner import fits
 from repro.units import GIB, fmt_bytes
 
 
@@ -32,18 +29,20 @@ def main() -> None:
     static = weight_and_optimizer_bytes(cfg)
     print(f"\nWeights + optimizer state per GPU: {fmt_bytes(static)}")
 
-    print("\nFirst-pipeline-stage activation memory per strategy:")
+    print("\nFirst-pipeline-stage peak activation memory per strategy "
+          "(the planner's fit rule keeps a 4 GiB reserve):")
     for label, sp, rc in [
         ("tensor parallel only (baseline)", False, Recompute.NONE),
         ("  + sequence parallelism", True, Recompute.NONE),
         ("  + selective recompute", True, Recompute.SELECTIVE),
         ("full recomputation", False, Recompute.FULL),
     ]:
-        act = total_activation_bytes(cfg, recompute=rc, sequence_parallel=sp)
-        total = act + static
-        fits = "fits" if total <= 80 * GIB else "DOES NOT FIT"
-        print(f"  {label:34s} {fmt_bytes(act):>11s} activations, "
-              f"{fmt_bytes(total):>11s} total -> {fits} in 80 GB")
+        mem = stage_memory(cfg, 0, rc, sp)
+        total = mem.total + static
+        verdict = "fits" if fits(total, 80 * GIB) else "DOES NOT FIT"
+        print(f"  {label:34s} {fmt_bytes(mem.total):>11s} activations "
+              f"({fmt_bytes(mem.layers)} layers), "
+              f"{fmt_bytes(total):>11s} total -> {verdict} in 80 GB")
 
     print("\nPlanner (cheapest strategy that fits):")
     for budget_gb in (80, 60, 54, 45):

@@ -36,7 +36,7 @@ from .layers.transformer import Recompute
 from .longctx.layout import LAYOUTS
 from .memory_model import (
     per_layer_activation_bytes,
-    total_activation_bytes,
+    stage_memory,
     weight_and_optimizer_bytes,
 )
 from .observability import (
@@ -117,7 +117,7 @@ def cmd_memory(args):
         per_layer = per_layer_activation_bytes(
             cfg.model, cfg.training.micro_batch_size,
             cfg.parallel.tensor_parallel, sp, recompute)
-        total = total_activation_bytes(cfg, recompute=recompute, sequence_parallel=sp)
+        total = stage_memory(cfg, 0, recompute, sp).layers
         rows.append(("yes" if sp else "no", fmt_bytes(per_layer), fmt_bytes(total)))
         data.append({"sequence_parallel": sp, "per_layer_bytes": per_layer,
                      "first_stage_total_bytes": total})

@@ -89,14 +89,14 @@ class SelfAttention(Module):
     ``fused_qkv``) and ``wo`` closes it; in between the core runs on the
     layout's local heads.
 
-    ``recompute_core=True`` enables selective activation recomputation:
-    the core runs under ``checkpoint`` so only its inputs (Q, K, V) are
-    stored and the ``5as^2b`` internals are rebuilt during backward.
+    ``selective=True`` (the owning layer's recompute strategy, read at
+    each call) is selective activation recomputation: the core runs
+    under ``checkpoint`` so only its inputs (Q, K, V) are stored and the
+    ``5as^2b`` internals are rebuilt during backward.
     """
 
     def __init__(self, hidden_size: int, num_heads: int,
                  attention_dropout: float = 0.1,
-                 recompute_core: bool = False,
                  rng: Optional[np.random.Generator] = None,
                  abstract: bool = False, tag: str = "attn",
                  mask_source: Optional[MaskSource] = None,
@@ -107,7 +107,6 @@ class SelfAttention(Module):
                 f"num_heads ({num_heads})")
         self.hidden_size = hidden_size
         self.num_heads = num_heads
-        self.recompute_core = recompute_core
         self.tag = tag
         self.layout = layout
         local_heads = layout.local_heads(num_heads)
@@ -139,9 +138,9 @@ class SelfAttention(Module):
             return F.split(apply(self.qkv, x), 3, axis=-1)
         return apply(self.wq, x), apply(self.wk, x), apply(self.wv, x)
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, selective: bool) -> Tensor:
         q, k, v = self.project_qkv(x)
-        if self.recompute_core:
+        if selective:
             ctxt = checkpoint(self.core.forward, q, k, v, label=f"{self.tag}.core")
         else:
             ctxt = self.core(q, k, v)

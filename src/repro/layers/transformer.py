@@ -79,7 +79,6 @@ class TransformerLayer(Module):
                              name=f"{tag}.ln1", fused=fused)
         self.attn = SelfAttention(
             hidden_size, num_heads, attention_dropout=attention_dropout,
-            recompute_core=(self.recompute == Recompute.SELECTIVE),
             rng=rng, abstract=abstract, tag=f"{tag}.attn", mask_source=mask_source,
             fused=fused, layout=layout,
         )
@@ -100,7 +99,8 @@ class TransformerLayer(Module):
         return F.add(dropout(out), x)
 
     def _body(self, x: Tensor) -> Tensor:
-        attn_out = self.attn(self.ln1(x))
+        attn_out = self.attn(self.ln1(x),
+                             self.recompute == Recompute.SELECTIVE)
         x = self._residual(attn_out, x, self.attn_dropout)
         mlp_out = self.mlp(self.ln2(x))
         return self._residual(mlp_out, x, self.mlp_dropout)

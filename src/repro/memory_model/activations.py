@@ -1,4 +1,5 @@
-"""Closed-form activation-memory model (paper Section 4, Equations 1-6).
+"""Closed-form per-layer activation memory (paper Section 4, Equations
+1-4 and 6; a pipeline rank's peak is :mod:`.pipeline`).
 
 All results are **bytes per rank** (per GPU).  These formulas are
 cross-validated against the instrumented simulator in
@@ -9,9 +10,9 @@ counting saved bytes reproduces every row of Table 2 exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import Dict, Union
 
-from ..config import ExperimentConfig, ModelConfig
+from ..config import ModelConfig
 from ..errors import ConfigError
 from ..layers.transformer import Recompute
 
@@ -165,60 +166,6 @@ def term_group_categories(recompute: RecomputeLike) -> Dict[str, tuple]:
         "mlp_gelu_input": ("gelu_input",),
         "mlp_fc2_input": ("mlp_fc2_input",),
     }
-
-
-def interleave_memory_factor(pipeline_parallel: int, interleave_stages: int) -> float:
-    """The ``(1 + (p-1)/(pm))`` first-stage multiplier of Section 4.2.3."""
-    p, m = pipeline_parallel, interleave_stages
-    if p <= 1 or m <= 1:
-        return 1.0
-    return 1.0 + (p - 1) / (p * m)
-
-
-def first_stage_layers_worth(num_layers: int, pipeline_parallel: int,
-                             interleave_stages: int = 1) -> float:
-    """How many layers' worth of activations the first stage holds.
-
-    1F1B keeps ``p`` microbatches in flight on stage 0, each spanning
-    ``L/p`` layers -> ``L`` layers' worth regardless of ``p``; the
-    interleaved schedule inflates this by ``(1 + (p-1)/(pm))``.
-    """
-    return num_layers * interleave_memory_factor(pipeline_parallel, interleave_stages)
-
-
-def total_activation_bytes(
-    config: ExperimentConfig,
-    recompute: RecomputeLike = Recompute.NONE,
-    sequence_parallel: Optional[bool] = None,
-) -> float:
-    """First-pipeline-stage activation bytes per rank (Equations 5-6).
-
-    Like Equation 5 it leaves out the Section 4.3 input/output terms
-    (:func:`input_output_extras_bytes`), which the paper shows are <0.01%.
-    """
-    model, par, train = config.model, config.parallel, config.training
-    sp = par.sequence_parallel if sequence_parallel is None else sequence_parallel
-    per_layer = per_layer_activation_bytes(
-        model, train.micro_batch_size, tensor_parallel=par.tensor_parallel,
-        sequence_parallel=sp, recompute=recompute,
-    )
-    layers_worth = first_stage_layers_worth(
-        model.num_layers, par.pipeline_parallel, par.interleave_stages,
-    )
-    return per_layer * layers_worth
-
-
-def input_output_extras_bytes(config: ExperimentConfig) -> float:
-    """Section 4.3: embedding dropout + (if p == 1) final LN, output
-    projection input and fp32 logits; all divided by ``t`` (the paper's
-    extras already assume the SP layout)."""
-    model, par, train = config.model, config.parallel, config.training
-    s, b, h, v = model.seq_length, train.micro_batch_size, model.hidden_size, model.vocab_size
-    t, p = par.tensor_parallel, par.pipeline_parallel
-    extras = s * b * h * p / t  # embedding dropout masks, p microbatches
-    if p == 1:
-        extras += 4.0 * s * b * h / t * (1.0 + v / h)
-    return extras
 
 
 @dataclass(frozen=True)

@@ -1,27 +1,23 @@
-"""Per-pipeline-rank activation memory (Appendices B and C; Figure 9).
+"""Per-pipeline-rank activation memory (Equation 5, Section 4.3,
+Appendices B and C; Figure 9).
 
-1F1B keeps ``p - i`` microbatches in flight on stage ``i`` at peak; the
-interleaved schedule keeps ``2(p-i-1) + (m-1)p + 1`` *model chunks* in
-flight, each spanning ``L/(pm)`` layers (this reduces to the paper's
-``L (1 + (p-1)/(pm))`` layers' worth on stage 0).
-
-Each in-flight microbatch additionally pins its stage-output tensor
-(``2sbh`` bytes) until it is consumed; Appendix B's optimization
-deallocates it right after the forward pass because the data is redundant
-with the next stage's input, saving ``sbh`` *elements* (``2sbh`` bytes)
-per in-flight microbatch — ``sbhp`` elements on stage 0, the paper's
-2.73 GB for the 530B model.
+:func:`stage_memory` is the one statement of a rank's peak: Figure 1,
+Figure 9, the recomputation planner and Appendix C's windows all read
+its term groups.  1F1B keeps ``p - i`` microbatches in flight on stage
+``i`` at peak; the interleaved schedule keeps ``2(p-i-1) + (m-1)p + 1``
+*model chunks* in flight, each spanning ``L/(pm)`` layers (on stage 0
+the paper's ``L (1 + (p-1)/(pm))`` layers' worth).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from ..config import ExperimentConfig
 from ..errors import ConfigError
 from ..layers.transformer import Recompute
-from .activations import per_layer_activation_bytes
+from .activations import RecomputeLike, per_layer_activation_bytes
 
 
 def in_flight_microbatches(stage: int, pipeline_parallel: int,
@@ -41,46 +37,63 @@ def in_flight_microbatches(stage: int, pipeline_parallel: int,
     return min(float(num_microbatches), chunks / m)
 
 
-def stage_activation_bytes(
-    config: ExperimentConfig,
-    stage: int,
-    sequence_parallel: Optional[bool] = None,
-    deallocate_output_tensor: bool = True,
-) -> float:
-    """Peak activation bytes on pipeline rank ``stage`` (a Figure 9 point),
-    under selective recomputation as in the paper's Figure 9.
+@dataclass(frozen=True)
+class StageMemory:
+    """One pipeline rank's peak activation bytes (per GPU), by term group.
 
-    Includes the per-layer activations of every in-flight microbatch, the
-    stage-output tensors (unless deallocated per Appendix B), and stage
-    0's embedding-dropout spike (Section 4.3's ``sbhp/t``).
+    ``layers`` is the in-flight microbatches' transformer layers
+    (Equations 1-4; on stage 0, Equation 5).  ``embedding`` is Section
+    4.3's embedding-dropout masks and ``head`` the last stage's final
+    layer norm, output-layer input and fp32 logits.  ``transient`` is
+    full recomputation's rebuilt layer: it peaks after the head is
+    freed, so the two never add.  ``outputs`` is the stage-output
+    tensors Appendix B deallocates, outside :attr:`total`.  The int64
+    token ids (8 B per token) are left out.
     """
-    model, par, train = config.model, config.parallel, config.training
-    sp = par.sequence_parallel if sequence_parallel is None else sequence_parallel
-    n_mb = config.num_microbatches
-    s, b, h, t = model.seq_length, train.micro_batch_size, model.hidden_size, par.tensor_parallel
 
-    r_layers = in_flight_microbatches(stage, par.pipeline_parallel, n_mb,
-                                      par.interleave_stages)
-    # Output tensors and the embedding spike are pinned per *microbatch*
-    # regardless of interleaving: "r ... peaking at r = p on the first
-    # pipeline stage" (Appendix B).
-    r_mb = min(n_mb, par.pipeline_parallel - stage)
-    layers_per_stage = model.num_layers / par.pipeline_parallel
-    per_layer = per_layer_activation_bytes(
-        model, b, tensor_parallel=t, sequence_parallel=sp,
-        recompute=Recompute.SELECTIVE,
-    )
-    total = r_layers * layers_per_stage * per_layer
-    if not deallocate_output_tensor:
-        # One full (s, b, h) fp16 output tensor pinned per in-flight
-        # microbatch: sbh elements = 2sbh bytes each (Appendix B's sbhp
-        # elements = 2.73 GB on the 530B first stage).
-        total += r_mb * 2.0 * s * b * h
-    if stage == 0:
-        # Embedding dropout mask per in-flight microbatch (1 byte/elem,
-        # sequence-sharded under SP) — Section 4.3's sbhp/t.
-        total += r_mb * s * b * h / (t if sp else 1)
-    return total
+    layers: float
+    embedding: float
+    head: float
+    transient: float
+    outputs: float
+
+    @property
+    def total(self) -> float:
+        return self.layers + (self.embedding + max(self.head, self.transient))
+
+
+def stage_memory(config: ExperimentConfig, stage: int,
+                 recompute: RecomputeLike,
+                 sequence_parallel: bool) -> StageMemory:
+    """Peak activation bytes of pipeline rank ``stage`` under ``config``'s
+    schedule, ``recompute`` on every layer and the given layout."""
+    model, par, train = config.model, config.parallel, config.training
+    p, m, t = par.pipeline_parallel, par.interleave_stages, par.tensor_parallel
+    n = config.num_microbatches
+    s, b, h, v = (model.seq_length, train.micro_batch_size, model.hidden_size,
+                  model.vocab_size)
+    sp, sbh = sequence_parallel, s * b * h
+    per_layer = per_layer_activation_bytes(model, b, t, sp, recompute)
+    layers = (in_flight_microbatches(stage, p, n, m)
+              * (model.num_layers / p) * per_layer)
+    # One (sequence-sharded under SP) byte mask per microbatch holding the
+    # embedding: p of them, or 2p once interleaving runs chunk 0 ahead.
+    holders = min(n, 2 * p if m > 1 else p)
+    embedding = holders * sbh / (t if sp else 1) if stage == 0 else 0.0
+    head = 0.0
+    if stage == p - 1:
+        # Without SP the layer-norm and projection inputs are replicated.
+        head = (4.0 * sbh / t * (1.0 + v / h) if sp
+                else 4.0 * sbh + 4.0 * s * b * v / t)
+    transient = 0.0
+    if Recompute(recompute) == Recompute.FULL:
+        # The rebuilt layer's stores; its checkpoint is already counted.
+        transient = per_layer_activation_bytes(
+            model, b, t, sp, Recompute.NONE) - per_layer
+    # Appendix B: one full fp16 (s, b, h) output pinned per in-flight
+    # microbatch -- sbhp elements, 2.73 GB on the 530B first stage.
+    outputs = min(n, p - stage) * 2.0 * sbh
+    return StageMemory(layers, embedding, head, transient, outputs)
 
 
 @dataclass(frozen=True)
@@ -96,27 +109,16 @@ class PipelineMemoryProfile:
         return self.unoptimized_bytes[stage] - self.optimized_bytes[stage]
 
 
-def pipeline_memory_profile(
-    config: ExperimentConfig,
-    sequence_parallel: Optional[bool] = None,
-) -> PipelineMemoryProfile:
-    """Compute Figure 9 for ``config`` (the paper uses the 530B model)."""
-    p = config.parallel.pipeline_parallel
-    stages = list(range(p))
+def pipeline_memory_profile(config: ExperimentConfig,
+                            sequence_parallel: bool) -> PipelineMemoryProfile:
+    """Figure 9 for ``config`` (the paper uses the 530B model) under
+    selective recomputation."""
+    memory = [stage_memory(config, i, Recompute.SELECTIVE, sequence_parallel)
+              for i in range(config.parallel.pipeline_parallel)]
     return PipelineMemoryProfile(
-        stages=stages,
-        optimized_bytes=[
-            stage_activation_bytes(config, i,
-                                   sequence_parallel=sequence_parallel,
-                                   deallocate_output_tensor=True)
-            for i in stages
-        ],
-        unoptimized_bytes=[
-            stage_activation_bytes(config, i,
-                                   sequence_parallel=sequence_parallel,
-                                   deallocate_output_tensor=False)
-            for i in stages
-        ],
+        stages=list(range(len(memory))),
+        optimized_bytes=[mem.total for mem in memory],
+        unoptimized_bytes=[mem.total + mem.outputs for mem in memory],
     )
 
 

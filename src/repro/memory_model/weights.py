@@ -89,13 +89,12 @@ def figure1_budget(
 ) -> MemoryBudget:
     """One bar of Figure 1: weights+optimizer vs activation memory against
     the 80 GB A100 line."""
-    from .activations import total_activation_bytes
+    from .pipeline import stage_memory
 
     return MemoryBudget(
         name=config.model.name or "model",
         weights_and_optimizer_bytes=weight_and_optimizer_bytes(config),
-        activation_bytes=total_activation_bytes(
-            config, recompute=recompute, sequence_parallel=sequence_parallel,
-        ),
+        activation_bytes=stage_memory(
+            config, 0, recompute, sequence_parallel).layers,
         device_capacity_bytes=DEVICE_CAPACITY_BYTES,
     )

@@ -20,16 +20,14 @@ from typing import List
 from ..config import ExperimentConfig
 from ..errors import PlanningError
 from ..layers.transformer import Recompute
-from ..memory_model.activations import per_layer_activation_bytes
-from ..memory_model.pipeline import in_flight_microbatches
+from ..memory_model.pipeline import in_flight_microbatches, stage_memory
 from ..memory_model.weights import weight_and_optimizer_bytes
 from ..perf_model.iteration import _iterations
+from ..planner.planner import RESERVE_BYTES
 
 #: Appendix C keeps full activations on top of selective recomputation,
 #: with sequence parallelism on (the paper's Table 5 configurations)
 BASE_RECOMPUTE = Recompute.SELECTIVE
-#: Device memory held back for fragmentation, as :func:`repro.planner.plan`
-RESERVE_BYTES = 4 * 1024**3
 
 
 @dataclass(frozen=True)
@@ -77,40 +75,31 @@ def plan_microbatch_recompute(
     maximizes its full-storage count (stages do not contend for memory —
     each GPU has its own).
     """
-    model, par, train = config.model, config.parallel, config.training
+    par = config.parallel
     static = weight_and_optimizer_bytes(config) + RESERVE_BYTES
     budget = device_memory_bytes - static
     if budget <= 0:
         raise PlanningError(
             f"weights/optimizer ({static/2**30:.1f} GiB) exceed device memory"
         )
-    t = par.tensor_parallel
-    ckpt_per_layer = per_layer_activation_bytes(
-        model, train.micro_batch_size, t, True, BASE_RECOMPUTE)
-    full_per_layer = per_layer_activation_bytes(
-        model, train.micro_batch_size, t, True, Recompute.NONE)
-    layers_per_stage = model.num_layers / par.pipeline_parallel
-
     stages = []
     for stage in range(par.pipeline_parallel):
         r = in_flight_microbatches(stage, par.pipeline_parallel,
                                    config.num_microbatches, par.interleave_stages)
+        all_ckpt = stage_memory(config, stage, BASE_RECOMPUTE, True).layers
+        all_full = stage_memory(config, stage, Recompute.NONE, True).layers
         # Interleaving inflates stored layers-worth; spread it per microbatch.
-        layers_worth = r * layers_per_stage
-        ckpt_per_mb = layers_worth / max(r, 1e-9) * ckpt_per_layer
-        full_per_mb = layers_worth / max(r, 1e-9) * full_per_layer
-        all_ckpt = r * ckpt_per_mb
+        extra_per_mb = (all_full - all_ckpt) / r
         if all_ckpt > budget:
             k = 0.0  # cannot even upgrade one microbatch
         else:
-            extra_per_mb = full_per_mb - ckpt_per_mb
             k = min(r, (budget - all_ckpt) / extra_per_mb) if extra_per_mb > 0 else r
             if k < r:
                 k = float(int(k))  # whole microbatches; k == r stays exact
                                    # (r is fractional under interleaving)
         stages.append(StageWindow(
             stage=stage, in_flight=r, full_slots=k,
-            bytes_used=(r - k) * ckpt_per_mb + k * full_per_mb,
+            bytes_used=all_ckpt + k * extra_per_mb,
         ))
     return MicrobatchRecomputePlan(stages=stages, base_recompute=BASE_RECOMPUTE)
 

@@ -20,20 +20,26 @@ reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List
 
 from ..config import ExperimentConfig
 from ..errors import ConfigError, PlanningError
 from ..layers.transformer import Recompute
-from ..memory_model.activations import (
-    first_stage_layers_worth,
-    input_output_extras_bytes,
-    per_layer_activation_bytes,
-)
+from ..memory_model.pipeline import stage_memory
 from ..memory_model.weights import weight_and_optimizer_bytes
 from ..perf_model.gpu import KernelCostModel
 from ..perf_model.layer_timing import layer_times
+
+#: Device memory held back for fragmentation.
+RESERVE_BYTES = 4 * 1024**3
+
+
+def fits(total_bytes: float, device_memory_bytes: float) -> bool:
+    """The planner's fit rule: ``total_bytes`` (weights, optimizer state
+    and the first stage's peak activations) within device memory less
+    :data:`RESERVE_BYTES`."""
+    return total_bytes <= device_memory_bytes - RESERVE_BYTES
 
 
 @dataclass(frozen=True)
@@ -44,31 +50,13 @@ class PlanOption:
     sequence_parallel: bool
     recompute: Recompute
     recompute_num_layers: int       # layers (of L) fully recomputed
-    activation_bytes: float
+    activation_bytes: float         # stage 0's peak (StageMemory.total)
     static_bytes: float
     overhead_fraction: float        # per-layer combined-time vs no-recompute
 
     @property
     def total_bytes(self) -> float:
         return self.activation_bytes + self.static_bytes
-
-    def fits(self, capacity_bytes: float) -> bool:
-        return self.total_bytes <= capacity_bytes
-
-
-def _activation_bytes(config: ExperimentConfig, sequence_parallel: bool,
-                      recompute: Recompute, full_layers: int = 0) -> float:
-    model, par, train = config.model, config.parallel, config.training
-    t = par.tensor_parallel
-    layers_worth = first_stage_layers_worth(
-        model.num_layers, par.pipeline_parallel, par.interleave_stages)
-    per_layer = per_layer_activation_bytes(
-        model, train.micro_batch_size, t, sequence_parallel, recompute)
-    per_layer_full = per_layer_activation_bytes(
-        model, train.micro_batch_size, t, sequence_parallel, Recompute.FULL)
-    frac_full = full_layers / model.num_layers
-    mixed = (1 - frac_full) * per_layer + frac_full * per_layer_full
-    return layers_worth * mixed + input_output_extras_bytes(config)
 
 
 def enumerate_options(config: ExperimentConfig,
@@ -88,17 +76,29 @@ def enumerate_options(config: ExperimentConfig,
     static = weight_and_optimizer_bytes(config)
 
     sp_options = [True, False] if allow_sequence_parallel else [False]
-    # One abstract trace per distinct layer; a rung is arithmetic on these.
+    strategies = (Recompute.NONE, Recompute.SELECTIVE, Recompute.FULL)
+    # One abstract trace and one stage-0 peak per distinct layer; a rung
+    # is arithmetic on these.
     combined = {
         (sp, rc): layer_times(model, train.micro_batch_size,
                               par.tensor_parallel, sequence_parallel=sp,
                               recompute=rc, cost=cost).combined
-        for sp in sp_options
-        for rc in (Recompute.NONE, Recompute.SELECTIVE, Recompute.FULL)
+        for sp in sp_options for rc in strategies
     }
+    memory = {(sp, rc): stage_memory(config, 0, rc, sp)
+              for sp in sp_options for rc in strategies}
     # One global baseline — the fastest no-recompute layout — so options
     # across SP settings are comparable.
     baseline_combined = min(combined[sp, Recompute.NONE] for sp in sp_options)
+
+    def mixed_bytes(sp: bool, full_layers: int) -> float:
+        """Full recomputation of ``full_layers`` layers, selective
+        elsewhere: the layer terms mix, and one rebuilt layer peaks."""
+        selective, full = memory[sp, Recompute.SELECTIVE], memory[sp, Recompute.FULL]
+        frac = full_layers / model.num_layers
+        return replace(selective,
+                       layers=(1 - frac) * selective.layers + frac * full.layers,
+                       transient=full.transient).total
 
     def overhead(sp: bool, rc: Recompute, full_layers: int = 0) -> float:
         this = combined[sp, rc]
@@ -116,14 +116,14 @@ def enumerate_options(config: ExperimentConfig,
             description=f"{sp_label}no recomputation",
             sequence_parallel=sp, recompute=Recompute.NONE,
             recompute_num_layers=0,
-            activation_bytes=_activation_bytes(config, sp, Recompute.NONE),
+            activation_bytes=memory[sp, Recompute.NONE].total,
             static_bytes=static, overhead_fraction=overhead(sp, Recompute.NONE),
         ))
         options.append(PlanOption(
             description=f"{sp_label}selective recomputation",
             sequence_parallel=sp, recompute=Recompute.SELECTIVE,
             recompute_num_layers=0,
-            activation_bytes=_activation_bytes(config, sp, Recompute.SELECTIVE),
+            activation_bytes=memory[sp, Recompute.SELECTIVE].total,
             static_bytes=static,
             overhead_fraction=overhead(sp, Recompute.SELECTIVE),
         ))
@@ -137,8 +137,7 @@ def enumerate_options(config: ExperimentConfig,
                 ),
                 sequence_parallel=sp, recompute=Recompute.FULL,
                 recompute_num_layers=n,
-                activation_bytes=_activation_bytes(
-                    config, sp, Recompute.SELECTIVE, full_layers=n),
+                activation_bytes=mixed_bytes(sp, n),
                 static_bytes=static,
                 overhead_fraction=overhead(sp, Recompute.FULL, full_layers=n),
             ))
@@ -148,21 +147,20 @@ def enumerate_options(config: ExperimentConfig,
 
 def plan(config: ExperimentConfig,
          device_memory_bytes: float = 80 * 1024**3,
-         reserve_bytes: float = 4 * 1024**3,
          allow_sequence_parallel: bool = True,
          full_layer_step: int = 1) -> PlanOption:
-    """The cheapest-overhead strategy that fits in device memory."""
-    capacity = device_memory_bytes - reserve_bytes
+    """The cheapest-overhead strategy that :func:`fits` device memory."""
+    capacity = device_memory_bytes - RESERVE_BYTES
     if not capacity > 0:  # also rejects NaN
         raise ConfigError(
-            f"device_memory_bytes must exceed reserve_bytes "
-            f"({reserve_bytes / 2**30:.1f} GiB), got "
+            f"device_memory_bytes must exceed the reserve "
+            f"({RESERVE_BYTES / 2**30:.1f} GiB), got "
             f"{device_memory_bytes / 2**30:.1f} GiB")
     options = enumerate_options(config,
                                 allow_sequence_parallel=allow_sequence_parallel,
                                 full_layer_step=full_layer_step)
     for option in options:
-        if option.fits(capacity):
+        if fits(option.total_bytes, device_memory_bytes):
             return option
     tightest = min(options, key=lambda o: o.total_bytes)
     raise PlanningError(

@@ -193,8 +193,6 @@ class ResilientTrainer:
         for replica in self.trainer.replicas:
             for layer in replica.layers:
                 layer.recompute = option.recompute
-                layer.attn.recompute_core = (
-                    option.recompute == Recompute.SELECTIVE)
 
     # -- the loop -------------------------------------------------------------
     def run(self, num_steps: int) -> RunResult:

@@ -16,11 +16,12 @@ from .errors import ConfigError
 from .layers.transformer import Recompute
 from .memory_model import (
     per_layer_activation_bytes,
-    total_activation_bytes,
+    stage_memory,
     weight_and_optimizer_bytes,
 )
 from .flops_model import attention_memory_factor
 from .perf_model import KernelCostModel, layer_times
+from .planner.planner import fits
 from .reporting import csv_series
 
 STRATEGIES = (
@@ -83,10 +84,11 @@ def strategy_fit_sweep(
     seq_lengths: Sequence[int],
     device_memory_bytes: float = 80 * 1024**3,
 ) -> List[Dict[str, object]]:
-    """For each context length, which strategies fit the device.
+    """For each context length, which strategies fit the device by the
+    planner's rule (:func:`repro.planner.planner.fits`).
 
-    A planner-flavoured view of the long-context regime: the baseline
-    falls off a cliff, SP+selective keeps fitting far longer.
+    The long-context regime: the baseline falls off a cliff,
+    SP+selective keeps fitting far longer.
     """
     if not device_memory_bytes > 0:  # also rejects NaN
         raise ConfigError(f"device_memory_bytes must be > 0, got "
@@ -99,9 +101,8 @@ def strategy_fit_sweep(
                                   training=config.training)
         row: Dict[str, object] = {"seq_length": s}
         for label, sp, rc in STRATEGIES:
-            total = static + total_activation_bytes(
-                scaled, recompute=rc, sequence_parallel=sp)
-            row[label] = bool(total <= device_memory_bytes)
+            row[label] = fits(static + stage_memory(scaled, 0, rc, sp).total,
+                              device_memory_bytes)
         rows.append(row)
     return rows
 

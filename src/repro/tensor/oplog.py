@@ -83,22 +83,12 @@ class OpLog:
             if (phase is None or r.phase == phase) and (kind is None or r.kind == kind)
         )
 
-    def bytes_moved(self) -> float:
-        return sum(r.bytes_moved for r in self.records)
-
     def comm_records(self, phase: Optional[Phase] = None) -> List[OpRecord]:
         return [
             r
             for r in self.records
             if r.comm is not None and (phase is None or r.phase == phase)
         ]
-
-    def count(self, name: Optional[str] = None, phase: Optional[Phase] = None) -> int:
-        return sum(
-            1
-            for r in self.records
-            if (name is None or r.name == name) and (phase is None or r.phase == phase)
-        )
 
     def clear(self) -> None:
         self.records.clear()

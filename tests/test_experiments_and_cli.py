@@ -110,10 +110,11 @@ class TestCli:
         assert capsys.readouterr().err == f"repro: error: {needle}\n"
 
     def test_plan_walks_the_exact_ladder(self, capsys):
-        """105 layers have no divisor near L/16: the coarsened ladder the
-        command used to pass had no rung that fits 34 GB and exited 2."""
-        assert main(["plan", "--model", "530B", "--memory-gb", "34"]) == 0
-        assert ("SP + full recomputation of 104/105 layers (selective "
+        """105 layers have no divisor near L/16: at 34.8 GB the exact ladder
+        chooses 103 full layers, a prime no coarsened ladder has (the
+        L // 16 = 6 one the command used to pass falls through to all 105)."""
+        assert main(["plan", "--model", "530B", "--memory-gb", "34.8"]) == 0
+        assert ("SP + full recomputation of 103/105 layers (selective "
                 "elsewhere)") in capsys.readouterr().out
 
     def test_simulate_reports_bubble_and_mfu(self, capsys):

@@ -186,7 +186,7 @@ class TestOpLogQueries:
         self.log.add(OpRecord("a", OpKind.GEMM, Phase.FORWARD, flops=10))
         self.log.add(OpRecord("b", OpKind.GEMM, Phase.BACKWARD, flops=20))
         self.log.add(OpRecord("c", OpKind.ELEMENTWISE, Phase.FORWARD,
-                              flops=5, bytes_moved=100))
+                              flops=5))
         self.log.add(OpRecord("d", OpKind.COLLECTIVE, Phase.FORWARD,
                               comm=CommInfo("all_reduce", 64, 8)))
 
@@ -194,11 +194,6 @@ class TestOpLogQueries:
         assert self.log.flops() == 35
         assert self.log.flops(Phase.FORWARD) == 15
         assert self.log.flops(Phase.FORWARD, OpKind.GEMM) == 10
-
-    def test_bytes_and_counts(self):
-        assert self.log.bytes_moved() == 100
-        assert self.log.count("a") == 1
-        assert self.log.count(phase=Phase.FORWARD) == 3
 
     def test_comm_records_and_clear(self):
         assert len(self.log.comm_records()) == 1

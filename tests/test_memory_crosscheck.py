@@ -160,86 +160,67 @@ class TestFullModelMemory:
                 assert tracker.live_bytes(0) == pytest.approx(i * per_layer, rel=1e-9)
 
 
+def forward_bytes(model: ModelConfig, b: int, t: int, sp: bool,
+                  rc: Recompute):
+    """Rank 0's live bytes after one abstract forward of the whole model
+    (embedding + L layers + head + loss), and its config."""
+    from repro.config import ExperimentConfig, ParallelConfig, TrainingConfig
+    from repro.parallel import ParallelGPTModel
+    from repro.tensor import INT64
+
+    cfg = ExperimentConfig(
+        model=model,
+        parallel=ParallelConfig(tensor_parallel=t, sequence_parallel=sp),
+        training=TrainingConfig(micro_batch_size=b, global_batch_size=b),
+    )
+    gpt = ParallelGPTModel(model, tensor_parallel=t, sequence_parallel=sp,
+                           recompute=rc, abstract=True)
+    ids, targets = (Tensor([AbstractArray((model.seq_length, b))] * t,
+                           dtype=INT64) for _ in range(2))
+    tracker = MemoryTracker()
+    with instrument(memory=tracker):
+        gpt(ids, targets)
+        return tracker.live_bytes(0), cfg
+
+
 class TestWholeModelMemory:
     """Equation 5 + the Section 4.3 extras, measured end-to-end on the
-    full abstract model (embedding + L layers + head + loss)."""
+    full abstract model: :func:`~repro.memory_model.stage_memory`'s
+    ``layers + embedding + head`` plus the int64 token ids (8 B per
+    token: the input ids the embedding saves and the targets the loss
+    saves), which its ``total`` leaves out.  The full-recompute
+    ``transient`` only appears in backward."""
 
-    # Section 4.3's extras formula assumes the sequence-parallel layout
-    # ("the dropout in the embeddings layer is also parallelized along the
-    # sequence dimension"); without SP those terms are replicated instead
-    # of divided by t, so only SP cases are compared against it.
-    @pytest.mark.parametrize("sp,rc", [
-        (True, Recompute.SELECTIVE), (True, Recompute.NONE),
-        (True, Recompute.FULL),
-    ])
+    @pytest.mark.parametrize("sp", [True, False])
+    @pytest.mark.parametrize("rc", [Recompute.SELECTIVE, Recompute.NONE,
+                                    Recompute.FULL])
     def test_total_forward_bytes_match_eq5_plus_extras(self, sp, rc):
-        from repro.config import ExperimentConfig, ParallelConfig, TrainingConfig
-        from repro.memory_model import (
-            input_output_extras_bytes, total_activation_bytes,
-        )
-        from repro.parallel import ParallelGPTModel
-        from repro.layers.embedding import token_tensor
-        from repro.tensor import INT64
+        from repro.memory_model import stage_memory
 
         model = ModelConfig(num_layers=3, hidden_size=6144, num_heads=64,
                             seq_length=2048, vocab_size=51200)
-        b, t = 4, 8
-        cfg = ExperimentConfig(
-            model=model,
-            parallel=ParallelConfig(tensor_parallel=t, sequence_parallel=sp),
-            training=TrainingConfig(micro_batch_size=b, global_batch_size=b),
-        )
-        gpt = ParallelGPTModel(model, tensor_parallel=t, sequence_parallel=sp,
-                               recompute=rc, abstract=True)
-        ids = Tensor([AbstractArray((model.seq_length, b)) for _ in range(t)],
-                     dtype=INT64)
-        targets = Tensor([AbstractArray((model.seq_length, b)) for _ in range(t)],
-                         dtype=INT64)
-        tracker = MemoryTracker()
-        with instrument(memory=tracker):
-            gpt(ids, targets)
-            measured = tracker.live_bytes(0)
-
-        expected = (total_activation_bytes(cfg, recompute=rc,
-                                           sequence_parallel=sp)
-                    + input_output_extras_bytes(cfg))
-        # the formula ignores integer id/target buffers (8 B per token,
-        # saved by the embedding and the loss) — everything else is exact.
-        ids_bytes = 3 * model.seq_length * b * 8
-        assert abs(measured - expected) <= ids_bytes
+        b = 4
+        measured, cfg = forward_bytes(model, b, 8, sp, rc)
+        mem = stage_memory(cfg, 0, rc, sp)
+        token_id_bytes = 2 * model.seq_length * b * 8
+        assert measured == pytest.approx(
+            mem.layers + mem.embedding + mem.head + token_id_bytes, rel=1e-12)
 
     def test_extras_are_the_embedding_and_head_terms(self):
         """Decompose: model-total minus L x per-layer equals the Section
-        4.3 extras, up to the integer id buffers."""
-        from repro.config import ExperimentConfig, ParallelConfig, TrainingConfig
-        from repro.memory_model import input_output_extras_bytes
-        from repro.parallel import ParallelGPTModel
-        from repro.tensor import INT64
+        4.3 extras plus the token ids."""
+        from repro.memory_model import stage_memory
 
         model = ModelConfig(num_layers=2, hidden_size=1024, num_heads=16,
                             seq_length=512, vocab_size=4096)
         b, t = 2, 4
-        cfg = ExperimentConfig(
-            model=model,
-            parallel=ParallelConfig(tensor_parallel=t, sequence_parallel=True),
-            training=TrainingConfig(micro_batch_size=b, global_batch_size=b),
-        )
-        gpt = ParallelGPTModel(model, tensor_parallel=t, sequence_parallel=True,
-                               recompute=Recompute.SELECTIVE, abstract=True)
-        ids = Tensor([AbstractArray((model.seq_length, b)) for _ in range(t)],
-                     dtype=INT64)
-        targets = Tensor([AbstractArray((model.seq_length, b)) for _ in range(t)],
-                         dtype=INT64)
-        tracker = MemoryTracker()
-        with instrument(memory=tracker):
-            gpt(ids, targets)
-            measured = tracker.live_bytes(0)
+        measured, cfg = forward_bytes(model, b, t, True, Recompute.SELECTIVE)
         per_layer = per_layer_activation_bytes(model, b, t, True,
                                                Recompute.SELECTIVE)
-        extras_measured = measured - model.num_layers * per_layer
-        extras_formula = input_output_extras_bytes(cfg)
-        ids_bytes = 3 * model.seq_length * b * 8
-        assert abs(extras_measured - extras_formula) <= ids_bytes
+        mem = stage_memory(cfg, 0, Recompute.SELECTIVE, True)
+        token_id_bytes = 2 * model.seq_length * b * 8
+        assert (measured - model.num_layers * per_layer
+                == mem.embedding + mem.head + token_id_bytes)
 
 
 class TestMixedRecomputePlans:

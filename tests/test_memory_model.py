@@ -6,19 +6,15 @@ from repro.config import PAPER_CONFIGS, ExperimentConfig, ModelConfig, ParallelC
 from repro.layers.transformer import Recompute
 from repro.memory_model import (
     figure1_budget,
-    first_stage_layers_worth,
     in_flight_microbatches,
-    input_output_extras_bytes,
-    interleave_memory_factor,
     memory_fraction_of_tp_baseline,
     microbatch_recompute_window,
     parameter_count,
     per_layer_activation_bytes,
     per_layer_breakdown,
     pipeline_memory_profile,
-    stage_activation_bytes,
+    stage_memory,
     table2,
-    total_activation_bytes,
     weight_and_optimizer_bytes,
 )
 from repro.units import GIB
@@ -76,31 +72,65 @@ class TestPerLayerFormulas:
         assert s2 > 2 * s1  # the 5as^2b term grows quadratically
 
 
-class TestTotals:
-    def test_interleave_factor(self):
-        assert interleave_memory_factor(1, 1) == 1.0
-        assert interleave_memory_factor(8, 1) == 1.0
-        assert interleave_memory_factor(8, 3) == pytest.approx(1 + 7 / 24)
+class TestStageMemoryTerms:
+    """:func:`stage_memory`'s term groups against Equation 5 and the
+    Section 4.3 extras, term by term."""
 
-    def test_first_stage_stores_L_layers_worth(self):
-        assert first_stage_layers_worth(96, 8, 1) == 96
-        assert first_stage_layers_worth(96, 8, 3) == pytest.approx(96 * (1 + 7 / 24))
+    def test_first_stage_layers_are_equation_5(self):
+        """Stage 0 holds ``L`` layers' worth, ``x (1 + (p-1)/(pm))``
+        interleaved."""
+        for name, factor in (("1T", 1.0), ("175B", 1 + 7 / 24),
+                             ("530B", 1 + 34 / 105)):
+            cfg = PAPER_CONFIGS[name]
+            per_layer = per_layer_activation_bytes(
+                cfg.model, 1, 8, True, Recompute.SELECTIVE)
+            layers = stage_memory(cfg, 0, Recompute.SELECTIVE, True).layers
+            assert layers == pytest.approx(
+                per_layer * cfg.model.num_layers * factor), name
 
     def test_extras_negligible(self):
-        """Section 4.3: the extra terms are ~0.01% for the 22B model."""
-        cfg = PAPER_CONFIGS["22B"]
-        total = total_activation_bytes(cfg, sequence_parallel=True)
-        extras = input_output_extras_bytes(cfg)
-        assert extras / total < 0.01
+        """Section 4.3: the embedding and head terms are well under 1% of
+        the 22B model's layers."""
+        mem = stage_memory(PAPER_CONFIGS["22B"], 0, Recompute.NONE, True)
+        assert (mem.embedding + mem.head) / mem.layers < 0.01
 
-    def test_total_is_per_layer_times_layers_worth(self):
+    def test_embedding_masks_per_holding_microbatch(self):
+        """One ``sbh/t`` mask per microbatch holding the embedding: ``p``,
+        or ``2p`` interleaved; replicated (``sbh``) without SP."""
+        for name, holders in (("1T", 64), ("530B", 70)):
+            cfg = PAPER_CONFIGS[name]
+            m = cfg.model
+            sbh = m.seq_length * m.hidden_size
+            assert stage_memory(cfg, 0, Recompute.SELECTIVE, True).embedding \
+                == holders * sbh / 8
+            assert stage_memory(cfg, 0, Recompute.SELECTIVE, False).embedding \
+                == holders * sbh
+            assert stage_memory(cfg, 1, Recompute.SELECTIVE, True).embedding == 0
+
+    def test_head_on_the_last_stage_only(self):
+        """``4sbh/t (1 + v/h)`` with SP; replicated LN and projection
+        inputs ``4sbh + 4sbv/t`` without."""
         cfg = PAPER_CONFIGS["530B"]
-        per_layer = per_layer_activation_bytes(
-            cfg.model, 1, 8, True, Recompute.SELECTIVE)
-        expected = per_layer * first_stage_layers_worth(105, 35, 3)
-        assert total_activation_bytes(
-            cfg, recompute=Recompute.SELECTIVE, sequence_parallel=True
-        ) == pytest.approx(expected)
+        m = cfg.model
+        sbh, sbv = m.seq_length * m.hidden_size, m.seq_length * m.vocab_size
+        last = cfg.parallel.pipeline_parallel - 1
+        assert stage_memory(cfg, last, Recompute.SELECTIVE, True).head == \
+            pytest.approx(4 * sbh / 8 + 4 * sbv / 8)
+        assert stage_memory(cfg, last, Recompute.SELECTIVE, False).head == \
+            pytest.approx(4 * sbh + 4 * sbv / 8)
+        assert stage_memory(cfg, 0, Recompute.SELECTIVE, True).head == 0
+
+    def test_full_recompute_transient_replaces_the_head(self):
+        """The rebuilt layer's stores less its checkpoint, counted instead
+        of the head (freed before any layer recomputes)."""
+        cfg = PAPER_CONFIGS["22B"]
+        mem = stage_memory(cfg, 0, Recompute.FULL, True)
+        rebuilt = per_layer_activation_bytes(cfg.model, 4, 8, True,
+                                             Recompute.NONE)
+        assert mem.transient == rebuilt - mem.layers / cfg.model.num_layers
+        assert mem.transient > mem.head > 0
+        assert mem.total == mem.layers + mem.embedding + mem.transient
+        assert stage_memory(cfg, 0, Recompute.SELECTIVE, True).transient == 0
 
 
 class TestFigure7:
@@ -206,13 +236,22 @@ class TestFigure9:
         assert prof.savings(0) / GIB == pytest.approx(2.73, abs=0.01)
 
     def test_stage0_embedding_spike(self):
-        cfg = PAPER_CONFIGS["530B"]
-        s0 = stage_activation_bytes(cfg, 0, sequence_parallel=True)
-        s1 = stage_activation_bytes(cfg, 1, sequence_parallel=True)
+        prof = pipeline_memory_profile(PAPER_CONFIGS["530B"], sequence_parallel=True)
+        s0, s1, s2 = prof.optimized_bytes[:3]
         # The drop from 0 to 1 exceeds the pure layer-count slope because of
         # the embedding-dropout spike on rank 0.
-        s2 = stage_activation_bytes(cfg, 2, sequence_parallel=True)
         assert (s0 - s1) > (s1 - s2)
+
+    def test_series_read_the_term_groups(self):
+        """Optimized = ``.total``; unoptimized adds ``.outputs``."""
+        cfg = PAPER_CONFIGS["530B"]
+        prof = pipeline_memory_profile(cfg, sequence_parallel=True)
+        for rank in (0, 17, 34):
+            mem = stage_memory(cfg, rank, Recompute.SELECTIVE, True)
+            assert prof.optimized_bytes[rank] == mem.total
+            assert prof.unoptimized_bytes[rank] == mem.total + mem.outputs
+        assert prof.optimized_bytes[34] / GIB == pytest.approx(11.86, abs=0.005)
+        assert prof.optimized_bytes[0] / GIB == pytest.approx(23.42, abs=0.005)
 
     def test_window_formula(self):
         assert microbatch_recompute_window(0, 8) == 8

@@ -1,12 +1,14 @@
 """Real 1F1B pipelined execution: numerics and measured per-stage memory."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.config import ModelConfig
+from repro.config import ExperimentConfig, ModelConfig, ParallelConfig, TrainingConfig
 from repro.errors import ConfigError
 from repro.layers import GPTModel, Recompute, token_tensor
-from repro.memory_model import per_layer_activation_bytes
+from repro.memory_model import in_flight_microbatches, stage_memory
 from repro.parallel import ParallelGPTModel
 from repro.tensor import MemoryTracker
 from repro.tensor.functions import MaskSource
@@ -110,19 +112,100 @@ class TestMeasuredStageMemory:
         for earlier, later in zip(peaks[:3], peaks[3:]):
             assert earlier > later
 
-    def test_first_stage_holds_p_microbatches_of_layers(self):
-        """Peak(stage 0) ~= p x (L/p) x per-layer bytes + embedding terms:
-        the measured counterpart of Equation 5."""
-        _, model = make_models(t=2, recompute=Recompute.SELECTIVE)
-        p, n_mb, b_mb = 4, 8, 2
-        pipe = PipelinedGPT(model, pipeline_parallel=p)
-        ids, tgt = batch(n_mb * b_mb)
-        result = pipe.train_step(ids, tgt, num_microbatches=n_mb)
-        per_layer = per_layer_activation_bytes(
-            CFG, b_mb, tensor_parallel=2, sequence_parallel=True,
-            recompute=Recompute.SELECTIVE)
-        layers_worth = CFG.num_layers  # p * L/p
-        lower = layers_worth * per_layer
-        assert result.peak_stage_bytes[0] >= lower
-        # embedding extras are small: within 40% above the layer bound
-        assert result.peak_stage_bytes[0] < 1.4 * lower
+
+#: The exact cells' shape: h = 16, s = 8, a = 2, t = 2, L = p * v layers.
+#: ``5as/h`` = 5, below the bytes a layer frees before its attention core
+#: is rebuilt (see test_selective_core_rebuild_is_not_modelled).
+EXACT = dict(hidden_size=16, num_heads=2, seq_length=8, vocab_size=32)
+PIPELINES = [(1, 1), (2, 1), (2, 2), (2, 4), (4, 1), (4, 2)]
+RECOMPUTES = [Recompute.NONE, Recompute.SELECTIVE, Recompute.FULL]
+
+
+def executed_peaks(p, v, rc, sp, slots=None, **shape):
+    """Each pipeline rank's executed peak on ``2p`` microbatches of one
+    sequence, and the matching ``ExperimentConfig``.  No ``MaskSource``:
+    with one, every microbatch's replicated (non-SP) dropout mask is one
+    cached array, which the tracker counts once."""
+    shape = {**EXACT, **shape}
+    cfg = ModelConfig(num_layers=p * v, **shape)
+    model = ParallelGPTModel(cfg, tensor_parallel=2, sequence_parallel=sp,
+                             recompute=rc, serial=GPTModel(cfg, seed=6))
+    n = 2 * p
+    ids, tgt = (random_tokens(rng, cfg.vocab_size, cfg.seq_length, n)
+                for _ in range(2))
+    result = PipelinedGPT(model, p, interleave_stages=v).train_step(
+        ids, tgt, n, full_storage_slots=slots)
+    config = ExperimentConfig(
+        model=cfg,
+        parallel=ParallelConfig(tensor_parallel=2, pipeline_parallel=p,
+                                interleave_stages=v, sequence_parallel=sp),
+        training=TrainingConfig(micro_batch_size=1, global_batch_size=n))
+    return result, config
+
+
+def token_id_bytes(config, stage, mem):
+    """The int64 token ids ``StageMemory.total`` leaves out, 8 B per
+    token: stage 0's input ids, once per microbatch holding the
+    embedding, and the last stage's targets while the head (not a
+    rebuilt layer) sets the peak."""
+    p, v = config.parallel.pipeline_parallel, config.parallel.interleave_stages
+    holders = min(config.num_microbatches, 2 * p if v > 1 else p)
+    microbatches = ((holders if stage == 0 else 0)
+                    + (stage == p - 1 and mem.head > mem.transient))
+    return microbatches * config.model.seq_length * 8
+
+
+class TestExecutedStageMemory:
+    """Every pipeline rank's executed peak equals
+    :func:`~repro.memory_model.stage_memory`'s ``total`` plus the named
+    token-id bytes, to the byte."""
+
+    @pytest.mark.parametrize("sp", [True, False])
+    @pytest.mark.parametrize("rc", RECOMPUTES)
+    @pytest.mark.parametrize("p,v", PIPELINES)
+    def test_peak_is_stage_memory_total(self, p, v, rc, sp):
+        result, config = executed_peaks(p, v, rc, sp)
+        expected = []
+        for stage in range(p):
+            mem = stage_memory(config, stage, rc, sp)
+            expected.append(mem.total + token_id_bytes(config, stage, mem))
+        assert result.peak_stage_bytes == expected
+
+    # Appendix C's window, v = 1 only: an interleaved slot holds one
+    # microbatch's chunks, which are not in flight together, so storage
+    # there does not mix per stored microbatch (plan_microbatch_recompute
+    # makes the same per-microbatch approximation).
+    @pytest.mark.parametrize("rc,sp", [(Recompute.SELECTIVE, True),
+                                       (Recompute.SELECTIVE, False),
+                                       (Recompute.FULL, True)])
+    @pytest.mark.parametrize("p,slots", [(2, 1), (4, 2)])
+    def test_full_storage_slots_mix_layers_per_stored_microbatch(
+            self, p, slots, rc, sp):
+        """``k`` stored slots of ``r`` in flight: ``k/r`` of the layer term
+        is stored without recomputation; with every in-flight microbatch
+        stored, no layer is rebuilt."""
+        result, config = executed_peaks(p, 1, rc, sp, slots=[slots] * p)
+        expected = []
+        for stage in range(p):
+            base = stage_memory(config, stage, rc, sp)
+            stored = stage_memory(config, stage, Recompute.NONE, sp)
+            r = in_flight_microbatches(stage, p, config.num_microbatches)
+            k = min(slots, r)
+            mem = replace(base,
+                          layers=base.layers + k * (stored.layers - base.layers) / r,
+                          transient=base.transient if k < r else 0.0)
+            expected.append(mem.total + token_id_bytes(config, stage, mem))
+        assert result.peak_stage_bytes == expected
+        assert result.microbatches_stored_full[-1] == config.num_microbatches
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "selective recomputation rebuilds the attention core (5as/h sbh/t) "
+        "in backward; stage_memory has no transient for it"))
+    def test_selective_core_rebuild_is_not_modelled(self):
+        """At ``5as/h`` = 80 the rebuilt core outweighs what its layer has
+        freed, and the executed peak rises above the model."""
+        result, config = executed_peaks(1, 1, Recompute.SELECTIVE, True,
+                                        num_heads=8, seq_length=32)
+        mem = stage_memory(config, 0, Recompute.SELECTIVE, True)
+        assert result.peak_stage_bytes == [
+            mem.total + token_id_bytes(config, 0, mem)]

@@ -38,7 +38,7 @@ class TestPlanner:
     def test_shrinking_device_climbs_the_ladder(self):
         """Section 5: as memory shrinks the choice escalates nothing ->
         selective -> more and more full layers, at a rising cost."""
-        gbs = (200, 80, 54, 45, 34)
+        gbs = (200, 80, 54, 45, 35)
         chosen = [plan(PAPER_CONFIGS["530B"], device_memory_bytes=gb * GIB,
                        full_layer_step=3) for gb in gbs]
         assert [o.recompute for o in chosen[:3]] == [
@@ -67,11 +67,11 @@ class TestPlanner:
 
     def test_ladder_always_ends_on_all_layers(self):
         """A step that does not divide L (or exceeds it) must not drop the
-        full-recomputation rung: it is the only one that fits 46 GiB."""
+        full-recomputation rung: it is the only one that fits 46.6 GiB."""
         cfg = PAPER_CONFIGS["22B"]
-        exact = plan(cfg, device_memory_bytes=46 * GIB)
+        exact = plan(cfg, device_memory_bytes=46.6 * GIB)
         assert exact.description == "SP + full recomputation"
-        assert plan(cfg, device_memory_bytes=46 * GIB,
+        assert plan(cfg, device_memory_bytes=46.6 * GIB,
                     full_layer_step=5) == exact
         full = [o.recompute_num_layers
                 for o in enumerate_options(cfg, full_layer_step=49)
@@ -241,22 +241,25 @@ class TestPlanExecution:
         from repro.tensor import MemoryTracker, Tensor, instrument
         from repro.tensor.backend import AbstractArray
         from repro.config import ExperimentConfig, ParallelConfig, TrainingConfig
+        from repro.planner.planner import RESERVE_BYTES
 
-        model = ModelConfig(num_layers=4, hidden_size=6144, num_heads=64,
+        model = ModelConfig(num_layers=8, hidden_size=6144, num_heads=64,
                             seq_length=2048, vocab_size=51200)
         cfg = ExperimentConfig(
             model=model, parallel=ParallelConfig(tensor_parallel=8),
             training=TrainingConfig(micro_batch_size=4, global_batch_size=4))
-        # set the budget one byte above the SP 1-full-layer mixed option:
+        # Set the budget one byte above the SP 4-full-layer mixed option:
         # every cheaper-overhead option needs strictly more memory, so the
-        # planner must choose exactly this mixed plan.
+        # planner must choose exactly this mixed plan.  (A rung peaks at
+        # one rebuilt layer instead of the head, so fewer full layers save
+        # less than selective recomputation's footprint.)
         mixed = next(o for o in enumerate_options(cfg, full_layer_step=1)
                      if o.sequence_parallel and o.recompute == Recompute.FULL
-                     and o.recompute_num_layers == 1)
-        option = plan(cfg, device_memory_bytes=mixed.total_bytes + 1,
-                      reserve_bytes=0, full_layer_step=1)
+                     and o.recompute_num_layers == 4)
+        option = plan(cfg, device_memory_bytes=mixed.total_bytes + RESERVE_BYTES + 1,
+                      full_layer_step=1)
         assert option.recompute == Recompute.FULL
-        assert option.recompute_num_layers == 1
+        assert option.recompute_num_layers == 4
         assert option.sequence_parallel
         # the mixed plan executed: N full layers, selective elsewhere
         gpt = ParallelGPTModel(
