@@ -175,8 +175,11 @@ wall-history:
 # round to the max); and the src/ lines restating a pipeline rank's
 # activation memory outside memory_model/pipeline.py's stage_memory,
 # which Figures 1 and 9, the planner, the fit sweep and Appendix C all
-# read (0; 29 while Eq. 5's layers' worth, the interleave factor and the
-# Section 4.3 extras each had their own function and callers).
+# read: Eq. 5's layers' worth, the interleave factor, the Section 4.3
+# extras, a schedule walk's held-bytes peak with its Appendix B output
+# knobs, Appendix C's window (0; 29 while the first three each had their
+# own function and callers, 7 while the pipeline simulator charged held
+# bytes along the schedule and memory_model re-exported the window).
 loc:
 	@printf '%-56s %6d\n' \
 		'src/ python lines' "$$(find src -name '*.py' | xargs cat | wc -l)" \
@@ -220,7 +223,7 @@ loc:
 		'src/ context-layout name branches outside longctx/layout.py' "$$(grep -rnE --include='*.py' '== "(ulysses|ring)"|not in \("ulysses"|LAYOUTS\.items' src | grep -v src/repro/longctx/layout.py | wc -l)" \
 		'repro modules a bench worker imports' "$$(cd bench && $(SRC_PATH) $(PY) -c 'import sys, workloads; print(sum(m.split(".")[0] == "repro" for m in sys.modules))')" \
 		'src/ rules pricing a hidden transfer outside the exposure function' "$$(grep -rnE --include='*.py' '\.overlapped and |max\(0\.0, .*comm.* - |\(p - 2\) \*' src | grep -vc 'max(0.0, comm_s - cover_s)')" \
-		'src/ first-stage memory restatements outside memory_model/pipeline.py' "$$(grep -rnE --include='*.py' 'first_stage_layers_worth|interleave_memory_factor|input_output_extras_bytes|total_activation_bytes|layers_worth' src | grep -vc src/repro/memory_model/pipeline.py)"
+		'src/ stage-memory restatements outside memory_model/pipeline.py' "$$(grep -rnE --include='*.py' 'first_stage_layers_worth|interleave_memory_factor|input_output_extras_bytes|total_activation_bytes|layers_worth|peak_activation_bytes|deallocate_output_tensor|output_tensor_bytes|microbatch_recompute_window' src | grep -vc src/repro/memory_model/pipeline.py)"
 
 # CI smoke run: the artifact-writing CLI invocation of each concrete-run
 # command, plus the two invocations no tier-1 test makes (the recompute

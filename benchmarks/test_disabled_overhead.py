@@ -17,10 +17,13 @@ not bounded.  This file is the only place either ratio is measured
 benchmarks/test_disabled_overhead.py -s``.
 """
 
+import __future__
+import ast
 import contextlib
 import cProfile
 import functools
 import gc
+import inspect
 import pstats
 import statistics
 import sys
@@ -170,54 +173,69 @@ def _profiled():
         profile_layer(layout, LAYER_CFG, 1, Recompute.NONE)
 
 
-def _stripped_apply(fn, *args, **kwargs):
-    """``tensor.apply`` with the profiler seam removed — the exact
-    pre-ledger body, built from the tensor module's own internals so it
-    stays honest if those internals move.  ``T`` is bound at import, as
-    the real path's names are: an import statement here would run the
-    import machinery on every call, which the real ``apply`` does not."""
-    tensor_inputs, fwd_args, first, requires = [], [], None, False
-    for a in args:
-        if isinstance(a, T.Tensor):
-            tensor_inputs.append(a)
-            fwd_args.append(a.shards)
-            requires = requires or a.requires_grad
-            if first is None:
-                first = a
-        else:
-            tensor_inputs.append(None)
-            fwd_args.append(a)
-    c = T.ctx()
-    fctx = T.FnCtx(tensor_inputs)
-    out = fn.forward(fctx, *fwd_args, **kwargs)
-    if c.oplog is not None or c.tracer is not None:
-        T._account(fn.forward_cost, fctx)
-    multi = type(out) is tuple
-    requires = requires and c.grad_enabled
-    dtype, layout = ((T.FP16, "replicated") if first is None
-                     else (first.dtype, first.layout))
-    dtypes = fctx.out_dtypes
-    outputs = []
-    for i, shards in enumerate(out if multi else (out,)):
-        s0 = shards[0]
-        shape = T.bk.shape_of(s0)
-        for s in shards:
-            if s is not s0 and T.bk.shape_of(s) != shape:
-                raise T.ShapeError(f"all shards must share a shape; got "
-                                   f"{shape} and {T.bk.shape_of(s)}")
-        t = T._new(T.Tensor)
-        t.shards, t.requires_grad, t.layout = shards, requires, layout
-        t.dtype = dtypes[i] if dtypes else dtype
-        t.is_param, t.name, t.grad, t._node, t._out_index = (
-            False, "", None, None, i)
-        outputs.append(t)
-    if requires:
-        node = T.Node(fn, fctx, outputs)
-        for t in outputs:
-            t._node = node
-    else:
-        fctx.release()
-    return tuple(outputs) if multi else outputs[0]
+#: ``apply``'s locals holding the installed memory profiler and capture
+_APPLY_SEAMS = ("mp", "cap")
+
+
+def _reads_seam(node):
+    return any(isinstance(n, ast.Name) and n.id in _APPLY_SEAMS
+               for n in ast.walk(node))
+
+
+def _at_no_seam(expr):
+    """``expr``'s value with no profiler and no capture installed."""
+    return eval(compile(ast.Expression(expr), "<seam>", "eval"),
+                dict.fromkeys(_APPLY_SEAMS))
+
+
+class _StripSeams(ast.NodeTransformer):
+    """``apply``'s body as it runs with nothing installed: an ``if`` on a
+    seam keeps the branch it takes then, a keyword argument reading one
+    is its value then, a ``try`` left with no ``finally`` is its body,
+    and any other statement reading a seam goes."""
+
+    def _block(self, statements):
+        return self.generic_visit(ast.Module(statements, [])).body
+
+    def visit_If(self, node):
+        if _reads_seam(node.test):
+            return self._block(node.body if _at_no_seam(node.test)
+                               else node.orelse)
+        return self._drop_seams(node)
+
+    def visit_Try(self, node):
+        node = self.generic_visit(node)
+        return node if node.handlers or node.finalbody else node.body
+
+    def visit_keyword(self, node):
+        if _reads_seam(node.value):
+            node.value = ast.Constant(_at_no_seam(node.value))
+        return node
+
+    def _drop_seams(self, node):
+        node = self.generic_visit(node)
+        return None if _reads_seam(node) else node
+
+    visit_Assign = visit_Expr = _drop_seams
+
+
+def _derive_stripped_apply():
+    """``tensor.apply`` with the profiler and capture seams removed: its
+    own source, rewritten by :class:`_StripSeams` and compiled against
+    the tensor module's globals, so an edit to ``apply`` reaches the
+    reference and the names it reads are globals, as the real path's
+    are."""
+    tree = ast.parse(inspect.getsource(T.apply))
+    tree = ast.fix_missing_locations(_StripSeams().visit(tree))
+    assert not _reads_seam(tree), ast.unparse(tree)
+    namespace = dict(vars(T))
+    exec(compile(tree, "<tensor.apply without seams>", "exec",
+                 flags=__future__.annotations.compiler_flag, dont_inherit=True),
+         namespace)
+    return namespace["apply"]
+
+
+_stripped_apply = _derive_stripped_apply()
 
 
 def _stripped_call(self, *args, **kwargs):

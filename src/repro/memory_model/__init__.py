@@ -13,7 +13,6 @@ from .kv import (
 )
 from .pipeline import (
     in_flight_microbatches,
-    microbatch_recompute_window,
     pipeline_memory_profile,
     stage_memory,
 )
@@ -26,7 +25,7 @@ from .weights import (
 __all__ = [
     "figure1_budget", "in_flight_microbatches",
     "kv_cache_bytes", "memory_fraction_of_tp_baseline",
-    "microbatch_recompute_window", "parameter_count",
+    "parameter_count",
     "per_layer_activation_bytes", "per_layer_breakdown",
     "per_layer_term_groups", "pipeline_memory_profile",
     "stage_memory", "table2", "term_group_categories",

@@ -120,12 +120,3 @@ def pipeline_memory_profile(config: ExperimentConfig,
         optimized_bytes=[mem.total for mem in memory],
         unoptimized_bytes=[mem.total + mem.outputs for mem in memory],
     )
-
-
-def microbatch_recompute_window(stage: int, pipeline_parallel: int) -> int:
-    """Appendix C: outstanding back-propagation steps at stage ``S`` is
-    ``max(0, p - S)`` — the window within which some microbatches can keep
-    all activations stored."""
-    if not (0 <= stage < pipeline_parallel):
-        raise ConfigError(f"stage {stage} out of range")
-    return max(0, pipeline_parallel - stage)

@@ -17,10 +17,10 @@ paper's closed-form models:
   two serving-era buckets instead of inflating the bubble.
 * **Utilization cross-check** — MFU/HFU derived from traced GEMM FLOPs
   and the measured wall time, reconciled against
-  :func:`repro.perf_model.measured_utilization` (the same formulas
-  ``perf_model/iteration.py`` prices Table 5 with).  The instrumented
-  simulator's per-op FLOPs match the strict Appendix A formulas
-  exactly, so the two MFUs agree to float precision.
+  :func:`repro.flops_model.utilization` at that wall time (the Appendix
+  A formulas Table 5's MFU uses, here without Equation-8 rounding).
+  The instrumented simulator's per-op FLOPs match the strict Appendix A
+  formulas exactly, so the two MFUs agree to float precision.
 * **Memory attribution** — measured :class:`~repro.tensor.MemoryTracker`
   category byte counts matched term-by-term (Equations 1-4 constituents,
   regrouped by :func:`repro.memory_model.per_layer_term_groups`) against
@@ -307,7 +307,7 @@ class UtilizationCrosscheck:
     hardware_flops: float
     mfu: float                     # from traced FLOPs
     hfu: float
-    model_mfu: float               # from perf_model.measured_utilization
+    model_mfu: float               # from flops_model.utilization
     model_hfu: float
 
     @property
@@ -344,8 +344,8 @@ def utilization_crosscheck(
     the FLOPs come from (counted spans vs closed forms), so the deltas
     measure model drift, not timing noise.
     """
+    from ..flops_model import utilization
     from ..hardware import GPUSpec
-    from ..perf_model import measured_utilization
 
     peak_flops_per_gpu = GPUSpec().peak_flops
     iteration = data.wall / max(num_iterations, 1)
@@ -356,9 +356,11 @@ def utilization_crosscheck(
                     + by_phase.get("backward", 0.0)) * scale
     traced_hw = traced_model + by_phase.get("recompute", 0.0) * scale
     denom = iteration * peak_flops_per_gpu * config.num_gpus
-    util = measured_utilization(config, iteration, recompute=recompute,
-                                peak_flops_per_gpu=peak_flops_per_gpu,
-                                paper_flops_mode=False)
+    # strict Appendix A terms, no Equation-8 rounding: the traced GEMM
+    # FLOPs match them exactly
+    util = utilization(config, iteration, recompute=recompute,
+                       peak_flops_per_gpu=peak_flops_per_gpu,
+                       paper_mode=False)
     return UtilizationCrosscheck(
         iteration_time=iteration,
         num_gpus=config.num_gpus,

@@ -2,11 +2,7 @@
 iteration time (Table 5)."""
 
 from .gpu import KernelCostModel
-from .iteration import (
-    iteration_time,
-    measured_utilization,
-    table5_row,
-)
+from .iteration import iteration_time, table5_row
 from .layer_timing import (
     figure8,
     layer_oplog,
@@ -16,6 +12,6 @@ from .layer_timing import (
 
 __all__ = [
     "KernelCostModel", "figure8", "iteration_time",
-    "layer_oplog", "layer_times", "measured_utilization", "table4",
+    "layer_oplog", "layer_times", "table4",
     "table5_row",
 ]

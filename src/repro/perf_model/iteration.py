@@ -3,10 +3,11 @@ parallel extension).
 
 Per-layer forward/backward times come from the abstract-execution op log
 (:mod:`repro.perf_model.layer_timing`); embedding and LM-head costs are
-measured the same way; the 1F1B / interleaved schedule is then executed by
-the event simulator to get the iteration makespan, to which an optional
-unoverlapped data-parallel gradient all-reduce is added ("we do not use
-any overlapping of gradient all-reduces with back-propagation").
+measured the same way; the 1F1B / interleaved schedule is then priced by
+:func:`~repro.pipeline_sim.simulator.price` to get the iteration
+makespan, to which an optional unoverlapped data-parallel gradient
+all-reduce is added ("we do not use any overlapping of gradient
+all-reduces with back-propagation").
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from ..tensor import INT64, OpLog, abstract, instrument
 from .gpu import KernelCostModel, PhaseTimes
 from .layer_timing import layer_times, traced_records
 from ..pipeline_sim.schedule import level_plan
-from ..pipeline_sim.simulator import PipelineCosts, SimResult, price
+from ..pipeline_sim.simulator import price
 
 #: Achieved fraction of link bandwidth for the large bucketed data-parallel
 #: gradient all-reduce.  Calibrated once against the paper's only DP data
@@ -183,10 +184,8 @@ def _iterations(config: ExperimentConfig,
         p2p_bytes = 2 * s * b * h // (par.tensor_parallel if sequence_parallel else 1)
         p2p = cost.comm.p2p_time(p2p_bytes, scope="pp") if p > 1 else 0.0
 
-        result = SimResult(*price(plan, PipelineCosts(
-            forward_time=fwd.__getitem__, backward_time=bwd.__getitem__,
-            p2p_time=p2p))[:2])
-        total = result.makespan + dp_time + optimizer_time
+        makespan, busy = price(plan, fwd, bwd, p2p)[:2]
+        total = makespan + dp_time + optimizer_time
         util = utilization(util_cfg, total, recompute=recompute,
                            peak_flops_per_gpu=cost.gpu.peak_flops)
         return IterationResult(
@@ -194,40 +193,17 @@ def _iterations(config: ExperimentConfig,
             sequence_parallel=sequence_parallel,
             recompute=recompute,
             iteration_time=total,
-            pipeline_time=result.makespan,
+            pipeline_time=makespan,
             dp_allreduce_time=dp_time,
             optimizer_time=optimizer_time,
-            bubble_fraction=result.bubble_fraction,
+            # idle share of the makespan, averaged over ranks
+            bubble_fraction=(1.0 - sum(busy) / (len(busy) * makespan)
+                             if makespan else 0.0),
             per_layer=lt,
             util=util,
         )
 
     return [one(*variant) for variant in variants]
-
-
-def measured_utilization(
-    config: ExperimentConfig,
-    measured_iteration_time: float,
-    recompute: Recompute = Recompute.SELECTIVE,
-    peak_flops_per_gpu: Optional[float] = None,
-    paper_flops_mode: bool = False,
-) -> Utilization:
-    """MFU/HFU of a *measured* (traced) iteration of ``config``.
-
-    The reconciliation path for the trace analysis: the same analytic
-    FLOPs formulas :func:`iteration_time` uses, evaluated at an observed
-    wall time instead of the simulated makespan.  ``paper_flops_mode``
-    defaults to strict (Appendix A exact terms, no Equation-8 rounding)
-    because the instrumented simulator's traced GEMM FLOPs match the
-    strict formulas exactly — so a trace-derived MFU must agree with
-    this to float precision on an identical wall time.
-    """
-    if peak_flops_per_gpu is None:
-        from ..hardware import GPUSpec
-        peak_flops_per_gpu = GPUSpec().peak_flops
-    return utilization(config, measured_iteration_time, recompute=recompute,
-                       peak_flops_per_gpu=peak_flops_per_gpu,
-                       paper_mode=paper_flops_mode)
 
 
 def _scaled_config(config: ExperimentConfig, data_parallel: int) -> ExperimentConfig:

@@ -104,29 +104,17 @@ def plan_microbatch_recompute(
     return MicrobatchRecomputePlan(stages=stages, base_recompute=BASE_RECOMPUTE)
 
 
-def iteration_time_with_plan(config: ExperimentConfig,
-                             plan: MicrobatchRecomputePlan):
-    """Iteration time when each stage skips recomputation for its
-    ``full_fraction`` of microbatches (mean-field: the per-stage backward
-    duration is reduced proportionally).
-
-    Returns the same :class:`~repro.perf_model.iteration.IterationResult`
-    shape as the baseline path so MFU deltas (the paper's +0.7% / +0.4%)
-    can be read directly.
-    """
-    return _iterations(config, [_variant(plan)], None)[0]
-
-
 def baseline_and_plan_times(config: ExperimentConfig,
                             plan: MicrobatchRecomputePlan):
-    """``(iteration_time(config, ...), iteration_time_with_plan(config,
-    plan, ...))`` — the Appendix C before/after pair.  The two differ only
-    in their backward durations, so they are priced over one schedule and
-    one layer / embedding / head trace."""
-    plain = (True, plan.base_recompute, [0.0] * len(plan.stages))
-    return tuple(_iterations(config, [plain, _variant(plan)], None))
-
-
-def _variant(plan: MicrobatchRecomputePlan):
-    return (True, plan.base_recompute,
-            [stage.full_fraction for stage in plan.stages])
+    """The Appendix C before/after pair of
+    :class:`~repro.perf_model.iteration.IterationResult`:
+    ``iteration_time(config)``, and the iteration when each stage skips
+    recomputation for its ``full_fraction`` of microbatches (mean-field:
+    the stage's backward duration shrinks proportionally), so the MFU
+    delta (the paper's +0.7% / +0.4%) reads directly.  The two differ
+    only in their backward durations, so they are priced over one
+    schedule and one layer / embedding / head trace."""
+    return tuple(_iterations(config, [
+        (True, plan.base_recompute, [0.0] * len(plan.stages)),
+        (True, plan.base_recompute,
+         [stage.full_fraction for stage in plan.stages])], None))

@@ -14,9 +14,10 @@ display and tests.
 This module is also the single statement of 1F1B **dataflow**: one rule
 of what an op waits for (``_waits_for``, per op in :func:`op_dependency`,
 per table in its dependency index) and the two orders a table derives
-from it once each — the wavefront levels the event simulator prices and
-:attr:`ScheduleTable.issue_order`, which the ``PipelinedGPT`` executor,
-the Figure 10 timeline and ``SimResult.op_finish`` follow — plus
+from it once each — the wavefront levels
+:func:`~repro.pipeline_sim.simulator.price` prices and
+:attr:`ScheduleTable.issue_order`, which the ``PipelinedGPT`` executor
+and the Figure 10 timeline follow — plus
 Appendix C's moving window of fully-stored microbatches
 (:class:`StorageWindow`).
 """

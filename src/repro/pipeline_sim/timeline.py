@@ -11,8 +11,7 @@ character per time cell:
 
 The renderer follows the schedule table's
 :attr:`~repro.pipeline_sim.schedule.ScheduleTable.issue_order`, the order
-the ``PipelinedGPT`` executor runs and ``SimResult.op_finish`` records,
-splitting each backward op into its recompute and gradient components so
+the ``PipelinedGPT`` executor runs, splitting each backward op into its recompute and gradient components so
 the Figure 10.a vs 10.b contrast (checkpoint-everything vs
 microbatch-level recomputation) is visible directly.
 """

@@ -321,6 +321,3 @@ class PagedKVCache:
         expected = self.expected_bytes()
         return max(abs(self.measured_bytes(rank) - expected)
                    for rank in range(self.world))
-
-    def occupancy(self) -> float:
-        return self.blocks_in_use / self.num_blocks

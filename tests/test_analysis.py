@@ -7,7 +7,7 @@ Four contracts under test:
    the wall by construction), live and offline paths agree, and the
    chaos preset lands its recovery stalls in the right bucket;
 2. **Reconciliation** — MFU/HFU derived from traced GEMM FLOPs agree
-   with :func:`repro.perf_model.measured_utilization` to float
+   with :func:`repro.flops_model.utilization` to float
    precision, and per-term memory drift against Equations 1-4 is zero
    on the seed configurations;
 3. **Determinism** — ``repro bench`` writes byte-identical

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from repro.allocator import FirstFitAllocator
 from repro.errors import PlanningError
-from repro.pipeline_sim import PipelineCosts, schedule_table, simulate
+from repro.pipeline_sim.schedule import level_plan
+from repro.pipeline_sim.simulator import price
 from repro.tensor import checkpoint, from_numpy, parameter, seed
 from repro.tensor import functions as F
 
@@ -85,15 +86,12 @@ class TestSimulatorFuzz:
         rng = np.random.default_rng(seed_value)
         fwd = rng.uniform(0.1, 2.0, size=p).tolist()
         bwd = rng.uniform(0.1, 4.0, size=p).tolist()
-        result = simulate(schedule_table(p, n), PipelineCosts(
-            forward_time=lambda g: fwd[g],
-            backward_time=lambda g: bwd[g],
-            p2p_time=rng.uniform(0, 0.5),
-        ))
+        makespan, busy, _ = price(level_plan(p, n), fwd, bwd,
+                                  rng.uniform(0, 0.5))
         # Makespan can never beat the busiest rank's serial work.
         for rank in range(p):
-            assert result.makespan >= n * (fwd[rank] + bwd[rank]) - 1e-9
-        assert 0.0 <= result.bubble_fraction < 1.0
+            assert makespan >= n * (fwd[rank] + bwd[rank]) - 1e-9
+        assert 0.0 <= 1.0 - sum(busy) / (p * makespan) < 1.0
 
     @given(st.integers(2, 4), st.integers(1, 3), st.sampled_from([2, 3]),
            st.integers(0, 10_000))
@@ -104,15 +102,12 @@ class TestSimulatorFuzz:
         groups = p * m
         fwd = rng.uniform(0.1, 1.0, size=groups).tolist()
         bwd = rng.uniform(0.1, 2.0, size=groups).tolist()
-        result = simulate(schedule_table(p, n, m), PipelineCosts(
-            forward_time=lambda g: fwd[g],
-            backward_time=lambda g: bwd[g],
-        ))
-        assert result.makespan > 0
+        makespan, busy, _ = price(level_plan(p, n, m), fwd, bwd)
+        assert makespan > 0
         # every rank executed all its work
         for rank in range(p):
             work = n * sum(fwd[g] + bwd[g] for g in range(groups) if g % p == rank)
-            assert result.busy_time[rank] == pytest.approx(work)
+            assert busy[rank] == pytest.approx(work)
 
 
 class TestAllocatorFuzz:

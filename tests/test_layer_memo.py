@@ -4,7 +4,7 @@
 one records memo: a hit prices bit for bit what a fresh trace prices,
 one analytic pass traces each distinct layer / end once, and an
 installed observer still sees a real trace.  `_iterations` prices the
-kept `level_plan` of each schedule: bit for bit what simulating a freshly
+kept `level_plan` of each schedule: bit for bit what pricing a freshly
 built table gives, each schedule built once per process, in under 2 MB
 of narrow arrays."""
 
@@ -21,7 +21,7 @@ from repro.layers.transformer import Recompute
 from repro.observability import Tracer, trace_scope
 from repro.perf_model import KernelCostModel, iteration, layer_timing
 from repro.perf_model.calibrate import calibrate
-from repro.pipeline_sim import PipelineCosts, schedule_table, simulate
+from repro.pipeline_sim import schedule_table
 from repro.pipeline_sim import schedule
 from repro.pipeline_sim.simulator import price
 from repro.planner import plan
@@ -257,10 +257,9 @@ def test_the_schedule_build_stays_int32(config):
     assert 0 <= ran_at.min() and ran_at.max() < np.iinfo(np.int32).max
 
 
-def _simulated(table, costs):
-    """`_iterations`' pricing as it was: simulate a freshly built table."""
-    result = simulate(table, costs)
-    return result.makespan, result.busy_time, None
+def _fresh(table, *times):
+    """Price a freshly built table's own plan."""
+    return price(table._levels[1], *times)
 
 
 def _results(name):
@@ -278,7 +277,7 @@ def test_a_kept_plan_prices_bit_for_bit_a_fresh_table(monkeypatch, name):
     _results(name)  # warm: the plan is served from the memo
     warm = [_bits(dataclasses.astuple(r)) for r in _results(name)]
     monkeypatch.setattr(iteration, "level_plan", schedule_table)
-    monkeypatch.setattr(iteration, "price", _simulated)
+    monkeypatch.setattr(iteration, "price", _fresh)
     fresh = [_bits(dataclasses.astuple(r)) for r in _results(name)]
     assert kept == warm == fresh
 
@@ -296,10 +295,8 @@ def test_a_kept_plan_prices_as_the_per_op_loop(p, rounds, m, p2p, data):
     groups = p * m
     per_group = st.lists(_seconds, min_size=groups, max_size=groups)
     fwd, bwd = data.draw(per_group), data.draw(per_group)
-    costs = PipelineCosts(forward_time=fwd.__getitem__,
-                          backward_time=bwd.__getitem__, p2p_time=p2p)
     n = p * rounds
-    makespan, busy, _ = price(schedule.level_plan(p, n, m), costs)
-    want_makespan, want_busy, _, _ = _reference_simulate(
-        schedule_table(p, n, m), costs)
+    makespan, busy, _ = price(schedule.level_plan(p, n, m), fwd, bwd, p2p)
+    want_makespan, want_busy = _reference_simulate(
+        schedule_table(p, n, m), fwd, bwd, p2p)
     assert _bits((makespan, *busy)) == _bits((want_makespan, *want_busy))

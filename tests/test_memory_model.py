@@ -8,7 +8,6 @@ from repro.memory_model import (
     figure1_budget,
     in_flight_microbatches,
     memory_fraction_of_tp_baseline,
-    microbatch_recompute_window,
     parameter_count,
     per_layer_activation_bytes,
     per_layer_breakdown,
@@ -252,12 +251,6 @@ class TestFigure9:
             assert prof.unoptimized_bytes[rank] == mem.total + mem.outputs
         assert prof.optimized_bytes[34] / GIB == pytest.approx(11.86, abs=0.005)
         assert prof.optimized_bytes[0] / GIB == pytest.approx(23.42, abs=0.005)
-
-    def test_window_formula(self):
-        assert microbatch_recompute_window(0, 8) == 8
-        assert microbatch_recompute_window(7, 8) == 1
-        with pytest.raises(Exception):
-            microbatch_recompute_window(8, 8)
 
     def test_stage_out_of_range(self):
         from repro.errors import ConfigError

@@ -8,7 +8,7 @@ from repro.errors import ConfigError, PlanningError
 from repro.layers.transformer import Recompute
 from repro.perf_model import iteration_time
 from repro.pipeline_sim.microbatch_recompute import (
-    iteration_time_with_plan,
+    baseline_and_plan_times,
     plan_microbatch_recompute,
 )
 from repro.planner import enumerate_options, plan
@@ -209,8 +209,8 @@ class TestMicrobatchRecompute:
         """Appendix C: +0.7% (175B) and +0.4% (530B) MFU — "the gain is
         small because the selective recomputation overhead is ~2%"."""
         cfg = PAPER_CONFIGS[name]
-        base = iteration_time(cfg)
-        improved = iteration_time_with_plan(cfg, plan_microbatch_recompute(cfg))
+        base, improved = baseline_and_plan_times(
+            cfg, plan_microbatch_recompute(cfg))
         gain = improved.mfu - base.mfu
         assert 0.0 < gain < 0.03
         assert improved.iteration_time < base.iteration_time
@@ -224,7 +224,7 @@ class TestMicrobatchRecompute:
         planned = plan_microbatch_recompute(cfg)
         zero = replace(planned, stages=[replace(s, full_slots=0.0)
                                         for s in planned.stages])
-        with_plan = iteration_time_with_plan(cfg, zero)
+        with_plan = baseline_and_plan_times(cfg, zero)[1]
         plain = iteration_time(cfg, recompute=zero.base_recompute)
         for f in fields(plain):
             assert (repr(getattr(with_plan, f.name))
