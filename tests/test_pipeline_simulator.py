@@ -107,19 +107,55 @@ def test_malformed_schedule_is_a_schedule_error(ops, num_groups, message):
         uniform(ScheduleTable._of(ops, num_groups)._levels[1])
 
 
-def in_flight_peaks(table):
-    """Per rank, the most microbatches whose activations it holds at once:
-    +1 chunk at each forward, -1 at each backward, in the rank's order;
-    ``m`` chunks make a microbatch.  Also checks each rank ends empty."""
-    m = table.num_groups // (len(table.starts) - 1)
+def held_chunks(table):
+    """Per rank, the chunks whose activations it holds after each op: +1
+    at each forward, -1 at each backward, in the rank's order."""
     held = np.where(table.forward, 1, -1)
     starts = table.starts.tolist()
-    peaks = []
-    for a, b in zip(starts, starts[1:]):
-        running = np.cumsum(held[a:b])
-        assert running[-1] == 0
-        peaks.append(running.max() / m)
-    return peaks
+    return [np.cumsum(held[a:b]) for a, b in zip(starts, starts[1:])]
+
+
+def in_flight_peaks(table):
+    """Per rank, the most microbatches it holds at once; ``m`` chunks make
+    a microbatch."""
+    m = table.num_groups // (len(table.starts) - 1)
+    return [running.max() / m for running in held_chunks(table)]
+
+
+class TestMemoryTimeline:
+    """The schedule's own in-flight count is the closed form every stage
+    memory (Eq. 5, Figure 9, Appendix C) is built on."""
+
+    def test_peak_matches_in_flight_formula(self):
+        p, n = 4, 8
+        assert in_flight_peaks(schedule_table(p, n)) == [
+            in_flight_microbatches(stage, p, n) for stage in range(p)]
+
+    def test_interleaved_peak_matches_formula(self):
+        p, n, m = 4, 8, 2
+        assert in_flight_peaks(schedule_table(p, n, m)) == [
+            in_flight_microbatches(stage, p, n, m) for stage in range(p)]
+
+    def test_530b_peaks_match_figure9_profile(self):
+        """The paper's own interleaved 530B schedule (p=35, v=3) on the
+        per-rank in-flight counts Figure 9 plots."""
+        from repro.config import PAPER_CONFIGS
+
+        cfg = PAPER_CONFIGS["530B"]
+        p, m = cfg.parallel.pipeline_parallel, cfg.parallel.interleave_stages
+        n = cfg.num_microbatches
+        assert in_flight_peaks(schedule_table(p, n, m)) == [
+            in_flight_microbatches(stage, p, n, m) for stage in range(p)]
+
+    def test_memory_returns_to_zero(self):
+        # After all backwards every rank holds nothing; each held some.
+        for running in held_chunks(schedule_table(3, 5)):
+            assert running[-1] == 0 and running.max() > 0
+
+    def test_first_stage_holds_most(self):
+        for pnm in [(6, 12, 1), (4, 8, 2)]:
+            peaks = in_flight_peaks(schedule_table(*pnm))
+            assert peaks == sorted(peaks, reverse=True)
 
 
 @st.composite
@@ -134,21 +170,14 @@ def _pnm(draw):
 @given(_pnm())
 @settings(max_examples=60, deadline=None)
 def test_schedule_holds_eq5_in_flight_microbatches(pnm):
-    """The schedule's own in-flight count is the closed form every stage
-    memory (Eq. 5, Figure 9, Appendix C) is built on."""
+    """`TestMemoryTimeline`'s checks on generated ``(p, n, m)``."""
     p, n, m = pnm
-    peaks = in_flight_peaks(schedule_table(p, n, m))
+    table = schedule_table(p, n, m)
+    assert all(running[-1] == 0 for running in held_chunks(table))
+    peaks = in_flight_peaks(table)
     assert peaks == [in_flight_microbatches(rank, p, n, m)
                      for rank in range(p)]
-    assert peaks == sorted(peaks, reverse=True)  # the first stage holds most
-
-
-def test_530b_schedule_holds_eq5_in_flight_microbatches():
-    """The paper's own interleaved 530B schedule (p=35, v=3) on Figure 9's
-    per-rank in-flight counts."""
-    p, n, m = 35, 280, 3
-    assert in_flight_peaks(schedule_table(p, n, m)) == [
-        in_flight_microbatches(rank, p, n, m) for rank in range(p)]
+    assert peaks == sorted(peaks, reverse=True)
 
 
 # The per-op loop the simulator ran before it was made cheap, kept verbatim
